@@ -99,7 +99,7 @@ commands:
   gateway [flags]              route client RPCs to a federation of servers
   fed [file.ocr] [flags]       federation in a box: N servers + gateway demo
   history <store-dir> [flags]  inspect a persistent store: past runs, events
-  records <store-dir> [flags]  decode and pretty-print persist records (both formats)
+  records <store-dir> [flags]  decode and pretty-print persist records
 
 run and simulate accept -store <dir> to persist templates, state and
 history to disk (inspect them later with the history command).
@@ -276,6 +276,31 @@ func parseInputs(kvs []string) (map[string]ocr.Value, error) {
 	return inputs, nil
 }
 
+// startArgs resolves what run/simulate/serve start: the named template
+// (default: first in file) and its -input values. Every declared INPUT must
+// be given — a missing one would otherwise surface mid-run as a null deep
+// inside the process.
+func startArgs(ps []*ocr.Process, template string, inputFlags []string) (string, map[string]ocr.Value, error) {
+	if template == "" {
+		template = ps[0].Name
+	}
+	inputs, err := parseInputs(inputFlags)
+	if err != nil {
+		return "", nil, err
+	}
+	for _, p := range ps {
+		if p.Name != template {
+			continue
+		}
+		for _, name := range p.Inputs {
+			if _, ok := inputs[name]; !ok {
+				return "", nil, fmt.Errorf("missing -input %s (declared INPUT of %s)", name, p.Name)
+			}
+		}
+	}
+	return template, inputs, nil
+}
+
 // fileThenFlags splits "FILE [flags]" argument lists so flags may follow
 // the positional file argument.
 func fileThenFlags(fs *flag.FlagSet, args []string, usage string) (string, error) {
@@ -315,10 +340,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *template == "" {
-		*template = ps[0].Name
-	}
-	inputs, err := parseInputs(inputFlags)
+	tpl, inputs, err := startArgs(ps, *template, inputFlags)
 	if err != nil {
 		return err
 	}
@@ -352,7 +374,7 @@ func cmdRun(args []string) error {
 		return regErr
 	}
 	if *nInstances <= 1 {
-		id, err := rt.StartProcess(*template, inputs, core.StartOptions{})
+		id, err := rt.StartProcess(tpl, inputs, core.StartOptions{})
 		if err != nil {
 			return err
 		}
@@ -367,7 +389,7 @@ func cmdRun(args []string) error {
 	started := time.Now()
 	ids := make([]string, *nInstances)
 	for i := range ids {
-		if ids[i], err = rt.StartProcess(*template, inputs, core.StartOptions{}); err != nil {
+		if ids[i], err = rt.StartProcess(tpl, inputs, core.StartOptions{}); err != nil {
 			return err
 		}
 	}
@@ -406,10 +428,7 @@ func cmdSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *template == "" {
-		*template = ps[0].Name
-	}
-	inputs, err := parseInputs(inputFlags)
+	tpl, inputs, err := startArgs(ps, *template, inputFlags)
 	if err != nil {
 		return err
 	}
@@ -436,7 +455,7 @@ func cmdSimulate(args []string) error {
 			return err
 		}
 	}
-	id, err := rt.Engine.StartProcess(*template, inputs, core.StartOptions{})
+	id, err := rt.Engine.StartProcess(tpl, inputs, core.StartOptions{})
 	if err != nil {
 		return err
 	}
@@ -671,8 +690,6 @@ func cmdHistory(args []string) error {
 			if !strings.HasPrefix(kv.Key, "inst/") {
 				continue
 			}
-			// DecodeInstanceMeta reads both record formats (binary codec
-			// and legacy JSON).
 			m, err := core.DecodeInstanceMeta(kv.Value)
 			if err != nil {
 				continue

@@ -88,3 +88,21 @@ func TestFmtArgsDeterministic(t *testing.T) {
 		t.Fatalf("fmtArgs = %q", got)
 	}
 }
+
+// TestRunShippedPipeline runs the README's invocation of the shipped
+// example to Done, and checks that leaving a declared INPUT out fails up
+// front, naming it, instead of mid-run as a null inside the process.
+func TestRunShippedPipeline(t *testing.T) {
+	const file = "../../examples/processes/pipeline.ocr"
+	if err := cmdRun([]string{file, "-input", "samples=[1,2,3]", "-input", "skip_cleaning=false", "-v"}); err != nil {
+		t.Fatalf("README invocation: %v", err)
+	}
+	const want = "missing -input samples (declared INPUT of Pipeline)"
+	for name, cmd := range map[string]func([]string) error{
+		"run": cmdRun, "simulate": cmdSimulate, "serve": cmdServe,
+	} {
+		if err := cmd([]string{file}); err == nil || err.Error() != want {
+			t.Errorf("%s with no -input = %v, want %q", name, err, want)
+		}
+	}
+}

@@ -11,13 +11,12 @@ import (
 
 // cmdRecords decodes and pretty-prints the persist records of a store —
 // the operator's window into the binary record format. Every record family
-// of both encodings renders: binary codec records, legacy JSON records,
-// and raw interned process texts.
+// renders: the four codec families and raw interned process texts.
 func cmdRecords(args []string) error {
 	fs := flag.NewFlagSet("records", flag.ExitOnError)
 	spaceName := fs.String("space", "instance", "space to dump: instance, history, or all")
 	prefix := fs.String("prefix", "", "only keys with this prefix (e.g. inst/, task/p0001)")
-	keysOnly := fs.Bool("keys", false, "list keys and formats only, no record bodies")
+	keysOnly := fs.Bool("keys", false, "list keys and sizes only, no record bodies")
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
 		return fmt.Errorf("usage: bioopera records <store-dir> [-space instance|history|all] [-prefix p] [-keys]")
 	}
@@ -55,12 +54,12 @@ func cmdRecords(args []string) error {
 				fmt.Printf("space %s:\n", sp)
 			}
 			shown++
-			format, rendered, err := core.FormatRecord(kv.Key, kv.Value)
+			rendered, err := core.FormatRecord(kv.Key, kv.Value)
 			if err != nil {
-				fmt.Printf("  %s  [%s, %d bytes]  UNDECODABLE: %v\n", kv.Key, format, len(kv.Value), err)
+				fmt.Printf("  %s  [%d bytes]  UNDECODABLE: %v\n", kv.Key, len(kv.Value), err)
 				continue
 			}
-			fmt.Printf("  %s  [%s, %d bytes]\n", kv.Key, format, len(kv.Value))
+			fmt.Printf("  %s  [%d bytes]\n", kv.Key, len(kv.Value))
 			if *keysOnly {
 				continue
 			}

@@ -93,10 +93,7 @@ func cmdServe(args []string) error {
 			verbose:     *verbose,
 		})
 	}
-	if *template == "" {
-		*template = ps[0].Name
-	}
-	inputs, err := parseInputs(inputFlags)
+	tpl, inputs, err := startArgs(ps, *template, inputFlags)
 	if err != nil {
 		return err
 	}
@@ -193,7 +190,7 @@ func cmdServe(args []string) error {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	id, err := rt.StartProcess(*template, inputs, core.StartOptions{Tenant: *tenant})
+	id, err := rt.StartProcess(tpl, inputs, core.StartOptions{Tenant: *tenant})
 	if err != nil {
 		return err
 	}

@@ -21,11 +21,9 @@
 // allocation-free. Decoders never panic on corrupt input: every read is
 // bounds-checked and errors are sticky.
 //
-// The magic byte doubles as the format discriminator against the legacy
-// JSON records (which always start with '{'): readers Sniff the first byte
-// and fall back to encoding/json, so old stores stay readable forever.
-// Version is bumped on any layout change; decoders reject versions they do
-// not know rather than misparse them.
+// This is the only on-disk record format. Version is bumped on any layout
+// change; decoders reject versions they do not know — and anything that does
+// not start with Magic — rather than misparse them.
 package codec
 
 import (
@@ -40,9 +38,8 @@ import (
 )
 
 const (
-	// Magic is the first byte of every binary record. Legacy JSON records
-	// begin with '{' (0x7B) and interned process texts are printable
-	// program text, so one byte distinguishes the formats.
+	// Magic is the first byte of every binary record. Interned process
+	// texts are printable program text, so they can never carry it.
 	Magic byte = 0xBF
 	// Version is the current layout version, the second byte of every
 	// record.
@@ -50,10 +47,6 @@ const (
 	// headerLen is Magic + Version + kind.
 	headerLen = 3
 )
-
-// Sniff reports whether data looks like a binary codec record (as opposed
-// to a legacy JSON record or raw text).
-func Sniff(data []byte) bool { return len(data) > 0 && data[0] == Magic }
 
 // ErrCorrupt is wrapped by every decode error.
 var ErrCorrupt = errors.New("codec: corrupt record")
@@ -235,8 +228,14 @@ type Decoder struct {
 }
 
 // NewDecoder validates the record header and returns a decoder positioned
-// at the first field, plus the record kind.
+// at the first field, plus the record kind. This is the one place a record
+// of another format is refused; a '{' first byte is named for what it is —
+// a JSON record written before the codec existed — so the operator knows to
+// open the store once with a release that still converts those.
 func NewDecoder(data []byte) (*Decoder, byte, error) {
+	if len(data) > 0 && data[0] == '{' {
+		return nil, 0, fmt.Errorf("%w: pre-codec JSON record", ErrCorrupt)
+	}
 	if len(data) < headerLen || data[0] != Magic {
 		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}

@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"bioopera/internal/ocr"
@@ -280,15 +282,29 @@ func TestCorruptInputsNeverPanic(t *testing.T) {
 	}
 }
 
-func TestSniff(t *testing.T) {
-	if Sniff(nil) || Sniff([]byte(`{"id":"x"}`)) || Sniff([]byte("PROCESS P {}")) {
-		t.Fatal("sniffed non-binary data as binary")
+// TestNewDecoderRefusesNonBinary: the header check is the one place a
+// record of another format is turned away. JSON is named as what it is;
+// everything else is bad magic; neither panics.
+func TestNewDecoderRefusesNonBinary(t *testing.T) {
+	for _, tc := range []struct {
+		data []byte
+		want string
+	}{
+		{nil, "bad magic"},
+		{[]byte("PROCESS P {}"), "bad magic"},
+		{[]byte(`{"id":"x"}`), "pre-codec JSON record"},
+		{[]byte("{"), "pre-codec JSON record"},
+	} {
+		_, _, err := NewDecoder(tc.data)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewDecoder(%q) = %v, want ErrCorrupt mentioning %q", tc.data, err, tc.want)
+		}
 	}
 	e := Get()
+	defer Put(e)
 	e.Begin(1)
 	e.End()
-	if !Sniff(e.Span(0)) {
-		t.Fatal("binary record not sniffed")
+	if _, kind, err := NewDecoder(e.Span(0)); err != nil || kind != 1 {
+		t.Fatalf("binary record refused: kind=%d err=%v", kind, err)
 	}
-	Put(e)
 }

@@ -165,10 +165,10 @@ func BenchmarkCodecDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeMetaBinary(metaBin); err != nil {
+		if _, err := decodeMetaRecord(metaBin); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decodeTaskBinary(taskBin); err != nil {
+		if _, err := decodeTaskRecord(taskBin); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,10 +177,10 @@ func BenchmarkCodecDecode(b *testing.B) {
 	const reps = 20000
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := decodeMetaBinary(metaBin); err != nil {
+		if _, err := decodeMetaRecord(metaBin); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decodeTaskBinary(taskBin); err != nil {
+		if _, err := decodeTaskRecord(taskBin); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,17 +1,14 @@
 package core
 
 import (
-	"encoding/json"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"bioopera/internal/codec"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
-	"bioopera/internal/store"
 )
 
 // fuzzValue builds one whiteboard value from fuzz primitives. NaN is
@@ -53,11 +50,14 @@ func fuzzValueMap(n uint8, key string, sel uint8, num float64, s string) map[str
 // decode and requires the result to be structurally identical to the
 // input. The DTOs are built from fuzz primitives so the corpus explores
 // string-interning collisions, extreme ints, and empty-vs-populated
-// containers.
+// containers. The fuzz strings double as raw record bytes: text that does
+// not start with the codec magic — a pre-codec store's JSON records, as in
+// the last seed — must be refused by every decoder, never misparsed.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add("p0001", "Par", "tenant-a", "", uint8(2), -3, true, int64(12345), int64(-1), "out", "val", 2.5, uint8(2), uint8(7))
 	f.Add("", "", "", "node fell over", uint8(200), math.MaxInt32, false, int64(math.MinInt64), int64(math.MaxInt64), "k", "k", math.Inf(1), uint8(3), uint8(0))
 	f.Add("x", "x", "x", "x", uint8(0), 0, false, int64(0), int64(0), "x", "x", -0.0, uint8(0), uint8(4))
+	f.Add(`{"id":"p0001","template":"Par"}`, "Par", "", "", uint8(1), 0, false, int64(0), int64(0), "k", `{"name":"Add","status":2}`, 1.0, uint8(1), uint8(3))
 	f.Fuzz(func(t *testing.T, id, tmpl, tenant, reason string, status uint8, prio int, nice bool, t1, t2 int64, key, s string, num float64, n, sel uint8) {
 		meta := instanceDTO{
 			ID: id, Template: tmpl, Status: InstanceStatus(status),
@@ -101,33 +101,46 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		encodeDyn(e, &dyn)
 		encodeTask(e, &task)
 
-		gotMeta, err := decodeMetaBinary(e.Span(0))
+		gotMeta, err := decodeMetaRecord(e.Span(0))
 		if err != nil {
 			t.Fatalf("meta: %v", err)
 		}
 		if !reflect.DeepEqual(gotMeta, meta) {
 			t.Fatalf("meta round trip:\n got %+v\nwant %+v", gotMeta, meta)
 		}
-		gotCreate, err := decodeCreateBinary(e.Span(1))
+		gotCreate, err := decodeCreateRecord(e.Span(1))
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
 		if !reflect.DeepEqual(gotCreate, create) {
 			t.Fatalf("create round trip:\n got %+v\nwant %+v", gotCreate, create)
 		}
-		gotDyn, err := decodeDynBinary(e.Span(2))
+		gotDyn, err := decodeDynRecord(e.Span(2))
 		if err != nil {
 			t.Fatalf("dyn: %v", err)
 		}
 		if !reflect.DeepEqual(gotDyn, dyn) {
 			t.Fatalf("dyn round trip:\n got %+v\nwant %+v", gotDyn, dyn)
 		}
-		gotTask, err := decodeTaskBinary(e.Span(3))
+		gotTask, err := decodeTaskRecord(e.Span(3))
 		if err != nil {
 			t.Fatalf("task: %v", err)
 		}
 		if !reflect.DeepEqual(gotTask, task) {
 			t.Fatalf("task round trip:\n got %+v\nwant %+v", gotTask, task)
+		}
+
+		for _, raw := range []string{id, s} {
+			if raw != "" && raw[0] == codec.Magic {
+				continue
+			}
+			_, errMeta := decodeMetaRecord([]byte(raw))
+			_, errCreate := decodeCreateRecord([]byte(raw))
+			_, errDyn := decodeDynRecord([]byte(raw))
+			_, errTask := decodeTaskRecord([]byte(raw))
+			if errMeta == nil || errCreate == nil || errDyn == nil || errTask == nil {
+				t.Fatalf("non-codec bytes %q decoded: meta=%v create=%v dyn=%v task=%v", raw, errMeta, errCreate, errDyn, errTask)
+			}
 		}
 	})
 }
@@ -158,112 +171,5 @@ func TestCodecEncodeAllocs(t *testing.T) {
 	run() // warm the buffer, intern table, and key scratch
 	if allocs := testing.AllocsPerRun(500, run); allocs != 0 {
 		t.Errorf("steady-state record encode = %v allocs, want 0", allocs)
-	}
-}
-
-// TestRecoverJSONDeltaStoreByteEquivalent is the mixed-format dependability
-// property: a store written by the previous (JSON) engine generation must
-// recover into exactly the state the binary engine recovers from its own
-// store — and the first recovery converts every delta record to binary in
-// place, so the JSON decode path is paid once per record, ever.
-func TestRecoverJSONDeltaStoreByteEquivalent(t *testing.T) {
-	stA := store.NewMem()
-	rtA := newRuntime(t, SimConfig{Store: stA})
-	register(t, rtA, parallelSrc)
-	xs := ocr.List(ocr.Num(1), ocr.Num(2), ocr.Num(3), ocr.Num(4), ocr.Num(5))
-	id := start(t, rtA, "Par", map[string]ocr.Value{"xs": xs})
-	quiesceSuspended(t, rtA, id, sim.Time(1500*time.Millisecond))
-
-	// Rewrite the binary store as the JSON engine would have written it:
-	// decode each binary delta record and json.Marshal the identical DTO
-	// (same structs, same tags — byte-for-byte the old generation's
-	// records). proc/ texts are format-free and copy verbatim.
-	stB := store.NewMem()
-	kvs, err := stA.List(store.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	converted := 0
-	for _, kv := range kvs {
-		v := kv.Value
-		if codec.Sniff(v) {
-			converted++
-			var dto any
-			switch {
-			case strings.HasPrefix(kv.Key, "inst/"):
-				dto, err = decodeMetaBinary(v)
-			case strings.HasPrefix(kv.Key, "scopec/"):
-				dto, err = decodeCreateBinary(v)
-			case strings.HasPrefix(kv.Key, "scoped/"):
-				dto, err = decodeDynBinary(v)
-			case strings.HasPrefix(kv.Key, "task/"):
-				dto, err = decodeTaskBinary(v)
-			default:
-				t.Fatalf("unexpected binary record %q", kv.Key)
-			}
-			if err != nil {
-				t.Fatalf("decode %s: %v", kv.Key, err)
-			}
-			if v, err = json.Marshal(dto); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := stB.Put(store.Instance, kv.Key, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if converted == 0 {
-		t.Fatal("binary engine wrote no binary records; test is vacuous")
-	}
-
-	rtA.Engine.Crash()
-	if n, err := rtA.Engine.Recover(); err != nil || n != 1 {
-		t.Fatalf("recover binary store = %d, %v", n, err)
-	}
-	rtB := newRuntime(t, SimConfig{Store: stB})
-	register(t, rtB, parallelSrc)
-	if n, err := rtB.Engine.Recover(); err != nil || n != 1 {
-		t.Fatalf("recover JSON store = %d, %v", n, err)
-	}
-
-	inA, _ := rtA.Engine.Instance(id)
-	inB, ok := rtB.Engine.Instance(id)
-	if !ok {
-		t.Fatal("JSON-store instance not recovered")
-	}
-	if dumpA, dumpB := dumpInstance(t, inA), dumpInstance(t, inB); dumpA != dumpB {
-		t.Fatalf("JSON-store recovery diverged from binary-store recovery:\n--- binary ---\n%s\n--- json ---\n%s", dumpA, dumpB)
-	}
-
-	// Convert-in-place: after one recovery, every delta record in the
-	// JSON store is binary again (proc/ stays raw text).
-	kvs, err = stB.List(store.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range kvs {
-		if strings.HasPrefix(kv.Key, "proc/") {
-			if codec.Sniff(kv.Value) {
-				t.Fatalf("proc record %s is not raw text", kv.Key)
-			}
-			continue
-		}
-		if !codec.Sniff(kv.Value) {
-			t.Errorf("record %s still JSON after recovery: %s", kv.Key, kv.Value)
-		}
-	}
-
-	// Both finish with the same answer.
-	for _, rt := range []*SimRuntime{rtA, rtB} {
-		if err := rt.Engine.Resume(id); err != nil {
-			t.Fatal(err)
-		}
-		rt.Run()
-		in := finished(t, rt, id)
-		for i := 0; i < 5; i++ {
-			if got := in.Outputs["doubled"].At(i).AsNum(); got != float64(2*(i+1)) {
-				t.Fatalf("doubled[%d] = %v", i, got)
-			}
-		}
 	}
 }

@@ -142,11 +142,6 @@ type Options struct {
 	// 1 serializes all instances against each other — the pre-sharding
 	// behaviour, kept as a benchmark baseline.
 	Shards int
-	// RecoverWorkers bounds the goroutines that decode and rebuild
-	// instances during Recover (default: Shards). Decoding dominates
-	// recovery cost and is per-instance, so it parallelizes cleanly; the
-	// resume phase stays serial either way, keeping traces deterministic.
-	RecoverWorkers int
 	// LazyRecovery makes Recover materialize suspended instances as
 	// meta-only stubs whose scope records are decoded on first mutating
 	// touch (Resume, Abort, Signal, SetParameter, Lineage). Boot time
@@ -250,9 +245,6 @@ func New(opts Options) (*Engine, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = DefaultShards
 	}
-	if opts.RecoverWorkers <= 0 {
-		opts.RecoverWorkers = opts.Shards
-	}
 	if opts.After == nil {
 		opts.After = func(d time.Duration, f func()) func() {
 			//bioopera:allow walltime real-time default by contract; the sim runtime installs a virtual-clock After
@@ -327,8 +319,8 @@ func (e *Engine) endTurn(in *Instance, mu *sync.Mutex, pump bool) {
 		e.metrics.turn(e.shardIndex(in.ID), e.now().Sub(in.turnStart))
 	}
 	mu.Unlock()
-	// Flush this turn's checkpoints outside the critical section: JSON
-	// marshaling and the store batch run here, ordered by the instance's
+	// Flush this turn's checkpoints outside the critical section: record
+	// encoding and the store batch run here, ordered by the instance's
 	// commit gate.
 	for _, ck := range cks {
 		e.flushCkpt(in, ck)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"bioopera/internal/codec"
@@ -10,18 +11,19 @@ import (
 // FuzzDecodeInstanceRecords hammers the delta-record decode path with
 // arbitrary key/value pairs. Recovery feeds this function raw store
 // contents, so it must never panic — corrupt input yields an error (or is
-// ignored for unrecognized keys), nothing else. Torn JSON, truncated keys,
-// wrong prefixes, and embedded separators are all fair game.
+// ignored for unrecognized keys), nothing else. Pre-codec JSON, truncated
+// keys, wrong prefixes, and embedded separators are all fair game.
 func FuzzDecodeInstanceRecords(f *testing.F) {
-	// Well-formed seeds, one per record family, plus near-misses.
+	// Non-codec values under every key shape: a pre-codec store's JSON
+	// records, raw text, near-miss keys.
 	f.Add("scopec/p0001/-", []byte(`{"id":"","proc":"PROCESS P {}"}`), "task/p0001/-/Add", []byte(`{"name":"Add","state":"ready"}`))
 	f.Add("scoped/p0001/-", []byte(`{"id":""}`), "proc/p0001/0011223344556677", []byte("PROCESS P {}"))
 	f.Add("scope/p0001/-", []byte(`{"id":"","tasks":[]}`), "scopec/p0001/Fan[2]", []byte(`{"id":"Fan[2]"}`))
 	f.Add("task/p0001", []byte("{"), "scopec/", []byte("null"))
 	f.Add("task/p0001/A/B[1]/T", []byte(`{"name":"T"}`), "scoped/p0001/-", []byte("{torn"))
 	f.Add("", []byte(""), "proc//", []byte{0xff, 0xfe})
-	// Binary-format seeds: well-formed codec records under the right keys,
-	// plus misfiled kinds and torn binary.
+	// Well-formed codec records under the right keys, plus misfiled kinds
+	// and torn binary.
 	e := codec.Get()
 	encodeCreate(e, &scopeCreateDTO{ID: "-", IsRoot: true, ProcText: "PROCESS P {}"})
 	encodeTask(e, &taskDTO{Name: "Add", Status: TaskReady})
@@ -38,6 +40,13 @@ func FuzzDecodeInstanceRecords(f *testing.F) {
 		recMap, procs, err := decodeInstanceRecords(kvs)
 		if err != nil {
 			return
+		}
+		// A scope-create key always decodes its value, so a JSON value
+		// there can only have been refused.
+		for _, kv := range kvs {
+			if strings.HasPrefix(kv.Key, "scopec/") && len(kv.Value) > 0 && kv.Value[0] == '{' {
+				t.Fatalf("pre-codec JSON record %s = %q decoded without error", kv.Key, kv.Value)
+			}
 		}
 		// On success the maps must be well-formed: no nil records, and
 		// every record's scopeID matches its map key.

@@ -17,61 +17,21 @@ import (
 	"bioopera/internal/store"
 )
 
-// These tests cover the incremental-checkpoint layout: recovery from
-// legacy whole-scope stores (byte-equivalent state), mixed-layout stores,
-// torn mid-delta batches, checkpoint failure re-marking, and allocation
-// guards on the persist hot path.
+// These tests cover the incremental-checkpoint layout: torn mid-delta
+// batches, checkpoint failure re-marking, and allocation guards on the
+// persist hot path.
 
-// legacyScopeDTO replicates the first engine generation's whole-scope
-// record writer exactly (one scopeDTO per scope, tasks in Proc order), so
-// tests can fabricate stores as the old engine would have written them.
-func legacyScopeDTO(sc *scope) scopeDTO {
-	dto := scopeDTO{
-		ID:         sc.ID,
-		IsRoot:     sc.Parent == nil,
-		ParentTask: sc.ParentTask,
-		ElemIndex:  sc.ElemIndex,
-		ProcText:   sc.procText(),
-		Whiteboard: sc.Whiteboard,
-		Done:       sc.Done,
-	}
-	if sc.Parent != nil {
-		dto.Parent = sc.Parent.ID
-	}
-	for _, t := range sc.Proc.Tasks {
-		ts := sc.Tasks[t.Name]
-		dto.Tasks = append(dto.Tasks, taskDTO{
-			Name: ts.Name, Status: ts.Status, Attempts: ts.Attempts,
-			Inputs: ts.Inputs, Outputs: ts.Outputs,
-			Node: ts.Node, Job: ts.Job, AltOf: ts.AltOf,
-			ReadyAt: ts.ReadyAt, StartedAt: ts.StartedAt, EndedAt: ts.EndedAt,
-			CPUTime: ts.CPUTime, ChildWaiting: ts.ChildWaiting,
-			Results: ts.Results, OverElems: ts.OverElems,
-		})
-	}
-	return dto
-}
-
-// writeLegacyInstance stores an instance in the old layout: one inst/
-// metadata record plus one whole-scope record per scope.
-func writeLegacyInstance(t *testing.T, st store.Store, in *Instance) {
-	t.Helper()
-	meta, err := json.Marshal(buildInstanceDTO(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(store.Instance, metaKey(in.ID), meta); err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range in.scopes {
-		data, err := json.Marshal(legacyScopeDTO(sc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Put(store.Instance, legacyScopeKey(in.ID, sc.ID), data); err != nil {
-			t.Fatal(err)
-		}
-	}
+// scopeDump is dumpInstance's view of one scope: everything recovery must
+// reproduce, including the derived task fields it recomputes.
+type scopeDump struct {
+	ID         string
+	Parent     string
+	ParentTask string
+	ElemIndex  int
+	ProcText   string
+	Whiteboard map[string]ocr.Value
+	Tasks      []taskDTO
+	Done       bool
 }
 
 // dumpInstance renders an instance's observable state as canonical JSON:
@@ -80,20 +40,36 @@ func writeLegacyInstance(t *testing.T, st store.Store, in *Instance) {
 // recoveries of the same execution state must dump byte-identically.
 func dumpInstance(t *testing.T, in *Instance) string {
 	t.Helper()
-	type scopeDump struct {
-		scopeDTO
-		Tasks []taskDTO `json:"tasks"`
-	}
 	var scopes []scopeDump
 	for _, sc := range in.scopes {
-		d := legacyScopeDTO(sc)
-		d.ProcText = sc.procText()
-		scopes = append(scopes, scopeDump{scopeDTO: d, Tasks: d.Tasks})
+		d := scopeDump{
+			ID:         sc.ID,
+			ParentTask: sc.ParentTask,
+			ElemIndex:  sc.ElemIndex,
+			ProcText:   sc.procText(),
+			Whiteboard: sc.Whiteboard,
+			Done:       sc.Done,
+		}
+		if sc.Parent != nil {
+			d.Parent = sc.Parent.ID
+		}
+		for _, t := range sc.Proc.Tasks {
+			ts := sc.Tasks[t.Name]
+			d.Tasks = append(d.Tasks, taskDTO{
+				Name: ts.Name, Status: ts.Status, Attempts: ts.Attempts,
+				Inputs: ts.Inputs, Outputs: ts.Outputs,
+				Node: ts.Node, Job: ts.Job, AltOf: ts.AltOf,
+				ReadyAt: ts.ReadyAt, StartedAt: ts.StartedAt, EndedAt: ts.EndedAt,
+				CPUTime: ts.CPUTime, ChildWaiting: ts.ChildWaiting,
+				Results: ts.Results, OverElems: ts.OverElems,
+			})
+		}
+		scopes = append(scopes, d)
 	}
 	sort.Slice(scopes, func(i, j int) bool { return scopes[i].ID < scopes[j].ID })
 	out, err := json.MarshalIndent(struct {
-		Meta   instanceDTO `json:"meta"`
-		Scopes []scopeDump `json:"scopes"`
+		Meta   instanceDTO
+		Scopes []scopeDump
 	}{buildInstanceDTO(in), scopes}, "", " ")
 	if err != nil {
 		t.Fatal(err)
@@ -113,135 +89,6 @@ func quiesceSuspended(t *testing.T, rt *SimRuntime, id string, at sim.Time) {
 	rt.RunUntil(at + sim.Time(time.Second)) // drain kill completions
 	if rt.Engine.RunningJobs() != 0 {
 		t.Fatal("jobs still running after suspend drain")
-	}
-}
-
-func TestRecoverLegacyLayoutByteEquivalent(t *testing.T) {
-	// Drive one instance mid-flight in the new layout, fabricate the same
-	// execution state as a legacy whole-scope store, and recover both: the
-	// rebuilt instances must be byte-identical, and the legacy instance
-	// must finish with the same result.
-	stA := store.NewMem()
-	rtA := newRuntime(t, SimConfig{Store: stA})
-	register(t, rtA, parallelSrc)
-	xs := ocr.List(ocr.Num(1), ocr.Num(2), ocr.Num(3), ocr.Num(4), ocr.Num(5), ocr.Num(6))
-	id := start(t, rtA, "Par", map[string]ocr.Value{"xs": xs})
-	quiesceSuspended(t, rtA, id, sim.Time(1500*time.Millisecond))
-
-	inA, _ := rtA.Engine.Instance(id)
-	stB := store.NewMem()
-	writeLegacyInstance(t, stB, inA)
-
-	rtA.Engine.Crash()
-	if n, err := rtA.Engine.Recover(); err != nil || n != 1 {
-		t.Fatalf("recover new layout = %d, %v", n, err)
-	}
-	rtB := newRuntime(t, SimConfig{Store: stB})
-	register(t, rtB, parallelSrc)
-	if n, err := rtB.Engine.Recover(); err != nil || n != 1 {
-		t.Fatalf("recover legacy layout = %d, %v", n, err)
-	}
-
-	inA, _ = rtA.Engine.Instance(id)
-	inB, ok := rtB.Engine.Instance(id)
-	if !ok {
-		t.Fatal("legacy instance not recovered")
-	}
-	dumpA, dumpB := dumpInstance(t, inA), dumpInstance(t, inB)
-	if dumpA != dumpB {
-		t.Fatalf("legacy recovery diverged from new-layout recovery:\n--- new ---\n%s\n--- legacy ---\n%s", dumpA, dumpB)
-	}
-
-	// The legacy instance was converted on recovery: whole-scope records
-	// replaced by delta records in the same store.
-	kvs, err := stB.List(store.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var haveCreate, haveTask, haveProc bool
-	for _, kv := range kvs {
-		switch {
-		case strings.HasPrefix(kv.Key, "scope/"):
-			t.Fatalf("legacy record %s survived conversion", kv.Key)
-		case strings.HasPrefix(kv.Key, "scopec/"):
-			haveCreate = true
-		case strings.HasPrefix(kv.Key, "task/"):
-			haveTask = true
-		case strings.HasPrefix(kv.Key, "proc/"):
-			haveProc = true
-		}
-	}
-	if !haveCreate || !haveTask || !haveProc {
-		t.Fatalf("conversion incomplete: create=%v task=%v proc=%v", haveCreate, haveTask, haveProc)
-	}
-
-	// Both finish with the same answer.
-	for _, rt := range []*SimRuntime{rtA, rtB} {
-		if err := rt.Engine.Resume(id); err != nil {
-			t.Fatal(err)
-		}
-		rt.Run()
-		in := finished(t, rt, id)
-		for i := 0; i < 6; i++ {
-			if got := in.Outputs["doubled"].At(i).AsNum(); got != float64(2*(i+1)) {
-				t.Fatalf("doubled[%d] = %v", i, got)
-			}
-		}
-	}
-}
-
-func TestRecoverMixedLayoutStore(t *testing.T) {
-	// One store holding a new-layout instance alongside a legacy-layout
-	// instance: both must recover and run to completion.
-	stA := store.NewMem()
-	rtA := newRuntime(t, SimConfig{Store: stA})
-	register(t, rtA, parallelSrc)
-	xs1 := ocr.List(ocr.Num(1), ocr.Num(2), ocr.Num(3))
-	xs2 := ocr.List(ocr.Num(10), ocr.Num(20), ocr.Num(30), ocr.Num(40))
-	id1 := start(t, rtA, "Par", map[string]ocr.Value{"xs": xs1})
-	id2 := start(t, rtA, "Par", map[string]ocr.Value{"xs": xs2})
-	rtA.RunUntil(sim.Time(500 * time.Millisecond))
-	for _, id := range []string{id1, id2} {
-		if err := rtA.Engine.Suspend(id, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rtA.RunUntil(sim.Time(2500 * time.Millisecond))
-
-	// id1 keeps its new-layout records; id2 is rewritten as legacy.
-	stM := store.NewMem()
-	kvs, err := stA.List(store.Instance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range kvs {
-		if strings.Contains(kv.Key, id1) {
-			if err := stM.Put(store.Instance, kv.Key, kv.Value); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	in2, _ := rtA.Engine.Instance(id2)
-	writeLegacyInstance(t, stM, in2)
-
-	rtM := newRuntime(t, SimConfig{Store: stM})
-	register(t, rtM, parallelSrc)
-	if n, err := rtM.Engine.Recover(); err != nil || n != 2 {
-		t.Fatalf("recover mixed store = %d, %v", n, err)
-	}
-	for _, id := range []string{id1, id2} {
-		if err := rtM.Engine.Resume(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rtM.Run()
-	in1 := finished(t, rtM, id1)
-	if got := in1.Outputs["doubled"].At(2).AsNum(); got != 6 {
-		t.Fatalf("id1 doubled[2] = %v", got)
-	}
-	in2 = finished(t, rtM, id2)
-	if got := in2.Outputs["doubled"].At(3).AsNum(); got != 80 {
-		t.Fatalf("id2 doubled[3] = %v", got)
 	}
 }
 
@@ -401,6 +248,71 @@ func TestPersistRemarkAfterBatchFailure(t *testing.T) {
 	in := finished(t, rt, id)
 	if got := in.Outputs["published"].At(0).AsNum(); got != 42 {
 		t.Fatalf("published = %v", in.Outputs["published"])
+	}
+}
+
+// keyLog records the key of every mutation the engine issues.
+type keyLog struct {
+	store.Store
+	mu   sync.Mutex
+	keys []string
+}
+
+func (l *keyLog) log(keys ...string) {
+	l.mu.Lock()
+	l.keys = append(l.keys, keys...)
+	l.mu.Unlock()
+}
+
+func (l *keyLog) Put(space store.Space, key string, value []byte) error {
+	l.log(key)
+	return l.Store.Put(space, key, value)
+}
+
+func (l *keyLog) Delete(space store.Space, key string) error {
+	l.log(key)
+	return l.Store.Delete(space, key)
+}
+
+func (l *keyLog) Batch(ops []store.Op) error {
+	for _, op := range ops {
+		l.log(op.Key)
+	}
+	return l.Store.Batch(ops)
+}
+
+// TestNoWholeScopeKeyOps: the whole-scope record family is gone, so no
+// mutation may name a scope/ key — archive batches and sphere compensation
+// used to append one delete per scope for a key that never existed.
+func TestNoWholeScopeKeyOps(t *testing.T) {
+	kl := &keyLog{Store: store.NewMem()}
+	rt := newRuntime(t, SimConfig{Store: kl})
+	register(t, rt, parallelSrc)
+	var xs []ocr.Value
+	for i := 0; i < 40; i++ {
+		xs = append(xs, ocr.Num(float64(i)))
+	}
+	id := start(t, rt, "Par", map[string]ocr.Value{"xs": ocr.List(xs...)})
+	rt.Run()
+	finished(t, rt, id)
+
+	sl := newSphereLibrary(t, 1) // one sphere abort, then success
+	kl2 := &keyLog{Store: store.NewMem()}
+	rt2 := newRuntime(t, SimConfig{Library: sl.Library, Store: kl2})
+	register(t, rt2, sphereSrc)
+	id2 := start(t, rt2, "Sphere", nil)
+	rt2.Run()
+	finished(t, rt2, id2)
+
+	for _, log := range []*keyLog{kl, kl2} {
+		if len(log.keys) == 0 {
+			t.Fatal("no store mutations logged; test is vacuous")
+		}
+		for _, key := range log.keys {
+			if strings.HasPrefix(key, "scope/") {
+				t.Fatalf("engine issued an op on whole-scope key %s", key)
+			}
+		}
 	}
 }
 

@@ -20,28 +20,25 @@ import (
 // failures occur without losing already completed work."
 //
 // Checkpoints are incremental (§3.3: granularity is the lever that trades
-// durability cost against lost work). The whole-scope record of the first
-// engine generation is split into delta records so one activity completion
-// writes O(1) bytes, not O(scope):
+// durability cost against lost work). A scope is persisted as delta records
+// so one activity completion writes O(1) bytes, not O(scope):
 //
 //	inst/<id>                 instance metadata (every checkpoint)
 //	scopec/<id>/<scope>       scope-create record: immutable shape, written once
 //	scoped/<id>/<scope>       scope-dynamic record: owned whiteboard entries + done flag
 //	task/<id>/<scope>/<task>  one record per task (root scope encodes as "-")
 //	proc/<id>/<hash>          interned process text, referenced by scope-create
-//	scope/<id>/<scope>        legacy whole-scope record (still read; never written)
 //
 // A checkpoint is snapshotted into plain DTOs under the shard lock (persist)
-// and marshaled + committed after the lock is released (flushCkpt), ordered
+// and encoded + committed after the lock is released (flushCkpt), ordered
 // by a per-instance commit gate. Each batch is atomic on the store, so a
 // crash mid-checkpoint never leaves a torn view; on the disk store the batch
 // is one group-committed WAL append shared with other instances' checkpoints.
 //
 // Completed/failed instances move to the history space under the same keys.
-// Recovery rebuilds instances from either layout (mixed stores recover
-// cleanly); activities recorded as running are re-queued, and navigation
-// decisions in flight are re-derived by re-propagating the connectors of
-// terminal tasks.
+// Recovery rebuilds instances from these records; activities recorded as
+// running are re-queued, and navigation decisions in flight are re-derived
+// by re-propagating the connectors of terminal tasks.
 
 type taskDTO struct {
 	Name      string               `json:"name"`
@@ -57,10 +54,10 @@ type taskDTO struct {
 	EndedAt   sim.Time             `json:"endedAt,omitempty"`
 	CPUTime   time.Duration        `json:"cpuTime,omitempty"`
 	// ChildWaiting and Results are derived state: recovery recomputes them
-	// from the child scopes (resumeBlock/resumeChildScope), so new-layout
-	// task records leave them zero — otherwise every child completion of an
-	// n-wide block would re-marshal the parent's O(n) result list. They are
-	// still decoded from legacy whole-scope records.
+	// from the child scopes (resumeBlock/resumeChildScope), so task records
+	// leave them zero — otherwise every child completion of an n-wide block
+	// would re-encode the parent's O(n) result list. The fields keep their
+	// slots in the record layout (codec.Version 1).
 	ChildWaiting int         `json:"childWaiting,omitempty"`
 	Results      []ocr.Value `json:"results,omitempty"`
 	// OverElems is written once, when the parallel block expands.
@@ -85,27 +82,12 @@ type scopeCreateDTO struct {
 // keys re-inherit the parent scope's value on recovery, so an n-wide block's
 // children never re-serialize the parent whiteboard they merely inherited.
 // Drop masks keys the parent gained after this scope spawned. Full marks a
-// complete whiteboard (root scopes, subprocess bodies, legacy conversions,
-// archived records).
+// complete whiteboard (root scopes, subprocess bodies, archived records).
 type scopeDynDTO struct {
 	Entries map[string]ocr.Value `json:"entries,omitempty"`
 	Drop    []string             `json:"drop,omitempty"`
 	Full    bool                 `json:"full,omitempty"`
 	Done    bool                 `json:"done,omitempty"`
-}
-
-// scopeDTO is the legacy whole-scope record (first engine generation).
-// Recovery still decodes it; the engine never writes it.
-type scopeDTO struct {
-	ID         string               `json:"id"`
-	Parent     string               `json:"parent"`
-	IsRoot     bool                 `json:"isRoot,omitempty"`
-	ParentTask string               `json:"parentTask,omitempty"`
-	ElemIndex  int                  `json:"elemIndex"`
-	ProcText   string               `json:"proc"`
-	Whiteboard map[string]ocr.Value `json:"whiteboard"`
-	Tasks      []taskDTO            `json:"tasks"`
-	Done       bool                 `json:"done,omitempty"`
 }
 
 type instanceDTO struct {
@@ -135,7 +117,6 @@ func nzScope(scopeID string) string {
 	return scopeID
 }
 
-func legacyScopeKey(id, scopeID string) string { return "scope/" + id + "/" + nzScope(scopeID) }
 func scopeCreateKey(id, scopeID string) string { return "scopec/" + id + "/" + nzScope(scopeID) }
 func scopeDynKey(id, scopeID string) string    { return "scoped/" + id + "/" + nzScope(scopeID) }
 func taskKey(id, scopeID, task string) string {
@@ -322,7 +303,7 @@ func buildTaskDTO(ts *taskState) taskDTO {
 }
 
 // buildDynDTO snapshots a scope's dynamic record. Maps are copied so the
-// flusher can marshal after the shard lock is released.
+// flusher can encode after the shard lock is released.
 func buildDynDTO(sc *scope, full bool) scopeDynDTO {
 	dto := scopeDynDTO{Done: sc.Done}
 	if full || sc.wbFull {
@@ -410,8 +391,8 @@ func (e *Engine) snapshotScope(in *Instance, ck *ckpt, sc *scope, archive bool) 
 
 // persist snapshots the instance's dirty state as one checkpoint. The
 // caller holds the shard lock; the snapshot is cheap (DTO structs and map
-// copies for fields that can mutate before the flush) — JSON marshaling
-// and the store batch happen in flushCkpt once endTurn releases the lock.
+// copies for fields that can mutate before the flush) — encoding and the
+// store batch happen in flushCkpt once endTurn releases the lock.
 func (e *Engine) persist(in *Instance) {
 	ck := getCkpt()
 	ck.seq = in.nextCkptSeq()
@@ -435,7 +416,7 @@ func (e *Engine) persist(in *Instance) {
 // archive snapshots a finished instance completely and flags the checkpoint
 // to move every record to the history space (§3.2: "the data space contains
 // historical information about all processes already executed"). The bytes
-// are marshaled once by the flusher — no store re-reads — and one atomic
+// are encoded once by the flusher — no store re-reads — and one atomic
 // batch writes history and clears the instance space, so a crash mid-archive
 // never leaves an instance half in each. Caller holds the shard lock.
 func (e *Engine) archive(in *Instance) {
@@ -493,17 +474,14 @@ func (e *Engine) flushCkpt(in *Instance, ck *ckpt) {
 	ops, bytes := encodeCkpt(in, ck, space)
 	records := len(ops)
 	if ck.archive {
-		// One pass: the history puts above reuse the marshaled bytes, and
-		// the same batch clears every instance-space record — both record
-		// shapes, so archives of converted legacy instances leave nothing
-		// behind.
+		// One pass: the same batch that writes the history puts clears
+		// every instance-space record.
 		ops = append(ops, store.Op{Space: store.Instance, Key: metaKey(in.ID), Delete: true})
 		for i := range ck.creates {
 			id := ck.creates[i].dto.ID
 			ops = append(ops,
 				store.Op{Space: store.Instance, Key: scopeCreateKey(in.ID, id), Delete: true},
-				store.Op{Space: store.Instance, Key: scopeDynKey(in.ID, id), Delete: true},
-				store.Op{Space: store.Instance, Key: legacyScopeKey(in.ID, id), Delete: true})
+				store.Op{Space: store.Instance, Key: scopeDynKey(in.ID, id), Delete: true})
 		}
 		for i := range ck.tasks {
 			ops = append(ops, store.Op{Space: store.Instance, Key: taskKey(in.ID, ck.tasks[i].sc.ID, ck.tasks[i].dto.Name), Delete: true})

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bioopera/internal/codec"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
 	"bioopera/internal/store"
@@ -225,6 +227,71 @@ func TestLazyRecoverCorruptStubSurfacesOnResume(t *testing.T) {
 	register(t, rtC, parallelSrc)
 	if n, err := rtC.Engine.Recover(); err == nil || n != 0 {
 		t.Fatalf("eager recover = %d, %v; want immediate decode failure", n, err)
+	}
+}
+
+// TestRecoverRefusesPreCodecJSON: the codec is the only record format. A
+// well-formed JSON record — what an engine from before the codec wrote — is
+// refused, not converted: its instance fails with one error naming the key
+// and the reason, the other instances recover, and lazy recovery surfaces
+// the same error on first touch.
+func TestRecoverRefusesPreCodecJSON(t *testing.T) {
+	st := store.NewMem()
+	rtA := newRuntime(t, SimConfig{Store: st})
+	register(t, rtA, parallelSrc)
+	var ids []string
+	for i := 0; i < 3; i++ {
+		id := start(t, rtA, "Par", map[string]ocr.Value{"xs": sixXs()})
+		ids = append(ids, id)
+	}
+	rtA.RunUntil(sim.Time(500 * time.Millisecond))
+	for _, id := range ids {
+		if err := rtA.Engine.Suspend(id, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rtA.RunUntil(sim.Time(2500 * time.Millisecond))
+	rtA.Engine.Crash()
+
+	bad := ids[1]
+	badKey := taskKey(bad, "", "Fan")
+	if _, ok, _ := st.Get(store.Instance, badKey); !ok {
+		t.Fatalf("no record under %s to overwrite", badKey)
+	}
+	if err := st.Put(store.Instance, badKey, []byte(`{"name":"x"}`)); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(err error) bool {
+		return err != nil && errors.Is(err, codec.ErrCorrupt) &&
+			strings.Contains(err.Error(), badKey) && strings.Contains(err.Error(), "pre-codec JSON")
+	}
+
+	var reported []error
+	rtB := newRuntime(t, SimConfig{Store: st, Options: Options{
+		OnError: func(err error) { reported = append(reported, err) },
+	}})
+	register(t, rtB, parallelSrc)
+	n, err := rtB.Engine.Recover()
+	if n != len(ids)-1 || !refused(err) {
+		t.Fatalf("eager recover = %d, %v; want %d recovered and a refusal naming %s", n, err, len(ids)-1, badKey)
+	}
+	if len(reported) != 1 || !refused(reported[0]) {
+		t.Fatalf("OnError saw %v; want exactly the one refusal", reported)
+	}
+	if _, ok := rtB.Engine.Instance(bad); ok {
+		t.Fatal("refused instance present in the registry")
+	}
+
+	rtC := newRuntime(t, SimConfig{Store: st, Options: Options{LazyRecovery: true}})
+	register(t, rtC, parallelSrc)
+	if n, err := rtC.Engine.Recover(); err != nil || n != len(ids) {
+		t.Fatalf("lazy recover = %d, %v; stub decode must be deferred", n, err)
+	}
+	if err := rtC.Engine.Resume(bad); !refused(err) {
+		t.Fatalf("Resume of the refused stub = %v; want the refusal naming %s", err, badKey)
+	}
+	if err := rtC.Engine.Resume(ids[0]); err != nil {
+		t.Fatalf("Resume of a healthy stub: %v", err)
 	}
 }
 

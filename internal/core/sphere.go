@@ -153,8 +153,7 @@ func (e *Engine) abortSphere(in *Instance, sc *scope, t *ocr.Task, ts *taskState
 		delete(in.dirty, s.ID)
 		in.pendingDeletes = append(in.pendingDeletes,
 			scopeCreateKey(in.ID, s.ID),
-			scopeDynKey(in.ID, s.ID),
-			legacyScopeKey(in.ID, s.ID))
+			scopeDynKey(in.ID, s.ID))
 		for _, bt := range s.Proc.Tasks {
 			in.pendingDeletes = append(in.pendingDeletes, taskKey(in.ID, s.ID, bt.Name))
 		}

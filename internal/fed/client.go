@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"bioopera/internal/ocr"
 	"bioopera/internal/remote"
 )
 
@@ -38,6 +37,8 @@ const DefaultCallTimeout = 10 * time.Second
 // gateway (both speak the same frames). Calls are correlated by frame ID,
 // so many goroutines may call concurrently over the one connection.
 type Client struct {
+	rpcMethods // Start, Status, Wait, ... over CallRaw
+
 	conn net.Conn
 
 	wmu sync.Mutex // serializes frame writes
@@ -67,6 +68,7 @@ func DialClient(addr string, timeout time.Duration) (*Client, error) {
 		pending: make(map[uint64]chan remote.FedFrame),
 		done:    make(chan struct{}),
 	}
+	c.rpcMethods = rpcMethods{raw: c.CallRaw}
 	go c.readLoop()
 	return c, nil
 }
@@ -177,91 +179,4 @@ func (c *Client) CallRaw(method, instance string, params json.RawMessage, timeou
 		c.mu.Unlock()
 		return remote.FedFrame{}, fmt.Errorf("fed: %s call timed out after %v", method, timeout)
 	}
-}
-
-// call marshals params, runs CallRaw, and unmarshals the result into out
-// (skipped when out is nil).
-func (c *Client) call(method, instance string, params, out any, timeout time.Duration) error {
-	var raw json.RawMessage
-	if params != nil {
-		data, err := json.Marshal(params)
-		if err != nil {
-			return err
-		}
-		raw = data
-	}
-	resp, err := c.CallRaw(method, instance, raw, timeout)
-	if err != nil {
-		return err
-	}
-	if out != nil && len(resp.Result) > 0 {
-		return json.Unmarshal(resp.Result, out)
-	}
-	return nil
-}
-
-// Start instantiates a template somewhere in the federation and returns
-// the minted instance ID.
-func (c *Client) Start(req StartReq) (string, error) {
-	var res StartRes
-	if err := c.call(MethodStart, "", req, &res, 0); err != nil {
-		return "", err
-	}
-	return res.ID, nil
-}
-
-// Status reads an instance's current state.
-func (c *Client) Status(id string) (StateRes, error) {
-	var res StateRes
-	err := c.call(MethodStatus, id, nil, &res, 0)
-	return res, err
-}
-
-// Wait blocks until the instance is terminal or the timeout elapses.
-func (c *Client) Wait(id string, timeout time.Duration) (StateRes, error) {
-	var res StateRes
-	err := c.call(MethodWait, id, WaitReq{TimeoutMs: timeout.Milliseconds()}, &res,
-		timeout+DefaultCallTimeout)
-	return res, err
-}
-
-// Resume restarts a suspended instance.
-func (c *Client) Resume(id string) error {
-	return c.call(MethodResume, id, nil, nil, 0)
-}
-
-// Suspend stops dispatching an instance's activities.
-func (c *Client) Suspend(id string, graceful bool) error {
-	return c.call(MethodSuspend, id, SuspendReq{Graceful: graceful}, nil, 0)
-}
-
-// Abort fails an instance on user request.
-func (c *Client) Abort(id, reason string) error {
-	return c.call(MethodAbort, id, AbortReq{Reason: reason}, nil, 0)
-}
-
-// Signal delivers an external event to an instance.
-func (c *Client) Signal(id, event string, payload map[string]ocr.Value) error {
-	return c.call(MethodSignal, id, SignalReq{Event: event, Payload: payload}, nil, 0)
-}
-
-// SetParameter changes one whiteboard value.
-func (c *Client) SetParameter(id, name string, v ocr.Value) error {
-	return c.call(MethodSetParam, id, SetParamReq{Name: name, Value: v}, nil, 0)
-}
-
-// Lineage fetches an instance's provenance graph as raw JSON.
-func (c *Client) Lineage(id string) (json.RawMessage, error) {
-	resp, err := c.CallRaw(MethodLineage, id, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Result, nil
-}
-
-// Members fetches the membership and routing snapshot.
-func (c *Client) Members() (MembersView, error) {
-	var res MembersView
-	err := c.call(MethodMembers, "", nil, &res, 0)
-	return res, err
 }

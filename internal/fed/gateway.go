@@ -16,7 +16,6 @@ import (
 
 	"bioopera/internal/core"
 	"bioopera/internal/obs"
-	"bioopera/internal/ocr"
 	"bioopera/internal/remote"
 )
 
@@ -45,6 +44,8 @@ type GatewayConfig struct {
 // refreshed from the members themselves, follows redirects when a route
 // went stale, and retries through failover when an owner dies mid-call.
 type Gateway struct {
+	rpcMethods // Start, Status, Wait, ... routed through callRawTimeout
+
 	cfg GatewayConfig
 	met *fedMetrics
 	ln  net.Listener // nil for a library-only gateway
@@ -88,6 +89,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		partitions: DefaultPartitions,
 		conns:      make(map[net.Conn]bool),
 	}
+	g.rpcMethods = rpcMethods{raw: g.callRawTimeout}
 	g.refreshView()
 	if cfg.ListenAddr != "" {
 		ln, err := net.Listen("tcp", cfg.ListenAddr)
@@ -323,6 +325,9 @@ func (g *Gateway) CallRaw(method, instance string, params json.RawMessage) (remo
 }
 
 func (g *Gateway) callRawTimeout(method, instance string, params json.RawMessage, timeout time.Duration) (remote.FedFrame, error) {
+	if timeout <= 0 {
+		timeout = g.cfg.CallTimeout
+	}
 	var lastErr error
 	target := g.targetFor(method, instance)
 	for attempt := 0; attempt <= g.cfg.Retries; attempt++ {
@@ -386,94 +391,6 @@ func (g *Gateway) callRawTimeout(method, instance string, params json.RawMessage
 	return remote.FedFrame{}, fmt.Errorf("fed: gateway gave up after %d attempts: %w", g.cfg.Retries+1, lastErr)
 }
 
-// call marshals, routes, and unmarshals one typed RPC.
-func (g *Gateway) call(method, instance string, params, out any, timeout time.Duration) error {
-	var raw json.RawMessage
-	if params != nil {
-		data, err := json.Marshal(params)
-		if err != nil {
-			return err
-		}
-		raw = data
-	}
-	if timeout <= 0 {
-		timeout = g.cfg.CallTimeout
-	}
-	resp, err := g.callRawTimeout(method, instance, raw, timeout)
-	if err != nil {
-		return err
-	}
-	if out != nil && len(resp.Result) > 0 {
-		return json.Unmarshal(resp.Result, out)
-	}
-	return nil
-}
-
-// Start places a new instance on a live member (round-robin).
-func (g *Gateway) Start(req StartReq) (string, error) {
-	var res StartRes
-	if err := g.call(MethodStart, "", req, &res, 0); err != nil {
-		return "", err
-	}
-	return res.ID, nil
-}
-
-// Status reads an instance's current state from its owner.
-func (g *Gateway) Status(id string) (StateRes, error) {
-	var res StateRes
-	err := g.call(MethodStatus, id, nil, &res, 0)
-	return res, err
-}
-
-// Wait blocks until the instance is terminal or the timeout elapses. A
-// wait interrupted by owner failover re-routes and resumes at the new
-// owner.
-func (g *Gateway) Wait(id string, timeout time.Duration) (StateRes, error) {
-	var res StateRes
-	err := g.call(MethodWait, id, WaitReq{TimeoutMs: timeout.Milliseconds()}, &res,
-		timeout+DefaultCallTimeout)
-	return res, err
-}
-
-// Resume restarts a suspended instance.
-func (g *Gateway) Resume(id string) error { return g.call(MethodResume, id, nil, nil, 0) }
-
-// Suspend stops dispatching an instance's activities.
-func (g *Gateway) Suspend(id string, graceful bool) error {
-	return g.call(MethodSuspend, id, SuspendReq{Graceful: graceful}, nil, 0)
-}
-
-// Abort fails an instance on user request.
-func (g *Gateway) Abort(id, reason string) error {
-	return g.call(MethodAbort, id, AbortReq{Reason: reason}, nil, 0)
-}
-
-// Signal delivers an external event to an instance.
-func (g *Gateway) Signal(id, event string, payload map[string]ocr.Value) error {
-	return g.call(MethodSignal, id, SignalReq{Event: event, Payload: payload}, nil, 0)
-}
-
-// SetParameter changes one whiteboard value.
-func (g *Gateway) SetParameter(id, name string, v ocr.Value) error {
-	return g.call(MethodSetParam, id, SetParamReq{Name: name, Value: v}, nil, 0)
-}
-
-// Lineage fetches an instance's provenance graph as raw JSON.
-func (g *Gateway) Lineage(id string) (json.RawMessage, error) {
-	resp, err := g.CallRaw(MethodLineage, id, nil)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Result, nil
-}
-
-// Members returns the gateway's freshest membership snapshot.
-func (g *Gateway) Members() (MembersView, error) {
-	var res MembersView
-	err := g.call(MethodMembers, "", nil, &res, 0)
-	return res, err
-}
-
 // acceptLoop serves client connections on the gateway's listener.
 func (g *Gateway) acceptLoop() {
 	defer g.wg.Done()
@@ -507,33 +424,13 @@ func (g *Gateway) serveConn(conn net.Conn) {
 		//bioopera:allow droppederr hanging up on a finished client is best-effort
 		conn.Close()
 	}()
-	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
-	var wmu sync.Mutex
-	var inflight sync.WaitGroup
-	for {
-		var req remote.FedFrame
-		if err := dec.Decode(&req); err != nil {
-			break
+	serveRequests(conn, json.NewDecoder(conn), remote.FedFrame{}, func(r remote.FedFrame) remote.FedFrame {
+		resp, err := g.CallRaw(r.Method, r.Instance, r.Params)
+		resp.Type = remote.MsgFedResponse
+		resp.ID = r.ID
+		if err != nil && !resp.OK && resp.Error == "" {
+			resp.Error = err.Error()
 		}
-		if req.Type != remote.MsgFedRequest {
-			continue
-		}
-		inflight.Add(1)
-		go func(r remote.FedFrame) {
-			defer inflight.Done()
-			resp, err := g.CallRaw(r.Method, r.Instance, r.Params)
-			resp.Type = remote.MsgFedResponse
-			resp.ID = r.ID
-			if err != nil && !resp.OK {
-				if resp.Error == "" {
-					resp.Error = err.Error()
-				}
-			}
-			wmu.Lock()
-			_ = enc.Encode(resp)
-			wmu.Unlock()
-		}(req)
-	}
-	inflight.Wait()
+		return resp
+	})
 }

@@ -322,7 +322,7 @@ func (m *Member) handleConn(conn net.Conn) {
 		m.notePeer(first.From, link)
 		m.gossipReadLoop(dec, first.From.Name)
 	case remote.MsgFedRequest:
-		m.serveRPC(conn, dec, first)
+		serveRequests(conn, dec, first, m.answer)
 	}
 }
 

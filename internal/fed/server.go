@@ -16,10 +16,12 @@ import (
 // goroutine forever.
 const maxWait = 10 * time.Minute
 
-// serveRPC answers request frames on one client connection. Requests run
-// in their own goroutines — a long wait must not block the next decode —
-// and responses serialize on one write mutex.
-func (m *Member) serveRPC(conn net.Conn, dec *json.Decoder, first remote.FedFrame) {
+// serveRequests answers the request frames arriving on one connection.
+// Each request runs answer in its own goroutine — a long wait must not
+// block the next decode — and responses serialize on one write mutex. first
+// is a frame the caller already decoded (the zero frame when none). It
+// returns once the connection fails and every in-flight answer is written.
+func serveRequests(conn net.Conn, dec *json.Decoder, first remote.FedFrame, answer func(remote.FedFrame) remote.FedFrame) {
 	var wmu sync.Mutex
 	enc := json.NewEncoder(conn)
 	respond := func(f remote.FedFrame) {
@@ -34,7 +36,7 @@ func (m *Member) serveRPC(conn net.Conn, dec *json.Decoder, first remote.FedFram
 			inflight.Add(1)
 			go func(r remote.FedFrame) {
 				defer inflight.Done()
-				respond(m.answer(r))
+				respond(answer(r))
 			}(req)
 		}
 		req = remote.FedFrame{}

@@ -6,13 +6,14 @@ import (
 	"strings"
 )
 
-// hotJSONFuncs names the persist/WAL hot-path functions per package:
-// the code that runs on every activity completion (checkpoint encode and
-// commit) or every replicated frame. PR 10 moved these paths onto the
-// binary codec — reflection-based encoding/json marshaling must never
-// creep back in, or the 0-allocs/record budget and the ≥2× marshal
-// speedup silently rot. Cold paths (recovery's dual-format fallback,
-// snapshot files, the ship protocol envelope, CLI rendering) may use
+// hotJSONFuncs names the record-path functions per package: the code
+// that writes a record on every activity completion (checkpoint encode and
+// commit) or replicated frame, and the code that reads records back
+// (recovery, lazy hydration, WAL replay, standby apply). The binary codec
+// is the only record format on both sides — encoding/json must never creep
+// back in, or the 0-allocs/record budget rots on the write side and a
+// second on-disk generation reappears on the read side. Snapshot files,
+// the ship protocol envelope and CLI rendering are not records and may use
 // encoding/json freely: the format boundary, not the import, is the
 // invariant.
 var hotJSONFuncs = map[string]map[string]bool{
@@ -23,6 +24,12 @@ var hotJSONFuncs = map[string]map[string]bool{
 		"encodeCkpt":    true, // record encode (the codec call site)
 		"flushCkpt":     true, // batch assembly + store commit
 		"remarkCkpt":    true, // failed-batch re-marking
+
+		"RecoverOwned":          true, // recovery phases 1–3
+		"buildRecovered":        true, // per-instance rebuild (or stub)
+		"decodeInstanceRecords": true, // record decode (the codec call site)
+		"buildScopes":           true, // scope-tree reconstruction
+		"hydrateLocked":         true, // lazy stub decode on first touch
 	},
 	"bioopera/internal/store": {
 		"encodeWALRecord": true, // WAL frame encode
@@ -32,6 +39,9 @@ var hotJSONFuncs = map[string]map[string]bool{
 		"Put":             true,
 		"Batch":           true,
 		"AppendEvent":     true,
+
+		"decodeWALRecord": true, // WAL frame decode
+		"OpenDisk":        true, // WAL replay on open
 		"applyShipped":    true, // standby replay of shipped frames
 	},
 	"bioopera/internal/wal": {
@@ -53,12 +63,11 @@ func hotFuncsFor(path string) map[string]bool {
 	return hotJSONFuncs[path]
 }
 
-// runHotJSON flags encoding/json use inside persist/WAL hot-path
-// functions. The check is syntactic per function body: any selector
-// resolving to the encoding/json package (json.Marshal, json.NewEncoder,
-// an aliased import, ...) is a violation. Deliberate exceptions — none
-// exist today; recovery's JSON fallback lives in functions outside these
-// sets — carry //bioopera:allow hotjson with a reason.
+// runHotJSON flags encoding/json use inside record-path functions. The
+// check is syntactic per function body: any selector resolving to the
+// encoding/json package (json.Marshal, json.NewEncoder, an aliased import,
+// ...) is a violation. Deliberate exceptions — none exist today — carry
+// //bioopera:allow hotjson with a reason.
 func runHotJSON(p *Pass) {
 	funcs := hotFuncsFor(p.Pkg.Path())
 	if len(funcs) == 0 {
@@ -83,7 +92,7 @@ func runHotJSON(p *Pass) {
 				if !ok || pn.Imported().Path() != "encoding/json" {
 					return true
 				}
-				p.Reportf(sel.Pos(), "json.%s in persist hot-path function %s: hot-path records use the binary codec (internal/codec), not encoding/json", sel.Sel.Name, fd.Name.Name)
+				p.Reportf(sel.Pos(), "json.%s in record-path function %s: records use the binary codec (internal/codec), not encoding/json", sel.Sel.Name, fd.Name.Name)
 				return true
 			})
 		}

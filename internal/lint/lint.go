@@ -82,7 +82,7 @@ func Analyzers() []*Analyzer {
 		{Name: "droppederr", Doc: "store/WAL/persist/Close errors must flow somewhere, never be dropped", Run: runDroppedErr},
 		{Name: "locksafe", Doc: "no blocking operations or leaked locks inside internal/core critical sections", Run: runLockSafe},
 		{Name: "maprange", Doc: "trace-order-sensitive code must not iterate maps unsorted", Run: runMapRange},
-		{Name: "hotjson", Doc: "persist/WAL hot-path functions must use the binary codec, never encoding/json", Run: runHotJSON},
+		{Name: "hotjson", Doc: "record-path functions (checkpoint, WAL, recovery, replay) must use the binary codec, never encoding/json", Run: runHotJSON},
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package hotjson is a biooperalint golden fixture: encoding/json use
-// inside persist hot-path functions. The fixture package stands in for
-// internal/core, so the hot-function names below match the real engine's
-// checkpoint flusher.
+// inside record-path functions. The fixture package stands in for
+// internal/core, so the function names below match the real engine's
+// checkpoint flusher and recovery decoder.
 package hotjson
 
 import (
@@ -16,27 +16,32 @@ type record struct {
 
 // flushCkpt is a hot-path name: reflection-based marshaling is banned.
 func flushCkpt(r record) ([]byte, error) {
-	return json.Marshal(r) // want `json\.Marshal in persist hot-path function flushCkpt`
+	return json.Marshal(r) // want `json\.Marshal in record-path function flushCkpt`
 }
 
 // encodeCkpt catches aliased imports too.
 func encodeCkpt(r record) ([]byte, error) {
-	return enc.Marshal(r) // want `json\.Marshal in persist hot-path function encodeCkpt`
+	return enc.Marshal(r) // want `json\.Marshal in record-path function encodeCkpt`
 }
 
 // persist catches streaming encoders as well as one-shot marshals.
 func persist(r record) error {
 	var buf bytes.Buffer
-	return json.NewEncoder(&buf).Encode(r) // want `json\.NewEncoder in persist hot-path function persist`
+	return json.NewEncoder(&buf).Encode(r) // want `json\.NewEncoder in record-path function persist`
 }
 
-// decodeRecord is not a hot-path name: recovery's dual-format JSON
-// fallback is legal — the invariant bans json on the write path, not the
-// read-old-stores path.
-func decodeRecord(data []byte) (record, error) {
+// decodeInstanceRecords is the read side: a JSON fallback for records of
+// an older generation is exactly what must not come back.
+func decodeInstanceRecords(data []byte) (record, error) {
 	var r record
-	err := json.Unmarshal(data, &r)
+	err := json.Unmarshal(data, &r) // want `json\.Unmarshal in record-path function decodeInstanceRecords`
 	return r, err
+}
+
+// renderRecord is not a record-path name: showing a decoded record to an
+// operator as JSON is legal.
+func renderRecord(r record) ([]byte, error) {
+	return json.MarshalIndent(r, "", "  ")
 }
 
 // archive documents a sanctioned exception; the directive silences it.

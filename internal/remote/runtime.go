@@ -42,11 +42,10 @@ type Config struct {
 	// committed batch and can be promoted with Engine.Recover when this
 	// server dies.
 	ShipAddr string
-	// RecoverWorkers / LazyRecovery pass through to the engine (see
-	// core.Options); they shape Engine.Recover on this runtime's engine,
-	// including a promoted standby's recovery.
-	RecoverWorkers int
-	LazyRecovery   bool
+	// LazyRecovery passes through to the engine (see core.Options); it
+	// shapes Engine.Recover on this runtime's engine, including a promoted
+	// standby's recovery.
+	LazyRecovery bool
 	// HeartbeatEvery / HeartbeatTimeout tune the failure detector and
 	// HandshakeTimeout bounds the hello/welcome exchange; see ServerConfig.
 	HeartbeatEvery   time.Duration
@@ -119,19 +118,18 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	rt.Server = srv
 	eng, err := core.New(core.Options{
-		Store:          cfg.Store,
-		Library:        cfg.Library,
-		Executor:       srv,
-		Clock:          core.ClockFunc(now),
-		Policy:         cfg.Policy,
-		Quotas:         cfg.Quotas,
-		Shards:         cfg.Shards,
-		RecoverWorkers: cfg.RecoverWorkers,
-		LazyRecovery:   cfg.LazyRecovery,
-		OnEvent:        cfg.OnEvent,
-		OnError:        cfg.OnError,
-		Metrics:        cfg.Metrics,
-		EventRing:      cfg.EventRing,
+		Store:        cfg.Store,
+		Library:      cfg.Library,
+		Executor:     srv,
+		Clock:        core.ClockFunc(now),
+		Policy:       cfg.Policy,
+		Quotas:       cfg.Quotas,
+		Shards:       cfg.Shards,
+		LazyRecovery: cfg.LazyRecovery,
+		OnEvent:      cfg.OnEvent,
+		OnError:      cfg.OnError,
+		Metrics:      cfg.Metrics,
+		EventRing:    cfg.EventRing,
 		OnInstanceDone: func(*core.Instance) {
 			rt.Bump()
 		},

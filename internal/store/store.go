@@ -293,14 +293,13 @@ func (m *Mem) Close() error {
 	return nil
 }
 
-// walRecord is the frame appended to the WAL for each mutation. New
-// records are written through the binary codec; the JSON tags remain so
-// WALs written by earlier engine generations replay forever.
+// walRecord is the frame appended to the WAL for each mutation, encoded
+// through the binary codec.
 type walRecord struct {
-	Op    string `json:"op"` // "put", "del", "event"
-	Space Space  `json:"sp,omitempty"`
-	Key   string `json:"k,omitempty"`
-	Value []byte `json:"v,omitempty"`
+	Op    string // "put", "del", "event"
+	Space Space
+	Key   string
+	Value []byte
 }
 
 // Binary WAL record kinds — a range disjoint from the core persist-record
@@ -313,8 +312,7 @@ const (
 )
 
 // encodeWALRecord appends one record to the encoder. Binary encoding is
-// total: unlike json.Marshal it cannot fail, which removes an error path
-// from every mutation.
+// total — it cannot fail — so no mutation has an encode error path.
 func encodeWALRecord(e *codec.Encoder, rec walRecord) {
 	var kind byte
 	switch rec.Op {
@@ -332,15 +330,9 @@ func encodeWALRecord(e *codec.Encoder, rec walRecord) {
 	e.End()
 }
 
-// decodeWALRecord reads a WAL frame of either format: binary records carry
-// the codec magic, legacy JSON records start with '{'. The decoded Value
-// aliases data — apply copies before retaining.
+// decodeWALRecord reads a WAL frame. The decoded Value aliases data — apply
+// copies before retaining.
 func decodeWALRecord(data []byte) (walRecord, error) {
-	if !codec.Sniff(data) {
-		var rec walRecord
-		err := json.Unmarshal(data, &rec)
-		return rec, err
-	}
 	d, kind, err := codec.NewDecoder(data)
 	if err != nil {
 		return walRecord{}, err

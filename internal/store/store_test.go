@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"bioopera/internal/codec"
+	"bioopera/internal/wal"
 )
 
 // backends returns both implementations so every behavioural test runs
@@ -185,6 +188,41 @@ func TestDiskRecovery(t *testing.T) {
 	seq, _ := d2.AppendEvent([]byte("resumed"))
 	if seq != 3 {
 		t.Fatalf("event seq after recovery = %d, want 3", seq)
+	}
+}
+
+// TestOpenDiskRefusesPreCodecJSONWAL: WAL replay reads codec frames only. A
+// committed frame in the JSON shape an engine from before the codec wrote
+// fails the open with an error saying so, instead of being replayed.
+func TestOpenDiskRefusesPreCodecJSONWAL(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put(Instance, "inst-1", []byte("running")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte(`{"op":"put","sp":1,"k":"inst-2","v":"cnVubmluZw=="}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, err := OpenDisk(dir, DiskOptions{})
+	if err == nil {
+		d2.Close()
+		t.Fatal("OpenDisk replayed a JSON WAL frame")
+	}
+	if !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), "pre-codec JSON") {
+		t.Fatalf("OpenDisk = %v, want a pre-codec JSON refusal", err)
 	}
 }
 

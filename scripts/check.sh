@@ -41,4 +41,7 @@ echo "== federation e2e smoke"
 # and every instance must still complete with correct outputs.
 go run ./cmd/bioopera fed -servers 2 -n 6 -kill
 
+echo "== non-test LoC"
+./scripts/loc.sh -total
+
 echo "OK"

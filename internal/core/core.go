@@ -593,10 +593,20 @@ func (e *Engine) Instances() []*Instance {
 	return out
 }
 
-// QueueLen reports how many activities await dispatch.
+// QueueLen reports how many activities await dispatch, those of suspended
+// instances included.
 func (e *Engine) QueueLen() int {
 	e.dmu.Lock()
 	n := e.sched.Len()
+	e.dmu.Unlock()
+	return n
+}
+
+// HeldJobs reports how many queued activities belong to suspended
+// instances: counted by QueueLen, but not dispatchable until Resume.
+func (e *Engine) HeldJobs() int {
+	e.dmu.Lock()
+	n := e.sched.Held()
 	e.dmu.Unlock()
 	return n
 }
@@ -657,6 +667,7 @@ func (e *Engine) Suspend(id string, graceful bool) error {
 	}
 	e.beginTurn(in)
 	in.setStatus(InstanceSuspended)
+	e.holdQueued(in)
 	e.emit(Event{Kind: EvInstanceSuspended, Instance: id, Detail: fmt.Sprintf("graceful=%v", graceful)})
 	if !graceful {
 		e.killRunning(in)
@@ -687,6 +698,11 @@ func (e *Engine) Resume(id string) error {
 		return err
 	}
 	in.setStatus(InstanceRunning)
+	// After hydration, so the tasks a lazy stub just requeued are released
+	// with the rest.
+	e.dmu.Lock()
+	e.sched.Release(id)
+	e.dmu.Unlock()
 	e.emit(Event{Kind: EvInstanceResumed, Instance: id})
 	e.persist(in)
 	e.endTurn(in, mu, true)
@@ -776,18 +792,23 @@ func (e *Engine) killRunning(in *Instance) {
 	e.dmu.Unlock()
 }
 
-// dropQueued removes all queued activities of an instance.
+// holdQueued takes a suspended instance's queued activities, and any it
+// queues later, out of dispatch order. The dispatcher depends on one
+// invariant: an instance's group is held exactly while its status is
+// Suspended. Every status change away from Suspended releases the group
+// (Resume) or removes it (Done, Failed) in the same turn. Caller holds the
+// instance's shard.
+func (e *Engine) holdQueued(in *Instance) {
+	e.dmu.Lock()
+	e.sched.Hold(in.ID)
+	e.dmu.Unlock()
+}
+
+// dropQueued removes all queued activities of an instance, and any hold on
+// them.
 func (e *Engine) dropQueued(in *Instance) {
 	e.dmu.Lock()
-	ids := make([]string, 0, len(e.queued))
-	for id, ref := range e.queued {
-		if ref.inst == in {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		e.sched.Remove(id)
+	for _, id := range e.sched.RemoveGroup(in.ID) {
 		delete(e.queued, id)
 	}
 	e.dmu.Unlock()

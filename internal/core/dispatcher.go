@@ -33,19 +33,16 @@ func (e *Engine) Pump() {
 
 // drain pops dispatchable jobs until the queue or the cluster is
 // exhausted. The scheduler owns ordering (priority, tenant fair share)
-// and placement; the engine only vetoes jobs whose instance is not
-// running and executes the decisions.
+// and placement, and never offers a suspended instance's jobs: their group
+// is held (Suspend, recovery) until Resume releases it. The engine only
+// executes the decisions.
 func (e *Engine) drain() {
 	e.reapUnplaceable()
 	for {
 		e.dmu.Lock()
 		nodes := e.opts.Executor.Nodes()
 		t0 := e.now()
-		job, node, ok := e.sched.Next(nodes, func(j sched.Job) bool {
-			ref := e.queued[j.ID]
-			// Suspended instances stay queued.
-			return ref != nil && ref.inst.statusNow() == InstanceRunning
-		})
+		job, node, ok := e.sched.Next(nodes, nil)
 		e.metrics.decision(e.now().Sub(t0))
 		if !ok {
 			e.dmu.Unlock()
@@ -79,9 +76,10 @@ func (e *Engine) reapUnplaceable() {
 }
 
 // failUnplaceable fails one permanently unplaceable task, re-validating
-// under the instance's shard exactly like dispatch. Suspended instances
-// get the job back — unplaceability is judged against live cluster state,
-// and a suspended instance is not asking to run.
+// under the instance's shard exactly like dispatch. An instance suspended
+// since the take gets the job back (into its held group) — unplaceability
+// is judged against live cluster state, and a suspended instance is not
+// asking to run.
 func (e *Engine) failUnplaceable(job sched.Job, ref *queuedRef) {
 	if ref == nil {
 		return
@@ -137,7 +135,8 @@ func (e *Engine) dispatch(job sched.Job, node string, ref *queuedRef) bool {
 			in.Status == InstanceSuspended
 		e.endTurn(in, mu, false)
 		if requeue {
-			// Suspended after the pop: keep it queued for Resume.
+			// Suspended after the pop: back into its (now held) group
+			// for Resume.
 			e.dmu.Lock()
 			e.sched.Enqueue(job)
 			e.queued[job.ID] = ref
@@ -394,7 +393,9 @@ func (e *Engine) Migrate(p sched.MigrationPolicy) int {
 
 // Preempt applies a preemption sweep once: queued high-priority jobs that
 // have starved past the policy's wait, and that no free slot can take,
-// reclaim nodes from strictly lower-priority running work. Victims are
+// reclaim nodes from strictly lower-priority running work. Only ready jobs
+// can starve: a suspended instance's held jobs never reach the policy,
+// however long they have waited. Victims are
 // killed through the executor; their ErrJobKilled completions requeue
 // them via the ordinary infrastructure-failure path — checkpointing is at
 // activity granularity (§3.3), so each victim loses at most one

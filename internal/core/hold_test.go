@@ -1,0 +1,448 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"bioopera/internal/cluster"
+	"bioopera/internal/ocr"
+	"bioopera/internal/sched"
+	"bioopera/internal/sim"
+	"bioopera/internal/store"
+)
+
+// checkHoldInvariant asserts what the dispatcher relies on now that drain
+// admits whatever the scheduler offers: a group is held exactly while its
+// instance is suspended, the held jobs are exactly the queued jobs of
+// suspended instances, and QueueLen still counts both kinds. The sim is
+// single-threaded, so the dispatcher state is read without its lock.
+func checkHoldInvariant(t *testing.T, e *Engine, step string) {
+	t.Helper()
+	suspended := make(map[string]bool)
+	for _, in := range e.Instances() {
+		suspended[in.ID] = in.Status == InstanceSuspended
+		if got := e.sched.IsHeld(in.ID); got != suspended[in.ID] {
+			t.Errorf("%s: group %s held=%v, instance is %s", step, in.ID, got, in.Status)
+		}
+	}
+	held := 0
+	for _, ref := range e.queued {
+		if suspended[ref.inst.ID] {
+			held++
+		}
+	}
+	ready := e.sched.Jobs()
+	for _, j := range ready {
+		if suspended[j.Group] {
+			t.Errorf("%s: job %s of suspended instance %s is in dispatch order", step, j.ID, j.Group)
+		}
+	}
+	if e.HeldJobs() != held || e.QueueLen() != len(e.queued) || len(ready)+held != len(e.queued) {
+		t.Errorf("%s: held=%d ready=%d QueueLen=%d, want held=%d and ready+held=%d queued refs",
+			step, e.HeldJobs(), len(ready), e.QueueLen(), held, len(e.queued))
+	}
+}
+
+func TestHoldInvariant(t *testing.T) {
+	rt := newRuntime(t, SimConfig{Spec: oneCPUSpec(), Library: slowLib(t)})
+	register(t, rt, slowParSrc)
+	e := rt.Engine
+	xs := map[string]ocr.Value{"xs": ocr.List(ocr.Num(1), ocr.Num(2), ocr.Num(3))}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b, c, d := start(t, rt, "SlowPar", xs), start(t, rt, "SlowPar", xs),
+		start(t, rt, "SlowPar", xs), start(t, rt, "SlowPar", xs)
+	checkHoldInvariant(t, e, "started")
+	if e.QueueLen() != 11 || e.RunningJobs() != 1 {
+		t.Fatalf("queue=%d running=%d, want 11 queued behind the one CPU", e.QueueLen(), e.RunningJobs())
+	}
+
+	must(e.Suspend(b, true))
+	checkHoldInvariant(t, e, "suspend b")
+	if e.HeldJobs() != 3 {
+		t.Fatalf("held = %d after suspending b, want its 3 queued activities", e.HeldJobs())
+	}
+	must(e.Suspend(a, false)) // kills a's running job; its requeue lands held
+	rt.RunUntil(sim.Time(time.Second))
+	checkHoldInvariant(t, e, "suspend a, kill requeued")
+	if e.HeldJobs() != 6 {
+		t.Fatalf("held = %d, want a's 3 (one requeued by the kill) + b's 3", e.HeldJobs())
+	}
+	must(e.Resume(b))
+	checkHoldInvariant(t, e, "resume b")
+	must(e.Abort(a, "test"))
+	checkHoldInvariant(t, e, "abort a while suspended")
+	if e.HeldJobs() != 0 {
+		t.Fatalf("held = %d after aborting the only suspended instance", e.HeldJobs())
+	}
+
+	// Graceful suspend of an instance whose last activity is running: the
+	// completion finishes the process, and the hold must go with it.
+	rt.RunUntil(sim.Time(85 * time.Minute)) // c: 3 × 10 min; b: 3 × 10 min; d: 2 done, 3rd running
+	in, _ := e.Instance(d)
+	if e.QueueLen() != 0 || e.RunningJobs() != 1 || in.Status != InstanceRunning {
+		t.Fatalf("queue=%d running=%d d=%s, want d alone on its last activity", e.QueueLen(), e.RunningJobs(), in.Status)
+	}
+	must(e.Suspend(d, true))
+	checkHoldInvariant(t, e, "graceful suspend d")
+	rt.Run()
+	finished(t, rt, d)
+	finished(t, rt, c)
+	checkHoldInvariant(t, e, "d done while suspended")
+}
+
+// TestHoldInvariantAcrossRecovery: suspend, crash, recover — by each
+// recovery path. The suspended instance has queued activities; the running
+// one requeues the job the crash lost.
+func TestHoldInvariantAcrossRecovery(t *testing.T) {
+	xs := map[string]ocr.Value{"xs": ocr.List(ocr.Num(1), ocr.Num(2), ocr.Num(3))}
+	for _, mode := range []string{"eager", "lazy", "owned"} {
+		t.Run(mode, func(t *testing.T) {
+			st := store.NewMem()
+			rt := newRuntime(t, SimConfig{Spec: oneCPUSpec(), Library: slowLib(t), Store: st})
+			register(t, rt, slowParSrc)
+			s1, r1 := start(t, rt, "SlowPar", xs), start(t, rt, "SlowPar", xs)
+			if err := rt.Engine.Suspend(s1, false); err != nil {
+				t.Fatal(err)
+			}
+			rt.RunUntil(sim.Time(time.Second))
+			checkHoldInvariant(t, rt.Engine, "before crash")
+			rt.Engine.Crash()
+			checkHoldInvariant(t, rt.Engine, "crashed")
+			if rt.Engine.QueueLen() != 0 || rt.Engine.HeldJobs() != 0 {
+				t.Fatalf("crash left queue=%d held=%d", rt.Engine.QueueLen(), rt.Engine.HeldJobs())
+			}
+
+			rt = newRuntime(t, SimConfig{Spec: oneCPUSpec(), Library: slowLib(t), Store: st,
+				Options: Options{LazyRecovery: mode == "lazy"}})
+			register(t, rt, slowParSrc)
+			e := rt.Engine
+			recoverFn := e.Recover
+			if mode == "owned" {
+				recoverFn = func() (int, error) { return e.RecoverOwned(func(string) bool { return true }) }
+			}
+			if n, err := recoverFn(); err != nil || n != 2 {
+				t.Fatalf("recover = %d, %v", n, err)
+			}
+			checkHoldInvariant(t, e, "recovered")
+			wantHeld := 3
+			if mode == "lazy" {
+				wantHeld = 0 // a stub requeues nothing until it hydrates
+			}
+			if e.HeldJobs() != wantHeld || e.QueueLen() != wantHeld+2 || e.RunningJobs() != 1 {
+				t.Fatalf("held=%d queue=%d running=%d, want %d %d 1",
+					e.HeldJobs(), e.QueueLen(), e.RunningJobs(), wantHeld, wantHeld+2)
+			}
+			if mode == "lazy" {
+				if _, err := e.Lineage(s1); err != nil { // hydrates, stays suspended
+					t.Fatal(err)
+				}
+				checkHoldInvariant(t, e, "hydrated")
+			}
+			rt.Run()
+			finished(t, rt, r1)
+			checkHoldInvariant(t, e, "idle")
+			if e.HeldJobs() != 3 || e.QueueLen() != 3 {
+				t.Fatalf("idle: held=%d queue=%d, want the suspended instance's 3", e.HeldJobs(), e.QueueLen())
+			}
+			if err := e.Resume(s1); err != nil {
+				t.Fatal(err)
+			}
+			checkHoldInvariant(t, e, "resumed")
+			rt.Run()
+			finished(t, rt, s1)
+		})
+	}
+}
+
+// TestResumeKeepsQueuePosition pins the observable half of hold/release:
+// instance A is suspended with activities queued, B and C (another tenant,
+// another priority) start behind it, A resumes — and the event trace,
+// dispatch order included, is the one recorded from the engine that kept a
+// suspended instance's jobs in the queue and skipped them on every scan.
+func TestResumeKeepsQueuePosition(t *testing.T) {
+	var events []Event
+	rt := newRuntime(t, SimConfig{
+		Seed:    7,
+		Spec:    oneCPUSpec(),
+		Library: slowLib(t),
+		Options: Options{
+			Quotas:  map[string]float64{"heavy": 2, "light": 1},
+			OnEvent: func(ev Event) { events = append(events, ev) },
+		},
+	})
+	register(t, rt, slowParSrc)
+	xs := func(n int) map[string]ocr.Value {
+		vs := make([]ocr.Value, n)
+		for i := range vs {
+			vs[i] = ocr.Num(float64(i))
+		}
+		return map[string]ocr.Value{"xs": ocr.List(vs...)}
+	}
+	startAs := func(n int, opts StartOptions) string {
+		id, err := rt.Engine.StartProcess("SlowPar", xs(n), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	a := startAs(4, StartOptions{Tenant: "heavy", Priority: 1})
+	rt.Sim.At(sim.Time(5*time.Minute), func(sim.Time) {
+		if err := rt.Engine.Suspend(a, true); err != nil {
+			t.Error(err)
+		}
+		startAs(3, StartOptions{Tenant: "light", Priority: 1})
+		startAs(3, StartOptions{Tenant: "heavy"})
+	})
+	rt.Sim.At(sim.Time(25*time.Minute), func(sim.Time) {
+		if err := rt.Engine.Resume(a); err != nil {
+			t.Error(err)
+		}
+	})
+	rt.Run()
+	for _, in := range rt.Engine.Instances() {
+		finished(t, rt, in.ID)
+	}
+	got, err := json.MarshalIndent(events, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "resume_order_events.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("event trace drifted from the skip-while-suspended golden:\ngot:\n%s", got)
+	}
+}
+
+// TestPreemptIgnoresSuspendedInstances: a suspended instance's queued job
+// is not asking to run, so however long it has waited and whatever its
+// priority, no running job may be killed on its behalf.
+func TestPreemptIgnoresSuspendedInstances(t *testing.T) {
+	retried := 0
+	rt := newRuntime(t, SimConfig{Spec: oneCPUSpec(), Library: slowLib(t), Options: Options{
+		OnEvent: func(ev Event) {
+			if ev.Kind == EvTaskRetried {
+				retried++
+			}
+		},
+	}})
+	register(t, rt, slowParSrc)
+	e := rt.Engine
+	xs := map[string]ocr.Value{"xs": ocr.List(ocr.Num(1), ocr.Num(2))}
+	start(t, rt, "SlowPar", xs) // priority 0 fills the only CPU
+	urgent, err := e.StartProcess("SlowPar", xs, StartOptions{Priority: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Suspend(urgent, true); err != nil {
+		t.Fatal(err)
+	}
+	rt.RunUntil(sim.Time(5 * time.Minute)) // well past StarvationWait
+	p := sched.DefaultPreemptor()
+	if n := e.Preempt(p); n != 0 {
+		t.Fatalf("Preempt killed %d jobs for a suspended instance, want 0", n)
+	}
+	rt.RunUntil(sim.Time(6 * time.Minute))
+	if retried != 0 {
+		t.Fatalf("%d activities retried with nothing runnable starving", retried)
+	}
+	if err := e.Resume(urgent); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Preempt(p); n != 1 {
+		t.Fatalf("Preempt after Resume killed %d jobs, want exactly 1", n)
+	}
+	rt.RunUntil(sim.Time(7 * time.Minute))
+	if retried != 1 {
+		t.Fatalf("retried = %d after the sweep, want the one victim", retried)
+	}
+}
+
+// TestConcurrentSuspendResume flips instances between suspended and running
+// from several goroutines while the worker pool drains them: a job popped
+// just before its instance is suspended must land back in the held group
+// (dispatch's re-validation), and nothing may be lost, run twice, or left
+// held once everything has resumed.
+func TestConcurrentSuspendResume(t *testing.T) {
+	counter := newTaskEndCounter()
+	rt, err := NewLocalRuntime(LocalConfig{
+		Workers: 2,
+		Library: incLibrary(t, 200*time.Microsecond),
+		OnEvent: counter.observe,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if err := rt.RegisterTemplateSource(chainSrc); err != nil {
+		t.Fatal(err)
+	}
+	e := rt.Engine()
+	ids := make([]string, 12)
+	for i := range ids {
+		if ids[i], err = rt.StartProcess("Chain", map[string]ocr.Value{"x": ocr.Num(0)}, StartOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for i := g; i < len(ids); i += 4 {
+					// ErrBadState once the instance is done — which a
+					// gracefully suspended one may become before Resume.
+					if e.Suspend(ids[i], round%2 == 0) == nil {
+						if err := e.Resume(ids[i]); err != nil && !errors.Is(err, ErrBadState) {
+							t.Errorf("Resume(%s): %v", ids[i], err)
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, id := range ids {
+		in, err := rt.Wait(id, 30*time.Second)
+		if err != nil {
+			t.Fatalf("Wait(%s): %v", id, err)
+		}
+		if in.Status != InstanceDone || in.Outputs["r"].AsNum() != 5 {
+			t.Fatalf("instance %s: %s r=%v (%s)", id, in.Status, in.Outputs["r"], in.FailureReason)
+		}
+	}
+	counter.checkExactlyOnce(t, ids)
+	if e.HeldJobs() != 0 || e.QueueLen() != 0 {
+		t.Fatalf("idle engine: held=%d queue=%d, want 0 0", e.HeldJobs(), e.QueueLen())
+	}
+	for _, id := range ids {
+		if e.sched.IsHeld(id) {
+			t.Errorf("group %s still held after its instance finished", id)
+		}
+	}
+}
+
+// pickCounter counts the placement attempts a Pump makes.
+type pickCounter struct{ picks int }
+
+func (*pickCounter) Name() string { return "counting" }
+
+func (p *pickCounter) Pick(j sched.Job, nodes []cluster.NodeView) (string, bool) {
+	p.picks++
+	return sched.LeastLoaded{}.Pick(j, nodes)
+}
+
+// TestPumpCostIndependentOfBacklog is the machine-independent form of the
+// performance claim: what a Pump costs depends on what can dispatch now,
+// not on what is queued. Jobs of suspended instances are never tried, a
+// full cluster ends the decision before any job is, and the allocations of
+// a Pump do not move with the held count.
+func TestPumpCostIndependentOfBacklog(t *testing.T) {
+	build := func(suspended, fan int) (*SimRuntime, *pickCounter) {
+		pol := &pickCounter{}
+		rt := newRuntime(t, SimConfig{Spec: oneCPUSpec(), Library: slowLib(t), Options: Options{Policy: pol}})
+		register(t, rt, slowParSrc)
+		rt.Engine.PauseAll()
+		for i := 0; i < suspended; i++ {
+			id := start(t, rt, "SlowPar", map[string]ocr.Value{"xs": ocr.List(ocr.Num(1))})
+			if err := rt.Engine.Suspend(id, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.Engine.ResumeAll()
+		if fan > 0 {
+			xs := make([]ocr.Value, fan)
+			for i := range xs {
+				xs[i] = ocr.Num(float64(i))
+			}
+			start(t, rt, "SlowPar", map[string]ocr.Value{"xs": ocr.List(xs...)})
+		}
+		return rt, pol
+	}
+
+	rt, pol := build(4000, 0)
+	if rt.Engine.HeldJobs() != 4000 || rt.Engine.QueueLen() != 4000 {
+		t.Fatalf("held=%d queue=%d, want 4000 4000", rt.Engine.HeldJobs(), rt.Engine.QueueLen())
+	}
+	rt.Engine.Pump()
+	if pol.picks != 0 {
+		t.Errorf("%d Pick calls over 4000 held + 0 ready jobs, want 0", pol.picks)
+	}
+	heldAllocs := testing.AllocsPerRun(20, rt.Engine.Pump)
+
+	rt, pol = build(0, 201)
+	if rt.Engine.RunningJobs() != 1 || rt.Engine.QueueLen() != 200 {
+		t.Fatalf("running=%d queue=%d, want a full one-CPU cluster with 200 ready", rt.Engine.RunningJobs(), rt.Engine.QueueLen())
+	}
+	pol.picks = 0
+	rt.Engine.Pump()
+	if pol.picks != 0 {
+		t.Errorf("%d Pick calls on a full cluster with 200 ready jobs, want 0", pol.picks)
+	}
+
+	rt, _ = build(0, 0)
+	if emptyAllocs := testing.AllocsPerRun(20, rt.Engine.Pump); emptyAllocs != heldAllocs {
+		t.Errorf("allocs per Pump: %v with nothing held, %v with 4000 held; want equal", emptyAllocs, heldAllocs)
+	}
+}
+
+// TestSuspendedPinnedJobJudgedAtResume documents the one behaviour change:
+// a suspended instance's job pinned to dead nodes is no longer taken and
+// re-enqueued on every Pump; it fails when the instance resumes.
+func TestSuspendedPinnedJobJudgedAtResume(t *testing.T) {
+	lib := slowLib(t)
+	if err := lib.Register(Program{
+		Name:  "test.pinned",
+		Run:   func(ProgramCtx, map[string]ocr.Value) (map[string]ocr.Value, error) { return nil, nil },
+		Nodes: []string{"ghost"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	unplaceable := 0
+	rt := newRuntime(t, SimConfig{Spec: oneCPUSpec(), Library: lib, Options: Options{
+		OnEvent: func(ev Event) {
+			if ev.Kind == EvTaskUnplaceable {
+				unplaceable++
+			}
+		},
+	}})
+	register(t, rt, `PROCESS Pinned { ACTIVITY P { CALL test.pinned(); } }`)
+	rt.Engine.PauseAll()
+	id := start(t, rt, "Pinned", nil)
+	if err := rt.Engine.Suspend(id, true); err != nil {
+		t.Fatal(err)
+	}
+	rt.Engine.ResumeAll()
+	rt.Run()
+	if in, _ := rt.Engine.Instance(id); unplaceable != 0 || in.Status != InstanceSuspended || rt.Engine.HeldJobs() != 1 {
+		t.Fatalf("while suspended: %d unplaceable events, status %s, held %d; want 0, suspended, 1",
+			unplaceable, in.Status, rt.Engine.HeldJobs())
+	}
+	if err := rt.Engine.Resume(id); err != nil {
+		t.Fatal(err)
+	}
+	rt.Run()
+	if in, _ := rt.Engine.Instance(id); unplaceable != 1 || in.Status != InstanceFailed {
+		t.Fatalf("after resume: %d unplaceable events, status %s (%s); want 1, failed",
+			unplaceable, in.Status, in.FailureReason)
+	}
+}

@@ -84,6 +84,9 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	reg.GaugeFunc("bioopera_engine_queue_depth",
 		"Activities awaiting dispatch.",
 		func() float64 { return float64(e.QueueLen()) })
+	reg.GaugeFunc("bioopera_sched_held_jobs",
+		"Queued activities of suspended instances: counted in the queue depth, not dispatchable until Resume.",
+		func() float64 { return float64(e.HeldJobs()) })
 	// Per-tenant and per-priority queue depth. Label sets must be fixed at
 	// registration, so tenants come from the configured quota map (plus the
 	// default bucket) and priorities cover the engine's practical range.

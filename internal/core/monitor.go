@@ -208,6 +208,7 @@ func (s *MonitorSource) Cluster() obs.ClusterInfo {
 	info := obs.ClusterInfo{
 		RunningJobs: s.e.RunningJobs(),
 		QueueDepth:  s.e.QueueLen(),
+		HeldJobs:    s.e.HeldJobs(),
 	}
 	for _, v := range s.e.opts.Executor.Nodes() {
 		info.Nodes = append(info.Nodes, obs.NodeInfo{

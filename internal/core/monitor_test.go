@@ -229,7 +229,22 @@ func TestMonitorEndpointsSim(t *testing.T) {
 		`bioopera_engine_events_total{kind="task-ended"} 2`,
 		"bioopera_engine_turn_seconds_count",
 		"bioopera_engine_queue_depth 0",
+		"bioopera_sched_held_jobs 0",
 	})
+
+	// A suspended instance's queued activity shows as held on both
+	// surfaces, and still counts in the queue depth.
+	rt.Engine.PauseAll()
+	held := start(t, rt, "Linear", map[string]ocr.Value{"a": ocr.Num(1), "b": ocr.Num(2)})
+	if err := rt.Engine.Suspend(held, true); err != nil {
+		t.Fatal(err)
+	}
+	rt.Engine.ResumeAll()
+	getJSON(t, ts.URL+"/api/cluster", http.StatusOK, &ci)
+	if ci.QueueDepth != 1 || ci.HeldJobs != 1 || ci.RunningJobs != 0 {
+		t.Fatalf("cluster with one suspended instance = %+v", ci)
+	}
+	metricsBody(t, ts.URL, []string{"bioopera_engine_queue_depth 1", "bioopera_sched_held_jobs 1"})
 }
 
 func TestMonitorEndpointsLocal(t *testing.T) {

@@ -78,6 +78,32 @@ func jobID(in *Instance, sc *scope, task string, attempt int) string {
 	return fmt.Sprintf("%s|%s|%s|%d", in.ID, sc.ID, task, attempt)
 }
 
+// newJob builds the scheduler's view of a task's current dispatch attempt.
+// The instance ID is the job's group: what Suspend holds, Resume releases
+// and a failing instance removes. prog may be nil (binding vanished from the
+// library); the attempt then fails at dispatch.
+func (e *Engine) newJob(in *Instance, sc *scope, t *ocr.Task, ts *taskState, prog *Program) sched.Job {
+	job := sched.Job{
+		ID:       jobID(in, sc, t.Name, ts.Attempts),
+		Group:    in.ID,
+		Cost:     DefaultActivityCost,
+		Priority: in.Priority + t.Priority,
+		Tenant:   in.Tenant,
+		Key:      t.Program,
+		Enqueued: e.now(),
+	}
+	switch {
+	case prog != nil && prog.Cost != nil:
+		job.Cost = prog.Cost(ts.Inputs)
+	case t.Cost > 0:
+		job.Cost = time.Duration(t.Cost * float64(time.Second))
+	}
+	if prog != nil {
+		job.OS, job.Nodes = prog.OS, prog.Nodes
+	}
+	return job
+}
+
 // enqueueActivity places an activity in the activity queue.
 func (e *Engine) enqueueActivity(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
 	prog, ok := e.opts.Library.Lookup(t.Program)
@@ -85,29 +111,12 @@ func (e *Engine) enqueueActivity(in *Instance, sc *scope, t *ocr.Task, ts *taskS
 		e.failInstance(in, fmt.Sprintf("task %s calls unregistered program %q", t.Name, t.Program))
 		return
 	}
-	cost := DefaultActivityCost
-	switch {
-	case prog.Cost != nil:
-		cost = prog.Cost(ts.Inputs)
-	case t.Cost > 0:
-		cost = time.Duration(t.Cost * float64(time.Second))
-	}
 	ts.Status = TaskReady
-	id := jobID(in, sc, t.Name, ts.Attempts)
-	ts.Job = id
-	job := sched.Job{
-		ID:       id,
-		Cost:     cost,
-		Priority: in.Priority + t.Priority,
-		OS:       prog.OS,
-		Nodes:    prog.Nodes,
-		Tenant:   in.Tenant,
-		Key:      t.Program,
-		Enqueued: e.now(),
-	}
+	job := e.newJob(in, sc, t, ts, prog)
+	ts.Job = job.ID
 	e.dmu.Lock()
 	e.sched.Enqueue(job)
-	e.queued[id] = &queuedRef{inst: in, sc: sc, ts: ts, job: job}
+	e.queued[job.ID] = &queuedRef{inst: in, sc: sc, ts: ts, job: job}
 	e.dmu.Unlock()
 	e.touchTask(in, sc, ts)
 	e.emit(Event{Kind: EvTaskReady, Instance: in.ID, Scope: sc.ID, Task: t.Name})
@@ -380,6 +389,10 @@ func (e *Engine) maybeCompleteScope(in *Instance, sc *scope) {
 				in.Outputs[o] = ocr.Null
 			}
 		}
+		// Nothing is queued any more; what may remain is the hold of a
+		// gracefully suspended instance whose last running activity just
+		// finished the process.
+		e.dropQueued(in)
 		in.setStatus(InstanceDone)
 		e.emit(Event{Kind: EvInstanceDone, Instance: in.ID})
 		// archive snapshots the complete final state; OnInstanceDone
@@ -497,25 +510,12 @@ func (e *Engine) handleProgramFailure(in *Instance, sc *scope, t *ocr.Task, ts *
 // failure).
 func (e *Engine) requeue(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
 	prog, _ := e.opts.Library.Lookup(t.Program)
-	cost := DefaultActivityCost
-	switch {
-	case prog != nil && prog.Cost != nil:
-		cost = prog.Cost(ts.Inputs)
-	case t.Cost > 0:
-		cost = time.Duration(t.Cost * float64(time.Second))
-	}
-	id := jobID(in, sc, t.Name, ts.Attempts)
-	ts.Job = id
+	job := e.newJob(in, sc, t, ts, prog)
+	ts.Job = job.ID
 	ts.Node = ""
-	job := sched.Job{ID: id, Cost: cost, Priority: in.Priority + t.Priority,
-		Tenant: in.Tenant, Key: t.Program, Enqueued: e.now()}
-	if prog != nil {
-		job.OS = prog.OS
-		job.Nodes = prog.Nodes
-	}
 	e.dmu.Lock()
 	e.sched.Enqueue(job)
-	e.queued[id] = &queuedRef{inst: in, sc: sc, ts: ts, job: job}
+	e.queued[job.ID] = &queuedRef{inst: in, sc: sc, ts: ts, job: job}
 	e.dmu.Unlock()
 	e.touchTask(in, sc, ts)
 	e.persist(in)

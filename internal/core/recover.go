@@ -260,6 +260,12 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 		// up the requeued work serialize against the rebuild.
 		mu := e.shardFor(id)
 		mu.Lock()
+		if in.Status == InstanceSuspended {
+			// Before anything is requeued — now, or when a lazy stub
+			// hydrates — so a suspended instance's tasks never enter
+			// dispatch order.
+			e.holdQueued(in)
+		}
 		if in.stub == nil {
 			e.resumeInstance(in)
 		}

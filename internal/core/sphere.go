@@ -85,20 +85,14 @@ func (e *Engine) abortSphere(in *Instance, sc *scope, t *ocr.Task, ts *taskState
 	}
 
 	// 2. Drop queued work and kill running work belonging to the sphere.
-	// The shard we hold covers only this instance, so the dispatcher maps
-	// are scanned under dmu and filtered to our instance; kills are
-	// deferred to endTurn (executors may deliver the kill completion
-	// synchronously, which would re-enter this shard).
+	// The shard we hold covers only this instance, so the dispatcher state
+	// is read under dmu — the queue through this instance's group, the
+	// running map filtered to our instance; kills are deferred to endTurn
+	// (executors may deliver the kill completion synchronously, which would
+	// re-enter this shard).
 	e.dmu.Lock()
-	var queuedIDs []string
-	for id, ref := range e.queued {
-		if ref.inst == in && ref.sc.defunct {
-			queuedIDs = append(queuedIDs, id)
-		}
-	}
-	sort.Strings(queuedIDs)
-	for _, id := range queuedIDs {
-		e.sched.Remove(id)
+	defunct := func(id string) bool { return e.queued[id].sc.defunct }
+	for _, id := range e.sched.RemoveWhere(in.ID, defunct) {
 		delete(e.queued, id)
 	}
 	var runningIDs []string

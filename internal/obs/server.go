@@ -92,12 +92,16 @@ type NodeInfo struct {
 // engine's dispatcher depth and, when an adaptive monitor runs, the loads
 // it last reported.
 type ClusterInfo struct {
-	Nodes       []NodeInfo         `json:"nodes"`
-	TotalCPUs   int                `json:"totalCpus"`
-	BusySlots   int                `json:"busySlots"`
-	RunningJobs int                `json:"runningJobs"`
-	QueueDepth  int                `json:"queueDepth"`
-	Loads       map[string]float64 `json:"reportedLoads,omitempty"`
+	Nodes       []NodeInfo `json:"nodes"`
+	TotalCPUs   int        `json:"totalCpus"`
+	BusySlots   int        `json:"busySlots"`
+	RunningJobs int        `json:"runningJobs"`
+	QueueDepth  int        `json:"queueDepth"`
+	// HeldJobs is the part of QueueDepth that belongs to suspended
+	// instances and cannot dispatch until they resume.
+	HeldJobs int `json:"held"`
+
+	Loads map[string]float64 `json:"reportedLoads,omitempty"`
 	// Members is the federation membership view when the source runs
 	// inside a federated server (see MemberLister); absent otherwise.
 	Members []MemberView `json:"members,omitempty"`

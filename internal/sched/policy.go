@@ -7,7 +7,9 @@ import (
 )
 
 // Policy picks a node for a job. Pick returns ok=false when no eligible
-// node has capacity (the job stays queued).
+// node has capacity (the job stays queued), and may only return a node that
+// is up and has a free slot: the Scheduler relies on it and does not call
+// Pick at all while the cluster view has no such node.
 type Policy interface {
 	Name() string
 	Pick(job Job, nodes []cluster.NodeView) (node string, ok bool)

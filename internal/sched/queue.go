@@ -1,6 +1,11 @@
 package sched
 
-import "sort"
+import (
+	"slices"
+	"sort"
+
+	"bioopera/internal/cluster"
+)
 
 // Queue is the activity queue: pending jobs ordered by priority (higher
 // first), by tenant fair share among equal priorities, and FIFO within a
@@ -13,27 +18,59 @@ import "sort"
 // reduces exactly to the legacy queue's (priority desc, arrival FIFO), so
 // deterministic simulation traces are unchanged by the tenancy machinery.
 //
+// Jobs belong to groups (Job.Group). A held group's jobs stay queued — they
+// count in Len and the depth reports — but leave the dispatch-order lists,
+// so nothing that looks for work to run (scan, Jobs, TakeUnplaceable)
+// visits them. They keep their arrival numbers: Release puts each back
+// exactly where it would have stood had it been skipped, not removed.
+//
 // The zero value is an empty queue with no quotas (every tenant weight 1).
 // Queue is not safe for concurrent use; the engine serializes access
 // under its dispatch lock.
 type Queue struct {
 	tenants map[string]*tenantQueue
-	names   []string // tenant first-seen order, for deterministic scans
+	order   []*tenantQueue // tenant first-seen order, for deterministic scans
 	quotas  map[string]float64
 	usage   map[string]float64
 	n       int // global arrival counter (FIFO tie-break)
-	size    int
+	size    int // ready + held
+	held    int // jobs of held groups
+	groups  map[string]group
+	// pinned lists the ready jobs that name specific nodes — the only ones
+	// that can ever be Unplaceable — in arrival order.
+	pinned []*node
+	free   *node // recycled nodes, linked through next
 }
 
-// tenantQueue holds one tenant's jobs in (priority desc, arrival asc)
+// node is one queued job. Nodes are recycled through Queue.free, so a
+// steady enqueue/dispatch cycle allocates nothing.
+type node struct {
+	job Job
+	seq int // arrival number; survives hold and release
+	// prev and next chain the jobs of one group, ready or held, so holding,
+	// releasing or removing a group costs its own jobs, not the queue's.
+	prev, next *node
+}
+
+// group is the per-group index entry: the chain of its queued jobs and
+// whether they are held. Entries exist only while a group has jobs or is
+// held, and live in the map by value.
+type group struct {
+	head *node
+	held bool
+}
+
+// tenantQueue holds one tenant's ready jobs in (priority desc, arrival asc)
 // order.
 type tenantQueue struct {
-	items []Job
-	seq   []int
+	items []*node
 }
 
-// Len returns the number of queued jobs.
+// Len returns the number of queued jobs, held ones included.
 func (q *Queue) Len() int { return q.size }
+
+// Held returns the number of queued jobs whose group is held.
+func (q *Queue) Held() int { return q.held }
 
 // SetQuota assigns a tenant's fair-share weight (default 1; larger means
 // a larger share). Non-positive weights are ignored.
@@ -69,184 +106,300 @@ func (q *Queue) weight(tenant string) float64 {
 	return 1
 }
 
-// Push enqueues a job.
+// Push enqueues a job; into the held set when its group is held.
 func (q *Queue) Push(j Job) {
+	nd := q.free
+	if nd == nil {
+		nd = new(node)
+	} else {
+		q.free = nd.next
+	}
+	q.n++
+	*nd = node{job: j, seq: q.n}
+	if q.groups == nil {
+		q.groups = make(map[string]group)
+	}
+	g := q.groups[j.Group]
+	if nd.next = g.head; g.head != nil {
+		g.head.prev = nd
+	}
+	g.head = nd
+	q.groups[j.Group] = g
+	q.size++
+	if g.held {
+		q.held++
+		return
+	}
+	q.insert(nd)
+}
+
+// insert makes a job ready: it enters its tenant's dispatch-order list and,
+// when it names nodes, the pinned set. Both positions are found by binary
+// search, so equal-priority arrivals (the common case — and all of a
+// recovery's requeued backlog) land at the tail in O(log n).
+func (q *Queue) insert(nd *node) {
 	if q.tenants == nil {
 		q.tenants = make(map[string]*tenantQueue)
 	}
-	tq, ok := q.tenants[j.Tenant]
+	tq, ok := q.tenants[nd.job.Tenant]
 	if !ok {
 		tq = &tenantQueue{}
-		q.tenants[j.Tenant] = tq
-		q.names = append(q.names, j.Tenant)
+		q.tenants[nd.job.Tenant] = tq
+		q.order = append(q.order, tq)
 	}
-	q.n++
-	// Insert keeping (priority desc, seq asc) order within the tenant.
-	// The slice is priority-sorted, so the position is found by binary
-	// search: first slot with strictly lower priority. Equal-priority jobs
-	// (the common case — and all of a recovery's requeued backlog) land at
-	// the tail, keeping the push O(log n) instead of a linear scan that
-	// copies every Job struct it walks past.
-	pos := sort.Search(len(tq.items), func(i int) bool {
-		return j.Priority > tq.items[i].Priority
-	})
-	tq.items = append(tq.items, Job{})
-	tq.seq = append(tq.seq, 0)
-	copy(tq.items[pos+1:], tq.items[pos:])
-	copy(tq.seq[pos+1:], tq.seq[pos:])
-	tq.items[pos] = j
-	tq.seq[pos] = q.n
-	q.size++
+	tq.items = slices.Insert(tq.items, tq.search(nd), nd)
+	if len(nd.job.Nodes) > 0 {
+		q.pinned = slices.Insert(q.pinned, searchSeq(q.pinned, nd.seq), nd)
+	}
 }
 
-// headLess reports whether tenant a's job at index ia dispatches before
-// tenant b's job at index ib: higher priority first, then smaller weighted
-// usage, then arrival order.
-func (q *Queue) headLess(a string, ia int, b string, ib int) bool {
-	ja, jb := q.tenants[a].items[ia], q.tenants[b].items[ib]
-	if ja.Priority != jb.Priority {
-		return ja.Priority > jb.Priority
+// search returns the index of nd in the tenant's list, or where it belongs.
+func (tq *tenantQueue) search(nd *node) int {
+	return sort.Search(len(tq.items), func(i int) bool {
+		at := tq.items[i]
+		if at.job.Priority != nd.job.Priority {
+			return at.job.Priority < nd.job.Priority
+		}
+		return at.seq >= nd.seq
+	})
+}
+
+func searchSeq(list []*node, seq int) int {
+	return sort.Search(len(list), func(i int) bool { return list[i].seq >= seq })
+}
+
+// unready takes a ready job out of the dispatch-order lists; it stays in
+// its group's chain.
+func (q *Queue) unready(nd *node) {
+	tq := q.tenants[nd.job.Tenant]
+	i := tq.search(nd)
+	tq.items = slices.Delete(tq.items, i, i+1)
+	if len(nd.job.Nodes) > 0 {
+		i = searchSeq(q.pinned, nd.seq)
+		q.pinned = slices.Delete(q.pinned, i, i+1)
 	}
-	if a != b {
-		ua := q.usage[a] / q.weight(a)
-		ub := q.usage[b] / q.weight(b)
+}
+
+// drop unlinks a job that is in no dispatch-order list from its group and
+// recycles its node, returning the job.
+func (q *Queue) drop(nd *node) Job {
+	j := nd.job
+	g := q.groups[j.Group]
+	if nd.prev != nil {
+		nd.prev.next = nd.next
+	} else {
+		g.head = nd.next
+	}
+	if nd.next != nil {
+		nd.next.prev = nd.prev
+	}
+	if g.head == nil && !g.held {
+		delete(q.groups, j.Group)
+	} else {
+		q.groups[j.Group] = g
+	}
+	q.size--
+	*nd = node{next: q.free}
+	q.free = nd
+	return j
+}
+
+// before reports whether a dispatches before b: higher priority first, then
+// the tenant with the smaller weighted usage, then arrival order. It is a
+// total order, and every tenant list is sorted by it, so dispatch order is
+// the merge of the tenant lists.
+func (q *Queue) before(a, b *node) bool {
+	if a.job.Priority != b.job.Priority {
+		return a.job.Priority > b.job.Priority
+	}
+	if a.job.Tenant != b.job.Tenant {
+		ua := q.usage[a.job.Tenant] / q.weight(a.job.Tenant)
+		ub := q.usage[b.job.Tenant] / q.weight(b.job.Tenant)
 		if ua != ub {
 			return ua < ub
 		}
 	}
-	return q.tenants[a].seq[ia] < q.tenants[b].seq[ib]
+	return a.seq < b.seq
 }
 
-// scan visits queued jobs in dispatch order until visit returns true.
-// visit receives the owning tenant and the job's index in that tenant's
-// sublist, valid until the next mutation.
-func (q *Queue) scan(visit func(tenant string, idx int) bool) {
-	cursors := make([]int, len(q.names))
+// scan visits ready jobs in dispatch order until visit returns true.
+func (q *Queue) scan(visit func(*node) bool) {
+	var buf [8]int
+	cursors := buf[:]
+	if len(q.order) > len(buf) {
+		cursors = make([]int, len(q.order))
+	}
 	for {
-		best := -1
-		for ni, name := range q.names {
-			if cursors[ni] >= len(q.tenants[name].items) {
+		var best *node
+		bi := 0
+		for ti, tq := range q.order {
+			if cursors[ti] >= len(tq.items) {
 				continue
 			}
-			if best < 0 || q.headLess(name, cursors[ni], q.names[best], cursors[best]) {
-				best = ni
+			if nd := tq.items[cursors[ti]]; best == nil || q.before(nd, best) {
+				best, bi = nd, ti
 			}
 		}
-		if best < 0 {
+		if best == nil || visit(best) {
 			return
 		}
-		if visit(q.names[best], cursors[best]) {
-			return
-		}
-		cursors[best]++
+		cursors[bi]++
 	}
-}
-
-// removeAt deletes one job from a tenant's sublist.
-func (q *Queue) removeAt(tenant string, i int) Job {
-	tq := q.tenants[tenant]
-	j := tq.items[i]
-	tq.items = append(tq.items[:i], tq.items[i+1:]...)
-	tq.seq = append(tq.seq[:i], tq.seq[i+1:]...)
-	q.size--
-	return j
 }
 
 // Peek returns the head job without removing it.
 func (q *Queue) Peek() (Job, bool) {
-	var out Job
-	found := false
-	q.scan(func(tenant string, i int) bool {
-		out = q.tenants[tenant].items[i]
-		found = true
+	var head *node
+	q.scan(func(nd *node) bool {
+		head = nd
 		return true
 	})
-	return out, found
+	if head == nil {
+		return Job{}, false
+	}
+	return head.job, true
 }
 
 // Pop removes and returns the head job.
 func (q *Queue) Pop() (Job, bool) {
-	var tname string
-	idx := -1
-	q.scan(func(tenant string, i int) bool {
-		tname, idx = tenant, i
-		return true
-	})
-	if idx < 0 {
-		return Job{}, false
-	}
-	return q.removeAt(tname, idx), true
+	j, _, ok := q.PopWhere(func(*Job) (string, bool) { return "", true })
+	return j, ok
 }
 
-// PopWhere removes and returns the first job (in dispatch order) for
+// PopWhere removes and returns the first ready job (in dispatch order) for
 // which a placement exists, trying pick on each. It returns the job, the
-// chosen node, and ok.
-func (q *Queue) PopWhere(pick func(Job) (string, bool)) (Job, string, bool) {
-	var tname, node string
-	idx := -1
-	q.scan(func(tenant string, i int) bool {
-		if n, ok := pick(q.tenants[tenant].items[i]); ok {
-			tname, node, idx = tenant, n, i
-			return true
+// chosen node, and ok. pick must not retain the pointer.
+func (q *Queue) PopWhere(pick func(*Job) (string, bool)) (Job, string, bool) {
+	var found *node
+	var target string
+	q.scan(func(nd *node) bool {
+		n, ok := pick(&nd.job)
+		if ok {
+			found, target = nd, n
 		}
-		return false
+		return ok
 	})
-	if idx < 0 {
+	if found == nil {
 		return Job{}, "", false
 	}
-	return q.removeAt(tname, idx), node, true
+	q.unready(found)
+	return q.drop(found), target, true
 }
 
-// Remove deletes a queued job by ID, reporting whether it was present.
-func (q *Queue) Remove(id string) bool {
-	for _, name := range q.names {
-		tq := q.tenants[name]
-		for i, j := range tq.items {
-			if j.ID == id {
-				q.removeAt(name, i)
-				return true
+// Hold takes a group's jobs out of dispatch order until Release; jobs
+// pushed to the group meanwhile are held too. Holding a held group is a
+// no-op.
+func (q *Queue) Hold(name string) {
+	g := q.groups[name]
+	if g.held {
+		return
+	}
+	for nd := g.head; nd != nil; nd = nd.next {
+		q.unready(nd)
+		q.held++
+	}
+	g.held = true
+	if q.groups == nil { // holding before the first Push
+		q.groups = make(map[string]group)
+	}
+	q.groups[name] = g
+}
+
+// IsHeld reports whether a group is held.
+func (q *Queue) IsHeld(name string) bool { return q.groups[name].held }
+
+// Release returns a held group's jobs to dispatch order, each at the
+// position its priority and arrival number give it.
+func (q *Queue) Release(name string) {
+	g := q.groups[name]
+	if !g.held {
+		return
+	}
+	for nd := g.head; nd != nil; nd = nd.next {
+		q.insert(nd)
+		q.held--
+	}
+	if g.held = false; g.head == nil {
+		delete(q.groups, name)
+	} else {
+		q.groups[name] = g
+	}
+}
+
+// RemoveWhere deletes the jobs of one group, ready or held, that match
+// (nil matches all) and returns their IDs, sorted. A hold on the group
+// stays.
+func (q *Queue) RemoveWhere(name string, match func(id string) bool) []string {
+	g := q.groups[name]
+	var ids []string
+	for nd := g.head; nd != nil; {
+		next := nd.next
+		if match == nil || match(nd.job.ID) {
+			if g.held {
+				q.held--
+			} else {
+				q.unready(nd)
 			}
+			ids = append(ids, q.drop(nd).ID)
+		}
+		nd = next
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// TakeUnplaceable removes and returns, in dispatch order, every ready job
+// that is Unplaceable on the given cluster view. Only pinned jobs can be.
+func (q *Queue) TakeUnplaceable(nodes []cluster.NodeView) []Job {
+	var dead []*node
+	for _, nd := range q.pinned {
+		if nd.job.Unplaceable(nodes) {
+			dead = append(dead, nd)
 		}
 	}
-	return false
+	if dead == nil {
+		return nil
+	}
+	sort.Slice(dead, func(i, j int) bool { return q.before(dead[i], dead[j]) })
+	out := make([]Job, len(dead))
+	for i, nd := range dead {
+		q.unready(nd)
+		out[i] = q.drop(nd)
+	}
+	return out
 }
 
-// Jobs returns the queued jobs in dispatch order (copy).
+// Jobs returns the ready jobs in dispatch order (copy). Held jobs are not
+// candidates for anything that runs work, so they are not listed.
 func (q *Queue) Jobs() []Job {
-	out := make([]Job, 0, q.size)
-	q.scan(func(tenant string, i int) bool {
-		out = append(out, q.tenants[tenant].items[i])
+	out := make([]Job, 0, q.size-q.held)
+	q.scan(func(nd *node) bool {
+		out = append(out, nd.job)
 		return false
 	})
 	return out
 }
 
-// DepthByTenant returns the number of queued jobs per tenant (tenants with
-// no queued jobs are omitted).
+// DepthByTenant returns the number of queued jobs per tenant, held ones
+// included (tenants with no queued jobs are omitted).
 func (q *Queue) DepthByTenant() map[string]int {
 	out := make(map[string]int)
-	for _, name := range q.names {
-		if n := len(q.tenants[name].items); n > 0 {
-			out[name] = n
+	for _, g := range q.groups {
+		for nd := g.head; nd != nil; nd = nd.next {
+			out[nd.job.Tenant]++
 		}
 	}
 	return out
 }
 
-// DepthByPriority returns the number of queued jobs per priority level.
+// DepthByPriority returns the number of queued jobs per priority level,
+// held ones included.
 func (q *Queue) DepthByPriority() map[int]int {
 	out := make(map[int]int)
-	for _, name := range q.names {
-		for _, j := range q.tenants[name].items {
-			out[j.Priority]++
+	for _, g := range q.groups {
+		for nd := g.head; nd != nil; nd = nd.next {
+			out[nd.job.Priority]++
 		}
 	}
-	return out
-}
-
-// Tenants returns the tenants that have ever queued a job, sorted.
-func (q *Queue) Tenants() []string {
-	out := append([]string(nil), q.names...)
-	sort.Strings(out)
 	return out
 }

@@ -27,6 +27,9 @@ import (
 type Job struct {
 	// ID identifies the activity instance.
 	ID string
+	// Group names the set of jobs that Hold, Release and RemoveGroup act on
+	// together; the engine uses the process instance ID.
+	Group string
 	// Cost is the estimated reference-CPU time (0 = unknown). For the
 	// simulated cluster this doubles as the work actually charged, so the
 	// Predictor refines estimates for accounting without touching Cost.

@@ -129,11 +129,12 @@ func TestQueuePeekRemove(t *testing.T) {
 	if j, ok := q.Peek(); !ok || j.ID != "x" {
 		t.Fatalf("peek = %+v", j)
 	}
-	if !q.Remove("x") {
-		t.Fatal("remove x failed")
+	isX := func(id string) bool { return id == "x" }
+	if ids := q.RemoveWhere("", isX); len(ids) != 1 || ids[0] != "x" {
+		t.Fatalf("remove x = %v", ids)
 	}
-	if q.Remove("x") {
-		t.Fatal("double remove succeeded")
+	if ids := q.RemoveWhere("", isX); len(ids) != 0 {
+		t.Fatalf("double remove = %v", ids)
 	}
 	if q.Len() != 1 {
 		t.Fatalf("len = %d", q.Len())
@@ -151,8 +152,8 @@ func TestQueuePopWhere(t *testing.T) {
 	// Only linux capacity: the solaris job must be skipped, not block
 	// the queue (head-of-line blocking avoidance).
 	vs := []cluster.NodeView{{Name: "n", OS: "linux", Up: true, CPUs: 1, Speed: 1}}
-	j, node, ok := q.PopWhere(func(j Job) (string, bool) {
-		return LeastLoaded{}.Pick(j, vs)
+	j, node, ok := q.PopWhere(func(j *Job) (string, bool) {
+		return LeastLoaded{}.Pick(*j, vs)
 	})
 	if !ok || j.ID != "any" || node != "n" {
 		t.Fatalf("PopWhere = %+v %q %v", j, node, ok)
@@ -161,8 +162,8 @@ func TestQueuePopWhere(t *testing.T) {
 		t.Fatalf("queue len = %d", q.Len())
 	}
 	// Nothing placeable now.
-	if _, _, ok := q.PopWhere(func(j Job) (string, bool) {
-		return LeastLoaded{}.Pick(j, vs)
+	if _, _, ok := q.PopWhere(func(j *Job) (string, bool) {
+		return LeastLoaded{}.Pick(*j, vs)
 	}); ok {
 		t.Fatal("placed unplaceable job")
 	}

@@ -54,19 +54,26 @@ func (s *Scheduler) applyQuotas() {
 // PolicyName names the active placement policy.
 func (s *Scheduler) PolicyName() string { return s.policy.Name() }
 
-// Enqueue adds a job to the queue.
+// Enqueue adds a job to the queue (to the held set when its group is held).
 func (s *Scheduler) Enqueue(j Job) { s.queue.Push(j) }
 
-// Next pops the first job in dispatch order that passes admit (nil admits
-// everything) and that the policy can place, returning the job and its
-// node. The dispatching tenant is charged the job's calibrated cost
+// Next pops the first ready job in dispatch order that passes admit (nil
+// admits everything) and that the policy can place, returning the job and
+// its node. The dispatching tenant is charged the job's calibrated cost
 // estimate, advancing the fair-share order.
+//
+// A Policy may only pick a node that is up and has a free slot, so when the
+// view has none Next answers without looking at the queue: on a saturated
+// cluster a decision costs O(nodes), whatever the backlog.
 func (s *Scheduler) Next(nodes []cluster.NodeView, admit func(Job) bool) (Job, string, bool) {
-	j, node, ok := s.queue.PopWhere(func(j Job) (string, bool) {
-		if admit != nil && !admit(j) {
+	if !hasFreeSlot(nodes) {
+		return Job{}, "", false
+	}
+	j, node, ok := s.queue.PopWhere(func(j *Job) (string, bool) {
+		if admit != nil && !admit(*j) {
 			return "", false
 		}
-		return s.policy.Pick(j, nodes)
+		return s.policy.Pick(*j, nodes)
 	})
 	if ok {
 		s.queue.Charge(j.Tenant, s.Estimate(j.Key, j.Cost).Seconds())
@@ -74,30 +81,56 @@ func (s *Scheduler) Next(nodes []cluster.NodeView, admit func(Job) bool) (Job, s
 	return j, node, ok
 }
 
-// TakeUnplaceable removes and returns (in dispatch order) every queued
-// job that can never be placed on the given cluster view — its Nodes list
-// names only down or unknown nodes. The engine surfaces each as a task
-// failure instead of leaving it queued forever.
-func (s *Scheduler) TakeUnplaceable(nodes []cluster.NodeView) []Job {
-	var dead []Job
-	for _, j := range s.queue.Jobs() {
-		if j.Unplaceable(nodes) {
-			dead = append(dead, j)
+func hasFreeSlot(nodes []cluster.NodeView) bool {
+	for _, v := range nodes {
+		if v.Up && v.FreeSlots() > 0 {
+			return true
 		}
 	}
-	for _, j := range dead {
-		s.queue.Remove(j.ID)
-	}
-	return dead
+	return false
 }
 
-// Remove deletes a queued job by ID.
-func (s *Scheduler) Remove(id string) bool { return s.queue.Remove(id) }
+// TakeUnplaceable removes and returns (in dispatch order) every ready job
+// that can never be placed on the given cluster view — its Nodes list
+// names only down or unknown nodes. The engine surfaces each as a task
+// failure instead of leaving it queued forever. Held jobs are not judged
+// until their group is released.
+func (s *Scheduler) TakeUnplaceable(nodes []cluster.NodeView) []Job {
+	return s.queue.TakeUnplaceable(nodes)
+}
 
-// Len reports the queue depth.
+// Hold takes a group's queued jobs, and any enqueued to it later, out of
+// dispatch order until Release. They still count in Len and the depths.
+func (s *Scheduler) Hold(group string) { s.queue.Hold(group) }
+
+// IsHeld reports whether a group is held.
+func (s *Scheduler) IsHeld(group string) bool { return s.queue.IsHeld(group) }
+
+// Release returns a held group's jobs to dispatch order, each where its
+// priority and arrival order place it.
+func (s *Scheduler) Release(group string) { s.queue.Release(group) }
+
+// RemoveGroup deletes every queued job of a group along with any hold on
+// it, returning the job IDs, sorted.
+func (s *Scheduler) RemoveGroup(group string) []string {
+	ids := s.queue.RemoveWhere(group, nil)
+	s.queue.Release(group)
+	return ids
+}
+
+// RemoveWhere deletes the jobs of a group that match, returning their IDs,
+// sorted; a hold on the group stays.
+func (s *Scheduler) RemoveWhere(group string, match func(id string) bool) []string {
+	return s.queue.RemoveWhere(group, match)
+}
+
+// Len reports the queue depth, held jobs included.
 func (s *Scheduler) Len() int { return s.queue.Len() }
 
-// Jobs returns the queued jobs in dispatch order.
+// Held reports how many queued jobs belong to held groups.
+func (s *Scheduler) Held() int { return s.queue.Held() }
+
+// Jobs returns the ready jobs in dispatch order; held jobs are left out.
 func (s *Scheduler) Jobs() []Job { return s.queue.Jobs() }
 
 // DepthByTenant reports queue depth per tenant.
@@ -126,7 +159,7 @@ func (s *Scheduler) Estimate(key string, model time.Duration) time.Duration {
 // Predictor exposes the cost predictor (for inspection and reports).
 func (s *Scheduler) Predictor() *Predictor { return s.pred }
 
-// Reset wipes the queue and fair-share usage — the engine's crash
+// Reset wipes the queue, holds and fair-share usage — the engine's crash
 // semantics: volatile scheduling state vanishes, configuration (quotas,
 // policy) and learned calibration survive with the process.
 func (s *Scheduler) Reset() {

@@ -1,0 +1,43 @@
+package codec
+
+// Kind namespaces. The kind byte after Magic and Version says what a record
+// is, and every decode context accepts only its own range, so a record
+// misfiled across contexts fails loudly instead of misparsing:
+//
+//	 1–4    persist records   (internal/core: meta, create, dyn, task)
+//	16–18   WAL records       (internal/store: put, del, event)
+//	32–63   transport frames  (internal/transport, declared below)
+//
+// A frame kind names one message of one protocol, so a message can move
+// from a JSON body to a codec body by taking a new kind, one at a time.
+const (
+	// FrameKeepAlive has an empty body; the transport sends and consumes
+	// it itself (liveness on an otherwise idle link).
+	FrameKeepAlive byte = 32
+
+	// Worker protocol (internal/remote); bodies are remote.Message JSON.
+	FrameHello      byte = 33
+	FrameWelcome    byte = 34
+	FrameLaunch     byte = 35
+	FrameKill       byte = 36
+	FrameHeartbeat  byte = 37
+	FrameCompletion byte = 38
+
+	// Federation (internal/fed); bodies are fed.Frame JSON.
+	FrameFedHello    byte = 40
+	FrameFedGossip   byte = 41
+	FrameFedRequest  byte = 42
+	FrameFedResponse byte = 43
+
+	// Log shipping (internal/wal); bodies are uvarints and raw records.
+	FrameShipSync     byte = 48
+	FrameShipRecords  byte = 49
+	FrameShipSnapshot byte = 50
+	FrameShipError    byte = 51
+
+	frameMin byte = 32
+	frameMax byte = 63
+)
+
+// IsFrameKind reports whether kind lies in the transport-frame namespace.
+func IsFrameKind(kind byte) bool { return kind >= frameMin && kind <= frameMax }

@@ -8,11 +8,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
-	"bioopera/internal/remote"
+	"bioopera/internal/codec"
+	"bioopera/internal/transport"
 )
 
 // ErrClientClosed fails calls on a closed (or failed) client connection.
@@ -35,22 +35,17 @@ const DefaultCallTimeout = 10 * time.Second
 
 // Client is one multiplexed federation connection — to a member or to a
 // gateway (both speak the same frames). Calls are correlated by frame ID,
-// so many goroutines may call concurrently over the one connection.
+// so many goroutines may call concurrently over the one connection. It is
+// the transport handler for that connection.
 type Client struct {
 	rpcMethods // Start, Status, Wait, ... over CallRaw
 
-	conn net.Conn
-
-	wmu sync.Mutex // serializes frame writes
-	enc *json.Encoder
+	conn *transport.Conn
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan remote.FedFrame
-	err     error // set once the read loop exits
-	closed  bool
-
-	done chan struct{} // closed when the read loop exits
+	pending map[uint64]chan Frame
+	err     error // set once the connection is gone
 }
 
 // DialClient connects to a federation endpoint.
@@ -58,102 +53,80 @@ func DialClient(addr string, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = DefaultCallTimeout
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	c := &Client{pending: make(map[uint64]chan Frame)}
+	c.rpcMethods = rpcMethods{raw: c.CallRaw}
+	_, err := transport.Dial(addr, timeout, func(tc *transport.Conn) transport.Handler {
+		c.conn = tc
+		return c
+	})
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn:    conn,
-		enc:     json.NewEncoder(conn),
-		pending: make(map[uint64]chan remote.FedFrame),
-		done:    make(chan struct{}),
-	}
-	c.rpcMethods = rpcMethods{raw: c.CallRaw}
-	go c.readLoop()
 	return c, nil
 }
 
-// readLoop demultiplexes responses to their waiting calls; any decode or
-// connection error fails every pending and future call.
-func (c *Client) readLoop() {
-	dec := json.NewDecoder(c.conn)
-	for {
-		var f remote.FedFrame
-		if err := dec.Decode(&f); err != nil {
-			c.fail(fmt.Errorf("%w: %v", ErrClientClosed, err))
-			return
-		}
-		if f.Type != remote.MsgFedResponse {
-			continue
-		}
-		c.mu.Lock()
-		ch := c.pending[f.ID]
-		delete(c.pending, f.ID)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- f
-		}
+// Frame demultiplexes one response to its waiting call.
+func (c *Client) Frame(kind byte, body []byte) error {
+	if kind != codec.FrameFedResponse {
+		return nil
 	}
+	var f Frame
+	if err := json.Unmarshal(body, &f); err != nil {
+		return fmt.Errorf("fed: response: %w", err)
+	}
+	c.mu.Lock()
+	ch := c.pending[f.ID]
+	delete(c.pending, f.ID)
+	c.mu.Unlock()
+	if ch != nil {
+		ch <- f
+	}
+	return nil
 }
 
-func (c *Client) fail(err error) {
+// Closed fails every pending and future call.
+func (c *Client) Closed(err error) {
 	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
+	c.err = fmt.Errorf("%w: %v", ErrClientClosed, err)
 	for id, ch := range c.pending {
 		delete(c.pending, id)
 		close(ch)
 	}
 	c.mu.Unlock()
-	close(c.done)
 }
 
-// Close tears the connection down; in-flight calls fail with
-// ErrClientClosed.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	return c.conn.Close()
-}
+// Close tears the connection down and joins its goroutines; in-flight
+// calls fail with ErrClientClosed.
+func (c *Client) Close() error { return c.conn.Close() }
 
 // CallRaw sends one request frame and waits for its response, leaving the
 // params and result encoding to the caller — the gateway forwards frames
 // it never decodes. A response with OK unset maps to *RedirectError or a
 // plain error.
-func (c *Client) CallRaw(method, instance string, params json.RawMessage, timeout time.Duration) (remote.FedFrame, error) {
+func (c *Client) CallRaw(method, instance string, params json.RawMessage, timeout time.Duration) (Frame, error) {
 	if timeout <= 0 {
 		timeout = DefaultCallTimeout
 	}
-	ch := make(chan remote.FedFrame, 1)
+	ch := make(chan Frame, 1)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return remote.FedFrame{}, err
+		return Frame{}, err
 	}
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	f := remote.FedFrame{
-		Type: remote.MsgFedRequest, ID: id,
-		Method: method, Instance: instance, Params: params,
-	}
-	c.wmu.Lock()
-	err := c.enc.Encode(f)
-	c.wmu.Unlock()
-	if err != nil {
+	// Send, not SendWait: a link with a full queue of unsent requests is
+	// as good as down, and the caller's retry logic should see it now.
+	f := Frame{ID: id, Method: method, Instance: instance, Params: params}
+	if err := sendFrame(c.conn, codec.FrameFedRequest, &f, false); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return remote.FedFrame{}, fmt.Errorf("%w: %v", ErrClientClosed, err)
+		return Frame{}, fmt.Errorf("%w: %v", ErrClientClosed, err)
 	}
 
 	timer := time.NewTimer(timeout)
@@ -164,7 +137,7 @@ func (c *Client) CallRaw(method, instance string, params json.RawMessage, timeou
 			c.mu.Lock()
 			err := c.err
 			c.mu.Unlock()
-			return remote.FedFrame{}, err
+			return Frame{}, err
 		}
 		if !resp.OK {
 			if resp.Redirect != "" {
@@ -177,6 +150,6 @@ func (c *Client) CallRaw(method, instance string, params json.RawMessage, timeou
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return remote.FedFrame{}, fmt.Errorf("fed: %s call timed out after %v", method, timeout)
+		return Frame{}, fmt.Errorf("fed: %s call timed out after %v", method, timeout)
 	}
 }

@@ -1,7 +1,7 @@
 // Package fed federates N engine servers into one BioOpera cluster: each
 // member owns a partition of the instance-ID space, a thin gateway routes
-// driver RPCs to the owning member over the JSON-over-TCP framing shared
-// with the worker protocol (internal/remote), and server-level failover
+// driver RPCs to the owning member over internal/transport (the link layer
+// the worker protocol and log shipping also run on), and server-level failover
 // promotes the worker-lease mechanism to whole servers — when a member's
 // heartbeats lapse, the designated peer claims its partitions' leases
 // under a new incarnation and adopts its instances through the engine's
@@ -9,8 +9,8 @@
 //
 // Ownership has two layers:
 //
-//   - Placement is rendezvous hashing over the live membership view (a
-//     cluster.Directory, one node per member): every member computes the
+//   - Placement is rendezvous hashing over the live membership view (the
+//     peers the failure detector believes up, plus self): every member computes the
 //     same successor for a partition from the same view, so orphaned
 //     partitions converge on one claimant without coordination.
 //   - Authority is a lease per partition, persisted in the store's

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -16,7 +15,7 @@ import (
 
 	"bioopera/internal/core"
 	"bioopera/internal/obs"
-	"bioopera/internal/remote"
+	"bioopera/internal/transport"
 )
 
 // GatewayConfig configures a federation gateway: the thin routing tier
@@ -48,7 +47,7 @@ type Gateway struct {
 
 	cfg GatewayConfig
 	met *fedMetrics
-	ln  net.Listener // nil for a library-only gateway
+	ep  *transport.Endpoint // nil for a library-only gateway
 
 	mu         sync.Mutex
 	clients    map[string]*Client // member address → connection
@@ -57,10 +56,7 @@ type Gateway struct {
 	owners     map[int]string     // partition → owning member
 	partitions int
 	rr         int // round-robin cursor for start placement
-	conns      map[net.Conn]bool
 	closed     bool
-
-	wg sync.WaitGroup
 }
 
 // NewGateway builds a gateway over the given seed members and, when
@@ -87,32 +83,34 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		live:       make(map[string]bool),
 		owners:     make(map[int]string),
 		partitions: DefaultPartitions,
-		conns:      make(map[net.Conn]bool),
 	}
 	g.rpcMethods = rpcMethods{raw: g.callRawTimeout}
 	g.refreshView()
 	if cfg.ListenAddr != "" {
-		ln, err := net.Listen("tcp", cfg.ListenAddr)
+		ep, err := transport.Listen(cfg.ListenAddr)
 		if err != nil {
 			g.Close()
 			return nil, err
 		}
-		g.ln = ln
-		g.wg.Add(1)
-		go g.acceptLoop()
+		g.ep = ep
+		ep.Serve(func(c *transport.Conn, kind byte, body []byte) (transport.Handler, error) {
+			return acceptRequests(c, g.answer, kind, body)
+		}, nil)
 	}
 	return g, nil
 }
 
 // Addr reports the gateway's bound listen address ("" when library-only).
 func (g *Gateway) Addr() string {
-	if g.ln == nil {
+	if g.ep == nil {
 		return ""
 	}
-	return g.ln.Addr().String()
+	return g.ep.Addr()
 }
 
-// Close stops the listener and drops every member connection.
+// Close drops every member connection — failing the calls in flight on
+// them — then closes the listener and every client connection, which waits
+// for the requests still being answered.
 func (g *Gateway) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -125,24 +123,15 @@ func (g *Gateway) Close() {
 		clients = append(clients, c)
 	}
 	g.clients = make(map[string]*Client)
-	conns := make([]net.Conn, 0, len(g.conns))
-	for c := range g.conns {
-		conns = append(conns, c)
-	}
 	g.mu.Unlock()
-	if g.ln != nil {
-		//bioopera:allow droppederr gateway teardown is best-effort; nothing outlives it to report to
-		g.ln.Close()
-	}
 	for _, c := range clients {
 		//bioopera:allow droppederr hanging up member connections on teardown is best-effort
 		c.Close()
 	}
-	for _, c := range conns {
-		//bioopera:allow droppederr hanging up client connections on teardown is best-effort
-		c.Close()
+	if g.ep != nil {
+		//bioopera:allow droppederr gateway teardown is best-effort; nothing outlives it to report to
+		g.ep.Close()
 	}
-	g.wg.Wait()
 }
 
 // clientFor returns (dialing if needed) the connection to one member
@@ -320,11 +309,11 @@ func (g *Gateway) markDown(addr string) {
 // (stale route: retry immediately at the named owner) and riding through
 // owner death (refresh the view after a backoff so failover can land).
 // Application errors from the owner are returned without retry.
-func (g *Gateway) CallRaw(method, instance string, params json.RawMessage) (remote.FedFrame, error) {
+func (g *Gateway) CallRaw(method, instance string, params json.RawMessage) (Frame, error) {
 	return g.callRawTimeout(method, instance, params, g.cfg.CallTimeout)
 }
 
-func (g *Gateway) callRawTimeout(method, instance string, params json.RawMessage, timeout time.Duration) (remote.FedFrame, error) {
+func (g *Gateway) callRawTimeout(method, instance string, params json.RawMessage, timeout time.Duration) (Frame, error) {
 	if timeout <= 0 {
 		timeout = g.cfg.CallTimeout
 	}
@@ -388,49 +377,16 @@ func (g *Gateway) callRawTimeout(method, instance string, params json.RawMessage
 			return resp, err
 		}
 	}
-	return remote.FedFrame{}, fmt.Errorf("fed: gateway gave up after %d attempts: %w", g.cfg.Retries+1, lastErr)
+	return Frame{}, fmt.Errorf("fed: gateway gave up after %d attempts: %w", g.cfg.Retries+1, lastErr)
 }
 
-// acceptLoop serves client connections on the gateway's listener.
-func (g *Gateway) acceptLoop() {
-	defer g.wg.Done()
-	for {
-		conn, err := g.ln.Accept()
-		if err != nil {
-			return
-		}
-		g.mu.Lock()
-		if g.closed {
-			g.mu.Unlock()
-			//bioopera:allow droppederr refusing the late client during teardown is best-effort
-			conn.Close()
-			return
-		}
-		g.conns[conn] = true
-		g.mu.Unlock()
-		g.wg.Add(1)
-		go g.serveConn(conn)
+// answer forwards one client request through the routing core, preserving
+// its ID.
+func (g *Gateway) answer(r Frame) Frame {
+	resp, err := g.CallRaw(r.Method, r.Instance, r.Params)
+	resp.ID = r.ID
+	if err != nil && !resp.OK && resp.Error == "" {
+		resp.Error = err.Error()
 	}
-}
-
-// serveConn forwards one client connection's requests through the routing
-// core, preserving request IDs.
-func (g *Gateway) serveConn(conn net.Conn) {
-	defer g.wg.Done()
-	defer func() {
-		g.mu.Lock()
-		delete(g.conns, conn)
-		g.mu.Unlock()
-		//bioopera:allow droppederr hanging up on a finished client is best-effort
-		conn.Close()
-	}()
-	serveRequests(conn, json.NewDecoder(conn), remote.FedFrame{}, func(r remote.FedFrame) remote.FedFrame {
-		resp, err := g.CallRaw(r.Method, r.Instance, r.Params)
-		resp.Type = remote.MsgFedResponse
-		resp.ID = r.ID
-		if err != nil && !resp.OK && resp.Error == "" {
-			resp.Error = err.Error()
-		}
-		return resp
-	})
+	return resp
 }

@@ -9,16 +9,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"time"
 
-	"bioopera/internal/cluster"
+	"bioopera/internal/codec"
 	"bioopera/internal/core"
 	"bioopera/internal/obs"
-	"bioopera/internal/remote"
 	"bioopera/internal/store"
+	"bioopera/internal/transport"
 )
 
 // Config configures one federation member: an engine server that owns a
@@ -61,28 +60,17 @@ type Config struct {
 
 // peerState is everything known about one other member.
 type peerState struct {
-	name       string
-	addr       string
-	inc        uint64
-	up         bool
+	name string
+	addr string
+	inc  uint64
+	up   bool
+	// lastBeat is per name, not per connection: liveness is granted by
+	// hearing the member on any link (simultaneous dials leave two) and
+	// outlives every one of them until the timeout lapses.
 	lastBeat   time.Time
-	deadAt     time.Time // when the failure detector declared it down
-	partitions []int     // last gossiped owned set
-	link       *peerLink // active duplex conn, nil while disconnected
-}
-
-// peerLink is one established gossip connection (either side may have
-// dialed); writes serialize on wmu.
-type peerLink struct {
-	conn net.Conn
-	wmu  sync.Mutex
-	enc  *json.Encoder
-}
-
-func (l *peerLink) send(f remote.FedFrame) error {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	return l.enc.Encode(f)
+	deadAt     time.Time       // when the failure detector declared it down
+	partitions []int           // last gossiped owned set
+	link       *transport.Conn // the connection gossip is sent on, nil while disconnected
 }
 
 // Member is one federated engine server.
@@ -91,8 +79,7 @@ type Member struct {
 	inc    uint64 // boot incarnation (ID minting)
 	rt     *core.LocalRuntime
 	leases *LeaseTable
-	ln     net.Listener
-	dir    *cluster.Directory // membership view: one node per member
+	ep     *transport.Endpoint // the listener, and every gossip link either side dialed
 	met    *fedMetrics
 	booted time.Time
 
@@ -103,7 +90,6 @@ type Member struct {
 	route  map[int]Lease // last observed lease per partition
 	seq    uint64        // instance mint sequence
 	mintRR int           // round-robin cursor over owned partitions
-	conns  map[net.Conn]bool
 	closed bool
 
 	stopc chan struct{}
@@ -134,14 +120,12 @@ func NewMember(cfg Config) (*Member, error) {
 	m := &Member{
 		cfg:    cfg,
 		leases: NewLeaseTable(cfg.Store, cfg.Partitions),
-		dir:    cluster.NewDirectory(),
 		met:    newFedMetrics(cfg.Metrics),
 		booted: time.Now(),
 		peers:  make(map[string]*peerState),
 		dialme: make(map[string]bool),
 		owned:  make(map[int]bool),
 		route:  make(map[int]Lease),
-		conns:  make(map[net.Conn]bool),
 		stopc:  make(chan struct{}),
 	}
 	inc, err := m.leases.NextIncarnation()
@@ -164,13 +148,15 @@ func NewMember(cfg Config) (*Member, error) {
 		return nil, err
 	}
 	m.rt = rt
-	ln, err := net.Listen("tcp", cfg.ListenAddr)
+	ep, err := transport.Listen(cfg.ListenAddr)
 	if err != nil {
 		rt.Close()
 		return nil, err
 	}
-	m.ln = ln
-	m.dir.Join(cluster.NodeView{Name: cfg.Name, Up: true, CPUs: 1, Speed: 1})
+	m.ep = ep
+	ep.Serve(m.accept, func(remote string, err error) {
+		m.reportErr(fmt.Errorf("fed: %s: refused connection from %s: %w", cfg.Name, remote, err))
+	})
 	for _, addr := range cfg.Join {
 		m.dialme[addr] = true
 	}
@@ -179,14 +165,13 @@ func NewMember(cfg Config) (*Member, error) {
 		defer m.mu.Unlock()
 		return float64(len(m.owned))
 	})
-	m.wg.Add(2)
-	go m.acceptLoop()
+	m.wg.Add(1)
 	go m.membershipLoop()
 	return m, nil
 }
 
 // Addr reports the bound federation listen address.
-func (m *Member) Addr() string { return m.ln.Addr().String() }
+func (m *Member) Addr() string { return m.ep.Addr() }
 
 // Name reports the member's identity.
 func (m *Member) Name() string { return m.cfg.Name }
@@ -203,13 +188,8 @@ func (m *Member) Leases() *LeaseTable { return m.leases }
 // OwnedPartitions lists the partitions this member currently owns, sorted.
 func (m *Member) OwnedPartitions() []int {
 	m.mu.Lock()
-	out := make([]int, 0, len(m.owned))
-	for p := range m.owned {
-		out = append(out, p)
-	}
-	m.mu.Unlock()
-	sort.Ints(out)
-	return out
+	defer m.mu.Unlock()
+	return ownedSorted(m.owned)
 }
 
 // ownsInstance is the engine's ownership gate: true when the instance's
@@ -237,133 +217,99 @@ func (m *Member) Close() {
 	}
 	m.closed = true
 	m.owned = make(map[int]bool)
-	conns := make([]net.Conn, 0, len(m.conns))
-	for c := range m.conns {
-		conns = append(conns, c)
-	}
-	var links []*peerLink
-	for _, p := range m.peers {
-		if p.link != nil {
-			links = append(links, p.link)
-			p.link = nil
-		}
-	}
 	m.mu.Unlock()
 	close(m.stopc)
 	//bioopera:allow droppederr member teardown is best-effort; nothing outlives it to report to
-	m.ln.Close()
-	for _, c := range conns {
-		//bioopera:allow droppederr hanging up tracked connections on teardown is best-effort
-		c.Close()
-	}
-	for _, l := range links {
-		//bioopera:allow droppederr hanging up gossip links on teardown is best-effort
-		l.conn.Close()
-	}
+	m.ep.Close()
 	m.rt.Close()
 	m.wg.Wait()
 }
 
-// trackConn registers an accepted or dialed connection for Close; it
-// reports false when the member is already closing.
-func (m *Member) trackConn(c net.Conn) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return false
+// accept serves an inbound connection: the first frame tells whether the
+// peer is a member (hello, duplex gossip) or a client/gateway (request).
+func (m *Member) accept(c *transport.Conn, kind byte, body []byte) (transport.Handler, error) {
+	if kind != codec.FrameFedHello {
+		return acceptRequests(c, m.answer, kind, body)
 	}
-	m.conns[c] = true
-	return true
+	var hello Frame
+	if err := json.Unmarshal(body, &hello); err != nil || hello.From.Name == "" {
+		return nil, fmt.Errorf("fed: bad hello: %v", err)
+	}
+	// Identify ourselves back, then treat the conn as a gossip channel:
+	// the dialer learns our identity from this reply.
+	if err := sendFrame(c, codec.FrameFedHello, &Frame{From: m.self()}, false); err != nil {
+		return nil, err
+	}
+	m.notePeer(hello.From, c)
+	return &gossipConn{m: m, c: c, peer: hello.From.Name}, nil
 }
 
-func (m *Member) untrackConn(c net.Conn) {
+// gossipConn is the handler for one gossip connection, accepted or dialed.
+type gossipConn struct {
+	m      *Member
+	c      *transport.Conn
+	peer   string // "" on a dialed connection until the peer's hello names it
+	dialed string // the address dialed, "" when accepted
+}
+
+// Frame consumes a peer's beats.
+func (g *gossipConn) Frame(kind byte, body []byte) error {
+	if kind != codec.FrameFedHello && kind != codec.FrameFedGossip {
+		return nil
+	}
+	var f Frame
+	if err := json.Unmarshal(body, &f); err != nil {
+		return fmt.Errorf("fed: gossip: %w", err)
+	}
+	m := g.m
+	if g.peer != "" {
+		m.notePeer(f.From, nil)
+		m.noteMembers(f.Members)
+		return nil
+	}
+	// Dialed: this is the hello back.
+	if f.From.Name == "" {
+		return errors.New("fed: peer hello without a name")
+	}
+	g.peer = f.From.Name
 	m.mu.Lock()
-	delete(m.conns, c)
+	delete(m.dialme, g.dialed)
+	known := m.peers[g.peer]
+	link := g.c
+	if known != nil && known.link != nil {
+		// Simultaneous dials: keep the established link, use this
+		// conn read-only until it drops.
+		link = nil
+	}
 	m.mu.Unlock()
+	m.notePeer(f.From, link)
+	return nil
 }
 
-// acceptLoop serves inbound connections: the first frame tells whether the
-// peer is a member (fed-hello, duplex gossip) or a client/gateway
-// (fed-request).
-func (m *Member) acceptLoop() {
-	defer m.wg.Done()
-	for {
-		conn, err := m.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if !m.trackConn(conn) {
-			//bioopera:allow droppederr refusing the late connection during teardown is best-effort
-			conn.Close()
-			return
-		}
-		m.wg.Add(1)
-		go m.handleConn(conn)
-	}
-}
-
-func (m *Member) handleConn(conn net.Conn) {
-	defer m.wg.Done()
-	defer m.untrackConn(conn)
-	defer conn.Close()
-	dec := json.NewDecoder(conn)
-	var first remote.FedFrame
-	if err := dec.Decode(&first); err != nil {
-		return
-	}
-	switch first.Type {
-	case remote.MsgFedHello:
-		link := &peerLink{conn: conn, enc: json.NewEncoder(conn)}
-		// Identify ourselves back, then treat the conn as a gossip
-		// channel: the dialer learns our identity from this reply.
-		if err := link.send(remote.FedFrame{Type: remote.MsgFedHello, From: m.self()}); err != nil {
-			return
-		}
-		m.notePeer(first.From, link)
-		m.gossipReadLoop(dec, first.From.Name)
-	case remote.MsgFedRequest:
-		serveRequests(conn, dec, first, m.answer)
-	}
-}
-
-// gossipReadLoop consumes a peer's beats until the connection drops.
-func (m *Member) gossipReadLoop(dec *json.Decoder, peer string) {
-	for {
-		var f remote.FedFrame
-		if err := dec.Decode(&f); err != nil {
-			m.peerLinkDown(peer)
-			return
-		}
-		switch f.Type {
-		case remote.MsgFedGossip, remote.MsgFedHello:
-			m.notePeer(f.From, nil)
-			m.noteMembers(f.Members)
-		}
-	}
-}
-
-// peerLinkDown clears a peer's link; liveness itself is decided by the
-// heartbeat timeout, not the connection (a dropped conn redials).
-func (m *Member) peerLinkDown(name string) {
+// Closed clears the peer's link if this connection was it; liveness itself
+// is decided by the heartbeat timeout, not the connection (a dropped conn
+// redials).
+func (g *gossipConn) Closed(error) {
+	m := g.m
 	m.mu.Lock()
-	if p := m.peers[name]; p != nil {
+	if p := m.peers[g.peer]; p != nil && p.link == g.c {
 		p.link = nil
 	}
 	m.mu.Unlock()
 }
 
 // self assembles this member's gossip identity.
-func (m *Member) self() remote.FedMember {
-	return remote.FedMember{
+func (m *Member) self() MemberInfo {
+	return MemberInfo{
 		Name: m.cfg.Name, Addr: m.Addr(), Incarnation: m.inc, Up: true,
 		Partitions: m.OwnedPartitions(),
 	}
 }
 
 // notePeer records a directly heard member (hello or gossip sender): it
-// refreshes the heartbeat clock, joins the membership directory, and
-// installs the link when one was just established.
-func (m *Member) notePeer(from remote.FedMember, link *peerLink) {
+// refreshes the heartbeat clock and installs the link when one was just
+// established.
+func (m *Member) notePeer(from MemberInfo, link *transport.Conn) {
 	if from.Name == "" || from.Name == m.cfg.Name {
 		return
 	}
@@ -392,8 +338,6 @@ func (m *Member) notePeer(from remote.FedMember, link *peerLink) {
 		p.link = link
 	}
 	m.mu.Unlock()
-	m.dir.Join(cluster.NodeView{Name: from.Name, Up: true, CPUs: 1, Speed: 1})
-	m.dir.SetExtLoad(from.Name, from.Load)
 	if !wasUp {
 		m.rt.Engine().EmitInfra(core.Event{Kind: core.EvNodeJoined,
 			Node: "member/" + from.Name, Detail: fmt.Sprintf("incarnation=%d", from.Incarnation)})
@@ -402,7 +346,7 @@ func (m *Member) notePeer(from remote.FedMember, link *peerLink) {
 
 // noteMembers learns dial candidates from a gossiped membership view;
 // liveness is only ever granted by hearing a member directly.
-func (m *Member) noteMembers(members []remote.FedMember) {
+func (m *Member) noteMembers(members []MemberInfo) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, fm := range members {
@@ -466,55 +410,32 @@ func (m *Member) dialPending() {
 	}
 }
 
-// dialPeer establishes one outbound gossip link: hello out, hello back.
+// dialPeer starts one outbound gossip link: hello out; the hello back
+// arrives at the gossipConn, within the handshake deadline or not at all.
 func (m *Member) dialPeer(addr string) {
-	conn, err := net.DialTimeout("tcp", addr, m.cfg.HeartbeatEvery)
+	g := &gossipConn{m: m, dialed: addr}
+	c, err := m.ep.Dial(addr, m.cfg.HeartbeatEvery, func(c *transport.Conn) transport.Handler {
+		g.c = c
+		return g
+	})
 	if err != nil {
 		return
 	}
-	if !m.trackConn(conn) {
-		//bioopera:allow droppederr dropping the just-dialed conn after losing to Close is best-effort
-		conn.Close()
-		return
-	}
-	link := &peerLink{conn: conn, enc: json.NewEncoder(conn)}
-	if err := link.send(remote.FedFrame{Type: remote.MsgFedHello, From: m.self()}); err != nil {
-		m.untrackConn(conn)
-		//bioopera:allow droppederr the hello already failed; closing the conn is best-effort
-		conn.Close()
-		return
-	}
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		defer m.untrackConn(conn)
-		defer conn.Close()
-		dec := json.NewDecoder(conn)
-		var hello remote.FedFrame
-		if err := dec.Decode(&hello); err != nil || hello.From.Name == "" {
-			return
-		}
-		m.mu.Lock()
-		delete(m.dialme, addr)
-		known := m.peers[hello.From.Name]
-		duplicate := known != nil && known.link != nil
-		m.mu.Unlock()
-		if duplicate {
-			// Simultaneous dials: keep the established link, use this
-			// conn read-only until it drops.
-			m.notePeer(hello.From, nil)
-		} else {
-			m.notePeer(hello.From, link)
-		}
-		m.gossipReadLoop(dec, hello.From.Name)
-	}()
+	c.ExpectReply()
+	_ = sendFrame(c, codec.FrameFedHello, &Frame{From: m.self()}, false) // a dead conn ends in Closed
 }
 
-// gossip sends one beat to every linked peer.
+// gossip sends one beat to every linked peer. Send never blocks: this
+// goroutine also runs the failure detector and reconcile, and a stalled
+// peer must not stop the one member that is supposed to take over.
 func (m *Member) gossip() {
-	frame := remote.FedFrame{Type: remote.MsgFedGossip, From: m.self(), Members: m.memberViews(false)}
+	beat, err := json.Marshal(&Frame{From: m.self(), Members: m.memberViews(false)})
+	if err != nil {
+		m.reportErr(fmt.Errorf("fed: %s: gossip: %w", m.cfg.Name, err))
+		return
+	}
 	m.mu.Lock()
-	var links []*peerLink
+	var links []*transport.Conn
 	for _, p := range m.peers {
 		if p.link != nil {
 			links = append(links, p.link)
@@ -522,16 +443,17 @@ func (m *Member) gossip() {
 	}
 	m.mu.Unlock()
 	for _, l := range links {
-		_ = l.send(frame) // a broken link is re-dialed next tick
+		_ = l.Send(codec.FrameFedGossip, beat) // a broken link is re-dialed next tick
 	}
 }
 
 // memberViews assembles the membership snapshot (self first, peers
-// sorted); includeSelfLoad is reserved for monitor surfaces.
-func (m *Member) memberViews(includeDead bool) []remote.FedMember {
+// sorted); includeDead keeps peers the failure detector has declared down,
+// for gateways and monitor surfaces.
+func (m *Member) memberViews(includeDead bool) []MemberInfo {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := []remote.FedMember{{
+	out := []MemberInfo{{
 		Name: m.cfg.Name, Addr: m.Addr(), Incarnation: m.inc, Up: true,
 		Partitions: ownedSorted(m.owned),
 	}}
@@ -545,7 +467,7 @@ func (m *Member) memberViews(includeDead bool) []remote.FedMember {
 		if !p.up && !includeDead {
 			continue
 		}
-		out = append(out, remote.FedMember{
+		out = append(out, MemberInfo{
 			Name: p.name, Addr: p.addr, Incarnation: p.inc, Up: p.up,
 			Partitions: append([]int(nil), p.partitions...),
 		})
@@ -588,7 +510,6 @@ func (m *Member) detectFailures() {
 	}
 	m.mu.Unlock()
 	for _, name := range downed {
-		m.dir.SetUp(name, false)
 		m.rt.Engine().EmitInfra(core.Event{Kind: core.EvNodeDown,
 			Node: "member/" + name, Detail: "heartbeat lapsed"})
 	}
@@ -598,11 +519,13 @@ func (m *Member) detectFailures() {
 // alive (always including self), sorted — the rendezvous candidate set.
 func (m *Member) liveMembers() []string {
 	live := []string{m.cfg.Name}
-	for _, v := range m.dir.Nodes() {
-		if v.Up && v.Name != m.cfg.Name {
-			live = append(live, v.Name)
+	m.mu.Lock()
+	for name, p := range m.peers {
+		if p.up {
+			live = append(live, name)
 		}
 	}
+	m.mu.Unlock()
 	sort.Strings(live)
 	return live
 }

@@ -5,10 +5,9 @@ import (
 	"time"
 
 	"bioopera/internal/ocr"
-	"bioopera/internal/remote"
 )
 
-// RPC method names carried in remote.FedFrame.Method. Instance-scoped
+// RPC method names carried in Frame.Method. Instance-scoped
 // methods route by the frame's Instance field; "start" goes to any live
 // member (the member mints an ID in a partition it owns) and "members"
 // answers from whoever is asked.
@@ -79,8 +78,8 @@ type SetParamReq struct {
 // liveness, and owned partitions. Gateways derive their routing table
 // from it.
 type MembersView struct {
-	Partitions int                `json:"partitions"`
-	Members    []remote.FedMember `json:"members"`
+	Partitions int          `json:"partitions"`
+	Members    []MemberInfo `json:"members"`
 }
 
 // rpcMethods is the typed federation RPC surface, written once over the
@@ -91,7 +90,7 @@ type MembersView struct {
 type rpcMethods struct {
 	// raw sends one request and returns its response frame; a zero
 	// timeout means the carrier's default.
-	raw func(method, instance string, params json.RawMessage, timeout time.Duration) (remote.FedFrame, error)
+	raw func(method, instance string, params json.RawMessage, timeout time.Duration) (Frame, error)
 }
 
 // call marshals params, sends the request, and unmarshals the result into

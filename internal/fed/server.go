@@ -4,54 +4,63 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
+	"bioopera/internal/codec"
 	"bioopera/internal/core"
-	"bioopera/internal/remote"
+	"bioopera/internal/transport"
 )
 
 // maxWait caps a remote wait so a lost client cannot pin a serving
 // goroutine forever.
 const maxWait = 10 * time.Minute
 
-// serveRequests answers the request frames arriving on one connection.
-// Each request runs answer in its own goroutine — a long wait must not
-// block the next decode — and responses serialize on one write mutex. first
-// is a frame the caller already decoded (the zero frame when none). It
-// returns once the connection fails and every in-flight answer is written.
-func serveRequests(conn net.Conn, dec *json.Decoder, first remote.FedFrame, answer func(remote.FedFrame) remote.FedFrame) {
-	var wmu sync.Mutex
-	enc := json.NewEncoder(conn)
-	respond := func(f remote.FedFrame) {
-		wmu.Lock()
-		_ = enc.Encode(f) // a broken conn ends the decode loop
-		wmu.Unlock()
-	}
-	var inflight sync.WaitGroup
-	req := first
-	for {
-		if req.Type == remote.MsgFedRequest {
-			inflight.Add(1)
-			go func(r remote.FedFrame) {
-				defer inflight.Done()
-				respond(answer(r))
-			}(req)
-		}
-		req = remote.FedFrame{}
-		if err := dec.Decode(&req); err != nil {
-			break
-		}
-	}
-	inflight.Wait()
+// requestConn is the handler for one connection that carries requests, at
+// a member or a gateway. Each request runs answer in its own goroutine — a
+// long wait must not block the next frame — and its response waits for room
+// in the send queue. Closed returns once every in-flight answer is written,
+// so the endpoint's Close joins them.
+type requestConn struct {
+	c        *transport.Conn
+	answer   func(Frame) Frame
+	inflight sync.WaitGroup
 }
+
+// acceptRequests starts serving a connection whose first frame is (kind,
+// body); anything but a request refuses the peer.
+func acceptRequests(c *transport.Conn, answer func(Frame) Frame, kind byte, body []byte) (transport.Handler, error) {
+	r := &requestConn{c: c, answer: answer}
+	if err := r.Frame(kind, body); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *requestConn) Frame(kind byte, body []byte) error {
+	if kind != codec.FrameFedRequest {
+		return fmt.Errorf("fed: frame kind %d on a request connection", kind)
+	}
+	var req Frame
+	if err := json.Unmarshal(body, &req); err != nil {
+		return fmt.Errorf("fed: request: %w", err)
+	}
+	r.inflight.Add(1)
+	go func() {
+		defer r.inflight.Done()
+		resp := r.answer(req)
+		_ = sendFrame(r.c, codec.FrameFedResponse, &resp, true) // a broken conn ends in Closed
+	}()
+	return nil
+}
+
+func (r *requestConn) Closed(error) { r.inflight.Wait() }
 
 // answer executes one routed RPC and builds its response frame. Methods
 // scoped to an instance this member does not own come back as redirects
 // carrying the owner's identity, so the caller can re-route.
-func (m *Member) answer(req remote.FedFrame) remote.FedFrame {
-	res := remote.FedFrame{Type: remote.MsgFedResponse, ID: req.ID}
+func (m *Member) answer(req Frame) Frame {
+	res := Frame{ID: req.ID}
 	if req.Method != MethodStart && req.Method != MethodMembers {
 		if !m.ownsInstance(req.Instance) {
 			owner, addr := m.ownerOf(PartitionOf(req.Instance, m.cfg.Partitions))
@@ -77,7 +86,7 @@ func (m *Member) answer(req remote.FedFrame) remote.FedFrame {
 }
 
 // dispatch maps one method to the engine.
-func (m *Member) dispatch(req remote.FedFrame) (json.RawMessage, error) {
+func (m *Member) dispatch(req Frame) (json.RawMessage, error) {
 	eng := m.rt.Engine()
 	switch req.Method {
 	case MethodStart:

@@ -3,7 +3,6 @@ package fed
 import (
 	"bioopera/internal/core"
 	"bioopera/internal/obs"
-	"bioopera/internal/remote"
 )
 
 // MonitorSource adapts a federated member to obs.Source plus the
@@ -60,7 +59,7 @@ func (s *GatewaySource) Members() []obs.MemberView {
 	return toMemberViews(view.Members)
 }
 
-func toMemberViews(in []remote.FedMember) []obs.MemberView {
+func toMemberViews(in []MemberInfo) []obs.MemberView {
 	out := make([]obs.MemberView, 0, len(in))
 	for _, m := range in {
 		out = append(out, obs.MemberView{

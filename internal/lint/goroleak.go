@@ -31,12 +31,14 @@ import (
 // reaped. The workload packages (allvsall, darwin) run to completion under
 // the engine's own lifecycle and stay out of scope.
 var goroleakPkgs = map[string]bool{
-	"bioopera/internal/core":   true,
-	"bioopera/internal/remote": true,
-	"bioopera/internal/obs":    true,
-	"bioopera/internal/wal":    true,
-	"bioopera/internal/store":  true,
-	"bioopera/internal/sched":  true,
+	"bioopera/internal/core":      true,
+	"bioopera/internal/remote":    true,
+	"bioopera/internal/fed":       true,
+	"bioopera/internal/transport": true,
+	"bioopera/internal/obs":       true,
+	"bioopera/internal/wal":       true,
+	"bioopera/internal/store":     true,
+	"bioopera/internal/sched":     true,
 }
 
 func goroleakPkg(path string) bool {

@@ -59,6 +59,11 @@ var sanctionedLockOrder = map[string][]string{
 	"core.localExec.mu": {"cluster.Directory.mu"},
 	// Shipper cursor changes re-pin the WAL retention floor.
 	"wal.Shipper.mu": {"wal.Log.mu"},
+	// A lease claim is a read-check-write of the lease record, serialized
+	// under the table's own lock across the store calls.
+	"fed.LeaseTable.mu": {
+		"store.Mem.mu", "store.Disk.wmu", "store.Disk.gmu", "store.Disk.mu", "wal.Log.mu",
+	},
 	// The snapshot cadence reads the engine handle under its own lock.
 	"core.RuntimeBase.snapMu": {"core.RuntimeBase.waitMu"},
 }

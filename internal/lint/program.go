@@ -125,13 +125,15 @@ func shortPkg(path string) string {
 // the concurrent heart of the system. Compute-cache mutexes elsewhere
 // (allvsall, darwin) are leaves by construction and stay out of the graph.
 var lockTrackedPkgs = map[string]bool{
-	"bioopera/internal/core":    true,
-	"bioopera/internal/remote":  true,
-	"bioopera/internal/obs":     true,
-	"bioopera/internal/wal":     true,
-	"bioopera/internal/store":   true,
-	"bioopera/internal/sched":   true,
-	"bioopera/internal/cluster": true,
+	"bioopera/internal/core":      true,
+	"bioopera/internal/remote":    true,
+	"bioopera/internal/fed":       true,
+	"bioopera/internal/transport": true,
+	"bioopera/internal/obs":       true,
+	"bioopera/internal/wal":       true,
+	"bioopera/internal/store":     true,
+	"bioopera/internal/sched":     true,
+	"bioopera/internal/cluster":   true,
 }
 
 func lockTrackedPkg(path string) bool {

@@ -247,9 +247,10 @@ func (s *heldScan) call(call *ast.CallExpr, held []*holder) {
 
 // externalBlocking recognizes calls outside the module that can block
 // indefinitely: connection establishment and accept loops, WaitGroup
-// waits, wall-clock sleeps, and the JSON codecs — which this codebase uses
-// exclusively on network connections (remote protocol, WAL shipping, the
-// monitor's responses), so an Encode is a network write.
+// waits, wall-clock sleeps, and writes to a connection — directly, or
+// through the bufio.Writer internal/transport puts in front of every one
+// (the JSON stream codecs no longer touch a socket: protocol payloads are
+// marshaled into buffers and travel as transport frames).
 func (s *heldScan) externalBlocking(call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -266,9 +267,9 @@ func (s *heldScan) externalBlocking(call *ast.CallExpr) (string, bool) {
 					return "sync.WaitGroup.Wait", true
 				}
 				return "", false
-			case "encoding/json":
-				if name == "Encode" || name == "Decode" {
-					return "network " + strings.ToLower(name), true
+			case "bufio":
+				if strings.Contains(recv, "bufio.Writer") && (name == "Write" || name == "Flush") {
+					return "bufio.Writer." + name, true
 				}
 				return "", false
 			}

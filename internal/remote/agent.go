@@ -1,14 +1,14 @@
 package remote
 
 import (
-	"encoding/json"
 	"fmt"
-	"net"
 	"runtime"
 	"sync"
 	"time"
 
+	"bioopera/internal/codec"
 	"bioopera/internal/core"
+	"bioopera/internal/transport"
 )
 
 // AgentConfig configures a worker agent.
@@ -23,9 +23,6 @@ type AgentConfig struct {
 	// Speed is the relative node speed reported to the scheduler
 	// (default 1).
 	Speed float64
-	// HandshakeTimeout bounds how long Dial waits for the server's
-	// welcome after sending hello (default DefaultHandshakeTimeout).
-	HandshakeTimeout time.Duration
 	// Library resolves program names from launch messages. Required.
 	Library *core.Library
 	// Load, when set, samples the machine's external (non-BioOpera) load
@@ -38,22 +35,24 @@ type AgentConfig struct {
 
 // Agent is the worker side of the remote protocol: the program execution
 // client that registers its CPUs with the server, runs launched activities
-// against its local program library, and streams heartbeats.
+// against its local program library, and streams heartbeats. It is the
+// transport handler for its one connection.
 type Agent struct {
 	cfg  AgentConfig
-	conn net.Conn
-	inc  uint64
-	wg   sync.WaitGroup
+	conn *transport.Conn
+	inc  uint64         // set by the welcome, before welcomed closes
+	wg   sync.WaitGroup // the heartbeat loop and every running job
 
-	wmu sync.Mutex
-	enc *json.Encoder
+	// Reader goroutine only.
+	dec *inDecoder
+	in  Message
 
 	mu     sync.Mutex
-	closed bool
 	paused bool            // heartbeats suppressed (test hook)
 	killed map[string]bool // job+"#"+lease → discard the result
 
-	done chan struct{}
+	welcomed chan struct{} // closed when the server's welcome has arrived
+	done     chan struct{} // closed when the connection is gone
 }
 
 // Dial connects to a server, performs the hello/welcome handshake, and
@@ -74,46 +73,40 @@ func Dial(addr string, cfg AgentConfig) (*Agent, error) {
 	if cfg.Speed <= 0 {
 		cfg.Speed = 1
 	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = DefaultHandshakeTimeout
+	a := &Agent{
+		cfg:      cfg,
+		dec:      newInDecoder(),
+		killed:   make(map[string]bool),
+		welcomed: make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-	conn, err := net.Dial("tcp", addr)
+	conn, err := transport.Dial(addr, transport.DefaultHandshakeTimeout, func(c *transport.Conn) transport.Handler {
+		a.conn = c
+		return a
+	})
 	if err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
 	}
-	a := &Agent{
-		cfg:    cfg,
-		conn:   conn,
-		enc:    json.NewEncoder(conn),
-		killed: make(map[string]bool),
-		done:   make(chan struct{}),
+	conn.ExpectReply()
+	hello := newOutMsg()
+	hello.Worker = cfg.Name
+	hello.Nodes = make([]NodeInfo, cfg.CPUs)
+	for i := range hello.Nodes {
+		hello.Nodes[i] = NodeInfo{Name: fmt.Sprintf("cpu%d", i), OS: cfg.OS, CPUs: 1, Speed: cfg.Speed}
 	}
-	nodes := make([]NodeInfo, cfg.CPUs)
-	for i := range nodes {
-		nodes[i] = NodeInfo{Name: fmt.Sprintf("cpu%d", i), OS: cfg.OS, CPUs: 1, Speed: cfg.Speed}
+	err = hello.send(conn, codec.FrameHello)
+	if err == nil {
+		select {
+		case <-a.welcomed:
+		case <-a.done:
+			err = conn.Err()
+		}
 	}
-	if err := a.send(Message{Type: MsgHello, Worker: cfg.Name, Nodes: nodes}); err != nil {
-		//bioopera:allow droppederr the hello failure is returned; closing the dead dial is best-effort
-		conn.Close()
-		return nil, fmt.Errorf("remote: hello: %w", err)
-	}
-	dec := json.NewDecoder(conn)
-	conn.SetReadDeadline(time.Now().Add(cfg.HandshakeTimeout))
-	var welcome Message
-	if err := dec.Decode(&welcome); err != nil || welcome.Type != MsgWelcome {
+	if err != nil {
 		//bioopera:allow droppederr the handshake failure is returned; closing the dead dial is best-effort
 		conn.Close()
-		return nil, fmt.Errorf("remote: handshake failed: %v", err)
+		return nil, fmt.Errorf("remote: handshake failed: %w", err)
 	}
-	conn.SetReadDeadline(time.Time{})
-	a.inc = welcome.Incarnation
-	every := time.Duration(welcome.HeartbeatMs) * time.Millisecond
-	if every <= 0 {
-		every = DefaultHeartbeatEvery
-	}
-	a.wg.Add(2)
-	go a.heartbeatLoop(every)
-	go a.readLoop(dec)
 	a.logf("remote: %s connected (incarnation %d, %d cpus)", cfg.Name, a.inc, cfg.CPUs)
 	return a, nil
 }
@@ -142,15 +135,8 @@ func (a *Agent) ResumeHeartbeats() {
 func (a *Agent) Wait() { <-a.done }
 
 // Close tears the connection down, returning the close error after the
-// loops have drained.
+// heartbeat loop and every running job have drained.
 func (a *Agent) Close() error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return nil
-	}
-	a.closed = true
-	a.mu.Unlock()
 	err := a.conn.Close()
 	a.wg.Wait()
 	return err
@@ -160,13 +146,6 @@ func (a *Agent) logf(format string, args ...any) {
 	if a.cfg.Logf != nil {
 		a.cfg.Logf(format, args...)
 	}
-}
-
-func (a *Agent) send(m Message) error {
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	//bioopera:allow blockingsend wmu is a leaf lock that exists only to serialize writes on this connection; nothing is ever acquired under it, and Close unblocks a stuck write by closing the conn
-	return a.enc.Encode(m)
 }
 
 func (a *Agent) heartbeatLoop(every time.Duration) {
@@ -184,59 +163,70 @@ func (a *Agent) heartbeatLoop(every time.Duration) {
 			if paused {
 				continue
 			}
-			hb := Message{Type: MsgHeartbeat}
+			hb := newOutMsg()
 			if a.cfg.Load != nil {
 				hb.Load = a.cfg.Load()
 			}
-			if err := a.send(hb); err != nil {
+			if err := hb.sendWait(a.conn, codec.FrameHeartbeat); err != nil {
 				return
 			}
 		}
 	}
 }
 
-func (a *Agent) readLoop(dec *json.Decoder) {
-	defer a.wg.Done()
-	defer close(a.done)
-	for {
-		var m Message
-		if err := dec.Decode(&m); err != nil {
-			a.logf("remote: %s disconnected: %v", a.cfg.Name, err)
-			return
-		}
-		switch m.Type {
-		case MsgLaunch:
-			a.wg.Add(1)
-			go func() {
-				defer a.wg.Done()
-				a.runJob(m)
-			}()
-		case MsgKill:
-			// Keyed by job AND lease: the same job ID relaunches under a
-			// fresh lease after a timeout kill, and that run must survive.
-			a.mu.Lock()
-			a.killed[m.Job+"#"+fmt.Sprint(m.Lease)] = true
-			a.mu.Unlock()
-		default:
-			a.logf("remote: %s got unexpected %q", a.cfg.Name, m.Type)
-		}
+// Frame handles one message from the server.
+func (a *Agent) Frame(kind byte, body []byte) error {
+	a.in = Message{}
+	m := &a.in
+	if err := a.dec.decode(body, m); err != nil {
+		return fmt.Errorf("remote: %s: %w", a.cfg.Name, err)
 	}
+	switch kind {
+	case codec.FrameWelcome:
+		select {
+		case <-a.welcomed:
+			return nil // a second welcome changes nothing
+		default:
+		}
+		a.inc = m.Incarnation
+		every := time.Duration(m.HeartbeatMs) * time.Millisecond
+		if every <= 0 {
+			every = DefaultHeartbeatEvery
+		}
+		a.wg.Add(1)
+		go a.heartbeatLoop(every)
+		close(a.welcomed)
+	case codec.FrameLaunch:
+		a.wg.Add(1)
+		go a.runJob(*m)
+	case codec.FrameKill:
+		// Keyed by job AND lease: the same job ID relaunches under a
+		// fresh lease after a timeout kill, and that run must survive.
+		a.mu.Lock()
+		a.killed[m.Job+"#"+fmt.Sprint(m.Lease)] = true
+		a.mu.Unlock()
+	default:
+		a.logf("remote: %s got unexpected frame kind %d", a.cfg.Name, kind)
+	}
+	return nil
+}
+
+// Closed ends the heartbeat loop and wakes Wait.
+func (a *Agent) Closed(err error) {
+	a.logf("remote: %s disconnected: %v", a.cfg.Name, err)
+	close(a.done)
 }
 
 // runJob executes one launched activity against the local library and
 // reports the lease-tagged result.
 func (a *Agent) runJob(m Message) {
-	reply := Message{
-		Type:        MsgCompletion,
-		Job:         m.Job,
-		Node:        m.Node,
-		Lease:       m.Lease,
-		Incarnation: a.inc,
-	}
+	defer a.wg.Done()
+	reply := newOutMsg()
+	reply.Message = Message{Job: m.Job, Node: m.Node, Lease: m.Lease, Incarnation: a.inc}
 	prog, ok := a.cfg.Library.Lookup(m.Program)
 	if !ok {
 		reply.Error = fmt.Sprintf("worker %s: unknown program %q", a.cfg.Name, m.Program)
-		a.send(reply)
+		_ = reply.sendWait(a.conn, codec.FrameCompletion)
 		return
 	}
 	t0 := time.Now()
@@ -260,5 +250,7 @@ func (a *Agent) runJob(m Message) {
 	} else {
 		reply.Outputs = outputs
 	}
-	a.send(reply)
+	// Back-pressure, not loss: a completion waits for room in the queue
+	// (this goroutine holds no lock) and fails only with the connection.
+	_ = reply.sendWait(a.conn, codec.FrameCompletion)
 }

@@ -3,14 +3,16 @@
 // paper's split between the BioOpera server and the program execution
 // clients (PECs) running on cluster nodes (§3.2, §3.4).
 //
-// The protocol is newline-delimited JSON over TCP, one Message per line:
+// The protocol runs over internal/transport: one frame per message, the
+// frame kind (internal/codec) naming the message and the body carrying a
+// JSON Message:
 //
-//	worker → server   hello       worker name + offered node slots
-//	server → worker   welcome     incarnation tag + heartbeat cadence
-//	server → worker   launch      job + lease + program + inputs
-//	worker → server   heartbeat   liveness (any message also counts)
-//	worker → server   completion  outputs or program error, lease-tagged
-//	server → worker   kill        stop caring about a job's outcome
+//	worker → server   FrameHello       worker name + offered node slots
+//	server → worker   FrameWelcome     incarnation tag + heartbeat cadence
+//	server → worker   FrameLaunch      job + lease + program + inputs
+//	worker → server   FrameHeartbeat   liveness (any bytes also count)
+//	worker → server   FrameCompletion  outputs or program error, lease-tagged
+//	server → worker   FrameKill        stop caring about a job's outcome
 //
 // Failure model: the server declares a worker dead when its heartbeats go
 // silent past the configured timeout (or its connection drops), marks the
@@ -27,16 +29,6 @@ import (
 	"bioopera/internal/ocr"
 )
 
-// Message types.
-const (
-	MsgHello      = "hello"
-	MsgWelcome    = "welcome"
-	MsgLaunch     = "launch"
-	MsgKill       = "kill"
-	MsgHeartbeat  = "heartbeat"
-	MsgCompletion = "completion"
-)
-
 // NodeInfo is one CPU slot a worker offers. The server namespaces node
 // names with the worker name ("w1/cpu0"), so workers may pick any local
 // names without colliding.
@@ -47,10 +39,9 @@ type NodeInfo struct {
 	Speed float64 `json:"speed"`
 }
 
-// Message is the single wire frame; Type says which fields are meaningful.
+// Message is the body of every worker-protocol frame; the frame kind says
+// which fields are meaningful.
 type Message struct {
-	Type string `json:"type"`
-
 	// hello
 	Worker string     `json:"worker,omitempty"`
 	Nodes  []NodeInfo `json:"nodes,omitempty"`

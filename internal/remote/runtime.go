@@ -46,11 +46,10 @@ type Config struct {
 	// shapes Engine.Recover on this runtime's engine, including a promoted
 	// standby's recovery.
 	LazyRecovery bool
-	// HeartbeatEvery / HeartbeatTimeout tune the failure detector and
-	// HandshakeTimeout bounds the hello/welcome exchange; see ServerConfig.
+	// HeartbeatEvery / HeartbeatTimeout tune the failure detector; see
+	// ServerConfig.
 	HeartbeatEvery   time.Duration
 	HeartbeatTimeout time.Duration
-	HandshakeTimeout time.Duration
 	// Logf receives protocol diagnostics. May be nil.
 	Logf func(format string, args ...any)
 	// Metrics enables engine instrumentation plus the server's
@@ -90,7 +89,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	srv, err := Listen(cfg.Addr, ServerConfig{
 		HeartbeatEvery:   cfg.HeartbeatEvery,
 		HeartbeatTimeout: cfg.HeartbeatTimeout,
-		HandshakeTimeout: cfg.HandshakeTimeout,
 		Logf:             cfg.Logf,
 		Metrics:          cfg.Metrics,
 		OnNodeEvent: func(worker string, up bool, detail string) {

@@ -1,27 +1,25 @@
 package remote
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"bioopera/internal/cluster"
+	"bioopera/internal/codec"
 	"bioopera/internal/core"
 	"bioopera/internal/obs"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
+	"bioopera/internal/transport"
 )
 
-// Defaults for the failure detector and connection establishment.
+// Defaults for the failure detector. The hello/welcome exchange is bounded
+// by transport.DefaultHandshakeTimeout on both sides.
 const (
 	DefaultHeartbeatEvery   = time.Second
 	DefaultHeartbeatTimeout = 3 * time.Second
-	// DefaultHandshakeTimeout bounds the hello/welcome exchange on both
-	// sides of a new connection.
-	DefaultHandshakeTimeout = 10 * time.Second
 )
 
 // ServerConfig tunes the worker server.
@@ -31,10 +29,6 @@ type ServerConfig struct {
 	// HeartbeatTimeout is how long a worker may stay silent before it is
 	// declared dead (default 3 × HeartbeatEvery).
 	HeartbeatTimeout time.Duration
-	// HandshakeTimeout is how long a fresh connection may take to send
-	// its hello before the server hangs up (default
-	// DefaultHandshakeTimeout).
-	HandshakeTimeout time.Duration
 	// OnNodeEvent observes workers joining and being declared dead, for
 	// the awareness journal. May be nil.
 	OnNodeEvent func(worker string, up bool, detail string)
@@ -56,55 +50,20 @@ type lease struct {
 	started time.Duration // since server start, for the completion record
 }
 
-// sendQueueDepth bounds each worker's outbound queue. The traffic is one
-// launch or kill per leased job, so the bound is hit only when a worker's
-// TCP stream has stalled for hundreds of messages — at which point failing
-// the launch (and letting the engine reschedule) beats queueing more.
-const sendQueueDepth = 256
-
-// workerConn is one connected worker agent.
+// workerConn is one connected worker agent, and the transport handler for
+// its connection.
 type workerConn struct {
+	s     *Server
 	name  string
 	inc   uint64
-	conn  net.Conn
-	nodes []string // server-side node names owned by this worker
+	conn  *transport.Conn
+	nodes []string // server-side node names owned by this worker; fixed at registration
 
-	// Outbound messages are queued here and written by the connection's
-	// writeLoop, the only goroutine touching enc: callers — including the
-	// dispatcher holding an engine shard lock across Executor.Launch —
-	// never block on the network.
-	out      chan Message
-	gone     chan struct{} // closed when the worker is declared dead
-	goneOnce sync.Once
-	enc      *json.Encoder
+	// Reader goroutine only.
+	dec *inDecoder
+	in  Message
 
-	// Guarded by Server.mu.
-	lastBeat time.Time
-	dead     bool
-}
-
-// queue hands m to the worker's writer goroutine without ever blocking:
-// a dead worker or a stalled stream fails fast instead.
-func (w *workerConn) queue(m Message) error {
-	select {
-	case <-w.gone:
-		return fmt.Errorf("remote: worker %s is gone", w.name)
-	default:
-	}
-	select {
-	case w.out <- m:
-		return nil
-	case <-w.gone:
-		return fmt.Errorf("remote: worker %s is gone", w.name)
-	default:
-		return fmt.Errorf("remote: worker %s send queue full", w.name)
-	}
-}
-
-// markGone closes the gone channel exactly once, unblocking queue callers
-// and the writeLoop.
-func (w *workerConn) markGone() {
-	w.goneOnce.Do(func() { close(w.gone) })
+	dead bool // guarded by Server.mu
 }
 
 // Server accepts worker agents and implements core.Executor over them: the
@@ -113,7 +72,7 @@ func (w *workerConn) markGone() {
 // counterpart of the local goroutine pool.
 type Server struct {
 	cfg   ServerConfig
-	ln    net.Listener
+	ep    *transport.Endpoint
 	dir   *cluster.Directory
 	start time.Time
 	wg    sync.WaitGroup
@@ -149,16 +108,8 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 3 * cfg.HeartbeatEvery
 	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = DefaultHandshakeTimeout
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("remote: listen %s: %w", addr, err)
-	}
 	s := &Server{
 		cfg:       cfg,
-		ln:        ln,
 		start:     time.Now(),
 		stopc:     make(chan struct{}),
 		dir:       cluster.NewDirectory(),
@@ -186,14 +137,21 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 				return float64(len(s.running))
 			})
 	}
-	s.wg.Add(2)
-	go s.acceptLoop()
+	ep, err := transport.Listen(addr)
+	if err != nil {
+		return nil, fmt.Errorf("remote: listen %s: %w", addr, err)
+	}
+	s.ep = ep
+	ep.Serve(s.accept, func(remote string, err error) {
+		s.logf("remote: bad handshake from %s: %v", remote, err)
+	})
+	s.wg.Add(1)
 	go s.reaper()
 	return s, nil
 }
 
 // Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ep.Addr() }
 
 // SetHandlers wires the completion and capacity-change callbacks (the
 // engine's HandleCompletion and Pump). Must be called before work runs.
@@ -217,7 +175,8 @@ func (s *Server) Stats() (workers, declaredDead, droppedStale int) {
 	return workers, s.declaredDead, s.droppedStale
 }
 
-// Close stops accepting workers and tears down every connection.
+// Close stops accepting workers and tears down every connection; each
+// worker still alive is declared dead as its connection ends.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -225,18 +184,9 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	workers := make([]*workerConn, 0, len(s.workers))
-	for _, w := range s.workers {
-		workers = append(workers, w)
-	}
 	s.mu.Unlock()
 	close(s.stopc)
-	err := s.ln.Close()
-	for _, w := range workers {
-		w.markGone() // unblocks the writeLoop and any queued sender
-		//bioopera:allow droppederr worker teardown is best-effort; Close reports the listener's error
-		w.conn.Close()
-	}
+	err := s.ep.Close()
 	s.wg.Wait()
 	return err
 }
@@ -277,8 +227,9 @@ func (s *Server) Launch(l core.Launch) error {
 	s.running[lz.job] = lz
 	s.mu.Unlock()
 
-	err := w.queue(Message{
-		Type:        MsgLaunch,
+	// Send never blocks: the dispatcher calls Launch holding a shard lock.
+	o := newOutMsg()
+	o.Message = Message{
 		Job:         lz.job,
 		Node:        l.Node,
 		Lease:       lz.id,
@@ -291,10 +242,10 @@ func (s *Server) Launch(l core.Launch) error {
 		Nice:        l.Nice,
 		CostMs:      l.Cost.Milliseconds(),
 		TimeoutMs:   l.Timeout.Milliseconds(),
-	})
-	if err != nil {
-		// Undo; the reader loop will notice the broken connection and
-		// declare the worker dead.
+	}
+	if err := o.send(w.conn, codec.FrameLaunch); err != nil {
+		// Undo; a broken connection ends in Closed, which declares the
+		// worker dead.
 		s.mu.Lock()
 		if s.running[lz.job] == lz {
 			delete(s.running, lz.job)
@@ -330,7 +281,9 @@ func (s *Server) Kill(id cluster.JobID, node string) error {
 	if w != nil {
 		// Best-effort: a worker that misses the kill reports a completion
 		// the lease check then drops.
-		w.queue(Message{Type: MsgKill, Job: lz.job, Lease: lz.id})
+		o := newOutMsg()
+		o.Job, o.Lease = lz.job, lz.id
+		_ = o.send(w.conn, codec.FrameKill)
 	}
 	if !async {
 		if deliver != nil {
@@ -345,21 +298,6 @@ func (s *Server) Kill(id cluster.JobID, node string) error {
 		}
 	}()
 	return nil
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handleConn(conn)
-		}()
-	}
 }
 
 // reaper declares workers dead when their heartbeats go silent past the
@@ -384,9 +322,8 @@ func (s *Server) reaper() {
 			return
 		}
 		var gone []*workerConn
-		now := time.Now()
 		for _, w := range s.workers {
-			if !w.dead && now.Sub(w.lastBeat) > s.cfg.HeartbeatTimeout {
+			if !w.dead && w.conn.SilentFor() > s.cfg.HeartbeatTimeout {
 				gone = append(gone, w)
 			}
 		}
@@ -397,36 +334,24 @@ func (s *Server) reaper() {
 	}
 }
 
-// handleConn runs one worker connection: hello/welcome handshake, then the
-// inbound message loop.
-func (s *Server) handleConn(conn net.Conn) {
-	dec := json.NewDecoder(conn)
-	conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	var hello Message
-	if err := dec.Decode(&hello); err != nil || hello.Type != MsgHello ||
-		hello.Worker == "" || len(hello.Nodes) == 0 {
-		s.logf("remote: bad handshake from %s", conn.RemoteAddr())
-		//bioopera:allow droppederr hanging up on a bad handshake is best-effort; the event is already logged
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
+var errBadHello = errors.New("remote: first frame is not a valid hello")
 
-	w := &workerConn{
-		name:     hello.Worker,
-		conn:     conn,
-		out:      make(chan Message, sendQueueDepth),
-		gone:     make(chan struct{}),
-		enc:      json.NewEncoder(conn),
-		lastBeat: time.Now(),
+// accept is the server's handshake: the first frame must be a hello naming
+// the worker and its nodes; the worker is registered and welcomed, and its
+// workerConn handles the connection from then on.
+func (s *Server) accept(c *transport.Conn, kind byte, body []byte) (transport.Handler, error) {
+	w := &workerConn{s: s, conn: c, dec: newInDecoder()}
+	hello := &w.in
+	if kind != codec.FrameHello || w.dec.decode(body, hello) != nil ||
+		hello.Worker == "" || len(hello.Nodes) == 0 {
+		return nil, errBadHello
 	}
+	w.name = hello.Worker
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		//bioopera:allow droppederr the server is closing; refusing the late joiner is best-effort
-		conn.Close()
-		return
+		return nil, errors.New("remote: server closed")
 	}
 	if old := s.workers[w.name]; old != nil && !old.dead {
 		// The name rejoined while its previous connection still looked
@@ -469,20 +394,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	// The welcome is queued before the registration lock is released, so it
 	// is first on the wire even if a dispatcher Launch targets this worker
 	// the instant mu unlocks. The fresh queue cannot be full.
-	welcomeErr := w.queue(Message{
-		Type:        MsgWelcome,
-		Incarnation: w.inc,
-		HeartbeatMs: s.cfg.HeartbeatEvery.Milliseconds(),
-	})
-	// Counted under the same critical section that checked closed: a
-	// racing Close has not started its Wait yet.
-	s.wg.Add(1)
+	o := newOutMsg()
+	o.Incarnation, o.HeartbeatMs = w.inc, s.cfg.HeartbeatEvery.Milliseconds()
+	welcomeErr := o.send(c, codec.FrameWelcome)
 	onChange := s.onChange
 	s.mu.Unlock()
-	go s.writeLoop(w)
 	if welcomeErr != nil {
 		s.declareDead(w, "welcome enqueue failed")
-		return
+		return nil, welcomeErr
 	}
 	s.mJoins.Inc()
 	s.logf("remote: worker %s joined (incarnation %d, %d nodes)", w.name, w.inc, len(w.nodes))
@@ -492,60 +411,39 @@ func (s *Server) handleConn(conn net.Conn) {
 	if onChange != nil {
 		onChange() // new capacity: let the dispatcher drain
 	}
-
-	for {
-		var m Message
-		if err := dec.Decode(&m); err != nil {
-			break
-		}
-		s.mu.Lock()
-		current := s.workers[w.name] == w && !w.dead
-		if current {
-			w.lastBeat = time.Now()
-		}
-		s.mu.Unlock()
-		switch m.Type {
-		case MsgHeartbeat:
-			// lastBeat already refreshed above.
-			s.mHeartbeats.Inc()
-			// Propagate the worker's reported external load to every node it
-			// owns — the feedback the scheduler's batcher autotunes on.
-			if m.Load > 0 {
-				s.mu.Lock()
-				nodes := append([]string(nil), w.nodes...)
-				s.mu.Unlock()
-				for _, n := range nodes {
-					s.dir.SetExtLoad(n, m.Load)
-				}
-			}
-		case MsgCompletion:
-			s.handleCompletion(w, m)
-		default:
-			s.logf("remote: worker %s sent unexpected %q", w.name, m.Type)
-		}
-	}
-	// Connection gone. If this worker was still considered alive, its
-	// death is now certain — no need to wait out the heartbeat timeout.
-	s.declareDead(w, "connection lost")
+	return w, nil
 }
 
-// writeLoop is the single writer for one worker's connection: it drains
-// the outbound queue onto the encoder so no caller ever blocks on the
-// network. A failed write means the connection is dead.
-func (s *Server) writeLoop(w *workerConn) {
-	defer s.wg.Done()
-	for {
-		select {
-		case m := <-w.out:
-			if err := w.enc.Encode(m); err != nil {
-				s.declareDead(w, "write failed")
-				return
-			}
-		case <-w.gone:
-			return
-		}
+// Frame handles one message from the worker. Liveness needs nothing here:
+// the transport stamps every inbound byte and the reaper reads the stamp.
+func (w *workerConn) Frame(kind byte, body []byte) error {
+	w.in = Message{}
+	if err := w.dec.decode(body, &w.in); err != nil {
+		return fmt.Errorf("remote: worker %s: %w", w.name, err)
 	}
+	s := w.s
+	switch kind {
+	case codec.FrameHeartbeat:
+		s.mHeartbeats.Inc()
+		// Propagate the worker's reported external load to every node it
+		// owns — the feedback the scheduler's batcher autotunes on.
+		if w.in.Load > 0 {
+			for _, n := range w.nodes {
+				s.dir.SetExtLoad(n, w.in.Load)
+			}
+		}
+	case codec.FrameCompletion:
+		s.handleCompletion(w, &w.in)
+	default:
+		s.logf("remote: worker %s sent unexpected frame kind %d", w.name, kind)
+	}
+	return nil
 }
+
+// Closed: the connection is gone. If this worker was still considered
+// alive, its death is now certain — no need to wait out the heartbeat
+// timeout.
+func (w *workerConn) Closed(error) { w.s.declareDead(w, "connection lost") }
 
 // declareDead marks a worker dead, takes its nodes down, and fails its
 // running jobs with ErrNodeFailed so the engine requeues them elsewhere —
@@ -559,7 +457,6 @@ func (s *Server) declareDead(w *workerConn, reason string) {
 		return
 	}
 	w.dead = true
-	w.markGone() // stop the writeLoop and fail later queue calls fast
 	s.declaredDead++
 	for _, n := range w.nodes {
 		s.dir.SetUp(n, false)
@@ -597,7 +494,7 @@ func (s *Server) declareDead(w *workerConn, reason string) {
 // handleCompletion validates a worker's result against the current lease
 // and delivers it to the engine. Anything stale — unknown job, reused job
 // ID under a newer lease, dead worker, pre-crash incarnation — is dropped.
-func (s *Server) handleCompletion(w *workerConn, m Message) {
+func (s *Server) handleCompletion(w *workerConn, m *Message) {
 	s.mu.Lock()
 	lz := s.running[m.Job]
 	valid := lz != nil && lz.id == m.Lease && lz.worker == w.name &&

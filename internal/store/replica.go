@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"bioopera/internal/wal"
 )
@@ -160,7 +161,18 @@ func (d *Disk) Digest() (string, error) {
 // store observe exactly the prefixes of the primary's history.
 type Standby struct {
 	d *Disk
-	f *wal.Follower
+
+	mu sync.Mutex    // Follow runs on its own goroutine beside Promote and Close
+	f  *wal.Follower // nil while not following
+}
+
+// follower swaps the current follower for next and returns the old one.
+func (s *Standby) follower(next *wal.Follower) *wal.Follower {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	prev := s.f
+	s.f = next
+	return prev
 }
 
 // OpenStandby opens (or re-opens — a standby resumes from its own WAL
@@ -191,28 +203,26 @@ func (s *Standby) Follow(addr string, logf func(string, ...any)) error {
 	if err != nil {
 		return err
 	}
-	s.f = f
+	s.follower(f)
 	return f.Run()
 }
 
 // Promote detaches from the primary and returns the store, ready for
 // Engine.Recover. The Standby must not be used afterwards.
 func (s *Standby) Promote() (*Disk, error) {
-	if s.f != nil {
-		if err := s.f.Close(); err != nil {
+	if f := s.follower(nil); f != nil {
+		if err := f.Close(); err != nil {
 			return nil, err
 		}
-		s.f = nil
 	}
 	return s.d, nil
 }
 
 // Close stops following and closes the store.
 func (s *Standby) Close() error {
-	if s.f != nil {
+	if f := s.follower(nil); f != nil {
 		//bioopera:allow droppederr teardown: the store close below is the error that matters; the follower socket is being discarded
-		s.f.Close()
-		s.f = nil
+		f.Close()
 	}
 	return s.d.Close()
 }

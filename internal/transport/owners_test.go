@@ -1,0 +1,247 @@
+package transport_test
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"io"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"bioopera/internal/codec"
+	"bioopera/internal/core"
+	"bioopera/internal/fed"
+	"bioopera/internal/ocr"
+	"bioopera/internal/remote"
+	"bioopera/internal/store"
+	"bioopera/internal/transport"
+	"bioopera/internal/wal"
+)
+
+// testGuard bounds how long a test waits on a real socket before calling
+// the behaviour under test missing. Nothing sleeps for it: it only expires
+// when the test is about to fail.
+const testGuard = 5 * time.Second
+
+// listeners starts the four protocol owners' listeners and returns their
+// addresses by name.
+func listeners(t *testing.T) map[string]string {
+	t.Helper()
+	addrs := make(map[string]string)
+
+	srv, err := remote.Listen("127.0.0.1:0", remote.ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	addrs["remote.Server"] = srv.Addr()
+
+	m, err := fed.NewMember(fed.Config{
+		Name: "alpha", ListenAddr: "127.0.0.1:0",
+		Store: store.NewMem(), Library: core.NewLibrary(), Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	addrs["fed.Member"] = m.Addr()
+
+	g, err := fed.NewGateway(fed.GatewayConfig{ListenAddr: "127.0.0.1:0", Members: []string{m.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	addrs["fed.Gateway"] = g.Addr()
+
+	log, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { log.Close() })
+	sh, err := wal.NewShipper("127.0.0.1:0", wal.ShipperOptions{Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sh.Close() })
+	addrs["wal.Shipper"] = sh.Addr()
+
+	return addrs
+}
+
+// TestSilentConnectionIsHungUp: a peer that connects and says nothing is
+// hung up at the handshake deadline by every one of the four listeners.
+func TestSilentConnectionIsHungUp(t *testing.T) {
+	clock := transport.UseFakeClock(t)
+	for name, addr := range listeners(t) {
+		t.Run(name, func(t *testing.T) {
+			armed := clock.Armed()
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			clock.WaitArmed(armed + 1) // accepted: the handshake deadline is running
+			nc.SetReadDeadline(time.Now().Add(testGuard))
+			clock.Advance(transport.DefaultHandshakeTimeout)
+			if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("read on a connection past its handshake deadline = %v, want EOF", err)
+			}
+		})
+	}
+}
+
+// TestJSONPeerIsRefused: a peer still speaking newline-JSON is hung up at
+// its first byte by every listener — not parsed, not waited for.
+func TestJSONPeerIsRefused(t *testing.T) {
+	for name, addr := range listeners(t) {
+		t.Run(name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(testGuard))
+			if _, err := nc.Write([]byte(`{"type":"hello","worker":"old"}` + "\n")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("read after a JSON hello = %v, want EOF", err)
+			}
+		})
+	}
+}
+
+// TestFollowerGivesUpOnSilentPrimary: a primary that accepts the
+// connection and then sends nothing — not even keep-alives — while keeping
+// the socket open is declared silent after wal.DefaultHeartbeatTimeout,
+// which is the standby's cue to promote.
+func TestFollowerGivesUpOnSilentPrimary(t *testing.T) {
+	clock := transport.UseFakeClock(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	held := make(chan net.Conn, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err == nil {
+			held <- nc // accepted, never read, never written, never closed
+		}
+	}()
+	armed := clock.Armed()
+	f, err := wal.DialFollower(ln.Addr().String(), wal.FollowerOptions{
+		ApplyBatch: func(uint64, [][]byte) error { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	defer func() { (<-held).Close() }()
+	clock.WaitArmed(armed + 1) // the follower is watching for silence
+	clock.Advance(wal.DefaultHeartbeatTimeout)
+	if err := f.Run(); err == nil || !strings.Contains(err.Error(), "primary silent") {
+		t.Fatalf("Run = %v, want a primary-silent error", err)
+	}
+}
+
+// TestIdleShipperSendsKeepAlives: a shipper with nothing to ship still puts
+// a keep-alive frame on the wire every wal.DefaultHeartbeatEvery — what the
+// follower's silence limit is measured against.
+func TestIdleShipperSendsKeepAlives(t *testing.T) {
+	clock := transport.UseFakeClock(t)
+	log, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	sh, err := wal.NewShipper("127.0.0.1:0", wal.ShipperOptions{Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+
+	armed := clock.Armed()
+	nc, err := net.Dial("tcp", sh.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(testGuard))
+	if _, err := nc.Write(transport.AppendFrame(nil, codec.FrameShipSync, binary.AppendUvarint(nil, 1))); err != nil {
+		t.Fatal(err)
+	}
+	clock.WaitArmed(armed + 1) // accepted; its clock readings predate the Advance below
+	want := transport.AppendFrame(nil, codec.FrameKeepAlive)
+	for beat := range 3 {
+		clock.Advance(wal.DefaultHeartbeatEvery)
+		got := make([]byte, len(want))
+		if _, err := io.ReadFull(nc, got); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("beat %d: idle shipper sent %x (%v), want keep-alive %x", beat, got, err, want)
+		}
+	}
+}
+
+// everyKind is one real frame of every kind, as the owners encode them.
+func everyKind(t testing.TB) [][]byte {
+	jsonBody := func(v any) []byte {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	vals := map[string]ocr.Value{"x": ocr.Str("payload")}
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	frames := map[byte][]byte{
+		codec.FrameKeepAlive:    nil,
+		codec.FrameHello:        jsonBody(remote.Message{Worker: "w1", Nodes: []remote.NodeInfo{{Name: "cpu0", OS: "linux", CPUs: 1, Speed: 1}}}),
+		codec.FrameWelcome:      jsonBody(remote.Message{Incarnation: 3, HeartbeatMs: 1000}),
+		codec.FrameLaunch:       jsonBody(remote.Message{Job: "p0001/A#1", Node: "w1/cpu0", Lease: 7, Incarnation: 3, Program: "lab.step", Inputs: vals, Instance: "p0001", Task: "A", Attempt: 1}),
+		codec.FrameKill:         jsonBody(remote.Message{Job: "p0001/A#1", Lease: 7}),
+		codec.FrameHeartbeat:    jsonBody(remote.Message{Load: 0.25}),
+		codec.FrameCompletion:   jsonBody(remote.Message{Job: "p0001/A#1", Node: "w1/cpu0", Lease: 7, Incarnation: 3, Outputs: vals, CPUNanos: 1234}),
+		codec.FrameFedHello:     jsonBody(fed.Frame{From: fed.MemberInfo{Name: "alpha", Addr: "127.0.0.1:7000", Incarnation: 2, Up: true, Partitions: []int{0, 3}}}),
+		codec.FrameFedGossip:    jsonBody(fed.Frame{From: fed.MemberInfo{Name: "alpha", Up: true}, Members: []fed.MemberInfo{{Name: "beta", Addr: "127.0.0.1:7001", Up: true}}}),
+		codec.FrameFedRequest:   jsonBody(fed.Frame{ID: 9, Method: fed.MethodStart, Params: jsonBody(fed.StartReq{Template: "Chain8", Inputs: vals})}),
+		codec.FrameFedResponse:  jsonBody(fed.Frame{ID: 9, OK: true, Result: jsonBody(fed.StartRes{ID: "f03-alpha.2-000001"})}),
+		codec.FrameShipSync:     uv(42),
+		codec.FrameShipRecords:  append(uv(42, 2, 3), "abc\x02de"...),
+		codec.FrameShipSnapshot: append(uv(42), `{"walSeq":42}`...),
+		codec.FrameShipError:    []byte("records from 1 truncated (oldest 40) and no snapshot source"),
+	}
+	var out [][]byte
+	for kind, body := range frames {
+		out = append(out, transport.AppendFrame(nil, kind, body))
+	}
+	return out
+}
+
+// FuzzReadFrame: the frame decoder never panics, never holds a buffer the
+// input did not pay for, and reads back whatever the encoder wrote.
+func FuzzReadFrame(f *testing.F) {
+	for _, frame := range everyKind(f) {
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, body, _ := transport.ReadFrame(bufio.NewReader(bytes.NewReader(data)), nil)
+		if cap(body) > 2*len(data)+transport.GrowStep {
+			t.Fatalf("%d-byte buffer for %d bytes of input", cap(body), len(data))
+		}
+		kind := codec.FrameKeepAlive + byte(len(data)%32)
+		wire := transport.AppendFrame(nil, kind, data)
+		gotKind, got, err := transport.ReadFrame(bufio.NewReader(bytes.NewReader(wire)), body)
+		if err != nil || gotKind != kind || !bytes.Equal(got, data) {
+			t.Fatalf("round trip of kind %d, %d bytes: kind %d, %d bytes, err %v", kind, len(data), gotKind, len(got), err)
+		}
+	})
+}

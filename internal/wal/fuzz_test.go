@@ -140,3 +140,27 @@ func TestCrashWithBitFlipTail(t *testing.T) {
 		l2.Close()
 	}
 }
+
+// FuzzDecodeRecords: the records-frame body arrives from the network, so
+// its decoder must never panic or allocate past its input, and must read
+// back what appendRecords wrote.
+func FuzzDecodeRecords(f *testing.F) {
+	f.Add(appendRecords(nil, 42, [][]byte{[]byte("abc"), nil, []byte("de")}))
+	f.Add(appendRecords(nil, 1, nil))
+	f.Add([]byte{0x2a, 0xff, 0xff, 0xff, 0xff, 0x0f}) // count far beyond the body
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, records, err := decodeRecords(data); err == nil && len(records) > len(data) {
+			t.Fatalf("%d records out of %d bytes", len(records), len(data))
+		}
+		records := bytes.Split(data, []byte{0})
+		first, got, err := decodeRecords(appendRecords(nil, uint64(len(data)), records))
+		if err != nil || first != uint64(len(data)) || len(got) != len(records) {
+			t.Fatalf("round trip: first %d, %d records, err %v", first, len(got), err)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], records[i]) {
+				t.Fatalf("record %d = %q, want %q", i, got[i], records[i])
+			}
+		}
+	})
+}

@@ -3,53 +3,48 @@
 // wire layer of the hot-standby story — the paper leaned on a replicated
 // DBMS for durable process state; we ship our own WAL instead.
 //
-// The protocol is newline-delimited JSON, the same framing the remote
-// worker protocol uses (the wal package cannot import internal/remote —
-// remote sits above the store — so the idiom is mirrored, not shared):
+// The protocol runs over internal/transport; the frame kind
+// (internal/codec) names the message and bodies are uvarints and raw bytes:
 //
-//	follower → shipper   {"type":"sync","from":N}
-//	shipper  → follower  {"type":"snapshot","seq":S,"data":...}   bootstrap
-//	shipper  → follower  {"type":"frames","seq":N,"records":[...]} per batch
+//	follower → shipper   FrameShipSync      from
+//	shipper  → follower  FrameShipSnapshot  seq, image               bootstrap
+//	shipper  → follower  FrameShipRecords   first, count, (len, record)…  per batch
+//	shipper  → follower  FrameShipError     text                     terminal refusal
 //
-// Frames are shipped post-fsync and batch-aligned: the shipper only reads
-// records below the committed frontier (CommittedSeq), and each frames
-// message carries exactly one atomic batch as AppendBatch wrote it, so the
+// Records are shipped post-fsync and batch-aligned: the shipper only reads
+// records below the committed frontier (CommittedSeq), and each records
+// frame carries exactly one atomic batch as AppendBatch wrote it, so the
 // follower re-appends the primary's commit units verbatim and a crash on
 // either side rolls back to the same batch boundary. A follower whose
 // cursor has fallen behind the oldest retained segment is bootstrapped
 // with a full snapshot; otherwise the shipper pins the retention floor
 // (SetRetainFloor) at its slowest follower's cursor so snapshots on the
 // primary cannot truncate records a standby still needs.
+//
+// Liveness: an idle shipper sends the transport's keep-alive frame every
+// DefaultHeartbeatEvery, and a follower that has heard nothing for
+// DefaultHeartbeatTimeout gives the primary up for dead — a half-open TCP
+// path must not keep a standby from promoting.
 package wal
 
 import (
-	"bufio"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
+	"time"
+
+	"bioopera/internal/codec"
+	"bioopera/internal/transport"
 )
 
-// shipWriteBuf sizes the per-session buffered writers on both sides:
-// large enough that a replay round's frames coalesce into few writes.
-const shipWriteBuf = 64 << 10
-
-// shipMsg is every message of the shipping protocol; Type discriminates.
-type shipMsg struct {
-	Type string `json:"type"`
-	// From is the first sequence the follower wants (sync).
-	From uint64 `json:"from,omitempty"`
-	// Seq is the first sequence of Records (frames) or the first sequence
-	// NOT covered by Data (snapshot).
-	Seq uint64 `json:"seq,omitempty"`
-	// Records is one atomic batch, in append order (frames).
-	Records [][]byte `json:"records,omitempty"`
-	// Data is an opaque snapshot image (snapshot).
-	Data []byte `json:"data,omitempty"`
-	// Err explains a terminal refusal (error).
-	Err string `json:"err,omitempty"`
-}
+// The shipping link's failure detector: constants, the same on every
+// primary and standby.
+const (
+	DefaultHeartbeatEvery   = time.Second
+	DefaultHeartbeatTimeout = 3 * time.Second
+)
 
 // ShipperOptions configure a Shipper.
 type ShipperOptions struct {
@@ -60,9 +55,6 @@ type ShipperOptions struct {
 	// plus the first WAL sequence NOT covered by them. Nil means lagging
 	// followers are refused instead of bootstrapped.
 	Snapshot func() (seq uint64, data []byte, err error)
-	// OnFollower, when non-nil, observes follower arrivals (up=true) and
-	// departures. Called from connection goroutines.
-	OnFollower func(remote string, up bool)
 	// Logf receives protocol diagnostics. May be nil.
 	Logf func(format string, args ...any)
 }
@@ -70,15 +62,13 @@ type ShipperOptions struct {
 // Shipper serves the primary side of log shipping. It is safe for
 // concurrent use alongside appends and truncation on the same Log.
 type Shipper struct {
-	ln   net.Listener
+	ep   *transport.Endpoint
 	log  *Log
 	opts ShipperOptions
-	stop chan struct{}
 
 	mu      sync.Mutex
-	cursors map[net.Conn]uint64 // next sequence each follower needs
-	closed  bool
-	wg      sync.WaitGroup
+	cursors map[*transport.Conn]uint64 // next sequence each follower needs
+	wg      sync.WaitGroup             // one serve goroutine per follower
 }
 
 // NewShipper listens on addr and serves the log to connecting followers.
@@ -86,24 +76,24 @@ func NewShipper(addr string, opts ShipperOptions) (*Shipper, error) {
 	if opts.Log == nil {
 		return nil, fmt.Errorf("wal: ShipperOptions needs a Log")
 	}
-	ln, err := net.Listen("tcp", addr)
+	ep, err := transport.Listen(addr)
 	if err != nil {
 		return nil, fmt.Errorf("wal: ship listen: %w", err)
 	}
 	s := &Shipper{
-		ln:      ln,
+		ep:      ep,
 		log:     opts.Log,
 		opts:    opts,
-		stop:    make(chan struct{}),
-		cursors: make(map[net.Conn]uint64),
+		cursors: make(map[*transport.Conn]uint64),
 	}
-	s.wg.Add(1)
-	go s.accept()
+	ep.Serve(s.accept, func(remote string, err error) {
+		s.logf("wal: ship %s: bad handshake: %v", remote, err)
+	})
 	return s, nil
 }
 
 // Addr returns the bound listen address (handy with ":0").
-func (s *Shipper) Addr() string { return s.ln.Addr().String() }
+func (s *Shipper) Addr() string { return s.ep.Addr() }
 
 // Followers reports how many followers are currently connected.
 func (s *Shipper) Followers() int {
@@ -118,39 +108,19 @@ func (s *Shipper) logf(format string, args ...any) {
 	}
 }
 
-func (s *Shipper) accept() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			//bioopera:allow droppederr shutdown race: the refused connection's close error has no one to tell
-			conn.Close()
-			return
-		}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.serve(conn)
-	}
-}
-
 // setCursor records a follower's progress and re-pins the retention floor
 // at the minimum across followers, so TruncateBefore keeps what the
 // slowest standby still needs.
-func (s *Shipper) setCursor(conn net.Conn, cursor uint64) {
+func (s *Shipper) setCursor(c *transport.Conn, cursor uint64) {
 	s.mu.Lock()
-	s.cursors[conn] = cursor
+	s.cursors[c] = cursor
 	s.refloorLocked()
 	s.mu.Unlock()
 }
 
-func (s *Shipper) dropCursor(conn net.Conn) {
+func (s *Shipper) dropCursor(c *transport.Conn) {
 	s.mu.Lock()
-	delete(s.cursors, conn)
+	delete(s.cursors, c)
 	s.refloorLocked()
 	s.mu.Unlock()
 }
@@ -165,72 +135,71 @@ func (s *Shipper) refloorLocked() {
 	s.log.SetRetainFloor(floor) // 0 with no followers: unconstrained
 }
 
-// serve streams the log to one follower until it disconnects or the
-// shipper closes.
-func (s *Shipper) serve(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		//bioopera:allow droppederr the connection is being abandoned either way; its close error is diagnostic at best
-		conn.Close()
-		s.dropCursor(conn)
-		if s.opts.OnFollower != nil {
-			s.opts.OnFollower(conn.RemoteAddr().String(), false)
-		}
-	}()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	// One buffered writer and one encoder for the whole session: frames of
-	// a replay round coalesce into few syscalls instead of one unbuffered
-	// write per message, and nothing is re-allocated per send.
-	bw := bufio.NewWriterSize(conn, shipWriteBuf)
-	enc := json.NewEncoder(bw)
-	// send encodes one message and flushes — used for the one-off messages
-	// (snapshot, error) that must reach the follower before we block or
-	// return. Frames flush once per replay round instead.
-	send := func(m shipMsg) error {
-		if err := enc.Encode(m); err != nil {
-			return err
-		}
-		return bw.Flush()
+// followerConn is the handler for one follower's connection. Followers say
+// nothing after their sync; the connection ending is what matters, and the
+// serve goroutine sees that through Done.
+type followerConn struct{}
+
+func (followerConn) Frame(kind byte, _ []byte) error {
+	return fmt.Errorf("wal: ship: unexpected frame kind %d from a follower", kind)
+}
+
+func (followerConn) Closed(error) {}
+
+// accept is the shipper's handshake: the first frame must be a sync naming
+// the first sequence the follower needs. The stream is served from a
+// goroutine of its own, which may block on the follower's pace.
+func (s *Shipper) accept(c *transport.Conn, kind byte, body []byte) (transport.Handler, error) {
+	cursor, n := binary.Uvarint(body)
+	if kind != codec.FrameShipSync || n <= 0 {
+		return nil, errors.New("wal: ship: first frame is not a sync")
 	}
-	var hello shipMsg
-	if err := dec.Decode(&hello); err != nil || hello.Type != "sync" {
-		s.logf("wal: ship %s: bad handshake: %v", conn.RemoteAddr(), err)
-		return
-	}
-	cursor := hello.From
 	if cursor == 0 {
 		cursor = 1
 	}
 	// Register before the first read so the retention floor protects the
 	// cursor from a concurrent truncation.
-	s.setCursor(conn, cursor)
-	if s.opts.OnFollower != nil {
-		s.opts.OnFollower(conn.RemoteAddr().String(), true)
+	s.setCursor(c, cursor)
+	c.KeepAlive(DefaultHeartbeatEvery)
+	s.logf("wal: ship %s: follower syncing from %d", c.RemoteAddr(), cursor)
+	s.wg.Add(1)
+	go s.serve(c, cursor)
+	return followerConn{}, nil
+}
+
+// serve streams the log to one follower until it disconnects or the
+// shipper closes (which closes the connection). SendWait gives the stream
+// back-pressure: a slow follower slows this goroutine, nothing else.
+func (s *Shipper) serve(c *transport.Conn, cursor uint64) {
+	defer s.wg.Done()
+	defer s.dropCursor(c)
+	refuse := func(err error) {
+		s.logf("wal: ship %s: %v", c.RemoteAddr(), err)
+		_ = c.SendWait(codec.FrameShipError, []byte(err.Error())) // the follower hangs up on it
 	}
-	s.logf("wal: ship %s: follower syncing from %d", conn.RemoteAddr(), cursor)
+	var body []byte // one batch's frame body, reused
 	for {
-		committed, ok := s.log.WaitCommitted(cursor-1, s.stop)
+		committed, ok := s.log.WaitCommitted(cursor-1, c.Done())
 		if !ok {
 			return
 		}
 		if oldest := s.log.OldestSeq(); cursor < oldest {
 			// The records the follower needs are gone — bootstrap it.
 			if s.opts.Snapshot == nil {
-				_ = send(shipMsg{Type: "error", Err: fmt.Sprintf("records from %d truncated (oldest %d) and no snapshot source", cursor, oldest)})
+				refuse(fmt.Errorf("records from %d truncated (oldest %d) and no snapshot source", cursor, oldest))
 				return
 			}
 			seq, data, err := s.opts.Snapshot()
 			if err != nil {
-				s.logf("wal: ship %s: snapshot: %v", conn.RemoteAddr(), err)
-				_ = send(shipMsg{Type: "error", Err: err.Error()})
+				refuse(fmt.Errorf("snapshot: %w", err))
 				return
 			}
-			if err := send(shipMsg{Type: "snapshot", Seq: seq, Data: data}); err != nil {
+			if err := c.SendWait(codec.FrameShipSnapshot, binary.AppendUvarint(body[:0], seq), data); err != nil {
 				return
 			}
 			cursor = seq
-			s.setCursor(conn, cursor)
-			s.logf("wal: ship %s: bootstrapped to %d (%d snapshot bytes)", conn.RemoteAddr(), seq, len(data))
+			s.setCursor(c, cursor)
+			s.logf("wal: ship %s: bootstrapped to %d (%d snapshot bytes)", c.RemoteAddr(), seq, len(data))
 			continue
 		}
 		if committed < cursor {
@@ -240,21 +209,16 @@ func (s *Shipper) serve(conn net.Conn) {
 			if first+uint64(len(records)) > committed+1 {
 				return io.EOF // past the frontier captured above; ship next round
 			}
-			if err := enc.Encode(shipMsg{Type: "frames", Seq: first, Records: records}); err != nil {
+			body = appendRecords(body[:0], first, records)
+			if err := c.SendWait(codec.FrameShipRecords, body); err != nil {
 				return err
 			}
 			cursor = first + uint64(len(records))
-			s.setCursor(conn, cursor)
+			s.setCursor(c, cursor)
 			return nil
 		})
 		if err != nil && err != io.EOF {
-			s.logf("wal: ship %s: %v", conn.RemoteAddr(), err)
-			return
-		}
-		// Flush the round's frames before blocking on the next commit —
-		// the follower must not starve behind a half-full buffer.
-		if err := bw.Flush(); err != nil {
-			s.logf("wal: ship %s: %v", conn.RemoteAddr(), err)
+			s.logf("wal: ship %s: %v", c.RemoteAddr(), err)
 			return
 		}
 	}
@@ -263,23 +227,7 @@ func (s *Shipper) serve(conn net.Conn) {
 // Close stops serving: the listener closes, follower connections drop, and
 // the retention floor is released.
 func (s *Shipper) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.cursors))
-	for c := range s.cursors {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	close(s.stop)
-	err := s.ln.Close()
-	for _, c := range conns {
-		//bioopera:allow droppederr shutdown: each follower connection is being discarded; the listener error is the one worth returning
-		c.Close()
-	}
+	err := s.ep.Close()
 	s.wg.Wait()
 	s.log.SetRetainFloor(0)
 	if err != nil {
@@ -304,42 +252,31 @@ type FollowerOptions struct {
 }
 
 // Follower is the standby side of log shipping: it dials a Shipper and
-// applies what arrives. Its write side (the sync handshake, and any future
-// follower→shipper message) goes through one session-lifetime buffered
-// writer and encoder instead of allocating a fresh encoder per message and
-// writing to the raw connection.
+// applies what arrives, on the connection's reader goroutine. It is the
+// transport handler for that connection.
 type Follower struct {
-	conn net.Conn
-	bw   *bufio.Writer
-	enc  *json.Encoder
+	conn *transport.Conn
 	opts FollowerOptions
-
-	mu     sync.Mutex
-	closed bool
-}
-
-// send encodes one message to the shipper and flushes it out.
-func (f *Follower) send(m shipMsg) error {
-	if err := f.enc.Encode(m); err != nil {
-		return err
-	}
-	return f.bw.Flush()
+	done chan struct{} // closed by Closed, after err is set
+	err  error
 }
 
 // DialFollower connects to a Shipper at addr and requests the stream. Call
-// Run to start applying it.
+// Run to wait for it to end.
 func DialFollower(addr string, opts FollowerOptions) (*Follower, error) {
 	if opts.ApplyBatch == nil {
 		return nil, fmt.Errorf("wal: FollowerOptions needs ApplyBatch")
 	}
-	conn, err := net.Dial("tcp", addr)
+	f := &Follower{opts: opts, done: make(chan struct{})}
+	conn, err := transport.Dial(addr, transport.DefaultHandshakeTimeout, func(c *transport.Conn) transport.Handler {
+		f.conn = c
+		return f
+	})
 	if err != nil {
 		return nil, fmt.Errorf("wal: follow dial: %w", err)
 	}
-	f := &Follower{conn: conn, opts: opts}
-	f.bw = bufio.NewWriterSize(conn, shipWriteBuf)
-	f.enc = json.NewEncoder(f.bw)
-	if err := f.send(shipMsg{Type: "sync", From: opts.From}); err != nil {
+	conn.HangUpAfter(DefaultHeartbeatTimeout)
+	if err := conn.Send(codec.FrameShipSync, binary.AppendUvarint(nil, opts.From)); err != nil {
 		//bioopera:allow droppederr the handshake failure is returned; closing the dead connection is best-effort
 		conn.Close()
 		return nil, fmt.Errorf("wal: follow sync: %w", err)
@@ -347,53 +284,92 @@ func DialFollower(addr string, opts FollowerOptions) (*Follower, error) {
 	return f, nil
 }
 
-// Run applies the stream until the connection drops (nil after a local
-// Close, the transport error after a primary failure — the standby's cue
-// to promote) or an apply callback fails.
-func (f *Follower) Run() error {
-	dec := json.NewDecoder(bufio.NewReader(f.conn))
-	for {
-		var msg shipMsg
-		if err := dec.Decode(&msg); err != nil {
-			f.mu.Lock()
-			closed := f.closed
-			f.mu.Unlock()
-			if closed {
-				return nil
-			}
-			if err == io.EOF {
-				return fmt.Errorf("wal: follow: primary closed the stream")
-			}
-			return fmt.Errorf("wal: follow: %w", err)
+// Frame applies one shipped message; an error ends the stream with it.
+func (f *Follower) Frame(kind byte, body []byte) error {
+	switch kind {
+	case codec.FrameShipRecords:
+		first, records, err := decodeRecords(body)
+		if err != nil {
+			return err
 		}
-		switch msg.Type {
-		case "frames":
-			if err := f.opts.ApplyBatch(msg.Seq, msg.Records); err != nil {
-				return fmt.Errorf("wal: follow apply %d: %w", msg.Seq, err)
-			}
-		case "snapshot":
-			if f.opts.ApplySnapshot == nil {
-				return fmt.Errorf("wal: follow: unexpected snapshot (no ApplySnapshot)")
-			}
-			if err := f.opts.ApplySnapshot(msg.Seq, msg.Data); err != nil {
-				return fmt.Errorf("wal: follow install snapshot %d: %w", msg.Seq, err)
-			}
-		case "error":
-			return fmt.Errorf("wal: follow: primary refused: %s", msg.Err)
-		default:
-			return fmt.Errorf("wal: follow: unknown message type %q", msg.Type)
+		if err := f.opts.ApplyBatch(first, records); err != nil {
+			return fmt.Errorf("apply %d: %w", first, err)
 		}
+	case codec.FrameShipSnapshot:
+		seq, n := binary.Uvarint(body)
+		if n <= 0 {
+			return errors.New("malformed snapshot frame")
+		}
+		if f.opts.ApplySnapshot == nil {
+			return errors.New("unexpected snapshot (no ApplySnapshot)")
+		}
+		if err := f.opts.ApplySnapshot(seq, body[n:]); err != nil {
+			return fmt.Errorf("install snapshot %d: %w", seq, err)
+		}
+	case codec.FrameShipError:
+		return fmt.Errorf("primary refused: %s", body)
+	default:
+		return fmt.Errorf("unknown frame kind %d", kind)
 	}
+	return nil
+}
+
+// appendRecords appends a records frame body: first, count, then each
+// record behind its length.
+func appendRecords(body []byte, first uint64, records [][]byte) []byte {
+	body = binary.AppendUvarint(body, first)
+	body = binary.AppendUvarint(body, uint64(len(records)))
+	for _, rec := range records {
+		body = binary.AppendUvarint(body, uint64(len(rec)))
+		body = append(body, rec...)
+	}
+	return body
+}
+
+// decodeRecords splits a records frame body. The records alias body.
+func decodeRecords(body []byte) (first uint64, records [][]byte, err error) {
+	first, n := binary.Uvarint(body)
+	count, m := binary.Uvarint(body[max(n, 0):])
+	if n <= 0 || m <= 0 || count > uint64(len(body)) {
+		return 0, nil, errors.New("malformed records frame")
+	}
+	body = body[n+m:]
+	records = make([][]byte, 0, count)
+	for range count {
+		size, n := binary.Uvarint(body)
+		if n <= 0 || size > uint64(len(body)-n) {
+			return 0, nil, errors.New("malformed records frame")
+		}
+		records = append(records, body[n:n+int(size)])
+		body = body[n+int(size):]
+	}
+	return first, records, nil
+}
+
+// Closed records why the stream ended and releases Run.
+func (f *Follower) Closed(err error) {
+	switch {
+	case errors.Is(err, transport.ErrClosed):
+		err = nil
+	case err == io.EOF:
+		err = errors.New("wal: follow: primary closed the stream")
+	case errors.Is(err, transport.ErrSilent):
+		err = fmt.Errorf("wal: follow: primary silent for %v", DefaultHeartbeatTimeout)
+	default:
+		err = fmt.Errorf("wal: follow: %w", err)
+	}
+	f.err = err
+	close(f.done)
+}
+
+// Run blocks until the stream ends: nil after a local Close; otherwise why
+// — the primary closed the stream, went silent past
+// DefaultHeartbeatTimeout, or an apply callback failed — which is the
+// standby's cue to promote.
+func (f *Follower) Run() error {
+	<-f.done
+	return f.err
 }
 
 // Close drops the connection; a concurrent Run returns nil.
-func (f *Follower) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil
-	}
-	f.closed = true
-	f.mu.Unlock()
-	return f.conn.Close()
-}
+func (f *Follower) Close() error { return f.conn.Close() }

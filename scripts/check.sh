@@ -36,6 +36,9 @@ if [ "${1:-}" = "-race" ]; then
     go test -race ./...
 fi
 
+echo "== fuzz the frame decoder (10s)"
+go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/transport
+
 echo "== federation e2e smoke"
 # Two servers and a gateway in one process; one server is killed mid-run
 # and every instance must still complete with correct outputs.

@@ -601,11 +601,8 @@ func BenchmarkAdaptiveBatching(b *testing.B) {
 // second on the worker-pool executor with many client goroutines starting
 // instances at once, checkpointing to a real disk store (fsync on). Every
 // activity pays for a dispatch checkpoint and a completion checkpoint;
-// "serialized" forces every instance through a single lock (Shards: 1) —
-// the pre-sharding engine, where at most one checkpoint is ever in flight
-// and each therefore costs a full fsync. "sharded" is the default
-// instance-sharded lock table: independent instances overlap their turns,
-// so concurrent checkpoints group-commit and share fsyncs.
+// under the instance-sharded lock table independent instances overlap their
+// turns, so concurrent checkpoints group-commit and share fsyncs.
 func BenchmarkEngineThroughputConcurrent(b *testing.B) {
 	const src = `
 PROCESS Chain8 {
@@ -621,51 +618,46 @@ PROCESS Chain8 {
   ACTIVITY S8 { CALL bench.id(x = w7); OUT r; MAP r -> r; }
   S1 -> S2; S2 -> S3; S3 -> S4; S4 -> S5; S5 -> S6; S6 -> S7; S7 -> S8;
 }`
-	run := func(b *testing.B, shards int) {
-		lib := core.NewLibrary()
-		lib.RegisterFunc("bench.id", func(_ core.ProgramCtx, args map[string]ocr.Value) (map[string]ocr.Value, error) {
-			return map[string]ocr.Value{"r": args["x"]}, nil
-		})
-		st, err := store.OpenDisk(b.TempDir(), store.DiskOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt, err := core.NewLocalRuntime(core.LocalConfig{
-			Workers: 16,
-			Shards:  shards,
-			Store:   st,
-			Library: lib,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer rt.Close()
-		if err := rt.RegisterTemplateSource(src); err != nil {
-			b.Fatal(err)
-		}
-		var activities atomic.Int64
-		b.SetParallelism(8) // 8·GOMAXPROCS client goroutines
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				id, err := rt.StartProcess("Chain8", map[string]ocr.Value{"x": ocr.Num(1)}, core.StartOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				in, err := rt.Wait(id, time.Minute)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if in.Status != core.InstanceDone {
-					b.Fatalf("instance %s (%s)", in.Status, in.FailureReason)
-				}
-				activities.Add(int64(in.Activities))
-			}
-		})
-		b.ReportMetric(float64(activities.Load())/b.Elapsed().Seconds(), "activities/s")
+	lib := core.NewLibrary()
+	lib.RegisterFunc("bench.id", func(_ core.ProgramCtx, args map[string]ocr.Value) (map[string]ocr.Value, error) {
+		return map[string]ocr.Value{"r": args["x"]}, nil
+	})
+	st, err := store.OpenDisk(b.TempDir(), store.DiskOptions{})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("serialized", func(b *testing.B) { run(b, 1) })
-	b.Run("sharded", func(b *testing.B) { run(b, 0) })
+	rt, err := core.NewLocalRuntime(core.LocalConfig{
+		Workers: 16,
+		Store:   st,
+		Library: lib,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rt.Close()
+	if err := rt.RegisterTemplateSource(src); err != nil {
+		b.Fatal(err)
+	}
+	var activities atomic.Int64
+	b.SetParallelism(8) // 8·GOMAXPROCS client goroutines
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			id, err := rt.StartProcess("Chain8", map[string]ocr.Value{"x": ocr.Num(1)}, core.StartOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			in, err := rt.Wait(id, time.Minute)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if in.Status != core.InstanceDone {
+				b.Fatalf("instance %s (%s)", in.Status, in.FailureReason)
+			}
+			activities.Add(int64(in.Activities))
+		}
+	})
+	b.ReportMetric(float64(activities.Load())/b.Elapsed().Seconds(), "activities/s")
 }
 
 // --- PR 7: recovery at scale ---

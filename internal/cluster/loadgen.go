@@ -25,16 +25,6 @@ type LoadGenConfig struct {
 	Fill bool
 }
 
-// DefaultLoadGenConfig models a busy shared cluster.
-func DefaultLoadGenConfig() LoadGenConfig {
-	return LoadGenConfig{
-		MeanIdle:  4 * time.Hour,
-		MeanBurst: 2 * time.Hour,
-		LevelLo:   0.4,
-		LevelHi:   1.0,
-	}
-}
-
 // LoadGen drives external load on a cluster using the simulator's seeded
 // randomness, so runs are reproducible.
 type LoadGen struct {

@@ -3,19 +3,26 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"bioopera/internal/codec"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
-	"bioopera/internal/store"
 )
 
-// Binary encoders/decoders for the persist-record DTO families (DESIGN.md
-// §12). The checkpoint flusher encodes through these and recovery decodes
-// through them; there is no other record format. Interned proc/ records are
-// raw process text and stay format-free.
+// Binary encoders/decoders for the four persist-record families (DESIGN.md
+// §12). persist encodes live state through these under the shard lock and
+// recovery decodes through them; there is no other record format. Interned
+// proc/ records are raw process text and stay format-free.
+//
+// An instance record is InstanceMeta and a task record is taskState: the
+// record and the live struct are one declaration. The two scope families
+// keep a record-shaped struct because their shape differs from the live
+// scope's — a create record names its parent by ID and its process by
+// hash, a dynamic record holds the owned delta of the whiteboard, not the
+// whiteboard.
 
 // Record kinds of the core persist families. The store's WAL records use a
 // disjoint range (see internal/store) so a misfiled record fails loudly.
@@ -26,34 +33,72 @@ const (
 	recTask   byte = 4 // task/<id>/<scope>/<task>
 )
 
-func encodeMeta(e *codec.Encoder, dto *instanceDTO) int {
-	e.Begin(recMeta)
-	e.String(dto.ID)
-	e.String(dto.Template)
-	e.Uvarint(uint64(dto.Status))
-	e.Int(int64(dto.Priority))
-	e.Bool(dto.Nice)
-	e.String(dto.Tenant)
-	e.Int(int64(dto.Started))
-	e.Int(int64(dto.Ended))
-	e.Int(int64(dto.Activities))
-	e.Int(int64(dto.CPU))
-	e.Int(int64(dto.Failures))
-	e.Int(int64(dto.Retries))
-	e.ValueMap(dto.Outputs)
-	e.String(dto.FailureReason)
-	return e.End()
+// scopeCreateDTO is the immutable part of a scope, written exactly once.
+type scopeCreateDTO struct {
+	ID         string `json:"id"`
+	Parent     string `json:"parent"`
+	IsRoot     bool   `json:"isRoot,omitempty"`
+	ParentTask string `json:"parentTask,omitempty"`
+	ElemIndex  int    `json:"elemIndex"`
+	// ProcRef names an interned proc/<inst>/<hash> record; ProcText is the
+	// inline fallback kept for robustness when decoding foreign records.
+	ProcRef  string `json:"procRef,omitempty"`
+	ProcText string `json:"proc,omitempty"`
 }
 
-func decodeMetaRecord(data []byte) (instanceDTO, error) {
+// scopeDynDTO is the mutable part of a scope as recovery reads it. Entries
+// carries only the whiteboard keys this scope owns (explicitly set after
+// creation); unowned keys re-inherit the parent scope's value on recovery,
+// so an n-wide block's children never re-serialize the parent whiteboard
+// they merely inherited. Drop masks keys the parent gained after this scope
+// spawned. Full marks a complete whiteboard (root scopes, subprocess
+// bodies, archived records). The write side is encodeDyn, which produces
+// this layout straight from the scope.
+type scopeDynDTO struct {
+	Entries map[string]ocr.Value `json:"entries,omitempty"`
+	Drop    []string             `json:"drop,omitempty"`
+	Full    bool                 `json:"full,omitempty"`
+	Done    bool                 `json:"done,omitempty"`
+}
+
+// header opens a record for decoding and checks it is of the wanted family.
+func header(data []byte, want byte, family string) (*codec.Decoder, error) {
 	d, kind, err := codec.NewDecoder(data)
 	if err != nil {
-		return instanceDTO{}, err
+		return nil, err
 	}
-	if kind != recMeta {
-		return instanceDTO{}, fmt.Errorf("%w: kind %d is not an instance record", codec.ErrCorrupt, kind)
+	if kind != want {
+		return nil, fmt.Errorf("%w: kind %d is not %s record", codec.ErrCorrupt, kind, family)
 	}
-	dto := instanceDTO{
+	return d, nil
+}
+
+func encodeMeta(e *codec.Encoder, m *InstanceMeta) {
+	e.Begin(recMeta)
+	e.String(m.ID)
+	e.String(m.Template)
+	e.Uvarint(uint64(m.Status))
+	e.Int(int64(m.Priority))
+	e.Bool(m.Nice)
+	e.String(m.Tenant)
+	e.Int(int64(m.Started))
+	e.Int(int64(m.Ended))
+	e.Int(int64(m.Activities))
+	e.Int(int64(m.CPU))
+	e.Int(int64(m.Failures))
+	e.Int(int64(m.Retries))
+	e.ValueMap(m.Outputs)
+	e.String(m.FailureReason)
+	e.End()
+}
+
+// DecodeInstanceMeta decodes an inst/<id> record.
+func DecodeInstanceMeta(data []byte) (InstanceMeta, error) {
+	d, err := header(data, recMeta, "an instance")
+	if err != nil {
+		return InstanceMeta{}, err
+	}
+	m := InstanceMeta{
 		ID:       d.String(),
 		Template: d.String(),
 		Status:   InstanceStatus(d.Uvarint()),
@@ -63,16 +108,16 @@ func decodeMetaRecord(data []byte) (instanceDTO, error) {
 		Started:  sim.Time(d.Int()),
 		Ended:    sim.Time(d.Int()),
 	}
-	dto.Activities = int(d.Int())
-	dto.CPU = time.Duration(d.Int())
-	dto.Failures = int(d.Int())
-	dto.Retries = int(d.Int())
-	dto.Outputs = d.ValueMap()
-	dto.FailureReason = d.String()
-	return dto, d.Finish()
+	m.Activities = int(d.Int())
+	m.CPU = time.Duration(d.Int())
+	m.Failures = int(d.Int())
+	m.Retries = int(d.Int())
+	m.Outputs = d.ValueMap()
+	m.FailureReason = d.String()
+	return m, d.Finish()
 }
 
-func encodeCreate(e *codec.Encoder, dto *scopeCreateDTO) int {
+func encodeCreate(e *codec.Encoder, dto *scopeCreateDTO) {
 	e.Begin(recCreate)
 	e.String(dto.ID)
 	e.String(dto.Parent)
@@ -81,16 +126,13 @@ func encodeCreate(e *codec.Encoder, dto *scopeCreateDTO) int {
 	e.Int(int64(dto.ElemIndex))
 	e.String(dto.ProcRef)
 	e.String(dto.ProcText)
-	return e.End()
+	e.End()
 }
 
 func decodeCreateRecord(data []byte) (scopeCreateDTO, error) {
-	d, kind, err := codec.NewDecoder(data)
+	d, err := header(data, recCreate, "a scope-create")
 	if err != nil {
 		return scopeCreateDTO{}, err
-	}
-	if kind != recCreate {
-		return scopeCreateDTO{}, fmt.Errorf("%w: kind %d is not a scope-create record", codec.ErrCorrupt, kind)
 	}
 	dto := scopeCreateDTO{
 		ID:         d.String(),
@@ -104,22 +146,51 @@ func decodeCreateRecord(data []byte) (scopeCreateDTO, error) {
 	return dto, d.Finish()
 }
 
-func encodeDyn(e *codec.Encoder, dto *scopeDynDTO) int {
+// encodeDyn writes a scope's dynamic record: with full set (archives) or on
+// a wbFull scope the whole whiteboard, otherwise the owned entries and the
+// Drop mask, both in sorted key order — the layout of a counted map
+// followed by a counted string list, written from the live whiteboard with
+// no map built in between.
+func encodeDyn(e *codec.Encoder, sc *scope, full bool) {
 	e.Begin(recDyn)
-	e.ValueMap(dto.Entries)
-	e.StringSlice(dto.Drop)
-	e.Bool(dto.Full)
-	e.Bool(dto.Done)
-	return e.End()
+	full = full || sc.wbFull
+	if full {
+		e.ValueMap(sc.Whiteboard)
+		e.Uvarint(0)
+	} else {
+		var buf [8]string // a block child owns its element and its outputs
+		keys := buf[:0]
+		owned := 0
+		for k, present := range sc.wbOwn {
+			keys = append(keys, k)
+			if present {
+				owned++
+			}
+		}
+		slices.Sort(keys)
+		e.Uvarint(uint64(owned))
+		for _, k := range keys {
+			if sc.wbOwn[k] {
+				e.String(k)
+				e.Value(sc.Whiteboard[k])
+			}
+		}
+		e.Uvarint(uint64(len(keys) - owned))
+		for _, k := range keys {
+			if !sc.wbOwn[k] {
+				e.String(k)
+			}
+		}
+	}
+	e.Bool(full)
+	e.Bool(sc.Done)
+	e.End()
 }
 
 func decodeDynRecord(data []byte) (scopeDynDTO, error) {
-	d, kind, err := codec.NewDecoder(data)
+	d, err := header(data, recDyn, "a scope-dynamic")
 	if err != nil {
 		return scopeDynDTO{}, err
-	}
-	if kind != recDyn {
-		return scopeDynDTO{}, fmt.Errorf("%w: kind %d is not a scope-dynamic record", codec.ErrCorrupt, kind)
 	}
 	dto := scopeDynDTO{
 		Entries: d.ValueMap(),
@@ -130,35 +201,37 @@ func decodeDynRecord(data []byte) (scopeDynDTO, error) {
 	return dto, d.Finish()
 }
 
-func encodeTask(e *codec.Encoder, dto *taskDTO) int {
+// encodeTask writes a task record. ChildWaiting and Results are derived
+// state (see taskState) and are written as zero in their slots; ConnIn has
+// no slot.
+func encodeTask(e *codec.Encoder, ts *taskState) {
 	e.Begin(recTask)
-	e.String(dto.Name)
-	e.Uvarint(uint64(dto.Status))
-	e.Int(int64(dto.Attempts))
-	e.ValueMap(dto.Inputs)
-	e.ValueMap(dto.Outputs)
-	e.String(dto.Node)
-	e.String(dto.Job)
-	e.String(dto.AltOf)
-	e.Int(int64(dto.ReadyAt))
-	e.Int(int64(dto.StartedAt))
-	e.Int(int64(dto.EndedAt))
-	e.Int(int64(dto.CPUTime))
-	e.Int(int64(dto.ChildWaiting))
-	e.ValueSlice(dto.Results)
-	e.ValueSlice(dto.OverElems)
-	return e.End()
+	e.String(ts.Name)
+	e.Uvarint(uint64(ts.Status))
+	e.Int(int64(ts.Attempts))
+	e.ValueMap(ts.Inputs)
+	e.ValueMap(ts.Outputs)
+	e.String(ts.Node)
+	e.String(ts.Job)
+	e.String(ts.AltOf)
+	e.Int(int64(ts.ReadyAt))
+	e.Int(int64(ts.StartedAt))
+	e.Int(int64(ts.EndedAt))
+	e.Int(int64(ts.CPUTime))
+	e.Int(0)
+	e.ValueSlice(nil)
+	e.ValueSlice(ts.OverElems)
+	e.End()
 }
 
-func decodeTaskRecord(data []byte) (taskDTO, error) {
-	d, kind, err := codec.NewDecoder(data)
+// decodeTaskRecord fills ts from a task record; ConnIn is left for the
+// caller, which knows the process.
+func decodeTaskRecord(data []byte, ts *taskState) error {
+	d, err := header(data, recTask, "a task")
 	if err != nil {
-		return taskDTO{}, err
+		return err
 	}
-	if kind != recTask {
-		return taskDTO{}, fmt.Errorf("%w: kind %d is not a task record", codec.ErrCorrupt, kind)
-	}
-	dto := taskDTO{
+	*ts = taskState{
 		Name:     d.String(),
 		Status:   TaskStatus(d.Uvarint()),
 		Attempts: int(d.Int()),
@@ -168,50 +241,14 @@ func decodeTaskRecord(data []byte) (taskDTO, error) {
 		Job:      d.String(),
 		AltOf:    d.String(),
 	}
-	dto.ReadyAt = sim.Time(d.Int())
-	dto.StartedAt = sim.Time(d.Int())
-	dto.EndedAt = sim.Time(d.Int())
-	dto.CPUTime = time.Duration(d.Int())
-	dto.ChildWaiting = int(d.Int())
-	dto.Results = d.ValueSlice()
-	dto.OverElems = d.ValueSlice()
-	return dto, d.Finish()
-}
-
-// DecodeInstanceMeta decodes an inst/<id> record into its exported shape —
-// the operator-facing view used by the history CLI and the records
-// inspector.
-func DecodeInstanceMeta(data []byte) (InstanceMeta, error) {
-	dto, err := decodeMetaRecord(data)
-	if err != nil {
-		return InstanceMeta{}, err
-	}
-	return InstanceMeta{
-		ID: dto.ID, Template: dto.Template, Status: dto.Status,
-		Priority: dto.Priority, Nice: dto.Nice, Tenant: dto.Tenant,
-		Started: dto.Started, Ended: dto.Ended,
-		Activities: dto.Activities, CPU: dto.CPU,
-		Failures: dto.Failures, Retries: dto.Retries,
-		Outputs: dto.Outputs, FailureReason: dto.FailureReason,
-	}, nil
-}
-
-// InstanceMeta is the exported form of an instance metadata record.
-type InstanceMeta struct {
-	ID            string               `json:"id"`
-	Template      string               `json:"template"`
-	Status        InstanceStatus       `json:"status"`
-	Priority      int                  `json:"priority,omitempty"`
-	Nice          bool                 `json:"nice,omitempty"`
-	Tenant        string               `json:"tenant,omitempty"`
-	Started       sim.Time             `json:"started"`
-	Ended         sim.Time             `json:"ended,omitempty"`
-	Activities    int                  `json:"activities,omitempty"`
-	CPU           time.Duration        `json:"cpu,omitempty"`
-	Failures      int                  `json:"failures,omitempty"`
-	Retries       int                  `json:"retries,omitempty"`
-	Outputs       map[string]ocr.Value `json:"outputs,omitempty"`
-	FailureReason string               `json:"failureReason,omitempty"`
+	ts.ReadyAt = sim.Time(d.Int())
+	ts.StartedAt = sim.Time(d.Int())
+	ts.EndedAt = sim.Time(d.Int())
+	ts.CPUTime = time.Duration(d.Int())
+	ts.ChildWaiting = int(d.Int())
+	ts.Results = d.ValueSlice()
+	ts.OverElems = d.ValueSlice()
+	return d.Finish()
 }
 
 // FormatRecord renders one instance/history-space store record for a human:
@@ -219,18 +256,20 @@ type InstanceMeta struct {
 // raw text.
 func FormatRecord(key string, value []byte) (string, error) {
 	var (
-		dto any
+		rec any
 		err error
 	)
 	switch {
 	case strings.HasPrefix(key, "inst/"):
-		dto, err = decodeMetaRecord(value)
+		rec, err = DecodeInstanceMeta(value)
 	case strings.HasPrefix(key, "scopec/"):
-		dto, err = decodeCreateRecord(value)
+		rec, err = decodeCreateRecord(value)
 	case strings.HasPrefix(key, "scoped/"):
-		dto, err = decodeDynRecord(value)
+		rec, err = decodeDynRecord(value)
 	case strings.HasPrefix(key, "task/"):
-		dto, err = decodeTaskRecord(value)
+		var ts taskState
+		err = decodeTaskRecord(value, &ts)
+		rec = &ts
 	case strings.HasPrefix(key, "proc/"):
 		return string(value), nil
 	default:
@@ -239,50 +278,6 @@ func FormatRecord(key string, value []byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	out, err := json.MarshalIndent(dto, "", "  ")
+	out, err := json.MarshalIndent(rec, "", "  ")
 	return string(out), err
-}
-
-// encodeCkpt encodes every DTO of a checkpoint into the checkpoint's
-// pooled encoder and assembles the store ops. Spans are taken only after
-// all records are encoded — appending can relocate the encoder's buffer.
-// Binary encoding is total (unlike JSON, which rejects NaN numbers), so
-// there is no per-record failure path: a whiteboard value that would have
-// poisoned a JSON checkpoint now round-trips.
-func encodeCkpt(in *Instance, ck *ckpt, space store.Space) (ops []store.Op, bytes int) {
-	e := &ck.enc
-	e.Reset()
-	encodeMeta(e, &ck.meta)
-	for i := range ck.creates {
-		encodeCreate(e, &ck.creates[i].dto)
-	}
-	for i := range ck.dyns {
-		encodeDyn(e, &ck.dyns[i].dto)
-	}
-	for i := range ck.tasks {
-		encodeTask(e, &ck.tasks[i].dto)
-	}
-	ops = ck.ops[:0]
-	next := 0
-	span := func() []byte {
-		s := e.Span(next)
-		next++
-		return s
-	}
-	ops = append(ops, store.Op{Space: space, Key: metaKey(in.ID), Value: span()})
-	bytes = len(e.Buf)
-	for _, ps := range ck.procs {
-		ops = append(ops, store.Op{Space: space, Key: procKey(in.ID, ps.hash), Value: []byte(ps.text)})
-		bytes += len(ps.text)
-	}
-	for i := range ck.creates {
-		ops = append(ops, store.Op{Space: space, Key: scopeCreateKey(in.ID, ck.creates[i].dto.ID), Value: span()})
-	}
-	for i := range ck.dyns {
-		ops = append(ops, store.Op{Space: space, Key: scopeDynKey(in.ID, ck.dyns[i].sc.ID), Value: span()})
-	}
-	for i := range ck.tasks {
-		ops = append(ops, store.Op{Space: space, Key: taskKey(in.ID, ck.tasks[i].sc.ID, ck.tasks[i].dto.Name), Value: span()})
-	}
-	return ops, bytes
 }

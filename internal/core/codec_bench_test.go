@@ -18,8 +18,8 @@ import (
 // replaced. The gate is the in-run speedup RATIO — machine-independent,
 // like the scheduler's latency-ratio gate — plus the hard 0-alloc budget.
 
-func benchMetaDTO() instanceDTO {
-	return instanceDTO{
+func benchMeta() InstanceMeta {
+	return InstanceMeta{
 		ID: "p0042", Template: "AllVsAll", Status: InstanceRunning,
 		Priority: 1, Tenant: "lab-a",
 		Started: sim.Time(90 * time.Second), Activities: 412,
@@ -31,8 +31,8 @@ func benchMetaDTO() instanceDTO {
 	}
 }
 
-func benchTaskDTO() taskDTO {
-	return taskDTO{
+func benchTask() taskState {
+	return taskState{
 		Name: "Align[17]", Status: TaskEnded, Attempts: 1,
 		Inputs: map[string]ocr.Value{
 			"a": ocr.Str("seq-000017"), "b": ocr.Str("seq-000031"),
@@ -44,15 +44,17 @@ func benchTaskDTO() taskDTO {
 		Node: "ik-sun-03", Job: "j001742",
 		ReadyAt: sim.Time(91 * time.Second), StartedAt: sim.Time(92 * time.Second),
 		EndedAt: sim.Time(97 * time.Second), CPUTime: 5 * time.Second,
-		Results: []ocr.Value{ocr.List(ocr.Str("seq-000017"), ocr.Str("seq-000031"), ocr.Num(1234.5))},
+		// A list payload in a slot the record carries (Results is derived
+		// state and is written empty).
+		OverElems: []ocr.Value{ocr.List(ocr.Str("seq-000017"), ocr.Str("seq-000031"), ocr.Num(1234.5))},
 	}
 }
 
 // codecSpeedupVsJSON times dedicated loops of the binary and JSON encoders
-// over the same DTOs and returns json-ns / binary-ns. Dedicated loops (not
+// over the same records and returns json-ns / binary-ns. Dedicated loops (not
 // b.N) keep the ratio stable under -benchtime=1x smoke runs.
 func codecSpeedupVsJSON(b *testing.B, reps int) float64 {
-	meta, task := benchMetaDTO(), benchTaskDTO()
+	meta, task := benchMeta(), benchTask()
 	e := codec.Get()
 	defer codec.Put(e)
 	encode := func() {
@@ -118,7 +120,7 @@ func gateCodecEncode(b *testing.B, speedup, allocs float64) {
 // BenchmarkCodecEncode measures binary encoding of one activity's
 // checkpoint records (meta + task) on a warm pooled encoder.
 func BenchmarkCodecEncode(b *testing.B) {
-	meta, task := benchMetaDTO(), benchTaskDTO()
+	meta, task := benchMeta(), benchTask()
 	e := codec.Get()
 	defer codec.Put(e)
 	encode := func() {
@@ -146,7 +148,7 @@ func BenchmarkCodecEncode(b *testing.B) {
 // on recovery and standby replay — off the steady-state hot path, so it
 // reports but does not gate).
 func BenchmarkCodecDecode(b *testing.B) {
-	meta, task := benchMetaDTO(), benchTaskDTO()
+	meta, task := benchMeta(), benchTask()
 	e := codec.Get()
 	defer codec.Put(e)
 	encodeMeta(e, &meta)
@@ -161,14 +163,15 @@ func BenchmarkCodecDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var ts taskState
 	b.SetBytes(int64(len(metaBin) + len(taskBin)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeMetaRecord(metaBin); err != nil {
+		if _, err := DecodeInstanceMeta(metaBin); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decodeTaskRecord(taskBin); err != nil {
+		if err := decodeTaskRecord(taskBin, &ts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,18 +180,18 @@ func BenchmarkCodecDecode(b *testing.B) {
 	const reps = 20000
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := decodeMetaRecord(metaBin); err != nil {
+		if _, err := DecodeInstanceMeta(metaBin); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decodeTaskRecord(taskBin); err != nil {
+		if err := decodeTaskRecord(taskBin, &ts); err != nil {
 			b.Fatal(err)
 		}
 	}
 	binNs := float64(time.Since(start).Nanoseconds()) / float64(reps)
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		var m instanceDTO
-		var ts taskDTO
+		var m InstanceMeta
+		var ts taskState
 		if err := json.Unmarshal(metaJSON, &m); err != nil {
 			b.Fatal(err)
 		}

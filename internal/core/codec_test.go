@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -46,20 +47,23 @@ func fuzzValueMap(n uint8, key string, sel uint8, num float64, s string) map[str
 	return m
 }
 
-// FuzzCodecRoundTrip drives every DTO family through binary encode →
+// FuzzCodecRoundTrip drives every record family through binary encode →
 // decode and requires the result to be structurally identical to the
-// input. The DTOs are built from fuzz primitives so the corpus explores
-// string-interning collisions, extreme ints, and empty-vs-populated
-// containers. The fuzz strings double as raw record bytes: text that does
-// not start with the codec magic — a pre-codec store's JSON records, as in
-// the last seed — must be refused by every decoder, never misparsed.
+// input — or, where the record is a projection of live state (a scope's
+// owned whiteboard delta, a task without its derived fields), to that
+// projection computed independently. The inputs are built from fuzz
+// primitives so the corpus explores string-interning collisions, extreme
+// ints, and empty-vs-populated containers. The fuzz strings double as raw
+// record bytes: text that does not start with the codec magic — a pre-codec
+// store's JSON records, as in the last seed — must be refused by every
+// decoder, never misparsed.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add("p0001", "Par", "tenant-a", "", uint8(2), -3, true, int64(12345), int64(-1), "out", "val", 2.5, uint8(2), uint8(7))
 	f.Add("", "", "", "node fell over", uint8(200), math.MaxInt32, false, int64(math.MinInt64), int64(math.MaxInt64), "k", "k", math.Inf(1), uint8(3), uint8(0))
 	f.Add("x", "x", "x", "x", uint8(0), 0, false, int64(0), int64(0), "x", "x", -0.0, uint8(0), uint8(4))
 	f.Add(`{"id":"p0001","template":"Par"}`, "Par", "", "", uint8(1), 0, false, int64(0), int64(0), "k", `{"name":"Add","status":2}`, 1.0, uint8(1), uint8(3))
 	f.Fuzz(func(t *testing.T, id, tmpl, tenant, reason string, status uint8, prio int, nice bool, t1, t2 int64, key, s string, num float64, n, sel uint8) {
-		meta := instanceDTO{
+		meta := InstanceMeta{
 			ID: id, Template: tmpl, Status: InstanceStatus(status),
 			Priority: prio, Nice: nice, Tenant: tenant,
 			Started: sim.Time(t1), Ended: sim.Time(t2),
@@ -72,17 +76,41 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			ID: id, Parent: tmpl, IsRoot: nice, ParentTask: key,
 			ElemIndex: prio, ProcRef: tenant, ProcText: s,
 		}
-		dyn := scopeDynDTO{
-			Entries: fuzzValueMap(n+1, key, sel+1, num, s),
-			Full:    nice, Done: !nice,
+		// A scope whose record is either its full whiteboard or the delta
+		// it owns: every other key an explicit entry, two keys masked. The
+		// expected record is that projection, computed here from wbOwn.
+		sc := &scope{
+			Whiteboard: fuzzValueMap(n+1, key, sel+1, num, s),
+			wbFull:     nice, Done: !nice,
 		}
-		if n%3 == 1 {
-			dyn.Drop = []string{key, s, key}
+		dyn := scopeDynDTO{Full: nice, Done: !nice}
+		if nice {
+			dyn.Entries = sc.Whiteboard
+		} else {
+			for i := 0; i < len(sc.Whiteboard); i += 2 {
+				sc.ownWB(key+string(rune('a'+i)), true)
+			}
+			if n%3 == 1 {
+				sc.ownWB("drop/"+s, false)
+				sc.ownWB("drop/"+key, false)
+			}
+			for k, present := range sc.wbOwn {
+				if !present {
+					dyn.Drop = append(dyn.Drop, k)
+					continue
+				}
+				if dyn.Entries == nil {
+					dyn.Entries = map[string]ocr.Value{}
+				}
+				dyn.Entries[k] = sc.Whiteboard[k]
+			}
+			sort.Strings(dyn.Drop)
 		}
-		task := taskDTO{
+		task := taskState{
 			Name: id, Status: TaskStatus(status), Attempts: prio,
 			Inputs:  fuzzValueMap(n, key, sel, num, s),
 			Outputs: fuzzValueMap(n+2, s, sel+3, num, key),
+			ConnIn:  []connState{connSatisfied},
 			Node:    tenant, Job: tmpl, AltOf: reason,
 			ReadyAt: sim.Time(t1), StartedAt: sim.Time(t2), EndedAt: sim.Time(t1 + t2),
 			CPUTime: time.Duration(t2), ChildWaiting: int(n),
@@ -93,15 +121,18 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if sel%3 == 0 {
 			task.OverElems = []ocr.Value{fuzzValue(sel+2, num, s)}
 		}
+		// Derived and unpersisted fields come back zero.
+		wantTask := task
+		wantTask.ConnIn, wantTask.ChildWaiting, wantTask.Results = nil, 0, nil
 
 		e := codec.Get()
 		defer codec.Put(e)
 		encodeMeta(e, &meta)
 		encodeCreate(e, &create)
-		encodeDyn(e, &dyn)
+		encodeDyn(e, sc, false)
 		encodeTask(e, &task)
 
-		gotMeta, err := decodeMetaRecord(e.Span(0))
+		gotMeta, err := DecodeInstanceMeta(e.Span(0))
 		if err != nil {
 			t.Fatalf("meta: %v", err)
 		}
@@ -122,22 +153,22 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(gotDyn, dyn) {
 			t.Fatalf("dyn round trip:\n got %+v\nwant %+v", gotDyn, dyn)
 		}
-		gotTask, err := decodeTaskRecord(e.Span(3))
-		if err != nil {
+		var gotTask taskState
+		if err := decodeTaskRecord(e.Span(3), &gotTask); err != nil {
 			t.Fatalf("task: %v", err)
 		}
-		if !reflect.DeepEqual(gotTask, task) {
-			t.Fatalf("task round trip:\n got %+v\nwant %+v", gotTask, task)
+		if !reflect.DeepEqual(gotTask, wantTask) {
+			t.Fatalf("task round trip:\n got %+v\nwant %+v", gotTask, wantTask)
 		}
 
 		for _, raw := range []string{id, s} {
 			if raw != "" && raw[0] == codec.Magic {
 				continue
 			}
-			_, errMeta := decodeMetaRecord([]byte(raw))
+			_, errMeta := DecodeInstanceMeta([]byte(raw))
 			_, errCreate := decodeCreateRecord([]byte(raw))
 			_, errDyn := decodeDynRecord([]byte(raw))
-			_, errTask := decodeTaskRecord([]byte(raw))
+			errTask := decodeTaskRecord([]byte(raw), new(taskState))
 			if errMeta == nil || errCreate == nil || errDyn == nil || errTask == nil {
 				t.Fatalf("non-codec bytes %q decoded: meta=%v create=%v dyn=%v task=%v", raw, errMeta, errCreate, errDyn, errTask)
 			}
@@ -150,12 +181,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 // encoder's buffer, mark slice, intern table and key scratch all survive
 // Reset, so a warm flusher costs zero allocations per record.
 func TestCodecEncodeAllocs(t *testing.T) {
-	meta := instanceDTO{
+	meta := InstanceMeta{
 		ID: "p0001", Template: "Par", Status: InstanceSuspended,
 		Started: 100, Activities: 7, CPU: 3 * time.Second,
 		Outputs: map[string]ocr.Value{"doubled": ocr.List(ocr.Num(2), ocr.Num(4))},
 	}
-	task := taskDTO{
+	task := taskState{
 		Name: "Add", Status: TaskEnded, Attempts: 1,
 		Inputs:  map[string]ocr.Value{"a": ocr.Num(1), "b": ocr.Num(2)},
 		Outputs: map[string]ocr.Value{"sum": ocr.Num(3)},

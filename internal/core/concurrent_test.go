@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -209,8 +208,8 @@ func TestConcurrentCrashRecover(t *testing.T) {
 			if gerr != nil || !ok {
 				t.Fatalf("instance %s neither live nor archived (%v)", id, gerr)
 			}
-			var meta instanceDTO
-			if err := json.Unmarshal(v, &meta); err != nil {
+			meta, err := DecodeInstanceMeta(v)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if meta.Status != InstanceDone || meta.Outputs["r"].AsNum() != float64(slot*10+5) {

@@ -116,8 +116,8 @@ type Event struct {
 	Detail   string    `json:"detail,omitempty"`
 }
 
-// DefaultShards is the size of the instance lock table when Options.Shards
-// is zero.
+// DefaultShards is the size of the instance lock table (and the number of
+// recovery workers).
 const DefaultShards = 32
 
 // Options configure an Engine.
@@ -138,10 +138,6 @@ type Options struct {
 	// StartOptions.Tenant; with a single tenant the queue order is the
 	// plain (priority, FIFO) of the pre-tenancy engine.
 	Quotas map[string]float64
-	// Shards sizes the instance lock table (default DefaultShards).
-	// 1 serializes all instances against each other — the pre-sharding
-	// behaviour, kept as a benchmark baseline.
-	Shards int
 	// LazyRecovery makes Recover materialize suspended instances as
 	// meta-only stubs whose scope records are decoded on first mutating
 	// touch (Resume, Abort, Signal, SetParameter, Lineage). Boot time
@@ -242,9 +238,6 @@ func New(opts Options) (*Engine, error) {
 	if opts.Store == nil || opts.Library == nil || opts.Executor == nil || opts.Clock == nil {
 		return nil, fmt.Errorf("core: Store, Library, Executor and Clock are required")
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = DefaultShards
-	}
 	if opts.After == nil {
 		opts.After = func(d time.Duration, f func()) func() {
 			//bioopera:allow walltime real-time default by contract; the sim runtime installs a virtual-clock After
@@ -255,7 +248,7 @@ func New(opts Options) (*Engine, error) {
 	e := &Engine{
 		opts:      opts,
 		sched:     sched.New(sched.Config{Policy: opts.Policy, Quotas: opts.Quotas}),
-		shards:    make([]sync.Mutex, opts.Shards),
+		shards:    make([]sync.Mutex, DefaultShards),
 		templates: make(map[string]*ocr.Process),
 		instances: make(map[string]*Instance),
 		queued:    make(map[string]*queuedRef),
@@ -480,12 +473,15 @@ func (e *Engine) StartProcess(template string, inputs map[string]ocr.Value, opts
 	e.emu.Unlock()
 
 	in := &Instance{
-		ID:       id,
-		Template: template,
-		Priority: opts.Priority,
-		Nice:     opts.Nice,
-		Tenant:   opts.Tenant,
-		Started:  e.now(),
+		InstanceMeta: InstanceMeta{
+			ID:       id,
+			Template: template,
+			Priority: opts.Priority,
+			Nice:     opts.Nice,
+			Tenant:   opts.Tenant,
+			Started:  e.now(),
+		},
+		procRefs: make(map[string]bool, 4),
 	}
 	in.setStatus(InstanceRunning)
 	proc := tpl.Clone()
@@ -628,15 +624,6 @@ func (e *Engine) TenantUsage(tenant string) float64 {
 	u := e.sched.Usage(tenant)
 	e.dmu.Unlock()
 	return u
-}
-
-// CostRatio returns the scheduler's learned actual/estimated cost ratio
-// for a program key, from completed-activity durations.
-func (e *Engine) CostRatio(key string) (float64, bool) {
-	e.dmu.Lock()
-	r, ok := e.sched.Predictor().Ratio(key)
-	e.dmu.Unlock()
-	return r, ok
 }
 
 // RunningJobs reports how many activities are executing on the cluster.

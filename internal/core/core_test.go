@@ -22,10 +22,17 @@ func testSpec() cluster.Spec {
 	}}
 }
 
-// testLibrary registers arithmetic/test programs.
+// testLibrary is a library of the arithmetic/test programs.
 func testLibrary(t *testing.T) *Library {
 	t.Helper()
 	lib := NewLibrary()
+	addTestPrograms(t, lib)
+	return lib
+}
+
+// addTestPrograms registers the test.* programs on lib.
+func addTestPrograms(t *testing.T, lib *Library) {
+	t.Helper()
 	must := func(err error) {
 		if err != nil {
 			t.Fatal(err)
@@ -53,7 +60,6 @@ func testLibrary(t *testing.T) *Library {
 		}
 		return map[string]ocr.Value{"out": ocr.Str("recovered")}, nil
 	}))
-	return lib
 }
 
 // newRuntime builds a sim runtime with the test library.

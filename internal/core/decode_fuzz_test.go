@@ -26,8 +26,8 @@ func FuzzDecodeInstanceRecords(f *testing.F) {
 	// and torn binary.
 	e := codec.Get()
 	encodeCreate(e, &scopeCreateDTO{ID: "-", IsRoot: true, ProcText: "PROCESS P {}"})
-	encodeTask(e, &taskDTO{Name: "Add", Status: TaskReady})
-	encodeDyn(e, &scopeDynDTO{Full: true})
+	encodeTask(e, &taskState{Name: "Add", Status: TaskReady})
+	encodeDyn(e, &scope{wbFull: true}, false)
 	createBin := append([]byte(nil), e.Span(0)...)
 	taskBin := append([]byte(nil), e.Span(1)...)
 	dynBin := append([]byte(nil), e.Span(2)...)

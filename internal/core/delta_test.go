@@ -30,7 +30,7 @@ type scopeDump struct {
 	ElemIndex  int
 	ProcText   string
 	Whiteboard map[string]ocr.Value
-	Tasks      []taskDTO
+	Tasks      []taskState
 	Done       bool
 }
 
@@ -54,23 +54,15 @@ func dumpInstance(t *testing.T, in *Instance) string {
 			d.Parent = sc.Parent.ID
 		}
 		for _, t := range sc.Proc.Tasks {
-			ts := sc.Tasks[t.Name]
-			d.Tasks = append(d.Tasks, taskDTO{
-				Name: ts.Name, Status: ts.Status, Attempts: ts.Attempts,
-				Inputs: ts.Inputs, Outputs: ts.Outputs,
-				Node: ts.Node, Job: ts.Job, AltOf: ts.AltOf,
-				ReadyAt: ts.ReadyAt, StartedAt: ts.StartedAt, EndedAt: ts.EndedAt,
-				CPUTime: ts.CPUTime, ChildWaiting: ts.ChildWaiting,
-				Results: ts.Results, OverElems: ts.OverElems,
-			})
+			d.Tasks = append(d.Tasks, *sc.Tasks[t.Name]) // ConnIn is not rendered
 		}
 		scopes = append(scopes, d)
 	}
 	sort.Slice(scopes, func(i, j int) bool { return scopes[i].ID < scopes[j].ID })
 	out, err := json.MarshalIndent(struct {
-		Meta   instanceDTO
+		Meta   InstanceMeta
 		Scopes []scopeDump
-	}{buildInstanceDTO(in), scopes}, "", " ")
+	}{in.InstanceMeta, scopes}, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,9 +309,9 @@ func TestNoWholeScopeKeyOps(t *testing.T) {
 }
 
 func TestPersistHotPathAllocs(t *testing.T) {
-	// Guard the per-activity checkpoint cost: touching one task, snapshot,
-	// marshal and commit must stay allocation-light (the pooled ckpt and
-	// flusher scratch absorb the steady-state cost).
+	// Guard the per-activity checkpoint cost: touching one task, encoding it
+	// and committing must stay allocation-light (the pooled ckpt absorbs
+	// the steady-state cost).
 	rt := newRuntime(t, SimConfig{})
 	register(t, rt, linearSrc)
 	id := start(t, rt, "Linear", map[string]ocr.Value{"a": ocr.Num(1), "b": ocr.Num(2)})
@@ -342,12 +334,11 @@ func TestPersistHotPathAllocs(t *testing.T) {
 	run() // warm the pools
 	allocs := testing.AllocsPerRun(200, run)
 	t.Logf("persist+flush of one dirty task = %.1f allocs", allocs)
-	// One task record: DTO snapshot and mem-store value copies. Binary
-	// encoding itself is allocation-free (pooled encoder, see
-	// TestCodecEncodeAllocs), so the remaining cost is the snapshot and
-	// store copy; 20 leaves headroom without hiding a regression to
-	// per-record marshal allocations.
-	if allocs > 20 {
-		t.Errorf("persist+flush of one dirty task = %.1f allocs, want <= 20", allocs)
+	// One task record, encoded in place by the pooled ckpt (see
+	// TestCodecEncodeAllocs): what is left is the task's store key and the
+	// mem store's own copies. Measured 5.0; one more is a regression — a
+	// snapshot layer or a per-record marshal coming back.
+	if allocs > 6 && !raceEnabled {
+		t.Errorf("persist+flush of one dirty task = %.1f allocs, want <= 6", allocs)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -477,10 +476,4 @@ func (e *Engine) Crash() {
 	e.signals = make(map[string][]map[string]ocr.Value)
 	e.dmu.Unlock()
 	e.emu.Unlock()
-}
-
-// IsInfraError reports whether an error is an infrastructure failure (as
-// opposed to a program failure).
-func IsInfraError(err error) bool {
-	return errors.Is(err, cluster.ErrNodeFailed) || errors.Is(err, cluster.ErrJobKilled)
 }

@@ -1,0 +1,183 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"bioopera/internal/ocr"
+	"bioopera/internal/store"
+)
+
+// mixSrc runs a parallel block beside a sibling activity whose MAP lands on
+// the root whiteboard while block children are live, so their dynamic
+// records carry a Drop mask as well as owned entries.
+const mixSrc = `
+PROCESS Mix {
+  INPUT xs;
+  OUTPUT doubled, side;
+  ACTIVITY S {
+    CALL test.constant();
+    OUT out;
+    MAP out -> side;
+  }
+  BLOCK Fan PARALLEL OVER xs AS x {
+    MAP results -> doubled;
+    OUTPUT y;
+    ACTIVITY D {
+      CALL test.double(x = x);
+      OUT out;
+      MAP out -> y;
+    }
+  }
+}
+`
+
+// altSrc: Main declares an output field its alternative never produces, so
+// completing Main on Backup's behalf adds a null entry to the output map
+// the two tasks share.
+const altSrc = `
+PROCESS WithAlt {
+  OUTPUT r;
+  ACTIVITY Main {
+    CALL test.fail();
+    OUT out, extra;
+    MAP out -> r;
+    ON FAILURE ALTERNATIVE Backup;
+  }
+  ACTIVITY Backup {
+    CALL test.constant();
+    OUT out;
+  }
+  ACTIVITY After {
+    CALL test.echo(x = r);
+    OUT out;
+    MAP out -> r;
+  }
+  Main -> After;
+}
+`
+
+// storeDumpGolden is the digest of every batch the engine hands the store
+// during the workload of TestStoreBytesGolden, in order, followed by the
+// final Instance and History spaces. It was captured at 88c2d65 — the last
+// commit that snapshotted checkpoints into DTOs before encoding them. A
+// change that moves it is a change of the on-disk format and needs a
+// codec.Version bump, not a new constant.
+const storeDumpGolden = "1a523dbc538754e19ef7f8bb33463262548bc3c0a8e1bffc9cfab2a225f9a3a6"
+
+func TestStoreBytesGolden(t *testing.T) {
+	sl := newSphereLibrary(t, 1) // one sphere abort, then success
+	addTestPrograms(t, sl.Library)
+	bl := &batchLog{Store: store.NewMem()}
+	rt := newRuntime(t, SimConfig{Library: sl.Library, Store: bl})
+	for _, src := range []string{mixSrc, subprocSrc, sphereSrc, altSrc, approvalSrc} {
+		register(t, rt, src)
+	}
+	var xs []ocr.Value
+	for i := 0; i < 10; i++ {
+		xs = append(xs, ocr.Num(float64(i)))
+	}
+	done := []string{
+		start(t, rt, "Mix", map[string]ocr.Value{"xs": ocr.List(xs...)}),
+		start(t, rt, "Outer", map[string]ocr.Value{"v": ocr.Num(5)}),
+		start(t, rt, "Sphere", nil),
+		start(t, rt, "WithAlt", nil),
+	}
+	// Approval stops at its AWAIT, so the Instance space is not empty.
+	waiting := start(t, rt, "Approval", map[string]ocr.Value{"x": ocr.Num(21)})
+	rt.Run()
+	for _, id := range done {
+		finished(t, rt, id)
+	}
+	if aw := rt.Engine.Awaiting(waiting); len(aw) != 1 {
+		t.Fatalf("awaiting = %v", aw)
+	}
+
+	var dump strings.Builder
+	for i, ops := range bl.batches {
+		for _, op := range ops {
+			if op.Delete {
+				fmt.Fprintf(&dump, "batch %d: delete %s %s\n", i, op.Space, op.Key)
+			} else {
+				fmt.Fprintf(&dump, "batch %d: put %s %s %x\n", i, op.Space, op.Key, sha256.Sum256(op.Value))
+			}
+		}
+	}
+	for _, space := range []store.Space{store.Instance, store.History} {
+		kvs, err := bl.List(space) // sorted by key
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(kvs) == 0 {
+			t.Fatalf("%s space is empty; the golden is vacuous", space)
+		}
+		for _, kv := range kvs {
+			fmt.Fprintf(&dump, "%s %s %x\n", space, kv.Key, sha256.Sum256(kv.Value))
+		}
+	}
+	sum := sha256.Sum256([]byte(dump.String()))
+	if got := hex.EncodeToString(sum[:]); got != storeDumpGolden {
+		t.Fatalf("store dump digest = %s, want %s\n%s", got, storeDumpGolden, dump.String())
+	}
+}
+
+// batchLog keeps a copy of every batch as the store received it.
+type batchLog struct {
+	store.Store
+	mu      sync.Mutex
+	batches [][]store.Op
+}
+
+func (l *batchLog) Batch(ops []store.Op) error {
+	cp := make([]store.Op, len(ops))
+	for i, op := range ops {
+		op.Value = append([]byte(nil), op.Value...)
+		cp[i] = op
+	}
+	l.mu.Lock()
+	l.batches = append(l.batches, cp)
+	l.mu.Unlock()
+	return l.Store.Batch(ops)
+}
+
+// TestCheckpointHoldsValueAtPersistTime: a checkpoint is the state at the
+// moment persist cut it, not at the moment its batch commits. Backup's
+// completion is checkpointed, then the same output map is handed to Main and
+// gains Main's undeclared-by-Backup field before the turn ends and any batch
+// is committed; Backup's committed record must not show that field.
+func TestCheckpointHoldsValueAtPersistTime(t *testing.T) {
+	bl := &batchLog{Store: store.NewMem()}
+	rt := newRuntime(t, SimConfig{Store: bl})
+	register(t, rt, altSrc)
+	id := start(t, rt, "WithAlt", nil)
+	rt.Run()
+	in := finished(t, rt, id)
+	if _, ok := in.scopes[""].Tasks["Main"].Outputs["extra"]; !ok {
+		t.Fatal("Main never gained the extra field; the test is vacuous")
+	}
+
+	key := taskKey(id, "", "Backup")
+	for _, ops := range bl.batches {
+		for _, op := range ops {
+			if op.Space != store.Instance || op.Key != key || op.Delete {
+				continue
+			}
+			var ts taskState
+			if err := decodeTaskRecord(op.Value, &ts); err != nil {
+				t.Fatal(err)
+			}
+			if ts.Status != TaskEnded {
+				continue
+			}
+			if len(ts.Outputs) != 1 || ts.Outputs["out"].AsStr() != "const" {
+				t.Fatalf("Backup's first ended record has outputs %v, want only out=const", ts.Outputs)
+			}
+			return
+		}
+	}
+	t.Fatal("no ended Backup record was committed to the instance space")
+}

@@ -55,9 +55,6 @@ type LocalConfig struct {
 	OnEvent func(Event)
 	// OnError observes persistence failures (see Options.OnError).
 	OnError func(error)
-	// Shards sets the engine's instance-lock shard count (default
-	// DefaultShards; 1 serializes all instances).
-	Shards int
 	// SnapshotEvery periodically snapshots the store (when the store
 	// supports it), garbage-collecting the write-ahead log under it, so
 	// a long-lived run does not replay an unbounded log on restart.
@@ -98,7 +95,6 @@ func NewLocalRuntime(cfg LocalConfig) (*LocalRuntime, error) {
 		Policy:       cfg.Policy,
 		OnEvent:      cfg.OnEvent,
 		OnError:      cfg.OnError,
-		Shards:       cfg.Shards,
 		Metrics:      cfg.Metrics,
 		EventRing:    cfg.EventRing,
 		Owns:         cfg.Owns,

@@ -68,7 +68,7 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 	m.ckpts = reg.Counter("bioopera_checkpoints_total",
 		"Checkpoint batches committed (including archives).")
 	m.ckptMarshal = reg.Histogram("bioopera_checkpoint_marshal_seconds",
-		"Time spent marshaling one checkpoint's records, outside the shard lock.", nil)
+		"Time spent encoding one checkpoint's records, under the shard lock.", nil)
 	m.ckptBytes = reg.Counter("bioopera_checkpoint_bytes_total",
 		"Serialized checkpoint record bytes written.")
 	m.ckptRecords = reg.Counter("bioopera_checkpoint_records_total",
@@ -154,15 +154,15 @@ func (m *engineMetrics) turn(shard int, d time.Duration) {
 	m.turnSeconds.Observe(d.Seconds())
 }
 
-// checkpoint records one flushed checkpoint batch: marshal latency, bytes
-// and record count. Under the sim clock the marshal duration reads zero
-// (virtual time does not advance mid-flush), keeping sim runs deterministic.
-func (m *engineMetrics) checkpoint(marshal time.Duration, bytes, records int) {
+// checkpoint records one cut checkpoint: encode latency, bytes and record
+// count. Under the sim clock the encode duration reads zero (virtual time
+// does not advance mid-turn), keeping sim runs deterministic.
+func (m *engineMetrics) checkpoint(encode time.Duration, bytes, records int) {
 	if m == nil {
 		return
 	}
 	m.ckpts.Inc()
-	m.ckptMarshal.Observe(marshal.Seconds())
+	m.ckptMarshal.Observe(encode.Seconds())
 	m.ckptBytes.Add(uint64(bytes))
 	m.ckptRecords.Add(uint64(records))
 }

@@ -4,13 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
-	"time"
 
 	"bioopera/internal/codec"
 	"bioopera/internal/ocr"
-	"bioopera/internal/sim"
 	"bioopera/internal/store"
 )
 
@@ -29,83 +28,18 @@ import (
 //	task/<id>/<scope>/<task>  one record per task (root scope encodes as "-")
 //	proc/<id>/<hash>          interned process text, referenced by scope-create
 //
-// A checkpoint is snapshotted into plain DTOs under the shard lock (persist)
-// and encoded + committed after the lock is released (flushCkpt), ordered
-// by a per-instance commit gate. Each batch is atomic on the store, so a
-// crash mid-checkpoint never leaves a torn view; on the disk store the batch
-// is one group-committed WAL append shared with other instances' checkpoints.
+// A checkpoint is its bytes: persist encodes the dirty records straight from
+// live state under the shard lock, and flushCkpt commits them after the lock
+// is released, ordered by a per-instance commit gate. Nothing but the encoded
+// buffer crosses that boundary, so later turns cannot change what an earlier
+// checkpoint says. Each batch is atomic on the store, so a crash
+// mid-checkpoint never leaves a torn view; on the disk store the batch is one
+// group-committed WAL append shared with other instances' checkpoints.
 //
 // Completed/failed instances move to the history space under the same keys.
 // Recovery rebuilds instances from these records; activities recorded as
 // running are re-queued, and navigation decisions in flight are re-derived
 // by re-propagating the connectors of terminal tasks.
-
-type taskDTO struct {
-	Name      string               `json:"name"`
-	Status    TaskStatus           `json:"status"`
-	Attempts  int                  `json:"attempts,omitempty"`
-	Inputs    map[string]ocr.Value `json:"inputs,omitempty"`
-	Outputs   map[string]ocr.Value `json:"outputs,omitempty"`
-	Node      string               `json:"node,omitempty"`
-	Job       string               `json:"job,omitempty"`
-	AltOf     string               `json:"altOf,omitempty"`
-	ReadyAt   sim.Time             `json:"readyAt,omitempty"`
-	StartedAt sim.Time             `json:"startedAt,omitempty"`
-	EndedAt   sim.Time             `json:"endedAt,omitempty"`
-	CPUTime   time.Duration        `json:"cpuTime,omitempty"`
-	// ChildWaiting and Results are derived state: recovery recomputes them
-	// from the child scopes (resumeBlock/resumeChildScope), so task records
-	// leave them zero — otherwise every child completion of an n-wide block
-	// would re-encode the parent's O(n) result list. The fields keep their
-	// slots in the record layout (codec.Version 1).
-	ChildWaiting int         `json:"childWaiting,omitempty"`
-	Results      []ocr.Value `json:"results,omitempty"`
-	// OverElems is written once, when the parallel block expands.
-	OverElems []ocr.Value `json:"overElems,omitempty"`
-}
-
-// scopeCreateDTO is the immutable part of a scope, written exactly once.
-type scopeCreateDTO struct {
-	ID         string `json:"id"`
-	Parent     string `json:"parent"`
-	IsRoot     bool   `json:"isRoot,omitempty"`
-	ParentTask string `json:"parentTask,omitempty"`
-	ElemIndex  int    `json:"elemIndex"`
-	// ProcRef names an interned proc/<inst>/<hash> record; ProcText is the
-	// inline fallback kept for robustness when decoding foreign records.
-	ProcRef  string `json:"procRef,omitempty"`
-	ProcText string `json:"proc,omitempty"`
-}
-
-// scopeDynDTO is the mutable part of a scope. Entries carries only the
-// whiteboard keys this scope owns (explicitly set after creation); unowned
-// keys re-inherit the parent scope's value on recovery, so an n-wide block's
-// children never re-serialize the parent whiteboard they merely inherited.
-// Drop masks keys the parent gained after this scope spawned. Full marks a
-// complete whiteboard (root scopes, subprocess bodies, archived records).
-type scopeDynDTO struct {
-	Entries map[string]ocr.Value `json:"entries,omitempty"`
-	Drop    []string             `json:"drop,omitempty"`
-	Full    bool                 `json:"full,omitempty"`
-	Done    bool                 `json:"done,omitempty"`
-}
-
-type instanceDTO struct {
-	ID            string               `json:"id"`
-	Template      string               `json:"template"`
-	Status        InstanceStatus       `json:"status"`
-	Priority      int                  `json:"priority,omitempty"`
-	Nice          bool                 `json:"nice,omitempty"`
-	Tenant        string               `json:"tenant,omitempty"`
-	Started       sim.Time             `json:"started"`
-	Ended         sim.Time             `json:"ended,omitempty"`
-	Activities    int                  `json:"activities,omitempty"`
-	CPU           time.Duration        `json:"cpu,omitempty"`
-	Failures      int                  `json:"failures,omitempty"`
-	Retries       int                  `json:"retries,omitempty"`
-	Outputs       map[string]ocr.Value `json:"outputs,omitempty"`
-	FailureReason string               `json:"failureReason,omitempty"`
-}
 
 func metaKey(id string) string { return "inst/" + id }
 
@@ -194,42 +128,32 @@ func (e *Engine) pinInherited(in *Instance, sc *scope, key string) {
 	e.touchMeta(in, sc)
 }
 
-// ckpt is one checkpoint: the dirty subset of an instance's state,
-// snapshotted into DTOs under the shard lock. Marshaling and the store
-// batch run in flushCkpt after the lock is released; ckpts recycle through
-// a pool so the persist hot path stays allocation-light.
+// ckpt is one checkpoint: the dirty subset of an instance's state, already
+// encoded. persist and archive fill it under the shard lock; flushCkpt
+// commits it after the lock is released and holds no decoded copy of any
+// record — only the buffer, the op keys, and the pointers remarkCkpt needs
+// to re-dirty what a failed batch carried. ckpts recycle through a pool so
+// the persist hot path stays allocation-light.
 type ckpt struct {
 	seq     uint64
-	archive bool // move everything to the history space
-	meta    instanceDTO
-	creates []createSnap
-	dyns    []dynSnap
-	tasks   []taskSnap
-	procs   []procSnap
-	deletes []string
-	ops     []store.Op    // flusher scratch
-	enc     codec.Encoder // flusher scratch: binary record buffer
+	archive bool          // move everything to the history space
+	enc     codec.Encoder // the meta, create, dyn and task records, in that order
+	// ops is the batch, in record order: meta, interned process texts,
+	// creates, dyns, tasks. Values of codec records stay nil until flushCkpt
+	// takes their spans (appending can relocate the encoder's buffer).
+	ops     []store.Op
+	deletes []string // instance-space keys the batch also deletes
+
+	scopes  []*scope // walk order: the dirty (or, for an archive, all) scopes by ID
+	procs   []string // hashes of the texts ops[1:1+len(procs)] intern
+	creates []*scope
+	dyns    []*scope
+	tasks   []taskRef
 }
 
-type createSnap struct {
-	sc  *scope
-	dto scopeCreateDTO
-}
-
-type dynSnap struct {
-	sc  *scope
-	dto scopeDynDTO
-}
-
-type taskSnap struct {
-	sc  *scope
-	ts  *taskState
-	dto taskDTO
-}
-
-type procSnap struct {
-	hash string
-	text string
+type taskRef struct {
+	sc *scope
+	ts *taskState
 }
 
 var ckptPool = sync.Pool{New: func() any { return new(ckpt) }}
@@ -237,20 +161,22 @@ var ckptPool = sync.Pool{New: func() any { return new(ckpt) }}
 func getCkpt() *ckpt { return ckptPool.Get().(*ckpt) }
 
 func putCkpt(ck *ckpt) {
+	clear(ck.ops)
+	clear(ck.scopes)
+	clear(ck.procs)
 	clear(ck.creates)
 	clear(ck.dyns)
 	clear(ck.tasks)
-	clear(ck.procs)
-	clear(ck.ops)
 	enc := ck.enc
 	enc.Reset()
 	*ck = ckpt{
+		enc:     enc,
+		ops:     ck.ops[:0],
+		scopes:  ck.scopes[:0],
+		procs:   ck.procs[:0],
 		creates: ck.creates[:0],
 		dyns:    ck.dyns[:0],
 		tasks:   ck.tasks[:0],
-		procs:   ck.procs[:0],
-		ops:     ck.ops[:0],
-		enc:     enc,
 	}
 	ckptPool.Put(ck)
 }
@@ -267,234 +193,172 @@ func (e *Engine) persistError(in *Instance, context string, err error) {
 	}
 }
 
-// buildInstanceDTO snapshots instance metadata. Outputs is shared: it is
-// built once at completion and never mutated afterwards.
-func buildInstanceDTO(in *Instance) instanceDTO {
-	return instanceDTO{
-		ID: in.ID, Template: in.Template, Status: in.Status,
-		Priority: in.Priority, Nice: in.Nice, Tenant: in.Tenant,
-		Started: in.Started, Ended: in.Ended,
-		Activities: in.Activities, CPU: in.CPU,
-		Failures: in.Failures, Retries: in.Retries,
-		Outputs: in.Outputs, FailureReason: in.FailureReason,
-	}
-}
-
-// buildTaskDTO snapshots one task. Outputs is copied — an alternative's
-// completion mutates the shared output map after the original's snapshot —
-// while Inputs and OverElems are immutable once set and are shared.
-// ChildWaiting and Results are derived state and are omitted (see taskDTO).
-func buildTaskDTO(ts *taskState) taskDTO {
-	dto := taskDTO{
-		Name: ts.Name, Status: ts.Status, Attempts: ts.Attempts,
-		Inputs: ts.Inputs,
-		Node:   ts.Node, Job: ts.Job, AltOf: ts.AltOf,
-		ReadyAt: ts.ReadyAt, StartedAt: ts.StartedAt, EndedAt: ts.EndedAt,
-		CPUTime:   ts.CPUTime,
-		OverElems: ts.OverElems,
-	}
-	if len(ts.Outputs) > 0 {
-		dto.Outputs = make(map[string]ocr.Value, len(ts.Outputs))
-		for k, v := range ts.Outputs {
-			dto.Outputs[k] = v
-		}
-	}
-	return dto
-}
-
-// buildDynDTO snapshots a scope's dynamic record. Maps are copied so the
-// flusher can encode after the shard lock is released.
-func buildDynDTO(sc *scope, full bool) scopeDynDTO {
-	dto := scopeDynDTO{Done: sc.Done}
-	if full || sc.wbFull {
-		dto.Full = true
-		if len(sc.Whiteboard) > 0 {
-			dto.Entries = make(map[string]ocr.Value, len(sc.Whiteboard))
-			for k, v := range sc.Whiteboard {
-				dto.Entries[k] = v
-			}
-		}
-		return dto
-	}
-	for k, present := range sc.wbOwn {
-		if present {
-			if dto.Entries == nil {
-				dto.Entries = make(map[string]ocr.Value, len(sc.wbOwn))
-			}
-			dto.Entries[k] = sc.Whiteboard[k]
-		} else {
-			dto.Drop = append(dto.Drop, k)
-		}
-	}
-	sort.Strings(dto.Drop)
-	return dto
-}
-
-// buildCreateDTO snapshots a scope's immutable create record; the process
-// text itself is interned separately under its content hash.
-func buildCreateDTO(sc *scope, procRef string) scopeCreateDTO {
-	dto := scopeCreateDTO{
-		ID:         sc.ID,
-		IsRoot:     sc.Parent == nil,
-		ParentTask: sc.ParentTask,
-		ElemIndex:  sc.ElemIndex,
-		ProcRef:    procRef,
-	}
-	if sc.Parent != nil {
-		dto.Parent = sc.Parent.ID
-	}
-	return dto
-}
-
-// snapshotScope captures one scope's dirty records into the checkpoint and
-// clears its dirty flags. With archive set, everything is captured
-// regardless of dirtiness (proc interning is then handled by archive).
-func (e *Engine) snapshotScope(in *Instance, ck *ckpt, sc *scope, archive bool) {
-	if sc.newborn || archive {
-		text := sc.procText()
-		hash := procHash(text)
-		if !archive {
-			if in.procRefs == nil {
-				in.procRefs = make(map[string]bool, 4)
-			}
-			if !in.procRefs[hash] {
-				in.procRefs[hash] = true
-				ck.procs = append(ck.procs, procSnap{hash: hash, text: text})
-			}
-		}
-		ck.creates = append(ck.creates, createSnap{sc: sc, dto: buildCreateDTO(sc, hash)})
-	}
-	if sc.newborn || sc.dirtyMeta || archive {
-		ck.dyns = append(ck.dyns, dynSnap{sc: sc, dto: buildDynDTO(sc, archive)})
-	}
-	if archive {
-		for _, t := range sc.Proc.Tasks {
-			ts := sc.Tasks[t.Name]
-			ck.tasks = append(ck.tasks, taskSnap{sc: sc, ts: ts, dto: buildTaskDTO(ts)})
-		}
-		clear(sc.dirtyTasks)
-	} else if len(sc.dirtyTasks) > 0 {
-		names := make([]string, 0, len(sc.dirtyTasks))
-		for name := range sc.dirtyTasks {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ts := sc.dirtyTasks[name]
-			ck.tasks = append(ck.tasks, taskSnap{sc: sc, ts: ts, dto: buildTaskDTO(ts)})
-		}
-		clear(sc.dirtyTasks)
-	}
-	sc.newborn = false
-	sc.dirtyMeta = false
-}
-
-// persist snapshots the instance's dirty state as one checkpoint. The
-// caller holds the shard lock; the snapshot is cheap (DTO structs and map
-// copies for fields that can mutate before the flush) — encoding and the
-// store batch happen in flushCkpt once endTurn releases the lock.
-func (e *Engine) persist(in *Instance) {
-	ck := getCkpt()
-	ck.seq = in.nextCkptSeq()
-	ck.meta = buildInstanceDTO(in)
-	if len(in.dirty) > 0 {
-		ids := make([]string, 0, len(in.dirty))
-		for id := range in.dirty {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			e.snapshotScope(in, ck, in.dirty[id], false)
-		}
-		clear(in.dirty)
-	}
-	ck.deletes = in.pendingDeletes
-	in.pendingDeletes = nil
-	in.pendingCkpts = append(in.pendingCkpts, ck)
-}
-
-// archive snapshots a finished instance completely and flags the checkpoint
-// to move every record to the history space (§3.2: "the data space contains
-// historical information about all processes already executed"). The bytes
-// are encoded once by the flusher — no store re-reads — and one atomic
-// batch writes history and clears the instance space, so a crash mid-archive
-// never leaves an instance half in each. Caller holds the shard lock.
-func (e *Engine) archive(in *Instance) {
-	ck := getCkpt()
-	ck.seq = in.nextCkptSeq()
-	ck.archive = true
-	ck.meta = buildInstanceDTO(in)
-	ids := make([]string, 0, len(in.scopes))
-	for id := range in.scopes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	seen := make(map[string]bool, 2)
-	for _, id := range ids {
-		sc := in.scopes[id]
-		text := sc.procText()
-		hash := procHash(text)
-		if !seen[hash] {
-			seen[hash] = true
-			ck.procs = append(ck.procs, procSnap{hash: hash, text: text})
-		}
-		e.snapshotScope(in, ck, sc, true)
-	}
-	// Interned texts no live scope references anymore (sphere-aborted
-	// bodies): delete their instance-space records.
-	var orphans []string
-	for hash := range in.procRefs {
-		if !seen[hash] {
-			orphans = append(orphans, hash)
-		}
-	}
-	sort.Strings(orphans)
-	for i, hash := range orphans {
-		orphans[i] = procKey(in.ID, hash)
-	}
-	ck.deletes = append(in.pendingDeletes, orphans...)
-	in.pendingDeletes = nil
-	clear(in.dirty)
-	in.pendingCkpts = append(in.pendingCkpts, ck)
-}
-
-// flushCkpt encodes one checkpoint through the binary codec and commits it
-// to the store — after the shard lock is released. The per-instance commit
-// gate admits checkpoints strictly in sequence order, so a later one can
-// never overtake an earlier one even when the instance's turns end on
-// different goroutines; batches of different instances still overlap and
-// share group-committed fsyncs. Binary encoding is total, so there is no
-// per-record marshal failure path — only the batch itself can fail.
-func (e *Engine) flushCkpt(in *Instance, ck *ckpt) {
+// cutCkpt encodes the records of ck.scopes into the checkpoint and queues it
+// for endTurn to flush. One walk takes each record from live state to the
+// encoder and names its store key; nothing is copied in between. Of each
+// scope it writes what is dirty — everything, for an archive — and clears
+// the dirty flags. interned is the set of process-text hashes that need no
+// proc/ record in this batch; new ones are added to it. Caller holds the
+// shard lock.
+func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 	start := e.now()
+	ck.seq = in.nextCkptSeq()
 	space := store.Instance
 	if ck.archive {
 		space = store.History
 	}
-	ops, bytes := encodeCkpt(in, ck, space)
-	records := len(ops)
+	slices.SortFunc(ck.scopes, func(a, b *scope) int { return strings.Compare(a.ID, b.ID) })
+	enc := &ck.enc
+	encodeMeta(enc, &in.InstanceMeta)
+	ck.ops = append(ck.ops, store.Op{Space: space, Key: metaKey(in.ID)})
+	bytes := 0
+	for _, sc := range ck.scopes {
+		if !sc.newborn && !ck.archive {
+			continue
+		}
+		// The process text itself is interned under its content hash.
+		text := sc.procText()
+		hash := procHash(text)
+		if !interned[hash] {
+			interned[hash] = true
+			ck.procs = append(ck.procs, hash)
+			ck.ops = append(ck.ops, store.Op{Space: space, Key: procKey(in.ID, hash), Value: []byte(text)})
+			bytes += len(text)
+		}
+		dto := scopeCreateDTO{
+			ID:         sc.ID,
+			IsRoot:     sc.Parent == nil,
+			ParentTask: sc.ParentTask,
+			ElemIndex:  sc.ElemIndex,
+			ProcRef:    hash,
+		}
+		if sc.Parent != nil {
+			dto.Parent = sc.Parent.ID
+		}
+		encodeCreate(enc, &dto)
+		ck.creates = append(ck.creates, sc)
+	}
+	for _, sc := range ck.creates {
+		ck.ops = append(ck.ops, store.Op{Space: space, Key: scopeCreateKey(in.ID, sc.ID)})
+	}
+	for _, sc := range ck.scopes {
+		if sc.newborn || sc.dirtyMeta || ck.archive {
+			encodeDyn(enc, sc, ck.archive)
+			ck.ops = append(ck.ops, store.Op{Space: space, Key: scopeDynKey(in.ID, sc.ID)})
+			ck.dyns = append(ck.dyns, sc)
+		}
+		sc.newborn = false
+		sc.dirtyMeta = false
+	}
+	for _, sc := range ck.scopes {
+		first := len(ck.tasks)
+		if ck.archive {
+			for _, t := range sc.Proc.Tasks {
+				ck.tasks = append(ck.tasks, taskRef{sc, sc.Tasks[t.Name]})
+			}
+		} else {
+			for _, ts := range sc.dirtyTasks {
+				ck.tasks = append(ck.tasks, taskRef{sc, ts})
+			}
+			slices.SortFunc(ck.tasks[first:], func(a, b taskRef) int { return strings.Compare(a.ts.Name, b.ts.Name) })
+		}
+		clear(sc.dirtyTasks)
+		for _, tr := range ck.tasks[first:] {
+			encodeTask(enc, tr.ts)
+			ck.ops = append(ck.ops, store.Op{Space: space, Key: taskKey(in.ID, sc.ID, tr.ts.Name)})
+		}
+	}
+	clear(in.dirty)
+	ck.deletes = in.pendingDeletes
+	in.pendingDeletes = nil
+	e.metrics.checkpoint(e.now().Sub(start), bytes+len(enc.Buf), len(ck.ops))
+	in.pendingCkpts = append(in.pendingCkpts, ck)
+}
+
+// persist cuts one checkpoint of the instance's dirty state. The caller
+// holds the shard lock, and the records are encoded here, under it: the
+// codec costs well under a microsecond a record (DESIGN.md §8), so there is
+// nothing to gain from copying state out to encode it elsewhere. What waits
+// for endTurn to release the lock is the store batch (flushCkpt).
+func (e *Engine) persist(in *Instance) {
+	ck := getCkpt()
+	for _, sc := range in.dirty {
+		ck.scopes = append(ck.scopes, sc)
+	}
+	e.cutCkpt(in, ck, in.procRefs)
+}
+
+// archive encodes a finished instance completely and flags the checkpoint
+// to move every record to the history space (§3.2: "the data space contains
+// historical information about all processes already executed"). The bytes
+// are encoded once — no store re-reads — and one atomic batch writes history
+// and clears the instance space, so a crash mid-archive never leaves an
+// instance half in each. Caller holds the shard lock.
+func (e *Engine) archive(in *Instance) {
+	ck := getCkpt()
+	ck.archive = true
+	for _, sc := range in.scopes {
+		ck.scopes = append(ck.scopes, sc)
+	}
+	// The history space interns every text afresh. Interned texts no live
+	// scope references anymore (sphere-aborted bodies) are left out of seen:
+	// their instance-space records are deleted.
+	seen := make(map[string]bool, 2)
+	e.cutCkpt(in, ck, seen)
+	first := len(ck.deletes)
+	for hash := range in.procRefs {
+		if !seen[hash] {
+			ck.deletes = append(ck.deletes, hash)
+		}
+	}
+	orphans := ck.deletes[first:]
+	slices.Sort(orphans)
+	for i, hash := range orphans {
+		orphans[i] = procKey(in.ID, hash)
+	}
+}
+
+// flushCkpt commits one checkpoint to the store — after the shard lock is
+// released. The records were encoded when the checkpoint was cut; what is
+// left is to point each op at its bytes and, for an archive, to delete what
+// the batch moves. The per-instance commit gate admits checkpoints strictly
+// in sequence order, so a later one can never overtake an earlier one even
+// when the instance's turns end on different goroutines; batches of
+// different instances still overlap and share group-committed fsyncs.
+// Binary encoding is total, so there is no per-record marshal failure path —
+// only the batch itself can fail.
+func (e *Engine) flushCkpt(in *Instance, ck *ckpt) {
+	ops := ck.ops
+	// Codec records are every op but the interned texts at ops[1:1+procs].
+	ops[0].Value = ck.enc.Span(0)
+	for i := 1 + len(ck.procs); i < len(ops); i++ {
+		ops[i].Value = ck.enc.Span(i - len(ck.procs))
+	}
 	if ck.archive {
 		// One pass: the same batch that writes the history puts clears
-		// every instance-space record.
-		ops = append(ops, store.Op{Space: store.Instance, Key: metaKey(in.ID), Delete: true})
-		for i := range ck.creates {
-			id := ck.creates[i].dto.ID
-			ops = append(ops,
-				store.Op{Space: store.Instance, Key: scopeCreateKey(in.ID, id), Delete: true},
-				store.Op{Space: store.Instance, Key: scopeDynKey(in.ID, id), Delete: true})
+		// every instance-space record, under the keys just written: meta,
+		// each scope's create and dyn (an archive writes both for every
+		// scope), tasks, texts.
+		puts, np, nc := ck.ops, len(ck.procs), len(ck.creates)
+		del := func(key string) {
+			ops = append(ops, store.Op{Space: store.Instance, Key: key, Delete: true})
 		}
-		for i := range ck.tasks {
-			ops = append(ops, store.Op{Space: store.Instance, Key: taskKey(in.ID, ck.tasks[i].sc.ID, ck.tasks[i].dto.Name), Delete: true})
+		del(puts[0].Key)
+		for i := 1 + np; i < 1+np+nc; i++ {
+			del(puts[i].Key)
+			del(puts[i+nc].Key)
 		}
-		for _, ps := range ck.procs {
-			ops = append(ops, store.Op{Space: store.Instance, Key: procKey(in.ID, ps.hash), Delete: true})
+		for _, op := range puts[1+np+2*nc:] {
+			del(op.Key)
+		}
+		for _, op := range puts[1 : 1+np] {
+			del(op.Key)
 		}
 	}
 	for _, key := range ck.deletes {
 		ops = append(ops, store.Op{Space: store.Instance, Key: key, Delete: true})
 	}
 	ck.ops = ops
-	e.metrics.checkpoint(e.now().Sub(start), bytes, records)
 
 	// Commit through the gate, strictly in sequence order.
 	in.gateMu.Lock()
@@ -537,31 +401,25 @@ func (e *Engine) remarkCkpt(in *Instance, ck *ckpt) {
 	mu := e.shardFor(in.ID)
 	mu.Lock()
 	live := func(sc *scope) bool { return in.scopes[sc.ID] == sc }
-	for i := range ck.creates {
-		if sc := ck.creates[i].sc; live(sc) {
+	for _, sc := range ck.creates {
+		if live(sc) {
 			sc.newborn = true
 			in.markDirty(sc)
 		}
 	}
-	for i := range ck.dyns {
-		if sc := ck.dyns[i].sc; live(sc) {
+	for _, sc := range ck.dyns {
+		if live(sc) {
 			sc.dirtyMeta = true
 			in.markDirty(sc)
 		}
 	}
-	for i := range ck.tasks {
-		sc, ts := ck.tasks[i].sc, ck.tasks[i].ts
-		if !live(sc) {
-			continue
+	for _, tr := range ck.tasks {
+		if live(tr.sc) {
+			e.touchTask(in, tr.sc, tr.ts)
 		}
-		if sc.dirtyTasks == nil {
-			sc.dirtyTasks = make(map[string]*taskState, 4)
-		}
-		sc.dirtyTasks[ts.Name] = ts
-		in.markDirty(sc)
 	}
-	for _, ps := range ck.procs {
-		delete(in.procRefs, ps.hash)
+	for _, hash := range ck.procs {
+		delete(in.procRefs, hash)
 	}
 	in.pendingDeletes = append(in.pendingDeletes, ck.deletes...)
 	mu.Unlock()

@@ -36,7 +36,7 @@ type scopeRec struct {
 	scopeID string
 	create  *scopeCreateDTO
 	dyn     *scopeDynDTO
-	tasks   map[string]taskDTO
+	tasks   map[string]*taskState
 }
 
 // splitInstKey splits "<inst>/<rest>" (instance IDs contain no '/').
@@ -52,7 +52,7 @@ func splitInstKey(rest string) (instID, sub string, ok bool) {
 // plus every raw scope/task/proc record, still undecoded.
 type instGroup struct {
 	id   string
-	meta instanceDTO
+	meta InstanceMeta
 	kvs  []store.KV
 }
 
@@ -70,7 +70,7 @@ func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string]str
 	rec := func(scopeID string) *scopeRec {
 		r := recMap[scopeID]
 		if r == nil {
-			r = &scopeRec{scopeID: scopeID, tasks: make(map[string]taskDTO)}
+			r = &scopeRec{scopeID: scopeID, tasks: make(map[string]*taskState)}
 			recMap[scopeID] = r
 		}
 		return r
@@ -112,14 +112,14 @@ func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string]str
 			if scopeID == "-" {
 				scopeID = ""
 			}
-			dto, err := decodeTaskRecord(kv.Value)
-			if err != nil {
+			ts := new(taskState)
+			if err := decodeTaskRecord(kv.Value, ts); err != nil {
 				return nil, nil, fmt.Errorf("core: corrupt task record %s: %w", kv.Key, err)
 			}
-			if dto.Name == "" {
-				dto.Name = task
+			if ts.Name == "" {
+				ts.Name = task
 			}
-			rec(scopeID).tasks[dto.Name] = dto
+			rec(scopeID).tasks[ts.Name] = ts
 		case strings.HasPrefix(kv.Key, "proc/"):
 			_, hash, ok := splitInstKey(strings.TrimPrefix(kv.Key, "proc/"))
 			if !ok {
@@ -176,16 +176,16 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 	for _, kv := range kvs {
 		if strings.HasPrefix(kv.Key, "inst/") {
 			id := strings.TrimPrefix(kv.Key, "inst/")
-			dto, err := decodeMetaRecord(kv.Value)
+			meta, err := DecodeInstanceMeta(kv.Value)
 			if err != nil {
 				errs = append(errs, fmt.Errorf("core: corrupt instance record %s: %w", kv.Key, err))
 				continue
 			}
-			if dto.ID != "" {
-				id = dto.ID
+			if meta.ID != "" {
+				id = meta.ID
 			}
 			g := group(id)
-			g.meta = dto
+			g.meta = meta
 			metas[id] = true
 			continue
 		}
@@ -331,16 +331,11 @@ func (e *Engine) buildRecovered(g *instGroup, procCache map[string]*ocr.Process)
 
 // buildInstanceShell constructs an Instance carrying only its metadata —
 // the common base of a full rebuild and a lazy stub.
-func buildInstanceShell(meta instanceDTO) *Instance {
+func buildInstanceShell(meta InstanceMeta) *Instance {
 	in := &Instance{
-		ID: meta.ID, Template: meta.Template,
-		Priority: meta.Priority, Nice: meta.Nice, Tenant: meta.Tenant,
-		Started: meta.Started, Ended: meta.Ended,
-		Activities: meta.Activities, CPU: meta.CPU,
-		Failures: meta.Failures, Retries: meta.Retries,
-		Outputs: meta.Outputs, FailureReason: meta.FailureReason,
-		scopes:   make(map[string]*scope),
-		procRefs: make(map[string]bool, 4),
+		InstanceMeta: meta,
+		scopes:       make(map[string]*scope),
+		procRefs:     make(map[string]bool, 4),
 	}
 	in.setStatus(meta.Status)
 	return in
@@ -451,16 +446,9 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 		}
 		sort.Strings(taskNames)
 		for _, name := range taskNames {
-			td := r.tasks[name]
-			sc.Tasks[td.Name] = &taskState{
-				Name: td.Name, Status: td.Status, Attempts: td.Attempts,
-				Inputs: td.Inputs, Outputs: td.Outputs,
-				Node: td.Node, Job: td.Job, AltOf: td.AltOf,
-				ReadyAt: td.ReadyAt, StartedAt: td.StartedAt, EndedAt: td.EndedAt,
-				CPUTime: td.CPUTime, ChildWaiting: td.ChildWaiting,
-				Results: td.Results, OverElems: td.OverElems,
-				ConnIn: make([]connState, len(proc.Incoming(td.Name))),
-			}
+			ts := r.tasks[name]
+			ts.ConnIn = make([]connState, len(proc.Incoming(name)))
+			sc.Tasks[name] = ts
 		}
 		// Tasks present in the process but missing from the records
 		// (older snapshot) start inactive.

@@ -108,36 +108,45 @@ const (
 	connDead
 )
 
-// taskState is the runtime record of one task in one scope.
+// taskState is the runtime record of one task in one scope, and — through
+// encodeTask/decodeTaskRecord — its persisted task/ record. The JSON names
+// are what `bioopera records` prints.
 type taskState struct {
-	Name     string
-	Status   TaskStatus
-	Attempts int // program-failure attempts consumed
+	Name     string     `json:"name"`
+	Status   TaskStatus `json:"status"`
+	Attempts int        `json:"attempts,omitempty"` // program-failure attempts consumed
 	// Inputs are the evaluated argument bindings, fixed at activation
 	// so retries are deterministic.
-	Inputs map[string]ocr.Value
+	Inputs map[string]ocr.Value `json:"inputs,omitempty"`
 	// Outputs is the task's output data structure after completion.
-	Outputs map[string]ocr.Value
-	// ConnIn mirrors Process.Incoming(task) by index.
-	ConnIn []connState
+	Outputs map[string]ocr.Value `json:"outputs,omitempty"`
+	// ConnIn mirrors Process.Incoming(task) by index. Not persisted:
+	// recovery re-derives connector decisions from terminal tasks.
+	ConnIn []connState `json:"-"`
 	// Node and Job identify the dispatched job (activities).
-	Node string
-	Job  string
+	Node string `json:"node,omitempty"`
+	Job  string `json:"job,omitempty"`
 	// AltOf is set when this task runs as the failure alternative of
 	// another task.
-	AltOf string
+	AltOf string `json:"altOf,omitempty"`
 	// Accounting.
-	ReadyAt   sim.Time
-	StartedAt sim.Time
-	EndedAt   sim.Time
-	CPUTime   time.Duration
-	// ChildWaiting counts live child scopes (blocks/subprocesses).
-	ChildWaiting int
-	// Results accumulates parallel-block element results by index.
-	Results []ocr.Value
-	// OverElems is the expanded OVER list of a parallel block, kept so
-	// recovery can respawn lost element scopes.
-	OverElems []ocr.Value
+	ReadyAt   sim.Time      `json:"readyAt,omitempty"`
+	StartedAt sim.Time      `json:"startedAt,omitempty"`
+	EndedAt   sim.Time      `json:"endedAt,omitempty"`
+	CPUTime   time.Duration `json:"cpuTime,omitempty"`
+	// ChildWaiting counts live child scopes (blocks/subprocesses) and
+	// Results accumulates parallel-block element results by index. Both are
+	// derived state: recovery recomputes them from the child scopes
+	// (resumeBlock/resumeChildScope), so task records write them as zero —
+	// otherwise every child completion of an n-wide block would re-encode
+	// the parent's O(n) result list. The fields keep their slots in the
+	// record layout (codec.Version 1).
+	ChildWaiting int         `json:"childWaiting,omitempty"`
+	Results      []ocr.Value `json:"results,omitempty"`
+	// OverElems is the expanded OVER list of a parallel block, written once
+	// when the block expands and kept so recovery can respawn lost element
+	// scopes.
+	OverElems []ocr.Value `json:"overElems,omitempty"`
 }
 
 // scope is one lexical scope of a running instance: the root process, a
@@ -218,16 +227,33 @@ func (e scopeEnv) Lookup(name string) (ocr.Value, bool) {
 	return v, ok
 }
 
+// InstanceMeta is the persisted part of an instance: the fields of its
+// inst/<id> record, declared once. Instance embeds it, encodeMeta writes it
+// and DecodeInstanceMeta reads it back — for recovery and for the history
+// CLI and records inspector alike.
+type InstanceMeta struct {
+	ID       string         `json:"id"`
+	Template string         `json:"template"` // template name (root process name)
+	Status   InstanceStatus `json:"status"`
+	Priority int            `json:"priority,omitempty"`
+	Nice     bool           `json:"nice,omitempty"`
+	Tenant   string         `json:"tenant,omitempty"` // fair-share accounting bucket ("" = default)
+	Started  sim.Time       `json:"started"`
+	Ended    sim.Time       `json:"ended,omitempty"`
+	// Accounting (§5.2 measurements).
+	Activities int           `json:"activities,omitempty"` // |A|: executed activity completions
+	CPU        time.Duration `json:"cpu,omitempty"`        // CPU(Π): summed activity CPU time
+	Failures   int           `json:"failures,omitempty"`   // infrastructure + program failures observed
+	Retries    int           `json:"retries,omitempty"`    // re-dispatches after failures
+	// Outputs are the root process outputs after completion.
+	Outputs map[string]ocr.Value `json:"outputs,omitempty"`
+	// FailureReason records why the instance failed.
+	FailureReason string `json:"failureReason,omitempty"`
+}
+
 // Instance is one running (or finished) process.
 type Instance struct {
-	ID       string
-	Template string // template name (root process name)
-	Status   InstanceStatus
-	Priority int
-	Nice     bool
-	Tenant   string // fair-share accounting bucket ("" = default)
-	Started  sim.Time
-	Ended    sim.Time
+	InstanceMeta
 
 	root   *scope
 	scopes map[string]*scope
@@ -256,11 +282,11 @@ type Instance struct {
 	turnLive  bool
 
 	// Checkpoint pipeline state, guarded by the shard lock. persist
-	// snapshots the dirty set into pendingCkpts; endTurn drains them to
-	// the flusher after releasing the shard, so record encoding and the
-	// store batch never run inside the critical section.
+	// encodes the dirty set into a ckpt on pendingCkpts; endTurn drains
+	// them to the flusher after releasing the shard, so the store batch —
+	// the part that can block — never runs inside the critical section.
 	dirty          map[string]*scope // scopes with unpersisted changes
-	pendingCkpts   []*ckpt           // snapshots awaiting flush, in seq order
+	pendingCkpts   []*ckpt           // encoded checkpoints awaiting commit, in seq order
 	pendingDeletes []string          // instance-space keys to delete at next flush
 	procRefs       map[string]bool   // process-text hashes already interned
 	pendingDone    bool              // fire OnInstanceDone after this turn's flush
@@ -275,18 +301,6 @@ type Instance struct {
 	gateCond *sync.Cond
 	ckptSeq  uint64 // next checkpoint sequence number
 	ckptDone uint64 // checkpoints committed (== seq of the next admitted)
-
-	// Accounting (§5.2 measurements).
-	Activities int           // |A|: executed activity completions
-	CPU        time.Duration // CPU(Π): summed activity CPU time
-	Failures   int           // infrastructure + program failures observed
-	Retries    int           // re-dispatches after failures
-
-	// Outputs are the root process outputs after completion.
-	Outputs map[string]ocr.Value
-
-	// FailureReason records why the instance failed.
-	FailureReason string
 }
 
 // pendingKill is one deferred Executor.Kill request.

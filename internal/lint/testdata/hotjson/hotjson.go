@@ -1,8 +1,10 @@
 // Package hotjson is a biooperalint golden fixture: encoding/json use
 // inside record-path functions. The fixture package stands in for
 // internal/core, so the function names below match the real engine's
-// checkpoint flusher and recovery decoder.
-package hotjson
+// checkpoint flusher and recovery decoder. The fixture's list also names
+// snapshotScope, which no file here declares — a guarded name that was
+// refactored away is reported on the package clause.
+package hotjson // want `guards record-path function snapshotScope, which .* no longer declares`
 
 import (
 	"bytes"
@@ -19,9 +21,9 @@ func flushCkpt(r record) ([]byte, error) {
 	return json.Marshal(r) // want `json\.Marshal in record-path function flushCkpt`
 }
 
-// encodeCkpt catches aliased imports too.
-func encodeCkpt(r record) ([]byte, error) {
-	return enc.Marshal(r) // want `json\.Marshal in record-path function encodeCkpt`
+// cutCkpt catches aliased imports too.
+func cutCkpt(r record) ([]byte, error) {
+	return enc.Marshal(r) // want `json\.Marshal in record-path function cutCkpt`
 }
 
 // persist catches streaming encoders as well as one-shot marshals.

@@ -124,13 +124,6 @@ func (a *Agent) PauseHeartbeats() {
 	a.mu.Unlock()
 }
 
-// ResumeHeartbeats undoes PauseHeartbeats.
-func (a *Agent) ResumeHeartbeats() {
-	a.mu.Lock()
-	a.paused = false
-	a.mu.Unlock()
-}
-
 // Wait blocks until the connection to the server is gone.
 func (a *Agent) Wait() { <-a.done }
 

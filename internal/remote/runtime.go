@@ -27,8 +27,6 @@ type Config struct {
 	Policy sched.Policy
 	// Quotas assigns per-tenant fair-share weights (see core.Options.Quotas).
 	Quotas map[string]float64
-	// Shards sets the engine's instance-lock shard count.
-	Shards int
 	// OnEvent observes engine events plus the runtime's node-joined /
 	// node-down events from the failure detector.
 	OnEvent func(core.Event)
@@ -122,7 +120,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		Clock:        core.ClockFunc(now),
 		Policy:       cfg.Policy,
 		Quotas:       cfg.Quotas,
-		Shards:       cfg.Shards,
 		LazyRecovery: cfg.LazyRecovery,
 		OnEvent:      cfg.OnEvent,
 		OnError:      cfg.OnError,

@@ -100,12 +100,6 @@ func (b *Batcher) ObserveLoad(nodes []cluster.NodeView) {
 	b.avg += b.cfg.Alpha * (load - b.avg)
 }
 
-// AvgLoad returns the smoothed mean external load.
-func (b *Batcher) AvgLoad() float64 { return b.avg }
-
-// Volatility returns the smoothed per-sample load swing.
-func (b *Batcher) Volatility() float64 { return b.vol }
-
 // Stress folds load level and volatility into one [0, 1] figure that
 // drives the idle→loaded interpolation: volatility counts double because
 // a swinging cluster invalidates placement decisions faster than a

@@ -51,9 +51,6 @@ func (s *Scheduler) applyQuotas() {
 	}
 }
 
-// PolicyName names the active placement policy.
-func (s *Scheduler) PolicyName() string { return s.policy.Name() }
-
 // Enqueue adds a job to the queue (to the held set when its group is held).
 func (s *Scheduler) Enqueue(j Job) { s.queue.Push(j) }
 

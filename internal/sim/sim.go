@@ -107,9 +107,6 @@ func (s *Sim) Now() Time { return s.now }
 // Rand returns the simulator's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// Steps reports how many events have been executed so far.
-func (s *Sim) Steps() uint64 { return s.steps }
-
 // SetStepLimit bounds the number of events Run may execute; 0 means
 // unlimited. It exists as a runaway-loop backstop for tests.
 func (s *Sim) SetStepLimit(n uint64) { s.maxStep = n }

@@ -373,6 +373,9 @@ func cmdRun(args []string) error {
 	if regErr != nil {
 		return regErr
 	}
+	if err := resume(&rt.RuntimeBase, *timeout); err != nil {
+		return err
+	}
 	if *nInstances <= 1 {
 		id, err := rt.StartProcess(tpl, inputs, core.StartOptions{})
 		if err != nil {

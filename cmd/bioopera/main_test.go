@@ -3,8 +3,10 @@ package main
 import (
 	"testing"
 
+	"bioopera/internal/cluster"
 	"bioopera/internal/core"
 	"bioopera/internal/ocr"
+	"bioopera/internal/store"
 )
 
 func TestParseInputs(t *testing.T) {
@@ -104,5 +106,71 @@ func TestRunShippedPipeline(t *testing.T) {
 		if err := cmd([]string{file}); err == nil || err.Error() != want {
 			t.Errorf("%s with no -input = %v, want %q", name, err, want)
 		}
+	}
+}
+
+// TestRunResumesOnRerun: `run` on a -store an earlier run crashed in first
+// finishes that run's instance, then starts its own under a fresh ID — and
+// so does the next rerun. Afterwards History holds all three, each done;
+// an engine that restarted numbering at p0001 would hold one.
+func TestRunResumesOnRerun(t *testing.T) {
+	const file = "../../examples/processes/pipeline.ocr"
+	inputFlags := []string{"samples=[1,2,3]", "skip_cleaning=false"}
+	dir := t.TempDir()
+
+	// The earlier run: p0001 started, then the server died.
+	ps, err := loadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl, inputs, err := startArgs(ps, "", inputFlags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.OpenDisk(dir, store.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := core.NewSimRuntime(core.SimConfig{Spec: cluster.IkLinux(), Store: st, Library: stubLibrary(ps, false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ps {
+		if err := rt.Engine.RegisterTemplate(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rt.Engine.StartProcess(tpl, inputs, core.StartOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	rt.Engine.Crash()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	args := []string{file, "-store", dir, "-input", inputFlags[0], "-input", inputFlags[1]}
+	for i := 0; i < 2; i++ {
+		if err := cmdRun(args); err != nil {
+			t.Fatalf("rerun %d: %v", i+1, err)
+		}
+	}
+
+	st, err = store.OpenDisk(dir, store.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, id := range []string{"p0001", "p0002", "p0003"} {
+		v, ok, err := st.Get(store.History, "inst/"+id)
+		if err != nil || !ok {
+			t.Errorf("history has no record of %s (ok=%v err=%v)", id, ok, err)
+			continue
+		}
+		if m, err := core.DecodeInstanceMeta(v); err != nil || m.Status != core.InstanceDone {
+			t.Errorf("history of %s: status %v, err %v", id, m.Status, err)
+		}
+	}
+	if left, _ := st.List(store.Instance); len(left) != 0 {
+		t.Errorf("%d instance-space records left behind, first %s", len(left), left[0].Key)
 	}
 }

@@ -180,15 +180,11 @@ func cmdServe(args []string) error {
 		fmt.Printf("shipping WAL to standbys on %s\n", rt.Shipper.Addr())
 	}
 	fmt.Printf("listening on %s, waiting for %d worker(s)\n", rt.Addr(), *workers)
-	deadline := time.Now().Add(*timeout)
-	for {
-		if n, _, _ := rt.Server.Stats(); n >= *workers {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("no %d workers connected within %v", *workers, *timeout)
-		}
-		time.Sleep(50 * time.Millisecond)
+	if err := waitWorkers(rt, *workers, *timeout); err != nil {
+		return err
+	}
+	if err := resume(&rt.RuntimeBase, *timeout); err != nil {
+		return err
 	}
 	id, err := rt.StartProcess(tpl, inputs, core.StartOptions{Tenant: *tenant})
 	if err != nil {
@@ -277,42 +273,52 @@ func cmdStandby(args []string) error {
 		return err
 	}
 	defer rt.Close()
-	var recovered int
-	var recErr error
-	rt.Do(func(e *core.Engine) { recovered, recErr = e.Recover() })
-	if recErr != nil {
-		// Partial recovery still serves what it could rebuild.
-		fmt.Fprintf(os.Stderr, "standby: recovery: %v\n", recErr)
+	fmt.Printf("standby: promoted; listening on %s, waiting for %d worker(s)\n", rt.Addr(), *workers)
+	if err := waitWorkers(rt, *workers, *timeout); err != nil {
+		return err
 	}
-	fmt.Printf("standby: promoted; %d instance(s) recovered, listening on %s, waiting for %d worker(s)\n",
-		recovered, rt.Addr(), *workers)
-	deadline := time.Now().Add(*timeout)
+	return resume(&rt.RuntimeBase, *timeout)
+}
+
+// waitWorkers blocks until n worker agents have joined rt.
+func waitWorkers(rt *remote.Runtime, n int, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
 	for {
-		if n, _, _ := rt.Server.Stats(); n >= *workers {
-			break
+		if live, _, _ := rt.Server.Stats(); live >= n {
+			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("no %d workers connected within %v", *workers, *timeout)
+			return fmt.Errorf("no %d workers connected within %v", n, timeout)
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	// Drive every recovered running instance to completion.
-	var ids []string
-	rt.Do(func(e *core.Engine) {
-		for _, in := range e.Instances() {
-			ids = append(ids, in.ID)
-		}
-	})
-	for _, id := range ids {
-		st, _, err := rt.InstanceStatus(id)
-		if err != nil || (st != core.InstanceRunning) {
+}
+
+// resume recovers every unfinished instance the store already holds and
+// drives those still running to completion: what a promoted standby does
+// with its primary's run, and what `run` and `serve` do with an interrupted
+// earlier run on the same -store before they start anything new.
+func resume(rb *core.RuntimeBase, timeout time.Duration) error {
+	recovered, recErr := rb.Engine().Recover()
+	if recErr != nil {
+		// Partial recovery still serves what it could rebuild.
+		fmt.Fprintf(os.Stderr, "bioopera: recovery: %v\n", recErr)
+	}
+	if recovered == 0 {
+		return nil
+	}
+	fmt.Printf("recovered %d unfinished instance(s)\n", recovered)
+	for _, in := range rb.Engine().Instances() {
+		// A suspended instance stays suspended; one that already finished
+		// during recovery is still reported.
+		if st, _, err := rb.InstanceStatus(in.ID); err != nil || st == core.InstanceSuspended {
 			continue
 		}
-		in, err := rt.Wait(id, *timeout)
+		done, err := rb.Wait(in.ID, timeout)
 		if err != nil {
 			return err
 		}
-		if err := report(in); err != nil {
+		if err := report(done); err != nil {
 			return err
 		}
 	}

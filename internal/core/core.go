@@ -204,7 +204,7 @@ type queuedRef struct {
 // state lives behind two small front-end locks:
 //
 //	emu  templates and the instance registry
-//	dmu  the activity queue and the queued/running/waiting/signal indexes
+//	dmu  the scheduler's activity queue and the queued/running job indexes
 //
 // Lock order is shard → emu/dmu (emu and dmu are leaves, except that Crash
 // takes emu then dmu). Navigation never calls Executor.Kill or Pump while
@@ -225,12 +225,11 @@ type Engine struct {
 	instances map[string]*Instance
 	order     []string // instance creation order, for determinism
 	nextID    int
+	idsSeeded atomic.Bool // nextID has been raised past the store's IDs
 
 	dmu     sync.Mutex
-	queued  map[string]*queuedRef             // job ID → queued task
-	running map[string]*queuedRef             // job ID → running task
-	waiting map[string][]*queuedRef           // instance|event → AWAIT tasks
-	signals map[string][]map[string]ocr.Value // buffered signals
+	queued  map[string]*queuedRef // job ID → queued task
+	running map[string]*queuedRef // job ID → running task
 }
 
 // New builds an engine and loads templates already in the store.
@@ -253,8 +252,6 @@ func New(opts Options) (*Engine, error) {
 		instances: make(map[string]*Instance),
 		queued:    make(map[string]*queuedRef),
 		running:   make(map[string]*queuedRef),
-		waiting:   make(map[string][]*queuedRef),
-		signals:   make(map[string][]map[string]ocr.Value),
 	}
 	kvs, err := opts.Store.List(store.Template)
 	if err != nil {
@@ -445,6 +442,34 @@ func (e *Engine) checkOwned(id string) error {
 	return nil
 }
 
+// seedNextID raises the ID counter past every instance the store has ever
+// held — live (Instance space) or archived (History) — so an engine on an
+// existing store never mints an ID a second time and overwrites that
+// instance's records, whether or not Recover ran. It runs once, on the
+// first mint, and only reads.
+func (e *Engine) seedNextID() error {
+	max := 0
+	for _, sp := range []store.Space{store.Instance, store.History} {
+		kvs, err := e.opts.Store.List(sp)
+		if err != nil {
+			return err
+		}
+		for _, kv := range kvs {
+			var n int
+			if _, err := fmt.Sscanf(kv.Key, "inst/p%d", &n); err == nil && n > max {
+				max = n
+			}
+		}
+	}
+	e.emu.Lock()
+	if max > e.nextID {
+		e.nextID = max
+	}
+	e.emu.Unlock()
+	e.idsSeeded.Store(true)
+	return nil
+}
+
 // StartProcess instantiates a template and begins navigation. It returns
 // the new instance ID.
 func (e *Engine) StartProcess(template string, inputs map[string]ocr.Value, opts StartOptions) (string, error) {
@@ -453,6 +478,10 @@ func (e *Engine) StartProcess(template string, inputs map[string]ocr.Value, opts
 			return "", fmt.Errorf("core: instance ID %q must not contain '/'", opts.InstanceID)
 		}
 		if err := e.checkOwned(opts.InstanceID); err != nil {
+			return "", err
+		}
+	} else if !e.idsSeeded.Load() {
+		if err := e.seedNextID(); err != nil {
 			return "", err
 		}
 	}
@@ -813,7 +842,7 @@ func (e *Engine) failInstance(in *Instance, reason string) {
 	in.Ended = e.now()
 	in.setStatus(InstanceFailed)
 	e.dropQueued(in)
-	e.dropWaiting(in)
+	in.waiting, in.signals = nil, nil
 	e.killRunning(in)
 	e.emit(Event{Kind: EvInstanceFailed, Instance: in.ID, Detail: reason})
 	// archive snapshots the complete final state (no separate persist

@@ -851,6 +851,50 @@ func TestHistoryArchival(t *testing.T) {
 	}
 }
 
+// TestInstanceIDsNeverReused: a new engine over a store that already holds
+// instances — one archived, one left unfinished by a crash, and Recover
+// never called — must mint a fresh ID. Reusing p0001 would overwrite the
+// first run's History records: the provenance the store exists to keep.
+func TestInstanceIDsNeverReused(t *testing.T) {
+	st := store.NewMem()
+	rt := newRuntime(t, SimConfig{Store: st})
+	register(t, rt, linearSrc)
+	first := start(t, rt, "Linear", map[string]ocr.Value{"a": ocr.Num(1), "b": ocr.Num(1)})
+	rt.Run()
+	finished(t, rt, first)
+	unfinished := start(t, rt, "Linear", map[string]ocr.Value{"a": ocr.Num(2), "b": ocr.Num(2)})
+	rt.Engine.Crash()
+
+	rt2 := newRuntime(t, SimConfig{Store: st})
+	register(t, rt2, linearSrc)
+	third := start(t, rt2, "Linear", map[string]ocr.Value{"a": ocr.Num(3), "b": ocr.Num(3)})
+	if third == first || third == unfinished {
+		t.Fatalf("second engine minted %s again (earlier: %s archived, %s unfinished)", third, first, unfinished)
+	}
+	rt2.Run()
+	finished(t, rt2, third)
+	for id, want := range map[string]float64{first: 4, third: 12} {
+		v, ok, err := st.Get(store.History, metaKey(id))
+		if err != nil || !ok {
+			t.Fatalf("history record of %s: ok=%v err=%v", id, ok, err)
+		}
+		m, err := DecodeInstanceMeta(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Outputs["result"].AsNum(); got != want {
+			t.Errorf("history of %s has result %v, want %v — overwritten by a later run", id, got, want)
+		}
+	}
+	if _, ok, _ := st.Get(store.Instance, metaKey(unfinished)); !ok {
+		t.Errorf("unfinished instance %s lost its record", unfinished)
+	}
+	// An explicit ID is the caller's to choose, seeded counter or not.
+	if id, err := rt2.Engine.StartProcess("Linear", nil, StartOptions{InstanceID: "mine"}); err != nil || id != "mine" {
+		t.Errorf("explicit ID: %q, %v", id, err)
+	}
+}
+
 func TestSetParameter(t *testing.T) {
 	rt := newRuntime(t, SimConfig{})
 	register(t, rt, `

@@ -472,8 +472,6 @@ func (e *Engine) Crash() {
 	e.sched.Reset()
 	e.queued = make(map[string]*queuedRef)
 	e.running = make(map[string]*queuedRef)
-	e.waiting = make(map[string][]*queuedRef)
-	e.signals = make(map[string][]map[string]ocr.Value)
 	e.dmu.Unlock()
 	e.emu.Unlock()
 }

@@ -17,41 +17,24 @@ import (
 // delivered to the next awaiting task, so producers and consumers need not
 // race.
 //
-// The waiting/signal indexes live behind dmu; the waiters of a key all
-// belong to the key's instance, so their task state is protected by that
-// instance's shard, which Signal holds for the duration of delivery.
-
-// eventKey identifies a (instance, event) wait point.
-func eventKey(instanceID, event string) string { return instanceID + "|" + event }
+// The wait state — parked tasks and buffered payloads, per event — lives on
+// the Instance, guarded by its shard like the task state it points at.
 
 // awaitEvent parks an activated AWAIT activity until its signal arrives.
 // Caller holds the instance's shard.
 func (e *Engine) awaitEvent(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
-	key := eventKey(in.ID, t.Await)
-	// A buffered signal satisfies the wait immediately.
-	e.dmu.Lock()
-	var payload map[string]ocr.Value
-	buffered := false
-	if queue := e.signals[key]; len(queue) > 0 {
-		payload = queue[0]
-		buffered = true
-		e.signals[key] = queue[1:]
-		if len(e.signals[key]) == 0 {
-			delete(e.signals, key)
-		}
-	}
-	e.dmu.Unlock()
-	if buffered {
-		ts.Status = TaskRunning
-		e.touchTask(in, sc, ts)
-		e.finishEventTask(in, sc, t, ts, payload)
-		return
-	}
 	ts.Status = TaskRunning
 	e.touchTask(in, sc, ts)
-	e.dmu.Lock()
-	e.waiting[key] = append(e.waiting[key], &queuedRef{inst: in, sc: sc, ts: ts})
-	e.dmu.Unlock()
+	// A buffered signal satisfies the wait immediately.
+	if queue := in.signals[t.Await]; len(queue) > 0 {
+		in.signals[t.Await] = queue[1:]
+		e.finishEventTask(in, sc, t, ts, queue[0])
+		return
+	}
+	if in.waiting == nil {
+		in.waiting = make(map[string][]*queuedRef)
+	}
+	in.waiting[t.Await] = append(in.waiting[t.Await], &queuedRef{inst: in, sc: sc, ts: ts})
 	e.emit(Event{Kind: EvTaskAwaiting, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: t.Await})
 	e.persist(in)
 }
@@ -93,29 +76,23 @@ func (e *Engine) Signal(instanceID, event string, payload map[string]ocr.Value) 
 		return err
 	}
 	e.emit(Event{Kind: EvSignal, Instance: instanceID, Detail: event})
-	key := eventKey(instanceID, event)
-	e.dmu.Lock()
-	waiters := e.waiting[key]
-	// Skip waiters whose scopes were torn down by a sphere abort (safe
-	// to read under the shard we hold: all waiters belong to in).
+	// Skip waiters whose scopes were torn down by a sphere abort.
+	waiters := in.waiting[event]
 	for len(waiters) > 0 && waiters[0].sc.defunct {
 		waiters = waiters[1:]
 	}
 	if len(waiters) == 0 {
-		delete(e.waiting, key)
-		e.signals[key] = append(e.signals[key], payload)
-		e.dmu.Unlock()
+		delete(in.waiting, event)
+		if in.signals == nil {
+			in.signals = make(map[string][]map[string]ocr.Value)
+		}
+		in.signals[event] = append(in.signals[event], payload)
 		in.turnLive = false // buffered: this turn ends without endTurn
 		mu.Unlock()
 		return nil
 	}
 	ref := waiters[0]
-	if len(waiters) > 1 {
-		e.waiting[key] = waiters[1:]
-	} else {
-		delete(e.waiting, key)
-	}
-	e.dmu.Unlock()
+	in.waiting[event] = waiters[1:]
 	t := ref.sc.Proc.Task(ref.ts.Name)
 	e.finishEventTask(in, ref.sc, t, ref.ts, payload)
 	e.endTurn(in, mu, true)
@@ -125,46 +102,22 @@ func (e *Engine) Signal(instanceID, event string, payload map[string]ocr.Value) 
 // Awaiting lists the event names an instance is currently blocked on,
 // sorted.
 func (e *Engine) Awaiting(instanceID string) []string {
+	in, ok := e.lookup(instanceID)
+	if !ok {
+		return nil
+	}
 	mu := e.shardFor(instanceID)
 	mu.Lock()
 	defer mu.Unlock()
-	e.dmu.Lock()
-	defer e.dmu.Unlock()
 	var out []string
-	prefix := instanceID + "|"
-	for key, refs := range e.waiting {
-		if len(key) <= len(prefix) || key[:len(prefix)] != prefix {
-			continue
-		}
-		live := false
+	for event, refs := range in.waiting {
 		for _, r := range refs {
 			if !r.sc.defunct {
-				live = true
+				out = append(out, event)
 				break
 			}
-		}
-		if live {
-			out = append(out, key[len(prefix):])
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-// dropWaiting removes an instance's waiters and buffered signals (on
-// abort/failure).
-func (e *Engine) dropWaiting(in *Instance) {
-	e.dmu.Lock()
-	defer e.dmu.Unlock()
-	prefix := in.ID + "|"
-	for key := range e.waiting {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-			delete(e.waiting, key)
-		}
-	}
-	for key := range e.signals {
-		if len(key) > len(prefix) && key[:len(prefix)] == prefix {
-			delete(e.signals, key)
-		}
-	}
 }

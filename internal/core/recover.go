@@ -272,11 +272,6 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 		e.emu.Lock()
 		e.instances[id] = in
 		e.order = append(e.order, id)
-		// Track the numeric suffix so new IDs stay unique.
-		var n int
-		if _, err := fmt.Sscanf(id, "p%d", &n); err == nil && n > e.nextID {
-			e.nextID = n
-		}
 		e.emu.Unlock()
 		recovered++
 		e.emit(Event{Kind: EvServerRecovered, Instance: id,

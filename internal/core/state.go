@@ -275,6 +275,13 @@ type Instance struct {
 	// (which would re-enter the same shard). Guarded by the shard lock.
 	pendingKills []pendingKill
 
+	// AWAIT wait state, guarded by the shard lock: the tasks parked on
+	// each event, in activation order, and the payloads signalled before
+	// any task awaited them. Both are volatile — recovery re-arms the
+	// waits from task state; buffered signals die with the instance object.
+	waiting map[string][]*queuedRef
+	signals map[string][]map[string]ocr.Value
+
 	// turnStart/turnLive stamp the current navigation turn for the
 	// turn-latency metric (guarded by the shard lock; unused when the
 	// engine has no metrics registry).

@@ -44,17 +44,21 @@ var hotJSONFuncs = map[string]map[string]bool{
 		"hydrateLocked":         true, // lazy stub decode on first touch
 	},
 	"bioopera/internal/store": {
-		"encodeWALRecord": true, // WAL frame encode
-		"append":          true, // per-op WAL append
-		"commit":          true, // group-commit enqueue
-		"flushGroup":      true, // group-commit leader flush
-		"Put":             true,
-		"Batch":           true,
-		"AppendEvent":     true,
+		"write":       true, // validate, encode, commit: the head of every mutation
+		"encodeOp":    true, // WAL frame encode
+		"commit":      true, // group-commit enqueue
+		"flushGroup":  true, // group-commit leader flush
+		"ingest":      true, // frames to the WAL, ops to memory: the tail of every mutation
+		"apply":       true, // ops -> in-memory image
+		"Put":         true,
+		"Batch":       true,
+		"Delete":      true,
+		"AppendEvent": true,
 
-		"decodeWALRecord": true, // WAL frame decode
-		"OpenDisk":        true, // WAL replay on open
-		"applyShipped":    true, // standby replay of shipped frames
+		"decodeOp":     true, // WAL frame decode
+		"decodeOps":    true,
+		"OpenDisk":     true, // WAL replay on open
+		"applyShipped": true, // standby replay of shipped frames
 	},
 	"bioopera/internal/wal": {
 		"Append":      true,

@@ -31,10 +31,9 @@ var sanctionedLockOrder = map[string][]string{
 		"core.Engine.emu",
 		"core.Engine.dmu",
 		"core.Instance.gateMu",
-		"store.Mem.mu",
 		"store.Disk.wmu",
 		"store.Disk.gmu",
-		"store.Disk.mu",
+		"store.image.mu",
 		"wal.Log.mu",
 		"obs.Ring.mu",
 		"core.localExec.mu",
@@ -48,12 +47,13 @@ var sanctionedLockOrder = map[string][]string{
 	// A checkpoint flush commits its store batch under the instance's
 	// in-order gate.
 	"core.Instance.gateMu": {
-		"store.Mem.mu", "store.Disk.wmu", "store.Disk.gmu", "store.Disk.mu", "wal.Log.mu",
+		"store.Disk.wmu", "store.Disk.gmu", "store.image.mu", "wal.Log.mu",
 	},
 	// Disk group commit: the leader serializes flushes under wmu, briefly
-	// claims the group under gmu, and appends to the WAL under mu.
-	"store.Disk.wmu": {"store.Disk.gmu", "store.Disk.mu", "wal.Log.mu"},
-	"store.Disk.mu":  {"wal.Log.mu"},
+	// claims the group under gmu, and appends to the WAL under the shared
+	// image's mu (Mem and Disk embed one image type, so one class).
+	"store.Disk.wmu": {"store.Disk.gmu", "store.image.mu", "wal.Log.mu"},
+	"store.image.mu": {"wal.Log.mu"},
 	// Executors reserve directory slots under their own bookkeeping lock.
 	"remote.Server.mu":  {"cluster.Directory.mu"},
 	"core.localExec.mu": {"cluster.Directory.mu"},
@@ -62,7 +62,7 @@ var sanctionedLockOrder = map[string][]string{
 	// A lease claim is a read-check-write of the lease record, serialized
 	// under the table's own lock across the store calls.
 	"fed.LeaseTable.mu": {
-		"store.Mem.mu", "store.Disk.wmu", "store.Disk.gmu", "store.Disk.mu", "wal.Log.mu",
+		"store.Disk.wmu", "store.Disk.gmu", "store.image.mu", "wal.Log.mu",
 	},
 	// The snapshot cadence reads the engine handle under its own lock.
 	"core.RuntimeBase.snapMu": {"core.RuntimeBase.waitMu"},

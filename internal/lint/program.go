@@ -328,6 +328,17 @@ func mutexType(t types.Type) bool {
 	return strings.Contains(s, "sync.Mutex") || strings.Contains(s, "sync.RWMutex")
 }
 
+// derefAll strips every pointer layer off t.
+func derefAll(t types.Type) types.Type {
+	for {
+		ptr, ok := t.(*types.Pointer)
+		if !ok {
+			return t
+		}
+		t = ptr.Elem()
+	}
+}
+
 // fieldClass resolves an expression to a lock class when it denotes a
 // mutex-typed field of a named type in a lock-tracked package:
 // `&e.shards[i]` → "core.Engine.shards".
@@ -357,13 +368,17 @@ func (p *Program) fieldClass(pkg *Package, e ast.Expr) string {
 			if field.Pkg() == nil || !lockTrackedPkg(field.Pkg().Path()) {
 				return ""
 			}
-			t := pkg.Info.TypeOf(sel.X)
-			for {
-				if ptr, isPtr := t.(*types.Pointer); isPtr {
-					t = ptr.Elem()
-					continue
+			t := derefAll(pkg.Info.TypeOf(sel.X))
+			// A promoted field belongs to the embedded type that declares
+			// it: d.mu on a Disk embedding image is store.image.mu.
+			if s, ok := pkg.Info.Selections[sel]; ok {
+				for _, i := range s.Index()[:len(s.Index())-1] {
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						return ""
+					}
+					t = derefAll(st.Field(i).Type())
 				}
-				break
 			}
 			named, ok := t.(*types.Named)
 			if !ok {

@@ -17,20 +17,6 @@ import (
 	"bioopera/internal/wal"
 )
 
-// marshalSnapshot captures and encodes the current state for a shipping
-// bootstrap: the image plus the first WAL sequence not covered by it.
-func (d *Disk) marshalSnapshot() (uint64, []byte, error) {
-	snap, err := d.captureSnapshot()
-	if err != nil {
-		return 0, nil, err
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return 0, nil, fmt.Errorf("store: %w", err)
-	}
-	return snap.WALSeq, data, nil
-}
-
 // StartShipping serves this store's WAL to followers on addr (":0" picks a
 // free port). Followers that lag behind the oldest retained segment are
 // bootstrapped with a full snapshot; connected followers pin the WAL
@@ -44,32 +30,19 @@ func (d *Disk) StartShipping(addr string, logf func(string, ...any)) (*wal.Shipp
 }
 
 // applyShipped ingests one batch-aligned group of records from the
-// primary: append to our own WAL first (one fsync, same commit unit), then
-// apply to memory — the exact discipline flushGroup uses for local writes.
+// primary: into our own WAL first (one fsync, same commit unit), then into
+// memory — the same ingest local writes end in.
 func (d *Disk) applyShipped(first uint64, records [][]byte) error {
-	recs := make([]walRecord, len(records))
-	for i, data := range records {
-		rec, err := decodeWALRecord(data)
-		if err != nil {
-			return fmt.Errorf("store: decoding shipped record %d: %w", first+uint64(i), err)
-		}
-		recs[i] = rec
+	ops, err := decodeOps(first, records)
+	if err != nil {
+		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
 	if next := d.log.NextSeq(); first != next {
 		return fmt.Errorf("store: shipped batch starts at %d, want %d", first, next)
 	}
-	if _, err := d.log.AppendBatch(records); err != nil {
-		return err
-	}
-	for _, rec := range recs {
-		d.apply(rec)
-	}
-	return nil
+	return d.ingest(records, &commitReq{ops: ops})
 }
 
 // installSnapshot replaces the in-memory state with a bootstrap image and
@@ -89,36 +62,14 @@ func (d *Disk) installSnapshot(seq uint64, data []byte) error {
 	if d.closed {
 		return ErrClosed
 	}
-	st := newState()
-	for i, kvs := range snap.Spaces {
-		if i >= int(numSpaces) {
-			break
-		}
-		for _, kv := range kvs {
-			st.spaces[i][kv.Key] = kv.Value
-		}
-	}
-	st.events = snap.Events
-	st.eventSeq = snap.EventSeq
-	if err := d.writeSnapFileLocked(seq, data); err != nil {
+	if err := d.writeSnapshot(seq, data); err != nil {
 		return err
 	}
 	if err := d.log.Reset(seq); err != nil {
 		return err
 	}
-	d.st = st
+	d.restore(snap)
 	d.snapSeq = seq
-	return nil
-}
-
-// writeSnapFileLocked durably writes a snapshot image under its sequence
-// name (tmp + rename, the same torn-write discipline Snapshot uses).
-func (d *Disk) writeSnapFileLocked(seq uint64, data []byte) error {
-	final := snapPath(d.dir, seq)
-	tmp := final + ".tmp"
-	if err := writeFileAtomic(tmp, final, data); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	return nil
 }
 
@@ -127,10 +78,10 @@ func (d *Disk) writeSnapFileLocked(seq uint64, data []byte) error {
 // the same history digest identically even if their physical WAL segment
 // boundaries differ, which is exactly the check a freshly promoted standby
 // must pass against its failed primary.
-func (d *Disk) Digest() (string, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
+func (im *image) Digest() (string, error) {
+	im.mu.RLock()
+	defer im.mu.RUnlock()
+	if im.closed {
 		return "", ErrClosed
 	}
 	h := sha256.New()
@@ -141,17 +92,17 @@ func (d *Disk) Digest() (string, error) {
 		h.Write(b)
 	}
 	for sp := Space(0); sp < numSpaces; sp++ {
-		for _, kv := range d.st.list(sp) {
+		for _, kv := range im.list(sp) {
 			writeChunk([]byte(kv.Key))
 			writeChunk(kv.Value)
 		}
 	}
-	for _, e := range d.st.events {
+	for _, e := range im.events {
 		binary.LittleEndian.PutUint64(lenBuf[:], e.Seq)
 		h.Write(lenBuf[:])
 		writeChunk(e.Data)
 	}
-	binary.LittleEndian.PutUint64(lenBuf[:], d.st.eventSeq)
+	binary.LittleEndian.PutUint64(lenBuf[:], im.eventSeq)
 	h.Write(lenBuf[:])
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -26,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -85,6 +84,10 @@ type Op struct {
 	Key    string
 	Value  []byte
 	Delete bool
+	// event marks a journal append of Value. Only AppendEvent sets it, so
+	// a journal record rides the same write path as a put without handing
+	// callers a way to put one inside a Batch.
+	event bool
 }
 
 // Store is the interface both backends implement.
@@ -112,49 +115,15 @@ type Store interface {
 	Close() error
 }
 
-// state is the in-memory image shared by both backends.
-type state struct {
+// image is the in-memory store both backends embed: the four spaces, the
+// journal, and the lock and closed flag that guard them. It owns every
+// read, and apply is the only code that changes it.
+type image struct {
+	mu       sync.RWMutex
+	closed   bool
 	spaces   [numSpaces]map[string][]byte
 	events   []Event
 	eventSeq uint64
-}
-
-func newState() *state {
-	var st state
-	for i := range st.spaces {
-		st.spaces[i] = make(map[string][]byte)
-	}
-	return &st
-}
-
-func (st *state) put(space Space, key string, value []byte) {
-	st.spaces[space][key] = append([]byte(nil), value...)
-}
-
-func (st *state) get(space Space, key string) ([]byte, bool) {
-	v, ok := st.spaces[space][key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
-}
-
-func (st *state) del(space Space, key string) { delete(st.spaces[space], key) }
-
-func (st *state) list(space Space) []KV {
-	m := st.spaces[space]
-	kvs := make([]KV, 0, len(m))
-	for k, v := range m {
-		kvs = append(kvs, KV{Key: k, Value: append([]byte(nil), v...)})
-	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
-	return kvs
-}
-
-func (st *state) appendEvent(data []byte) uint64 {
-	st.eventSeq++
-	st.events = append(st.events, Event{Seq: st.eventSeq, Data: append([]byte(nil), data...)})
-	return st.eventSeq
 }
 
 func checkSpace(space Space) error {
@@ -164,125 +133,155 @@ func checkSpace(space Space) error {
 	return nil
 }
 
-// Mem is a purely in-memory Store. It is safe for concurrent use.
-type Mem struct {
-	mu     sync.RWMutex
-	st     *state
-	closed bool
-}
-
-// NewMem returns an empty in-memory store.
-func NewMem() *Mem { return &Mem{st: newState()} }
-
-// Put implements Store.
-func (m *Mem) Put(space Space, key string, value []byte) error {
-	if err := checkSpace(space); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.st.put(space, key, value)
-	return nil
-}
-
-// Batch implements Store. Mem is never torn, so atomicity reduces to
-// validating every op before applying any.
-func (m *Mem) Batch(ops []Op) error {
+// checkOps validates every op of a write before any of it is encoded,
+// logged or applied — the whole write is refused or none of it is.
+func checkOps(ops []Op) error {
 	for _, op := range ops {
 		if err := checkSpace(op.Space); err != nil {
 			return err
 		}
 	}
-	if len(ops) == 0 {
-		return nil
+	return nil
+}
+
+// apply makes validated ops state, in order; stored values are copies. The
+// caller holds mu for writing.
+func (im *image) apply(ops []Op) {
+	for _, op := range ops {
+		switch {
+		case op.event:
+			im.eventSeq++
+			im.events = append(im.events, Event{Seq: im.eventSeq, Data: append([]byte(nil), op.Value...)})
+		case op.Delete:
+			delete(im.spaces[op.Space], op.Key)
+		default:
+			im.spaces[op.Space][op.Key] = append([]byte(nil), op.Value...)
+		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
+}
+
+// restore replaces the image's contents with a snapshot's, taking
+// ownership of its values; the zero snapshot is the empty store.
+func (im *image) restore(snap snapshot) {
+	for i := range im.spaces {
+		im.spaces[i] = make(map[string][]byte)
+		if i < len(snap.Spaces) {
+			for _, kv := range snap.Spaces[i] {
+				im.spaces[i][kv.Key] = kv.Value
+			}
+		}
+	}
+	im.events, im.eventSeq = snap.Events, snap.EventSeq
+}
+
+// list copies a space out, sorted by key. The caller holds mu.
+func (im *image) list(space Space) []KV {
+	m := im.spaces[space]
+	kvs := make([]KV, 0, len(m))
+	for k, v := range m {
+		kvs = append(kvs, KV{Key: k, Value: append([]byte(nil), v...)})
+	}
+	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
+	return kvs
+}
+
+// Get implements Store.
+func (im *image) Get(space Space, key string) ([]byte, bool, error) {
+	if err := checkSpace(space); err != nil {
+		return nil, false, err
+	}
+	im.mu.RLock()
+	defer im.mu.RUnlock()
+	if im.closed {
+		return nil, false, ErrClosed
+	}
+	v, ok := im.spaces[space][key]
+	if !ok {
+		return nil, false, nil
+	}
+	return append([]byte(nil), v...), true, nil
+}
+
+// List implements Store.
+func (im *image) List(space Space) ([]KV, error) {
+	if err := checkSpace(space); err != nil {
+		return nil, err
+	}
+	im.mu.RLock()
+	defer im.mu.RUnlock()
+	if im.closed {
+		return nil, ErrClosed
+	}
+	return im.list(space), nil
+}
+
+// Events implements Store. The journal is append-only and its entries are
+// immutable once written, so the slice header captured under the lock can
+// be iterated without copying the events — a history dump streams straight
+// from the shared backing array instead of materializing a second copy.
+func (im *image) Events(from uint64, fn func(Event) error) error {
+	im.mu.RLock()
+	evs := im.events
+	closed := im.closed
+	im.mu.RUnlock()
+	if closed {
 		return ErrClosed
 	}
-	for _, op := range ops {
-		if op.Delete {
-			m.st.del(op.Space, op.Key)
-		} else {
-			m.st.put(op.Space, op.Key, op.Value)
+	// Events are dense and sorted by Seq; skip straight to `from`.
+	i := sort.Search(len(evs), func(i int) bool { return evs[i].Seq >= from })
+	for ; i < len(evs); i++ {
+		if err := fn(evs[i]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Get implements Store.
-func (m *Mem) Get(space Space, key string) ([]byte, bool, error) {
-	if err := checkSpace(space); err != nil {
-		return nil, false, err
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return nil, false, ErrClosed
-	}
-	v, ok := m.st.get(space, key)
-	return v, ok, nil
+// Mem is a purely in-memory Store. It is safe for concurrent use.
+type Mem struct{ image }
+
+// NewMem returns an empty in-memory store.
+func NewMem() *Mem {
+	m := &Mem{}
+	m.restore(snapshot{})
+	return m
 }
 
-// Delete implements Store.
-func (m *Mem) Delete(space Space, key string) error {
-	if err := checkSpace(space); err != nil {
-		return err
+// write is Mem's whole write path: validate, apply. Mem is never torn, so
+// atomicity reduces to validating every op before applying any. It
+// returns the newest journal sequence.
+func (m *Mem) write(ops []Op) (uint64, error) {
+	if err := checkOps(ops); err != nil || len(ops) == 0 {
+		return 0, err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.st.del(space, key)
-	return nil
-}
-
-// List implements Store.
-func (m *Mem) List(space Space) ([]KV, error) {
-	if err := checkSpace(space); err != nil {
-		return nil, err
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
-	return m.st.list(space), nil
-}
-
-// AppendEvent implements Store.
-func (m *Mem) AppendEvent(data []byte) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return 0, ErrClosed
 	}
-	return m.st.appendEvent(data), nil
+	m.apply(ops)
+	return m.eventSeq, nil
 }
 
-// Events implements Store.
-func (m *Mem) Events(from uint64, fn func(Event) error) error {
-	m.mu.RLock()
-	evs := m.st.events
-	closed := m.closed
-	m.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	for _, e := range evs {
-		if e.Seq < from {
-			continue
-		}
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
-	return nil
+// Put implements Store.
+func (m *Mem) Put(space Space, key string, value []byte) error {
+	return m.Batch([]Op{{Space: space, Key: key, Value: value}})
+}
+
+// Batch implements Store.
+func (m *Mem) Batch(ops []Op) error {
+	_, err := m.write(ops)
+	return err
+}
+
+// Delete implements Store.
+func (m *Mem) Delete(space Space, key string) error {
+	return m.Batch([]Op{{Space: space, Key: key, Delete: true}})
+}
+
+// AppendEvent implements Store.
+func (m *Mem) AppendEvent(data []byte) (uint64, error) {
+	return m.write([]Op{{Value: data, event: true}})
 }
 
 // Close implements Store.
@@ -291,15 +290,6 @@ func (m *Mem) Close() error {
 	defer m.mu.Unlock()
 	m.closed = true
 	return nil
-}
-
-// walRecord is the frame appended to the WAL for each mutation, encoded
-// through the binary codec.
-type walRecord struct {
-	Op    string // "put", "del", "event"
-	Space Space
-	Key   string
-	Value []byte
 }
 
 // Binary WAL record kinds — a range disjoint from the core persist-record
@@ -311,47 +301,60 @@ const (
 	walKindEvent byte = 18
 )
 
-// encodeWALRecord appends one record to the encoder. Binary encoding is
+// encodeOp appends one op's WAL frame to the encoder. Binary encoding is
 // total — it cannot fail — so no mutation has an encode error path.
-func encodeWALRecord(e *codec.Encoder, rec walRecord) {
-	var kind byte
-	switch rec.Op {
-	case "put":
-		kind = walKindPut
-	case "del":
-		kind = walKindDel
-	default:
+func encodeOp(e *codec.Encoder, op Op) {
+	kind, value := walKindPut, op.Value
+	switch {
+	case op.event:
 		kind = walKindEvent
+	case op.Delete:
+		kind, value = walKindDel, nil
 	}
 	e.Begin(kind)
-	e.Uvarint(uint64(rec.Space))
-	e.String(rec.Key)
-	e.Bytes(rec.Value)
+	e.Uvarint(uint64(op.Space))
+	e.String(op.Key)
+	e.Bytes(value)
 	e.End()
 }
 
-// decodeWALRecord reads a WAL frame. The decoded Value aliases data — apply
-// copies before retaining.
-func decodeWALRecord(data []byte) (walRecord, error) {
+// decodeOp reads one WAL frame back into a validated op. Its Value aliases
+// data — apply copies before retaining.
+func decodeOp(data []byte) (Op, error) {
 	d, kind, err := codec.NewDecoder(data)
 	if err != nil {
-		return walRecord{}, err
+		return Op{}, err
 	}
-	var rec walRecord
+	var op Op
 	switch kind {
 	case walKindPut:
-		rec.Op = "put"
 	case walKindDel:
-		rec.Op = "del"
+		op.Delete = true
 	case walKindEvent:
-		rec.Op = "event"
+		op.event = true
 	default:
-		return walRecord{}, fmt.Errorf("%w: kind %d is not a wal record", codec.ErrCorrupt, kind)
+		return Op{}, fmt.Errorf("%w: kind %d is not a wal record", codec.ErrCorrupt, kind)
 	}
-	rec.Space = Space(d.Uvarint())
-	rec.Key = d.String()
-	rec.Value = d.Bytes()
-	return rec, d.Finish()
+	op.Space = Space(d.Uvarint())
+	op.Key = d.String()
+	op.Value = d.Bytes()
+	if err := d.Finish(); err != nil {
+		return Op{}, err
+	}
+	return op, checkSpace(op.Space)
+}
+
+// decodeOps reads a commit unit's frames, the first of which has WAL
+// sequence first.
+func decodeOps(first uint64, frames [][]byte) ([]Op, error) {
+	ops := make([]Op, len(frames))
+	for i, data := range frames {
+		var err error
+		if ops[i], err = decodeOp(data); err != nil {
+			return nil, fmt.Errorf("store: decoding wal record %d: %w", first+uint64(i), err)
+		}
+	}
+	return ops, nil
 }
 
 // snapshot is the JSON image written by Disk.Snapshot.
@@ -363,36 +366,33 @@ type snapshot struct {
 	Extra    map[string]json.RawMessage `json:"extra,omitempty"`
 }
 
-const snapSuffix = ".snap"
+const snapPrefix, snapSuffix = "snap-", ".snap"
 
-// snapPath names the snapshot file covering WAL sequences below seq.
-func snapPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%020d%s", seq, snapSuffix))
+// snapName names the snapshot file covering WAL sequences below seq. The
+// sequence is zero-padded, so name order is sequence order.
+func snapName(seq uint64) string {
+	return fmt.Sprintf("%s%020d%s", snapPrefix, seq, snapSuffix)
 }
 
-// writeFileAtomic writes data via tmp and renames it into place, so a
-// crash leaves either the old file or the new one, never a torn mix.
-func writeFileAtomic(tmp, final string, data []byte) error {
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, final)
-}
+// errWALHole is OpenDisk's refusal of a store whose surviving WAL starts
+// after the newest state it could restore: opening it would silently drop
+// every record in between.
+var errWALHole = errors.New("store: snapshot unreadable")
 
 // Disk is a crash-safe Store backed by a WAL and periodic snapshots in a
 // directory. It is safe for concurrent use.
 //
-// Mutations group-commit: while one caller's fsync is in flight, later
-// callers enroll in a pending commit group whose leader flushes them all
-// with a single wal.AppendBatch. Under concurrent checkpoint load the
-// fsync cost is therefore shared across instances instead of paid per
-// mutation — the disk half of the engine's sharded-execution story.
+// Every write takes one path: validate the ops, encode them into WAL
+// frames, log the frames, apply the ops (write → commit → ingest). Writes
+// group-commit: while one caller's fsync is in flight, later callers
+// enroll in a pending commit group whose leader flushes them all with a
+// single wal.AppendBatch. Under concurrent checkpoint load the fsync cost
+// is therefore shared across instances instead of paid per mutation — the
+// disk half of the engine's sharded-execution story.
 type Disk struct {
-	mu     sync.RWMutex
-	dir    string
-	log    *wal.Log
-	st     *state
-	closed bool
+	image // mu also guards the accounting fields and extra below
+	dir   string
+	log   *wal.Log
 
 	gmu     sync.Mutex // guards pending
 	pending *commitGroup
@@ -411,20 +411,21 @@ type Disk struct {
 	snapSeconds *obs.Histogram // Snapshot wall time (nil = no metrics)
 }
 
-// commitReq is one caller's mutation set awaiting group commit. seq, when
-// non-nil, receives the journal sequence assigned to an "event" record.
+// commitReq is one commit unit: a caller's ops and their WAL frames, index
+// for index. seq receives the newest journal sequence once the unit has
+// applied — AppendEvent's result.
 type commitReq struct {
-	recs    []walRecord
-	encoded [][]byte
-	seq     *uint64
+	ops    []Op
+	frames [][]byte
+	seq    uint64
 }
 
 // commitGroup accumulates requests that will share one WAL batch + fsync.
 type commitGroup struct {
-	reqs    []*commitReq
-	encoded [][]byte
-	done    chan struct{}
-	err     error
+	reqs   []*commitReq
+	frames [][]byte
+	done   chan struct{}
+	err    error
 }
 
 // DiskOptions configure a Disk store.
@@ -457,23 +458,24 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Disk{dir: dir, log: l, st: newState()}
+	d := &Disk{dir: dir, log: l}
 	from, err := d.loadSnapshot()
-	if err != nil {
-		//bioopera:allow droppederr the snapshot load error is returned; closing the half-opened log is best-effort
-		l.Close()
-		return nil, err
+	if oldest := l.OldestSeq(); err == nil && oldest > from {
+		err = fmt.Errorf("%w and WAL begins at %d: records %d to %d are lost", errWALHole, oldest, from, oldest-1)
 	}
-	err = l.Replay(from, func(r wal.Record) error {
-		rec, err := decodeWALRecord(r.Data)
-		if err != nil {
-			return fmt.Errorf("store: decoding wal record %d: %w", r.Seq, err)
-		}
-		d.apply(rec)
-		return nil
-	})
+	if err == nil {
+		// The frames are already in the log: a replayed unit is ingested
+		// with none to append.
+		err = l.ReplayBatches(from, func(first uint64, frames [][]byte) error {
+			ops, err := decodeOps(first, frames)
+			if err != nil {
+				return err
+			}
+			return d.ingest(nil, &commitReq{ops: ops})
+		})
+	}
 	if err != nil {
-		//bioopera:allow droppederr the replay error is returned; closing the half-opened log is best-effort
+		//bioopera:allow droppederr the load or replay error is returned; closing the half-opened log is best-effort
 		l.Close()
 		return nil, err
 	}
@@ -513,28 +515,22 @@ func (d *Disk) registerGauges(reg *obs.Registry) {
 		func() float64 { return float64(d.Stats().CommitGroups) })
 }
 
-// loadSnapshot restores the newest valid snapshot, returning the WAL
-// sequence to resume replay from.
+// loadSnapshot restores the newest valid snapshot (the empty store when
+// there is none), returning the WAL sequence to resume replay from.
 func (d *Disk) loadSnapshot() (uint64, error) {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
 		return 1, fmt.Errorf("store: %w", err)
 	}
-	var snaps []uint64
+	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, snapSuffix) || !strings.HasPrefix(name, "snap-") {
-			continue
-		}
-		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), snapSuffix), 10, 64)
-		if err == nil {
-			snaps = append(snaps, n)
+		if name := e.Name(); strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix) {
+			names = append(names, name)
 		}
 	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] }) // newest first
-	for _, n := range snaps {
-		path := filepath.Join(d.dir, fmt.Sprintf("snap-%020d%s", n, snapSuffix))
-		data, err := os.ReadFile(path)
+	sort.Sort(sort.Reverse(sort.StringSlice(names))) // newest first
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(d.dir, name))
 		if err != nil {
 			continue
 		}
@@ -542,44 +538,34 @@ func (d *Disk) loadSnapshot() (uint64, error) {
 		if err := json.Unmarshal(data, &snap); err != nil {
 			continue // partially written snapshot; fall back to older
 		}
-		for i, kvs := range snap.Spaces {
-			if i >= int(numSpaces) {
-				break
-			}
-			for _, kv := range kvs {
-				d.st.spaces[i][kv.Key] = kv.Value
-			}
-		}
-		d.st.events = snap.Events
-		d.st.eventSeq = snap.EventSeq
+		d.restore(snap)
 		d.snapSeq = snap.WALSeq
 		return snap.WALSeq, nil
 	}
+	d.restore(snapshot{})
 	return 1, nil
 }
 
-func (d *Disk) apply(rec walRecord) {
-	switch rec.Op {
-	case "put":
-		if rec.Space < numSpaces {
-			d.st.put(rec.Space, rec.Key, rec.Value)
-		}
-	case "del":
-		if rec.Space < numSpaces {
-			d.st.del(rec.Space, rec.Key)
-		}
-	case "event":
-		d.st.appendEvent(rec.Value)
+// write is the head of every mutation: validate the ops, encode each into
+// its WAL frame, and hand the unit to the group commit. It returns the
+// newest journal sequence after the unit applied.
+func (d *Disk) write(ops []Op) (uint64, error) {
+	if err := checkOps(ops); err != nil || len(ops) == 0 {
+		return 0, err
 	}
-}
-
-// append logs one mutation through the group-commit path.
-func (d *Disk) append(rec walRecord) error {
 	enc := codec.Get()
-	encodeWALRecord(enc, rec)
-	err := d.commit(&commitReq{recs: []walRecord{rec}, encoded: [][]byte{enc.Span(0)}})
+	for _, op := range ops {
+		encodeOp(enc, op)
+	}
+	// Spans are taken only after every op is encoded: appending can
+	// relocate the encoder's buffer.
+	req := &commitReq{ops: ops, frames: make([][]byte, len(ops))}
+	for i := range req.frames {
+		req.frames[i] = enc.Span(i)
+	}
+	err := d.commit(req)
 	codec.Put(enc)
-	return err
+	return req.seq, err
 }
 
 // commit durably applies one request. The first caller to find no pending
@@ -596,7 +582,7 @@ func (d *Disk) commit(req *commitReq) error {
 		d.pending = g
 	}
 	g.reqs = append(g.reqs, req)
-	g.encoded = append(g.encoded, req.encoded...)
+	g.frames = append(g.frames, req.frames...)
 	d.gmu.Unlock()
 	if !leader {
 		//bioopera:allow blockingsend group-commit follower: the wait is bounded by one leader fsync (the leader always closes done), and the follower holds no locks here
@@ -613,142 +599,60 @@ func (d *Disk) commit(req *commitReq) error {
 	return g.err
 }
 
-// flushGroup writes a closed group to the WAL and applies it to memory.
+// flushGroup ingests a closed group and keeps the group-commit accounts.
 func (d *Disk) flushGroup(g *commitGroup) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if _, err := d.log.AppendBatch(g.encoded); err != nil {
+	if err := d.ingest(g.frames, g.reqs...); err != nil {
 		return err
 	}
 	d.commitGroups++
-	d.groupedRecords += uint64(len(g.encoded))
-	d.groupSize.Observe(float64(len(g.encoded)))
-	for _, req := range g.reqs {
-		for _, rec := range req.recs {
-			d.apply(rec)
-			if rec.Op == "event" && req.seq != nil {
-				*req.seq = d.st.eventSeq
-			}
-		}
+	d.groupedRecords += uint64(len(g.frames))
+	d.groupSize.Observe(float64(len(g.frames)))
+	return nil
+}
+
+// ingest is the tail of every mutation, and the one way commit units
+// become state — a local commit group, a batch shipped from the primary,
+// a batch replayed at open alike: their frames go to the WAL as a single
+// batch (one fsync), and only then are their ops applied, unit by unit in
+// order. Replay passes no frames; those bytes are already in the log. The
+// caller holds mu and has validated every op.
+func (d *Disk) ingest(frames [][]byte, units ...*commitReq) error {
+	if d.closed {
+		return ErrClosed
+	}
+	if _, err := d.log.AppendBatch(frames); err != nil {
+		return err
+	}
+	for _, u := range units {
+		d.apply(u.ops)
+		u.seq = d.eventSeq
 	}
 	return nil
 }
 
 // Put implements Store.
 func (d *Disk) Put(space Space, key string, value []byte) error {
-	if err := checkSpace(space); err != nil {
-		return err
-	}
-	return d.append(walRecord{Op: "put", Space: space, Key: key, Value: value})
+	return d.Batch([]Op{{Space: space, Key: key, Value: value}})
 }
 
 // Batch implements Store: every op becomes one WAL record and the whole
 // set is group-committed with a single fsync (wal.AppendBatch), so a crash
 // mid-batch rolls back all of it on replay.
 func (d *Disk) Batch(ops []Op) error {
-	for _, op := range ops {
-		if err := checkSpace(op.Space); err != nil {
-			return err
-		}
-	}
-	if len(ops) == 0 {
-		return nil
-	}
-	recs := make([]walRecord, len(ops))
-	encoded := make([][]byte, len(ops))
-	enc := codec.Get()
-	for i, op := range ops {
-		rec := walRecord{Op: "put", Space: op.Space, Key: op.Key, Value: op.Value}
-		if op.Delete {
-			rec.Op = "del"
-			rec.Value = nil
-		}
-		recs[i] = rec
-		encodeWALRecord(enc, rec)
-	}
-	// Spans are taken only after every record is encoded: appending can
-	// relocate the encoder's buffer.
-	for i := range encoded {
-		encoded[i] = enc.Span(i)
-	}
-	err := d.commit(&commitReq{recs: recs, encoded: encoded})
-	codec.Put(enc)
+	_, err := d.write(ops)
 	return err
-}
-
-// Get implements Store.
-func (d *Disk) Get(space Space, key string) ([]byte, bool, error) {
-	if err := checkSpace(space); err != nil {
-		return nil, false, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return nil, false, ErrClosed
-	}
-	v, ok := d.st.get(space, key)
-	return v, ok, nil
 }
 
 // Delete implements Store.
 func (d *Disk) Delete(space Space, key string) error {
-	if err := checkSpace(space); err != nil {
-		return err
-	}
-	return d.append(walRecord{Op: "del", Space: space, Key: key})
-}
-
-// List implements Store.
-func (d *Disk) List(space Space) ([]KV, error) {
-	if err := checkSpace(space); err != nil {
-		return nil, err
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.closed {
-		return nil, ErrClosed
-	}
-	return d.st.list(space), nil
+	return d.Batch([]Op{{Space: space, Key: key, Delete: true}})
 }
 
 // AppendEvent implements Store.
 func (d *Disk) AppendEvent(data []byte) (uint64, error) {
-	rec := walRecord{Op: "event", Value: data}
-	enc := codec.Get()
-	encodeWALRecord(enc, rec)
-	var seq uint64
-	req := &commitReq{recs: []walRecord{rec}, encoded: [][]byte{enc.Span(0)}, seq: &seq}
-	err := d.commit(req)
-	codec.Put(enc)
-	if err != nil {
-		return 0, err
-	}
-	return seq, nil
-}
-
-// Events implements Store. The journal is append-only and its entries are
-// immutable once written, so the slice header captured under the lock can
-// be iterated without copying the events — a history dump streams straight
-// from the shared backing array instead of materializing a second copy.
-func (d *Disk) Events(from uint64, fn func(Event) error) error {
-	d.mu.RLock()
-	evs := d.st.events
-	closed := d.closed
-	d.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	// Events are dense and sorted by Seq; skip straight to `from`.
-	i := sort.Search(len(evs), func(i int) bool { return evs[i].Seq >= from })
-	for ; i < len(evs); i++ {
-		if err := fn(evs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.write([]Op{{Value: data, event: true}})
 }
 
 // WALSyncs reports how many fsyncs the underlying WAL has issued for
@@ -781,14 +685,14 @@ func (d *Disk) Stats() Stats {
 	d.mu.RLock()
 	s := Stats{
 		Records:        make(map[string]int, numSpaces),
-		Events:         len(d.st.events),
-		EventSeq:       d.st.eventSeq,
+		Events:         len(d.events),
+		EventSeq:       d.eventSeq,
 		SnapshotSeq:    d.snapSeq,
 		CommitGroups:   d.commitGroups,
 		GroupedRecords: d.groupedRecords,
 	}
 	for sp := Space(0); sp < numSpaces; sp++ {
-		s.Records[sp.String()] = len(d.st.spaces[sp])
+		s.Records[sp.String()] = len(d.spaces[sp])
 	}
 	d.mu.RUnlock()
 	s.WALSegments = len(d.log.Segments())
@@ -815,34 +719,51 @@ func (d *Disk) SetSnapshotExtra(key string, value []byte) {
 	d.extra[key] = append([]byte(nil), value...)
 }
 
-// captureSnapshot copies the full state into a snapshot image under mu.
-func (d *Disk) captureSnapshot() (snapshot, error) {
+// marshalSnapshot captures the full state under mu and encodes it: the
+// bytes of a snapshot file and of a shipping bootstrap alike, plus the
+// first WAL sequence they do not cover.
+func (d *Disk) marshalSnapshot() (uint64, []byte, error) {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
-		return snapshot{}, ErrClosed
+		d.mu.Unlock()
+		return 0, nil, ErrClosed
 	}
 	snap := snapshot{
 		WALSeq:   d.log.NextSeq(),
-		EventSeq: d.st.eventSeq,
+		EventSeq: d.eventSeq,
 		Spaces:   make([][]KV, numSpaces),
-		Events:   append([]Event(nil), d.st.events...),
+		Events:   append([]Event(nil), d.events...),
 	}
 	for i := Space(0); i < numSpaces; i++ {
-		snap.Spaces[i] = d.st.list(i)
+		snap.Spaces[i] = d.list(i)
 	}
 	if len(d.extra) > 0 {
 		snap.Extra = make(map[string]json.RawMessage, len(d.extra))
-		keys := make([]string, 0, len(d.extra))
-		for k := range d.extra {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			snap.Extra[k] = json.RawMessage(append([]byte(nil), d.extra[k]...))
+		for k, v := range d.extra {
+			snap.Extra[k] = json.RawMessage(append([]byte(nil), v...))
 		}
 	}
-	return snap, nil
+	d.mu.Unlock()
+	data, err := json.Marshal(snap)
+	if err != nil {
+		return 0, nil, fmt.Errorf("store: %w", err)
+	}
+	return snap.WALSeq, data, nil
+}
+
+// writeSnapshot writes an encoded image as the snapshot file covering WAL
+// sequences below seq, via tmp and rename: a crash leaves either the old
+// file set or the new one, never a torn mix.
+func (d *Disk) writeSnapshot(seq uint64, data []byte) error {
+	final := filepath.Join(d.dir, snapName(seq))
+	err := os.WriteFile(final+".tmp", data, 0o644)
+	if err == nil {
+		err = os.Rename(final+".tmp", final)
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
 }
 
 // Snapshot writes the full state to a snapshot file and garbage-collects
@@ -854,23 +775,18 @@ func (d *Disk) Snapshot() error {
 		//bioopera:allow walltime latency histogram observes real snapshot I/O time; it never feeds back into replayable state
 		start = time.Now()
 	}
-	snap, err := d.captureSnapshot()
+	seq, data, err := d.marshalSnapshot()
 	if err != nil {
 		return err
 	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err := d.writeSnapshot(seq, data); err != nil {
+		return err
 	}
-	final := snapPath(d.dir, snap.WALSeq)
-	if err := writeFileAtomic(final+".tmp", final, data); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := d.log.TruncateBefore(snap.WALSeq); err != nil {
+	if err := d.log.TruncateBefore(seq); err != nil {
 		return err
 	}
 	d.mu.Lock()
-	d.snapSeq = snap.WALSeq
+	d.snapSeq = seq
 	d.mu.Unlock()
 	// Remove superseded snapshots.
 	entries, err := os.ReadDir(d.dir)
@@ -879,7 +795,7 @@ func (d *Disk) Snapshot() error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasSuffix(name, snapSuffix) || name == filepath.Base(final) {
+		if !strings.HasSuffix(name, snapSuffix) || name == snapName(seq) {
 			continue
 		}
 		os.Remove(filepath.Join(d.dir, name))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -328,6 +329,49 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
+// TestOpenDiskRefusesHole: once a snapshot has let the WAL be truncated,
+// that snapshot is the only copy of the records before it. If it is
+// unreadable the store must refuse to open — not come up, without a word,
+// holding only the handful of records the surviving WAL tail happens to
+// carry.
+func TestOpenDiskRefusesHole(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, DiskOptions{SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := d.Put(Instance, fmt.Sprintf("k%02d", i), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put(Instance, "tail", []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*"+snapSuffix))
+	if len(snaps) != 1 {
+		t.Fatalf("snapshots on disk: %v, want one", snaps)
+	}
+	if err := os.Truncate(snaps[0], 10); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDisk(dir, DiskOptions{SegmentSize: 256})
+	if err == nil {
+		kvs, _ := re.List(Instance)
+		re.Close()
+		t.Fatalf("opened with %d of 51 records and no error", len(kvs))
+	}
+	if !errors.Is(err, errWALHole) {
+		t.Fatalf("OpenDisk = %v, want the snapshot-unreadable refusal", err)
+	}
+}
+
 func TestValueIsolation(t *testing.T) {
 	// Mutating a slice returned by Get or passed to Put must not affect
 	// the stored value.
@@ -351,32 +395,91 @@ func TestValueIsolation(t *testing.T) {
 	}
 }
 
-// Property: a random sequence of puts/deletes applied to both backends
-// leaves them with identical contents, and disk contents survive reopen.
+// Property: a random sequence of puts, deletes, batches, journal appends
+// and mid-sequence snapshots leaves Mem, Disk, the same Disk reopened, and
+// a Standby that followed it (joining half-way, so a snapshot taken before
+// then bootstraps it) with identical contents — Digest on the image all
+// three share, and the journal event for event.
 func TestBackendsEquivalentProperty(t *testing.T) {
 	type op struct {
-		Del   bool
+		Kind  uint8
 		Space uint8
 		Key   uint8
 		Val   byte
 	}
+	journal := func(s Store) (evs []Event) {
+		s.Events(0, func(e Event) error { evs = append(evs, e); return nil })
+		return evs
+	}
 	f := func(ops []op) bool {
+		if len(ops) == 0 {
+			return true
+		}
 		dir := t.TempDir()
 		mem := NewMem()
 		disk, err := OpenDisk(dir, DiskOptions{SegmentSize: 256})
 		if err != nil {
 			return false
 		}
-		for _, o := range ops {
+		shipper, err := disk.StartShipping("127.0.0.1:0", t.Logf)
+		if err != nil {
+			return false
+		}
+		standby, err := OpenStandby(t.TempDir(), DiskOptions{SegmentSize: 256})
+		if err != nil {
+			shipper.Close()
+			return false
+		}
+		var followed chan error
+		defer func() {
+			standby.Close()
+			shipper.Close()
+			if followed != nil {
+				<-followed // Follow logs through t: it must be gone before the test is
+			}
+		}()
+		for i, o := range ops {
+			if i == len(ops)/2 {
+				followed = make(chan error, 1)
+				go func() { followed <- standby.Follow(shipper.Addr(), t.Logf) }()
+			}
 			sp := Space(o.Space % uint8(numSpaces))
 			key := fmt.Sprintf("k%d", o.Key%8)
-			if o.Del {
-				mem.Delete(sp, key)
-				disk.Delete(sp, key)
-			} else {
-				mem.Put(sp, key, []byte{o.Val})
-				disk.Put(sp, key, []byte{o.Val})
+			for _, s := range []Store{mem, disk} {
+				switch o.Kind % 8 {
+				case 0, 1, 2:
+					err = s.Put(sp, key, []byte{o.Val})
+				case 3:
+					err = s.Delete(sp, key)
+				case 4:
+					err = s.Batch([]Op{
+						{Space: sp, Key: key, Value: []byte{o.Val}},
+						{Space: (sp + 1) % numSpaces, Key: key, Delete: true},
+						{Space: sp, Key: fmt.Sprintf("k%d", o.Val%8), Value: []byte{o.Key, o.Val}},
+					})
+				case 5, 6:
+					_, err = s.AppendEvent([]byte{o.Key, o.Val})
+				case 7:
+					if s == Store(disk) {
+						err = disk.Snapshot()
+					}
+				}
+				if err != nil {
+					t.Logf("op %d (%+v): %v", i, o, err)
+					return false
+				}
 			}
+		}
+		want, _ := mem.Digest()
+		if got, _ := disk.Digest(); got != want {
+			t.Logf("disk digest %s, mem %s", got, want)
+			return false
+		}
+		waitDigest(t, standby.Store(), want)
+		wantJournal := journal(mem)
+		if !reflect.DeepEqual(journal(standby.Store()), wantJournal) {
+			t.Logf("standby journal differs from mem's")
+			return false
 		}
 		disk.Close()
 		re, err := OpenDisk(dir, DiskOptions{SegmentSize: 256})
@@ -384,19 +487,11 @@ func TestBackendsEquivalentProperty(t *testing.T) {
 			return false
 		}
 		defer re.Close()
-		for sp := Space(0); sp < numSpaces; sp++ {
-			a, _ := mem.List(sp)
-			b, _ := re.List(sp)
-			if len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if a[i].Key != b[i].Key || !bytes.Equal(a[i].Value, b[i].Value) {
-					return false
-				}
-			}
+		if got, _ := re.Digest(); got != want {
+			t.Logf("reopened disk digest %s, mem %s", got, want)
+			return false
 		}
-		return true
+		return reflect.DeepEqual(journal(re), wantJournal)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -109,8 +109,10 @@ type Log struct {
 	syncs   uint64 // fsyncs issued by appends (group-commit metric)
 	closed  bool
 
-	// commitC is closed and replaced whenever a batch commits, waking
-	// WaitCommitted callers (the shipping path's notification channel).
+	// commitC exists only while a WaitCommitted caller is blocked (the
+	// shipping path's notification channel): the waiter allocates it, the
+	// next commit closes and clears it. A log nobody follows never pays
+	// for one.
 	commitC chan struct{}
 	// retain is the lowest sequence TruncateBefore must keep on disk
 	// (0 = unconstrained). The shipper pins it to its slowest follower's
@@ -127,7 +129,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, opts: opts, nextSeq: 1, commitC: make(chan struct{})}
+	l := &Log{dir: dir, opts: opts, nextSeq: 1}
 	if err := l.scan(); err != nil {
 		return nil, err
 	}
@@ -445,8 +447,10 @@ func replaySegment(path string, first, from, end uint64, fn func(r Record, more 
 // notifyLocked wakes every WaitCommitted caller. Called with l.mu held
 // whenever the committed frontier moves (append, reset) or the log closes.
 func (l *Log) notifyLocked() {
-	close(l.commitC)
-	l.commitC = make(chan struct{})
+	if l.commitC != nil {
+		close(l.commitC)
+		l.commitC = nil
+	}
 }
 
 // CommittedSeq returns the sequence of the newest durable record (0 when
@@ -466,15 +470,16 @@ func (l *Log) WaitCommitted(after uint64, stop <-chan struct{}) (uint64, bool) {
 	for {
 		l.mu.Lock()
 		committed := l.nextSeq - 1
+		if l.closed || committed > after {
+			open := !l.closed
+			l.mu.Unlock()
+			return committed, open
+		}
+		if l.commitC == nil {
+			l.commitC = make(chan struct{})
+		}
 		ch := l.commitC
-		closed := l.closed
 		l.mu.Unlock()
-		if closed {
-			return committed, false
-		}
-		if committed > after {
-			return committed, true
-		}
 		select {
 		case <-ch:
 		case <-stop:

@@ -770,14 +770,18 @@ func cmdHistory(args []string) error {
 		fmt.Println("event journal:")
 		return st.Events(from, func(e store.Event) error {
 			var ev core.Event
-			if json.Unmarshal(e.Data, &ev) == nil {
-				if *instance != "" && ev.Instance != *instance {
-					return nil
-				}
-				fmt.Printf("  %6d %12s %-20s %s %s %s %s\n",
-					e.Seq, time.Duration(ev.At).Round(time.Millisecond), ev.Kind,
-					ev.Instance, ev.Scope, ev.Task, ev.Detail)
+			if json.Unmarshal(e.Data, &ev) != nil {
+				// Shown under -instance too: it may be one of that
+				// instance's, and a damaged journal must not pass unseen.
+				fmt.Printf("  %6d undecodable record (%d bytes)\n", e.Seq, len(e.Data))
+				return nil
 			}
+			if *instance != "" && ev.Instance != *instance {
+				return nil
+			}
+			fmt.Printf("  %6d %12s %-20s %s %s %s %s\n",
+				e.Seq, time.Duration(ev.At).Round(time.Millisecond), ev.Kind,
+				ev.Instance, ev.Scope, ev.Task, ev.Detail)
 			return nil
 		})
 	}

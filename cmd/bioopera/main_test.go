@@ -1,6 +1,10 @@
 package main
 
 import (
+	"io"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"bioopera/internal/cluster"
@@ -172,5 +176,56 @@ func TestRunResumesOnRerun(t *testing.T) {
 	}
 	if left, _ := st.List(store.Instance); len(left) != 0 {
 		t.Errorf("%d instance-space records left behind, first %s", len(left), left[0].Key)
+	}
+}
+
+// TestHistoryEventsShowsUndecodableRecord: a journal record that is not an
+// event's JSON is listed with its sequence and size, not skipped, so the
+// sequence numbers on screen have no silent hole.
+func TestHistoryEventsShowsUndecodableRecord(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.OpenDisk(dir, store.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{
+		`{"at":1000000000,"kind":"task-ready","instance":"p0001","task":"A"}`,
+		`{"at":2000000000,"kind":"task-en`, // cut short
+		`{"at":3000000000,"kind":"task-ended","instance":"p0001","task":"A"}`,
+	} {
+		if _, err := st.AppendEvent([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = cmdHistory([]string{dir, "-events"})
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && (f[0] == "1" || f[0] == "2" || f[0] == "3") {
+			got = append(got, strings.Join(f, " "))
+		}
+	}
+	want := []string{
+		"1 1s task-ready p0001 A",
+		"2 undecodable record (32 bytes)",
+		"3 3s task-ended p0001 A",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("history -events printed %q, want %q\nfull output:\n%s", got, want, out)
 	}
 }

@@ -1,14 +1,15 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"bioopera/internal/cluster"
 	"bioopera/internal/obs"
@@ -293,15 +294,20 @@ func (e *Engine) lookup(id string) (*Instance, bool) {
 	return in, ok
 }
 
-// endTurn closes an instance's critical section: it releases the shard,
+// endTurn closes an instance's critical section: it detaches the turn's
+// write set, releases the shard, commits the write set as one store batch,
 // delivers kills deferred during navigation (outside the lock, because the
 // executor may deliver the kill completion synchronously), and optionally
 // pumps the dispatcher.
 func (e *Engine) endTurn(in *Instance, mu *sync.Mutex, pump bool) {
 	kills := in.pendingKills
 	in.pendingKills = nil
-	cks := in.pendingCkpts
-	in.pendingCkpts = nil
+	ws := in.writes
+	in.writes = nil
+	if ws != nil {
+		// Under the shard, so write sets enter the commit gate in turn order.
+		ws.seq = in.nextCkptSeq()
+	}
 	done := in.pendingDone
 	in.pendingDone = false
 	if in.turnLive {
@@ -309,11 +315,10 @@ func (e *Engine) endTurn(in *Instance, mu *sync.Mutex, pump bool) {
 		e.metrics.turn(e.shardIndex(in.ID), e.now().Sub(in.turnStart))
 	}
 	mu.Unlock()
-	// Flush this turn's checkpoints outside the critical section: record
-	// encoding and the store batch run here, ordered by the instance's
-	// commit gate.
-	for _, ck := range cks {
-		e.flushCkpt(in, ck)
+	// Everything the turn wrote — checkpoints and events — commits here,
+	// outside the critical section, ordered by the instance's commit gate.
+	if ws != nil {
+		e.flushWrites(in, ws)
 	}
 	// OnInstanceDone fires after the final checkpoint committed, so a
 	// waiter woken by it reads the archived state from the store.
@@ -330,20 +335,118 @@ func (e *Engine) endTurn(in *Instance, mu *sync.Mutex, pump bool) {
 
 func (e *Engine) now() sim.Time { return e.opts.Clock.Now() }
 
-func (e *Engine) emit(ev Event) {
+// emit raises an event of a navigation turn. The caller holds in's shard.
+// Observers — event ring, metrics, OnEvent — see the event now, in emit
+// order; its journal record joins the turn's write set and becomes durable
+// with the turn's checkpoint, in endTurn's one batch.
+func (e *Engine) emit(in *Instance, ev Event) {
 	ev.At = e.now()
-	if data, err := json.Marshal(ev); err == nil {
-		if _, err := e.opts.Store.AppendEvent(data); err != nil && e.opts.OnError != nil {
-			e.opts.OnError(fmt.Errorf("core: append event %s: %w", ev.Kind, err))
-		}
-		// The ring shares the already-marshaled bytes; Publish never
-		// blocks, so a stalled monitor client cannot slow navigation.
-		e.opts.EventRing.Publish(data)
+	evs := &in.turnWrites().events
+	start := len(evs.buf)
+	evs.buf = appendEventJSON(evs.buf, &ev)
+	evs.ends = append(evs.ends, len(evs.buf))
+	var data []byte
+	if e.opts.EventRing != nil {
+		// The ring keeps what it is handed; the turn's buffer is recycled.
+		data = append(data, evs.buf[start:]...)
 	}
+	e.publish(ev, data)
+}
+
+// emitNow raises an event outside any navigation turn — no shard is held, so
+// there is no write set to join and the journal record commits on its own.
+func (e *Engine) emitNow(ev Event) {
+	ev.At = e.now()
+	data := appendEventJSON(nil, &ev)
+	if _, err := e.opts.Store.AppendEvent(data); err != nil && e.opts.OnError != nil {
+		e.opts.OnError(fmt.Errorf("core: append event %s: %w", ev.Kind, err))
+	}
+	e.publish(ev, data)
+}
+
+// publish shows an event to the live observers. The ring shares data, the
+// event's JSON text; Publish never blocks, so a stalled monitor client cannot
+// slow navigation.
+func (e *Engine) publish(ev Event, data []byte) {
+	e.opts.EventRing.Publish(data)
 	e.metrics.event(ev.Kind)
 	if e.opts.OnEvent != nil {
 		e.opts.OnEvent(ev)
 	}
+}
+
+// appendEventJSON appends ev's journal record to buf: the bytes
+// json.Marshal(ev) produces (FuzzEventJSON holds the two equal), without the
+// reflection walk and its allocations.
+func appendEventJSON(buf []byte, ev *Event) []byte {
+	buf = append(buf, `{"at":`...)
+	buf = strconv.AppendInt(buf, int64(ev.At), 10)
+	buf = append(buf, `,"kind":`...)
+	buf = appendJSONString(buf, string(ev.Kind))
+	for _, f := range [...]struct{ key, val string }{
+		{`,"instance":`, ev.Instance},
+		{`,"scope":`, ev.Scope},
+		{`,"task":`, ev.Task},
+		{`,"node":`, ev.Node},
+		{`,"detail":`, ev.Detail},
+	} {
+		if f.val != "" {
+			buf = append(buf, f.key...)
+			buf = appendJSONString(buf, f.val)
+		}
+	}
+	return append(buf, '}')
+}
+
+// appendJSONString appends s as encoding/json quotes a string: HTML-safe
+// (<, > and & escaped), U+2028/U+2029 escaped, invalid UTF-8 replaced by
+// U+FFFD.
+func appendJSONString(buf []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	buf = append(buf, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			buf = append(buf, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				buf = append(buf, '\\', b)
+			case '\b':
+				buf = append(buf, '\\', 'b')
+			case '\f':
+				buf = append(buf, '\\', 'f')
+			case '\n':
+				buf = append(buf, '\\', 'n')
+			case '\r':
+				buf = append(buf, '\\', 'r')
+			case '\t':
+				buf = append(buf, '\\', 't')
+			default:
+				buf = append(buf, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			buf = append(buf, s[start:i]...)
+			buf = append(buf, '\\', 'u', '2', '0', '2', hex[c&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	buf = append(buf, s[start:]...)
+	return append(buf, '"')
 }
 
 // EmitInfra publishes an infrastructure event (worker joined or lost, load
@@ -351,7 +454,7 @@ func (e *Engine) emit(ev Event) {
 // metrics, OnEvent — so events originating outside navigation reach every
 // observer the navigation events reach. The timestamp is stamped from the
 // engine clock.
-func (e *Engine) EmitInfra(ev Event) { e.emit(ev) }
+func (e *Engine) EmitInfra(ev Event) { e.emitNow(ev) }
 
 // RegisterTemplate validates a process and stores it in the template
 // space under its name. Existing templates are replaced; running
@@ -551,7 +654,7 @@ func (e *Engine) StartProcess(template string, inputs map[string]ocr.Value, opts
 	e.instances[id] = in
 	e.order = append(e.order, id)
 	e.emu.Unlock()
-	e.emit(Event{Kind: EvInstanceStarted, Instance: id, Detail: template})
+	e.emit(in, Event{Kind: EvInstanceStarted, Instance: id, Detail: template})
 	e.persist(in)
 	e.activateRoots(in, root)
 	e.maybeCompleteScope(in, root)
@@ -684,7 +787,7 @@ func (e *Engine) Suspend(id string, graceful bool) error {
 	e.beginTurn(in)
 	in.setStatus(InstanceSuspended)
 	e.holdQueued(in)
-	e.emit(Event{Kind: EvInstanceSuspended, Instance: id, Detail: fmt.Sprintf("graceful=%v", graceful)})
+	e.emit(in, Event{Kind: EvInstanceSuspended, Instance: id, Detail: fmt.Sprintf("graceful=%v", graceful)})
 	if !graceful {
 		e.killRunning(in)
 	}
@@ -719,7 +822,7 @@ func (e *Engine) Resume(id string) error {
 	e.dmu.Lock()
 	e.sched.Release(id)
 	e.dmu.Unlock()
-	e.emit(Event{Kind: EvInstanceResumed, Instance: id})
+	e.emit(in, Event{Kind: EvInstanceResumed, Instance: id})
 	e.persist(in)
 	e.endTurn(in, mu, true)
 	return nil
@@ -844,7 +947,7 @@ func (e *Engine) failInstance(in *Instance, reason string) {
 	e.dropQueued(in)
 	in.waiting, in.signals = nil, nil
 	e.killRunning(in)
-	e.emit(Event{Kind: EvInstanceFailed, Instance: in.ID, Detail: reason})
+	e.emit(in, Event{Kind: EvInstanceFailed, Instance: in.ID, Detail: reason})
 	// archive snapshots the complete final state (no separate persist
 	// needed); OnInstanceDone fires from endTurn after the flush commits.
 	e.archive(in)

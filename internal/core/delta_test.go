@@ -324,21 +324,17 @@ func TestPersistHotPathAllocs(t *testing.T) {
 		mu.Lock()
 		e.touchTask(in, sc, ts)
 		e.persist(in)
-		cks := in.pendingCkpts
-		in.pendingCkpts = nil
-		mu.Unlock()
-		for _, ck := range cks {
-			e.flushCkpt(in, ck)
-		}
+		e.endTurn(in, mu, false)
 	}
 	run() // warm the pools
 	allocs := testing.AllocsPerRun(200, run)
 	t.Logf("persist+flush of one dirty task = %.1f allocs", allocs)
 	// One task record, encoded in place by the pooled ckpt (see
-	// TestCodecEncodeAllocs): what is left is the task's store key and the
-	// mem store's own copies. Measured 5.0; one more is a regression — a
-	// snapshot layer or a per-record marshal coming back.
-	if allocs > 6 && !raceEnabled {
-		t.Errorf("persist+flush of one dirty task = %.1f allocs, want <= 6", allocs)
+	// TestCodecEncodeAllocs) and carried by the pooled write set: what is
+	// left is the task's store key and the mem store's own copies. Measured
+	// 4.0; one more is a regression — a snapshot layer or a per-record
+	// marshal coming back.
+	if allocs > 5 && !raceEnabled {
+		t.Errorf("persist+flush of one dirty task = %.1f allocs, want <= 5", allocs)
 	}
 }

@@ -107,7 +107,7 @@ func (e *Engine) failUnplaceable(job sched.Job, ref *queuedRef) {
 		return
 	}
 	t := sc.Proc.Task(ts.Name)
-	e.emit(Event{Kind: EvTaskUnplaceable, Instance: in.ID, Scope: sc.ID, Task: ts.Name,
+	e.emit(in, Event{Kind: EvTaskUnplaceable, Instance: in.ID, Scope: sc.ID, Task: ts.Name,
 		Detail: fmt.Sprintf("required nodes %v are all down or unknown", job.Nodes)})
 	e.failTask(in, sc, t, ts, fmt.Errorf("required nodes %v are all down or unknown", job.Nodes))
 	e.endTurn(in, mu, false)
@@ -185,7 +185,7 @@ func (e *Engine) dispatch(job sched.Job, node string, ref *queuedRef) bool {
 	ts.Node = node
 	ts.StartedAt = e.now()
 	e.touchTask(in, sc, ts)
-	e.emit(Event{Kind: EvTaskDispatched, Instance: in.ID, Scope: sc.ID,
+	e.emit(in, Event{Kind: EvTaskDispatched, Instance: in.ID, Scope: sc.ID,
 		Task: ts.Name, Node: node})
 	e.persist(in)
 	if l.Timeout > 0 {
@@ -227,7 +227,7 @@ func (e *Engine) timeoutJob(jobID string) {
 	if !ok {
 		return // completed (or was killed) first
 	}
-	e.emit(Event{Kind: EvTaskTimeout, Instance: ref.inst.ID, Scope: ref.sc.ID,
+	e.emitNow(Event{Kind: EvTaskTimeout, Instance: ref.inst.ID, Scope: ref.sc.ID,
 		Task: ref.ts.Name, Node: node, Detail: "attempt exceeded TIMEOUT"})
 	e.opts.Executor.Kill(cluster.JobID(jobID), node)
 }
@@ -303,7 +303,7 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 		in.Retries++
 		ts.Status = TaskReady
 		ts.Node = ""
-		e.emit(Event{Kind: EvTaskRetried, Instance: in.ID, Scope: sc.ID, Task: ts.Name,
+		e.emit(in, Event{Kind: EvTaskRetried, Instance: in.ID, Scope: sc.ID, Task: ts.Name,
 			Node: c.Node, Detail: fmt.Sprintf("infrastructure: %v", c.Err)})
 		e.requeue(in, sc, t, ts)
 		e.endTurn(in, mu, true)

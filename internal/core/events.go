@@ -35,7 +35,7 @@ func (e *Engine) awaitEvent(in *Instance, sc *scope, t *ocr.Task, ts *taskState)
 		in.waiting = make(map[string][]*queuedRef)
 	}
 	in.waiting[t.Await] = append(in.waiting[t.Await], &queuedRef{inst: in, sc: sc, ts: ts})
-	e.emit(Event{Kind: EvTaskAwaiting, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: t.Await})
+	e.emit(in, Event{Kind: EvTaskAwaiting, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: t.Await})
 	e.persist(in)
 }
 
@@ -75,7 +75,7 @@ func (e *Engine) Signal(instanceID, event string, payload map[string]ocr.Value) 
 		e.endTurn(in, mu, false)
 		return err
 	}
-	e.emit(Event{Kind: EvSignal, Instance: instanceID, Detail: event})
+	e.emit(in, Event{Kind: EvSignal, Instance: instanceID, Detail: event})
 	// Skip waiters whose scopes were torn down by a sphere abort.
 	waiters := in.waiting[event]
 	for len(waiters) > 0 && waiters[0].sc.defunct {
@@ -87,8 +87,7 @@ func (e *Engine) Signal(instanceID, event string, payload map[string]ocr.Value) 
 			in.signals = make(map[string][]map[string]ocr.Value)
 		}
 		in.signals[event] = append(in.signals[event], payload)
-		in.turnLive = false // buffered: this turn ends without endTurn
-		mu.Unlock()
+		e.endTurn(in, mu, false)
 		return nil
 	}
 	ref := waiters[0]

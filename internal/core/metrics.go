@@ -18,8 +18,8 @@ type engineMetrics struct {
 	turnSeconds *obs.Histogram
 	shardTurns  []*obs.Counter
 
-	// Checkpoint pipeline instrumentation (all updated outside the shard
-	// critical section, by flushCkpt).
+	// Checkpoint pipeline instrumentation: the first four by cutCkpt, under
+	// the shard lock; ckptFenced by flushWrites, outside it.
 	ckpts       *obs.Counter
 	ckptMarshal *obs.Histogram
 	ckptBytes   *obs.Counter

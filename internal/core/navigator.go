@@ -119,7 +119,7 @@ func (e *Engine) enqueueActivity(in *Instance, sc *scope, t *ocr.Task, ts *taskS
 	e.queued[job.ID] = &queuedRef{inst: in, sc: sc, ts: ts, job: job}
 	e.dmu.Unlock()
 	e.touchTask(in, sc, ts)
-	e.emit(Event{Kind: EvTaskReady, Instance: in.ID, Scope: sc.ID, Task: t.Name})
+	e.emit(in, Event{Kind: EvTaskReady, Instance: in.ID, Scope: sc.ID, Task: t.Name})
 }
 
 // spawnBlock creates the child scope(s) of a block task.
@@ -250,7 +250,7 @@ func (e *Engine) finishTask(in *Instance, sc *scope, t *ocr.Task, ts *taskState,
 		e.setWB(in, sc, m.To, v)
 	}
 	e.touchTask(in, sc, ts)
-	e.emit(Event{Kind: EvTaskEnded, Instance: in.ID, Scope: sc.ID, Task: t.Name, Node: ts.Node})
+	e.emit(in, Event{Kind: EvTaskEnded, Instance: in.ID, Scope: sc.ID, Task: t.Name, Node: ts.Node})
 	e.persist(in)
 
 	// An alternative execution also completes the task it replaced.
@@ -345,7 +345,7 @@ func (e *Engine) markDead(in *Instance, sc *scope, t *ocr.Task) {
 	ts.Status = TaskDead
 	ts.EndedAt = e.now()
 	e.touchTask(in, sc, ts)
-	e.emit(Event{Kind: EvTaskDead, Instance: in.ID, Scope: sc.ID, Task: t.Name})
+	e.emit(in, Event{Kind: EvTaskDead, Instance: in.ID, Scope: sc.ID, Task: t.Name})
 	e.propagate(in, sc, t, ts)
 	e.maybeCompleteScope(in, sc)
 }
@@ -394,7 +394,7 @@ func (e *Engine) maybeCompleteScope(in *Instance, sc *scope) {
 		// finished the process.
 		e.dropQueued(in)
 		in.setStatus(InstanceDone)
-		e.emit(Event{Kind: EvInstanceDone, Instance: in.ID})
+		e.emit(in, Event{Kind: EvInstanceDone, Instance: in.ID})
 		// archive snapshots the complete final state; OnInstanceDone
 		// fires from endTurn after the flush commits.
 		e.archive(in)
@@ -471,7 +471,7 @@ func (e *Engine) handleProgramFailure(in *Instance, sc *scope, t *ocr.Task, ts *
 	e.touchTask(in, sc, ts)
 	if ts.Attempts <= t.Retries {
 		in.Retries++
-		e.emit(Event{Kind: EvTaskRetried, Instance: in.ID, Scope: sc.ID, Task: t.Name,
+		e.emit(in, Event{Kind: EvTaskRetried, Instance: in.ID, Scope: sc.ID, Task: t.Name,
 			Detail: fmt.Sprintf("attempt %d/%d: %v", ts.Attempts, t.Retries, cause)})
 		if t.Kind == ocr.KindActivity {
 			ts.Status = TaskReady
@@ -487,7 +487,7 @@ func (e *Engine) handleProgramFailure(in *Instance, sc *scope, t *ocr.Task, ts *
 	}
 	switch t.OnFail {
 	case ocr.FailIgnore:
-		e.emit(Event{Kind: EvTaskFailed, Instance: in.ID, Scope: sc.ID, Task: t.Name,
+		e.emit(in, Event{Kind: EvTaskFailed, Instance: in.ID, Scope: sc.ID, Task: t.Name,
 			Detail: fmt.Sprintf("ignored: %v", cause)})
 		e.finishTask(in, sc, t, ts, nil) // null outputs
 	case ocr.FailAlternative:
@@ -497,7 +497,7 @@ func (e *Engine) handleProgramFailure(in *Instance, sc *scope, t *ocr.Task, ts *
 			e.failInstance(in, fmt.Sprintf("task %s failed and alternative %q is unavailable", t.Name, t.AltTask))
 			return
 		}
-		e.emit(Event{Kind: EvTaskFailed, Instance: in.ID, Scope: sc.ID, Task: t.Name,
+		e.emit(in, Event{Kind: EvTaskFailed, Instance: in.ID, Scope: sc.ID, Task: t.Name,
 			Detail: fmt.Sprintf("running alternative %s: %v", t.AltTask, cause)})
 		altState.AltOf = t.Name
 		e.activateTask(in, sc, alt)

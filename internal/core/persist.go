@@ -29,12 +29,15 @@ import (
 //	proc/<id>/<hash>          interned process text, referenced by scope-create
 //
 // A checkpoint is its bytes: persist encodes the dirty records straight from
-// live state under the shard lock, and flushCkpt commits them after the lock
-// is released, ordered by a per-instance commit gate. Nothing but the encoded
-// buffer crosses that boundary, so later turns cannot change what an earlier
-// checkpoint says. Each batch is atomic on the store, so a crash
-// mid-checkpoint never leaves a torn view; on the disk store the batch is one
-// group-committed WAL append shared with other instances' checkpoints.
+// live state under the shard lock. A navigation turn is one commit: the
+// checkpoints it cut and the journal records of the events it raised form the
+// turn's write set, which flushWrites commits as one store batch after the
+// lock is released, ordered by a per-instance commit gate. Nothing but encoded
+// bytes crosses that boundary, so later turns cannot change what an earlier
+// turn wrote. The batch is atomic on the store, so a crash never leaves a torn
+// checkpoint, nor a journal that runs ahead of the state or behind it; on the
+// disk store the batch is one group-committed WAL append shared with other
+// instances' turns.
 //
 // Completed/failed instances move to the history space under the same keys.
 // Recovery rebuilds instances from these records; activities recorded as
@@ -129,18 +132,18 @@ func (e *Engine) pinInherited(in *Instance, sc *scope, key string) {
 }
 
 // ckpt is one checkpoint: the dirty subset of an instance's state, already
-// encoded. persist and archive fill it under the shard lock; flushCkpt
+// encoded. persist and archive fill it under the shard lock; flushWrites
 // commits it after the lock is released and holds no decoded copy of any
 // record — only the buffer, the op keys, and the pointers remarkCkpt needs
 // to re-dirty what a failed batch carried. ckpts recycle through a pool so
 // the persist hot path stays allocation-light.
 type ckpt struct {
-	seq     uint64
 	archive bool          // move everything to the history space
 	enc     codec.Encoder // the meta, create, dyn and task records, in that order
-	// ops is the batch, in record order: meta, interned process texts,
-	// creates, dyns, tasks. Values of codec records stay nil until flushCkpt
-	// takes their spans (appending can relocate the encoder's buffer).
+	// ops is the checkpoint's puts, in record order: meta, interned process
+	// texts, creates, dyns, tasks. Values of codec records stay nil until
+	// appendOps takes their spans (appending can relocate the encoder's
+	// buffer).
 	ops     []store.Op
 	deletes []string // instance-space keys the batch also deletes
 
@@ -181,20 +184,84 @@ func putCkpt(ck *ckpt) {
 	ckptPool.Put(ck)
 }
 
+// eventBuf holds journal records back to back: event i's JSON text ends at
+// ends[i].
+type eventBuf struct {
+	buf  []byte
+	ends []int
+}
+
+// appendOps appends one journal-append op per buffered event.
+func (b *eventBuf) appendOps(ops []store.Op) []store.Op {
+	start := 0
+	for _, end := range b.ends {
+		ops = append(ops, store.EventOp(b.buf[start:end]))
+		start = end
+	}
+	return ops
+}
+
+// add appends src's events after b's own.
+func (b *eventBuf) add(src *eventBuf) {
+	base := len(b.buf)
+	b.buf = append(b.buf, src.buf...)
+	for _, end := range src.ends {
+		b.ends = append(b.ends, base+end)
+	}
+}
+
+// writeSet is everything one navigation turn hands the store: the checkpoints
+// it cut, in cut order, and the journal records of the events it raised. It
+// hangs on the instance from the turn's first persist or emit until endTurn
+// detaches it; flushWrites then commits it as one batch. Write sets recycle
+// through a pool, so an idle instance holds no buffer.
+type writeSet struct {
+	seq    uint64 // commit-gate sequence, taken by endTurn
+	cks    []*ckpt
+	events eventBuf
+	ops    []store.Op // the batch: every checkpoint's ops, then the event ops
+}
+
+var writeSetPool = sync.Pool{New: func() any { return new(writeSet) }}
+
+// turnWrites returns the write set of the turn in progress. Caller holds the
+// shard lock.
+func (in *Instance) turnWrites() *writeSet {
+	if in.writes == nil {
+		in.writes = writeSetPool.Get().(*writeSet)
+	}
+	return in.writes
+}
+
+// putWriteSet recycles a write set and its checkpoints.
+func putWriteSet(ws *writeSet) {
+	for _, ck := range ws.cks {
+		putCkpt(ck)
+	}
+	clear(ws.cks)
+	clear(ws.ops)
+	*ws = writeSet{
+		cks:    ws.cks[:0],
+		events: eventBuf{buf: ws.events.buf[:0], ends: ws.events.ends[:0]},
+		ops:    ws.ops[:0],
+	}
+	writeSetPool.Put(ws)
+}
+
 // persistError surfaces a checkpoint failure: the event stream gets an
 // EvPersistError and the OnError hook (if any) fires. The engine keeps
 // running — the paper's recovery guarantees degrade to the last successful
 // checkpoint, but a full store must not take down month-long computations.
 func (e *Engine) persistError(in *Instance, context string, err error) {
-	e.emit(Event{Kind: EvPersistError, Instance: in.ID,
+	e.emitNow(Event{Kind: EvPersistError, Instance: in.ID,
 		Detail: fmt.Sprintf("%s: %v", context, err)})
 	if e.opts.OnError != nil {
 		e.opts.OnError(fmt.Errorf("core: persist %s (instance %s): %w", context, in.ID, err))
 	}
 }
 
-// cutCkpt encodes the records of ck.scopes into the checkpoint and queues it
-// for endTurn to flush. One walk takes each record from live state to the
+// cutCkpt encodes the records of ck.scopes into the checkpoint and adds it to
+// the turn's write set. One walk takes each record from live state to the
 // encoder and names its store key; nothing is copied in between. Of each
 // scope it writes what is dirty — everything, for an archive — and clears
 // the dirty flags. interned is the set of process-text hashes that need no
@@ -202,7 +269,6 @@ func (e *Engine) persistError(in *Instance, context string, err error) {
 // shard lock.
 func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 	start := e.now()
-	ck.seq = in.nextCkptSeq()
 	space := store.Instance
 	if ck.archive {
 		space = store.History
@@ -272,14 +338,15 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 	ck.deletes = in.pendingDeletes
 	in.pendingDeletes = nil
 	e.metrics.checkpoint(e.now().Sub(start), bytes+len(enc.Buf), len(ck.ops))
-	in.pendingCkpts = append(in.pendingCkpts, ck)
+	ws := in.turnWrites()
+	ws.cks = append(ws.cks, ck)
 }
 
 // persist cuts one checkpoint of the instance's dirty state. The caller
 // holds the shard lock, and the records are encoded here, under it: the
 // codec costs well under a microsecond a record (DESIGN.md §8), so there is
 // nothing to gain from copying state out to encode it elsewhere. What waits
-// for endTurn to release the lock is the store batch (flushCkpt).
+// for endTurn to release the lock is the store batch (flushWrites).
 func (e *Engine) persist(in *Instance) {
 	ck := getCkpt()
 	for _, sc := range in.dirty {
@@ -318,21 +385,21 @@ func (e *Engine) archive(in *Instance) {
 	}
 }
 
-// flushCkpt commits one checkpoint to the store — after the shard lock is
-// released. The records were encoded when the checkpoint was cut; what is
-// left is to point each op at its bytes and, for an archive, to delete what
-// the batch moves. The per-instance commit gate admits checkpoints strictly
-// in sequence order, so a later one can never overtake an earlier one even
-// when the instance's turns end on different goroutines; batches of
-// different instances still overlap and share group-committed fsyncs.
-// Binary encoding is total, so there is no per-record marshal failure path —
-// only the batch itself can fail.
-func (e *Engine) flushCkpt(in *Instance, ck *ckpt) {
-	ops := ck.ops
-	// Codec records are every op but the interned texts at ops[1:1+procs].
-	ops[0].Value = ck.enc.Span(0)
-	for i := 1 + len(ck.procs); i < len(ops); i++ {
-		ops[i].Value = ck.enc.Span(i - len(ck.procs))
+// appendOps appends the checkpoint's share of the turn's batch to ops: its
+// puts, each pointed at its bytes, then — for an archive — the deletes of what
+// the batch moves, then the deletes the checkpoint carried. The records were
+// encoded when the checkpoint was cut; binary encoding is total, so there is
+// no per-record marshal failure path — only the batch itself can fail.
+func (ck *ckpt) appendOps(ops []store.Op) []store.Op {
+	first := len(ops)
+	ops = append(ops, ck.ops...)
+	// Codec records are every put but the interned texts at [1:1+procs].
+	ops[first].Value = ck.enc.Span(0)
+	for i := 1 + len(ck.procs); i < len(ck.ops); i++ {
+		ops[first+i].Value = ck.enc.Span(i - len(ck.procs))
+	}
+	del := func(key string) {
+		ops = append(ops, store.Op{Space: store.Instance, Key: key, Delete: true})
 	}
 	if ck.archive {
 		// One pass: the same batch that writes the history puts clears
@@ -340,9 +407,6 @@ func (e *Engine) flushCkpt(in *Instance, ck *ckpt) {
 		// each scope's create and dyn (an archive writes both for every
 		// scope), tasks, texts.
 		puts, np, nc := ck.ops, len(ck.procs), len(ck.creates)
-		del := func(key string) {
-			ops = append(ops, store.Op{Space: store.Instance, Key: key, Delete: true})
-		}
 		del(puts[0].Key)
 		for i := 1 + np; i < 1+np+nc; i++ {
 			del(puts[i].Key)
@@ -356,42 +420,65 @@ func (e *Engine) flushCkpt(in *Instance, ck *ckpt) {
 		}
 	}
 	for _, key := range ck.deletes {
-		ops = append(ops, store.Op{Space: store.Instance, Key: key, Delete: true})
+		del(key)
 	}
-	ck.ops = ops
+	return ops
+}
+
+// flushWrites commits one turn's write set to the store as a single batch —
+// after the shard lock is released: every checkpoint the turn cut, in cut
+// order, then its events' journal records. The per-instance commit gate admits
+// write sets strictly in sequence order, so a later turn can never overtake an
+// earlier one even when the instance's turns end on different goroutines;
+// batches of different instances still overlap and share group-committed
+// fsyncs.
+func (e *Engine) flushWrites(in *Instance, ws *writeSet) {
+	ops := ws.ops
+	for _, ck := range ws.cks {
+		ops = ck.appendOps(ops)
+	}
 
 	// Commit through the gate, strictly in sequence order.
 	in.gateMu.Lock()
 	if in.gateCond == nil {
 		in.gateCond = sync.NewCond(&in.gateMu)
 	}
-	for in.ckptDone != ck.seq {
+	for in.ckptDone != ws.seq {
 		in.gateCond.Wait()
 	}
+	// Events of earlier turns whose batch failed ride ahead of this turn's,
+	// so the journal gets each exactly once and in the order raised.
+	ops = in.failedEvents.appendOps(ops)
+	ops = ws.events.appendOps(ops)
+	ws.ops = ops
 	var err error
-	fenced := len(ops) > 0 && e.opts.Owns != nil && !e.opts.Owns(in.ID)
-	if fenced {
+	if e.opts.Owns != nil && !e.opts.Owns(in.ID) {
 		// Ownership write fence: the instance's partition moved to another
 		// server (lease lost, or this member is shutting down) after the
-		// checkpoint was cut. The new owner recovered from the last owned
+		// turn ended. The new owner recovered from the last owned
 		// checkpoint and is now authoritative; committing this batch would
 		// clobber its records — or, for an archive, delete the very records
-		// it adopts from — so the batch is dropped, not written.
+		// it adopts from — so the batch is dropped, not written: records
+		// and events alike.
 		e.metrics.fenced()
-	} else if len(ops) > 0 {
-		err = e.opts.Store.Batch(ops)
+	} else if err = e.opts.Store.Batch(ops); err != nil {
+		in.failedEvents.add(&ws.events)
+	} else {
+		in.failedEvents = eventBuf{}
 	}
 	// The gate always advances — even on error — so Crash's quiesce wait
-	// and later checkpoints never hang on a failed one.
+	// and later turns never hang on a failed one.
 	in.ckptDone++
 	in.gateCond.Broadcast()
 	in.gateMu.Unlock()
 
 	if err != nil {
 		e.persistError(in, "checkpoint batch", err)
-		e.remarkCkpt(in, ck)
+		for _, ck := range ws.cks {
+			e.remarkCkpt(in, ck)
+		}
 	}
-	putCkpt(ck)
+	putWriteSet(ws)
 }
 
 // remarkCkpt re-dirties everything a failed batch carried: scopes still
@@ -425,10 +512,10 @@ func (e *Engine) remarkCkpt(in *Instance, ck *ckpt) {
 	mu.Unlock()
 }
 
-// nextCkptSeq takes the next checkpoint sequence number. The counter
-// lives under gateMu so quiesceCkpts can read it while another
-// goroutine's turn is still cutting checkpoints; the caller holds the
-// shard lock, so per-turn sequence order is still total.
+// nextCkptSeq takes the next commit-gate sequence number, one per write
+// set. The counter lives under gateMu so quiesceCkpts can read it while
+// another goroutine's turn is ending; the caller holds the shard lock, so
+// sequence order is turn order.
 func (in *Instance) nextCkptSeq() uint64 {
 	in.gateMu.Lock()
 	seq := in.ckptSeq
@@ -437,9 +524,9 @@ func (in *Instance) nextCkptSeq() uint64 {
 	return seq
 }
 
-// quiesceCkpts blocks until every in-flight checkpoint flush of the
-// instance has passed the commit gate. Callers must guarantee no new
-// checkpoints are being produced (Crash holds every shard) or must not
+// quiesceCkpts blocks until every in-flight write-set flush of the
+// instance has passed the commit gate. Callers must guarantee no turn is
+// ending meanwhile (Crash holds every shard) or must not
 // care about later turns (quiesceInstance synchronizes on the shard
 // first, so all checkpoints of already-completed turns are covered).
 func (in *Instance) quiesceCkpts() {

@@ -274,7 +274,7 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 		e.order = append(e.order, id)
 		e.emu.Unlock()
 		recovered++
-		e.emit(Event{Kind: EvServerRecovered, Instance: id,
+		e.emit(in, Event{Kind: EvServerRecovered, Instance: id,
 			Detail: fmt.Sprintf("status=%s", in.Status)})
 		// Checkpoint what resuming changed (requeues, re-armed waits).
 		if len(in.dirty) > 0 {
@@ -522,7 +522,7 @@ func (e *Engine) hydrateLocked(in *Instance) error {
 		in.procRefs[hash] = true
 	}
 	e.resumeInstance(in)
-	e.emit(Event{Kind: EvServerRecovered, Instance: in.ID, Detail: "hydrated"})
+	e.emit(in, Event{Kind: EvServerRecovered, Instance: in.ID, Detail: "hydrated"})
 	if len(in.dirty) > 0 {
 		e.persist(in)
 	}
@@ -574,7 +574,7 @@ func (e *Engine) resumeScope(in *Instance, sc *scope) {
 				in.Retries++
 				ts.Status = TaskReady
 				ts.Node = ""
-				e.emit(Event{Kind: EvTaskRetried, Instance: in.ID, Scope: sc.ID,
+				e.emit(in, Event{Kind: EvTaskRetried, Instance: in.ID, Scope: sc.ID,
 					Task: t.Name, Detail: "lost in server crash"})
 				e.requeue(in, sc, t, ts)
 			case ocr.KindBlock:

@@ -183,7 +183,7 @@ func (rb *RuntimeBase) snapshotOnce(eng *Engine, snap Snapshotter, st store.Stor
 	}
 	if err := snap.Snapshot(); err != nil {
 		if eng != nil {
-			eng.emit(Event{Kind: EvPersistError, Detail: fmt.Sprintf("snapshot: %v", err)})
+			eng.emitNow(Event{Kind: EvPersistError, Detail: fmt.Sprintf("snapshot: %v", err)})
 			if eng.opts.OnError != nil {
 				eng.opts.OnError(fmt.Errorf("core: periodic snapshot: %w", err))
 			}

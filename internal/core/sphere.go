@@ -42,7 +42,7 @@ func (e *Engine) failTask(in *Instance, sc *scope, t *ocr.Task, ts *taskState, c
 	ts.Status = TaskFailed
 	ts.EndedAt = e.now()
 	e.touchTask(in, sc, ts)
-	e.emit(Event{Kind: EvTaskFailed, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: cause.Error()})
+	e.emit(in, Event{Kind: EvTaskFailed, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: cause.Error()})
 	if sphereSc, sphereTask, sphereTs := enclosingSphere(sc); sphereSc != nil {
 		e.abortSphere(in, sphereSc, sphereTask, sphereTs,
 			fmt.Errorf("task %s/%s failed: %v", sc.ID, t.Name, cause))
@@ -54,7 +54,7 @@ func (e *Engine) failTask(in *Instance, sc *scope, t *ocr.Task, ts *taskState, c
 // abortSphere tears down an atomic block after an inner failure and
 // applies the block's failure handling.
 func (e *Engine) abortSphere(in *Instance, sc *scope, t *ocr.Task, ts *taskState, cause error) {
-	e.emit(Event{Kind: EvSphereAborted, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: cause.Error()})
+	e.emit(in, Event{Kind: EvSphereAborted, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: cause.Error()})
 
 	// 1. Gather the sphere's scope subtree, deterministically ordered.
 	var subtree []*scope
@@ -175,7 +175,7 @@ func (e *Engine) abortSphere(in *Instance, sc *scope, t *ocr.Task, ts *taskState
 func (e *Engine) runUndo(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
 	prog, ok := e.opts.Library.Lookup(t.Undo)
 	if !ok {
-		e.emit(Event{Kind: EvUndoFailed, Instance: in.ID, Scope: sc.ID, Task: t.Name,
+		e.emit(in, Event{Kind: EvUndoFailed, Instance: in.ID, Scope: sc.ID, Task: t.Name,
 			Detail: fmt.Sprintf("undo program %q not registered", t.Undo)})
 		return
 	}
@@ -193,8 +193,8 @@ func (e *Engine) runUndo(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
 		Node:     ts.Node,
 	}, args)
 	if err != nil {
-		e.emit(Event{Kind: EvUndoFailed, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: err.Error()})
+		e.emit(in, Event{Kind: EvUndoFailed, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: err.Error()})
 		return
 	}
-	e.emit(Event{Kind: EvUndoRun, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: t.Undo})
+	e.emit(in, Event{Kind: EvUndoRun, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: t.Undo})
 }

@@ -289,25 +289,30 @@ type Instance struct {
 	turnLive  bool
 
 	// Checkpoint pipeline state, guarded by the shard lock. persist
-	// encodes the dirty set into a ckpt on pendingCkpts; endTurn drains
-	// them to the flusher after releasing the shard, so the store batch —
-	// the part that can block — never runs inside the critical section.
+	// encodes the dirty set into a ckpt and emit encodes an event's journal
+	// record, both into the turn's write set; endTurn hands that to the
+	// flusher after releasing the shard, so the store batch — the part that
+	// can block — never runs inside the critical section.
 	dirty          map[string]*scope // scopes with unpersisted changes
-	pendingCkpts   []*ckpt           // encoded checkpoints awaiting commit, in seq order
+	writes         *writeSet         // what the turn in progress has written so far (nil = nothing)
 	pendingDeletes []string          // instance-space keys to delete at next flush
 	procRefs       map[string]bool   // process-text hashes already interned
 	pendingDone    bool              // fire OnInstanceDone after this turn's flush
 
-	// Commit gate: admits this instance's checkpoint batches strictly in
-	// sequence order once they leave the shard's critical section, so a
-	// later checkpoint can never overtake an earlier one. gateCond is
-	// created lazily under gateMu. ckptSeq lives under gateMu (not the
-	// shard) so quiesceCkpts can compare it against ckptDone while a turn
-	// of another goroutine is still cutting checkpoints.
+	// Commit gate: admits this instance's write sets strictly in sequence
+	// order once they leave the shard's critical section, so a later turn's
+	// batch can never overtake an earlier one's. gateCond is created lazily
+	// under gateMu. ckptSeq lives under gateMu (not the shard) so
+	// quiesceCkpts can compare it against ckptDone while a turn of another
+	// goroutine is ending.
 	gateMu   sync.Mutex
 	gateCond *sync.Cond
-	ckptSeq  uint64 // next checkpoint sequence number
-	ckptDone uint64 // checkpoints committed (== seq of the next admitted)
+	ckptSeq  uint64 // next write-set sequence number
+	ckptDone uint64 // write sets through the gate (== seq of the next admitted)
+	// failedEvents holds the journal records of write sets whose batch
+	// failed, in gate order, until the next batch that commits carries them
+	// ahead of its own. Guarded by gateMu.
+	failedEvents eventBuf
 }
 
 // pendingKill is one deferred Executor.Kill request.

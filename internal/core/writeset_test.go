@@ -1,0 +1,367 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"bioopera/internal/ocr"
+	"bioopera/internal/sim"
+	"bioopera/internal/store"
+)
+
+// chain8Src is the benchmark's eight-step chain: one activity at a time, so
+// an instance's turns are the same on every runtime — one to start it, then a
+// dispatch turn and a completion turn per activity.
+const chain8Src = `
+PROCESS Chain8 {
+  INPUT x;
+  OUTPUT r;
+  ACTIVITY S1 { CALL test.echo(x = x);  OUT out; MAP out -> w1; }
+  ACTIVITY S2 { CALL test.echo(x = w1); OUT out; MAP out -> w2; }
+  ACTIVITY S3 { CALL test.echo(x = w2); OUT out; MAP out -> w3; }
+  ACTIVITY S4 { CALL test.echo(x = w3); OUT out; MAP out -> w4; }
+  ACTIVITY S5 { CALL test.echo(x = w4); OUT out; MAP out -> w5; }
+  ACTIVITY S6 { CALL test.echo(x = w5); OUT out; MAP out -> w6; }
+  ACTIVITY S7 { CALL test.echo(x = w6); OUT out; MAP out -> w7; }
+  ACTIVITY S8 { CALL test.echo(x = w7); OUT out; MAP out -> r; }
+  S1 -> S2; S2 -> S3; S3 -> S4; S4 -> S5; S5 -> S6; S6 -> S7; S7 -> S8;
+}
+`
+
+const (
+	// The last completion cuts two checkpoints — S8's, then the archive —
+	// and is still one turn, so one batch (two, before turns were commits).
+	chain8Turns  = 1 + 8 + 8         // start, 8 dispatches, 8 completions
+	chain8Events = 2 + 8 + 8 + 7 + 1 // started+ready, 8 dispatched, 8 ended, 7 more ready, done
+)
+
+// turnStore counts the engine's store calls, fails the failAt-th Batch
+// (0 = none) and runs afterBatch, when set, once each Batch has returned.
+type turnStore struct {
+	store.Store
+	failAt     int
+	afterBatch func()
+
+	mu      sync.Mutex
+	batches int
+	appends [][]byte // AppendEvent payloads
+}
+
+func (s *turnStore) Batch(ops []store.Op) error {
+	s.mu.Lock()
+	s.batches++
+	fail := s.batches == s.failAt
+	s.mu.Unlock()
+	err := errors.New("store full")
+	if !fail {
+		err = s.Store.Batch(ops)
+	}
+	if s.afterBatch != nil {
+		s.afterBatch()
+	}
+	return err
+}
+
+func (s *turnStore) AppendEvent(data []byte) (uint64, error) {
+	s.mu.Lock()
+	s.appends = append(s.appends, append([]byte(nil), data...))
+	s.mu.Unlock()
+	return s.Store.AppendEvent(data)
+}
+
+// eventLog is an OnEvent hook that keeps the engine's events in emit order.
+type eventLog struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+func (l *eventLog) add(ev Event) {
+	l.mu.Lock()
+	l.evs = append(l.evs, ev)
+	l.mu.Unlock()
+}
+
+// engineJournal returns the journal's engine events, in journal order: the
+// sim driver's own cluster-* records are left out, and so are persist-error
+// events, which report on the commit path instead of riding it.
+func engineJournal(t *testing.T, st store.Store) (recs [][]byte, evs []Event) {
+	t.Helper()
+	err := st.Events(1, func(rec store.Event) error {
+		var ev Event
+		if err := json.Unmarshal(rec.Data, &ev); err != nil {
+			t.Fatalf("journal record %d: %v", rec.Seq, err)
+		}
+		if !strings.HasPrefix(string(ev.Kind), "cluster-") && ev.Kind != EvPersistError {
+			recs = append(recs, rec.Data)
+			evs = append(evs, ev)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, evs
+}
+
+// TestOneCommitPerTurn: a navigation turn is one store call. The engine hands
+// the store one Batch per turn — checkpoint and events together — and never
+// commits an event of a turn on its own; the journal still holds every event,
+// byte for byte what json.Marshal makes of it, in the order raised.
+func TestOneCommitPerTurn(t *testing.T) {
+	check := func(t *testing.T, st *turnStore, log *eventLog) {
+		t.Helper()
+		if st.batches != chain8Turns {
+			t.Errorf("%d Batch calls, want %d: one per turn", st.batches, chain8Turns)
+		}
+		for _, data := range st.appends {
+			if !bytes.Contains(data, []byte(`"kind":"cluster-`)) {
+				t.Errorf("engine event committed on its own: %s", data)
+			}
+		}
+		recs, _ := engineJournal(t, st)
+		if len(recs) != chain8Events || len(log.evs) != chain8Events {
+			t.Fatalf("journal holds %d engine events, OnEvent saw %d, want %d", len(recs), len(log.evs), chain8Events)
+		}
+		for i, ev := range log.evs {
+			want, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(recs[i], want) {
+				t.Errorf("journal record %d = %s, want %s", i, recs[i], want)
+			}
+		}
+	}
+
+	t.Run("sim", func(t *testing.T) {
+		st, log := &turnStore{Store: store.NewMem()}, &eventLog{}
+		rt := newRuntime(t, SimConfig{Store: st, Options: Options{OnEvent: log.add}})
+		register(t, rt, chain8Src)
+		id := start(t, rt, "Chain8", map[string]ocr.Value{"x": ocr.Num(1)})
+		rt.Run()
+		finished(t, rt, id)
+		check(t, st, log)
+	})
+	t.Run("local", func(t *testing.T) {
+		st, log := &turnStore{Store: store.NewMem()}, &eventLog{}
+		rt, err := NewLocalRuntime(LocalConfig{Workers: 2, Library: testLibrary(t), Store: st, OnEvent: log.add})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.RegisterTemplateSource(chain8Src); err != nil {
+			t.Fatal(err)
+		}
+		id, err := rt.StartProcess("Chain8", map[string]ocr.Value{"x": ocr.Num(1)}, StartOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Wait(id, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		rt.Close()
+		if len(st.appends) != 0 {
+			t.Errorf("%d AppendEvent calls, want 0", len(st.appends))
+		}
+		check(t, st, log)
+	})
+}
+
+// checkJournalMatchesRecords: the journal says a task ended exactly when the
+// task's committed record does. A sphere abort discards the records of the
+// sphere's scopes, so it also voids the task-ended events before it.
+func checkJournalMatchesRecords(t *testing.T, st store.Store, when string) {
+	t.Helper()
+	journal := make(map[string]bool)
+	_, evs := engineJournal(t, st)
+	for _, ev := range evs {
+		switch ev.Kind {
+		case EvTaskEnded:
+			journal[nzScope(ev.Scope)+"/"+ev.Task] = true
+		case EvSphereAborted:
+			sphere := ev.Task
+			if ev.Scope != "" {
+				sphere = ev.Scope + "/" + ev.Task
+			}
+			for key := range journal {
+				scope := key[:strings.LastIndexByte(key, '/')]
+				if scope == sphere || strings.HasPrefix(scope, sphere+"/") || strings.HasPrefix(scope, sphere+"[") {
+					delete(journal, key)
+				}
+			}
+		}
+	}
+	records := make(map[string]bool)
+	for _, space := range []store.Space{store.Instance, store.History} {
+		kvs, err := st.List(space)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kv := range kvs {
+			rest, ok := strings.CutPrefix(kv.Key, "task/")
+			if !ok {
+				continue
+			}
+			var ts taskState
+			if err := decodeTaskRecord(kv.Value, &ts); err != nil {
+				t.Fatal(err)
+			}
+			if _, key, _ := splitInstKey(rest); ts.Status == TaskEnded {
+				records[key] = true
+			}
+		}
+	}
+	for key := range journal {
+		if !records[key] {
+			t.Errorf("%s: journal says %s ended, its committed record does not", when, key)
+		}
+	}
+	for key := range records {
+		if !journal[key] {
+			t.Errorf("%s: committed record of %s says ended, the journal does not", when, key)
+		}
+	}
+}
+
+// TestTurnAtomicity fails each Batch of a run in turn. Whichever one fails,
+// the store never shows half a turn — after every Batch call, failed or not,
+// journal and records agree on which tasks ended — the failure is reported
+// once, and the failed turn's events reach the journal exactly once, with the
+// next batch that commits and ahead of that turn's own.
+func TestTurnAtomicity(t *testing.T) {
+	for _, w := range []struct {
+		name, src string
+		lib       func(t *testing.T) *Library
+		inputs    map[string]ocr.Value
+	}{
+		{"Chain8", chain8Src, testLibrary, map[string]ocr.Value{"x": ocr.Num(1)}},
+		// One sphere abort (Step1 undone, Tx's scope discarded), then success.
+		{"Sphere", sphereSrc, func(t *testing.T) *Library { return newSphereLibrary(t, 1).Library }, nil},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			run := func(failAt int) (batches int) {
+				t.Helper()
+				st, log := &turnStore{Store: store.NewMem(), failAt: failAt}, &eventLog{}
+				st.afterBatch = func() { checkJournalMatchesRecords(t, st, "after a Batch") }
+				var onErrors int
+				rt := newRuntime(t, SimConfig{Store: st, Library: w.lib(t),
+					Options: Options{OnEvent: log.add, OnError: func(error) { onErrors++ }}})
+				register(t, rt, w.src)
+				id := start(t, rt, w.name, w.inputs)
+				rt.Run()
+				finished(t, rt, id)
+				checkJournalMatchesRecords(t, st, "at the end")
+
+				var raised []Event
+				persistErrors := 0
+				for _, ev := range log.evs {
+					if ev.Kind == EvPersistError {
+						persistErrors++
+					} else {
+						raised = append(raised, ev)
+					}
+				}
+				if want := min(failAt, 1); onErrors != want || persistErrors != want {
+					t.Errorf("OnError fired %d times, %d persist-error events, want %d of each", onErrors, persistErrors, want)
+				}
+				// The journal is the events raised, in that order — short of
+				// the last turn's when it is the last batch that failed and
+				// no later one could carry them.
+				_, journal := engineJournal(t, st)
+				if failAt == st.batches {
+					if len(journal) >= len(raised) || raised[len(raised)-1].Kind != EvInstanceDone {
+						t.Fatalf("last batch failed, yet the journal holds %d of %d events", len(journal), len(raised))
+					}
+					raised = raised[:len(journal)]
+				}
+				if len(journal) != len(raised) {
+					t.Fatalf("journal holds %d events, %d were raised", len(journal), len(raised))
+				}
+				for i := range raised {
+					if journal[i] != raised[i] {
+						t.Fatalf("journal event %d = %+v, want %+v", i, journal[i], raised[i])
+					}
+				}
+				return st.batches
+			}
+			n := run(0)
+			for k := 1; k <= n; k++ {
+				if got := run(k); got != n {
+					t.Fatalf("failing batch %d: %d batches, want %d", k, got, n)
+				}
+			}
+		})
+	}
+}
+
+// TestSignalOnStubFlushesHydration: a signal nobody waits for is buffered, but
+// the turn that buffers it still ends like any other — on a lazily recovered
+// stub it has just hydrated the instance and cut checkpoints, which must
+// commit, or every later quiesce (Close, Crash) waits for them forever.
+func TestSignalOnStubFlushesHydration(t *testing.T) {
+	st := store.NewMem()
+	rtA := newRuntime(t, SimConfig{Store: st})
+	register(t, rtA, parallelSrc)
+	id := start(t, rtA, "Par", map[string]ocr.Value{"xs": sixXs()})
+	quiesceSuspended(t, rtA, id, sim.Time(1500*time.Millisecond))
+	rtA.Engine.Crash()
+
+	rtB := newRuntime(t, SimConfig{Store: st, Options: Options{LazyRecovery: true}})
+	register(t, rtB, parallelSrc)
+	if n, err := rtB.Engine.Recover(); err != nil || n != 1 {
+		t.Fatalf("lazy recover = %d, %v", n, err)
+	}
+	_, before := engineJournal(t, st)
+	if err := rtB.Engine.Signal(id, "nobody-waits", nil); err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := rtB.Engine.Hydrated(id); !h {
+		t.Fatal("Signal did not hydrate the stub")
+	}
+	quiesced := make(chan struct{})
+	go func() {
+		rtB.Engine.QuiesceCheckpoints()
+		close(quiesced)
+	}()
+	select {
+	case <-quiesced:
+	case <-time.After(10 * time.Second):
+		t.Fatal("QuiesceCheckpoints hangs: the hydration checkpoints were cut and never flushed")
+	}
+	_, after := engineJournal(t, st)
+	var kinds []string
+	for _, ev := range after[len(before):] {
+		if ev.Kind == EvServerRecovered || ev.Kind == EvSignal {
+			kinds = append(kinds, string(ev.Kind)+" "+ev.Detail)
+		}
+	}
+	if want := "server-recovered hydrated,signal nobody-waits"; strings.Join(kinds, ",") != want {
+		t.Fatalf("journal after the signal = %q, want %q", kinds, want)
+	}
+}
+
+// FuzzEventJSON: appendEventJSON writes what json.Marshal writes, whatever
+// the strings hold.
+func FuzzEventJSON(f *testing.F) {
+	f.Add(int64(0), "task-ended", "p0001", "", "S1", "n1", "")
+	f.Add(int64(-5), "", "", "", "", "", "")
+	f.Add(int64(1<<62), "x", "a<b>&c", "A/B[3]", `q"uo\te`, "tab\there", "nl\ncr\rbs\bff\fnul\x00esc\x1b del\x7f")
+	f.Add(int64(7), "k", "ls\u2028", "ps\u2029", "é世界😀", "\xff\xfe", "cut \xe2\x80")
+	f.Fuzz(func(t *testing.T, at int64, kind, instance, scope, task, node, detail string) {
+		ev := Event{At: sim.Time(at), Kind: EventKind(kind), Instance: instance, Scope: scope,
+			Task: task, Node: node, Detail: detail}
+		want, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("earlier record")
+		got := appendEventJSON(prefix, &ev)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("appendEventJSON = %s, json.Marshal = %s", got[len(prefix):], want)
+		}
+	})
+}

@@ -30,8 +30,13 @@ var hotJSONFuncs = map[string]map[string]bool{
 		"encodeCreate": true,
 		"encodeDyn":    true,
 		"encodeTask":   true,
-		"flushCkpt":    true, // spans, archive deletes, store commit
+		"appendOps":    true, // spans, archive deletes, event ops
+		"flushWrites":  true, // the turn's one store commit
 		"remarkCkpt":   true, // failed-batch re-marking
+
+		"emit":            true, // per-event journal record into the turn's write set
+		"emitNow":         true, // the same record committed alone, outside a turn
+		"appendEventJSON": true, // the journal record's bytes, without encoding/json
 
 		"RecoverOwned":          true, // recovery phases 1–3
 		"buildRecovered":        true, // per-instance rebuild (or stub)

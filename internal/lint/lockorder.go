@@ -23,18 +23,16 @@ import (
 // ascending index order; no other path holds two shards).
 var sanctionedLockOrder = map[string][]string{
 	// The instance shard is the engine's outermost lock: a navigation
-	// turn emits events (store append + ring publish), touches the
-	// dispatcher maps, registers instances (emu), and — in Crash, which
-	// holds every shard — drains the per-instance commit gates.
+	// turn emits events (write-set append + ring publish), touches the
+	// dispatcher maps, registers instances (emu), takes its commit-gate
+	// sequence, and — in Crash, which holds every shard — drains the
+	// per-instance commit gates. No store lock appears here: a turn's
+	// batch commits after the shard is released.
 	"core.Engine.shards": {
 		"core.Engine.shards", // Crash acquires all shards in ascending index order
 		"core.Engine.emu",
 		"core.Engine.dmu",
 		"core.Instance.gateMu",
-		"store.Disk.wmu",
-		"store.Disk.gmu",
-		"store.image.mu",
-		"wal.Log.mu",
 		"obs.Ring.mu",
 		"core.localExec.mu",
 		"remote.Server.mu",
@@ -44,7 +42,7 @@ var sanctionedLockOrder = map[string][]string{
 	"core.Engine.emu": {"core.Engine.dmu"},
 	// The dispatcher queries executor capacity while holding its queue.
 	"core.Engine.dmu": {"cluster.Directory.mu"},
-	// A checkpoint flush commits its store batch under the instance's
+	// A turn's write set commits its store batch under the instance's
 	// in-order gate.
 	"core.Instance.gateMu": {
 		"store.Disk.wmu", "store.Disk.gmu", "store.image.mu", "wal.Log.mu",

@@ -144,3 +144,62 @@ func TestStoreWriteAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchCarriesJournalAppends: a journal append inside a Batch (EventOp)
+// takes the journal's next sequence in op order, commits with the batch's
+// puts, and comes back on replay — on Disk one commit group, not one per op.
+func TestBatchCarriesJournalAppends(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, s Store) {
+		t.Helper()
+		var got []string
+		if err := s.Events(1, func(ev Event) error {
+			got = append(got, fmt.Sprintf("%d:%s", ev.Seq, ev.Data))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := "1:first 2:second 3:alone"; strings.Join(got, " ") != want {
+			t.Errorf("journal = %q, want %q", got, want)
+		}
+		if v, ok, _ := s.Get(Instance, "k"); !ok || string(v) != "v2" {
+			t.Errorf("k = %q, %v; want v2", v, ok)
+		}
+	}
+	for name, s := range map[string]Store{"mem": NewMem(), "disk": d} {
+		t.Run(name, func(t *testing.T) {
+			ops := []Op{
+				{Space: Instance, Key: "k", Value: []byte("v1")},
+				EventOp([]byte("first")),
+				{Space: Instance, Key: "k", Value: []byte("v2")},
+				EventOp([]byte("second")),
+			}
+			if !ops[1].IsEvent() || ops[0].IsEvent() {
+				t.Fatal("IsEvent does not tell a journal append from a put")
+			}
+			if err := s.Batch(ops); err != nil {
+				t.Fatal(err)
+			}
+			if seq, err := s.AppendEvent([]byte("alone")); err != nil || seq != 3 {
+				t.Fatalf("AppendEvent = %d, %v; want 3", seq, err)
+			}
+			check(t, s)
+		})
+	}
+	if st := d.Stats(); st.CommitGroups != 2 || st.WALSyncs != 2 {
+		t.Errorf("%d commit groups, %d fsyncs for one batch and one append; want 2 and 2", st.CommitGroups, st.WALSyncs)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = OpenDisk(dir, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	check(t, d)
+}

@@ -77,28 +77,36 @@ type Event struct {
 	Data []byte
 }
 
-// Op is one mutation inside a Batch: a put, or a delete when Delete is
-// set (Value is then ignored).
+// Op is one mutation inside a Batch: a put, a delete when Delete is set
+// (Value is then ignored), or a journal append built by EventOp.
 type Op struct {
 	Space  Space
 	Key    string
 	Value  []byte
 	Delete bool
-	// event marks a journal append of Value. Only AppendEvent sets it, so
-	// a journal record rides the same write path as a put without handing
-	// callers a way to put one inside a Batch.
+	// event marks a journal append of Value (Space and Key unused); EventOp
+	// builds one.
 	event bool
 }
+
+// EventOp returns the op that appends data to the journal. Inside a Batch it
+// makes the journal record atomic with the batch's puts and deletes — the
+// engine commits a navigation turn's events with the turn's checkpoint this
+// way; AppendEvent is the same op committed alone.
+func EventOp(data []byte) Op { return Op{Value: data, event: true} }
+
+// IsEvent reports whether the op is a journal append.
+func (op Op) IsEvent() bool { return op.event }
 
 // Store is the interface both backends implement.
 type Store interface {
 	// Put stores value under key in the given space, replacing any
 	// previous value.
 	Put(space Space, key string, value []byte) error
-	// Batch applies a set of puts and deletes atomically: after a crash
-	// either every op is visible or none is. Ops may span spaces and are
-	// applied in order (later ops win on key collisions). An empty batch
-	// is a no-op.
+	// Batch applies a set of puts, deletes and journal appends (EventOp)
+	// atomically: after a crash either every op is visible or none is. Ops
+	// may span spaces and are applied in order (later ops win on key
+	// collisions). An empty batch is a no-op.
 	Batch(ops []Op) error
 	// Get returns the value under key, and whether it exists.
 	Get(space Space, key string) ([]byte, bool, error)
@@ -281,7 +289,7 @@ func (m *Mem) Delete(space Space, key string) error {
 
 // AppendEvent implements Store.
 func (m *Mem) AppendEvent(data []byte) (uint64, error) {
-	return m.write([]Op{{Value: data, event: true}})
+	return m.write([]Op{EventOp(data)})
 }
 
 // Close implements Store.
@@ -652,7 +660,7 @@ func (d *Disk) Delete(space Space, key string) error {
 
 // AppendEvent implements Store.
 func (d *Disk) AppendEvent(data []byte) (uint64, error) {
-	return d.write([]Op{{Value: data, event: true}})
+	return d.write([]Op{EventOp(data)})
 }
 
 // WALSyncs reports how many fsyncs the underlying WAL has issued for

@@ -39,6 +39,9 @@ fi
 echo "== fuzz the frame decoder (10s)"
 go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/transport
 
+echo "== fuzz the event journal encoder against encoding/json (10s)"
+go test -run '^$' -fuzz FuzzEventJSON -fuzztime 10s ./internal/core
+
 echo "== federation e2e smoke"
 # Two servers and a gateway in one process; one server is killed mid-run
 # and every instance must still complete with correct outputs.

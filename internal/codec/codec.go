@@ -159,6 +159,14 @@ func (e *Encoder) Bytes(b []byte) {
 	e.Buf = append(e.Buf, b...)
 }
 
+// RawString appends a string in the wire form of Bytes: length-prefixed,
+// outside the intern table. It is for a field the reader looks up in place
+// (Decoder.Bytes aliases the record) instead of keeping.
+func (e *Encoder) RawString(s string) {
+	e.Uvarint(uint64(len(s)))
+	e.Buf = append(e.Buf, s...)
+}
+
 // Value appends one dynamically typed whiteboard value. Strings go through
 // the record's intern table, so an output echoing an input costs two bytes.
 func (e *Encoder) Value(v ocr.Value) {
@@ -228,21 +236,39 @@ type Decoder struct {
 }
 
 // NewDecoder validates the record header and returns a decoder positioned
-// at the first field, plus the record kind. This is the one place a record
-// of another format is refused; a '{' first byte is named for what it is —
-// a JSON record written before the codec existed — so the operator knows to
-// open the store once with a release that still converts those.
+// at the first field, plus the record kind.
 func NewDecoder(data []byte) (*Decoder, byte, error) {
-	if len(data) > 0 && data[0] == '{' {
-		return nil, 0, fmt.Errorf("%w: pre-codec JSON record", ErrCorrupt)
+	d := new(Decoder)
+	kind, err := d.Reset(data)
+	if err != nil {
+		return nil, 0, err
 	}
-	if len(data) < headerLen || data[0] != Magic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	return d, kind, nil
+}
+
+// Reset points the decoder at another record: it validates the header,
+// positions the decoder at the first field and returns the record kind. The
+// intern table keeps its capacity, so a decoder that lives as long as its
+// connection reads every frame without allocating anything of its own. This
+// is the one place a record of another format is refused; a '{' first byte
+// is named for what it is — a JSON record written before the codec existed —
+// so the operator knows which side to upgrade. After an error the decoder
+// holds no record: every read fails.
+func (d *Decoder) Reset(data []byte) (kind byte, err error) {
+	clear(d.strs) // the table must not pin the previous record's strings
+	d.buf, d.off, d.strs = nil, 0, d.strs[:0]
+	switch {
+	case len(data) > 0 && data[0] == '{':
+		d.err = fmt.Errorf("%w: pre-codec JSON record", ErrCorrupt)
+	case len(data) < headerLen || data[0] != Magic:
+		d.err = fmt.Errorf("%w: bad magic", ErrCorrupt)
+	case data[1] != Version:
+		d.err = fmt.Errorf("%w: unknown version %d", ErrCorrupt, data[1])
+	default:
+		d.buf, d.off, d.err = data, headerLen, nil
+		return data[2], nil
 	}
-	if data[1] != Version {
-		return nil, 0, fmt.Errorf("%w: unknown version %d", ErrCorrupt, data[1])
-	}
-	return &Decoder{buf: data, off: headerLen}, data[2], nil
+	return 0, d.err
 }
 
 // Err returns the first decode error, if any.
@@ -278,6 +304,20 @@ func (d *Decoder) Uvarint() uint64 {
 	}
 	d.off += n
 	return u
+}
+
+// Count reads an element count. Every element needs at least one byte, so
+// a count beyond the bytes that remain is a corrupt length, not a huge
+// allocation: it fails the decoder and reads as 0.
+func (d *Decoder) Count(what string) int {
+	n := d.Uvarint()
+	if d.err == nil && n > uint64(len(d.buf)-d.off) {
+		d.fail(what)
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
 }
 
 // Int reads a zigzag varint.
@@ -370,9 +410,8 @@ func (d *Decoder) Value() ocr.Value {
 	case ocr.KindString:
 		return ocr.Str(d.String())
 	case ocr.KindList:
-		n := int(d.Uvarint())
-		if d.err != nil || n < 0 || n > len(d.buf)-d.off {
-			d.fail("value list")
+		n := d.Count("value list")
+		if d.err != nil {
 			return ocr.Null
 		}
 		vs := make([]ocr.Value, 0, n)
@@ -390,14 +429,8 @@ func (d *Decoder) Value() ocr.Value {
 
 // ValueSlice reads a counted list of values; count 0 decodes as nil.
 func (d *Decoder) ValueSlice() []ocr.Value {
-	n := int(d.Uvarint())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	// Every element needs at least one byte; a count beyond that is a
-	// corrupt length, not a huge allocation.
-	if n < 0 || n > len(d.buf)-d.off {
-		d.fail("value slice")
+	n := d.Count("value slice")
+	if n == 0 {
 		return nil
 	}
 	vs := make([]ocr.Value, 0, n)
@@ -413,12 +446,8 @@ func (d *Decoder) ValueSlice() []ocr.Value {
 // StringSlice reads a counted list of interned strings; count 0 decodes as
 // nil.
 func (d *Decoder) StringSlice() []string {
-	n := int(d.Uvarint())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n < 0 || n > len(d.buf)-d.off {
-		d.fail("string slice")
+	n := d.Count("string slice")
+	if n == 0 {
 		return nil
 	}
 	ss := make([]string, 0, n)
@@ -433,12 +462,8 @@ func (d *Decoder) StringSlice() []string {
 
 // ValueMap reads a counted map; count 0 decodes as nil.
 func (d *Decoder) ValueMap() map[string]ocr.Value {
-	n := int(d.Uvarint())
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n < 0 || n > len(d.buf)-d.off {
-		d.fail("value map")
+	n := d.Count("value map")
+	if n == 0 {
 		return nil
 	}
 	m := make(map[string]ocr.Value, n)

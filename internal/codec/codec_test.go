@@ -308,3 +308,78 @@ func TestNewDecoderRefusesNonBinary(t *testing.T) {
 		t.Fatalf("binary record refused: kind=%d err=%v", kind, err)
 	}
 }
+
+// TestDecoderReset: one decoder reads record after record. Each Reset starts
+// a fresh intern table (slot 0 is the new record's first string, not the
+// last one's), keeps the table's capacity so the decoder itself allocates
+// nothing, and after a refused record every read fails.
+func TestDecoderReset(t *testing.T) {
+	record := func(kind byte, ss ...string) []byte {
+		e := Get()
+		defer Put(e)
+		e.Begin(kind)
+		for _, s := range ss {
+			e.String(s)
+		}
+		e.End()
+		return append([]byte(nil), e.Buf...)
+	}
+	first, second := record(7, "alpha", "beta", "alpha"), record(9, "gamma", "gamma")
+	var d Decoder
+	if kind, err := d.Reset(first); kind != 7 || err != nil {
+		t.Fatalf("Reset = kind %d, %v", kind, err)
+	}
+	if a, b, c := d.String(), d.String(), d.String(); a != "alpha" || b != "beta" || c != "alpha" || d.Finish() != nil {
+		t.Fatalf("first record read %q %q %q, %v", a, b, c, d.Finish())
+	}
+	if kind, err := d.Reset(second); kind != 9 || err != nil {
+		t.Fatalf("second Reset = kind %d, %v", kind, err)
+	}
+	if a, b := d.String(), d.String(); a != "gamma" || b != "gamma" || d.Finish() != nil {
+		t.Fatalf("second record read %q %q, %v", a, b, d.Finish())
+	}
+
+	if _, err := d.Reset([]byte(`{"id":"p1"}`)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "pre-codec JSON") {
+		t.Fatalf("Reset on JSON = %v", err)
+	}
+	if d.Uvarint(); d.Err() == nil || d.Finish() == nil {
+		t.Fatal("a decoder whose Reset failed still reads")
+	}
+	if _, err := d.Reset(first); err != nil || d.String() != "alpha" {
+		t.Fatalf("a good record after a refused one: %v", err)
+	}
+
+	ints := func() []byte {
+		e := Get()
+		defer Put(e)
+		e.Begin(3)
+		e.Uvarint(7)
+		e.Int(-9)
+		e.RawString("job")
+		e.End()
+		return append([]byte(nil), e.Buf...)
+	}()
+	if allocs := testing.AllocsPerRun(100, func() {
+		d.Reset(ints)
+		if d.Uvarint() != 7 || d.Int() != -9 || string(d.Bytes()) != "job" || d.Finish() != nil {
+			t.Fatal("scalar record misread")
+		}
+	}); allocs != 0 {
+		t.Errorf("Reset + scalar reads = %v allocs, want 0", allocs)
+	}
+}
+
+// TestCountBoundsAllocation: a count larger than the bytes left is corrupt.
+func TestCountBoundsAllocation(t *testing.T) {
+	d, _, err := NewDecoder([]byte{Magic, Version, 1, 0x03, 1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Count("list"); n != 3 || d.Err() != nil {
+		t.Fatalf("Count = %d, %v", n, d.Err())
+	}
+	d, _, _ = NewDecoder([]byte{Magic, Version, 1, 0x04, 1, 2, 3})
+	if n := d.Count("list"); n != 0 || !errors.Is(d.Err(), ErrCorrupt) {
+		t.Fatalf("oversized Count = %d, %v", n, d.Err())
+	}
+}

@@ -9,8 +9,9 @@ import (
 
 // hotJSONFuncs names the record-path functions per package: the code
 // that writes a record on every activity completion (checkpoint encode and
-// commit) or replicated frame, and the code that reads records back
-// (recovery, lazy hydration, WAL replay, standby apply). The binary codec
+// commit), replicated frame or worker-link message, and the code that reads
+// records back (recovery, lazy hydration, WAL replay, standby apply, the
+// worker link's two frame handlers). The binary codec
 // is the only record format on both sides — encoding/json must never creep
 // back in, or the 0-allocs/record budget rots on the write side and a
 // second on-disk generation reappears on the read side. Snapshot files,
@@ -69,14 +70,32 @@ var hotJSONFuncs = map[string]map[string]bool{
 		"Append":      true,
 		"AppendBatch": true,
 	},
+	// The worker link is crossed twice per activity. Its six messages are
+	// codec records; a JSON fallback for an older peer is the second wire
+	// generation that must not come back (the peer is refused instead).
+	"bioopera/internal/remote": {
+		"Launch":           true, // server: lease + launch frame, under the dispatcher's shard lock
+		"Kill":             true,
+		"accept":           true, // the handshake's hello and welcome
+		"Frame":            true, // both inbound handlers: workerConn's and Agent's
+		"handleCompletion": true, // server: completion decode, lease check, delivery
+		"runJob":           true, // agent: run, completion encode, send
+		"heartbeatLoop":    true,
+		"Encode":           true, // the six message encoders and decoders
+		"Decode":           true,
+		"openFrame":        true, // body header check, per frame
+		"send":             true,
+		"sendWait":         true,
+	},
 }
 
 // hotJSONFixtureFuncs is the golden fixture's list: a few of the engine's
-// names, and one — snapshotScope, refactored away — that the fixture does
-// not declare.
+// names, the worker link's Frame (a method: every receiver's is guarded),
+// and one — snapshotScope, refactored away — that the fixture does not
+// declare.
 var hotJSONFixtureFuncs = map[string]bool{
 	"persist": true, "archive": true, "cutCkpt": true, "flushCkpt": true,
-	"decodeInstanceRecords": true, "snapshotScope": true,
+	"decodeInstanceRecords": true, "snapshotScope": true, "Frame": true,
 }
 
 // hotFuncsFor resolves the banned-function set for a package. The golden

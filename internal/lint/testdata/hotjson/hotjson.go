@@ -40,6 +40,23 @@ func decodeInstanceRecords(data []byte) (record, error) {
 	return r, err
 }
 
+// Frame is guarded by name on every receiver, as internal/remote's two
+// inbound handlers are: a JSON fallback decoder for a peer of an older wire
+// generation is what must not come back to the worker link.
+type (
+	serverSide struct{}
+	workerSide struct{}
+)
+
+func (serverSide) Frame(kind byte, body []byte) error {
+	var r record
+	return json.Unmarshal(body, &r) // want `json\.Unmarshal in record-path function Frame`
+}
+
+func (workerSide) Frame(kind byte, body []byte) error {
+	return enc.NewDecoder(bytes.NewReader(body)).Decode(new(record)) // want `json\.NewDecoder in record-path function Frame`
+}
+
 // renderRecord is not a record-path name: showing a decoded record to an
 // operator as JSON is legal.
 func renderRecord(r record) ([]byte, error) {

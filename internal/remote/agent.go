@@ -11,6 +11,14 @@ import (
 	"bioopera/internal/transport"
 )
 
+// jobLease names one run of a job on the agent. Both halves matter: the same
+// job ID relaunches under a fresh lease after a timeout kill, and that run
+// must survive the kill of the first.
+type jobLease struct {
+	job   string
+	lease uint64
+}
+
 // AgentConfig configures a worker agent.
 type AgentConfig struct {
 	// Name identifies the worker to the server; node names are namespaced
@@ -43,13 +51,11 @@ type Agent struct {
 	inc  uint64         // set by the welcome, before welcomed closes
 	wg   sync.WaitGroup // the heartbeat loop and every running job
 
-	// Reader goroutine only.
-	dec *inDecoder
-	in  Message
+	dec codec.Decoder // reader goroutine only
 
-	mu     sync.Mutex
-	paused bool            // heartbeats suppressed (test hook)
-	killed map[string]bool // job+"#"+lease → discard the result
+	mu      sync.Mutex
+	paused  bool              // heartbeats suppressed (test hook)
+	running map[jobLease]bool // every launch still in runJob; true once a kill named it
 
 	welcomed chan struct{} // closed when the server's welcome has arrived
 	done     chan struct{} // closed when the connection is gone
@@ -75,8 +81,7 @@ func Dial(addr string, cfg AgentConfig) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:      cfg,
-		dec:      newInDecoder(),
-		killed:   make(map[string]bool),
+		running:  make(map[jobLease]bool),
 		welcomed: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -88,13 +93,13 @@ func Dial(addr string, cfg AgentConfig) (*Agent, error) {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
 	}
 	conn.ExpectReply()
-	hello := newOutMsg()
-	hello.Worker = cfg.Name
-	hello.Nodes = make([]NodeInfo, cfg.CPUs)
+	hello := Hello{Worker: cfg.Name, Nodes: make([]NodeInfo, cfg.CPUs)}
 	for i := range hello.Nodes {
 		hello.Nodes[i] = NodeInfo{Name: fmt.Sprintf("cpu%d", i), OS: cfg.OS, CPUs: 1, Speed: cfg.Speed}
 	}
-	err = hello.send(conn, codec.FrameHello)
+	e := codec.Get()
+	hello.Encode(e)
+	err = send(conn, codec.FrameHello, e)
 	if err == nil {
 		select {
 		case <-a.welcomed:
@@ -156,26 +161,31 @@ func (a *Agent) heartbeatLoop(every time.Duration) {
 			if paused {
 				continue
 			}
-			hb := newOutMsg()
+			var hb Heartbeat
 			if a.cfg.Load != nil {
 				hb.Load = a.cfg.Load()
 			}
-			if err := hb.sendWait(a.conn, codec.FrameHeartbeat); err != nil {
+			e := codec.Get()
+			hb.Encode(e)
+			if err := sendWait(a.conn, codec.FrameHeartbeat, e); err != nil {
 				return
 			}
 		}
 	}
 }
 
-// Frame handles one message from the server.
+// Frame handles one message from the server. An error hangs the link up;
+// Closed logs it.
 func (a *Agent) Frame(kind byte, body []byte) error {
-	a.in = Message{}
-	m := &a.in
-	if err := a.dec.decode(body, m); err != nil {
-		return fmt.Errorf("remote: %s: %w", a.cfg.Name, err)
+	if err := openFrame(&a.dec, kind, body); err != nil {
+		return err
 	}
 	switch kind {
 	case codec.FrameWelcome:
+		var m Welcome
+		if err := m.Decode(&a.dec); err != nil {
+			return err
+		}
 		select {
 		case <-a.welcomed:
 			return nil // a second welcome changes nothing
@@ -190,13 +200,27 @@ func (a *Agent) Frame(kind byte, body []byte) error {
 		go a.heartbeatLoop(every)
 		close(a.welcomed)
 	case codec.FrameLaunch:
-		a.wg.Add(1)
-		go a.runJob(*m)
-	case codec.FrameKill:
-		// Keyed by job AND lease: the same job ID relaunches under a
-		// fresh lease after a timeout kill, and that run must survive.
+		l := new(Launch) // runJob's own: it outlives the frame
+		if err := l.Decode(&a.dec); err != nil {
+			return err
+		}
 		a.mu.Lock()
-		a.killed[m.Job+"#"+fmt.Sprint(m.Lease)] = true
+		a.running[jobLease{l.Job, l.Lease}] = false
+		a.mu.Unlock()
+		a.wg.Add(1)
+		go a.runJob(l)
+	case codec.FrameKill:
+		var k Kill
+		if err := k.Decode(&a.dec); err != nil {
+			return err
+		}
+		// Only a lease still running is marked: a kill that lands after
+		// its completion was sent must leave nothing behind.
+		key := jobLease{k.Job, k.Lease}
+		a.mu.Lock()
+		if _, ok := a.running[key]; ok {
+			a.running[key] = true
+		}
 		a.mu.Unlock()
 	default:
 		a.logf("remote: %s got unexpected frame kind %d", a.cfg.Name, kind)
@@ -211,39 +235,35 @@ func (a *Agent) Closed(err error) {
 }
 
 // runJob executes one launched activity against the local library and
-// reports the lease-tagged result.
-func (a *Agent) runJob(m Message) {
+// reports the lease-tagged result, unless a kill named the lease meanwhile.
+func (a *Agent) runJob(l *Launch) {
 	defer a.wg.Done()
-	reply := newOutMsg()
-	reply.Message = Message{Job: m.Job, Node: m.Node, Lease: m.Lease, Incarnation: a.inc}
-	prog, ok := a.cfg.Library.Lookup(m.Program)
-	if !ok {
-		reply.Error = fmt.Sprintf("worker %s: unknown program %q", a.cfg.Name, m.Program)
-		_ = reply.sendWait(a.conn, codec.FrameCompletion)
-		return
-	}
-	t0 := time.Now()
-	outputs, err := prog.Run(core.ProgramCtx{
-		Instance: m.Instance,
-		Task:     m.Task,
-		Attempt:  m.Attempt,
-		Node:     m.Node,
-	}, m.Inputs)
-	reply.CPUNanos = int64(time.Since(t0))
-
-	a.mu.Lock()
-	discard := a.killed[m.Job+"#"+fmt.Sprint(m.Lease)]
-	delete(a.killed, m.Job+"#"+fmt.Sprint(m.Lease))
-	a.mu.Unlock()
-	if discard {
-		return
-	}
-	if err != nil {
-		reply.Error = err.Error()
+	reply := Completion{Job: l.Job, Lease: l.Lease, Incarnation: a.inc}
+	if prog, ok := a.cfg.Library.Lookup(l.Program); !ok {
+		reply.Error = fmt.Sprintf("worker %s: unknown program %q", a.cfg.Name, l.Program)
 	} else {
-		reply.Outputs = outputs
+		t0 := time.Now()
+		outputs, err := prog.Run(l.Ctx, l.Inputs)
+		reply.CPUNanos = int64(time.Since(t0))
+		if err != nil {
+			reply.Error = err.Error()
+		} else {
+			reply.Outputs = outputs
+		}
+	}
+
+	// The one way out: the run leaves the table whatever became of it.
+	key := jobLease{l.Job, l.Lease}
+	a.mu.Lock()
+	killed := a.running[key]
+	delete(a.running, key)
+	a.mu.Unlock()
+	if killed {
+		return
 	}
 	// Back-pressure, not loss: a completion waits for room in the queue
 	// (this goroutine holds no lock) and fails only with the connection.
-	_ = reply.sendWait(a.conn, codec.FrameCompletion)
+	e := codec.Get()
+	reply.Encode(e)
+	_ = sendWait(a.conn, codec.FrameCompletion, e)
 }

@@ -59,9 +59,7 @@ type workerConn struct {
 	conn  *transport.Conn
 	nodes []string // server-side node names owned by this worker; fixed at registration
 
-	// Reader goroutine only.
-	dec *inDecoder
-	in  Message
+	dec codec.Decoder // reader goroutine only
 
 	dead bool // guarded by Server.mu
 }
@@ -228,22 +226,21 @@ func (s *Server) Launch(l core.Launch) error {
 	s.mu.Unlock()
 
 	// Send never blocks: the dispatcher calls Launch holding a shard lock.
-	o := newOutMsg()
-	o.Message = Message{
+	m := Launch{
 		Job:         lz.job,
-		Node:        l.Node,
 		Lease:       lz.id,
 		Incarnation: lz.inc,
 		Program:     l.Program,
-		Inputs:      l.Inputs,
-		Instance:    l.Ctx.Instance,
-		Task:        l.Ctx.Task,
-		Attempt:     l.Ctx.Attempt,
+		Ctx:         l.Ctx,
 		Nice:        l.Nice,
 		CostMs:      l.Cost.Milliseconds(),
 		TimeoutMs:   l.Timeout.Milliseconds(),
+		Inputs:      l.Inputs,
 	}
-	if err := o.send(w.conn, codec.FrameLaunch); err != nil {
+	m.Ctx.Node = l.Node
+	e := codec.Get()
+	m.Encode(e)
+	if err := send(w.conn, codec.FrameLaunch, e); err != nil {
 		// Undo; a broken connection ends in Closed, which declares the
 		// worker dead.
 		s.mu.Lock()
@@ -281,9 +278,9 @@ func (s *Server) Kill(id cluster.JobID, node string) error {
 	if w != nil {
 		// Best-effort: a worker that misses the kill reports a completion
 		// the lease check then drops.
-		o := newOutMsg()
-		o.Job, o.Lease = lz.job, lz.id
-		_ = o.send(w.conn, codec.FrameKill)
+		e := codec.Get()
+		(&Kill{Job: lz.job, Lease: lz.id}).Encode(e)
+		_ = send(w.conn, codec.FrameKill, e)
 	}
 	if !async {
 		if deliver != nil {
@@ -340,9 +337,11 @@ var errBadHello = errors.New("remote: first frame is not a valid hello")
 // the worker and its nodes; the worker is registered and welcomed, and its
 // workerConn handles the connection from then on.
 func (s *Server) accept(c *transport.Conn, kind byte, body []byte) (transport.Handler, error) {
-	w := &workerConn{s: s, conn: c, dec: newInDecoder()}
-	hello := &w.in
-	if kind != codec.FrameHello || w.dec.decode(body, hello) != nil ||
+	w := &workerConn{s: s, conn: c}
+	var hello Hello
+	if err := openFrame(&w.dec, kind, body); errors.Is(err, ErrPreCodec) {
+		return nil, err // a pre-codec worker is told what it is
+	} else if err != nil || kind != codec.FrameHello || hello.Decode(&w.dec) != nil ||
 		hello.Worker == "" || len(hello.Nodes) == 0 {
 		return nil, errBadHello
 	}
@@ -394,9 +393,9 @@ func (s *Server) accept(c *transport.Conn, kind byte, body []byte) (transport.Ha
 	// The welcome is queued before the registration lock is released, so it
 	// is first on the wire even if a dispatcher Launch targets this worker
 	// the instant mu unlocks. The fresh queue cannot be full.
-	o := newOutMsg()
-	o.Incarnation, o.HeartbeatMs = w.inc, s.cfg.HeartbeatEvery.Milliseconds()
-	welcomeErr := o.send(c, codec.FrameWelcome)
+	e := codec.Get()
+	(&Welcome{Incarnation: w.inc, HeartbeatMs: s.cfg.HeartbeatEvery.Milliseconds()}).Encode(e)
+	welcomeErr := send(c, codec.FrameWelcome, e)
 	onChange := s.onChange
 	s.mu.Unlock()
 	if welcomeErr != nil {
@@ -415,25 +414,29 @@ func (s *Server) accept(c *transport.Conn, kind byte, body []byte) (transport.Ha
 }
 
 // Frame handles one message from the worker. Liveness needs nothing here:
-// the transport stamps every inbound byte and the reaper reads the stamp.
+// the transport stamps every inbound byte and the reaper reads the stamp. An
+// error hangs the link up; Closed logs it.
 func (w *workerConn) Frame(kind byte, body []byte) error {
-	w.in = Message{}
-	if err := w.dec.decode(body, &w.in); err != nil {
-		return fmt.Errorf("remote: worker %s: %w", w.name, err)
+	if err := openFrame(&w.dec, kind, body); err != nil {
+		return err
 	}
 	s := w.s
 	switch kind {
 	case codec.FrameHeartbeat:
+		var hb Heartbeat
+		if err := hb.Decode(&w.dec); err != nil {
+			return err
+		}
 		s.mHeartbeats.Inc()
 		// Propagate the worker's reported external load to every node it
 		// owns — the feedback the scheduler's batcher autotunes on.
-		if w.in.Load > 0 {
+		if hb.Load > 0 {
 			for _, n := range w.nodes {
-				s.dir.SetExtLoad(n, w.in.Load)
+				s.dir.SetExtLoad(n, hb.Load)
 			}
 		}
 	case codec.FrameCompletion:
-		s.handleCompletion(w, &w.in)
+		return s.handleCompletion(w)
 	default:
 		s.logf("remote: worker %s sent unexpected frame kind %d", w.name, kind)
 	}
@@ -443,7 +446,10 @@ func (w *workerConn) Frame(kind byte, body []byte) error {
 // Closed: the connection is gone. If this worker was still considered
 // alive, its death is now certain — no need to wait out the heartbeat
 // timeout.
-func (w *workerConn) Closed(error) { w.s.declareDead(w, "connection lost") }
+func (w *workerConn) Closed(err error) {
+	w.s.logf("remote: worker %s link ended: %v", w.name, err)
+	w.s.declareDead(w, "connection lost")
+}
 
 // declareDead marks a worker dead, takes its nodes down, and fails its
 // running jobs with ErrNodeFailed so the engine requeues them elsewhere —
@@ -491,12 +497,19 @@ func (s *Server) declareDead(w *workerConn, reason string) {
 	}
 }
 
-// handleCompletion validates a worker's result against the current lease
-// and delivers it to the engine. Anything stale — unknown job, reused job
-// ID under a newer lease, dead worker, pre-crash incarnation — is dropped.
-func (s *Server) handleCompletion(w *workerConn, m *Message) {
+// handleCompletion decodes a worker's result from the frame w.dec is open
+// on, validates it against the current lease and delivers it to the engine.
+// Anything stale — unknown job, reused job ID under a newer lease, dead
+// worker, pre-crash incarnation — is dropped. The lease supplies the job and
+// node strings; the frame's job bytes only find it.
+func (s *Server) handleCompletion(w *workerConn) error {
+	var m Completion
+	job, err := m.Decode(&w.dec)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
-	lz := s.running[m.Job]
+	lz := s.running[string(job)]
 	valid := lz != nil && lz.id == m.Lease && lz.worker == w.name &&
 		lz.inc == m.Incarnation && lz.inc == w.inc &&
 		!w.dead && s.workers[w.name] == w
@@ -504,16 +517,16 @@ func (s *Server) handleCompletion(w *workerConn, m *Message) {
 		s.droppedStale++
 		s.mu.Unlock()
 		s.mStaleDrops.Inc()
-		s.logf("remote: dropped stale completion for job %s from %s (lease %d)", m.Job, w.name, m.Lease)
-		return
+		s.logf("remote: dropped stale completion for job %s from %s (lease %d)", job, w.name, m.Lease)
+		return nil
 	}
-	delete(s.running, m.Job)
+	delete(s.running, lz.job)
 	s.dir.Release(lz.node)
 	deliver := s.onCompletion
 	s.mu.Unlock()
 
 	c := cluster.Completion{
-		Job:     cluster.JobID(m.Job),
+		Job:     cluster.JobID(lz.job),
 		Node:    lz.node,
 		Start:   sim.Time(lz.started),
 		End:     sim.Time(time.Since(s.start)),
@@ -532,4 +545,5 @@ func (s *Server) handleCompletion(w *workerConn, m *Message) {
 	if deliver != nil {
 		deliver(c)
 	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net"
@@ -185,6 +186,51 @@ func TestIdleShipperSendsKeepAlives(t *testing.T) {
 	}
 }
 
+// workerFrames is one frame of each worker-protocol message, built by the
+// encoders internal/remote sends with.
+func workerFrames() map[byte][]byte {
+	vals := map[string]ocr.Value{"x": ocr.Str("payload")}
+	frames := make(map[byte][]byte)
+	for kind, m := range map[byte]interface{ Encode(*codec.Encoder) }{
+		codec.FrameHello:      &remote.Hello{Worker: "w1", Nodes: []remote.NodeInfo{{Name: "cpu0", OS: "linux", CPUs: 1, Speed: 1}}},
+		codec.FrameWelcome:    &remote.Welcome{Incarnation: 3, HeartbeatMs: 1000},
+		codec.FrameLaunch:     &remote.Launch{Job: "p0001/A#1", Lease: 7, Incarnation: 3, Program: "lab.step", Ctx: core.ProgramCtx{Instance: "p0001", Task: "A", Attempt: 1, Node: "w1/cpu0"}, Inputs: vals},
+		codec.FrameKill:       &remote.Kill{Job: "p0001/A#1", Lease: 7},
+		codec.FrameHeartbeat:  &remote.Heartbeat{Load: 0.25},
+		codec.FrameCompletion: &remote.Completion{Job: "p0001/A#1", Lease: 7, Incarnation: 3, Outputs: vals, CPUNanos: 1234},
+	} {
+		e := codec.Get()
+		m.Encode(e)
+		frames[kind] = transport.AppendFrame(nil, kind, e.Buf)
+		codec.Put(e)
+	}
+	return frames
+}
+
+// TestWorkerFramesGolden pins the worker protocol's bytes: frame header
+// (magic, version, kind, body length), then the body — a codec record of the
+// same kind. A layout change shows up here as a diff to review, and means a
+// new frame kind (DESIGN §13), not an edit to these strings.
+func TestWorkerFramesGolden(t *testing.T) {
+	golden := map[byte]string{
+		codec.FrameHello:      "bf01381b" + "bf0138" + "047731" + "01" + "0863707530" + "0a6c696e7578" + "02" + "000000000000f03f",
+		codec.FrameWelcome:    "bf013906" + "bf0139" + "03" + "d00f",
+		codec.FrameLaunch:     "bf013a38" + "bf013a" + "1270303030312f412331" + "0e77312f63707530" + "07" + "03" + "106c61622e73746570" + "0a7030303031" + "0241" + "02" + "00" + "00" + "00" + "01" + "0278" + "03" + "0e7061796c6f6164",
+		codec.FrameKill:       "bf013b0e" + "bf013b" + "1270303030312f412331" + "07",
+		codec.FrameHeartbeat:  "bf013c0b" + "bf013c" + "000000000000d03f",
+		codec.FrameCompletion: "bf013d1e" + "bf013d" + "0970303030312f412331" + "07" + "03" + "a413" + "00" + "01" + "0278" + "03" + "0e7061796c6f6164",
+	}
+	frames := workerFrames()
+	if len(frames) != len(golden) {
+		t.Fatalf("%d worker frames, %d goldens", len(frames), len(golden))
+	}
+	for kind, want := range golden {
+		if got := hex.EncodeToString(frames[kind]); got != want {
+			t.Errorf("kind %d on the wire:\n got  %s\n want %s", kind, got, want)
+		}
+	}
+}
+
 // everyKind is one real frame of every kind, as the owners encode them.
 func everyKind(t testing.TB) [][]byte {
 	jsonBody := func(v any) []byte {
@@ -204,12 +250,6 @@ func everyKind(t testing.TB) [][]byte {
 	}
 	frames := map[byte][]byte{
 		codec.FrameKeepAlive:    nil,
-		codec.FrameHello:        jsonBody(remote.Message{Worker: "w1", Nodes: []remote.NodeInfo{{Name: "cpu0", OS: "linux", CPUs: 1, Speed: 1}}}),
-		codec.FrameWelcome:      jsonBody(remote.Message{Incarnation: 3, HeartbeatMs: 1000}),
-		codec.FrameLaunch:       jsonBody(remote.Message{Job: "p0001/A#1", Node: "w1/cpu0", Lease: 7, Incarnation: 3, Program: "lab.step", Inputs: vals, Instance: "p0001", Task: "A", Attempt: 1}),
-		codec.FrameKill:         jsonBody(remote.Message{Job: "p0001/A#1", Lease: 7}),
-		codec.FrameHeartbeat:    jsonBody(remote.Message{Load: 0.25}),
-		codec.FrameCompletion:   jsonBody(remote.Message{Job: "p0001/A#1", Node: "w1/cpu0", Lease: 7, Incarnation: 3, Outputs: vals, CPUNanos: 1234}),
 		codec.FrameFedHello:     jsonBody(fed.Frame{From: fed.MemberInfo{Name: "alpha", Addr: "127.0.0.1:7000", Incarnation: 2, Up: true, Partitions: []int{0, 3}}}),
 		codec.FrameFedGossip:    jsonBody(fed.Frame{From: fed.MemberInfo{Name: "alpha", Up: true}, Members: []fed.MemberInfo{{Name: "beta", Addr: "127.0.0.1:7001", Up: true}}}),
 		codec.FrameFedRequest:   jsonBody(fed.Frame{ID: 9, Method: fed.MethodStart, Params: jsonBody(fed.StartReq{Template: "Chain8", Inputs: vals})}),
@@ -222,6 +262,9 @@ func everyKind(t testing.TB) [][]byte {
 	var out [][]byte
 	for kind, body := range frames {
 		out = append(out, transport.AppendFrame(nil, kind, body))
+	}
+	for _, frame := range workerFrames() {
+		out = append(out, frame)
 	}
 	return out
 }

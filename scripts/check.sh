@@ -39,6 +39,9 @@ fi
 echo "== fuzz the frame decoder (10s)"
 go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/transport
 
+echo "== fuzz the worker-protocol message decoders (10s)"
+go test -run '^$' -fuzz FuzzWorkerMessage -fuzztime 10s ./internal/remote
+
 echo "== fuzz the event journal encoder against encoding/json (10s)"
 go test -run '^$' -fuzz FuzzEventJSON -fuzztime 10s ./internal/core
 

@@ -11,10 +11,11 @@
 //
 // Output formats:
 //
-//	(default)  file:line:col: message [analyzer]
+//	(default)  file:line:col: message [analyzer] — or, when the tool sees it
+//	           runs under GitHub Actions (GITHUB_ACTIONS=true), workflow
+//	           commands (::error file=...), which the Actions runner turns
+//	           into PR-diff annotations
 //	-json      a JSON array of {analyzer, file, line, column, message}
-//	-github    GitHub Actions workflow commands (::error file=...), which
-//	           the Actions runner turns into PR-diff annotations
 package main
 
 import (
@@ -40,7 +41,6 @@ type finding struct {
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
-	githubOut := flag.Bool("github", false, "emit findings as GitHub Actions annotations")
 	flag.Parse()
 
 	root, err := moduleRoot()
@@ -83,7 +83,7 @@ func main() {
 		if err := enc.Encode(findings); err != nil {
 			fail(err)
 		}
-	case *githubOut:
+	case os.Getenv("GITHUB_ACTIONS") == "true":
 		for _, f := range findings {
 			// %0A is the workflow-command newline escape; the message body
 			// must also escape % to survive the runner's decoding.

@@ -209,9 +209,9 @@ type queuedRef struct {
 //
 // Lock order is shard → emu/dmu (emu and dmu are leaves, except that Crash
 // takes emu then dmu). Navigation never calls Executor.Kill or Pump while
-// holding a shard: kills are deferred to endTurn (executors may deliver the
-// kill completion synchronously, re-entering the same shard) and Pump runs
-// at the tail of every public entry point.
+// holding a shard: it notes them on the instance and endTurn, the one way
+// out of a turn, delivers them once the shard is released (executors may
+// deliver the kill completion synchronously, re-entering the same shard).
 type Engine struct {
 	opts    Options
 	sched   *sched.Scheduler
@@ -294,22 +294,28 @@ func (e *Engine) lookup(id string) (*Instance, bool) {
 	return in, ok
 }
 
-// endTurn closes an instance's critical section: it detaches the turn's
-// write set, releases the shard, commits the write set as one store batch,
-// delivers kills deferred during navigation (outside the lock, because the
-// executor may deliver the kill completion synchronously), and optionally
-// pumps the dispatcher.
-func (e *Engine) endTurn(in *Instance, mu *sync.Mutex, pump bool) {
-	kills := in.pendingKills
-	in.pendingKills = nil
+// endTurn is the one way out of an instance's critical section. Every
+// function that locks a shard to write defers it straight after the lock, so
+// each return leaves through it: it detaches the turn's write set, releases
+// the shard, commits the write set as one store batch, delivers the kills
+// navigation deferred (outside the lock, because the executor may deliver the
+// kill completion synchronously) and pumps the dispatcher if the turn asked
+// for it. A turn that panics commits nothing: its write set is dropped, the
+// shard released and the panic raised again.
+func (e *Engine) endTurn(in *Instance, mu *sync.Mutex) {
+	kills, pump, done := in.pendingKills, in.pendingPump, in.pendingDone
+	in.pendingKills, in.pendingPump, in.pendingDone = nil, false, false
 	ws := in.writes
 	in.writes = nil
+	if r := recover(); r != nil {
+		in.turnLive = false
+		mu.Unlock()
+		panic(r)
+	}
 	if ws != nil {
 		// Under the shard, so write sets enter the commit gate in turn order.
 		ws.seq = in.nextCkptSeq()
 	}
-	done := in.pendingDone
-	in.pendingDone = false
 	if in.turnLive {
 		in.turnLive = false
 		e.metrics.turn(e.shardIndex(in.ID), e.now().Sub(in.turnStart))
@@ -636,9 +642,8 @@ func (e *Engine) StartProcess(template string, inputs map[string]ocr.Value, opts
 
 	mu := e.shardFor(id)
 	mu.Lock()
-	e.beginTurn(in)
+	defer e.endTurn(in, mu)
 	if err := e.initScope(in, root); err != nil {
-		mu.Unlock()
 		return "", err
 	}
 	// Publish only after initialization succeeded, so no other caller
@@ -648,17 +653,18 @@ func (e *Engine) StartProcess(template string, inputs map[string]ocr.Value, opts
 		// Two racing starts with the same explicit ID: the loser backs
 		// out before publishing anything.
 		e.emu.Unlock()
-		mu.Unlock()
 		return "", fmt.Errorf("%w: %s", ErrDuplicateID, id)
 	}
 	e.instances[id] = in
 	e.order = append(e.order, id)
 	e.emu.Unlock()
+	// The turn begins once the instance exists: a rejected start counts none.
+	e.beginTurn(in)
 	e.emit(in, Event{Kind: EvInstanceStarted, Instance: id, Detail: template})
 	e.persist(in)
 	e.activateRoots(in, root)
 	e.maybeCompleteScope(in, root)
-	e.endTurn(in, mu, true)
+	in.pendingPump = true
 	return id, nil
 }
 
@@ -780,8 +786,8 @@ func (e *Engine) Suspend(id string, graceful bool) error {
 	}
 	mu := e.shardFor(id)
 	mu.Lock()
+	defer e.endTurn(in, mu)
 	if in.Status != InstanceRunning {
-		mu.Unlock()
 		return fmt.Errorf("%w: instance %s is %s", ErrBadState, id, in.Status)
 	}
 	e.beginTurn(in)
@@ -792,7 +798,6 @@ func (e *Engine) Suspend(id string, graceful bool) error {
 		e.killRunning(in)
 	}
 	e.persist(in)
-	e.endTurn(in, mu, false)
 	return nil
 }
 
@@ -807,13 +812,12 @@ func (e *Engine) Resume(id string) error {
 	}
 	mu := e.shardFor(id)
 	mu.Lock()
+	defer e.endTurn(in, mu)
 	if in.Status != InstanceSuspended {
-		mu.Unlock()
 		return fmt.Errorf("%w: instance %s is %s", ErrBadState, id, in.Status)
 	}
 	e.beginTurn(in)
 	if err := e.hydrateLocked(in); err != nil {
-		e.endTurn(in, mu, false)
 		return err
 	}
 	in.setStatus(InstanceRunning)
@@ -824,7 +828,7 @@ func (e *Engine) Resume(id string) error {
 	e.dmu.Unlock()
 	e.emit(in, Event{Kind: EvInstanceResumed, Instance: id})
 	e.persist(in)
-	e.endTurn(in, mu, true)
+	in.pendingPump = true
 	return nil
 }
 
@@ -839,19 +843,17 @@ func (e *Engine) Abort(id string, reason string) error {
 	}
 	mu := e.shardFor(id)
 	mu.Lock()
+	defer e.endTurn(in, mu)
 	if in.Status == InstanceDone || in.Status == InstanceFailed {
-		mu.Unlock()
 		return fmt.Errorf("%w: instance %s is %s", ErrBadState, id, in.Status)
 	}
 	e.beginTurn(in)
 	// A lazy stub must hydrate first: archive captures the full scope
 	// tree, and failing a meta-only shell would strand its delta records.
 	if err := e.hydrateLocked(in); err != nil {
-		e.endTurn(in, mu, false)
 		return err
 	}
 	e.failInstance(in, "aborted: "+reason)
-	e.endTurn(in, mu, false)
 	return nil
 }
 
@@ -868,18 +870,16 @@ func (e *Engine) SetParameter(id, name string, v ocr.Value) error {
 	}
 	mu := e.shardFor(id)
 	mu.Lock()
+	defer e.endTurn(in, mu)
 	if in.Status == InstanceDone || in.Status == InstanceFailed {
-		mu.Unlock()
 		return fmt.Errorf("%w: instance %s is %s", ErrBadState, id, in.Status)
 	}
 	e.beginTurn(in)
 	if err := e.hydrateLocked(in); err != nil {
-		e.endTurn(in, mu, false)
 		return err
 	}
 	e.setWB(in, in.root, name, v)
 	e.persist(in)
-	e.endTurn(in, mu, false)
 	return nil
 }
 

@@ -322,9 +322,9 @@ func TestPersistHotPathAllocs(t *testing.T) {
 	ts := sc.Tasks["Add"]
 	run := func() {
 		mu.Lock()
+		defer e.endTurn(in, mu)
 		e.touchTask(in, sc, ts)
 		e.persist(in)
-		e.endTurn(in, mu, false)
 	}
 	run() // warm the pools
 	allocs := testing.AllocsPerRun(200, run)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -86,23 +87,17 @@ func (e *Engine) failUnplaceable(job sched.Job, ref *queuedRef) {
 	in, sc, ts := ref.inst, ref.sc, ref.ts
 	mu := e.shardFor(in.ID)
 	mu.Lock()
+	defer e.endTurn(in, mu)
 	if cur, live := e.lookup(in.ID); !live || cur != in {
-		mu.Unlock()
 		return
 	}
 	e.beginTurn(in)
 	if sc.defunct || ts.Status != TaskReady || ts.Job != job.ID {
-		e.endTurn(in, mu, false)
 		return
 	}
 	if in.Status != InstanceRunning {
-		requeue := in.Status == InstanceSuspended
-		e.endTurn(in, mu, false)
-		if requeue {
-			e.dmu.Lock()
-			e.sched.Enqueue(job)
-			e.queued[job.ID] = ref
-			e.dmu.Unlock()
+		if in.Status == InstanceSuspended {
+			e.putBack(job, ref)
 		}
 		return
 	}
@@ -110,7 +105,19 @@ func (e *Engine) failUnplaceable(job sched.Job, ref *queuedRef) {
 	e.emit(in, Event{Kind: EvTaskUnplaceable, Instance: in.ID, Scope: sc.ID, Task: ts.Name,
 		Detail: fmt.Sprintf("required nodes %v are all down or unknown", job.Nodes)})
 	e.failTask(in, sc, t, ts, fmt.Errorf("required nodes %v are all down or unknown", job.Nodes))
-	e.endTurn(in, mu, false)
+}
+
+// putBack returns a job the dispatcher popped to the activity queue. The
+// caller holds the instance's shard: put back after the turn, a Resume in
+// between would release the group and pump against a queue that does not
+// hold the job yet, and nothing would pump again.
+func (e *Engine) putBack(job sched.Job, ref *queuedRef) {
+	e.dmu.Lock()
+	delete(e.running, job.ID)
+	ref.node = ""
+	e.sched.Enqueue(job)
+	e.queued[job.ID] = ref
+	e.dmu.Unlock()
 }
 
 // dispatch starts one popped job on its chosen node. It returns false when
@@ -119,27 +126,24 @@ func (e *Engine) dispatch(job sched.Job, node string, ref *queuedRef) bool {
 	in, sc, ts := ref.inst, ref.sc, ref.ts
 	mu := e.shardFor(in.ID)
 	mu.Lock()
+	defer e.endTurn(in, mu)
 	if cur, live := e.lookup(in.ID); !live || cur != in {
 		// Crash wiped (or recovery rebuilt) the instance since the pop;
 		// the popped job died with its incarnation.
-		mu.Unlock()
 		return true
 	}
 	e.beginTurn(in)
 	// Re-validate under the shard: since the pop, the instance may have
 	// been suspended or aborted, the scope torn down by a sphere abort,
 	// or the task superseded by a newer attempt.
-	if sc.defunct || ts.Status != TaskReady || ts.Job != job.ID || in.Status != InstanceRunning {
-		requeue := !sc.defunct && ts.Status == TaskReady && ts.Job == job.ID &&
-			in.Status == InstanceSuspended
-		e.endTurn(in, mu, false)
-		if requeue {
+	if sc.defunct || ts.Status != TaskReady || ts.Job != job.ID {
+		return true
+	}
+	if in.Status != InstanceRunning {
+		if in.Status == InstanceSuspended {
 			// Suspended after the pop: back into its (now held) group
 			// for Resume.
-			e.dmu.Lock()
-			e.sched.Enqueue(job)
-			e.queued[job.ID] = ref
-			e.dmu.Unlock()
+			e.putBack(job, ref)
 		}
 		return true
 	}
@@ -169,16 +173,16 @@ func (e *Engine) dispatch(job sched.Job, node string, ref *queuedRef) bool {
 	if t.Timeout > 0 {
 		l.Timeout = time.Duration(t.Timeout * float64(time.Second))
 	}
-	//bioopera:allow locksafe reserve-then-launch must be atomic per job; Executor.Launch is contractually non-blocking (goroutine spawn locally, one JSON frame remotely)
+	// Under the shard: reserve-then-launch must be atomic per job, and
+	// Executor.Launch does not block by contract (a goroutine spawn locally,
+	// one queued frame remotely).
 	if err := e.opts.Executor.Launch(l); err != nil {
-		// Capacity changed under us; requeue and stop draining.
-		e.dmu.Lock()
-		delete(e.running, job.ID)
-		ref.node = ""
-		e.sched.Enqueue(job)
-		e.queued[job.ID] = ref
-		e.dmu.Unlock()
-		e.endTurn(in, mu, false)
+		// Capacity changed under us; requeue and stop draining. If a
+		// concurrent drain took the slot, pump again after the turn: the
+		// winner's completion may have pumped while this job was in neither
+		// the queue nor a slot, and on a quiet engine nothing else will.
+		e.putBack(job, ref)
+		in.pendingPump = errors.Is(err, cluster.ErrNoFreeCPU)
 		return false
 	}
 	ts.Status = TaskRunning
@@ -191,7 +195,6 @@ func (e *Engine) dispatch(job sched.Job, node string, ref *queuedRef) bool {
 	if l.Timeout > 0 {
 		e.armTimeout(job.ID, l.Timeout)
 	}
-	e.endTurn(in, mu, false)
 	return true
 }
 
@@ -262,19 +265,19 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 	in, sc, ts := ref.inst, ref.sc, ref.ts
 	mu := e.shardFor(in.ID)
 	mu.Lock()
+	defer e.endTurn(in, mu)
 	if cur, live := e.lookup(in.ID); !live || cur != in {
 		// The engine crashed (or recovery rebuilt the instance) between
 		// the running-map pop and this turn: the completion belongs to a
 		// previous incarnation and must not navigate it further.
-		mu.Unlock()
-		e.Pump()
+		in.pendingPump = true
 		return
 	}
 	e.beginTurn(in)
 	if sc.defunct {
 		// The scope was torn down by a sphere abort; the slot is
 		// free, the result is void.
-		e.endTurn(in, mu, true)
+		in.pendingPump = true
 		return
 	}
 	t := sc.Proc.Task(ts.Name)
@@ -292,7 +295,6 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 	}
 
 	if in.Status == InstanceFailed || in.Status == InstanceDone {
-		e.endTurn(in, mu, false)
 		return
 	}
 
@@ -306,7 +308,7 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 		e.emit(in, Event{Kind: EvTaskRetried, Instance: in.ID, Scope: sc.ID, Task: ts.Name,
 			Node: c.Node, Detail: fmt.Sprintf("infrastructure: %v", c.Err)})
 		e.requeue(in, sc, t, ts)
-		e.endTurn(in, mu, true)
+		in.pendingPump = true
 		return
 	}
 
@@ -317,7 +319,6 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 		prog, ok := e.opts.Library.Lookup(t.Program)
 		if !ok {
 			e.failInstance(in, fmt.Sprintf("program %q vanished from the library", t.Program))
-			e.endTurn(in, mu, false)
 			return
 		}
 		outputs, progErr = prog.Run(ProgramCtx{
@@ -327,14 +328,13 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 			Node:     c.Node,
 		}, ts.Inputs)
 	}
+	in.pendingPump = true
 	if progErr != nil {
 		e.handleProgramFailure(in, sc, t, ts, progErr)
-		e.endTurn(in, mu, true)
 		return
 	}
 	in.Activities++
 	e.finishTask(in, sc, t, ts, outputs)
-	e.endTurn(in, mu, true)
 }
 
 // programThunk packages a task's external binding for node-side execution.

@@ -64,15 +64,14 @@ func (e *Engine) Signal(instanceID, event string, payload map[string]ocr.Value) 
 	}
 	mu := e.shardFor(instanceID)
 	mu.Lock()
+	defer e.endTurn(in, mu)
 	if in.Status == InstanceDone || in.Status == InstanceFailed {
-		mu.Unlock()
 		return fmt.Errorf("%w: instance %s is %s", ErrBadState, instanceID, in.Status)
 	}
 	e.beginTurn(in)
 	// Hydrating re-arms the stub's AWAIT waits, so this signal can be
 	// delivered (or buffered) against the instance's real wait set.
 	if err := e.hydrateLocked(in); err != nil {
-		e.endTurn(in, mu, false)
 		return err
 	}
 	e.emit(in, Event{Kind: EvSignal, Instance: instanceID, Detail: event})
@@ -87,14 +86,13 @@ func (e *Engine) Signal(instanceID, event string, payload map[string]ocr.Value) 
 			in.signals = make(map[string][]map[string]ocr.Value)
 		}
 		in.signals[event] = append(in.signals[event], payload)
-		e.endTurn(in, mu, false)
 		return nil
 	}
 	ref := waiters[0]
 	in.waiting[event] = waiters[1:]
 	t := ref.sc.Proc.Task(ref.ts.Name)
 	e.finishEventTask(in, ref.sc, t, ref.ts, payload)
-	e.endTurn(in, mu, true)
+	in.pendingPump = true
 	return nil
 }
 

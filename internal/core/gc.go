@@ -39,57 +39,55 @@ func (e *Engine) SweepProcs() (int, map[string][]string) {
 	swept := 0
 	manifest := make(map[string][]string)
 	for _, in := range ins {
-		mu := e.shardFor(in.ID)
-		mu.Lock()
-		if in.Status == InstanceDone || in.Status == InstanceFailed {
-			mu.Unlock()
-			continue
-		}
-		if in.stub != nil {
-			live := make([]string, 0, len(in.procRefs))
-			for hash := range in.procRefs {
-				live = append(live, hash)
-			}
-			sort.Strings(live)
+		live, n := e.sweepInstance(in)
+		if live != nil {
 			manifest[in.ID] = live
-			mu.Unlock()
-			continue
 		}
-		scs := make([]*scope, 0, len(in.scopes))
-		for _, sc := range in.scopes {
-			scs = append(scs, sc)
-		}
-		seen := make(map[string]bool, 2)
-		for _, sc := range scs {
-			seen[procHash(sc.procText())] = true
-		}
-		var live, orphans []string
-		for hash := range in.procRefs {
-			if seen[hash] {
-				live = append(live, hash)
-			} else {
-				orphans = append(orphans, hash)
-			}
-		}
-		sort.Strings(live)
-		manifest[in.ID] = live
-		if len(orphans) == 0 {
-			mu.Unlock()
-			continue
-		}
-		sort.Strings(orphans)
-		e.beginTurn(in)
-		for _, hash := range orphans {
-			delete(in.procRefs, hash)
-			in.pendingDeletes = append(in.pendingDeletes, procKey(in.ID, hash))
-		}
-		swept += len(orphans)
-		e.persist(in)
-		// endTurn flushes the delete batch through the commit gate before
-		// returning, so a caller that snapshots right after the sweep
-		// compacts a store with the garbage already gone.
-		e.endTurn(in, mu, false)
+		swept += n
 	}
 	e.metrics.procSwept(swept)
 	return swept, manifest
+}
+
+// sweepInstance is one instance's sweep, in its own turn: it returns the
+// instance's live hashes, sorted (nil for a terminal instance), and how many
+// orphans it scheduled for deletion. endTurn flushes the delete batch through
+// the commit gate before returning, so a caller that snapshots right after
+// the sweep compacts a store with the garbage already gone.
+func (e *Engine) sweepInstance(in *Instance) (live []string, swept int) {
+	mu := e.shardFor(in.ID)
+	mu.Lock()
+	defer e.endTurn(in, mu)
+	if in.Status == InstanceDone || in.Status == InstanceFailed {
+		return nil, 0
+	}
+	scs := make([]*scope, 0, len(in.scopes))
+	for _, sc := range in.scopes {
+		scs = append(scs, sc)
+	}
+	seen := make(map[string]bool, 2)
+	for _, sc := range scs {
+		seen[procHash(sc.procText())] = true
+	}
+	live = make([]string, 0, len(in.procRefs))
+	var orphans []string
+	for hash := range in.procRefs {
+		if in.stub != nil || seen[hash] {
+			live = append(live, hash)
+		} else {
+			orphans = append(orphans, hash)
+		}
+	}
+	sort.Strings(live)
+	if len(orphans) == 0 {
+		return live, 0
+	}
+	sort.Strings(orphans)
+	e.beginTurn(in)
+	for _, hash := range orphans {
+		delete(in.procRefs, hash)
+		in.pendingDeletes = append(in.pendingDeletes, procKey(in.ID, hash))
+	}
+	e.persist(in)
+	return live, len(orphans)
 }

@@ -446,3 +446,115 @@ func TestSuspendedPinnedJobJudgedAtResume(t *testing.T) {
 			unplaceable, in.Status, in.FailureReason)
 	}
 }
+
+// TestSuspendResumeOnQuietEngine is the regression test for the popped-job
+// requeue: one chain alone on the engine, suspended and resumed once or twice
+// while it runs, then left alone. A job the dispatcher popped just before the
+// Suspend goes back to the queue; if it went back after the turn released the
+// shard, a Resume in between would release the group and pump against a queue
+// that did not hold the job yet, and on a quiet engine nothing would pump
+// again. Every instance must finish with nobody pumping for it.
+func TestSuspendResumeOnQuietEngine(t *testing.T) {
+	rounds := 2000
+	if testing.Short() {
+		rounds = 200
+	}
+	rt, err := NewLocalRuntime(LocalConfig{Workers: 2, Library: incLibrary(t, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if err := rt.RegisterTemplateSource(chainSrc); err != nil {
+		t.Fatal(err)
+	}
+	e := rt.Engine()
+	for round := 0; round < rounds; round++ {
+		id, err := rt.StartProcess("Chain", map[string]ocr.Value{"x": ocr.Num(0)}, StartOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		toggled := make(chan struct{})
+		go func() {
+			defer close(toggled)
+			for i := 0; i <= round%2; i++ {
+				// ErrBadState once the chain is done — which a gracefully
+				// suspended one may become before its Resume. A Suspend
+				// that took is always followed by a Resume, so the
+				// toggling ends on one.
+				if e.Suspend(id, true) != nil {
+					return
+				}
+				if err := e.Resume(id); err != nil && !errors.Is(err, ErrBadState) {
+					t.Errorf("Resume(%s): %v", id, err)
+				}
+			}
+		}()
+		in, err := rt.Wait(id, 10*time.Second)
+		<-toggled
+		if err != nil {
+			t.Fatalf("round %d: %v (queue=%d held=%d running=%d)", round, err, e.QueueLen(), e.HeldJobs(), e.RunningJobs())
+		}
+		if in.Status != InstanceDone || in.Outputs["r"].AsNum() != 5 {
+			t.Fatalf("round %d: instance %s: %s r=%v (%s)", round, id, in.Status, in.Outputs["r"], in.FailureReason)
+		}
+	}
+}
+
+// lostRaceExec is a one-slot executor whose first Launch loses the slot to a
+// concurrent drain that took it between the scheduler's decision and the
+// Launch: it fails with ErrNoFreeCPU although Nodes() offered the slot, and
+// the winner's completion — the pump the loser could otherwise count on — has
+// already been and gone. Launches that succeed wait for the test to run them.
+type lostRaceExec struct {
+	launches int
+	pending  []Launch
+}
+
+func (x *lostRaceExec) Nodes() []cluster.NodeView {
+	return []cluster.NodeView{{Name: "n1", Up: true, CPUs: 1, Speed: 1, Running: len(x.pending)}}
+}
+
+func (x *lostRaceExec) Launch(l Launch) error {
+	if x.launches++; x.launches == 1 {
+		return cluster.ErrNoFreeCPU
+	}
+	x.pending = append(x.pending, l)
+	return nil
+}
+
+func (x *lostRaceExec) Kill(cluster.JobID, string) error { return nil }
+
+// TestLostSlotRacePumpsAgain is the 1-in-50,000 hang of four chains
+// outstanding on two workers, made deterministic: a job whose Launch lost the
+// race for its slot goes back to the queue, and the turn that put it back
+// must pump again — the completion of the job that won may have pumped while
+// this one was in neither the queue nor a slot, and on a quiet engine nobody
+// else will.
+func TestLostSlotRacePumpsAgain(t *testing.T) {
+	x := &lostRaceExec{}
+	e, err := New(Options{Store: store.NewMem(), Library: incLibrary(t, 0), Executor: x,
+		Clock: ClockFunc(func() sim.Time { return 0 })})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterTemplateSource(chainSrc); err != nil {
+		t.Fatal(err)
+	}
+	id, err := e.StartProcess("Chain", map[string]ocr.Value{"x": ocr.Num(0)}, StartOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.launches != 2 || e.QueueLen() != 0 || e.RunningJobs() != 1 {
+		t.Fatalf("after the lost race: %d launches, queue=%d running=%d, want the job launched again (2, 0, 1)",
+			x.launches, e.QueueLen(), e.RunningJobs())
+	}
+	for len(x.pending) > 0 {
+		l := x.pending[0]
+		x.pending = x.pending[1:]
+		out, err := l.Run()
+		e.HandleCompletion(cluster.Completion{Job: l.Job, Node: l.Node, Outputs: out, ProgramErr: err})
+	}
+	if st, out, _ := e.InstanceState(id); st != InstanceDone || out["r"].AsNum() != 5 {
+		t.Fatalf("instance is %s with r=%v, want done with 5", st, out["r"])
+	}
+}

@@ -46,7 +46,9 @@ func qualify(scopeID, name string) string { return scopeID + "::" + name }
 
 // Lineage builds the provenance graph of an instance (running or
 // finished). It holds the instance's shard lock while reading, so the
-// graph is a consistent snapshot even under concurrent navigation.
+// graph is a consistent snapshot even under concurrent navigation. A lazy
+// stub hydrates first, which makes the read a turn: the checkpoints
+// hydration produces flush when it ends.
 func (e *Engine) Lineage(instanceID string) (*Lineage, error) {
 	in, ok := e.lookup(instanceID)
 	if !ok {
@@ -54,18 +56,13 @@ func (e *Engine) Lineage(instanceID string) (*Lineage, error) {
 	}
 	mu := e.shardFor(instanceID)
 	mu.Lock()
+	defer e.endTurn(in, mu)
 	if in.stub != nil {
-		// Hydrate inside its own turn so the checkpoints it produces
-		// flush, then re-take the shard for the graph read.
 		e.beginTurn(in)
-		err := e.hydrateLocked(in)
-		e.endTurn(in, mu, false)
-		if err != nil {
+		if err := e.hydrateLocked(in); err != nil {
 			return nil, err
 		}
-		mu.Lock()
 	}
-	defer mu.Unlock()
 	lg := &Lineage{
 		Items:    make(map[string]*LineageNode),
 		Reads:    make(map[string][]string),

@@ -244,43 +244,14 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 	// instance's shard, register, emit, checkpoint. Serializing this phase
 	// keeps the recovery event trace independent of the worker count.
 	recovered := 0
-	for i, id := range ids {
+	for i := range ids {
 		if err := buildErrs[i]; err != nil {
 			errs = append(errs, err)
 			continue
 		}
-		in := results[i]
-		if in == nil {
-			continue
+		if in := results[i]; in != nil && e.registerRecovered(in) {
+			recovered++
 		}
-		if _, exists := e.lookup(id); exists {
-			continue
-		}
-		// Resume under the instance's shard so concurrent pumps that pick
-		// up the requeued work serialize against the rebuild.
-		mu := e.shardFor(id)
-		mu.Lock()
-		if in.Status == InstanceSuspended {
-			// Before anything is requeued — now, or when a lazy stub
-			// hydrates — so a suspended instance's tasks never enter
-			// dispatch order.
-			e.holdQueued(in)
-		}
-		if in.stub == nil {
-			e.resumeInstance(in)
-		}
-		e.emu.Lock()
-		e.instances[id] = in
-		e.order = append(e.order, id)
-		e.emu.Unlock()
-		recovered++
-		e.emit(in, Event{Kind: EvServerRecovered, Instance: id,
-			Detail: fmt.Sprintf("status=%s", in.Status)})
-		// Checkpoint what resuming changed (requeues, re-armed waits).
-		if len(in.dirty) > 0 {
-			e.persist(in)
-		}
-		e.endTurn(in, mu, false)
 	}
 	e.Pump()
 	if e.opts.OnError != nil {
@@ -289,6 +260,39 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 		}
 	}
 	return recovered, errors.Join(errs...)
+}
+
+// registerRecovered is phase 3 for one rebuilt instance, in its own turn:
+// under the instance's shard, so concurrent pumps that pick up the requeued
+// work serialize against the rebuild. It reports false when the instance is
+// already live.
+func (e *Engine) registerRecovered(in *Instance) bool {
+	mu := e.shardFor(in.ID)
+	mu.Lock()
+	defer e.endTurn(in, mu)
+	if _, exists := e.lookup(in.ID); exists {
+		return false
+	}
+	if in.Status == InstanceSuspended {
+		// Before anything is requeued — now, or when a lazy stub
+		// hydrates — so a suspended instance's tasks never enter
+		// dispatch order.
+		e.holdQueued(in)
+	}
+	if in.stub == nil {
+		e.resumeInstance(in)
+	}
+	e.emu.Lock()
+	e.instances[in.ID] = in
+	e.order = append(e.order, in.ID)
+	e.emu.Unlock()
+	e.emit(in, Event{Kind: EvServerRecovered, Instance: in.ID,
+		Detail: fmt.Sprintf("status=%s", in.Status)})
+	// Checkpoint what resuming changed (requeues, re-armed waits).
+	if len(in.dirty) > 0 {
+		e.persist(in)
+	}
+	return true
 }
 
 // buildRecovered rebuilds one instance from its grouped records — or, with

@@ -298,6 +298,7 @@ type Instance struct {
 	pendingDeletes []string          // instance-space keys to delete at next flush
 	procRefs       map[string]bool   // process-text hashes already interned
 	pendingDone    bool              // fire OnInstanceDone after this turn's flush
+	pendingPump    bool              // pump the dispatcher after this turn: it queued work or freed a slot
 
 	// Commit gate: admits this instance's write sets strictly in sequence
 	// order once they leave the shard's critical section, so a later turn's

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"bioopera/internal/obs"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
 	"bioopera/internal/store"
@@ -322,16 +323,8 @@ func TestSignalOnStubFlushesHydration(t *testing.T) {
 	if h, _ := rtB.Engine.Hydrated(id); !h {
 		t.Fatal("Signal did not hydrate the stub")
 	}
-	quiesced := make(chan struct{})
-	go func() {
-		rtB.Engine.QuiesceCheckpoints()
-		close(quiesced)
-	}()
-	select {
-	case <-quiesced:
-	case <-time.After(10 * time.Second):
-		t.Fatal("QuiesceCheckpoints hangs: the hydration checkpoints were cut and never flushed")
-	}
+	returnsWithin(t, 10*time.Second, "QuiesceCheckpoints (the hydration checkpoints were cut and never flushed)",
+		rtB.Engine.QuiesceCheckpoints)
 	_, after := engineJournal(t, st)
 	var kinds []string
 	for _, ev := range after[len(before):] {
@@ -342,6 +335,148 @@ func TestSignalOnStubFlushesHydration(t *testing.T) {
 	if want := "server-recovered hydrated,signal nobody-waits"; strings.Join(kinds, ",") != want {
 		t.Fatalf("journal after the signal = %q, want %q", kinds, want)
 	}
+}
+
+// returnsWithin fails the test when fn is still running after d: the way a
+// stranded write set or a shard left locked shows.
+func returnsWithin(t *testing.T, d time.Duration, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		fn()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s has not returned after %v", what, d)
+	}
+}
+
+// TestRejectedCallsLeaveNoTurnState: a call the engine refuses leaves through
+// the same deferred endTurn as one it accepts, and leaves nothing behind — no
+// write set on the instance, no turn in the metrics, no kill or pump owed,
+// nothing for a quiesce to wait on.
+func TestRejectedCallsLeaveNoTurnState(t *testing.T) {
+	rt := newRuntime(t, SimConfig{Options: Options{Metrics: obs.NewRegistry()}})
+	register(t, rt, linearSrc)
+	register(t, rt, `
+PROCESS BadInit {
+  INPUT x;
+  OUTPUT r;
+  DATA d = x[3];
+  ACTIVITY A { CALL test.echo(x = d); OUT out; MAP out -> r; }
+}
+`)
+	e := rt.Engine
+	inputs := map[string]ocr.Value{"a": ocr.Num(1), "b": ocr.Num(2)}
+	done := start(t, rt, "Linear", inputs)
+	rt.Run()
+	finished(t, rt, done)
+	running := start(t, rt, "Linear", inputs)
+	turns := e.metrics.turnSeconds.Count()
+
+	startErr := func(tpl string, in map[string]ocr.Value, opts StartOptions) error {
+		_, err := e.StartProcess(tpl, in, opts)
+		return err
+	}
+	for _, c := range []struct {
+		name string
+		err  error
+		want error // nil: any error
+	}{
+		{"Suspend a finished instance", e.Suspend(done, true), ErrBadState},
+		{"Resume a running instance", e.Resume(running), ErrBadState},
+		{"Abort a finished instance", e.Abort(done, "too late"), ErrBadState},
+		{"SetParameter on a finished instance", e.SetParameter(done, "a", ocr.Num(9)), ErrBadState},
+		{"Signal a finished instance", e.Signal(done, "ev", nil), ErrBadState},
+		{"Start under a live ID", startErr("Linear", inputs, StartOptions{InstanceID: running}), ErrDuplicateID},
+		{"Start with a failing DATA initializer", startErr("BadInit", map[string]ocr.Value{"x": ocr.Num(1)}, StartOptions{}), nil},
+	} {
+		if c.err == nil || (c.want != nil && !errors.Is(c.err, c.want)) {
+			t.Errorf("%s: err = %v, want %v", c.name, c.err, c.want)
+		}
+	}
+	for _, id := range []string{done, running} {
+		in, _ := e.Instance(id)
+		if in.writes != nil || in.turnLive || in.pendingKills != nil || in.pendingPump || in.pendingDone {
+			t.Errorf("instance %s after the rejected calls: writes=%v turnLive=%v kills=%v pump=%v done=%v, want none",
+				id, in.writes != nil, in.turnLive, in.pendingKills, in.pendingPump, in.pendingDone)
+		}
+	}
+	if got := e.metrics.turnSeconds.Count(); got != turns {
+		t.Errorf("rejected calls counted %d turns", got-turns)
+	}
+	if got := len(e.Instances()); got != 2 {
+		t.Errorf("%d instances registered, want 2: a rejected start published one", got)
+	}
+	returnsWithin(t, 10*time.Second, "QuiesceCheckpoints", e.QuiesceCheckpoints)
+}
+
+// TestPanickingTurnCommitsNothing: a turn that panics half way leaves through
+// endTurn like any other, which drops its write set, releases the shard and
+// lets the panic go on. Here S1's completion turn has raised task-ended and
+// cut S1's checkpoint when costing S2, the activity it goes on to queue,
+// panics in the library. The store holds nothing of the half turn: no batch,
+// no event, journal and records still agree, and a restart re-runs S1 from
+// the last turn that did commit.
+func TestPanickingTurnCommitsNothing(t *testing.T) {
+	st := &turnStore{Store: store.NewMem()}
+	lib := testLibrary(t)
+	armed, batchesAtPanic, appendsAtPanic := true, -1, -1 // appends: the sim driver's own cluster-* records
+	echo, _ := lib.Lookup("test.echo")
+	if err := lib.Register(Program{Name: "test.panic", Run: echo.Run, Cost: func(map[string]ocr.Value) time.Duration {
+		if armed {
+			batchesAtPanic, appendsAtPanic = st.batches, len(st.appends)
+			panic("program bug")
+		}
+		return time.Second
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	const src = `
+PROCESS Boom {
+  INPUT x;
+  OUTPUT r;
+  ACTIVITY S1 { CALL test.echo(x = x);   OUT out; MAP out -> w1; }
+  ACTIVITY S2 { CALL test.panic(x = w1); OUT out; MAP out -> r; }
+  S1 -> S2;
+}
+`
+	rtA := newRuntime(t, SimConfig{Store: st, Library: lib})
+	register(t, rtA, src)
+	id := start(t, rtA, "Boom", map[string]ocr.Value{"x": ocr.Num(7)})
+	func() {
+		defer func() {
+			if r := recover(); r != "program bug" {
+				t.Fatalf("recovered %v, want the program's panic", r)
+			}
+		}()
+		rtA.Run()
+	}()
+	if st.batches != batchesAtPanic || len(st.appends) != appendsAtPanic {
+		t.Fatalf("the panicking turn reached the store: %d batches (%d before it), %d lone events (%d before it)",
+			st.batches, batchesAtPanic, len(st.appends), appendsAtPanic)
+	}
+	in, _ := rtA.Engine.Instance(id)
+	if in.writes != nil || in.turnLive {
+		t.Errorf("after the panic: write set attached=%v turnLive=%v", in.writes != nil, in.turnLive)
+	}
+	returnsWithin(t, 10*time.Second, "InstanceState (the shard)", func() { rtA.Engine.InstanceState(id) })
+	returnsWithin(t, 10*time.Second, "QuiesceCheckpoints", rtA.Engine.QuiesceCheckpoints)
+	checkJournalMatchesRecords(t, st, "after the panic")
+
+	armed = false
+	rtB := newRuntime(t, SimConfig{Store: st, Library: lib})
+	register(t, rtB, src)
+	if n, err := rtB.Engine.Recover(); err != nil || n != 1 {
+		t.Fatalf("recover = %d, %v", n, err)
+	}
+	rtB.Run()
+	if got := finished(t, rtB, id).Outputs["r"].AsNum(); got != 7 {
+		t.Fatalf("r = %v after the restart, want 7", got)
+	}
+	checkJournalMatchesRecords(t, st, "after the restart")
 }
 
 // FuzzEventJSON: appendEventJSON writes what json.Marshal writes, whatever

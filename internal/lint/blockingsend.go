@@ -8,11 +8,11 @@ import (
 // blockingsend generalizes locksafe interprocedurally: while any tracked
 // lock is held, nothing reachable through the resolved call graph may
 // block indefinitely — an unbuffered/blocking channel operation, a select
-// without default, a WaitGroup wait, or a network write (the JSON codecs
-// the remote protocol and WAL shipping run over TCP). locksafe catches the
-// syntactic cases inside internal/core; this pass catches the same hazard
-// arriving through a call chain, e.g. the dispatcher holding a shard
-// across Executor.Launch into a remote send.
+// without default, a WaitGroup wait, or a network write (every link writes
+// its frames through internal/transport's bufio.Writer on a net.Conn).
+// locksafe catches the syntactic cases inside internal/core; this pass
+// catches the same hazard arriving through a call chain, e.g. the
+// dispatcher holding a shard across Executor.Launch into a remote send.
 //
 // A deliberate bounded wait is annotated at the blocking operation itself
 // (//bioopera:allow blockingsend <reason>): the fact layer clears the

@@ -80,7 +80,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		{Name: "walltime", Doc: "deterministic packages must use the sim virtual clock, never the wall clock", Run: runWalltime},
 		{Name: "droppederr", Doc: "store/WAL/persist/Close errors must flow somewhere, never be dropped", Run: runDroppedErr},
-		{Name: "locksafe", Doc: "no blocking operations or leaked locks inside internal/core critical sections", Run: runLockSafe},
 		{Name: "maprange", Doc: "trace-order-sensitive code must not iterate maps unsorted", Run: runMapRange},
 		{Name: "hotjson", Doc: "record-path functions (checkpoint, WAL, recovery, replay) must use the binary codec, never encoding/json", Run: runHotJSON},
 	}
@@ -116,6 +115,7 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 // order.
 func ModuleAnalyzers() []*ModuleAnalyzer {
 	return []*ModuleAnalyzer{
+		{Name: "locksafe", Doc: "internal/core critical sections never block or leak their lock, and a turn leaves its shard through one deferred endTurn", Run: runLockSafe},
 		{Name: "lockorder", Doc: "the global lock-acquisition graph must stay acyclic and within the sanctioned partial order", Run: runLockOrder},
 		{Name: "goroleak", Doc: "every goroutine in a long-lived package needs a provable shutdown path tied to a Close", Run: runGoroLeak},
 		{Name: "blockingsend", Doc: "no blocking channel operation or network write may be reachable while a lock is held", Run: runBlockingSend},

@@ -66,16 +66,6 @@ var sanctionedLockOrder = map[string][]string{
 	"core.RuntimeBase.snapMu": {"core.RuntimeBase.waitMu"},
 }
 
-// SanctionedLockOrder returns a copy of the sanctioned partial order, for
-// the table-exactness test.
-func SanctionedLockOrder() map[string][]string {
-	out := make(map[string][]string, len(sanctionedLockOrder))
-	for k, v := range sanctionedLockOrder {
-		out[k] = append([]string(nil), v...)
-	}
-	return out
-}
-
 func sanctionedEdge(from, to string) bool {
 	for _, t := range sanctionedLockOrder[from] {
 		if t == to {

@@ -3,295 +3,96 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 	"strings"
 )
 
-// runLockSafe guards the engine's critical sections (PR 1's sharded lock
-// table): between a mu.Lock() and its Unlock there must be no operation
-// that can block indefinitely — a channel send/receive/select, a Wait, an
-// Executor.Launch or network call — because a blocked holder stalls every
-// instance hashed to that shard, and a lock the function can exit without
-// releasing deadlocks the next caller. The analysis is function-local and
-// syntactic over matched Lock/Unlock pairs on the same expression; a lock
-// handed to another function (the endTurn pattern) transfers release
-// responsibility to the callee and tracking stops.
+// locksafe guards the engine's critical sections (PR 1's sharded lock
+// table) with three rules over the held-lock scanner. Between a mu.Lock()
+// and its Unlock there must be no operation that can block indefinitely — a
+// channel send/receive/select, a WaitGroup wait, a network call — because a
+// blocked holder stalls every instance hashed to that shard (sync.Cond.Wait
+// is exempt: releasing the mutex while asleep is the condition-variable
+// contract). A lock must be released on every way out of the function: by
+// an explicit Unlock on that path, a deferred Unlock, or a deferred call
+// that receives the lock. And a turn has one way out: a function that locks
+// an instance shard and writes — starts a turn, adds to its write set, or
+// hydrates a stub — must release the shard through a deferred endTurn and
+// nowhere else, because a path that leaves by a bare Unlock strands the
+// write set and every later quiesce blocks on it.
 //
-// sync.Cond.Wait is exempt: releasing the mutex while asleep is the
-// condition-variable contract, not a blocked critical section.
-func runLockSafe(p *Pass) {
-	if p.Pkg.Path() != "bioopera/internal/core" && !strings.Contains(p.Pkg.Path(), "lint/testdata/locksafe") {
-		return
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body == nil {
-				return true
-			}
-			held := p.scanStmts(body.List, nil)
-			for _, h := range held {
-				if !h.released && !h.deferred {
-					p.Reportf(h.pos, "%s.%s() has no matching %s on every path", h.expr, h.lockName, h.unlockName())
-				}
-			}
-			return true
-		})
-	}
+// The analysis is function-local over matched Lock/Unlock pairs on the same
+// expression; blockingsend carries the first rule across call chains.
+
+// turnWrites are the engine methods that start a turn or add to its write
+// set; each is called with the instance's shard held.
+var turnWrites = map[string]bool{
+	"beginTurn": true, "persist": true, "archive": true, "emit": true, "hydrateLocked": true,
 }
 
-// heldLock tracks one acquired lock through the statement walk.
-type heldLock struct {
-	expr     string // rendered receiver, e.g. "e.dmu" or "mu"
-	lockName string // Lock or RLock
-	pos      token.Pos
-	released bool
-	deferred bool // a defer x.Unlock() covers every path
-}
-
-func (h *heldLock) unlockName() string {
-	if h.lockName == "RLock" {
-		return "RUnlock"
-	}
-	return "Unlock"
-}
-
-// scanStmts walks a statement list in order, maintaining the set of held
-// locks. Branch bodies are walked with copies so a branch that unlocks and
-// returns does not release the fall-through path.
-func (p *Pass) scanStmts(stmts []ast.Stmt, held []*heldLock) []*heldLock {
-	for _, st := range stmts {
-		held = p.scanStmt(st, held)
-	}
-	return held
-}
-
-func (p *Pass) scanStmt(st ast.Stmt, held []*heldLock) []*heldLock {
-	switch s := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if expr, name, ok := p.syncLockCall(call); ok {
-				switch name {
-				case "Lock", "RLock":
-					return append(held, &heldLock{expr: expr, lockName: name, pos: call.Pos()})
-				case "Unlock", "RUnlock":
-					releaseMatching(held, expr, name)
-					return held
-				}
-			}
+func runLockSafe(mp *ModulePass) {
+	for _, n := range mp.Prog.nodes {
+		if n.pkg.Path != "bioopera/internal/core" && !strings.Contains(n.pkg.Path, "lint/testdata/locksafe") {
+			continue
 		}
-		p.checkExpr(s.X, held)
-	case *ast.DeferStmt:
-		if expr, name, ok := p.syncLockCall(s.Call); ok && (name == "Unlock" || name == "RUnlock") {
-			for _, h := range held {
-				if !h.released && h.expr == expr && h.unlockName() == name {
-					h.deferred = true
+		shardClass := shortPkg(n.pkg.Path) + ".Engine.shards"
+		var shards []*holder
+		var unlocks []token.Pos
+		writes := false
+		scanHeld(mp.Prog, n, &scanHooks{
+			acquire: func(_ []*holder, h *holder) {
+				if h.class == shardClass {
+					shards = append(shards, h)
 				}
-			}
-		}
-		// The deferred call itself runs at function exit, outside the
-		// sequential critical section — not scanned.
-	case *ast.GoStmt:
-		// The goroutine body runs elsewhere; its own FuncLit is scanned
-		// independently by runLockSafe.
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			p.checkExpr(e, held)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						p.checkExpr(v, held)
+			},
+			release: func(h *holder, pos token.Pos) {
+				if h.class == shardClass {
+					unlocks = append(unlocks, pos)
+				}
+			},
+			blocking: func(held []*holder, what string, pos token.Pos) {
+				if live := liveHolders(held); len(live) > 0 {
+					mp.Reportf(pos, "%s while holding %s: blocking operations must not run inside the critical section", what, live[0].expr)
+				}
+			},
+			call: func(_ []*holder, rc *resolvedCall, _ token.Pos) {
+				for _, c := range rc.callees {
+					if c.pkg == n.pkg && c.obj != nil && turnWrites[c.obj.Name()] {
+						writes = true
 					}
 				}
+			},
+			exit: func(held []*holder, ret *ast.ReturnStmt) {
+				for _, h := range liveHolders(held) {
+					switch {
+					case h.deferred != nil:
+					case ret == nil:
+						mp.Reportf(h.pos, "%s.%s() has no matching %s on every path", h.expr, h.lock, h.unlockName())
+					default:
+						mp.Reportf(ret.Pos(), "returns while %s is still %sed: release it on this path", h.expr, strings.ToLower(h.lock))
+						h.released = true // one report per leak
+					}
+				}
+			},
+		})
+		if !writes {
+			continue
+		}
+		for _, h := range shards {
+			if !endsTurn(h.deferred) {
+				mp.Reportf(h.pos, "%s is an instance shard and this function writes a turn: release it with a deferred endTurn straight after the lock", h.expr)
 			}
 		}
-	case *ast.SendStmt:
-		p.blockingIfHeld(s.Pos(), "channel send", held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			held = p.scanStmt(s.Init, held)
-		}
-		p.checkExpr(s.Cond, held)
-		p.scanStmts(s.Body.List, copyHeld(held))
-		if s.Else != nil {
-			p.scanStmt(s.Else, copyHeld(held))
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			held = p.scanStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			p.checkExpr(s.Cond, held)
-		}
-		p.scanStmts(s.Body.List, copyHeld(held))
-	case *ast.RangeStmt:
-		if t := p.TypeOf(s.X); t != nil {
-			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				p.blockingIfHeld(s.Pos(), "range over channel", held)
-			}
-		}
-		p.checkExpr(s.X, held)
-		p.scanStmts(s.Body.List, copyHeld(held))
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			held = p.scanStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			p.checkExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				p.scanStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				p.scanStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.SelectStmt:
-		p.blockingIfHeld(s.Pos(), "select", held)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				p.scanStmts(cc.Body, copyHeld(held))
-			}
-		}
-	case *ast.BlockStmt:
-		held = p.scanStmts(s.List, held)
-	case *ast.LabeledStmt:
-		held = p.scanStmt(s.Stmt, held)
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			p.checkExpr(e, held)
-		}
-		for _, h := range held {
-			if !h.released && !h.deferred {
-				p.Reportf(s.Pos(), "returns while %s is still %sed: release it on this path", h.expr, strings.ToLower(h.lockName))
-				h.released = true // one report per leak
-			}
-		}
-	}
-	return held
-}
-
-// checkExpr inspects one expression for blocking operations and lock
-// transfers while locks are held. Function literals are skipped — they do
-// not execute here.
-func (p *Pass) checkExpr(e ast.Expr, held []*heldLock) {
-	if e == nil || len(held) == 0 {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				p.blockingIfHeld(x.Pos(), "channel receive", held)
-			}
-		case *ast.CallExpr:
-			p.checkCall(x, held)
-		}
-		return true
-	})
-}
-
-// blockingCallNames are callee names treated as potentially blocking:
-// executor launches, waits, and network establishment.
-var blockingCallNames = map[string]bool{
-	"Launch": true, "Wait": true, "Accept": true,
-	"Dial": true, "DialTimeout": true, "Listen": true,
-}
-
-func (p *Pass) checkCall(call *ast.CallExpr, held []*heldLock) {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if blockingCallNames[sel.Sel.Name] && !p.isCondWait(sel) {
-			p.blockingIfHeld(call.Pos(), "call to "+types.ExprString(sel), held)
-		}
-	}
-	// A held lock passed as an argument transfers release responsibility
-	// to the callee (the dispatcher's endTurn pattern); stop tracking it.
-	for _, arg := range call.Args {
-		s := types.ExprString(arg)
-		for _, h := range held {
-			if !h.released && (s == h.expr || s == "&"+h.expr) {
-				h.released = true
-			}
+		for _, pos := range unlocks {
+			mp.Reportf(pos, "explicit Unlock of an instance shard in a function that writes a turn: the deferred endTurn is the only way out")
 		}
 	}
 }
 
-// isCondWait reports whether sel is sync.Cond's Wait (legal under the
-// lock), as opposed to sync.WaitGroup's (a deadlock in waiting).
-func (p *Pass) isCondWait(sel *ast.SelectorExpr) bool {
-	s, ok := p.Info.Selections[sel]
-	if !ok || sel.Sel.Name != "Wait" {
+// endsTurn reports whether a holder's deferred release is a call to endTurn.
+func endsTurn(deferred *ast.CallExpr) bool {
+	if deferred == nil {
 		return false
 	}
-	return strings.Contains(types.TypeString(s.Recv(), nil), "sync.Cond")
-}
-
-func (p *Pass) blockingIfHeld(pos token.Pos, what string, held []*heldLock) {
-	for _, h := range held {
-		if !h.released {
-			p.Reportf(pos, "%s while holding %s: blocking operations must not run inside the critical section", what, h.expr)
-			return
-		}
-	}
-}
-
-// syncLockCall recognizes x.Lock/RLock/Unlock/RUnlock calls on sync
-// package mutexes (including promoted embedded ones), returning the
-// rendered receiver and method name.
-func (p *Pass) syncLockCall(call *ast.CallExpr) (expr, name string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	s, found := p.Info.Selections[sel]
-	if !found {
-		return "", "", false
-	}
-	obj := s.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), sel.Sel.Name, true
-}
-
-func releaseMatching(held []*heldLock, expr, unlockName string) {
-	// Release the most recent matching acquisition (locks nest LIFO).
-	for i := len(held) - 1; i >= 0; i-- {
-		h := held[i]
-		if !h.released && h.expr == expr && h.unlockName() == unlockName {
-			h.released = true
-			return
-		}
-	}
-}
-
-func copyHeld(held []*heldLock) []*heldLock {
-	out := make([]*heldLock, len(held))
-	for i, h := range held {
-		c := *h
-		out[i] = &c
-	}
-	return out
+	sel, ok := deferred.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "endTurn"
 }

@@ -7,20 +7,31 @@ import (
 	"strings"
 )
 
-// The held-lock scanner shared by lockorder and blockingsend: a linear,
-// branch-copying walk of one function body (modeled on locksafe's, but
-// class-aware and callback-driven) that maintains the set of locks held at
-// every statement. Hooks fire on acquisitions, on potentially blocking
-// operations, and on call sites — the analyzers combine them with the
-// program's transitive facts.
+// The held-lock scanner, the one statement walker locksafe, lockorder and
+// blockingsend share: a linear, branch-copying walk of one function body that
+// maintains the set of locks held at every statement. Branch bodies are
+// walked with copies, so a branch that unlocks and returns does not release
+// the fall-through path. Hooks fire on acquisitions and releases, on
+// potentially blocking operations, on call sites and on every way out of the
+// function — the analyzers combine them with the program's transitive facts.
 
 // holder is one acquired lock being tracked through the walk.
 type holder struct {
 	class    string // lock class, "" when unresolvable
 	expr     string // rendered receiver, for release matching and messages
-	rlock    bool
+	lock     string // the acquiring method: Lock or RLock
 	pos      token.Pos
 	released bool
+	// deferred is the deferred call that releases the lock on every exit:
+	// its Unlock, or a call that receives the lock (core's endTurn).
+	deferred *ast.CallExpr
+}
+
+func (h *holder) unlockName() string {
+	if h.lock == "RLock" {
+		return "RUnlock"
+	}
+	return "Unlock"
 }
 
 func (h *holder) describe() string {
@@ -35,13 +46,17 @@ func (h *holder) describe() string {
 type scanHooks struct {
 	// acquire fires after h is pushed; held excludes h.
 	acquire func(held []*holder, h *holder)
+	// release fires on the explicit Unlock that released h.
+	release func(h *holder, pos token.Pos)
 	// blocking fires on an operation that can block indefinitely: channel
 	// send/receive, select without default, range over a channel, and
 	// blocking external calls (Accept/Dial/network encode/WaitGroup.Wait).
 	blocking func(held []*holder, what string, pos token.Pos)
-	// call fires on every resolved or unresolved non-blocking call, after
-	// lock-handoff arguments released their holders.
+	// call fires on every resolved or unresolved non-blocking call.
 	call func(held []*holder, rc *resolvedCall, pos token.Pos)
+	// exit fires on every way out of the function: each return statement,
+	// then the end of the body (ret nil) with what its top level still holds.
+	exit func(held []*holder, ret *ast.ReturnStmt)
 }
 
 func liveHolders(held []*holder) []*holder {
@@ -57,7 +72,10 @@ func liveHolders(held []*holder) []*holder {
 // scanHeld walks n's body with the hooks.
 func scanHeld(p *Program, n *funcNode, hooks *scanHooks) {
 	s := &heldScan{p: p, n: n, hooks: hooks}
-	s.stmts(n.body.List, nil)
+	held := s.stmts(n.body.List, nil)
+	if hooks.exit != nil {
+		hooks.exit(held, nil)
+	}
 }
 
 type heldScan struct {
@@ -82,14 +100,16 @@ func (s *heldScan) stmt(st ast.Stmt, held []*holder) []*holder {
 				case "Lock", "RLock":
 					h := &holder{
 						class: s.p.classOf(s.n, lockRecv(call)),
-						expr:  expr, rlock: name == "RLock", pos: call.Pos(),
+						expr:  expr, lock: name, pos: call.Pos(),
 					}
 					if s.hooks.acquire != nil {
 						s.hooks.acquire(held, h)
 					}
 					return append(held, h)
 				case "Unlock", "RUnlock":
-					releaseHolder(held, expr, name == "RUnlock")
+					if h := releaseHolder(held, expr, name); h != nil && s.hooks.release != nil {
+						s.hooks.release(h, call.Pos())
+					}
 					return held
 				}
 			}
@@ -97,8 +117,14 @@ func (s *heldScan) stmt(st ast.Stmt, held []*holder) []*holder {
 		s.expr(x.X, held)
 	case *ast.DeferStmt:
 		// Deferred calls run at function exit, outside the sequential
-		// critical section; they are not scanned. (Deferred Unlocks do
-		// not release mid-body either — the lock stays held below.)
+		// critical section; they are not scanned. A deferred Unlock, or a
+		// deferred call that is handed the lock, releases it on every exit
+		// but not mid-body — the lock stays held below.
+		for _, h := range held {
+			if !h.released && s.releasesAtExit(x.Call, h) {
+				h.deferred = x.Call
+			}
+		}
 	case *ast.GoStmt:
 		// The goroutine body is its own funcNode; only the call's
 		// arguments evaluate here.
@@ -192,6 +218,9 @@ func (s *heldScan) stmt(st ast.Stmt, held []*holder) []*holder {
 		for _, e := range x.Results {
 			s.expr(e, held)
 		}
+		if s.hooks.exit != nil {
+			s.hooks.exit(held, x)
+		}
 	}
 	return held
 }
@@ -217,6 +246,20 @@ func (s *heldScan) expr(e ast.Expr, held []*holder) {
 	})
 }
 
+// releasesAtExit reports whether a deferred call releases h: h's own
+// Unlock, or a call that receives the lock.
+func (s *heldScan) releasesAtExit(call *ast.CallExpr, h *holder) bool {
+	if expr, name, ok := s.lockCall(call); ok {
+		return expr == h.expr && name == h.unlockName()
+	}
+	for _, arg := range call.Args {
+		if rendered := types.ExprString(arg); rendered == h.expr || rendered == "&"+h.expr {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *heldScan) call(call *ast.CallExpr, held []*holder) {
 	// Lock/Unlock as sub-expressions are rare and intentionally ignored
 	// here; the statement walk handles the canonical forms.
@@ -226,17 +269,6 @@ func (s *heldScan) call(call *ast.CallExpr, held []*holder) {
 	if what, blocking := s.externalBlocking(call); blocking {
 		s.blocking(held, what, call.Pos())
 		return
-	}
-	// A held lock passed as an argument hands release responsibility to
-	// the callee (the dispatcher's endTurn pattern): the callee's
-	// acquisitions are no longer nested under it.
-	for _, arg := range call.Args {
-		rendered := types.ExprString(arg)
-		for _, h := range held {
-			if !h.released && (rendered == h.expr || rendered == "&"+h.expr) {
-				h.released = true
-			}
-		}
 	}
 	if s.hooks.call != nil {
 		if rc, ok := s.n.callByAST[call]; ok {
@@ -249,8 +281,8 @@ func (s *heldScan) call(call *ast.CallExpr, held []*holder) {
 // indefinitely: connection establishment and accept loops, WaitGroup
 // waits, wall-clock sleeps, and writes to a connection — directly, or
 // through the bufio.Writer internal/transport puts in front of every one
-// (the JSON stream codecs no longer touch a socket: protocol payloads are
-// marshaled into buffers and travel as transport frames).
+// (no protocol encodes onto a socket: payloads are encoded into buffers and
+// travel as transport frames).
 func (s *heldScan) externalBlocking(call *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -351,14 +383,17 @@ func lockRecv(call *ast.CallExpr) ast.Expr {
 	return ast.Unparen(call.Fun).(*ast.SelectorExpr).X
 }
 
-func releaseHolder(held []*holder, expr string, runlock bool) {
+// releaseHolder releases the most recent matching acquisition (locks nest
+// LIFO) and returns it, or nil.
+func releaseHolder(held []*holder, expr, unlockName string) *holder {
 	for i := len(held) - 1; i >= 0; i-- {
 		h := held[i]
-		if !h.released && h.expr == expr && h.rlock == runlock {
+		if !h.released && h.expr == expr && h.unlockName() == unlockName {
 			h.released = true
-			return
+			return h
 		}
 	}
+	return nil
 }
 
 func copyHolders(held []*holder) []*holder {

@@ -65,3 +65,59 @@ func (g *guarded) allowed() {
 	g.ch <- 1
 	g.mu.Unlock()
 }
+
+// Engine mirrors core's: a table of instance shards and the turn they guard.
+type Engine struct{ shards []sync.Mutex }
+
+type Instance struct{ writes int }
+
+func (e *Engine) shardFor(id string) *sync.Mutex { return &e.shards[len(id)%len(e.shards)] }
+
+func (e *Engine) beginTurn(in *Instance) {}
+
+func (e *Engine) persist(in *Instance) { in.writes++ }
+
+func (e *Engine) endTurn(in *Instance, mu *sync.Mutex) {
+	in.writes = 0
+	mu.Unlock()
+}
+
+// turn leaves through one deferred endTurn: handed the shard, it releases
+// it on every return.
+func (e *Engine) turn(in *Instance, ok bool) bool {
+	mu := e.shardFor("a")
+	mu.Lock()
+	defer e.endTurn(in, mu)
+	if !ok {
+		return false
+	}
+	e.beginTurn(in)
+	e.persist(in)
+	return true
+}
+
+// bareUnlock writes, then leaves by an explicit Unlock: the write set is
+// stranded on the instance.
+func (e *Engine) bareUnlock(in *Instance) {
+	mu := e.shardFor("a")
+	mu.Lock() // want `mu is an instance shard and this function writes a turn: release it with a deferred endTurn`
+	e.persist(in)
+	mu.Unlock() // want `explicit Unlock of an instance shard in a function that writes a turn`
+}
+
+// deferredUnlock writes under a deferred Unlock: no path flushes.
+func (e *Engine) deferredUnlock(in *Instance) {
+	mu := e.shardFor("a")
+	mu.Lock() // want `mu is an instance shard and this function writes a turn: release it with a deferred endTurn`
+	defer mu.Unlock()
+	e.persist(in)
+}
+
+// peek holds the shard without writing: an ordinary critical section.
+func (e *Engine) peek(in *Instance) int {
+	mu := e.shardFor("a")
+	mu.Lock()
+	n := in.writes
+	mu.Unlock()
+	return n
+}

@@ -22,23 +22,16 @@ var walltimeBanned = map[string]bool{
 	"Until":     true,
 }
 
-// runWalltime flags wall-clock use in deterministic packages. Two
-// exceptions exist. The annotated one: real-time adapters living inside
-// internal/core (the local pool, the runtime Wait timeout) carry
-// //bioopera:allow walltime directives explaining why the wall clock is
-// the point. The structural one: a function taking a sim.Clock parameter
-// is a clock adapter by signature — it reads virtual time when given a
-// clock and may legitimately fall back to the wall clock when handed nil
-// (obs.NowFunc), so its whole body is exempt without a directive.
+// runWalltime flags wall-clock use in deterministic packages. The real-time
+// adapters living inside internal/core (the local pool, the runtime Wait
+// timeout) carry //bioopera:allow walltime directives explaining why the
+// wall clock is the point.
 func runWalltime(p *Pass) {
 	if !deterministicPkg(p.Pkg.Path()) {
 		return
 	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if fd, ok := n.(*ast.FuncDecl); ok && takesSimClock(p, fd) {
-				return false // clock adapter: nested closures included
-			}
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
@@ -55,23 +48,4 @@ func runWalltime(p *Pass) {
 			return true
 		})
 	}
-}
-
-// takesSimClock reports whether the function declares a parameter of the
-// virtual-clock interface type sim.Clock.
-func takesSimClock(p *Pass, fd *ast.FuncDecl) bool {
-	if fd.Type.Params == nil {
-		return false
-	}
-	for _, field := range fd.Type.Params.List {
-		named, ok := p.TypeOf(field.Type).(*types.Named)
-		if !ok {
-			continue
-		}
-		obj := named.Obj()
-		if obj.Name() == "Clock" && obj.Pkg() != nil && obj.Pkg().Path() == "bioopera/internal/sim" {
-			return true
-		}
-	}
-	return false
 }

@@ -634,7 +634,7 @@ func (p *procParser) parseSubprocess() (*Task, error) {
 		switch {
 		case p.isKw(kwIn):
 			p.pos++
-			if err := p.parseSubprocessBinds(t); err != nil {
+			if err := p.parseBindList(t); err != nil {
 				return nil, err
 			}
 			if err := p.expectPunct(";"); err != nil {
@@ -656,24 +656,4 @@ func (p *procParser) parseSubprocess() (*Task, error) {
 	}
 	p.pos++ // }
 	return t, nil
-}
-
-func (p *procParser) parseSubprocessBinds(t *Task) error {
-	for {
-		name, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
-		if err := p.expectPunct("="); err != nil {
-			return err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return err
-		}
-		t.Args = append(t.Args, Binding{Name: name, Expr: e})
-		if !p.eatPunct(",") {
-			return nil
-		}
-	}
 }

@@ -12,7 +12,7 @@
 //	shipper  → follower  FrameShipError     text                     terminal refusal
 //
 // Records are shipped post-fsync and batch-aligned: the shipper only reads
-// records below the committed frontier (CommittedSeq), and each records
+// records below the committed frontier (WaitCommitted), and each records
 // frame carries exactly one atomic batch as AppendBatch wrote it, so the
 // follower re-appends the primary's commit units verbatim and a crash on
 // either side rolls back to the same batch boundary. A follower whose

@@ -453,16 +453,6 @@ func (l *Log) notifyLocked() {
 	}
 }
 
-// CommittedSeq returns the sequence of the newest durable record (0 when
-// the log is empty). Every record below it has been written and — unless
-// NoSync — fsynced: AppendBatch only advances the frontier after the batch
-// is on disk, so shipping from here never leaks an uncommitted frame.
-func (l *Log) CommittedSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq - 1
-}
-
 // WaitCommitted blocks until the committed frontier exceeds after, the log
 // closes, or stop is closed. It returns the current frontier and whether
 // the caller should keep going (false on close or stop).

@@ -139,6 +139,7 @@ func TestConcurrentInstancesStress(t *testing.T) {
 		}
 	}
 	counter.checkExactlyOnce(t, ids)
+	assertNoneStuck(t, rt.Engine())
 }
 
 // TestConcurrentCrashRecover crashes the engine while several instances
@@ -228,6 +229,7 @@ func TestConcurrentCrashRecover(t *testing.T) {
 		}
 	}
 	counter.checkExactlyOnce(t, ids)
+	assertNoneStuck(t, rt.Engine())
 }
 
 // failingStore wraps a Store and fails every Batch once armed, so persist

@@ -222,7 +222,8 @@ type Engine struct {
 	shards []sync.Mutex // instance lock table; shardFor hashes instance IDs
 
 	emu       sync.RWMutex
-	templates map[string]*ocr.Process
+	templates map[string]*compiledProc // the template space, compiled (template.go)
+	byHash    map[string]*compiledProc // compiled processes and block bodies by content hash
 	instances map[string]*Instance
 	order     []string // instance creation order, for determinism
 	nextID    int
@@ -249,7 +250,8 @@ func New(opts Options) (*Engine, error) {
 		opts:      opts,
 		sched:     sched.New(sched.Config{Policy: opts.Policy, Quotas: opts.Quotas}),
 		shards:    make([]sync.Mutex, DefaultShards),
-		templates: make(map[string]*ocr.Process),
+		templates: make(map[string]*compiledProc),
+		byHash:    make(map[string]*compiledProc),
 		instances: make(map[string]*Instance),
 		queued:    make(map[string]*queuedRef),
 		running:   make(map[string]*queuedRef),
@@ -263,7 +265,7 @@ func New(opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: template %q in store is invalid: %w", kv.Key, err)
 		}
-		e.templates[kv.Key] = p
+		e.setTemplate(kv.Key, compile(p))
 	}
 	if opts.Metrics != nil {
 		e.metrics = newEngineMetrics(opts.Metrics, e)
@@ -467,14 +469,16 @@ func (e *Engine) EmitInfra(ev Event) { e.emitNow(ev) }
 // instances keep the definition they started with (late binding picks up
 // the new version for subprocesses instantiated afterwards).
 func (e *Engine) RegisterTemplate(p *ocr.Process) error {
-	if err := p.ValidateWithTemplates(e.resolveTemplate); err != nil {
+	if err := p.ValidateWithTemplates(e.resolveTemplateProcess); err != nil {
 		return err
 	}
-	if err := e.opts.Store.Put(store.Template, p.Name, []byte(ocr.Format(p))); err != nil {
+	// The one copy: the caller keeps its value, instances share the engine's.
+	cp := compile(p.Clone())
+	if err := e.opts.Store.Put(store.Template, cp.Name, []byte(cp.text)); err != nil {
 		return err
 	}
 	e.emu.Lock()
-	e.templates[p.Name] = p.Clone()
+	e.setTemplate(cp.Name, cp)
 	e.emu.Unlock()
 	return nil
 }
@@ -502,7 +506,7 @@ func (e *Engine) Template(name string) (*ocr.Process, bool) {
 	if !ok {
 		return nil, false
 	}
-	return p.Clone(), true
+	return p.Process.Clone(), true
 }
 
 // Templates lists registered template names, sorted.
@@ -517,11 +521,19 @@ func (e *Engine) Templates() []string {
 	return out
 }
 
-func (e *Engine) resolveTemplate(name string) (*ocr.Process, bool) {
+func (e *Engine) resolveTemplate(name string) (*compiledProc, bool) {
 	e.emu.RLock()
 	p, ok := e.templates[name]
 	e.emu.RUnlock()
 	return p, ok
+}
+
+// resolveTemplateProcess is resolveTemplate as validation wants it.
+func (e *Engine) resolveTemplateProcess(name string) (*ocr.Process, bool) {
+	if cp, ok := e.resolveTemplate(name); ok {
+		return cp.Process, true
+	}
+	return nil, false
 }
 
 // StartOptions tune a new instance.
@@ -622,17 +634,16 @@ func (e *Engine) StartProcess(template string, inputs map[string]ocr.Value, opts
 		procRefs: make(map[string]bool, 4),
 	}
 	in.setStatus(InstanceRunning)
-	proc := tpl.Clone()
 	root := &scope{
 		ID:         "",
-		Proc:       proc,
+		Proc:       tpl,
 		ElemIndex:  -1,
 		Whiteboard: make(map[string]ocr.Value),
 		Tasks:      make(map[string]*taskState),
 		children:   make(map[string]*scope),
 		wbFull:     true, // roots have no parent to inherit from
 	}
-	for _, name := range proc.Inputs {
+	for _, name := range tpl.Inputs {
 		if v, ok := inputs[name]; ok {
 			root.Whiteboard[name] = v
 		}
@@ -684,11 +695,9 @@ func (e *Engine) initScope(in *Instance, sc *scope) error {
 		sc.Whiteboard[d.Name] = v
 		sc.ownWB(d.Name, true)
 	}
-	for _, t := range sc.Proc.Tasks {
-		sc.Tasks[t.Name] = &taskState{
-			Name:   t.Name,
-			ConnIn: make([]connState, len(sc.Proc.Incoming(t.Name))),
-		}
+	for i := range sc.Proc.tasks {
+		t := &sc.Proc.tasks[i]
+		sc.Tasks[t.Name] = &taskState{Name: t.Name, ConnIn: make([]connState, t.incoming)}
 	}
 	e.touchNew(in, sc)
 	return nil

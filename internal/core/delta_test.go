@@ -46,7 +46,7 @@ func dumpInstance(t *testing.T, in *Instance) string {
 			ID:         sc.ID,
 			ParentTask: sc.ParentTask,
 			ElemIndex:  sc.ElemIndex,
-			ProcText:   sc.procText(),
+			ProcText:   sc.Proc.text,
 			Whiteboard: sc.Whiteboard,
 			Done:       sc.Done,
 		}

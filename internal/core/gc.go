@@ -67,7 +67,7 @@ func (e *Engine) sweepInstance(in *Instance) (live []string, swept int) {
 	}
 	seen := make(map[string]bool, 2)
 	for _, sc := range scs {
-		seen[procHash(sc.procText())] = true
+		seen[sc.Proc.hash] = true
 	}
 	live = make([]string, 0, len(in.procRefs))
 	var orphans []string

@@ -339,6 +339,7 @@ func TestConcurrentSuspendResume(t *testing.T) {
 			t.Errorf("group %s still held after its instance finished", id)
 		}
 	}
+	assertNoneStuck(t, e)
 }
 
 // pickCounter counts the placement attempts a Pump makes.
@@ -498,6 +499,7 @@ func TestSuspendResumeOnQuietEngine(t *testing.T) {
 			t.Fatalf("round %d: instance %s: %s r=%v (%s)", round, id, in.Status, in.Outputs["r"], in.FailureReason)
 		}
 	}
+	assertNoneStuck(t, e)
 }
 
 // lostRaceExec is a one-slot executor whose first Launch loses the slot to a

@@ -98,6 +98,7 @@ PROCESS Sleepy {
 			t.Fatalf("result order broken: %v", in.Outputs["done"])
 		}
 	}
+	assertNoneStuck(t, rt.Engine())
 }
 
 func TestLocalRetries(t *testing.T) {

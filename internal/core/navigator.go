@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"bioopera/internal/ocr"
@@ -12,26 +13,10 @@ import (
 // evaluates activation conditions, performs whiteboard data mapping,
 // expands parallel tasks at runtime and late-binds subprocesses.
 
-// altTargets returns the task names used as failure alternatives in a
-// process; they are excluded from root auto-start.
-func altTargets(p *ocr.Process) map[string]bool {
-	alts := make(map[string]bool)
-	for _, t := range p.Tasks {
-		if t.OnFail == ocr.FailAlternative && t.AltTask != "" {
-			alts[t.AltTask] = true
-		}
-	}
-	return alts
-}
-
 // activateRoots activates every task with no incoming connectors (except
 // failure alternatives, which only run when invoked).
 func (e *Engine) activateRoots(in *Instance, sc *scope) {
-	alts := altTargets(sc.Proc)
-	for _, t := range sc.Proc.Roots() {
-		if alts[t.Name] {
-			continue
-		}
+	for _, t := range sc.Proc.roots {
 		e.activateTask(in, sc, t)
 	}
 }
@@ -75,7 +60,7 @@ func (e *Engine) activateTask(in *Instance, sc *scope, t *ocr.Task) {
 
 // jobID builds the queue/cluster identifier of one dispatch attempt.
 func jobID(in *Instance, sc *scope, task string, attempt int) string {
-	return fmt.Sprintf("%s|%s|%s|%d", in.ID, sc.ID, task, attempt)
+	return in.ID + "|" + sc.ID + "|" + task + "|" + strconv.Itoa(attempt)
 }
 
 // newJob builds the scheduler's view of a task's current dispatch attempt.
@@ -124,8 +109,9 @@ func (e *Engine) enqueueActivity(in *Instance, sc *scope, t *ocr.Task, ts *taskS
 
 // spawnBlock creates the child scope(s) of a block task.
 func (e *Engine) spawnBlock(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
+	body := sc.Proc.index[t.Name].body
 	if !t.Parallel {
-		child := e.newScope(in, sc, t.Name, -1, t.Body)
+		child := e.newScope(in, sc, t.Name, -1, body)
 		copyWhiteboard(child, sc)
 		ts.ChildWaiting = 1
 		e.touchTask(in, sc, ts)
@@ -156,7 +142,7 @@ func (e *Engine) spawnBlock(in *Instance, sc *scope, t *ocr.Task, ts *taskState)
 	// starting may complete children synchronously for empty bodies.
 	children := make([]*scope, n)
 	for i := 0; i < n; i++ {
-		child := e.newScope(in, sc, t.Name, i, t.Body)
+		child := e.newScope(in, sc, t.Name, i, body)
 		copyWhiteboard(child, sc)
 		child.Whiteboard[t.As] = over.At(i)
 		child.ownWB(t.As, true)
@@ -175,7 +161,7 @@ func (e *Engine) spawnSubprocess(in *Instance, sc *scope, t *ocr.Task, ts *taskS
 		e.failInstance(in, fmt.Sprintf("subprocess %s references unknown template %q", t.Name, t.Uses))
 		return
 	}
-	child := e.newScope(in, sc, t.Name, -1, tpl.Clone())
+	child := e.newScope(in, sc, t.Name, -1, tpl)
 	// Subprocess bodies see only their inputs — no parent inheritance —
 	// so their dynamic record carries the complete whiteboard.
 	child.wbFull = true
@@ -190,7 +176,7 @@ func (e *Engine) spawnSubprocess(in *Instance, sc *scope, t *ocr.Task, ts *taskS
 }
 
 // newScope allocates and registers a child scope.
-func (e *Engine) newScope(in *Instance, parent *scope, task string, elem int, proc *ocr.Process) *scope {
+func (e *Engine) newScope(in *Instance, parent *scope, task string, elem int, proc *compiledProc) *scope {
 	child := &scope{
 		ID:         scopePath(parent, task, elem),
 		Proc:       proc,
@@ -270,15 +256,15 @@ func (e *Engine) finishTask(in *Instance, sc *scope, t *ocr.Task, ts *taskState,
 // and activates / kills downstream tasks.
 func (e *Engine) propagate(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
 	env := scopeEnv{sc}
-	for _, c := range sc.Proc.Outgoing(t.Name) {
+	for _, c := range sc.Proc.index[t.Name].out {
 		state := connDead
 		if ts.Status == TaskEnded {
-			if c.Cond == nil {
+			if c.cond == nil {
 				state = connSatisfied
 			} else {
-				v, err := c.Cond.Eval(env)
+				v, err := c.cond.Eval(env)
 				if err != nil {
-					e.failInstance(in, fmt.Sprintf("evaluating condition on %s -> %s: %v", c.From, c.To, err))
+					e.failInstance(in, fmt.Sprintf("evaluating condition on %s -> %s: %v", t.Name, c.to.Name, err))
 					return
 				}
 				if v.Truthy() {
@@ -293,21 +279,16 @@ func (e *Engine) propagate(in *Instance, sc *scope, t *ocr.Task, ts *taskState) 
 	}
 }
 
-// deliverConnector records one incoming-connector decision on the target
-// and checks whether the target can now activate or die.
-func (e *Engine) deliverConnector(in *Instance, sc *scope, c ocr.Connector, state connState) {
-	target := sc.Tasks[c.To]
-	incoming := sc.Proc.Incoming(c.To)
-	// Find the matching pending slot for this connector (same source,
-	// first undecided).
-	for i, ic := range incoming {
-		if ic.From == c.From && ic.To == c.To && target.ConnIn[i] == connPending &&
-			exprEqual(ic.Cond, c.Cond) {
-			// ConnIn is derived state: recovery re-propagates terminal
-			// tasks' connectors, so no record is dirtied here.
-			target.ConnIn[i] = state
-			break
-		}
+// deliverConnector records one incoming-connector decision in its slot on the
+// target and checks whether the target can now activate or die. A slot is
+// decided once: recovery may propagate a terminal task a second time, and the
+// first decision stands.
+func (e *Engine) deliverConnector(in *Instance, sc *scope, c edge, state connState) {
+	target := sc.Tasks[c.to.Name]
+	if target.ConnIn[c.slot] == connPending {
+		// ConnIn is derived state: recovery re-propagates terminal tasks'
+		// connectors, so no record is dirtied here.
+		target.ConnIn[c.slot] = state
 	}
 	if target.Status != TaskInactive {
 		return
@@ -322,18 +303,10 @@ func (e *Engine) deliverConnector(in *Instance, sc *scope, c ocr.Connector, stat
 		}
 	}
 	if anySatisfied {
-		e.activateTask(in, sc, sc.Proc.Task(c.To))
+		e.activateTask(in, sc, c.to)
 		return
 	}
-	e.markDead(in, sc, sc.Proc.Task(c.To))
-}
-
-// exprEqual compares condition expressions structurally (by printed form).
-func exprEqual(a, b ocr.Expr) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return a.String() == b.String()
+	e.markDead(in, sc, c.to)
 }
 
 // markDead kills a task via dead-path elimination and propagates.
@@ -353,13 +326,13 @@ func (e *Engine) markDead(in *Instance, sc *scope, t *ocr.Task) {
 // unfinished reports whether the scope still has work. Alternative tasks
 // that were never invoked do not block completion.
 func unfinished(sc *scope) bool {
-	alts := altTargets(sc.Proc)
-	for _, t := range sc.Proc.Tasks {
+	for i := range sc.Proc.tasks {
+		t := &sc.Proc.tasks[i]
 		ts := sc.Tasks[t.Name]
 		if ts.Status.Terminal() {
 			continue
 		}
-		if alts[t.Name] && ts.Status == TaskInactive && len(sc.Proc.Incoming(t.Name)) == 0 {
+		if t.standby && ts.Status == TaskInactive {
 			continue // standby alternative, never triggered
 		}
 		return true

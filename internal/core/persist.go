@@ -283,8 +283,7 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 			continue
 		}
 		// The process text itself is interned under its content hash.
-		text := sc.procText()
-		hash := procHash(text)
+		text, hash := sc.Proc.text, sc.Proc.hash
 		if !interned[hash] {
 			interned[hash] = true
 			ck.procs = append(ck.procs, hash)

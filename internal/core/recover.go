@@ -216,10 +216,9 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 	}
 
 	// Phase 2 (parallel): decode and rebuild. Worker w handles the sorted
-	// indexes i with i%workers == w and writes only results[i]/buildErrs[i],
-	// so the phase is lock-free; the per-worker parse cache still
-	// deduplicates the N identical bodies of a parallel block, which land
-	// on one worker because they belong to one instance.
+	// indexes i with i%workers == w and writes only results[i]/buildErrs[i];
+	// the one thing shared is the compiled-process index, which they read
+	// (and, for a text nothing registered has, extend) under emu.
 	results := make([]*Instance, len(ids))
 	buildErrs := make([]error, len(ids))
 	workers := min(len(e.shards), len(ids))
@@ -228,13 +227,12 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			procCache := make(map[string]*ocr.Process)
 			for i := w; i < len(ids); i += workers {
 				g := groups[ids[i]]
 				if _, exists := e.lookup(g.id); exists {
 					continue // already live (Recover on a running engine)
 				}
-				results[i], buildErrs[i] = e.buildRecovered(g, procCache)
+				results[i], buildErrs[i] = e.buildRecovered(g)
 			}
 		}(w)
 	}
@@ -298,9 +296,8 @@ func (e *Engine) registerRecovered(in *Instance) bool {
 // buildRecovered rebuilds one instance from its grouped records — or, with
 // lazy recovery and a suspended instance, builds a stub that retains the
 // raw records for hydration on first touch. Runs on recovery workers: it
-// touches only the instance under construction and the worker's parse
-// cache.
-func (e *Engine) buildRecovered(g *instGroup, procCache map[string]*ocr.Process) (*Instance, error) {
+// touches only the instance under construction.
+func (e *Engine) buildRecovered(g *instGroup) (*Instance, error) {
 	in := buildInstanceShell(g.meta)
 	if e.opts.LazyRecovery && g.meta.Status == InstanceSuspended {
 		// Record the interned-text hashes from the raw keys so later
@@ -322,7 +319,7 @@ func (e *Engine) buildRecovered(g *instGroup, procCache map[string]*ocr.Process)
 	for hash := range procTexts {
 		in.procRefs[hash] = true
 	}
-	if err := e.buildScopes(in, recMap, procTexts, procCache); err != nil {
+	if err := e.buildScopes(in, recMap, procTexts); err != nil {
 		return nil, err
 	}
 	return in, nil
@@ -343,7 +340,7 @@ func buildInstanceShell(meta InstanceMeta) *Instance {
 // buildScopes reconstructs the instance's scope tree from its decoded
 // records. It mutates only the instance under construction, so recovery
 // workers may run it concurrently for different instances.
-func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procTexts map[string]string, procCache map[string]*ocr.Process) error {
+func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procTexts map[string]string) error {
 	// Sort records so parents come before children (shorter IDs first;
 	// root "" is shortest) — children re-inherit whiteboard values from
 	// the already-rebuilt parent.
@@ -357,17 +354,6 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 		}
 		return scopeRecs[i].scopeID < scopeRecs[j].scopeID
 	})
-	parse := func(text, where string) (*ocr.Process, error) {
-		if p, ok := procCache[text]; ok {
-			return p, nil
-		}
-		p, err := ocr.ParseProcess(text)
-		if err != nil {
-			return nil, fmt.Errorf("core: scope %s has invalid process text: %w", where, err)
-		}
-		procCache[text] = p
-		return p, nil
-	}
 	for _, r := range scopeRecs {
 		where := in.ID + "/" + nzScope(r.scopeID)
 		if r.create == nil {
@@ -386,9 +372,9 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 		default:
 			return fmt.Errorf("core: scope %s has no process text", where)
 		}
-		proc, err := parse(text, where)
+		proc, err := e.resolveProc(r.create.ProcRef, text)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: scope %s has invalid process text: %w", where, err)
 		}
 		sc := &scope{
 			ID:         r.scopeID,
@@ -446,17 +432,17 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 		sort.Strings(taskNames)
 		for _, name := range taskNames {
 			ts := r.tasks[name]
-			ts.ConnIn = make([]connState, len(proc.Incoming(name)))
+			if ct := proc.index[name]; ct != nil { // a stale record may name a task the process lacks
+				ts.ConnIn = make([]connState, ct.incoming)
+			}
 			sc.Tasks[name] = ts
 		}
 		// Tasks present in the process but missing from the records
 		// (older snapshot) start inactive.
-		for _, t := range proc.Tasks {
+		for i := range proc.tasks {
+			t := &proc.tasks[i]
 			if _, ok := sc.Tasks[t.Name]; !ok {
-				sc.Tasks[t.Name] = &taskState{
-					Name:   t.Name,
-					ConnIn: make([]connState, len(proc.Incoming(t.Name))),
-				}
+				sc.Tasks[t.Name] = &taskState{Name: t.Name, ConnIn: make([]connState, t.incoming)}
 			}
 		}
 		in.scopes[sc.ID] = sc
@@ -513,7 +499,7 @@ func (e *Engine) hydrateLocked(in *Instance) error {
 	}
 	recMap, procTexts, err := decodeInstanceRecords(st.kvs)
 	if err == nil {
-		err = e.buildScopes(in, recMap, procTexts, make(map[string]*ocr.Process))
+		err = e.buildScopes(in, recMap, procTexts)
 	}
 	if err != nil {
 		in.root = nil
@@ -651,7 +637,7 @@ func (e *Engine) resumeChildScope(in *Instance, sc *scope, t *ocr.Task, ts *task
 func (e *Engine) resumeBlock(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
 	if !t.Parallel {
 		e.resumeChildScope(in, sc, t, ts, func() {
-			child := e.newScope(in, sc, t.Name, -1, t.Body)
+			child := e.newScope(in, sc, t.Name, -1, sc.Proc.index[t.Name].body)
 			copyWhiteboard(child, sc)
 			ts.ChildWaiting = 1
 			e.startScope(in, child)
@@ -691,7 +677,7 @@ func (e *Engine) resumeBlock(in *Instance, sc *scope, t *ocr.Task, ts *taskState
 		return
 	}
 	for _, i := range missing {
-		child := e.newScope(in, sc, t.Name, i, t.Body)
+		child := e.newScope(in, sc, t.Name, i, sc.Proc.index[t.Name].body)
 		copyWhiteboard(child, sc)
 		child.Whiteboard[t.As] = ts.OverElems[i]
 		child.ownWB(t.As, true)

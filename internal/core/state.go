@@ -120,7 +120,8 @@ type taskState struct {
 	Inputs map[string]ocr.Value `json:"inputs,omitempty"`
 	// Outputs is the task's output data structure after completion.
 	Outputs map[string]ocr.Value `json:"outputs,omitempty"`
-	// ConnIn mirrors Process.Incoming(task) by index. Not persisted:
+	// ConnIn holds one decision per incoming connector, in declaration order
+	// (the slots compile assigns to edges). Not persisted:
 	// recovery re-derives connector decisions from terminal tasks.
 	ConnIn []connState `json:"-"`
 	// Node and Job identify the dispatched job (activities).
@@ -152,8 +153,8 @@ type taskState struct {
 // scope is one lexical scope of a running instance: the root process, a
 // block body instance, or a subprocess instance.
 type scope struct {
-	ID         string // unique within the instance, e.g. "" (root), "Alignment[3]", "Tree"
-	Proc       *ocr.Process
+	ID         string        // unique within the instance, e.g. "" (root), "Alignment[3]", "Tree"
+	Proc       *compiledProc // shared with every scope running the same definition; never written through
 	Parent     *scope
 	ParentTask string // task in the parent that spawned this scope
 	ElemIndex  int    // element index for parallel expansion, else -1
@@ -181,8 +182,7 @@ type scope struct {
 	wbOwn  map[string]bool
 	wbFull bool
 
-	defunct   bool   // torn down by a sphere abort; ignore its completions
-	procCache string // cached OCR text of Proc
+	defunct bool // torn down by a sphere abort; ignore its completions
 }
 
 // ownWB marks one whiteboard key as owned by this scope's dynamic record
@@ -195,15 +195,6 @@ func (s *scope) ownWB(key string, present bool) {
 		s.wbOwn = make(map[string]bool, 4)
 	}
 	s.wbOwn[key] = present
-}
-
-// procText returns (and caches) the scope's process in OCR text form —
-// the self-contained persistence format.
-func (s *scope) procText() string {
-	if s.procCache == "" {
-		s.procCache = ocr.Format(s.Proc)
-	}
-	return s.procCache
 }
 
 // env implements ocr.Env over a scope: plain names read the whiteboard,

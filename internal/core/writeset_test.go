@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"bioopera/internal/cluster"
 	"bioopera/internal/obs"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
@@ -499,4 +500,39 @@ func FuzzEventJSON(f *testing.F) {
 			t.Fatalf("appendEventJSON = %s, json.Marshal = %s", got[len(prefix):], want)
 		}
 	})
+}
+
+// TestSimDriverRecordsMatchJSON pins the sim driver's two journal records to
+// the bytes json.Marshal gave the maps they were built as: keys sorted, every
+// field present, strings escaped and floats formatted the same way.
+func TestSimDriverRecordsMatchJSON(t *testing.T) {
+	details := []string{"", "cpus 2 -> 4", `a<b "quoted" ` + "\u2028 end"}
+	for typ := cluster.EvNodeDown; typ <= cluster.EvJobFail+1; typ++ {
+		for i, detail := range details {
+			ev := cluster.Event{At: sim.Time(1500 * int64(i)), Type: typ, Node: "n<1>", Detail: detail}
+			want, err := json.Marshal(map[string]any{
+				"at": ev.At, "kind": "cluster-" + ev.Type.String(),
+				"node": ev.Node, "detail": ev.Detail,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendClusterEventJSON(nil, ev); !bytes.Equal(got, want) {
+				t.Errorf("appendClusterEventJSON = %s, json.Marshal = %s", got, want)
+			}
+		}
+	}
+	for _, load := range []float64{0, 0.5, 1, 0.1 + 0.2, 1e-6, 1e-7, 2.5e-9, 1e20, 1e21, 1.5e300, -0.25, -1e-7} {
+		want, err := json.Marshal(map[string]any{
+			"at": sim.Time(42), "kind": "load-report", "node": `n"2`, "load": load,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("earlier record")
+		got := appendLoadReportJSON(prefix, 42, `n"2`, load)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Errorf("appendLoadReportJSON(%g) = %s, json.Marshal = %s", load, got[len(prefix):], want)
+		}
+	}
 }

@@ -39,6 +39,9 @@ var hotJSONFuncs = map[string]map[string]bool{
 		"emitNow":         true, // the same record committed alone, outside a turn
 		"appendEventJSON": true, // the journal record's bytes, without encoding/json
 
+		"appendClusterEventJSON": true, // the sim driver's two journal records, likewise
+		"appendLoadReportJSON":   true,
+
 		"RecoverOwned":          true, // recovery phases 1–3
 		"buildRecovered":        true, // per-instance rebuild (or stub)
 		"decodeInstanceRecords": true, // record decode, per instance

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo hygiene + test gate. Run from the repo root:
 #
-#   ./scripts/check.sh          # gofmt, vet, biooperalint, build, tests
+#   ./scripts/check.sh          # gofmt, vet, build, compiled-once grep, biooperalint, tests
 #   ./scripts/check.sh -race    # same, plus the race-detector suite
 set -eu
 
@@ -20,6 +20,22 @@ go vet ./...
 
 echo "== go build"
 go build ./...
+
+echo "== templates are compiled once"
+# An instance shares its template's compiled form (internal/core/template.go):
+# nothing on the start, navigation or checkpoint path may copy or re-format a
+# process. The allowed sites: the compile step itself, RegisterTemplate's one
+# defensive copy of the caller's value, and the copy Template hands out.
+copies=$(grep -n 'ocr\.Format(\|\.Clone()' internal/core/*.go |
+    grep -v '_test\.go:' |
+    grep -v '^internal/core/template\.go:' |
+    grep -v '^internal/core/core\.go:[0-9]*:	cp := compile(p\.Clone())$' |
+    grep -v '^internal/core/core\.go:[0-9]*:	return p\.Process\.Clone(), true$' || true)
+if [ -n "$copies" ]; then
+    echo "ocr.Format/Clone in internal/core outside template.go, RegisterTemplate and Template:" >&2
+    echo "$copies" >&2
+    exit 1
+fi
 
 echo "== biooperalint"
 # The tool prints its own load/analyze split on stderr; time the whole run

@@ -474,7 +474,7 @@ func (e *Engine) RegisterTemplate(p *ocr.Process) error {
 	}
 	// The one copy: the caller keeps its value, instances share the engine's.
 	cp := compile(p.Clone())
-	if err := e.opts.Store.Put(store.Template, cp.Name, []byte(cp.text)); err != nil {
+	if err := e.opts.Store.Put(store.Template, cp.Name, cp.bytes); err != nil {
 		return err
 	}
 	e.emu.Lock()

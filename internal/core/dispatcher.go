@@ -60,9 +60,14 @@ func (e *Engine) drain() {
 // reapUnplaceable removes jobs the scheduler reports as permanently
 // unplaceable — every node their Nodes list names is down or unknown —
 // and fails their tasks with an EvTaskUnplaceable event instead of
-// letting them queue silently forever.
+// letting them queue silently forever. Only a job pinned to named nodes can
+// be one, so the cluster view is taken only when the queue holds such a job.
 func (e *Engine) reapUnplaceable() {
 	e.dmu.Lock()
+	if e.sched.Pinned() == 0 {
+		e.dmu.Unlock()
+		return
+	}
 	dead := e.sched.TakeUnplaceable(e.opts.Executor.Nodes())
 	refs := make([]*queuedRef, len(dead))
 	for i, job := range dead {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"bioopera/internal/ocr"
 	"bioopera/internal/store"
@@ -201,4 +202,41 @@ func TestCheckpointHoldsValueAtPersistTime(t *testing.T) {
 		}
 	}
 	t.Fatal("no ended Backup record was committed to the instance space")
+}
+
+// TestStoreKeysBuiltOnce: every inst/, scopec/, scoped/ and task/ key a Chain8
+// sends the store is one string for the instance's whole life — the same
+// bytes at the same address in every checkpoint that rewrites the record, in
+// the archive's history put and in its delete — so a record costs one key
+// allocation, not one per write.
+func TestStoreKeysBuiltOnce(t *testing.T) {
+	bl := &batchLog{Store: store.NewMem()}
+	rt := newRuntime(t, SimConfig{Library: benchLibrary(t), Store: bl})
+	register(t, rt, benchChain8Src)
+	id := start(t, rt, "Chain8", map[string]ocr.Value{"x": ocr.Str("v")})
+	rt.Run()
+	finished(t, rt, id)
+
+	addr := make(map[string]*byte)
+	writes := make(map[string]int)
+	for _, ops := range bl.batches {
+		for _, op := range ops {
+			if op.IsEvent() || strings.HasPrefix(op.Key, "proc/") {
+				continue
+			}
+			p := unsafe.StringData(op.Key)
+			if first, seen := addr[op.Key]; seen && first != p {
+				t.Errorf("key %s was built again", op.Key)
+			}
+			addr[op.Key] = p
+			writes[op.Key]++
+		}
+	}
+	// Meta rides every checkpoint; a task is written ready, running and
+	// ended, then archived and deleted.
+	for _, key := range []string{metaKey(id), scopeCreateKey(id, ""), scopeDynKey(id, ""), taskKey(id, "", "S1"), taskKey(id, "", "S8")} {
+		if writes[key] < 3 {
+			t.Errorf("key %s appears in %d ops; the test needs it rewritten to mean anything", key, writes[key])
+		}
+	}
 }

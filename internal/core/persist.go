@@ -61,6 +61,40 @@ func taskKey(id, scopeID, task string) string {
 }
 func procKey(id, hash string) string { return "proc/" + id + "/" + hash }
 
+// A record is named once: the key is built the first time a checkpoint (or a
+// sphere's teardown) needs it and kept beside the state it names, so the
+// store's map key, every rewrite and the final delete are one string. These
+// four are the only callers of the builders above; the caller holds the shard
+// lock.
+
+func (in *Instance) key() string {
+	if in.metaK == "" {
+		in.metaK = metaKey(in.ID)
+	}
+	return in.metaK
+}
+
+func (sc *scope) createKey(in *Instance) string {
+	if sc.createK == "" {
+		sc.createK = scopeCreateKey(in.ID, sc.ID)
+	}
+	return sc.createK
+}
+
+func (sc *scope) dynKey(in *Instance) string {
+	if sc.dynK == "" {
+		sc.dynK = scopeDynKey(in.ID, sc.ID)
+	}
+	return sc.dynK
+}
+
+func (ts *taskState) key(in *Instance, sc *scope) string {
+	if ts.taskK == "" {
+		ts.taskK = taskKey(in.ID, sc.ID, ts.Name)
+	}
+	return ts.taskK
+}
+
 // procHash is the content hash interned process text is stored under.
 func procHash(text string) string {
 	h := sha256.Sum256([]byte(text))
@@ -276,18 +310,18 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 	slices.SortFunc(ck.scopes, func(a, b *scope) int { return strings.Compare(a.ID, b.ID) })
 	enc := &ck.enc
 	encodeMeta(enc, &in.InstanceMeta)
-	ck.ops = append(ck.ops, store.Op{Space: space, Key: metaKey(in.ID)})
+	ck.ops = append(ck.ops, store.Op{Space: space, Key: in.key()})
 	bytes := 0
 	for _, sc := range ck.scopes {
 		if !sc.newborn && !ck.archive {
 			continue
 		}
 		// The process text itself is interned under its content hash.
-		text, hash := sc.Proc.text, sc.Proc.hash
+		text, hash := sc.Proc.bytes, sc.Proc.hash
 		if !interned[hash] {
 			interned[hash] = true
 			ck.procs = append(ck.procs, hash)
-			ck.ops = append(ck.ops, store.Op{Space: space, Key: procKey(in.ID, hash), Value: []byte(text)})
+			ck.ops = append(ck.ops, store.Op{Space: space, Key: procKey(in.ID, hash), Value: text})
 			bytes += len(text)
 		}
 		dto := scopeCreateDTO{
@@ -304,12 +338,12 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 		ck.creates = append(ck.creates, sc)
 	}
 	for _, sc := range ck.creates {
-		ck.ops = append(ck.ops, store.Op{Space: space, Key: scopeCreateKey(in.ID, sc.ID)})
+		ck.ops = append(ck.ops, store.Op{Space: space, Key: sc.createKey(in)})
 	}
 	for _, sc := range ck.scopes {
 		if sc.newborn || sc.dirtyMeta || ck.archive {
 			encodeDyn(enc, sc, ck.archive)
-			ck.ops = append(ck.ops, store.Op{Space: space, Key: scopeDynKey(in.ID, sc.ID)})
+			ck.ops = append(ck.ops, store.Op{Space: space, Key: sc.dynKey(in)})
 			ck.dyns = append(ck.dyns, sc)
 		}
 		sc.newborn = false
@@ -330,7 +364,7 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 		clear(sc.dirtyTasks)
 		for _, tr := range ck.tasks[first:] {
 			encodeTask(enc, tr.ts)
-			ck.ops = append(ck.ops, store.Op{Space: space, Key: taskKey(in.ID, sc.ID, tr.ts.Name)})
+			ck.ops = append(ck.ops, store.Op{Space: space, Key: tr.ts.key(in, sc)})
 		}
 	}
 	clear(in.dirty)

@@ -145,11 +145,9 @@ func (e *Engine) abortSphere(in *Instance, sc *scope, t *ocr.Task, ts *taskState
 	for _, s := range subtree {
 		delete(in.scopes, s.ID)
 		delete(in.dirty, s.ID)
-		in.pendingDeletes = append(in.pendingDeletes,
-			scopeCreateKey(in.ID, s.ID),
-			scopeDynKey(in.ID, s.ID))
+		in.pendingDeletes = append(in.pendingDeletes, s.createKey(in), s.dynKey(in))
 		for _, bt := range s.Proc.Tasks {
-			in.pendingDeletes = append(in.pendingDeletes, taskKey(in.ID, s.ID, bt.Name))
+			in.pendingDeletes = append(in.pendingDeletes, s.Tasks[bt.Name].key(in, s))
 		}
 		if s.Parent != nil {
 			delete(s.Parent.children, s.ID)

@@ -148,6 +148,8 @@ type taskState struct {
 	// when the block expands and kept so recovery can respawn lost element
 	// scopes.
 	OverElems []ocr.Value `json:"overElems,omitempty"`
+
+	taskK string // the task/ record's key, built on first use (key)
 }
 
 // scope is one lexical scope of a running instance: the root process, a
@@ -183,6 +185,8 @@ type scope struct {
 	wbFull bool
 
 	defunct bool // torn down by a sphere abort; ignore its completions
+
+	createK, dynK string // the scopec/ and scoped/ records' keys, built on first use (createKey, dynKey)
 }
 
 // ownWB marks one whiteboard key as owned by this scope's dynamic record
@@ -290,6 +294,7 @@ type Instance struct {
 	procRefs       map[string]bool   // process-text hashes already interned
 	pendingDone    bool              // fire OnInstanceDone after this turn's flush
 	pendingPump    bool              // pump the dispatcher after this turn: it queued work or freed a slot
+	metaK          string            // the inst/ record's key, built on first use (key)
 
 	// Commit gate: admits this instance's write sets strictly in sequence
 	// order once they leave the shard's critical section, so a later turn's

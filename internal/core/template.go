@@ -15,6 +15,7 @@ import "bioopera/internal/ocr"
 type compiledProc struct {
 	*ocr.Process
 	text  string // ocr.Format(Process): the value of the proc/ record
+	bytes []byte // text, as the store takes it: read-only, every proc/ put shares it
 	hash  string // procHash(text): the proc/ key, and what a create record references
 	tasks []compiledTask
 	index map[string]*compiledTask
@@ -49,6 +50,7 @@ func compile(p *ocr.Process) *compiledProc {
 	cp := &compiledProc{
 		Process: p,
 		text:    text,
+		bytes:   []byte(text),
 		hash:    procHash(text),
 		tasks:   make([]compiledTask, len(p.Tasks)),
 		index:   make(map[string]*compiledTask, len(p.Tasks)),

@@ -175,7 +175,14 @@ func TestTakeUnplaceableSkipsHeld(t *testing.T) {
 	s.Enqueue(Job{ID: "ghost-a", Group: "a", Nodes: []string{"ghost"}})
 	s.Enqueue(Job{ID: "pinned-ok", Group: "a", Nodes: []string{"up"}})
 	s.Enqueue(Job{ID: "ghost-hi", Group: "c", Priority: 1, Nodes: []string{"ghost"}})
+	s.Enqueue(Job{ID: "free", Group: "c"})
+	if n := s.Pinned(); n != 4 {
+		t.Fatalf("Pinned = %d, want 4 (every ready job that names nodes, none that does not)", n)
+	}
 	s.Hold("a")
+	if n := s.Pinned(); n != 2 {
+		t.Fatalf("Pinned = %d with group a held, want 2", n)
+	}
 	var got []string
 	for _, j := range s.TakeUnplaceable(nodes) {
 		got = append(got, j.ID)
@@ -183,15 +190,18 @@ func TestTakeUnplaceableSkipsHeld(t *testing.T) {
 	if !reflect.DeepEqual(got, []string{"ghost-hi", "ghost-b"}) {
 		t.Fatalf("TakeUnplaceable = %v, want [ghost-hi ghost-b] (dispatch order, held left alone)", got)
 	}
-	if s.Len() != 2 || s.Held() != 2 {
-		t.Fatalf("len=%d held=%d, want 2 2", s.Len(), s.Held())
+	if s.Len() != 3 || s.Held() != 2 || s.Pinned() != 0 {
+		t.Fatalf("len=%d held=%d pinned=%d, want 3 2 0", s.Len(), s.Held(), s.Pinned())
 	}
 	s.Release("a")
 	if dead := s.TakeUnplaceable(nodes); len(dead) != 1 || dead[0].ID != "ghost-a" {
 		t.Fatalf("TakeUnplaceable after release = %v, want [ghost-a]", dead)
 	}
-	if got := drainIDs(s, nodes, nil, 10); !reflect.DeepEqual(got, []string{"pinned-ok"}) {
-		t.Fatalf("dispatched %v, want [pinned-ok]", got)
+	if got := drainIDs(s, nodes, nil, 10); !reflect.DeepEqual(got, []string{"pinned-ok", "free"}) {
+		t.Fatalf("dispatched %v, want [pinned-ok free]", got)
+	}
+	if n := s.Pinned(); n != 0 {
+		t.Fatalf("Pinned = %d once the pinned jobs are gone, want 0 (%d queued)", n, s.Len())
 	}
 }
 

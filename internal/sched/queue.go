@@ -348,6 +348,9 @@ func (q *Queue) RemoveWhere(name string, match func(id string) bool) []string {
 	return ids
 }
 
+// Pinned reports how many ready jobs name specific nodes.
+func (q *Queue) Pinned() int { return len(q.pinned) }
+
 // TakeUnplaceable removes and returns, in dispatch order, every ready job
 // that is Unplaceable on the given cluster view. Only pinned jobs can be.
 func (q *Queue) TakeUnplaceable(nodes []cluster.NodeView) []Job {

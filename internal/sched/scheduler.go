@@ -87,6 +87,10 @@ func hasFreeSlot(nodes []cluster.NodeView) bool {
 	return false
 }
 
+// Pinned reports how many ready jobs name specific nodes — the only ones
+// TakeUnplaceable can return, so at zero its cluster view need not be taken.
+func (s *Scheduler) Pinned() int { return s.queue.Pinned() }
+
 // TakeUnplaceable removes and returns (in dispatch order) every ready job
 // that can never be placed on the given cluster view — its Nodes list
 // names only down or unknown nodes. The engine surfaces each as a task

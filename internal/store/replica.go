@@ -42,7 +42,7 @@ func (d *Disk) applyShipped(first uint64, records [][]byte) error {
 	if next := d.log.NextSeq(); first != next {
 		return fmt.Errorf("store: shipped batch starts at %d, want %d", first, next)
 	}
-	return d.ingest(records, &commitReq{ops: ops})
+	return d.ingest(records, []commitReq{{ops: ops}})
 }
 
 // installSnapshot replaces the in-memory state with a bootstrap image and

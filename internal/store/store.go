@@ -152,18 +152,39 @@ func checkOps(ops []Op) error {
 	return nil
 }
 
-// apply makes validated ops state, in order; stored values are copies. The
-// caller holds mu for writing.
+// apply makes validated ops state, in order; stored values are copies the
+// image owns. A record keeps one buffer for its life: a put to a key that
+// exists rewrites that buffer in place, which is safe because nothing hands a
+// stored buffer out (Get, list, Digest and marshalSnapshot copy under mu).
+// Journal entries are immutable and only ever dropped together, so a batch's
+// entries share one allocation. State values do not: a record that is never
+// rewritten would pin every dead neighbour written beside it. The caller
+// holds mu for writing.
 func (im *image) apply(ops []Op) {
+	journal := 0
+	for _, op := range ops {
+		if op.event {
+			journal += len(op.Value)
+		}
+	}
+	var slab []byte
+	if journal > 0 {
+		slab = make([]byte, 0, journal)
+	}
 	for _, op := range ops {
 		switch {
 		case op.event:
 			im.eventSeq++
-			im.events = append(im.events, Event{Seq: im.eventSeq, Data: append([]byte(nil), op.Value...)})
+			start := len(slab)
+			slab = append(slab, op.Value...)
+			// Capacity is capped so an append through Data cannot reach the
+			// next entry.
+			im.events = append(im.events, Event{Seq: im.eventSeq, Data: slab[start:len(slab):len(slab)]})
 		case op.Delete:
 			delete(im.spaces[op.Space], op.Key)
 		default:
-			im.spaces[op.Space][op.Key] = append([]byte(nil), op.Value...)
+			m := im.spaces[op.Space]
+			m[op.Key] = append(m[op.Key][:0], op.Value...)
 		}
 	}
 }
@@ -402,9 +423,10 @@ type Disk struct {
 	dir   string
 	log   *wal.Log
 
-	gmu     sync.Mutex // guards pending
+	gmu     sync.Mutex // guards pending and spare
 	pending *commitGroup
-	wmu     sync.Mutex // serializes group flushes (one leader at a time)
+	spare   *commitGroup // a flushed group nobody followed, emptied for the next leader
+	wmu     sync.Mutex   // serializes group flushes (one leader at a time)
 
 	// Group-commit accounting (written under mu in flushGroup).
 	commitGroups   uint64
@@ -419,18 +441,19 @@ type Disk struct {
 	snapSeconds *obs.Histogram // Snapshot wall time (nil = no metrics)
 }
 
-// commitReq is one commit unit: a caller's ops and their WAL frames, index
-// for index. seq receives the newest journal sequence once the unit has
-// applied — AppendEvent's result.
+// commitReq is one commit unit: a caller's ops. seq receives the newest
+// journal sequence once the unit has applied — AppendEvent's result.
 type commitReq struct {
-	ops    []Op
-	frames [][]byte
-	seq    uint64
+	ops []Op
+	seq uint64
 }
 
-// commitGroup accumulates requests that will share one WAL batch + fsync.
+// commitGroup accumulates the units that will share one WAL batch + fsync,
+// and their frames in unit order. A caller waits for the group holding its
+// index into reqs, not a request object of its own. done exists only once a
+// follower has enrolled: a leader alone has nobody to wake.
 type commitGroup struct {
-	reqs   []*commitReq
+	reqs   []commitReq
 	frames [][]byte
 	done   chan struct{}
 	err    error
@@ -479,7 +502,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 			if err != nil {
 				return err
 			}
-			return d.ingest(nil, &commitReq{ops: ops})
+			return d.ingest(nil, []commitReq{{ops: ops}})
 		})
 	}
 	if err != nil {
@@ -565,53 +588,71 @@ func (d *Disk) write(ops []Op) (uint64, error) {
 	for _, op := range ops {
 		encodeOp(enc, op)
 	}
-	// Spans are taken only after every op is encoded: appending can
-	// relocate the encoder's buffer.
-	req := &commitReq{ops: ops, frames: make([][]byte, len(ops))}
-	for i := range req.frames {
-		req.frames[i] = enc.Span(i)
-	}
-	err := d.commit(req)
+	seq, err := d.commit(ops, enc)
 	codec.Put(enc)
-	return req.seq, err
+	return seq, err
 }
 
-// commit durably applies one request. The first caller to find no pending
-// group opens one and becomes its leader; callers arriving while the
-// previous group's fsync is still in flight enroll as followers and just
-// wait. The leader closes enrollment, writes every enrolled request as one
-// WAL batch (one fsync), applies them in order, and wakes the followers.
-func (d *Disk) commit(req *commitReq) error {
+// commit durably applies one unit: ops and, span for span, their frames in
+// enc. The first caller to find no pending group opens one and becomes its
+// leader; callers arriving while the previous group's fsync is still in
+// flight enroll as followers and just wait. The leader closes enrollment,
+// writes every enrolled unit as one WAL batch (one fsync), applies them in
+// order, and wakes the followers. A group nobody followed goes back to spare
+// and the next leader reuses it, so an uncontended commit allocates nothing;
+// one that had followers is theirs to read and the collector's to free.
+func (d *Disk) commit(ops []Op, enc *codec.Encoder) (uint64, error) {
 	d.gmu.Lock()
 	g := d.pending
 	leader := g == nil
 	if leader {
-		g = &commitGroup{done: make(chan struct{})}
-		d.pending = g
+		if g = d.spare; g == nil {
+			g = new(commitGroup)
+		}
+		d.spare, d.pending = nil, g
+	} else if g.done == nil {
+		g.done = make(chan struct{})
 	}
-	g.reqs = append(g.reqs, req)
-	g.frames = append(g.frames, req.frames...)
+	me := len(g.reqs)
+	g.reqs = append(g.reqs, commitReq{ops: ops})
+	// Spans are taken only now that every op is encoded: appending can
+	// relocate the encoder's buffer.
+	for i := range ops {
+		g.frames = append(g.frames, enc.Span(i))
+	}
 	d.gmu.Unlock()
 	if !leader {
-		//bioopera:allow blockingsend group-commit follower: the wait is bounded by one leader fsync (the leader always closes done), and the follower holds no locks here
+		//bioopera:allow blockingsend group-commit follower: the wait is bounded by one leader fsync (the leader always closes a done a follower made), and the follower holds no locks here
 		<-g.done
-		return g.err
+		return g.reqs[me].seq, g.err
 	}
 	d.wmu.Lock() // wait out the previous group's flush; followers pile up meanwhile
 	d.gmu.Lock()
 	d.pending = nil // close enrollment: later arrivals form the next group
 	d.gmu.Unlock()
-	g.err = d.flushGroup(g)
+	err := d.flushGroup(g)
 	d.wmu.Unlock()
-	close(g.done)
-	return g.err
+	seq := g.reqs[me].seq
+	if g.done != nil {
+		g.err = err
+		close(g.done)
+		return seq, err
+	}
+	// Emptied, so the spare pins no caller's ops and no encoder's buffer.
+	clear(g.reqs)
+	clear(g.frames)
+	g.reqs, g.frames = g.reqs[:0], g.frames[:0]
+	d.gmu.Lock()
+	d.spare = g
+	d.gmu.Unlock()
+	return seq, err
 }
 
 // flushGroup ingests a closed group and keeps the group-commit accounts.
 func (d *Disk) flushGroup(g *commitGroup) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.ingest(g.frames, g.reqs...); err != nil {
+	if err := d.ingest(g.frames, g.reqs); err != nil {
 		return err
 	}
 	d.commitGroups++
@@ -626,16 +667,16 @@ func (d *Disk) flushGroup(g *commitGroup) error {
 // batch (one fsync), and only then are their ops applied, unit by unit in
 // order. Replay passes no frames; those bytes are already in the log. The
 // caller holds mu and has validated every op.
-func (d *Disk) ingest(frames [][]byte, units ...*commitReq) error {
+func (d *Disk) ingest(frames [][]byte, units []commitReq) error {
 	if d.closed {
 		return ErrClosed
 	}
 	if _, err := d.log.AppendBatch(frames); err != nil {
 		return err
 	}
-	for _, u := range units {
-		d.apply(u.ops)
-		u.seq = d.eventSeq
+	for i := range units {
+		d.apply(units[i].ops)
+		units[i].seq = d.eventSeq
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -372,9 +373,11 @@ func TestOpenDiskRefusesHole(t *testing.T) {
 	}
 }
 
+// TestValueIsolation: no slice crosses the store's boundary in either
+// direction. A record is rewritten in its own buffer and a batch's journal
+// entries share one, so what matters is that nothing a caller holds is that
+// buffer: not the value it passed in, not a value it read before a rewrite.
 func TestValueIsolation(t *testing.T) {
-	// Mutating a slice returned by Get or passed to Put must not affect
-	// the stored value.
 	for name, mk := range backends(t) {
 		t.Run(name, func(t *testing.T) {
 			s := mk()
@@ -390,6 +393,90 @@ func TestValueIsolation(t *testing.T) {
 			v2, _, _ := s.Get(Template, "k")
 			if string(v2) != "original" {
 				t.Fatal("Get aliased internal buffer")
+			}
+
+			// Reads taken before a shorter and a longer rewrite keep what
+			// they read; the batch's own buffers can be reused once it returns.
+			for _, next := range []string{"short", "a good deal longer than the original"} {
+				got, _, _ := s.Get(Template, "k")
+				want := string(got)
+				kvs, _ := s.List(Template)
+				val, ev := []byte(next), []byte("ev:"+next)
+				if err := s.Batch([]Op{{Space: Template, Key: "k", Value: val}, EventOp(ev)}); err != nil {
+					t.Fatal(err)
+				}
+				for i := range val {
+					val[i] = '#'
+				}
+				for i := range ev {
+					ev[i] = '#'
+				}
+				if string(got) != want || len(kvs) != 1 || string(kvs[0].Value) != want {
+					t.Fatalf("rewrite to %q reached earlier reads: Get %q, List %q, want %q", next, got, kvs[0].Value, want)
+				}
+				if now, _, _ := s.Get(Template, "k"); string(now) != next {
+					t.Fatalf("after rewrite k = %q, want %q", now, next)
+				}
+			}
+
+			// Journal data read before later appends is unchanged after them,
+			// even when a reader appends to what it was handed.
+			var first []Event
+			s.Events(1, func(ev Event) error { first = append(first, ev); return nil })
+			_ = append(first[0].Data, "overrun"...)
+			if err := s.Batch([]Op{EventOp([]byte("third")), EventOp([]byte("fourth"))}); err != nil {
+				t.Fatal(err)
+			}
+			var all []string
+			s.Events(1, func(ev Event) error { all = append(all, string(ev.Data)); return nil })
+			want := []string{"ev:short", "ev:a good deal longer than the original", "third", "fourth"}
+			if !reflect.DeepEqual(all, want) || string(first[0].Data) != want[0] || string(first[1].Data) != want[1] {
+				t.Fatalf("journal = %q (read earlier: %q, %q), want %q", all, first[0].Data, first[1].Data, want)
+			}
+		})
+	}
+}
+
+// TestRewritesPinNothing: a record rewritten 2,000 times with a growing value,
+// beside 2,000 records written once in the same batches, leaves the heap near
+// the live bytes. An apply that carved each batch's values from one slab would
+// have every write-once record pin the dead copy of the hot one written beside
+// it — here 70 MB instead of 1 — which on a month-long instance is every
+// finished task pinning a copy of its scope's whiteboard record.
+func TestRewritesPinNothing(t *testing.T) {
+	for name, mk := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			defer s.Close()
+			const rounds, onceLen = 2000, 512
+			once := bytes.Repeat([]byte{'t'}, onceLen)
+			var hot []byte
+			heap := func() uint64 {
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			before := heap()
+			live := 0
+			for i := 0; i < rounds; i++ {
+				hot = append(hot, "grows by this much every turn......"...)
+				key := fmt.Sprintf("once/%04d", i)
+				if err := s.Batch([]Op{
+					{Space: Instance, Key: "hot", Value: hot},
+					{Space: Instance, Key: key, Value: once},
+				}); err != nil {
+					t.Fatal(err)
+				}
+				live += len(key) + onceLen
+			}
+			live += len(hot)
+			after := heap()
+			runtime.KeepAlive(s)
+			if grew := int64(after) - int64(before); grew > 2*int64(live) {
+				t.Errorf("heap grew %d bytes for %d live: dead copies are pinned", grew, live)
+			} else {
+				t.Logf("heap grew %d bytes for %d live", grew, live)
 			}
 		})
 	}
@@ -608,6 +695,120 @@ func TestBatchGroupCommitsSyncs(t *testing.T) {
 	}
 	if got := d.WALSyncs() - before; got != 1 {
 		t.Fatalf("batch of 16 ops took %d fsyncs, want 1", got)
+	}
+}
+
+// TestGroupCommitFollowers makes one group with followers on purpose: the test
+// holds wmu the way a previous group's fsync does, so the first caller leads
+// and blocks there while the rest enroll behind it. The group then costs one
+// fsync and every caller gets the leader's result — each AppendEvent its own
+// journal sequence — or, when the store is closed under the group, the same
+// error, with none of their ops in the log.
+func TestGroupCommitFollowers(t *testing.T) {
+	const callers = 6
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fail=%v", fail), func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := OpenDisk(dir, DiskOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			// A commit nobody followed leaves its group as the spare: the
+			// group under test is a reused one.
+			if err := d.Put(Instance, "before", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			syncs, groups := d.WALSyncs(), d.Stats().CommitGroups
+
+			d.wmu.Lock()
+			errs, seqs := make([]error, callers), make([]uint64, callers)
+			var wg sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					key := fmt.Sprintf("k%d", i)
+					if i%2 == 0 {
+						errs[i] = d.Batch([]Op{
+							{Space: Instance, Key: key, Value: []byte(key)},
+							{Space: History, Key: key, Value: []byte(key)},
+						})
+					} else {
+						seqs[i], errs[i] = d.AppendEvent([]byte(key))
+					}
+				}(i)
+			}
+			for enrolled := 0; enrolled < callers; runtime.Gosched() {
+				d.gmu.Lock()
+				if d.pending != nil {
+					enrolled = len(d.pending.reqs)
+				}
+				d.gmu.Unlock()
+			}
+			if fail {
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d.wmu.Unlock()
+			wg.Wait()
+
+			if fail {
+				for i, err := range errs {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("caller %d: err = %v, want ErrClosed like every other", i, err)
+					}
+				}
+				if d, err = OpenDisk(dir, DiskOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+			} else {
+				for i, err := range errs {
+					if err != nil {
+						t.Errorf("caller %d: %v", i, err)
+					}
+				}
+				if got := d.WALSyncs() - syncs; got != 1 {
+					t.Errorf("%d fsyncs for one group of %d callers, want 1", got, callers)
+				}
+				if got := d.Stats().CommitGroups - groups; got != 1 {
+					t.Errorf("%d commit groups, want 1", got)
+				}
+				// The followed group is its followers' to read, not the next
+				// leader's to reuse: a commit after it starts clean.
+				if err := d.Put(Instance, "after", []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			journal := make(map[uint64]string)
+			if err := d.Events(1, func(ev Event) error { journal[ev.Seq] = string(ev.Data); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			wantEvents := 0
+			for i := 0; i < callers; i++ {
+				key := fmt.Sprintf("k%d", i)
+				if i%2 == 0 {
+					_, inInst, _ := d.Get(Instance, key)
+					_, inHist, _ := d.Get(History, key)
+					if inInst != !fail || inHist != !fail {
+						t.Errorf("%s visible = %v/%v, want %v in both spaces", key, inInst, inHist, !fail)
+					}
+				} else if !fail {
+					wantEvents++
+					if journal[seqs[i]] != key {
+						t.Errorf("AppendEvent(%s) = seq %d, which holds %q", key, seqs[i], journal[seqs[i]])
+					}
+				}
+			}
+			if len(journal) != wantEvents {
+				t.Errorf("journal = %v, want %d events", journal, wantEvents)
+			}
+			if _, ok, _ := d.Get(Instance, "before"); !ok {
+				t.Error("the commit before the group is gone")
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo hygiene + test gate. Run from the repo root:
 #
-#   ./scripts/check.sh          # gofmt, vet, build, compiled-once grep, biooperalint, tests
+#   ./scripts/check.sh          # gofmt, vet, build, compiled-once and keys-built-once greps, biooperalint, tests
 #   ./scripts/check.sh -race    # same, plus the race-detector suite
 set -eu
 
@@ -21,7 +21,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== templates are compiled once"
+echo "== templates are compiled once, store keys are built once"
 # An instance shares its template's compiled form (internal/core/template.go):
 # nothing on the start, navigation or checkpoint path may copy or re-format a
 # process. The allowed sites: the compile step itself, RegisterTemplate's one
@@ -34,6 +34,19 @@ copies=$(grep -n 'ocr\.Format(\|\.Clone()' internal/core/*.go |
 if [ -n "$copies" ]; then
     echo "ocr.Format/Clone in internal/core outside template.go, RegisterTemplate and Template:" >&2
     echo "$copies" >&2
+    exit 1
+fi
+
+# A record's store key is built once and kept beside the state it names
+# (persist.go: Instance.key, scope.createKey, scope.dynKey, taskState.key).
+# The only calls of the four builders are those accessors filling their field.
+rebuilt=$(grep -n 'metaKey(\|scopeCreateKey(\|scopeDynKey(\|taskKey(' internal/core/*.go |
+    grep -v '_test\.go:' |
+    grep -v '^internal/core/persist\.go:[0-9]*:func ' |
+    grep -v '^internal/core/persist\.go:[0-9]*:		\(in\.metaK\|sc\.createK\|sc\.dynK\|ts\.taskK\) = [a-zA-Z]*Key(in\.ID[^()]*)$' || true)
+if [ -n "$rebuilt" ]; then
+    echo "store key built outside the cached accessors in internal/core/persist.go:" >&2
+    echo "$rebuilt" >&2
     exit 1
 fi
 

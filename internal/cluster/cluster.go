@@ -201,12 +201,17 @@ func (v NodeView) EffectiveSpeed() float64 {
 }
 
 // Nodes returns a deterministic snapshot of every node.
-func (c *Cluster) Nodes() []NodeView {
-	out := make([]NodeView, 0, len(c.order))
-	for _, name := range c.order {
-		out = append(out, c.view(c.nodes[name]))
+func (c *Cluster) Nodes() []NodeView { return c.AppendNodes(nil) }
+
+// AppendNodes appends that snapshot to dst (see Directory.AppendNodes).
+func (c *Cluster) AppendNodes(dst []NodeView) []NodeView {
+	if dst == nil {
+		dst = make([]NodeView, 0, len(c.order))
 	}
-	return out
+	for _, name := range c.order {
+		dst = append(dst, c.view(c.nodes[name]))
+	}
+	return dst
 }
 
 func (c *Cluster) view(n *node) NodeView {
@@ -447,12 +452,7 @@ func (c *Cluster) SetExternalLoad(name string, load float64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, name)
 	}
-	if load < 0 {
-		load = 0
-	}
-	if load > 1 {
-		load = 1
-	}
+	load = clampLoad(load)
 	if load == n.extLoad {
 		return nil
 	}

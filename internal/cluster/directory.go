@@ -15,7 +15,7 @@ import (
 type Directory struct {
 	mu    sync.Mutex
 	nodes map[string]*NodeView
-	order []string // join order, for deterministic Nodes()
+	order []string // join order, for a deterministic view
 }
 
 // NewDirectory returns an empty directory.
@@ -86,13 +86,29 @@ func (d *Directory) SetExtLoad(name string, load float64) bool {
 	if !ok {
 		return false
 	}
-	if load < 0 {
-		load = 0
-	} else if load > 1 {
-		load = 1
-	}
-	n.ExtLoad = load
+	n.ExtLoad = clampLoad(load)
 	return true
+}
+
+// SetExtLoadAll records one observed external load for every node — the
+// owner whose nodes share a machine reports its load once.
+func (d *Directory) SetExtLoadAll(load float64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	load = clampLoad(load)
+	for _, name := range d.order {
+		d.nodes[name].ExtLoad = load
+	}
+}
+
+func clampLoad(load float64) float64 {
+	if load < 0 {
+		return 0
+	}
+	if load > 1 {
+		return 1
+	}
+	return load
 }
 
 // Get returns a node's current view.
@@ -137,14 +153,20 @@ func (d *Directory) Release(name string) {
 }
 
 // Nodes returns the current views in join order.
-func (d *Directory) Nodes() []NodeView {
+func (d *Directory) Nodes() []NodeView { return d.AppendNodes(nil) }
+
+// AppendNodes appends the current views, in join order, to dst: a caller that
+// keeps one buffer takes a view without allocating, and a nil dst is sized once.
+func (d *Directory) AppendNodes(dst []NodeView) []NodeView {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]NodeView, 0, len(d.order))
-	for _, name := range d.order {
-		out = append(out, *d.nodes[name])
+	if dst == nil {
+		dst = make([]NodeView, 0, len(d.order))
 	}
-	return out
+	for _, name := range d.order {
+		dst = append(dst, *d.nodes[name])
+	}
+	return dst
 }
 
 // Len reports how many nodes are registered (up or down).

@@ -181,7 +181,7 @@ func (e *Engine) WhatIf(nodes []string) OutageImpact {
 
 	// Remaining capacity and stranding analysis.
 	var remaining []cluster.NodeView
-	for _, v := range e.opts.Executor.Nodes() {
+	for _, v := range e.opts.Executor.AppendNodes(nil) {
 		if down[v.Name] {
 			continue
 		}

@@ -29,10 +29,10 @@ var (
 )
 
 // Launch describes one activity dispatch in full: the scheduling decision
-// (job, node, cost, niceness) plus the resolved external binding. Each
+// (job, node, cost, niceness) plus the external binding by name. Each
 // executor uses the part it needs — the simulated cluster models only the
-// cost, the local pool calls Run in-process, and the remote server ships
-// Program/Inputs/Ctx over the wire to a worker agent.
+// cost, the local pool and the remote worker agent look Program up in a
+// library and call it with Inputs and Ctx.
 type Launch struct {
 	Job  cluster.JobID
 	Node string
@@ -43,24 +43,25 @@ type Launch struct {
 	// as a hint but need not act on it.
 	Timeout time.Duration
 	// Program names the external binding; Inputs and Ctx are what its
-	// invocation receives. Executors that run programs off-engine use
-	// these to reconstruct the call on the worker.
+	// invocation receives. An in-process executor that does not run it — the
+	// simulated cluster always, the local pool when the engine's library
+	// lacks the binding — leaves the completion's Outputs and ProgramErr nil:
+	// the completion turn then runs the program itself (which keeps simulated
+	// traces deterministic) or fails the instance for the missing binding.
 	Program string
 	Inputs  map[string]ocr.Value
 	Ctx     ProgramCtx
-	// Run invokes the binding in-process (the local pool's path). The
-	// simulated cluster ignores it — leaving Outputs nil in the
-	// completion makes the engine run the program at completion time,
-	// which keeps simulated traces deterministic.
-	Run func() (map[string]ocr.Value, error)
 }
 
 // Executor abstracts the cluster the dispatcher talks to: the simulated
 // cluster, the local goroutine pool, and the remote worker server all
 // implement it.
 type Executor interface {
-	// Nodes returns the current placement view.
-	Nodes() []cluster.NodeView
+	// AppendNodes appends the current placement view to dst and returns it.
+	// The dispatcher passes one buffer it owns, under its dispatch lock, so
+	// a decision takes a view without allocating; the executor must not
+	// keep dst.
+	AppendNodes(dst []cluster.NodeView) []cluster.NodeView
 	// Launch starts a job; completions arrive via the engine's
 	// HandleCompletion.
 	Launch(l Launch) error
@@ -184,7 +185,14 @@ type Options struct {
 	Owns func(id string) bool
 }
 
-// queuedRef connects a queued sched.Job back to its task.
+// queuedRef is a task's current dispatch attempt: what connects a queued or
+// running sched.Job back to its task. A task has at most one live attempt
+// (ts.Job names it), so the ref is a field of its taskState and lives exactly
+// as long as the task does — a drain that popped it, a timeout timer or a
+// WhatIf snapshot may still read it after it left the indexes, which is what
+// a free list could not know. inst, sc and ts never change; the rest is
+// written under dmu only (job by enqueue, which also holds the shard, so a
+// turn may read it under either).
 type queuedRef struct {
 	inst *Instance
 	sc   *scope
@@ -232,6 +240,10 @@ type Engine struct {
 	dmu     sync.Mutex
 	queued  map[string]*queuedRef // job ID → queued task
 	running map[string]*queuedRef // job ID → running task
+	// view is the one buffer scheduling decisions take their cluster view
+	// into. No Policy keeps the slice and every decision is made under dmu,
+	// so the next decision may overwrite it.
+	view []cluster.NodeView
 }
 
 // New builds an engine and loads templates already in the store.
@@ -640,7 +652,6 @@ func (e *Engine) StartProcess(template string, inputs map[string]ocr.Value, opts
 		ElemIndex:  -1,
 		Whiteboard: make(map[string]ocr.Value),
 		Tasks:      make(map[string]*taskState),
-		children:   make(map[string]*scope),
 		wbFull:     true, // roots have no parent to inherit from
 	}
 	for _, name := range tpl.Inputs {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bioopera/internal/cluster"
-	"bioopera/internal/ocr"
 	"bioopera/internal/sched"
 )
 
@@ -35,14 +34,19 @@ func (e *Engine) Pump() {
 // exhausted. The scheduler owns ordering (priority, tenant fair share)
 // and placement, and never offers a suspended instance's jobs: their group
 // is held (Suspend, recovery) until Resume releases it. The engine only
-// executes the decisions.
+// executes the decisions. A cluster view is taken — into the engine's one
+// buffer, under dmu — only when a job is ready to be decided on.
 func (e *Engine) drain() {
 	e.reapUnplaceable()
 	for {
 		e.dmu.Lock()
-		nodes := e.opts.Executor.Nodes()
+		if e.sched.Len() == e.sched.Held() {
+			e.dmu.Unlock()
+			return
+		}
+		e.view = e.opts.Executor.AppendNodes(e.view[:0])
 		t0 := e.now()
-		job, node, ok := e.sched.Next(nodes, nil)
+		job, node, ok := e.sched.Next(e.view, nil)
 		e.metrics.decision(e.now().Sub(t0))
 		if !ok {
 			e.dmu.Unlock()
@@ -68,7 +72,8 @@ func (e *Engine) reapUnplaceable() {
 		e.dmu.Unlock()
 		return
 	}
-	dead := e.sched.TakeUnplaceable(e.opts.Executor.Nodes())
+	e.view = e.opts.Executor.AppendNodes(e.view[:0])
+	dead := e.sched.TakeUnplaceable(e.view)
 	refs := make([]*queuedRef, len(dead))
 	for i, job := range dead {
 		refs[i] = e.queued[job.ID]
@@ -173,7 +178,6 @@ func (e *Engine) dispatch(job sched.Job, node string, ref *queuedRef) bool {
 			Attempt:  ts.Attempts,
 			Node:     node,
 		},
-		Run: e.programThunk(ref, node),
 	}
 	if t.Timeout > 0 {
 		l.Timeout = time.Duration(t.Timeout * float64(time.Second))
@@ -318,7 +322,9 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 	}
 
 	// Program outcome: either the executor ran the program on the node
-	// (local pool) or the engine runs it now (simulated cluster).
+	// (local pool, remote worker) or the engine runs it now (simulated
+	// cluster; a local pool whose library lacks the binding, which fails
+	// here exactly as it does on the simulator).
 	outputs, progErr := c.Outputs, c.ProgramErr
 	if outputs == nil && progErr == nil {
 		prog, ok := e.opts.Library.Lookup(t.Program)
@@ -342,47 +348,32 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 	e.finishTask(in, sc, t, ts, outputs)
 }
 
-// programThunk packages a task's external binding for node-side execution.
-func (e *Engine) programThunk(ref *queuedRef, node string) func() (map[string]ocr.Value, error) {
-	t := ref.sc.Proc.Task(ref.ts.Name)
-	prog, ok := e.opts.Library.Lookup(t.Program)
-	if !ok {
-		name := t.Program
-		return func() (map[string]ocr.Value, error) {
-			return nil, fmt.Errorf("program %q not registered", name)
-		}
-	}
-	ctx := ProgramCtx{
-		Instance: ref.inst.ID,
-		Task:     ref.ts.Name,
-		Attempt:  ref.ts.Attempts,
-		Node:     node,
-	}
-	inputs := ref.ts.Inputs
-	return func() (map[string]ocr.Value, error) { return prog.Run(ctx, inputs) }
-}
-
-// Migrate applies a kill-and-restart migration policy once: running jobs
-// on overloaded nodes are killed and go back through the queue, where the
-// placement policy sends them to lightly loaded nodes (§5.4's discussed
-// strategy). It returns how many jobs were killed.
-func (e *Engine) Migrate(p sched.MigrationPolicy) int {
-	e.dmu.Lock()
+// liveRunning lists the running jobs of instances that are still running,
+// sorted by job ID — what a migration or preemption sweep may kill. Caller
+// holds dmu.
+func (e *Engine) liveRunning() []sched.Running {
 	ids := make([]string, 0, len(e.running))
 	for id := range e.running {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	cands := make([]sched.Candidate, 0, len(ids))
+	out := make([]sched.Running, 0, len(ids))
 	for _, id := range ids {
 		ref := e.running[id]
 		if ref.inst.statusNow() != InstanceRunning {
 			continue
 		}
-		cands = append(cands, sched.Candidate{Job: id, Node: ref.node})
+		out = append(out, sched.Running{
+			Job: id, Node: ref.node,
+			Priority: ref.job.Priority, Tenant: ref.job.Tenant,
+		})
 	}
-	e.dmu.Unlock()
-	kills := p.Decide(cands, e.opts.Executor.Nodes())
+	return out
+}
+
+// killStillRunning kills the sweep's victims that have not completed since it
+// decided.
+func (e *Engine) killStillRunning(kills []sched.Candidate) {
 	for _, k := range kills {
 		e.dmu.Lock()
 		ref := e.running[k.Job]
@@ -392,6 +383,22 @@ func (e *Engine) Migrate(p sched.MigrationPolicy) int {
 		}
 		e.opts.Executor.Kill(cluster.JobID(k.Job), k.Node)
 	}
+}
+
+// Migrate applies a kill-and-restart migration policy once: running jobs
+// on overloaded nodes are killed and go back through the queue, where the
+// placement policy sends them to lightly loaded nodes (§5.4's discussed
+// strategy). It returns how many jobs were killed.
+func (e *Engine) Migrate(p sched.MigrationPolicy) int {
+	e.dmu.Lock()
+	running := e.liveRunning()
+	e.dmu.Unlock()
+	cands := make([]sched.Candidate, len(running))
+	for i, r := range running {
+		cands[i] = sched.Candidate{Job: r.Job, Node: r.Node}
+	}
+	kills := p.Decide(cands, e.opts.Executor.AppendNodes(nil))
+	e.killStillRunning(kills)
 	return len(kills)
 }
 
@@ -410,33 +417,10 @@ func (e *Engine) Migrate(p sched.MigrationPolicy) int {
 func (e *Engine) Preempt(p sched.Preemptor) int {
 	e.dmu.Lock()
 	queued := e.sched.Jobs()
-	ids := make([]string, 0, len(e.running))
-	for id := range e.running {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	running := make([]sched.Running, 0, len(ids))
-	for _, id := range ids {
-		ref := e.running[id]
-		if ref.inst.statusNow() != InstanceRunning {
-			continue
-		}
-		running = append(running, sched.Running{
-			Job: id, Node: ref.node,
-			Priority: ref.job.Priority, Tenant: ref.job.Tenant,
-		})
-	}
+	running := e.liveRunning()
 	e.dmu.Unlock()
-	kills := p.Decide(e.now(), queued, running, e.opts.Executor.Nodes())
-	for _, k := range kills {
-		e.dmu.Lock()
-		ref := e.running[k.Job]
-		e.dmu.Unlock()
-		if ref == nil {
-			continue
-		}
-		e.opts.Executor.Kill(cluster.JobID(k.Job), k.Node)
-	}
+	kills := p.Decide(e.now(), queued, running, e.opts.Executor.AppendNodes(nil))
+	e.killStillRunning(kills)
 	e.metrics.preempted(len(kills))
 	return len(kills)
 }

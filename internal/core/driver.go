@@ -98,8 +98,8 @@ type SimConfig struct {
 // execution.
 type simExec struct{ c *cluster.Cluster }
 
-// Nodes implements Executor.
-func (x simExec) Nodes() []cluster.NodeView { return x.c.Nodes() }
+// AppendNodes implements Executor.
+func (x simExec) AppendNodes(dst []cluster.NodeView) []cluster.NodeView { return x.c.AppendNodes(dst) }
 
 // Launch implements Executor.
 func (x simExec) Launch(l Launch) error {

@@ -34,7 +34,10 @@ func (e *Engine) awaitEvent(in *Instance, sc *scope, t *ocr.Task, ts *taskState)
 	if in.waiting == nil {
 		in.waiting = make(map[string][]*queuedRef)
 	}
-	in.waiting[t.Await] = append(in.waiting[t.Await], &queuedRef{inst: in, sc: sc, ts: ts})
+	// An AWAIT task is never queued, so its attempt is reached only through
+	// this list, under the shard.
+	ts.attempt = queuedRef{inst: in, sc: sc, ts: ts}
+	in.waiting[t.Await] = append(in.waiting[t.Await], &ts.attempt)
 	e.emit(in, Event{Kind: EvTaskAwaiting, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: t.Await})
 	e.persist(in)
 }

@@ -352,15 +352,29 @@ func (p *pickCounter) Pick(j sched.Job, nodes []cluster.NodeView) (string, bool)
 	return sched.LeastLoaded{}.Pick(j, nodes)
 }
 
+// viewCounter counts the cluster views the dispatcher takes.
+type viewCounter struct {
+	Executor
+	views int
+}
+
+func (x *viewCounter) AppendNodes(dst []cluster.NodeView) []cluster.NodeView {
+	x.views++
+	return x.Executor.AppendNodes(dst)
+}
+
 // TestPumpCostIndependentOfBacklog is the machine-independent form of the
 // performance claim: what a Pump costs depends on what can dispatch now,
 // not on what is queued. Jobs of suspended instances are never tried, a
-// full cluster ends the decision before any job is, and the allocations of
-// a Pump do not move with the held count.
+// full cluster ends the decision before any job is, a Pump with nothing
+// ready takes no cluster view and allocates nothing however much is held,
+// and otherwise a view is taken once per decision, into the engine's buffer.
 func TestPumpCostIndependentOfBacklog(t *testing.T) {
-	build := func(suspended, fan int) (*SimRuntime, *pickCounter) {
+	build := func(suspended, fan int) (*SimRuntime, *pickCounter, *viewCounter) {
 		pol := &pickCounter{}
 		rt := newRuntime(t, SimConfig{Spec: oneCPUSpec(), Library: slowLib(t), Options: Options{Policy: pol}})
+		views := &viewCounter{Executor: rt.Engine.opts.Executor}
+		rt.Engine.opts.Executor = views
 		register(t, rt, slowParSrc)
 		rt.Engine.PauseAll()
 		for i := 0; i < suspended; i++ {
@@ -377,10 +391,19 @@ func TestPumpCostIndependentOfBacklog(t *testing.T) {
 			}
 			start(t, rt, "SlowPar", map[string]ocr.Value{"xs": ocr.List(xs...)})
 		}
-		return rt, pol
+		return rt, pol, views
+	}
+	idle := func(name string, rt *SimRuntime, views *viewCounter) {
+		t.Helper()
+		if allocs := testing.AllocsPerRun(20, rt.Engine.Pump); allocs != 0 {
+			t.Errorf("%s: %v allocations per Pump with nothing ready, want 0", name, allocs)
+		}
+		if views.views != 0 {
+			t.Errorf("%s: %d cluster views taken with nothing ready, want 0", name, views.views)
+		}
 	}
 
-	rt, pol := build(4000, 0)
+	rt, pol, views := build(4000, 0)
 	if rt.Engine.HeldJobs() != 4000 || rt.Engine.QueueLen() != 4000 {
 		t.Fatalf("held=%d queue=%d, want 4000 4000", rt.Engine.HeldJobs(), rt.Engine.QueueLen())
 	}
@@ -388,22 +411,30 @@ func TestPumpCostIndependentOfBacklog(t *testing.T) {
 	if pol.picks != 0 {
 		t.Errorf("%d Pick calls over 4000 held + 0 ready jobs, want 0", pol.picks)
 	}
-	heldAllocs := testing.AllocsPerRun(20, rt.Engine.Pump)
+	idle("4000 held", rt, views)
 
-	rt, pol = build(0, 201)
+	rt, pol, views = build(0, 201)
 	if rt.Engine.RunningJobs() != 1 || rt.Engine.QueueLen() != 200 {
 		t.Fatalf("running=%d queue=%d, want a full one-CPU cluster with 200 ready", rt.Engine.RunningJobs(), rt.Engine.QueueLen())
 	}
-	pol.picks = 0
+	// The start's pump decided twice: one job placed, then the cluster full.
+	if views.views != 2 {
+		t.Errorf("%d cluster views for two decisions, want 2", views.views)
+	}
+	pol.picks, views.views = 0, 0
 	rt.Engine.Pump()
 	if pol.picks != 0 {
 		t.Errorf("%d Pick calls on a full cluster with 200 ready jobs, want 0", pol.picks)
 	}
-
-	rt, _ = build(0, 0)
-	if emptyAllocs := testing.AllocsPerRun(20, rt.Engine.Pump); emptyAllocs != heldAllocs {
-		t.Errorf("allocs per Pump: %v with nothing held, %v with 4000 held; want equal", emptyAllocs, heldAllocs)
+	if views.views != 1 {
+		t.Errorf("%d cluster views for the one decision of a Pump on a full cluster, want 1", views.views)
 	}
+	if allocs := testing.AllocsPerRun(20, rt.Engine.Pump); allocs != 0 {
+		t.Errorf("%v allocations per Pump on a full cluster, want 0: the view goes into the engine's buffer", allocs)
+	}
+
+	rt, _, views = build(0, 0)
+	idle("empty", rt, views)
 }
 
 // TestSuspendedPinnedJobJudgedAtResume documents the one behaviour change:
@@ -504,7 +535,7 @@ func TestSuspendResumeOnQuietEngine(t *testing.T) {
 
 // lostRaceExec is a one-slot executor whose first Launch loses the slot to a
 // concurrent drain that took it between the scheduler's decision and the
-// Launch: it fails with ErrNoFreeCPU although Nodes() offered the slot, and
+// Launch: it fails with ErrNoFreeCPU although the view offered the slot, and
 // the winner's completion — the pump the loser could otherwise count on — has
 // already been and gone. Launches that succeed wait for the test to run them.
 type lostRaceExec struct {
@@ -512,8 +543,8 @@ type lostRaceExec struct {
 	pending  []Launch
 }
 
-func (x *lostRaceExec) Nodes() []cluster.NodeView {
-	return []cluster.NodeView{{Name: "n1", Up: true, CPUs: 1, Speed: 1, Running: len(x.pending)}}
+func (x *lostRaceExec) AppendNodes(dst []cluster.NodeView) []cluster.NodeView {
+	return append(dst, cluster.NodeView{Name: "n1", Up: true, CPUs: 1, Speed: 1, Running: len(x.pending)})
 }
 
 func (x *lostRaceExec) Launch(l Launch) error {
@@ -525,6 +556,17 @@ func (x *lostRaceExec) Launch(l Launch) error {
 }
 
 func (x *lostRaceExec) Kill(cluster.JobID, string) error { return nil }
+
+// runNext runs the oldest pending launch the way the local pool does — the
+// program comes from the engine's library — and delivers its completion.
+func (x *lostRaceExec) runNext(e *Engine) Launch {
+	l := x.pending[0]
+	x.pending = x.pending[1:]
+	prog, _ := e.opts.Library.Lookup(l.Program)
+	out, err := prog.Run(l.Ctx, l.Inputs)
+	e.HandleCompletion(cluster.Completion{Job: l.Job, Node: l.Node, Outputs: out, ProgramErr: err})
+	return l
+}
 
 // TestLostSlotRacePumpsAgain is the 1-in-50,000 hang of four chains
 // outstanding on two workers, made deterministic: a job whose Launch lost the
@@ -551,10 +593,7 @@ func TestLostSlotRacePumpsAgain(t *testing.T) {
 			x.launches, e.QueueLen(), e.RunningJobs())
 	}
 	for len(x.pending) > 0 {
-		l := x.pending[0]
-		x.pending = x.pending[1:]
-		out, err := l.Run()
-		e.HandleCompletion(cluster.Completion{Job: l.Job, Node: l.Node, Outputs: out, ProgramErr: err})
+		x.runNext(e)
 	}
 	if st, out, _ := e.InstanceState(id); st != InstanceDone || out["r"].AsNum() != 5 {
 		t.Fatalf("instance is %s with r=%v, want done with 5", st, out["r"])

@@ -86,7 +86,7 @@ func NewLocalRuntime(cfg LocalConfig) (*LocalRuntime, error) {
 		return nil, fmt.Errorf("core: LocalConfig needs a Library")
 	}
 	rt := &LocalRuntime{Store: cfg.Store, start: time.Now()}
-	rt.exec = newLocalExec(rt, cfg.Workers)
+	rt.exec = newLocalExec(rt, cfg.Library, cfg.Workers)
 	eng, err := New(Options{
 		Store:        cfg.Store,
 		Library:      cfg.Library,
@@ -140,114 +140,144 @@ func (rt *LocalRuntime) Close() {
 // never held across engine calls.
 type localExec struct {
 	rt  *LocalRuntime
+	lib *Library // the engine's: a slot looks its program up here
 	dir *cluster.Directory
 
 	mu     sync.Mutex
 	closed bool
 	seq    uint64
-	busy   map[string]uint64        // node → dispatch seq
+	slots  map[string]*localSlot    // node → slot; the map itself never changes
 	live   map[cluster.JobID]uint64 // job → dispatch seq whose result is wanted
 }
 
-func newLocalExec(rt *LocalRuntime, workers int) *localExec {
+// localSlot is one single-CPU local node, and owns the launch it is running:
+// a slot runs one program at a time by construction — seq is cleared only by
+// the goroutine it was set for, and Launch refuses a slot whose seq is set —
+// so Launch writes the occupant's fields while the slot is free and starts
+// the goroutine through run, a function value built once with the pool. A
+// launch therefore allocates nothing.
+type localSlot struct {
+	ex  *localExec
+	run func() // s.work; go s.run() hands the runtime an existing funcval
+
+	// The occupant. Written under ex.mu by the Launch that takes the free
+	// slot; read by the occupant's goroutine, which copies them out before
+	// it frees the slot and never looks again.
+	seq     uint64 // dispatch seq of the occupant, 0 when free
+	l       Launch
+	started time.Duration
+}
+
+func newLocalExec(rt *LocalRuntime, lib *Library, workers int) *localExec {
 	ex := &localExec{
-		rt:   rt,
-		dir:  cluster.NewDirectory(),
-		busy: make(map[string]uint64, workers),
-		live: make(map[cluster.JobID]uint64),
+		rt:    rt,
+		lib:   lib,
+		dir:   cluster.NewDirectory(),
+		slots: make(map[string]*localSlot, workers),
+		live:  make(map[cluster.JobID]uint64),
 	}
 	for i := 0; i < workers; i++ {
+		name := fmt.Sprintf("local-%02d", i)
 		ex.dir.Join(cluster.NodeView{
-			Name: fmt.Sprintf("local-%02d", i), OS: runtime.GOOS,
+			Name: name, OS: runtime.GOOS,
 			Up: true, CPUs: 1, Speed: 1,
 		})
+		s := &localSlot{ex: ex}
+		s.run = s.work
+		ex.slots[name] = s
 	}
 	return ex
 }
 
-// Nodes implements Executor.
-func (ex *localExec) Nodes() []cluster.NodeView { return ex.dir.Nodes() }
+// AppendNodes implements Executor.
+func (ex *localExec) AppendNodes(dst []cluster.NodeView) []cluster.NodeView {
+	return ex.dir.AppendNodes(dst)
+}
 
 // SetExternalLoad reports the machine's observed external (non-BioOpera)
 // load, 0..1, applied to every slot in the pool. The scheduler's batcher
 // and migration policy react to it; callers typically sample the OS load
 // average on a timer.
 func (rt *LocalRuntime) SetExternalLoad(load float64) {
-	for _, v := range rt.exec.dir.Nodes() {
-		rt.exec.dir.SetExtLoad(v.Name, load)
+	rt.exec.dir.SetExtLoadAll(load)
+}
+
+// busySlots reports occupied worker slots (the slot-occupancy gauge): a slot
+// holds its directory reservation exactly while it has an occupant.
+func (ex *localExec) busySlots() (n int) {
+	for _, v := range ex.dir.Nodes() {
+		n += v.Running
 	}
+	return n
 }
 
-// busySlots reports occupied worker slots (the slot-occupancy gauge).
-func (ex *localExec) busySlots() int {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	return len(ex.busy)
-}
-
-// Launch implements Executor: the launch's Run thunk executes on a fresh
-// goroutine and the completion is delivered straight to HandleCompletion,
-// which serializes it on the instance's shard.
+// Launch implements Executor: the program executes on a fresh goroutine and
+// the completion is delivered straight to HandleCompletion, which serializes
+// it on the instance's shard. A goroutine per launch, not a worker per slot:
+// a worker inside HandleCompletion → flushWrites → Pump would keep the job
+// that pump placed on its own slot waiting behind the turn's commits.
 func (ex *localExec) Launch(l Launch) error {
 	ex.mu.Lock()
 	if ex.closed {
 		ex.mu.Unlock()
 		return fmt.Errorf("core: local runtime closed")
 	}
-	if _, taken := ex.busy[l.Node]; taken {
+	s := ex.slots[l.Node]
+	if s != nil && s.seq != 0 {
 		ex.mu.Unlock()
 		return cluster.ErrNoFreeCPU
 	}
+	// Reserve refuses a node the pool does not have, so s is not nil past it.
 	if err := ex.dir.Reserve(l.Node); err != nil {
 		ex.mu.Unlock()
 		return err
 	}
 	ex.seq++
-	mySeq := ex.seq
-	ex.busy[l.Node] = mySeq
-	ex.live[l.Job] = mySeq
+	s.seq, s.l, s.started = ex.seq, l, time.Since(ex.rt.start)
+	ex.live[l.Job] = ex.seq
 	ex.mu.Unlock()
-	started := time.Since(ex.rt.start)
 	//bioopera:allow goroleak the worker runs an uninterruptible user program; Kill discards its result rather than joining it, and the engine's shutdown semantics accept in-flight programs finishing into a closed runtime
-	go func() {
-		t0 := time.Now()
-		outputs, err := l.Run()
-		cpu := time.Since(t0)
+	go s.run()
+	return nil
+}
 
-		ex.mu.Lock()
-		if ex.busy[l.Node] == mySeq {
-			delete(ex.busy, l.Node)
-			ex.dir.Release(l.Node)
-		}
-		if ex.live[l.Job] != mySeq {
-			ex.mu.Unlock()
-			// Killed (or superseded): the result is discarded, but the
-			// slot just freed may unblock the queue.
-			ex.rt.Engine().Pump()
-			ex.rt.Bump()
-			return
-		}
-		delete(ex.live, l.Job)
-		ex.mu.Unlock()
-		c := cluster.Completion{
-			Job:     l.Job,
-			Node:    l.Node,
-			Start:   sim.Time(started),
-			End:     sim.Time(time.Since(ex.rt.start)),
-			CPUTime: cpu,
-			Outputs: outputs,
-		}
-		if err != nil {
-			c.ProgramErr = err
+// work runs the slot's occupant and delivers its completion. A binding the
+// library lacks is reported as not run — nil outputs, nil program error — and
+// the completion turn's own lookup fails the instance, as on the simulator.
+func (s *localSlot) work() {
+	ex := s.ex
+	l, mySeq, started := s.l, s.seq, s.started
+	c := cluster.Completion{Job: l.Job, Node: l.Node, Start: sim.Time(started)}
+	t0 := time.Now()
+	if prog, ok := ex.lib.Lookup(l.Program); ok {
+		c.Outputs, c.ProgramErr = prog.Run(l.Ctx, l.Inputs)
+		switch {
+		case c.ProgramErr != nil:
 			c.Outputs = nil
-		}
-		if c.Outputs == nil && c.ProgramErr == nil {
+		case c.Outputs == nil:
 			c.Outputs = map[string]ocr.Value{}
 		}
-		ex.rt.Engine().HandleCompletion(c)
+	}
+	c.CPUTime = time.Since(t0)
+
+	ex.mu.Lock()
+	if s.seq == mySeq {
+		s.seq, s.l = 0, Launch{}
+		ex.dir.Release(l.Node)
+	}
+	if ex.live[l.Job] != mySeq {
+		ex.mu.Unlock()
+		// Killed (or superseded): the result is discarded, but the
+		// slot just freed may unblock the queue.
+		ex.rt.Engine().Pump()
 		ex.rt.Bump()
-	}()
-	return nil
+		return
+	}
+	delete(ex.live, l.Job)
+	ex.mu.Unlock()
+	c.End = sim.Time(time.Since(ex.rt.start))
+	ex.rt.Engine().HandleCompletion(c)
+	ex.rt.Bump()
 }
 
 // Kill implements Executor: the goroutine cannot be interrupted, but its

@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bioopera/internal/cluster"
 	"bioopera/internal/ocr"
 	"bioopera/internal/store"
 )
@@ -264,4 +266,131 @@ type countingSnapStore struct {
 func (s *countingSnapStore) Snapshot() error {
 	s.snaps.Add(1)
 	return nil
+}
+
+// eventually polls cond until it holds; the deadline is the failure.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// TestStaleWorkerLeavesTheSlotAlone covers the slot-owned launch. A running
+// job is killed; the task is requeued but its program cannot be interrupted,
+// so the slot stays the stale goroutine's until the program returns. That
+// goroutine then frees the slot and pumps — which launches the fresh attempt
+// onto the same slot, overwriting the slot's fields under the stale
+// goroutine's feet. It copied what it needs out beforehand: it must not free
+// the new occupant's slot, and its result must not be delivered.
+func TestStaleWorkerLeavesTheSlotAlone(t *testing.T) {
+	entered := make(chan int32, 2)
+	release := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	var calls atomic.Int32
+	lib := NewLibrary()
+	if err := lib.RegisterFunc("test.gate", func(ProgramCtx, map[string]ocr.Value) (map[string]ocr.Value, error) {
+		n := calls.Add(1) - 1
+		entered <- n
+		<-release[n]
+		return map[string]ocr.Value{"out": ocr.Str([]string{"stale", "fresh"}[n])}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var ended atomic.Int32
+	retried := make(chan struct{}, 1)
+	rt, err := NewLocalRuntime(LocalConfig{Workers: 1, Library: lib, OnEvent: func(ev Event) {
+		switch ev.Kind {
+		case EvTaskEnded:
+			ended.Add(1)
+		case EvTaskRetried:
+			retried <- struct{}{}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if err := rt.RegisterTemplateSource(`PROCESS Gate { OUTPUT r; ACTIVITY G { CALL test.gate(); OUT out; MAP out -> r; } }`); err != nil {
+		t.Fatal(err)
+	}
+	id, err := rt.StartProcess("Gate", nil, StartOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Occupancy as the pool sees it (may another Launch take the slot?) and
+	// as the scheduler does (the directory's reservation).
+	slot := func() (busy, reserved int) {
+		rt.exec.mu.Lock()
+		if rt.exec.slots["local-00"].seq != 0 {
+			busy = 1
+		}
+		rt.exec.mu.Unlock()
+		return busy, rt.exec.busySlots()
+	}
+	<-entered
+	withStale := runtime.NumGoroutine()
+	if err := rt.exec.Kill(cluster.JobID(id+"||G|0"), "local-00"); err != nil {
+		t.Fatal(err)
+	}
+	<-retried
+	e := rt.Engine()
+	if busy, reserved := slot(); busy != 1 || reserved != 1 || e.QueueLen() != 1 || e.RunningJobs() != 0 {
+		t.Fatalf("after the kill: busy=%d reserved=%d queue=%d running=%d, want the slot still the stale program's and the task queued (1 1 1 0)",
+			busy, reserved, e.QueueLen(), e.RunningJobs())
+	}
+	close(release[0])
+	if n := <-entered; n != 1 {
+		t.Fatalf("attempt %d entered, want the fresh one", n)
+	}
+	// The stale goroutine is gone once the count is back to what it was with
+	// it: the fresh worker has taken its place, the kill's delivery has exited.
+	eventually(t, "the stale worker has exited", func() bool { return runtime.NumGoroutine() <= withStale })
+	if busy, reserved := slot(); busy != 1 || reserved != 1 || e.RunningJobs() != 1 {
+		t.Fatalf("with the fresh attempt running: busy=%d reserved=%d running=%d, want 1 1 1 — the stale worker freed the new occupant's slot",
+			busy, reserved, e.RunningJobs())
+	}
+	close(release[1])
+	in, err := rt.Wait(id, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Status != InstanceDone || in.Outputs["r"].AsStr() != "fresh" || ended.Load() != 1 {
+		t.Fatalf("instance %s with r=%v after %d task-ended, want done with the fresh attempt's result, ended once",
+			in.Status, in.Outputs["r"], ended.Load())
+	}
+	if busy, reserved := slot(); busy != 0 || reserved != 0 {
+		t.Fatalf("at idle: busy=%d reserved=%d, want 0 0", busy, reserved)
+	}
+	assertNoneStuck(t, e)
+}
+
+// TestLaunchGoroutinesDoNotAccumulate: a launch is a goroutine that ends with
+// its completion, so 2,000 activities later there are as many as before.
+func TestLaunchGoroutinesDoNotAccumulate(t *testing.T) {
+	rt, err := NewLocalRuntime(LocalConfig{Workers: 2, Library: benchLibrary(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	if err := rt.RegisterTemplateSource(benchChain8Src); err != nil {
+		t.Fatal(err)
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			id, err := rt.StartProcess("Chain8", map[string]ocr.Value{"x": ocr.Num(1)}, StartOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if in, err := rt.Wait(id, 10*time.Second); err != nil || in.Status != InstanceDone {
+				t.Fatalf("instance %s: %v", id, err)
+			}
+		}
+	}
+	run(5)
+	eventually(t, "the pool is idle", func() bool { return rt.exec.busySlots() == 0 })
+	before := runtime.NumGoroutine()
+	run(250)
+	eventually(t, "the launch goroutines have exited", func() bool { return runtime.NumGoroutine() <= before })
 }

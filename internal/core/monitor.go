@@ -210,7 +210,7 @@ func (s *MonitorSource) Cluster() obs.ClusterInfo {
 		QueueDepth:  s.e.QueueLen(),
 		HeldJobs:    s.e.HeldJobs(),
 	}
-	for _, v := range s.e.opts.Executor.Nodes() {
+	for _, v := range s.e.opts.Executor.AppendNodes(nil) {
 		info.Nodes = append(info.Nodes, obs.NodeInfo{
 			Name: v.Name, OS: v.OS, Up: v.Up, CPUs: v.CPUs,
 			Speed: v.Speed, Running: v.Running, ExtLoad: v.ExtLoad,

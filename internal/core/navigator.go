@@ -66,7 +66,7 @@ func jobID(in *Instance, sc *scope, task string, attempt int) string {
 // newJob builds the scheduler's view of a task's current dispatch attempt.
 // The instance ID is the job's group: what Suspend holds, Resume releases
 // and a failing instance removes. prog may be nil (binding vanished from the
-// library); the attempt then fails at dispatch.
+// library, see requeue).
 func (e *Engine) newJob(in *Instance, sc *scope, t *ocr.Task, ts *taskState, prog *Program) sched.Job {
 	job := sched.Job{
 		ID:       jobID(in, sc, t.Name, ts.Attempts),
@@ -89,7 +89,7 @@ func (e *Engine) newJob(in *Instance, sc *scope, t *ocr.Task, ts *taskState, pro
 	return job
 }
 
-// enqueueActivity places an activity in the activity queue.
+// enqueueActivity places a newly activated activity in the activity queue.
 func (e *Engine) enqueueActivity(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
 	prog, ok := e.opts.Library.Lookup(t.Program)
 	if !ok {
@@ -97,14 +97,23 @@ func (e *Engine) enqueueActivity(in *Instance, sc *scope, t *ocr.Task, ts *taskS
 		return
 	}
 	ts.Status = TaskReady
+	e.enqueue(in, sc, t, ts, prog)
+	e.emit(in, Event{Kind: EvTaskReady, Instance: in.ID, Scope: sc.ID, Task: t.Name})
+}
+
+// enqueue is the one way a task's dispatch attempt is made: it builds the job,
+// names it in the task, and — under dmu — writes the task's attempt, queues
+// the job and indexes the attempt by job ID. Caller holds the instance's shard.
+func (e *Engine) enqueue(in *Instance, sc *scope, t *ocr.Task, ts *taskState, prog *Program) {
 	job := e.newJob(in, sc, t, ts, prog)
 	ts.Job = job.ID
+	ts.Node = ""
 	e.dmu.Lock()
+	ts.attempt = queuedRef{inst: in, sc: sc, ts: ts, job: job}
 	e.sched.Enqueue(job)
-	e.queued[job.ID] = &queuedRef{inst: in, sc: sc, ts: ts, job: job}
+	e.queued[job.ID] = &ts.attempt
 	e.dmu.Unlock()
 	e.touchTask(in, sc, ts)
-	e.emit(in, Event{Kind: EvTaskReady, Instance: in.ID, Scope: sc.ID, Task: t.Name})
 }
 
 // spawnBlock creates the child scope(s) of a block task.
@@ -185,9 +194,8 @@ func (e *Engine) newScope(in *Instance, parent *scope, task string, elem int, pr
 		ElemIndex:  elem,
 		Whiteboard: make(map[string]ocr.Value),
 		Tasks:      make(map[string]*taskState),
-		children:   make(map[string]*scope),
 	}
-	parent.children[child.ID] = child
+	parent.adopt(child)
 	in.scopes[child.ID] = child
 	return child
 }
@@ -480,16 +488,11 @@ func (e *Engine) handleProgramFailure(in *Instance, sc *scope, t *ocr.Task, ts *
 }
 
 // requeue puts a ready task back on the activity queue (after a retryable
-// failure).
+// failure, or on recovery — where the binding may have vanished from the
+// library: the attempt then completes unrun and the completion turn fails the
+// instance).
 func (e *Engine) requeue(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
 	prog, _ := e.opts.Library.Lookup(t.Program)
-	job := e.newJob(in, sc, t, ts, prog)
-	ts.Job = job.ID
-	ts.Node = ""
-	e.dmu.Lock()
-	e.sched.Enqueue(job)
-	e.queued[job.ID] = &queuedRef{inst: in, sc: sc, ts: ts, job: job}
-	e.dmu.Unlock()
-	e.touchTask(in, sc, ts)
+	e.enqueue(in, sc, t, ts, prog)
 	e.persist(in)
 }

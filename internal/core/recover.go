@@ -383,7 +383,6 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 			ElemIndex:  r.create.ElemIndex,
 			Whiteboard: make(map[string]ocr.Value),
 			Tasks:      make(map[string]*taskState),
-			children:   make(map[string]*scope),
 		}
 		if !r.create.IsRoot {
 			parent := in.scopes[r.create.Parent]
@@ -391,7 +390,7 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 				return fmt.Errorf("core: scope %s has missing parent %q", where, r.create.Parent)
 			}
 			sc.Parent = parent
-			parent.children[sc.ID] = sc
+			parent.adopt(sc)
 		} else {
 			in.root = sc
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -153,4 +154,72 @@ func TestRecoverIdempotentOnLiveEngine(t *testing.T) {
 	if got := len(rt.Engine.Instances()); got != 1 {
 		t.Fatalf("instances = %d", got)
 	}
+}
+
+// TestVanishedBindingFailsAlikeOnEveryRuntime: an instance checkpointed with
+// its activity dispatched is recovered by a server whose library no longer
+// has the program. Whichever in-process executor the attempt lands on, it
+// comes back unrun and the completion turn fails the instance for the missing
+// binding — it is not a program failure, so RETRY is not spent on it.
+func TestVanishedBindingFailsAlikeOnEveryRuntime(t *testing.T) {
+	const src = `PROCESS One { INPUT x; OUTPUT r; ACTIVITY A { CALL test.inc(v = x); OUT out; MAP out -> r; RETRY 3; } }`
+	seed := func() (store.Store, string) {
+		st := store.NewMem()
+		rt := newRuntime(t, SimConfig{Store: st, Library: incLibrary(t, 0)})
+		register(t, rt, src)
+		return st, start(t, rt, "One", map[string]ocr.Value{"x": ocr.Num(1)})
+	}
+	var mu sync.Mutex
+	var kinds []EventKind
+	observe := func(ev Event) {
+		mu.Lock()
+		kinds = append(kinds, ev.Kind)
+		mu.Unlock()
+	}
+	check := func(name string, in *Instance) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		const want = `program "test.inc" vanished from the library`
+		if in.Status != InstanceFailed || in.FailureReason != want {
+			t.Errorf("%s: instance %s (%s), want failed: %s", name, in.Status, in.FailureReason, want)
+		}
+		// Recovery's own requeue of the dispatched task is the one
+		// task-retried; what follows it must be the attempt and the failure.
+		after := kinds
+		for i, k := range kinds {
+			if k == EvServerRecovered {
+				after = kinds[i+1:]
+			}
+		}
+		if len(after) != 2 || after[0] != EvTaskDispatched || after[1] != EvInstanceFailed {
+			t.Errorf("%s: events after recovery %v, want task-dispatched then instance-failed — no task-retried or task-failed: a missing binding is not a program failure",
+				name, after)
+		}
+		kinds = nil
+	}
+
+	st, id := seed()
+	srt := newRuntime(t, SimConfig{Store: st, Library: NewLibrary(), Options: Options{OnEvent: observe}})
+	if n, err := srt.Engine.Recover(); err != nil || n != 1 {
+		t.Fatalf("sim: recovered %d: %v", n, err)
+	}
+	srt.Run()
+	in, _ := srt.Engine.Instance(id)
+	check("sim", in)
+
+	st, id = seed()
+	lrt, err := NewLocalRuntime(LocalConfig{Workers: 1, Store: st, Library: NewLibrary(), OnEvent: observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lrt.Close()
+	if n, err := lrt.Engine().Recover(); err != nil || n != 1 {
+		t.Fatalf("local: recovered %d: %v", n, err)
+	}
+	in, err = lrt.Wait(id, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("local", in)
 }

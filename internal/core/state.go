@@ -150,6 +150,8 @@ type taskState struct {
 	OverElems []ocr.Value `json:"overElems,omitempty"`
 
 	taskK string // the task/ record's key, built on first use (key)
+
+	attempt queuedRef // the current dispatch attempt or AWAIT wait (see queuedRef); volatile
 }
 
 // scope is one lexical scope of a running instance: the root process, a
@@ -163,7 +165,7 @@ type scope struct {
 	Whiteboard map[string]ocr.Value
 	Tasks      map[string]*taskState
 	Done       bool
-	children   map[string]*scope
+	children   map[string]*scope // nil until the first child: a leaf scope has none
 
 	// Delta dirty tracking (§3.3: checkpoint granularity). The unit of
 	// persistence is one record, not the whole scope: newborn marks the
@@ -187,6 +189,14 @@ type scope struct {
 	defunct bool // torn down by a sphere abort; ignore its completions
 
 	createK, dynK string // the scopec/ and scoped/ records' keys, built on first use (createKey, dynKey)
+}
+
+// adopt links a child scope under s, making the children map on the first.
+func (s *scope) adopt(child *scope) {
+	if s.children == nil {
+		s.children = make(map[string]*scope)
+	}
+	s.children[child.ID] = child
 }
 
 // ownWB marks one whiteboard key as owned by this scope's dynamic record

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"bioopera/internal/cluster"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sched"
 	"bioopera/internal/sim"
@@ -46,7 +45,7 @@ func stuck(e *Engine, in *Instance) bool {
 	if policy == nil {
 		policy = sched.LeastLoaded{}
 	}
-	nodes := e.opts.Executor.Nodes()
+	nodes := e.opts.Executor.AppendNodes(nil)
 	queued := false
 	for _, ref := range e.queued {
 		if ref.inst != in {
@@ -114,11 +113,7 @@ func TestStuckNamesTheLostSlotHang(t *testing.T) {
 		t.Fatal("stuck with a job running")
 	}
 	for len(x.pending) > 0 {
-		l := x.pending[0]
-		x.pending = x.pending[1:]
-		out, err := l.Run()
-		e.HandleCompletion(cluster.Completion{Job: l.Job, Node: l.Node, Outputs: out, ProgramErr: err})
-		if stuck(e, in) {
+		if l := x.runNext(e); stuck(e, in) {
 			t.Fatalf("stuck after %s completed", l.Job)
 		}
 	}

@@ -195,8 +195,10 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Nodes implements core.Executor.
-func (s *Server) Nodes() []cluster.NodeView { return s.dir.Nodes() }
+// AppendNodes implements core.Executor.
+func (s *Server) AppendNodes(dst []cluster.NodeView) []cluster.NodeView {
+	return s.dir.AppendNodes(dst)
+}
 
 // Launch implements core.Executor: the job is leased to the worker owning
 // the chosen node and shipped over the wire with its resolved binding.

@@ -64,7 +64,7 @@ func TestKillAfterClose(t *testing.T) {
 	defer close(release) // let the stuck program finish so a.Close can join it
 
 	deadline := time.Now().Add(5 * time.Second)
-	for len(s.Nodes()) == 0 {
+	for len(s.AppendNodes(nil)) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never registered")
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"bioopera/internal/codec"
@@ -61,16 +62,31 @@ type scopeDynDTO struct {
 	Done    bool                 `json:"done,omitempty"`
 }
 
-// header opens a record for decoding and checks it is of the wanted family.
+// decoders recycles record decoders: a decoder keeps its intern table's
+// capacity from record to record, so a restart decoding tens of thousands of
+// records allocates what they hold and no decoder of its own.
+var decoders = sync.Pool{New: func() any { return new(codec.Decoder) }}
+
+// header opens a record for decoding with a pooled decoder and checks it is
+// of the wanted family; finish hands the decoder back.
 func header(data []byte, want byte, family string) (*codec.Decoder, error) {
-	d, kind, err := codec.NewDecoder(data)
+	d := decoders.Get().(*codec.Decoder)
+	kind, err := d.Reset(data)
+	if err == nil && kind != want {
+		err = fmt.Errorf("%w: kind %d is not %s record", codec.ErrCorrupt, kind, family)
+	}
 	if err != nil {
+		decoders.Put(d)
 		return nil, err
 	}
-	if kind != want {
-		return nil, fmt.Errorf("%w: kind %d is not %s record", codec.ErrCorrupt, kind, family)
-	}
 	return d, nil
+}
+
+// finish checks that the record was read whole and returns d to the pool.
+func finish(d *codec.Decoder) error {
+	err := d.Finish()
+	decoders.Put(d)
+	return err
 }
 
 func encodeMeta(e *codec.Encoder, m *InstanceMeta) {
@@ -114,7 +130,7 @@ func DecodeInstanceMeta(data []byte) (InstanceMeta, error) {
 	m.Retries = int(d.Int())
 	m.Outputs = d.ValueMap()
 	m.FailureReason = d.String()
-	return m, d.Finish()
+	return m, finish(d)
 }
 
 func encodeCreate(e *codec.Encoder, dto *scopeCreateDTO) {
@@ -143,7 +159,7 @@ func decodeCreateRecord(data []byte) (scopeCreateDTO, error) {
 		ProcRef:    d.String(),
 		ProcText:   d.String(),
 	}
-	return dto, d.Finish()
+	return dto, finish(d)
 }
 
 // encodeDyn writes a scope's dynamic record: with full set (archives) or on
@@ -198,7 +214,7 @@ func decodeDynRecord(data []byte) (scopeDynDTO, error) {
 		Full:    d.Bool(),
 		Done:    d.Bool(),
 	}
-	return dto, d.Finish()
+	return dto, finish(d)
 }
 
 // encodeTask writes a task record. ChildWaiting and Results are derived
@@ -248,7 +264,7 @@ func decodeTaskRecord(data []byte, ts *taskState) error {
 	ts.ChildWaiting = int(d.Int())
 	ts.Results = d.ValueSlice()
 	ts.OverElems = d.ValueSlice()
-	return d.Finish()
+	return finish(d)
 }
 
 // FormatRecord renders one instance/history-space store record for a human:

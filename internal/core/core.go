@@ -314,41 +314,52 @@ func (e *Engine) lookup(id string) (*Instance, bool) {
 // the shard, commits the write set as one store batch, delivers the kills
 // navigation deferred (outside the lock, because the executor may deliver the
 // kill completion synchronously) and pumps the dispatcher if the turn asked
-// for it. A turn that panics commits nothing: its write set is dropped, the
-// shard released and the panic raised again.
+// for it. A turn of Recover's phase 3 leaves its exit with its group instead,
+// which commits and delivers it with the group's other members (recover.go).
+// A turn that panics commits nothing: its write set is dropped, the shard
+// released and the panic raised again.
 func (e *Engine) endTurn(in *Instance, mu *sync.Mutex) {
-	kills, pump, done := in.pendingKills, in.pendingPump, in.pendingDone
-	in.pendingKills, in.pendingPump, in.pendingDone = nil, false, false
-	ws := in.writes
-	in.writes = nil
+	x := turnExit{in: in, ws: in.writes, kills: in.pendingKills, pump: in.pendingPump, done: in.pendingDone}
+	in.writes, in.pendingKills, in.pendingPump, in.pendingDone = nil, nil, false, false
+	g := in.group
+	in.group = nil
 	if r := recover(); r != nil {
 		in.turnLive = false
 		mu.Unlock()
 		panic(r)
 	}
-	if ws != nil {
+	if x.ws != nil {
 		// Under the shard, so write sets enter the commit gate in turn order.
-		ws.seq = in.nextCkptSeq()
+		x.ws.seq = in.nextCkptSeq()
 	}
 	if in.turnLive {
 		in.turnLive = false
 		e.metrics.turn(e.shardIndex(in.ID), e.now().Sub(in.turnStart))
 	}
 	mu.Unlock()
+	if g != nil && x.ws != nil {
+		g.turns = append(g.turns, x)
+		return
+	}
 	// Everything the turn wrote — checkpoints and events — commits here,
 	// outside the critical section, ordered by the instance's commit gate.
-	if ws != nil {
-		e.flushWrites(in, ws)
+	if x.ws != nil {
+		e.flushWrites(&x.ws.ops, []turnExit{x})
 	}
+	e.afterCommit(x)
+}
+
+// afterCommit delivers what a turn left for after its write set committed.
+func (e *Engine) afterCommit(x turnExit) {
 	// OnInstanceDone fires after the final checkpoint committed, so a
 	// waiter woken by it reads the archived state from the store.
-	if done && e.opts.OnInstanceDone != nil {
-		e.opts.OnInstanceDone(in)
+	if x.done && e.opts.OnInstanceDone != nil {
+		e.opts.OnInstanceDone(x.in)
 	}
-	for _, k := range kills {
+	for _, k := range x.kills {
 		e.opts.Executor.Kill(cluster.JobID(k.job), k.node)
 	}
-	if pump {
+	if x.pump {
 		e.Pump()
 	}
 }

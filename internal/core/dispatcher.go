@@ -317,6 +317,7 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 		e.emit(in, Event{Kind: EvTaskRetried, Instance: in.ID, Scope: sc.ID, Task: ts.Name,
 			Node: c.Node, Detail: fmt.Sprintf("infrastructure: %v", c.Err)})
 		e.requeue(in, sc, t, ts)
+		e.persist(in)
 		in.pendingPump = true
 		return
 	}
@@ -432,6 +433,8 @@ func (e *Engine) Preempt(p sched.Preemptor) int {
 // Crash first quiesces the engine by taking every shard (in index order —
 // no other path holds two shards), so no navigation turn straddles the
 // wipe: a real crash kills the whole server, not half a state transition.
+// It must not race Recover, whose phase 3 holds a group's write sets
+// uncommitted while it takes the next member's shard.
 func (e *Engine) Crash() {
 	for i := range e.shards {
 		e.shards[i].Lock()

@@ -31,6 +31,13 @@ func (e *Engine) awaitEvent(in *Instance, sc *scope, t *ocr.Task, ts *taskState)
 		e.finishEventTask(in, sc, t, ts, queue[0])
 		return
 	}
+	e.parkAwait(in, sc, t, ts)
+	e.persist(in)
+}
+
+// parkAwait adds a running AWAIT task to its event's wait list. Recovery
+// re-arms a wait with it alone: the task's record already says running.
+func (e *Engine) parkAwait(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
 	if in.waiting == nil {
 		in.waiting = make(map[string][]*queuedRef)
 	}
@@ -39,7 +46,6 @@ func (e *Engine) awaitEvent(in *Instance, sc *scope, t *ocr.Task, ts *taskState)
 	ts.attempt = queuedRef{inst: in, sc: sc, ts: ts}
 	in.waiting[t.Await] = append(in.waiting[t.Await], &ts.attempt)
 	e.emit(in, Event{Kind: EvTaskAwaiting, Instance: in.ID, Scope: sc.ID, Task: t.Name, Detail: t.Await})
-	e.persist(in)
 }
 
 // finishEventTask completes an AWAIT task with the signal payload as its

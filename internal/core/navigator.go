@@ -103,17 +103,20 @@ func (e *Engine) enqueueActivity(in *Instance, sc *scope, t *ocr.Task, ts *taskS
 
 // enqueue is the one way a task's dispatch attempt is made: it builds the job,
 // names it in the task, and — under dmu — writes the task's attempt, queues
-// the job and indexes the attempt by job ID. Caller holds the instance's shard.
+// the job and indexes the attempt by job ID. The task record is dirtied only if
+// that changes it: a ready task requeued on recovery gets back the job ID its
+// record names. Caller holds the instance's shard.
 func (e *Engine) enqueue(in *Instance, sc *scope, t *ocr.Task, ts *taskState, prog *Program) {
 	job := e.newJob(in, sc, t, ts, prog)
-	ts.Job = job.ID
-	ts.Node = ""
+	if ts.Job != job.ID || ts.Node != "" {
+		ts.Job, ts.Node = job.ID, ""
+		e.touchTask(in, sc, ts)
+	}
 	e.dmu.Lock()
 	ts.attempt = queuedRef{inst: in, sc: sc, ts: ts, job: job}
 	e.sched.Enqueue(job)
 	e.queued[job.ID] = &ts.attempt
 	e.dmu.Unlock()
-	e.touchTask(in, sc, ts)
 }
 
 // spawnBlock creates the child scope(s) of a block task.
@@ -457,6 +460,7 @@ func (e *Engine) handleProgramFailure(in *Instance, sc *scope, t *ocr.Task, ts *
 		if t.Kind == ocr.KindActivity {
 			ts.Status = TaskReady
 			e.requeue(in, sc, t, ts)
+			e.persist(in)
 			return
 		}
 		// A failed sphere retries by re-running from scratch (its
@@ -490,9 +494,9 @@ func (e *Engine) handleProgramFailure(in *Instance, sc *scope, t *ocr.Task, ts *
 // requeue puts a ready task back on the activity queue (after a retryable
 // failure, or on recovery — where the binding may have vanished from the
 // library: the attempt then completes unrun and the completion turn fails the
-// instance).
+// instance). It cuts no checkpoint: a failure path persists right after it,
+// and a recovered instance persists once, at the end of its turn.
 func (e *Engine) requeue(in *Instance, sc *scope, t *ocr.Task, ts *taskState) {
 	prog, _ := e.opts.Library.Lookup(t.Program)
 	e.enqueue(in, sc, t, ts, prog)
-	e.persist(in)
 }

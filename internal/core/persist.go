@@ -458,60 +458,93 @@ func (ck *ckpt) appendOps(ops []store.Op) []store.Op {
 	return ops
 }
 
-// flushWrites commits one turn's write set to the store as a single batch —
-// after the shard lock is released: every checkpoint the turn cut, in cut
-// order, then its events' journal records. The per-instance commit gate admits
-// write sets strictly in sequence order, so a later turn can never overtake an
-// earlier one even when the instance's turns end on different goroutines;
-// batches of different instances still overlap and share group-committed
-// fsyncs.
-func (e *Engine) flushWrites(in *Instance, ws *writeSet) {
-	ops := ws.ops
-	for _, ck := range ws.cks {
-		ops = ck.appendOps(ops)
-	}
+// turnExit is what a turn leaves behind once its shard is released: the
+// write set to commit (nil when the turn wrote nothing) and what fires after
+// it has committed. flushWrites takes only exits with a write set.
+type turnExit struct {
+	in     *Instance
+	ws     *writeSet
+	kills  []pendingKill
+	pump   bool
+	done   bool
+	fenced bool // set by flushWrites: the write set was dropped, not written
+}
 
-	// Commit through the gate, strictly in sequence order.
-	in.gateMu.Lock()
-	if in.gateCond == nil {
-		in.gateCond = sync.NewCond(&in.gateMu)
-	}
-	for in.ckptDone != ws.seq {
-		in.gateCond.Wait()
-	}
-	// Events of earlier turns whose batch failed ride ahead of this turn's,
-	// so the journal gets each exactly once and in the order raised.
-	ops = in.failedEvents.appendOps(ops)
-	ops = ws.events.appendOps(ops)
-	ws.ops = ops
-	var err error
-	if e.opts.Owns != nil && !e.opts.Owns(in.ID) {
-		// Ownership write fence: the instance's partition moved to another
-		// server (lease lost, or this member is shutting down) after the
-		// turn ended. The new owner recovered from the last owned
-		// checkpoint and is now authoritative; committing this batch would
-		// clobber its records — or, for an archive, delete the very records
-		// it adopts from — so the batch is dropped, not written: records
-		// and events alike.
-		e.metrics.fenced()
-	} else if err = e.opts.Store.Batch(ops); err != nil {
-		in.failedEvents.add(&ws.events)
-	} else {
-		in.failedEvents = eventBuf{}
-	}
-	// The gate always advances — even on error — so Crash's quiesce wait
-	// and later turns never hang on a failed one.
-	in.ckptDone++
-	in.gateCond.Broadcast()
-	in.gateMu.Unlock()
-
-	if err != nil {
-		e.persistError(in, "checkpoint batch", err)
-		for _, ck := range ws.cks {
-			e.remarkCkpt(in, ck)
+// flushWrites commits the write sets of ended turns to the store as a single
+// batch, after their shards are released: for each turn, in order, every
+// checkpoint it cut, in cut order, then its events' journal records. A turn's
+// write set is one batch of its own (endTurn); Recover's phase 3 commits a
+// group of recovered instances' turns in one (recover.go). Each instance's
+// commit gate admits its write sets strictly in sequence order, so a later
+// turn can never overtake an earlier one even when the instance's turns end
+// on different goroutines; batches of different instances still overlap and
+// share group-committed fsyncs. The batch is built in *buf, which keeps the
+// emptied slice for reuse; the write sets go back to their pool.
+func (e *Engine) flushWrites(buf *[]store.Op, turns []turnExit) {
+	ops := (*buf)[:0]
+	for i := range turns {
+		t := &turns[i]
+		in, ws := t.in, t.ws
+		in.gateMu.Lock()
+		if in.gateCond == nil {
+			in.gateCond = sync.NewCond(&in.gateMu)
 		}
+		for in.ckptDone != ws.seq {
+			in.gateCond.Wait()
+		}
+		if t.fenced = e.opts.Owns != nil && !e.opts.Owns(in.ID); t.fenced {
+			// Ownership write fence: the instance's partition moved to
+			// another server (lease lost, or this member is shutting down)
+			// after the turn ended. The new owner recovered from the last
+			// owned checkpoint and is now authoritative; committing this
+			// write set would clobber its records — or, for an archive,
+			// delete the very records it adopts from — so it is dropped, not
+			// written: records and events alike.
+			e.metrics.fenced()
+		} else {
+			for _, ck := range ws.cks {
+				ops = ck.appendOps(ops)
+			}
+			// Events of earlier turns whose batch failed ride ahead of this
+			// turn's, so the journal gets each exactly once and in the order
+			// raised.
+			ops = in.failedEvents.appendOps(ops)
+			ops = ws.events.appendOps(ops)
+		}
+		// The gate stays this write set's until ckptDone moves below.
+		in.gateMu.Unlock()
 	}
-	putWriteSet(ws)
+	var err error
+	if len(ops) > 0 {
+		err = e.opts.Store.Batch(ops)
+	}
+	for _, t := range turns {
+		in := t.in
+		in.gateMu.Lock()
+		switch {
+		case t.fenced:
+		case err != nil:
+			in.failedEvents.add(&t.ws.events)
+		default:
+			in.failedEvents = eventBuf{}
+		}
+		// The gate always advances — even on error — so Crash's quiesce wait
+		// and later turns never hang on a failed one.
+		in.ckptDone++
+		in.gateCond.Broadcast()
+		in.gateMu.Unlock()
+	}
+	clear(ops) // the kept buffer pins no encoder's bytes
+	*buf = ops[:0]
+	for _, t := range turns {
+		if err != nil && !t.fenced {
+			e.persistError(t.in, "checkpoint batch", err)
+			for _, ck := range t.ws.cks {
+				e.remarkCkpt(t.in, ck)
+			}
+		}
+		putWriteSet(t.ws)
+	}
 }
 
 // remarkCkpt re-dirties everything a failed batch carried: scopes still

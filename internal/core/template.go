@@ -126,10 +126,11 @@ func (e *Engine) fileProc(cp *compiledProc) {
 // registered template or body with that content hash when there is one —
 // the common case, which parses nothing — and otherwise the text parsed and
 // compiled, then filed so the next scope with the same text shares it. hash
-// may be empty (a create record that carries its text inline).
-func (e *Engine) resolveProc(hash, text string) (*compiledProc, error) {
+// may be empty (a create record that carries its text inline). text is
+// read, never kept: recovery passes a stored record's bytes.
+func (e *Engine) resolveProc(hash string, text []byte) (*compiledProc, error) {
 	if hash == "" {
-		hash = procHash(text)
+		hash = procHash(string(text))
 	}
 	e.emu.RLock()
 	cp := e.byHash[hash]
@@ -137,7 +138,7 @@ func (e *Engine) resolveProc(hash, text string) (*compiledProc, error) {
 	if cp != nil {
 		return cp, nil
 	}
-	p, err := ocr.ParseProcess(text)
+	p, err := ocr.ParseProcess(string(text))
 	if err != nil {
 		return nil, err
 	}

@@ -42,11 +42,9 @@ var sanctionedLockOrder = map[string][]string{
 	"core.Engine.emu": {"core.Engine.dmu"},
 	// The dispatcher queries executor capacity while holding its queue.
 	"core.Engine.dmu": {"cluster.Directory.mu"},
-	// A turn's write set commits its store batch under the instance's
-	// in-order gate.
-	"core.Instance.gateMu": {
-		"store.Disk.wmu", "store.Disk.gmu", "store.image.mu", "wal.Log.mu",
-	},
+	// No store lock is taken under an instance's commit gate either: a write
+	// set holds the gate by sequence (ckptDone), not by gateMu, across its
+	// store batch — a phase-3 group holds many gates at once.
 	// Disk group commit: the leader serializes flushes under wmu, briefly
 	// claims the group under gmu, and appends to the WAL under the shared
 	// image's mu (Mem and Disk embed one image type, so one class).

@@ -151,6 +151,53 @@ func TestStoreWriteAllocs(t *testing.T) {
 	}
 }
 
+// TestOpenDiskAllocs pins replay at open at what a replayed op must cost:
+// its decoded key string and, spread over the ops, each batch's journal slab
+// and the first write of each key. A segment is read whole with one read and
+// the ops of a unit decode into one reused slice, so a per-frame or per-batch
+// buffer shows up here.
+func TestOpenDiskAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector; allocation budgets do not hold")
+	}
+	dir := t.TempDir()
+	opts := DiskOptions{NoSync: true, SegmentSize: 64 << 10}
+	d, err := OpenDisk(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := 0
+	for i := 0; i < 2000; i++ {
+		id := fmt.Sprintf("p%04d", i%100)
+		batch := []Op{
+			{Space: Instance, Key: "inst/" + id, Value: []byte(strings.Repeat("m", 30+i%7))},
+			{Space: Instance, Key: "task/" + id + "/-/S1", Value: []byte(strings.Repeat("t", 60+i%5))},
+			EventOp([]byte(`{"kind":"task-ended","instance":"` + id + `"}`)),
+		}
+		if err := d.Batch(batch); err != nil {
+			t.Fatal(err)
+		}
+		ops += len(batch)
+	}
+	if segs := len(d.log.Segments()); segs < 3 {
+		t.Fatalf("%d WAL segments, want several", segs)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	perOp := testing.AllocsPerRun(5, func() {
+		d, err := OpenDisk(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+	}) / float64(ops)
+	t.Logf("OpenDisk = %.3f allocs per replayed op", perOp)
+	if perOp > 1.5 {
+		t.Errorf("OpenDisk = %.3f allocs per replayed op, want <= 1.5", perOp)
+	}
+}
+
 // TestBatchCarriesJournalAppends: a journal append inside a Batch (EventOp)
 // takes the journal's next sequence in op order, commits with the batch's
 // puts, and comes back on replay — on Disk one commit group, not one per op.

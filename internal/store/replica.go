@@ -33,7 +33,7 @@ func (d *Disk) StartShipping(addr string, logf func(string, ...any)) (*wal.Shipp
 // primary: into our own WAL first (one fsync, same commit unit), then into
 // memory — the same ingest local writes end in.
 func (d *Disk) applyShipped(first uint64, records [][]byte) error {
-	ops, err := decodeOps(first, records)
+	ops, err := decodeOps(nil, first, records)
 	if err != nil {
 		return err
 	}

@@ -347,10 +347,10 @@ func encodeOp(e *codec.Encoder, op Op) {
 	e.End()
 }
 
-// decodeOp reads one WAL frame back into a validated op. Its Value aliases
-// data — apply copies before retaining.
-func decodeOp(data []byte) (Op, error) {
-	d, kind, err := codec.NewDecoder(data)
+// decodeOp reads one WAL frame back into a validated op through d. Its
+// Value aliases data — apply copies before retaining.
+func decodeOp(d *codec.Decoder, data []byte) (Op, error) {
+	kind, err := d.Reset(data)
 	if err != nil {
 		return Op{}, err
 	}
@@ -374,14 +374,16 @@ func decodeOp(data []byte) (Op, error) {
 }
 
 // decodeOps reads a commit unit's frames, the first of which has WAL
-// sequence first.
-func decodeOps(first uint64, frames [][]byte) ([]Op, error) {
-	ops := make([]Op, len(frames))
+// sequence first, into ops[:0].
+func decodeOps(ops []Op, first uint64, frames [][]byte) ([]Op, error) {
+	ops = ops[:0]
+	var d codec.Decoder
 	for i, data := range frames {
-		var err error
-		if ops[i], err = decodeOp(data); err != nil {
-			return nil, fmt.Errorf("store: decoding wal record %d: %w", first+uint64(i), err)
+		op, err := decodeOp(&d, data)
+		if err != nil {
+			return ops, fmt.Errorf("store: decoding wal record %d: %w", first+uint64(i), err)
 		}
+		ops = append(ops, op)
 	}
 	return ops, nil
 }
@@ -496,13 +498,16 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	}
 	if err == nil {
 		// The frames are already in the log: a replayed unit is ingested
-		// with none to append.
+		// with none to append. One ops slice serves every unit — apply
+		// copies what it keeps.
+		unit := []commitReq{{}}
 		err = l.ReplayBatches(from, func(first uint64, frames [][]byte) error {
-			ops, err := decodeOps(first, frames)
+			ops, err := decodeOps(unit[0].ops, first, frames)
+			unit[0].ops = ops
 			if err != nil {
 				return err
 			}
-			return d.ingest(nil, []commitReq{{ops: ops}})
+			return d.ingest(nil, unit)
 		})
 	}
 	if err != nil {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -370,6 +371,53 @@ func TestOpenDiskRefusesHole(t *testing.T) {
 	}
 	if !errors.Is(err, errWALHole) {
 		t.Fatalf("OpenDisk = %v, want the snapshot-unreadable refusal", err)
+	}
+}
+
+// TestOpenDiskRefusesShortSegment: a WAL segment that is not the newest and
+// lost its last commit unit — a cut at a frame boundary, so every frame left
+// is whole — holds fewer records than its successor's first sequence says.
+// The store must refuse to open, naming the segment, instead of replaying
+// around the gap.
+func TestOpenDiskRefusesShortSegment(t *testing.T) {
+	dir := t.TempDir()
+	opts := DiskOptions{SegmentSize: 256}
+	d, err := OpenDisk(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := d.Put(Instance, fmt.Sprintf("k%02d", i), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal", "wal-*.log"))
+	if len(segs) < 3 {
+		t.Fatalf("%d WAL segments, want at least 3", len(segs))
+	}
+	middle := segs[1]
+	data, err := os.ReadFile(middle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := 0 // start of the segment's last frame: a Put is a one-frame unit
+	for off := 0; off < len(data); off += 8 + int(binary.LittleEndian.Uint32(data[off:])&^(1<<31)) {
+		last = off
+	}
+	if err := os.Truncate(middle, int64(last)); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDisk(dir, opts)
+	if err == nil {
+		kvs, _ := re.List(Instance)
+		re.Close()
+		t.Fatalf("opened with %d of 50 records and no error", len(kvs))
+	}
+	if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(middle)) {
+		t.Fatalf("OpenDisk = %v, want ErrCorrupt naming %s", err, filepath.Base(middle))
 	}
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -139,6 +140,60 @@ func TestCrashWithBitFlipTail(t *testing.T) {
 		}
 		l2.Close()
 	}
+}
+
+// FuzzSegment: a segment's bytes are whatever the disk kept — torn, flipped
+// or foreign — so the frame walker must never panic or hand out bytes beyond
+// its input, and a log opened over them as its only (tail) segment must
+// replay exactly the records Open counted.
+func FuzzSegment(f *testing.F) {
+	dir := f.TempDir()
+	l, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	l.Append([]byte("alpha"))
+	l.AppendBatch([][]byte{[]byte("b0"), nil, []byte("b2-middle")})
+	l.Append(bytes.Repeat([]byte("z"), 40))
+	l.Close()
+	full, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add(full[:len(full)-3])
+	f.Add(full[:headerLen+5+headerLen+2]) // inside the batch
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	path := filepath.Join(dir, segName(1))
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		off := 0
+		n, valid, _ := walk(seg, math.MaxUint64, func(data []byte, _ bool) error {
+			start := off + headerLen
+			if cap(data) != len(data) || start+len(data) > len(seg) || !bytes.Equal(data, seg[start:start+len(data)]) {
+				t.Fatalf("frame at %d: %d bytes (cap %d) are not the segment's", off, len(data), cap(data))
+			}
+			off = start + len(data)
+			return nil
+		})
+		if valid > off || n > uint64(len(seg)/headerLen) {
+			t.Fatalf("walk committed %d records up to byte %d of %d walked", n, valid, off)
+		}
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(dir, Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("Open of a lone tail segment: %v", err)
+		}
+		defer l.Close()
+		var got uint64
+		if err := l.Replay(1, func(Record) error { got++; return nil }); err != nil {
+			t.Fatalf("Replay after Open: %v", err)
+		}
+		if got != n || l.NextSeq() != n+1 {
+			t.Fatalf("Open counted %d records (NextSeq %d), Replay yielded %d, the walk %d", l.NextSeq()-1, l.NextSeq(), got, n)
+		}
+	})
 }
 
 // FuzzDecodeRecords: the records-frame body arrives from the network, so

@@ -218,7 +218,7 @@ func (s *Shipper) serve(c *transport.Conn, cursor uint64) {
 			return nil
 		})
 		if err != nil && err != io.EOF {
-			s.logf("wal: ship %s: %v", c.RemoteAddr(), err)
+			refuse(err) // a log that cannot be read (ErrCorrupt) ends the stream, it does not stall it
 			return
 		}
 	}

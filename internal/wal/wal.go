@@ -34,8 +34,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -152,8 +154,8 @@ func parseSegName(name string) (uint64, bool) {
 	return n, true
 }
 
-// scan discovers segments, repairs the tail segment, and positions the
-// writer after the last valid record.
+// scan discovers segments, checks every closed segment, repairs the tail
+// segment, and positions the writer after the last valid record.
 func (l *Log) scan() error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -166,95 +168,123 @@ func (l *Log) scan() error {
 		}
 	}
 	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i] < l.segs[j] })
-	if len(l.segs) == 0 {
-		return nil
-	}
-	// Count records in all but the last segment; repair the last.
+	var seg []byte
 	for i, first := range l.segs {
 		path := filepath.Join(l.dir, segName(first))
-		last := i == len(l.segs)-1
-		n, validBytes, err := countRecords(path, last)
-		if err != nil {
+		if seg, err = readSegment(path, seg); err != nil {
 			return err
 		}
-		if last {
-			if err := os.Truncate(path, validBytes); err != nil {
-				return fmt.Errorf("wal: truncating torn tail: %w", err)
+		n, valid, err := walk(seg, math.MaxUint64, nil)
+		if i+1 < len(l.segs) {
+			// A closed segment is whole and holds exactly the records
+			// before its successor's first.
+			if err := segmentErr(path, err, n, l.segs[i+1]-first); err != nil {
+				return err
 			}
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-			l.file = f
-			l.size = validBytes
+			continue
 		}
-		l.nextSeq = first + uint64(n)
+		// The tail: whatever stopped the walk is a torn write, rolled back
+		// to the last commit point.
+		if err := os.Truncate(path, int64(valid)); err != nil {
+			return fmt.Errorf("wal: truncating torn tail: %w", err)
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		l.file = f
+		l.size = int64(valid)
+		l.nextSeq = first + n
 	}
 	return nil
 }
 
-// countRecords returns the number of committed records in the segment and
-// the byte offset just past the last committed record. A record is
-// committed once the frame that closes its batch (continuation flag clear)
-// is intact; a torn tail — including a batch whose final frame never made
-// it to disk — rolls back to the previous commit point. For non-tail
-// segments a bad checksum or unterminated batch is ErrCorrupt; for the
-// tail it just ends the scan (torn write).
-func countRecords(path string, tail bool) (n int, validBytes int64, err error) {
+// readSegment reads the whole segment at path into buf, grown to its size,
+// with one read. Segments are about the same size — the rotation threshold
+// plus one batch's overshoot — so one buffer serves a whole pass.
+func readSegment(path string, buf []byte) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
+		return buf, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	var hdr [headerLen]byte
-	var off int64 // end of the last committed record
-	var cur int64 // current scan position
-	seen := 0     // records scanned, including an open batch prefix
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF {
-				if seen != n {
-					if tail {
-						return n, off, nil
-					}
-					return 0, 0, fmt.Errorf("%w: unterminated batch in %s", ErrCorrupt, path)
-				}
-				return n, off, nil
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				if tail {
-					return n, off, nil
-				}
-				return 0, 0, fmt.Errorf("%w: truncated header in %s", ErrCorrupt, path)
-			}
-			return 0, 0, fmt.Errorf("wal: %w", err)
+	info, err := f.Stat()
+	if err != nil {
+		return buf, fmt.Errorf("wal: %w", err)
+	}
+	buf = slices.Grow(buf[:0], int(info.Size()))[:info.Size()]
+	n, err := f.ReadAt(buf, 0)
+	if err != nil && err != io.EOF { // EOF: the file shrank since Stat, and the walk finds it short
+		return buf, fmt.Errorf("wal: %w", err)
+	}
+	return buf[:n], nil
+}
+
+// badFrame is why walk stopped before its limit.
+type badFrame string
+
+func (b badFrame) Error() string { return string(b) }
+
+// walk is the one frame reader: Open counts and checks a segment with it,
+// Replay and ReplayBatches (so the shipper too) read records with it. It
+// checks the frames of seg, a whole segment (readSegment), in order and
+// stops after limit records. fn, when non-nil, sees each frame once its
+// checksum holds (more: its batch continues in the next frame); data is a
+// subslice of seg capped at its length, not a copy: the store's replay
+// copies in image.apply, the shipper in appendRecords, and Replay gives each
+// segment a buffer of its own so a caller may keep a Record. walk returns
+// the committed records it passed (a record commits with the intact frame
+// that closes its batch) and the offset just past the last. A short header
+// or body, a checksum mismatch, or a batch still open where the walk ends
+// stops it with a badFrame: a torn write in the tail at Open, corruption
+// anywhere else. fn's own error is returned as is.
+func walk(seg []byte, limit uint64, fn func(data []byte, more bool) error) (n uint64, valid int, err error) {
+	var seen uint64 // frames passed, an open batch's included
+	off := 0
+	for seen < limit && off < len(seg) {
+		if len(seg)-off < headerLen {
+			return n, valid, badFrame("truncated header")
 		}
-		raw := binary.LittleEndian.Uint32(hdr[0:4])
-		length := raw &^ batchFlag
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		data := make([]byte, length)
-		if _, err := io.ReadFull(f, data); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				if tail {
-					return n, off, nil
-				}
-				return 0, 0, fmt.Errorf("%w: truncated data in %s", ErrCorrupt, path)
-			}
-			return 0, 0, fmt.Errorf("wal: %w", err)
+		raw := binary.LittleEndian.Uint32(seg[off:])
+		sum := binary.LittleEndian.Uint32(seg[off+4:])
+		start := off + headerLen
+		length := int(raw &^ batchFlag)
+		if length > len(seg)-start {
+			return n, valid, badFrame("truncated data")
 		}
+		data := seg[start : start+length : start+length]
 		if crc32.ChecksumIEEE(data) != sum {
-			if tail {
-				return n, off, nil
-			}
-			return 0, 0, fmt.Errorf("%w: bad checksum in %s", ErrCorrupt, path)
+			return n, valid, badFrame("bad checksum")
 		}
-		cur += headerLen + int64(length)
+		more := raw&batchFlag != 0
+		if fn != nil {
+			if err := fn(data, more); err != nil {
+				return n, valid, err
+			}
+		}
+		off = start + length
 		seen++
-		if raw&batchFlag == 0 {
-			n = seen
-			off = cur
+		if !more {
+			n, valid = seen, off
 		}
 	}
+	if seen != n {
+		return n, valid, badFrame("unterminated batch")
+	}
+	return n, valid, nil
+}
+
+// segmentErr judges a walk over a segment that must hold exactly want
+// committed records: a bad frame or a short count is ErrCorrupt naming the
+// file; fn's own error passes through.
+func segmentErr(path string, err error, n, want uint64) error {
+	if bad, ok := err.(badFrame); ok {
+		return fmt.Errorf("%w: %s after record %d of %d in %s", ErrCorrupt, bad, n, want, path)
+	}
+	if err == nil && n != want {
+		err = fmt.Errorf("%w: %s ends after record %d of %d", ErrCorrupt, path, n, want)
+	}
+	return err
 }
 
 // NextSeq returns the sequence number the next Append will receive.
@@ -380,66 +410,50 @@ func (l *Log) rotateLocked() error {
 	return nil
 }
 
-// Replay calls fn for every record with sequence ≥ from, in order.
+// Replay calls fn for every record with sequence ≥ from, in order. A
+// record's Data outlives fn: each segment is read into a buffer of its own.
 func (l *Log) Replay(from uint64, fn func(Record) error) error {
-	return l.replayFlagged(from, func(r Record, _ bool) error { return fn(r) })
+	return l.replayFlagged(from, false, func(r Record, _ bool) error { return fn(r) })
 }
 
-// replayFlagged is Replay with the batch-continuation flag exposed: more is
-// true while the record's batch continues in the next frame.
-func (l *Log) replayFlagged(from uint64, fn func(r Record, more bool) error) error {
+// replayFlagged is Replay with the batch-continuation flag exposed (more:
+// the record's batch continues in the next frame); with reuse, one buffer
+// reads every segment and Data is valid only during fn. A segment must yield
+// exactly the records up to the next segment's first (the committed frontier,
+// for the tail): one that lost records since Open — a disk fault, a live log
+// read by the shipper — is ErrCorrupt, not a shorter replay.
+func (l *Log) replayFlagged(from uint64, reuse bool, fn func(r Record, more bool) error) error {
 	l.mu.Lock()
 	segs := append([]uint64(nil), l.segs...)
 	end := l.nextSeq
 	l.mu.Unlock()
+	var seg []byte
 	for i, first := range segs {
-		// Skip whole segments that end before `from`.
 		segEnd := end
 		if i+1 < len(segs) {
 			segEnd = segs[i+1]
 		}
 		if segEnd <= from {
-			continue
+			continue // the whole segment is before from
+		}
+		if !reuse {
+			seg = nil
 		}
 		path := filepath.Join(l.dir, segName(first))
-		if err := replaySegment(path, first, from, end, fn); err != nil {
+		var err error
+		if seg, err = readSegment(path, seg); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func replaySegment(path string, first, from, end uint64, fn func(r Record, more bool) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	var hdr [headerLen]byte
-	seq := first
-	for seq < end {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+		seq := first - 1
+		n, _, err := walk(seg, segEnd-first, func(data []byte, more bool) error {
+			if seq++; seq < from {
 				return nil
 			}
-			return fmt.Errorf("wal: %w", err)
+			return fn(Record{Seq: seq, Data: data}, more)
+		})
+		if err := segmentErr(path, err, n, segEnd-first); err != nil {
+			return err
 		}
-		raw := binary.LittleEndian.Uint32(hdr[0:4])
-		length := raw &^ batchFlag
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		data := make([]byte, length)
-		if _, err := io.ReadFull(f, data); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		if crc32.ChecksumIEEE(data) != sum {
-			return fmt.Errorf("%w: seq %d in %s", ErrCorrupt, seq, path)
-		}
-		if seq >= from {
-			if err := fn(Record{Seq: seq, Data: data}, raw&batchFlag != 0); err != nil {
-				return err
-			}
-		}
-		seq++
 	}
 	return nil
 }
@@ -533,11 +547,13 @@ func (l *Log) Reset(seq uint64) error {
 // (a standalone record is a batch of one). Shipping uses it so a standby
 // re-appends exactly the primary's commit units and a crash on either side
 // rolls back to the same batch boundary. from must itself be a batch
-// boundary — cursors only ever advance across whole batches.
+// boundary — cursors only ever advance across whole batches. records and
+// the bytes they hold are valid only during fn: the slice is reused for the
+// next batch, and one read buffer for every segment.
 func (l *Log) ReplayBatches(from uint64, fn func(first uint64, records [][]byte) error) error {
 	var batch [][]byte
 	var first uint64
-	err := l.replayFlagged(from, func(r Record, more bool) error {
+	return l.replayFlagged(from, true, func(r Record, more bool) error {
 		if len(batch) == 0 {
 			first = r.Seq
 		}
@@ -546,16 +562,10 @@ func (l *Log) ReplayBatches(from uint64, fn func(first uint64, records [][]byte)
 			return nil
 		}
 		err := fn(first, batch)
-		batch = nil
+		clear(batch)
+		batch = batch[:0]
 		return err
 	})
-	if err != nil {
-		return err
-	}
-	if len(batch) != 0 {
-		return fmt.Errorf("%w: batch starting at %d never terminated", ErrCorrupt, first)
-	}
-	return nil
 }
 
 // TruncateBefore removes whole segments all of whose records have sequence

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -445,6 +447,142 @@ func TestCrashMidBatchAtEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: post-crash seq = %d, want %d", cut, seq, wantN+1)
 		}
 		l2.Close()
+	}
+}
+
+// TestReplayAllocs: replay reads a segment with one os.ReadFile and hands
+// out records as subslices of it, so its allocations grow with the number of
+// segments, not of records — a buffer per frame shows up at once.
+func TestReplayAllocs(t *testing.T) {
+	l := openT(t, t.TempDir(), Options{NoSync: true, SegmentSize: 16 << 10})
+	data := make([]byte, 100)
+	const records = 10000
+	for i := 0; i < records; i += 4 {
+		if _, err := l.AppendBatch([][]byte{data, data, data}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs := len(l.Segments())
+	if segs < 10 {
+		t.Fatalf("%d segments, want a multi-segment log", segs)
+	}
+	budget := float64(10*segs + 10)
+	var n int
+	if got := testing.AllocsPerRun(3, func() {
+		n = 0
+		if err := l.Replay(1, func(Record) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}); n != records || got > budget {
+		t.Errorf("Replay of %d records in %d segments = %.0f allocs (%d records seen), want <= %.0f", records, segs, got, n, budget)
+	}
+	if got := testing.AllocsPerRun(3, func() {
+		n = 0
+		if err := l.ReplayBatches(1, func(_ uint64, recs [][]byte) error { n += len(recs); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}); n != records || got > budget {
+		t.Errorf("ReplayBatches of %d records in %d segments = %.0f allocs (%d records seen), want <= %.0f", records, segs, got, n, budget)
+	}
+}
+
+// truncatedMiddle builds a log of several segments, reopens it, and then —
+// behind the open Log's back — cuts the last batch off its second segment,
+// the way a disk fault or a shipper reading a live log would see it. It
+// returns the reopened log and the cut segment's name.
+func truncatedMiddle(t *testing.T) (*Log, string) {
+	t.Helper()
+	dir := t.TempDir()
+	opts := Options{NoSync: true, SegmentSize: 64}
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := l.AppendBatch([][]byte{{byte(i)}, bytes.Repeat([]byte{byte(i)}, 20)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	l = openT(t, dir, opts)
+	segs := l.Segments()
+	if len(segs) < 3 {
+		t.Fatalf("%d segments, want at least 3", len(segs))
+	}
+	name := segName(segs[1])
+	path := filepath.Join(dir, name)
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every batch is one 9-byte and one 28-byte frame.
+	if err := os.Truncate(path, int64(len(seg)-(headerLen+1)-(headerLen+20))); err != nil {
+		t.Fatal(err)
+	}
+	return l, name
+}
+
+// TestReplayShortSegmentIsCorrupt: a closed segment that yields fewer records
+// than its successor's first sequence says is corruption, not a shorter
+// replay that carries on into the next segment.
+func TestReplayShortSegmentIsCorrupt(t *testing.T) {
+	l, name := truncatedMiddle(t)
+	var seen []uint64
+	err := l.Replay(1, func(r Record) error {
+		seen = append(seen, r.Seq)
+		return nil
+	})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), name) {
+		t.Fatalf("Replay = %v, want ErrCorrupt naming %s", err, name)
+	}
+	if last := seen[len(seen)-1]; last >= l.Segments()[2] {
+		t.Fatalf("replay went on into the next segment (record %d)", last)
+	}
+	if err := l.ReplayBatches(1, func(uint64, [][]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReplayBatches = %v, want ErrCorrupt", err)
+	}
+	if _, err := Open(l.dir, Options{NoSync: true, SegmentSize: 64}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestShippingRefusesShortSegment: a follower catching up across the cut
+// segment gets the batches before it and then loses the stream; the shipper
+// reports the corruption and ships nothing from the segments after it.
+func TestShippingRefusesShortSegment(t *testing.T) {
+	l, name := truncatedMiddle(t)
+	var mu sync.Mutex
+	var logged []string
+	sh, err := NewShipper("127.0.0.1:0", ShipperOptions{Log: l, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	var last uint64
+	f, err := DialFollower(sh.Addr(), FollowerOptions{From: 1, ApplyBatch: func(first uint64, records [][]byte) error {
+		last = first + uint64(len(records)) - 1
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(); err == nil {
+		t.Fatal("follower's stream ended cleanly across a short segment")
+	}
+	if last >= l.Segments()[2] {
+		t.Fatalf("shipped record %d from beyond the short segment", last)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !strings.Contains(strings.Join(logged, "\n"), name) {
+		t.Fatalf("shipper never reported %s: %q", name, logged)
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo hygiene + test gate. Run from the repo root:
 #
-#   ./scripts/check.sh          # gofmt, vet, build, compiled-once, keys-built-once and one-attempt greps, biooperalint, tests
+#   ./scripts/check.sh          # gofmt, vet, build, compiled-once, keys-built-once, one-attempt and segment-read greps, biooperalint, tests
 #   ./scripts/check.sh -race    # same, plus the race-detector suite
 set -eu
 
@@ -21,7 +21,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== templates are compiled once, store keys are built once, an attempt lives in its task"
+echo "== templates are compiled once, store keys are built once, an attempt lives in its task, a WAL segment is read whole"
 # An instance shares its template's compiled form (internal/core/template.go):
 # nothing on the start, navigation or checkpoint path may copy or re-format a
 # process. The allowed sites: the compile step itself, RegisterTemplate's one
@@ -70,6 +70,19 @@ if [ -n "$attempts" ]; then
     exit 1
 fi
 
+# The log is read a segment at a time (DESIGN §10 "Parallel sharded
+# recovery"): readSegment takes a whole segment in one read and walk hands
+# out its frames in place, so nothing in internal/wal reads or allocates a
+# frame of its own. The one make([]byte is AppendBatch's pooled encode buffer.
+framereads=$(grep -n 'io\.ReadFull(\|make(\[\]byte' internal/wal/*.go |
+    grep -v '_test\.go:' |
+    grep -v '^internal/wal/wal\.go:[0-9]*:	b := make(\[\]byte, 0, 4096)$' || true)
+if [ -n "$framereads" ]; then
+    echo "a frame read or allocated on its own in internal/wal:" >&2
+    echo "$framereads" >&2
+    exit 1
+fi
+
 echo "== biooperalint"
 # The tool prints its own load/analyze split on stderr; time the whole run
 # (including go run's rebuild) so regressions in the module loader show up.
@@ -84,6 +97,9 @@ if [ "${1:-}" = "-race" ]; then
     echo "== go test -race"
     go test -race ./...
 fi
+
+echo "== fuzz the WAL segment walker (10s)"
+go test -run '^$' -fuzz FuzzSegment -fuzztime 10s ./internal/wal
 
 echo "== fuzz the frame decoder (10s)"
 go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/transport

@@ -20,15 +20,13 @@ import (
 // same shard lock, so a scope reusing the text re-interns it.
 
 // SweepProcs deletes interned process texts no longer referenced by any
-// live scope, across all running/suspended instances. It returns the
-// number of records scheduled for deletion and the live-reference manifest
-// (instance ID → sorted content hashes) describing what remains — the
-// snapshot pipeline embeds it in the store image for audit.
+// live scope, across all running/suspended instances, and returns the
+// number of records scheduled for deletion.
 //
 // Lazy stubs are skipped: their records are untouched on disk and every
 // interned text stays live until hydration. Terminal instances are skipped
 // too — archive already moved their records to the history space.
-func (e *Engine) SweepProcs() (int, map[string][]string) {
+func (e *Engine) SweepProcs() int {
 	e.emu.RLock()
 	ins := make([]*Instance, 0, len(e.order))
 	for _, id := range e.order {
@@ -37,50 +35,36 @@ func (e *Engine) SweepProcs() (int, map[string][]string) {
 	e.emu.RUnlock()
 
 	swept := 0
-	manifest := make(map[string][]string)
 	for _, in := range ins {
-		live, n := e.sweepInstance(in)
-		if live != nil {
-			manifest[in.ID] = live
-		}
-		swept += n
+		swept += e.sweepInstance(in)
 	}
 	e.metrics.procSwept(swept)
-	return swept, manifest
+	return swept
 }
 
-// sweepInstance is one instance's sweep, in its own turn: it returns the
-// instance's live hashes, sorted (nil for a terminal instance), and how many
-// orphans it scheduled for deletion. endTurn flushes the delete batch through
-// the commit gate before returning, so a caller that snapshots right after
-// the sweep compacts a store with the garbage already gone.
-func (e *Engine) sweepInstance(in *Instance) (live []string, swept int) {
+// sweepInstance is one instance's sweep, in its own turn: it returns how
+// many orphans it scheduled for deletion. endTurn flushes the delete batch
+// through the commit gate before returning, so a caller that snapshots
+// right after the sweep compacts a store with the garbage already gone.
+func (e *Engine) sweepInstance(in *Instance) int {
 	mu := e.shardFor(in.ID)
 	mu.Lock()
 	defer e.endTurn(in, mu)
-	if in.Status == InstanceDone || in.Status == InstanceFailed {
-		return nil, 0
-	}
-	scs := make([]*scope, 0, len(in.scopes))
-	for _, sc := range in.scopes {
-		scs = append(scs, sc)
+	if in.Status == InstanceDone || in.Status == InstanceFailed || in.stub != nil {
+		return 0
 	}
 	seen := make(map[string]bool, 2)
-	for _, sc := range scs {
+	for _, sc := range in.scopes {
 		seen[sc.Proc.hash] = true
 	}
-	live = make([]string, 0, len(in.procRefs))
 	var orphans []string
 	for hash := range in.procRefs {
-		if in.stub != nil || seen[hash] {
-			live = append(live, hash)
-		} else {
+		if !seen[hash] {
 			orphans = append(orphans, hash)
 		}
 	}
-	sort.Strings(live)
 	if len(orphans) == 0 {
-		return live, 0
+		return 0
 	}
 	sort.Strings(orphans)
 	e.beginTurn(in)
@@ -89,5 +73,5 @@ func (e *Engine) sweepInstance(in *Instance) (live []string, swept int) {
 		in.pendingDeletes = append(in.pendingDeletes, procKey(in.ID, hash))
 	}
 	e.persist(in)
-	return live, len(orphans)
+	return len(orphans)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -296,9 +297,8 @@ func TestRecoverRefusesPreCodecJSON(t *testing.T) {
 }
 
 // TestSweepProcsCollectsOrphans: a proc/ record whose hash no live scope
-// references is deleted from the store and forgotten from procRefs; live
-// hashes stay and appear in the manifest; terminal instances are skipped
-// entirely.
+// references is deleted from the store and forgotten from procRefs; the
+// records of live hashes stay; terminal instances are skipped entirely.
 func TestSweepProcsCollectsOrphans(t *testing.T) {
 	st := store.NewMem()
 	rt := newRuntime(t, SimConfig{Store: st})
@@ -323,7 +323,21 @@ func TestSweepProcsCollectsOrphans(t *testing.T) {
 	liveRefs := len(in.procRefs) - 1
 	mu.Unlock()
 
-	swept, manifest := eng.SweepProcs()
+	// procRecords lists the instance's proc/ hashes in a store space.
+	procRecords := func(sp store.Space) []string {
+		kvs, err := st.List(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hashes []string
+		for _, kv := range kvs {
+			if hash, ok := strings.CutPrefix(kv.Key, procKey(id, "")); ok {
+				hashes = append(hashes, hash)
+			}
+		}
+		return hashes
+	}
+	swept := eng.SweepProcs()
 	if swept != 1 {
 		t.Fatalf("swept = %d, want 1", swept)
 	}
@@ -337,26 +351,22 @@ func TestSweepProcsCollectsOrphans(t *testing.T) {
 	if stillRef || gotRefs != liveRefs {
 		t.Fatalf("procRefs after sweep: orphan=%v len=%d want len=%d", stillRef, gotRefs, liveRefs)
 	}
-	for _, h := range manifest[id] {
-		if h == orphan {
-			t.Fatal("orphan listed as live in the manifest")
-		}
-	}
-	if len(manifest[id]) != liveRefs {
-		t.Fatalf("manifest lists %d live hashes, want %d", len(manifest[id]), liveRefs)
+	if live := procRecords(store.Instance); len(live) != liveRefs {
+		t.Fatalf("store holds proc/ records %v after the sweep, want the %d live ones", live, liveRefs)
 	}
 
 	// A second sweep is a no-op, and the instance still runs to completion
 	// on its surviving records.
-	if swept, _ := eng.SweepProcs(); swept != 0 {
+	if swept := eng.SweepProcs(); swept != 0 {
 		t.Fatalf("second sweep = %d, want 0", swept)
 	}
 	rt.Run()
 	finished(t, rt, id)
 
-	// Terminal instances are invisible to the sweep.
-	_, manifest = eng.SweepProcs()
-	if _, present := manifest[id]; present {
-		t.Fatal("terminal instance present in the sweep manifest")
+	// Terminal instances are invisible to the sweep: their archived texts
+	// stay where archive put them.
+	archived := procRecords(store.History)
+	if swept := eng.SweepProcs(); swept != 0 || !slices.Equal(procRecords(store.History), archived) || len(archived) == 0 {
+		t.Fatalf("sweep of a terminal instance = %d, archived proc/ records %v", swept, archived)
 	}
 }

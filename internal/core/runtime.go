@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -15,13 +14,6 @@ import (
 // store); runtimes snapshot periodically when configured, bounding the
 // write-ahead log a restart must replay.
 type Snapshotter interface{ Snapshot() error }
-
-// snapshotExtraSetter is implemented by stores whose snapshot image can
-// carry extra manifest sections (the disk store). The snapshot cadence
-// uses it to embed the engine's live proc-reference manifest.
-type snapshotExtraSetter interface {
-	SetSnapshotExtra(key string, value []byte)
-}
 
 // RuntimeBase is the runtime layer shared by the real-time drivers — the
 // goroutine-pool LocalRuntime and the networked remote runtime. It owns
@@ -158,7 +150,7 @@ func (rb *RuntimeBase) StartSnapshots(st store.Store, every time.Duration) {
 		for {
 			select {
 			case <-t.C:
-				rb.snapshotOnce(eng, snap, st)
+				rb.snapshotOnce(eng, snap)
 			case <-stop:
 				return
 			}
@@ -168,18 +160,12 @@ func (rb *RuntimeBase) StartSnapshots(st store.Store, every time.Duration) {
 
 // snapshotOnce runs one compaction cycle: sweep dead interned process
 // texts (their delete batches commit before the sweep returns, so this
-// snapshot's image already excludes them), embed the live proc-reference
-// manifest, then snapshot. Errors surface as EvPersistError events and
-// through the engine's OnError hook — a background cadence has no caller
-// to return them to.
-func (rb *RuntimeBase) snapshotOnce(eng *Engine, snap Snapshotter, st store.Store) {
+// snapshot's image already excludes them), then snapshot. Errors surface as
+// EvPersistError events and through the engine's OnError hook — a
+// background cadence has no caller to return them to.
+func (rb *RuntimeBase) snapshotOnce(eng *Engine, snap Snapshotter) {
 	if eng != nil {
-		_, manifest := eng.SweepProcs()
-		if setter, ok := st.(snapshotExtraSetter); ok {
-			if data, err := json.Marshal(manifest); err == nil {
-				setter.SetSnapshotExtra("procRefs", data)
-			}
-		}
+		eng.SweepProcs()
 	}
 	if err := snap.Snapshot(); err != nil {
 		if eng != nil {

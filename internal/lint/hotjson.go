@@ -11,13 +11,11 @@ import (
 // that writes a record on every activity completion (checkpoint encode and
 // commit), replicated frame or worker-link message, and the code that reads
 // records back (recovery, lazy hydration, WAL replay, standby apply, the
-// worker link's two frame handlers). The binary codec
+// worker link's two frame handlers), snapshots included: a snapshot is the
+// log's base, its records in the WAL's framing. The binary codec
 // is the only record format on both sides — encoding/json must never creep
 // back in, or the 0-allocs/record budget rots on the write side and a
-// second on-disk generation reappears on the read side. Snapshot files,
-// the ship protocol envelope and CLI rendering are not records and may use
-// encoding/json freely: the format boundary, not the import, is the
-// invariant.
+// second on-disk generation reappears on the read side.
 //
 // The guard is keyed on function names, so every listed name must exist: a
 // name with no declaration in its package is a finding, or a rename would
@@ -64,14 +62,20 @@ var hotJSONFuncs = map[string]map[string]bool{
 		"Delete":      true,
 		"AppendEvent": true,
 
-		"decodeOp":     true, // WAL frame decode
-		"decodeOps":    true,
-		"OpenDisk":     true, // WAL replay on open
-		"applyShipped": true, // standby replay of shipped frames
+		"decodeOp":        true, // WAL frame decode
+		"decodeOps":       true,
+		"OpenDisk":        true, // base load and WAL replay on open
+		"applyShipped":    true, // standby replay of shipped frames
+		"Snapshot":        true, // the image as WAL frames, the base write
+		"installSnapshot": true, // standby base load
 	},
 	"bioopera/internal/wal": {
 		"Append":      true,
 		"AppendBatch": true,
+		"Compact":     true, // the base write
+		"ReplayBase":  true, // the base load
+		"readBatch":   true, // a base or shipped batch, checked
+		"Frame":       true, // the follower's records and base frames
 	},
 	// The worker link is crossed twice per activity. Its six messages are
 	// codec records; a JSON fallback for an older peer is the second wire

@@ -7,31 +7,30 @@ import (
 	"hash"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
 
-// walBytesGolden is the hash of every wal-*.log and snap-*.snap file (name
-// and bytes) on disk at four points of TestWALBytesGolden's fixed sequence —
-// before and after each Snapshot truncates the log, and after Close. It was
-// captured at 4ac61c9, before the write path was rebuilt around Op: the
+// The bytes TestWALBytesGolden's fixed sequence leaves on disk at four
+// points — before and after each Snapshot compacts the log, and after Close
+// — hashed apart: the name and bytes of every WAL segment, and of every
+// base. The segment hash is what the code wrote before snapshots became
+// bases (67301c5), unchanged since the write path was rebuilt around Op
+// (4ac61c9); the base hash was captured with the first framed base. A
 // refactor may move code, it may not move a byte on disk.
-const walBytesGolden = "47d37769ef0bebf43d4dd4232fcccde3e4d67c422e4872e1c64a260552bfdf36"
+const (
+	walSegmentsGolden = "ad25d872e68d71e3362b0579b53bbe759f6e2b50a6419d6b5b6d873a8d9e964a"
+	walBasesGolden    = "4ab90e90495cc3f70d2fc43d0cb5ce8b3897c8e01418e0dee4c452c03f248d30"
+)
 
-// hashStoreFiles folds the name and content of every WAL segment and
-// snapshot file under dir, in name order, into h.
-func hashStoreFiles(t *testing.T, h hash.Hash, dir string) []string {
+// hashStoreFiles folds the name and content of every file under dir matching
+// pattern, in name order, into h.
+func hashStoreFiles(t *testing.T, h hash.Hash, dir, pattern string) []string {
 	t.Helper()
-	var paths []string
-	for _, pat := range []string{"wal/wal-*.log", "snap-*.snap"} {
-		m, err := filepath.Glob(filepath.Join(dir, pat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, m...)
+	paths, err := filepath.Glob(filepath.Join(dir, pattern))
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(paths)
 	var names []string
 	for _, p := range paths {
 		data, err := os.ReadFile(p)
@@ -58,9 +57,12 @@ func TestWALBytesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := sha256.New()
+	segs, bases := sha256.New(), sha256.New()
 	var files []string
-	mark := func() { files = append(files, hashStoreFiles(t, h, dir)...) }
+	mark := func() {
+		files = append(files, hashStoreFiles(t, segs, dir, "wal/wal-*.log")...)
+		files = append(files, hashStoreFiles(t, bases, dir, "wal/snap-*.snap")...)
+	}
 	event := func(s string) {
 		t.Helper()
 		_, err := d.AppendEvent([]byte(s))
@@ -80,8 +82,6 @@ func TestWALBytesGolden(t *testing.T) {
 	mark()
 	must(d.Snapshot())
 	mark()
-	d.SetSnapshotExtra("procrefs", []byte(`{"abc":2}`))
-	d.SetSnapshotExtra("alpha", []byte(`[1,2]`))
 	for i := 0; i < 12; i++ {
 		key := fmt.Sprintf("inst/p%04d/meta", i+2)
 		must(d.Batch([]Op{
@@ -92,7 +92,7 @@ func TestWALBytesGolden(t *testing.T) {
 	}
 	must(d.Delete(Configuration, "node/n1"))
 	mark()
-	must(d.Snapshot()) // carries the extras; supersedes the first snapshot
+	must(d.Snapshot()) // supersedes the first snapshot
 	must(d.Put(History, "inst/p0002/meta", nil))
 	must(d.Delete(Instance, "inst/p0003/meta"))
 	event(`{"kind":"instance-finished","instance":"p0002"}`)
@@ -100,8 +100,11 @@ func TestWALBytesGolden(t *testing.T) {
 	must(d.Close())
 
 	mark()
-	if got := hex.EncodeToString(h.Sum(nil)); got != walBytesGolden {
-		t.Fatalf("on-disk bytes changed:\n got %s\nwant %s\nfiles: %v", got, walBytesGolden, files)
+	if got := hex.EncodeToString(segs.Sum(nil)); got != walSegmentsGolden {
+		t.Errorf("WAL segment bytes changed:\n got %s\nwant %s\nfiles: %v", got, walSegmentsGolden, files)
+	}
+	if got := hex.EncodeToString(bases.Sum(nil)); got != walBasesGolden {
+		t.Errorf("base bytes changed:\n got %s\nwant %s\nfiles: %v", got, walBasesGolden, files)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sync"
 
@@ -19,14 +18,11 @@ import (
 
 // StartShipping serves this store's WAL to followers on addr (":0" picks a
 // free port). Followers that lag behind the oldest retained segment are
-// bootstrapped with a full snapshot; connected followers pin the WAL
-// retention floor so Snapshot cannot truncate records they still need.
+// bootstrapped with the log's base (the latest snapshot); connected
+// followers pin the WAL retention floor so Snapshot cannot truncate records
+// they still need.
 func (d *Disk) StartShipping(addr string, logf func(string, ...any)) (*wal.Shipper, error) {
-	return wal.NewShipper(addr, wal.ShipperOptions{
-		Log:      d.log,
-		Snapshot: d.marshalSnapshot,
-		Logf:     logf,
-	})
+	return wal.NewShipper(addr, wal.ShipperOptions{Log: d.log, Logf: logf})
 }
 
 // applyShipped ingests one batch-aligned group of records from the
@@ -45,30 +41,26 @@ func (d *Disk) applyShipped(first uint64, records [][]byte) error {
 	return d.ingest(records, []commitReq{{ops: ops}})
 }
 
-// installSnapshot replaces the in-memory state with a bootstrap image and
-// resets the WAL so the next shipped batch (sequence seq) appends cleanly.
-// The image is also written as a snapshot file: a standby that crashes
-// right after bootstrap recovers without re-fetching it.
-func (d *Disk) installSnapshot(seq uint64, data []byte) error {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("store: decoding shipped snapshot: %w", err)
-	}
-	if snap.WALSeq != seq {
-		return fmt.Errorf("store: shipped snapshot covers to %d, header says %d", snap.WALSeq, seq)
+// installSnapshot makes the primary's base this standby's: the log takes it
+// as its own (Compact, which moves the log to seq so the next shipped batch
+// appends cleanly, and removes the segments it supersedes), then the image
+// is rebuilt from its ops. A standby that crashes right after bootstrap
+// recovers from the base without re-fetching it.
+func (d *Disk) installSnapshot(seq uint64, records [][]byte) error {
+	ops, err := decodeOps(nil, 0, records)
+	if err != nil {
+		return err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	if err := d.writeSnapshot(seq, data); err != nil {
+	if err := d.log.Compact(seq, records); err != nil {
 		return err
 	}
-	if err := d.log.Reset(seq); err != nil {
-		return err
-	}
-	d.restore(snap)
+	d.reset()
+	d.apply(ops)
 	d.snapSeq = seq
 	return nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -206,6 +207,67 @@ func TestShippingSnapshotBootstrap(t *testing.T) {
 	}
 }
 
+// TestBootstrapCopiesBase: the bootstrap ships the primary's base file and
+// the standby keeps it as its own, byte for byte — one framing on disk and on
+// the wire.
+func TestBootstrapCopiesBase(t *testing.T) {
+	pdir, sdir := t.TempDir(), t.TempDir()
+	p, err := OpenDisk(pdir, DiskOptions{SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; i < 30; i++ {
+		if err := p.Batch([]Op{
+			{Space: Instance, Key: fmt.Sprintf("k%02d", i), Value: []byte(fmt.Sprintf("v%d", i))},
+			EventOp([]byte(fmt.Sprintf("ev%d", i))),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	shipper, err := p.StartShipping("127.0.0.1:0", t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shipper.Close()
+	sb, err := OpenStandby(sdir, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	followErr := make(chan error, 1)
+	go func() { followErr <- sb.Follow(shipper.Addr(), t.Logf) }()
+	want, err := p.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDigest(t, sb.Store(), want)
+	if err := sb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-followErr; err != nil {
+		t.Fatal(err)
+	}
+	base := func(dir string) (string, []byte) {
+		snaps, _ := filepath.Glob(filepath.Join(dir, "wal", "snap-*.snap"))
+		if len(snaps) != 1 {
+			t.Fatalf("bases in %s: %v, want one", dir, snaps)
+		}
+		data, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return filepath.Base(snaps[0]), data
+	}
+	pname, pdata := base(pdir)
+	sname, sdata := base(sdir)
+	if pname != sname || !bytes.Equal(pdata, sdata) {
+		t.Fatalf("standby's base %s (%d bytes) is not the primary's %s (%d bytes)", sname, len(sdata), pname, len(pdata))
+	}
+}
+
 // TestRetentionFloorPinsSegments exercises the mechanism the shipper uses
 // to keep a slow follower's records on disk: a pinned retention floor
 // makes Snapshot keep the WAL segments at or above it, and releasing the
@@ -243,10 +305,20 @@ func TestRetentionFloorPinsSegments(t *testing.T) {
 }
 
 // TestReopenTornSnapshot simulates a crash mid-Snapshot: a newer snapshot
-// file exists but is torn (truncated JSON) and a stray .tmp was left
-// behind. Reopening must skip both, fall back to the last valid snapshot,
-// and replay the WAL tail — no data loss.
+// file exists but is torn — cut mid-frame, empty, or cut before its seal —
+// and a stray .tmp was left behind. Reopening must skip both, fall back to
+// the last valid snapshot, and replay the WAL tail — no data loss.
 func TestReopenTornSnapshot(t *testing.T) {
+	for name, torn := range map[string]func(base []byte) []byte{
+		"mid-frame":   func(base []byte) []byte { return base[:len(base)/2] },
+		"zero-length": func([]byte) []byte { return nil },
+		"no seal":     func(base []byte) []byte { return base[:len(base)-16] },
+	} {
+		t.Run(name, func(t *testing.T) { reopenTornSnapshot(t, torn) })
+	}
+}
+
+func reopenTornSnapshot(t *testing.T, torn func(base []byte) []byte) {
 	dir := t.TempDir()
 	d, err := OpenDisk(dir, DiskOptions{})
 	if err != nil {
@@ -277,11 +349,19 @@ func TestReopenTornSnapshot(t *testing.T) {
 
 	// The crash artifacts: a torn snapshot newer than the valid one, and
 	// an abandoned temp file.
-	torn := filepath.Join(dir, fmt.Sprintf("snap-%020d%s", uint64(1<<40), snapSuffix))
-	if err := os.WriteFile(torn, []byte(`{"walSeq":1099511627776,"spaces":[[{"k`), 0o644); err != nil {
+	snaps, _ := filepath.Glob(filepath.Join(dir, "wal", "snap-*.snap"))
+	if len(snaps) != 1 {
+		t.Fatalf("snapshots on disk: %v, want one", snaps)
+	}
+	base, err := os.ReadFile(snaps[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	tmp := filepath.Join(dir, fmt.Sprintf("snap-%020d%s.tmp", uint64(1<<41), snapSuffix))
+	newer := filepath.Join(dir, "wal", fmt.Sprintf("snap-%020d.snap", uint64(1<<40)))
+	if err := os.WriteFile(newer, torn(base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "wal", fmt.Sprintf("snap-%020d.snap.123.tmp", uint64(1<<41)))
 	if err := os.WriteFile(tmp, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}

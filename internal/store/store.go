@@ -20,13 +20,11 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"maps"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -155,7 +153,7 @@ func checkOps(ops []Op) error {
 // apply makes validated ops state, in order; stored values are copies the
 // image owns. A record keeps one buffer for its life: a put to a key that
 // exists rewrites that buffer in place, which is safe because nothing hands a
-// stored buffer out (Get, list, Digest and marshalSnapshot copy under mu).
+// stored buffer out (Get, list, Digest and Snapshot copy under mu).
 // Journal entries are immutable and only ever dropped together, so a batch's
 // entries share one allocation. State values do not: a record that is never
 // rewritten would pin every dead neighbour written beside it. The caller
@@ -189,18 +187,13 @@ func (im *image) apply(ops []Op) {
 	}
 }
 
-// restore replaces the image's contents with a snapshot's, taking
-// ownership of its values; the zero snapshot is the empty store.
-func (im *image) restore(snap snapshot) {
+// reset empties the image: a new store's state, and a standby's before it
+// applies its primary's base.
+func (im *image) reset() {
 	for i := range im.spaces {
 		im.spaces[i] = make(map[string][]byte)
-		if i < len(snap.Spaces) {
-			for _, kv := range snap.Spaces[i] {
-				im.spaces[i][kv.Key] = kv.Value
-			}
-		}
 	}
-	im.events, im.eventSeq = snap.Events, snap.EventSeq
+	im.events, im.eventSeq = nil, 0
 }
 
 // list copies a space out, sorted by key. The caller holds mu.
@@ -272,7 +265,7 @@ type Mem struct{ image }
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
 	m := &Mem{}
-	m.restore(snapshot{})
+	m.reset()
 	return m
 }
 
@@ -373,42 +366,20 @@ func decodeOp(d *codec.Decoder, data []byte) (Op, error) {
 	return op, checkSpace(op.Space)
 }
 
-// decodeOps reads a commit unit's frames, the first of which has WAL
-// sequence first, into ops[:0].
+// decodeOps reads the frames of a commit unit, or of a base, at WAL
+// sequence first into ops[:0].
 func decodeOps(ops []Op, first uint64, frames [][]byte) ([]Op, error) {
 	ops = ops[:0]
 	var d codec.Decoder
 	for i, data := range frames {
 		op, err := decodeOp(&d, data)
 		if err != nil {
-			return ops, fmt.Errorf("store: decoding wal record %d: %w", first+uint64(i), err)
+			return ops, fmt.Errorf("store: decoding record %d of the batch at %d: %w", i, first, err)
 		}
 		ops = append(ops, op)
 	}
 	return ops, nil
 }
-
-// snapshot is the JSON image written by Disk.Snapshot.
-type snapshot struct {
-	WALSeq   uint64                     `json:"walSeq"` // first WAL seq NOT in the snapshot
-	EventSeq uint64                     `json:"eventSeq"`
-	Spaces   [][]KV                     `json:"spaces"`
-	Events   []Event                    `json:"events"`
-	Extra    map[string]json.RawMessage `json:"extra,omitempty"`
-}
-
-const snapPrefix, snapSuffix = "snap-", ".snap"
-
-// snapName names the snapshot file covering WAL sequences below seq. The
-// sequence is zero-padded, so name order is sequence order.
-func snapName(seq uint64) string {
-	return fmt.Sprintf("%s%020d%s", snapPrefix, seq, snapSuffix)
-}
-
-// errWALHole is OpenDisk's refusal of a store whose surviving WAL starts
-// after the newest state it could restore: opening it would silently drop
-// every record in between.
-var errWALHole = errors.New("store: snapshot unreadable")
 
 // Disk is a crash-safe Store backed by a WAL and periodic snapshots in a
 // directory. It is safe for concurrent use.
@@ -421,8 +392,7 @@ var errWALHole = errors.New("store: snapshot unreadable")
 // is therefore shared across instances instead of paid per mutation — the
 // disk half of the engine's sharded-execution story.
 type Disk struct {
-	image // mu also guards the accounting fields and extra below
-	dir   string
+	image // mu also guards the accounting fields below
 	log   *wal.Log
 
 	gmu     sync.Mutex // guards pending and spare
@@ -434,10 +404,6 @@ type Disk struct {
 	commitGroups   uint64
 	groupedRecords uint64
 	snapSeq        uint64 // WAL seq of the newest snapshot (0 = none)
-
-	// extra is opaque manifest data (e.g. the engine's proc-refcount map)
-	// included in every snapshot under its key. Guarded by mu.
-	extra map[string][]byte
 
 	groupSize   *obs.Histogram // records per flushed group (nil = no metrics)
 	snapSeconds *obs.Histogram // Snapshot wall time (nil = no metrics)
@@ -475,7 +441,8 @@ type DiskOptions struct {
 }
 
 // OpenDisk opens or creates a disk store in dir, recovering state from the
-// latest snapshot plus the WAL tail.
+// log's base (the latest snapshot) plus the WAL after it. Every file is the
+// log's, in dir/wal.
 func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	wopts := wal.Options{
 		NoSync:      opts.NoSync,
@@ -487,28 +454,27 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		wopts.SyncLatency = opts.Metrics.Histogram("bioopera_wal_fsync_seconds",
 			"Latency of the fsync inside wal.AppendBatch.", nil)
 	}
-	l, err := wal.Open(filepath.Join(dir, "wal"), wopts)
+	l, err := wal.Open(dir+"/wal", wopts)
 	if err != nil {
 		return nil, err
 	}
-	d := &Disk{dir: dir, log: l}
-	from, err := d.loadSnapshot()
-	if oldest := l.OldestSeq(); err == nil && oldest > from {
-		err = fmt.Errorf("%w and WAL begins at %d: records %d to %d are lost", errWALHole, oldest, from, oldest-1)
+	d := &Disk{log: l}
+	d.reset()
+	// The frames are already in the log: the base's ops, then each replayed
+	// unit's, are ingested with none to append. One ops slice serves every
+	// unit — apply copies what it keeps.
+	unit := []commitReq{{}}
+	replay := func(first uint64, frames [][]byte) error {
+		ops, err := decodeOps(unit[0].ops, first, frames)
+		unit[0].ops = ops
+		if err != nil {
+			return err
+		}
+		return d.ingest(nil, unit)
 	}
+	d.snapSeq, err = l.ReplayBase(func(frames [][]byte) error { return replay(0, frames) })
 	if err == nil {
-		// The frames are already in the log: a replayed unit is ingested
-		// with none to append. One ops slice serves every unit — apply
-		// copies what it keeps.
-		unit := []commitReq{{}}
-		err = l.ReplayBatches(from, func(first uint64, frames [][]byte) error {
-			ops, err := decodeOps(unit[0].ops, first, frames)
-			unit[0].ops = ops
-			if err != nil {
-				return err
-			}
-			return d.ingest(nil, unit)
-		})
+		err = l.ReplayBatches(d.snapSeq, replay)
 	}
 	if err != nil {
 		//bioopera:allow droppederr the load or replay error is returned; closing the half-opened log is best-effort
@@ -519,7 +485,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		d.groupSize = opts.Metrics.Histogram("bioopera_store_commit_group_records",
 			"Records per group-committed WAL batch.", obs.SizeBuckets)
 		d.snapSeconds = opts.Metrics.Histogram("bioopera_store_snapshot_seconds",
-			"Wall time of Disk.Snapshot: capture, marshal, write, WAL truncation.", nil)
+			"Wall time of Disk.Snapshot: capture, encode, write and sync, WAL compaction.", nil)
 		d.registerGauges(opts.Metrics)
 	}
 	return d, nil
@@ -549,37 +515,6 @@ func (d *Disk) registerGauges(reg *obs.Registry) {
 	reg.GaugeFunc("bioopera_store_commit_groups",
 		"Commit groups flushed since open.",
 		func() float64 { return float64(d.Stats().CommitGroups) })
-}
-
-// loadSnapshot restores the newest valid snapshot (the empty store when
-// there is none), returning the WAL sequence to resume replay from.
-func (d *Disk) loadSnapshot() (uint64, error) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return 1, fmt.Errorf("store: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if name := e.Name(); strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix) {
-			names = append(names, name)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names))) // newest first
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(d.dir, name))
-		if err != nil {
-			continue
-		}
-		var snap snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			continue // partially written snapshot; fall back to older
-		}
-		d.restore(snap)
-		d.snapSeq = snap.WALSeq
-		return snap.WALSeq, nil
-	}
-	d.restore(snapshot{})
-	return 1, nil
 }
 
 // write is the head of every mutation: validate the ops, encode each into
@@ -755,105 +690,43 @@ func (d *Disk) Stats() Stats {
 	return s
 }
 
-// SetSnapshotExtra attaches opaque manifest data that every subsequent
-// snapshot (and shipping bootstrap image) carries under key. The engine
-// records its proc-refcount manifest here so a snapshot documents which
-// content-addressed process texts were live when it was cut. A nil value
-// removes the key.
-func (d *Disk) SetSnapshotExtra(key string, value []byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if value == nil {
-		delete(d.extra, key)
-		return
-	}
-	if d.extra == nil {
-		d.extra = make(map[string][]byte)
-	}
-	d.extra[key] = append([]byte(nil), value...)
-}
-
-// marshalSnapshot captures the full state under mu and encodes it: the
-// bytes of a snapshot file and of a shipping bootstrap alike, plus the
-// first WAL sequence they do not cover.
-func (d *Disk) marshalSnapshot() (uint64, []byte, error) {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return 0, nil, ErrClosed
-	}
-	snap := snapshot{
-		WALSeq:   d.log.NextSeq(),
-		EventSeq: d.eventSeq,
-		Spaces:   make([][]KV, numSpaces),
-		Events:   append([]Event(nil), d.events...),
-	}
-	for i := Space(0); i < numSpaces; i++ {
-		snap.Spaces[i] = d.list(i)
-	}
-	if len(d.extra) > 0 {
-		snap.Extra = make(map[string]json.RawMessage, len(d.extra))
-		for k, v := range d.extra {
-			snap.Extra[k] = json.RawMessage(append([]byte(nil), v...))
-		}
-	}
-	d.mu.Unlock()
-	data, err := json.Marshal(snap)
-	if err != nil {
-		return 0, nil, fmt.Errorf("store: %w", err)
-	}
-	return snap.WALSeq, data, nil
-}
-
-// writeSnapshot writes an encoded image as the snapshot file covering WAL
-// sequences below seq, via tmp and rename: a crash leaves either the old
-// file set or the new one, never a torn mix.
-func (d *Disk) writeSnapshot(seq uint64, data []byte) error {
-	final := filepath.Join(d.dir, snapName(seq))
-	err := os.WriteFile(final+".tmp", data, 0o644)
-	if err == nil {
-		err = os.Rename(final+".tmp", final)
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// Snapshot writes the full state to a snapshot file and garbage-collects
-// WAL segments that precede it (the retention floor pinned by an attached
-// shipper is honored: segments a standby still needs survive).
+// Snapshot compacts the store: its image — every record in space and key
+// order, then the journal in sequence order, as the frames its writes log —
+// becomes the log's base (wal.Log.Compact), and the WAL segments it
+// supersedes go; those an attached shipper's retain floor pins stay.
 func (d *Disk) Snapshot() error {
 	var start time.Time
 	if d.snapSeconds != nil {
 		//bioopera:allow walltime latency histogram observes real snapshot I/O time; it never feeds back into replayable state
 		start = time.Now()
 	}
-	seq, data, err := d.marshalSnapshot()
-	if err != nil {
-		return err
+	var enc codec.Encoder // not pooled: it holds the whole image
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return ErrClosed
 	}
-	if err := d.writeSnapshot(seq, data); err != nil {
-		return err
+	seq := d.log.NextSeq()
+	for sp := Space(0); sp < numSpaces; sp++ {
+		m := d.spaces[sp]
+		for _, k := range slices.Sorted(maps.Keys(m)) {
+			encodeOp(&enc, Op{Space: sp, Key: k, Value: m[k]})
+		}
 	}
-	if err := d.log.TruncateBefore(seq); err != nil {
+	for _, ev := range d.events {
+		encodeOp(&enc, EventOp(ev.Data))
+	}
+	d.mu.Unlock()
+	frames := make([][]byte, enc.Records())
+	for i := range frames {
+		frames[i] = enc.Span(i)
+	}
+	if err := d.log.Compact(seq, frames); err != nil {
 		return err
 	}
 	d.mu.Lock()
 	d.snapSeq = seq
 	d.mu.Unlock()
-	// Remove superseded snapshots.
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, snapSuffix) || name == snapName(seq) {
-			continue
-		}
-		os.Remove(filepath.Join(d.dir, name))
-	}
 	if d.snapSeconds != nil {
 		//bioopera:allow walltime latency histogram observes real snapshot I/O time; it never feeds back into replayable state
 		d.snapSeconds.Observe(time.Since(start).Seconds())

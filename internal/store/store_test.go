@@ -295,11 +295,11 @@ func TestSnapshotGCsWAL(t *testing.T) {
 
 func countWALFiles(t *testing.T, dir string) int {
 	t.Helper()
-	entries, err := os.ReadDir(filepath.Join(dir, "wal"))
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(entries)
+	return len(segs)
 }
 
 func TestCorruptSnapshotFallsBack(t *testing.T) {
@@ -313,14 +313,14 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 
 	// Corrupt the snapshot file: recovery should still work because the
 	// WAL was already truncated... so instead we verify graceful failure
-	// mode: a *partially written* (invalid JSON) snapshot alongside a
+	// mode: a *partially written* (unsealed) snapshot alongside a
 	// complete WAL is skipped.
 	d2dir := t.TempDir()
 	d2, _ := OpenDisk(d2dir, DiskOptions{})
 	d2.Put(Template, "k", []byte("v"))
 	d2.Close()
 	// Write garbage pretending to be a newer snapshot.
-	os.WriteFile(filepath.Join(d2dir, "snap-99999999999999999999.snap"), []byte("{not json"), 0o644)
+	os.WriteFile(filepath.Join(d2dir, "wal", "snap-09999999999999999999.snap"), []byte("{not json"), 0o644)
 	d3, err := OpenDisk(d2dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -333,44 +333,86 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 
 // TestOpenDiskRefusesHole: once a snapshot has let the WAL be truncated,
 // that snapshot is the only copy of the records before it. If it is
-// unreadable the store must refuse to open — not come up, without a word,
-// holding only the handful of records the surviving WAL tail happens to
-// carry.
+// unreadable — what a power loss leaves of a file nobody synced: cut
+// mid-frame, empty, or whole frames without the seal — the store must
+// refuse to open, naming it, not come up, without a word, holding only the
+// handful of records the surviving WAL tail happens to carry.
 func TestOpenDiskRefusesHole(t *testing.T) {
+	for name, cut := range map[string]func(size int64) int64{
+		"mid-frame":   func(int64) int64 { return 10 },
+		"zero-length": func(int64) int64 { return 0 },
+		"no seal":     func(size int64) int64 { return size - 16 }, // the seal is one 8-byte frame
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := OpenDisk(dir, DiskOptions{SegmentSize: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 50; i++ {
+				if err := d.Put(Instance, fmt.Sprintf("k%02d", i), []byte("value")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Put(Instance, "tail", []byte("value")); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snaps, _ := filepath.Glob(filepath.Join(dir, "wal", "snap-*.snap"))
+			if len(snaps) != 1 {
+				t.Fatalf("snapshots on disk: %v, want one", snaps)
+			}
+			info, err := os.Stat(snaps[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(snaps[0], cut(info.Size())); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenDisk(dir, DiskOptions{SegmentSize: 256})
+			if err == nil {
+				kvs, _ := re.List(Instance)
+				re.Close()
+				t.Fatalf("opened with %d of 51 records and no error", len(kvs))
+			}
+			if !errors.Is(err, wal.ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(snaps[0])) {
+				t.Fatalf("OpenDisk = %v, want the refusal naming %s", err, filepath.Base(snaps[0]))
+			}
+		})
+	}
+}
+
+// TestOpenDiskRefusesJSONSnapshot: before snapshots were framed, a store kept
+// them as JSON beside its log. This build reads only framed ones, so such a
+// store is refused by name instead of opened without its snapshot.
+func TestOpenDiskRefusesJSONSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{SegmentSize: 256})
+	d, err := OpenDisk(dir, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		if err := d.Put(Instance, fmt.Sprintf("k%02d", i), []byte("value")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Put(Instance, "tail", []byte("value")); err != nil {
+	if err := d.Put(Instance, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*"+snapSuffix))
-	if len(snaps) != 1 {
-		t.Fatalf("snapshots on disk: %v, want one", snaps)
-	}
-	if err := os.Truncate(snaps[0], 10); err != nil {
+	old := filepath.Join(dir, fmt.Sprintf("snap-%020d.snap", 2))
+	if err := os.WriteFile(old, []byte(`{"walSeq":2,"eventSeq":0,"spaces":[[],[{"Key":"k","Value":"dg=="}],[],[]],"events":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re, err := OpenDisk(dir, DiskOptions{SegmentSize: 256})
+	re, err := OpenDisk(dir, DiskOptions{})
 	if err == nil {
-		kvs, _ := re.List(Instance)
 		re.Close()
-		t.Fatalf("opened with %d of 51 records and no error", len(kvs))
+		t.Fatal("opened a store holding a JSON snapshot")
 	}
-	if !errors.Is(err, errWALHole) {
-		t.Fatalf("OpenDisk = %v, want the snapshot-unreadable refusal", err)
+	if !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "reads only framed snapshots") {
+		t.Fatalf("OpenDisk = %v, want a refusal naming %s", err, old)
 	}
 }
 

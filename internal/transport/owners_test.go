@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -231,6 +233,14 @@ func TestWorkerFramesGolden(t *testing.T) {
 	}
 }
 
+// walFrame is one WAL frame of data, its length word or'ed with flag: the
+// shipping bodies carry records in the log's own framing.
+func walFrame(flag uint32, data string) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(data))|flag)
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE([]byte(data)))
+	return append(frame, data...)
+}
+
 // everyKind is one real frame of every kind, as the owners encode them.
 func everyKind(t testing.TB) [][]byte {
 	jsonBody := func(v any) []byte {
@@ -255,9 +265,9 @@ func everyKind(t testing.TB) [][]byte {
 		codec.FrameFedRequest:   jsonBody(fed.Frame{ID: 9, Method: fed.MethodStart, Params: jsonBody(fed.StartReq{Template: "Chain8", Inputs: vals})}),
 		codec.FrameFedResponse:  jsonBody(fed.Frame{ID: 9, OK: true, Result: jsonBody(fed.StartRes{ID: "f03-alpha.2-000001"})}),
 		codec.FrameShipSync:     uv(42),
-		codec.FrameShipRecords:  append(uv(42, 2, 3), "abc\x02de"...),
-		codec.FrameShipSnapshot: append(uv(42), `{"walSeq":42}`...),
-		codec.FrameShipError:    []byte("records from 1 truncated (oldest 40) and no snapshot source"),
+		codec.FrameShipRecords:  append(uv(42), walFrame(0, "abc")...),
+		codec.FrameShipSnapshot: slices.Concat(uv(42), walFrame(1<<31, "abc"), walFrame(0, string(binary.LittleEndian.AppendUint64(nil, 42)))), // a record, then the seal
+		codec.FrameShipError:    []byte("records from 1 truncated (oldest 40): no base"),
 	}
 	var out [][]byte
 	for kind, body := range frames {

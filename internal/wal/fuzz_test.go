@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -145,7 +146,9 @@ func TestCrashWithBitFlipTail(t *testing.T) {
 // FuzzSegment: a segment's bytes are whatever the disk kept — torn, flipped
 // or foreign — so the frame walker must never panic or hand out bytes beyond
 // its input, and a log opened over them as its only (tail) segment must
-// replay exactly the records Open counted.
+// replay exactly the records Open counted. The same bytes as a log's only
+// base must be taken only when they are whole frames whose last is the seal
+// of the base's sequence, and then replay as the records before it.
 func FuzzSegment(f *testing.F) {
 	dir := f.TempDir()
 	l, err := Open(dir, Options{NoSync: true})
@@ -164,15 +167,25 @@ func FuzzSegment(f *testing.F) {
 	f.Add(full[:len(full)-3])
 	f.Add(full[:headerLen+5+headerLen+2]) // inside the batch
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	const baseSeq = 42
+	base := sealedBase(f, [][]byte{[]byte("alpha"), nil, []byte("b2-middle")}, baseSeq)
+	f.Add(base)
+	f.Add(base[:len(base)-headerLen-8])             // the seal cut off
+	f.Add(sealedBase(f, nil, baseSeq))              // the empty store
+	f.Add(sealedBase(f, [][]byte{base}, baseSeq+1)) // sealed for another sequence
 	path := filepath.Join(dir, segName(1))
+	baseDir := f.TempDir()
+	basePath := filepath.Join(baseDir, baseName(baseSeq))
 	f.Fuzz(func(t *testing.T, seg []byte) {
 		off := 0
-		n, valid, _ := walk(seg, math.MaxUint64, func(data []byte, _ bool) error {
+		var frames [][]byte
+		n, valid, walkErr := walk(seg, math.MaxUint64, func(data []byte, _ bool) error {
 			start := off + headerLen
 			if cap(data) != len(data) || start+len(data) > len(seg) || !bytes.Equal(data, seg[start:start+len(data)]) {
 				t.Fatalf("frame at %d: %d bytes (cap %d) are not the segment's", off, len(data), cap(data))
 			}
 			off = start + len(data)
+			frames = append(frames, data)
 			return nil
 		})
 		if valid > off || n > uint64(len(seg)/headerLen) {
@@ -193,29 +206,44 @@ func FuzzSegment(f *testing.F) {
 		if got != n || l.NextSeq() != n+1 {
 			t.Fatalf("Open counted %d records (NextSeq %d), Replay yielded %d, the walk %d", l.NextSeq()-1, l.NextSeq(), got, n)
 		}
+
+		if err := os.WriteFile(basePath, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sealed := walkErr == nil && len(frames) > 0 && bytes.Equal(frames[len(frames)-1], binary.LittleEndian.AppendUint64(nil, baseSeq))
+		b, err := Open(baseDir, Options{NoSync: true})
+		if (err == nil) != sealed {
+			t.Fatalf("Open of a lone base = %v, sealed = %v", err, sealed)
+		}
+		if err != nil {
+			return
+		}
+		defer b.Close()
+		var records [][]byte
+		if seq, err := b.ReplayBase(func(recs [][]byte) error { records = recs; return nil }); err != nil || seq != baseSeq || b.NextSeq() != baseSeq {
+			t.Fatalf("ReplayBase = %d, %v (NextSeq %d), want %d", seq, err, b.NextSeq(), baseSeq)
+		}
+		if len(records) != len(frames)-1 {
+			t.Fatalf("the base replayed %d records, the walk saw %d before the seal", len(records), len(frames)-1)
+		}
 	})
 }
 
-// FuzzDecodeRecords: the records-frame body arrives from the network, so
-// its decoder must never panic or allocate past its input, and must read
-// back what appendRecords wrote.
-func FuzzDecodeRecords(f *testing.F) {
-	f.Add(appendRecords(nil, 42, [][]byte{[]byte("abc"), nil, []byte("de")}))
-	f.Add(appendRecords(nil, 1, nil))
-	f.Add([]byte{0x2a, 0xff, 0xff, 0xff, 0xff, 0x0f}) // count far beyond the body
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, records, err := decodeRecords(data); err == nil && len(records) > len(data) {
-			t.Fatalf("%d records out of %d bytes", len(records), len(data))
-		}
-		records := bytes.Split(data, []byte{0})
-		first, got, err := decodeRecords(appendRecords(nil, uint64(len(data)), records))
-		if err != nil || first != uint64(len(data)) || len(got) != len(records) {
-			t.Fatalf("round trip: first %d, %d records, err %v", first, len(got), err)
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], records[i]) {
-				t.Fatalf("record %d = %q, want %q", i, got[i], records[i])
-			}
-		}
-	})
+// sealedBase returns the bytes Compact writes for records sealed with seq.
+func sealedBase(tb testing.TB, records [][]byte, seq uint64) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	l, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Compact(seq, records); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, baseName(seq)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
 }

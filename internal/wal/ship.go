@@ -7,19 +7,20 @@
 // (internal/codec) names the message and bodies are uvarints and raw bytes:
 //
 //	follower → shipper   FrameShipSync      from
-//	shipper  → follower  FrameShipSnapshot  seq, image               bootstrap
-//	shipper  → follower  FrameShipRecords   first, count, (len, record)…  per batch
-//	shipper  → follower  FrameShipError     text                     terminal refusal
+//	shipper  → follower  FrameShipSnapshot  seq, base file            bootstrap
+//	shipper  → follower  FrameShipRecords   first, the batch's frames  per batch
+//	shipper  → follower  FrameShipError     text                      terminal refusal
 //
-// Records are shipped post-fsync and batch-aligned: the shipper only reads
-// records below the committed frontier (WaitCommitted), and each records
-// frame carries exactly one atomic batch as AppendBatch wrote it, so the
-// follower re-appends the primary's commit units verbatim and a crash on
-// either side rolls back to the same batch boundary. A follower whose
-// cursor has fallen behind the oldest retained segment is bootstrapped
-// with a full snapshot; otherwise the shipper pins the retention floor
-// (SetRetainFloor) at its slowest follower's cursor so snapshots on the
-// primary cannot truncate records a standby still needs.
+// Records are shipped post-fsync and batch-aligned, in the log's own
+// framing: the shipper only reads records below the committed frontier
+// (WaitCommitted), and each records frame carries exactly one atomic batch
+// as AppendBatch wrote it, checksums included, so the follower checks it
+// with the walk that checks the log and re-appends the primary's commit
+// units verbatim; a crash on either side rolls back to the same batch
+// boundary. A follower whose cursor has fallen behind the oldest retained
+// segment is bootstrapped with the base file; otherwise the shipper pins
+// the retention floor (SetRetainFloor) at its slowest follower's cursor so
+// snapshots on the primary cannot truncate records a standby still needs.
 //
 // Liveness: an idle shipper sends the transport's keep-alive frame every
 // DefaultHeartbeatEvery, and a follower that has heard nothing for
@@ -50,11 +51,6 @@ const (
 type ShipperOptions struct {
 	// Log is the log to ship from. Required.
 	Log *Log
-	// Snapshot produces a bootstrap image for followers whose cursor has
-	// fallen behind the oldest retained record: the opaque snapshot bytes
-	// plus the first WAL sequence NOT covered by them. Nil means lagging
-	// followers are refused instead of bootstrapped.
-	Snapshot func() (seq uint64, data []byte, err error)
 	// Logf receives protocol diagnostics. May be nil.
 	Logf func(format string, args ...any)
 }
@@ -109,7 +105,7 @@ func (s *Shipper) logf(format string, args ...any) {
 }
 
 // setCursor records a follower's progress and re-pins the retention floor
-// at the minimum across followers, so TruncateBefore keeps what the
+// at the minimum across followers, so Compact keeps what the
 // slowest standby still needs.
 func (s *Shipper) setCursor(c *transport.Conn, cursor uint64) {
 	s.mu.Lock()
@@ -185,21 +181,20 @@ func (s *Shipper) serve(c *transport.Conn, cursor uint64) {
 		}
 		if oldest := s.log.OldestSeq(); cursor < oldest {
 			// The records the follower needs are gone — bootstrap it.
-			if s.opts.Snapshot == nil {
-				refuse(fmt.Errorf("records from %d truncated (oldest %d) and no snapshot source", cursor, oldest))
-				return
+			seq, base, err := s.log.baseBytes()
+			if err == nil && seq == 0 {
+				err = errors.New("no base")
 			}
-			seq, data, err := s.opts.Snapshot()
 			if err != nil {
-				refuse(fmt.Errorf("snapshot: %w", err))
+				refuse(fmt.Errorf("records from %d truncated (oldest %d): %w", cursor, oldest, err))
 				return
 			}
-			if err := c.SendWait(codec.FrameShipSnapshot, binary.AppendUvarint(body[:0], seq), data); err != nil {
+			if err := c.SendWait(codec.FrameShipSnapshot, binary.AppendUvarint(body[:0], seq), base); err != nil {
 				return
 			}
 			cursor = seq
 			s.setCursor(c, cursor)
-			s.logf("wal: ship %s: bootstrapped to %d (%d snapshot bytes)", c.RemoteAddr(), seq, len(data))
+			s.logf("wal: ship %s: bootstrapped to %d (%d base bytes)", c.RemoteAddr(), seq, len(base))
 			continue
 		}
 		if committed < cursor {
@@ -209,7 +204,7 @@ func (s *Shipper) serve(c *transport.Conn, cursor uint64) {
 			if first+uint64(len(records)) > committed+1 {
 				return io.EOF // past the frontier captured above; ship next round
 			}
-			body = appendRecords(body[:0], first, records)
+			body = appendFrames(binary.AppendUvarint(body[:0], first), records, false)
 			if err := c.SendWait(codec.FrameShipRecords, body); err != nil {
 				return err
 			}
@@ -244,9 +239,10 @@ type FollowerOptions struct {
 	// ApplyBatch ingests one shipped batch: first is the sequence of
 	// records[0]. Required. An error stops Run.
 	ApplyBatch func(first uint64, records [][]byte) error
-	// ApplySnapshot installs a bootstrap image covering sequences < seq.
-	// Required if the primary may have truncated past From.
-	ApplySnapshot func(seq uint64, data []byte) error
+	// ApplySnapshot installs the records of the primary's base, the state
+	// of every sequence < seq. Required if the primary may have truncated
+	// past From.
+	ApplySnapshot func(seq uint64, records [][]byte) error
 	// Logf receives protocol diagnostics. May be nil.
 	Logf func(format string, args ...any)
 }
@@ -284,66 +280,31 @@ func DialFollower(addr string, opts FollowerOptions) (*Follower, error) {
 	return f, nil
 }
 
-// Frame applies one shipped message; an error ends the stream with it.
+// Frame applies one shipped message; an error ends the stream with it. A
+// records or base frame that fails the log's own checks is ErrCorrupt.
 func (f *Follower) Frame(kind byte, body []byte) error {
+	seq, n := binary.Uvarint(body)
+	apply, seal := f.opts.ApplyBatch, []byte(nil)
 	switch kind {
-	case codec.FrameShipRecords:
-		first, records, err := decodeRecords(body)
-		if err != nil {
-			return err
-		}
-		if err := f.opts.ApplyBatch(first, records); err != nil {
-			return fmt.Errorf("apply %d: %w", first, err)
-		}
-	case codec.FrameShipSnapshot:
-		seq, n := binary.Uvarint(body)
-		if n <= 0 {
-			return errors.New("malformed snapshot frame")
-		}
-		if f.opts.ApplySnapshot == nil {
-			return errors.New("unexpected snapshot (no ApplySnapshot)")
-		}
-		if err := f.opts.ApplySnapshot(seq, body[n:]); err != nil {
-			return fmt.Errorf("install snapshot %d: %w", seq, err)
-		}
 	case codec.FrameShipError:
 		return fmt.Errorf("primary refused: %s", body)
+	case codec.FrameShipSnapshot:
+		apply, seal = f.opts.ApplySnapshot, baseSeal(seq)
+	case codec.FrameShipRecords:
 	default:
 		return fmt.Errorf("unknown frame kind %d", kind)
 	}
+	if n <= 0 || apply == nil {
+		return fmt.Errorf("malformed or unexpected frame of kind %d", kind)
+	}
+	records, err := readBatch(body[n:], seal)
+	if err == nil {
+		err = apply(seq, records)
+	}
+	if err != nil {
+		return fmt.Errorf("apply %d: %w", seq, err)
+	}
 	return nil
-}
-
-// appendRecords appends a records frame body: first, count, then each
-// record behind its length.
-func appendRecords(body []byte, first uint64, records [][]byte) []byte {
-	body = binary.AppendUvarint(body, first)
-	body = binary.AppendUvarint(body, uint64(len(records)))
-	for _, rec := range records {
-		body = binary.AppendUvarint(body, uint64(len(rec)))
-		body = append(body, rec...)
-	}
-	return body
-}
-
-// decodeRecords splits a records frame body. The records alias body.
-func decodeRecords(body []byte) (first uint64, records [][]byte, err error) {
-	first, n := binary.Uvarint(body)
-	count, m := binary.Uvarint(body[max(n, 0):])
-	if n <= 0 || m <= 0 || count > uint64(len(body)) {
-		return 0, nil, errors.New("malformed records frame")
-	}
-	body = body[n+m:]
-	records = make([][]byte, 0, count)
-	for range count {
-		size, n := binary.Uvarint(body)
-		if n <= 0 || size > uint64(len(body)-n) {
-			return 0, nil, errors.New("malformed records frame")
-		}
-		records = append(records, body[n:n+int(size)])
-		body = body[n+int(size):]
-	}
-	return first, records, nil
 }
 
 // Closed records why the stream ended and releases Run.

@@ -9,10 +9,11 @@
 //
 // On-disk layout of a directory managed by this package:
 //
+//	snap-00000000000000000040.snap the base: the state of records 1..39
 //	wal-00000000000000000001.log   records 1..n
 //	wal-00000000000000000042.log   records 42..m
 //
-// Each segment file is a sequence of frames:
+// Each segment file, and the base, is a sequence of frames:
 //
 //	uint32 little-endian length | uint32 little-endian CRC-32 (IEEE) of data | data
 //
@@ -26,9 +27,14 @@
 // Sequence numbers are implicit: the first record of a segment has the
 // sequence encoded in the file name, and records are dense within and
 // across segments.
+//
+// A base (Compact) is one batch: a store image's records, then a seal — the
+// sequence in its name, 8 bytes little-endian — that closes it, so an empty,
+// torn or cut base fails the walk that checks segments.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,7 +44,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,9 +53,11 @@ import (
 )
 
 const (
-	segPrefix = "wal-"
-	segSuffix = ".log"
-	headerLen = 8 // length + crc
+	segPrefix  = "wal-"
+	segSuffix  = ".log"
+	basePrefix = "snap-"
+	baseSuffix = ".snap"
+	headerLen  = 8 // length + crc
 
 	// batchFlag marks a frame whose batch continues in the next frame.
 	batchFlag    uint32 = 1 << 31
@@ -108,6 +115,7 @@ type Log struct {
 	size    int64  // bytes written to current segment
 	nextSeq uint64 // sequence the next Append will get
 	segs    []uint64
+	base    uint64 // sequence of the base the log starts from (0 = none)
 	syncs   uint64 // fsyncs issued by appends (group-commit metric)
 	closed  bool
 
@@ -116,14 +124,15 @@ type Log struct {
 	// next commit closes and clears it. A log nobody follows never pays
 	// for one.
 	commitC chan struct{}
-	// retain is the lowest sequence TruncateBefore must keep on disk
+	// retain is the lowest sequence Compact must keep on disk
 	// (0 = unconstrained). The shipper pins it to its slowest follower's
 	// cursor so snapshots cannot truncate records a standby still needs.
 	retain uint64
 }
 
 // Open opens (creating if necessary) the log in dir. It scans existing
-// segments, verifies the tail, and truncates any torn final record.
+// segments, verifies the tail, truncates any torn final record, and settles
+// the base (openBase).
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
@@ -131,9 +140,13 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
+	// Before snapshots were framed, a store kept them as JSON beside its log.
+	if old, _ := filepath.Glob(filepath.Join(filepath.Dir(dir), basePrefix+"*"+baseSuffix)); len(old) > 0 {
+		return nil, fmt.Errorf("wal: %s is a JSON snapshot: this build reads only framed snapshots, in the log's directory", old[0])
+	}
 	l := &Log{dir: dir, opts: opts, nextSeq: 1}
 	if err := l.scan(); err != nil {
-		return nil, err
+		return nil, errors.Join(err, l.Close())
 	}
 	return l, nil
 }
@@ -142,32 +155,34 @@ func segName(first uint64) string {
 	return fmt.Sprintf("%s%020d%s", segPrefix, first, segSuffix)
 }
 
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-		return 0, false
-	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
-	n, err := strconv.ParseUint(mid, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+func baseName(seq uint64) string {
+	return fmt.Sprintf("%s%020d%s", basePrefix, seq, baseSuffix)
 }
 
-// scan discovers segments, checks every closed segment, repairs the tail
-// segment, and positions the writer after the last valid record.
+func parseName(name, prefix, suffix string) (uint64, bool) {
+	mid, hasPrefix := strings.CutPrefix(name, prefix)
+	mid, hasSuffix := strings.CutSuffix(mid, suffix)
+	n, err := strconv.ParseUint(mid, 10, 64)
+	return n, hasPrefix && hasSuffix && err == nil
+}
+
+// scan discovers segments and bases, checks every closed segment, repairs
+// the tail segment, and positions the writer after the last valid record.
 func (l *Log) scan() error {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.segs = l.segs[:0]
+	var bases []uint64
 	for _, e := range entries {
-		if first, ok := parseSegName(e.Name()); ok {
+		if first, ok := parseName(e.Name(), segPrefix, segSuffix); ok {
 			l.segs = append(l.segs, first)
+		} else if seq, ok := parseName(e.Name(), basePrefix, baseSuffix); ok {
+			bases = append(bases, seq)
 		}
 	}
-	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i] < l.segs[j] })
+	slices.Sort(l.segs)
+	slices.Sort(bases)
 	var seg []byte
 	for i, first := range l.segs {
 		path := filepath.Join(l.dir, segName(first))
@@ -196,12 +211,49 @@ func (l *Log) scan() error {
 		l.size = int64(valid)
 		l.nextSeq = first + n
 	}
+	return l.openBase(bases, seg)
+}
+
+// openBase settles the base the log starts from: the newest that reads back
+// sealed with its name's sequence. A log that begins past it — at its oldest
+// segment or, with none left, where its newest base is named — has lost the
+// records between, and is refused naming the newest base it could not read.
+// A base past the log's end is a compaction (a standby's bootstrap) that
+// crashed before removing the segments it supersedes; openBase finishes it.
+func (l *Log) openBase(bases []uint64, buf []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	unreadable := "no base holds them"
+	for i := len(bases) - 1; i >= 0 && l.base == 0; i-- {
+		path := filepath.Join(l.dir, baseName(bases[i]))
+		var err error
+		if buf, err = readSegment(path, buf); err == nil {
+			_, err = readBatch(buf, baseSeal(bases[i]))
+		}
+		if err == nil {
+			l.base = bases[i]
+		} else if i == len(bases)-1 {
+			unreadable = fmt.Sprintf("%s is unreadable (%v)", path, err)
+		}
+	}
+	from, oldest := max(l.base, 1), l.nextSeq
+	if len(l.segs) > 0 {
+		oldest = l.segs[0]
+	} else if len(bases) > 0 {
+		oldest = max(oldest, bases[len(bases)-1])
+	}
+	if oldest > from {
+		return fmt.Errorf("%w: records %d to %d are lost: the log begins at %d, and %s", ErrCorrupt, from, oldest-1, oldest, unreadable)
+	}
+	if l.base > l.nextSeq {
+		return l.startAtLocked(l.base)
+	}
 	return nil
 }
 
-// readSegment reads the whole segment at path into buf, grown to its size,
-// with one read. Segments are about the same size — the rotation threshold
-// plus one batch's overshoot — so one buffer serves a whole pass.
+// readSegment reads the whole segment (or base) at path into buf, grown to
+// its size, with one read. Segments are about the same size — the rotation
+// threshold plus one batch's overshoot — so one buffer serves a whole pass.
 func readSegment(path string, buf []byte) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -226,13 +278,14 @@ type badFrame string
 func (b badFrame) Error() string { return string(b) }
 
 // walk is the one frame reader: Open counts and checks a segment with it,
-// Replay and ReplayBatches (so the shipper too) read records with it. It
-// checks the frames of seg, a whole segment (readSegment), in order and
-// stops after limit records. fn, when non-nil, sees each frame once its
-// checksum holds (more: its batch continues in the next frame); data is a
-// subslice of seg capped at its length, not a copy: the store's replay
-// copies in image.apply, the shipper in appendRecords, and Replay gives each
-// segment a buffer of its own so a caller may keep a Record. walk returns
+// Replay and ReplayBatches (so the shipper too) read records with it, and
+// readBatch checks a base or a shipped batch with it. It checks the frames
+// of seg, a whole file (readSegment) or frame body, in order and stops after
+// limit records. fn, when non-nil, sees each frame once its checksum holds
+// (more: its batch continues in the next frame); data is a subslice of seg
+// capped at its length, not a copy: the store's replay copies in
+// image.apply, the shipper re-frames into its send buffer, and Replay gives
+// each segment a buffer of its own so a caller may keep a Record. walk returns
 // the committed records it passed (a record commits with the intact frame
 // that closes its batch) and the offset just past the last. A short header
 // or body, a checksum mismatch, or a batch still open where the walk ends
@@ -287,6 +340,46 @@ func segmentErr(path string, err error, n, want uint64) error {
 	return err
 }
 
+// readBatch returns the records of data, which must be whole frames with
+// sound checksums ending a batch, or it is ErrCorrupt. With a seal (a base),
+// the last record must be that seal, and is dropped. Records alias data.
+func readBatch(data, seal []byte) ([][]byte, error) {
+	var records [][]byte
+	_, _, err := walk(data, math.MaxUint64, func(rec []byte, _ bool) error {
+		records = append(records, rec)
+		return nil
+	})
+	last := len(records) - 1
+	if err == nil && (last < 0 || seal != nil && !bytes.Equal(records[last], seal)) {
+		err = badFrame("empty or unsealed")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if seal != nil {
+		records = records[:last]
+	}
+	return records, nil
+}
+
+// baseSeal is the last record of the base at seq.
+func baseSeal(seq uint64) []byte { return binary.LittleEndian.AppendUint64(nil, seq) }
+
+// appendFrames appends records to buf as frames of one batch: all but the
+// last carry the batch flag, and the last too when more is set.
+func appendFrames(buf []byte, records [][]byte, more bool) []byte {
+	for i, data := range records {
+		length := uint32(len(data))
+		if more || i < len(records)-1 {
+			length |= batchFlag
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, length)
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(data))
+		buf = append(buf, data...)
+	}
+	return buf
+}
+
 // NextSeq returns the sequence number the next Append will receive.
 func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()
@@ -326,26 +419,14 @@ func (l *Log) AppendBatch(records [][]byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	total := 0
 	for _, data := range records {
 		if len(data) > maxRecordLen {
 			return 0, fmt.Errorf("wal: record of %d bytes exceeds maximum", len(data))
 		}
-		total += headerLen + len(data)
 	}
 	bufp := framePool.Get().(*[]byte)
-	buf := (*bufp)[:0]
-	var hdr [headerLen]byte
-	for i, data := range records {
-		length := uint32(len(data))
-		if i < len(records)-1 {
-			length |= batchFlag
-		}
-		binary.LittleEndian.PutUint32(hdr[0:4], length)
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(data))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, data...)
-	}
+	buf := appendFrames((*bufp)[:0], records, false)
+	total := len(buf)
 	_, err := l.file.Write(buf)
 	// Return the buffer before the error check (no defer: the closure
 	// would allocate on every append) — nothing below reads it.
@@ -392,7 +473,8 @@ func (l *Log) Syncs() uint64 {
 }
 
 // rotateLocked closes the current segment and opens a new one whose name
-// carries the next sequence number.
+// carries the next sequence number. The new name is synced into the
+// directory before the first append to it can be acknowledged.
 func (l *Log) rotateLocked() error {
 	if l.file != nil {
 		if err := l.file.Close(); err != nil {
@@ -407,6 +489,22 @@ func (l *Log) rotateLocked() error {
 	l.file = f
 	l.size = 0
 	l.segs = append(l.segs, l.nextSeq)
+	return l.syncDir()
+}
+
+// syncDir makes the directory's entries — files created, renamed, removed —
+// durable. NoSync skips it, as it skips append fsyncs.
+func (l *Log) syncDir() error {
+	if l.opts.NoSync {
+		return nil
+	}
+	d, err := os.Open(l.dir)
+	if err == nil {
+		err = errors.Join(d.Sync(), d.Close())
+	}
+	if err != nil {
+		return fmt.Errorf("wal: syncing %s: %w", l.dir, err)
+	}
 	return nil
 }
 
@@ -459,7 +557,8 @@ func (l *Log) replayFlagged(from uint64, reuse bool, fn func(r Record, more bool
 }
 
 // notifyLocked wakes every WaitCommitted caller. Called with l.mu held
-// whenever the committed frontier moves (append, reset) or the log closes.
+// whenever the committed frontier moves (append, compaction past it) or the
+// log closes.
 func (l *Log) notifyLocked() {
 	if l.commitC != nil {
 		close(l.commitC)
@@ -495,7 +594,7 @@ func (l *Log) WaitCommitted(after uint64, stop <-chan struct{}) (uint64, bool) {
 // OldestSeq returns the sequence of the oldest record still on disk (the
 // first record of the first segment), or the next append sequence when the
 // log holds no segments. A follower whose cursor is below it must be
-// bootstrapped from a snapshot instead of replayed.
+// bootstrapped from the base instead of replayed.
 func (l *Log) OldestSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -505,41 +604,14 @@ func (l *Log) OldestSeq() uint64 {
 	return l.segs[0]
 }
 
-// SetRetainFloor pins records with sequence ≥ seq on disk: TruncateBefore
-// will not remove a segment containing them even after a snapshot
-// supersedes them. Zero clears the pin. The shipper holds the floor at its
-// slowest follower's cursor.
+// SetRetainFloor pins records with sequence ≥ seq on disk: Compact will
+// not remove a segment containing them even after a base supersedes them.
+// Zero clears the pin. The shipper holds the floor at its slowest
+// follower's cursor.
 func (l *Log) SetRetainFloor(seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.retain = seq
-}
-
-// Reset discards every segment and positions the log so the next append
-// receives seq. A standby installs a bootstrap snapshot covering records
-// < seq and resets its log to continue from the primary's stream.
-func (l *Log) Reset(seq uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("wal: log closed")
-	}
-	if l.file != nil {
-		if err := l.file.Close(); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		l.file = nil
-	}
-	for _, first := range l.segs {
-		if err := os.Remove(filepath.Join(l.dir, segName(first))); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-	}
-	l.segs = nil
-	l.size = 0
-	l.nextSeq = seq
-	l.notifyLocked()
-	return nil
 }
 
 // ReplayBatches calls fn once per committed batch whose first record has
@@ -568,32 +640,110 @@ func (l *Log) ReplayBatches(from uint64, fn func(first uint64, records [][]byte)
 	})
 }
 
-// TruncateBefore removes whole segments all of whose records have sequence
-// < seq. It is called after a snapshot makes old records unnecessary. The
-// segment containing seq (and the active tail) are always kept, as is any
-// segment holding records at or above the retain floor.
-func (l *Log) TruncateBefore(seq uint64) error {
+// Compact makes records — a store image holding the effect of every record
+// below seq — the log's base, and removes what it supersedes. It serves a
+// primary's snapshot and a standby taking its primary's base alike, in the
+// order a power loss needs:
+//
+//  1. the base is written to a temporary file, synced, renamed to
+//     snap-<seq>.snap, and the directory synced;
+//  2. a log that ends before seq (a standby's) moves to seq;
+//  3. segments wholly below seq — or below the retain floor, if that is
+//     lower — and older bases are removed (the active segment stays);
+//  4. the directory is synced again.
+func (l *Log) Compact(seq uint64, records [][]byte) error {
+	size := headerLen * (len(records) + 2)
+	for _, r := range records {
+		size += len(r)
+	}
+	data := appendFrames(appendFrames(slices.Grow([]byte(nil), size), records, true), [][]byte{baseSeal(seq)}, false)
+	f, err := os.CreateTemp(l.dir, baseName(seq)+".*.tmp")
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil && !l.opts.NoSync {
+		err = f.Sync()
+	}
+	if err = errors.Join(err, f.Close()); err == nil {
+		err = os.Rename(f.Name(), filepath.Join(l.dir, baseName(seq)))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("wal: writing base: %w", err)
+	}
+	if err := l.syncDir(); err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.retain != 0 && l.retain < seq {
-		seq = l.retain
+	if l.closed {
+		return errors.New("wal: log closed")
 	}
-	var kept []uint64
-	for i, first := range l.segs {
-		// A segment is removable if the *next* segment starts at or
-		// before seq (so every record here is < seq) and it is not
-		// the active tail.
-		removable := i+1 < len(l.segs) && l.segs[i+1] <= seq
-		if removable {
-			if err := os.Remove(filepath.Join(l.dir, segName(first))); err != nil {
+	return l.startAtLocked(seq)
+}
+
+// startAtLocked is Compact's steps 2–4, once the base at seq is durable.
+func (l *Log) startAtLocked(seq uint64) error {
+	keep := seq
+	if l.retain != 0 && l.retain < seq {
+		keep = l.retain
+	}
+	if seq > l.nextSeq { // every record this log holds is below the base
+		if l.file != nil {
+			if err := l.file.Close(); err != nil {
 				return fmt.Errorf("wal: %w", err)
 			}
-			continue
+			l.file = nil
 		}
-		kept = append(kept, first)
+		l.nextSeq, l.size, keep = seq, 0, seq
+		l.notifyLocked()
 	}
-	l.segs = kept
-	return nil
+	l.base = max(l.base, seq)
+	// A segment is wholly below keep once its successor starts there; the
+	// last one, only once the log has moved past it and closed its file.
+	for len(l.segs) > 1 && l.segs[1] <= keep || len(l.segs) == 1 && l.file == nil && l.nextSeq <= keep {
+		if err := os.Remove(filepath.Join(l.dir, segName(l.segs[0]))); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		l.segs = l.segs[1:]
+	}
+	entries, err := os.ReadDir(l.dir)
+	for _, e := range entries {
+		if old, ok := parseName(e.Name(), basePrefix, baseSuffix); ok && old < seq && err == nil {
+			err = os.Remove(filepath.Join(l.dir, e.Name()))
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return l.syncDir()
+}
+
+// ReplayBase calls fn with the records of the base the log starts from and
+// returns its sequence, the first record replay goes on from; with no base
+// it returns 0 without calling fn. The records are valid only during fn.
+func (l *Log) ReplayBase(fn func(records [][]byte) error) (uint64, error) {
+	seq, data, err := l.baseBytes()
+	if err == nil && seq != 0 {
+		var records [][]byte
+		if records, err = readBatch(data, baseSeal(seq)); err == nil {
+			err = fn(records)
+		}
+	}
+	return seq, err
+}
+
+// baseBytes reads the base the log starts from: its sequence (0 = none) and
+// its file's bytes, under the lock so no compaction removes it mid-read.
+func (l *Log) baseBytes() (uint64, []byte, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.base == 0 {
+		return 0, nil, nil
+	}
+	data, err := readSegment(filepath.Join(l.dir, baseName(l.base)), nil)
+	return l.base, data, err
 }
 
 // Segments returns the starting sequence numbers of the live segment files.
@@ -601,19 +751,6 @@ func (l *Log) Segments() []uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]uint64(nil), l.segs...)
-}
-
-// Sync flushes the active segment to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.file == nil {
-		return nil
-	}
-	if err := l.file.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
 }
 
 // Close syncs and closes the log. The log must not be used afterwards.

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"bioopera/internal/codec"
 )
 
 func openT(t *testing.T, dir string, opts Options) *Log {
@@ -203,6 +205,8 @@ func TestInteriorCorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestTruncateBefore: Compact removes the segments wholly below its base's
+// sequence and keeps the rest replayable and appendable.
 func TestTruncateBefore(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{SegmentSize: 40})
@@ -213,12 +217,12 @@ func TestTruncateBefore(t *testing.T) {
 	if before < 4 {
 		t.Fatalf("want several segments, got %d", before)
 	}
-	if err := l.TruncateBefore(15); err != nil {
+	if err := l.Compact(15, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := len(l.Segments())
 	if after >= before {
-		t.Fatalf("TruncateBefore removed nothing (%d -> %d)", before, after)
+		t.Fatalf("Compact removed nothing (%d -> %d)", before, after)
 	}
 	// Records ≥ 15 still replayable.
 	recs := collect(t, l, 15)
@@ -612,5 +616,41 @@ func TestAppendAllocs(t *testing.T) {
 		}
 	}); got > 1 {
 		t.Errorf("AppendBatch(4) = %.1f allocs/op, want <= 1", got)
+	}
+}
+
+// TestFollowerRefusesCorruptFrames: a shipped record carries its WAL checksum
+// over the wire, in a records frame and in a base alike, so a byte flipped
+// on the way stops the follower with ErrCorrupt before anything is applied.
+func TestFollowerRefusesCorruptFrames(t *testing.T) {
+	var applied []string
+	f := &Follower{opts: FollowerOptions{
+		ApplyBatch: func(first uint64, records [][]byte) error {
+			applied = append(applied, fmt.Sprintf("batch %d: %q", first, records))
+			return nil
+		},
+		ApplySnapshot: func(seq uint64, records [][]byte) error {
+			applied = append(applied, fmt.Sprintf("base %d: %q", seq, records))
+			return nil
+		},
+	}}
+	records := [][]byte{[]byte("alpha"), []byte("beta")}
+	for _, c := range []struct {
+		kind byte
+		body []byte
+		want string
+	}{
+		{codec.FrameShipRecords, appendFrames([]byte{7}, records, false), `batch 7: ["alpha" "beta"]`},
+		{codec.FrameShipSnapshot, append([]byte{7}, sealedBase(t, records, 7)...), `base 7: ["alpha" "beta"]`},
+	} {
+		applied = nil
+		if err := f.Frame(c.kind, c.body); err != nil || len(applied) != 1 || applied[0] != c.want {
+			t.Fatalf("kind %d: Frame = %v, applied %q, want %q", c.kind, err, applied, c.want)
+		}
+		applied = nil
+		c.body[1+headerLen] ^= 0x20 // the first record's first byte, after the uvarint 7
+		if err := f.Frame(c.kind, c.body); !errors.Is(err, ErrCorrupt) || len(applied) != 0 {
+			t.Fatalf("kind %d with a flipped byte: Frame = %v, applied %q; want ErrCorrupt and nothing", c.kind, err, applied)
+		}
 	}
 }

@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -769,19 +768,19 @@ func cmdHistory(args []string) error {
 		}
 		fmt.Println("event journal:")
 		return st.Events(from, func(e store.Event) error {
-			var ev core.Event
-			if json.Unmarshal(e.Data, &ev) != nil {
+			ev, err := core.DecodeEvent(e.Data)
+			if err != nil {
 				// Shown under -instance too: it may be one of that
 				// instance's, and a damaged journal must not pass unseen.
-				fmt.Printf("  %6d undecodable record (%d bytes)\n", e.Seq, len(e.Data))
+				fmt.Printf("  %6d undecodable record (%d bytes): %v\n", e.Seq, len(e.Data), err)
 				return nil
 			}
 			if *instance != "" && ev.Instance != *instance {
 				return nil
 			}
-			fmt.Printf("  %6d %12s %-20s %s %s %s %s\n",
+			fmt.Printf("  %6d %12s %-20s %s %s %s %s %s\n",
 				e.Seq, time.Duration(ev.At).Round(time.Millisecond), ev.Kind,
-				ev.Instance, ev.Scope, ev.Task, ev.Detail)
+				ev.Instance, ev.Scope, ev.Task, ev.Node, ev.Detail)
 			return nil
 		})
 	}

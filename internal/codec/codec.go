@@ -92,7 +92,7 @@ func (e *Encoder) Begin(kind byte) {
 	} else {
 		clear(e.strs)
 	}
-	e.Buf = append(e.Buf, Magic, Version, kind)
+	e.Buf = AppendHeader(e.Buf, kind)
 }
 
 // End finishes the current record and returns its index for Span.
@@ -122,9 +122,7 @@ func (e *Encoder) Uvarint(u uint64) {
 }
 
 // Int appends a signed int as a zigzag varint.
-func (e *Encoder) Int(v int64) {
-	e.Buf = binary.AppendUvarint(e.Buf, uint64(v<<1)^uint64(v>>63))
-}
+func (e *Encoder) Int(v int64) { e.Buf = AppendInt(e.Buf, v) }
 
 // Bool appends one byte.
 func (e *Encoder) Bool(b bool) {
@@ -149,8 +147,25 @@ func (e *Encoder) String(s string) {
 		return
 	}
 	e.strs[s] = uint64(len(e.strs))
-	e.Uvarint(uint64(len(s)) << 1)
-	e.Buf = append(e.Buf, s...)
+	e.Buf = AppendString(e.Buf, s)
+}
+
+// AppendHeader, AppendInt and AppendString write a record of flat fields
+// straight into a caller's buffer, without an Encoder: a record the caller
+// owns, with no Begin/End marks and no intern table. AppendHeader starts a
+// record of the given kind.
+func AppendHeader(buf []byte, kind byte) []byte { return append(buf, Magic, Version, kind) }
+
+// AppendInt appends a signed int as a zigzag varint, as Encoder.Int does.
+func AppendInt(buf []byte, v int64) []byte {
+	return binary.AppendUvarint(buf, uint64(v<<1)^uint64(v>>63))
+}
+
+// AppendString appends s as a literal string, which Decoder.String reads
+// like any literal Encoder.String writes.
+func AppendString(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s))<<1)
+	return append(buf, s...)
 }
 
 // Bytes appends a length-prefixed byte string (not interned).

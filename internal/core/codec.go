@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -8,15 +9,17 @@ import (
 	"sync"
 	"time"
 
+	"bioopera/internal/cluster"
 	"bioopera/internal/codec"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
 )
 
-// Binary encoders/decoders for the four persist-record families (DESIGN.md
-// §12). persist encodes live state through these under the shard lock and
-// recovery decodes through them; there is no other record format. Interned
-// proc/ records are raw process text and stay format-free.
+// Binary encoders/decoders for the four persist-record families and the
+// event journal's record (DESIGN.md §12). persist encodes live state through
+// these under the shard lock and recovery decodes through them; there is no
+// other record format. Interned proc/ records are raw process text and stay
+// format-free.
 //
 // An instance record is InstanceMeta and a task record is taskState: the
 // record and the live struct are one declaration. The two scope families
@@ -32,6 +35,7 @@ const (
 	recCreate byte = 2 // scopec/<id>/<scope>
 	recDyn    byte = 3 // scoped/<id>/<scope>
 	recTask   byte = 4 // task/<id>/<scope>/<task>
+	recEvent  byte = 5 // a journal record: one Event
 )
 
 // scopeCreateDTO is the immutable part of a scope, written exactly once.
@@ -265,6 +269,96 @@ func decodeTaskRecord(data []byte, ts *taskState) error {
 	ts.Results = d.ValueSlice()
 	ts.OverElems = d.ValueSlice()
 	return finish(d)
+}
+
+// evLoadReport is the kind of the sim driver's load-report journal records.
+const evLoadReport EventKind = "load-report"
+
+// eventCodes is the event record's kind-code table: code i stands for kind
+// eventCodes[i]. The table is part of the on-disk format (DESIGN.md §12):
+// a new kind is appended; a code is never reordered, removed or reused.
+// Code 0 says the kind follows as a literal string, so a kind the table
+// does not know still round-trips.
+var eventCodes = [...]EventKind{
+	"",
+	EvInstanceStarted, EvInstanceDone, EvInstanceFailed, EvInstanceSuspended,
+	EvInstanceResumed, EvTaskReady, EvTaskDispatched, EvTaskEnded,
+	EvTaskFailed, EvTaskRetried, EvTaskTimeout, EvTaskDead,
+	EvServerRecovered, EvSphereAborted, EvUndoRun, EvUndoFailed,
+	EvTaskAwaiting, EvSignal, EvPersistError, EvNodeJoined, EvNodeDown,
+	EvTaskUnplaceable,
+	"cluster-node-down", "cluster-node-up", "cluster-cpu-change", "cluster-load-change",
+	"cluster-job-start", "cluster-job-end", "cluster-job-fail",
+	evLoadReport,
+}
+
+// codeClusterEvent is the code of cluster.EvNodeDown's kind; the other
+// cluster.EventTypes follow it in order.
+const codeClusterEvent = 23
+
+// allEventKinds are the engine's own kinds, each with a pre-registered
+// counter so the emit path never takes the vec's slow path.
+var allEventKinds = eventCodes[1:codeClusterEvent]
+
+// eventCodeOf inverts eventCodes; a kind it lacks is written with code 0.
+var eventCodeOf = func() map[EventKind]uint64 {
+	m := make(map[EventKind]uint64, len(eventCodes)-1)
+	for code, k := range eventCodes[1:] {
+		m[k] = uint64(code + 1)
+	}
+	return m
+}()
+
+// clusterEventKind is the journal kind of an infrastructure event,
+// "cluster-" + t.String(), taken from the code table for every type it has.
+func clusterEventKind(t cluster.EventType) EventKind {
+	if t <= cluster.EvJobFail {
+		return eventCodes[codeClusterEvent+int(t)]
+	}
+	return EventKind("cluster-" + t.String())
+}
+
+// appendEvent appends ev's journal record to buf: At, the kind's code (and,
+// for code 0, the kind), then Instance, Scope, Task, Node and Detail.
+func appendEvent(buf []byte, ev *Event) []byte {
+	buf = codec.AppendHeader(buf, recEvent)
+	buf = codec.AppendInt(buf, int64(ev.At))
+	code := eventCodeOf[ev.Kind]
+	buf = binary.AppendUvarint(buf, code)
+	if code == 0 {
+		buf = codec.AppendString(buf, string(ev.Kind))
+	}
+	for _, s := range [...]string{ev.Instance, ev.Scope, ev.Task, ev.Node, ev.Detail} {
+		buf = codec.AppendString(buf, s)
+	}
+	return buf
+}
+
+// DecodeEvent decodes a journal record; every error wraps codec.ErrCorrupt.
+func DecodeEvent(data []byte) (Event, error) {
+	d, err := header(data, recEvent, "an event")
+	if err != nil {
+		return Event{}, err
+	}
+	ev := Event{At: sim.Time(d.Int())}
+	code := d.Uvarint()
+	if code == 0 {
+		ev.Kind = EventKind(d.String())
+	} else if code < uint64(len(eventCodes)) {
+		ev.Kind = eventCodes[code]
+	}
+	ev.Instance = d.String()
+	ev.Scope = d.String()
+	ev.Task = d.String()
+	ev.Node = d.String()
+	ev.Detail = d.String()
+	if err := finish(d); err != nil {
+		return Event{}, err
+	}
+	if code >= uint64(len(eventCodes)) {
+		return Event{}, fmt.Errorf("%w: unknown event kind code %d", codec.ErrCorrupt, code)
+	}
+	return ev, nil
 }
 
 // FormatRecord renders one instance/history-space store record for a human:

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"bioopera/internal/cluster"
 	"bioopera/internal/obs"
@@ -167,9 +165,9 @@ type Options struct {
 	// pre-resolved at New, so the enabled hot-path cost is a few atomic
 	// adds; nil disables instrumentation entirely.
 	Metrics *obs.Registry
-	// EventRing, when non-nil, receives every emitted event's serialized
-	// JSON for live tailing (the monitor's /api/events). Publishing never
-	// blocks, so a stalled subscriber cannot slow emit.
+	// EventRing, when non-nil, receives every emitted Event for live
+	// tailing (the monitor's /api/events renders them as JSON). Publishing
+	// never blocks, so a stalled subscriber cannot slow emit.
 	EventRing *obs.Ring
 	// Owns, when non-nil, partitions instance ownership across federated
 	// engines sharing one store: every mutating entry point (StartProcess
@@ -373,111 +371,32 @@ func (e *Engine) now() sim.Time { return e.opts.Clock.Now() }
 func (e *Engine) emit(in *Instance, ev Event) {
 	ev.At = e.now()
 	evs := &in.turnWrites().events
-	start := len(evs.buf)
-	evs.buf = appendEventJSON(evs.buf, &ev)
+	evs.buf = appendEvent(evs.buf, &ev)
 	evs.ends = append(evs.ends, len(evs.buf))
-	var data []byte
-	if e.opts.EventRing != nil {
-		// The ring keeps what it is handed; the turn's buffer is recycled.
-		data = append(data, evs.buf[start:]...)
-	}
-	e.publish(ev, data)
+	e.publish(ev)
 }
 
 // emitNow raises an event outside any navigation turn — no shard is held, so
 // there is no write set to join and the journal record commits on its own.
 func (e *Engine) emitNow(ev Event) {
 	ev.At = e.now()
-	data := appendEventJSON(nil, &ev)
-	if _, err := e.opts.Store.AppendEvent(data); err != nil && e.opts.OnError != nil {
+	if _, err := e.opts.Store.AppendEvent(appendEvent(nil, &ev)); err != nil && e.opts.OnError != nil {
 		e.opts.OnError(fmt.Errorf("core: append event %s: %w", ev.Kind, err))
 	}
-	e.publish(ev, data)
+	e.publish(ev)
 }
 
-// publish shows an event to the live observers. The ring shares data, the
-// event's JSON text; Publish never blocks, so a stalled monitor client cannot
-// slow navigation.
-func (e *Engine) publish(ev Event, data []byte) {
-	e.opts.EventRing.Publish(data)
+// publish shows an event to the live observers. The ring keeps the event
+// itself, rendered as JSON only when /api/events is read; Publish never
+// blocks, so a stalled monitor client cannot slow navigation.
+func (e *Engine) publish(ev Event) {
+	if e.opts.EventRing != nil {
+		e.opts.EventRing.Publish(ev)
+	}
 	e.metrics.event(ev.Kind)
 	if e.opts.OnEvent != nil {
 		e.opts.OnEvent(ev)
 	}
-}
-
-// appendEventJSON appends ev's journal record to buf: the bytes
-// json.Marshal(ev) produces (FuzzEventJSON holds the two equal), without the
-// reflection walk and its allocations.
-func appendEventJSON(buf []byte, ev *Event) []byte {
-	buf = append(buf, `{"at":`...)
-	buf = strconv.AppendInt(buf, int64(ev.At), 10)
-	buf = append(buf, `,"kind":`...)
-	buf = appendJSONString(buf, string(ev.Kind))
-	for _, f := range [...]struct{ key, val string }{
-		{`,"instance":`, ev.Instance},
-		{`,"scope":`, ev.Scope},
-		{`,"task":`, ev.Task},
-		{`,"node":`, ev.Node},
-		{`,"detail":`, ev.Detail},
-	} {
-		if f.val != "" {
-			buf = append(buf, f.key...)
-			buf = appendJSONString(buf, f.val)
-		}
-	}
-	return append(buf, '}')
-}
-
-// appendJSONString appends s as encoding/json quotes a string: HTML-safe
-// (<, > and & escaped), U+2028/U+2029 escaped, invalid UTF-8 replaced by
-// U+FFFD.
-func appendJSONString(buf []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			buf = append(buf, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				buf = append(buf, '\\', b)
-			case '\b':
-				buf = append(buf, '\\', 'b')
-			case '\f':
-				buf = append(buf, '\\', 'f')
-			case '\n':
-				buf = append(buf, '\\', 'n')
-			case '\r':
-				buf = append(buf, '\\', 'r')
-			case '\t':
-				buf = append(buf, '\\', 't')
-			default:
-				buf = append(buf, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, `\ufffd`...)
-			start = i + size
-		case c == '\u2028' || c == '\u2029':
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, '\\', 'u', '2', '0', '2', hex[c&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
 }
 
 // EmitInfra publishes an infrastructure event (worker joined or lost, load

@@ -823,7 +823,11 @@ func TestEngineEventsPersisted(t *testing.T) {
 	finished(t, rt, id)
 	var kinds []string
 	rt.Store.Events(1, func(e store.Event) error {
-		kinds = append(kinds, string(e.Data))
+		ev, err := DecodeEvent(e.Data)
+		if err != nil {
+			t.Fatalf("journal record %d: %v", e.Seq, err)
+		}
+		kinds = append(kinds, string(ev.Kind))
 		return nil
 	})
 	joined := strings.Join(kinds, "\n")

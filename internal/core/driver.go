@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"time"
 
@@ -24,43 +23,6 @@ type SimRuntime struct {
 	monitors map[string]*cluster.AdaptiveMonitor
 	reported map[string]float64
 	rec      []byte // the journal record being appended; the sim is one goroutine and the store copies
-}
-
-// appendClusterEventJSON appends the journal record of an infrastructure
-// event: the bytes json.Marshal gives the map {at, detail, kind, node} — keys
-// sorted, every field present — without the boxed map and the reflection walk.
-func appendClusterEventJSON(buf []byte, ev cluster.Event) []byte {
-	buf = append(buf, `{"at":`...)
-	buf = strconv.AppendInt(buf, int64(ev.At), 10)
-	buf = append(buf, `,"detail":`...)
-	buf = appendJSONString(buf, ev.Detail)
-	buf = append(buf, `,"kind":`...)
-	buf = appendJSONString(buf, "cluster-"+ev.Type.String())
-	buf = append(buf, `,"node":`...)
-	buf = appendJSONString(buf, ev.Node)
-	return append(buf, '}')
-}
-
-// appendLoadReportJSON appends the journal record of a monitor's load report,
-// as json.Marshal writes the map {at, kind, load, node}. The float follows
-// encoding/json: shortest digits, exponent form below 1e-6 and from 1e21 up,
-// with a one-digit exponent not zero-padded.
-func appendLoadReportJSON(buf []byte, at sim.Time, node string, load float64) []byte {
-	buf = append(buf, `{"at":`...)
-	buf = strconv.AppendInt(buf, int64(at), 10)
-	buf = append(buf, `,"kind":"load-report","load":`...)
-	format := byte('f')
-	if abs := math.Abs(load); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	buf = strconv.AppendFloat(buf, load, format, -1, 64)
-	if n := len(buf); format == 'e' && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
-		buf[n-2] = buf[n-1]
-		buf = buf[:n-1]
-	}
-	buf = append(buf, `,"node":`...)
-	buf = appendJSONString(buf, node)
-	return append(buf, '}')
 }
 
 // SimConfig configures a SimRuntime.
@@ -153,7 +115,8 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 			// Infrastructure events feed the awareness model's
 			// journal (§3.4: node availability, failures, load are
 			// all stored persistently).
-			rt.rec = appendClusterEventJSON(rt.rec[:0], ev)
+			rt.rec = appendEvent(rt.rec[:0], &Event{At: ev.At, Kind: clusterEventKind(ev.Type),
+				Node: ev.Node, Detail: ev.Detail})
 			_, err := st.AppendEvent(rt.rec)
 			storeErr("journal cluster event", err)
 			// Capacity may have appeared: node back up, CPUs
@@ -188,7 +151,8 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 				func() float64 { return rt.Cluster.Load(name) },
 				func(at sim.Time, load float64) {
 					rt.reported[name] = load
-					rt.rec = appendLoadReportJSON(rt.rec[:0], at, name, load)
+					rt.rec = appendEvent(rt.rec[:0], &Event{At: at, Kind: evLoadReport, Node: name,
+						Detail: strconv.FormatFloat(load, 'g', -1, 64)})
 					_, err := st.AppendEvent(rt.rec)
 					storeErr("journal load report", err)
 				})

@@ -36,17 +36,6 @@ type engineMetrics struct {
 	procGC *obs.Counter
 }
 
-// allEventKinds enumerates the kinds that get a pre-registered counter, so
-// the emit path never takes the vec's slow path.
-var allEventKinds = []EventKind{
-	EvInstanceStarted, EvInstanceDone, EvInstanceFailed, EvInstanceSuspended,
-	EvInstanceResumed, EvTaskReady, EvTaskDispatched, EvTaskEnded,
-	EvTaskFailed, EvTaskRetried, EvTaskTimeout, EvTaskDead,
-	EvServerRecovered, EvSphereAborted, EvUndoRun, EvUndoFailed,
-	EvTaskAwaiting, EvSignal, EvPersistError, EvNodeJoined, EvNodeDown,
-	EvTaskUnplaceable,
-}
-
 // newEngineMetrics registers the engine's instrumentation: event counters
 // by kind, per-shard navigation turn counts, turn latency, and the
 // dispatcher gauges (sampled at scrape time, so they cost nothing on the

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"io"
@@ -50,9 +52,12 @@ type instancesResp struct {
 
 // eventsResp mirrors the /api/events envelope.
 type eventsResp struct {
-	Events  []obs.RingEvent `json:"events"`
-	Next    uint64          `json:"next"`
-	Dropped uint64          `json:"dropped"`
+	Events []struct {
+		Seq  uint64 `json:"seq"`
+		Data Event  `json:"data"`
+	} `json:"events"`
+	Next    uint64 `json:"next"`
+	Dropped uint64 `json:"dropped"`
 }
 
 // monitorEndpoints drives every endpoint of a started monitor server and
@@ -122,13 +127,7 @@ func monitorEndpoints(t *testing.T, base, id string) obs.InstanceSummary {
 	}
 	kinds := make(map[string]bool)
 	for _, ev := range evs.Events {
-		var rec struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(ev.Data, &rec); err != nil {
-			t.Fatalf("event %d is not JSON: %v", ev.Seq, err)
-		}
-		kinds[rec.Kind] = true
+		kinds[string(ev.Data.Kind)] = true
 	}
 	for _, want := range []string{"instance-started", "task-dispatched", "task-ended", "instance-done"} {
 		if !kinds[want] {
@@ -245,6 +244,36 @@ func TestMonitorEndpointsSim(t *testing.T) {
 		t.Fatalf("cluster with one suspended instance = %+v", ci)
 	}
 	metricsBody(t, ts.URL, []string{"bioopera_engine_queue_depth 1", "bioopera_sched_held_jobs 1"})
+}
+
+// eventsGolden is the sha256 of the /api/events body after
+// TestMonitorEventsChain8's run. It was captured while the ring held each
+// event's JSON journal record; the ring now holds the events and renders
+// them when the endpoint is read, and a client must not see the difference.
+const eventsGolden = "b061265ec26a8a726987b8bd4a2c5d1a84881bc45a68b4a976a77f59d7176f76"
+
+func TestMonitorEventsChain8(t *testing.T) {
+	ring := obs.NewRing(256)
+	rt := newRuntime(t, SimConfig{Options: Options{EventRing: ring}})
+	register(t, rt, chain8Src)
+	id := start(t, rt, "Chain8", map[string]ocr.Value{"x": ocr.Num(1)})
+	rt.Run()
+	finished(t, rt, id)
+	srv := obs.NewServer(obs.ServerConfig{Source: NewMonitorSource(rt.Engine), Events: ring})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/api/events?waitMs=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != eventsGolden {
+		t.Fatalf("/api/events body digest = %x, want %s\n%s", sum, eventsGolden, body)
+	}
 }
 
 func TestMonitorEndpointsLocal(t *testing.T) {

@@ -218,7 +218,7 @@ func putCkpt(ck *ckpt) {
 	ckptPool.Put(ck)
 }
 
-// eventBuf holds journal records back to back: event i's JSON text ends at
+// eventBuf holds journal records back to back: event i's record ends at
 // ends[i].
 type eventBuf struct {
 	buf  []byte

@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -83,8 +82,8 @@ func (c *recordCounter) Batch(ops []store.Op) error {
 	c.batches++
 	for _, op := range ops {
 		if op.IsEvent() {
-			var ev Event
-			if err := json.Unmarshal(op.Value, &ev); err != nil {
+			ev, err := DecodeEvent(op.Value)
+			if err != nil {
 				panic(err)
 			}
 			c.events = append(c.events, ev)
@@ -241,7 +240,7 @@ func TestRecoverGroupFailure(t *testing.T) {
 	}
 	journaled := func() map[string]int {
 		n := make(map[string]int)
-		_, evs := engineJournal(t, st)
+		evs := engineJournal(t, st)
 		for _, ev := range evs {
 			if ev.Kind == EvServerRecovered {
 				n[ev.Instance]++
@@ -296,8 +295,8 @@ func (s *gateStore) Batch(ops []store.Op) error {
 	var evs []Event
 	for _, op := range ops {
 		if op.IsEvent() {
-			var ev Event
-			if err := json.Unmarshal(op.Value, &ev); err != nil {
+			ev, err := DecodeEvent(op.Value)
+			if err != nil {
 				return err
 			}
 			evs = append(evs, ev)

@@ -2,14 +2,15 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bioopera/internal/cluster"
+	"bioopera/internal/codec"
 	"bioopera/internal/obs"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
@@ -91,15 +92,14 @@ func (l *eventLog) add(ev Event) {
 // engineJournal returns the journal's engine events, in journal order: the
 // sim driver's own cluster-* records are left out, and so are persist-error
 // events, which report on the commit path instead of riding it.
-func engineJournal(t *testing.T, st store.Store) (recs [][]byte, evs []Event) {
+func engineJournal(t *testing.T, st store.Store) (evs []Event) {
 	t.Helper()
 	err := st.Events(1, func(rec store.Event) error {
-		var ev Event
-		if err := json.Unmarshal(rec.Data, &ev); err != nil {
+		ev, err := DecodeEvent(rec.Data)
+		if err != nil {
 			t.Fatalf("journal record %d: %v", rec.Seq, err)
 		}
 		if !strings.HasPrefix(string(ev.Kind), "cluster-") && ev.Kind != EvPersistError {
-			recs = append(recs, rec.Data)
 			evs = append(evs, ev)
 		}
 		return nil
@@ -107,13 +107,13 @@ func engineJournal(t *testing.T, st store.Store) (recs [][]byte, evs []Event) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return recs, evs
+	return evs
 }
 
 // TestOneCommitPerTurn: a navigation turn is one store call. The engine hands
 // the store one Batch per turn — checkpoint and events together — and never
 // commits an event of a turn on its own; the journal still holds every event,
-// byte for byte what json.Marshal makes of it, in the order raised.
+// decoding to exactly what OnEvent saw, in the order raised.
 func TestOneCommitPerTurn(t *testing.T) {
 	check := func(t *testing.T, st *turnStore, log *eventLog) {
 		t.Helper()
@@ -121,21 +121,17 @@ func TestOneCommitPerTurn(t *testing.T) {
 			t.Errorf("%d Batch calls, want %d: one per turn", st.batches, chain8Turns)
 		}
 		for _, data := range st.appends {
-			if !bytes.Contains(data, []byte(`"kind":"cluster-`)) {
-				t.Errorf("engine event committed on its own: %s", data)
+			if ev, err := DecodeEvent(data); err != nil || !strings.HasPrefix(string(ev.Kind), "cluster-") {
+				t.Errorf("engine event committed on its own: %+v, %v", ev, err)
 			}
 		}
-		recs, _ := engineJournal(t, st)
-		if len(recs) != chain8Events || len(log.evs) != chain8Events {
-			t.Fatalf("journal holds %d engine events, OnEvent saw %d, want %d", len(recs), len(log.evs), chain8Events)
+		journal := engineJournal(t, st)
+		if len(journal) != chain8Events || len(log.evs) != chain8Events {
+			t.Fatalf("journal holds %d engine events, OnEvent saw %d, want %d", len(journal), len(log.evs), chain8Events)
 		}
 		for i, ev := range log.evs {
-			want, err := json.Marshal(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(recs[i], want) {
-				t.Errorf("journal record %d = %s, want %s", i, recs[i], want)
+			if journal[i] != ev {
+				t.Errorf("journal record %d = %+v, want %+v", i, journal[i], ev)
 			}
 		}
 	}
@@ -179,7 +175,7 @@ func TestOneCommitPerTurn(t *testing.T) {
 func checkJournalMatchesRecords(t *testing.T, st store.Store, when string) {
 	t.Helper()
 	journal := make(map[string]bool)
-	_, evs := engineJournal(t, st)
+	evs := engineJournal(t, st)
 	for _, ev := range evs {
 		switch ev.Kind {
 		case EvTaskEnded:
@@ -273,7 +269,7 @@ func TestTurnAtomicity(t *testing.T) {
 				// The journal is the events raised, in that order — short of
 				// the last turn's when it is the last batch that failed and
 				// no later one could carry them.
-				_, journal := engineJournal(t, st)
+				journal := engineJournal(t, st)
 				if failAt == st.batches {
 					if len(journal) >= len(raised) || raised[len(raised)-1].Kind != EvInstanceDone {
 						t.Fatalf("last batch failed, yet the journal holds %d of %d events", len(journal), len(raised))
@@ -317,7 +313,7 @@ func TestSignalOnStubFlushesHydration(t *testing.T) {
 	if n, err := rtB.Engine.Recover(); err != nil || n != 1 {
 		t.Fatalf("lazy recover = %d, %v", n, err)
 	}
-	_, before := engineJournal(t, st)
+	before := engineJournal(t, st)
 	if err := rtB.Engine.Signal(id, "nobody-waits", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +322,7 @@ func TestSignalOnStubFlushesHydration(t *testing.T) {
 	}
 	returnsWithin(t, 10*time.Second, "QuiesceCheckpoints (the hydration checkpoints were cut and never flushed)",
 		rtB.Engine.QuiesceCheckpoints)
-	_, after := engineJournal(t, st)
+	after := engineJournal(t, st)
 	var kinds []string
 	for _, ev := range after[len(before):] {
 		if ev.Kind == EvServerRecovered || ev.Kind == EvSignal {
@@ -480,59 +476,60 @@ PROCESS Boom {
 	checkJournalMatchesRecords(t, st, "after the restart")
 }
 
-// FuzzEventJSON: appendEventJSON writes what json.Marshal writes, whatever
-// the strings hold.
-func FuzzEventJSON(f *testing.F) {
-	f.Add(int64(0), "task-ended", "p0001", "", "S1", "n1", "")
-	f.Add(int64(-5), "", "", "", "", "", "")
-	f.Add(int64(1<<62), "x", "a<b>&c", "A/B[3]", `q"uo\te`, "tab\there", "nl\ncr\rbs\bff\fnul\x00esc\x1b del\x7f")
-	f.Add(int64(7), "k", "ls\u2028", "ps\u2029", "é世界😀", "\xff\xfe", "cut \xe2\x80")
-	f.Fuzz(func(t *testing.T, at int64, kind, instance, scope, task, node, detail string) {
+// FuzzDecodeEvent: every event — any kind, any bytes in its strings —
+// round-trips through its journal record exactly, and any byte string
+// decodes to an event or to an error wrapping codec.ErrCorrupt, never a
+// panic.
+func FuzzDecodeEvent(f *testing.F) {
+	f.Add(int64(0), "task-ended", "p0001", "", "S1", "n1", "", []byte{})
+	f.Add(int64(-5), "", "", "", "", "", "", []byte(`{"at":0,"kind":"task-ended"}`))
+	f.Add(int64(1<<62), "cluster-job-fail", "a<b>&c", "A/B[3]", `q"uo\te`, "tab\there", "nl\ncr\rnul\x00", []byte{0xBF, 1, 5, 0, 99})
+	f.Add(int64(7), "no-such-kind", "ls\u2028", "é世界😀", "\xff\xfe", "cut \xe2\x80", "0.25", []byte{0xBF, 1, 5, 2, 0, 1, 3, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, at int64, kind, instance, scope, task, node, detail string, raw []byte) {
 		ev := Event{At: sim.Time(at), Kind: EventKind(kind), Instance: instance, Scope: scope,
 			Task: task, Node: node, Detail: detail}
-		want, err := json.Marshal(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
 		prefix := []byte("earlier record")
-		got := appendEventJSON(prefix, &ev)
-		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
-			t.Fatalf("appendEventJSON = %s, json.Marshal = %s", got[len(prefix):], want)
+		rec := appendEvent(prefix, &ev)
+		if !bytes.Equal(rec[:len(prefix)], prefix) {
+			t.Fatalf("appendEvent overwrote the buffer's earlier bytes")
+		}
+		if got, err := DecodeEvent(rec[len(prefix):]); err != nil || got != ev {
+			t.Fatalf("DecodeEvent(appendEvent(%+v)) = %+v, %v", ev, got, err)
+		}
+		if _, err := DecodeEvent(raw); err != nil && !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("DecodeEvent(%x) = %v, which does not wrap codec.ErrCorrupt", raw, err)
 		}
 	})
 }
 
-// TestSimDriverRecordsMatchJSON pins the sim driver's two journal records to
-// the bytes json.Marshal gave the maps they were built as: keys sorted, every
-// field present, strings escaped and floats formatted the same way.
-func TestSimDriverRecordsMatchJSON(t *testing.T) {
-	details := []string{"", "cpus 2 -> 4", `a<b "quoted" ` + "\u2028 end"}
+// TestEventKindCodes spells out the journal record's kind-code table, which
+// is part of the on-disk format: a code reordered, reused or dropped fails
+// here before it misreads a journal written earlier.
+func TestEventKindCodes(t *testing.T) {
+	want := []EventKind{
+		"",
+		"instance-started", "instance-done", "instance-failed", "instance-suspended",
+		"instance-resumed", "task-ready", "task-dispatched", "task-ended",
+		"task-failed", "task-retried", "task-timeout", "task-dead",
+		"server-recovered", "sphere-aborted", "undo-run", "undo-failed",
+		"task-awaiting", "signal", "persist-error", "node-joined", "node-down",
+		"task-unplaceable",
+		"cluster-node-down", "cluster-node-up", "cluster-cpu-change", "cluster-load-change",
+		"cluster-job-start", "cluster-job-end", "cluster-job-fail",
+		"load-report",
+	}
+	if !slices.Equal(eventCodes[:], want) {
+		t.Fatalf("eventCodes = %q\nwant %q", eventCodes, want)
+	}
 	for typ := cluster.EvNodeDown; typ <= cluster.EvJobFail+1; typ++ {
-		for i, detail := range details {
-			ev := cluster.Event{At: sim.Time(1500 * int64(i)), Type: typ, Node: "n<1>", Detail: detail}
-			want, err := json.Marshal(map[string]any{
-				"at": ev.At, "kind": "cluster-" + ev.Type.String(),
-				"node": ev.Node, "detail": ev.Detail,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := appendClusterEventJSON(nil, ev); !bytes.Equal(got, want) {
-				t.Errorf("appendClusterEventJSON = %s, json.Marshal = %s", got, want)
-			}
+		if got, want := clusterEventKind(typ), EventKind("cluster-"+typ.String()); got != want {
+			t.Errorf("clusterEventKind(%v) = %q, want %q", typ, got, want)
 		}
 	}
-	for _, load := range []float64{0, 0.5, 1, 0.1 + 0.2, 1e-6, 1e-7, 2.5e-9, 1e20, 1e21, 1.5e300, -0.25, -1e-7} {
-		want, err := json.Marshal(map[string]any{
-			"at": sim.Time(42), "kind": "load-report", "node": `n"2`, "load": load,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prefix := []byte("earlier record")
-		got := appendLoadReportJSON(prefix, 42, `n"2`, load)
-		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
-			t.Errorf("appendLoadReportJSON(%g) = %s, json.Marshal = %s", load, got[len(prefix):], want)
+	for code, kind := range want[1:] {
+		rec := appendEvent(nil, &Event{Kind: kind})
+		if got := rec[4]; int(got) != code+1 {
+			t.Errorf("%s is written with code %d, want %d", kind, got, code+1)
 		}
 	}
 }

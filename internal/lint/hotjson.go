@@ -33,12 +33,10 @@ var hotJSONFuncs = map[string]map[string]bool{
 		"flushWrites":  true, // the turn's one store commit
 		"remarkCkpt":   true, // failed-batch re-marking
 
-		"emit":            true, // per-event journal record into the turn's write set
-		"emitNow":         true, // the same record committed alone, outside a turn
-		"appendEventJSON": true, // the journal record's bytes, without encoding/json
-
-		"appendClusterEventJSON": true, // the sim driver's two journal records, likewise
-		"appendLoadReportJSON":   true,
+		"emit":        true, // per-event journal record into the turn's write set
+		"emitNow":     true, // the same record committed alone, outside a turn
+		"appendEvent": true, // the journal record's bytes, for the engine and the sim driver
+		"DecodeEvent": true, // the journal record's reader
 
 		"RecoverOwned":          true, // recovery phases 1–3
 		"buildRecovered":        true, // per-instance rebuild (or stub)

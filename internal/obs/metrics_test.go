@@ -38,7 +38,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil registry WriteProm: %v", err)
 	}
 	var ring *Ring
-	ring.Publish([]byte("x"))
+	ring.Publish("x")
 	if ring.Last() != 0 {
 		t.Fatalf("nil ring last seq = %d", ring.Last())
 	}

@@ -1,16 +1,17 @@
 package obs
 
 import (
-	"encoding/json"
 	"sync"
 	"time"
 )
 
-// RingEvent is one journaled engine event held in the ring, tagged with a
+// RingEvent is one published event held in the ring, tagged with a
 // monotonically increasing sequence number so tailing clients can resume.
+// Data is the event as published; /api/events renders it with
+// encoding/json when it is read.
 type RingEvent struct {
-	Seq  uint64          `json:"seq"`
-	Data json.RawMessage `json:"data"`
+	Seq  uint64 `json:"seq"`
+	Data any    `json:"data"`
 }
 
 // Ring is a bounded buffer of recent events for live tailing. Publish
@@ -35,9 +36,10 @@ func NewRing(size int) *Ring {
 	return r
 }
 
-// Publish appends one event, taking ownership of data. Safe on a nil
-// receiver; never blocks on readers.
-func (r *Ring) Publish(data []byte) {
+// Publish appends one event; the ring keeps data as it is, so the caller
+// must not change what it shares. Safe on a nil receiver; never blocks on
+// readers.
+func (r *Ring) Publish(data any) {
 	if r == nil {
 		return
 	}

@@ -1,14 +1,13 @@
 package obs
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
 
 func fill(r *Ring, n int) {
 	for i := 1; i <= n; i++ {
-		r.Publish([]byte(fmt.Sprintf(`{"n":%d}`, i)))
+		r.Publish(i)
 	}
 }
 
@@ -27,8 +26,8 @@ func TestRingSince(t *testing.T) {
 	if len(evs) != 3 || evs[0].Seq != 3 || evs[2].Seq != 5 {
 		t.Fatalf("evs = %+v, want seqs 3..5", evs)
 	}
-	if string(evs[0].Data) != `{"n":3}` {
-		t.Fatalf("payload = %s", evs[0].Data)
+	if evs[0].Data != 3 {
+		t.Fatalf("payload = %v, want what was published", evs[0].Data)
 	}
 	// Resume from inside the window: no drops.
 	evs, dropped = r.Since(4, 0)
@@ -94,7 +93,7 @@ func TestWaitSince(t *testing.T) {
 	r := NewRing(4)
 	go func() {
 		time.Sleep(10 * time.Millisecond)
-		r.Publish([]byte(`{}`))
+		r.Publish(struct{}{})
 	}()
 	evs, _ := r.WaitSince(0, 0, 5*time.Second)
 	if len(evs) != 1 || evs[0].Seq != 1 {

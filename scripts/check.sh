@@ -117,8 +117,8 @@ go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/transport
 echo "== fuzz the worker-protocol message decoders (10s)"
 go test -run '^$' -fuzz FuzzWorkerMessage -fuzztime 10s ./internal/remote
 
-echo "== fuzz the event journal encoder against encoding/json (10s)"
-go test -run '^$' -fuzz FuzzEventJSON -fuzztime 10s ./internal/core
+echo "== fuzz the event journal record's round trip and decoder (10s)"
+go test -run '^$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/core
 
 echo "== federation e2e smoke"
 # Two servers and a gateway in one process; one server is killed mid-run

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -178,27 +177,23 @@ func encodeDyn(e *codec.Encoder, sc *scope, full bool) {
 		e.ValueMap(sc.Whiteboard)
 		e.Uvarint(0)
 	} else {
-		var buf [8]string // a block child owns its element and its outputs
-		keys := buf[:0]
 		owned := 0
-		for k, present := range sc.wbOwn {
-			keys = append(keys, k)
-			if present {
+		for _, o := range sc.wbOwn {
+			if o.present {
 				owned++
 			}
 		}
-		slices.Sort(keys)
 		e.Uvarint(uint64(owned))
-		for _, k := range keys {
-			if sc.wbOwn[k] {
-				e.String(k)
-				e.Value(sc.Whiteboard[k])
+		for _, o := range sc.wbOwn {
+			if o.present {
+				e.String(o.key)
+				e.Value(sc.Whiteboard[o.key])
 			}
 		}
-		e.Uvarint(uint64(len(keys) - owned))
-		for _, k := range keys {
-			if !sc.wbOwn[k] {
-				e.String(k)
+		e.Uvarint(uint64(len(sc.wbOwn) - owned))
+		for _, o := range sc.wbOwn {
+			if !o.present {
+				e.String(o.key)
 			}
 		}
 	}
@@ -244,23 +239,22 @@ func encodeTask(e *codec.Encoder, ts *taskState) {
 	e.End()
 }
 
-// decodeTaskRecord fills ts from a task record; ConnIn is left for the
-// caller, which knows the process.
+// decodeTaskRecord fills the persisted fields of ts from a task record. The
+// rest — ConnIn, the record's key, the dispatch attempt — belongs to the slot
+// it decodes into and is left as it is.
 func decodeTaskRecord(data []byte, ts *taskState) error {
 	d, err := header(data, recTask, "a task")
 	if err != nil {
 		return err
 	}
-	*ts = taskState{
-		Name:     d.String(),
-		Status:   TaskStatus(d.Uvarint()),
-		Attempts: int(d.Int()),
-		Inputs:   d.ValueMap(),
-		Outputs:  d.ValueMap(),
-		Node:     d.String(),
-		Job:      d.String(),
-		AltOf:    d.String(),
-	}
+	ts.Name = d.String()
+	ts.Status = TaskStatus(d.Uvarint())
+	ts.Attempts = int(d.Int())
+	ts.Inputs = d.ValueMap()
+	ts.Outputs = d.ValueMap()
+	ts.Node = d.String()
+	ts.Job = d.String()
+	ts.AltOf = d.String()
 	ts.ReadyAt = sim.Time(d.Int())
 	ts.StartedAt = sim.Time(d.Int())
 	ts.EndedAt = sim.Time(d.Int())

@@ -94,15 +94,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				sc.ownWB("drop/"+s, false)
 				sc.ownWB("drop/"+key, false)
 			}
-			for k, present := range sc.wbOwn {
-				if !present {
-					dyn.Drop = append(dyn.Drop, k)
+			for _, o := range sc.wbOwn {
+				if !o.present {
+					dyn.Drop = append(dyn.Drop, o.key)
 					continue
 				}
 				if dyn.Entries == nil {
 					dyn.Entries = map[string]ocr.Value{}
 				}
-				dyn.Entries[k] = sc.Whiteboard[k]
+				dyn.Entries[o.key] = sc.Whiteboard[o.key]
 			}
 			sort.Strings(dyn.Drop)
 		}

@@ -581,9 +581,9 @@ func (e *Engine) StartProcess(template string, inputs map[string]ocr.Value, opts
 		Proc:       tpl,
 		ElemIndex:  -1,
 		Whiteboard: make(map[string]ocr.Value),
-		Tasks:      make(map[string]*taskState),
 		wbFull:     true, // roots have no parent to inherit from
 	}
+	root.layTasks()
 	for _, name := range tpl.Inputs {
 		if v, ok := inputs[name]; ok {
 			root.Whiteboard[name] = v
@@ -635,10 +635,6 @@ func (e *Engine) initScope(in *Instance, sc *scope) error {
 		// dynamic record must own them.
 		sc.Whiteboard[d.Name] = v
 		sc.ownWB(d.Name, true)
-	}
-	for i := range sc.Proc.tasks {
-		t := &sc.Proc.tasks[i]
-		sc.Tasks[t.Name] = &taskState{Name: t.Name, ConnIn: make([]connState, t.incoming)}
 	}
 	e.touchNew(in, sc)
 	return nil

@@ -58,6 +58,9 @@ func FuzzDecodeInstanceRecords(f *testing.F) {
 				t.Fatalf("scopeRec %q filed under %q", r.scopeID, id)
 			}
 		}
-		_ = procs
+		// Rebuilding the scope tree decodes the task records into their
+		// slots: an error or a tree, never a panic.
+		eng := &Engine{byHash: make(map[string]*compiledProc)}
+		_ = eng.buildScopes(buildInstanceShell(InstanceMeta{ID: "p0001"}), kvs, recMap, procs)
 	})
 }

@@ -53,9 +53,7 @@ func dumpInstance(t *testing.T, in *Instance) string {
 		if sc.Parent != nil {
 			d.Parent = sc.Parent.ID
 		}
-		for _, t := range sc.Proc.Tasks {
-			d.Tasks = append(d.Tasks, *sc.Tasks[t.Name]) // ConnIn is not rendered
-		}
+		d.Tasks = append(d.Tasks, sc.tasks...) // ConnIn is not rendered
 		scopes = append(scopes, d)
 	}
 	sort.Slice(scopes, func(i, j int) bool { return scopes[i].ID < scopes[j].ID })
@@ -319,7 +317,7 @@ func TestPersistHotPathAllocs(t *testing.T) {
 	in, _ := e.Instance(id)
 	mu := e.shardFor(id)
 	sc := in.root
-	ts := sc.Tasks["Add"]
+	ts := sc.task("Add")
 	run := func() {
 		mu.Lock()
 		defer e.endTurn(in, mu)

@@ -180,7 +180,7 @@ func TestCheckpointHoldsValueAtPersistTime(t *testing.T) {
 	id := start(t, rt, "WithAlt", nil)
 	rt.Run()
 	in := finished(t, rt, id)
-	if _, ok := in.scopes[""].Tasks["Main"].Outputs["extra"]; !ok {
+	if _, ok := in.scopes[""].task("Main").Outputs["extra"]; !ok {
 		t.Fatal("Main never gained the extra field; the test is vacuous")
 	}
 

@@ -91,9 +91,9 @@ func (lg *Lineage) item(name string) *LineageNode {
 
 // addScope records the reads/writes of every executed task of a scope.
 func (lg *Lineage) addScope(sc *scope) {
-	for _, t := range sc.Proc.Tasks {
-		ts := sc.Tasks[t.Name]
-		if ts == nil || ts.Status == TaskInactive || ts.Status == TaskDead {
+	for i, t := range sc.Proc.Tasks {
+		ts := &sc.tasks[i]
+		if ts.Status == TaskInactive || ts.Status == TaskDead {
 			continue
 		}
 		taskQ := qualify(sc.ID, t.Name)

@@ -160,9 +160,9 @@ func (s *MonitorSource) Instance(id string) (*obs.InstanceDetail, error) {
 			Values: namedValues(sc.Whiteboard),
 		}
 		// Declaration order keeps the task list stable across snapshots.
-		for _, t := range sc.Proc.Tasks {
-			ts := sc.Tasks[t.Name]
-			if ts == nil || ts.Status == TaskInactive {
+		for i := range sc.tasks {
+			ts := &sc.tasks[i]
+			if ts.Status == TaskInactive {
 				continue
 			}
 			info.Tasks = append(info.Tasks, obs.ActivityInfo{

@@ -23,7 +23,7 @@ func (e *Engine) activateRoots(in *Instance, sc *scope) {
 
 // activateTask moves a task from inactive to ready/running.
 func (e *Engine) activateTask(in *Instance, sc *scope, t *ocr.Task) {
-	ts := sc.Tasks[t.Name]
+	ts := sc.task(t.Name)
 	if ts.Status != TaskInactive {
 		return
 	}
@@ -196,8 +196,8 @@ func (e *Engine) newScope(in *Instance, parent *scope, task string, elem int, pr
 		ParentTask: task,
 		ElemIndex:  elem,
 		Whiteboard: make(map[string]ocr.Value),
-		Tasks:      make(map[string]*taskState),
 	}
+	child.layTasks()
 	parent.adopt(child)
 	in.scopes[child.ID] = child
 	return child
@@ -252,7 +252,7 @@ func (e *Engine) finishTask(in *Instance, sc *scope, t *ocr.Task, ts *taskState,
 
 	// An alternative execution also completes the task it replaced.
 	if ts.AltOf != "" {
-		orig := sc.Tasks[ts.AltOf]
+		orig := sc.task(ts.AltOf)
 		origTask := sc.Proc.Task(ts.AltOf)
 		if orig != nil && origTask != nil && !orig.Status.Terminal() {
 			e.finishTask(in, sc, origTask, orig, outputs)
@@ -295,7 +295,7 @@ func (e *Engine) propagate(in *Instance, sc *scope, t *ocr.Task, ts *taskState) 
 // decided once: recovery may propagate a terminal task a second time, and the
 // first decision stands.
 func (e *Engine) deliverConnector(in *Instance, sc *scope, c edge, state connState) {
-	target := sc.Tasks[c.to.Name]
+	target := sc.task(c.to.Name)
 	if target.ConnIn[c.slot] == connPending {
 		// ConnIn is derived state: recovery re-propagates terminal tasks'
 		// connectors, so no record is dirtied here.
@@ -322,7 +322,7 @@ func (e *Engine) deliverConnector(in *Instance, sc *scope, c edge, state connSta
 
 // markDead kills a task via dead-path elimination and propagates.
 func (e *Engine) markDead(in *Instance, sc *scope, t *ocr.Task) {
-	ts := sc.Tasks[t.Name]
+	ts := sc.task(t.Name)
 	if ts.Status.Terminal() {
 		return
 	}
@@ -339,7 +339,7 @@ func (e *Engine) markDead(in *Instance, sc *scope, t *ocr.Task) {
 func unfinished(sc *scope) bool {
 	for i := range sc.Proc.tasks {
 		t := &sc.Proc.tasks[i]
-		ts := sc.Tasks[t.Name]
+		ts := &sc.tasks[i]
 		if ts.Status.Terminal() {
 			continue
 		}
@@ -388,7 +388,7 @@ func (e *Engine) maybeCompleteScope(in *Instance, sc *scope) {
 
 	parent := sc.Parent
 	pt := parent.Proc.Task(sc.ParentTask)
-	pts := parent.Tasks[sc.ParentTask]
+	pts := parent.task(sc.ParentTask)
 	switch pt.Kind {
 	case ocr.KindBlock:
 		if pt.Parallel {
@@ -477,7 +477,7 @@ func (e *Engine) handleProgramFailure(in *Instance, sc *scope, t *ocr.Task, ts *
 		e.finishTask(in, sc, t, ts, nil) // null outputs
 	case ocr.FailAlternative:
 		alt := sc.Proc.Task(t.AltTask)
-		altState := sc.Tasks[t.AltTask]
+		altState := sc.task(t.AltTask)
 		if alt == nil || altState == nil || altState.Status != TaskInactive {
 			e.failInstance(in, fmt.Sprintf("task %s failed and alternative %q is unavailable", t.Name, t.AltTask))
 			return

@@ -128,10 +128,7 @@ func (e *Engine) touchMeta(in *Instance, sc *scope) {
 // touchTask marks one task record for rewriting — the unit of incremental
 // checkpointing.
 func (e *Engine) touchTask(in *Instance, sc *scope, ts *taskState) {
-	if sc.dirtyTasks == nil {
-		sc.dirtyTasks = make(map[string]*taskState, 4)
-	}
-	sc.dirtyTasks[ts.Name] = ts
+	ts.dirty = true
 	in.markDirty(sc)
 }
 
@@ -157,7 +154,7 @@ func (e *Engine) pinInherited(in *Instance, sc *scope, key string) {
 	if sc.wbFull {
 		return // records the complete whiteboard anyway
 	}
-	if _, owned := sc.wbOwn[key]; owned {
+	if _, owned := sc.owned(key); owned {
 		return
 	}
 	_, has := sc.Whiteboard[key]
@@ -352,17 +349,18 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 	for _, sc := range ck.scopes {
 		first := len(ck.tasks)
 		if ck.archive {
-			for _, t := range sc.Proc.Tasks {
-				ck.tasks = append(ck.tasks, taskRef{sc, sc.Tasks[t.Name]})
+			for i := range sc.tasks { // declaration order
+				ck.tasks = append(ck.tasks, taskRef{sc, &sc.tasks[i]})
 			}
 		} else {
-			for _, ts := range sc.dirtyTasks {
-				ck.tasks = append(ck.tasks, taskRef{sc, ts})
+			for _, i := range sc.Proc.byName { // name order
+				if sc.tasks[i].dirty {
+					ck.tasks = append(ck.tasks, taskRef{sc, &sc.tasks[i]})
+				}
 			}
-			slices.SortFunc(ck.tasks[first:], func(a, b taskRef) int { return strings.Compare(a.ts.Name, b.ts.Name) })
 		}
-		clear(sc.dirtyTasks)
 		for _, tr := range ck.tasks[first:] {
+			tr.ts.dirty = false
 			encodeTask(enc, tr.ts)
 			ck.ops = append(ck.ops, store.Op{Space: space, Key: tr.ts.key(in, sc)})
 		}

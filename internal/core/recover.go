@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,14 +33,14 @@ import (
 // hydrate on first mutating touch, so boot time scales with the active
 // fraction of the store, not its total size.
 
-// scopeRec collects one scope's persisted delta records during recovery,
-// and the keys they are stored under: the rebuilt scope and tasks keep the
-// store's own key strings for their rewrites instead of building them again.
+// scopeRec collects one scope's create and dynamic records during recovery,
+// and the keys they are stored under: the rebuilt scope keeps the store's own
+// key strings for its rewrites instead of building them again. Task records
+// are not collected: buildScopes decodes each straight into its slot.
 type scopeRec struct {
 	scopeID       string
 	create        *scopeCreateDTO
 	dyn           *scopeDynDTO
-	tasks         map[string]*taskState
 	createK, dynK string
 }
 
@@ -65,17 +67,17 @@ type stubState struct {
 	kvs []store.KV
 }
 
-// decodeInstanceRecords decodes one instance's raw records into the
-// per-scope overlay structure and the interned process texts. A text is the
-// record's value itself, not a copy: it is read only if its hash names no
-// compiled process (resolveProc).
+// decodeInstanceRecords decodes one instance's scope records into the
+// per-scope overlay structure and collects the interned process texts; task
+// records wait for buildScopes. A text is the record's value itself, not a
+// copy: it is read only if its hash names no compiled process (resolveProc).
 func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string][]byte, error) {
 	recMap := make(map[string]*scopeRec)
 	procs := make(map[string][]byte)
 	rec := func(scopeID string) *scopeRec {
 		r := recMap[scopeID]
 		if r == nil {
-			r = &scopeRec{scopeID: scopeID, tasks: make(map[string]*taskState)}
+			r = &scopeRec{scopeID: scopeID}
 			recMap[scopeID] = r
 		}
 		return r
@@ -104,30 +106,6 @@ func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string][]b
 			}
 			r := rec(scopeID)
 			r.dyn, r.dynK = &dto, kv.Key
-		case strings.HasPrefix(kv.Key, "task/"):
-			_, sub, ok := splitInstKey(strings.TrimPrefix(kv.Key, "task/"))
-			if !ok {
-				continue
-			}
-			// The task name follows the last '/': scope IDs may nest
-			// ("A/B[3]"), task names cannot contain '/'.
-			slash := strings.LastIndexByte(sub, '/')
-			if slash < 0 {
-				continue
-			}
-			scopeID, task := sub[:slash], sub[slash+1:]
-			if scopeID == "-" {
-				scopeID = ""
-			}
-			ts := new(taskState)
-			if err := decodeTaskRecord(kv.Value, ts); err != nil {
-				return nil, nil, fmt.Errorf("core: corrupt task record %s: %w", kv.Key, err)
-			}
-			if ts.Name == "" {
-				ts.Name = task
-			}
-			ts.taskK = kv.Key
-			rec(scopeID).tasks[ts.Name] = ts
 		case strings.HasPrefix(kv.Key, "proc/"):
 			_, hash, ok := splitInstKey(strings.TrimPrefix(kv.Key, "proc/"))
 			if !ok {
@@ -337,8 +315,8 @@ func (e *Engine) registerRecovered(in *Instance, g *turnGroup) bool {
 	e.emit(in, Event{Kind: EvServerRecovered, Instance: in.ID,
 		Detail: fmt.Sprintf("status=%s", in.Status)})
 	// Checkpoint what resuming changed (lost work requeued, activations
-	// re-derived).
-	if len(in.dirty) > 0 {
+	// re-derived, stale task records dropped).
+	if len(in.dirty) > 0 || len(in.pendingDeletes) > 0 {
 		e.persist(in)
 	}
 	return true
@@ -370,11 +348,35 @@ func (e *Engine) buildRecovered(g *instGroup) (*Instance, error) {
 	for hash := range procTexts {
 		in.procRefs[hash] = true
 	}
-	if err := e.buildScopes(in, recMap, procTexts); err != nil {
+	if err := e.buildScopes(in, g.kvs, recMap, procTexts); err != nil {
 		return nil, err
 	}
 	return in, nil
 }
+
+// taskRecKey splits a task record's key, task/<inst>/<scope>/<task>, into its
+// scope ID and task name.
+func taskRecKey(key string) (scopeID, task string, ok bool) {
+	rest, ok := strings.CutPrefix(key, "task/")
+	if !ok {
+		return "", "", false
+	}
+	_, sub, ok := splitInstKey(rest)
+	// The task name follows the last '/': scope IDs may nest ("A/B[3]"),
+	// task names cannot contain '/'.
+	slash := strings.LastIndexByte(sub, '/')
+	if !ok || slash < 0 {
+		return "", "", false
+	}
+	scopeID, task = sub[:slash], sub[slash+1:]
+	if scopeID == "-" {
+		scopeID = ""
+	}
+	return scopeID, task, true
+}
+
+// scopeWhere names a scope of in for an error.
+func scopeWhere(in *Instance, scopeID string) string { return in.ID + "/" + nzScope(scopeID) }
 
 // buildInstanceShell constructs an Instance carrying only its metadata —
 // the common base of a full rebuild and a lazy stub.
@@ -388,27 +390,31 @@ func buildInstanceShell(meta InstanceMeta) *Instance {
 	return in
 }
 
-// buildScopes reconstructs the instance's scope tree from its decoded
-// records. It mutates only the instance under construction, so recovery
-// workers may run it concurrently for different instances.
-func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procTexts map[string][]byte) error {
+// buildScopes reconstructs the instance's scope tree from its decoded scope
+// records, then decodes its task records (kvs) into their slots. It mutates
+// only the instance under construction, so recovery workers may run it
+// concurrently for different instances.
+func (e *Engine) buildScopes(in *Instance, kvs []store.KV, recMap map[string]*scopeRec, procTexts map[string][]byte) error {
 	// Sort records so parents come before children (shorter IDs first;
 	// root "" is shortest) — children re-inherit whiteboard values from
-	// the already-rebuilt parent.
-	scopeRecs := make([]*scopeRec, 0, len(recMap))
+	// the already-rebuilt parent. A one-scope instance needs no slice.
+	var one [1]*scopeRec
+	scopeRecs := one[:0]
+	if len(recMap) > 1 {
+		scopeRecs = make([]*scopeRec, 0, len(recMap))
+	}
 	for _, r := range recMap {
 		scopeRecs = append(scopeRecs, r)
 	}
-	sort.Slice(scopeRecs, func(i, j int) bool {
-		if len(scopeRecs[i].scopeID) != len(scopeRecs[j].scopeID) {
-			return len(scopeRecs[i].scopeID) < len(scopeRecs[j].scopeID)
+	slices.SortFunc(scopeRecs, func(a, b *scopeRec) int {
+		if c := cmp.Compare(len(a.scopeID), len(b.scopeID)); c != 0 {
+			return c
 		}
-		return scopeRecs[i].scopeID < scopeRecs[j].scopeID
+		return strings.Compare(a.scopeID, b.scopeID)
 	})
 	for _, r := range scopeRecs {
-		where := in.ID + "/" + nzScope(r.scopeID)
 		if r.create == nil {
-			return fmt.Errorf("core: scope %s has no create record", where)
+			return fmt.Errorf("core: scope %s has no create record", scopeWhere(in, r.scopeID))
 		}
 		var text []byte
 		switch {
@@ -416,16 +422,16 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 			var ok bool
 			text, ok = procTexts[r.create.ProcRef]
 			if !ok {
-				return fmt.Errorf("core: scope %s references missing process text %s", where, r.create.ProcRef)
+				return fmt.Errorf("core: scope %s references missing process text %s", scopeWhere(in, r.scopeID), r.create.ProcRef)
 			}
 		case r.create.ProcText != "":
 			text = []byte(r.create.ProcText)
 		default:
-			return fmt.Errorf("core: scope %s has no process text", where)
+			return fmt.Errorf("core: scope %s has no process text", scopeWhere(in, r.scopeID))
 		}
 		proc, err := e.resolveProc(r.create.ProcRef, text)
 		if err != nil {
-			return fmt.Errorf("core: scope %s has invalid process text: %w", where, err)
+			return fmt.Errorf("core: scope %s has invalid process text: %w", scopeWhere(in, r.scopeID), err)
 		}
 		sc := &scope{
 			ID:         r.scopeID,
@@ -433,14 +439,14 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 			ParentTask: r.create.ParentTask,
 			ElemIndex:  r.create.ElemIndex,
 			Whiteboard: make(map[string]ocr.Value),
-			Tasks:      make(map[string]*taskState),
 			createK:    r.createK,
 			dynK:       r.dynK,
 		}
+		sc.layTasks()
 		if !r.create.IsRoot {
 			parent := in.scopes[r.create.Parent]
 			if parent == nil {
-				return fmt.Errorf("core: scope %s has missing parent %q", where, r.create.Parent)
+				return fmt.Errorf("core: scope %s has missing parent %q", scopeWhere(in, r.scopeID), r.create.Parent)
 			}
 			sc.Parent = parent
 			parent.adopt(sc)
@@ -462,47 +468,54 @@ func (e *Engine) buildScopes(in *Instance, recMap map[string]*scopeRec, procText
 						sc.Whiteboard[k] = v
 					}
 				}
+				// Owned entries, then masks; a key the record both
+				// enters and masks keeps its entry.
+				if n := len(r.dyn.Entries) + len(r.dyn.Drop); n > 0 {
+					sc.wbOwn = make([]ownedKey, 0, max(n, 4))
+				}
+				for k, v := range r.dyn.Entries {
+					sc.Whiteboard[k] = v
+					sc.wbOwn = append(sc.wbOwn, ownedKey{k, true})
+				}
+				slices.SortFunc(sc.wbOwn, byKey)
 				for _, k := range r.dyn.Drop {
-					delete(sc.Whiteboard, k)
-					sc.ownWB(k, false)
-				}
-				entries := make([]string, 0, len(r.dyn.Entries))
-				for k := range r.dyn.Entries {
-					entries = append(entries, k)
-				}
-				sort.Strings(entries)
-				for _, k := range entries {
-					sc.Whiteboard[k] = r.dyn.Entries[k]
-					sc.ownWB(k, true)
+					if _, entered := sc.owned(k); !entered {
+						delete(sc.Whiteboard, k)
+						sc.ownWB(k, false)
+					}
 				}
 			}
 		} else {
 			e.touchMeta(in, sc) // the next checkpoint writes the missing record
 		}
-		taskNames := make([]string, 0, len(r.tasks))
-		for name := range r.tasks {
-			taskNames = append(taskNames, name)
-		}
-		sort.Strings(taskNames)
-		for _, name := range taskNames {
-			ts := r.tasks[name]
-			if ct := proc.index[name]; ct != nil { // a stale record may name a task the process lacks
-				ts.ConnIn = make([]connState, ct.incoming)
-			}
-			sc.Tasks[name] = ts
-		}
-		// Tasks present in the process but missing from the records
-		// (older snapshot) start inactive.
-		for i := range proc.tasks {
-			t := &proc.tasks[i]
-			if _, ok := sc.Tasks[t.Name]; !ok {
-				sc.Tasks[t.Name] = &taskState{Name: t.Name, ConnIn: make([]connState, t.incoming)}
-			}
-		}
 		in.scopes[sc.ID] = sc
 	}
 	if in.root == nil {
 		return fmt.Errorf("core: instance %s has no root scope record", in.ID)
+	}
+	// Each task record decodes into its slot; a task with no record keeps
+	// its inactive slot. A record that names no task of its scope's process
+	// has no slot: it is dropped, and the instance's next checkpoint deletes
+	// it.
+	for _, kv := range kvs {
+		scopeID, task, ok := taskRecKey(kv.Key)
+		if !ok {
+			continue
+		}
+		sc := in.scopes[scopeID]
+		if sc == nil {
+			return fmt.Errorf("core: scope %s has no create record", scopeWhere(in, scopeID))
+		}
+		ts := sc.task(task)
+		if ts == nil {
+			in.pendingDeletes = append(in.pendingDeletes, kv.Key)
+			continue
+		}
+		name := ts.Name
+		if err := decodeTaskRecord(kv.Value, ts); err != nil {
+			return fmt.Errorf("core: corrupt task record %s: %w", kv.Key, err)
+		}
+		ts.Name, ts.taskK = name, kv.Key
 	}
 	return nil
 }
@@ -515,16 +528,20 @@ func (e *Engine) resumeInstance(in *Instance) {
 	if in.Status == InstanceDone || in.Status == InstanceFailed {
 		return
 	}
-	// Resume children before parents.
-	ordered := make([]*scope, 0, len(in.scopes))
+	// Resume children before parents. A one-scope instance needs no slice.
+	var one [1]*scope
+	ordered := one[:0]
+	if len(in.scopes) > 1 {
+		ordered = make([]*scope, 0, len(in.scopes))
+	}
 	for _, sc := range in.scopes {
 		ordered = append(ordered, sc)
 	}
-	sort.Slice(ordered, func(i, j int) bool {
-		if len(ordered[i].ID) != len(ordered[j].ID) {
-			return len(ordered[i].ID) > len(ordered[j].ID)
+	slices.SortFunc(ordered, func(a, b *scope) int {
+		if c := cmp.Compare(len(b.ID), len(a.ID)); c != 0 {
+			return c
 		}
-		return ordered[i].ID < ordered[j].ID
+		return strings.Compare(a.ID, b.ID)
 	})
 	for _, sc := range ordered {
 		e.resumeScope(in, sc)
@@ -551,14 +568,16 @@ func (e *Engine) hydrateLocked(in *Instance) error {
 	if st == nil {
 		return nil
 	}
+	deletes := len(in.pendingDeletes)
 	recMap, procTexts, err := decodeInstanceRecords(st.kvs)
 	if err == nil {
-		err = e.buildScopes(in, recMap, procTexts)
+		err = e.buildScopes(in, st.kvs, recMap, procTexts)
 	}
 	if err != nil {
 		in.root = nil
 		in.scopes = make(map[string]*scope)
 		clear(in.dirty)
+		in.pendingDeletes = in.pendingDeletes[:deletes]
 		return fmt.Errorf("core: hydrating instance %s: %w", in.ID, err)
 	}
 	in.stub = nil
@@ -567,7 +586,7 @@ func (e *Engine) hydrateLocked(in *Instance) error {
 	}
 	e.resumeInstance(in)
 	e.emit(in, Event{Kind: EvServerRecovered, Instance: in.ID, Detail: "hydrated"})
-	if len(in.dirty) > 0 {
+	if len(in.dirty) > 0 || len(in.pendingDeletes) > 0 {
 		e.persist(in)
 	}
 	return nil
@@ -594,8 +613,8 @@ func (e *Engine) Hydrated(id string) (bool, error) {
 // decisions for tasks that never activated. It dirties a record only where
 // it changes one.
 func (e *Engine) resumeScope(in *Instance, sc *scope) {
-	for _, t := range sc.Proc.Tasks {
-		ts := sc.Tasks[t.Name]
+	for i, t := range sc.Proc.Tasks {
+		ts := &sc.tasks[i]
 		switch ts.Status {
 		case TaskReady:
 			// Was queued; re-queue, under the job ID it had.
@@ -646,8 +665,8 @@ func (e *Engine) resumeScope(in *Instance, sc *scope) {
 	// had not yet activated (or whose activation was not persisted)
 	// activate now. Delivery skips targets that are no longer
 	// inactive.
-	for _, t := range sc.Proc.Tasks {
-		ts := sc.Tasks[t.Name]
+	for i, t := range sc.Proc.Tasks {
+		ts := &sc.tasks[i]
 		if ts.Status == TaskEnded || ts.Status == TaskDead {
 			e.propagate(in, sc, t, ts)
 			if in.Status == InstanceFailed {

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bioopera/internal/codec"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
 	"bioopera/internal/store"
@@ -55,6 +57,63 @@ func TestRecoverMissingRootScope(t *testing.T) {
 	rt.Engine.Crash()
 	if _, err := rt.Engine.Recover(); err == nil || !strings.Contains(err.Error(), "root scope") {
 		t.Fatalf("missing root scope: err = %v", err)
+	}
+}
+
+// TestRecoverStaleTaskRecordDeleted: a task record that names no task of its
+// scope's process has no slot to decode into. Recovery — eager, and a lazy
+// stub's hydration alike — drops it and deletes it with the instance's next
+// checkpoint, so Progress never counts it and it does not outlive the
+// instance in the instance space.
+func TestRecoverStaleTaskRecordDeleted(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
+			st := store.NewMem()
+			rt := newRuntime(t, SimConfig{Store: st})
+			register(t, rt, linearSrc)
+			id := start(t, rt, "Linear", map[string]ocr.Value{"a": ocr.Num(1), "b": ocr.Num(1)})
+			if lazy {
+				quiesceSuspended(t, rt, id, sim.Time(500*time.Millisecond))
+			} else {
+				rt.RunUntil(sim.Time(500 * time.Millisecond))
+			}
+			enc := codec.Get()
+			encodeTask(enc, &taskState{Name: "Ghost", Status: TaskReady})
+			ghostKey := "task/" + id + "/-/Ghost"
+			if err := st.Put(store.Instance, ghostKey, append([]byte(nil), enc.Span(0)...)); err != nil {
+				t.Fatal(err)
+			}
+			codec.Put(enc)
+			rt.Engine.Crash()
+
+			rt2 := newRuntime(t, SimConfig{Store: st, Options: Options{LazyRecovery: lazy}})
+			register(t, rt2, linearSrc)
+			if n, err := rt2.Engine.Recover(); err != nil || n != 1 {
+				t.Fatalf("recover = %d, %v", n, err)
+			}
+			if lazy {
+				if err := rt2.Engine.Resume(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			in, _ := rt2.Engine.Instance(id)
+			// Linear has two tasks: counting Ghost would make thirds.
+			if p := in.Progress(); p != 0 && p != 0.5 && p != 1 {
+				t.Fatalf("Progress after recovery = %v: the stale record was counted", p)
+			}
+			rt2.Run()
+			in = finished(t, rt2, id)
+			if p := in.Progress(); p != 1 {
+				t.Fatalf("Progress at the end = %v, want 1", p)
+			}
+			kvs, err := st.List(store.Instance)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kv := range kvs {
+				t.Errorf("instance space still holds %s after the instance finished", kv.Key)
+			}
+		})
 	}
 }
 

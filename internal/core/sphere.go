@@ -29,7 +29,7 @@ func enclosingSphere(sc *scope) (*scope, *ocr.Task, *taskState) {
 	for cur := sc; cur.Parent != nil; cur = cur.Parent {
 		pt := cur.Parent.Proc.Task(cur.ParentTask)
 		if pt != nil && pt.Kind == ocr.KindBlock && pt.Atomic {
-			return cur.Parent, pt, cur.Parent.Tasks[cur.ParentTask]
+			return cur.Parent, pt, cur.Parent.task(cur.ParentTask)
 		}
 	}
 	return nil, nil, nil
@@ -115,8 +115,8 @@ func (e *Engine) abortSphere(in *Instance, sc *scope, t *ocr.Task, ts *taskState
 	}
 	var undos []undoItem
 	for _, s := range subtree {
-		for _, bt := range s.Proc.Tasks {
-			bts := s.Tasks[bt.Name]
+		for i, bt := range s.Proc.Tasks {
+			bts := &s.tasks[i]
 			if bt.Kind == ocr.KindActivity && bt.Undo != "" && bts.Status == TaskEnded {
 				undos = append(undos, undoItem{s, bt, bts})
 			}
@@ -146,8 +146,8 @@ func (e *Engine) abortSphere(in *Instance, sc *scope, t *ocr.Task, ts *taskState
 		delete(in.scopes, s.ID)
 		delete(in.dirty, s.ID)
 		in.pendingDeletes = append(in.pendingDeletes, s.createKey(in), s.dynKey(in))
-		for _, bt := range s.Proc.Tasks {
-			in.pendingDeletes = append(in.pendingDeletes, s.Tasks[bt.Name].key(in, s))
+		for i := range s.tasks {
+			in.pendingDeletes = append(in.pendingDeletes, s.tasks[i].key(in, s))
 		}
 		if s.Parent != nil {
 			delete(s.Parent.children, s.ID)

@@ -16,6 +16,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,8 +123,9 @@ type taskState struct {
 	// Outputs is the task's output data structure after completion.
 	Outputs map[string]ocr.Value `json:"outputs,omitempty"`
 	// ConnIn holds one decision per incoming connector, in declaration order
-	// (the slots compile assigns to edges). Not persisted:
-	// recovery re-derives connector decisions from terminal tasks.
+	// (the slots compile assigns to edges), carved from the scope's one ConnIn
+	// array. Not persisted: recovery re-derives connector decisions from
+	// terminal tasks.
 	ConnIn []connState `json:"-"`
 	// Node and Job identify the dispatched job (activities).
 	Node string `json:"node,omitempty"`
@@ -150,6 +153,7 @@ type taskState struct {
 	OverElems []ocr.Value `json:"overElems,omitempty"`
 
 	taskK string // the task/ record's key, built on first use (key)
+	dirty bool   // the task record needs rewriting (touchTask); cleared when a checkpoint encodes it
 
 	attempt queuedRef // the current dispatch attempt or AWAIT wait (see queuedRef); volatile
 }
@@ -163,27 +167,29 @@ type scope struct {
 	ParentTask string // task in the parent that spawned this scope
 	ElemIndex  int    // element index for parallel expansion, else -1
 	Whiteboard map[string]ocr.Value
-	Tasks      map[string]*taskState
-	Done       bool
-	children   map[string]*scope // nil until the first child: a leaf scope has none
+	// tasks has one slot per task of Proc, at the task's position in
+	// Proc.tasks. layTasks makes it once, with the scope; it never grows, so a
+	// pointer to a slot holds for the scope's life.
+	tasks    []taskState
+	Done     bool
+	children map[string]*scope // nil until the first child: a leaf scope has none
 
 	// Delta dirty tracking (§3.3: checkpoint granularity). The unit of
 	// persistence is one record, not the whole scope: newborn marks the
 	// immutable create record (written once), dirtyMeta the compact
-	// dynamic record (whiteboard delta, done flag), and dirtyTasks the
-	// individual task records — completing one child of an n-wide block
+	// dynamic record (whiteboard delta, done flag), and each task slot's
+	// dirty bit its task record — completing one child of an n-wide block
 	// re-encodes one task, not n.
-	newborn    bool                  // create + dynamic records never written
-	dirtyMeta  bool                  // dynamic record needs rewriting
-	dirtyTasks map[string]*taskState // task records needing rewriting
+	newborn   bool // create + dynamic records never written
+	dirtyMeta bool // dynamic record needs rewriting
 
-	// wbOwn tracks whiteboard keys owned by this scope's dynamic record:
-	// true = the record carries an explicit value, false = the key is
-	// masked from parent inheritance (the parent gained it after this
-	// scope spawned). Keys absent from wbOwn re-inherit the parent's
-	// value on recovery. wbFull scopes (root, subprocess bodies) record the
-	// complete whiteboard instead.
-	wbOwn  map[string]bool
+	// wbOwn lists the whiteboard keys owned by this scope's dynamic record,
+	// sorted by key: present = the record carries an explicit value,
+	// otherwise the key is masked from parent inheritance (the parent gained
+	// it after this scope spawned). Keys absent from wbOwn re-inherit the
+	// parent's value on recovery. wbFull scopes (root, subprocess bodies)
+	// record the complete whiteboard instead.
+	wbOwn  []ownedKey
 	wbFull bool
 
 	defunct bool // torn down by a sphere abort; ignore its completions
@@ -199,16 +205,57 @@ func (s *scope) adopt(child *scope) {
 	s.children[child.ID] = child
 }
 
+// layTasks gives the scope its task slots, each named by its task and holding
+// its ConnIn, cut from one array for the whole scope.
+func (s *scope) layTasks() {
+	p := s.Proc
+	s.tasks = make([]taskState, len(p.tasks))
+	conns := make([]connState, p.conns)
+	for i := range p.tasks {
+		ct := &p.tasks[i]
+		end := ct.connOff + ct.incoming
+		s.tasks[i].Name = ct.Name
+		s.tasks[i].ConnIn = conns[ct.connOff:end:end]
+	}
+}
+
+// task returns the slot of the named task, or nil when the scope's process
+// has no such task.
+func (s *scope) task(name string) *taskState {
+	if ct := s.Proc.index[name]; ct != nil {
+		return &s.tasks[ct.pos]
+	}
+	return nil
+}
+
+// ownedKey is one whiteboard key a scope's dynamic record owns.
+type ownedKey struct {
+	key     string
+	present bool
+}
+
+func byKey(a, b ownedKey) int { return strings.Compare(a.key, b.key) }
+
+// owned finds key in wbOwn: its index and true, or where it would go.
+func (s *scope) owned(key string) (int, bool) {
+	return slices.BinarySearchFunc(s.wbOwn, key, func(o ownedKey, k string) int { return strings.Compare(o.key, k) })
+}
+
 // ownWB marks one whiteboard key as owned by this scope's dynamic record
 // (present=false masks it from inheritance instead).
 func (s *scope) ownWB(key string, present bool) {
 	if s.wbFull {
 		return
 	}
-	if s.wbOwn == nil {
-		s.wbOwn = make(map[string]bool, 4)
+	i, found := s.owned(key)
+	if found {
+		s.wbOwn[i].present = present
+		return
 	}
-	s.wbOwn[key] = present
+	if s.wbOwn == nil {
+		s.wbOwn = make([]ownedKey, 0, 4) // a block child owns its element and its outputs
+	}
+	s.wbOwn = slices.Insert(s.wbOwn, i, ownedKey{key, present})
 }
 
 // env implements ocr.Env over a scope: plain names read the whiteboard,
@@ -220,8 +267,8 @@ func (e scopeEnv) Lookup(name string) (ocr.Value, bool) {
 	for i := 0; i < len(name); i++ {
 		if name[i] == '.' {
 			taskName, field := name[:i], name[i+1:]
-			ts, ok := e.s.Tasks[taskName]
-			if !ok || ts.Outputs == nil {
+			ts := e.s.task(taskName)
+			if ts == nil || ts.Outputs == nil {
 				return ocr.Null, false
 			}
 			v, ok := ts.Outputs[field]
@@ -362,10 +409,9 @@ func (in *Instance) Progress() float64 {
 		if sc.defunct {
 			continue
 		}
-		//bioopera:allow maprange order-independent counting over one scope's tasks
-		for _, ts := range sc.Tasks {
-			total++
-			if ts.Status.Terminal() {
+		total += len(sc.tasks)
+		for i := range sc.tasks {
+			if sc.tasks[i].Status.Terminal() {
 				done++
 			}
 		}

@@ -1,6 +1,11 @@
 package core
 
-import "bioopera/internal/ocr"
+import (
+	"slices"
+	"strings"
+
+	"bioopera/internal/ocr"
+)
 
 // This file is the compile step. A process is compiled once — when New loads
 // the template space, when RegisterTemplate stores a new definition, or when
@@ -19,6 +24,10 @@ type compiledProc struct {
 	hash  string // procHash(text): the proc/ key, and what a create record references
 	tasks []compiledTask
 	index map[string]*compiledTask
+	// byName lists the positions of tasks in name order: the order a delta
+	// checkpoint writes a scope's dirty task records in.
+	byName []int
+	conns  int // connectors between tasks: the length of a scope's ConnIn array
 	// roots are the tasks a starting scope activates: no incoming connector,
 	// and not a failure alternative (those run only when invoked).
 	roots []*ocr.Task
@@ -28,7 +37,9 @@ type compiledProc struct {
 // compiledTask is one task with its place in the graph.
 type compiledTask struct {
 	*ocr.Task
+	pos      int           // its index in tasks, and of its slot in a scope's tasks
 	incoming int           // connectors targeting the task: the length of its ConnIn
+	connOff  int           // where its ConnIn starts in the scope's ConnIn array
 	out      []edge        // connectors leaving it, in declaration order
 	body     *compiledProc // the compiled body of a block
 	// standby marks a failure alternative no connector leads to: inactive
@@ -59,6 +70,7 @@ func compile(p *ocr.Process) *compiledProc {
 	for i, t := range p.Tasks {
 		ct := &cp.tasks[i]
 		ct.Task = t
+		ct.pos = i
 		if t.Body != nil {
 			ct.body = compile(t.Body)
 			cp.all = append(cp.all, ct.body.all...)
@@ -81,8 +93,12 @@ func compile(p *ocr.Process) *compiledProc {
 			alts[t.AltTask] = true
 		}
 	}
+	cp.byName = make([]int, len(cp.tasks))
 	for i := range cp.tasks {
 		ct := &cp.tasks[i]
+		cp.byName[i] = i
+		ct.connOff = cp.conns
+		cp.conns += ct.incoming
 		if ct.incoming > 0 {
 			continue
 		}
@@ -92,6 +108,7 @@ func compile(p *ocr.Process) *compiledProc {
 			cp.roots = append(cp.roots, ct.Task)
 		}
 	}
+	slices.SortFunc(cp.byName, func(a, b int) int { return strings.Compare(cp.tasks[a].Name, cp.tasks[b].Name) })
 	return cp
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -126,13 +127,19 @@ func (cp *compiledProc) checkAgainst(p *ocr.Process) error {
 	if len(cp.tasks) != len(p.Tasks) || len(cp.index) != len(p.Tasks) {
 		return fmt.Errorf("%s: %d compiled tasks (%d indexed) for %d", p.Name, len(cp.tasks), len(cp.index), len(p.Tasks))
 	}
-	nBodies := 1
+	nBodies, conns := 1, 0
 	for i, t := range p.Tasks {
 		ct := &cp.tasks[i]
 		where := p.Name + "." + t.Name
 		if ct.Task != t || cp.index[t.Name] != ct {
 			return fmt.Errorf("%s: compiled task is not the process's", where)
 		}
+		// A scope's slot i is task i, and the ConnIn arrays of the tasks lie
+		// back to back in declaration order.
+		if ct.pos != i || ct.connOff != conns {
+			return fmt.Errorf("%s: slot %d with ConnIn at %d, want %d and %d", where, ct.pos, ct.connOff, i, conns)
+		}
+		conns += ct.incoming
 		incoming, outgoing := p.Incoming(t.Name), p.Outgoing(t.Name)
 		if ct.incoming != len(incoming) {
 			return fmt.Errorf("%s: incoming %d, want %d", where, ct.incoming, len(incoming))
@@ -184,6 +191,18 @@ func (cp *compiledProc) checkAgainst(p *ocr.Process) error {
 	}
 	if len(cp.all) != nBodies || cp.all[0] != cp {
 		return fmt.Errorf("%s: all lists %d processes, want %d", p.Name, len(cp.all), nBodies)
+	}
+	if cp.conns != conns {
+		return fmt.Errorf("%s: ConnIn array of %d, want %d", p.Name, cp.conns, conns)
+	}
+	// byName is every position once, in task-name order.
+	positions := make([]int, len(p.Tasks))
+	for i := range positions {
+		positions[i] = i
+	}
+	byName := func(a, b int) int { return strings.Compare(p.Tasks[a].Name, p.Tasks[b].Name) }
+	if !slices.IsSortedFunc(cp.byName, byName) || !slices.Equal(slices.Sorted(slices.Values(cp.byName)), positions) {
+		return fmt.Errorf("%s: name order %v", p.Name, cp.byName)
 	}
 	return nil
 }

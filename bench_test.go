@@ -350,19 +350,22 @@ func BenchmarkStorePutBatch(b *testing.B) {
 	})
 }
 
-// countingStore wraps a Store and counts the bytes of every Instance-space
-// put — the write volume a checkpoint pipeline actually pushes through the
-// log, measured below the engine so the number is comparable across
-// checkpoint layouts.
+// countingStore wraps a Store and counts two write volumes, measured below
+// the engine so the numbers are comparable across checkpoint layouts: bytes,
+// the values of every Instance-space put — what the checkpoint pipeline
+// pushes through the log for live instances — and all, the key and value
+// bytes of every op of every space, journal appends and the archive's
+// history included, as the bench's own counting store sums them.
 type countingStore struct {
 	store.Store
-	bytes atomic.Int64
+	bytes, all atomic.Int64
 }
 
 func (c *countingStore) Put(space store.Space, key string, value []byte) error {
 	if space == store.Instance {
 		c.bytes.Add(int64(len(value)))
 	}
+	c.all.Add(int64(len(key) + len(value)))
 	return c.Store.Put(space, key, value)
 }
 
@@ -371,8 +374,22 @@ func (c *countingStore) Batch(ops []store.Op) error {
 		if op.Space == store.Instance && !op.Delete {
 			c.bytes.Add(int64(len(op.Value)))
 		}
+		c.all.Add(int64(len(op.Key)))
+		if !op.Delete {
+			c.all.Add(int64(len(op.Value)))
+		}
 	}
 	return c.Store.Batch(ops)
+}
+
+func (c *countingStore) AppendEvent(data []byte) (uint64, error) {
+	c.all.Add(int64(len(data)))
+	return c.Store.AppendEvent(data)
+}
+
+func (c *countingStore) Delete(space store.Space, key string) error {
+	c.all.Add(int64(len(key)))
+	return c.Store.Delete(space, key)
 }
 
 // gateCheckpointBytes fails the benchmark when BENCH_GATE is set and the
@@ -407,6 +424,9 @@ func gateCheckpointBytes(b *testing.B, width int, got float64) {
 // reports checkpoint bytes written per navigated activity. Under whole-scope
 // checkpointing this grows linearly with width (O(n²) total serialization
 // over a block's lifetime); under per-task delta records it stays flat.
+// ckpt-B/act counts the instance space only, and is what BENCH_5.json gates;
+// store-B/act counts every space, so it also sees what the archive writes
+// into history (TestStoreBytesFlatInWidth keeps that flat).
 func BenchmarkCheckpointWidth(b *testing.B) {
 	const srcFmt = `
 PROCESS Fan {
@@ -424,7 +444,7 @@ PROCESS Fan {
 			for i := 0; i < width; i++ {
 				xs = append(xs, ocr.Int(i))
 			}
-			var ckptBytes, acts int64
+			var ckptBytes, allBytes, acts int64
 			for i := 0; i < b.N; i++ {
 				lib := core.NewLibrary()
 				lib.RegisterFunc("bench.id", func(_ core.ProgramCtx, args map[string]ocr.Value) (map[string]ocr.Value, error) {
@@ -448,10 +468,12 @@ PROCESS Fan {
 					b.Fatalf("instance %s", in.Status)
 				}
 				ckptBytes += cs.bytes.Load()
+				allBytes += cs.all.Load()
 				acts += int64(in.Activities)
 			}
 			bpa := float64(ckptBytes) / float64(acts)
 			b.ReportMetric(bpa, "ckpt-B/act")
+			b.ReportMetric(float64(allBytes)/float64(acts), "store-B/act")
 			gateCheckpointBytes(b, width, bpa)
 		})
 	}
@@ -831,20 +853,16 @@ func BenchmarkRecover(b *testing.B) {
 	}
 }
 
-// benchSevenBaseline mirrors the gated fields of BENCH_7.json.
-type benchSevenBaseline struct {
-	Recover struct {
-		LazySpeedup100k float64 `json:"lazy_speedup_100k"`
-		Gate            string  `json:"gate"`
-	} `json:"recover"`
-}
+// lazySpeedupFloor is ROADMAP item 10's rule: below this eager/lazy ratio at
+// 100k instances lazy recovery no longer pays for its second recovery path,
+// and LazyRecovery is to be deleted.
+const lazySpeedupFloor = 1.5
 
-// BenchmarkRecoverLazySpeedup measures the headline number: the ratio of
-// eager to lazy recovery time over 100k instances at 1% active. With
-// BENCH_GATE set it enforces the committed BENCH_7.json baseline — the
-// measured speedup must stay within 10% of baseline and above the 5×
-// acceptance floor. The gate is a within-run ratio, so it is
-// machine-independent; absolute times are reference only.
+// BenchmarkRecoverLazySpeedup measures the ratio of eager to lazy recovery
+// time over 100k instances at 1% active. With BENCH_GATE set it fails below
+// lazySpeedupFloor — the point where the option is to go, not a baseline to
+// hold. The gate is a within-run ratio, so it is machine-independent;
+// absolute times are reference only.
 func BenchmarkRecoverLazySpeedup(b *testing.B) {
 	const n = 100000
 	seeds := recoverSeeds(b)
@@ -873,27 +891,8 @@ func BenchmarkRecoverLazySpeedup(b *testing.B) {
 	b.ReportMetric(speedup, "x-speedup")
 	b.ReportMetric(eager.Seconds()*1000/float64(b.N), "ms/eager")
 	b.ReportMetric(lazy.Seconds()*1000/float64(b.N), "ms/lazy")
-	if os.Getenv("BENCH_GATE") == "" {
-		return
-	}
-	data, err := os.ReadFile("BENCH_7.json")
-	if err != nil {
-		b.Fatalf("BENCH_GATE set but baseline unreadable: %v", err)
-	}
-	var base benchSevenBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		b.Fatalf("BENCH_7.json: %v", err)
-	}
-	if base.Recover.LazySpeedup100k <= 0 {
-		b.Fatal("BENCH_7.json has no lazy_speedup_100k baseline")
-	}
-	floor := base.Recover.LazySpeedup100k / 1.10
-	if floor < 5.0 {
-		floor = 5.0
-	}
-	if speedup < floor {
-		b.Fatalf("lazy recovery speedup %.1fx below gate %.1fx (baseline %.1fx, acceptance floor 5x)",
-			speedup, floor, base.Recover.LazySpeedup100k)
+	if os.Getenv("BENCH_GATE") != "" && speedup < lazySpeedupFloor {
+		b.Fatalf("lazy recovery speedup %.2fx is below %.1fx: by ROADMAP item 10, delete LazyRecovery", speedup, lazySpeedupFloor)
 	}
 }
 

@@ -50,14 +50,16 @@ type scopeCreateDTO struct {
 	ProcText string `json:"proc,omitempty"`
 }
 
-// scopeDynDTO is the mutable part of a scope as recovery reads it. Entries
-// carries only the whiteboard keys this scope owns (explicitly set after
-// creation); unowned keys re-inherit the parent scope's value on recovery,
-// so an n-wide block's children never re-serialize the parent whiteboard
-// they merely inherited. Drop masks keys the parent gained after this scope
-// spawned. Full marks a complete whiteboard (root scopes, subprocess
-// bodies, archived records). The write side is encodeDyn, which produces
-// this layout straight from the scope.
+// scopeDynDTO is the mutable part of a scope as recovery reads it. For a
+// block body, Entries carries only the whiteboard keys the scope owns (set
+// or pinned after creation) and Drop the keys it masks (the parent gained
+// them after this scope spawned); every other key reads through to the
+// parent, so an n-wide block's children never serialize the parent
+// whiteboard they merely inherit — in the instance space or in the history
+// the archive writes. Full marks a complete whiteboard: root scopes and
+// subprocess bodies, and block bodies archived before history held deltas.
+// The write side is encodeDyn, which produces this layout straight from the
+// scope.
 type scopeDynDTO struct {
 	Entries map[string]ocr.Value `json:"entries,omitempty"`
 	Drop    []string             `json:"drop,omitempty"`
@@ -165,15 +167,14 @@ func decodeCreateRecord(data []byte) (scopeCreateDTO, error) {
 	return dto, finish(d)
 }
 
-// encodeDyn writes a scope's dynamic record: with full set (archives) or on
-// a wbFull scope the whole whiteboard, otherwise the owned entries and the
-// Drop mask, both in sorted key order — the layout of a counted map
-// followed by a counted string list, written from the live whiteboard with
-// no map built in between.
-func encodeDyn(e *codec.Encoder, sc *scope, full bool) {
+// encodeDyn writes a scope's dynamic record in the scope's own form: a
+// wbFull scope's whole whiteboard, or an inheriting scope's own entries and
+// masks (wbOwn, already in key order) — the layout of a counted map followed
+// by a counted string list, written with no map built in between. Every
+// checkpoint of the scope, the archive's included, writes this form.
+func encodeDyn(e *codec.Encoder, sc *scope) {
 	e.Begin(recDyn)
-	full = full || sc.wbFull
-	if full {
+	if sc.wbFull {
 		e.ValueMap(sc.Whiteboard)
 		e.Uvarint(0)
 	} else {
@@ -187,7 +188,7 @@ func encodeDyn(e *codec.Encoder, sc *scope, full bool) {
 		for _, o := range sc.wbOwn {
 			if o.present {
 				e.String(o.key)
-				e.Value(sc.Whiteboard[o.key])
+				e.Value(o.val)
 			}
 		}
 		e.Uvarint(uint64(len(sc.wbOwn) - owned))
@@ -197,7 +198,7 @@ func encodeDyn(e *codec.Encoder, sc *scope, full bool) {
 			}
 		}
 	}
-	e.Bool(full)
+	e.Bool(sc.wbFull)
 	e.Bool(sc.Done)
 	e.End()
 }

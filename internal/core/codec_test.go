@@ -79,20 +79,20 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// A scope whose record is either its full whiteboard or the delta
 		// it owns: every other key an explicit entry, two keys masked. The
 		// expected record is that projection, computed here from wbOwn.
-		sc := &scope{
-			Whiteboard: fuzzValueMap(n+1, key, sel+1, num, s),
-			wbFull:     nice, Done: !nice,
-		}
+		wb := fuzzValueMap(n+1, key, sel+1, num, s)
+		sc := &scope{wbFull: nice, Done: !nice}
 		dyn := scopeDynDTO{Full: nice, Done: !nice}
 		if nice {
-			dyn.Entries = sc.Whiteboard
+			sc.Whiteboard = wb
+			dyn.Entries = wb
 		} else {
-			for i := 0; i < len(sc.Whiteboard); i += 2 {
-				sc.ownWB(key+string(rune('a'+i)), true)
+			for i := 0; i < len(wb); i += 2 {
+				k := key + string(rune('a'+i))
+				sc.own(k, wb[k], true)
 			}
 			if n%3 == 1 {
-				sc.ownWB("drop/"+s, false)
-				sc.ownWB("drop/"+key, false)
+				sc.own("drop/"+s, ocr.Null, false)
+				sc.own("drop/"+key, ocr.Null, false)
 			}
 			for _, o := range sc.wbOwn {
 				if !o.present {
@@ -102,7 +102,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				if dyn.Entries == nil {
 					dyn.Entries = map[string]ocr.Value{}
 				}
-				dyn.Entries[o.key] = sc.Whiteboard[o.key]
+				dyn.Entries[o.key] = o.val
 			}
 			sort.Strings(dyn.Drop)
 		}
@@ -129,7 +129,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		defer codec.Put(e)
 		encodeMeta(e, &meta)
 		encodeCreate(e, &create)
-		encodeDyn(e, sc, false)
+		encodeDyn(e, sc)
 		encodeTask(e, &task)
 
 		gotMeta, err := DecodeInstanceMeta(e.Span(0))

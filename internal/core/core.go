@@ -633,8 +633,7 @@ func (e *Engine) initScope(in *Instance, sc *scope) error {
 		}
 		// DATA initializers override inherited values, so the scope's
 		// dynamic record must own them.
-		sc.Whiteboard[d.Name] = v
-		sc.ownWB(d.Name, true)
+		sc.set(d.Name, v)
 	}
 	e.touchNew(in, sc)
 	return nil

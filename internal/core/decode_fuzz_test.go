@@ -27,7 +27,7 @@ func FuzzDecodeInstanceRecords(f *testing.F) {
 	e := codec.Get()
 	encodeCreate(e, &scopeCreateDTO{ID: "-", IsRoot: true, ProcText: "PROCESS P {}"})
 	encodeTask(e, &taskState{Name: "Add", Status: TaskReady})
-	encodeDyn(e, &scope{wbFull: true}, false)
+	encodeDyn(e, &scope{wbFull: true})
 	createBin := append([]byte(nil), e.Span(0)...)
 	taskBin := append([]byte(nil), e.Span(1)...)
 	dynBin := append([]byte(nil), e.Span(2)...)

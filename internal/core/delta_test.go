@@ -47,7 +47,7 @@ func dumpInstance(t *testing.T, in *Instance) string {
 			ParentTask: sc.ParentTask,
 			ElemIndex:  sc.ElemIndex,
 			ProcText:   sc.Proc.text,
-			Whiteboard: sc.Whiteboard,
+			Whiteboard: sc.view(),
 			Done:       sc.Done,
 		}
 		if sc.Parent != nil {

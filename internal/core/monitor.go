@@ -157,7 +157,7 @@ func (s *MonitorSource) Instance(id string) (*obs.InstanceDetail, error) {
 			ID:     sc.ID,
 			Proc:   sc.Proc.Name,
 			Done:   sc.Done,
-			Values: namedValues(sc.Whiteboard),
+			Values: namedValues(sc.view()),
 		}
 		// Declaration order keeps the task list stable across snapshots.
 		for i := range sc.tasks {

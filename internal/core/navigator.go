@@ -124,7 +124,6 @@ func (e *Engine) spawnBlock(in *Instance, sc *scope, t *ocr.Task, ts *taskState)
 	body := sc.Proc.index[t.Name].body
 	if !t.Parallel {
 		child := e.newScope(in, sc, t.Name, -1, body)
-		copyWhiteboard(child, sc)
 		ts.ChildWaiting = 1
 		e.touchTask(in, sc, ts)
 		e.startScope(in, child)
@@ -155,9 +154,7 @@ func (e *Engine) spawnBlock(in *Instance, sc *scope, t *ocr.Task, ts *taskState)
 	children := make([]*scope, n)
 	for i := 0; i < n; i++ {
 		child := e.newScope(in, sc, t.Name, i, body)
-		copyWhiteboard(child, sc)
-		child.Whiteboard[t.As] = over.At(i)
-		child.ownWB(t.As, true)
+		child.own(t.As, over.At(i), true)
 		children[i] = child
 	}
 	for _, child := range children {
@@ -177,6 +174,7 @@ func (e *Engine) spawnSubprocess(in *Instance, sc *scope, t *ocr.Task, ts *taskS
 	// Subprocess bodies see only their inputs — no parent inheritance —
 	// so their dynamic record carries the complete whiteboard.
 	child.wbFull = true
+	child.Whiteboard = make(map[string]ocr.Value, len(child.Proc.Inputs))
 	for _, name := range child.Proc.Inputs {
 		if v, ok := ts.Inputs[name]; ok {
 			child.Whiteboard[name] = v
@@ -187,7 +185,9 @@ func (e *Engine) spawnSubprocess(in *Instance, sc *scope, t *ocr.Task, ts *taskS
 	e.startScope(in, child)
 }
 
-// newScope allocates and registers a child scope.
+// newScope allocates and registers a child scope. It inherits its parent's
+// whiteboard (blocks inherit the whiteboard; §3.1) by reading through it, so
+// it starts with none of its own.
 func (e *Engine) newScope(in *Instance, parent *scope, task string, elem int, proc *compiledProc) *scope {
 	child := &scope{
 		ID:         scopePath(parent, task, elem),
@@ -195,20 +195,11 @@ func (e *Engine) newScope(in *Instance, parent *scope, task string, elem int, pr
 		Parent:     parent,
 		ParentTask: task,
 		ElemIndex:  elem,
-		Whiteboard: make(map[string]ocr.Value),
 	}
 	child.layTasks()
 	parent.adopt(child)
 	in.scopes[child.ID] = child
 	return child
-}
-
-// copyWhiteboard gives a block body a snapshot of the parent scope's data
-// area (blocks inherit the whiteboard; §3.1).
-func copyWhiteboard(child, parent *scope) {
-	for k, v := range parent.Whiteboard {
-		child.Whiteboard[k] = v
-	}
 }
 
 // startScope initializes and begins navigating a child scope.
@@ -365,14 +356,7 @@ func (e *Engine) maybeCompleteScope(in *Instance, sc *scope) {
 		// written before the status flips — lock-free readers (Wait)
 		// observe the terminal status only after the results exist.
 		in.Ended = e.now()
-		in.Outputs = make(map[string]ocr.Value, len(sc.Proc.Outputs))
-		for _, o := range sc.Proc.Outputs {
-			if v, ok := sc.Whiteboard[o]; ok {
-				in.Outputs[o] = v
-			} else {
-				in.Outputs[o] = ocr.Null
-			}
-		}
+		in.Outputs = scopeOutputs(sc)
 		// Nothing is queued any more; what may remain is the hold of a
 		// gracefully suspended instance whose last running activity just
 		// finished the process.
@@ -404,26 +388,20 @@ func (e *Engine) maybeCompleteScope(in *Instance, sc *scope) {
 			}
 			return
 		}
-		outputs := make(map[string]ocr.Value, len(sc.Proc.Outputs))
-		for _, o := range sc.Proc.Outputs {
-			if v, ok := sc.Whiteboard[o]; ok {
-				outputs[o] = v
-			} else {
-				outputs[o] = ocr.Null
-			}
-		}
-		e.finishTask(in, parent, pt, pts, outputs)
+		e.finishTask(in, parent, pt, pts, scopeOutputs(sc))
 	case ocr.KindSubprocess:
-		outputs := make(map[string]ocr.Value, len(sc.Proc.Outputs))
-		for _, o := range sc.Proc.Outputs {
-			if v, ok := sc.Whiteboard[o]; ok {
-				outputs[o] = v
-			} else {
-				outputs[o] = ocr.Null
-			}
-		}
-		e.finishTask(in, parent, pt, pts, outputs)
+		e.finishTask(in, parent, pt, pts, scopeOutputs(sc))
 	}
+}
+
+// scopeOutputs maps each declared output of a finished scope to its value,
+// null when the scope never wrote it.
+func scopeOutputs(sc *scope) map[string]ocr.Value {
+	outputs := make(map[string]ocr.Value, len(sc.Proc.Outputs))
+	for _, o := range sc.Proc.Outputs {
+		outputs[o], _ = sc.get(o)
+	}
+	return outputs
 }
 
 // elementResult is one parallel element's contribution: the single
@@ -431,18 +409,12 @@ func (e *Engine) maybeCompleteScope(in *Instance, sc *scope) {
 func elementResult(sc *scope) ocr.Value {
 	outs := sc.Proc.Outputs
 	if len(outs) == 1 {
-		if v, ok := sc.Whiteboard[outs[0]]; ok {
-			return v
-		}
-		return ocr.Null
+		v, _ := sc.get(outs[0])
+		return v
 	}
 	vs := make([]ocr.Value, len(outs))
 	for i, o := range outs {
-		if v, ok := sc.Whiteboard[o]; ok {
-			vs[i] = v
-		} else {
-			vs[i] = ocr.Null
-		}
+		vs[i], _ = sc.get(o)
 	}
 	return ocr.List(vs...)
 }

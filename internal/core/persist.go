@@ -133,32 +133,32 @@ func (e *Engine) touchTask(in *Instance, sc *scope, ts *taskState) {
 }
 
 // setWB writes one whiteboard entry through the delta-tracking layer: the
-// key becomes owned by this scope's dynamic record. Live children that
-// inherited the previous value pin their view first (value or absence), so
-// recovery — which re-inherits unowned keys from the parent — still sees
-// exactly what each child observed. Pinning one level suffices: a
-// grandchild inherits from its (now explicit, unchanged) parent.
+// key becomes owned by this scope's dynamic record. Live children read
+// through to this scope, so each child that does not own the key pins the
+// view it had first (value or absence): the child keeps seeing what it saw,
+// and recovery — which rebuilds a child the same way, over its parent —
+// sees it too. Pinning one level suffices: a grandchild reads through its
+// (now explicit, unchanged) parent.
 func (e *Engine) setWB(in *Instance, sc *scope, key string, v ocr.Value) {
 	//bioopera:allow maprange order-independent: every child pins the same key and nothing is emitted
 	for _, child := range sc.children {
 		e.pinInherited(in, child, key)
 	}
-	sc.Whiteboard[key] = v
-	sc.ownWB(key, true)
+	sc.set(key, v)
 	e.touchMeta(in, sc)
 }
 
-// pinInherited makes a child's view of one inherited whiteboard key
-// explicit before the parent's value changes.
+// pinInherited makes a child's view of one inherited whiteboard key its own
+// before the parent's value changes.
 func (e *Engine) pinInherited(in *Instance, sc *scope, key string) {
 	if sc.wbFull {
-		return // records the complete whiteboard anyway
+		return // inherits nothing
 	}
 	if _, owned := sc.owned(key); owned {
 		return
 	}
-	_, has := sc.Whiteboard[key]
-	sc.ownWB(key, has)
+	v, has := sc.get(key)
+	sc.own(key, v, has)
 	e.touchMeta(in, sc)
 }
 
@@ -339,7 +339,7 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 	}
 	for _, sc := range ck.scopes {
 		if sc.newborn || sc.dirtyMeta || ck.archive {
-			encodeDyn(enc, sc, ck.archive)
+			encodeDyn(enc, sc)
 			ck.ops = append(ck.ops, store.Op{Space: space, Key: sc.dynKey(in)})
 			ck.dyns = append(ck.dyns, sc)
 		}

@@ -396,8 +396,8 @@ func buildInstanceShell(meta InstanceMeta) *Instance {
 // concurrently for different instances.
 func (e *Engine) buildScopes(in *Instance, kvs []store.KV, recMap map[string]*scopeRec, procTexts map[string][]byte) error {
 	// Sort records so parents come before children (shorter IDs first;
-	// root "" is shortest) — children re-inherit whiteboard values from
-	// the already-rebuilt parent. A one-scope instance needs no slice.
+	// root "" is shortest): a child links to its already-rebuilt parent and
+	// reads its whiteboard through it. A one-scope instance needs no slice.
 	var one [1]*scopeRec
 	scopeRecs := one[:0]
 	if len(recMap) > 1 {
@@ -438,7 +438,6 @@ func (e *Engine) buildScopes(in *Instance, kvs []store.KV, recMap map[string]*sc
 			Proc:       proc,
 			ParentTask: r.create.ParentTask,
 			ElemIndex:  r.create.ElemIndex,
-			Whiteboard: make(map[string]ocr.Value),
 			createK:    r.createK,
 			dynK:       r.dynK,
 		}
@@ -453,35 +452,30 @@ func (e *Engine) buildScopes(in *Instance, kvs []store.KV, recMap map[string]*sc
 		} else {
 			in.root = sc
 		}
-		// Whiteboard: the dynamic record's owned entries overlay what the
-		// scope inherits from its parent; Full records are self-contained.
+		// Whiteboard: a Full record is the scope's whole whiteboard; any
+		// other is what the scope owns, and the rest reads through to the
+		// parent.
 		if r.dyn != nil {
 			sc.Done = r.dyn.Done
 			if r.dyn.Full {
 				sc.wbFull = true
-				if r.dyn.Entries != nil {
-					sc.Whiteboard = r.dyn.Entries // decoded for this scope alone: adopted, not copied
+				sc.Whiteboard = r.dyn.Entries // decoded for this scope alone: adopted, not copied
+				if sc.Whiteboard == nil {
+					sc.Whiteboard = make(map[string]ocr.Value)
 				}
 			} else {
-				if sc.Parent != nil {
-					for k, v := range sc.Parent.Whiteboard {
-						sc.Whiteboard[k] = v
-					}
-				}
 				// Owned entries, then masks; a key the record both
 				// enters and masks keeps its entry.
 				if n := len(r.dyn.Entries) + len(r.dyn.Drop); n > 0 {
 					sc.wbOwn = make([]ownedKey, 0, max(n, 4))
 				}
 				for k, v := range r.dyn.Entries {
-					sc.Whiteboard[k] = v
-					sc.wbOwn = append(sc.wbOwn, ownedKey{k, true})
+					sc.wbOwn = append(sc.wbOwn, ownedKey{k, v, true})
 				}
 				slices.SortFunc(sc.wbOwn, byKey)
 				for _, k := range r.dyn.Drop {
 					if _, entered := sc.owned(k); !entered {
-						delete(sc.Whiteboard, k)
-						sc.ownWB(k, false)
+						sc.own(k, ocr.Null, false)
 					}
 				}
 			}
@@ -688,15 +682,7 @@ func (e *Engine) resumeChildScope(in *Instance, sc *scope, t *ocr.Task, ts *task
 		return
 	}
 	if child.Done {
-		outputs := make(map[string]ocr.Value, len(child.Proc.Outputs))
-		for _, o := range child.Proc.Outputs {
-			if v, ok := child.Whiteboard[o]; ok {
-				outputs[o] = v
-			} else {
-				outputs[o] = ocr.Null
-			}
-		}
-		e.finishTask(in, sc, t, ts, outputs)
+		e.finishTask(in, sc, t, ts, scopeOutputs(child))
 		return
 	}
 	// Derived state: one live child (task records do not persist it).
@@ -711,7 +697,6 @@ func (e *Engine) resumeBlock(in *Instance, sc *scope, t *ocr.Task, ts *taskState
 	if !t.Parallel {
 		e.resumeChildScope(in, sc, t, ts, func() {
 			child := e.newScope(in, sc, t.Name, -1, sc.Proc.index[t.Name].body)
-			copyWhiteboard(child, sc)
 			ts.ChildWaiting = 1
 			e.startScope(in, child)
 		})
@@ -751,9 +736,7 @@ func (e *Engine) resumeBlock(in *Instance, sc *scope, t *ocr.Task, ts *taskState
 	}
 	for _, i := range missing {
 		child := e.newScope(in, sc, t.Name, i, sc.Proc.index[t.Name].body)
-		copyWhiteboard(child, sc)
-		child.Whiteboard[t.As] = ts.OverElems[i]
-		child.ownWB(t.As, true)
+		child.own(t.As, ts.OverElems[i], true)
 		e.startScope(in, child)
 	}
 }

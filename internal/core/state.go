@@ -16,7 +16,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -166,6 +168,9 @@ type scope struct {
 	Parent     *scope
 	ParentTask string // task in the parent that spawned this scope
 	ElemIndex  int    // element index for parallel expansion, else -1
+	// Whiteboard is the complete data area of a wbFull scope (root,
+	// subprocess body). An inheriting scope (a block body) has none: its view
+	// is what it owns (wbOwn) over its parent's view, read through (get).
 	Whiteboard map[string]ocr.Value
 	// tasks has one slot per task of Proc, at the task's position in
 	// Proc.tasks. layTasks makes it once, with the scope; it never grows, so a
@@ -183,12 +188,12 @@ type scope struct {
 	newborn   bool // create + dynamic records never written
 	dirtyMeta bool // dynamic record needs rewriting
 
-	// wbOwn lists the whiteboard keys owned by this scope's dynamic record,
-	// sorted by key: present = the record carries an explicit value,
-	// otherwise the key is masked from parent inheritance (the parent gained
-	// it after this scope spawned). Keys absent from wbOwn re-inherit the
-	// parent's value on recovery. wbFull scopes (root, subprocess bodies)
-	// record the complete whiteboard instead.
+	// wbOwn is an inheriting scope's own whiteboard, sorted by key: the
+	// entries its dynamic record carries — present, with their values — and
+	// the keys it masks from its parent (the parent gained them after this
+	// scope spawned). A key absent from wbOwn reads through to the parent.
+	// wbFull scopes (root, subprocess bodies) inherit nothing and keep the
+	// complete Whiteboard instead.
 	wbOwn  []ownedKey
 	wbFull bool
 
@@ -228,9 +233,11 @@ func (s *scope) task(name string) *taskState {
 	return nil
 }
 
-// ownedKey is one whiteboard key a scope's dynamic record owns.
+// ownedKey is one whiteboard entry of an inheriting scope: the key's value,
+// or — present false — a mask hiding the parent's.
 type ownedKey struct {
 	key     string
+	val     ocr.Value
 	present bool
 }
 
@@ -241,21 +248,62 @@ func (s *scope) owned(key string) (int, bool) {
 	return slices.BinarySearchFunc(s.wbOwn, key, func(o ownedKey, k string) int { return strings.Compare(o.key, k) })
 }
 
-// ownWB marks one whiteboard key as owned by this scope's dynamic record
-// (present=false masks it from inheritance instead).
-func (s *scope) ownWB(key string, present bool) {
-	if s.wbFull {
-		return
-	}
+// own makes key an entry of an inheriting scope's own whiteboard: v, or
+// with present false a mask.
+func (s *scope) own(key string, v ocr.Value, present bool) {
 	i, found := s.owned(key)
 	if found {
-		s.wbOwn[i].present = present
+		s.wbOwn[i].val, s.wbOwn[i].present = v, present
 		return
 	}
 	if s.wbOwn == nil {
 		s.wbOwn = make([]ownedKey, 0, 4) // a block child owns its element and its outputs
 	}
-	s.wbOwn = slices.Insert(s.wbOwn, i, ownedKey{key, present})
+	s.wbOwn = slices.Insert(s.wbOwn, i, ownedKey{key, v, present})
+}
+
+// set writes one whiteboard entry of this scope.
+func (s *scope) set(key string, v ocr.Value) {
+	if s.wbFull {
+		s.Whiteboard[key] = v
+		return
+	}
+	s.own(key, v, true)
+}
+
+// get reads one whiteboard entry as the scope sees it: its own entries,
+// then its parent's view.
+func (s *scope) get(key string) (ocr.Value, bool) {
+	for ; s != nil; s = s.Parent {
+		if s.wbFull {
+			v, ok := s.Whiteboard[key]
+			return v, ok
+		}
+		if i, found := s.owned(key); found {
+			return s.wbOwn[i].val, s.wbOwn[i].present
+		}
+	}
+	return ocr.Null, false
+}
+
+// view returns the scope's whole whiteboard as get sees it, for readers that
+// list it. A wbFull scope's own map comes back: the caller must not write it.
+func (s *scope) view() map[string]ocr.Value {
+	if s.wbFull {
+		return s.Whiteboard
+	}
+	m := make(map[string]ocr.Value)
+	if s.Parent != nil {
+		maps.Copy(m, s.Parent.view())
+	}
+	for _, o := range s.wbOwn {
+		if o.present {
+			m[o.key] = o.val
+		} else {
+			delete(m, o.key)
+		}
+	}
+	return m
 }
 
 // env implements ocr.Env over a scope: plain names read the whiteboard,
@@ -275,8 +323,7 @@ func (e scopeEnv) Lookup(name string) (ocr.Value, bool) {
 			return v, ok
 		}
 	}
-	v, ok := e.s.Whiteboard[name]
-	return v, ok
+	return e.s.get(name)
 }
 
 // InstanceMeta is the persisted part of an instance: the fields of its
@@ -432,16 +479,16 @@ func (in *Instance) CPUPerActivity() time.Duration {
 	return in.CPU / time.Duration(in.Activities)
 }
 
-// scopePath builds the child scope ID for a task expansion.
+// scopePath builds the child scope ID for a task expansion — "task",
+// "parent/task", either with "[elem]" — in one concatenation: one allocation.
 func scopePath(parent *scope, task string, elem int) string {
-	var base string
-	if parent.ID == "" {
-		base = task
-	} else {
-		base = parent.ID + "/" + task
+	sep := ""
+	if parent.ID != "" {
+		sep = "/"
 	}
-	if elem >= 0 {
-		return fmt.Sprintf("%s[%d]", base, elem)
+	if elem < 0 {
+		return parent.ID + sep + task
 	}
-	return base
+	var digits [20]byte
+	return parent.ID + sep + task + "[" + string(strconv.AppendInt(digits[:0], int64(elem), 10)) + "]"
 }

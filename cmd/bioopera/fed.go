@@ -109,8 +109,8 @@ func serveFederated(ps []*ocr.Process, o fedServeOpts) error {
 }
 
 // cmdGateway runs a standalone federation gateway: clients connect to it
-// with the same JSON frames the members speak, and it routes each call to
-// the member owning the target instance, riding through failover.
+// with the same request frames the members answer, and it routes each call
+// to the member owning the target instance, riding through failover.
 func cmdGateway(args []string) error {
 	fs := flag.NewFlagSet("gateway", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:7080", "TCP address for federation clients")

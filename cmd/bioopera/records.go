@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"strings"
@@ -54,7 +55,11 @@ func cmdRecords(args []string) error {
 				fmt.Printf("space %s:\n", sp)
 			}
 			shown++
+			// A decoded record renders as indented JSON, a text as itself.
 			rendered, err := core.FormatRecord(kv.Key, kv.Value)
+			if _, text := rendered.(string); err == nil && !text {
+				rendered, err = json.MarshalIndent(rendered, "", "  ")
+			}
 			if err != nil {
 				fmt.Printf("  %s  [%d bytes]  UNDECODABLE: %v\n", kv.Key, len(kv.Value), err)
 				continue
@@ -63,7 +68,7 @@ func cmdRecords(args []string) error {
 			if *keysOnly {
 				continue
 			}
-			for _, line := range strings.Split(rendered, "\n") {
+			for _, line := range strings.Split(fmt.Sprintf("%s", rendered), "\n") {
 				fmt.Printf("    %s\n", line)
 			}
 		}

@@ -239,26 +239,16 @@ func (e *Encoder) ValueMap(m map[string]ocr.Value) {
 	e.keys = keys[:0]
 }
 
-// Decoder reads one binary record. Errors are sticky: after the first
-// malformed read every later read returns a zero value, and Err reports the
-// failure — callers check once at the end. A Decoder never panics on
-// corrupt input; every read is bounds-checked.
+// Decoder reads one binary record; the zero value is ready for Reset or
+// Open. Errors are sticky: after the first malformed read every later read
+// returns a zero value, and Err reports the failure — callers check once at
+// the end. A Decoder never panics on corrupt input; every read is
+// bounds-checked.
 type Decoder struct {
 	buf  []byte
 	off  int
 	strs []string // intern table, filled by literal strings in order
 	err  error
-}
-
-// NewDecoder validates the record header and returns a decoder positioned
-// at the first field, plus the record kind.
-func NewDecoder(data []byte) (*Decoder, byte, error) {
-	d := new(Decoder)
-	kind, err := d.Reset(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	return d, kind, nil
 }
 
 // Reset points the decoder at another record: it validates the header,
@@ -284,6 +274,17 @@ func (d *Decoder) Reset(data []byte) (kind byte, err error) {
 		return data[2], nil
 	}
 	return 0, d.err
+}
+
+// Open is Reset for a record whose kind its context dictates — a frame
+// body's is its frame's kind, a store record's its key's family — and
+// refuses a record of any other kind.
+func (d *Decoder) Open(data []byte, want byte) error {
+	kind, err := d.Reset(data)
+	if err == nil && kind != want {
+		err = fmt.Errorf("%w: a record of kind %d where kind %d belongs", ErrCorrupt, kind, want)
+	}
+	return err
 }
 
 // Err returns the first decode error, if any.

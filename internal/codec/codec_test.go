@@ -29,7 +29,7 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	e.Bytes(nil)
 	e.End()
 
-	d, kind, err := NewDecoder(e.Span(0))
+	d, kind, err := newDecoder(e.Span(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestValuesRoundTrip(t *testing.T) {
 	e.StringSlice(nil)
 	e.End()
 
-	d, _, err := NewDecoder(e.Span(0))
+	d, _, err := newDecoder(e.Span(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSpansAcrossRecords(t *testing.T) {
 		t.Fatalf("records = %d", e.Records())
 	}
 	for i := 0; i < 5; i++ {
-		d, kind, err := NewDecoder(e.Span(i))
+		d, kind, err := newDecoder(e.Span(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,7 @@ func TestCorruptInputsNeverPanic(t *testing.T) {
 		{Magic, Version, 1, 200},                        // unknown value kind
 	}
 	for i, data := range cases {
-		d, _, err := NewDecoder(data)
+		d, _, err := newDecoder(data)
 		if err != nil {
 			continue // header rejected: fine
 		}
@@ -295,16 +295,16 @@ func TestNewDecoderRefusesNonBinary(t *testing.T) {
 		{[]byte(`{"id":"x"}`), "pre-codec JSON record"},
 		{[]byte("{"), "pre-codec JSON record"},
 	} {
-		_, _, err := NewDecoder(tc.data)
+		_, _, err := newDecoder(tc.data)
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("NewDecoder(%q) = %v, want ErrCorrupt mentioning %q", tc.data, err, tc.want)
+			t.Errorf("newDecoder(%q) = %v, want ErrCorrupt mentioning %q", tc.data, err, tc.want)
 		}
 	}
 	e := Get()
 	defer Put(e)
 	e.Begin(1)
 	e.End()
-	if _, kind, err := NewDecoder(e.Span(0)); err != nil || kind != 1 {
+	if _, kind, err := newDecoder(e.Span(0)); err != nil || kind != 1 {
 		t.Fatalf("binary record refused: kind=%d err=%v", kind, err)
 	}
 }
@@ -371,15 +371,22 @@ func TestDecoderReset(t *testing.T) {
 
 // TestCountBoundsAllocation: a count larger than the bytes left is corrupt.
 func TestCountBoundsAllocation(t *testing.T) {
-	d, _, err := NewDecoder([]byte{Magic, Version, 1, 0x03, 1, 2, 3})
+	d, _, err := newDecoder([]byte{Magic, Version, 1, 0x03, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := d.Count("list"); n != 3 || d.Err() != nil {
 		t.Fatalf("Count = %d, %v", n, d.Err())
 	}
-	d, _, _ = NewDecoder([]byte{Magic, Version, 1, 0x04, 1, 2, 3})
+	d, _, _ = newDecoder([]byte{Magic, Version, 1, 0x04, 1, 2, 3})
 	if n := d.Count("list"); n != 0 || !errors.Is(d.Err(), ErrCorrupt) {
 		t.Fatalf("oversized Count = %d, %v", n, d.Err())
 	}
+}
+
+// newDecoder opens one record with a fresh decoder.
+func newDecoder(data []byte) (*Decoder, byte, error) {
+	d := new(Decoder)
+	kind, err := d.Reset(data)
+	return d, kind, err
 }

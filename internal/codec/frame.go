@@ -4,25 +4,32 @@ package codec
 // is, and every decode context accepts only its own range, so a record
 // misfiled across contexts fails loudly instead of misparsing:
 //
-//	 1–4    persist records   (internal/core: meta, create, dyn, task)
+//	 1–5    core records      (internal/core: meta, create, dyn, task, event)
+//	 8      lease record      (internal/fed, declared below)
 //	16–18   WAL records       (internal/store: put, del, event)
 //	32–63   transport frames  (internal/transport, declared below)
 //
 // A frame kind names one message of one protocol, so a message can move
 // from a JSON body to a codec body by taking a new kind, one at a time. The
-// worker protocol did: 33–38 carried its six messages as JSON, are retired
-// and are never reused — a peer that sends one is a pre-codec build and is
-// told so (RetiredFrameKind).
+// worker protocol did (33–38 carried its six messages as JSON) and so did the
+// federation (40–43 carried its four): those kinds are retired and are never
+// reused — a peer that sends one is a pre-codec build, and the transport
+// refuses it by name (RetiredFrameKind).
 const (
+	// RecordLease is a federation partition lease in the store's
+	// configuration space: s owner, u incarnation (layout in fed/lease.go).
+	RecordLease byte = 8
+
 	// FrameKeepAlive has an empty body; the transport sends and consumes
 	// it itself (liveness on an otherwise idle link).
 	FrameKeepAlive byte = 32
 
-	// Federation (internal/fed); bodies are fed.Frame JSON.
-	FrameFedHello    byte = 40
-	FrameFedGossip   byte = 41
-	FrameFedRequest  byte = 42
-	FrameFedResponse byte = 43
+	// Federation (internal/fed); each body is one codec record whose kind
+	// is the frame's own (layouts in fed/frame.go).
+	FrameFedHello    byte = 44
+	FrameFedGossip   byte = 45
+	FrameFedRequest  byte = 46
+	FrameFedResponse byte = 47
 
 	// Log shipping (internal/wal); bodies are uvarints and raw records.
 	FrameShipSync     byte = 48
@@ -46,6 +53,9 @@ const (
 // IsFrameKind reports whether kind lies in the transport-frame namespace.
 func IsFrameKind(kind byte) bool { return kind >= frameMin && kind <= frameMax }
 
-// RetiredFrameKind reports whether kind is one of the worker protocol's
-// JSON-bodied kinds, 33–38: what a pre-codec worker or server still sends.
-func RetiredFrameKind(kind byte) bool { return kind >= 33 && kind <= 38 }
+// RetiredFrameKind reports whether kind carried a JSON body before its
+// message moved to a codec record: the worker protocol's 33–38 or the
+// federation's 40–43, what a pre-codec peer still sends.
+func RetiredFrameKind(kind byte) bool {
+	return (kind >= 33 && kind <= 38) || (kind >= 40 && kind <= 43)
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -74,13 +73,9 @@ var decoders = sync.Pool{New: func() any { return new(codec.Decoder) }}
 
 // header opens a record for decoding with a pooled decoder and checks it is
 // of the wanted family; finish hands the decoder back.
-func header(data []byte, want byte, family string) (*codec.Decoder, error) {
+func header(data []byte, want byte) (*codec.Decoder, error) {
 	d := decoders.Get().(*codec.Decoder)
-	kind, err := d.Reset(data)
-	if err == nil && kind != want {
-		err = fmt.Errorf("%w: kind %d is not %s record", codec.ErrCorrupt, kind, family)
-	}
-	if err != nil {
+	if err := d.Open(data, want); err != nil {
 		decoders.Put(d)
 		return nil, err
 	}
@@ -115,7 +110,7 @@ func encodeMeta(e *codec.Encoder, m *InstanceMeta) {
 
 // DecodeInstanceMeta decodes an inst/<id> record.
 func DecodeInstanceMeta(data []byte) (InstanceMeta, error) {
-	d, err := header(data, recMeta, "an instance")
+	d, err := header(data, recMeta)
 	if err != nil {
 		return InstanceMeta{}, err
 	}
@@ -151,7 +146,7 @@ func encodeCreate(e *codec.Encoder, dto *scopeCreateDTO) {
 }
 
 func decodeCreateRecord(data []byte) (scopeCreateDTO, error) {
-	d, err := header(data, recCreate, "a scope-create")
+	d, err := header(data, recCreate)
 	if err != nil {
 		return scopeCreateDTO{}, err
 	}
@@ -204,7 +199,7 @@ func encodeDyn(e *codec.Encoder, sc *scope) {
 }
 
 func decodeDynRecord(data []byte) (scopeDynDTO, error) {
-	d, err := header(data, recDyn, "a scope-dynamic")
+	d, err := header(data, recDyn)
 	if err != nil {
 		return scopeDynDTO{}, err
 	}
@@ -244,7 +239,7 @@ func encodeTask(e *codec.Encoder, ts *taskState) {
 // rest — ConnIn, the record's key, the dispatch attempt — belongs to the slot
 // it decodes into and is left as it is.
 func decodeTaskRecord(data []byte, ts *taskState) error {
-	d, err := header(data, recTask, "a task")
+	d, err := header(data, recTask)
 	if err != nil {
 		return err
 	}
@@ -331,7 +326,7 @@ func appendEvent(buf []byte, ev *Event) []byte {
 
 // DecodeEvent decodes a journal record; every error wraps codec.ErrCorrupt.
 func DecodeEvent(data []byte) (Event, error) {
-	d, err := header(data, recEvent, "an event")
+	d, err := header(data, recEvent)
 	if err != nil {
 		return Event{}, err
 	}
@@ -356,33 +351,22 @@ func DecodeEvent(data []byte) (Event, error) {
 	return ev, nil
 }
 
-// FormatRecord renders one instance/history-space store record for a human:
-// codec records come back as indented JSON, interned process texts as the
-// raw text.
-func FormatRecord(key string, value []byte) (string, error) {
-	var (
-		rec any
-		err error
-	)
+// FormatRecord decodes one instance/history-space store record for a human
+// to read: a codec record comes back as its decoded struct, for the caller
+// to render, an interned process text as the raw text (a string).
+func FormatRecord(key string, value []byte) (any, error) {
 	switch {
 	case strings.HasPrefix(key, "inst/"):
-		rec, err = DecodeInstanceMeta(value)
+		return DecodeInstanceMeta(value)
 	case strings.HasPrefix(key, "scopec/"):
-		rec, err = decodeCreateRecord(value)
+		return decodeCreateRecord(value)
 	case strings.HasPrefix(key, "scoped/"):
-		rec, err = decodeDynRecord(value)
+		return decodeDynRecord(value)
 	case strings.HasPrefix(key, "task/"):
 		var ts taskState
-		err = decodeTaskRecord(value, &ts)
-		rec = &ts
+		return &ts, decodeTaskRecord(value, &ts)
 	case strings.HasPrefix(key, "proc/"):
 		return string(value), nil
-	default:
-		return "", fmt.Errorf("core: unknown record family for key %q", key)
 	}
-	if err != nil {
-		return "", err
-	}
-	out, err := json.MarshalIndent(rec, "", "  ")
-	return string(out), err
+	return nil, fmt.Errorf("core: unknown record family for key %q", key)
 }

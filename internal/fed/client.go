@@ -5,7 +5,6 @@
 package fed
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -38,13 +37,14 @@ const DefaultCallTimeout = 10 * time.Second
 // so many goroutines may call concurrently over the one connection. It is
 // the transport handler for that connection.
 type Client struct {
-	rpcMethods // Start, Status, Wait, ... over CallRaw
+	rpcMethods // Start, Status, Wait, ... over call
 
 	conn *transport.Conn
+	dec  codec.Decoder // the reader goroutine's
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan Frame
+	pending map[uint64]chan Response
 	err     error // set once the connection is gone
 }
 
@@ -53,8 +53,8 @@ func DialClient(addr string, timeout time.Duration) (*Client, error) {
 	if timeout <= 0 {
 		timeout = DefaultCallTimeout
 	}
-	c := &Client{pending: make(map[uint64]chan Frame)}
-	c.rpcMethods = rpcMethods{raw: c.CallRaw}
+	c := &Client{pending: make(map[uint64]chan Response)}
+	c.rpcMethods = rpcMethods{roundTrip: c.call}
 	_, err := transport.Dial(addr, timeout, func(tc *transport.Conn) transport.Handler {
 		c.conn = tc
 		return c
@@ -70,16 +70,16 @@ func (c *Client) Frame(kind byte, body []byte) error {
 	if kind != codec.FrameFedResponse {
 		return nil
 	}
-	var f Frame
-	if err := json.Unmarshal(body, &f); err != nil {
+	var resp Response
+	if err := decode(&c.dec, kind, body, &resp); err != nil {
 		return fmt.Errorf("fed: response: %w", err)
 	}
 	c.mu.Lock()
-	ch := c.pending[f.ID]
-	delete(c.pending, f.ID)
+	ch := c.pending[resp.ID]
+	delete(c.pending, resp.ID)
 	c.mu.Unlock()
 	if ch != nil {
-		ch <- f
+		ch <- resp
 	}
 	return nil
 }
@@ -99,34 +99,32 @@ func (c *Client) Closed(err error) {
 // calls fail with ErrClientClosed.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// CallRaw sends one request frame and waits for its response, leaving the
-// params and result encoding to the caller — the gateway forwards frames
-// it never decodes. A response with OK unset maps to *RedirectError or a
-// plain error.
-func (c *Client) CallRaw(method, instance string, params json.RawMessage, timeout time.Duration) (Frame, error) {
+// call sends one request under a fresh ID and waits for its response. A
+// failed response comes back with its error: *RedirectError, or the
+// member's text matching the sentinel its code names.
+func (c *Client) call(req Request, timeout time.Duration) (Response, error) {
 	if timeout <= 0 {
 		timeout = DefaultCallTimeout
 	}
-	ch := make(chan Frame, 1)
+	ch := make(chan Response, 1)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return Frame{}, err
+		return Response{}, err
 	}
 	c.nextID++
-	id := c.nextID
-	c.pending[id] = ch
+	req.ID = c.nextID
+	c.pending[req.ID] = ch
 	c.mu.Unlock()
 
 	// Send, not SendWait: a link with a full queue of unsent requests is
 	// as good as down, and the caller's retry logic should see it now.
-	f := Frame{ID: id, Method: method, Instance: instance, Params: params}
-	if err := sendFrame(c.conn, codec.FrameFedRequest, &f, false); err != nil {
+	if err := send(c.conn, codec.FrameFedRequest, &req, false); err != nil {
 		c.mu.Lock()
-		delete(c.pending, id)
+		delete(c.pending, req.ID)
 		c.mu.Unlock()
-		return Frame{}, fmt.Errorf("%w: %v", ErrClientClosed, err)
+		return Response{}, fmt.Errorf("%w: %v", ErrClientClosed, err)
 	}
 
 	timer := time.NewTimer(timeout)
@@ -137,19 +135,13 @@ func (c *Client) CallRaw(method, instance string, params json.RawMessage, timeou
 			c.mu.Lock()
 			err := c.err
 			c.mu.Unlock()
-			return Frame{}, err
+			return Response{}, err
 		}
-		if !resp.OK {
-			if resp.Redirect != "" {
-				return resp, &RedirectError{Member: resp.Redirect, Addr: resp.RedirectAddr}
-			}
-			return resp, errors.New(resp.Error)
-		}
-		return resp, nil
+		return resp, resp.err()
 	case <-timer.C:
 		c.mu.Lock()
-		delete(c.pending, id)
+		delete(c.pending, req.ID)
 		c.mu.Unlock()
-		return Frame{}, fmt.Errorf("fed: %s call timed out after %v", method, timeout)
+		return Response{}, fmt.Errorf("fed: %s call timed out after %v", req.Method, timeout)
 	}
 }

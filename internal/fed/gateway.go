@@ -5,11 +5,9 @@
 package fed
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -43,7 +41,7 @@ type GatewayConfig struct {
 // refreshed from the members themselves, follows redirects when a route
 // went stale, and retries through failover when an owner dies mid-call.
 type Gateway struct {
-	rpcMethods // Start, Status, Wait, ... routed through callRawTimeout
+	rpcMethods // Start, Status, Wait, ... routed through route
 
 	cfg GatewayConfig
 	met *fedMetrics
@@ -84,7 +82,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		owners:     make(map[int]string),
 		partitions: DefaultPartitions,
 	}
-	g.rpcMethods = rpcMethods{raw: g.callRawTimeout}
+	g.rpcMethods = rpcMethods{roundTrip: g.route}
 	g.refreshView()
 	if cfg.ListenAddr != "" {
 		ep, err := transport.Listen(cfg.ListenAddr)
@@ -305,18 +303,15 @@ func (g *Gateway) markDown(addr string) {
 	}
 }
 
-// CallRaw routes one request to the owning member, following redirects
+// route sends one request to the owning member, following redirects
 // (stale route: retry immediately at the named owner) and riding through
 // owner death (refresh the view after a backoff so failover can land).
 // Application errors from the owner are returned without retry.
-func (g *Gateway) CallRaw(method, instance string, params json.RawMessage) (Frame, error) {
-	return g.callRawTimeout(method, instance, params, g.cfg.CallTimeout)
-}
-
-func (g *Gateway) callRawTimeout(method, instance string, params json.RawMessage, timeout time.Duration) (Frame, error) {
+func (g *Gateway) route(req Request, timeout time.Duration) (Response, error) {
 	if timeout <= 0 {
 		timeout = g.cfg.CallTimeout
 	}
+	method, instance := req.Method, req.Instance
 	var lastErr error
 	target := g.targetFor(method, instance)
 	for attempt := 0; attempt <= g.cfg.Retries; attempt++ {
@@ -339,7 +334,7 @@ func (g *Gateway) callRawTimeout(method, instance string, params json.RawMessage
 			target = ""
 			continue
 		}
-		resp, err := c.CallRaw(method, instance, params, timeout)
+		resp, err := c.call(req, timeout)
 		if err == nil {
 			g.met.rpcOK.Inc()
 			return resp, nil
@@ -356,7 +351,7 @@ func (g *Gateway) callRawTimeout(method, instance string, params json.RawMessage
 			g.markDown(target)
 			lastErr = err
 			target = ""
-		case instance != "" && strings.Contains(err.Error(), core.ErrUnknownInstance.Error()):
+		case instance != "" && errors.Is(err, core.ErrUnknownInstance):
 			// The owner may have just claimed the partition and not yet
 			// finished adopting its instances; give recovery a beat. A
 			// genuinely unknown ID surfaces once retries run out.
@@ -365,7 +360,7 @@ func (g *Gateway) callRawTimeout(method, instance string, params json.RawMessage
 			time.Sleep(g.cfg.RetryBackoff)
 			g.refreshView()
 			target = g.targetFor(method, instance)
-		case method == MethodStart && strings.Contains(err.Error(), ErrNoPartition.Error()):
+		case method == MethodStart && errors.Is(err, ErrNoPartition):
 			// The member has no partition yet (booting, or mid-handoff):
 			// round-robin moves on, so just try the next live member.
 			g.met.rpcRedirect.Inc()
@@ -377,16 +372,16 @@ func (g *Gateway) callRawTimeout(method, instance string, params json.RawMessage
 			return resp, err
 		}
 	}
-	return Frame{}, fmt.Errorf("fed: gateway gave up after %d attempts: %w", g.cfg.Retries+1, lastErr)
+	return Response{}, fmt.Errorf("fed: gateway gave up after %d attempts: %w", g.cfg.Retries+1, lastErr)
 }
 
 // answer forwards one client request through the routing core, preserving
-// its ID.
-func (g *Gateway) answer(r Frame) Frame {
-	resp, err := g.CallRaw(r.Method, r.Instance, r.Params)
-	resp.ID = r.ID
-	if err != nil && !resp.OK && resp.Error == "" {
-		resp.Error = err.Error()
+// its ID; a failure keeps the code of the error it wraps.
+func (g *Gateway) answer(req Request) Response {
+	resp, err := g.route(req, 0)
+	if err != nil {
+		resp.fail(err)
 	}
+	resp.ID = req.ID
 	return resp
 }

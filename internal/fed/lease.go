@@ -1,12 +1,13 @@
 package fed
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
 	"sync"
 
+	"bioopera/internal/codec"
 	"bioopera/internal/store"
 )
 
@@ -34,9 +35,27 @@ func (e *ConflictError) Error() string {
 // configuration space so ownership survives restarts. A zero Owner means
 // unclaimed.
 type Lease struct {
-	Partition   int    `json:"partition"`
-	Owner       string `json:"owner,omitempty"`
-	Incarnation uint64 `json:"incarnation,omitempty"`
+	Partition   int
+	Owner       string
+	Incarnation uint64
+}
+
+// appendLease appends l's record: a codec record of kind codec.RecordLease
+// holding s owner, u incarnation. The partition is the record's key.
+func appendLease(buf []byte, l Lease) []byte {
+	buf = codec.AppendString(codec.AppendHeader(buf, codec.RecordLease), l.Owner)
+	return binary.AppendUvarint(buf, l.Incarnation)
+}
+
+// decodeLease reads a lease record; the codec refuses a JSON lease from
+// before the codec records by name.
+func decodeLease(data []byte, partition int) (Lease, error) {
+	var d codec.Decoder
+	if err := d.Open(data, codec.RecordLease); err != nil {
+		return Lease{}, err
+	}
+	l := Lease{Partition: partition, Owner: d.String(), Incarnation: d.Uvarint()}
+	return l, d.Finish()
 }
 
 // LeaseTable is the persisted partition-ownership table plus the monotonic
@@ -112,11 +131,10 @@ func (t *LeaseTable) getLocked(partition int) (Lease, error) {
 	if !ok {
 		return Lease{Partition: partition}, nil
 	}
-	var l Lease
-	if err := json.Unmarshal(raw, &l); err != nil {
-		return Lease{}, fmt.Errorf("fed: corrupt lease record for partition %d: %w", partition, err)
+	l, err := decodeLease(raw, partition)
+	if err != nil {
+		return Lease{}, fmt.Errorf("fed: lease record for partition %d: %w", partition, err)
 	}
-	l.Partition = partition
 	return l, nil
 }
 
@@ -168,11 +186,7 @@ func (t *LeaseTable) Claim(prev, next Lease) error {
 		return fmt.Errorf("%w: partition %d holds incarnation %d, claim carries %d",
 			ErrStaleIncarnation, next.Partition, cur.Incarnation, next.Incarnation)
 	}
-	data, err := json.Marshal(next)
-	if err != nil {
-		return err
-	}
-	if err := t.st.Put(store.Configuration, leaseKey(next.Partition), data); err != nil {
+	if err := t.st.Put(store.Configuration, leaseKey(next.Partition), appendLease(nil, next)); err != nil {
 		return fmt.Errorf("fed: persist lease for partition %d: %w", next.Partition, err)
 	}
 	return nil

@@ -6,7 +6,6 @@
 package fed
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -128,6 +127,10 @@ func NewMember(cfg Config) (*Member, error) {
 		route:  make(map[int]Lease),
 		stopc:  make(chan struct{}),
 	}
+	// An unreadable lease table (JSON leases) is refused once, here.
+	if _, err := m.leases.All(); err != nil {
+		return nil, err
+	}
 	inc, err := m.leases.NextIncarnation()
 	if err != nil {
 		return nil, err
@@ -231,25 +234,28 @@ func (m *Member) accept(c *transport.Conn, kind byte, body []byte) (transport.Ha
 	if kind != codec.FrameFedHello {
 		return acceptRequests(c, m.answer, kind, body)
 	}
-	var hello Frame
-	if err := json.Unmarshal(body, &hello); err != nil || hello.From.Name == "" {
+	g := &gossipConn{m: m, c: c}
+	var hello Beat
+	if err := decode(&g.dec, kind, body, &hello); err != nil || hello.From.Name == "" {
 		return nil, fmt.Errorf("fed: bad hello: %v", err)
 	}
 	// Identify ourselves back, then treat the conn as a gossip channel:
 	// the dialer learns our identity from this reply.
-	if err := sendFrame(c, codec.FrameFedHello, &Frame{From: m.self()}, false); err != nil {
+	if err := send(c, codec.FrameFedHello, &Beat{From: m.self()}, false); err != nil {
 		return nil, err
 	}
 	m.notePeer(hello.From, c)
-	return &gossipConn{m: m, c: c, peer: hello.From.Name}, nil
+	g.peer = hello.From.Name
+	return g, nil
 }
 
 // gossipConn is the handler for one gossip connection, accepted or dialed.
 type gossipConn struct {
 	m      *Member
 	c      *transport.Conn
-	peer   string // "" on a dialed connection until the peer's hello names it
-	dialed string // the address dialed, "" when accepted
+	dec    codec.Decoder // the reader goroutine's
+	peer   string        // "" on a dialed connection until the peer's hello names it
+	dialed string        // the address dialed, "" when accepted
 }
 
 // Frame consumes a peer's beats.
@@ -257,8 +263,8 @@ func (g *gossipConn) Frame(kind byte, body []byte) error {
 	if kind != codec.FrameFedHello && kind != codec.FrameFedGossip {
 		return nil
 	}
-	var f Frame
-	if err := json.Unmarshal(body, &f); err != nil {
+	var f Beat
+	if err := decode(&g.dec, kind, body, &f); err != nil {
 		return fmt.Errorf("fed: gossip: %w", err)
 	}
 	m := g.m
@@ -422,18 +428,18 @@ func (m *Member) dialPeer(addr string) {
 		return
 	}
 	c.ExpectReply()
-	_ = sendFrame(c, codec.FrameFedHello, &Frame{From: m.self()}, false) // a dead conn ends in Closed
+	_ = send(c, codec.FrameFedHello, &Beat{From: m.self()}, false) // a dead conn ends in Closed
 }
 
 // gossip sends one beat to every linked peer. Send never blocks: this
 // goroutine also runs the failure detector and reconcile, and a stalled
 // peer must not stop the one member that is supposed to take over.
 func (m *Member) gossip() {
-	beat, err := json.Marshal(&Frame{From: m.self(), Members: m.memberViews(false)})
-	if err != nil {
-		m.reportErr(fmt.Errorf("fed: %s: gossip: %w", m.cfg.Name, err))
-		return
-	}
+	e := codec.Get()
+	defer codec.Put(e)
+	e.Begin(codec.FrameFedGossip)
+	(&Beat{From: m.self(), Members: m.memberViews(false)}).Encode(e)
+	e.End()
 	m.mu.Lock()
 	var links []*transport.Conn
 	for _, p := range m.peers {
@@ -443,7 +449,7 @@ func (m *Member) gossip() {
 	}
 	m.mu.Unlock()
 	for _, l := range links {
-		_ = l.Send(codec.FrameFedGossip, beat) // a broken link is re-dialed next tick
+		_ = l.Send(codec.FrameFedGossip, e.Buf) // a broken link is re-dialed next tick
 	}
 }
 
@@ -451,12 +457,9 @@ func (m *Member) gossip() {
 // sorted); includeDead keeps peers the failure detector has declared down,
 // for gateways and monitor surfaces.
 func (m *Member) memberViews(includeDead bool) []MemberInfo {
+	out := []MemberInfo{m.self()}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := []MemberInfo{{
-		Name: m.cfg.Name, Addr: m.Addr(), Incarnation: m.inc, Up: true,
-		Partitions: ownedSorted(m.owned),
-	}}
 	names := make([]string, 0, len(m.peers))
 	for name := range m.peers {
 		names = append(names, name)

@@ -1,7 +1,6 @@
 package fed
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -23,13 +22,14 @@ const maxWait = 10 * time.Minute
 // so the endpoint's Close joins them.
 type requestConn struct {
 	c        *transport.Conn
-	answer   func(Frame) Frame
+	dec      codec.Decoder // the reader goroutine's
+	answer   func(Request) Response
 	inflight sync.WaitGroup
 }
 
 // acceptRequests starts serving a connection whose first frame is (kind,
 // body); anything but a request refuses the peer.
-func acceptRequests(c *transport.Conn, answer func(Frame) Frame, kind byte, body []byte) (transport.Handler, error) {
+func acceptRequests(c *transport.Conn, answer func(Request) Response, kind byte, body []byte) (transport.Handler, error) {
 	r := &requestConn{c: c, answer: answer}
 	if err := r.Frame(kind, body); err != nil {
 		return nil, err
@@ -41,119 +41,88 @@ func (r *requestConn) Frame(kind byte, body []byte) error {
 	if kind != codec.FrameFedRequest {
 		return fmt.Errorf("fed: frame kind %d on a request connection", kind)
 	}
-	var req Frame
-	if err := json.Unmarshal(body, &req); err != nil {
+	var req Request
+	if err := decode(&r.dec, kind, body, &req); err != nil {
 		return fmt.Errorf("fed: request: %w", err)
 	}
 	r.inflight.Add(1)
 	go func() {
 		defer r.inflight.Done()
 		resp := r.answer(req)
-		_ = sendFrame(r.c, codec.FrameFedResponse, &resp, true) // a broken conn ends in Closed
+		_ = send(r.c, codec.FrameFedResponse, &resp, true) // a broken conn ends in Closed
 	}()
 	return nil
 }
 
 func (r *requestConn) Closed(error) { r.inflight.Wait() }
 
-// answer executes one routed RPC and builds its response frame. Methods
-// scoped to an instance this member does not own come back as redirects
-// carrying the owner's identity, so the caller can re-route.
-func (m *Member) answer(req Frame) Frame {
-	res := Frame{ID: req.ID}
-	if req.Method != MethodStart && req.Method != MethodMembers {
-		if !m.ownsInstance(req.Instance) {
-			owner, addr := m.ownerOf(PartitionOf(req.Instance, m.cfg.Partitions))
-			res.Redirect, res.RedirectAddr = owner, addr
-			res.Error = fmt.Sprintf("fed: %s does not own instance %s", m.cfg.Name, req.Instance)
-			return res
-		}
-	}
-	result, err := m.dispatch(req)
-	if err != nil {
+// answer executes one routed RPC and builds its response. Methods scoped to
+// an instance this member does not own come back as redirects carrying the
+// owner's identity, so the caller can re-route.
+func (m *Member) answer(req Request) Response {
+	res := Response{ID: req.ID}
+	var err error
+	if req.Method != MethodStart && req.Method != MethodMembers && !m.ownsInstance(req.Instance) {
+		err = m.redirect(req.Instance)
+	} else if err = m.dispatch(&req, &res); errors.Is(err, core.ErrNotOwner) {
 		// The engine's own ownership gate can still fire when a lease is
 		// lost between the check above and the call — same redirect.
-		if errors.Is(err, core.ErrNotOwner) {
-			owner, addr := m.ownerOf(PartitionOf(req.Instance, m.cfg.Partitions))
-			res.Redirect, res.RedirectAddr = owner, addr
-		}
-		res.Error = err.Error()
-		return res
+		err = m.redirect(req.Instance)
 	}
-	res.OK = true
-	res.Result = result
+	if err != nil {
+		res.fail(err)
+	}
 	return res
 }
 
-// dispatch maps one method to the engine.
-func (m *Member) dispatch(req Frame) (json.RawMessage, error) {
+// redirect names the owner of an instance this member does not own, as a
+// *RedirectError when the owner is known.
+func (m *Member) redirect(id string) error {
+	owner, addr := m.ownerOf(PartitionOf(id, m.cfg.Partitions))
+	if owner == "" {
+		return fmt.Errorf("fed: %s does not own instance %s", m.cfg.Name, id)
+	}
+	return &RedirectError{Member: owner, Addr: addr}
+}
+
+// dispatch maps one method to the engine, filling its result into res.
+func (m *Member) dispatch(req *Request, res *Response) error {
 	eng := m.rt.Engine()
 	switch req.Method {
 	case MethodStart:
-		var r StartReq
-		if err := json.Unmarshal(req.Params, &r); err != nil {
-			return nil, err
-		}
-		id, err := m.startInstance(r)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(StartRes{ID: id})
+		id, err := m.startInstance(req.Start)
+		res.Started = id
+		return err
 	case MethodStatus:
-		return m.stateOf(req.Instance)
+		return m.stateOf(req.Instance, &res.State)
 	case MethodWait:
-		var r WaitReq
-		if err := json.Unmarshal(req.Params, &r); err != nil {
-			return nil, err
-		}
-		d := time.Duration(r.TimeoutMs) * time.Millisecond
+		d := time.Duration(req.TimeoutMs) * time.Millisecond
 		if d <= 0 || d > maxWait {
 			d = maxWait
 		}
 		if _, err := m.rt.Wait(req.Instance, d); err != nil {
-			return nil, err
+			return err
 		}
-		return m.stateOf(req.Instance)
+		return m.stateOf(req.Instance, &res.State)
 	case MethodResume:
-		return nil, eng.Resume(req.Instance)
+		return eng.Resume(req.Instance)
 	case MethodSuspend:
-		var r SuspendReq
-		if err := json.Unmarshal(req.Params, &r); err != nil {
-			return nil, err
-		}
-		return nil, eng.Suspend(req.Instance, r.Graceful)
+		return eng.Suspend(req.Instance, req.Graceful)
 	case MethodAbort:
-		var r AbortReq
-		if err := json.Unmarshal(req.Params, &r); err != nil {
-			return nil, err
-		}
-		return nil, eng.Abort(req.Instance, r.Reason)
+		return eng.Abort(req.Instance, req.Reason)
 	case MethodSignal:
-		var r SignalReq
-		if err := json.Unmarshal(req.Params, &r); err != nil {
-			return nil, err
-		}
-		return nil, eng.Signal(req.Instance, r.Event, r.Payload)
+		return eng.Signal(req.Instance, req.Event, req.Payload)
 	case MethodSetParam:
-		var r SetParamReq
-		if err := json.Unmarshal(req.Params, &r); err != nil {
-			return nil, err
-		}
-		return nil, eng.SetParameter(req.Instance, r.Name, r.Value)
+		return eng.SetParameter(req.Instance, req.Name, req.Value)
 	case MethodLineage:
-		lin, err := eng.Lineage(req.Instance)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(lin)
+		lg, err := eng.Lineage(req.Instance)
+		res.Lineage = lg
+		return err
 	case MethodMembers:
-		return json.Marshal(MembersView{
-			Partitions: m.cfg.Partitions,
-			Members:    m.memberViews(true),
-		})
-	default:
-		return nil, fmt.Errorf("fed: unknown method %q", req.Method)
+		res.View = MembersView{Partitions: m.cfg.Partitions, Members: m.memberViews(true)}
+		return nil
 	}
+	return fmt.Errorf("fed: unknown method %q", req.Method)
 }
 
 // startInstance mints an ID in an owned partition and starts the process
@@ -171,18 +140,18 @@ func (m *Member) startInstance(r StartReq) (string, error) {
 	})
 }
 
-// stateOf snapshots one instance into the wire representation.
-func (m *Member) stateOf(id string) (json.RawMessage, error) {
+// stateOf snapshots one instance into its wire representation.
+func (m *Member) stateOf(id string, out *StateRes) error {
 	eng := m.rt.Engine()
-	st, out, err := eng.InstanceState(id)
+	st, outputs, err := eng.InstanceState(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res := StateRes{Status: st.String(), Outputs: out}
+	*out = StateRes{Status: st.String(), Outputs: outputs}
 	if st == core.InstanceFailed {
 		if in, ok := eng.Instance(id); ok {
-			res.Failure = in.FailureReason
+			out.Failure = in.FailureReason
 		}
 	}
-	return json.Marshal(res)
+	return nil
 }

@@ -23,7 +23,7 @@ func NewMonitorSource(m *Member) *MonitorSource {
 
 // Members implements obs.MemberLister with the member's gossip view.
 func (s *MonitorSource) Members() []obs.MemberView {
-	return toMemberViews(s.m.memberViews(true))
+	return s.m.memberViews(true)
 }
 
 // GatewaySource adapts a gateway to obs.Source: instance queries are empty
@@ -56,16 +56,5 @@ func (s *GatewaySource) Members() []obs.MemberView {
 	if err != nil {
 		return nil
 	}
-	return toMemberViews(view.Members)
-}
-
-func toMemberViews(in []MemberInfo) []obs.MemberView {
-	out := make([]obs.MemberView, 0, len(in))
-	for _, m := range in {
-		out = append(out, obs.MemberView{
-			Name: m.Name, Addr: m.Addr, Incarnation: m.Incarnation,
-			Up: m.Up, Partitions: m.Partitions,
-		})
-	}
-	return out
+	return view.Members
 }

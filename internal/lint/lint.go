@@ -81,7 +81,7 @@ func Analyzers() []*Analyzer {
 		{Name: "walltime", Doc: "deterministic packages must use the sim virtual clock, never the wall clock", Run: runWalltime},
 		{Name: "droppederr", Doc: "store/WAL/persist/Close errors must flow somewhere, never be dropped", Run: runDroppedErr},
 		{Name: "maprange", Doc: "trace-order-sensitive code must not iterate maps unsorted", Run: runMapRange},
-		{Name: "hotjson", Doc: "record-path functions (checkpoint, WAL, recovery, replay) must use the binary codec, never encoding/json", Run: runHotJSON},
+		{Name: "hotjson", Doc: "no package under internal/ but obs and ocr imports encoding/json: records, frames and leases use the binary codec", Run: runHotJSON},
 	}
 }
 

@@ -177,7 +177,7 @@ func (a *Agent) heartbeatLoop(every time.Duration) {
 // Frame handles one message from the server. An error hangs the link up;
 // Closed logs it.
 func (a *Agent) Frame(kind byte, body []byte) error {
-	if err := openFrame(&a.dec, kind, body); err != nil {
+	if err := a.dec.Open(body, kind); err != nil {
 		return err
 	}
 	switch kind {

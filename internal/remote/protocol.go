@@ -22,8 +22,8 @@
 //
 // A body that is not a record of its frame's kind, or has bytes left over,
 // hangs the link up. Kinds 33–38 carried the same messages as JSON and are
-// retired: a peer that still sends them (or a '{' body) is refused with
-// ErrPreCodec. Nothing travels that the receiver already holds: a
+// retired: the transport refuses a peer that still sends them
+// (transport.ErrRetiredKind). Nothing travels that the receiver already holds: a
 // completion names its job only so the server can find the lease, which
 // knows the node.
 //
@@ -39,17 +39,11 @@
 package remote
 
 import (
-	"errors"
-	"fmt"
-
 	"bioopera/internal/codec"
 	"bioopera/internal/core"
 	"bioopera/internal/ocr"
 	"bioopera/internal/transport"
 )
-
-// ErrPreCodec refuses a peer that still speaks the JSON worker protocol.
-var ErrPreCodec = errors.New("remote: pre-codec worker protocol (JSON bodies, frame kinds 33–38) — upgrade both ends")
 
 // NodeInfo is one CPU slot a worker offers. The server namespaces node
 // names with the worker name ("w1/cpu0"), so workers may pick any local
@@ -228,19 +222,6 @@ func (m *Completion) Decode(d *codec.Decoder) (job []byte, err error) {
 		Outputs:     d.ValueMap(),
 	}
 	return job, d.Finish()
-}
-
-// openFrame points d at one inbound frame's body and checks it is a record
-// of the frame's own kind. d lives as long as its connection.
-func openFrame(d *codec.Decoder, kind byte, body []byte) error {
-	if codec.RetiredFrameKind(kind) || (len(body) > 0 && body[0] == '{') {
-		return fmt.Errorf("%w: got frame kind %d", ErrPreCodec, kind)
-	}
-	got, err := d.Reset(body)
-	if err == nil && got != kind {
-		err = fmt.Errorf("%w: a record of kind %d in a frame of kind %d", codec.ErrCorrupt, got, kind)
-	}
-	return err
 }
 
 // send queues e's one record as a frame of the given kind without blocking

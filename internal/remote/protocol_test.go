@@ -86,7 +86,7 @@ func encodeBody(m message) []byte {
 // kind's own Decode. A completion's job view is copied into the struct.
 func decodeBody(kind byte, body []byte) (message, error) {
 	var d codec.Decoder
-	if err := openFrame(&d, kind, body); err != nil {
+	if err := d.Open(body, kind); err != nil {
 		return nil, err
 	}
 	switch kind {
@@ -300,14 +300,15 @@ func TestWrongBodyHangsUp(t *testing.T) {
 	}
 	expectHangUp(t, nc)
 	waitFor(t, "worker declared dead", func() bool { _, dead, _ := s.Stats(); return dead == 1 })
-	if !logs.saw("a record of kind 60 in a frame of kind 61") {
+	if !logs.saw("a record of kind 60 where kind 61 belongs") {
 		t.Fatal("the server did not say why it hung up")
 	}
 }
 
 // TestPreCodecWorkerIsRefused: a worker from before the codec bodies — its
-// hello under the retired kind 33, or a JSON body under any kind — is hung
-// up at the handshake with an error that names it.
+// hello under the retired kind 33 (refused by the transport), or a JSON body
+// under any kind (refused by the codec) — is hung up at the handshake with an
+// error that names it.
 func TestPreCodecWorkerIsRefused(t *testing.T) {
 	const jsonHello = `{"worker":"old","nodes":[{"name":"cpu0","os":"linux","cpus":1,"speed":1}]}`
 	for name, frame := range map[string][]byte{
@@ -321,7 +322,7 @@ func TestPreCodecWorkerIsRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			expectHangUp(t, nc)
-			waitFor(t, "refusal logged", func() bool { return logs.saw("pre-codec worker") })
+			waitFor(t, "refusal logged", func() bool { return logs.saw("pre-codec") })
 			if w, _, _ := s.Stats(); w != 0 {
 				t.Fatalf("%d workers registered", w)
 			}
@@ -337,7 +338,7 @@ func (hangUpHandler) Closed(error)             {}
 
 // TestPreCodecServerIsRefused: the same from the worker's side — a server
 // that answers the hello with the retired JSON welcome fails the Dial with
-// an error that says which end is old.
+// the transport's named error for a retired kind.
 func TestPreCodecServerIsRefused(t *testing.T) {
 	ep, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
@@ -348,8 +349,8 @@ func TestPreCodecServerIsRefused(t *testing.T) {
 		return hangUpHandler{}, c.Send(34, []byte(`{"incarnation":1,"heartbeatMs":1000}`))
 	}, nil)
 	_, err = Dial(ep.Addr(), AgentConfig{Name: "w1", Library: core.NewLibrary(), Logf: t.Logf})
-	if !errors.Is(err, ErrPreCodec) {
-		t.Fatalf("Dial = %v, want ErrPreCodec", err)
+	if !errors.Is(err, transport.ErrRetiredKind) {
+		t.Fatalf("Dial = %v, want transport.ErrRetiredKind", err)
 	}
 }
 
@@ -447,14 +448,14 @@ func TestWireAllocBudget(t *testing.T) {
 	}{
 		{"launch", func() { launch.Encode(e) }, func(body []byte) {
 			l := new(Launch)
-			if openFrame(&d, codec.FrameLaunch, body) != nil || l.Decode(&d) != nil {
+			if d.Open(body, codec.FrameLaunch) != nil || l.Decode(&d) != nil {
 				t.Fatal("launch does not decode")
 			}
 			allocSink = l
 		}, 9},
 		{"completion", func() { done.Encode(e) }, func(body []byte) {
 			var m Completion
-			if openFrame(&d, codec.FrameCompletion, body) != nil {
+			if d.Open(body, codec.FrameCompletion) != nil {
 				t.Fatal("completion does not open")
 			}
 			if _, err := m.Decode(&d); err != nil {

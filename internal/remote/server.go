@@ -341,10 +341,10 @@ var errBadHello = errors.New("remote: first frame is not a valid hello")
 func (s *Server) accept(c *transport.Conn, kind byte, body []byte) (transport.Handler, error) {
 	w := &workerConn{s: s, conn: c}
 	var hello Hello
-	if err := openFrame(&w.dec, kind, body); errors.Is(err, ErrPreCodec) {
-		return nil, err // a pre-codec worker is told what it is
-	} else if err != nil || kind != codec.FrameHello || hello.Decode(&w.dec) != nil ||
-		hello.Worker == "" || len(hello.Nodes) == 0 {
+	if err := w.dec.Open(body, kind); err != nil {
+		return nil, err
+	}
+	if kind != codec.FrameHello || hello.Decode(&w.dec) != nil || hello.Worker == "" || len(hello.Nodes) == 0 {
 		return nil, errBadHello
 	}
 	w.name = hello.Worker
@@ -419,7 +419,7 @@ func (s *Server) accept(c *transport.Conn, kind byte, body []byte) (transport.Ha
 // the transport stamps every inbound byte and the reaper reads the stamp. An
 // error hangs the link up; Closed logs it.
 func (w *workerConn) Frame(kind byte, body []byte) error {
-	if err := openFrame(&w.dec, kind, body); err != nil {
+	if err := w.dec.Open(body, kind); err != nil {
 		return err
 	}
 	s := w.s

@@ -30,6 +30,9 @@ var (
 	// ErrUnknownKind means the kind byte lies outside the transport
 	// namespace — a persist or WAL record sent down a connection.
 	ErrUnknownKind = errors.New("transport: frame kind outside the transport namespace")
+	// ErrRetiredKind refuses a pre-codec peer: it sends a kind whose body was
+	// JSON before its message became a codec record (codec.RetiredFrameKind).
+	ErrRetiredKind = errors.New("transport: retired frame kind: the peer is a pre-codec build (JSON bodies) — upgrade both ends")
 	// ErrFrameTooLarge means the declared body length exceeds MaxFrame.
 	ErrFrameTooLarge = errors.New("transport: frame exceeds MaxFrame")
 	// ErrTruncated means the stream ended inside a frame.
@@ -88,6 +91,9 @@ func readFrame(r *bufio.Reader, buf []byte) (kind byte, body []byte, err error) 
 	}
 	if !codec.IsFrameKind(kind) {
 		return 0, buf, fmt.Errorf("%w: %d", ErrUnknownKind, kind)
+	}
+	if codec.RetiredFrameKind(kind) {
+		return 0, buf, fmt.Errorf("%w: got frame kind %d", ErrRetiredKind, kind)
 	}
 	n, err := binary.ReadUvarint(r)
 	if err != nil {

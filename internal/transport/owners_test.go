@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"io"
 	"net"
@@ -112,6 +112,29 @@ func TestJSONPeerIsRefused(t *testing.T) {
 			}
 			if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
 				t.Fatalf("read after a JSON hello = %v, want EOF", err)
+			}
+		})
+	}
+}
+
+// TestRetiredKindIsRefused: a peer from before the codec bodies — here a
+// member's JSON hello under the retired kind 40 — is hung up by every
+// listener at the frame's header, before its body is read.
+func TestRetiredKindIsRefused(t *testing.T) {
+	hello := transport.AppendFrame(nil, 40, []byte(`{"from":{"name":"old","up":true}}`))
+	for name, addr := range listeners(t) {
+		t.Run(name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			nc.SetDeadline(time.Now().Add(testGuard))
+			if _, err := nc.Write(hello); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("read after a retired-kind hello = %v, want EOF", err)
 			}
 		})
 	}
@@ -242,14 +265,7 @@ func walFrame(flag uint32, data string) []byte {
 }
 
 // everyKind is one real frame of every kind, as the owners encode them.
-func everyKind(t testing.TB) [][]byte {
-	jsonBody := func(v any) []byte {
-		data, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
+func everyKind() [][]byte {
 	vals := map[string]ocr.Value{"x": ocr.Str("payload")}
 	uv := func(vs ...uint64) []byte {
 		var b []byte
@@ -258,12 +274,20 @@ func everyKind(t testing.TB) [][]byte {
 		}
 		return b
 	}
+	record := func(kind byte, m interface{ Encode(*codec.Encoder) }) []byte {
+		e := codec.Get()
+		defer codec.Put(e)
+		e.Begin(kind)
+		m.Encode(e)
+		e.End()
+		return bytes.Clone(e.Buf)
+	}
 	frames := map[byte][]byte{
 		codec.FrameKeepAlive:    nil,
-		codec.FrameFedHello:     jsonBody(fed.Frame{From: fed.MemberInfo{Name: "alpha", Addr: "127.0.0.1:7000", Incarnation: 2, Up: true, Partitions: []int{0, 3}}}),
-		codec.FrameFedGossip:    jsonBody(fed.Frame{From: fed.MemberInfo{Name: "alpha", Up: true}, Members: []fed.MemberInfo{{Name: "beta", Addr: "127.0.0.1:7001", Up: true}}}),
-		codec.FrameFedRequest:   jsonBody(fed.Frame{ID: 9, Method: fed.MethodStart, Params: jsonBody(fed.StartReq{Template: "Chain8", Inputs: vals})}),
-		codec.FrameFedResponse:  jsonBody(fed.Frame{ID: 9, OK: true, Result: jsonBody(fed.StartRes{ID: "f03-alpha.2-000001"})}),
+		codec.FrameFedHello:     record(codec.FrameFedHello, &fed.Beat{From: fed.MemberInfo{Name: "alpha", Addr: "127.0.0.1:7000", Incarnation: 2, Up: true, Partitions: []int{0, 3}}}),
+		codec.FrameFedGossip:    record(codec.FrameFedGossip, &fed.Beat{From: fed.MemberInfo{Name: "alpha", Up: true}, Members: []fed.MemberInfo{{Name: "beta", Addr: "127.0.0.1:7001", Up: true}}}),
+		codec.FrameFedRequest:   record(codec.FrameFedRequest, &fed.Request{ID: 9, Method: fed.MethodStart, Start: fed.StartReq{Template: "Chain8", Inputs: vals}}),
+		codec.FrameFedResponse:  record(codec.FrameFedResponse, &fed.Response{ID: 9, Started: "f03-alpha.2-000001"}),
 		codec.FrameShipSync:     uv(42),
 		codec.FrameShipRecords:  append(uv(42), walFrame(0, "abc")...),
 		codec.FrameShipSnapshot: slices.Concat(uv(42), walFrame(1<<31, "abc"), walFrame(0, string(binary.LittleEndian.AppendUint64(nil, 42)))), // a record, then the seal
@@ -280,9 +304,10 @@ func everyKind(t testing.TB) [][]byte {
 }
 
 // FuzzReadFrame: the frame decoder never panics, never holds a buffer the
-// input did not pay for, and reads back whatever the encoder wrote.
+// input did not pay for, reads back whatever the encoder wrote, and refuses a
+// retired kind by name.
 func FuzzReadFrame(f *testing.F) {
-	for _, frame := range everyKind(f) {
+	for _, frame := range everyKind() {
 		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -293,6 +318,12 @@ func FuzzReadFrame(f *testing.F) {
 		kind := codec.FrameKeepAlive + byte(len(data)%32)
 		wire := transport.AppendFrame(nil, kind, data)
 		gotKind, got, err := transport.ReadFrame(bufio.NewReader(bytes.NewReader(wire)), body)
+		if codec.RetiredFrameKind(kind) {
+			if !errors.Is(err, transport.ErrRetiredKind) {
+				t.Fatalf("retired kind %d read back with err %v", kind, err)
+			}
+			return
+		}
 		if err != nil || gotKind != kind || !bytes.Equal(got, data) {
 			t.Fatalf("round trip of kind %d, %d bytes: kind %d, %d bytes, err %v", kind, len(data), gotKind, len(got), err)
 		}

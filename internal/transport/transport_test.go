@@ -134,6 +134,8 @@ func TestReadFrameErrors(t *testing.T) {
 		{"bad version", []byte{codec.Magic, codec.Version + 1, codec.FrameHello, 0}, ErrBadVersion},
 		{"persist kind", hdr(1, 0), ErrUnknownKind},
 		{"wal kind", hdr(17, 0), ErrUnknownKind},
+		{"retired worker kind", hdr(33, 0), ErrRetiredKind},
+		{"retired fed kind", hdr(40, 0), ErrRetiredKind},
 		{"oversize", hdr(codec.FrameShipSnapshot, MaxFrame+1), ErrFrameTooLarge},
 		{"truncated header", []byte{codec.Magic, codec.Version}, ErrTruncated},
 		{"truncated length", []byte{codec.Magic, codec.Version, codec.FrameHello, 0x80}, ErrTruncated},

@@ -233,12 +233,14 @@ func TestHistoryEventsShowsUndecodableRecord(t *testing.T) {
 		}
 	}
 	// The run's first lines are virtual-time deterministic; an
-	// infrastructure event has only a node and a detail to show.
+	// infrastructure event has only a node and a detail to show. The
+	// dispatch commits with the start that readied it, before the job
+	// launches on the cluster.
 	want := []string{
 		"1 0s instance-started p0001 Pipeline",
 		"2 0s task-ready p0001 Fetch",
-		"3 0s cluster-job-start iklinux-00 p0001||Fetch|0",
-		"4 0s task-dispatched p0001 Fetch iklinux-00",
+		"3 0s task-dispatched p0001 Fetch iklinux-00",
+		"4 0s cluster-job-start iklinux-00 p0001||Fetch|0",
 		"5 1s cluster-job-end iklinux-00 p0001||Fetch|0",
 	}
 	if len(got) < len(want) || !slices.Equal(got[:len(want)], want) {

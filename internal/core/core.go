@@ -61,7 +61,9 @@ type Executor interface {
 	// keep dst.
 	AppendNodes(dst []cluster.NodeView) []cluster.NodeView
 	// Launch starts a job; completions arrive via the engine's
-	// HandleCompletion.
+	// HandleCompletion. The engine calls it with no lock held, once the
+	// turn that recorded the dispatch has committed, and it must not
+	// block: the turn's other launches and its pump wait behind it.
 	Launch(l Launch) error
 	// Kill aborts a running job; a completion with an error follows.
 	Kill(id cluster.JobID, node string) error
@@ -196,7 +198,11 @@ type queuedRef struct {
 	sc   *scope
 	ts   *taskState
 	job  sched.Job // the queued job as built at enqueue (cost, tenant, key)
-	node string    // dispatch target; set under dmu when the job starts running
+	node string    // dispatch target; set under dmu when the scheduler picks it
+	// decided marks a picked job that holds its slot in the engine's view
+	// (Engine.decided) until its Launch has returned; killed, a kill that
+	// came before then (Engine.kill). Both under dmu.
+	decided, killed bool
 	// cancelTimeout stops the TIMEOUT timer armed at dispatch; set and
 	// cleared under dmu while the job is in the running map.
 	cancelTimeout func()
@@ -214,10 +220,13 @@ type queuedRef struct {
 //	dmu  the scheduler's activity queue and the queued/running job indexes
 //
 // Lock order is shard → emu/dmu (emu and dmu are leaves, except that Crash
-// takes emu then dmu). Navigation never calls Executor.Kill or Pump while
-// holding a shard: it notes them on the instance and endTurn, the one way
-// out of a turn, delivers them once the shard is released (executors may
-// deliver the kill completion synchronously, re-entering the same shard).
+// takes emu then dmu). Navigation never calls the executor or Pump while
+// holding a shard: it notes kills and launches on the instance and endTurn,
+// the one way out of a turn, delivers them once the shard is released and
+// the turn has committed (executors may deliver the kill completion
+// synchronously, re-entering the same shard). The scheduler's decisions are
+// taken under a shard, though: a turn that asked for a pump decides before it
+// ends (drain), under dmu.
 type Engine struct {
 	opts    Options
 	sched   *sched.Scheduler
@@ -237,7 +246,16 @@ type Engine struct {
 
 	dmu     sync.Mutex
 	queued  map[string]*queuedRef // job ID → queued task
-	running map[string]*queuedRef // job ID → running task
+	running map[string]*queuedRef // job ID → task picked by the scheduler or running
+	// decided counts, per node, the jobs picked but not yet launched; every
+	// decision adds them to the executor's view, so concurrent drains cannot
+	// hand out a slot a decision holds. nDecided is their sum.
+	decided  map[string]int
+	nDecided int
+	// launching counts the Launch calls in flight, and missed is set when a
+	// decision found no slot meanwhile (launch).
+	launching int
+	missed    bool
 	// view is the one buffer scheduling decisions take their cluster view
 	// into. No Policy keeps the slice and every decision is made under dmu,
 	// so the next decision may overwrite it.
@@ -265,6 +283,7 @@ func New(opts Options) (*Engine, error) {
 		instances: make(map[string]*Instance),
 		queued:    make(map[string]*queuedRef),
 		running:   make(map[string]*queuedRef),
+		decided:   make(map[string]int),
 	}
 	kvs, err := opts.Store.List(store.Template)
 	if err != nil {
@@ -308,20 +327,31 @@ func (e *Engine) lookup(id string) (*Instance, bool) {
 
 // endTurn is the one way out of an instance's critical section. Every
 // function that locks a shard to write defers it straight after the lock, so
-// each return leaves through it: it detaches the turn's write set, releases
-// the shard, commits the write set as one store batch, delivers the kills
-// navigation deferred (outside the lock, because the executor may deliver the
-// kill completion synchronously) and pumps the dispatcher if the turn asked
-// for it. A turn of Recover's phase 3 leaves its exit with its group instead,
-// which commits and delivers it with the group's other members (recover.go).
-// A turn that panics commits nothing: its write set is dropped, the shard
-// released and the panic raised again.
+// each return leaves through it. A turn that asked for a pump takes the
+// dispatcher's decisions first, still under the shard: the dispatches of its
+// own jobs join its write set (drain). Then endTurn detaches the write set,
+// releases the shard, commits the write set as one store batch and delivers
+// what waited for the commit (afterCommit). A turn of Recover's phase 3
+// leaves its exit with its group instead, which commits and delivers it with
+// the group's other members (recover.go). A turn that panics commits
+// nothing: its write set is dropped, the shard released and the panic raised
+// again.
+//
+// The decisions wait for the pump when the turn also fires kills or
+// OnInstanceDone, which come first and may free slots or queue work, so the
+// scheduler decides in the same order, against the same view, as a pump
+// after the turn would.
 func (e *Engine) endTurn(in *Instance, mu *sync.Mutex) {
-	x := turnExit{in: in, ws: in.writes, kills: in.pendingKills, pump: in.pendingPump, done: in.pendingDone}
+	r := recover()
+	var next decision
+	if r == nil && in.pendingPump && in.group == nil && in.pendingKills == nil && !in.pendingDone && !e.paused.Load() {
+		next = e.drain(in, decision{})
+	}
+	x := turnExit{in: in, ws: in.writes, kills: in.pendingKills, pump: in.pendingPump, done: in.pendingDone, next: next}
 	in.writes, in.pendingKills, in.pendingPump, in.pendingDone = nil, nil, false, false
 	g := in.group
 	in.group = nil
-	if r := recover(); r != nil {
+	if r != nil {
 		in.turnLive = false
 		mu.Unlock()
 		panic(r)
@@ -341,13 +371,16 @@ func (e *Engine) endTurn(in *Instance, mu *sync.Mutex) {
 	}
 	// Everything the turn wrote — checkpoints and events — commits here,
 	// outside the critical section, ordered by the instance's commit gate.
+	turn := [1]turnExit{x}
 	if x.ws != nil {
-		e.flushWrites(&x.ws.ops, []turnExit{x})
+		e.flushWrites(&x.ws.ops, turn[:])
 	}
-	e.afterCommit(x)
+	e.afterCommit(turn[0])
 }
 
-// afterCommit delivers what a turn left for after its write set committed.
+// afterCommit delivers what a turn left for after its write set committed:
+// OnInstanceDone, the kills, the launches of the jobs it dispatched, and the
+// pump, starting from the decision the turn carried out.
 func (e *Engine) afterCommit(x turnExit) {
 	// OnInstanceDone fires after the final checkpoint committed, so a
 	// waiter woken by it reads the archived state from the store.
@@ -355,10 +388,15 @@ func (e *Engine) afterCommit(x turnExit) {
 		e.opts.OnInstanceDone(x.in)
 	}
 	for _, k := range x.kills {
-		e.opts.Executor.Kill(cluster.JobID(k.job), k.node)
+		e.kill(k.job, k.node)
 	}
-	if x.pump {
-		e.Pump()
+	again := false
+	if x.ws != nil {
+		again = e.launch(x.ws.launches, x.fenced)
+		putWriteSet(x.ws)
+	}
+	if x.pump || again || x.next.ref != nil {
+		e.pump(x.next)
 	}
 }
 

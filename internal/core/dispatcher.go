@@ -18,46 +18,118 @@ import (
 
 // Pump dispatches as many queued activities as the cluster can take.
 // Drivers call it after anything that may have freed capacity. It is safe
-// for concurrent callers: each pops jobs from the queue under dmu and
-// dispatches them in parallel — dispatch re-validates every job under its
-// instance's shard, so concurrent drains never double-start a job. (The
-// sim driver is single-threaded, so sim dispatch order stays
-// deterministic.)
-func (e *Engine) Pump() {
-	if e.paused.Load() {
-		return
-	}
-	e.drain()
+// for concurrent callers: each takes decisions from the scheduler under dmu
+// and dispatches them in the decided jobs' own turns — a decision is
+// re-validated under its instance's shard, so concurrent drains never
+// double-start a job. (The sim driver is single-threaded, so sim dispatch
+// order stays deterministic.)
+func (e *Engine) Pump() { e.pump(decision{}) }
+
+// decision is one pick of the scheduler: the popped job, the node chosen for
+// it and the task attempt it belongs to. From the pick until its job is
+// launched or the decision is dropped, the job is in the running index and
+// holds its slot (ref.decided). A turn carries at most one to its pump, by
+// value.
+type decision struct {
+	job  string
+	node string
+	ref  *queuedRef
 }
 
-// drain pops dispatchable jobs until the queue or the cluster is
-// exhausted. The scheduler owns ordering (priority, tenant fair share)
-// and placement, and never offers a suspended instance's jobs: their group
-// is held (Suspend, recovery) until Resume releases it. The engine only
-// executes the decisions. A cluster view is taken — into the engine's one
-// buffer, under dmu — only when a job is ready to be decided on.
-func (e *Engine) drain() {
+// pendingLaunch is a dispatch a turn recorded, built under the shard and
+// launched once the turn's write set has committed (writeSet.launches).
+type pendingLaunch struct {
+	Launch
+	ref *queuedRef
+}
+
+// pump dispatches d, if set, and then every decision the scheduler makes,
+// each in its instance's turn, until the queue or the cluster is exhausted;
+// a paused engine takes no new decision. The scheduler owns ordering
+// (priority, tenant fair share) and placement, and never offers a suspended
+// instance's jobs: their group is held (Suspend, recovery) until Resume
+// releases it. The engine only executes the decisions.
+func (e *Engine) pump(d decision) {
+	if d.ref == nil && e.paused.Load() {
+		return
+	}
 	e.reapUnplaceable()
+	for d = e.drain(nil, d); d.ref != nil; {
+		d = e.dispatch(d)
+	}
+}
+
+// drain is the dispatcher's one decision step: it takes decisions until the
+// queue or the cluster is exhausted — under dmu, against a cluster view taken
+// into the engine's one buffer only when a job is ready to be decided on, with
+// the slots of decided, unlaunched jobs counted as taken. in is the instance
+// whose turn is open (its shard held), nil for none: d, then every decision
+// that picks in's job, is recorded in that turn, and the first decision for
+// another instance ends the step and is returned, to be dispatched in its own
+// turn once this one has committed. A turn's own step (d unset) is the pump
+// the turn asked for, so it clears in.pendingPump — unless jobs pinned to
+// nodes are queued: a pump reaps the unplaceable among them first, and may
+// not under a shard, so the step then leaves the pump to after the commit.
+func (e *Engine) drain(in *Instance, d decision) decision {
+	recorded, turnPump := false, in != nil && d.ref == nil
 	for {
-		e.dmu.Lock()
-		if e.sched.Len() == e.sched.Held() {
+		if d.ref == nil {
+			e.dmu.Lock()
+			if turnPump {
+				if e.sched.Pinned() > 0 {
+					e.dmu.Unlock()
+					return decision{}
+				}
+				in.pendingPump, turnPump = false, false
+			}
+			if e.sched.Len() == e.sched.Held() {
+				e.dmu.Unlock()
+				break
+			}
+			e.view = e.opts.Executor.AppendNodes(e.view[:0])
+			if e.nDecided > 0 {
+				for i := range e.view {
+					e.view[i].Running += e.decided[e.view[i].Name]
+				}
+			}
+			t0 := e.now()
+			job, node, ok := e.sched.Next(e.view, nil)
+			e.metrics.decision(e.now().Sub(t0))
+			if !ok {
+				// A job inside its Launch may be counted twice, by the
+				// executor and as decided: its launcher pumps again.
+				e.missed = e.missed || e.launching > 0
+				e.dmu.Unlock()
+				break
+			}
+			ref := e.queued[job.ID]
+			delete(e.queued, job.ID)
+			ref.node, ref.decided, ref.killed = node, true, false
+			e.decided[node]++
+			e.nDecided++
+			e.running[job.ID] = ref
 			e.dmu.Unlock()
-			return
+			d = decision{job: job.ID, node: node, ref: ref}
 		}
-		e.view = e.opts.Executor.AppendNodes(e.view[:0])
-		t0 := e.now()
-		job, node, ok := e.sched.Next(e.view, nil)
-		e.metrics.decision(e.now().Sub(t0))
-		if !ok {
-			e.dmu.Unlock()
-			return
+		if in == nil || d.ref.inst != in {
+			break
 		}
-		ref := e.queued[job.ID]
-		delete(e.queued, job.ID)
-		e.dmu.Unlock()
-		if !e.dispatch(job, node, ref) {
-			return
-		}
+		recorded = e.record(in, d) || recorded
+		d = decision{}
+	}
+	if recorded {
+		e.persist(in)
+	}
+	return d
+}
+
+// settle ends a decision's hold on its slot: its job was launched, or never
+// will be. Caller holds dmu, and ref is in the running index.
+func (e *Engine) settle(ref *queuedRef) {
+	if ref.decided {
+		ref.decided = false
+		e.decided[ref.node]--
+		e.nDecided--
 	}
 }
 
@@ -107,7 +179,7 @@ func (e *Engine) failUnplaceable(job sched.Job, ref *queuedRef) {
 	}
 	if in.Status != InstanceRunning {
 		if in.Status == InstanceSuspended {
-			e.putBack(job, ref)
+			e.putBack(ref)
 		}
 		return
 	}
@@ -117,94 +189,196 @@ func (e *Engine) failUnplaceable(job sched.Job, ref *queuedRef) {
 	e.failTask(in, sc, t, ts, fmt.Errorf("required nodes %v are all down or unknown", job.Nodes))
 }
 
-// putBack returns a job the dispatcher popped to the activity queue. The
-// caller holds the instance's shard: put back after the turn, a Resume in
-// between would release the group and pump against a queue that does not
-// hold the job yet, and nothing would pump again.
-func (e *Engine) putBack(job sched.Job, ref *queuedRef) {
+// putBack returns a job the dispatcher took to the activity queue, and its
+// slot, if it held one, to the cluster. The caller holds the instance's
+// shard: put back after the turn, a Resume in between would release the
+// group and pump against a queue that does not hold the job yet, and nothing
+// would pump again.
+func (e *Engine) putBack(ref *queuedRef) {
 	e.dmu.Lock()
-	delete(e.running, job.ID)
-	ref.node = ""
-	e.sched.Enqueue(job)
-	e.queued[job.ID] = ref
+	e.unrun(ref)
+	e.sched.Enqueue(ref.job)
+	e.queued[ref.job.ID] = ref
 	e.dmu.Unlock()
 }
 
-// dispatch starts one popped job on its chosen node. It returns false when
-// the drain loop should stop (cluster capacity changed under us).
-func (e *Engine) dispatch(job sched.Job, node string, ref *queuedRef) bool {
-	in, sc, ts := ref.inst, ref.sc, ref.ts
+// unrun takes a job the dispatcher took out of the running index, releasing
+// the slot its decision held. Caller holds dmu.
+func (e *Engine) unrun(ref *queuedRef) {
+	if e.running[ref.job.ID] == ref {
+		e.settle(ref)
+		delete(e.running, ref.job.ID)
+	}
+	ref.node = ""
+}
+
+// dispatch dispatches one decision in its instance's turn: the dispatch and
+// every further decision for the same instance are recorded there, and the
+// first decision for another instance is returned for the next turn.
+func (e *Engine) dispatch(d decision) decision {
+	in := d.ref.inst
 	mu := e.shardFor(in.ID)
 	mu.Lock()
 	defer e.endTurn(in, mu)
 	if cur, live := e.lookup(in.ID); !live || cur != in {
-		// Crash wiped (or recovery rebuilt) the instance since the pop;
-		// the popped job died with its incarnation.
-		return true
+		// Crash wiped (or recovery rebuilt) the instance since the pick;
+		// the picked job, and its slot, died with its incarnation.
+		return e.drain(nil, decision{})
 	}
 	e.beginTurn(in)
-	// Re-validate under the shard: since the pop, the instance may have
-	// been suspended or aborted, the scope torn down by a sphere abort,
-	// or the task superseded by a newer attempt.
-	if sc.defunct || ts.Status != TaskReady || ts.Job != job.ID {
-		return true
+	return e.drain(in, d)
+}
+
+// record is the dispatch body: it re-validates a decision under its
+// instance's shard, then records the dispatch in the turn — the task's
+// running record and its task-dispatched event join the turn's write set,
+// and the launch waits there until the write set has committed (launch). It
+// reports whether it recorded; a decision that no longer holds gives back its
+// slot, and its job to the queue if the instance is suspended.
+func (e *Engine) record(in *Instance, d decision) bool {
+	ref, sc, ts := d.ref, d.ref.sc, d.ref.ts
+	// Since the pick, the instance may have been suspended or aborted, the
+	// scope torn down by a sphere abort, or the task superseded by a newer
+	// attempt.
+	stale := sc.defunct || ts.Status != TaskReady || ts.Job != d.job
+	if !stale && in.Status == InstanceSuspended {
+		// Suspended after the pick: back into its (now held) group for
+		// Resume.
+		e.putBack(ref)
+		return false
 	}
-	if in.Status != InstanceRunning {
-		if in.Status == InstanceSuspended {
-			// Suspended after the pop: back into its (now held) group
-			// for Resume.
-			e.putBack(job, ref)
-		}
-		return true
+	if stale || in.Status != InstanceRunning {
+		e.dmu.Lock()
+		e.unrun(ref)
+		e.dmu.Unlock()
+		return false
 	}
-	// Reserve the running slot before Launch: the local executor can
-	// deliver the completion from its worker goroutine before Launch even
-	// returns.
-	e.dmu.Lock()
-	ref.node = node
-	e.running[job.ID] = ref
-	e.dmu.Unlock()
 	t := sc.Proc.Task(ts.Name)
-	l := Launch{
-		Job:     cluster.JobID(job.ID),
-		Node:    node,
-		Cost:    job.Cost,
+	ts.Status = TaskRunning
+	ts.Node = d.node
+	ts.StartedAt = e.now()
+	e.touchTask(in, sc, ts)
+	e.emit(in, Event{Kind: EvTaskDispatched, Instance: in.ID, Scope: sc.ID,
+		Task: ts.Name, Node: d.node})
+	ws := in.turnWrites()
+	ws.launches = append(ws.launches, pendingLaunch{ref: ref, Launch: Launch{
+		Job:     cluster.JobID(d.job),
+		Node:    d.node,
+		Cost:    ref.job.Cost,
 		Nice:    in.Nice,
+		Timeout: time.Duration(t.Timeout * float64(time.Second)),
 		Program: t.Program,
 		Inputs:  ts.Inputs,
 		Ctx: ProgramCtx{
 			Instance: in.ID,
 			Task:     ts.Name,
 			Attempt:  ts.Attempts,
-			Node:     node,
+			Node:     d.node,
 		},
-	}
-	if t.Timeout > 0 {
-		l.Timeout = time.Duration(t.Timeout * float64(time.Second))
-	}
-	// Under the shard: reserve-then-launch must be atomic per job, and
-	// Executor.Launch does not block by contract (a goroutine spawn locally,
-	// one queued frame remotely).
-	if err := e.opts.Executor.Launch(l); err != nil {
-		// Capacity changed under us; requeue and stop draining. If a
-		// concurrent drain took the slot, pump again after the turn: the
-		// winner's completion may have pumped while this job was in neither
-		// the queue nor a slot, and on a quiet engine nothing else will.
-		e.putBack(job, ref)
-		in.pendingPump = errors.Is(err, cluster.ErrNoFreeCPU)
-		return false
-	}
-	ts.Status = TaskRunning
-	ts.Node = node
-	ts.StartedAt = e.now()
-	e.touchTask(in, sc, ts)
-	e.emit(in, Event{Kind: EvTaskDispatched, Instance: in.ID, Scope: sc.ID,
-		Task: ts.Name, Node: node})
-	e.persist(in)
-	if l.Timeout > 0 {
-		e.armTimeout(job.ID, l.Timeout)
-	}
+	}})
 	return true
+}
+
+// launch starts the jobs a turn recorded, in decision order, once its write
+// set has committed: no job runs before its dispatch record is durable. A
+// failed batch launches too — its records are re-marked and ride the
+// instance's next commit, as every failed turn's do — and a fenced one
+// launches nothing: the instance is another server's now. Each job holds its
+// slot until its Launch has returned, so a concurrent drain cannot hand the
+// slot out in between. A job killed before its launch (Suspend, Abort, a
+// sweep) is not launched: it completes as killed, as a running job would.
+// One a Crash took with its incarnation is neither. launch reports whether a
+// decision found no slot while a Launch was in flight: the caller pumps
+// again.
+func (e *Engine) launch(ps []pendingLaunch, fenced bool) (again bool) {
+	for i := range ps {
+		p := &ps[i]
+		id := string(p.Job)
+		e.dmu.Lock()
+		ours := e.running[id] == p.ref
+		killed := ours && !fenced && p.ref.killed
+		switch {
+		case !ours:
+		case fenced:
+			e.unrun(p.ref)
+		case killed:
+			e.settle(p.ref)
+		default:
+			e.launching++
+		}
+		e.dmu.Unlock()
+		if killed {
+			e.HandleCompletion(cluster.Completion{Job: p.Job, Node: p.Node, Err: cluster.ErrJobKilled})
+		}
+		if !ours || fenced || killed {
+			continue
+		}
+		err := e.opts.Executor.Launch(p.Launch)
+		e.dmu.Lock()
+		e.launching--
+		if ours = e.running[id] == p.ref; ours {
+			killed = p.ref.killed
+			e.settle(p.ref)
+		}
+		again = again || e.missed
+		e.missed = false
+		e.dmu.Unlock()
+		switch {
+		case err != nil:
+			e.unlaunch(p.ref, id, err)
+		case killed:
+			e.opts.Executor.Kill(p.Job, p.Node)
+		case p.Timeout > 0:
+			e.armTimeout(id, p.Timeout)
+		}
+	}
+	return again
+}
+
+// unlaunch undoes a dispatch whose Launch failed: the task is ready again,
+// its job back in the queue, in a turn of its own. If a concurrent drain
+// took the slot (a remote worker's view can lag), the turn pumps again: the
+// winner's completion may have pumped while this job was in neither the
+// queue nor a slot, and on a quiet engine nothing else will.
+func (e *Engine) unlaunch(ref *queuedRef, id string, err error) {
+	in, sc, ts := ref.inst, ref.sc, ref.ts
+	mu := e.shardFor(in.ID)
+	mu.Lock()
+	defer e.endTurn(in, mu)
+	e.dmu.Lock()
+	ours := e.running[id] == ref
+	if ours && (sc.defunct || in.Status == InstanceDone || in.Status == InstanceFailed) {
+		// Torn down meanwhile: nothing to run, nothing to record.
+		e.unrun(ref)
+		ours = false
+	}
+	e.dmu.Unlock()
+	if !ours {
+		return
+	}
+	e.beginTurn(in)
+	ts.Status = TaskReady
+	ts.Node = ""
+	e.touchTask(in, sc, ts)
+	e.putBack(ref)
+	e.persist(in)
+	in.pendingPump = errors.Is(err, cluster.ErrNoFreeCPU)
+}
+
+// kill stops a running job. A job decided but not yet launched is not the
+// executor's to kill: it is marked, and its launch completes it as killed
+// instead of launching it — or kills it the moment its Launch returns.
+func (e *Engine) kill(job, node string) {
+	e.dmu.Lock()
+	ref := e.running[job]
+	pending := ref != nil && ref.decided
+	if pending {
+		ref.killed = true
+	}
+	e.dmu.Unlock()
+	if !pending {
+		e.opts.Executor.Kill(cluster.JobID(job), node)
+	}
 }
 
 // armTimeout starts the TIMEOUT clock for a job just launched. The cancel
@@ -241,7 +415,7 @@ func (e *Engine) timeoutJob(jobID string) {
 	}
 	e.emitNow(Event{Kind: EvTaskTimeout, Instance: ref.inst.ID, Scope: ref.sc.ID,
 		Task: ref.ts.Name, Node: node, Detail: "attempt exceeded TIMEOUT"})
-	e.opts.Executor.Kill(cluster.JobID(jobID), node)
+	e.kill(jobID, node)
 }
 
 // HandleCompletion receives a job outcome from the cluster. Infrastructure
@@ -255,8 +429,7 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 	ref, ok := e.running[string(c.Job)]
 	var cancelTimeout func()
 	if ok {
-		delete(e.running, string(c.Job))
-		ref.node = ""
+		e.unrun(ref)
 		cancelTimeout = ref.cancelTimeout
 		ref.cancelTimeout = nil
 	}
@@ -382,7 +555,7 @@ func (e *Engine) killStillRunning(kills []sched.Candidate) {
 		if ref == nil {
 			continue
 		}
-		e.opts.Executor.Kill(cluster.JobID(k.Job), k.Node)
+		e.kill(k.Job, k.Node)
 	}
 }
 
@@ -464,6 +637,8 @@ func (e *Engine) Crash() {
 	e.sched.Reset()
 	e.queued = make(map[string]*queuedRef)
 	e.running = make(map[string]*queuedRef)
+	clear(e.decided)
+	e.nDecided = 0
 	e.dmu.Unlock()
 	e.emu.Unlock()
 }

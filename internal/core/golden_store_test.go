@@ -73,16 +73,24 @@ PROCESS WithAlt {
 // dump diff, naming every changed line, in its change notes. Re-pinned when
 // the archive began writing a block body's own delta record instead of its
 // whole inherited whiteboard: only history puts of block-body scoped/ records
-// and their History-listing lines moved.
-const storeDumpGolden = "3bef76db82161da396cc4c86db98c787ee141e84ab6cc623b9a2f0fb95468a3e"
+// and their History-listing lines moved. Re-pinned when a turn began
+// dispatching the jobs it readied: the dispatch turns' inst/ puts are gone
+// (a turn writes its inst/ record once), Mix's first three Fan[i]/D records
+// are written once, running, where the ready ones were followed by running
+// ones, and the sphere abort's carried deletes precede its checkpoint's puts.
+// The final Instance and History listings did not move.
+const storeDumpGolden = "e46a649861f1e43f76eb2519069663e6abb5049e792e255854df343a962c3b74"
 
 // journalGolden is the digest of every journal record of the same workload,
 // in sequence order: the events' bytes and their order are what `history
 // -events`, the monitor and the lifecycle figures read. Re-pinned when an
 // event became a codec record (recEvent); every engine record of it decodes
 // to an Event that json.Marshals to the JSON record the journal held before,
-// byte for byte.
-const journalGolden = "ae89c546d7e04d93bdc8cd0cbe57cf9e40b7b34eab0bfdec2cc0303048724239"
+// byte for byte. Re-pinned when a dispatch began committing before its
+// launch: each task-dispatched record now precedes its cluster-job-start
+// (the four of Mix's start come first, then their four job starts); no
+// record changed.
+const journalGolden = "1d1cabaaeaf52857f161b419f2aa1d576215c4d0d9e0fba553ecb34edd900b4a"
 
 // goldenWorkload runs TestStoreBytesGolden's workload to its end over a
 // logged memory store: Mix, an Outer subprocess, a Sphere that aborts once
@@ -244,8 +252,8 @@ func TestStoreKeysBuiltOnce(t *testing.T) {
 			writes[op.Key]++
 		}
 	}
-	// Meta rides every checkpoint; a task is written ready, running and
-	// ended, then archived and deleted.
+	// Meta rides every turn; a task is written running and ended, then
+	// archived and deleted.
 	for _, key := range []string{metaKey(id), scopeCreateKey(id, ""), scopeDynKey(id, ""), taskKey(id, "", "S1"), taskKey(id, "", "S8")} {
 		if writes[key] < 3 {
 			t.Errorf("key %s appears in %d ops; the test needs it rewritten to mean anything", key, writes[key])

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -169,8 +170,11 @@ func (e *Engine) pinInherited(in *Instance, sc *scope, key string) {
 // to re-dirty what a failed batch carried. ckpts recycle through a pool so
 // the persist hot path stays allocation-light.
 type ckpt struct {
-	archive bool          // move everything to the history space
-	enc     codec.Encoder // the meta, create, dyn and task records, in that order
+	archive bool // move everything to the history space
+	// sameMeta leaves the inst/ record out of the batch: an earlier cut of
+	// the turn wrote the same bytes.
+	sameMeta bool
+	enc      codec.Encoder // the meta, create, dyn and task records, in that order
 	// ops is the checkpoint's puts, in record order: meta, interned process
 	// texts, creates, dyns, tasks. Values of codec records stay nil until
 	// appendOps takes their spans (appending can relocate the encoder's
@@ -247,10 +251,11 @@ func (b *eventBuf) add(src *eventBuf) {
 // detaches it; flushWrites then commits it as one batch. Write sets recycle
 // through a pool, so an idle instance holds no buffer.
 type writeSet struct {
-	seq    uint64 // commit-gate sequence, taken by endTurn
-	cks    []*ckpt
-	events eventBuf
-	ops    []store.Op // the batch: every checkpoint's ops, then the event ops
+	seq      uint64 // commit-gate sequence, taken by endTurn
+	cks      []*ckpt
+	events   eventBuf
+	ops      []store.Op      // the batch: every checkpoint's ops, then the event ops
+	launches []pendingLaunch // the jobs the turn dispatched, launched after the commit
 }
 
 var writeSetPool = sync.Pool{New: func() any { return new(writeSet) }}
@@ -271,10 +276,12 @@ func putWriteSet(ws *writeSet) {
 	}
 	clear(ws.cks)
 	clear(ws.ops)
+	clear(ws.launches)
 	*ws = writeSet{
-		cks:    ws.cks[:0],
-		events: eventBuf{buf: ws.events.buf[:0], ends: ws.events.ends[:0]},
-		ops:    ws.ops[:0],
+		cks:      ws.cks[:0],
+		events:   eventBuf{buf: ws.events.buf[:0], ends: ws.events.ends[:0]},
+		ops:      ws.ops[:0],
+		launches: ws.launches[:0],
 	}
 	writeSetPool.Put(ws)
 }
@@ -305,10 +312,16 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 		space = store.History
 	}
 	slices.SortFunc(ck.scopes, func(a, b *scope) int { return strings.Compare(a.ID, b.ID) })
+	ws := in.turnWrites()
 	enc := &ck.enc
 	encodeMeta(enc, &in.InstanceMeta)
 	ck.ops = append(ck.ops, store.Op{Space: space, Key: in.key()})
-	bytes := 0
+	// A turn writes its inst/ record once, unless it changes: a turn that
+	// dispatches its own jobs cuts them after its navigation's checkpoint.
+	if n := len(ws.cks); n > 0 && !ck.archive && !ws.cks[n-1].archive {
+		ck.sameMeta = bytes.Equal(ws.cks[n-1].enc.Span(0), enc.Span(0))
+	}
+	textBytes := 0
 	for _, sc := range ck.scopes {
 		if !sc.newborn && !ck.archive {
 			continue
@@ -319,7 +332,7 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 			interned[hash] = true
 			ck.procs = append(ck.procs, hash)
 			ck.ops = append(ck.ops, store.Op{Space: space, Key: procKey(in.ID, hash), Value: text})
-			bytes += len(text)
+			textBytes += len(text)
 		}
 		dto := scopeCreateDTO{
 			ID:         sc.ID,
@@ -368,8 +381,7 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 	clear(in.dirty)
 	ck.deletes = in.pendingDeletes
 	in.pendingDeletes = nil
-	e.metrics.checkpoint(e.now().Sub(start), bytes+len(enc.Buf), len(ck.ops))
-	ws := in.turnWrites()
+	e.metrics.checkpoint(e.now().Sub(start), textBytes+len(enc.Buf), len(ck.ops))
 	ws.cks = append(ws.cks, ck)
 }
 
@@ -416,21 +428,31 @@ func (e *Engine) archive(in *Instance) {
 	}
 }
 
-// appendOps appends the checkpoint's share of the turn's batch to ops: its
-// puts, each pointed at its bytes, then — for an archive — the deletes of what
-// the batch moves, then the deletes the checkpoint carried. The records were
-// encoded when the checkpoint was cut; binary encoding is total, so there is
-// no per-record marshal failure path — only the batch itself can fail.
+// appendOps appends the checkpoint's share of the turn's batch to ops: the
+// deletes it carried, then its puts, each pointed at its bytes, then — for an
+// archive — the deletes of what the batch moves. The carried deletes were
+// queued before the cut, so a key the cut writes again keeps its new record:
+// a sphere's retry re-creates the keys its abort deleted, and a failed
+// batch's deletes ride a later cut. The records were encoded when the
+// checkpoint was cut; binary encoding is total, so there is no per-record
+// marshal failure path — only the batch itself can fail.
 func (ck *ckpt) appendOps(ops []store.Op) []store.Op {
-	first := len(ops)
-	ops = append(ops, ck.ops...)
-	// Codec records are every put but the interned texts at [1:1+procs].
-	ops[first].Value = ck.enc.Span(0)
-	for i := 1 + len(ck.procs); i < len(ck.ops); i++ {
-		ops[first+i].Value = ck.enc.Span(i - len(ck.procs))
-	}
 	del := func(key string) {
 		ops = append(ops, store.Op{Space: store.Instance, Key: key, Delete: true})
+	}
+	for _, key := range ck.deletes {
+		del(key)
+	}
+	if !ck.sameMeta {
+		ops = append(ops, ck.ops[0])
+		ops[len(ops)-1].Value = ck.enc.Span(0)
+	}
+	// ops[first+i] is ck.ops[i], the meta left out or not.
+	first := len(ops) - 1
+	ops = append(ops, ck.ops[1:]...)
+	// Codec records are every put but the interned texts at [1:1+procs].
+	for i := 1 + len(ck.procs); i < len(ck.ops); i++ {
+		ops[first+i].Value = ck.enc.Span(i - len(ck.procs))
 	}
 	if ck.archive {
 		// One pass: the same batch that writes the history puts clears
@@ -450,9 +472,6 @@ func (ck *ckpt) appendOps(ops []store.Op) []store.Op {
 			del(op.Key)
 		}
 	}
-	for _, key := range ck.deletes {
-		del(key)
-	}
 	return ops
 }
 
@@ -463,6 +482,7 @@ type turnExit struct {
 	in     *Instance
 	ws     *writeSet
 	kills  []pendingKill
+	next   decision // the first decision for another instance, taken in the turn
 	pump   bool
 	done   bool
 	fenced bool // set by flushWrites: the write set was dropped, not written
@@ -477,7 +497,8 @@ type turnExit struct {
 // turn can never overtake an earlier one even when the instance's turns end
 // on different goroutines; batches of different instances still overlap and
 // share group-committed fsyncs. The batch is built in *buf, which keeps the
-// emptied slice for reuse; the write sets go back to their pool.
+// emptied slice for reuse; the write sets go back to their pool once
+// afterCommit has launched what they dispatched.
 func (e *Engine) flushWrites(buf *[]store.Op, turns []turnExit) {
 	ops := (*buf)[:0]
 	for i := range turns {
@@ -541,7 +562,6 @@ func (e *Engine) flushWrites(buf *[]store.Op, turns []turnExit) {
 				e.remarkCkpt(t.in, ck)
 			}
 		}
-		putWriteSet(t.ws)
 	}
 }
 

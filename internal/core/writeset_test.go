@@ -19,7 +19,8 @@ import (
 
 // chain8Src is the benchmark's eight-step chain: one activity at a time, so
 // an instance's turns are the same on every runtime — one to start it, then a
-// dispatch turn and a completion turn per activity.
+// completion turn per activity, each of the first two kinds dispatching the
+// step it readied.
 const chain8Src = `
 PROCESS Chain8 {
   INPUT x;
@@ -37,9 +38,12 @@ PROCESS Chain8 {
 `
 
 const (
-	// The last completion cuts two checkpoints — S8's, then the archive —
-	// and is still one turn, so one batch (two, before turns were commits).
-	chain8Turns  = 1 + 8 + 8         // start, 8 dispatches, 8 completions
+	// The turns, each one batch: the start, which dispatches S1, and the
+	// completions of S1–S7, each dispatching the next step, then S8's, which
+	// cuts S8's checkpoint and the archive. A turn that readies a step
+	// dispatches it, so there is no dispatch turn of its own (there were 8,
+	// for 17 batches).
+	chain8Turns  = 1 + 8             // start, 8 completions
 	chain8Events = 2 + 8 + 8 + 7 + 1 // started+ready, 8 dispatched, 8 ended, 7 more ready, done
 )
 

@@ -26,16 +26,15 @@ var sanctionedLockOrder = map[string][]string{
 	// turn emits events (write-set append + ring publish), touches the
 	// dispatcher maps, registers instances (emu), takes its commit-gate
 	// sequence, and — in Crash, which holds every shard — drains the
-	// per-instance commit gates. No store lock appears here: a turn's
-	// batch commits after the shard is released.
+	// per-instance commit gates. No store or executor lock appears here: a
+	// turn's batch commits after the shard is released, and the jobs it
+	// dispatched launch after that.
 	"core.Engine.shards": {
 		"core.Engine.shards", // Crash acquires all shards in ascending index order
 		"core.Engine.emu",
 		"core.Engine.dmu",
 		"core.Instance.gateMu",
 		"obs.Ring.mu",
-		"core.localExec.mu",
-		"remote.Server.mu",
 		"cluster.Directory.mu",
 	},
 	// Crash wipes the registry and the dispatcher maps under emu → dmu.

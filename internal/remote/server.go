@@ -227,7 +227,8 @@ func (s *Server) Launch(l core.Launch) error {
 	s.running[lz.job] = lz
 	s.mu.Unlock()
 
-	// Send never blocks: the dispatcher calls Launch holding a shard lock.
+	// Send never blocks: the engine launches a turn's jobs one after another
+	// on the goroutine that committed it, ahead of that turn's pump.
 	m := Launch{
 		Job:         lz.job,
 		Lease:       lz.id,

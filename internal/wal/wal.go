@@ -73,6 +73,22 @@ const DefaultSegmentSize = 4 << 20
 // torn write.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
+// ErrPoisoned is returned by every append after one whose fsync failed, or
+// whose partial write could not be cut off again, until the log is reopened:
+// after a failed fsync the kernel may already have dropped the dirty pages, so
+// a later fsync that succeeds proves nothing, and only reopening re-verifies
+// what the segment holds.
+var ErrPoisoned = errors.New("wal: log poisoned by a failed append; reopen it")
+
+// segmentFile is what the log appends to: the active segment's *os.File.
+// Tests put a fault-injecting wrapper in its place.
+type segmentFile interface {
+	Write(b []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // framePool recycles AppendBatch's frame-encoding buffer. The buffer lives
 // only between frame assembly and the file write, so pooling it removes the
 // per-append allocation from the engine's checkpoint hot path.
@@ -111,13 +127,16 @@ type Log struct {
 	mu      sync.Mutex
 	dir     string
 	opts    Options
-	file    *os.File
+	file    segmentFile
 	size    int64  // bytes written to current segment
 	nextSeq uint64 // sequence the next Append will get
 	segs    []uint64
 	base    uint64 // sequence of the base the log starts from (0 = none)
 	syncs   uint64 // fsyncs issued by appends (group-commit metric)
 	closed  bool
+	// poisoned, once set, fails every append (ErrPoisoned wrapping the
+	// failure that set it).
+	poisoned error
 
 	// commitC exists only while a WaitCommitted caller is blocked (the
 	// shipping path's notification channel): the waiter allocates it, the
@@ -411,6 +430,9 @@ func (l *Log) AppendBatch(records [][]byte) (uint64, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.poisoned != nil {
+		return 0, l.poisoned
+	}
 	if l.file == nil || l.size >= l.opts.SegmentSize {
 		// Rotation happens only between batches, never inside one, so
 		// a batch's frames are always contiguous in one segment (an
@@ -435,7 +457,7 @@ func (l *Log) AppendBatch(records [][]byte) (uint64, error) {
 		framePool.Put(bufp)
 	}
 	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+		return 0, l.undo(err, false)
 	}
 	if !l.opts.NoSync {
 		var syncStart time.Time
@@ -444,7 +466,7 @@ func (l *Log) AppendBatch(records [][]byte) (uint64, error) {
 			syncStart = time.Now()
 		}
 		if err := l.file.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: %w", err)
+			return 0, l.undo(err, true)
 		}
 		if l.opts.SyncLatency != nil {
 			//bioopera:allow walltime latency histogram observes real fsync time; it never feeds back into replayable state
@@ -461,6 +483,22 @@ func (l *Log) AppendBatch(records [][]byte) (uint64, error) {
 		l.opts.AppendLatency.Observe(time.Since(start).Seconds())
 	}
 	return seq, nil
+}
+
+// undo takes back a failed append: the segment is cut back to the last
+// acknowledged frame, so the bytes the failure left cannot end up in front of
+// — or, as a torn tail, take away — the next batch. A failed fsync, or a cut
+// that fails, also poisons the log. Caller holds mu.
+func (l *Log) undo(err error, poison bool) error {
+	err = fmt.Errorf("wal: %w", err)
+	if terr := l.file.Truncate(l.size); terr != nil {
+		err = fmt.Errorf("%w (truncating back: %v)", err, terr)
+		poison = true
+	}
+	if poison {
+		l.poisoned = fmt.Errorf("%w: %w", ErrPoisoned, err)
+	}
+	return err
 }
 
 // Syncs reports how many fsyncs the log has issued since Open (appends

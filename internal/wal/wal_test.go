@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"testing/quick"
 
@@ -652,5 +654,124 @@ func TestFollowerRefusesCorruptFrames(t *testing.T) {
 		if err := f.Frame(c.kind, c.body); !errors.Is(err, ErrCorrupt) || len(applied) != 0 {
 			t.Fatalf("kind %d with a flipped byte: Frame = %v, applied %q; want ErrCorrupt and nothing", c.kind, err, applied)
 		}
+	}
+}
+
+// faultyFile stands in for the active segment: the next Write keeps only its
+// first short bytes and fails as a full disk would, and the next Sync fails,
+// when asked to.
+type faultyFile struct {
+	segmentFile
+	short    int
+	failSync bool
+}
+
+func (f *faultyFile) Write(b []byte) (int, error) {
+	if f.short > 0 {
+		n, _ := f.segmentFile.Write(b[:f.short])
+		f.short = 0
+		return n, syscall.ENOSPC
+	}
+	return f.segmentFile.Write(b)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return syscall.EIO
+	}
+	return f.segmentFile.Sync()
+}
+
+// replayed reopens dir and returns its records as "seq:data" strings.
+func replayed(t *testing.T, dir string, opts Options) []string {
+	t.Helper()
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var got []string
+	for _, r := range collect(t, l, 1) {
+		got = append(got, fmt.Sprintf("%d:%s", r.Seq, r.Data))
+	}
+	return got
+}
+
+// TestShortWriteThenAcknowledgedBatch: a batch whose write fails part-way
+// through a frame leaves nothing behind, so the batch acknowledged after it
+// is not mistaken for a torn tail and cut away on reopen.
+func TestShortWriteThenAcknowledgedBatch(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	l.file = &faultyFile{segmentFile: l.file, short: 5}
+	if _, err := l.AppendBatch([][]byte{[]byte("lost-1"), []byte("lost-2")}); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("short write: err = %v, want ENOSPC", err)
+	}
+	seq, err := l.Append([]byte("c"))
+	if err != nil || seq != 2 {
+		t.Fatalf("append after the short write = %d, %v; want 2, nil", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := replayed(t, dir, Options{}), []string{"1:a", "2:c"}; !slices.Equal(got, want) {
+		t.Fatalf("reopened log replays %q, want %q", got, want)
+	}
+}
+
+// TestFailedSyncPoisonsUntilReopen: a batch whose write succeeds but whose
+// fsync fails is taken back and poisons the log — every later append fails
+// with ErrPoisoned — until it is reopened; then three acknowledged batches,
+// across a rotation, replay under the sequences they were given, with the
+// failed batch nowhere.
+func TestFailedSyncPoisonsUntilReopen(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentSize: 64}
+	l, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	l.file = &faultyFile{segmentFile: l.file, failSync: true}
+	if _, err := l.Append([]byte("failed")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("failed fsync: err = %v, want EIO", err)
+	}
+	if _, err := l.Append([]byte("after")); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("append on a poisoned log: err = %v, want ErrPoisoned", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"1:a"}
+	for i := 0; i < 3; i++ {
+		data := fmt.Sprintf("acknowledged-%d-%s", i, strings.Repeat("x", 40))
+		seq, err := l.Append([]byte(data))
+		if err != nil || seq != uint64(2+i) {
+			t.Fatalf("append %d after reopen = %d, %v; want %d, nil", i, seq, err, 2+i)
+		}
+		want = append(want, fmt.Sprintf("%d:%s", seq, data))
+	}
+	if n := len(l.Segments()); n < 2 {
+		t.Fatalf("%d segments, want a rotation between the acknowledged batches", n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayed(t, dir, opts); !slices.Equal(got, want) {
+		t.Fatalf("reopened log replays %q, want %q", got, want)
 	}
 }

@@ -755,6 +755,12 @@ func cmdHistory(args []string) error {
 		fmt.Printf("  wal segments       %d (next seq %d, %d syncs)\n", ds.WALSegments, ds.WALNextSeq, ds.WALSyncs)
 		fmt.Printf("  snapshot seq       %d\n", ds.SnapshotSeq)
 		fmt.Printf("  commit groups      %d (%d grouped records)\n", ds.CommitGroups, ds.GroupedRecords)
+		fmt.Printf("  image bytes        %d live, %d dead (%d compactions)\n", ds.ImageLive, ds.ImageDead, ds.ImageCompactions)
+		poisoned := "no"
+		if ds.WALPoisoned != nil {
+			poisoned = ds.WALPoisoned.Error()
+		}
+		fmt.Printf("  wal poisoned       %s\n", poisoned)
 	}
 
 	if *events {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -180,6 +181,47 @@ func TestRunResumesOnRerun(t *testing.T) {
 	}
 }
 
+// captureStdout returns what f prints to standard output.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() { out, _ := io.ReadAll(r); done <- out }()
+	err = f()
+	os.Stdout = stdout
+	w.Close()
+	out := <-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestHistoryStatsShowsImageAndWAL: `history -stats` prints the in-memory
+// image's live and dead bytes and its compactions, and whether a failed
+// append has poisoned the log.
+func TestHistoryStatsShowsImageAndWAL(t *testing.T) {
+	dir := t.TempDir()
+	captureStdout(t, func() error {
+		return cmdSimulate([]string{"../../examples/processes/pipeline.ocr", "-store", dir,
+			"-input", "samples=[1]", "-input", "skip_cleaning=true"})
+	})
+	out := captureStdout(t, func() error { return cmdHistory([]string{dir, "-stats"}) })
+	for _, want := range []*regexp.Regexp{
+		regexp.MustCompile(`(?m)^  image bytes        [1-9][0-9]* live, [0-9]+ dead \([0-9]+ compactions\)$`),
+		regexp.MustCompile(`(?m)^  wal poisoned       no$`),
+	} {
+		if !want.MatchString(out) {
+			t.Errorf("history -stats has no line matching %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestHistoryEventsShowsUndecodableRecord: `history -events` lists every
 // journal record of a simulated run, node included, and a record that is no
 // event — here one written in the JSON format the journal used before its
@@ -188,25 +230,7 @@ func TestRunResumesOnRerun(t *testing.T) {
 // silent hole.
 func TestHistoryEventsShowsUndecodableRecord(t *testing.T) {
 	dir := t.TempDir()
-	capture := func(f func() error) string {
-		t.Helper()
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		stdout := os.Stdout
-		os.Stdout = w
-		done := make(chan []byte)
-		go func() { out, _ := io.ReadAll(r); done <- out }()
-		err = f()
-		os.Stdout = stdout
-		w.Close()
-		out := <-done
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(out)
-	}
+	capture := func(f func() error) string { return captureStdout(t, f) }
 	capture(func() error {
 		return cmdSimulate([]string{"../../examples/processes/pipeline.ocr", "-store", dir,
 			"-input", "samples=[1]", "-input", "skip_cleaning=true"})

@@ -82,6 +82,7 @@ func Analyzers() []*Analyzer {
 		{Name: "droppederr", Doc: "store/WAL/persist/Close errors must flow somewhere, never be dropped", Run: runDroppedErr},
 		{Name: "maprange", Doc: "trace-order-sensitive code must not iterate maps unsorted", Run: runMapRange},
 		{Name: "hotjson", Doc: "no package under internal/ but obs and ocr imports encoding/json: records, frames and leases use the binary codec", Run: runHotJSON},
+		{Name: "storeio", Doc: "no non-test file in internal/store imports os: every byte the store keeps or ships is written by internal/wal", Run: runStoreIO},
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // TestDiskStats pins the Stats snapshot: record counts per space, journal
-// shape, WAL accounting, and snapshot bookkeeping — across a snapshot and
-// a reopen.
+// shape, WAL accounting, snapshot bookkeeping and the image's bytes —
+// across a snapshot, a reopen and compactions.
 func TestDiskStats(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDisk(dir, DiskOptions{})
@@ -53,6 +53,14 @@ func TestDiskStats(t *testing.T) {
 	if s.SnapshotSeq != 0 {
 		t.Fatalf("snapshot seq = %d before any snapshot", s.SnapshotSeq)
 	}
+	if s.WALPoisoned != nil {
+		t.Fatalf("wal poisoned = %v on a healthy log", s.WALPoisoned)
+	}
+	// Live: two one-byte instance records, the template's three bytes and
+	// five seven-byte journal entries; dead: the deleted record's byte.
+	if s.ImageLive != 2+3+5*7 || s.ImageDead != 1 || s.ImageCompactions != 0 {
+		t.Fatalf("image: %d live, %d dead, %d compactions; want 40, 1, 0", s.ImageLive, s.ImageDead, s.ImageCompactions)
+	}
 
 	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
@@ -81,6 +89,10 @@ func TestDiskStats(t *testing.T) {
 	if r.SnapshotSeq == 0 {
 		t.Fatalf("recovered snapshot seq = 0")
 	}
+	churn(t, d2, 2)
+	if c := d2.Stats(); c.ImageCompactions != 2 || c.ImageDead >= c.ImageLive {
+		t.Fatalf("after churning: %d live, %d dead, %d compactions; want 2 compactions and fewer dead bytes than live", c.ImageLive, c.ImageDead, c.ImageCompactions)
+	}
 }
 
 // TestDiskStatsGauges checks that a metrics-enabled store exports the
@@ -107,6 +119,10 @@ func TestDiskStatsGauges(t *testing.T) {
 		`bioopera_store_records{space="instance"} 1`,
 		"bioopera_store_events 1",
 		"bioopera_store_wal_segments 1",
+		"bioopera_store_wal_poisoned 0",
+		`bioopera_store_image_bytes{state="live"} 3`,
+		`bioopera_store_image_bytes{state="dead"} 0`,
+		"bioopera_store_image_compactions 0",
 		"bioopera_wal_append_seconds_count",
 		"bioopera_wal_fsync_seconds_count",
 	} {

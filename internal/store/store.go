@@ -122,14 +122,62 @@ type Store interface {
 }
 
 // image is the in-memory store both backends embed: the four spaces, the
-// journal, and the lock and closed flag that guard them. It owns every
-// read, and apply is the only code that changes it.
+// journal, the arenas their bytes are carved from, and the lock and closed
+// flag that guard them. It owns every read, and apply is the only code that
+// changes it.
 type image struct {
 	mu       sync.RWMutex
 	closed   bool
 	spaces   [numSpaces]map[string][]byte
 	events   []Event
 	eventSeq uint64
+	// arenas[sp] holds space sp's values, arenas[numSpaces] the journal's.
+	arenas      [numSpaces + 1]arena
+	compactions uint64
+}
+
+// The arena constants. A chunk is what one allocation buys: 16 KiB holds a
+// few dozen typical records while a dead tail stays small next to it. A
+// record that outgrows its slot moves to one with a quarter more room,
+// rounded up to 16 bytes, so a value growing by a few bytes a turn moves
+// every few turns, not every turn. A slot over a quarter chunk gets a
+// buffer of its own, so a chunk tail left behind is under a quarter chunk.
+const (
+	chunkSize = 16 << 10
+	ownSlot   = chunkSize / 4
+)
+
+func headroom(n int) int { return (n + n/4 + 15) &^ 15 }
+
+// arena hands out capacity-capped slots carved from shared chunks, so a
+// record costs no allocation of its own. live counts the slot capacity
+// records hold; dead counts the capacity of slots they left and the chunk
+// tails too short for the next slot — bytes held but unused until a
+// compaction (compact) copies the live ones out.
+type arena struct {
+	chunk      []byte // the chunk being carved; its length is the carved part
+	live, dead int
+}
+
+// carve returns an empty slot of capacity n.
+func (a *arena) carve(n int) []byte {
+	a.live += n
+	if n > ownSlot {
+		return make([]byte, 0, n)
+	}
+	used := len(a.chunk)
+	if used+n > cap(a.chunk) {
+		a.dead += cap(a.chunk) - used
+		a.chunk, used = make([]byte, 0, chunkSize), 0
+	}
+	a.chunk = a.chunk[:used+n]
+	return a.chunk[used : used : used+n]
+}
+
+// free counts a slot as dead.
+func (a *arena) free(slot []byte) {
+	a.live -= cap(slot)
+	a.dead += cap(slot)
 }
 
 func checkSpace(space Space) error {
@@ -150,49 +198,76 @@ func checkOps(ops []Op) error {
 	return nil
 }
 
-// apply makes validated ops state, in order; stored values are copies the
-// image owns. A record keeps one buffer for its life: a put to a key that
-// exists rewrites that buffer in place, which is safe because nothing hands a
-// stored buffer out (Get, list, Digest and Snapshot copy under mu).
-// Journal entries are immutable and only ever dropped together, so a batch's
-// entries share one allocation. State values do not: a record that is never
-// rewritten would pin every dead neighbour written beside it. The caller
-// holds mu for writing.
+// apply makes validated ops state, in order; stored values are copies
+// carved from the image's arenas. A record keeps its slot while a rewrite
+// fits it — rewritten in place, which is safe because nothing hands a stored
+// buffer out (Get, list, Digest and Snapshot copy under mu) — and moves to
+// a slot with headroom when it outgrows it. A journal entry gets a slot of
+// its own length in the journal's arena, capped so an append through
+// Event.Data cannot reach the next entry. Once the batch is applied, a
+// space whose dead bytes exceed both its live bytes and a chunk is
+// compacted. The caller holds mu for writing.
 func (im *image) apply(ops []Op) {
-	journal := 0
 	for _, op := range ops {
 		if op.event {
-			journal += len(op.Value)
+			im.eventSeq++
+			data := append(im.arenas[numSpaces].carve(len(op.Value)), op.Value...)
+			im.events = append(im.events, Event{Seq: im.eventSeq, Data: data})
+			continue
+		}
+		m, a := im.spaces[op.Space], &im.arenas[op.Space]
+		old, ok := m[op.Key]
+		switch {
+		case op.Delete:
+			if ok {
+				a.free(old)
+				delete(m, op.Key)
+			}
+		case ok && len(op.Value) <= cap(old):
+			m[op.Key] = append(old[:0], op.Value...)
+		case ok:
+			a.free(old)
+			m[op.Key] = append(a.carve(headroom(len(op.Value))), op.Value...)
+		default:
+			m[op.Key] = append(a.carve(len(op.Value)), op.Value...)
 		}
 	}
-	var slab []byte
-	if journal > 0 {
-		slab = make([]byte, 0, journal)
-	}
-	for _, op := range ops {
-		switch {
-		case op.event:
-			im.eventSeq++
-			start := len(slab)
-			slab = append(slab, op.Value...)
-			// Capacity is capped so an append through Data cannot reach the
-			// next entry.
-			im.events = append(im.events, Event{Seq: im.eventSeq, Data: slab[start:len(slab):len(slab)]})
-		case op.Delete:
-			delete(im.spaces[op.Space], op.Key)
-		default:
-			m := im.spaces[op.Space]
-			m[op.Key] = append(m[op.Key][:0], op.Value...)
+	for sp := range im.spaces {
+		if a := &im.arenas[sp]; a.dead > a.live && a.dead > chunkSize {
+			im.compact(Space(sp))
 		}
 	}
 }
 
+// compact copies space sp's live records, each keeping its slot's
+// capacity, into one new buffer and carves the space's current chunk again
+// from its start; the other chunks and own-slot buffers go to the collector.
+// It copies no more bytes than it frees. Between compactions a space holds
+// its live bytes, dead ones up to the larger of those and a chunk, and the
+// uncarved rest of its chunk: at most twice its live bytes plus a chunk,
+// once it has a chunk's worth. The journal's arena is never compacted:
+// Events hands its slots out without holding mu.
+func (im *image) compact(sp Space) {
+	a, m := &im.arenas[sp], im.spaces[sp]
+	buf := make([]byte, 0, a.live)
+	for k, v := range m {
+		start := len(buf)
+		buf = append(buf, v...)
+		m[k] = buf[start : len(buf) : start+cap(v)]
+		buf = buf[:start+cap(v)]
+	}
+	a.chunk, a.dead = a.chunk[:0], 0
+	im.compactions++
+}
+
 // reset empties the image: a new store's state, and a standby's before it
-// applies its primary's base.
+// applies its primary's base. The old arenas are dropped, not reused: Data
+// slices Events handed out still point into the old journal's.
 func (im *image) reset() {
 	for i := range im.spaces {
 		im.spaces[i] = make(map[string][]byte)
 	}
+	im.arenas = [numSpaces + 1]arena{}
 	im.events, im.eventSeq = nil, 0
 }
 
@@ -515,6 +590,22 @@ func (d *Disk) registerGauges(reg *obs.Registry) {
 	reg.GaugeFunc("bioopera_store_commit_groups",
 		"Commit groups flushed since open.",
 		func() float64 { return float64(d.Stats().CommitGroups) })
+	reg.GaugeFunc("bioopera_store_wal_poisoned",
+		"1 while a failed WAL append has poisoned the log (every write fails until reopen), else 0.",
+		func() float64 {
+			if d.log.Poisoned() != nil {
+				return 1
+			}
+			return 0
+		})
+	const imageHelp = "Bytes the in-memory image holds: slot capacity of live records and journal entries, and dead slots and chunk tails a compaction reclaims."
+	reg.GaugeFuncWith("bioopera_store_image_bytes", imageHelp, "state", "live",
+		func() float64 { return float64(d.Stats().ImageLive) })
+	reg.GaugeFuncWith("bioopera_store_image_bytes", imageHelp, "state", "dead",
+		func() float64 { return float64(d.Stats().ImageDead) })
+	reg.GaugeFunc("bioopera_store_image_compactions",
+		"Space compactions of the in-memory image since open.",
+		func() float64 { return float64(d.Stats().ImageCompactions) })
 }
 
 // write is the head of every mutation: validate the ops, encode each into
@@ -661,32 +752,48 @@ type Stats struct {
 	WALSegments int
 	WALSyncs    uint64
 	WALNextSeq  uint64
+	// WALPoisoned is the failed append that poisoned the log — every write
+	// fails until the store is reopened — or nil.
+	WALPoisoned error
 	// SnapshotSeq is the WAL sequence of the newest snapshot (0 = none).
 	SnapshotSeq uint64
 	// CommitGroups counts group commits since open; GroupedRecords the
 	// WAL records they carried (their ratio is the mean group size).
 	CommitGroups   uint64
 	GroupedRecords uint64
+	// ImageLive and ImageDead are the in-memory image's bytes: slot
+	// capacity held by records and journal entries, and dead slots and
+	// chunk tails a compaction would reclaim. ImageCompactions counts the
+	// space compactions since open.
+	ImageLive        int
+	ImageDead        int
+	ImageCompactions uint64
 }
 
 // Stats returns a consistent snapshot of the store's statistics.
 func (d *Disk) Stats() Stats {
 	d.mu.RLock()
 	s := Stats{
-		Records:        make(map[string]int, numSpaces),
-		Events:         len(d.events),
-		EventSeq:       d.eventSeq,
-		SnapshotSeq:    d.snapSeq,
-		CommitGroups:   d.commitGroups,
-		GroupedRecords: d.groupedRecords,
+		Records:          make(map[string]int, numSpaces),
+		Events:           len(d.events),
+		EventSeq:         d.eventSeq,
+		SnapshotSeq:      d.snapSeq,
+		CommitGroups:     d.commitGroups,
+		GroupedRecords:   d.groupedRecords,
+		ImageCompactions: d.compactions,
 	}
 	for sp := Space(0); sp < numSpaces; sp++ {
 		s.Records[sp.String()] = len(d.spaces[sp])
+	}
+	for _, a := range d.arenas {
+		s.ImageLive += a.live
+		s.ImageDead += a.dead
 	}
 	d.mu.RUnlock()
 	s.WALSegments = len(d.log.Segments())
 	s.WALSyncs = d.log.Syncs()
 	s.WALNextSeq = d.log.NextSeq()
+	s.WALPoisoned = d.log.Poisoned()
 	return s
 }
 

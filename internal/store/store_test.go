@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -572,40 +573,146 @@ func TestRewritesPinNothing(t *testing.T) {
 	}
 }
 
+// churn deletes and rewrites 1 KiB records in the instance space, each
+// batch with a journal append, until s has compacted n more times.
+func churn(t *testing.T, s Store, n uint64) {
+	t.Helper()
+	stop := compactions(s) + n
+	val := bytes.Repeat([]byte{'c'}, 1<<10)
+	for i := 0; compactions(s) < stop; i++ {
+		if i == 10000 {
+			t.Fatalf("no compaction after %d churning batches", i)
+		}
+		key := fmt.Sprintf("churn/%d", i%4)
+		if err := s.Batch([]Op{
+			{Space: Instance, Key: key, Delete: true},
+			{Space: Instance, Key: key, Value: val},
+			EventOp([]byte(fmt.Sprintf("churn %d", i))),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCompactionLeavesJournalReads: Events hands a journal entry's Data out
+// without holding the lock, so the journal's arena is never compacted or
+// reused — Data read before several compactions of a space is the same
+// bytes after them, while the journal keeps growing beside the churn.
+func TestCompactionLeavesJournalReads(t *testing.T) {
+	for name, mk := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			defer s.Close()
+			for i := 0; i < 50; i++ {
+				if _, err := s.AppendEvent([]byte(fmt.Sprintf("event %d %s", i, strings.Repeat("e", 10*i)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var held []Event
+			var want [][]byte
+			s.Events(1, func(ev Event) error {
+				held = append(held, ev)
+				want = append(want, bytes.Clone(ev.Data))
+				return nil
+			})
+			churn(t, s, 3)
+			for i, ev := range held {
+				if !bytes.Equal(ev.Data, want[i]) {
+					t.Fatalf("event %d read before the compactions is %q after them, want %q", ev.Seq, ev.Data, want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestRewriteAfterCompaction: a compaction moves each record into one new
+// buffer with its slot's capacity and no more, and carves its chunk again
+// from the start. A rewrite that fits then stays in place without reaching
+// the next record, one that outgrows its slot moves to the refilled chunk,
+// and new records land there too: every record reads back what was last
+// written to it.
+func TestRewriteAfterCompaction(t *testing.T) {
+	for name, mk := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			defer s.Close()
+			want := map[string]string{}
+			put := func(key, value string) {
+				t.Helper()
+				if err := s.Put(Instance, key, []byte(value)); err != nil {
+					t.Fatal(err)
+				}
+				want[key] = value
+			}
+			for i := 0; i < 9; i++ {
+				put(fmt.Sprintf("rec/%d", i), strings.Repeat(string(rune('a'+i)), 40+i))
+			}
+			churn(t, s, 1)
+			for i := 0; i < 4; i++ {
+				want[fmt.Sprintf("churn/%d", i)] = strings.Repeat("c", 1<<10)
+			}
+			for i := 0; i < 9; i++ {
+				grow := []int{0, 100, -20}[i%3] // fits, outgrows, shrinks
+				put(fmt.Sprintf("rec/%d", i), strings.Repeat(string(rune('A'+i)), 40+i+grow))
+				put(fmt.Sprintf("new/%d", i), strings.Repeat("n", 2000+i))
+			}
+			kvs, err := s.List(Instance)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]string{}
+			for _, kv := range kvs {
+				got[kv.Key] = string(kv.Value)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("after a compaction and rewrites the instance space is\n%q\nwant\n%q", got, want)
+			}
+		})
+	}
+}
+
 // Property: a random sequence of puts, deletes, batches, journal appends
 // and mid-sequence snapshots leaves Mem, Disk, the same Disk reopened, and
 // a Standby that followed it (joining half-way, so a snapshot taken before
 // then bootstraps it) with identical contents — Digest on the image all
-// three share, and the journal event for event.
+// three share, and the journal event for event. The random sequences put
+// one-byte values, which never pile up a chunk of dead bytes; one more
+// input puts values up to 3 KiB into a few keys, so rewrites outgrow their
+// slots, deletes free them, and Mem's and Disk's instance spaces compact
+// several times (the standby joins half-way, and the reopened Disk replays
+// from the last snapshot, so they compact less or not at all).
 func TestBackendsEquivalentProperty(t *testing.T) {
 	type op struct {
 		Kind  uint8
 		Space uint8
 		Key   uint8
 		Val   byte
+		Len   uint16
 	}
 	journal := func(s Store) (evs []Event) {
 		s.Events(0, func(e Event) error { evs = append(evs, e); return nil })
 		return evs
 	}
-	f := func(ops []op) bool {
+	// run plays ops, each put's value 1 + Len%maxLen bytes long, and
+	// returns the compactions mem and disk made.
+	run := func(ops []op, maxLen int) (compacted [2]uint64, ok bool) {
 		if len(ops) == 0 {
-			return true
+			return compacted, true
 		}
 		dir := t.TempDir()
 		mem := NewMem()
 		disk, err := OpenDisk(dir, DiskOptions{SegmentSize: 256})
 		if err != nil {
-			return false
+			return compacted, false
 		}
 		shipper, err := disk.StartShipping("127.0.0.1:0", t.Logf)
 		if err != nil {
-			return false
+			return compacted, false
 		}
 		standby, err := OpenStandby(t.TempDir(), DiskOptions{SegmentSize: 256})
 		if err != nil {
 			shipper.Close()
-			return false
+			return compacted, false
 		}
 		var followed chan error
 		defer func() {
@@ -625,7 +732,7 @@ func TestBackendsEquivalentProperty(t *testing.T) {
 			for _, s := range []Store{mem, disk} {
 				switch o.Kind % 8 {
 				case 0, 1, 2:
-					err = s.Put(sp, key, []byte{o.Val})
+					err = s.Put(sp, key, bytes.Repeat([]byte{o.Val}, 1+int(o.Len)%maxLen))
 				case 3:
 					err = s.Delete(sp, key)
 				case 4:
@@ -643,36 +750,70 @@ func TestBackendsEquivalentProperty(t *testing.T) {
 				}
 				if err != nil {
 					t.Logf("op %d (%+v): %v", i, o, err)
-					return false
+					return compacted, false
 				}
 			}
 		}
 		want, _ := mem.Digest()
 		if got, _ := disk.Digest(); got != want {
 			t.Logf("disk digest %s, mem %s", got, want)
-			return false
+			return compacted, false
 		}
 		waitDigest(t, standby.Store(), want)
 		wantJournal := journal(mem)
 		if !reflect.DeepEqual(journal(standby.Store()), wantJournal) {
 			t.Logf("standby journal differs from mem's")
-			return false
+			return compacted, false
 		}
 		disk.Close()
 		re, err := OpenDisk(dir, DiskOptions{SegmentSize: 256})
 		if err != nil {
-			return false
+			return compacted, false
 		}
 		defer re.Close()
 		if got, _ := re.Digest(); got != want {
 			t.Logf("reopened disk digest %s, mem %s", got, want)
-			return false
+			return compacted, false
 		}
-		return reflect.DeepEqual(journal(re), wantJournal)
+		compacted = [2]uint64{compactions(mem), compactions(disk)}
+		return compacted, reflect.DeepEqual(journal(re), wantJournal)
+	}
+	f := func(ops []op) bool {
+		_, ok := run(ops, 1)
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+
+	rng := rand.New(rand.NewSource(1))
+	churn := make([]op, 400)
+	for i := range churn {
+		churn[i] = op{Kind: uint8(rng.Intn(8)), Space: uint8(Instance), Key: uint8(rng.Intn(8)), Val: byte(rng.Intn(256)), Len: uint16(rng.Intn(3 << 10))}
+	}
+	compacted, ok := run(churn, 3<<10)
+	if !ok {
+		t.Fatal("backends differ after the churning input")
+	}
+	for i, name := range []string{"mem", "disk"} {
+		if compacted[i] < 3 {
+			t.Errorf("%s compacted %d times, want several: the churning input no longer exercises compaction", name, compacted[i])
+		}
+	}
+}
+
+// compactions reads how many times a backend's image compacted a space.
+func compactions(s Store) uint64 {
+	var im *image
+	switch s := s.(type) {
+	case *Mem:
+		im = &s.image
+	case *Disk:
+		im = &s.image
+	}
+	im.mu.RLock()
+	defer im.mu.RUnlock()
+	return im.compactions
 }
 
 func TestBatchAtomicAcrossSpaces(t *testing.T) {

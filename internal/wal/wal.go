@@ -510,6 +510,15 @@ func (l *Log) Syncs() uint64 {
 	return l.syncs
 }
 
+// Poisoned returns the error that poisoned the log — it wraps ErrPoisoned
+// and the failure that set it — or nil while the log takes appends. Only
+// reopening the log clears it.
+func (l *Log) Poisoned() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.poisoned
+}
+
 // rotateLocked closes the current segment and opens a new one whose name
 // carries the next sequence number. The new name is synced into the
 // directory before the first append to it can be acknowledged.

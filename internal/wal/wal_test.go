@@ -728,7 +728,7 @@ func TestShortWriteThenAcknowledgedBatch(t *testing.T) {
 
 // TestFailedSyncPoisonsUntilReopen: a batch whose write succeeds but whose
 // fsync fails is taken back and poisons the log — every later append fails
-// with ErrPoisoned — until it is reopened; then three acknowledged batches,
+// with ErrPoisoned, and Poisoned says why — until it is reopened; then three acknowledged batches,
 // across a rotation, replay under the sequences they were given, with the
 // failed batch nowhere.
 func TestFailedSyncPoisonsUntilReopen(t *testing.T) {
@@ -748,6 +748,9 @@ func TestFailedSyncPoisonsUntilReopen(t *testing.T) {
 	if _, err := l.Append([]byte("after")); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("append on a poisoned log: err = %v, want ErrPoisoned", err)
 	}
+	if err := l.Poisoned(); !errors.Is(err, ErrPoisoned) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Poisoned() = %v, want ErrPoisoned wrapping EIO", err)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -755,6 +758,9 @@ func TestFailedSyncPoisonsUntilReopen(t *testing.T) {
 	l, err = Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := l.Poisoned(); err != nil {
+		t.Fatalf("Poisoned() after reopen = %v, want nil", err)
 	}
 	want := []string{"1:a"}
 	for i := 0; i < 3; i++ {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo hygiene + test gate. Run from the repo root:
 #
-#   ./scripts/check.sh          # gofmt, vet, build, compiled-once, keys-built-once, one-attempt, segment-read and store-I/O greps, biooperalint, tests
+#   ./scripts/check.sh          # gofmt, vet, build, compiled-once, keys-built-once, one-attempt and segment-read greps, biooperalint, tests
 #   ./scripts/check.sh -race    # same, plus the race-detector suite
 set -eu
 
@@ -21,7 +21,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== templates are compiled once, store keys are built once, an attempt lives in its task, a WAL segment is read whole, the store does no file I/O"
+echo "== templates are compiled once, store keys are built once, an attempt lives in its task, a WAL segment is read whole"
 # An instance shares its template's compiled form (internal/core/template.go):
 # nothing on the start, navigation or checkpoint path may copy or re-format a
 # process. The allowed sites: the compile step itself, RegisterTemplate's one
@@ -80,17 +80,6 @@ framereads=$(grep -n 'io\.ReadFull(\|make(\[\]byte' internal/wal/*.go |
 if [ -n "$framereads" ]; then
     echo "a frame read or allocated on its own in internal/wal:" >&2
     echo "$framereads" >&2
-    exit 1
-fi
-
-# Every byte the store keeps or ships is framed and written by internal/wal
-# (DESIGN §10 "One write path"): a snapshot is the log's base, so non-test
-# internal/store touches no file. (That it marshals no JSON is biooperalint's
-# hotjson rule, for every package under internal/.)
-storeio=$(grep -n '"os"' internal/store/*.go | grep -v '_test\.go:' || true)
-if [ -n "$storeio" ]; then
-    echo "os imported by non-test internal/store:" >&2
-    echo "$storeio" >&2
     exit 1
 fi
 

@@ -14,7 +14,10 @@
 // record: the first occurrence is written literally and enters the string
 // table, repeats are written as a 1-2 byte back-reference — repeated scope
 // and task names cost almost nothing. Each record carries its own table, so
-// every record decodes standalone.
+// every record decodes standalone. The encoder's table is a slice in slot
+// order, scanned while it holds at most 16 strings — no record the engine
+// writes holds more than about ten — and indexed by a map past that, so a
+// large record stays linear; the map is cleared only when a record used it.
 //
 // Encoders are pooled and append into one reusable buffer with explicit
 // record marks, so steady-state encoding of a whole checkpoint batch is
@@ -61,9 +64,14 @@ type Encoder struct {
 	// after all records of a batch are encoded.
 	Buf   []byte
 	marks []int
-	strs  map[string]uint64 // per-record intern table: string -> slot
+	strs  []string          // per-record intern table, in slot order
+	idx   map[string]uint64 // string -> slot, kept only past scanMax strings
 	keys  []string          // scratch for sorted map iteration
 }
+
+// scanMax is the intern table size up to which String scans the table: a
+// scan of a few strings, most of other lengths, costs less than hashing one.
+const scanMax = 16
 
 var encPool = sync.Pool{New: func() any { return new(Encoder) }}
 
@@ -88,9 +96,13 @@ func (e *Encoder) Reset() {
 // clears the intern table (records decode standalone).
 func (e *Encoder) Begin(kind byte) {
 	if e.strs == nil {
-		e.strs = make(map[string]uint64, 16)
+		e.strs = make([]string, 0, scanMax)
 	} else {
-		clear(e.strs)
+		clear(e.strs) // the table must not pin the previous record's strings
+		e.strs = e.strs[:0]
+	}
+	if len(e.idx) > 0 {
+		clear(e.idx)
 	}
 	e.Buf = AppendHeader(e.Buf, kind)
 }
@@ -142,11 +154,29 @@ func (e *Encoder) Float(f float64) {
 // discriminates: even = literal of length head>>1 follows (and the string
 // joins the record's table), odd = back-reference to table slot head>>1.
 func (e *Encoder) String(s string) {
-	if slot, ok := e.strs[s]; ok {
+	if len(e.strs) <= scanMax {
+		for slot, t := range e.strs {
+			if t == s {
+				e.Uvarint(uint64(slot)<<1 | 1)
+				return
+			}
+		}
+	} else if slot, ok := e.idx[s]; ok {
 		e.Uvarint(slot<<1 | 1)
 		return
 	}
-	e.strs[s] = uint64(len(e.strs))
+	e.strs = append(e.strs, s)
+	switch n := len(e.strs); {
+	case n == scanMax+1: // the table outgrows the scan: index all of it
+		if e.idx == nil {
+			e.idx = make(map[string]uint64, 2*scanMax)
+		}
+		for slot, t := range e.strs {
+			e.idx[t] = uint64(slot)
+		}
+	case n > scanMax+1:
+		e.idx[s] = uint64(n - 1)
+	}
 	e.Buf = AppendString(e.Buf, s)
 }
 

@@ -487,9 +487,11 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 		in.Retries++
 		ts.Status = TaskReady
 		ts.Node = ""
+		// Requeued first, as enqueueActivity does: an observer that sees
+		// task-retried finds the attempt in the queue.
+		e.requeue(in, sc, t, ts)
 		e.emit(in, Event{Kind: EvTaskRetried, Instance: in.ID, Scope: sc.ID, Task: ts.Name,
 			Node: c.Node, Detail: fmt.Sprintf("infrastructure: %v", c.Err)})
-		e.requeue(in, sc, t, ts)
 		e.persist(in)
 		in.pendingPump = true
 		return

@@ -128,7 +128,13 @@ func (rt *LocalRuntime) Close() {
 	ex := rt.exec
 	ex.mu.Lock()
 	ex.closed = true
+	idle := ex.idle
+	ex.idle = nil
 	ex.mu.Unlock()
+	// Outside the lock: a parked worker wakes to a closed mailbox and exits.
+	for _, w := range idle {
+		close(w.mail)
+	}
 	rt.Engine().QuiesceCheckpoints()
 }
 
@@ -148,24 +154,30 @@ type localExec struct {
 	seq    uint64
 	slots  map[string]*localSlot    // node → slot; the map itself never changes
 	live   map[cluster.JobID]uint64 // job → dispatch seq whose result is wanted
+	idle   []*localWorker           // parked workers, a stack; at most one per slot
 }
 
 // localSlot is one single-CPU local node, and owns the launch it is running:
 // a slot runs one program at a time by construction — seq is cleared only by
-// the goroutine it was set for, and Launch refuses a slot whose seq is set —
-// so Launch writes the occupant's fields while the slot is free and starts
-// the goroutine through run, a function value built once with the pool. A
-// launch therefore allocates nothing.
+// the worker it was set for, and Launch refuses a slot whose seq is set — so
+// Launch writes the occupant's fields while the slot is free and hands the
+// slot to a worker. A launch therefore allocates nothing.
 type localSlot struct {
-	ex  *localExec
-	run func() // s.work; go s.run() hands the runtime an existing funcval
+	ex *localExec
 
 	// The occupant. Written under ex.mu by the Launch that takes the free
-	// slot; read by the occupant's goroutine, which copies them out before
-	// it frees the slot and never looks again.
+	// slot; read by the occupant's worker, which copies them out before it
+	// frees the slot and never looks again.
 	seq     uint64 // dispatch seq of the occupant, 0 when free
 	l       Launch
 	started time.Duration
+}
+
+// localWorker is a goroutine that runs one slot's occupant at a time. Between
+// occupants it parks on its mailbox; Launch pops it off ex.idle and sends it
+// the slot, and Close closes the mailbox of every parked worker.
+type localWorker struct {
+	mail chan *localSlot // capacity 1: the one Launch that popped it never blocks
 }
 
 func newLocalExec(rt *LocalRuntime, lib *Library, workers int) *localExec {
@@ -175,6 +187,7 @@ func newLocalExec(rt *LocalRuntime, lib *Library, workers int) *localExec {
 		dir:   cluster.NewDirectory(),
 		slots: make(map[string]*localSlot, workers),
 		live:  make(map[cluster.JobID]uint64),
+		idle:  make([]*localWorker, 0, workers),
 	}
 	for i := 0; i < workers; i++ {
 		name := fmt.Sprintf("local-%02d", i)
@@ -182,9 +195,7 @@ func newLocalExec(rt *LocalRuntime, lib *Library, workers int) *localExec {
 			Name: name, OS: runtime.GOOS,
 			Up: true, CPUs: 1, Speed: 1,
 		})
-		s := &localSlot{ex: ex}
-		s.run = s.work
-		ex.slots[name] = s
+		ex.slots[name] = &localSlot{ex: ex}
 	}
 	return ex
 }
@@ -211,11 +222,12 @@ func (ex *localExec) busySlots() (n int) {
 	return n
 }
 
-// Launch implements Executor: the program executes on a fresh goroutine and
-// the completion is delivered straight to HandleCompletion, which serializes
-// it on the instance's shard. A goroutine per launch, not a worker per slot:
-// a worker inside HandleCompletion → flushWrites → Pump would keep the job
-// that pump placed on its own slot waiting behind the turn's commits.
+// Launch implements Executor: the program executes on a parked worker, or on
+// a fresh one if none is parked, and the completion is delivered straight to
+// HandleCompletion, which serializes it on the instance's shard. Launch never
+// waits for a busy worker: the worker inside HandleCompletion → flushWrites →
+// Pump that placed this job is busy until its commits are done, so the job
+// goes to another.
 func (ex *localExec) Launch(l Launch) error {
 	ex.mu.Lock()
 	if ex.closed {
@@ -235,16 +247,52 @@ func (ex *localExec) Launch(l Launch) error {
 	ex.seq++
 	s.seq, s.l, s.started = ex.seq, l, time.Since(ex.rt.start)
 	ex.live[l.Job] = ex.seq
+	var w *localWorker
+	if n := len(ex.idle); n > 0 {
+		w = ex.idle[n-1]
+		ex.idle = ex.idle[:n-1]
+	}
 	ex.mu.Unlock()
-	//bioopera:allow goroleak the worker runs an uninterruptible user program; Kill discards its result rather than joining it, and the engine's shutdown semantics accept in-flight programs finishing into a closed runtime
-	go s.run()
+	if w != nil {
+		w.mail <- s
+		return nil
+	}
+	go ex.worker(s)
 	return nil
 }
 
-// work runs the slot's occupant and delivers its completion. A binding the
-// library lacks is reported as not run — nil outputs, nil program error — and
-// the completion turn's own lookup fails the instance, as on the simulator.
-func (s *localSlot) work() {
+// worker runs s's occupant, then parks for the next slot a Launch hands it.
+// It exits when the pool already holds a parked worker per slot, when the
+// pool is closed, or when its occupant's result was discarded: a kill is
+// rare, and the attempt that replaced the killed one has a worker of its own.
+func (ex *localExec) worker(s *localSlot) {
+	var w *localWorker
+	for {
+		if !s.work() {
+			return
+		}
+		if w == nil {
+			w = &localWorker{mail: make(chan *localSlot, 1)}
+		}
+		ex.mu.Lock()
+		if ex.closed || len(ex.idle) == cap(ex.idle) {
+			ex.mu.Unlock()
+			return
+		}
+		ex.idle = append(ex.idle, w)
+		ex.mu.Unlock()
+		var ok bool
+		if s, ok = <-w.mail; !ok {
+			return
+		}
+	}
+}
+
+// work runs the slot's occupant and delivers its completion, reporting
+// whether the result was wanted. A binding the library lacks is reported as
+// not run — nil outputs, nil program error — and the completion turn's own
+// lookup fails the instance, as on the simulator.
+func (s *localSlot) work() bool {
 	ex := s.ex
 	l, mySeq, started := s.l, s.seq, s.started
 	c := cluster.Completion{Job: l.Job, Node: l.Node, Start: sim.Time(started)}
@@ -271,13 +319,14 @@ func (s *localSlot) work() {
 		// slot just freed may unblock the queue.
 		ex.rt.Engine().Pump()
 		ex.rt.Bump()
-		return
+		return false
 	}
 	delete(ex.live, l.Job)
 	ex.mu.Unlock()
 	c.End = sim.Time(time.Since(ex.rt.start))
 	ex.rt.Engine().HandleCompletion(c)
 	ex.rt.Bump()
+	return true
 }
 
 // Kill implements Executor: the goroutine cannot be interrupted, but its

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -393,4 +394,140 @@ func TestLaunchGoroutinesDoNotAccumulate(t *testing.T) {
 	before := runtime.NumGoroutine()
 	run(250)
 	eventually(t, "the launch goroutines have exited", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// gatedStore holds the first Batch that writes a task record of instance
+// hold until gate closes, and signals held when it starts holding it.
+type gatedStore struct {
+	store.Store
+	hold atomic.Pointer[string]
+	held chan struct{}
+	gate chan struct{}
+}
+
+func (s *gatedStore) Batch(ops []store.Op) error {
+	if id := s.hold.Load(); id != nil {
+		for _, op := range ops {
+			if strings.HasPrefix(op.Key, "task/"+*id+"/") && s.hold.CompareAndSwap(id, nil) {
+				s.held <- struct{}{}
+				<-s.gate
+				break
+			}
+		}
+	}
+	return s.Store.Batch(ops)
+}
+
+// TestLaunchFromCompletionDoesNotWait: the worker that delivers J's
+// completion launches J's successor K, then goes on to dispatch another
+// instance's queued job Q, whose commit the store holds. K must start while
+// that worker is still inside HandleCompletion — a job never waits behind
+// the commits of the worker that launched it.
+func TestLaunchFromCompletionDoesNotWait(t *testing.T) {
+	gates := map[string]chan struct{}{"J": make(chan struct{}), "K": make(chan struct{})}
+	entered := make(chan string, 3)
+	lib := NewLibrary()
+	if err := lib.RegisterFunc("test.step", func(ctx ProgramCtx, _ map[string]ocr.Value) (map[string]ocr.Value, error) {
+		entered <- ctx.Task
+		if g := gates[ctx.Task]; g != nil {
+			<-g
+		}
+		return map[string]ocr.Value{"out": ocr.Num(1)}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st := &gatedStore{Store: store.NewMem(), held: make(chan struct{}, 1), gate: make(chan struct{})}
+	rt, err := NewLocalRuntime(LocalConfig{Workers: 2, Library: lib, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	var opened sync.Once
+	open := func() {
+		opened.Do(func() {
+			close(st.gate)
+			close(gates["K"])
+		})
+	}
+	defer open() // before Close, which waits for the held commit
+	for _, src := range []string{
+		`PROCESS JK { OUTPUT r; ACTIVITY J { CALL test.step(); OUT out; MAP out -> w; } ACTIVITY K { CALL test.step(); OUT out; MAP out -> r; } J -> K; }`,
+		`PROCESS Q { OUTPUT r; ACTIVITY Q { CALL test.step(); OUT out; MAP out -> r; } }`,
+	} {
+		if err := rt.RegisterTemplateSource(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// K outranks Q, so J's turn decides K for itself and hands Q on.
+	jk, err := rt.StartProcess("JK", nil, StartOptions{Priority: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if task := <-entered; task != "J" {
+		t.Fatalf("%s entered, want J", task)
+	}
+	// Q is queued with a slot free: started while paused, then unpaused
+	// without a pump, so the next decision is J's turn's.
+	e := rt.Engine()
+	e.PauseAll()
+	q, err := rt.StartProcess("Q", nil, StartOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.paused.Store(false)
+	st.hold.Store(&q)
+	close(gates["J"])
+	// K is launched before Q is dispatched, so it may enter first; either
+	// way the gate stays shut until K has entered.
+	timeout := time.After(10 * time.Second)
+	for held, k := false, false; !held || !k; {
+		select {
+		case <-st.held:
+			held = true
+		case task := <-entered:
+			if task != "K" {
+				t.Fatalf("%s entered, want K", task)
+			}
+			k = true
+		case <-timeout:
+			t.Fatalf("Q's commit held: %v, K started: %v — K must start while the worker that launched it is held in Q's commit", held, k)
+		}
+	}
+	open()
+	for _, id := range []string{jk, q} {
+		if in, err := rt.Wait(id, 10*time.Second); err != nil || in.Status != InstanceDone {
+			t.Fatalf("instance %s: %v", id, err)
+		}
+	}
+}
+
+// TestIdleWorkersExitOnClose: parked workers are goroutines until Close;
+// after it the count is back to what it was before the runtime was built.
+func TestIdleWorkersExitOnClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rt, err := NewLocalRuntime(LocalConfig{Workers: 4, Library: benchLibrary(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RegisterTemplateSource(benchChain8Src); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, 8)
+	for i := range ids {
+		if ids[i], err = rt.StartProcess("Chain8", map[string]ocr.Value{"x": ocr.Num(1)}, StartOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		if in, err := rt.Wait(id, 10*time.Second); err != nil || in.Status != InstanceDone {
+			t.Fatalf("instance %s: %v", id, err)
+		}
+	}
+	eventually(t, "a worker is parked", func() bool {
+		rt.exec.mu.Lock()
+		defer rt.exec.mu.Unlock()
+		return len(rt.exec.idle) > 0
+	})
+	rt.Close()
+	eventually(t, "the workers have exited", func() bool { return runtime.NumGoroutine() <= before })
 }

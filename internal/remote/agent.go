@@ -49,13 +49,14 @@ type Agent struct {
 	cfg  AgentConfig
 	conn *transport.Conn
 	inc  uint64         // set by the welcome, before welcomed closes
-	wg   sync.WaitGroup // the heartbeat loop and every running job
+	wg   sync.WaitGroup // the heartbeat loop and every worker
 
 	dec codec.Decoder // reader goroutine only
 
 	mu      sync.Mutex
 	paused  bool              // heartbeats suppressed (test hook)
 	running map[jobLease]bool // every launch still in runJob; true once a kill named it
+	idle    []*agentWorker    // parked workers, a stack; at most CPUs
 
 	welcomed chan struct{} // closed when the server's welcome has arrived
 	done     chan struct{} // closed when the connection is gone
@@ -82,6 +83,7 @@ func Dial(addr string, cfg AgentConfig) (*Agent, error) {
 	a := &Agent{
 		cfg:      cfg,
 		running:  make(map[jobLease]bool),
+		idle:     make([]*agentWorker, 0, cfg.CPUs),
 		welcomed: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -133,7 +135,8 @@ func (a *Agent) PauseHeartbeats() {
 func (a *Agent) Wait() { <-a.done }
 
 // Close tears the connection down, returning the close error after the
-// heartbeat loop and every running job have drained.
+// heartbeat loop and every worker have drained: a parked worker exits with
+// the connection, a running one once its job has.
 func (a *Agent) Close() error {
 	err := a.conn.Close()
 	a.wg.Wait()
@@ -200,15 +203,28 @@ func (a *Agent) Frame(kind byte, body []byte) error {
 		go a.heartbeatLoop(every)
 		close(a.welcomed)
 	case codec.FrameLaunch:
-		l := new(Launch) // runJob's own: it outlives the frame
-		if err := l.Decode(&a.dec); err != nil {
-			return err
-		}
 		a.mu.Lock()
-		a.running[jobLease{l.Job, l.Lease}] = false
+		var w *agentWorker
+		if n := len(a.idle); n > 0 {
+			w = a.idle[n-1]
+			a.idle = a.idle[:n-1]
+		}
+		fresh := w == nil
+		if fresh {
+			w = &agentWorker{mail: make(chan struct{}, 1)}
+		}
+		if err := w.l.Decode(&a.dec); err != nil {
+			a.mu.Unlock()
+			return err // a popped worker exits with the connection
+		}
+		a.running[jobLease{w.l.Job, w.l.Lease}] = false
 		a.mu.Unlock()
-		a.wg.Add(1)
-		go a.runJob(l)
+		if fresh {
+			a.wg.Add(1)
+			go a.worker(w)
+		} else {
+			w.mail <- struct{}{}
+		}
 	case codec.FrameKill:
 		var k Kill
 		if err := k.Decode(&a.dec); err != nil {
@@ -234,10 +250,39 @@ func (a *Agent) Closed(err error) {
 	close(a.done)
 }
 
+// agentWorker is a goroutine that runs one launch at a time. Between
+// launches it parks on its mailbox; Frame pops it off a.idle, decodes the
+// next launch into l and wakes it.
+type agentWorker struct {
+	l    Launch
+	mail chan struct{} // capacity 1: the one Frame that popped it never blocks
+}
+
+// worker runs w's launch, then parks for the next. It exits when CPUs
+// workers are already parked, or with the connection: a launch that races
+// the hang-up has no one to report to, and the server requeues it.
+func (a *Agent) worker(w *agentWorker) {
+	defer a.wg.Done()
+	for {
+		a.runJob(&w.l)
+		a.mu.Lock()
+		if len(a.idle) == cap(a.idle) {
+			a.mu.Unlock()
+			return
+		}
+		a.idle = append(a.idle, w)
+		a.mu.Unlock()
+		select {
+		case <-w.mail:
+		case <-a.done:
+			return
+		}
+	}
+}
+
 // runJob executes one launched activity against the local library and
 // reports the lease-tagged result, unless a kill named the lease meanwhile.
 func (a *Agent) runJob(l *Launch) {
-	defer a.wg.Done()
 	reply := Completion{Job: l.Job, Lease: l.Lease, Incarnation: a.inc}
 	if prog, ok := a.cfg.Library.Lookup(l.Program); !ok {
 		reply.Error = fmt.Sprintf("worker %s: unknown program %q", a.cfg.Name, l.Program)

@@ -426,9 +426,10 @@ var allocSink any
 // the payload the benchmark sends (one 256-byte string value under a
 // one-byte key, which Go does not allocate). Encoding into a held encoder
 // allocates nothing. Decoding allocates what outlives the frame and nothing
-// else: a launch is its struct, five strings (job, node, program, instance,
-// task), the inputs map (header and group) and the value; a completion is
-// the outputs map and the value — its job is looked up from the frame. A
+// else: a launch is five strings (job, node, program, instance, task), the
+// inputs map (header and group) and the value — its struct is the agent
+// worker's own, decoded into again for every launch; a completion is the
+// outputs map and the value — its job is looked up from the frame. A
 // regression on remote_chains shows here first, by layer.
 func TestWireAllocBudget(t *testing.T) {
 	vals := map[string]ocr.Value{"x": ocr.Str(strings.Repeat("x", 256))}
@@ -440,6 +441,7 @@ func TestWireAllocBudget(t *testing.T) {
 	e := codec.Get()
 	defer codec.Put(e)
 	var d codec.Decoder
+	held := new(agentWorker) // on the heap, as the agent's workers are
 	for _, c := range []struct {
 		name   string
 		encode func()
@@ -447,12 +449,11 @@ func TestWireAllocBudget(t *testing.T) {
 		want   float64
 	}{
 		{"launch", func() { launch.Encode(e) }, func(body []byte) {
-			l := new(Launch)
+			l := &held.l
 			if d.Open(body, codec.FrameLaunch) != nil || l.Decode(&d) != nil {
 				t.Fatal("launch does not decode")
 			}
-			allocSink = l
-		}, 9},
+		}, 8},
 		{"completion", func() { done.Encode(e) }, func(body []byte) {
 			var m Completion
 			if d.Open(body, codec.FrameCompletion) != nil {

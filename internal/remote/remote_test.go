@@ -2,6 +2,7 @@ package remote
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -312,6 +313,83 @@ PROCESS Who {
 	if err != nil || status != core.InstanceDone || outputs["r"].AsStr() != "from-w2" {
 		t.Fatalf("after stale completion: %v %v %v", status, outputs, err)
 	}
+}
+
+const chainSrc = `
+PROCESS Chain {
+  INPUT x;
+  OUTPUT r;
+  ACTIVITY A { CALL test.add(a = x, b = x);  OUT sum; MAP sum -> w1; }
+  ACTIVITY B { CALL test.add(a = w1, b = x); OUT sum; MAP sum -> w2; }
+  ACTIVITY C { CALL test.add(a = w2, b = x); OUT sum; MAP sum -> r; }
+  A -> B; B -> C;
+}`
+
+// TestAgentWorkersDoNotAccumulate: the agent runs a launch on a parked
+// worker when it has one, and parks at most one per CPU, so 750 activities
+// later there are as many goroutines as before. Close takes the parked
+// workers down with the connection.
+func TestAgentWorkersDoNotAccumulate(t *testing.T) {
+	// test.pair holds both CPUs at once, so the agent has had two workers.
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	lib := addLibrary(t)
+	lib.Register(core.Program{
+		Name: "test.pair",
+		Run: func(core.ProgramCtx, map[string]ocr.Value) (map[string]ocr.Value, error) {
+			entered <- struct{}{}
+			<-release
+			return map[string]ocr.Value{"r": ocr.Num(1)}, nil
+		},
+	})
+	rt := newRemote(t, lib)
+	a, err := Dial(rt.Addr(), AgentConfig{Name: "w1", CPUs: 2, Library: lib, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() }) // returns once every worker has exited
+	for _, src := range []string{chainSrc, `
+PROCESS Pair {
+  OUTPUT done;
+  BLOCK F PARALLEL OVER [1, 2] AS x {
+    MAP results -> done;
+    OUTPUT r;
+    ACTIVITY P { CALL test.pair(); OUT r; MAP r -> r; }
+  }
+}`} {
+		if err := rt.RegisterTemplateSource(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wait := func(id string) {
+		t.Helper()
+		if in, err := rt.Wait(id, 10*time.Second); err != nil || in.Status != core.InstanceDone {
+			t.Fatalf("instance %s: %v", id, err)
+		}
+	}
+	pair, err := rt.StartProcess("Pair", nil, core.StartOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var released sync.Once
+	releasePair := func() { released.Do(func() { close(release) }) }
+	defer releasePair() // before the cleanup's Close, which waits for the workers
+	waitFor(t, "both CPUs are running test.pair", func() bool { return len(entered) == 2 })
+	releasePair()
+	wait(pair)
+	waitFor(t, "both workers are parked", func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return len(a.running) == 0 && len(a.idle) == 2
+	})
+	before := runtime.NumGoroutine()
+	for i := 0; i < 250; i++ {
+		id, err := rt.StartProcess("Chain", map[string]ocr.Value{"x": ocr.Num(1)}, core.StartOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait(id)
+	}
+	waitFor(t, "the agent's workers are back to what they were", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 func waitFor(t *testing.T, what string, ok func() bool) {

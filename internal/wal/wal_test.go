@@ -456,9 +456,13 @@ func TestCrashMidBatchAtEveryByte(t *testing.T) {
 	}
 }
 
-// TestReplayAllocs: replay reads a segment with one os.ReadFile and hands
-// out records as subslices of it, so its allocations grow with the number of
-// segments, not of records — a buffer per frame shows up at once.
+// TestReplayAllocs: replay reads a segment with one read into a buffer and
+// hands out records as subslices of it, so its allocations grow with the
+// number of segments, not of records — a buffer per frame shows up at once.
+// A segment costs 8: its name (fmt.Sprintf, 2), its path, the open file (3),
+// its Stat and its buffer. Under the race detector slices.Grow allocates a
+// temporary too, and fmt's pooled printer is dropped at random, so the budget
+// there is looser.
 func TestReplayAllocs(t *testing.T) {
 	l := openT(t, t.TempDir(), Options{NoSync: true, SegmentSize: 16 << 10})
 	data := make([]byte, 100)
@@ -475,7 +479,10 @@ func TestReplayAllocs(t *testing.T) {
 	if segs < 10 {
 		t.Fatalf("%d segments, want a multi-segment log", segs)
 	}
-	budget := float64(10*segs + 10)
+	budget := float64(8*segs + 10)
+	if raceEnabled {
+		budget = float64(12*segs + 10)
+	}
 	var n int
 	if got := testing.AllocsPerRun(3, func() {
 		n = 0

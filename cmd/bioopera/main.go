@@ -754,6 +754,7 @@ func cmdHistory(args []string) error {
 		fmt.Printf("  events             %d (last seq %d)\n", ds.Events, ds.EventSeq)
 		fmt.Printf("  wal segments       %d (next seq %d, %d syncs)\n", ds.WALSegments, ds.WALNextSeq, ds.WALSyncs)
 		fmt.Printf("  snapshot seq       %d\n", ds.SnapshotSeq)
+		fmt.Printf("  wal since base     %d of %d bytes (%d failed compactions)\n", ds.WALBytesSinceBase, ds.WALCompactAt, ds.SnapshotFailures)
 		fmt.Printf("  commit groups      %d (%d grouped records)\n", ds.CommitGroups, ds.GroupedRecords)
 		fmt.Printf("  image bytes        %d live, %d dead (%d compactions)\n", ds.ImageLive, ds.ImageDead, ds.ImageCompactions)
 		poisoned := "no"

@@ -203,8 +203,9 @@ func captureStdout(t *testing.T, f func() error) string {
 }
 
 // TestHistoryStatsShowsImageAndWAL: `history -stats` prints the in-memory
-// image's live and dead bytes and its compactions, and whether a failed
-// append has poisoned the log.
+// image's live and dead bytes and its compactions, the log bytes since the
+// base against the self-compaction trigger, and whether a failed append has
+// poisoned the log.
 func TestHistoryStatsShowsImageAndWAL(t *testing.T) {
 	dir := t.TempDir()
 	captureStdout(t, func() error {
@@ -214,6 +215,7 @@ func TestHistoryStatsShowsImageAndWAL(t *testing.T) {
 	out := captureStdout(t, func() error { return cmdHistory([]string{dir, "-stats"}) })
 	for _, want := range []*regexp.Regexp{
 		regexp.MustCompile(`(?m)^  image bytes        [1-9][0-9]* live, [0-9]+ dead \([0-9]+ compactions\)$`),
+		regexp.MustCompile(`(?m)^  wal since base     [1-9][0-9]* of 67108864 bytes \(0 failed compactions\)$`),
 		regexp.MustCompile(`(?m)^  wal poisoned       no$`),
 	} {
 		if !want.MatchString(out) {

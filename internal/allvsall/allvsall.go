@@ -115,8 +115,6 @@ type Config struct {
 	Dataset *darwin.Dataset
 	// Fixed configures the fast first pass.
 	Fixed darwin.FixedPAMOptions
-	// Refine configures the PAM-distance refinement.
-	Refine darwin.RefineOptions
 	// Simulate switches programs to cost-model-only execution.
 	Simulate bool
 	// Cost is the model charged in simulated mode (zero value →
@@ -366,7 +364,7 @@ func (cfg *Config) runRefine(_ core.ProgramCtx, args map[string]ocr.Value) (map[
 	if err != nil {
 		return nil, err
 	}
-	refined := darwin.RefinePass(cfg.Dataset, ms, cfg.Refine)
+	refined := darwin.RefinePass(cfg.Dataset, ms, darwin.RefineOptions{})
 	return map[string]ocr.Value{"refined": encodeMatches(refined)}, nil
 }
 

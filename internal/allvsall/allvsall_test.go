@@ -73,7 +73,7 @@ func TestRealModeMatchesSerial(t *testing.T) {
 	// in-process serial computation, for several granularities.
 	ds := darwin.Generate(darwin.GenOptions{N: 18, MeanLen: 50, Seed: 11, FamilyFraction: 0.5, FamilyPAM: 35})
 	cfg := &Config{Dataset: ds}
-	want := darwin.AllVsAllSerial(ds, cfg.Fixed, cfg.Refine)
+	want := darwin.AllVsAllSerial(ds, cfg.Fixed, darwin.RefineOptions{})
 
 	for _, teus := range []int{1, 4, 9} {
 		rt := runtime(t, cfg, cluster.IkSun())
@@ -231,7 +231,7 @@ func TestSurvivesNodeChurn(t *testing.T) {
 	// finish with the right answer anyway.
 	ds := darwin.Generate(darwin.GenOptions{N: 16, MeanLen: 45, Seed: 9, FamilyFraction: 0.5})
 	cfg := &Config{Dataset: ds}
-	want := darwin.AllVsAllSerial(ds, cfg.Fixed, cfg.Refine)
+	want := darwin.AllVsAllSerial(ds, cfg.Fixed, darwin.RefineOptions{})
 
 	rt := runtime(t, cfg, cluster.IkSun())
 	names := make([]string, 0, 5)

@@ -22,7 +22,7 @@ import (
 func TestChurnNeverChangesResults(t *testing.T) {
 	ds := darwin.Generate(darwin.GenOptions{N: 14, MeanLen: 45, Seed: 33, FamilyFraction: 0.5, FamilyPAM: 35})
 	baseCfg := &Config{Dataset: ds}
-	want := darwin.AllVsAllSerial(ds, baseCfg.Fixed, baseCfg.Refine)
+	want := darwin.AllVsAllSerial(ds, baseCfg.Fixed, darwin.RefineOptions{})
 	if len(want) == 0 {
 		t.Fatal("reference run found no matches; test would be vacuous")
 	}

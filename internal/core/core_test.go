@@ -989,40 +989,72 @@ PROCESS Ghost {
 	}
 }
 
-func TestPeriodicSnapshotBoundsWAL(t *testing.T) {
+// checkCompactsItself is the self-compaction check the sim and local
+// runtimes share. run drives Par over 40 elements on a disk store whose
+// 256-byte segments put its trigger at 4 KiB, stops wherever it likes, and
+// returns the instance. No runtime asks the store to compact: it must have
+// compacted itself, keep what a restart replays under twice its trigger, and
+// reopen from its base onto a run that finishes with every result.
+func checkCompactsItself(t *testing.T, run func(st *store.Disk, xs ocr.Value) string) {
+	t.Helper()
 	dir := t.TempDir()
-	st, err := store.OpenDisk(dir, store.DiskOptions{NoSync: true, SegmentSize: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
+	open := func() *store.Disk {
+		t.Helper()
+		st, err := store.OpenDisk(dir, store.DiskOptions{NoSync: true, SegmentSize: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	rt := newRuntime(t, SimConfig{Store: st, SnapshotEvery: 5 * time.Second})
-	register(t, rt, parallelSrc)
 	var xs []ocr.Value
 	for i := 0; i < 40; i++ {
 		xs = append(xs, ocr.Num(float64(i)))
 	}
-	id := start(t, rt, "Par", map[string]ocr.Value{"xs": ocr.List(xs...)})
-	// Interrupt mid-run (after at least one snapshot), then cold-restart
-	// from snapshot + WAL tail.
-	rt.RunUntil(sim.Time(7 * time.Second))
-	st.Close()
+	st := open()
+	id := run(st, ocr.List(xs...))
+	if s := st.Stats(); s.SnapshotSeq == 0 || s.SnapshotFailures != 0 || s.WALBytesSinceBase >= 2*s.WALCompactAt {
+		t.Fatalf("store did not compact itself: snapshot seq %d, %d failures, %d log bytes since the base (trigger %d)",
+			s.SnapshotSeq, s.SnapshotFailures, s.WALBytesSinceBase, s.WALCompactAt)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	st2, err := store.OpenDisk(dir, store.DiskOptions{NoSync: true, SegmentSize: 4 << 10})
+	st = open()
+	defer st.Close()
+	rt := newRuntime(t, SimConfig{Store: st})
+	if _, err := rt.Engine.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	rt.Run()
+	v, ok, err := st.Get(store.History, metaKey(id))
+	if err != nil || !ok {
+		t.Fatalf("history record of %s: ok=%v err=%v", id, ok, err)
+	}
+	m, err := DecodeInstanceMeta(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	rt2 := newRuntime(t, SimConfig{Store: st2})
-	if n, err := rt2.Engine.Recover(); err != nil || n != 1 {
-		t.Fatalf("recover = %d, %v", n, err)
-	}
-	rt2.Run()
-	in := finished(t, rt2, id)
-	for i := 0; i < 40; i++ {
-		if in.Outputs["doubled"].At(i).AsNum() != float64(2*i) {
-			t.Fatalf("results after snapshot recovery = %v", in.Outputs["doubled"])
+	for i := range xs {
+		if m.Outputs["doubled"].At(i).AsNum() != float64(2*i) {
+			t.Fatalf("results after reopening from the base = %v", m.Outputs["doubled"])
 		}
 	}
+}
+
+// TestSimStoreCompactsItself interrupts the run mid-way, so the reopened
+// store recovers a running instance from its base plus the log after it.
+func TestSimStoreCompactsItself(t *testing.T) {
+	checkCompactsItself(t, func(st *store.Disk, xs ocr.Value) string {
+		rt := newRuntime(t, SimConfig{Store: st})
+		register(t, rt, parallelSrc)
+		id := start(t, rt, "Par", map[string]ocr.Value{"xs": xs})
+		rt.RunUntil(sim.Time(7 * time.Second))
+		if in, _ := rt.Engine.Instance(id); in.Status == InstanceDone {
+			t.Fatal("the run finished before the interruption")
+		}
+		return id
+	})
 }
 
 func TestSimTimeoutTimerCancelled(t *testing.T) {

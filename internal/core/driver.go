@@ -43,10 +43,6 @@ type SimConfig struct {
 	// InitialCPUs optionally caps per-node CPUs at start (Fig. 6's
 	// pre-upgrade state).
 	InitialCPUs int
-	// SnapshotEvery periodically snapshots the store (when the store
-	// supports it), garbage-collecting the write-ahead log under it —
-	// how a month-long run keeps its recovery log bounded. 0 disables.
-	SnapshotEvery time.Duration
 	// Monitor attaches an adaptive load monitor (a PEC duty, §3.4) to
 	// every node; reports land in the runtime's ReportedLoads view and
 	// the store's event journal.
@@ -85,8 +81,8 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 	}
 	rt := &SimRuntime{Sim: s, Store: st}
 	rt.Cluster = cluster.New(s, cfg.Spec, cluster.Options{InitialCPUs: cfg.InitialCPUs})
-	// Store failures outside the engine (journal appends, config records,
-	// periodic snapshots) flow to the same OnError the engine uses.
+	// Store failures outside the engine (journal appends, config records)
+	// flow to the same OnError the engine uses.
 	storeErr := func(context string, err error) {
 		if err != nil && cfg.Options.OnError != nil {
 			cfg.Options.OnError(fmt.Errorf("core: sim runtime %s: %w", context, err))
@@ -136,11 +132,6 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 
 	if cfg.TrackEvery > 0 {
 		rt.Tracker = NewTracker(s, rt.Cluster, cfg.TrackEvery)
-	}
-	if cfg.SnapshotEvery > 0 {
-		if snap, ok := st.(Snapshotter); ok {
-			s.Every(cfg.SnapshotEvery, func(sim.Time) { storeErr("periodic snapshot", snap.Snapshot()) })
-		}
 	}
 	if cfg.Monitor {
 		rt.monitors = make(map[string]*cluster.AdaptiveMonitor, len(cfg.Spec.Nodes))

@@ -15,7 +15,6 @@ import (
 	"bioopera/internal/cluster"
 	"bioopera/internal/obs"
 	"bioopera/internal/ocr"
-	"bioopera/internal/sched"
 	"bioopera/internal/sim"
 	"bioopera/internal/store"
 )
@@ -28,8 +27,7 @@ import (
 // The engine is internally synchronized, so the runtime adds no lock of
 // its own: workers deliver completions to HandleCompletion directly and
 // independent instances truly execute in parallel. The embedded
-// RuntimeBase supplies Do/Wait and the snapshot cadence shared with the
-// remote runtime.
+// RuntimeBase supplies Do/Wait, shared with the remote runtime.
 type LocalRuntime struct {
 	RuntimeBase
 
@@ -48,18 +46,11 @@ type LocalConfig struct {
 	Store store.Store
 	// Library is required.
 	Library *Library
-	// Policy defaults to LeastLoaded.
-	Policy sched.Policy
 	// OnEvent observes engine events (called under the instance's shard
 	// lock; must not call back into the engine).
 	OnEvent func(Event)
 	// OnError observes persistence failures (see Options.OnError).
 	OnError func(error)
-	// SnapshotEvery periodically snapshots the store (when the store
-	// supports it), garbage-collecting the write-ahead log under it, so
-	// a long-lived run does not replay an unbounded log on restart.
-	// 0 disables.
-	SnapshotEvery time.Duration
 	// Metrics enables engine instrumentation plus the pool's
 	// slot-occupancy gauges (see Options.Metrics).
 	Metrics *obs.Registry
@@ -92,7 +83,6 @@ func NewLocalRuntime(cfg LocalConfig) (*LocalRuntime, error) {
 		Library:      cfg.Library,
 		Executor:     rt.exec,
 		Clock:        ClockFunc(func() sim.Time { return sim.Time(time.Since(rt.start)) }),
-		Policy:       cfg.Policy,
 		OnEvent:      cfg.OnEvent,
 		OnError:      cfg.OnError,
 		Metrics:      cfg.Metrics,
@@ -116,15 +106,13 @@ func NewLocalRuntime(cfg LocalConfig) (*LocalRuntime, error) {
 			"Worker slots currently executing an activity.",
 			func() float64 { return float64(rt.exec.busySlots()) })
 	}
-	rt.StartSnapshots(cfg.Store, cfg.SnapshotEvery)
 	return rt, nil
 }
 
-// Close stops accepting work, halts the snapshot loop, and waits for
-// in-flight checkpoint flushes to commit, so the caller may close the
-// store immediately after. Running workers drain.
+// Close stops accepting work and waits for in-flight checkpoint flushes to
+// commit, so the caller may close the store immediately after. Running
+// workers drain.
 func (rt *LocalRuntime) Close() {
-	rt.StopSnapshots()
 	ex := rt.exec
 	ex.mu.Lock()
 	ex.closed = true

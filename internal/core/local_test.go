@@ -230,43 +230,27 @@ PROCESS Hang {
 	}
 }
 
-func TestLocalSnapshotEvery(t *testing.T) {
-	lib := testLibrary(t)
-	st := &countingSnapStore{Store: store.NewMem()}
-	rt, err := NewLocalRuntime(LocalConfig{
-		Workers:       1,
-		Library:       lib,
-		Store:         st,
-		SnapshotEvery: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for st.snaps.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d snapshots after 5s", st.snaps.Load())
+// TestLocalStoreCompactsItself runs the instance to its end on the local
+// pool: the reopened store holds it, archived, in its base.
+func TestLocalStoreCompactsItself(t *testing.T) {
+	checkCompactsItself(t, func(st *store.Disk, xs ocr.Value) string {
+		rt, err := NewLocalRuntime(LocalConfig{Workers: 2, Library: testLibrary(t), Store: st})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	rt.Close() // idempotent; stops the loop
-	n := st.snaps.Load()
-	time.Sleep(50 * time.Millisecond)
-	if got := st.snaps.Load(); got > n+1 {
-		t.Fatalf("snapshot loop kept running after Close: %d -> %d", n, got)
-	}
-}
-
-// countingSnapStore gives any store a Snapshot method and counts calls.
-type countingSnapStore struct {
-	store.Store
-	snaps atomic.Int32
-}
-
-func (s *countingSnapStore) Snapshot() error {
-	s.snaps.Add(1)
-	return nil
+		defer rt.Close()
+		if err := rt.RegisterTemplateSource(parallelSrc); err != nil {
+			t.Fatal(err)
+		}
+		id, err := rt.StartProcess("Par", map[string]ocr.Value{"xs": xs}, StartOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Wait(id, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	})
 }
 
 // eventually polls cond until it holds; the deadline is the failure.

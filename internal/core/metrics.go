@@ -31,9 +31,6 @@ type engineMetrics struct {
 	// deterministic.
 	schedDecide *obs.Histogram
 	preemptions *obs.Counter
-
-	// Segment GC instrumentation (updated by SweepProcs, off the hot path).
-	procGC *obs.Counter
 }
 
 // newEngineMetrics registers the engine's instrumentation: event counters
@@ -68,8 +65,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		"Scheduler decision latency per dispatched (or declined) drain step.", nil)
 	m.preemptions = reg.Counter("bioopera_sched_preemptions_total",
 		"Running jobs killed to reclaim nodes for starving higher-priority work.")
-	m.procGC = reg.Counter("bioopera_proc_gc_total",
-		"Dead interned process-text records deleted by SweepProcs.")
 	reg.GaugeFunc("bioopera_engine_queue_depth",
 		"Activities awaiting dispatch.",
 		func() float64 { return float64(e.QueueLen()) })
@@ -170,14 +165,6 @@ func (m *engineMetrics) decision(d time.Duration) {
 		return
 	}
 	m.schedDecide.Observe(d.Seconds())
-}
-
-// procSwept counts interned texts deleted by one GC sweep.
-func (m *engineMetrics) procSwept(n int) {
-	if m == nil || n == 0 {
-		return
-	}
-	m.procGC.Add(uint64(n))
 }
 
 // preempted counts jobs killed by one preemption round.

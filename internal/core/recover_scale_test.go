@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,8 +14,7 @@ import (
 )
 
 // These tests cover recovery at scale: partial recovery around poisoned
-// instances, lazy hydration of dormant instances, and the interned
-// process-text garbage collector.
+// instances and lazy hydration of dormant instances.
 
 // sixXs is the stock parallel-block input; Par doubles each element.
 func sixXs() ocr.Value {
@@ -293,80 +291,5 @@ func TestRecoverRefusesPreCodecJSON(t *testing.T) {
 	}
 	if err := rtC.Engine.Resume(ids[0]); err != nil {
 		t.Fatalf("Resume of a healthy stub: %v", err)
-	}
-}
-
-// TestSweepProcsCollectsOrphans: a proc/ record whose hash no live scope
-// references is deleted from the store and forgotten from procRefs; the
-// records of live hashes stay; terminal instances are skipped entirely.
-func TestSweepProcsCollectsOrphans(t *testing.T) {
-	st := store.NewMem()
-	rt := newRuntime(t, SimConfig{Store: st})
-	register(t, rt, parallelSrc)
-	id := start(t, rt, "Par", map[string]ocr.Value{"xs": sixXs()})
-	rt.RunUntil(sim.Time(500 * time.Millisecond))
-
-	eng := rt.Engine
-	in, ok := eng.Instance(id)
-	if !ok {
-		t.Fatal("instance missing")
-	}
-	// Plant a dead interned text: on disk and in the ref set, but no scope
-	// references it (the scenario a mid-run sphere abort leaves behind).
-	const orphan = "00000000deadbeef"
-	if err := st.Put(store.Instance, procKey(id, orphan), []byte("PROCESS Dead {}")); err != nil {
-		t.Fatal(err)
-	}
-	mu := eng.shardFor(id)
-	mu.Lock()
-	in.procRefs[orphan] = true
-	liveRefs := len(in.procRefs) - 1
-	mu.Unlock()
-
-	// procRecords lists the instance's proc/ hashes in a store space.
-	procRecords := func(sp store.Space) []string {
-		kvs, err := st.List(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hashes []string
-		for _, kv := range kvs {
-			if hash, ok := strings.CutPrefix(kv.Key, procKey(id, "")); ok {
-				hashes = append(hashes, hash)
-			}
-		}
-		return hashes
-	}
-	swept := eng.SweepProcs()
-	if swept != 1 {
-		t.Fatalf("swept = %d, want 1", swept)
-	}
-	if _, ok, _ := st.Get(store.Instance, procKey(id, orphan)); ok {
-		t.Fatal("orphan proc record survived the sweep")
-	}
-	mu.Lock()
-	_, stillRef := in.procRefs[orphan]
-	gotRefs := len(in.procRefs)
-	mu.Unlock()
-	if stillRef || gotRefs != liveRefs {
-		t.Fatalf("procRefs after sweep: orphan=%v len=%d want len=%d", stillRef, gotRefs, liveRefs)
-	}
-	if live := procRecords(store.Instance); len(live) != liveRefs {
-		t.Fatalf("store holds proc/ records %v after the sweep, want the %d live ones", live, liveRefs)
-	}
-
-	// A second sweep is a no-op, and the instance still runs to completion
-	// on its surviving records.
-	if swept := eng.SweepProcs(); swept != 0 {
-		t.Fatalf("second sweep = %d, want 0", swept)
-	}
-	rt.Run()
-	finished(t, rt, id)
-
-	// Terminal instances are invisible to the sweep: their archived texts
-	// stay where archive put them.
-	archived := procRecords(store.History)
-	if swept := eng.SweepProcs(); swept != 0 || !slices.Equal(procRecords(store.History), archived) || len(archived) == 0 {
-		t.Fatalf("sweep of a terminal instance = %d, archived proc/ records %v", swept, archived)
 	}
 }

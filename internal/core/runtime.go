@@ -7,20 +7,14 @@ import (
 	"time"
 
 	"bioopera/internal/ocr"
-	"bioopera/internal/store"
 )
-
-// Snapshotter is implemented by stores that support compaction (the disk
-// store); runtimes snapshot periodically when configured, bounding the
-// write-ahead log a restart must replay.
-type Snapshotter interface{ Snapshot() error }
 
 // RuntimeBase is the runtime layer shared by the real-time drivers — the
 // goroutine-pool LocalRuntime and the networked remote runtime. It owns
 // the plumbing those drivers would otherwise duplicate: the engine handle,
 // the Wait/generation broadcast that turns engine transitions into
-// wake-ups, and the periodic snapshot cadence. Embed it and call Bind once
-// the engine exists.
+// wake-ups. It owns no cadence: the disk store compacts itself. Embed it
+// and call Bind once the engine exists.
 type RuntimeBase struct {
 	engine *Engine
 
@@ -31,9 +25,6 @@ type RuntimeBase struct {
 	waitMu sync.Mutex
 	cond   *sync.Cond
 	gen    uint64
-
-	snapMu   sync.Mutex
-	snapStop chan struct{}
 }
 
 // Bind attaches the engine. Call it once, before the runtime is used.
@@ -124,66 +115,5 @@ func (rb *RuntimeBase) Wait(id string, timeout time.Duration) (*Instance, error)
 			rb.cond.Wait()
 		}
 		rb.waitMu.Unlock()
-	}
-}
-
-// StartSnapshots begins compacting the store every period, so a long run's
-// recovery log stays bounded. A store without snapshot support, or a zero
-// period, makes it a no-op. Snapshot errors go to the engine's OnError.
-func (rb *RuntimeBase) StartSnapshots(st store.Store, every time.Duration) {
-	snap, ok := st.(Snapshotter)
-	if !ok || every <= 0 {
-		return
-	}
-	rb.snapMu.Lock()
-	defer rb.snapMu.Unlock()
-	if rb.snapStop != nil {
-		return // already running
-	}
-	stop := make(chan struct{})
-	rb.snapStop = stop
-	eng := rb.Engine()
-	go func() {
-		//bioopera:allow walltime snapshot cadence paces real disk I/O; the sim runtime has its own virtual-clock snapshots
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				rb.snapshotOnce(eng, snap)
-			case <-stop:
-				return
-			}
-		}
-	}()
-}
-
-// snapshotOnce runs one compaction cycle: sweep dead interned process
-// texts (their delete batches commit before the sweep returns, so this
-// snapshot's image already excludes them), then snapshot. Errors surface as
-// EvPersistError events and through the engine's OnError hook — a
-// background cadence has no caller to return them to.
-func (rb *RuntimeBase) snapshotOnce(eng *Engine, snap Snapshotter) {
-	if eng != nil {
-		eng.SweepProcs()
-	}
-	if err := snap.Snapshot(); err != nil {
-		if eng != nil {
-			eng.emitNow(Event{Kind: EvPersistError, Detail: fmt.Sprintf("snapshot: %v", err)})
-			if eng.opts.OnError != nil {
-				eng.opts.OnError(fmt.Errorf("core: periodic snapshot: %w", err))
-			}
-		}
-	}
-}
-
-// StopSnapshots halts the periodic snapshot loop started by
-// StartSnapshots. Safe to call when none is running.
-func (rb *RuntimeBase) StopSnapshots() {
-	rb.snapMu.Lock()
-	defer rb.snapMu.Unlock()
-	if rb.snapStop != nil {
-		close(rb.snapStop)
-		rb.snapStop = nil
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
+	"bioopera/internal/store"
 )
 
 // sphereLibrary provides programs with controllable failures and
@@ -441,5 +442,93 @@ PROCESS BadUndo {
 	// Missing undo programs are logged, not fatal.
 	if in.Status != InstanceDone {
 		t.Fatalf("instance %s (%s)", in.Status, in.FailureReason)
+	}
+}
+
+// retrySubSrc: a sphere whose second step is a subprocess; the subprocess's
+// activity fails until sphere.flaky runs out of failures, and each failure
+// aborts the whole sphere.
+const retrySubSrc = `
+PROCESS Step {
+  INPUT v;
+  OUTPUT w;
+  ACTIVITY F { CALL sphere.flaky(tag = v); OUT out; MAP out -> w; }
+}
+PROCESS Retrier {
+  OUTPUT result;
+  BLOCK Tx ATOMIC {
+    MAP done -> result;
+    RETRY 6;
+    OUTPUT done;
+    ACTIVITY Step1 { CALL sphere.work(tag = "s1"); OUT out; MAP out -> a; UNDO sphere.undo; }
+    SUBPROCESS Sub USES "Step" { IN v = a; OUT w; MAP w -> done; }
+    Step1 -> Sub;
+  }
+}
+`
+
+// TestSphereRetriesLeaveNoDeadTexts: process texts are content-addressed, so
+// a sphere that aborts and retries interns nothing new — a running instance
+// holds one proc/ record per distinct body it was built from (Retrier, the
+// Tx body, Step), however often the sphere retries, and archive leaves none
+// behind. Only a late-bound subprocess whose template is registered again
+// with a new text adds a body: the residue grows with the registrations, one
+// each, never with the retries.
+func TestSphereRetriesLeaveNoDeadTexts(t *testing.T) {
+	for _, reregister := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reregister=%v", reregister), func(t *testing.T) {
+			const failures = 6
+			sl := newSphereLibrary(t, failures)
+			st := store.NewMem()
+			aborts := 0
+			rt := newRuntime(t, SimConfig{Store: st, Library: sl.Library, Options: Options{OnEvent: func(ev Event) {
+				if ev.Kind == EvSphereAborted {
+					aborts++
+				}
+			}}})
+			register(t, rt, retrySubSrc)
+			id := start(t, rt, "Retrier", nil)
+			procs := func(sp store.Space) int {
+				kvs, err := st.List(sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for _, kv := range kvs {
+					if strings.HasPrefix(kv.Key, procKey(id, "")) {
+						n++
+					}
+				}
+				return n
+			}
+			// Between simulator events every turn has committed: sample the
+			// running instance's records, and register Step anew after each
+			// abort, before the retry spawns it.
+			bodies, most, registered := 3, 0, 0
+			var tick *sim.Timer
+			tick = rt.Sim.Every(10*time.Millisecond, func(sim.Time) {
+				if in, _ := rt.Engine.Instance(id); in.statusNow() == InstanceDone {
+					tick.Stop()
+					return
+				}
+				most = max(most, procs(store.Instance))
+				if reregister && aborts > registered {
+					registered = aborts
+					bodies++
+					register(t, rt, fmt.Sprintf("PROCESS Step { INPUT v; OUTPUT w; ACTIVITY F%d { CALL sphere.flaky(tag = v); OUT out; MAP out -> w; } }", registered))
+				}
+			})
+			rt.Run()
+			in := finished(t, rt, id)
+			if aborts != failures || in.Outputs["result"].AsStr() != "flaky-ok" {
+				t.Fatalf("%d aborts, result %v; want %d aborts, then flaky-ok", aborts, in.Outputs["result"], failures)
+			}
+			if most > bodies || reregister && most <= 3 {
+				t.Fatalf("the running instance held up to %d proc/ records; its distinct bodies are %d", most, bodies)
+			}
+			if left, archived := procs(store.Instance), procs(store.History); left != 0 || archived != 3 {
+				t.Fatalf("after the archive: %d proc/ records in the instance space, %d in history; want 0 and 3", left, archived)
+			}
+		})
 	}
 }

@@ -379,8 +379,8 @@ func TestReRegisterMidRun(t *testing.T) {
 // TestRecoverKeepsStartedDefinition: instances of v1 are running when the
 // server crashes; v2 is registered under the same name before Recover. The
 // recovered instances finish on v1's text under v1's proc/ hash — compiled
-// from the stored text once, not once per scope — SweepProcs finds nothing to
-// delete, and a start after recovery runs v2.
+// from the stored text once, not once per scope — and a start after recovery
+// runs v2.
 func TestRecoverKeepsStartedDefinition(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
@@ -424,14 +424,6 @@ func TestRecoverKeepsStartedDefinition(t *testing.T) {
 					recovered = in.root.Proc
 				case in.root.Proc != recovered:
 					t.Errorf("instance %s compiled v1's text again", id)
-				}
-			}
-			if swept := rt.Engine.SweepProcs(); swept != 0 {
-				t.Errorf("SweepProcs deleted %d records of running instances", swept)
-			}
-			for _, id := range ids {
-				if _, ok, _ := st.Get(store.Instance, procKey(id, v1.hash)); !ok {
-					t.Errorf("instance %s lost its proc/%s record to the sweep", id, v1.hash)
 				}
 			}
 			fresh := start(t, rt, "Inner", map[string]ocr.Value{"v": ocr.Num(4)})

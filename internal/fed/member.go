@@ -49,11 +49,10 @@ type Config struct {
 	HeartbeatTimeout time.Duration
 	// LazyRecovery adopts suspended instances as stubs on failover.
 	LazyRecovery bool
-	// Metrics/EventRing/OnEvent/OnError wire observability through to
-	// the engine and the federation layer.
+	// Metrics/EventRing/OnError wire observability through to the engine
+	// and the federation layer.
 	Metrics   *obs.Registry
 	EventRing *obs.Ring
-	OnEvent   func(core.Event)
 	OnError   func(error)
 }
 
@@ -144,7 +143,6 @@ func NewMember(cfg Config) (*Member, error) {
 		LazyRecovery: cfg.LazyRecovery,
 		Metrics:      cfg.Metrics,
 		EventRing:    cfg.EventRing,
-		OnEvent:      cfg.OnEvent,
 		OnError:      cfg.OnError,
 	})
 	if err != nil {

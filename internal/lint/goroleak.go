@@ -17,7 +17,7 @@ import (
 //     types.Object everywhere).
 //  2. Quit channel — the body receives from (or selects/ranges on) a
 //     channel that a *different* function closes; assignment aliasing
-//     (`stop := make(...); rb.snapStop = stop`) is resolved per package.
+//     (`stop := make(...); s.stop = stop`) is resolved per package.
 //  3. Completion channel — the body closes a channel that a different
 //     function (a Close, typically) receives from, joining the exit.
 //

@@ -59,8 +59,6 @@ var sanctionedLockOrder = map[string][]string{
 	"fed.LeaseTable.mu": {
 		"store.Disk.wmu", "store.Disk.gmu", "store.image.mu", "wal.Log.mu",
 	},
-	// The snapshot cadence reads the engine handle under its own lock.
-	"core.RuntimeBase.snapMu": {"core.RuntimeBase.waitMu"},
 }
 
 func sanctionedEdge(from, to string) bool {

@@ -25,7 +25,7 @@ import (
 // interface calls expand only to module-defined implementations. Both
 // under-approximate reachability; the invariants these analyzers guard are
 // enforced on everything the graph can see, and the graph sees every
-// direct call and every Executor/Store/Snapshotter-style dispatch in the
+// direct call and every Executor/Store-style dispatch in the
 // tree.
 
 // Program is the whole-module view the module-scope analyzers run over.
@@ -45,7 +45,7 @@ type Program struct {
 	classPkg map[string]string
 
 	// chanAlias unions channel-typed objects connected by assignment, per
-	// package: `stop := make(chan struct{}); rb.snapStop = stop` makes the
+	// package: `stop := make(chan struct{}); s.stop = stop` makes the
 	// local and the field one channel for goroleak's shutdown proofs.
 	chanAlias map[string]*unionFind
 }
@@ -53,7 +53,7 @@ type Program struct {
 // funcNode is one function body: a declaration or a function literal.
 type funcNode struct {
 	pkg  *Package
-	name string // display name, e.g. core.(*Engine).dispatch or core.StartSnapshots$1
+	name string // display name, e.g. core.(*Engine).dispatch or core.NewSimRuntime$1
 	body *ast.BlockStmt
 	obj  *types.Func  // nil for literals
 	lit  *ast.FuncLit // nil for declarations

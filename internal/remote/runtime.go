@@ -32,8 +32,6 @@ type Config struct {
 	OnEvent func(core.Event)
 	// OnError observes persistence failures.
 	OnError func(error)
-	// SnapshotEvery periodically compacts the store (0 disables).
-	SnapshotEvery time.Duration
 	// ShipAddr, when non-empty and Store is a disk store, serves the
 	// store's WAL to hot standbys on this address (":0" picks a free
 	// port) — see store.StartShipping. Connected standbys replay every
@@ -160,18 +158,16 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		}
 		rt.Shipper = shipper
 	}
-	rt.StartSnapshots(cfg.Store, cfg.SnapshotEvery)
 	return rt, nil
 }
 
 // Addr returns the bound listen address (handy with ":0").
 func (rt *Runtime) Addr() string { return rt.Server.Addr() }
 
-// Close halts the snapshot loop, tears down the server and every worker
-// connection, and waits for in-flight checkpoint flushes to commit (so
-// the caller may close the store), returning the listener's close error.
+// Close tears down the server and every worker connection, and waits for
+// in-flight checkpoint flushes to commit (so the caller may close the
+// store), returning the listener's close error.
 func (rt *Runtime) Close() error {
-	rt.StopSnapshots()
 	if rt.Shipper != nil {
 		//bioopera:allow droppederr shipper teardown is best-effort; the listener close error below is the one reported
 		rt.Shipper.Close()

@@ -14,9 +14,6 @@ type Config struct {
 	// Quotas assigns per-tenant fair-share weights (unlisted tenants
 	// weigh 1).
 	Quotas map[string]float64
-	// Alpha is the Predictor's EWMA smoothing factor (default
-	// DefaultEWMAAlpha).
-	Alpha float64
 }
 
 // Scheduler composes the queue, the placement policy and the cost
@@ -35,7 +32,7 @@ func New(cfg Config) *Scheduler {
 	if cfg.Policy == nil {
 		cfg.Policy = LeastLoaded{}
 	}
-	s := &Scheduler{policy: cfg.Policy, pred: NewPredictor(cfg.Alpha), quotas: cfg.Quotas}
+	s := &Scheduler{policy: cfg.Policy, pred: NewPredictor(DefaultEWMAAlpha), quotas: cfg.Quotas}
 	s.applyQuotas()
 	return s
 }

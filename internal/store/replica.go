@@ -27,18 +27,25 @@ func (d *Disk) StartShipping(addr string, logf func(string, ...any)) (*wal.Shipp
 
 // applyShipped ingests one batch-aligned group of records from the
 // primary: into our own WAL first (one fsync, same commit unit), then into
-// memory — the same ingest local writes end in.
+// memory — the same ingest local writes end in, so a standby compacts its
+// own log by the same rule.
 func (d *Disk) applyShipped(first uint64, records [][]byte) error {
 	ops, err := decodeOps(nil, first, records)
 	if err != nil {
 		return err
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	due := false
 	if next := d.log.NextSeq(); first != next {
-		return fmt.Errorf("store: shipped batch starts at %d, want %d", first, next)
+		err = fmt.Errorf("store: shipped batch starts at %d, want %d", first, next)
+	} else {
+		due, err = d.ingest(records, []commitReq{{ops: ops}})
 	}
-	return d.ingest(records, []commitReq{{ops: ops}})
+	d.mu.Unlock()
+	if due {
+		d.selfCompact()
+	}
+	return err
 }
 
 // installSnapshot makes the primary's base this standby's: the log takes it
@@ -61,7 +68,7 @@ func (d *Disk) installSnapshot(seq uint64, records [][]byte) error {
 	}
 	d.reset()
 	d.apply(ops)
-	d.snapSeq = seq
+	d.snapSeq, d.baseAt, d.baseBytes = seq, d.walBytes, wal.Size(records)
 	return nil
 }
 

@@ -53,6 +53,10 @@ func TestDiskStats(t *testing.T) {
 	if s.SnapshotSeq != 0 {
 		t.Fatalf("snapshot seq = %d before any snapshot", s.SnapshotSeq)
 	}
+	if s.WALBytesSinceBase == 0 || s.WALCompactAt != 16*4<<20 || s.SnapshotFailures != 0 {
+		t.Fatalf("self-compaction: %d log bytes since the base, trigger %d, %d failures; want some, 64 MiB, 0",
+			s.WALBytesSinceBase, s.WALCompactAt, s.SnapshotFailures)
+	}
 	if s.WALPoisoned != nil {
 		t.Fatalf("wal poisoned = %v on a healthy log", s.WALPoisoned)
 	}
@@ -65,8 +69,8 @@ func TestDiskStats(t *testing.T) {
 	if err := d.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Stats().SnapshotSeq; got == 0 {
-		t.Fatalf("snapshot seq still 0 after Snapshot")
+	if got := d.Stats(); got.SnapshotSeq == 0 || got.WALBytesSinceBase != 0 {
+		t.Fatalf("after Snapshot: snapshot seq %d, %d log bytes since it", got.SnapshotSeq, got.WALBytesSinceBase)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -86,8 +90,8 @@ func TestDiskStats(t *testing.T) {
 	if r.Events != 5 || r.EventSeq != 5 {
 		t.Fatalf("recovered journal: %d events, seq %d", r.Events, r.EventSeq)
 	}
-	if r.SnapshotSeq == 0 {
-		t.Fatalf("recovered snapshot seq = 0")
+	if r.SnapshotSeq == 0 || r.WALBytesSinceBase != 0 {
+		t.Fatalf("recovered snapshot seq %d, %d log bytes since it", r.SnapshotSeq, r.WALBytesSinceBase)
 	}
 	churn(t, d2, 2)
 	if c := d2.Stats(); c.ImageCompactions != 2 || c.ImageDead >= c.ImageLive {
@@ -123,6 +127,8 @@ func TestDiskStatsGauges(t *testing.T) {
 		`bioopera_store_image_bytes{state="live"} 3`,
 		`bioopera_store_image_bytes{state="dead"} 0`,
 		"bioopera_store_image_compactions 0",
+		"bioopera_store_wal_bytes_since_base ",
+		"bioopera_store_snapshot_failures 0",
 		"bioopera_wal_append_seconds_count",
 		"bioopera_wal_fsync_seconds_count",
 	} {

@@ -15,8 +15,8 @@
 // plus an append-only event journal used by monitoring and the lifecycle
 // figures.
 //
-// Two implementations are provided: Disk (WAL + snapshots, crash safe) and
-// Mem (for simulations and tests). Both satisfy Store.
+// Two implementations are provided: Disk (WAL + snapshots, crash safe, and
+// compacting itself) and Mem (for simulations and tests). Both satisfy Store.
 package store
 
 import (
@@ -26,6 +26,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bioopera/internal/codec"
@@ -456,7 +457,7 @@ func decodeOps(ops []Op, first uint64, frames [][]byte) ([]Op, error) {
 	return ops, nil
 }
 
-// Disk is a crash-safe Store backed by a WAL and periodic snapshots in a
+// Disk is a crash-safe Store backed by a WAL and its snapshots in a
 // directory. It is safe for concurrent use.
 //
 // Every write takes one path: validate the ops, encode them into WAL
@@ -466,6 +467,12 @@ func decodeOps(ops []Op, first uint64, frames [][]byte) ([]Op, error) {
 // single wal.AppendBatch. Under concurrent checkpoint load the fsync cost
 // is therefore shared across instances instead of paid per mutation — the
 // disk half of the engine's sharded-execution story.
+//
+// The store compacts itself. Once the log bytes written since the base
+// reach the larger of the base's bytes and 16 segments, ingest says so, and
+// its caller snapshots (selfCompact) past its commit, holding no store lock:
+// a restart replays at most about one base's worth of log, and writing
+// bases costs about one extra write of each logged byte.
 type Disk struct {
 	image // mu also guards the accounting fields below
 	log   *wal.Log
@@ -479,6 +486,16 @@ type Disk struct {
 	commitGroups   uint64
 	groupedRecords uint64
 	snapSeq        uint64 // WAL seq of the newest snapshot (0 = none)
+
+	// Self-compaction accounting (written under mu). walBytes counts the
+	// log bytes this store has read or written — the base and the batches
+	// replayed at open, every batch ingested since; baseAt is its value at
+	// the base, so walBytes-baseAt are the bytes a restart replays.
+	walBytes, baseAt int64
+	baseBytes        int64 // the base's bytes
+	minTrigger       int64 // 16 segments: the trigger while the base is smaller
+	snapFailures     uint64
+	compacting       atomic.Bool // one self-compaction at a time
 
 	groupSize   *obs.Histogram // records per flushed group (nil = no metrics)
 	snapSeconds *obs.Histogram // Snapshot wall time (nil = no metrics)
@@ -504,7 +521,8 @@ type commitGroup struct {
 
 // DiskOptions configure a Disk store.
 type DiskOptions struct {
-	// NoSync disables per-record fsync (used by experiments).
+	// NoSync disables per-record fsync. No program sets it: the root
+	// package's benchmarks and tests that do not test durability do.
 	NoSync bool
 	// SegmentSize overrides the WAL segment rotation threshold.
 	SegmentSize int64
@@ -533,11 +551,15 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Disk{log: l}
+	segSize := opts.SegmentSize
+	if segSize <= 0 {
+		segSize = wal.DefaultSegmentSize
+	}
+	d := &Disk{log: l, minTrigger: 16 * segSize}
 	d.reset()
 	// The frames are already in the log: the base's ops, then each replayed
-	// unit's, are ingested with none to append. One ops slice serves every
-	// unit — apply copies what it keeps.
+	// unit's, are ingested with none to append, and only counted. One ops
+	// slice serves every unit — apply copies what it keeps.
 	unit := []commitReq{{}}
 	replay := func(first uint64, frames [][]byte) error {
 		ops, err := decodeOps(unit[0].ops, first, frames)
@@ -545,9 +567,12 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		if err != nil {
 			return err
 		}
-		return d.ingest(nil, unit)
+		d.walBytes += wal.Size(frames)
+		_, err = d.ingest(nil, unit)
+		return err
 	}
 	d.snapSeq, err = l.ReplayBase(func(frames [][]byte) error { return replay(0, frames) })
+	d.baseAt, d.baseBytes = d.walBytes, d.walBytes
 	if err == nil {
 		err = l.ReplayBatches(d.snapSeq, replay)
 	}
@@ -587,6 +612,12 @@ func (d *Disk) registerGauges(reg *obs.Registry) {
 	reg.GaugeFunc("bioopera_store_snapshot_seq",
 		"WAL sequence of the newest snapshot (0 = none).",
 		func() float64 { return float64(d.Stats().SnapshotSeq) })
+	reg.GaugeFunc("bioopera_store_wal_bytes_since_base",
+		"Log bytes written since the base: what a restart replays. The store compacts itself when they reach the larger of the base's bytes and 16 segments.",
+		func() float64 { return float64(d.Stats().WALBytesSinceBase) })
+	reg.GaugeFunc("bioopera_store_snapshot_failures",
+		"Self-compactions that failed since open; each is retried at the next commit past the trigger.",
+		func() float64 { return float64(d.Stats().SnapshotFailures) })
 	reg.GaugeFunc("bioopera_store_commit_groups",
 		"Commit groups flushed since open.",
 		func() float64 { return float64(d.Stats().CommitGroups) })
@@ -661,55 +692,83 @@ func (d *Disk) commit(ops []Op, enc *codec.Encoder) (uint64, error) {
 	d.gmu.Lock()
 	d.pending = nil // close enrollment: later arrivals form the next group
 	d.gmu.Unlock()
-	err := d.flushGroup(g)
+	due, err := d.flushGroup(g)
 	d.wmu.Unlock()
 	seq := g.reqs[me].seq
 	if g.done != nil {
 		g.err = err
 		close(g.done)
-		return seq, err
+	} else {
+		// Emptied, so the spare pins no caller's ops and no encoder's buffer.
+		clear(g.reqs)
+		clear(g.frames)
+		g.reqs, g.frames = g.reqs[:0], g.frames[:0]
+		d.gmu.Lock()
+		d.spare = g
+		d.gmu.Unlock()
 	}
-	// Emptied, so the spare pins no caller's ops and no encoder's buffer.
-	clear(g.reqs)
-	clear(g.frames)
-	g.reqs, g.frames = g.reqs[:0], g.frames[:0]
-	d.gmu.Lock()
-	d.spare = g
-	d.gmu.Unlock()
+	if due {
+		d.selfCompact()
+	}
 	return seq, err
 }
 
-// flushGroup ingests a closed group and keeps the group-commit accounts.
-func (d *Disk) flushGroup(g *commitGroup) error {
+// flushGroup ingests a closed group and keeps the group-commit accounts. It
+// returns whether the store is due to compact (ingest).
+func (d *Disk) flushGroup(g *commitGroup) (bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err := d.ingest(g.frames, g.reqs); err != nil {
-		return err
+	due, err := d.ingest(g.frames, g.reqs)
+	if err != nil {
+		return false, err
 	}
 	d.commitGroups++
 	d.groupedRecords += uint64(len(g.frames))
 	d.groupSize.Observe(float64(len(g.frames)))
-	return nil
+	return due, nil
 }
 
 // ingest is the tail of every mutation, and the one way commit units
 // become state — a local commit group, a batch shipped from the primary,
 // a batch replayed at open alike: their frames go to the WAL as a single
 // batch (one fsync), and only then are their ops applied, unit by unit in
-// order. Replay passes no frames; those bytes are already in the log. The
-// caller holds mu and has validated every op.
-func (d *Disk) ingest(frames [][]byte, units []commitReq) error {
+// order. Replay passes no frames; those bytes are already in the log. It
+// reports whether the log bytes since the base have reached the trigger
+// (compactAt): then the caller runs selfCompact once it holds no store lock.
+// The caller holds mu and has validated every op.
+func (d *Disk) ingest(frames [][]byte, units []commitReq) (due bool, err error) {
 	if d.closed {
-		return ErrClosed
+		return false, ErrClosed
 	}
 	if _, err := d.log.AppendBatch(frames); err != nil {
-		return err
+		return false, err
 	}
 	for i := range units {
 		d.apply(units[i].ops)
 		units[i].seq = d.eventSeq
 	}
-	return nil
+	d.walBytes += wal.Size(frames)
+	return d.walBytes-d.baseAt >= d.compactAt(), nil
+}
+
+// compactAt is the trigger: the log bytes since the base at which the store
+// compacts. The caller holds mu.
+func (d *Disk) compactAt() int64 { return max(d.baseBytes, d.minTrigger) }
+
+// selfCompact is the compaction ingest asks for: a Snapshot, unless one is
+// already running. Its failure fails nothing — the batch that triggered it
+// is durable — so it is counted, and the next commit past the trigger tries
+// again.
+func (d *Disk) selfCompact() {
+	if !d.compacting.CompareAndSwap(false, true) {
+		return
+	}
+	defer d.compacting.Store(false)
+	if err := d.Snapshot(); err != nil {
+		d.mu.Lock()
+		d.snapFailures++
+		d.mu.Unlock()
+	}
 }
 
 // Put implements Store.
@@ -757,6 +816,12 @@ type Stats struct {
 	WALPoisoned error
 	// SnapshotSeq is the WAL sequence of the newest snapshot (0 = none).
 	SnapshotSeq uint64
+	// WALBytesSinceBase are the log bytes written since that snapshot —
+	// what a restart replays; at WALCompactAt the store compacts itself.
+	// SnapshotFailures counts the self-compactions that failed.
+	WALBytesSinceBase int64
+	WALCompactAt      int64
+	SnapshotFailures  uint64
 	// CommitGroups counts group commits since open; GroupedRecords the
 	// WAL records they carried (their ratio is the mean group size).
 	CommitGroups   uint64
@@ -774,13 +839,16 @@ type Stats struct {
 func (d *Disk) Stats() Stats {
 	d.mu.RLock()
 	s := Stats{
-		Records:          make(map[string]int, numSpaces),
-		Events:           len(d.events),
-		EventSeq:         d.eventSeq,
-		SnapshotSeq:      d.snapSeq,
-		CommitGroups:     d.commitGroups,
-		GroupedRecords:   d.groupedRecords,
-		ImageCompactions: d.compactions,
+		Records:           make(map[string]int, numSpaces),
+		Events:            len(d.events),
+		EventSeq:          d.eventSeq,
+		SnapshotSeq:       d.snapSeq,
+		WALBytesSinceBase: d.walBytes - d.baseAt,
+		WALCompactAt:      d.compactAt(),
+		SnapshotFailures:  d.snapFailures,
+		CommitGroups:      d.commitGroups,
+		GroupedRecords:    d.groupedRecords,
+		ImageCompactions:  d.compactions,
 	}
 	for sp := Space(0); sp < numSpaces; sp++ {
 		s.Records[sp.String()] = len(d.spaces[sp])
@@ -800,7 +868,8 @@ func (d *Disk) Stats() Stats {
 // Snapshot compacts the store: its image — every record in space and key
 // order, then the journal in sequence order, as the frames its writes log —
 // becomes the log's base (wal.Log.Compact), and the WAL segments it
-// supersedes go; those an attached shipper's retain floor pins stay.
+// supersedes go; those an attached shipper's retain floor pins stay. The
+// store runs it itself (selfCompact); a caller may too.
 func (d *Disk) Snapshot() error {
 	var start time.Time
 	if d.snapSeconds != nil {
@@ -813,7 +882,7 @@ func (d *Disk) Snapshot() error {
 		d.mu.Unlock()
 		return ErrClosed
 	}
-	seq := d.log.NextSeq()
+	seq, at := d.log.NextSeq(), d.walBytes
 	for sp := Space(0); sp < numSpaces; sp++ {
 		m := d.spaces[sp]
 		for _, k := range slices.Sorted(maps.Keys(m)) {
@@ -832,7 +901,10 @@ func (d *Disk) Snapshot() error {
 		return err
 	}
 	d.mu.Lock()
-	d.snapSeq = seq
+	// Snapshots may finish out of order; the newest base stays the base.
+	if seq > d.snapSeq {
+		d.snapSeq, d.baseAt, d.baseBytes = seq, at, wal.Size(frames)
+	}
 	d.mu.Unlock()
 	if d.snapSeconds != nil {
 		//bioopera:allow walltime latency histogram observes real snapshot I/O time; it never feeds back into replayable state

@@ -112,8 +112,8 @@ type Options struct {
 	// SegmentSize is the rotation threshold in bytes. Zero means
 	// DefaultSegmentSize.
 	SegmentSize int64
-	// NoSync disables fsync after each append. Experiments use it; the
-	// durability tests do not.
+	// NoSync disables fsync after each append. No program sets it;
+	// benchmarks and tests that do not test durability do.
 	NoSync bool
 	// AppendLatency, when non-nil, observes the wall time of each
 	// AppendBatch call (seconds, fsync included).
@@ -397,6 +397,16 @@ func appendFrames(buf []byte, records [][]byte, more bool) []byte {
 		buf = append(buf, data...)
 	}
 	return buf
+}
+
+// Size returns the bytes records take in a segment or a base: their frames,
+// headers included.
+func Size(records [][]byte) int64 {
+	n := int64(headerLen * len(records))
+	for _, r := range records {
+		n += int64(len(r))
+	}
+	return n
 }
 
 // NextSeq returns the sequence number the next Append will receive.
@@ -699,11 +709,8 @@ func (l *Log) ReplayBatches(from uint64, fn func(first uint64, records [][]byte)
 //     lower — and older bases are removed (the active segment stays);
 //  4. the directory is synced again.
 func (l *Log) Compact(seq uint64, records [][]byte) error {
-	size := headerLen * (len(records) + 2)
-	for _, r := range records {
-		size += len(r)
-	}
-	data := appendFrames(appendFrames(slices.Grow([]byte(nil), size), records, true), [][]byte{baseSeal(seq)}, false)
+	seal := [][]byte{baseSeal(seq)}
+	data := appendFrames(appendFrames(slices.Grow([]byte(nil), int(Size(records)+Size(seal))), records, true), seal, false)
 	f, err := os.CreateTemp(l.dir, baseName(seq)+".*.tmp")
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)

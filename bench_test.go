@@ -219,27 +219,13 @@ func BenchmarkOCRParse(b *testing.B) {
 // optionally with the full observability stack (metrics registry + event
 // ring) attached — the configuration `serve -monitor` runs with.
 func engineThroughput(b *testing.B, observed bool) {
-	const src = `
-PROCESS Fan {
-  INPUT xs;
-  OUTPUT done;
-  BLOCK F PARALLEL OVER xs AS x {
-    MAP results -> done;
-    OUTPUT r;
-    ACTIVITY A { CALL bench.id(x = x); OUT r; MAP r -> r; }
-  }
-}`
 	var xs []ocr.Value
 	for i := 0; i < 200; i++ {
 		xs = append(xs, ocr.Int(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lib := core.NewLibrary()
-		lib.RegisterFunc("bench.id", func(_ core.ProgramCtx, args map[string]ocr.Value) (map[string]ocr.Value, error) {
-			return map[string]ocr.Value{"r": args["x"]}, nil
-		})
-		cfg := core.SimConfig{Seed: 1, Spec: cluster.IkLinux(), Library: lib}
+		cfg := core.SimConfig{Seed: 1, Spec: cluster.IkLinux(), Library: benchFanLibrary()}
 		if observed {
 			cfg.Options.Metrics = NewMetricsRegistry()
 			cfg.Options.EventRing = NewEventRing(1024)
@@ -248,7 +234,7 @@ PROCESS Fan {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := rt.Engine.RegisterTemplateSource(src); err != nil {
+		if err := rt.Engine.RegisterTemplateSource(benchFanSrc); err != nil {
 			b.Fatal(err)
 		}
 		id, err := rt.Engine.StartProcess("Fan", map[string]ocr.Value{"xs": ocr.List(xs...)}, core.StartOptions{})
@@ -275,6 +261,46 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // measures the instrumentation's overhead (budget: within 3%).
 func BenchmarkEngineThroughputObserved(b *testing.B) {
 	engineThroughput(b, true)
+}
+
+// BenchmarkFanWidth measures what one activity of a PARALLEL fan costs as
+// the fan widens — the TEU count Fig. 4 sweeps. Each width gets one
+// simulated runtime that runs all the fans it times, one instance at a
+// time, and reports ns/activity: a per-turn cost that grows with the fan's
+// width shows as a row that rises with it. The runtime is not shared
+// between widths because it keeps every finished instance, so the last
+// width would pay for the heap the others left behind.
+func BenchmarkFanWidth(b *testing.B) {
+	for _, width := range []int{25, 200, 1600} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			rt, err := core.NewSimRuntime(core.SimConfig{Seed: 1, Spec: cluster.IkLinux(), Library: benchFanLibrary()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := rt.Engine.RegisterTemplateSource(benchFanSrc); err != nil {
+				b.Fatal(err)
+			}
+			xs := make([]ocr.Value, width)
+			for i := range xs {
+				xs[i] = ocr.Int(i)
+			}
+			acts := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id, err := rt.Engine.StartProcess("Fan", map[string]ocr.Value{"xs": ocr.List(xs...)}, core.StartOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rt.Run()
+				in, _ := rt.Engine.Instance(id)
+				if in.Status != core.InstanceDone {
+					b.Fatalf("instance %s", in.Status)
+				}
+				acts += in.Activities
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(acts), "ns/activity")
+		})
+	}
 }
 
 // BenchmarkWALAppendBatch contrasts one fsync per record (batch size 1)
@@ -428,16 +454,6 @@ func gateCheckpointBytes(b *testing.B, width int, got float64) {
 // store-B/act counts every space, so it also sees what the archive writes
 // into history (TestStoreBytesFlatInWidth keeps that flat).
 func BenchmarkCheckpointWidth(b *testing.B) {
-	const srcFmt = `
-PROCESS Fan {
-  INPUT xs;
-  OUTPUT done;
-  BLOCK F PARALLEL OVER xs AS x {
-    MAP results -> done;
-    OUTPUT r;
-    ACTIVITY A { CALL bench.id(x = x); OUT r; MAP r -> r; }
-  }
-}`
 	for _, width := range []int{25, 100, 400} {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
 			var xs []ocr.Value
@@ -446,16 +462,12 @@ PROCESS Fan {
 			}
 			var ckptBytes, allBytes, acts int64
 			for i := 0; i < b.N; i++ {
-				lib := core.NewLibrary()
-				lib.RegisterFunc("bench.id", func(_ core.ProgramCtx, args map[string]ocr.Value) (map[string]ocr.Value, error) {
-					return map[string]ocr.Value{"r": args["x"]}, nil
-				})
 				cs := &countingStore{Store: store.NewMem()}
-				rt, err := core.NewSimRuntime(core.SimConfig{Seed: 1, Spec: cluster.IkLinux(), Library: lib, Store: cs})
+				rt, err := core.NewSimRuntime(core.SimConfig{Seed: 1, Spec: cluster.IkLinux(), Library: benchFanLibrary(), Store: cs})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := rt.Engine.RegisterTemplateSource(srcFmt); err != nil {
+				if err := rt.Engine.RegisterTemplateSource(benchFanSrc); err != nil {
 					b.Fatal(err)
 				}
 				id, err := rt.Engine.StartProcess("Fan", map[string]ocr.Value{"xs": ocr.List(xs...)}, core.StartOptions{})
@@ -684,10 +696,11 @@ PROCESS Chain8 {
 
 // --- PR 7: recovery at scale ---
 
-// recoverBenchSrc is the template cloned across the recovery stores: a
-// 4-wide parallel fan, so each instance carries a root scope, a block
+// benchFanSrc is one PARALLEL block of identity activities over xs: the
+// engine benchmarks' fan, and the template cloned across the recovery
+// stores — there 4 wide, so each instance carries a root scope, a block
 // scope skeleton, four task records, and one interned process text.
-const recoverBenchSrc = `
+const benchFanSrc = `
 PROCESS Fan {
   INPUT xs;
   OUTPUT done;
@@ -698,7 +711,8 @@ PROCESS Fan {
   }
 }`
 
-func recoverBenchLibrary() *core.Library {
+// benchFanLibrary registers the fan's identity program.
+func benchFanLibrary() *core.Library {
 	lib := core.NewLibrary()
 	if err := lib.RegisterFunc("bench.id", func(_ core.ProgramCtx, args map[string]ocr.Value) (map[string]ocr.Value, error) {
 		return map[string]ocr.Value{"r": args["x"]}, nil
@@ -722,11 +736,11 @@ type recoverSeedSet struct {
 func recoverSeeds(b *testing.B) recoverSeedSet {
 	b.Helper()
 	st := store.NewMem()
-	rt, err := core.NewSimRuntime(core.SimConfig{Seed: 1, Spec: cluster.IkLinux(), Store: st, Library: recoverBenchLibrary()})
+	rt, err := core.NewSimRuntime(core.SimConfig{Seed: 1, Spec: cluster.IkLinux(), Store: st, Library: benchFanLibrary()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := rt.Engine.RegisterTemplateSource(recoverBenchSrc); err != nil {
+	if err := rt.Engine.RegisterTemplateSource(benchFanSrc); err != nil {
 		b.Fatal(err)
 	}
 	xs := ocr.List(ocr.Num(1), ocr.Num(2), ocr.Num(3), ocr.Num(4))
@@ -803,13 +817,13 @@ func recoverOnce(b *testing.B, st store.Store, n int, lazy bool) time.Duration {
 	runtime.GC()
 	rt, err := core.NewSimRuntime(core.SimConfig{
 		Seed: 1, Spec: cluster.IkLinux(), Store: st,
-		Library: recoverBenchLibrary(),
+		Library: benchFanLibrary(),
 		Options: core.Options{LazyRecovery: lazy},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := rt.Engine.RegisterTemplateSource(recoverBenchSrc); err != nil {
+	if err := rt.Engine.RegisterTemplateSource(benchFanSrc); err != nil {
 		b.Fatal(err)
 	}
 	start := time.Now()
@@ -953,13 +967,13 @@ func BenchmarkFailover(b *testing.B) {
 		}
 		rt, err := core.NewSimRuntime(core.SimConfig{
 			Seed: 1, Spec: cluster.IkLinux(), Store: promoted,
-			Library: recoverBenchLibrary(),
+			Library: benchFanLibrary(),
 			Options: core.Options{LazyRecovery: true},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := rt.Engine.RegisterTemplateSource(recoverBenchSrc); err != nil {
+		if err := rt.Engine.RegisterTemplateSource(benchFanSrc); err != nil {
 			b.Fatal(err)
 		}
 		got, err := rt.Engine.Recover()

@@ -102,13 +102,22 @@ func procHash(text string) string {
 	return hex.EncodeToString(h[:16])
 }
 
-// markDirty indexes a scope in the instance's dirty set. Caller holds the
-// shard lock.
+// markDirty lists a scope in the instance's dirty list, once until the next
+// checkpoint. Caller holds the shard lock.
 func (in *Instance) markDirty(sc *scope) {
-	if in.dirty == nil {
-		in.dirty = make(map[string]*scope, 4)
+	if !sc.listed {
+		sc.listed = true
+		in.dirty = append(in.dirty, sc)
 	}
-	in.dirty[sc.ID] = sc
+}
+
+// clearDirty empties the dirty list. Caller holds the shard lock.
+func (in *Instance) clearDirty() {
+	for _, sc := range in.dirty {
+		sc.listed = false
+	}
+	clear(in.dirty)
+	in.dirty = in.dirty[:0]
 }
 
 // touchNew marks a freshly created scope: the next checkpoint writes its
@@ -378,7 +387,7 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 			ck.ops = append(ck.ops, store.Op{Space: space, Key: tr.ts.key(in, sc)})
 		}
 	}
-	clear(in.dirty)
+	in.clearDirty()
 	ck.deletes = in.pendingDeletes
 	in.pendingDeletes = nil
 	e.metrics.checkpoint(e.now().Sub(start), textBytes+len(enc.Buf), len(ck.ops))
@@ -392,9 +401,7 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 // for endTurn to release the lock is the store batch (flushWrites).
 func (e *Engine) persist(in *Instance) {
 	ck := getCkpt()
-	for _, sc := range in.dirty {
-		ck.scopes = append(ck.scopes, sc)
-	}
+	ck.scopes = append(ck.scopes, in.dirty...)
 	e.cutCkpt(in, ck, in.procRefs)
 }
 

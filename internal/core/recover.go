@@ -570,7 +570,7 @@ func (e *Engine) hydrateLocked(in *Instance) error {
 	if err != nil {
 		in.root = nil
 		in.scopes = make(map[string]*scope)
-		clear(in.dirty)
+		in.clearDirty()
 		in.pendingDeletes = in.pendingDeletes[:deletes]
 		return fmt.Errorf("core: hydrating instance %s: %w", in.ID, err)
 	}

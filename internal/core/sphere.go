@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bioopera/internal/ocr"
@@ -144,7 +145,6 @@ func (e *Engine) abortSphere(in *Instance, sc *scope, t *ocr.Task, ts *taskState
 	// collects unreferenced ones.
 	for _, s := range subtree {
 		delete(in.scopes, s.ID)
-		delete(in.dirty, s.ID)
 		in.pendingDeletes = append(in.pendingDeletes, s.createKey(in), s.dynKey(in))
 		for i := range s.tasks {
 			in.pendingDeletes = append(in.pendingDeletes, s.tasks[i].key(in, s))
@@ -153,6 +153,7 @@ func (e *Engine) abortSphere(in *Instance, sc *scope, t *ocr.Task, ts *taskState
 			delete(s.Parent.children, s.ID)
 		}
 	}
+	in.dirty = slices.DeleteFunc(in.dirty, func(s *scope) bool { return s.defunct })
 
 	// 5. Reset the block task and apply its failure handling (RETRY
 	// re-runs the sphere from scratch; otherwise IGNORE / ALTERNATIVE /

@@ -532,3 +532,140 @@ func TestSphereRetriesLeaveNoDeadTexts(t *testing.T) {
 		})
 	}
 }
+
+// resetCopyStore copies the whole store right after the first batch that
+// deletes a scope's create record — the commit of a sphere reset — and
+// notes the scopes that batch discarded.
+type resetCopyStore struct {
+	*store.Mem
+	t         *testing.T
+	copy      *store.Mem
+	discarded []string // "<instance>/<scope>" of each discarded scope
+}
+
+func (s *resetCopyStore) Batch(ops []store.Op) error {
+	if err := s.Mem.Batch(ops); err != nil {
+		return err
+	}
+	if s.copy != nil {
+		return nil
+	}
+	for _, op := range ops {
+		if op.Delete && strings.HasPrefix(op.Key, "scopec/") {
+			s.discarded = append(s.discarded, strings.TrimPrefix(op.Key, "scopec/"))
+		}
+	}
+	if len(s.discarded) > 0 {
+		s.copy = store.NewMem()
+		for _, sp := range []store.Space{store.Template, store.Instance, store.Configuration, store.History} {
+			kvs, err := s.Mem.List(sp)
+			if err != nil {
+				s.t.Fatal(err)
+			}
+			for _, kv := range kvs {
+				if err := s.copy.Put(sp, kv.Key, kv.Value); err != nil {
+					s.t.Fatal(err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// discardedKeys lists the keys of st's space that belong to a scope the
+// reset discarded.
+func (s *resetCopyStore) discardedKeys(t *testing.T, st store.Store, sp store.Space) []string {
+	t.Helper()
+	kvs, err := st.List(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, kv := range kvs {
+		for _, d := range s.discarded {
+			if kv.Key == "scopec/"+d || kv.Key == "scoped/"+d || strings.HasPrefix(kv.Key, "task/"+d+"/") {
+				out = append(out, kv.Key)
+			}
+		}
+	}
+	return out
+}
+
+// TestSphereResetLeavesNoDiscardedRecords: the turn in which an element of a
+// parallel ATOMIC block fails dirties that element's scope, and the same
+// turn's sphere reset discards it. The reset's commit must delete every
+// record of the discarded scopes and write none of them back — not at the
+// reset, not at completion — and recovery from the store as the reset left
+// it must rebuild the block with no element resurrected.
+func TestSphereResetLeavesNoDiscardedRecords(t *testing.T) {
+	src := `
+PROCESS ParReset {
+  OUTPUT result, after;
+  DATA xs = [0, 1, 2, 3];
+  BLOCK Fan ATOMIC PARALLEL OVER xs AS x {
+    MAP results -> result;
+    ON FAILURE IGNORE;
+    OUTPUT r;
+    ACTIVITY W {
+      CALL preset.work(x = x);
+      OUT out;
+      MAP out -> r;
+      UNDO preset.undo;
+    }
+  }
+  ACTIVITY After {
+    CALL preset.work(x = 9);
+    OUT out;
+    MAP out -> after;
+  }
+  Fan -> After;
+}
+`
+	lib := NewLibrary()
+	lib.RegisterFunc("preset.work", func(_ ProgramCtx, args map[string]ocr.Value) (map[string]ocr.Value, error) {
+		if args["x"].AsInt() == 3 {
+			return nil, errors.New("element 3 always fails")
+		}
+		return map[string]ocr.Value{"out": args["x"]}, nil
+	})
+	lib.RegisterFunc("preset.undo", func(ProgramCtx, map[string]ocr.Value) (map[string]ocr.Value, error) {
+		return nil, nil
+	})
+	st := &resetCopyStore{Mem: store.NewMem(), t: t}
+	rt := newRuntime(t, SimConfig{Store: st, Library: lib})
+	register(t, rt, src)
+	id := start(t, rt, "ParReset", nil)
+	rt.Run()
+	in := finished(t, rt, id)
+	if got := in.Outputs["after"].AsInt(); got != 9 {
+		t.Fatalf("after = %v", in.Outputs["after"])
+	}
+	if st.copy == nil || len(st.discarded) != 4 {
+		t.Fatalf("the reset discarded %v, want the block's 4 elements", st.discarded)
+	}
+	if keys := st.discardedKeys(t, st.copy, store.Instance); keys != nil {
+		t.Errorf("after the reset's commit the instance space holds %v", keys)
+	}
+	for _, sp := range []store.Space{store.Instance, store.History} {
+		if keys := st.discardedKeys(t, st.Mem, sp); keys != nil {
+			t.Errorf("after completion the %s space holds %v", sp, keys)
+		}
+	}
+
+	rt2 := newRuntime(t, SimConfig{Store: st.copy, Library: lib})
+	register(t, rt2, src)
+	if n, err := rt2.Engine.Recover(); err != nil || n != 1 {
+		t.Fatalf("recover = %d, %v", n, err)
+	}
+	rec, _ := rt2.Engine.Instance(id)
+	for _, d := range st.discarded {
+		if sc := rec.scopes[strings.TrimPrefix(d, id+"/")]; sc != nil {
+			t.Errorf("recovery resurrected discarded scope %q", sc.ID)
+		}
+	}
+	rt2.Run()
+	rec = finished(t, rt2, id)
+	if got := rec.Outputs["after"].AsInt(); got != 9 || !rec.Outputs["result"].IsNull() {
+		t.Fatalf("recovered outputs = %v", rec.Outputs)
+	}
+}

@@ -61,9 +61,53 @@ type group struct {
 }
 
 // tenantQueue holds one tenant's ready jobs in (priority desc, arrival asc)
-// order.
+// order: items[head:]. Dispatch almost always takes the head, and taking it
+// advances head instead of shifting the list; add reclaims the dead prefix.
 type tenantQueue struct {
 	items []*node
+	head  int
+}
+
+// ready returns the tenant's ready jobs in dispatch order.
+func (tq *tenantQueue) ready() []*node { return tq.items[tq.head:] }
+
+// add inserts a ready job at its position. A full backing array first
+// moves the live jobs to its front — or, when they fill more than half of
+// it, to a new array twice their length plus 4 — so each copy is paid for
+// by at least as many pops or pushes as it moves, the insert never grows
+// the array, and the array stays within twice the live length it last grew
+// at, plus 4.
+func (tq *tenantQueue) add(nd *node) {
+	if len(tq.items) == cap(tq.items) {
+		live := tq.ready()
+		n := len(live)
+		if c := 2*n + 4; c > cap(tq.items) {
+			tq.items = make([]*node, n, c)
+			copy(tq.items, live)
+		} else {
+			copy(tq.items, live)
+			clear(tq.items[n:])
+			tq.items = tq.items[:n]
+		}
+		tq.head = 0
+	}
+	tq.items = slices.Insert(tq.items, tq.head+tq.search(nd), nd)
+}
+
+// remove takes the ready job at ready()[i] out of the list, shifting
+// whichever side of it is shorter: the head costs nothing.
+func (tq *tenantQueue) remove(i int) {
+	i += tq.head
+	if i-tq.head < len(tq.items)-i {
+		copy(tq.items[tq.head+1:i+1], tq.items[tq.head:i])
+		tq.items[tq.head] = nil
+		tq.head++
+	} else {
+		tq.items = slices.Delete(tq.items, i, i+1)
+	}
+	if tq.head == len(tq.items) {
+		tq.items, tq.head = tq.items[:0], 0
+	}
 }
 
 // Len returns the number of queued jobs, held ones included.
@@ -147,16 +191,18 @@ func (q *Queue) insert(nd *node) {
 		q.tenants[nd.job.Tenant] = tq
 		q.order = append(q.order, tq)
 	}
-	tq.items = slices.Insert(tq.items, tq.search(nd), nd)
+	tq.add(nd)
 	if len(nd.job.Nodes) > 0 {
 		q.pinned = slices.Insert(q.pinned, searchSeq(q.pinned, nd.seq), nd)
 	}
 }
 
-// search returns the index of nd in the tenant's list, or where it belongs.
+// search returns the index of nd in the tenant's ready jobs, or where it
+// belongs.
 func (tq *tenantQueue) search(nd *node) int {
-	return sort.Search(len(tq.items), func(i int) bool {
-		at := tq.items[i]
+	ready := tq.ready()
+	return sort.Search(len(ready), func(i int) bool {
+		at := ready[i]
 		if at.job.Priority != nd.job.Priority {
 			return at.job.Priority < nd.job.Priority
 		}
@@ -172,10 +218,9 @@ func searchSeq(list []*node, seq int) int {
 // its group's chain.
 func (q *Queue) unready(nd *node) {
 	tq := q.tenants[nd.job.Tenant]
-	i := tq.search(nd)
-	tq.items = slices.Delete(tq.items, i, i+1)
+	tq.remove(tq.search(nd))
 	if len(nd.job.Nodes) > 0 {
-		i = searchSeq(q.pinned, nd.seq)
+		i := searchSeq(q.pinned, nd.seq)
 		q.pinned = slices.Delete(q.pinned, i, i+1)
 	}
 }
@@ -233,10 +278,11 @@ func (q *Queue) scan(visit func(*node) bool) {
 		var best *node
 		bi := 0
 		for ti, tq := range q.order {
-			if cursors[ti] >= len(tq.items) {
+			ready := tq.ready()
+			if cursors[ti] >= len(ready) {
 				continue
 			}
-			if nd := tq.items[cursors[ti]]; best == nil || q.before(nd, best) {
+			if nd := ready[cursors[ti]]; best == nil || q.before(nd, best) {
 				best, bi = nd, ti
 			}
 		}

@@ -182,7 +182,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(rec); err != nil {
+		if _, err := l.AppendBatch([][]byte{rec}); err != nil {
 			b.Fatal(err)
 		}
 	}

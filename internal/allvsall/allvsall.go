@@ -105,9 +105,6 @@ PROCESS AllVsAll "Self-comparison of all entries in a dataset (paper Fig. 3)" {
 }
 `
 
-// Process parses and returns the process definition.
-func Process() (*ocr.Process, error) { return ocr.ParseProcess(Source) }
-
 // Config selects the dataset, algorithm parameters and execution mode.
 type Config struct {
 	// Dataset is the sequence collection. In simulated mode only its
@@ -142,11 +139,7 @@ func (c *Config) costTable(qs, qn int) *darwin.CostTable {
 	if t, ok := c.tables[key]; ok {
 		return t
 	}
-	q := make(darwin.Queue, qn)
-	for i := range q {
-		q[i] = qs + i
-	}
-	t := darwin.NewCostTable(c.Cost, q, c.Dataset.Lengths())
+	t := darwin.NewCostTable(c.Cost, darwin.QueueRange(qs, qn), c.Dataset.Lengths())
 	c.tables[key] = t
 	return t
 }
@@ -331,11 +324,7 @@ func teuRange(args map[string]ocr.Value) (q darwin.Queue, start, count int, err 
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	q = make(darwin.Queue, qn)
-	for i := range q {
-		q[i] = qs + i
-	}
-	return q, start, count, nil
+	return darwin.QueueRange(qs, qn), start, count, nil
 }
 
 // runAlignFixed is the fast-pass activity body.

@@ -13,7 +13,7 @@ import (
 )
 
 func TestProcessParsesAndValidates(t *testing.T) {
-	p, err := Process()
+	p, err := ocr.ParseProcess(Source)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,11 +130,6 @@ type Cluster struct {
 
 // Options configure a simulated cluster.
 type Options struct {
-	// OnCompletion receives every job completion/failure. Required
-	// before Start is called.
-	OnCompletion func(Completion)
-	// OnEvent receives infrastructure events (may be nil).
-	OnEvent func(Event)
 	// InitialCPUs overrides the per-node CPU count at startup (used by
 	// the Fig. 6 upgrade scenario: start at 1, upgrade to spec).
 	InitialCPUs int
@@ -143,10 +138,8 @@ type Options struct {
 // New builds a simulated cluster on s.
 func New(s *sim.Sim, spec Spec, opts Options) *Cluster {
 	c := &Cluster{
-		S:            s,
-		nodes:        make(map[string]*node, len(spec.Nodes)),
-		onCompletion: opts.OnCompletion,
-		onEvent:      opts.OnEvent,
+		S:     s,
+		nodes: make(map[string]*node, len(spec.Nodes)),
 	}
 	for _, ns := range spec.Nodes {
 		cpus := ns.CPUs
@@ -159,8 +152,9 @@ func New(s *sim.Sim, spec Spec, opts Options) *Cluster {
 	return c
 }
 
-// SetHandlers installs the completion and event callbacks after
-// construction (the engine and cluster reference each other).
+// SetHandlers installs the completion callback, required before Start, and
+// the infrastructure-event callback (may be nil). They are set after
+// construction because the engine and cluster reference each other.
 func (c *Cluster) SetHandlers(onCompletion func(Completion), onEvent func(Event)) {
 	c.onCompletion = onCompletion
 	c.onEvent = onEvent

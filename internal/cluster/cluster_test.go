@@ -20,10 +20,8 @@ func testCluster(t *testing.T) (*sim.Sim, *Cluster, *[]Completion, *[]Event) {
 		{Name: "n1", CPUs: 2, Speed: 1.0, OS: "linux"},
 		{Name: "n2", CPUs: 2, Speed: 0.5, OS: "solaris"},
 	}}
-	c := New(s, spec, Options{
-		OnCompletion: func(cp Completion) { comps = append(comps, cp) },
-		OnEvent:      func(e Event) { events = append(events, e) },
-	})
+	c := New(s, spec, Options{})
+	c.SetHandlers(func(cp Completion) { comps = append(comps, cp) }, func(e Event) { events = append(events, e) })
 	return s, c, &comps, &events
 }
 
@@ -39,10 +37,6 @@ func TestSpecs(t *testing.T) {
 	}
 	if got := SharedRunSpec().TotalCPUs(); got != 40 {
 		t.Errorf("shared-run CPUs = %d, want 40", got)
-	}
-	m := Merge("both", IkSun(), IkLinux())
-	if m.TotalCPUs() != 21 || len(m.Nodes) != 13 {
-		t.Errorf("merge = %d cpus / %d nodes", m.TotalCPUs(), len(m.Nodes))
 	}
 	// Node names unique across the shared spec.
 	seen := map[string]bool{}
@@ -352,8 +346,8 @@ func TestAdaptiveMonitorTracksChanges(t *testing.T) {
 		func(at sim.Time, l float64) { trace.Add(at, l) })
 	s.RunUntil(sim.Time(4 * time.Hour))
 	m.Stop()
-	if trace.Len() < 3 {
-		t.Fatalf("reports = %d, want ≥ 3 (both transitions seen)", trace.Len())
+	if len(trace.times) < 3 {
+		t.Fatalf("reports = %d, want ≥ 3 (both transitions seen)", len(trace.times))
 	}
 	err := trace.MeanAbsError(truth, sim.Time(4*time.Hour), time.Minute)
 	// Error must be small despite discarding most samples.
@@ -393,9 +387,8 @@ func TestLoadGenDeterministicAndBounded(t *testing.T) {
 	run := func() []Event {
 		s := sim.New(77)
 		var events []Event
-		c := New(s, IkLinux(), Options{
-			OnEvent: func(e Event) { events = append(events, e) },
-		})
+		c := New(s, IkLinux(), Options{})
+		c.SetHandlers(nil, func(e Event) { events = append(events, e) })
 		NewLoadGen(c, LoadGenConfig{
 			MeanIdle:  time.Hour,
 			MeanBurst: 30 * time.Minute,

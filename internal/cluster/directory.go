@@ -111,17 +111,6 @@ func clampLoad(load float64) float64 {
 	return load
 }
 
-// Get returns a node's current view.
-func (d *Directory) Get(name string) (NodeView, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n, ok := d.nodes[name]
-	if !ok {
-		return NodeView{}, false
-	}
-	return *n, true
-}
-
 // Reserve takes one CPU slot on the node, failing like the simulated
 // cluster does so dispatch errors route through the same requeue path.
 func (d *Directory) Reserve(name string) error {
@@ -167,11 +156,4 @@ func (d *Directory) AppendNodes(dst []NodeView) []NodeView {
 		dst = append(dst, *d.nodes[name])
 	}
 	return dst
-}
-
-// Len reports how many nodes are registered (up or down).
-func (d *Directory) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.nodes)
 }

@@ -16,7 +16,7 @@ func TestDirectoryExtLoadSurvivesRejoin(t *testing.T) {
 		t.Fatal("SetExtLoad unknown node")
 	}
 	d.Join(NodeView{Name: "w1-00", Up: true, CPUs: 4, Speed: 1}) // rejoin
-	v, ok := d.Get("w1-00")
+	v, ok := view(d, "w1-00")
 	if !ok || v.ExtLoad != 0.7 {
 		t.Fatalf("ExtLoad after rejoin = %+v, want 0.7 preserved", v)
 	}
@@ -25,7 +25,7 @@ func TestDirectoryExtLoadSurvivesRejoin(t *testing.T) {
 	}
 	// A genuinely new node starts with no load history.
 	d.Join(NodeView{Name: "w2-00", Up: true, CPUs: 1, Speed: 1})
-	if v, _ := d.Get("w2-00"); v.ExtLoad != 0 {
+	if v, _ := view(d, "w2-00"); v.ExtLoad != 0 {
 		t.Fatalf("fresh node ExtLoad = %v", v.ExtLoad)
 	}
 }
@@ -99,8 +99,6 @@ func TestDirectoryChurnRace(t *testing.T) {
 						return
 					}
 				}
-				d.Get(name(r % nodes))
-				d.Len()
 			}
 		}()
 	}
@@ -109,8 +107,8 @@ func TestDirectoryChurnRace(t *testing.T) {
 	// Post-storm invariants: the order slice and the registry agree
 	// exactly (no duplicate or dangling order entries).
 	views := d.Nodes()
-	if len(views) != d.Len() {
-		t.Fatalf("Nodes() returned %d views, Len() = %d", len(views), d.Len())
+	if len(views) != len(d.nodes) {
+		t.Fatalf("Nodes() returned %d views, the registry holds %d", len(views), len(d.nodes))
 	}
 	seen := make(map[string]bool, len(views))
 	for _, v := range views {
@@ -118,7 +116,7 @@ func TestDirectoryChurnRace(t *testing.T) {
 			t.Fatalf("duplicate node %s in join order", v.Name)
 		}
 		seen[v.Name] = true
-		got, ok := d.Get(v.Name)
+		got, ok := view(d, v.Name)
 		if !ok {
 			t.Fatalf("order entry %s missing from registry", v.Name)
 		}
@@ -129,7 +127,7 @@ func TestDirectoryChurnRace(t *testing.T) {
 	// The stable half never left, so every one of those must be present
 	// with its last reported load intact (reporters always end in-range).
 	for i := nodes / 2; i < nodes; i++ {
-		if _, ok := d.Get(name(i)); !ok {
+		if _, ok := view(d, name(i)); !ok {
 			t.Fatalf("stable node %s lost", name(i))
 		}
 	}

@@ -5,12 +5,22 @@ import (
 	"testing"
 )
 
+// view finds a node's view the way the dispatcher does, in a Nodes view.
+func view(d *Directory, name string) (NodeView, bool) {
+	for _, v := range d.Nodes() {
+		if v.Name == name {
+			return v, true
+		}
+	}
+	return NodeView{}, false
+}
+
 func TestDirectoryJoinReserveRelease(t *testing.T) {
 	d := NewDirectory()
 	d.Join(NodeView{Name: "w1-00", OS: "linux", Up: true, CPUs: 2, Speed: 1})
 	d.Join(NodeView{Name: "w2-00", OS: "linux", Up: true, CPUs: 1, Speed: 1})
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d", d.Len())
+	if len(d.Nodes()) != 2 {
+		t.Fatalf("Len = %d", len(d.Nodes()))
 	}
 	if err := d.Reserve("w1-00"); err != nil {
 		t.Fatal(err)
@@ -29,7 +39,7 @@ func TestDirectoryJoinReserveRelease(t *testing.T) {
 		t.Fatalf("Nodes = %+v", views)
 	}
 	d.Release("w1-00")
-	if v, _ := d.Get("w1-00"); v.Running != 1 {
+	if v, _ := view(d, "w1-00"); v.Running != 1 {
 		t.Fatalf("Running after Release = %d", v.Running)
 	}
 }
@@ -48,23 +58,23 @@ func TestDirectoryDownAndRejoin(t *testing.T) {
 	}
 	// A release straggling in after the node went down must not underflow.
 	d.Release("w1-00")
-	if v, _ := d.Get("w1-00"); v.Running != 0 {
+	if v, _ := view(d, "w1-00"); v.Running != 0 {
 		t.Fatalf("Running = %d", v.Running)
 	}
 	// Rejoin refreshes the view in place and keeps its position.
 	d.Join(NodeView{Name: "w1-00", Up: true, CPUs: 4, Speed: 2})
-	v, ok := d.Get("w1-00")
+	v, ok := view(d, "w1-00")
 	if !ok || !v.Up || v.CPUs != 4 || v.Running != 0 {
 		t.Fatalf("rejoined view = %+v", v)
 	}
-	if d.Len() != 1 {
-		t.Fatalf("Len after rejoin = %d", d.Len())
+	if len(d.Nodes()) != 1 {
+		t.Fatalf("Len after rejoin = %d", len(d.Nodes()))
 	}
 	if !d.Leave("w1-00") || d.Leave("w1-00") {
 		t.Fatal("Leave bookkeeping broken")
 	}
-	if d.Len() != 0 {
-		t.Fatalf("Len after Leave = %d", d.Len())
+	if len(d.Nodes()) != 0 {
+		t.Fatalf("Len after Leave = %d", len(d.Nodes()))
 	}
 }
 

@@ -28,9 +28,8 @@ type LoadGenConfig struct {
 // LoadGen drives external load on a cluster using the simulator's seeded
 // randomness, so runs are reproducible.
 type LoadGen struct {
-	c       *Cluster
-	cfg     LoadGenConfig
-	stopped bool
+	c   *Cluster
+	cfg LoadGenConfig
 }
 
 // NewLoadGen attaches a generator to the cluster and starts it.
@@ -64,9 +63,6 @@ func NewLoadGen(c *Cluster, cfg LoadGenConfig) *LoadGen {
 	return g
 }
 
-// Stop halts the generator after the current burst cycle.
-func (g *LoadGen) Stop() { g.stopped = true }
-
 func (g *LoadGen) expDelay(mean time.Duration) time.Duration {
 	d := time.Duration(g.c.S.Rand().ExpFloat64() * float64(mean))
 	if d < time.Second {
@@ -82,16 +78,11 @@ func (g *LoadGen) level() float64 {
 // scheduleNode runs the idle→burst→idle cycle for one node.
 func (g *LoadGen) scheduleNode(name string) {
 	g.c.S.After(g.expDelay(g.cfg.MeanIdle), func(sim.Time) {
-		if g.stopped {
-			return
-		}
 		lvl := g.level()
 		g.c.SetExternalLoad(name, lvl)
 		g.c.S.After(g.expDelay(g.cfg.MeanBurst), func(sim.Time) {
 			g.c.SetExternalLoad(name, 0)
-			if !g.stopped {
-				g.scheduleNode(name)
-			}
+			g.scheduleNode(name)
 		})
 	})
 }
@@ -99,9 +90,6 @@ func (g *LoadGen) scheduleNode(name string) {
 // scheduleFill runs cluster-wide bursts across all nodes simultaneously.
 func (g *LoadGen) scheduleFill(nodes []string) {
 	g.c.S.After(g.expDelay(g.cfg.MeanIdle), func(sim.Time) {
-		if g.stopped {
-			return
-		}
 		lvl := g.level()
 		for _, n := range nodes {
 			g.c.SetExternalLoad(n, lvl)
@@ -110,9 +98,7 @@ func (g *LoadGen) scheduleFill(nodes []string) {
 			for _, n := range nodes {
 				g.c.SetExternalLoad(n, 0)
 			}
-			if !g.stopped {
-				g.scheduleFill(nodes)
-			}
+			g.scheduleFill(nodes)
 		})
 	})
 }

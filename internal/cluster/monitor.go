@@ -158,9 +158,6 @@ func (t *LoadTrace) Add(at sim.Time, load float64) {
 	t.loads = append(t.loads, load)
 }
 
-// Len returns the number of reports.
-func (t *LoadTrace) Len() int { return len(t.times) }
-
 // At returns the server's belief about the load at time x (the last
 // report at or before x; 0 before the first report).
 func (t *LoadTrace) At(x sim.Time) float64 {

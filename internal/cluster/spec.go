@@ -90,15 +90,6 @@ func SharedRunSpec() Spec {
 	return s
 }
 
-// Merge combines clusters into one spec.
-func Merge(name string, specs ...Spec) Spec {
-	out := Spec{Name: name}
-	for _, s := range specs {
-		out.Nodes = append(out.Nodes, s.Nodes...)
-	}
-	return out
-}
-
 func nodeName(prefix string, i int) string {
 	return prefix + "-" + string(rune('0'+i/10)) + string(rune('0'+i%10))
 }

@@ -944,7 +944,7 @@ func TestMigrateKillAndRestart(t *testing.T) {
 	migrated := 0
 	rt.Sim.At(sim.Time(100*time.Millisecond), func(sim.Time) {
 		rt.Cluster.SetExternalLoad("n1", 0.95)
-		migrated = rt.Engine.Migrate(sched.DefaultMigrationPolicy())
+		migrated = rt.Engine.Migrate(sched.MigrationPolicy{LoadThreshold: 0.6, TargetMaxLoad: 0.2})
 	})
 	rt.Run()
 	finished(t, rt, id)

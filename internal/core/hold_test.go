@@ -17,6 +17,21 @@ import (
 	"bioopera/internal/store"
 )
 
+// groupHeld reports whether the scheduler holds a group the way dispatch
+// sees it: a job enqueued to the group stays out of dispatch order. The
+// probe job is removed again. The caller owns the dispatcher state.
+func groupHeld(s *sched.Scheduler, group string) bool {
+	probe := group + "/hold-probe"
+	s.Enqueue(sched.Job{ID: probe, Group: group})
+	defer s.RemoveWhere(group, func(id string) bool { return id == probe })
+	for _, j := range s.Jobs() {
+		if j.ID == probe {
+			return false
+		}
+	}
+	return true
+}
+
 // checkHoldInvariant asserts what the dispatcher relies on now that drain
 // admits whatever the scheduler offers: a group is held exactly while its
 // instance is suspended, the held jobs are exactly the queued jobs of
@@ -27,7 +42,7 @@ func checkHoldInvariant(t *testing.T, e *Engine, step string) {
 	suspended := make(map[string]bool)
 	for _, in := range e.Instances() {
 		suspended[in.ID] = in.Status == InstanceSuspended
-		if got := e.sched.IsHeld(in.ID); got != suspended[in.ID] {
+		if got := groupHeld(e.sched, in.ID); got != suspended[in.ID] {
 			t.Errorf("%s: group %s held=%v, instance is %s", step, in.ID, got, in.Status)
 		}
 	}
@@ -256,7 +271,7 @@ func TestPreemptIgnoresSuspendedInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.RunUntil(sim.Time(5 * time.Minute)) // well past StarvationWait
-	p := sched.DefaultPreemptor()
+	p := sched.Preemptor{StarvationWait: time.Minute, PriorityGap: 1}
 	if n := e.Preempt(p); n != 0 {
 		t.Fatalf("Preempt killed %d jobs for a suspended instance, want 0", n)
 	}
@@ -334,11 +349,13 @@ func TestConcurrentSuspendResume(t *testing.T) {
 	if e.HeldJobs() != 0 || e.QueueLen() != 0 {
 		t.Fatalf("idle engine: held=%d queue=%d, want 0 0", e.HeldJobs(), e.QueueLen())
 	}
+	e.dmu.Lock()
 	for _, id := range ids {
-		if e.sched.IsHeld(id) {
+		if groupHeld(e.sched, id) {
 			t.Errorf("group %s still held after its instance finished", id)
 		}
 	}
+	e.dmu.Unlock()
 	assertNoneStuck(t, e)
 }
 

@@ -199,7 +199,7 @@ PROCESS Urgent {
 			}
 		})
 		rt.Sim.At(sim.Time(7*time.Minute), func(sim.Time) {
-			preempted += rt.Engine.Preempt(sched.DefaultPreemptor())
+			preempted += rt.Engine.Preempt(sched.Preemptor{StarvationWait: time.Minute, PriorityGap: 1})
 		})
 	}
 	rt.Run()
@@ -263,7 +263,7 @@ func schedScenarioTrace(t *testing.T) []byte {
 		}
 	})
 	rt.Sim.Every(2*time.Minute, func(sim.Time) {
-		rt.Engine.Preempt(sched.DefaultPreemptor())
+		rt.Engine.Preempt(sched.Preemptor{StarvationWait: time.Minute, PriorityGap: 1})
 	})
 	rt.RunUntil(sim.Time(3 * time.Hour))
 	b, err := json.Marshal(events)

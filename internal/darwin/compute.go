@@ -90,8 +90,10 @@ func RefinePass(d *Dataset, matches []Match, opts RefineOptions) []Match {
 // AllVsAllSerial runs the whole two-phase all-vs-all in-process, without
 // the engine — the ground truth the integration tests compare engine runs
 // against.
+//
+//bioopera:allow deadcode the reference the all-vs-all tests in internal/allvsall and internal/darwin compare engine runs against
 func AllVsAllSerial(d *Dataset, fixed FixedPAMOptions, refine RefineOptions) []Match {
-	full := FullQueue(d.Len())
+	full := QueueRange(0, d.Len())
 	q := FixedPAMPass(d, full, 0, len(full), fixed)
 	return RefinePass(d, q, refine)
 }

@@ -8,11 +8,11 @@ import "time"
 // dataset.
 type Queue []int
 
-// FullQueue returns the queue covering every entry of an N-entry dataset.
-func FullQueue(n int) Queue {
+// QueueRange returns the queue of the n entries from index start on.
+func QueueRange(start, n int) Queue {
 	q := make(Queue, n)
 	for i := range q {
-		q[i] = i
+		q[i] = start + i
 	}
 	return q
 }

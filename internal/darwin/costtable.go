@@ -67,6 +67,3 @@ func (t *CostTable) RefineTEUCost(start, count int) time.Duration {
 	pairSum := cells * float64(t.Model.CellTime) * t.Model.RefineFactor
 	return t.Model.DarwinInit + time.Duration(pairSum*t.Model.MatchFraction)
 }
-
-// TotalFixedCPU returns the single-TEU fixed-pass cost of the whole queue.
-func (t *CostTable) TotalFixedCPU() time.Duration { return t.FixedTEUCost(0, t.n) }

@@ -44,7 +44,7 @@ func TestParseSequence(t *testing.T) {
 func TestBackgroundFreqSumsToOne(t *testing.T) {
 	var sum float64
 	for i := 0; i < NumAA; i++ {
-		sum += BackgroundFreq(i)
+		sum += backgroundFreq[i]
 	}
 	if math.Abs(sum-1) > 1e-3 {
 		t.Fatalf("background frequencies sum to %v", sum)
@@ -116,19 +116,31 @@ func TestMutationMatrixStochastic(t *testing.T) {
 	}
 }
 
+// expectedIdentity returns the probability that a residue pair at PAM
+// distance d is identical, averaged over the background: ≈ 99% at PAM 1,
+// decaying toward ≈ 6% at large distances.
+func expectedIdentity(d float64) float64 {
+	m := MutationAt(d)
+	var p float64
+	for i := 0; i < NumAA; i++ {
+		p += backgroundFreq[i] * m.P[i][i]
+	}
+	return p
+}
+
 func TestPAM1Definition(t *testing.T) {
 	// At distance 1, the expected identity across the background must
 	// be 99% — the definition of the PAM unit.
-	id := ExpectedIdentity(1)
+	id := expectedIdentity(1)
 	if math.Abs(id-0.99) > 1e-6 {
-		t.Fatalf("ExpectedIdentity(1) = %v, want 0.99", id)
+		t.Fatalf("expectedIdentity(1) = %v, want 0.99", id)
 	}
 }
 
 func TestIdentityDecaysWithDistance(t *testing.T) {
 	prev := 1.0
 	for _, d := range []float64{1, 10, 40, 120, 250, 500} {
-		id := ExpectedIdentity(d)
+		id := expectedIdentity(d)
 		if id >= prev {
 			t.Fatalf("identity did not decay: %v at PAM %v (prev %v)", id, d, prev)
 		}
@@ -136,7 +148,7 @@ func TestIdentityDecaysWithDistance(t *testing.T) {
 	}
 	// Very large distances approach the background self-identity
 	// (sum f_i^2 ≈ 0.059).
-	if id := ExpectedIdentity(2000); math.Abs(id-0.059) > 0.02 {
+	if id := expectedIdentity(2000); math.Abs(id-0.059) > 0.02 {
 		t.Fatalf("asymptotic identity = %v, want ≈ 0.059", id)
 	}
 }
@@ -285,7 +297,7 @@ func TestRefinePAMRecoversDistance(t *testing.T) {
 }
 
 func TestQueuePartition(t *testing.T) {
-	q := FullQueue(10)
+	q := QueueRange(0, 10)
 	parts := q.Partition(3)
 	if len(parts) != 3 {
 		t.Fatalf("parts = %d", len(parts))
@@ -311,7 +323,7 @@ func TestQueuePartition(t *testing.T) {
 
 func TestPairsOwnedCoversAllPairsOnce(t *testing.T) {
 	const n = 17
-	q := FullQueue(n)
+	q := QueueRange(0, n)
 	seen := make(map[[2]int]int)
 	parts := q.Partition(4)
 	start := 0
@@ -336,7 +348,7 @@ func TestPairsOwnedCoversAllPairsOnce(t *testing.T) {
 }
 
 func TestPairsOwnedEarlyStop(t *testing.T) {
-	q := FullQueue(10)
+	q := QueueRange(0, 10)
 	calls := 0
 	PairsOwned(q, 0, 10, func(a, b int) bool {
 		calls++
@@ -359,7 +371,7 @@ func TestCostModel(t *testing.T) {
 	for i := range lengths {
 		lengths[i] = 100
 	}
-	q := FullQueue(10)
+	q := QueueRange(0, 10)
 	one := c.TEUCost(q, 0, 10, lengths)
 	if one <= c.DarwinInit {
 		t.Fatal("TEU cost must exceed init overhead")
@@ -378,7 +390,7 @@ func TestCostModel(t *testing.T) {
 
 func TestFixedPAMPassFindsFamilies(t *testing.T) {
 	d := Generate(GenOptions{N: 30, MeanLen: 80, Seed: 21, FamilyFraction: 0.5, FamilyPAM: 40})
-	full := FullQueue(d.Len())
+	full := QueueRange(0, d.Len())
 	matches := FixedPAMPass(d, full, 0, len(full), FixedPAMOptions{})
 	if len(matches) == 0 {
 		t.Fatal("no matches found in a dataset full of families")
@@ -395,7 +407,7 @@ func TestFixedPAMPassFindsFamilies(t *testing.T) {
 
 func TestRefinePassFiltersAndAnnotates(t *testing.T) {
 	d := Generate(GenOptions{N: 20, MeanLen: 70, Seed: 4, FamilyFraction: 0.5, FamilyPAM: 30})
-	full := FullQueue(d.Len())
+	full := QueueRange(0, d.Len())
 	q := FixedPAMPass(d, full, 0, len(full), FixedPAMOptions{})
 	if len(q) == 0 {
 		t.Skip("no first-pass matches with this seed")
@@ -420,7 +432,7 @@ func TestPartitionedEqualsSerial(t *testing.T) {
 	d := Generate(GenOptions{N: 24, MeanLen: 60, Seed: 13, FamilyFraction: 0.5, FamilyPAM: 35})
 	serial := AllVsAllSerial(d, FixedPAMOptions{}, RefineOptions{})
 
-	full := FullQueue(d.Len())
+	full := QueueRange(0, d.Len())
 	for _, n := range []int{2, 5, 24} {
 		var sets [][]Match
 		start := 0
@@ -549,11 +561,8 @@ func TestCostTableMatchesCostModel(t *testing.T) {
 func TestCostTableTotals(t *testing.T) {
 	c := DefaultCostModel()
 	ds := Generate(GenOptions{N: 25, MeanLen: 80, Seed: 20})
-	q := FullQueue(ds.Len())
+	q := QueueRange(0, ds.Len())
 	table := NewCostTable(c, q, ds.Lengths())
-	if table.TotalFixedCPU() != table.FixedTEUCost(0, ds.Len()) {
-		t.Fatal("TotalFixedCPU mismatch")
-	}
 	// Out-of-range clamps.
 	if table.Pairs(20, 100) != table.Pairs(20, 5) {
 		t.Fatal("Pairs does not clamp")

@@ -217,19 +217,3 @@ func ScoreAt(d float64) *ScoreMatrix {
 	scoreCacheMu.Unlock()
 	return sm
 }
-
-// Score returns the substitution score for residue indices a and b.
-func (sm *ScoreMatrix) Score(a, b byte) float64 { return sm.S[a][b] }
-
-// ExpectedIdentity returns the probability that a residue pair at this
-// matrix's distance is identical, averaged over the background — a sanity
-// metric used by tests (≈ 99% at PAM 1, decaying toward ≈ 6% at large
-// distances).
-func ExpectedIdentity(d float64) float64 {
-	m := MutationAt(d)
-	var p float64
-	for i := 0; i < NumAA; i++ {
-		p += backgroundFreq[i] * m.P[i][i]
-	}
-	return p
-}

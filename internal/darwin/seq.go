@@ -145,9 +145,6 @@ func normalizeFreqs(f [NumAA]float64) [NumAA]float64 {
 	return f
 }
 
-// BackgroundFreq returns the background frequency of residue index i.
-func BackgroundFreq(i int) float64 { return backgroundFreq[i] }
-
 // GenOptions configure the synthetic dataset generator.
 type GenOptions struct {
 	// N is the number of entries.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"bioopera/internal/allvsall"
@@ -69,6 +68,8 @@ type AdaptiveResult struct {
 }
 
 // AdaptiveBatching runs the comparison: load profile × granularity mode.
+//
+//bioopera:allow deadcode BenchmarkAdaptiveBatching and its BENCH_6.json CI gate run it; no program does
 func AdaptiveBatching(opts AdaptiveOptions) (*AdaptiveResult, error) {
 	opts.fill()
 	res := &AdaptiveResult{Options: opts, CPUs: cluster.IkSun().TotalCPUs()}
@@ -166,6 +167,8 @@ func runAdaptive(opts AdaptiveOptions, profile string, adaptive bool) (AdaptiveC
 }
 
 // Cell returns the measurement for a profile/mode pair.
+//
+//bioopera:allow deadcode BenchmarkAdaptiveBatching and its BENCH_6.json CI gate read it; no program does
 func (r *AdaptiveResult) Cell(profile, mode string) *AdaptiveCell {
 	for i := range r.Cells {
 		if r.Cells[i].Profile == profile && r.Cells[i].Mode == mode {
@@ -173,21 +176,4 @@ func (r *AdaptiveResult) Cell(profile, mode string) *AdaptiveCell {
 		}
 	}
 	return nil
-}
-
-// Fprint renders the comparison.
-func (r *AdaptiveResult) Fprint(w io.Writer) {
-	fmt.Fprintln(w, "Granularity autotuning — batcher-chosen TEUs vs. one TEU per CPU")
-	fmt.Fprintf(w, "%d vs. %d all-vs-all on the %d-CPU ik-sun cluster\n\n", r.Options.N, r.Options.N, r.CPUs)
-	fmt.Fprintf(w, "%-10s %-10s %6s %8s %12s\n", "profile", "mode", "TEUs", "stress", "WALL")
-	hline(w, 52)
-	for _, c := range r.Cells {
-		fmt.Fprintf(w, "%-10s %-10s %6d %8.2f %12s\n", c.Profile, c.Mode, c.TEUs, c.Stress, c.WALL.Round(time.Minute))
-	}
-	hline(w, 52)
-	for _, p := range []string{"idle", "volatile"} {
-		ad, fx := r.Cell(p, "adaptive"), r.Cell(p, "fixed")
-		fmt.Fprintf(w, "%-10s adaptive changes WALL by %+.0f%%\n", p+":",
-			100*(float64(ad.WALL)/float64(fx.WALL)-1))
-	}
 }

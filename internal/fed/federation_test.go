@@ -188,9 +188,9 @@ func TestFederatedFailoverE2E(t *testing.T) {
 
 	// The dead member's partitions must have been reclaimed under a newer
 	// incarnation by a survivor.
-	leases := survivors[0].Leases()
+	leases := survivors[0].leases
 	for _, p := range killedPartitions {
-		l, err := leases.Get(p)
+		l, err := lease(leases, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestMemberRestartReclaimsOwnLeases(t *testing.T) {
 	if a2.Incarnation() <= firstInc {
 		t.Fatalf("restart incarnation %d not newer than %d", a2.Incarnation(), firstInc)
 	}
-	l, err := a2.Leases().Get(0)
+	l, err := lease(a2.leases, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

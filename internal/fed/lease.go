@@ -94,9 +94,6 @@ func NewLeaseTable(st store.Store, partitions int) *LeaseTable {
 	return &LeaseTable{mu: leaseLockFor(st), st: st, partitions: partitions}
 }
 
-// Partitions reports the table's partition count.
-func (t *LeaseTable) Partitions() int { return t.partitions }
-
 func leaseKey(partition int) string { return fmt.Sprintf("fed/lease/%03d", partition) }
 
 const epochKey = "fed/epoch"
@@ -136,13 +133,6 @@ func (t *LeaseTable) getLocked(partition int) (Lease, error) {
 		return Lease{}, fmt.Errorf("fed: lease record for partition %d: %w", partition, err)
 	}
 	return l, nil
-}
-
-// Get reads one partition's current lease.
-func (t *LeaseTable) Get(partition int) (Lease, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.getLocked(partition)
 }
 
 // All reads every partition's lease, indexed by partition.

@@ -8,6 +8,15 @@ import (
 	"bioopera/internal/store"
 )
 
+// lease reads one partition's lease the way a member does, through All.
+func lease(tbl *LeaseTable, partition int) (Lease, error) {
+	all, err := tbl.All()
+	if err != nil {
+		return Lease{}, err
+	}
+	return all[partition], nil
+}
+
 func TestLeaseClaimAndReload(t *testing.T) {
 	st := store.NewMem()
 	tbl := NewLeaseTable(st, 8)
@@ -15,7 +24,7 @@ func TestLeaseClaimAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unclaimed, err := tbl.Get(3)
+	unclaimed, err := lease(tbl, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +37,7 @@ func TestLeaseClaimAndReload(t *testing.T) {
 	}
 	// A second table over the same store — a restarted member — sees the
 	// persisted lease.
-	got, err := NewLeaseTable(st, 8).Get(3)
+	got, err := lease(NewLeaseTable(st, 8), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +51,7 @@ func TestLeaseStaleIncarnationRejected(t *testing.T) {
 	tbl := NewLeaseTable(st, 8)
 	old, _ := tbl.NextIncarnation()
 	fresh, _ := tbl.NextIncarnation()
-	base, _ := tbl.Get(1)
+	base, _ := lease(tbl, 1)
 	cur := Lease{Partition: 1, Owner: "beta", Incarnation: fresh}
 	if err := tbl.Claim(base, cur); err != nil {
 		t.Fatal(err)
@@ -53,7 +62,7 @@ func TestLeaseStaleIncarnationRejected(t *testing.T) {
 	if !errors.Is(err, ErrStaleIncarnation) {
 		t.Fatalf("stale claim error = %v, want ErrStaleIncarnation", err)
 	}
-	got, _ := tbl.Get(1)
+	got, _ := lease(tbl, 1)
 	if got != cur {
 		t.Fatalf("lease after rejected stale claim = %+v, want %+v", got, cur)
 	}
@@ -66,7 +75,7 @@ func TestLeaseDoubleClaimDeterministic(t *testing.T) {
 		st := store.NewMem()
 		alpha := NewLeaseTable(st, 8)
 		beta := NewLeaseTable(st, 8)
-		base, _ := alpha.Get(4)
+		base, _ := lease(alpha, 4)
 
 		incA, _ := alpha.NextIncarnation()
 		incB, _ := beta.NextIncarnation()
@@ -84,7 +93,7 @@ func TestLeaseDoubleClaimDeterministic(t *testing.T) {
 		wg.Wait()
 
 		var winners, losers int
-		final, _ := alpha.Get(4)
+		final, _ := lease(alpha, 4)
 		for i, err := range errs {
 			if err == nil {
 				winners++

@@ -183,9 +183,6 @@ func (m *Member) Incarnation() uint64 { return m.inc }
 // Runtime exposes the member's engine runtime (monitor wiring, tests).
 func (m *Member) Runtime() *core.LocalRuntime { return m.rt }
 
-// Leases exposes the member's lease table (tests, tools).
-func (m *Member) Leases() *LeaseTable { return m.leases }
-
 // OwnedPartitions lists the partitions this member currently owns, sorted.
 func (m *Member) OwnedPartitions() []int {
 	m.mu.Lock()

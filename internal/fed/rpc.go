@@ -3,7 +3,6 @@ package fed
 import (
 	"time"
 
-	"bioopera/internal/core"
 	"bioopera/internal/ocr"
 )
 
@@ -81,42 +80,6 @@ func (r rpcMethods) Wait(id string, timeout time.Duration) (StateRes, error) {
 	res, err := r.roundTrip(Request{Method: MethodWait, Instance: id, TimeoutMs: timeout.Milliseconds()},
 		timeout+DefaultCallTimeout)
 	return res.State, err
-}
-
-// Resume restarts a suspended instance.
-func (r rpcMethods) Resume(id string) error {
-	_, err := r.roundTrip(Request{Method: MethodResume, Instance: id}, 0)
-	return err
-}
-
-// Suspend stops dispatching an instance's activities.
-func (r rpcMethods) Suspend(id string, graceful bool) error {
-	_, err := r.roundTrip(Request{Method: MethodSuspend, Instance: id, Graceful: graceful}, 0)
-	return err
-}
-
-// Abort fails an instance on user request.
-func (r rpcMethods) Abort(id, reason string) error {
-	_, err := r.roundTrip(Request{Method: MethodAbort, Instance: id, Reason: reason}, 0)
-	return err
-}
-
-// Signal delivers an external event to an instance.
-func (r rpcMethods) Signal(id, event string, payload map[string]ocr.Value) error {
-	_, err := r.roundTrip(Request{Method: MethodSignal, Instance: id, Event: event, Payload: payload}, 0)
-	return err
-}
-
-// SetParameter changes one whiteboard value.
-func (r rpcMethods) SetParameter(id, name string, v ocr.Value) error {
-	_, err := r.roundTrip(Request{Method: MethodSetParam, Instance: id, Name: name, Value: v}, 0)
-	return err
-}
-
-// Lineage fetches an instance's provenance graph.
-func (r rpcMethods) Lineage(id string) (*core.Lineage, error) {
-	res, err := r.roundTrip(Request{Method: MethodLineage, Instance: id}, 0)
-	return res.Lineage, err
 }
 
 // Members fetches the membership and routing snapshot.

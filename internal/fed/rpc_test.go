@@ -76,6 +76,13 @@ func rpcFederation(t *testing.T, cfg GatewayConfig) ([]*Member, *Client) {
 	return members, c
 }
 
+// call makes one RPC through the client's round trip, for the methods the
+// member serves but no program calls through a typed client method.
+func call(c *Client, req Request) error {
+	_, err := c.roundTrip(req, 0)
+	return err
+}
+
 // TestEveryRPCEndToEnd calls each of the ten RPCs through a client, a
 // listening gateway and the owning member, and checks every answer against
 // the owning engine's own.
@@ -129,24 +136,24 @@ func TestEveryRPCEndToEnd(t *testing.T) {
 			return same(got, want)
 		}},
 		{MethodSuspend, func() error {
-			if err := c.Suspend(id, false); err != nil {
+			if err := call(c, Request{Method: MethodSuspend, Instance: id}); err != nil {
 				return err
 			}
 			_, err := isState(id, core.InstanceSuspended)
 			return err
 		}},
 		{MethodSetParam, func() error {
-			return c.SetParameter(id, "p", ocr.Num(5)) // seen in the output below
+			return call(c, Request{Method: MethodSetParam, Instance: id, Name: "p", Value: ocr.Num(5)}) // seen in the output below
 		}},
 		{MethodResume, func() error {
-			if err := c.Resume(id); err != nil {
+			if err := call(c, Request{Method: MethodResume, Instance: id}); err != nil {
 				return err
 			}
 			_, err := isState(id, core.InstanceRunning)
 			return err
 		}},
 		{MethodSignal, func() error {
-			if err := c.Signal(id, "go", map[string]ocr.Value{"y": ocr.Str("ok")}); err != nil {
+			if err := call(c, Request{Method: MethodSignal, Instance: id, Event: "go", Payload: map[string]ocr.Value{"y": ocr.Str("ok")}}); err != nil {
 				return err
 			}
 			if awaiting := eng(id).Awaiting(id); len(awaiting) != 0 {
@@ -169,10 +176,11 @@ func TestEveryRPCEndToEnd(t *testing.T) {
 			return same(got, want)
 		}},
 		{MethodLineage, func() error {
-			got, err := c.Lineage(id)
+			res, err := c.roundTrip(Request{Method: MethodLineage, Instance: id}, 0)
 			if err != nil {
 				return err
 			}
+			got := res.Lineage
 			want, err := eng(id).Lineage(id)
 			if err != nil {
 				return err
@@ -183,7 +191,7 @@ func TestEveryRPCEndToEnd(t *testing.T) {
 			if aborted, err = c.Start(StartReq{Template: "Gate", Inputs: map[string]ocr.Value{"x": ocr.Num(2)}}); err != nil {
 				return err
 			}
-			if err := c.Abort(aborted, "stop"); err != nil {
+			if err := call(c, Request{Method: MethodAbort, Instance: aborted, Reason: "stop"}); err != nil {
 				return err
 			}
 			if _, err := isState(aborted, core.InstanceFailed); err != nil {

@@ -120,6 +120,7 @@ func ModuleAnalyzers() []*ModuleAnalyzer {
 		{Name: "lockorder", Doc: "the global lock-acquisition graph must stay acyclic and within the sanctioned partial order", Run: runLockOrder},
 		{Name: "goroleak", Doc: "every goroutine in a long-lived package needs a provable shutdown path tied to a Close", Run: runGoroLeak},
 		{Name: "blockingsend", Doc: "no blocking channel operation or network write may be reachable while a lock is held", Run: runBlockingSend},
+		{Name: "deadcode", Doc: "every function is reached from a main, an init or package bioopera's API, or names the test that needs it", Run: runDeadCode},
 	}
 }
 

@@ -48,6 +48,9 @@ type Program struct {
 	// package: `stop := make(chan struct{}); s.stop = stop` makes the
 	// local and the field one channel for goroleak's shutdown proofs.
 	chanAlias map[string]*unionFind
+
+	// dirs are the //bioopera:allow directives of every loaded package.
+	dirs []*directive
 }
 
 // funcNode is one function body: a declaration or a function literal.
@@ -153,6 +156,7 @@ func buildProgram(pkgs []*Package, dirs []*directive) *Program {
 		impls:     make(map[*types.Func][]*funcNode),
 		classPkg:  make(map[string]string),
 		chanAlias: make(map[string]*unionFind),
+		dirs:      dirs,
 	}
 	if len(pkgs) > 0 {
 		p.Fset = pkgs[0].Fset
@@ -163,7 +167,7 @@ func buildProgram(pkgs []*Package, dirs []*directive) *Program {
 		n.returnsLock = p.returnsLockClass(n)
 	}
 	for _, n := range p.nodes {
-		p.collectFacts(n, dirs)
+		p.collectFacts(n)
 	}
 	p.computeMayBlock()
 	p.computeAcqAll()
@@ -439,7 +443,7 @@ func resolveObj(info *types.Info, e ast.Expr) types.Object {
 // literals — those are their own nodes) gathering call sites, lock
 // acquisitions, blocking operations, and the WaitGroup/channel facts
 // goroleak needs.
-func (p *Program) collectFacts(n *funcNode, dirs []*directive) {
+func (p *Program) collectFacts(n *funcNode) {
 	info := n.pkg.Info
 	n.varClass = make(map[types.Object]string)
 	n.callByAST = make(map[*ast.CallExpr]*resolvedCall)
@@ -502,7 +506,7 @@ func (p *Program) collectFacts(n *funcNode, dirs []*directive) {
 			if n.blockDirect != nil {
 				return
 			}
-			if clearBlockFact(p.Fset, pos, n, dirs) {
+			if p.clearBlockFact(pos) {
 				return
 			}
 			n.blockDirect = &blockFact{what: what, pos: pos}
@@ -514,13 +518,13 @@ func (p *Program) collectFacts(n *funcNode, dirs []*directive) {
 // the blocking operation itself: that clears the fact at its source, so
 // the one annotation covers every caller the fact would have propagated
 // to. The directive counts as used.
-func clearBlockFact(fset *token.FileSet, pos token.Pos, n *funcNode, dirs []*directive) bool {
-	if fset == nil {
+func (p *Program) clearBlockFact(pos token.Pos) bool {
+	if p.Fset == nil {
 		return false
 	}
-	position := fset.Position(pos)
+	position := p.Fset.Position(pos)
 	cleared := false
-	for _, d := range dirs {
+	for _, d := range p.dirs {
 		if !d.valid || d.analyzer != "blockingsend" || d.pos.Filename != position.Filename {
 			continue
 		}

@@ -112,11 +112,6 @@ func Cost(seconds float64) TaskOption {
 	return func(_ *Builder, t *Task) { t.Cost = seconds }
 }
 
-// TaskDoc sets the task documentation string.
-func TaskDoc(doc string) TaskOption {
-	return func(_ *Builder, t *Task) { t.Doc = doc }
-}
-
 // OnFailureIgnore makes permanent failure non-fatal (null outputs).
 func OnFailureIgnore() TaskOption {
 	return func(_ *Builder, t *Task) { t.OnFail = FailIgnore }

@@ -52,7 +52,7 @@ func TestBuilderAllConstructs(t *testing.T) {
 		Data("threshold", "80").
 		Data("scratch", "").
 		Activity("Prep", "lib.prep",
-			TaskDoc("prepare"), Arg("v", "threshold + 1"), Out("r"),
+			func(_ *Builder, t *Task) { t.Doc = "prepare" }, Arg("v", "threshold + 1"), Out("r"),
 			MapTo("r", "prepped"), Retry(2), Priority(3), Cost(12.5)).
 		ParallelBlock("Fan", "xs", "x", func(body *Builder) {
 			body.Outputs("y").

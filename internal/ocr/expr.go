@@ -471,16 +471,6 @@ func ParseExpr(src string) (Expr, error) {
 	return e, nil
 }
 
-// MustParseExpr is ParseExpr that panics on error; for package-level
-// constants and tests.
-func MustParseExpr(src string) Expr {
-	e, err := ParseExpr(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 func (p *exprParser) parseExpr() (Expr, error) { return p.parseOr() }
 
 func (p *exprParser) parseOr() (Expr, error) {

@@ -139,108 +139,96 @@ func (p *procParser) parseProcess() (*Process, error) {
 	if err := p.expectPunct("{"); err != nil {
 		return nil, err
 	}
-	if err := p.parseBodyItems(proc, false); err != nil {
-		return nil, err
+	for !(p.cur().kind == tokPunct && p.cur().text == "}") && p.cur().kind != tokEOF {
+		if err := p.parseBodyItem(proc, false); err != nil {
+			return nil, err
+		}
 	}
 	return proc, p.expectPunct("}")
 }
 
-// parseBodyItems parses declarations, tasks and connectors until '}'.
-// inBlock permits block-level clauses (MAP/RETRY/etc. belong to the block
-// task, handled by caller) — here it only forbids INPUT inside blocks.
-func (p *procParser) parseBodyItems(proc *Process, inBlock bool) error {
-	for {
-		t := p.cur()
-		if t.kind == tokPunct && t.text == "}" || t.kind == tokEOF {
-			return nil
+// parseBodyItem parses one declaration, task or connector into body: a
+// process's when inBlock is false, a block's when it is true. A block
+// declares no INPUT: it inherits the parent whiteboard.
+func (p *procParser) parseBodyItem(body *Process, inBlock bool) error {
+	t := p.cur()
+	switch {
+	case p.isKw(kwInput):
+		if inBlock {
+			return p.errorf("INPUT is not allowed inside a block (blocks inherit the parent whiteboard)")
 		}
-		switch {
-		case p.isKw(kwInput):
-			if inBlock {
-				return p.errorf("INPUT is not allowed inside a block (blocks inherit the parent whiteboard)")
-			}
-			p.pos++
-			names, err := p.parseIdentList()
-			if err != nil {
-				return err
-			}
-			proc.Inputs = append(proc.Inputs, names...)
-			if err := p.expectPunct(";"); err != nil {
-				return err
-			}
-		case p.isKw(kwOutput):
-			p.pos++
-			names, err := p.parseIdentList()
-			if err != nil {
-				return err
-			}
-			proc.Outputs = append(proc.Outputs, names...)
-			if err := p.expectPunct(";"); err != nil {
-				return err
-			}
-		case p.isKw(kwData):
-			p.pos++
-			name, err := p.expectIdent()
-			if err != nil {
-				return err
-			}
-			decl := DataDecl{Name: name}
-			if p.eatPunct("=") {
-				e, err := p.parseExpr()
-				if err != nil {
-					return err
-				}
-				decl.Init = e
-			}
-			proc.Data = append(proc.Data, decl)
-			if err := p.expectPunct(";"); err != nil {
-				return err
-			}
-		case p.isKw(kwActivity):
-			task, err := p.parseActivity()
-			if err != nil {
-				return err
-			}
-			proc.Tasks = append(proc.Tasks, task)
-		case p.isKw(kwBlock):
-			task, err := p.parseBlock()
-			if err != nil {
-				return err
-			}
-			proc.Tasks = append(proc.Tasks, task)
-		case p.isKw(kwSubprocess):
-			task, err := p.parseSubprocess()
-			if err != nil {
-				return err
-			}
-			proc.Tasks = append(proc.Tasks, task)
-		default:
-			// Connector: IDENT -> IDENT [IF expr] ;
-			from, err := p.expectIdent()
-			if err != nil {
-				return p.errorf("expected declaration, task or connector, found %s", t)
-			}
-			if err := p.expectPunct("->"); err != nil {
-				return err
-			}
-			to, err := p.expectIdent()
-			if err != nil {
-				return err
-			}
-			conn := Connector{From: from, To: to}
-			if p.eatKw(kwIf) {
-				e, err := p.parseExpr()
-				if err != nil {
-					return err
-				}
-				conn.Cond = e
-			}
-			proc.Connectors = append(proc.Connectors, conn)
-			if err := p.expectPunct(";"); err != nil {
-				return err
-			}
+		p.pos++
+		names, err := p.parseIdentList()
+		if err != nil {
+			return err
 		}
+		body.Inputs = append(body.Inputs, names...)
+		return p.expectPunct(";")
+	case p.isKw(kwOutput):
+		p.pos++
+		names, err := p.parseIdentList()
+		if err != nil {
+			return err
+		}
+		body.Outputs = append(body.Outputs, names...)
+		return p.expectPunct(";")
+	case p.isKw(kwData):
+		p.pos++
+		name, err := p.expectIdent()
+		if err != nil {
+			return err
+		}
+		decl := DataDecl{Name: name}
+		if p.eatPunct("=") {
+			e, err := p.parseExpr()
+			if err != nil {
+				return err
+			}
+			decl.Init = e
+		}
+		body.Data = append(body.Data, decl)
+		return p.expectPunct(";")
+	case p.isKw(kwActivity):
+		return addTask(body, p.parseActivity)
+	case p.isKw(kwBlock):
+		return addTask(body, p.parseBlock)
+	case p.isKw(kwSubprocess):
+		return addTask(body, p.parseSubprocess)
 	}
+	// Connector: IDENT -> IDENT [IF expr] ;
+	from, err := p.expectIdent()
+	if err != nil {
+		if inBlock {
+			return p.errorf("expected task, declaration or connector in block")
+		}
+		return p.errorf("expected declaration, task or connector, found %s", t)
+	}
+	if err := p.expectPunct("->"); err != nil {
+		return err
+	}
+	to, err := p.expectIdent()
+	if err != nil {
+		return err
+	}
+	conn := Connector{From: from, To: to}
+	if p.eatKw(kwIf) {
+		e, err := p.parseExpr()
+		if err != nil {
+			return err
+		}
+		conn.Cond = e
+	}
+	body.Connectors = append(body.Connectors, conn)
+	return p.expectPunct(";")
+}
+
+// addTask parses one task and appends it to body.
+func addTask(body *Process, parse func() (*Task, error)) error {
+	task, err := parse()
+	if err == nil {
+		body.Tasks = append(body.Tasks, task)
+	}
+	return err
 }
 
 func (p *procParser) parseIdentList() ([]string, error) {
@@ -515,88 +503,12 @@ func (p *procParser) parseBlock() (*Task, error) {
 		if done {
 			continue
 		}
-		if err := p.parseBlockBodyItem(t.Body); err != nil {
+		if err := p.parseBodyItem(t.Body, true); err != nil {
 			return nil, err
 		}
 	}
 	p.pos++ // }
 	return t, nil
-}
-
-// parseBlockBodyItem parses exactly one body item of a block.
-func (p *procParser) parseBlockBodyItem(body *Process) error {
-	// Reuse parseBodyItems for a single item by dispatching here.
-	switch {
-	case p.isKw(kwInput):
-		return p.errorf("INPUT is not allowed inside a block")
-	case p.isKw(kwOutput):
-		p.pos++
-		names, err := p.parseIdentList()
-		if err != nil {
-			return err
-		}
-		body.Outputs = append(body.Outputs, names...)
-		return p.expectPunct(";")
-	case p.isKw(kwData):
-		p.pos++
-		name, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
-		decl := DataDecl{Name: name}
-		if p.eatPunct("=") {
-			e, err := p.parseExpr()
-			if err != nil {
-				return err
-			}
-			decl.Init = e
-		}
-		body.Data = append(body.Data, decl)
-		return p.expectPunct(";")
-	case p.isKw(kwActivity):
-		task, err := p.parseActivity()
-		if err != nil {
-			return err
-		}
-		body.Tasks = append(body.Tasks, task)
-		return nil
-	case p.isKw(kwBlock):
-		task, err := p.parseBlock()
-		if err != nil {
-			return err
-		}
-		body.Tasks = append(body.Tasks, task)
-		return nil
-	case p.isKw(kwSubprocess):
-		task, err := p.parseSubprocess()
-		if err != nil {
-			return err
-		}
-		body.Tasks = append(body.Tasks, task)
-		return nil
-	default:
-		from, err := p.expectIdent()
-		if err != nil {
-			return p.errorf("expected task, declaration or connector in block")
-		}
-		if err := p.expectPunct("->"); err != nil {
-			return err
-		}
-		to, err := p.expectIdent()
-		if err != nil {
-			return err
-		}
-		conn := Connector{From: from, To: to}
-		if p.eatKw(kwIf) {
-			e, err := p.parseExpr()
-			if err != nil {
-				return err
-			}
-			conn.Cond = e
-		}
-		body.Connectors = append(body.Connectors, conn)
-		return p.expectPunct(";")
-	}
 }
 
 func (p *procParser) parseSubprocess() (*Task, error) {

@@ -299,6 +299,20 @@ func TestParseErrorsProcess(t *testing.T) {
 	}
 }
 
+// TestParseBodyItemErrors: a process body and a block body go through one
+// item parser, and each still says what it refused and where.
+func TestParseBodyItemErrors(t *testing.T) {
+	for src, want := range map[string]string{
+		`PROCESS P { BLOCK B { INPUT x; } }`: "INPUT is not allowed inside a block (blocks inherit the parent whiteboard)",
+		`PROCESS P { BLOCK B { 42; } }`:      "expected task, declaration or connector in block",
+		`PROCESS P { 42; }`:                  "expected declaration, task or connector, found",
+	} {
+		if _, err := ParseFile(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", src, err, want)
+		}
+	}
+}
+
 func TestValidateCatches(t *testing.T) {
 	cases := map[string]string{
 		"cycle": `PROCESS P {

@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -267,14 +266,4 @@ type MapEnv map[string]Value
 func (m MapEnv) Lookup(name string) (Value, bool) {
 	v, ok := m[name]
 	return v, ok
-}
-
-// Names returns the defined names in sorted order.
-func (m MapEnv) Names() []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

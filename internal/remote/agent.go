@@ -54,7 +54,7 @@ type Agent struct {
 	dec codec.Decoder // reader goroutine only
 
 	mu      sync.Mutex
-	paused  bool              // heartbeats suppressed (test hook)
+	paused  bool              // heartbeats suppressed (PauseHeartbeats, export_test.go)
 	running map[jobLease]bool // every launch still in runJob; true once a kill named it
 	idle    []*agentWorker    // parked workers, a stack; at most CPUs
 
@@ -120,16 +120,6 @@ func Dial(addr string, cfg AgentConfig) (*Agent, error) {
 
 // Incarnation returns the tag the server assigned to this connection.
 func (a *Agent) Incarnation() uint64 { return a.inc }
-
-// PauseHeartbeats stops the heartbeat stream without closing the
-// connection — a frozen or partitioned worker, from the server's point of
-// view. Launched jobs keep running and their completions still send, which
-// is exactly the stale-completion case the lease check exists for.
-func (a *Agent) PauseHeartbeats() {
-	a.mu.Lock()
-	a.paused = true
-	a.mu.Unlock()
-}
 
 // Wait blocks until the connection to the server is gone.
 func (a *Agent) Wait() { <-a.done }

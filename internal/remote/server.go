@@ -15,12 +15,10 @@ import (
 	"bioopera/internal/transport"
 )
 
-// Defaults for the failure detector. The hello/welcome exchange is bounded
+// DefaultHeartbeatEvery is the failure detector's default cadence; a worker
+// silent for three of them is dead. The hello/welcome exchange is bounded
 // by transport.DefaultHandshakeTimeout on both sides.
-const (
-	DefaultHeartbeatEvery   = time.Second
-	DefaultHeartbeatTimeout = 3 * time.Second
-)
+const DefaultHeartbeatEvery = time.Second
 
 // ServerConfig tunes the worker server.
 type ServerConfig struct {

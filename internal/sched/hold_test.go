@@ -63,9 +63,9 @@ func TestReleasePreservesPosition(t *testing.T) {
 
 	s := build()
 	s.Hold("g2")
-	if !s.IsHeld("g2") || s.Held() != 12 || s.Len() != 60 || len(s.Jobs()) != 48 {
+	if !s.queue.groups["g2"].held || s.Held() != 12 || s.Len() != 60 || len(s.Jobs()) != 48 {
 		t.Fatalf("after Hold: held=%v %d jobs, len=%d, ready=%d; want true 12 60 48",
-			s.IsHeld("g2"), s.Held(), s.Len(), len(s.Jobs()))
+			s.queue.groups["g2"].held, s.Held(), s.Len(), len(s.Jobs()))
 	}
 	got := drainIDs(s, nodes, nil, 20)
 	s.Enqueue(late) // into a held group: straight to the held set
@@ -74,8 +74,8 @@ func TestReleasePreservesPosition(t *testing.T) {
 	}
 	got = append(got, drainIDs(s, nodes, nil, 5)...)
 	s.Release("g2")
-	if s.IsHeld("g2") || s.Held() != 0 {
-		t.Fatalf("after Release: held=%v %d jobs", s.IsHeld("g2"), s.Held())
+	if s.queue.groups["g2"].held || s.Held() != 0 {
+		t.Fatalf("after Release: held=%v %d jobs", s.queue.groups["g2"].held, s.Held())
 	}
 	got = append(got, drainIDs(s, nodes, nil, 100)...)
 
@@ -127,8 +127,8 @@ func TestRemoveGroupAndRemoveWhere(t *testing.T) {
 	if got := s.RemoveWhere("b", odd); !reflect.DeepEqual(got, []string{"b1", "b3", "b5"}) {
 		t.Fatalf("RemoveWhere(held b, odd) = %v", got)
 	}
-	if !s.IsHeld("b") || s.Held() != 4 || s.Len() != 10 {
-		t.Fatalf("after RemoveWhere: held=%v %d jobs, len=%d; want true 4 10", s.IsHeld("b"), s.Held(), s.Len())
+	if !s.queue.groups["b"].held || s.Held() != 4 || s.Len() != 10 {
+		t.Fatalf("after RemoveWhere: held=%v %d jobs, len=%d; want true 4 10", s.queue.groups["b"].held, s.Held(), s.Len())
 	}
 	if got := s.RemoveWhere("a", odd); !reflect.DeepEqual(got, []string{"a1", "a3", "a5"}) {
 		t.Fatalf("RemoveWhere(ready a, odd) = %v", got)
@@ -136,8 +136,8 @@ func TestRemoveGroupAndRemoveWhere(t *testing.T) {
 	if got := s.RemoveGroup("b"); !reflect.DeepEqual(got, []string{"b0", "b2", "b4", "b6"}) {
 		t.Fatalf("RemoveGroup(b) = %v", got)
 	}
-	if s.IsHeld("b") || s.Held() != 0 || s.Len() != 3 {
-		t.Fatalf("after RemoveGroup: held=%v %d jobs, len=%d; want false 0 3", s.IsHeld("b"), s.Held(), s.Len())
+	if s.queue.groups["b"].held || s.Held() != 0 || s.Len() != 3 {
+		t.Fatalf("after RemoveGroup: held=%v %d jobs, len=%d; want false 0 3", s.queue.groups["b"].held, s.Held(), s.Len())
 	}
 	if got := s.RemoveGroup("nobody"); got != nil {
 		t.Fatalf("RemoveGroup of an unknown group = %v", got)
@@ -157,8 +157,8 @@ func TestResetClearsHolds(t *testing.T) {
 	s.Enqueue(Job{ID: "old", Group: "g"})
 	s.Hold("g")
 	s.Reset()
-	if s.IsHeld("g") || s.Held() != 0 || s.Len() != 0 {
-		t.Fatalf("after Reset: held=%v %d jobs, len=%d", s.IsHeld("g"), s.Held(), s.Len())
+	if s.queue.groups["g"].held || s.Held() != 0 || s.Len() != 0 {
+		t.Fatalf("after Reset: held=%v %d jobs, len=%d", s.queue.groups["g"].held, s.Held(), s.Len())
 	}
 	s.Enqueue(Job{ID: "new", Group: "g"})
 	if got := drainIDs(s, nodes, nil, 10); !reflect.DeepEqual(got, []string{"new"}) {

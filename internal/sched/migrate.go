@@ -19,11 +19,6 @@ type MigrationPolicy struct {
 	TargetMaxLoad float64
 }
 
-// DefaultMigrationPolicy returns the thresholds used by the experiments.
-func DefaultMigrationPolicy() MigrationPolicy {
-	return MigrationPolicy{LoadThreshold: 0.6, TargetMaxLoad: 0.2}
-}
-
 // Candidate is a running job considered for migration or preemption.
 type Candidate struct {
 	Job  string

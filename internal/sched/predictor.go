@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // DefaultEWMAAlpha is the smoothing factor for the predictor's running
 // calibration when the caller does not choose one.
@@ -57,20 +54,4 @@ func (p *Predictor) Estimate(key string, model time.Duration) time.Duration {
 		return time.Duration(float64(model) * r)
 	}
 	return model
-}
-
-// Ratio returns the learned actual/estimated ratio for a key.
-func (p *Predictor) Ratio(key string) (float64, bool) {
-	r, ok := p.ratio[key]
-	return r, ok
-}
-
-// Keys returns the program keys with history, sorted.
-func (p *Predictor) Keys() []string {
-	out := make([]string, 0, len(p.ratio))
-	for k := range p.ratio {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

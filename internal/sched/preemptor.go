@@ -23,12 +23,6 @@ type Preemptor struct {
 	MaxKills int
 }
 
-// DefaultPreemptor returns the tuning used by the experiments: reclaim
-// after a minute of starvation, from strictly lower-priority work only.
-func DefaultPreemptor() Preemptor {
-	return Preemptor{StarvationWait: time.Minute, PriorityGap: 1}
-}
-
 // Running is the preemptor's view of one executing job.
 type Running struct {
 	Job      string

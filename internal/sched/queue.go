@@ -293,25 +293,6 @@ func (q *Queue) scan(visit func(*node) bool) {
 	}
 }
 
-// Peek returns the head job without removing it.
-func (q *Queue) Peek() (Job, bool) {
-	var head *node
-	q.scan(func(nd *node) bool {
-		head = nd
-		return true
-	})
-	if head == nil {
-		return Job{}, false
-	}
-	return head.job, true
-}
-
-// Pop removes and returns the head job.
-func (q *Queue) Pop() (Job, bool) {
-	j, _, ok := q.PopWhere(func(*Job) (string, bool) { return "", true })
-	return j, ok
-}
-
 // PopWhere removes and returns the first ready job (in dispatch order) for
 // which a placement exists, trying pick on each. It returns the job, the
 // chosen node, and ok. pick must not retain the pointer.
@@ -350,9 +331,6 @@ func (q *Queue) Hold(name string) {
 	}
 	q.groups[name] = g
 }
-
-// IsHeld reports whether a group is held.
-func (q *Queue) IsHeld(name string) bool { return q.groups[name].held }
 
 // Release returns a held group's jobs to dispatch order, each at the
 // position its priority and arrival number give it.

@@ -238,7 +238,7 @@ func TestDeepQueueCycleBoundsItsArray(t *testing.T) {
 	tq := q.tenants[""]
 	cycle := func() {
 		q.Push(job)
-		if _, ok := q.Pop(); !ok {
+		if _, ok := pop(&q); !ok {
 			t.Fatal("nothing popped")
 		}
 	}

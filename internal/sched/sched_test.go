@@ -94,6 +94,12 @@ func TestRoundRobinCycles(t *testing.T) {
 	}
 }
 
+// pop takes the head job the way Next does, through PopWhere.
+func pop(q *Queue) (Job, bool) {
+	j, _, ok := q.PopWhere(func(*Job) (string, bool) { return "", true })
+	return j, ok
+}
+
 func TestQueueOrdering(t *testing.T) {
 	var q Queue
 	q.Push(Job{ID: "low1", Priority: 0})
@@ -102,7 +108,7 @@ func TestQueueOrdering(t *testing.T) {
 	q.Push(Job{ID: "mid", Priority: 2})
 	var order []string
 	for {
-		j, ok := q.Pop()
+		j, ok := pop(&q)
 		if !ok {
 			break
 		}
@@ -118,16 +124,16 @@ func TestQueueOrdering(t *testing.T) {
 
 func TestQueuePeekRemove(t *testing.T) {
 	var q Queue
-	if _, ok := q.Peek(); ok {
-		t.Fatal("peek on empty")
+	if jobs := q.Jobs(); len(jobs) != 0 {
+		t.Fatalf("jobs on empty = %+v", jobs)
 	}
-	if _, ok := q.Pop(); ok {
+	if _, ok := pop(&q); ok {
 		t.Fatal("pop on empty")
 	}
 	q.Push(Job{ID: "x"})
 	q.Push(Job{ID: "y"})
-	if j, ok := q.Peek(); !ok || j.ID != "x" {
-		t.Fatalf("peek = %+v", j)
+	if jobs := q.Jobs(); len(jobs) != 2 || jobs[0].ID != "x" {
+		t.Fatalf("jobs = %+v, want x first", jobs)
 	}
 	isX := func(id string) bool { return id == "x" }
 	if ids := q.RemoveWhere("", isX); len(ids) != 1 || ids[0] != "x" {
@@ -178,7 +184,7 @@ func TestQueueFIFOWithinPriorityProperty(t *testing.T) {
 		lastSeq := map[int]int{}
 		prevPrio := 1 << 30
 		for {
-			j, ok := q.Pop()
+			j, ok := pop(&q)
 			if !ok {
 				break
 			}
@@ -201,7 +207,7 @@ func TestQueueFIFOWithinPriorityProperty(t *testing.T) {
 }
 
 func TestMigrationPolicy(t *testing.T) {
-	p := DefaultMigrationPolicy()
+	p := MigrationPolicy{LoadThreshold: 0.6, TargetMaxLoad: 0.2}
 	nodes := []cluster.NodeView{
 		{Name: "hot", Up: true, CPUs: 2, Speed: 1, Running: 2, ExtLoad: 0.9},
 		{Name: "cool", Up: true, CPUs: 2, Speed: 1, Running: 0, ExtLoad: 0},

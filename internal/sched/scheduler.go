@@ -101,9 +101,6 @@ func (s *Scheduler) TakeUnplaceable(nodes []cluster.NodeView) []Job {
 // dispatch order until Release. They still count in Len and the depths.
 func (s *Scheduler) Hold(group string) { s.queue.Hold(group) }
 
-// IsHeld reports whether a group is held.
-func (s *Scheduler) IsHeld(group string) bool { return s.queue.IsHeld(group) }
-
 // Release returns a held group's jobs to dispatch order, each where its
 // priority and arrival order place it.
 func (s *Scheduler) Release(group string) { s.queue.Release(group) }
@@ -140,10 +137,6 @@ func (s *Scheduler) DepthByPriority() map[int]int { return s.queue.DepthByPriori
 // Usage reports a tenant's accumulated fair-share charge.
 func (s *Scheduler) Usage(tenant string) float64 { return s.queue.Usage(tenant) }
 
-// Charge accrues extra usage against a tenant — for work accounted outside
-// the ordinary dispatch path (Next charges automatically).
-func (s *Scheduler) Charge(tenant string, amount float64) { s.queue.Charge(tenant, amount) }
-
 // Observe feeds one completed activity into the predictor.
 func (s *Scheduler) Observe(key string, estimated, actual time.Duration) {
 	s.pred.Observe(key, estimated, actual)
@@ -153,9 +146,6 @@ func (s *Scheduler) Observe(key string, estimated, actual time.Duration) {
 func (s *Scheduler) Estimate(key string, model time.Duration) time.Duration {
 	return s.pred.Estimate(key, model)
 }
-
-// Predictor exposes the cost predictor (for inspection and reports).
-func (s *Scheduler) Predictor() *Predictor { return s.pred }
 
 // Reset wipes the queue, holds and fair-share usage — the engine's crash
 // semantics: volatile scheduling state vanishes, configuration (quotas,

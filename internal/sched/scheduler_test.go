@@ -43,7 +43,7 @@ func TestFairShareInterleaving(t *testing.T) {
 	counts := map[string]int{}
 	var firstB int = -1
 	for i := 0; i < 8; i++ {
-		j, ok := q.Pop()
+		j, ok := pop(&q)
 		if !ok {
 			t.Fatal("queue drained early")
 		}
@@ -74,7 +74,7 @@ func TestFairShareReducesToFIFOWithoutCharges(t *testing.T) {
 	q.Push(Job{ID: "4", Priority: 1, Tenant: "b"})
 	want := []string{"4", "1", "2", "3"}
 	for _, w := range want {
-		j, ok := q.Pop()
+		j, ok := pop(&q)
 		if !ok || j.ID != w {
 			t.Fatalf("got %q, want %q", j.ID, w)
 		}
@@ -119,8 +119,8 @@ func TestPredictorCalibration(t *testing.T) {
 	p.Observe("", 10*time.Second, 20*time.Second)
 	p.Observe("k2", 0, 20*time.Second)
 	p.Observe("k3", 10*time.Second, 0)
-	if keys := p.Keys(); len(keys) != 1 || keys[0] != "k" {
-		t.Fatalf("keys = %v", keys)
+	if _, ok := p.ratio["k"]; !ok || len(p.ratio) != 1 {
+		t.Fatalf("learned ratios = %v, want only k", p.ratio)
 	}
 }
 
@@ -279,13 +279,13 @@ func TestSchedulerReset(t *testing.T) {
 		t.Fatalf("usage = %v after reset, want 0", s.Usage("a"))
 	}
 	// Quotas and learned calibration survive the reset.
-	if r, ok := s.Predictor().Ratio("k"); !ok || r != 2 {
+	if r, ok := s.pred.ratio["k"]; !ok || r != 2 {
 		t.Fatalf("ratio = %v,%v after reset, want 2", r, ok)
 	}
 	s.Enqueue(Job{ID: "b1", Tenant: "b"})
 	s.Enqueue(Job{ID: "a3", Tenant: "a"})
-	s.Charge("a", 1)
-	s.Charge("b", 1)
+	s.queue.Charge("a", 1)
+	s.queue.Charge("b", 1)
 	// With quota a=2 vs b=1 and equal usage, a dispatches first.
 	j, _, ok := s.Next(nodes, nil)
 	if !ok || j.ID != "a3" {

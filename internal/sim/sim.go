@@ -35,13 +35,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // paper's lifecycle figures.
 func (t Time) Days() float64 { return time.Duration(t).Hours() / 24 }
 
-// Clock is a read-only source of virtual time. *Sim implements it, as does
-// core.ClockFunc; instrumentation that takes a Clock stays replayable under
-// simulation and falls back to the wall clock only when handed a nil Clock.
-type Clock interface {
-	Now() Time
-}
-
 // Handler is the callback attached to a scheduled event.
 type Handler func(now Time)
 

@@ -77,6 +77,8 @@ func (d *Disk) installSnapshot(seq uint64, records [][]byte) error {
 // the same history digest identically even if their physical WAL segment
 // boundaries differ, which is exactly the check a freshly promoted standby
 // must pass against its failed primary.
+//
+//bioopera:allow deadcode the standby ≡ primary oracle of TestStandbyPromotionEndToEnd (internal/core), BenchmarkFailover and the store's replica tests
 func (im *image) Digest() (string, error) {
 	im.mu.RLock()
 	defer im.mu.RUnlock()
@@ -137,6 +139,8 @@ func OpenStandby(dir string, opts DiskOptions) (*Standby, error) {
 
 // Store returns the embedded Disk. While following, treat it as read-only:
 // local writes would diverge from the primary's stream.
+//
+//bioopera:allow deadcode the standby side of the standby ≡ primary oracle: TestStandbyPromotionEndToEnd (internal/core) and BenchmarkFailover digest the following store
 func (s *Standby) Store() *Disk { return s.d }
 
 // Follow connects to the primary's shipper at addr and replays its stream,

@@ -87,9 +87,6 @@ func TestShippingReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDigest(t, sb.Store(), want)
-	if n := shipper.Followers(); n != 1 {
-		t.Fatalf("followers = %d, want 1", n)
-	}
 
 	// Primary dies: the follower's Run must return a non-nil error (the
 	// promotion cue — a nil return is reserved for a local Close).

@@ -214,7 +214,7 @@ func TestOpenDiskRefusesPreCodecJSONWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte(`{"op":"put","sp":1,"k":"inst-2","v":"cnVubmluZw=="}`)); err != nil {
+	if _, err := l.AppendBatch([][]byte{[]byte(`{"op":"put","sp":1,"k":"inst-2","v":"cnVubmluZw=="}`)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

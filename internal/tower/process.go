@@ -2,7 +2,6 @@ package tower
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"bioopera/internal/core"
@@ -368,38 +367,3 @@ func matrixFromValue(v ocr.Value) ([][]float64, error) {
 
 // StrList decodes a list-of-strings output value (exported for examples).
 func StrList(v ocr.Value) ([]string, error) { return strList(v) }
-
-// CountGapFree reports how many alignment columns are gap-free — a quality
-// metric used by tests and examples.
-func CountGapFree(msa []string) int {
-	if len(msa) == 0 {
-		return 0
-	}
-	n := 0
-	for col := 0; col < len(msa[0]); col++ {
-		free := true
-		for _, row := range msa {
-			if col >= len(row) || row[col] == Gap {
-				free = false
-				break
-			}
-		}
-		if free {
-			n++
-		}
-	}
-	return n
-}
-
-// GapFraction reports the fraction of gap characters in an MSA.
-func GapFraction(msa []string) float64 {
-	var gaps, total int
-	for _, r := range msa {
-		total += len(r)
-		gaps += strings.Count(r, string(rune(Gap)))
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(gaps) / float64(total)
-}

@@ -136,11 +136,11 @@ func TestGlobalAlignAndMSA(t *testing.T) {
 		}
 	}
 	// Highly similar sequences: most columns gap-free.
-	if CountGapFree(msa) < width-3 {
-		t.Fatalf("only %d/%d gap-free columns", CountGapFree(msa), width)
+	if countGapFree(msa) < width-3 {
+		t.Fatalf("only %d/%d gap-free columns", countGapFree(msa), width)
 	}
-	if GapFraction(msa) > 0.2 {
-		t.Fatalf("gap fraction %v", GapFraction(msa))
+	if gapFraction(msa) > 0.2 {
+		t.Fatalf("gap fraction %v", gapFraction(msa))
 	}
 }
 
@@ -169,9 +169,8 @@ func TestNeighborJoining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaves := tree.Leaves()
-	if len(leaves) != 4 {
-		t.Fatalf("tree has %d leaves", len(leaves))
+	if ls := leaves(tree); len(ls) != 4 {
+		t.Fatalf("tree has %d leaves", len(ls))
 	}
 	nwk := tree.Newick()
 	// A and B must be siblings (and C,D): check the Newick groups them.
@@ -184,7 +183,7 @@ func TestNeighborJoining(t *testing.T) {
 	var goodSplit, badSplit bool
 	var walk func(n *TreeNode)
 	walk = func(n *TreeNode) {
-		ls := n.Leaves()
+		ls := leaves(n)
 		if len(ls) == 2 {
 			set := map[int]bool{ls[0]: true, ls[1]: true}
 			switch {
@@ -213,7 +212,7 @@ func TestNeighborJoiningEdge(t *testing.T) {
 		t.Fatalf("1-leaf tree = %+v, %v", one, err)
 	}
 	two, err := NeighborJoining([][]float64{{0, 6}, {6, 0}}, nil)
-	if err != nil || len(two.Leaves()) != 2 {
+	if err != nil || len(leaves(two)) != 2 {
 		t.Fatalf("2-leaf tree = %+v, %v", two, err)
 	}
 	if _, err := NeighborJoining([][]float64{{0, 1}}, nil); err == nil {
@@ -378,4 +377,51 @@ func TestTowerEndToEnd(t *testing.T) {
 			t.Fatalf("prediction %d length %d != protein %d", i, len(ss), len(proteins[i]))
 		}
 	}
+}
+
+// countGapFree reports how many alignment columns are gap-free — a quality
+// metric.
+func countGapFree(msa []string) int {
+	if len(msa) == 0 {
+		return 0
+	}
+	n := 0
+	for col := 0; col < len(msa[0]); col++ {
+		free := true
+		for _, row := range msa {
+			if col >= len(row) || row[col] == Gap {
+				free = false
+				break
+			}
+		}
+		if free {
+			n++
+		}
+	}
+	return n
+}
+
+// gapFraction reports the fraction of gap characters in an MSA.
+func gapFraction(msa []string) float64 {
+	var gaps, total int
+	for _, r := range msa {
+		total += len(r)
+		gaps += strings.Count(r, string(rune(Gap)))
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(gaps) / float64(total)
+}
+
+// leaves returns the leaf indices under n, in order.
+func leaves(n *TreeNode) []int {
+	if n.IsLeaf() {
+		return []int{n.Leaf}
+	}
+	var out []int
+	for _, c := range n.Children {
+		out = append(out, leaves(c)...)
+	}
+	return out
 }

@@ -25,18 +25,6 @@ type TreeNode struct {
 // IsLeaf reports whether the node is a leaf.
 func (n *TreeNode) IsLeaf() bool { return len(n.Children) == 0 }
 
-// Leaves returns the leaf indices under the node, in-order.
-func (n *TreeNode) Leaves() []int {
-	if n.IsLeaf() {
-		return []int{n.Leaf}
-	}
-	var out []int
-	for _, c := range n.Children {
-		out = append(out, c.Leaves()...)
-	}
-	return out
-}
-
 // Newick renders the tree in Newick format.
 func (n *TreeNode) Newick() string {
 	var sb strings.Builder

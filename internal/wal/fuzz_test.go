@@ -27,7 +27,7 @@ func TestCrashAtEveryByte(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		rec := bytes.Repeat([]byte{byte('a' + i)}, 1+7*i)
 		records = append(records, rec)
-		if _, err := l.Append(rec); err != nil {
+		if _, err := appendOne(l, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestCrashAtEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
 		var got [][]byte
-		if err := l2.Replay(1, func(r Record) error {
+		if err := replay(l2, 1, func(r Record) error {
 			got = append(got, r.Data)
 			return nil
 		}); err != nil {
@@ -77,7 +77,7 @@ func TestCrashAtEveryByte(t *testing.T) {
 			}
 		}
 		// The repaired log accepts appends with the right sequence.
-		seq, err := l2.Append([]byte("post-crash"))
+		seq, err := appendOne(l2, []byte("post-crash"))
 		if err != nil {
 			t.Fatalf("cut %d: append: %v", cut, err)
 		}
@@ -98,7 +98,7 @@ func TestCrashWithBitFlipTail(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		rec := []byte(fmt.Sprintf("record-%d-%s", i, bytes.Repeat([]byte{'x'}, i*5)))
 		records = append(records, rec)
-		l.Append(rec)
+		appendOne(l, rec)
 	}
 	l.Close()
 	segs, _ := os.ReadDir(dir)
@@ -126,7 +126,7 @@ func TestCrashWithBitFlipTail(t *testing.T) {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		var got int
-		l2.Replay(1, func(r Record) error {
+		replay(l2, 1, func(r Record) error {
 			if !bytes.Equal(r.Data, records[got]) {
 				t.Fatalf("cut %d: record %d corrupted", cut, got)
 			}
@@ -155,9 +155,9 @@ func FuzzSegment(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	l.Append([]byte("alpha"))
+	appendOne(l, []byte("alpha"))
 	l.AppendBatch([][]byte{[]byte("b0"), nil, []byte("b2-middle")})
-	l.Append(bytes.Repeat([]byte("z"), 40))
+	appendOne(l, bytes.Repeat([]byte("z"), 40))
 	l.Close()
 	full, err := os.ReadFile(filepath.Join(dir, segName(1)))
 	if err != nil {
@@ -200,7 +200,7 @@ func FuzzSegment(f *testing.F) {
 		}
 		defer l.Close()
 		var got uint64
-		if err := l.Replay(1, func(Record) error { got++; return nil }); err != nil {
+		if err := replay(l, 1, func(Record) error { got++; return nil }); err != nil {
 			t.Fatalf("Replay after Open: %v", err)
 		}
 		if got != n || l.NextSeq() != n+1 {

@@ -91,13 +91,6 @@ func NewShipper(addr string, opts ShipperOptions) (*Shipper, error) {
 // Addr returns the bound listen address (handy with ":0").
 func (s *Shipper) Addr() string { return s.ep.Addr() }
 
-// Followers reports how many followers are currently connected.
-func (s *Shipper) Followers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cursors)
-}
-
 func (s *Shipper) logf(format string, args ...any) {
 	if s.opts.Logf != nil {
 		s.opts.Logf(format, args...)

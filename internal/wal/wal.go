@@ -57,7 +57,8 @@ const (
 	segSuffix  = ".log"
 	basePrefix = "snap-"
 	baseSuffix = ".snap"
-	headerLen  = 8 // length + crc
+	tmpSuffix  = ".tmp" // a base being written: snap-<seq>.snap.<random>.tmp
+	headerLen  = 8      // length + crc
 
 	// batchFlag marks a frame whose batch continues in the next frame.
 	batchFlag    uint32 = 1 << 31
@@ -80,13 +81,55 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // what the segment holds.
 var ErrPoisoned = errors.New("wal: log poisoned by a failed append; reopen it")
 
-// segmentFile is what the log appends to: the active segment's *os.File.
-// Tests put a fault-injecting wrapper in its place.
-type segmentFile interface {
+// fileSystem is every directory and file call the log makes. osFS is the
+// only implementation programs use; tests open a log over one that records
+// the calls and fails the ones they pick.
+type fileSystem interface {
+	MkdirAll(path string, perm os.FileMode) error
+	Glob(pattern string) ([]string, error)
+	ReadDir(dir string) ([]os.DirEntry, error)
+	OpenFile(name string, flag int, perm os.FileMode) (file, error)
+	CreateTemp(dir, pattern string) (file, error)
+	Truncate(name string, size int64) error
+	Rename(from, to string) error
+	Remove(name string) error
+}
+
+// file is an open segment, base or directory.
+type file interface {
+	Name() string
 	Write(b []byte) (int, error)
 	Sync() error
 	Truncate(size int64) error
+	ReadAt(b []byte, off int64) (int, error)
+	Stat() (os.FileInfo, error)
 	Close() error
+}
+
+// osFS is the operating system's file system.
+type osFS struct{}
+
+func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+func (osFS) Glob(pattern string) ([]string, error)        { return filepath.Glob(pattern) }
+func (osFS) ReadDir(dir string) ([]os.DirEntry, error)    { return os.ReadDir(dir) }
+func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
+func (osFS) Rename(from, to string) error                 { return os.Rename(from, to) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+
+func (osFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err // not a nil *os.File in a non-nil file
+	}
+	return f, nil
+}
+
+func (osFS) CreateTemp(dir, pattern string) (file, error) {
+	f, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // framePool recycles AppendBatch's frame-encoding buffer. The buffer lives
@@ -127,9 +170,10 @@ type Log struct {
 	mu      sync.Mutex
 	dir     string
 	opts    Options
-	file    segmentFile
+	fs      fileSystem
+	file    file
 	size    int64  // bytes written to current segment
-	nextSeq uint64 // sequence the next Append will get
+	nextSeq uint64 // sequence the next appended record will get
 	segs    []uint64
 	base    uint64 // sequence of the base the log starts from (0 = none)
 	syncs   uint64 // fsyncs issued by appends (group-commit metric)
@@ -150,20 +194,25 @@ type Log struct {
 }
 
 // Open opens (creating if necessary) the log in dir. It scans existing
-// segments, verifies the tail, truncates any torn final record, and settles
-// the base (openBase).
-func Open(dir string, opts Options) (*Log, error) {
+// segments, verifies the tail, truncates any torn final record, removes the
+// temporary file of a compaction that crashed, and settles the base
+// (openBase).
+func Open(dir string, opts Options) (*Log, error) { return open(dir, opts, osFS{}) }
+
+// open is Open over fs.
+func open(dir string, opts Options, fs fileSystem) (*Log, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	// Before snapshots were framed, a store kept them as JSON beside its log.
-	if old, _ := filepath.Glob(filepath.Join(filepath.Dir(dir), basePrefix+"*"+baseSuffix)); len(old) > 0 {
+	//bioopera:allow droppederr Glob fails only on a malformed pattern — a directory name with glob metacharacters — which matches no old snapshot either
+	if old, _ := fs.Glob(filepath.Join(filepath.Dir(dir), basePrefix+"*"+baseSuffix)); len(old) > 0 {
 		return nil, fmt.Errorf("wal: %s is a JSON snapshot: this build reads only framed snapshots, in the log's directory", old[0])
 	}
-	l := &Log{dir: dir, opts: opts, nextSeq: 1}
+	l := &Log{dir: dir, opts: opts, fs: fs, nextSeq: 1}
 	if err := l.scan(); err != nil {
 		return nil, errors.Join(err, l.Close())
 	}
@@ -188,16 +237,23 @@ func parseName(name, prefix, suffix string) (uint64, bool) {
 // scan discovers segments and bases, checks every closed segment, repairs
 // the tail segment, and positions the writer after the last valid record.
 func (l *Log) scan() error {
-	entries, err := os.ReadDir(l.dir)
+	entries, err := l.fs.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	var bases []uint64
 	for _, e := range entries {
-		if first, ok := parseName(e.Name(), segPrefix, segSuffix); ok {
+		name := e.Name()
+		if first, ok := parseName(name, segPrefix, segSuffix); ok {
 			l.segs = append(l.segs, first)
-		} else if seq, ok := parseName(e.Name(), basePrefix, baseSuffix); ok {
+		} else if seq, ok := parseName(name, basePrefix, baseSuffix); ok {
 			bases = append(bases, seq)
+		} else if strings.HasPrefix(name, basePrefix) && strings.HasSuffix(name, tmpSuffix) {
+			// A base Compact was writing when it crashed: never renamed into
+			// place, so nothing reads it.
+			if err := l.fs.Remove(filepath.Join(l.dir, name)); err != nil {
+				return fmt.Errorf("wal: removing a crashed compaction's base: %w", err)
+			}
 		}
 	}
 	slices.Sort(l.segs)
@@ -205,7 +261,7 @@ func (l *Log) scan() error {
 	var seg []byte
 	for i, first := range l.segs {
 		path := filepath.Join(l.dir, segName(first))
-		if seg, err = readSegment(path, seg); err != nil {
+		if seg, err = l.readSegment(path, seg); err != nil {
 			return err
 		}
 		n, valid, err := walk(seg, math.MaxUint64, nil)
@@ -219,10 +275,10 @@ func (l *Log) scan() error {
 		}
 		// The tail: whatever stopped the walk is a torn write, rolled back
 		// to the last commit point.
-		if err := os.Truncate(path, int64(valid)); err != nil {
+		if err := l.fs.Truncate(path, int64(valid)); err != nil {
 			return fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
@@ -246,7 +302,7 @@ func (l *Log) openBase(bases []uint64, buf []byte) error {
 	for i := len(bases) - 1; i >= 0 && l.base == 0; i-- {
 		path := filepath.Join(l.dir, baseName(bases[i]))
 		var err error
-		if buf, err = readSegment(path, buf); err == nil {
+		if buf, err = l.readSegment(path, buf); err == nil {
 			_, err = readBatch(buf, baseSeal(bases[i]))
 		}
 		if err == nil {
@@ -273,8 +329,8 @@ func (l *Log) openBase(bases []uint64, buf []byte) error {
 // readSegment reads the whole segment (or base) at path into buf, grown to
 // its size, with one read. Segments are about the same size — the rotation
 // threshold plus one batch's overshoot — so one buffer serves a whole pass.
-func readSegment(path string, buf []byte) ([]byte, error) {
-	f, err := os.Open(path)
+func (l *Log) readSegment(path string, buf []byte) ([]byte, error) {
+	f, err := l.fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return buf, fmt.Errorf("wal: %w", err)
 	}
@@ -297,14 +353,13 @@ type badFrame string
 func (b badFrame) Error() string { return string(b) }
 
 // walk is the one frame reader: Open counts and checks a segment with it,
-// Replay and ReplayBatches (so the shipper too) read records with it, and
+// ReplayBatches (so the store and the shipper) reads records with it, and
 // readBatch checks a base or a shipped batch with it. It checks the frames
 // of seg, a whole file (readSegment) or frame body, in order and stops after
 // limit records. fn, when non-nil, sees each frame once its checksum holds
 // (more: its batch continues in the next frame); data is a subslice of seg
 // capped at its length, not a copy: the store's replay copies in
-// image.apply, the shipper re-frames into its send buffer, and Replay gives
-// each segment a buffer of its own so a caller may keep a Record. walk returns
+// image.apply and the shipper re-frames into its send buffer. walk returns
 // the committed records it passed (a record commits with the intact frame
 // that closes its batch) and the offset just past the last. A short header
 // or body, a checksum mismatch, or a batch still open where the walk ends
@@ -409,20 +464,11 @@ func Size(records [][]byte) int64 {
 	return n
 }
 
-// NextSeq returns the sequence number the next Append will receive.
+// NextSeq returns the sequence number the next appended record will receive.
 func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.nextSeq
-}
-
-// Append writes data as the next record and returns its sequence number.
-func (l *Log) Append(data []byte) (uint64, error) {
-	seq, err := l.AppendBatch([][]byte{data})
-	if err != nil {
-		return 0, err
-	}
-	return seq, nil
 }
 
 // AppendBatch writes all records as one atomic batch with a single fsync
@@ -531,15 +577,27 @@ func (l *Log) Poisoned() error {
 
 // rotateLocked closes the current segment and opens a new one whose name
 // carries the next sequence number. The new name is synced into the
-// directory before the first append to it can be acknowledged.
+// directory before the first append to it can be acknowledged. A failure at
+// any step poisons the log, as a failed fsync does: an append acknowledged
+// into a segment whose name may not be durable could be lost with it.
 func (l *Log) rotateLocked() error {
+	err := l.rotate()
+	if err != nil {
+		l.poisoned = fmt.Errorf("%w: %w", ErrPoisoned, err)
+	}
+	return err
+}
+
+func (l *Log) rotate() error {
 	if l.file != nil {
-		if err := l.file.Close(); err != nil {
+		err := l.file.Close()
+		l.file = nil // closed or not, it takes no more appends
+		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 	}
 	path := filepath.Join(l.dir, segName(l.nextSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -555,7 +613,7 @@ func (l *Log) syncDir() error {
 	if l.opts.NoSync {
 		return nil
 	}
-	d, err := os.Open(l.dir)
+	d, err := l.fs.OpenFile(l.dir, os.O_RDONLY, 0)
 	if err == nil {
 		err = errors.Join(d.Sync(), d.Close())
 	}
@@ -565,19 +623,14 @@ func (l *Log) syncDir() error {
 	return nil
 }
 
-// Replay calls fn for every record with sequence ≥ from, in order. A
-// record's Data outlives fn: each segment is read into a buffer of its own.
-func (l *Log) Replay(from uint64, fn func(Record) error) error {
-	return l.replayFlagged(from, false, func(r Record, _ bool) error { return fn(r) })
-}
-
-// replayFlagged is Replay with the batch-continuation flag exposed (more:
-// the record's batch continues in the next frame); with reuse, one buffer
-// reads every segment and Data is valid only during fn. A segment must yield
-// exactly the records up to the next segment's first (the committed frontier,
-// for the tail): one that lost records since Open — a disk fault, a live log
-// read by the shipper — is ErrCorrupt, not a shorter replay.
-func (l *Log) replayFlagged(from uint64, reuse bool, fn func(r Record, more bool) error) error {
+// replayFlagged calls fn for every record with sequence ≥ from, in order,
+// with the batch-continuation flag (more: the record's batch continues in
+// the next frame). One buffer reads every segment, so Data is valid only
+// during fn. A segment must yield exactly the records up to the next
+// segment's first (the committed frontier, for the tail): one that lost
+// records since Open — a disk fault, a live log read by the shipper — is
+// ErrCorrupt, not a shorter replay.
+func (l *Log) replayFlagged(from uint64, fn func(r Record, more bool) error) error {
 	l.mu.Lock()
 	segs := append([]uint64(nil), l.segs...)
 	end := l.nextSeq
@@ -591,12 +644,9 @@ func (l *Log) replayFlagged(from uint64, reuse bool, fn func(r Record, more bool
 		if segEnd <= from {
 			continue // the whole segment is before from
 		}
-		if !reuse {
-			seg = nil
-		}
 		path := filepath.Join(l.dir, segName(first))
 		var err error
-		if seg, err = readSegment(path, seg); err != nil {
+		if seg, err = l.readSegment(path, seg); err != nil {
 			return err
 		}
 		seq := first - 1
@@ -682,7 +732,7 @@ func (l *Log) SetRetainFloor(seq uint64) {
 func (l *Log) ReplayBatches(from uint64, fn func(first uint64, records [][]byte) error) error {
 	var batch [][]byte
 	var first uint64
-	return l.replayFlagged(from, true, func(r Record, more bool) error {
+	return l.replayFlagged(from, func(r Record, more bool) error {
 		if len(batch) == 0 {
 			first = r.Seq
 		}
@@ -711,7 +761,7 @@ func (l *Log) ReplayBatches(from uint64, fn func(first uint64, records [][]byte)
 func (l *Log) Compact(seq uint64, records [][]byte) error {
 	seal := [][]byte{baseSeal(seq)}
 	data := appendFrames(appendFrames(slices.Grow([]byte(nil), int(Size(records)+Size(seal))), records, true), seal, false)
-	f, err := os.CreateTemp(l.dir, baseName(seq)+".*.tmp")
+	f, err := l.fs.CreateTemp(l.dir, baseName(seq)+".*"+tmpSuffix)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -720,10 +770,11 @@ func (l *Log) Compact(seq uint64, records [][]byte) error {
 		err = f.Sync()
 	}
 	if err = errors.Join(err, f.Close()); err == nil {
-		err = os.Rename(f.Name(), filepath.Join(l.dir, baseName(seq)))
+		err = l.fs.Rename(f.Name(), filepath.Join(l.dir, baseName(seq)))
 	}
 	if err != nil {
-		os.Remove(f.Name())
+		//bioopera:allow droppederr best-effort cleanup of the failed base; the write error is returned, and the next Open removes what is left
+		l.fs.Remove(f.Name())
 		return fmt.Errorf("wal: writing base: %w", err)
 	}
 	if err := l.syncDir(); err != nil {
@@ -757,15 +808,15 @@ func (l *Log) startAtLocked(seq uint64) error {
 	// A segment is wholly below keep once its successor starts there; the
 	// last one, only once the log has moved past it and closed its file.
 	for len(l.segs) > 1 && l.segs[1] <= keep || len(l.segs) == 1 && l.file == nil && l.nextSeq <= keep {
-		if err := os.Remove(filepath.Join(l.dir, segName(l.segs[0]))); err != nil {
+		if err := l.fs.Remove(filepath.Join(l.dir, segName(l.segs[0]))); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 		l.segs = l.segs[1:]
 	}
-	entries, err := os.ReadDir(l.dir)
+	entries, err := l.fs.ReadDir(l.dir)
 	for _, e := range entries {
 		if old, ok := parseName(e.Name(), basePrefix, baseSuffix); ok && old < seq && err == nil {
-			err = os.Remove(filepath.Join(l.dir, e.Name()))
+			err = l.fs.Remove(filepath.Join(l.dir, e.Name()))
 		}
 	}
 	if err != nil {
@@ -796,7 +847,7 @@ func (l *Log) baseBytes() (uint64, []byte, error) {
 	if l.base == 0 {
 		return 0, nil, nil
 	}
-	data, err := readSegment(filepath.Join(l.dir, baseName(l.base)), nil)
+	data, err := l.readSegment(filepath.Join(l.dir, baseName(l.base)), nil)
 	return l.base, data, err
 }
 

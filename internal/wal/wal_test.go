@@ -29,7 +29,7 @@ func openT(t *testing.T, dir string, opts Options) *Log {
 func collect(t *testing.T, l *Log, from uint64) []Record {
 	t.Helper()
 	var recs []Record
-	if err := l.Replay(from, func(r Record) error {
+	if err := replay(l, from, func(r Record) error {
 		recs = append(recs, r)
 		return nil
 	}); err != nil {
@@ -38,11 +38,23 @@ func collect(t *testing.T, l *Log, from uint64) []Record {
 	return recs
 }
 
+// appendOne writes data as a batch of its own.
+func appendOne(l *Log, data []byte) (uint64, error) { return l.AppendBatch([][]byte{data}) }
+
+// replay calls fn for every record with sequence ≥ from, in order; each
+// record's Data is a copy fn may keep.
+func replay(l *Log, from uint64, fn func(Record) error) error {
+	return l.replayFlagged(from, func(r Record, _ bool) error {
+		r.Data = bytes.Clone(r.Data)
+		return fn(r)
+	})
+}
+
 func TestAppendReplay(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{})
 	for i := 0; i < 10; i++ {
-		seq, err := l.Append([]byte(fmt.Sprintf("record-%d", i)))
+		seq, err := appendOne(l, []byte(fmt.Sprintf("record-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +77,7 @@ func TestAppendReplay(t *testing.T) {
 func TestReplayFrom(t *testing.T) {
 	l := openT(t, t.TempDir(), Options{})
 	for i := 0; i < 20; i++ {
-		if _, err := l.Append([]byte{byte(i)}); err != nil {
+		if _, err := appendOne(l, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +97,7 @@ func TestReopenContinuesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		l.Append([]byte("x"))
+		appendOne(l, []byte("x"))
 	}
 	l.Close()
 
@@ -93,7 +105,7 @@ func TestReopenContinuesSequence(t *testing.T) {
 	if l2.NextSeq() != 6 {
 		t.Fatalf("NextSeq after reopen = %d, want 6", l2.NextSeq())
 	}
-	seq, err := l2.Append([]byte("y"))
+	seq, err := appendOne(l2, []byte("y"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +121,7 @@ func TestRotation(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{SegmentSize: 64})
 	for i := 0; i < 30; i++ {
-		if _, err := l.Append(bytes.Repeat([]byte{byte(i)}, 16)); err != nil {
+		if _, err := appendOne(l, bytes.Repeat([]byte{byte(i)}, 16)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,7 +143,7 @@ func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(dir, Options{})
 	for i := 0; i < 5; i++ {
-		l.Append([]byte("good"))
+		appendOne(l, []byte("good"))
 	}
 	l.Close()
 
@@ -152,7 +164,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("after torn tail, replayed %d records, want 5", len(recs))
 	}
 	// And the log accepts new appends with the right sequence.
-	seq, err := l2.Append([]byte("after-crash"))
+	seq, err := appendOne(l2, []byte("after-crash"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +180,8 @@ func TestTornTailTruncated(t *testing.T) {
 func TestTornChecksumTail(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(dir, Options{})
-	l.Append([]byte("one"))
-	l.Append([]byte("two"))
+	appendOne(l, []byte("one"))
+	appendOne(l, []byte("two"))
 	l.Close()
 
 	// Flip a bit in the *last* record's data: treated as torn, dropped.
@@ -190,7 +202,7 @@ func TestInteriorCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := Open(dir, Options{SegmentSize: 32})
 	for i := 0; i < 10; i++ {
-		l.Append(bytes.Repeat([]byte{byte(i)}, 16))
+		appendOne(l, bytes.Repeat([]byte{byte(i)}, 16))
 	}
 	l.Close()
 
@@ -213,7 +225,7 @@ func TestTruncateBefore(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Options{SegmentSize: 40})
 	for i := 0; i < 20; i++ {
-		l.Append(bytes.Repeat([]byte{byte(i)}, 16))
+		appendOne(l, bytes.Repeat([]byte{byte(i)}, 16))
 	}
 	before := len(l.Segments())
 	if before < 4 {
@@ -232,14 +244,14 @@ func TestTruncateBefore(t *testing.T) {
 		t.Fatalf("replayed %d records from 15, want 6", len(recs))
 	}
 	// Appends still work after truncation.
-	if _, err := l.Append([]byte("post")); err != nil {
+	if _, err := appendOne(l, []byte("post")); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEmptyRecord(t *testing.T) {
 	l := openT(t, t.TempDir(), Options{})
-	if _, err := l.Append(nil); err != nil {
+	if _, err := appendOne(l, nil); err != nil {
 		t.Fatal(err)
 	}
 	recs := collect(t, l, 1)
@@ -250,9 +262,9 @@ func TestEmptyRecord(t *testing.T) {
 
 func TestReplayErrorPropagates(t *testing.T) {
 	l := openT(t, t.TempDir(), Options{})
-	l.Append([]byte("a"))
+	appendOne(l, []byte("a"))
 	sentinel := errors.New("stop")
-	err := l.Replay(1, func(Record) error { return sentinel })
+	err := replay(l, 1, func(Record) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("Replay error = %v, want sentinel", err)
 	}
@@ -268,7 +280,7 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for _, p := range payloads {
-			if _, err := l.Append(p); err != nil {
+			if _, err := appendOne(l, p); err != nil {
 				return false
 			}
 		}
@@ -279,7 +291,7 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 		defer l2.Close()
 		var got [][]byte
-		l2.Replay(1, func(r Record) error {
+		replay(l2, 1, func(r Record) error {
 			got = append(got, r.Data)
 			return nil
 		})
@@ -320,7 +332,7 @@ func TestAppendBatch(t *testing.T) {
 		t.Fatalf("batch of 3 took %d fsyncs, want 1", got)
 	}
 	// Sequence numbering continues past the whole batch.
-	seq2, err := l.Append([]byte("four"))
+	seq2, err := appendOne(l, []byte("four"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +348,7 @@ func TestAppendBatch(t *testing.T) {
 	}
 	defer l2.Close()
 	var got []string
-	if err := l2.Replay(1, func(r Record) error {
+	if err := replay(l2, 1, func(r Record) error {
 		got = append(got, string(r.Data))
 		return nil
 	}); err != nil {
@@ -366,7 +378,7 @@ func TestCrashMidBatchAtEveryByte(t *testing.T) {
 	}
 	singles := [][]byte{[]byte("alpha"), []byte("beta-beta")}
 	for _, rec := range singles {
-		if _, err := l.Append(rec); err != nil {
+		if _, err := appendOne(l, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -429,7 +441,7 @@ func TestCrashMidBatchAtEveryByte(t *testing.T) {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
 		var got [][]byte
-		if err := l2.Replay(1, func(r Record) error {
+		if err := replay(l2, 1, func(r Record) error {
 			got = append(got, r.Data)
 			return nil
 		}); err != nil {
@@ -445,7 +457,7 @@ func TestCrashMidBatchAtEveryByte(t *testing.T) {
 			}
 		}
 		// The repaired log accepts appends with the right sequence.
-		seq, err := l2.Append([]byte("post-crash"))
+		seq, err := appendOne(l2, []byte("post-crash"))
 		if err != nil {
 			t.Fatalf("cut %d: append: %v", cut, err)
 		}
@@ -471,7 +483,7 @@ func TestReplayAllocs(t *testing.T) {
 		if _, err := l.AppendBatch([][]byte{data, data, data}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Append(data); err != nil {
+		if _, err := appendOne(l, data); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -486,11 +498,11 @@ func TestReplayAllocs(t *testing.T) {
 	var n int
 	if got := testing.AllocsPerRun(3, func() {
 		n = 0
-		if err := l.Replay(1, func(Record) error { n++; return nil }); err != nil {
+		if err := l.replayFlagged(1, func(Record, bool) error { n++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}); n != records || got > budget {
-		t.Errorf("Replay of %d records in %d segments = %.0f allocs (%d records seen), want <= %.0f", records, segs, got, n, budget)
+		t.Errorf("replayFlagged of %d records in %d segments = %.0f allocs (%d records seen), want <= %.0f", records, segs, got, n, budget)
 	}
 	if got := testing.AllocsPerRun(3, func() {
 		n = 0
@@ -544,7 +556,7 @@ func truncatedMiddle(t *testing.T) (*Log, string) {
 func TestReplayShortSegmentIsCorrupt(t *testing.T) {
 	l, name := truncatedMiddle(t)
 	var seen []uint64
-	err := l.Replay(1, func(r Record) error {
+	err := replay(l, 1, func(r Record) error {
 		seen = append(seen, r.Seq)
 		return nil
 	})
@@ -609,15 +621,15 @@ func TestAppendAllocs(t *testing.T) {
 	defer l.Close()
 	data := make([]byte, 256)
 	batch := [][]byte{data, data, data, data}
-	if _, err := l.Append(data); err != nil {
+	if _, err := appendOne(l, data); err != nil {
 		t.Fatal(err) // warm the pool
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		if _, err := l.Append(data); err != nil {
+		if _, err := appendOne(l, data); err != nil {
 			t.Fatal(err)
 		}
 	}); got > 1 {
-		t.Errorf("Append = %.1f allocs/op, want <= 1", got)
+		t.Errorf("a batch of one = %.1f allocs/op, want <= 1", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
 		if _, err := l.AppendBatch(batch); err != nil {
@@ -664,30 +676,144 @@ func TestFollowerRefusesCorruptFrames(t *testing.T) {
 	}
 }
 
-// faultyFile stands in for the active segment: the next Write keeps only its
-// first short bytes and fails as a full disk would, and the next Sync fails,
-// when asked to.
-type faultyFile struct {
-	segmentFile
-	short    int
-	failSync bool
+// faultFS is the log's file system with a hand on every call: it counts
+// each call by operation and base name, and fails the calls fail picks —
+// set, replaced or cleared while the log runs. A failed Write first writes
+// half its bytes, as a disk that fills up part-way through does; a failed
+// Close still releases the file, as close(2) does.
+type faultFS struct {
+	osFS
+	mu    sync.Mutex
+	calls map[string]int // "Sync wal-00000000000000000002.log" → count
+	fail  func(op, name string) error
 }
 
-func (f *faultyFile) Write(b []byte) (int, error) {
-	if f.short > 0 {
-		n, _ := f.segmentFile.Write(b[:f.short])
-		f.short = 0
-		return n, syscall.ENOSPC
-	}
-	return f.segmentFile.Write(b)
+func newFaultFS() *faultFS { return &faultFS{calls: make(map[string]int)} }
+
+// setFail installs the fault picker; nil fails nothing.
+func (fs *faultFS) setFail(fail func(op, name string) error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.fail = fail
 }
 
-func (f *faultyFile) Sync() error {
-	if f.failSync {
-		f.failSync = false
-		return syscall.EIO
+// failOn fails every op call on the file or directory named base with err.
+func (fs *faultFS) failOn(op, base string, err error) {
+	fs.setFail(func(o, n string) error {
+		if o == op && n == base {
+			return err
+		}
+		return nil
+	})
+}
+
+// count reports how many times op was called on base.
+func (fs *faultFS) count(op, base string) int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.calls[op+" "+base]
+}
+
+// call records op on path and returns the fault picked for it, if any.
+func (fs *faultFS) call(op, path string) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	base := filepath.Base(path)
+	fs.calls[op+" "+base]++
+	if fs.fail == nil {
+		return nil
 	}
-	return f.segmentFile.Sync()
+	return fs.fail(op, base)
+}
+
+func (fs *faultFS) MkdirAll(path string, perm os.FileMode) error {
+	if err := fs.call("MkdirAll", path); err != nil {
+		return err
+	}
+	return fs.osFS.MkdirAll(path, perm)
+}
+
+func (fs *faultFS) ReadDir(dir string) ([]os.DirEntry, error) {
+	if err := fs.call("ReadDir", dir); err != nil {
+		return nil, err
+	}
+	return fs.osFS.ReadDir(dir)
+}
+
+func (fs *faultFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
+	if err := fs.call("OpenFile", name); err != nil {
+		return nil, err
+	}
+	f, err := fs.osFS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &faultFile{file: f, fs: fs}, nil
+}
+
+func (fs *faultFS) CreateTemp(dir, pattern string) (file, error) {
+	if err := fs.call("CreateTemp", dir); err != nil {
+		return nil, err
+	}
+	f, err := fs.osFS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &faultFile{file: f, fs: fs}, nil
+}
+
+func (fs *faultFS) Truncate(name string, size int64) error {
+	if err := fs.call("Truncate", name); err != nil {
+		return err
+	}
+	return fs.osFS.Truncate(name, size)
+}
+
+func (fs *faultFS) Rename(from, to string) error {
+	if err := fs.call("Rename", from); err != nil {
+		return err
+	}
+	return fs.osFS.Rename(from, to)
+}
+
+func (fs *faultFS) Remove(name string) error {
+	if err := fs.call("Remove", name); err != nil {
+		return err
+	}
+	return fs.osFS.Remove(name)
+}
+
+// faultFile is a file opened through a faultFS.
+type faultFile struct {
+	file
+	fs *faultFS
+}
+
+func (f *faultFile) Write(b []byte) (int, error) {
+	if err := f.fs.call("Write", f.Name()); err != nil {
+		n, _ := f.file.Write(b[:len(b)/2])
+		return n, err
+	}
+	return f.file.Write(b)
+}
+
+func (f *faultFile) Sync() error {
+	if err := f.fs.call("Sync", f.Name()); err != nil {
+		return err
+	}
+	return f.file.Sync()
+}
+
+func (f *faultFile) Truncate(size int64) error {
+	if err := f.fs.call("Truncate", f.Name()); err != nil {
+		return err
+	}
+	return f.file.Truncate(size)
+}
+
+func (f *faultFile) Close() error {
+	err := f.fs.call("Close", f.Name())
+	return errors.Join(err, f.file.Close())
 }
 
 // replayed reopens dir and returns its records as "seq:data" strings.
@@ -710,18 +836,20 @@ func replayed(t *testing.T, dir string, opts Options) []string {
 // is not mistaken for a torn tail and cut away on reopen.
 func TestShortWriteThenAcknowledgedBatch(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{})
+	fs := newFaultFS()
+	l, err := open(dir, Options{}, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("a")); err != nil {
+	if _, err := appendOne(l, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	l.file = &faultyFile{segmentFile: l.file, short: 5}
+	fs.failOn("Write", segName(1), syscall.ENOSPC)
 	if _, err := l.AppendBatch([][]byte{[]byte("lost-1"), []byte("lost-2")}); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("short write: err = %v, want ENOSPC", err)
 	}
-	seq, err := l.Append([]byte("c"))
+	fs.setFail(nil)
+	seq, err := appendOne(l, []byte("c"))
 	if err != nil || seq != 2 {
 		t.Fatalf("append after the short write = %d, %v; want 2, nil", seq, err)
 	}
@@ -741,23 +869,25 @@ func TestShortWriteThenAcknowledgedBatch(t *testing.T) {
 func TestFailedSyncPoisonsUntilReopen(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{SegmentSize: 64}
-	l, err := Open(dir, opts)
+	fs := newFaultFS()
+	l, err := open(dir, opts, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append([]byte("a")); err != nil {
+	if _, err := appendOne(l, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	l.file = &faultyFile{segmentFile: l.file, failSync: true}
-	if _, err := l.Append([]byte("failed")); !errors.Is(err, syscall.EIO) {
+	fs.failOn("Sync", segName(1), syscall.EIO)
+	if _, err := appendOne(l, []byte("failed")); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("failed fsync: err = %v, want EIO", err)
 	}
-	if _, err := l.Append([]byte("after")); !errors.Is(err, ErrPoisoned) {
+	if _, err := appendOne(l, []byte("after")); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("append on a poisoned log: err = %v, want ErrPoisoned", err)
 	}
 	if err := l.Poisoned(); !errors.Is(err, ErrPoisoned) || !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Poisoned() = %v, want ErrPoisoned wrapping EIO", err)
 	}
+	fs.setFail(nil)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -772,7 +902,7 @@ func TestFailedSyncPoisonsUntilReopen(t *testing.T) {
 	want := []string{"1:a"}
 	for i := 0; i < 3; i++ {
 		data := fmt.Sprintf("acknowledged-%d-%s", i, strings.Repeat("x", 40))
-		seq, err := l.Append([]byte(data))
+		seq, err := appendOne(l, []byte(data))
 		if err != nil || seq != uint64(2+i) {
 			t.Fatalf("append %d after reopen = %d, %v; want %d, nil", i, seq, err, 2+i)
 		}
@@ -786,5 +916,115 @@ func TestFailedSyncPoisonsUntilReopen(t *testing.T) {
 	}
 	if got := replayed(t, dir, opts); !slices.Equal(got, want) {
 		t.Fatalf("reopened log replays %q, want %q", got, want)
+	}
+}
+
+// rotated opens a log over a fault file system with 64-byte segments and
+// fills its first segment, so the next append rotates.
+func rotated(t *testing.T, dir string) (*Log, *faultFS) {
+	t.Helper()
+	fs := newFaultFS()
+	l, err := open(dir, Options{SegmentSize: 64}, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := appendOne(l, bytes.Repeat([]byte("a"), 64)); err != nil {
+		t.Fatal(err)
+	}
+	return l, fs
+}
+
+// TestRotationDirSyncFailurePoisons: a rotation whose directory sync fails
+// poisons the log. Were the next batch acknowledged into the new segment, a
+// power loss could drop the segment's name and every batch inside it.
+func TestRotationDirSyncFailurePoisons(t *testing.T) {
+	dir := t.TempDir()
+	l, fs := rotated(t, dir)
+	synced := fs.count("Sync", filepath.Base(dir))
+	fs.failOn("Sync", filepath.Base(dir), syscall.EIO)
+	if _, err := appendOne(l, []byte("b")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append across a failed directory sync: err = %v, want EIO", err)
+	}
+	if n := fs.count("Sync", filepath.Base(dir)); n != synced+1 {
+		t.Fatalf("%d directory syncs during the rotation, want 1", n-synced)
+	}
+	fs.setFail(nil)
+	if seq, err := appendOne(l, []byte("c")); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("append after the failed rotation = %d, %v; want ErrPoisoned", seq, err)
+	}
+	if err := l.Poisoned(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Poisoned() = %v, want ErrPoisoned wrapping EIO", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayed(t, dir, Options{}); len(got) != 1 || !strings.HasPrefix(got[0], "1:") {
+		t.Fatalf("reopened log replays %q, want only record 1", got)
+	}
+}
+
+// TestRotationCloseFailurePoisons: a rotation whose old segment fails to
+// close poisons the log with that error, and the log lets go of the file:
+// later appends fail with ErrPoisoned, not with "file already closed".
+func TestRotationCloseFailurePoisons(t *testing.T) {
+	dir := t.TempDir()
+	l, fs := rotated(t, dir)
+	fs.failOn("Close", segName(1), syscall.EIO)
+	if _, err := appendOne(l, []byte("b")); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append across a failed close: err = %v, want EIO", err)
+	}
+	fs.setFail(nil)
+	if _, err := appendOne(l, []byte("c")); !errors.Is(err, ErrPoisoned) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append after the failed rotation: err = %v, want ErrPoisoned wrapping EIO", err)
+	}
+	if n := fs.count("OpenFile", segName(2)); n != 0 {
+		t.Fatalf("the failed rotation went on to open %s", segName(2))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close after the failed rotation: %v", err)
+	}
+	if got := replayed(t, dir, Options{}); len(got) != 1 || !strings.HasPrefix(got[0], "1:") {
+		t.Fatalf("reopened log replays %q, want only record 1", got)
+	}
+}
+
+// TestOpenRemovesCrashedCompactionBase: a compaction that dies between
+// writing its temporary base and renaming it leaves the file behind; the
+// next Open removes it, and the log it opens is the one before.
+func TestOpenRemovesCrashedCompactionBase(t *testing.T) {
+	dir := t.TempDir()
+	fs := newFaultFS()
+	l, err := open(dir, Options{}, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := appendOne(l, []byte{byte('a' + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The crash: the rename never happens, and neither does the cleanup.
+	fs.setFail(func(op, name string) error {
+		if (op == "Rename" || op == "Remove") && strings.HasSuffix(name, tmpSuffix) {
+			return syscall.EIO
+		}
+		return nil
+	})
+	if err := l.Compact(3, [][]byte{[]byte("image")}); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Compact with a failing rename: err = %v, want EIO", err)
+	}
+	fs.setFail(nil)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stray, _ := filepath.Glob(filepath.Join(dir, "*"+tmpSuffix))
+	if len(stray) != 1 {
+		t.Fatalf("temporary bases after the crash: %v, want one", stray)
+	}
+	if got, want := replayed(t, dir, Options{}), []string{"1:a", "2:b", "3:c"}; !slices.Equal(got, want) {
+		t.Fatalf("reopened log replays %q, want %q", got, want)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*"+tmpSuffix)); len(left) != 0 {
+		t.Fatalf("Open left %v behind", left)
 	}
 }

@@ -933,7 +933,7 @@ func BenchmarkFailover(b *testing.B) {
 			b.Fatal(err)
 		}
 		followErr := make(chan error, 1)
-		go func() { followErr <- sb.Follow(shipper.Addr(), nil) }()
+		go func() { followErr <- sb.Follow(shipper.Addr()) }()
 		want, err := p.Digest()
 		if err != nil {
 			b.Fatal(err)

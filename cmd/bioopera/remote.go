@@ -225,7 +225,7 @@ func cmdStandby(args []string) error {
 	beat := fs.Duration("heartbeat", time.Second, "worker heartbeat cadence")
 	beatTimeout := fs.Duration("heartbeat-timeout", 0, "silence before a worker is declared dead (default 3× heartbeat)")
 	lazy := fs.Bool("lazy-recovery", false, "recover suspended instances as stubs, hydrated on first touch")
-	verbose := fs.Bool("v", false, "log protocol and replication events")
+	verbose := fs.Bool("v", false, "after promotion, log worker joins, deaths and protocol errors")
 	file, err := fileThenFlags(fs, args, "usage: bioopera standby <file.ocr> [flags]")
 	if err != nil {
 		return err
@@ -246,7 +246,7 @@ func cmdStandby(args []string) error {
 		return err
 	}
 	fmt.Printf("standby: following %s into %s\n", *follow, *storeDir)
-	if err := sb.Follow(*follow, logf); err == nil {
+	if err := sb.Follow(*follow); err == nil {
 		// Closed locally — nothing to promote.
 		return sb.Close()
 	} else {

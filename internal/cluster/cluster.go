@@ -30,8 +30,6 @@ type JobID string
 type Completion struct {
 	Job     JobID
 	Node    string
-	Start   sim.Time
-	End     sim.Time
 	CPUTime time.Duration // CPU actually consumed on the node
 	Err     error         // infrastructure failure (nil on success)
 
@@ -98,10 +96,9 @@ type runningJob struct {
 	rate      float64 // reference-units per wall second = speed × share
 	share     float64 // fraction of a CPU the job receives
 	updated   sim.Time
-	started   sim.Time
 	cpuUsed   time.Duration
 	nice      bool
-	timer     *sim.Timer
+	timer     sim.Stopper
 }
 
 // node is the runtime state of one machine.
@@ -122,10 +119,6 @@ type Cluster struct {
 
 	onCompletion func(Completion)
 	onEvent      func(Event)
-
-	// accounting for utilization traces
-	busyIntegral float64 // CPU-slot-seconds of BioOpera work, integrated
-	lastAccount  sim.Time
 }
 
 // Options configure a simulated cluster.
@@ -285,7 +278,6 @@ func (c *Cluster) Start(id JobID, nodeName string, cost time.Duration, nice bool
 		node:      n,
 		remaining: cost.Seconds(),
 		updated:   c.S.Now(),
-		started:   c.S.Now(),
 		nice:      nice,
 	}
 	n.jobs[id] = j
@@ -333,7 +325,7 @@ func (c *Cluster) reschedule(j *runningJob) {
 	if eta < 0 {
 		eta = 0
 	}
-	j.timer = c.S.AfterCancel(eta, func(sim.Time) { c.finish(j, nil) })
+	j.timer = c.S.AtFunc(c.S.Now().Add(eta), func() { c.finish(j, nil) })
 }
 
 // finish settles and completes a job (err non-nil for failures).
@@ -353,8 +345,6 @@ func (c *Cluster) finish(j *runningJob, err error) {
 		c.onCompletion(Completion{
 			Job:     j.id,
 			Node:    j.node.spec.Name,
-			Start:   j.started,
-			End:     c.S.Now(),
 			CPUTime: j.cpuUsed,
 			Err:     err,
 		})

@@ -9,19 +9,26 @@ import (
 	"bioopera/internal/sim"
 )
 
+// ended is a completion with the virtual time its handler ran. The tests
+// start their jobs at time 0, so At is also how long a job took.
+type ended struct {
+	Completion
+	At sim.Time
+}
+
 // testCluster builds a 2-node × 2-CPU cluster collecting completions and
 // events.
-func testCluster(t *testing.T) (*sim.Sim, *Cluster, *[]Completion, *[]Event) {
+func testCluster(t *testing.T) (*sim.Sim, *Cluster, *[]ended, *[]Event) {
 	t.Helper()
 	s := sim.New(1)
-	var comps []Completion
+	var comps []ended
 	var events []Event
 	spec := Spec{Name: "test", Nodes: []NodeSpec{
 		{Name: "n1", CPUs: 2, Speed: 1.0, OS: "linux"},
 		{Name: "n2", CPUs: 2, Speed: 0.5, OS: "solaris"},
 	}}
 	c := New(s, spec, Options{})
-	c.SetHandlers(func(cp Completion) { comps = append(comps, cp) }, func(e Event) { events = append(events, e) })
+	c.SetHandlers(func(cp Completion) { comps = append(comps, ended{cp, s.Now()}) }, func(e Event) { events = append(events, e) })
 	return s, c, &comps, &events
 }
 
@@ -62,8 +69,8 @@ func TestJobRunsForCost(t *testing.T) {
 		t.Fatalf("completion = %+v", cp)
 	}
 	// Speed 1.0, no load: wall == cost == cpu.
-	if cp.End.Sub(cp.Start) != 10*time.Second {
-		t.Fatalf("wall = %v", cp.End.Sub(cp.Start))
+	if wall := time.Duration(cp.At); wall != 10*time.Second {
+		t.Fatalf("wall = %v", wall)
 	}
 	if d := cp.CPUTime - 10*time.Second; d < -time.Millisecond || d > time.Millisecond {
 		t.Fatalf("cpu = %v", cp.CPUTime)
@@ -75,7 +82,7 @@ func TestSlowNodeTakesLonger(t *testing.T) {
 	c.Start("fast", "n1", 10*time.Second, false)
 	c.Start("slow", "n2", 10*time.Second, false) // speed 0.5
 	s.Run()
-	var fast, slow Completion
+	var fast, slow ended
 	for _, cp := range *comps {
 		if cp.Job == "fast" {
 			fast = cp
@@ -83,8 +90,8 @@ func TestSlowNodeTakesLonger(t *testing.T) {
 			slow = cp
 		}
 	}
-	if slow.End.Sub(slow.Start) != 2*fast.End.Sub(fast.Start) {
-		t.Fatalf("slow wall %v, fast wall %v", slow.End.Sub(slow.Start), fast.End.Sub(fast.Start))
+	if slow.At != 2*fast.At {
+		t.Fatalf("slow wall %v, fast wall %v", slow.At, fast.At)
 	}
 }
 
@@ -126,8 +133,8 @@ func TestNiceJobSlowsUnderExternalLoad(t *testing.T) {
 	s.Run()
 	cp := (*comps)[0]
 	// share = 0.5 → wall = 20s, cpu = 10s.
-	if cp.End.Sub(cp.Start) != 20*time.Second {
-		t.Fatalf("wall = %v, want 20s", cp.End.Sub(cp.Start))
+	if wall := time.Duration(cp.At); wall != 20*time.Second {
+		t.Fatalf("wall = %v, want 20s", wall)
 	}
 	if d := cp.CPUTime - 10*time.Second; d < -time.Millisecond || d > time.Millisecond {
 		t.Fatalf("cpu = %v, want 10s", cp.CPUTime)
@@ -139,7 +146,7 @@ func TestNonNiceIgnoresLoad(t *testing.T) {
 	c.SetExternalLoad("n1", 0.9)
 	c.Start("rude", "n1", 10*time.Second, false)
 	s.Run()
-	if wall := (*comps)[0].End.Sub((*comps)[0].Start); wall != 10*time.Second {
+	if wall := time.Duration((*comps)[0].At); wall != 10*time.Second {
 		t.Fatalf("non-nice wall = %v", wall)
 	}
 }
@@ -152,7 +159,7 @@ func TestLoadChangeMidJob(t *testing.T) {
 	s.At(sim.Time(5*time.Second), func(sim.Time) { c.SetExternalLoad("n1", 0.5) })
 	s.Run()
 	cp := (*comps)[0]
-	if wall := cp.End.Sub(cp.Start); wall != 15*time.Second {
+	if wall := time.Duration(cp.At); wall != 15*time.Second {
 		t.Fatalf("wall = %v, want 15s", wall)
 	}
 	// CPU = 5s (full) + 10s×0.5 = 10s.
@@ -184,8 +191,8 @@ func TestCrashFailsRunningJobs(t *testing.T) {
 		if !errors.Is(cp.Err, ErrNodeFailed) {
 			t.Fatalf("completion err = %v", cp.Err)
 		}
-		if cp.End != sim.Time(time.Minute) {
-			t.Fatalf("failure at %v", cp.End)
+		if cp.At != sim.Time(time.Minute) {
+			t.Fatalf("failure at %v", cp.At)
 		}
 	}
 	// Node is down: no new jobs.

@@ -35,7 +35,7 @@ type Tracker struct {
 	c           *cluster.Cluster
 	samples     []Sample
 	annotations []Annotation
-	timer       *sim.Timer
+	timer       sim.Stopper
 }
 
 // NewTracker starts sampling every interval.

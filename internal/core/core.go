@@ -69,15 +69,6 @@ type Executor interface {
 	Kill(id cluster.JobID, node string) error
 }
 
-// Clock supplies virtual (or pseudo-real) time for accounting.
-type Clock interface{ Now() sim.Time }
-
-// ClockFunc adapts a function to Clock.
-type ClockFunc func() sim.Time
-
-// Now implements Clock.
-func (f ClockFunc) Now() sim.Time { return f() }
-
 // EventKind classifies engine events.
 type EventKind string
 
@@ -131,8 +122,9 @@ type Options struct {
 	Library *Library
 	// Executor runs activities. Required.
 	Executor Executor
-	// Clock supplies time. Required.
-	Clock Clock
+	// Clock supplies time: event stamps and the TIMEOUT timers, which stay
+	// deterministic on the simulator's virtual clock. Required.
+	Clock sim.Clock
 	// Policy places activities; defaults to LeastLoaded.
 	Policy sched.Policy
 	// Quotas assigns per-tenant fair-share weights for the activity
@@ -155,12 +147,6 @@ type Options struct {
 	// (persist/archive) failures that have no caller to return to. May
 	// be called from any goroutine driving the engine.
 	OnError func(error)
-	// After schedules f to run once, d from now, returning a cancel
-	// function; the dispatcher uses it to enforce task TIMEOUT
-	// annotations. Defaults to time.AfterFunc (real time); the sim
-	// runtime installs a virtual-time timer so timeouts stay
-	// deterministic.
-	After func(d time.Duration, f func()) (cancel func())
 	// Metrics, when non-nil, registers the engine's instrumentation:
 	// event counters by kind, per-shard navigation turn counts, turn
 	// latency, and queue-depth/running-jobs gauges. Handles are
@@ -203,9 +189,10 @@ type queuedRef struct {
 	// (Engine.decided) until its Launch has returned; killed, a kill that
 	// came before then (Engine.kill). Both under dmu.
 	decided, killed bool
-	// cancelTimeout stops the TIMEOUT timer armed at dispatch; set and
-	// cleared under dmu while the job is in the running map.
-	cancelTimeout func()
+	// stopTimeout stops the TIMEOUT timer armed at dispatch; set and
+	// cleared under dmu while the job is in the running map. A func, not
+	// the sim.Stopper, keeps taskState in its allocation size class.
+	stopTimeout func() bool
 }
 
 // Engine is the BioOpera server: navigator + dispatcher + recovery.
@@ -266,13 +253,6 @@ type Engine struct {
 func New(opts Options) (*Engine, error) {
 	if opts.Store == nil || opts.Library == nil || opts.Executor == nil || opts.Clock == nil {
 		return nil, fmt.Errorf("core: Store, Library, Executor and Clock are required")
-	}
-	if opts.After == nil {
-		opts.After = func(d time.Duration, f func()) func() {
-			//bioopera:allow walltime real-time default by contract; the sim runtime installs a virtual-clock After
-			t := time.AfterFunc(d, f)
-			return func() { t.Stop() }
-		}
 	}
 	e := &Engine{
 		opts:      opts,

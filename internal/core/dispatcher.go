@@ -381,19 +381,19 @@ func (e *Engine) kill(job, node string) {
 	}
 }
 
-// armTimeout starts the TIMEOUT clock for a job just launched. The cancel
+// armTimeout starts the TIMEOUT clock for a job just launched. The stop
 // hook lands in the running ref under dmu; if the completion already beat
-// us there the timer is cancelled on the spot.
+// us there the timer is stopped on the spot.
 func (e *Engine) armTimeout(jobID string, d time.Duration) {
-	cancel := e.opts.After(d, func() { e.timeoutJob(jobID) })
+	stop := e.opts.Clock.AtFunc(e.now().Add(d), func() { e.timeoutJob(jobID) }).Stop
 	e.dmu.Lock()
 	if ref, ok := e.running[jobID]; ok {
-		ref.cancelTimeout = cancel
-		cancel = nil
+		ref.stopTimeout = stop
+		stop = nil
 	}
 	e.dmu.Unlock()
-	if cancel != nil {
-		cancel()
+	if stop != nil {
+		stop()
 	}
 }
 
@@ -407,7 +407,7 @@ func (e *Engine) timeoutJob(jobID string) {
 	var node string
 	if ok {
 		node = ref.node
-		ref.cancelTimeout = nil
+		ref.stopTimeout = nil
 	}
 	e.dmu.Unlock()
 	if !ok {
@@ -427,15 +427,15 @@ func (e *Engine) timeoutJob(jobID string) {
 func (e *Engine) HandleCompletion(c cluster.Completion) {
 	e.dmu.Lock()
 	ref, ok := e.running[string(c.Job)]
-	var cancelTimeout func()
+	var stopTimeout func() bool
 	if ok {
 		e.unrun(ref)
-		cancelTimeout = ref.cancelTimeout
-		ref.cancelTimeout = nil
+		stopTimeout = ref.stopTimeout
+		ref.stopTimeout = nil
 	}
 	e.dmu.Unlock()
-	if cancelTimeout != nil {
-		cancelTimeout()
+	if stopTimeout != nil {
+		stopTimeout()
 	}
 	if !ok {
 		// Stale completion from before a server crash: the result is

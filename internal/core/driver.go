@@ -93,12 +93,7 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 	opts.Store = st
 	opts.Library = lib
 	opts.Executor = simExec{rt.Cluster}
-	opts.Clock = ClockFunc(s.Now)
-	// TIMEOUT timers run on the virtual clock, keeping runs deterministic.
-	opts.After = func(d time.Duration, f func()) func() {
-		t := s.AfterCancel(d, func(sim.Time) { f() })
-		return t.Stop
-	}
+	opts.Clock = s
 	eng, err := New(opts)
 	if err != nil {
 		return nil, err

@@ -594,7 +594,7 @@ func (x *lostRaceExec) runNext(e *Engine) Launch {
 func TestLostSlotRacePumpsAgain(t *testing.T) {
 	x := &lostRaceExec{}
 	e, err := New(Options{Store: store.NewMem(), Library: incLibrary(t, 0), Executor: x,
-		Clock: ClockFunc(func() sim.Time { return 0 })})
+		Clock: &testClock{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"bioopera/internal/cluster"
 	"bioopera/internal/ocr"
-	"bioopera/internal/sim"
 	"bioopera/internal/store"
 )
 
@@ -205,7 +204,7 @@ func newWindowEngine(t *testing.T, hook func(e *Engine, id string)) (*Engine, *w
 	x := &windowExec{running: make(map[string]string)}
 	log := &eventLog{}
 	e, err := New(Options{Store: store.NewMem(), Library: testLibrary(t), Executor: x,
-		Clock: ClockFunc(func() sim.Time { return 0 }), OnEvent: log.add})
+		Clock: &testClock{}, OnEvent: log.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +317,7 @@ func TestFencedTurnLaunchesNothing(t *testing.T) {
 	owns := func(string) bool { return !moved.Load() }
 	x := &windowExec{running: make(map[string]string)}
 	e, err := New(Options{Store: store.NewMem(), Library: testLibrary(t), Executor: x,
-		Clock: ClockFunc(func() sim.Time { return 0 }), Owns: owns,
+		Clock: &testClock{}, Owns: owns,
 		OnEvent: func(ev Event) {
 			if ev.Kind == EvTaskDispatched {
 				moved.Store(true)

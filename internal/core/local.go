@@ -1,16 +1,9 @@
-// The local pool is the real-time executor: wall-clock reads here feed
-// completion records and load accounting for runs that really execute,
-// never the deterministic trace (the sim runtime replaces this executor
-// entirely).
-//bioopera:allow walltime file-wide: the local pool executes in real time by design
-
 package core
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"bioopera/internal/cluster"
 	"bioopera/internal/obs"
@@ -33,8 +26,7 @@ type LocalRuntime struct {
 
 	Store store.Store
 
-	exec  *localExec
-	start time.Time
+	exec *localExec
 }
 
 // LocalConfig configures a LocalRuntime.
@@ -76,13 +68,13 @@ func NewLocalRuntime(cfg LocalConfig) (*LocalRuntime, error) {
 	if cfg.Library == nil {
 		return nil, fmt.Errorf("core: LocalConfig needs a Library")
 	}
-	rt := &LocalRuntime{Store: cfg.Store, start: time.Now()}
+	rt := &LocalRuntime{Store: cfg.Store}
 	rt.exec = newLocalExec(rt, cfg.Library, cfg.Workers)
 	eng, err := New(Options{
 		Store:        cfg.Store,
 		Library:      cfg.Library,
 		Executor:     rt.exec,
-		Clock:        ClockFunc(func() sim.Time { return sim.Time(time.Since(rt.start)) }),
+		Clock:        sim.NewWall(),
 		OnEvent:      cfg.OnEvent,
 		OnError:      cfg.OnError,
 		Metrics:      cfg.Metrics,
@@ -156,9 +148,8 @@ type localSlot struct {
 	// The occupant. Written under ex.mu by the Launch that takes the free
 	// slot; read by the occupant's worker, which copies them out before it
 	// frees the slot and never looks again.
-	seq     uint64 // dispatch seq of the occupant, 0 when free
-	l       Launch
-	started time.Duration
+	seq uint64 // dispatch seq of the occupant, 0 when free
+	l   Launch
 }
 
 // localWorker is a goroutine that runs one slot's occupant at a time. Between
@@ -233,7 +224,7 @@ func (ex *localExec) Launch(l Launch) error {
 		return err
 	}
 	ex.seq++
-	s.seq, s.l, s.started = ex.seq, l, time.Since(ex.rt.start)
+	s.seq, s.l = ex.seq, l
 	ex.live[l.Job] = ex.seq
 	var w *localWorker
 	if n := len(ex.idle); n > 0 {
@@ -282,9 +273,10 @@ func (ex *localExec) worker(s *localSlot) {
 // lookup fails the instance, as on the simulator.
 func (s *localSlot) work() bool {
 	ex := s.ex
-	l, mySeq, started := s.l, s.seq, s.started
-	c := cluster.Completion{Job: l.Job, Node: l.Node, Start: sim.Time(started)}
-	t0 := time.Now()
+	l, mySeq := s.l, s.seq
+	c := cluster.Completion{Job: l.Job, Node: l.Node}
+	eng := ex.rt.Engine()
+	t0 := eng.now()
 	if prog, ok := ex.lib.Lookup(l.Program); ok {
 		c.Outputs, c.ProgramErr = prog.Run(l.Ctx, l.Inputs)
 		switch {
@@ -294,7 +286,7 @@ func (s *localSlot) work() bool {
 			c.Outputs = map[string]ocr.Value{}
 		}
 	}
-	c.CPUTime = time.Since(t0)
+	c.CPUTime = eng.now().Sub(t0)
 
 	ex.mu.Lock()
 	if s.seq == mySeq {
@@ -305,14 +297,13 @@ func (s *localSlot) work() bool {
 		ex.mu.Unlock()
 		// Killed (or superseded): the result is discarded, but the
 		// slot just freed may unblock the queue.
-		ex.rt.Engine().Pump()
+		eng.Pump()
 		ex.rt.Bump()
 		return false
 	}
 	delete(ex.live, l.Job)
 	ex.mu.Unlock()
-	c.End = sim.Time(time.Since(ex.rt.start))
-	ex.rt.Engine().HandleCompletion(c)
+	eng.HandleCompletion(c)
 	ex.rt.Bump()
 	return true
 }
@@ -335,7 +326,6 @@ func (ex *localExec) Kill(id cluster.JobID, node string) error {
 		ex.rt.Engine().HandleCompletion(cluster.Completion{
 			Job:  id,
 			Node: node,
-			End:  sim.Time(time.Since(ex.rt.start)),
 			Err:  cluster.ErrJobKilled,
 		})
 		ex.rt.Bump()

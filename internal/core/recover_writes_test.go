@@ -12,7 +12,6 @@ import (
 
 	"bioopera/internal/cluster"
 	"bioopera/internal/ocr"
-	"bioopera/internal/sim"
 	"bioopera/internal/store"
 )
 
@@ -332,7 +331,7 @@ func (idleExec) Kill(cluster.JobID, string) error                      { return 
 func TestRecoverGroupGateOrder(t *testing.T) {
 	st, ids := crashedChains(t, 8, never)
 	gs := &gateStore{Store: st, entered: make(chan struct{}), release: make(chan struct{})}
-	e, err := New(Options{Store: gs, Library: testLibrary(t), Executor: idleExec{}, Clock: ClockFunc(func() sim.Time { return 0 })})
+	e, err := New(Options{Store: gs, Library: testLibrary(t), Executor: idleExec{}, Clock: &testClock{}})
 	if err != nil {
 		t.Fatal(err)
 	}

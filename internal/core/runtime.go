@@ -78,18 +78,17 @@ func (rb *RuntimeBase) InstanceStatus(id string) (InstanceStatus, map[string]ocr
 // Wait blocks until the instance reaches Done or Failed, or the timeout
 // elapses. It returns the instance.
 //
-// One timer is the whole timeout mechanism: when it fires it flips
-// expired and bumps the generation, so the loop below wakes and observes
-// the expiry on its next pass — no wall-clock deadline re-poll.
+// One timer on the engine's clock is the whole timeout mechanism: when it
+// fires it flips expired and bumps the generation, so the loop below wakes
+// and observes the expiry on its next pass — no deadline re-poll.
 func (rb *RuntimeBase) Wait(id string, timeout time.Duration) (*Instance, error) {
 	var expired atomic.Bool
-	//bioopera:allow walltime Wait serves the real-time runtimes; their timeout is wall-clock by contract
-	timer := time.AfterFunc(timeout, func() {
+	eng := rb.Engine()
+	timer := eng.opts.Clock.AtFunc(eng.now().Add(timeout), func() {
 		expired.Store(true)
 		rb.Bump()
 	})
 	defer timer.Stop()
-	eng := rb.Engine()
 	for {
 		in, ok := eng.Instance(id)
 		if !ok {

@@ -505,7 +505,7 @@ func TestSphereRetriesLeaveNoDeadTexts(t *testing.T) {
 			// running instance's records, and register Step anew after each
 			// abort, before the retry spawns it.
 			bodies, most, registered := 3, 0, 0
-			var tick *sim.Timer
+			var tick sim.Stopper
 			tick = rt.Sim.Every(10*time.Millisecond, func(sim.Time) {
 				if in, _ := rt.Engine.Instance(id); in.statusNow() == InstanceDone {
 					tick.Stop()

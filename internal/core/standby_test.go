@@ -108,7 +108,7 @@ func TestStandbyPromotionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	followErr := make(chan error, 1)
-	go func() { followErr <- sb.Follow(shipper.Addr(), t.Logf) }()
+	go func() { followErr <- sb.Follow(shipper.Addr()) }()
 	want := waitReplicaConverged(t, disk, sb.Store())
 
 	// The primary dies: runtime, shipper, and store all go away.

@@ -6,7 +6,6 @@ import (
 
 	"bioopera/internal/ocr"
 	"bioopera/internal/sched"
-	"bioopera/internal/sim"
 	"bioopera/internal/store"
 )
 
@@ -90,7 +89,7 @@ func (x *closedOnceExec) Launch(l Launch) error {
 func TestStuckNamesTheLostSlotHang(t *testing.T) {
 	x := &closedOnceExec{}
 	e, err := New(Options{Store: store.NewMem(), Library: incLibrary(t, 0), Executor: x,
-		Clock: ClockFunc(func() sim.Time { return 0 })})
+		Clock: &testClock{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,8 @@ func Run(pkgs []*Package) []Diagnostic {
 // deterministicPkg reports whether a package must stay replay-identical:
 // the simulation kernel, the scheduler, the engine, the persistence layer
 // (WAL and store — their contents are replayed on recovery and shipped to
-// standbys, so wall-clock leakage would diverge replicas), and the
+// standbys, so wall-clock leakage would diverge replicas), the transport
+// (it reads time only through sim.Clock, which its tests drive), and the
 // all-vs-all workload. Lint testdata fixtures are always in scope so
 // golden tests exercise every analyzer.
 func deterministicPkg(path string) bool {
@@ -210,6 +211,7 @@ func deterministicPkg(path string) bool {
 		"bioopera/internal/store",
 		"bioopera/internal/codec",
 		"bioopera/internal/fed",
+		"bioopera/internal/transport",
 		"bioopera/internal/allvsall":
 		return true
 	}

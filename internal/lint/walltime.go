@@ -22,10 +22,10 @@ var walltimeBanned = map[string]bool{
 	"Until":     true,
 }
 
-// runWalltime flags wall-clock use in deterministic packages. The real-time
-// adapters living inside internal/core (the local pool, the runtime Wait
-// timeout) carry //bioopera:allow walltime directives explaining why the
-// wall clock is the point.
+// runWalltime flags wall-clock use in deterministic packages. The one wall
+// clock behind sim.Clock (internal/sim/wall.go) and the few readings that
+// never feed back into replayable state — latency histograms, federation
+// deadlines — carry //bioopera:allow walltime directives saying why.
 func runWalltime(p *Pass) {
 	if !deterministicPkg(p.Pkg.Path()) {
 		return

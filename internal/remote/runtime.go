@@ -66,8 +66,6 @@ type Runtime struct {
 	Store   store.Store
 	Server  *Server
 	Shipper *wal.Shipper // nil unless Config.ShipAddr was set
-
-	start time.Time
 }
 
 // NewRuntime listens for workers and builds the engine on top of the
@@ -80,8 +78,8 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Library == nil {
 		return nil, fmt.Errorf("remote: Config needs a Library")
 	}
-	rt := &Runtime{Store: cfg.Store, start: time.Now()}
-	now := func() sim.Time { return sim.Time(time.Since(rt.start)) }
+	rt := &Runtime{Store: cfg.Store}
+	clock := sim.NewWall()
 	srv, err := Listen(cfg.Addr, ServerConfig{
 		HeartbeatEvery:   cfg.HeartbeatEvery,
 		HeartbeatTimeout: cfg.HeartbeatTimeout,
@@ -103,7 +101,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			if eng := rt.Engine(); eng != nil {
 				eng.EmitInfra(core.Event{Kind: kind, Node: worker, Detail: detail})
 			} else if cfg.OnEvent != nil {
-				cfg.OnEvent(core.Event{At: now(), Kind: kind, Node: worker, Detail: detail})
+				cfg.OnEvent(core.Event{At: clock.Now(), Kind: kind, Node: worker, Detail: detail})
 			}
 		},
 	})
@@ -115,7 +113,7 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		Store:        cfg.Store,
 		Library:      cfg.Library,
 		Executor:     srv,
-		Clock:        core.ClockFunc(now),
+		Clock:        clock,
 		Policy:       cfg.Policy,
 		Quotas:       cfg.Quotas,
 		LazyRecovery: cfg.LazyRecovery,

@@ -11,7 +11,6 @@ import (
 	"bioopera/internal/core"
 	"bioopera/internal/obs"
 	"bioopera/internal/ocr"
-	"bioopera/internal/sim"
 	"bioopera/internal/transport"
 )
 
@@ -40,12 +39,11 @@ type ServerConfig struct {
 // lease records one launched job: who runs it and under which lease and
 // worker incarnation. A completion must match all of it to count.
 type lease struct {
-	id      uint64
-	job     string
-	node    string
-	worker  string
-	inc     uint64
-	started time.Duration // since server start, for the completion record
+	id     uint64
+	job    string
+	node   string
+	worker string
+	inc    uint64
 }
 
 // workerConn is one connected worker agent, and the transport handler for
@@ -70,7 +68,6 @@ type Server struct {
 	cfg   ServerConfig
 	ep    *transport.Endpoint
 	dir   *cluster.Directory
-	start time.Time
 	wg    sync.WaitGroup
 	stopc chan struct{} // closed by Close; wakes the reaper immediately
 
@@ -106,7 +103,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		start:     time.Now(),
 		stopc:     make(chan struct{}),
 		dir:       cluster.NewDirectory(),
 		workers:   make(map[string]*workerConn),
@@ -218,7 +214,7 @@ func (s *Server) Launch(l core.Launch) error {
 	s.nextLease++
 	lz := &lease{
 		id: s.nextLease, job: string(l.Job), node: l.Node,
-		worker: w.name, inc: w.inc, started: time.Since(s.start),
+		worker: w.name, inc: w.inc,
 	}
 	// Record the lease before sending: the completion can race back
 	// before send even returns.
@@ -529,8 +525,6 @@ func (s *Server) handleCompletion(w *workerConn) error {
 	c := cluster.Completion{
 		Job:     cluster.JobID(lz.job),
 		Node:    lz.node,
-		Start:   sim.Time(lz.started),
-		End:     sim.Time(time.Since(s.start)),
 		CPUTime: time.Duration(m.CPUNanos),
 		Outputs: m.Outputs,
 	}

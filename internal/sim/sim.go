@@ -35,16 +35,39 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // paper's lifecycle figures.
 func (t Time) Days() float64 { return time.Duration(t).Hours() / 24 }
 
+// Clock is the one source of time for the engine, its runtimes and the
+// transport. *Sim implements it on virtual time and NewWall's clock on the
+// machine's monotonic clock, so the same code runs replayable on the
+// simulator and in real time everywhere else.
+type Clock interface {
+	// Now reads the clock; only differences between readings mean anything.
+	Now() Time
+	// AtFunc arranges for f to run once when the clock reaches at — as soon
+	// as it can if it already has — and returns the timer's stop. The
+	// deadline is absolute so that a clock advancing between a caller's Now
+	// and its AtFunc cannot push the deadline out. f runs where the clock
+	// runs its timers: on the event loop for *Sim, on a goroutine of its own
+	// for the wall clock.
+	AtFunc(at Time, f func()) Stopper
+}
+
+// Stopper cancels a timer AtFunc armed; *time.Timer is one.
+type Stopper interface {
+	// Stop keeps the timer from firing and reports whether it did: false
+	// once it has fired or was stopped before.
+	Stop() bool
+}
+
 // Handler is the callback attached to a scheduled event.
 type Handler func(now Time)
 
 // event is one entry in the simulation agenda.
 type event struct {
-	at      Time
-	seq     uint64 // tie-break so equal-time events fire in schedule order
-	fn      Handler
-	stopped *bool // non-nil when cancellable
-	index   int
+	at    Time
+	seq   uint64 // tie-break so equal-time events fire in schedule order
+	fn    Handler
+	timer *timer // nil unless cancellable
+	index int
 }
 
 // eventQueue is a binary heap ordered by (at, seq).
@@ -110,8 +133,7 @@ func (s *Sim) At(at Time, fn Handler) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, s.now))
 	}
-	s.seq++
-	heap.Push(&s.queue, &event{at: at, seq: s.seq, fn: fn})
+	s.push(at, fn, nil)
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -122,46 +144,51 @@ func (s *Sim) After(d Duration, fn Handler) {
 	s.At(s.now.Add(d), fn)
 }
 
-// Timer is a handle for a cancellable scheduled event.
-type Timer struct{ stopped *bool }
+// timer is the Stopper of a cancellable event: Run skips an event whose
+// timer is stopped.
+type timer struct{ stopped bool }
 
-// Stop cancels the timer. It is safe to call more than once, and after the
-// event has fired (in which case it has no effect).
-func (t *Timer) Stop() {
-	if t.stopped != nil {
-		*t.stopped = true
-	}
+// Stop implements Stopper.
+func (t *timer) Stop() bool {
+	pending := !t.stopped
+	t.stopped = true
+	return pending
 }
 
-// AfterCancel schedules fn like After and returns a Timer that can cancel it.
-func (s *Sim) AfterCancel(d Duration, fn Handler) *Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	stopped := new(bool)
-	s.seq++
-	heap.Push(&s.queue, &event{at: s.now.Add(d), seq: s.seq, fn: fn, stopped: stopped})
-	return &Timer{stopped: stopped}
+// AtFunc implements Clock: f runs as the event at at, or at Now if at has
+// already passed. Firing stops the timer, so a later Stop reports false.
+func (s *Sim) AtFunc(at Time, f func()) Stopper {
+	t := &timer{}
+	s.push(max(at, s.now), func(Time) {
+		t.stopped = true
+		f()
+	}, t)
+	return t
 }
 
 // Every schedules fn to run now+d, then every d thereafter, until the
-// returned Timer is stopped or the simulation ends.
-func (s *Sim) Every(d Duration, fn Handler) *Timer {
+// returned timer is stopped or the simulation ends.
+func (s *Sim) Every(d Duration, fn Handler) Stopper {
 	if d <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %v", d))
 	}
-	stopped := new(bool)
+	t := &timer{}
 	var tick Handler
 	tick = func(now Time) {
 		fn(now)
-		if !*stopped && !s.stopped {
-			s.seq++
-			heap.Push(&s.queue, &event{at: now.Add(d), seq: s.seq, fn: tick, stopped: stopped})
+		if !t.stopped && !s.stopped {
+			s.push(now.Add(d), tick, t)
 		}
 	}
+	s.push(s.now.Add(d), tick, t)
+	return t
+}
+
+// push puts an event on the agenda; t is nil for one that cannot be
+// cancelled.
+func (s *Sim) push(at Time, fn Handler, t *timer) {
 	s.seq++
-	heap.Push(&s.queue, &event{at: s.now.Add(d), seq: s.seq, fn: tick, stopped: stopped})
-	return &Timer{stopped: stopped}
+	heap.Push(&s.queue, &event{at: at, seq: s.seq, fn: fn, timer: t})
 }
 
 // Stop makes Run return after the current event completes. Pending events
@@ -177,7 +204,7 @@ func (s *Sim) Run() Time {
 			break
 		}
 		ev := heap.Pop(&s.queue).(*event)
-		if ev.stopped != nil && *ev.stopped {
+		if ev.timer != nil && ev.timer.stopped {
 			continue
 		}
 		s.now = ev.at
@@ -199,7 +226,7 @@ func (s *Sim) RunUntil(deadline Time) Time {
 			break
 		}
 		ev := heap.Pop(&s.queue).(*event)
-		if ev.stopped != nil && *ev.stopped {
+		if ev.timer != nil && ev.timer.stopped {
 			continue
 		}
 		s.now = ev.at

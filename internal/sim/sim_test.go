@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -81,22 +82,37 @@ func TestNegativeAfterPanics(t *testing.T) {
 	s.After(-time.Second, func(Time) {})
 }
 
+// TestTimerStop: an AtFunc timer fires at its absolute deadline, or at Now
+// if that has passed. Stop reports whether it kept a pending timer from
+// firing, and a stopped timer neither fires nor moves the clock.
 func TestTimerStop(t *testing.T) {
 	s := New(1)
-	fired := false
-	tm := s.AfterCancel(time.Second, func(Time) { fired = true })
-	tm.Stop()
-	tm.Stop() // idempotent
-	s.Run()
-	if fired {
-		t.Fatal("cancelled timer fired")
+	var fired []Time
+	var late Stopper
+	s.AtFunc(Time(time.Minute), func() {
+		fired = append(fired, s.Now())
+		late = s.AtFunc(0, func() { fired = append(fired, s.Now()) })
+	})
+	tm := s.AtFunc(Time(time.Hour), func() { t.Error("cancelled timer fired") })
+	if !tm.Stop() || tm.Stop() {
+		t.Fatal("Stop on a pending timer must report true once, then false")
+	}
+	end := s.Run()
+	if want := []Time{Time(time.Minute), Time(time.Minute)}; !slices.Equal(fired, want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
+	if end != Time(time.Minute) {
+		t.Fatalf("Run ended at %v: a stopped timer moved the clock", end)
+	}
+	if late.Stop() {
+		t.Fatal("Stop on a fired timer reported true")
 	}
 }
 
 func TestEvery(t *testing.T) {
 	s := New(1)
 	var ticks []Time
-	var tm *Timer
+	var tm Stopper
 	tm = s.Every(10*time.Second, func(now Time) {
 		ticks = append(ticks, now)
 		if len(ticks) == 3 {

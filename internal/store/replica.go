@@ -147,12 +147,11 @@ func (s *Standby) Store() *Disk { return s.d }
 // blocking until the connection drops. A nil return means Close was
 // called; any other return — typically the primary dying — is the
 // caller's cue to promote.
-func (s *Standby) Follow(addr string, logf func(string, ...any)) error {
+func (s *Standby) Follow(addr string) error {
 	f, err := wal.DialFollower(addr, wal.FollowerOptions{
 		From:          s.d.log.NextSeq(),
 		ApplyBatch:    s.d.applyShipped,
 		ApplySnapshot: s.d.installSnapshot,
-		Logf:          logf,
 	})
 	if err != nil {
 		return err

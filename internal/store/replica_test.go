@@ -51,7 +51,7 @@ func TestShippingReplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	followErr := make(chan error, 1)
-	go func() { followErr <- sb.Follow(shipper.Addr(), t.Logf) }()
+	go func() { followErr <- sb.Follow(shipper.Addr()) }()
 
 	// A mixed workload: puts across spaces, an overwrite, deletes, an
 	// atomic batch, and journal events.
@@ -171,7 +171,7 @@ func TestShippingSnapshotBootstrap(t *testing.T) {
 		t.Fatal(err)
 	}
 	followErr := make(chan error, 1)
-	go func() { followErr <- sb.Follow(shipper.Addr(), t.Logf) }()
+	go func() { followErr <- sb.Follow(shipper.Addr()) }()
 
 	want, err := p.Digest()
 	if err != nil {
@@ -235,7 +235,7 @@ func TestBootstrapCopiesBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	followErr := make(chan error, 1)
-	go func() { followErr <- sb.Follow(shipper.Addr(), t.Logf) }()
+	go func() { followErr <- sb.Follow(shipper.Addr()) }()
 	want, err := p.Digest()
 	if err != nil {
 		t.Fatal(err)

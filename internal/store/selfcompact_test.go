@@ -213,7 +213,7 @@ func TestStandbyCompactsItself(t *testing.T) {
 			t.Fatal(err)
 		}
 		done := make(chan error, 1)
-		go func() { done <- sb.Follow(shipper.Addr(), t.Logf) }()
+		go func() { done <- sb.Follow(shipper.Addr()) }()
 		return sb, done
 	}
 	write := func(from, to int) {

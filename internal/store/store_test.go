@@ -725,7 +725,7 @@ func TestBackendsEquivalentProperty(t *testing.T) {
 		for i, o := range ops {
 			if i == len(ops)/2 {
 				followed = make(chan error, 1)
-				go func() { followed <- standby.Follow(shipper.Addr(), t.Logf) }()
+				go func() { followed <- standby.Follow(shipper.Addr()) }()
 			}
 			sp := Space(o.Space % uint8(numSpaces))
 			key := fmt.Sprintf("k%d", o.Key%8)

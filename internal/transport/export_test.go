@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bioopera/internal/sim"
 )
 
 // The frame codec, for the external test package's fuzz target.
@@ -16,25 +18,27 @@ const GrowStep = growStep
 
 // FakeClock is the injected time of this package's tests: it moves only
 // when Advance is called, and lets a test wait — without sleeping — until
-// the code under test has armed a timer.
+// the code under test has armed a timer. Due timers run on the goroutine
+// that armed or advanced past them.
 type FakeClock struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	now    time.Duration
+	now    sim.Time
 	timers []*fakeTimer
-	armed  int // NewTimer calls so far
+	armed  int // AtFunc calls so far
 }
 
 type fakeTimer struct {
-	at time.Duration
-	ch chan time.Time
+	c  *FakeClock
+	at sim.Time
+	f  func()
 }
 
 // UseFakeClock installs a FakeClock for the rest of the test. Register
 // Close calls after it: cleanups run last-in first-out, and the real clock
 // must come back only once every connection's goroutines are gone.
 func UseFakeClock(t *testing.T) *FakeClock {
-	f := &FakeClock{now: time.Hour}
+	f := &FakeClock{now: sim.Time(time.Hour)}
 	f.cond = sync.NewCond(&f.mu)
 	prev := clk
 	clk = f
@@ -42,27 +46,30 @@ func UseFakeClock(t *testing.T) *FakeClock {
 	return f
 }
 
-func (f *FakeClock) Now() time.Duration {
+func (f *FakeClock) Now() sim.Time {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.now
 }
 
-func (f *FakeClock) NewTimer(at time.Duration) (<-chan time.Time, func() bool) {
+func (f *FakeClock) AtFunc(at sim.Time, fn func()) sim.Stopper {
+	t := &fakeTimer{c: f, at: at, f: fn}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	t := &fakeTimer{at: at, ch: make(chan time.Time, 1)}
-	if at <= f.now {
-		t.ch <- time.Time{} // already due
-	} else {
+	due := at <= f.now
+	if !due {
 		f.timers = append(f.timers, t)
 	}
 	f.armed++
 	f.cond.Broadcast()
-	return t.ch, func() bool { return f.stop(t) }
+	f.mu.Unlock()
+	if due {
+		fn()
+	}
+	return t
 }
 
-func (f *FakeClock) stop(t *fakeTimer) bool {
+func (t *fakeTimer) Stop() bool {
+	f := t.c
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i, u := range f.timers {
@@ -90,18 +97,22 @@ func (f *FakeClock) WaitArmed(n int) {
 	}
 }
 
-// Advance moves time forward by d and fires every timer that came due.
+// Advance moves time forward by d and runs every timer that came due.
 func (f *FakeClock) Advance(d time.Duration) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.now += d
+	f.now = f.now.Add(d)
+	var due []*fakeTimer
 	kept := f.timers[:0]
 	for _, t := range f.timers {
 		if t.at <= f.now {
-			t.ch <- time.Time{}
+			due = append(due, t)
 		} else {
 			kept = append(kept, t)
 		}
 	}
 	f.timers = kept
+	f.mu.Unlock()
+	for _, t := range due {
+		t.f()
+	}
 }

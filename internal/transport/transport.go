@@ -12,8 +12,8 @@
 // with kind in the transport namespace of internal/codec. Every connection
 // runs two goroutines: a reader, on which the Handler is called, and a
 // writer, which drains the send queue and owns every timer (handshake
-// deadline, keep-alive, silence). Time comes from one package-level clock so
-// tests can drive it.
+// deadline, keep-alive, silence). Time comes from one package-level
+// sim.Clock, a wall clock unless a test swaps in one it drives.
 package transport
 
 import (
@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"bioopera/internal/codec"
+	"bioopera/internal/sim"
 )
 
 const (
@@ -74,27 +75,8 @@ type Handler interface {
 // handler for the rest, or an error to refuse the peer. It may Send on c.
 type AcceptFunc func(c *Conn, kind byte, body []byte) (Handler, error)
 
-// clock is the package's one source of time.
-type clock interface {
-	// Now is a monotonic reading; only differences mean anything.
-	Now() time.Duration
-	// NewTimer returns a channel that fires once when Now reaches at (at
-	// once if it already has), and its stop. The deadline is absolute so
-	// that a clock advancing between a caller's Now and its NewTimer
-	// cannot push the timer out.
-	NewTimer(at time.Duration) (<-chan time.Time, func() bool)
-}
-
-type wallClock struct{ origin time.Time }
-
-func (w wallClock) Now() time.Duration { return time.Since(w.origin) }
-
-func (w wallClock) NewTimer(at time.Duration) (<-chan time.Time, func() bool) {
-	t := time.NewTimer(at - w.Now())
-	return t.C, t.Stop
-}
-
-var clk clock = wallClock{origin: time.Now()}
+// clk is the package's one source of time.
+var clk = sim.NewWall()
 
 // outBuf is one encoded frame waiting in a send queue.
 type outBuf struct{ b []byte }
@@ -196,7 +178,7 @@ const notWaiting = -1
 // it received — a handler applying a large frame — is not waiting: silence
 // is the peer's, never ours.
 func (c *Conn) SilentFor() time.Duration {
-	now := clk.Now() // before the stamp: a reading that races a fresh stamp must not overstate the silence
+	now := time.Duration(clk.Now()) // before the stamp: a reading that races a fresh stamp must not overstate the silence
 	since := c.waiting.Load()
 	if since == notWaiting {
 		return 0
@@ -209,7 +191,7 @@ func (c *Conn) SilentFor() time.Duration {
 // ErrHandshakeTimeout. Accepted connections start with it armed; a dialer
 // that has sent a hello and needs the answer calls it too.
 func (c *Conn) ExpectReply() {
-	c.handshakeBy.Store(int64(clk.Now() + DefaultHandshakeTimeout))
+	c.handshakeBy.Store(int64(clk.Now().Add(DefaultHandshakeTimeout)))
 	c.poke()
 }
 
@@ -371,18 +353,25 @@ func (c *Conn) writer() {
 	defer close(c.wdone)
 	bw := bufio.NewWriterSize(c.nc, writeBuf)
 	var (
-		tick <-chan time.Time
-		stop = func() bool { return false }
+		tick  <-chan struct{}
+		timer sim.Stopper
 	)
 	arm := func() {
-		stop()
-		tick, stop = nil, func() bool { return false }
+		if timer != nil {
+			timer.Stop()
+		}
+		tick, timer = nil, nil
 		if at, armed := c.nextDeadline(); armed {
-			tick, stop = clk.NewTimer(at)
+			fired := make(chan struct{}, 1) // the timer's one send never blocks
+			tick, timer = fired, clk.AtFunc(at, func() { fired <- struct{}{} })
 		}
 	}
 	arm()
-	defer func() { stop() }()
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
 	for {
 		var err error
 		select {
@@ -411,7 +400,7 @@ func (c *Conn) writer() {
 }
 
 // nextDeadline reports the earliest armed deadline, as a clock reading.
-func (c *Conn) nextDeadline() (time.Duration, bool) {
+func (c *Conn) nextDeadline() (sim.Time, bool) {
 	next, armed := int64(0), false
 	consider := func(at int64) {
 		if !armed || at < next {
@@ -431,7 +420,7 @@ func (c *Conn) nextDeadline() (time.Duration, bool) {
 	if ka := c.keepAlive.Load(); ka != 0 {
 		consider(c.sent.Load() + ka)
 	}
-	return time.Duration(next), armed
+	return sim.Time(next), armed
 }
 
 // onTick acts on whichever deadlines have passed.

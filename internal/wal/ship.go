@@ -236,8 +236,6 @@ type FollowerOptions struct {
 	// of every sequence < seq. Required if the primary may have truncated
 	// past From.
 	ApplySnapshot func(seq uint64, records [][]byte) error
-	// Logf receives protocol diagnostics. May be nil.
-	Logf func(format string, args ...any)
 }
 
 // Follower is the standby side of log shipping: it dials a Shipper and

@@ -247,6 +247,10 @@ type Engine struct {
 	// into. No Policy keeps the slice and every decision is made under dmu,
 	// so the next decision may overwrite it.
 	view []cluster.NodeView
+
+	// deferred holds the journal records raised outside any turn until a
+	// batch carries them (persist.go).
+	deferred deferredEvents
 }
 
 // New builds an engine and loads templates already in the store.
@@ -311,11 +315,13 @@ func (e *Engine) lookup(id string) (*Instance, bool) {
 // dispatcher's decisions first, still under the shard: the dispatches of its
 // own jobs join its write set (drain). Then endTurn detaches the write set,
 // releases the shard, commits the write set as one store batch and delivers
-// what waited for the commit (afterCommit). A turn of Recover's phase 3
-// leaves its exit with its group instead, which commits and delivers it with
-// the group's other members (recover.go). A turn that panics commits
-// nothing: its write set is dropped, the shard released and the panic raised
-// again.
+// what waited for the commit (afterCommit). A turn whose drain handed a
+// decision to another instance commits with that instance's dispatch turn
+// (groupDispatches). A turn in a group — a dispatch turn of groupDispatches,
+// a turn of Recover's phase 3 — leaves its exit with the group instead, which
+// commits and delivers it with the group's other members. A turn that panics
+// commits nothing: its write set is dropped, the shard released and the panic
+// raised again.
 //
 // The decisions wait for the pump when the turn also fires kills or
 // OnInstanceDone, which come first and may free slots or queue work, so the
@@ -349,6 +355,10 @@ func (e *Engine) endTurn(in *Instance, mu *sync.Mutex) {
 		g.turns = append(g.turns, x)
 		return
 	}
+	if x.ws != nil && x.next.ref != nil && len(x.ws.launches) == 0 {
+		e.groupDispatches(x)
+		return
+	}
 	// Everything the turn wrote — checkpoints and events — commits here,
 	// outside the critical section, ordered by the instance's commit gate.
 	turn := [1]turnExit{x}
@@ -356,6 +366,34 @@ func (e *Engine) endTurn(in *Instance, mu *sync.Mutex) {
 		e.flushWrites(&x.ws.ops, turn[:])
 	}
 	e.afterCommit(turn[0])
+}
+
+// groupDispatches commits a turn together with the dispatch turns its drain
+// handed on: a completion frees a slot, its drain picks another instance's
+// job, and that job's dispatch record joins the freeing turn's batch instead
+// of paying a commit of its own; the next decision a dispatch turn hands on
+// joins too. The group commits once, then delivers in the order separate
+// commits would have, so no job launches before its record is durable.
+//
+// Two conditions (DESIGN §8). The opening turn launches nothing itself
+// (endTurn), or its own job would wait for other instances' records. And a
+// dispatch joins only if its shard is free and its instance has no write set
+// in flight (join): a group holds write sets uncommitted, so were it to wait
+// — at a gate for another group, or for a shard Crash holds while it waits
+// at the group's gates — each could wait on the other.
+func (e *Engine) groupDispatches(x turnExit) {
+	g := groupPool.Get().(*turnGroup)
+	d := x.next
+	x.next = decision{}
+	g.turns = append(g.turns, x)
+	for joined := true; joined && d.ref != nil; {
+		d, joined = e.join(d, g)
+	}
+	// A decision that could not join is pumped after the last launch, as
+	// the last dispatch turn's commit would have.
+	g.turns[len(g.turns)-1].next = d
+	e.commitGroup(g)
+	groupPool.Put(g)
 }
 
 // afterCommit delivers what a turn left for after its write set committed:
@@ -394,13 +432,12 @@ func (e *Engine) emit(in *Instance, ev Event) {
 	e.publish(ev)
 }
 
-// emitNow raises an event outside any navigation turn — no shard is held, so
-// there is no write set to join and the journal record commits on its own.
-func (e *Engine) emitNow(ev Event) {
+// emitDeferred raises an event outside any navigation turn that a turn
+// follows — no shard is held, so there is no write set to join, and the
+// journal record rides the next turn's batch (deferredEvents).
+func (e *Engine) emitDeferred(ev Event) {
 	ev.At = e.now()
-	if _, err := e.opts.Store.AppendEvent(appendEvent(nil, &ev)); err != nil && e.opts.OnError != nil {
-		e.opts.OnError(fmt.Errorf("core: append event %s: %w", ev.Kind, err))
-	}
+	e.deferred.add(&ev)
 	e.publish(ev)
 }
 
@@ -421,8 +458,13 @@ func (e *Engine) publish(ev Event) {
 // change) through the engine's full event path — journal, event ring,
 // metrics, OnEvent — so events originating outside navigation reach every
 // observer the navigation events reach. The timestamp is stamped from the
-// engine clock.
-func (e *Engine) EmitInfra(ev Event) { e.emitNow(ev) }
+// engine clock. Nothing guarantees a turn after it, so its journal record
+// commits at once, behind the deferred ones.
+func (e *Engine) EmitInfra(ev Event) {
+	ev.At = e.now()
+	e.journalNow(&ev)
+	e.publish(ev)
+}
 
 // RegisterTemplate validates a process and stores it in the template
 // space under its name. Existing templates are replaced; running

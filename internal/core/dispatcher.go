@@ -220,6 +220,29 @@ func (e *Engine) dispatch(d decision) decision {
 	mu := e.shardFor(in.ID)
 	mu.Lock()
 	defer e.endTurn(in, mu)
+	return e.dispatchTurn(in, d)
+}
+
+// join is dispatch for a turn that ends into g (groupDispatches), if it can
+// without waiting: when the instance's shard is taken, or a write set of the
+// instance is still in flight, join does nothing and reports that d did not
+// join.
+func (e *Engine) join(d decision, g *turnGroup) (next decision, joined bool) {
+	in := d.ref.inst
+	mu := e.shardFor(in.ID)
+	if !mu.TryLock() {
+		return d, false
+	}
+	defer e.endTurn(in, mu)
+	if !in.gateClear() {
+		return d, false
+	}
+	in.group = g
+	return e.dispatchTurn(in, d), true
+}
+
+// dispatchTurn is the turn of dispatch and join. Caller holds in's shard.
+func (e *Engine) dispatchTurn(in *Instance, d decision) decision {
 	if cur, live := e.lookup(in.ID); !live || cur != in {
 		// Crash wiped (or recovery rebuilt) the instance since the pick;
 		// the picked job, and its slot, died with its incarnation.
@@ -400,7 +423,8 @@ func (e *Engine) armTimeout(jobID string, d time.Duration) {
 // timeoutJob fires when a running attempt exceeds its TIMEOUT: the job is
 // killed, and the resulting ErrJobKilled completion requeues the activity
 // through the normal infrastructure-failure path — a hung activity fails
-// over exactly like one on a crashed node, without consuming a retry.
+// over exactly like one on a crashed node, without consuming a retry. The
+// task-timeout record rides the batch of the completion turn the kill brings.
 func (e *Engine) timeoutJob(jobID string) {
 	e.dmu.Lock()
 	ref, ok := e.running[jobID]
@@ -413,7 +437,7 @@ func (e *Engine) timeoutJob(jobID string) {
 	if !ok {
 		return // completed (or was killed) first
 	}
-	e.emitNow(Event{Kind: EvTaskTimeout, Instance: ref.inst.ID, Scope: ref.sc.ID,
+	e.emitDeferred(Event{Kind: EvTaskTimeout, Instance: ref.inst.ID, Scope: ref.sc.ID,
 		Task: ref.ts.Name, Node: node, Detail: "attempt exceeded TIMEOUT"})
 	e.kill(jobID, node)
 }
@@ -611,6 +635,10 @@ func (e *Engine) Preempt(p sched.Preemptor) int {
 // It must not race Recover, whose phase 3 holds a group's write sets
 // uncommitted while it takes the next member's shard.
 func (e *Engine) Crash() {
+	// Last, once the shards are released (no store call runs under one):
+	// the deferred journal records commit too, since the turns that would
+	// have carried them die with this incarnation.
+	defer e.flushDeferred()
 	for i := range e.shards {
 		e.shards[i].Lock()
 	}

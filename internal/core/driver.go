@@ -22,7 +22,6 @@ type SimRuntime struct {
 
 	monitors map[string]*cluster.AdaptiveMonitor
 	reported map[string]float64
-	rec      []byte // the journal record being appended; the sim is one goroutine and the store copies
 }
 
 // SimConfig configures a SimRuntime.
@@ -81,14 +80,6 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 	}
 	rt := &SimRuntime{Sim: s, Store: st}
 	rt.Cluster = cluster.New(s, cfg.Spec, cluster.Options{InitialCPUs: cfg.InitialCPUs})
-	// Store failures outside the engine (journal appends, config records)
-	// flow to the same OnError the engine uses.
-	storeErr := func(context string, err error) {
-		if err != nil && cfg.Options.OnError != nil {
-			cfg.Options.OnError(fmt.Errorf("core: sim runtime %s: %w", context, err))
-		}
-	}
-
 	opts := cfg.Options
 	opts.Store = st
 	opts.Library = lib
@@ -105,11 +96,17 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 		func(ev cluster.Event) {
 			// Infrastructure events feed the awareness model's
 			// journal (§3.4: node availability, failures, load are
-			// all stored persistently).
-			rt.rec = appendEvent(rt.rec[:0], &Event{At: ev.At, Kind: clusterEventKind(ev.Type),
-				Node: ev.Node, Detail: ev.Detail})
-			_, err := st.AppendEvent(rt.rec)
-			storeErr("journal cluster event", err)
+			// all stored persistently). A job's start, end or failure
+			// is followed by a turn — the job's completion, or this
+			// one's — whose batch carries the record; the others
+			// commit at once.
+			rec := Event{At: ev.At, Kind: clusterEventKind(ev.Type), Node: ev.Node, Detail: ev.Detail}
+			switch ev.Type {
+			case cluster.EvJobStart, cluster.EvJobEnd, cluster.EvJobFail:
+				eng.deferred.add(&rec)
+			default:
+				eng.journalNow(&rec)
+			}
 			// Capacity may have appeared: node back up, CPUs
 			// added, or a slot freed by a failure.
 			switch ev.Type {
@@ -119,10 +116,13 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 		},
 	)
 
-	// Record the configuration space (§3.2).
+	// Record the configuration space (§3.2). A failure flows to the same
+	// OnError the engine uses.
 	for _, n := range cfg.Spec.Nodes {
 		rec := []byte(n.Name + " os=" + n.OS)
-		storeErr("record node config", st.Put(store.Configuration, "node/"+n.Name, rec))
+		if err := st.Put(store.Configuration, "node/"+n.Name, rec); err != nil && cfg.Options.OnError != nil {
+			cfg.Options.OnError(fmt.Errorf("core: sim runtime record node config: %w", err))
+		}
 	}
 
 	if cfg.TrackEvery > 0 {
@@ -137,10 +137,8 @@ func NewSimRuntime(cfg SimConfig) (*SimRuntime, error) {
 				func() float64 { return rt.Cluster.Load(name) },
 				func(at sim.Time, load float64) {
 					rt.reported[name] = load
-					rt.rec = appendEvent(rt.rec[:0], &Event{At: at, Kind: evLoadReport, Node: name,
+					rt.Engine.journalNow(&Event{At: at, Kind: evLoadReport, Node: name,
 						Detail: strconv.FormatFloat(load, 'g', -1, 64)})
-					_, err := st.AppendEvent(rt.rec)
-					storeErr("journal load report", err)
 				})
 		}
 	}
@@ -179,6 +177,8 @@ func (rt *SimRuntime) MonitorStats() (samples, reports int) {
 func (rt *SimRuntime) Failover() (*Engine, error) {
 	old := rt.Engine
 	opts := old.opts
+	// The journal records the old engine's next turn would have carried.
+	old.flushDeferred()
 	standby, err := New(opts)
 	if err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bioopera/internal/cluster"
+	"bioopera/internal/obs"
 	"bioopera/internal/ocr"
 	"bioopera/internal/store"
 )
@@ -514,4 +515,54 @@ func TestIdleWorkersExitOnClose(t *testing.T) {
 	})
 	rt.Close()
 	eventually(t, "the workers have exited", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// TestDispatchGroupsOnAPool: 64 Chain8 instances on two workers, three at
+// a time, keep the queue one deeper than the pool: nearly every completion's
+// drain hands its freed slot to another instance, whose dispatch then joins
+// the completion's commit (groupDispatches), and the two workers complete at
+// once, so two groups form at once, each soon picking the job the other's
+// opening turn queued. A dispatch joins a group only when its instance has
+// no write set in flight; without that, two groups each wait at a commit gate
+// for the other and a wave hangs (half the waves did, unchecked). Every wave
+// finishes with the right results, and the groups saved commits: fewer
+// batches than turns.
+func TestDispatchGroupsOnAPool(t *testing.T) {
+	const n, wave = 64, 3
+	st := &turnStore{Store: store.NewMem()}
+	rt, err := NewLocalRuntime(LocalConfig{Workers: 2, Library: benchLibrary(t), Store: st, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.RegisterTemplateSource(benchChain8Src); err != nil {
+		t.Fatal(err)
+	}
+	// No deferred Close: after a hang it would wait at the stuck gates too.
+	returnsWithin(t, 10*time.Second, "the waves", func() {
+		for i := 0; i < n; i += wave {
+			ids := map[string]int{}
+			for j := i; j < min(i+wave, n); j++ {
+				id, err := rt.StartProcess("Chain8", map[string]ocr.Value{"x": ocr.Num(float64(j))}, StartOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ids[id] = j
+			}
+			for id, x := range ids {
+				in, err := rt.Wait(id, 10*time.Second)
+				if err != nil {
+					t.Errorf("instance %s: %v", id, err)
+					return
+				}
+				if in.Status != InstanceDone || in.Outputs["r"].AsNum() != float64(x) {
+					t.Errorf("instance %s is %s with r = %v, want done with %d", id, in.Status, in.Outputs["r"], x)
+				}
+			}
+		}
+	})
+	rt.Close()
+	if turns := rt.Engine().metrics.turnSeconds.Count(); uint64(st.batches) >= turns {
+		t.Errorf("%d batches for %d turns: no dispatch joined a completion's commit", st.batches, turns)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"bioopera/internal/codec"
 	"bioopera/internal/ocr"
@@ -295,12 +296,92 @@ func putWriteSet(ws *writeSet) {
 	writeSetPool.Put(ws)
 }
 
+// deferredEvents holds the journal records raised outside any turn that a
+// turn always follows: the simulated cluster's job start, end and failure, a
+// TIMEOUT (its kill's completion turn follows) and a failed batch's
+// persist-error. Nobody waits on them, so none commits alone: the next batch
+// of any turn carries them ahead of its own ops (flushWrites), and a record
+// that cannot wait for a turn commits them with it (journalNow). A failed
+// batch hands its records back, ahead of any raised since, so the journal
+// gets each exactly once and in the order raised. n mirrors the number of
+// records, so a flush finds the buffer empty without taking its lock.
+type deferredEvents struct {
+	n     atomic.Int32
+	mu    sync.Mutex
+	buf   eventBuf
+	spare eventBuf // a committed batch's buffer, emptied, for the next records
+}
+
+// add appends ev's journal record.
+func (d *deferredEvents) add(ev *Event) {
+	d.mu.Lock()
+	d.buf.buf = appendEvent(d.buf.buf, ev)
+	d.buf.ends = append(d.buf.ends, len(d.buf.buf))
+	d.n.Store(int32(len(d.buf.ends)))
+	d.mu.Unlock()
+}
+
+// take hands every record to the batch about to be built; settle ends it.
+func (d *deferredEvents) take() eventBuf {
+	if d.n.Load() == 0 {
+		return eventBuf{}
+	}
+	d.mu.Lock()
+	b := d.buf
+	d.buf, d.spare = d.spare, eventBuf{}
+	d.n.Store(0)
+	d.mu.Unlock()
+	return b
+}
+
+// settle ends the batch that carried b: committed, b's buffer is kept for the
+// next records; failed, its records go back ahead of those raised since.
+func (d *deferredEvents) settle(b eventBuf, err error) {
+	if len(b.ends) == 0 {
+		return
+	}
+	d.mu.Lock()
+	if err != nil {
+		b.add(&d.buf)
+		d.buf, b = b, d.buf
+		d.n.Store(int32(len(d.buf.ends)))
+	}
+	if d.spare.buf == nil {
+		d.spare = eventBuf{buf: b.buf[:0], ends: b.ends[:0]}
+	}
+	d.mu.Unlock()
+}
+
+// flushDeferred commits the deferred records, if any, as a batch of their
+// own: for a record that cannot wait for a turn, and before a quiesce or a
+// crash, after which no turn may follow. A failure goes to OnError; the
+// records stay for the next batch.
+func (e *Engine) flushDeferred() {
+	b := e.deferred.take()
+	if len(b.ends) == 0 {
+		return
+	}
+	err := e.opts.Store.Batch(b.appendOps(nil))
+	e.deferred.settle(b, err)
+	if err != nil && e.opts.OnError != nil {
+		e.opts.OnError(fmt.Errorf("core: commit journal records: %w", err))
+	}
+}
+
+// journalNow commits ev's journal record at once, behind the deferred ones.
+func (e *Engine) journalNow(ev *Event) {
+	e.deferred.add(ev)
+	e.flushDeferred()
+}
+
 // persistError surfaces a checkpoint failure: the event stream gets an
 // EvPersistError and the OnError hook (if any) fires. The engine keeps
 // running — the paper's recovery guarantees degrade to the last successful
 // checkpoint, but a full store must not take down month-long computations.
+// The event's record rides the next batch, behind the failed batch's carried
+// records.
 func (e *Engine) persistError(in *Instance, context string, err error) {
-	e.emitNow(Event{Kind: EvPersistError, Instance: in.ID,
+	e.emitDeferred(Event{Kind: EvPersistError, Instance: in.ID,
 		Detail: fmt.Sprintf("%s: %v", context, err)})
 	if e.opts.OnError != nil {
 		e.opts.OnError(fmt.Errorf("core: persist %s (instance %s): %w", context, in.ID, err))
@@ -496,18 +577,20 @@ type turnExit struct {
 }
 
 // flushWrites commits the write sets of ended turns to the store as a single
-// batch, after their shards are released: for each turn, in order, every
-// checkpoint it cut, in cut order, then its events' journal records. A turn's
-// write set is one batch of its own (endTurn); Recover's phase 3 commits a
-// group of recovered instances' turns in one (recover.go). Each instance's
-// commit gate admits its write sets strictly in sequence order, so a later
-// turn can never overtake an earlier one even when the instance's turns end
-// on different goroutines; batches of different instances still overlap and
-// share group-committed fsyncs. The batch is built in *buf, which keeps the
-// emptied slice for reuse; the write sets go back to their pool once
-// afterCommit has launched what they dispatched.
+// batch, after their shards are released: the deferred journal records first,
+// then for each turn, in order, every checkpoint it cut, in cut order, then
+// its events' journal records. A turn's write set is one batch of its own
+// (endTurn), or one of a group's: the dispatch turns a turn's drain handed on
+// (groupDispatches), or Recover's phase 3's recovered instances (recover.go).
+// Each instance's commit gate admits its write sets strictly in sequence
+// order, so a later turn can never overtake an earlier one even when the
+// instance's turns end on different goroutines; batches of different
+// instances still overlap and share group-committed fsyncs. The batch is
+// built in *buf, which keeps the emptied slice for reuse; the write sets go
+// back to their pool once afterCommit has launched what they dispatched.
 func (e *Engine) flushWrites(buf *[]store.Op, turns []turnExit) {
-	ops := (*buf)[:0]
+	carried := e.deferred.take()
+	ops := carried.appendOps((*buf)[:0])
 	for i := range turns {
 		t := &turns[i]
 		in, ws := t.in, t.ws
@@ -544,6 +627,8 @@ func (e *Engine) flushWrites(buf *[]store.Op, turns []turnExit) {
 	if len(ops) > 0 {
 		err = e.opts.Store.Batch(ops)
 	}
+	// Back ahead of the persist-errors below, which were raised after them.
+	e.deferred.settle(carried, err)
 	for _, t := range turns {
 		in := t.in
 		in.gateMu.Lock()
@@ -615,6 +700,15 @@ func (in *Instance) nextCkptSeq() uint64 {
 	return seq
 }
 
+// gateClear reports whether every write set of the instance has passed its
+// commit gate. The caller holds the shard lock, so no turn is ending a new one.
+func (in *Instance) gateClear() bool {
+	in.gateMu.Lock()
+	ok := in.ckptDone == in.ckptSeq
+	in.gateMu.Unlock()
+	return ok
+}
+
 // quiesceCkpts blocks until every in-flight write-set flush of the
 // instance has passed the commit gate. Callers must guarantee no turn is
 // ending meanwhile (Crash holds every shard) or must not
@@ -649,8 +743,9 @@ func (e *Engine) quiesceInstance(in *Instance) {
 
 // QuiesceCheckpoints blocks until every checkpoint produced by turns that
 // completed before the call has cleared its commit gate, across all
-// instances. Runtime Close paths call it so the caller can close the
-// store without racing an in-flight flush.
+// instances, then commits the deferred journal records no turn has carried
+// yet. Runtime Close paths call it so the caller can close the store without
+// racing an in-flight flush or leaving a record behind.
 func (e *Engine) QuiesceCheckpoints() {
 	e.emu.RLock()
 	ins := make([]*Instance, 0, len(e.instances))
@@ -661,4 +756,5 @@ func (e *Engine) QuiesceCheckpoints() {
 	for _, in := range ins {
 		e.quiesceInstance(in)
 	}
+	e.flushDeferred()
 }

@@ -260,18 +260,22 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 // peak RSS 78 → 119 MiB).
 const recoverGroup = 256
 
-// turnGroup holds the ended turns of phase 3 that commit together.
+// turnGroup holds ended turns that commit together: phase 3's recovered
+// instances, or a turn and the dispatch turns its drain handed on
+// (groupDispatches).
 type turnGroup struct {
 	turns []turnExit
 	ops   []store.Op // the group's batch, reused from group to group
 }
 
-// commitGroup commits the group's write sets as one batch, in sorted instance
-// order, each behind its instance's commit gate — a later turn of a member (a
-// Resume, a dispatch) waits there for the group — then delivers what each
-// turn left for after its commit. A failed batch fails every member's write
-// set: each gets its persist-error, its records re-marked and its events
-// carried by its next commit, as a single failed turn does.
+var groupPool = sync.Pool{New: func() any { return new(turnGroup) }}
+
+// commitGroup commits the group's write sets as one batch, in the order the
+// turns ended, each behind its instance's commit gate — a later turn of a
+// member (a Resume, a dispatch) waits there for the group — then delivers
+// what each turn left for after its commit. A failed batch fails every
+// member's write set: each gets its persist-error, its records re-marked and
+// its events carried by its next commit, as a single failed turn does.
 func (e *Engine) commitGroup(g *turnGroup) {
 	e.flushWrites(&g.ops, g.turns)
 	for _, x := range g.turns {

@@ -399,7 +399,7 @@ type Instance struct {
 	procRefs       map[string]bool // process-text hashes already interned
 	pendingDone    bool            // fire OnInstanceDone after this turn's flush
 	pendingPump    bool            // pump the dispatcher after this turn: it queued work or freed a slot
-	group          *turnGroup      // set for a turn of Recover's phase 3: endTurn leaves the exit there
+	group          *turnGroup      // set for a turn that commits with a group: endTurn leaves the exit there
 	metaK          string          // the inst/ record's key, built on first use (key)
 
 	// Commit gate: admits this instance's write sets strictly in sequence

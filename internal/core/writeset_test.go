@@ -93,19 +93,16 @@ func (l *eventLog) add(ev Event) {
 	l.mu.Unlock()
 }
 
-// engineJournal returns the journal's engine events, in journal order: the
-// sim driver's own cluster-* records are left out, and so are persist-error
-// events, which report on the commit path instead of riding it.
-func engineJournal(t *testing.T, st store.Store) (evs []Event) {
+// journalEvents returns every record of the journal, decoded, in journal
+// order.
+func journalEvents(t *testing.T, st store.Store) (evs []Event) {
 	t.Helper()
 	err := st.Events(1, func(rec store.Event) error {
 		ev, err := DecodeEvent(rec.Data)
 		if err != nil {
 			t.Fatalf("journal record %d: %v", rec.Seq, err)
 		}
-		if !strings.HasPrefix(string(ev.Kind), "cluster-") && ev.Kind != EvPersistError {
-			evs = append(evs, ev)
-		}
+		evs = append(evs, ev)
 		return nil
 	})
 	if err != nil {
@@ -114,20 +111,36 @@ func engineJournal(t *testing.T, st store.Store) (evs []Event) {
 	return evs
 }
 
+// isClusterRecord reports whether ev is one of the sim driver's own cluster-*
+// records.
+func isClusterRecord(ev Event) bool { return strings.HasPrefix(string(ev.Kind), "cluster-") }
+
+// engineJournal returns the journal's engine events, in journal order: the
+// sim driver's own cluster-* records are left out, and so are persist-error
+// events, which report on the commit path instead of riding it.
+func engineJournal(t *testing.T, st store.Store) (evs []Event) {
+	t.Helper()
+	for _, ev := range journalEvents(t, st) {
+		if !isClusterRecord(ev) && ev.Kind != EvPersistError {
+			evs = append(evs, ev)
+		}
+	}
+	return evs
+}
+
 // TestOneCommitPerTurn: a navigation turn is one store call. The engine hands
 // the store one Batch per turn — checkpoint and events together — and never
-// commits an event of a turn on its own; the journal still holds every event,
-// decoding to exactly what OnEvent saw, in the order raised.
+// commits an event of a turn on its own, nor, on the simulator, the cluster's
+// job records, which ride the next turn's batch; the journal still holds
+// every event, decoding to exactly what OnEvent saw, in the order raised.
 func TestOneCommitPerTurn(t *testing.T) {
 	check := func(t *testing.T, st *turnStore, log *eventLog) {
 		t.Helper()
 		if st.batches != chain8Turns {
 			t.Errorf("%d Batch calls, want %d: one per turn", st.batches, chain8Turns)
 		}
-		for _, data := range st.appends {
-			if ev, err := DecodeEvent(data); err != nil || !strings.HasPrefix(string(ev.Kind), "cluster-") {
-				t.Errorf("engine event committed on its own: %+v, %v", ev, err)
-			}
+		if len(st.appends) != 0 {
+			t.Errorf("%d AppendEvent calls, want 0: every journal record rides a turn's batch", len(st.appends))
 		}
 		journal := engineJournal(t, st)
 		if len(journal) != chain8Events || len(log.evs) != chain8Events {
@@ -166,9 +179,6 @@ func TestOneCommitPerTurn(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.Close()
-		if len(st.appends) != 0 {
-			t.Errorf("%d AppendEvent calls, want 0", len(st.appends))
-		}
 		check(t, st, log)
 	})
 }
@@ -233,7 +243,11 @@ func checkJournalMatchesRecords(t *testing.T, st store.Store, when string) {
 // the store never shows half a turn — after every Batch call, failed or not,
 // journal and records agree on which tasks ended — the failure is reported
 // once, and the failed turn's events reach the journal exactly once, with the
-// next batch that commits and ahead of that turn's own.
+// next batch that commits and ahead of that turn's own. The records raised
+// outside any turn — the cluster's job records, the persist-error — ride the
+// next batch too: whichever batch fails, each reaches the journal exactly
+// once, in the order raised, the ones no later batch carried when the
+// runtime quiesces.
 func TestTurnAtomicity(t *testing.T) {
 	for _, w := range []struct {
 		name, src string
@@ -245,6 +259,7 @@ func TestTurnAtomicity(t *testing.T) {
 		{"Sphere", sphereSrc, func(t *testing.T) *Library { return newSphereLibrary(t, 1).Library }, nil},
 	} {
 		t.Run(w.name, func(t *testing.T) {
+			var want []Event // the fault-free run's cluster records
 			run := func(failAt int) (batches int) {
 				t.Helper()
 				st, log := &turnStore{Store: store.NewMem(), failAt: failAt}, &eventLog{}
@@ -256,6 +271,8 @@ func TestTurnAtomicity(t *testing.T) {
 				id := start(t, rt, w.name, w.inputs)
 				rt.Run()
 				finished(t, rt, id)
+				batches = st.batches
+				rt.Engine.QuiesceCheckpoints()
 				checkJournalMatchesRecords(t, st, "at the end")
 
 				var raised []Event
@@ -270,11 +287,31 @@ func TestTurnAtomicity(t *testing.T) {
 				if want := min(failAt, 1); onErrors != want || persistErrors != want {
 					t.Errorf("OnError fired %d times, %d persist-error events, want %d of each", onErrors, persistErrors, want)
 				}
+				var cluster []Event
+				journaled := 0
+				for _, ev := range journalEvents(t, st) {
+					switch {
+					case isClusterRecord(ev):
+						cluster = append(cluster, ev)
+					case ev.Kind == EvPersistError:
+						journaled++
+					}
+				}
+				if journaled != persistErrors {
+					t.Errorf("the journal holds %d persist-error records, %d were raised", journaled, persistErrors)
+				}
+				if failAt == 0 {
+					if want = cluster; len(want) == 0 {
+						t.Fatal("the fault-free run journaled no cluster records")
+					}
+				} else if !slices.Equal(cluster, want) {
+					t.Errorf("cluster records in the journal:\n%v\nwant, as raised:\n%v", cluster, want)
+				}
 				// The journal is the events raised, in that order — short of
 				// the last turn's when it is the last batch that failed and
 				// no later one could carry them.
 				journal := engineJournal(t, st)
-				if failAt == st.batches {
+				if failAt == batches {
 					if len(journal) >= len(raised) || raised[len(raised)-1].Kind != EvInstanceDone {
 						t.Fatalf("last batch failed, yet the journal holds %d of %d events", len(journal), len(raised))
 					}
@@ -288,7 +325,7 @@ func TestTurnAtomicity(t *testing.T) {
 						t.Fatalf("journal event %d = %+v, want %+v", i, journal[i], raised[i])
 					}
 				}
-				return st.batches
+				return batches
 			}
 			n := run(0)
 			for k := 1; k <= n; k++ {
@@ -297,6 +334,33 @@ func TestTurnAtomicity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCrashCommitsDeferredRecords: S1's cluster-job-start waits for the next
+// turn's batch — S1's completion — instead of committing alone. A crash
+// before that turn commits it, so the journal a restart reads still holds
+// it.
+func TestCrashCommitsDeferredRecords(t *testing.T) {
+	st := store.NewMem()
+	rt := newRuntime(t, SimConfig{Store: st})
+	register(t, rt, chain8Src)
+	start(t, rt, "Chain8", map[string]ocr.Value{"x": ocr.Num(1)})
+	rt.RunUntil(sim.Time(500 * time.Millisecond)) // S1 runs until 1 s
+	starts := func() (n int) {
+		for _, ev := range journalEvents(t, st) {
+			if ev.Kind == clusterEventKind(cluster.EvJobStart) {
+				n++
+			}
+		}
+		return n
+	}
+	if n := starts(); n != 0 {
+		t.Fatalf("%d job starts journaled before any turn carried them, want 0", n)
+	}
+	rt.Engine.Crash()
+	if n := starts(); n != 1 {
+		t.Fatalf("%d job starts journaled after the crash, want 1", n)
 	}
 }
 
@@ -424,7 +488,7 @@ PROCESS BadInit {
 func TestPanickingTurnCommitsNothing(t *testing.T) {
 	st := &turnStore{Store: store.NewMem()}
 	lib := testLibrary(t)
-	armed, batchesAtPanic, appendsAtPanic := true, -1, -1 // appends: the sim driver's own cluster-* records
+	armed, batchesAtPanic, appendsAtPanic := true, -1, -1 // appends: lone journal records
 	echo, _ := lib.Lookup("test.echo")
 	if err := lib.Register(Program{Name: "test.panic", Run: echo.Run, Cost: func(map[string]ocr.Value) time.Duration {
 		if armed {

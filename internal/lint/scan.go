@@ -159,6 +159,12 @@ func (s *heldScan) stmt(st ast.Stmt, held []*holder) []*holder {
 		if x.Else != nil {
 			s.stmt(x.Else, copyHolders(held))
 		}
+		if h := s.tryLocked(x); h != nil {
+			if s.hooks.acquire != nil {
+				s.hooks.acquire(held, h)
+			}
+			held = append(held, h)
+		}
 	case *ast.ForStmt:
 		if x.Init != nil {
 			held = s.stmt(x.Init, held)
@@ -244,6 +250,27 @@ func (s *heldScan) expr(e ast.Expr, held []*holder) {
 		}
 		return true
 	})
+}
+
+// tryLocked recognizes `if !mu.TryLock() { ...; return }`, after which mu is
+// held, and returns its holder.
+func (s *heldScan) tryLocked(x *ast.IfStmt) *holder {
+	not, ok := ast.Unparen(x.Cond).(*ast.UnaryExpr)
+	if !ok || not.Op != token.NOT || x.Else != nil || len(x.Body.List) == 0 {
+		return nil
+	}
+	call, ok := ast.Unparen(not.X).(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	if _, returns := x.Body.List[len(x.Body.List)-1].(*ast.ReturnStmt); !returns {
+		return nil
+	}
+	expr, name, ok := s.lockCall(call)
+	if !ok || name != "TryLock" {
+		return nil
+	}
+	return &holder{class: s.p.classOf(s.n, lockRecv(call)), expr: expr, lock: "Lock", pos: call.Pos()}
 }
 
 // releasesAtExit reports whether a deferred call releases h: h's own
@@ -354,7 +381,7 @@ func (s *heldScan) blocking(held []*holder, what string, pos token.Pos) {
 	}
 }
 
-// lockCall recognizes x.Lock/RLock/Unlock/RUnlock on sync mutexes,
+// lockCall recognizes x.Lock/RLock/TryLock/Unlock/RUnlock on sync mutexes,
 // returning the rendered receiver and the method name. sync.Cond's
 // locker methods do not reach here (Cond has no Lock method itself).
 func (s *heldScan) lockCall(call *ast.CallExpr) (expr, name string, ok bool) {
@@ -363,7 +390,7 @@ func (s *heldScan) lockCall(call *ast.CallExpr) (expr, name string, ok bool) {
 		return "", "", false
 	}
 	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
+	case "Lock", "RLock", "TryLock", "Unlock", "RUnlock":
 	default:
 		return "", "", false
 	}

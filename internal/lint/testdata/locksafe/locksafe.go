@@ -121,3 +121,35 @@ func (e *Engine) peek(in *Instance) int {
 	mu.Unlock()
 	return n
 }
+
+// tryTurn takes the shard only if it is free; below the failed-TryLock
+// return it holds the shard, and leaves through the deferred endTurn.
+func (e *Engine) tryTurn(in *Instance) bool {
+	mu := e.shardFor("a")
+	if !mu.TryLock() {
+		return false
+	}
+	defer e.endTurn(in, mu)
+	e.beginTurn(in)
+	e.persist(in)
+	return true
+}
+
+// tryLeak holds what its TryLock took on the fall-through path.
+func (g *guarded) tryLeak() {
+	if !g.mu.TryLock() { // want `g\.mu\.Lock\(\) has no matching Unlock on every path`
+		return
+	}
+	g.n++
+}
+
+// tryBareUnlock writes under a TryLock'd shard and leaves by an explicit
+// Unlock.
+func (e *Engine) tryBareUnlock(in *Instance) {
+	mu := e.shardFor("a")
+	if !mu.TryLock() { // want `mu is an instance shard and this function writes a turn: release it with a deferred endTurn`
+		return
+	}
+	e.persist(in)
+	mu.Unlock() // want `explicit Unlock of an instance shard in a function that writes a turn`
+}

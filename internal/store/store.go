@@ -91,7 +91,8 @@ type Op struct {
 // EventOp returns the op that appends data to the journal. Inside a Batch it
 // makes the journal record atomic with the batch's puts and deletes — the
 // engine commits a navigation turn's events with the turn's checkpoint this
-// way; AppendEvent is the same op committed alone.
+// way, and the records it raises outside a turn with the next turn's batch;
+// AppendEvent is the same op committed alone.
 func EventOp(data []byte) Op { return Op{Value: data, event: true} }
 
 // IsEvent reports whether the op is a journal append.
@@ -115,6 +116,10 @@ type Store interface {
 	// List returns all pairs in the space, sorted by key.
 	List(space Space) ([]KV, error)
 	// AppendEvent adds a record to the journal and returns its sequence.
+	// No program calls it: the engine commits every journal record inside a
+	// Batch, a record raised outside a turn with the next turn's. It stays
+	// only because the benchmark's counting store (bench/countstore.go)
+	// forwards it, and goes with the next change to the benchmark.
 	AppendEvent(data []byte) (uint64, error)
 	// Events calls fn for each journal record with sequence ≥ from.
 	Events(from uint64, fn func(Event) error) error
@@ -531,6 +536,11 @@ type DiskOptions struct {
 	// fields, sampled at scrape time) and the commit-group-size and WAL
 	// append/fsync latency histograms.
 	Metrics *obs.Registry
+	// FS is the file system the store's log makes every call through
+	// (wal.Options.FS); nil is the operating system's. No program sets it:
+	// the crash tests open a store over one that keeps only what a crash
+	// would.
+	FS wal.FS
 }
 
 // OpenDisk opens or creates a disk store in dir, recovering state from the
@@ -540,6 +550,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	wopts := wal.Options{
 		NoSync:      opts.NoSync,
 		SegmentSize: opts.SegmentSize,
+		FS:          opts.FS,
 	}
 	if opts.Metrics != nil {
 		wopts.AppendLatency = opts.Metrics.Histogram("bioopera_wal_append_seconds",

@@ -81,22 +81,23 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // what the segment holds.
 var ErrPoisoned = errors.New("wal: log poisoned by a failed append; reopen it")
 
-// fileSystem is every directory and file call the log makes. osFS is the
-// only implementation programs use; tests open a log over one that records
-// the calls and fails the ones they pick.
-type fileSystem interface {
+// FS is every directory and file call the log makes. osFS is the only
+// implementation programs use; tests open a log over one that records the
+// calls and fails the ones they pick, or one that keeps what a crash would
+// (Options.FS).
+type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	Glob(pattern string) ([]string, error)
 	ReadDir(dir string) ([]os.DirEntry, error)
-	OpenFile(name string, flag int, perm os.FileMode) (file, error)
-	CreateTemp(dir, pattern string) (file, error)
+	OpenFile(name string, flag int, perm os.FileMode) (File, error)
+	CreateTemp(dir, pattern string) (File, error)
 	Truncate(name string, size int64) error
 	Rename(from, to string) error
 	Remove(name string) error
 }
 
-// file is an open segment, base or directory.
-type file interface {
+// File is an open segment, base or directory.
+type File interface {
 	Name() string
 	Write(b []byte) (int, error)
 	Sync() error
@@ -116,7 +117,7 @@ func (osFS) Truncate(name string, size int64) error       { return os.Truncate(n
 func (osFS) Rename(from, to string) error                 { return os.Rename(from, to) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 
-func (osFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
+func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	f, err := os.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err // not a nil *os.File in a non-nil file
@@ -124,7 +125,7 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
 	return f, nil
 }
 
-func (osFS) CreateTemp(dir, pattern string) (file, error) {
+func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	f, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return nil, err
@@ -163,6 +164,10 @@ type Options struct {
 	AppendLatency *obs.Histogram
 	// SyncLatency, when non-nil, observes the fsync portion alone.
 	SyncLatency *obs.Histogram
+	// FS is the file system the log makes every call through; nil is the
+	// operating system's. No program sets it: tests open a log over one
+	// that injects faults, or one that keeps only what a crash would.
+	FS FS
 }
 
 // Log is a segmented write-ahead log. It is safe for concurrent use.
@@ -170,8 +175,7 @@ type Log struct {
 	mu      sync.Mutex
 	dir     string
 	opts    Options
-	fs      fileSystem
-	file    file
+	file    File
 	size    int64  // bytes written to current segment
 	nextSeq uint64 // sequence the next appended record will get
 	segs    []uint64
@@ -197,13 +201,14 @@ type Log struct {
 // segments, verifies the tail, truncates any torn final record, removes the
 // temporary file of a compaction that crashed, and settles the base
 // (openBase).
-func Open(dir string, opts Options) (*Log, error) { return open(dir, opts, osFS{}) }
-
-// open is Open over fs.
-func open(dir string, opts Options, fs fileSystem) (*Log, error) {
+func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
 	}
+	if opts.FS == nil {
+		opts.FS = osFS{}
+	}
+	fs := opts.FS
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -212,7 +217,7 @@ func open(dir string, opts Options, fs fileSystem) (*Log, error) {
 	if old, _ := fs.Glob(filepath.Join(filepath.Dir(dir), basePrefix+"*"+baseSuffix)); len(old) > 0 {
 		return nil, fmt.Errorf("wal: %s is a JSON snapshot: this build reads only framed snapshots, in the log's directory", old[0])
 	}
-	l := &Log{dir: dir, opts: opts, fs: fs, nextSeq: 1}
+	l := &Log{dir: dir, opts: opts, nextSeq: 1}
 	if err := l.scan(); err != nil {
 		return nil, errors.Join(err, l.Close())
 	}
@@ -237,7 +242,7 @@ func parseName(name, prefix, suffix string) (uint64, bool) {
 // scan discovers segments and bases, checks every closed segment, repairs
 // the tail segment, and positions the writer after the last valid record.
 func (l *Log) scan() error {
-	entries, err := l.fs.ReadDir(l.dir)
+	entries, err := l.opts.FS.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -251,7 +256,7 @@ func (l *Log) scan() error {
 		} else if strings.HasPrefix(name, basePrefix) && strings.HasSuffix(name, tmpSuffix) {
 			// A base Compact was writing when it crashed: never renamed into
 			// place, so nothing reads it.
-			if err := l.fs.Remove(filepath.Join(l.dir, name)); err != nil {
+			if err := l.opts.FS.Remove(filepath.Join(l.dir, name)); err != nil {
 				return fmt.Errorf("wal: removing a crashed compaction's base: %w", err)
 			}
 		}
@@ -275,10 +280,10 @@ func (l *Log) scan() error {
 		}
 		// The tail: whatever stopped the walk is a torn write, rolled back
 		// to the last commit point.
-		if err := l.fs.Truncate(path, int64(valid)); err != nil {
+		if err := l.opts.FS.Truncate(path, int64(valid)); err != nil {
 			return fmt.Errorf("wal: truncating torn tail: %w", err)
 		}
-		f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := l.opts.FS.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
@@ -330,7 +335,7 @@ func (l *Log) openBase(bases []uint64, buf []byte) error {
 // its size, with one read. Segments are about the same size — the rotation
 // threshold plus one batch's overshoot — so one buffer serves a whole pass.
 func (l *Log) readSegment(path string, buf []byte) ([]byte, error) {
-	f, err := l.fs.OpenFile(path, os.O_RDONLY, 0)
+	f, err := l.opts.FS.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return buf, fmt.Errorf("wal: %w", err)
 	}
@@ -597,7 +602,7 @@ func (l *Log) rotate() error {
 		}
 	}
 	path := filepath.Join(l.dir, segName(l.nextSeq))
-	f, err := l.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	f, err := l.opts.FS.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -613,7 +618,7 @@ func (l *Log) syncDir() error {
 	if l.opts.NoSync {
 		return nil
 	}
-	d, err := l.fs.OpenFile(l.dir, os.O_RDONLY, 0)
+	d, err := l.opts.FS.OpenFile(l.dir, os.O_RDONLY, 0)
 	if err == nil {
 		err = errors.Join(d.Sync(), d.Close())
 	}
@@ -761,7 +766,7 @@ func (l *Log) ReplayBatches(from uint64, fn func(first uint64, records [][]byte)
 func (l *Log) Compact(seq uint64, records [][]byte) error {
 	seal := [][]byte{baseSeal(seq)}
 	data := appendFrames(appendFrames(slices.Grow([]byte(nil), int(Size(records)+Size(seal))), records, true), seal, false)
-	f, err := l.fs.CreateTemp(l.dir, baseName(seq)+".*"+tmpSuffix)
+	f, err := l.opts.FS.CreateTemp(l.dir, baseName(seq)+".*"+tmpSuffix)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -770,11 +775,11 @@ func (l *Log) Compact(seq uint64, records [][]byte) error {
 		err = f.Sync()
 	}
 	if err = errors.Join(err, f.Close()); err == nil {
-		err = l.fs.Rename(f.Name(), filepath.Join(l.dir, baseName(seq)))
+		err = l.opts.FS.Rename(f.Name(), filepath.Join(l.dir, baseName(seq)))
 	}
 	if err != nil {
 		//bioopera:allow droppederr best-effort cleanup of the failed base; the write error is returned, and the next Open removes what is left
-		l.fs.Remove(f.Name())
+		l.opts.FS.Remove(f.Name())
 		return fmt.Errorf("wal: writing base: %w", err)
 	}
 	if err := l.syncDir(); err != nil {
@@ -808,15 +813,15 @@ func (l *Log) startAtLocked(seq uint64) error {
 	// A segment is wholly below keep once its successor starts there; the
 	// last one, only once the log has moved past it and closed its file.
 	for len(l.segs) > 1 && l.segs[1] <= keep || len(l.segs) == 1 && l.file == nil && l.nextSeq <= keep {
-		if err := l.fs.Remove(filepath.Join(l.dir, segName(l.segs[0]))); err != nil {
+		if err := l.opts.FS.Remove(filepath.Join(l.dir, segName(l.segs[0]))); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 		l.segs = l.segs[1:]
 	}
-	entries, err := l.fs.ReadDir(l.dir)
+	entries, err := l.opts.FS.ReadDir(l.dir)
 	for _, e := range entries {
 		if old, ok := parseName(e.Name(), basePrefix, baseSuffix); ok && old < seq && err == nil {
-			err = l.fs.Remove(filepath.Join(l.dir, e.Name()))
+			err = l.opts.FS.Remove(filepath.Join(l.dir, e.Name()))
 		}
 	}
 	if err != nil {

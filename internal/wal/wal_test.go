@@ -740,7 +740,7 @@ func (fs *faultFS) ReadDir(dir string) ([]os.DirEntry, error) {
 	return fs.osFS.ReadDir(dir)
 }
 
-func (fs *faultFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
+func (fs *faultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	if err := fs.call("OpenFile", name); err != nil {
 		return nil, err
 	}
@@ -748,10 +748,10 @@ func (fs *faultFS) OpenFile(name string, flag int, perm os.FileMode) (file, erro
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{file: f, fs: fs}, nil
+	return &faultFile{File: f, fs: fs}, nil
 }
 
-func (fs *faultFS) CreateTemp(dir, pattern string) (file, error) {
+func (fs *faultFS) CreateTemp(dir, pattern string) (File, error) {
 	if err := fs.call("CreateTemp", dir); err != nil {
 		return nil, err
 	}
@@ -759,7 +759,7 @@ func (fs *faultFS) CreateTemp(dir, pattern string) (file, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{file: f, fs: fs}, nil
+	return &faultFile{File: f, fs: fs}, nil
 }
 
 func (fs *faultFS) Truncate(name string, size int64) error {
@@ -785,35 +785,35 @@ func (fs *faultFS) Remove(name string) error {
 
 // faultFile is a file opened through a faultFS.
 type faultFile struct {
-	file
+	File
 	fs *faultFS
 }
 
 func (f *faultFile) Write(b []byte) (int, error) {
 	if err := f.fs.call("Write", f.Name()); err != nil {
-		n, _ := f.file.Write(b[:len(b)/2])
+		n, _ := f.File.Write(b[:len(b)/2])
 		return n, err
 	}
-	return f.file.Write(b)
+	return f.File.Write(b)
 }
 
 func (f *faultFile) Sync() error {
 	if err := f.fs.call("Sync", f.Name()); err != nil {
 		return err
 	}
-	return f.file.Sync()
+	return f.File.Sync()
 }
 
 func (f *faultFile) Truncate(size int64) error {
 	if err := f.fs.call("Truncate", f.Name()); err != nil {
 		return err
 	}
-	return f.file.Truncate(size)
+	return f.File.Truncate(size)
 }
 
 func (f *faultFile) Close() error {
 	err := f.fs.call("Close", f.Name())
-	return errors.Join(err, f.file.Close())
+	return errors.Join(err, f.File.Close())
 }
 
 // replayed reopens dir and returns its records as "seq:data" strings.
@@ -837,7 +837,7 @@ func replayed(t *testing.T, dir string, opts Options) []string {
 func TestShortWriteThenAcknowledgedBatch(t *testing.T) {
 	dir := t.TempDir()
 	fs := newFaultFS()
-	l, err := open(dir, Options{}, fs)
+	l, err := Open(dir, Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -870,7 +870,7 @@ func TestFailedSyncPoisonsUntilReopen(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{SegmentSize: 64}
 	fs := newFaultFS()
-	l, err := open(dir, opts, fs)
+	l, err := Open(dir, Options{SegmentSize: opts.SegmentSize, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -924,7 +924,7 @@ func TestFailedSyncPoisonsUntilReopen(t *testing.T) {
 func rotated(t *testing.T, dir string) (*Log, *faultFS) {
 	t.Helper()
 	fs := newFaultFS()
-	l, err := open(dir, Options{SegmentSize: 64}, fs)
+	l, err := Open(dir, Options{SegmentSize: 64, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -994,7 +994,7 @@ func TestRotationCloseFailurePoisons(t *testing.T) {
 func TestOpenRemovesCrashedCompactionBase(t *testing.T) {
 	dir := t.TempDir()
 	fs := newFaultFS()
-	l, err := open(dir, Options{}, fs)
+	l, err := Open(dir, Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -607,30 +607,6 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveBatching regenerates the granularity-autotuning
-// comparison: the batcher's TEU choice vs. the naive one-per-CPU fixed
-// batch under an idle and a volatile load profile. The simulation is
-// deterministic, so the gate — adaptive must beat fixed at both profiles —
-// is machine-independent.
-func BenchmarkAdaptiveBatching(b *testing.B) {
-	var res *experiments.AdaptiveResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.AdaptiveBatching(experiments.AdaptiveOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range []string{"idle", "volatile"} {
-		ad, fx := res.Cell(p, "adaptive"), res.Cell(p, "fixed")
-		delta := 100 * (float64(ad.WALL)/float64(fx.WALL) - 1)
-		b.ReportMetric(delta, p+"-wall-delta-%")
-		if os.Getenv("BENCH_GATE") != "" && ad.WALL >= fx.WALL {
-			b.Fatalf("adaptive batching lost to fixed on the %s profile: %v vs %v", p, ad.WALL, fx.WALL)
-		}
-	}
-}
-
 // BenchmarkEngineThroughputConcurrent measures navigated activities per
 // second on the worker-pool executor with many client goroutines starting
 // instances at once, checkpointing to a real disk store (fsync on). Every

@@ -139,7 +139,7 @@ func TestConcurrentInstancesStress(t *testing.T) {
 		}
 	}
 	counter.checkExactlyOnce(t, ids)
-	assertNoneStuck(t, rt.Engine())
+	requireClean(t, "idle", rt.Engine().Check())
 }
 
 // TestConcurrentCrashRecover crashes the engine while several instances
@@ -229,7 +229,7 @@ func TestConcurrentCrashRecover(t *testing.T) {
 		}
 	}
 	counter.checkExactlyOnce(t, ids)
-	assertNoneStuck(t, rt.Engine())
+	requireClean(t, "idle", rt.Engine().Check())
 }
 
 // failingStore wraps a Store and fails every Batch once armed, so persist

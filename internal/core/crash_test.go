@@ -109,6 +109,14 @@ type crashRun struct {
 	launched   []string // instance/scope/task of every job launched, in order
 	done       []string // the instances OnInstanceDone reported
 	failed     error    // the first asynchronous engine error
+	broken     []string // what Check found after Recover and after the drain
+}
+
+// check notes what Check finds in the run's engine at step.
+func (r *crashRun) check(step string) {
+	for _, v := range r.rt.Engine.Check() {
+		r.broken = append(r.broken, fmt.Sprintf("%s: instance %q breaks %s: %s", step, v.Instance, v.Rule, v.Detail))
+	}
 }
 
 // launchLog is an executor that notes each job it launches while the
@@ -162,11 +170,13 @@ func restartLab(t *testing.T, fs *crashFS) (*crashRun, error) {
 		r.rt.Engine.opts.Executor = launchLog{r.rt.Engine.opts.Executor, fs, &r.launched}
 		if err = r.rt.Engine.RegisterTemplateSource(chain8Src); err == nil {
 			_, err = r.rt.Engine.Recover()
+			r.check("recovered")
 		}
 	}
 	if err == nil && r.failed == nil {
 		r.rt.Run()
 		r.rt.Engine.QuiesceCheckpoints()
+		r.check("drained")
 	}
 	if err == nil {
 		err = r.failed
@@ -302,6 +312,9 @@ func checkAfterCrash(t *testing.T, w *crashWorld, run *crashRun, img *crashFS, w
 	if err != nil {
 		return true, fmt.Errorf("restart: %w", err)
 	}
+	if len(r.broken) > 0 {
+		return true, fmt.Errorf("restart: %s", strings.Join(r.broken, "; "))
+	}
 	for _, task := range r.dispatched {
 		if ended[task] {
 			return true, fmt.Errorf("%s ran again, though its completion was durable", task)
@@ -348,6 +361,9 @@ func TestCrashEnumerationRestartRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(r.broken) > 0 {
+		t.Fatal(strings.Join(r.broken, "\n"))
+	}
 	points := fault.calls
 	// The enumeration covers compaction, and the rotations before it, only
 	// if the fault-free restart compacts.
@@ -379,6 +395,9 @@ func TestCrashEnumerationRestartRecover(t *testing.T) {
 		}
 		if !fs.crashed {
 			t.Fatalf("crash point %d of %d: the restart made only %d calls (%v)", k, points, fs.calls, err)
+		}
+		if len(run.broken) > 0 {
+			t.Fatalf("crash point %d of %d: %s", k, points, strings.Join(run.broken, "; "))
 		}
 		for _, tear := range crashTears(fs.last.n) {
 			img, ok := fs.reboot(tear)

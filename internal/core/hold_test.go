@@ -17,53 +17,11 @@ import (
 	"bioopera/internal/store"
 )
 
-// groupHeld reports whether the scheduler holds a group the way dispatch
-// sees it: a job enqueued to the group stays out of dispatch order. The
-// probe job is removed again. The caller owns the dispatcher state.
-func groupHeld(s *sched.Scheduler, group string) bool {
-	probe := group + "/hold-probe"
-	s.Enqueue(sched.Job{ID: probe, Group: group})
-	defer s.RemoveWhere(group, func(id string) bool { return id == probe })
-	for _, j := range s.Jobs() {
-		if j.ID == probe {
-			return false
-		}
-	}
-	return true
-}
-
-// checkHoldInvariant asserts what the dispatcher relies on now that drain
-// admits whatever the scheduler offers: a group is held exactly while its
+// TestHoldInvariant walks suspend, kill, resume, abort and a graceful
+// suspend that the last completion overtakes, and checks after each that
+// Check finds nothing — RuleHold above all: a group is held exactly while its
 // instance is suspended, the held jobs are exactly the queued jobs of
-// suspended instances, and QueueLen still counts both kinds. The sim is
-// single-threaded, so the dispatcher state is read without its lock.
-func checkHoldInvariant(t *testing.T, e *Engine, step string) {
-	t.Helper()
-	suspended := make(map[string]bool)
-	for _, in := range e.Instances() {
-		suspended[in.ID] = in.Status == InstanceSuspended
-		if got := groupHeld(e.sched, in.ID); got != suspended[in.ID] {
-			t.Errorf("%s: group %s held=%v, instance is %s", step, in.ID, got, in.Status)
-		}
-	}
-	held := 0
-	for _, ref := range e.queued {
-		if suspended[ref.inst.ID] {
-			held++
-		}
-	}
-	ready := e.sched.Jobs()
-	for _, j := range ready {
-		if suspended[j.Group] {
-			t.Errorf("%s: job %s of suspended instance %s is in dispatch order", step, j.ID, j.Group)
-		}
-	}
-	if e.HeldJobs() != held || e.QueueLen() != len(e.queued) || len(ready)+held != len(e.queued) {
-		t.Errorf("%s: held=%d ready=%d QueueLen=%d, want held=%d and ready+held=%d queued refs",
-			step, e.HeldJobs(), len(ready), e.QueueLen(), held, len(e.queued))
-	}
-}
-
+// suspended instances, and QueueLen still counts both kinds.
 func TestHoldInvariant(t *testing.T) {
 	rt := newRuntime(t, SimConfig{Spec: oneCPUSpec(), Library: slowLib(t)})
 	register(t, rt, slowParSrc)
@@ -77,26 +35,26 @@ func TestHoldInvariant(t *testing.T) {
 	}
 	a, b, c, d := start(t, rt, "SlowPar", xs), start(t, rt, "SlowPar", xs),
 		start(t, rt, "SlowPar", xs), start(t, rt, "SlowPar", xs)
-	checkHoldInvariant(t, e, "started")
+	requireClean(t, "started", e.Check())
 	if e.QueueLen() != 11 || e.RunningJobs() != 1 {
 		t.Fatalf("queue=%d running=%d, want 11 queued behind the one CPU", e.QueueLen(), e.RunningJobs())
 	}
 
 	must(e.Suspend(b, true))
-	checkHoldInvariant(t, e, "suspend b")
+	requireClean(t, "suspend b", e.Check())
 	if e.HeldJobs() != 3 {
 		t.Fatalf("held = %d after suspending b, want its 3 queued activities", e.HeldJobs())
 	}
 	must(e.Suspend(a, false)) // kills a's running job; its requeue lands held
 	rt.RunUntil(sim.Time(time.Second))
-	checkHoldInvariant(t, e, "suspend a, kill requeued")
+	requireClean(t, "suspend a, kill requeued", e.Check())
 	if e.HeldJobs() != 6 {
 		t.Fatalf("held = %d, want a's 3 (one requeued by the kill) + b's 3", e.HeldJobs())
 	}
 	must(e.Resume(b))
-	checkHoldInvariant(t, e, "resume b")
+	requireClean(t, "resume b", e.Check())
 	must(e.Abort(a, "test"))
-	checkHoldInvariant(t, e, "abort a while suspended")
+	requireClean(t, "abort a while suspended", e.Check())
 	if e.HeldJobs() != 0 {
 		t.Fatalf("held = %d after aborting the only suspended instance", e.HeldJobs())
 	}
@@ -109,11 +67,11 @@ func TestHoldInvariant(t *testing.T) {
 		t.Fatalf("queue=%d running=%d d=%s, want d alone on its last activity", e.QueueLen(), e.RunningJobs(), in.Status)
 	}
 	must(e.Suspend(d, true))
-	checkHoldInvariant(t, e, "graceful suspend d")
+	requireClean(t, "graceful suspend d", e.Check())
 	rt.Run()
 	finished(t, rt, d)
 	finished(t, rt, c)
-	checkHoldInvariant(t, e, "d done while suspended")
+	requireClean(t, "d done while suspended", e.Check())
 }
 
 // TestHoldInvariantAcrossRecovery: suspend, crash, recover — by each
@@ -131,9 +89,9 @@ func TestHoldInvariantAcrossRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			rt.RunUntil(sim.Time(time.Second))
-			checkHoldInvariant(t, rt.Engine, "before crash")
+			requireClean(t, "before crash", rt.Engine.Check())
 			rt.Engine.Crash()
-			checkHoldInvariant(t, rt.Engine, "crashed")
+			requireClean(t, "crashed", rt.Engine.Check())
 			if rt.Engine.QueueLen() != 0 || rt.Engine.HeldJobs() != 0 {
 				t.Fatalf("crash left queue=%d held=%d", rt.Engine.QueueLen(), rt.Engine.HeldJobs())
 			}
@@ -149,7 +107,7 @@ func TestHoldInvariantAcrossRecovery(t *testing.T) {
 			if n, err := recoverFn(); err != nil || n != 2 {
 				t.Fatalf("recover = %d, %v", n, err)
 			}
-			checkHoldInvariant(t, e, "recovered")
+			requireClean(t, "recovered", e.Check())
 			wantHeld := 3
 			if mode == "lazy" {
 				wantHeld = 0 // a stub requeues nothing until it hydrates
@@ -162,18 +120,18 @@ func TestHoldInvariantAcrossRecovery(t *testing.T) {
 				if _, err := e.Lineage(s1); err != nil { // hydrates, stays suspended
 					t.Fatal(err)
 				}
-				checkHoldInvariant(t, e, "hydrated")
+				requireClean(t, "hydrated", e.Check())
 			}
 			rt.Run()
 			finished(t, rt, r1)
-			checkHoldInvariant(t, e, "idle")
+			requireClean(t, "idle", e.Check())
 			if e.HeldJobs() != 3 || e.QueueLen() != 3 {
 				t.Fatalf("idle: held=%d queue=%d, want the suspended instance's 3", e.HeldJobs(), e.QueueLen())
 			}
 			if err := e.Resume(s1); err != nil {
 				t.Fatal(err)
 			}
-			checkHoldInvariant(t, e, "resumed")
+			requireClean(t, "resumed", e.Check())
 			rt.Run()
 			finished(t, rt, s1)
 		})
@@ -295,7 +253,8 @@ func TestPreemptIgnoresSuspendedInstances(t *testing.T) {
 // from several goroutines while the worker pool drains them: a job popped
 // just before its instance is suspended must land back in the held group
 // (dispatch's re-validation), and nothing may be lost, run twice, or left
-// held once everything has resumed.
+// held once everything has resumed. Meanwhile Check runs beside them and
+// finds no rule broken that holds at every instant.
 func TestConcurrentSuspendResume(t *testing.T) {
 	counter := newTaskEndCounter()
 	rt, err := NewLocalRuntime(LocalConfig{
@@ -317,6 +276,25 @@ func TestConcurrentSuspendResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	checked := make(chan struct{})
+	stop := make(chan struct{})
+	go func() {
+		defer close(checked)
+		for {
+			for _, v := range e.Check() {
+				if v.Rule != RuleStuck {
+					t.Errorf("mid-run: instance %q breaks %s: %s", v.Instance, v.Rule, v.Detail)
+				}
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	stopChecking := sync.OnceFunc(func() { close(stop); <-checked })
+	defer stopChecking()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -345,18 +323,12 @@ func TestConcurrentSuspendResume(t *testing.T) {
 			t.Fatalf("instance %s: %s r=%v (%s)", id, in.Status, in.Outputs["r"], in.FailureReason)
 		}
 	}
+	stopChecking()
 	counter.checkExactlyOnce(t, ids)
 	if e.HeldJobs() != 0 || e.QueueLen() != 0 {
 		t.Fatalf("idle engine: held=%d queue=%d, want 0 0", e.HeldJobs(), e.QueueLen())
 	}
-	e.dmu.Lock()
-	for _, id := range ids {
-		if groupHeld(e.sched, id) {
-			t.Errorf("group %s still held after its instance finished", id)
-		}
-	}
-	e.dmu.Unlock()
-	assertNoneStuck(t, e)
+	requireClean(t, "idle", e.Check())
 }
 
 // pickCounter counts the placement attempts a Pump makes.
@@ -547,7 +519,7 @@ func TestSuspendResumeOnQuietEngine(t *testing.T) {
 			t.Fatalf("round %d: instance %s: %s r=%v (%s)", round, id, in.Status, in.Outputs["r"], in.FailureReason)
 		}
 	}
-	assertNoneStuck(t, e)
+	requireClean(t, "idle", e.Check())
 }
 
 // lostRaceExec is a one-slot executor whose first Launch loses the slot to a

@@ -220,22 +220,6 @@ func newWindowEngine(t *testing.T, hook func(e *Engine, id string)) (*Engine, *w
 	return e, x, id, log
 }
 
-// decidedSlots reports the slots decisions hold and the jobs decided but not
-// launched.
-func decidedSlots(e *Engine) (slots, decided int) {
-	e.dmu.Lock()
-	defer e.dmu.Unlock()
-	for _, n := range e.decided {
-		slots += n
-	}
-	for _, ref := range e.running {
-		if ref.decided {
-			decided++
-		}
-	}
-	return slots, decided
-}
-
 // TestKillBetweenCommitAndLaunch: a Suspend or an Abort lands while the start's
 // first job is inside its Launch and its second is decided but not launched.
 // The second job is never launched; both tasks end exactly as a killed
@@ -262,9 +246,11 @@ func TestKillBetweenCommitAndLaunch(t *testing.T) {
 			if st, _, _ := e.InstanceState(id); st != tc.want {
 				t.Fatalf("instance is %s, want %s", st, tc.want)
 			}
-			if slots, decided := decidedSlots(e); slots != 0 || decided != 0 || e.RunningJobs() != 0 {
-				t.Fatalf("%d slots held by %d decisions, %d running after the kills, want none", slots, decided, e.RunningJobs())
+			// Nothing running, so by RuleDecided no slot held by a decision.
+			if e.RunningJobs() != 0 {
+				t.Fatalf("%d running after the kills, want none", e.RunningJobs())
 			}
+			requireClean(t, "killed", e.Check())
 			var retried []string
 			for _, ev := range log.evs {
 				if ev.Kind == EvTaskRetried {
@@ -280,7 +266,7 @@ func TestKillBetweenCommitAndLaunch(t *testing.T) {
 				if in.Failures != 2 || in.Retries != 2 || e.HeldJobs() != 2 {
 					t.Errorf("failures=%d retries=%d held=%d, want 2 2 2", in.Failures, in.Retries, e.HeldJobs())
 				}
-				assertNoneStuck(t, e)
+				requireClean(t, "suspended", e.Check())
 				if err := e.Resume(id); err != nil {
 					t.Fatal(err)
 				}
@@ -291,7 +277,7 @@ func TestKillBetweenCommitAndLaunch(t *testing.T) {
 			} else if len(retried) != 0 || e.QueueLen() != 0 {
 				t.Errorf("an aborted instance retried %q, queue=%d", retried, e.QueueLen())
 			}
-			assertNoneStuck(t, e)
+			requireClean(t, "idle", e.Check())
 		})
 	}
 }
@@ -304,9 +290,10 @@ func TestCrashBetweenCommitAndLaunch(t *testing.T) {
 	if want := []string{"A"}; !slices.Equal(x.launched, want) {
 		t.Fatalf("launched %v, want %v", x.launched, want)
 	}
-	if slots, decided := decidedSlots(e); slots != 0 || decided != 0 || e.RunningJobs() != 0 || e.QueueLen() != 0 {
-		t.Fatalf("after the crash: %d slots held by %d decisions, running=%d queue=%d, want none", slots, decided, e.RunningJobs(), e.QueueLen())
+	if e.RunningJobs() != 0 || e.QueueLen() != 0 {
+		t.Fatalf("after the crash: running=%d queue=%d, want none", e.RunningJobs(), e.QueueLen())
 	}
+	requireClean(t, "crashed", e.Check())
 }
 
 // TestFencedTurnLaunchesNothing: the instance's partition moves away while the
@@ -330,13 +317,20 @@ func TestFencedTurnLaunchesNothing(t *testing.T) {
 	if err := e.RegisterTemplateSource(pairSrc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.StartProcess("Pair", map[string]ocr.Value{"x": ocr.Num(7)}, StartOptions{}); err != nil {
+	id, err := e.StartProcess("Pair", map[string]ocr.Value{"x": ocr.Num(7)}, StartOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(x.launched) != 0 {
 		t.Fatalf("a fenced turn launched %v", x.launched)
 	}
-	if slots, decided := decidedSlots(e); slots != 0 || decided != 0 || e.RunningJobs() != 0 {
-		t.Fatalf("after the fence: %d slots held by %d decisions, running=%d, want none", slots, decided, e.RunningJobs())
+	if e.RunningJobs() != 0 {
+		t.Fatalf("after the fence: running=%d, want none", e.RunningJobs())
+	}
+	// The fenced instance stays in this engine's registry, running with
+	// nothing to move it: a known leak (CHANGES.md, FOUND on flushWrites'
+	// ownership fence). Every other rule holds.
+	if got, want := rulesOf(e.Check()), []string{id + ":" + RuleStuck}; !slices.Equal(got, want) {
+		t.Fatalf("Check = %v after the fence, want %v", got, want)
 	}
 }

@@ -102,7 +102,7 @@ PROCESS Sleepy {
 			t.Fatalf("result order broken: %v", in.Outputs["done"])
 		}
 	}
-	assertNoneStuck(t, rt.Engine())
+	requireClean(t, "idle", rt.Engine().Check())
 }
 
 func TestLocalRetries(t *testing.T) {
@@ -349,7 +349,7 @@ func TestStaleWorkerLeavesTheSlotAlone(t *testing.T) {
 	if busy, reserved := slot(); busy != 0 || reserved != 0 {
 		t.Fatalf("at idle: busy=%d reserved=%d, want 0 0", busy, reserved)
 	}
-	assertNoneStuck(t, e)
+	requireClean(t, "idle", e.Check())
 }
 
 // TestLaunchGoroutinesDoNotAccumulate: a launch is a goroutine that ends with

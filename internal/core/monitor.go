@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -29,6 +30,33 @@ func NewMonitorSource(e *Engine) *MonitorSource { return &MonitorSource{e: e} }
 // SetLoads installs the adaptive-monitor load view shown by /api/cluster
 // (e.g. SimRuntime.ReportedLoads). May be nil.
 func (s *MonitorSource) SetLoads(fn func() map[string]float64) { s.loads = fn }
+
+// stuckPause is how long the monitor waits before it looks a second time at
+// an instance it found stuck.
+const stuckPause = 50 * time.Millisecond
+
+// violations is Check for one instance of a live engine. RuleStuck holds only
+// at idle, and a completion or a pump in flight looks stuck until its
+// goroutine reaches the shard or the dispatcher, so a stuck instance is shown
+// only when a second look, stuckPause later, finds it stuck still and no
+// write set of it cut in between.
+func (s *MonitorSource) violations(in *Instance) []obs.Violation {
+	vs, seq := s.e.checkInstance(in, nil)
+	if i := slices.IndexFunc(vs, isStuck); i >= 0 {
+		//bioopera:allow walltime the pause paces a monitor request, not the engine; nothing replayable reads it
+		time.Sleep(stuckPause)
+		if again, cut := s.e.checkInstance(in, nil); cut != seq || !slices.ContainsFunc(again, isStuck) {
+			vs = slices.Delete(vs, i, i+1)
+		}
+	}
+	var out []obs.Violation
+	for _, v := range vs {
+		out = append(out, obs.Violation{Rule: v.Rule, Detail: v.Detail})
+	}
+	return out
+}
+
+func isStuck(v Violation) bool { return v.Rule == RuleStuck }
 
 // secs renders a virtual timestamp as seconds for the JSON API.
 func secs(t sim.Time) float64 { return time.Duration(t).Seconds() }
@@ -134,6 +162,8 @@ func (s *MonitorSource) Instance(id string) (*obs.InstanceDetail, error) {
 		return nil, err
 	}
 	running, queued := s.e.inflight()
+	// It takes the shard itself.
+	violations := s.violations(in)
 
 	mu := s.e.shardFor(id)
 	mu.Lock()
@@ -142,6 +172,7 @@ func (s *MonitorSource) Instance(id string) (*obs.InstanceDetail, error) {
 		Outputs:         namedValues(in.Outputs),
 		RunningTasks:    running[id],
 		QueuedTasks:     queued[id],
+		Violations:      violations,
 	}
 	scopeIDs := make([]string, 0, len(in.scopes))
 	for sid := range in.scopes {

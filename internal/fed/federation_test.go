@@ -203,6 +203,14 @@ func TestFederatedFailoverE2E(t *testing.T) {
 		}
 	}
 
+	// Every survivor's engine, idle now, keeps its invariants through the
+	// adoption.
+	for _, m := range survivors {
+		for _, v := range m.Runtime().Engine().Check() {
+			t.Errorf("%s after failover: instance %q breaks %s: %s", m.Name(), v.Instance, v.Rule, v.Detail)
+		}
+	}
+
 	// Federation metrics observed the transfer.
 	transfers := reg.Counter("bioopera_fed_ownership_transfers_total", "")
 	if transfers.Value() == 0 {

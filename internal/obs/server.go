@@ -75,6 +75,14 @@ type InstanceDetail struct {
 	QueuedTasks  []ActivityInfo `json:"queuedTasks,omitempty"`
 	Lineage      []LineageItem  `json:"lineage,omitempty"`
 	Programs     []NamedValue   `json:"programs,omitempty"` // task → external binding
+	Violations   []Violation    `json:"violations,omitempty"`
+}
+
+// Violation is one engine invariant the instance breaks: the rule's name and
+// what the engine's check saw.
+type Violation struct {
+	Rule   string `json:"rule"`
+	Detail string `json:"detail"`
 }
 
 // NodeInfo is one node of the /api/cluster view.

@@ -45,6 +45,15 @@ func newRemote(t *testing.T, lib *core.Library) *Runtime {
 	return rt
 }
 
+// requireClean fails the test with every engine invariant Check finds
+// broken; the engine is at idle.
+func requireClean(t *testing.T, e *core.Engine) {
+	t.Helper()
+	for _, v := range e.Check() {
+		t.Errorf("idle engine: instance %q breaks %s: %s", v.Instance, v.Rule, v.Detail)
+	}
+}
+
 const fanSrc = `
 PROCESS Fan {
   INPUT xs;
@@ -97,6 +106,7 @@ func TestRemoteRunTwoWorkers(t *testing.T) {
 	if workers != 2 || dead != 0 || dropped != 0 {
 		t.Fatalf("Stats = %d workers, %d dead, %d dropped", workers, dead, dropped)
 	}
+	requireClean(t, rt.Engine())
 }
 
 // TestRemoteHeartbeatFailover is the acceptance scenario: two workers, one
@@ -178,6 +188,7 @@ func TestRemoteHeartbeatFailover(t *testing.T) {
 	if dead != 1 {
 		t.Fatalf("declaredDead = %d, want 1", dead)
 	}
+	requireClean(t, rt.Engine())
 }
 
 // TestRemoteWorkerRejoin: a worker goes silent, is declared dead, then a

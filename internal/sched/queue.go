@@ -116,6 +116,23 @@ func (q *Queue) Len() int { return q.size }
 // Held returns the number of queued jobs whose group is held.
 func (q *Queue) Held() int { return q.held }
 
+// Ready returns the number of jobs in dispatch order, counted in the
+// dispatch-order lists themselves rather than derived from Len and Held.
+func (q *Queue) Ready() int {
+	n := 0
+	for _, tq := range q.order {
+		n += len(tq.ready())
+	}
+	return n
+}
+
+// Group reports whether a group has jobs queued, ready or held, and whether
+// it is held. It only reads.
+func (q *Queue) Group(name string) (queued, held bool) {
+	g := q.groups[name]
+	return g.head != nil, g.held
+}
+
 // SetQuota assigns a tenant's fair-share weight (default 1; larger means
 // a larger share). Non-positive weights are ignored.
 func (q *Queue) SetQuota(tenant string, weight float64) {

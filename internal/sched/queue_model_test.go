@@ -102,7 +102,7 @@ func ids(jobs []Job) []string {
 // pushes of mixed priorities, tenants, groups and pinned nodes, pops whose
 // pick refuses some jobs, holds, releases, removals, unplaceable sweeps and
 // fair-share charges — against refQueue, and compares dispatch order, Len,
-// Held and Pinned after every step.
+// Held, Pinned, Ready and every group's Group after every step.
 func TestQueueMatchesModel(t *testing.T) {
 	tenants := []string{"", "t1", "t2"}
 	groups := []string{"g0", "g1", "g2", "g3"}
@@ -217,9 +217,18 @@ func TestQueueMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d step %d (%s): dispatch order\n got %v\nwant %v", seed, step, op, got, want)
 				}
 			}
-			if q.Len() != len(ref.jobs) || q.Held() != ref.heldCount() || q.Pinned() != ref.pinned() {
-				t.Fatalf("seed %d step %d (%s): Len/Held/Pinned = %d/%d/%d, model %d/%d/%d", seed, step, op,
-					q.Len(), q.Held(), q.Pinned(), len(ref.jobs), ref.heldCount(), ref.pinned())
+			if q.Len() != len(ref.jobs) || q.Held() != ref.heldCount() || q.Pinned() != ref.pinned() || q.Ready() != len(want) {
+				t.Fatalf("seed %d step %d (%s): Len/Held/Pinned/Ready = %d/%d/%d/%d, model %d/%d/%d/%d", seed, step, op,
+					q.Len(), q.Held(), q.Pinned(), q.Ready(), len(ref.jobs), ref.heldCount(), ref.pinned(), len(want))
+			}
+			for _, g := range groups {
+				queued := false
+				for _, rj := range ref.jobs {
+					queued = queued || rj.job.Group == g
+				}
+				if gotQueued, gotHeld := q.Group(g); gotQueued != queued || gotHeld != ref.held[g] {
+					t.Fatalf("seed %d step %d (%s): Group(%s) = %v %v, model %v %v", seed, step, op, g, gotQueued, gotHeld, queued, ref.held[g])
+				}
 			}
 		}
 	}

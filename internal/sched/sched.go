@@ -6,7 +6,6 @@
 //   - Queue    priority + per-tenant fair-share ordering with quotas
 //   - Policy   node placement (first-fit, least-loaded, fastest, round-robin)
 //   - Predictor cost-model calibration from completed-activity durations
-//   - Batcher  granularity autotuning from cluster load feedback (Fig. 4)
 //   - Preemptor node reclamation for starving high-priority work, riding
 //     the engine's checkpoint/requeue machinery
 //

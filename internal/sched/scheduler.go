@@ -125,6 +125,12 @@ func (s *Scheduler) Len() int { return s.queue.Len() }
 // Held reports how many queued jobs belong to held groups.
 func (s *Scheduler) Held() int { return s.queue.Held() }
 
+// Ready reports how many queued jobs are in dispatch order.
+func (s *Scheduler) Ready() int { return s.queue.Ready() }
+
+// Group reports whether a group has jobs queued and whether it is held.
+func (s *Scheduler) Group(name string) (queued, held bool) { return s.queue.Group(name) }
+
 // Jobs returns the ready jobs in dispatch order; held jobs are left out.
 func (s *Scheduler) Jobs() []Job { return s.queue.Jobs() }
 

@@ -124,48 +124,6 @@ func TestPredictorCalibration(t *testing.T) {
 	}
 }
 
-func TestBatcherAutotuning(t *testing.T) {
-	idle := []cluster.NodeView{
-		{Name: "a", Up: true, CPUs: 2, Speed: 1},
-		{Name: "b", Up: true, CPUs: 3, Speed: 1},
-	}
-	b := NewBatcher(BatchConfig{})
-	b.ObserveLoad(idle)
-	b.ObserveLoad(idle)
-	if got := b.TEUs(idle); got != 20 {
-		t.Fatalf("idle TEUs = %d, want FactorIdle×CPUs = 20", got)
-	}
-	// A load square wave raises stress; the recommendation grows toward
-	// FactorLoaded×CPUs (smaller batches under volatility).
-	loaded := []cluster.NodeView{
-		{Name: "a", Up: true, CPUs: 2, Speed: 1, ExtLoad: 0.8},
-		{Name: "b", Up: true, CPUs: 3, Speed: 1, ExtLoad: 0.8},
-	}
-	for i := 0; i < 8; i++ {
-		if i%2 == 0 {
-			b.ObserveLoad(loaded)
-		} else {
-			b.ObserveLoad(idle)
-		}
-	}
-	if got := b.TEUs(idle); got <= 20 {
-		t.Fatalf("volatile TEUs = %d, want > idle's 20", got)
-	}
-	if s := b.Stress(); s <= 0 || s > 1 {
-		t.Fatalf("stress = %v", s)
-	}
-	// Down nodes contribute neither load nor CPUs.
-	down := []cluster.NodeView{{Name: "a", Up: false, CPUs: 2}}
-	fresh := NewBatcher(BatchConfig{Max: 7})
-	fresh.ObserveLoad(down) // no up nodes: ignored
-	if got := fresh.TEUs(down); got != 4 {
-		t.Fatalf("TEUs with no up nodes = %d, want FactorIdle×1 = 4", got)
-	}
-	if got := fresh.TEUs(idle); got != 7 {
-		t.Fatalf("TEUs = %d, want clamped to Max 7", got)
-	}
-}
-
 func TestUnplaceable(t *testing.T) {
 	nodes := []cluster.NodeView{
 		{Name: "up", OS: "linux", Up: true, CPUs: 1, Speed: 1},

@@ -7,14 +7,21 @@
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"bioopera"
 	"bioopera/internal/darwin"
-	"bioopera/internal/sim"
+	"bioopera/internal/experiments"
 )
+
+// outages is the disturbed run's scenario.
+//
+//go:embed outages.scn
+var outages string
 
 func main() {
 	ds := bioopera.GenerateDataset(bioopera.GenOptions{
@@ -22,12 +29,12 @@ func main() {
 	})
 
 	// Reference run: no disturbances.
-	reference := run(ds, false)
+	reference := run(ds, "")
 	fmt.Printf("reference run: %d matches, WALL %v, %d failures\n\n",
 		len(reference.matches), reference.wall.Round(time.Second), reference.failures)
 
 	// Disturbed run: outage + crash + server restart.
-	disturbed := run(ds, true)
+	disturbed := run(ds, outages)
 	fmt.Printf("\ndisturbed run: %d matches, WALL %v, %d failures survived\n",
 		len(disturbed.matches), disturbed.wall.Round(time.Second), disturbed.failures)
 
@@ -50,7 +57,9 @@ type outcome struct {
 	failures int
 }
 
-func run(ds *bioopera.Dataset, disturb bool) outcome {
+// run runs the all-vs-all on the simulated cluster under a scenario
+// (internal/experiments/scenario.go); the reference run's is empty.
+func run(ds *bioopera.Dataset, script string) outcome {
 	// Alignments really run (fast); the *virtual* cost model is inflated
 	// so the simulated timeline is long enough for the disturbances.
 	cost := darwin.DefaultCostModel()
@@ -63,59 +72,10 @@ func run(ds *bioopera.Dataset, disturb bool) outcome {
 	})
 	must(err)
 	must(rt.Engine.RegisterTemplateSource(bioopera.AllVsAllSource))
-	id, err := rt.Engine.StartProcess(bioopera.AllVsAllTemplate, cfg.Inputs(12), bioopera.StartOptions{})
+	in, _, err := experiments.RunScenario(rt, "outages.scn", script, os.Stdout, func() (string, error) {
+		return rt.Engine.StartProcess(bioopera.AllVsAllTemplate, cfg.Inputs(12), bioopera.StartOptions{})
+	})
 	must(err)
-
-	if disturb {
-		at := func(d time.Duration, f func(now sim.Time)) { rt.Sim.At(sim.Time(d), f) }
-
-		// 1. Planned maintenance: ask the awareness model first.
-		at(2*time.Second, func(sim.Time) {
-			impact := rt.Engine.WhatIf([]string{"iklinux-00", "iklinux-01"})
-			fmt.Printf("what-if (take iklinux-00/01 offline): %d running jobs to reschedule, %d CPUs remain, %d stranded\n",
-				len(impact.Jobs), impact.RemainingCPUs, len(impact.Stranded))
-			rt.Cluster.CrashNode("iklinux-00")
-			rt.Cluster.CrashNode("iklinux-01")
-			fmt.Println("event: maintenance outage on 2 nodes")
-		})
-		at(20*time.Second, func(sim.Time) {
-			rt.Cluster.RestoreNode("iklinux-00")
-			rt.Cluster.RestoreNode("iklinux-01")
-			fmt.Println("event: maintenance done, nodes restored")
-		})
-
-		// 2. Whole-cluster failure.
-		at(40*time.Second, func(sim.Time) {
-			for _, v := range rt.Cluster.Nodes() {
-				rt.Cluster.CrashNode(v.Name)
-			}
-			fmt.Println("event: complete cluster failure")
-		})
-		at(70*time.Second, func(sim.Time) {
-			for _, v := range rt.Cluster.Nodes() {
-				rt.Cluster.RestoreNode(v.Name)
-			}
-			fmt.Println("event: cluster recovered")
-		})
-
-		// 3. BioOpera server crash: volatile state is lost; the
-		// persistent store brings everything back.
-		at(90*time.Second, func(sim.Time) {
-			rt.Engine.Crash()
-			n, err := rt.Engine.Recover()
-			must(err)
-			fmt.Printf("event: BioOpera server crash — recovered %d instance(s) from the store\n", n)
-		})
-	}
-
-	rt.Run()
-	in, ok := rt.Engine.Instance(id)
-	if !ok {
-		log.Fatalf("instance %s lost", id)
-	}
-	if in.Status != bioopera.InstanceDone {
-		log.Fatalf("process %s: %s", in.Status, in.FailureReason)
-	}
 	ms, err := bioopera.DecodeMatches(in.Outputs["master_file"])
 	must(err)
 	return outcome{matches: ms, wall: in.WALL(rt.Sim.Now()), failures: in.Failures}

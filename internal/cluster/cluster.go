@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"bioopera/internal/ocr"
@@ -365,7 +366,8 @@ func (c *Cluster) Kill(id JobID, nodeName string) error {
 	return nil
 }
 
-// RunningOn lists the jobs currently executing on a node.
+// RunningOn lists the jobs currently executing on a node, in job order: a
+// caller that kills some of them kills the same ones on every run.
 func (c *Cluster) RunningOn(nodeName string) []JobID {
 	n, ok := c.nodes[nodeName]
 	if !ok {
@@ -375,6 +377,7 @@ func (c *Cluster) RunningOn(nodeName string) []JobID {
 	for id := range n.jobs {
 		ids = append(ids, id)
 	}
+	slices.Sort(ids)
 	return ids
 }
 

@@ -398,7 +398,8 @@ func (e *Engine) groupDispatches(x turnExit) {
 
 // afterCommit delivers what a turn left for after its write set committed:
 // OnInstanceDone, the kills, the launches of the jobs it dispatched, and the
-// pump, starting from the decision the turn carried out.
+// pump, starting from the decision the turn carried out. A turn the write
+// fence dropped launches nothing and evicts its instance before the pump.
 func (e *Engine) afterCommit(x turnExit) {
 	// OnInstanceDone fires after the final checkpoint committed, so a
 	// waiter woken by it reads the archived state from the store.
@@ -412,6 +413,12 @@ func (e *Engine) afterCommit(x turnExit) {
 	if x.ws != nil {
 		again = e.launch(x.ws.launches, x.fenced)
 		putWriteSet(x.ws)
+	}
+	if x.fenced {
+		// The instance is another server's now. A copy kept here would run
+		// on, and were the partition to come back, RecoverOwned would keep
+		// it over the new owner's records.
+		e.evict(x.in)
 	}
 	if x.pump || again || x.next.ref != nil {
 		e.pump(x.next)

@@ -35,12 +35,23 @@ const (
 	// RuleDecided: the slots decisions hold (Engine.decided, nDecided) are
 	// not the decided jobs in the running index. Holds at every instant.
 	RuleDecided = "decided"
+	// RuleOwned: with Options.Owns set, a registered instance the engine
+	// does not own. Holds at idle once the engine has caught up with an
+	// ownership move: ownership moves outside the engine, and the owner of
+	// the lease evicts what it lost right after (Release), as the write
+	// fence does for a turn that was ending when it moved.
+	RuleOwned = "owned"
 )
 
 // Violation is one broken rule. Instance is empty for a rule about the
 // dispatcher as a whole.
 type Violation struct {
 	Instance, Rule, Detail string
+}
+
+// String renders a violation for an error or a test failure.
+func (v Violation) String() string {
+	return fmt.Sprintf("instance %q breaks %s: %s", v.Instance, v.Rule, v.Detail)
 }
 
 // Check tests every rule and returns the violations it finds, nil when it
@@ -58,6 +69,9 @@ func (e *Engine) Check() []Violation {
 		}
 		in := e.instances[e.order[i]]
 		e.emu.RUnlock()
+		if e.opts.Owns != nil && !e.opts.Owns(in.ID) {
+			out = append(out, Violation{in.ID, RuleOwned, "registered, but another server owns it"})
+		}
 		out, _ = e.checkInstance(in, out)
 	}
 	return e.checkDispatcher(out)

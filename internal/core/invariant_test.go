@@ -20,7 +20,7 @@ import (
 func requireClean(t *testing.T, step string, vs []Violation) {
 	t.Helper()
 	for _, v := range vs {
-		t.Errorf("%s: instance %q breaks %s: %s", step, v.Instance, v.Rule, v.Detail)
+		t.Errorf("%s: %v", step, v)
 	}
 }
 
@@ -144,6 +144,10 @@ func TestCheckNamesEachRule(t *testing.T) {
 			l.e.dmu.Unlock()
 			return ""
 		}, RuleDecided},
+		{"owned: a registered instance another server owns", func(l *checkLab) string {
+			l.e.opts.Owns = func(id string) bool { return id != l.done }
+			return l.done
+		}, RuleOwned},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := newCheckLab(t)

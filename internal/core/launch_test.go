@@ -298,7 +298,8 @@ func TestCrashBetweenCommitAndLaunch(t *testing.T) {
 
 // TestFencedTurnLaunchesNothing: the instance's partition moves away while the
 // start that dispatches its steps is ending. The fenced write set is dropped,
-// nothing is launched, and the slots its decisions held are free again.
+// nothing is launched, the slots its decisions held are free again, and the
+// instance is evicted.
 func TestFencedTurnLaunchesNothing(t *testing.T) {
 	var moved atomic.Bool
 	owns := func(string) bool { return !moved.Load() }
@@ -327,10 +328,76 @@ func TestFencedTurnLaunchesNothing(t *testing.T) {
 	if e.RunningJobs() != 0 {
 		t.Fatalf("after the fence: running=%d, want none", e.RunningJobs())
 	}
-	// The fenced instance stays in this engine's registry, running with
-	// nothing to move it: a known leak (CHANGES.md, FOUND on flushWrites'
-	// ownership fence). Every other rule holds.
-	if got, want := rulesOf(e.Check()), []string{id + ":" + RuleStuck}; !slices.Equal(got, want) {
-		t.Fatalf("Check = %v after the fence, want %v", got, want)
+	if _, ok := e.Instance(id); ok || len(e.Instances()) != 0 {
+		t.Fatalf("the fenced instance %s is still registered", id)
+	}
+	requireClean(t, "fenced", e.Check())
+}
+
+// TestLostPartitionComesBack: an instance's partition moves from engine A to
+// engine B over one store while A runs its first step; B adopts the instance
+// and runs it to the end; then the partition comes back to A. The fence
+// evicted A's copy when its step completed, so A neither lists the instance
+// nor accepts a call on it, and the finished instance's records stay as B
+// left them.
+func TestLostPartitionComesBack(t *testing.T) {
+	st := store.NewMem()
+	var atB atomic.Bool
+	newEngine := func(owns func(string) bool) (*Engine, *windowExec) {
+		x := &windowExec{running: make(map[string]string)}
+		e, err := New(Options{Store: st, Library: incLibrary(t, 0), Executor: x,
+			Clock: &testClock{}, Owns: owns})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.e = e
+		return e, x
+	}
+	a, xa := newEngine(func(string) bool { return !atB.Load() })
+	if err := a.RegisterTemplateSource(chainSrc); err != nil {
+		t.Fatal(err)
+	}
+	b, xb := newEngine(func(string) bool { return atB.Load() })
+	id, err := a.StartProcess("Chain", map[string]ocr.Value{"x": ocr.Num(2)}, StartOptions{InstanceID: "c1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"S1"}; !slices.Equal(xa.launched, want) {
+		t.Fatalf("A launched %v, want %v", xa.launched, want)
+	}
+
+	atB.Store(true)
+	if n, err := b.RecoverOwned(nil); n != 1 || err != nil {
+		t.Fatalf("B adopted %d instances (%v), want 1", n, err)
+	}
+	xb.finishAll()
+	if status, out, _ := b.InstanceState(id); status != InstanceDone || out["r"].AsNum() != 7 {
+		t.Fatalf("on B: %s %v, want done with r = 7", status, out)
+	}
+	xa.finishAll() // A's S1 completes into a fenced turn
+	if _, ok := a.Instance(id); ok {
+		t.Errorf("A still holds %s after the fence", id)
+	}
+	requireClean(t, "A after the move", a.Check())
+
+	atB.Store(false)
+	if n, err := a.RecoverOwned(nil); n != 0 || err != nil {
+		t.Fatalf("A adopted %d instances (%v) of a finished partition, want 0", n, err)
+	}
+	for _, call := range []func(string) error{func(id string) error { return a.Suspend(id, true) }, a.Resume} {
+		if err := call(id); !errors.Is(err, ErrUnknownInstance) {
+			t.Errorf("A accepted a call on %s: %v", id, err)
+		}
+	}
+	requireClean(t, "A after the return", a.Check())
+	if _, live, err := st.Get(store.Instance, "inst/"+id); live || err != nil {
+		t.Fatalf("a live inst/ record of %s reappeared (%v)", id, err)
+	}
+	raw, ok, err := st.Get(store.History, "inst/"+id)
+	if !ok || err != nil {
+		t.Fatalf("no archived inst/ record of %s (%v)", id, err)
+	}
+	if meta, err := DecodeInstanceMeta(raw); err != nil || meta.Status != InstanceDone {
+		t.Fatalf("archived inst/ record of %s reads %v (%v), want done", id, meta.Status, err)
 	}
 }

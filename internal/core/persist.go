@@ -608,7 +608,8 @@ func (e *Engine) flushWrites(buf *[]store.Op, turns []turnExit) {
 			// owned checkpoint and is now authoritative; committing this
 			// write set would clobber its records — or, for an archive,
 			// delete the very records it adopts from — so it is dropped, not
-			// written: records and events alike.
+			// written: records and events alike. afterCommit then evicts
+			// the instance.
 			e.metrics.fenced()
 		} else {
 			for _, ck := range ws.cks {

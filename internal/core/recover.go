@@ -134,8 +134,11 @@ func (e *Engine) Recover() (int, error) { return e.RecoverOwned(nil) }
 // only the unfinished instances for which owns returns true. Federation
 // failover uses it to adopt exactly the orphaned partition a peer just
 // claimed, without re-scanning instances this engine already runs (already
-// registered instances are skipped either way). A nil owns falls back to
-// Options.Owns, so RecoverOwned(nil) is Recover.
+// registered instances are skipped either way). A registered copy it skips
+// is one the engine owned throughout: an instance whose ownership moved away
+// was evicted (Release, and the write fence in afterCommit), so a partition
+// that comes back is adopted from the store, never from a stale copy. A nil
+// owns falls back to Options.Owns, so RecoverOwned(nil) is Recover.
 func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 	if owns == nil {
 		owns = e.opts.Owns
@@ -322,6 +325,65 @@ func (e *Engine) registerRecovered(in *Instance, g *turnGroup) bool {
 	// re-derived, stale task records dropped).
 	if len(in.dirty) > 0 || len(in.pendingDeletes) > 0 {
 		e.persist(in)
+	}
+	return true
+}
+
+// Release evicts every registered instance the engine no longer owns
+// (Options.Owns): a federation member calls it for the partitions it lost.
+// It writes nothing — the new owner's records are authoritative — and
+// returns how many instances it evicted.
+func (e *Engine) Release() int {
+	n := 0
+	for _, in := range e.Instances() {
+		if e.opts.Owns != nil && !e.opts.Owns(in.ID) && e.evict(in) {
+			n++
+		}
+	}
+	return n
+}
+
+// evict takes one incarnation of an instance out of the engine, under its
+// shard: out of the registry and its order, its queued jobs out of the
+// queue, and its running jobs out of the running index with the slots their
+// decisions held. A job still on the executor runs on as an orphan whose
+// completion is discarded, as after Crash; a write set still in flight is
+// fenced, since the instance is not owned. It reports false when in is no
+// longer the registered incarnation.
+func (e *Engine) evict(in *Instance) bool {
+	mu := e.shardFor(in.ID)
+	mu.Lock()
+	defer mu.Unlock()
+	e.emu.Lock()
+	live := e.instances[in.ID] == in
+	if live {
+		delete(e.instances, in.ID)
+		e.order = slices.DeleteFunc(e.order, func(id string) bool { return id == in.ID })
+	}
+	e.emu.Unlock()
+	if !live {
+		return false
+	}
+	var refs []*queuedRef
+	e.dmu.Lock()
+	for _, id := range e.sched.RemoveGroup(in.ID) {
+		delete(e.queued, id)
+	}
+	for _, ref := range e.running {
+		if ref.inst == in {
+			refs = append(refs, ref)
+		}
+	}
+	stops := make([]func() bool, len(refs))
+	for i, ref := range refs {
+		e.unrun(ref)
+		stops[i], ref.stopTimeout = ref.stopTimeout, nil
+	}
+	e.dmu.Unlock()
+	for _, stop := range stops {
+		if stop != nil {
+			stop()
+		}
 	}
 	return true
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -71,16 +72,24 @@ func TestFig4Deterministic(t *testing.T) {
 	}
 }
 
-// lifecycleTestOptions shrink the dataset so the run lasts a couple of
-// simulated days.
-func lifecycleTestOptions() LifecycleOptions {
-	return LifecycleOptions{N: 12000, MeanLen: 200, TEUs: 80, SampleEvery: time.Hour}
-}
-
+// TestSharedLifecycleSurvives runs Fig. 5 at full size, long enough for all
+// ten of the paper's events: each fires, the run survives failures, and the
+// engine's invariants hold after every event (the scenario's Check).
 func TestSharedLifecycleSurvives(t *testing.T) {
-	res, err := SharedLifecycle(lifecycleTestOptions())
+	res, err := SharedLifecycle(LifecycleOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.Events) != 10 {
+		t.Fatalf("%d events fired, want the paper's 10: %v", len(res.Events), res.Events)
+	}
+	for i, ev := range res.Events {
+		if !strings.HasPrefix(ev.Label, fmt.Sprintf("%d: ", i+1)) {
+			t.Errorf("event %d is %q", i+1, ev.Label)
+		}
+	}
+	if res.Row.Failures == 0 {
+		t.Fatal("no failure survived")
 	}
 	if res.Row.MaxCPUs <= 0 || res.Row.MaxCPUs > 40 {
 		t.Fatalf("peak CPUs = %d", res.Row.MaxCPUs)
@@ -99,6 +108,22 @@ func TestSharedLifecycleSurvives(t *testing.T) {
 		if s.Effective > float64(s.Busy)+1e-9 {
 			t.Fatalf("effective %v > busy %d", s.Effective, s.Busy)
 		}
+	}
+}
+
+// TestNonSharedLifecycleKeepsExplicitTEUs: only a zero TEUs means the
+// non-shared run's 480; an explicit 560 is kept.
+func TestNonSharedLifecycleKeepsExplicitTEUs(t *testing.T) {
+	activities := func(teus int) int {
+		res, err := NonSharedLifecycle(LifecycleOptions{N: 600, MeanLen: 100, TEUs: teus})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Row.Activities
+	}
+	// Each TEU runs two activities.
+	if def, explicit := activities(0), activities(560); explicit-def != 2*(560-480) {
+		t.Fatalf("%d activities with TEUs 560, %d by default: want 160 more", explicit, def)
 	}
 }
 

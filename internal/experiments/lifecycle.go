@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	_ "embed"
 	"fmt"
 	"io"
 	"strings"
@@ -21,7 +22,8 @@ type LifecycleOptions struct {
 	// MeanLen is the mean sequence length.
 	MeanLen int
 	// TEUs is the partition count (paper: "a multiple of the number of
-	// processors available"; 560 = 14×40 for the shared run).
+	// processors available"). 0 means 560 = 14×40 for the shared run and
+	// 480 = 30×16 for the non-shared one.
 	TEUs int
 	// Seed drives everything.
 	Seed int64
@@ -82,10 +84,17 @@ type LifecycleResult struct {
 	Events  []LifecycleEvent
 }
 
-// lifecycleRun drives one all-vs-all to completion under an event script.
-func lifecycleRun(opts LifecycleOptions, label string, spec cluster.Spec,
-	simCfg core.SimConfig, nice bool,
-	script func(rt *core.SimRuntime, id *string, events *[]LifecycleEvent)) (*LifecycleResult, error) {
+// The lifecycles' scripts of disturbances (scenario.go).
+var (
+	//go:embed scenarios/fig5.scn
+	fig5 string
+	//go:embed scenarios/fig6.scn
+	fig6 string
+)
+
+// lifecycleRun drives one all-vs-all to completion under a scenario.
+func lifecycleRun(opts LifecycleOptions, label, scenario, src string, spec cluster.Spec,
+	simCfg core.SimConfig, nice bool) (*LifecycleResult, error) {
 
 	opts.fill()
 	ds := simDataset(opts.N, opts.MeanLen, opts.Seed)
@@ -104,19 +113,11 @@ func lifecycleRun(opts LifecycleOptions, label string, spec cluster.Spec,
 		return nil, err
 	}
 	rtp = rt
-
-	var events []LifecycleEvent
-	var id string
-	script(rt, &id, &events)
-
-	id, err = startAllVsAll(rt, cfg, opts.TEUs, nice)
+	in, events, err := RunScenario(rt, scenario, src, nil, func() (string, error) {
+		return startAllVsAll(rt, cfg, opts.TEUs, nice)
+	})
 	if err != nil {
-		return nil, err
-	}
-	rt.Run()
-	in, _ := rt.Engine.Instance(id)
-	if in.Status != core.InstanceDone {
-		return nil, fmt.Errorf("lifecycle %s: instance %s (%s)", label, in.Status, in.FailureReason)
+		return nil, fmt.Errorf("lifecycle %s: %w", label, err)
 	}
 	res := &LifecycleResult{
 		Row: Table1Row{
@@ -140,191 +141,23 @@ func day(d float64) sim.Time { return sim.Time(time.Duration(d * 24 * float64(ti
 
 // SharedLifecycle reproduces the first run (§5.4, Fig. 5): the shared
 // linneus+ik-sun cluster, nice mode, competing users, and the paper's ten
-// numbered events — manual suspensions, heavy competing load, massive
-// cluster failures, a disk-space shortage, server maintenance, a BioOpera
-// server crash, and two TEUs failing to report.
+// numbered events of scenarios/fig5.scn — manual suspensions, heavy
+// competing load, massive cluster failures, a disk-space shortage, server
+// maintenance, a BioOpera server crash, and two TEUs failing to report.
 func SharedLifecycle(opts LifecycleOptions) (*LifecycleResult, error) {
-	opts.fill()
-	spec := cluster.SharedRunSpec()
-	return lifecycleRun(opts, "shared cluster", spec, core.SimConfig{}, true,
-		func(rt *core.SimRuntime, id *string, events *[]LifecycleEvent) {
-			s := rt.Sim
-			c := rt.Cluster
-			eng := rt.Engine
-			note := func(d float64, label string) {
-				*events = append(*events, LifecycleEvent{Day: d, Label: label})
-			}
-			allNodes := func() []string {
-				var names []string
-				for _, v := range c.Nodes() {
-					names = append(names, v.Name)
-				}
-				return names
-			}
-
-			// Background competing users throughout the run.
-			cluster.NewLoadGen(c, cluster.LoadGenConfig{
-				MeanIdle:  10 * time.Hour,
-				MeanBurst: 5 * time.Hour,
-				LevelLo:   0.3,
-				LevelHi:   0.9,
-			})
-
-			// (1) Another user requests exclusive access: manual
-			// graceful suspend, resume a day later.
-			s.At(day(2.5), func(sim.Time) {
-				note(2.5, "1: other user needs cluster (suspend)")
-				eng.Suspend(*id, true)
-			})
-			s.At(day(3.5), func(sim.Time) { eng.Resume(*id) })
-
-			// (2) Cluster very busy with higher-priority jobs.
-			s.At(day(6), func(sim.Time) {
-				note(6, "2: cluster busy with other jobs")
-				for _, n := range allNodes() {
-					c.SetExternalLoad(n, 0.97)
-				}
-			})
-			s.At(day(9), func(sim.Time) {
-				for _, n := range allNodes() {
-					c.SetExternalLoad(n, 0)
-				}
-			})
-
-			// (3) Massive cluster failure.
-			s.At(day(11), func(sim.Time) {
-				note(11, "3: cluster failure")
-				for _, n := range allNodes()[:12] {
-					c.CrashNode(n)
-				}
-			})
-			s.At(day(11.5), func(sim.Time) {
-				for _, n := range allNodes()[:12] {
-					c.RestoreNode(n)
-				}
-			})
-
-			// (4) Some nodes unavailable for two days.
-			s.At(day(14), func(sim.Time) {
-				note(14, "4: some nodes unavailable")
-				for _, n := range allNodes()[:5] {
-					c.CrashNode(n)
-				}
-			})
-			s.At(day(16), func(sim.Time) {
-				for _, n := range allNodes()[:5] {
-					c.RestoreNode(n)
-				}
-			})
-
-			// (5) Disk-space shortage: manual stop; (6) resume after
-			// the storage problem is fixed.
-			s.At(day(17.5), func(sim.Time) {
-				note(17.5, "5: disk space shortage (stop)")
-				eng.Suspend(*id, false)
-			})
-			s.At(day(19), func(sim.Time) {
-				note(19, "6: storage fixed (resume)")
-				eng.Resume(*id)
-			})
-
-			// (7) Second massive hardware failure.
-			s.At(day(21), func(sim.Time) {
-				note(21, "7: cluster failure")
-				for _, n := range allNodes()[4:] {
-					c.CrashNode(n)
-				}
-			})
-			s.At(day(22), func(sim.Time) {
-				for _, n := range allNodes()[4:] {
-					c.RestoreNode(n)
-				}
-			})
-
-			// (8) Server maintenance shutdown; restart resumes
-			// automatically.
-			s.At(day(23), func(sim.Time) {
-				note(23, "8: server maintenance")
-				eng.PauseAll()
-				eng.Crash()
-			})
-			s.At(day(23.25), func(sim.Time) {
-				eng.ResumeAll()
-				eng.Recover()
-			})
-
-			// (9) BioOpera server crash; automatic recovery.
-			s.At(day(27), func(sim.Time) {
-				note(27, "9: BioOpera server crash")
-				eng.Crash()
-				eng.Recover()
-			})
-
-			// (10) Two TEUs fail to report their results; the
-			// restart re-schedules them.
-			s.At(day(30), func(sim.Time) {
-				note(30, "10: TEUs failed to report (re-run)")
-				killed := 0
-				for _, v := range c.Nodes() {
-					for _, j := range c.RunningOn(v.Name) {
-						if killed >= 2 {
-							return
-						}
-						c.Kill(j, v.Name)
-						killed++
-					}
-				}
-			})
-		})
+	return lifecycleRun(opts, "shared cluster", "fig5.scn", fig5, cluster.SharedRunSpec(), core.SimConfig{}, true)
 }
 
 // NonSharedLifecycle reproduces the second run (§5.5, Fig. 6): the
-// dedicated ik-linux cluster, starting with one CPU per node, two planned
-// network outages, and the mid-run hardware upgrade that doubles the
-// processors ("BioOpera took advantage of the available CPU power
-// immediately").
+// dedicated ik-linux cluster, starting with one CPU per node, and the two
+// planned network outages and mid-run hardware upgrade of
+// scenarios/fig6.scn, which doubles the processors ("BioOpera took
+// advantage of the available CPU power immediately").
 func NonSharedLifecycle(opts LifecycleOptions) (*LifecycleResult, error) {
-	opts.fill()
-	if opts.TEUs == 560 {
+	if opts.TEUs == 0 {
 		opts.TEUs = 480 // 30 × the 16 post-upgrade CPUs
 	}
-	spec := cluster.IkLinux()
-	return lifecycleRun(opts, "non-shared cluster", spec,
-		core.SimConfig{InitialCPUs: 1}, false,
-		func(rt *core.SimRuntime, id *string, events *[]LifecycleEvent) {
-			s := rt.Sim
-			c := rt.Cluster
-			eng := rt.Engine
-			note := func(d float64, label string) {
-				*events = append(*events, LifecycleEvent{Day: d, Label: label})
-			}
-			outage := func(d float64, label string) {
-				s.At(day(d), func(sim.Time) {
-					note(d, label)
-					eng.Suspend(*id, true)
-					for _, v := range c.Nodes() {
-						c.CrashNode(v.Name)
-					}
-				})
-				s.At(day(d+0.5), func(sim.Time) {
-					for _, v := range c.Nodes() {
-						c.RestoreNode(v.Name)
-					}
-					eng.Resume(*id)
-				})
-			}
-			// Two planned network outages.
-			outage(8, "planned network outage")
-			outage(33, "planned network outage")
-
-			// Day 25: a second processor added to each node.
-			s.At(day(25), func(sim.Time) {
-				note(25, "OS configuration change: 2nd CPU per node")
-				for _, v := range c.Nodes() {
-					c.SetCPUs(v.Name, 2)
-				}
-			})
-		})
+	return lifecycleRun(opts, "non-shared cluster", "fig6.scn", fig6, cluster.IkLinux(), core.SimConfig{InitialCPUs: 1}, false)
 }
 
 // Table1 runs both lifecycles and assembles the paper's Table 1.
@@ -401,7 +234,7 @@ func FprintLifecycle(w io.Writer, title string, r *LifecycleResult) {
 		}
 		avail := a.avail / float64(a.n)
 		util := a.util / float64(a.n)
-		bar := strings.Repeat("*", int(util+0.5)) + strings.Repeat("#", maxInt(0, int(avail+0.5)-int(util+0.5)))
+		bar := strings.Repeat("*", int(util+0.5)) + strings.Repeat("#", max(0, int(avail+0.5)-int(util+0.5)))
 		marker := ""
 		if evs := eventsByDay[d]; len(evs) > 0 {
 			marker = "  <- " + strings.Join(evs, "; ")
@@ -411,11 +244,4 @@ func FprintLifecycle(w io.Writer, title string, r *LifecycleResult) {
 	hline(w, 72)
 	fmt.Fprintf(w, "%s: WALL %s, CPU %s, peak %d CPUs, %d activities, %d failures survived\n",
 		r.Row.Label, days(r.Row.WALL), days(r.Row.CPU), r.Row.MaxCPUs, r.Row.Activities, r.Row.Failures)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

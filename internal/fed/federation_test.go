@@ -2,6 +2,8 @@ package fed
 
 import (
 	"encoding/json"
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -205,11 +207,7 @@ func TestFederatedFailoverE2E(t *testing.T) {
 
 	// Every survivor's engine, idle now, keeps its invariants through the
 	// adoption.
-	for _, m := range survivors {
-		for _, v := range m.Runtime().Engine().Check() {
-			t.Errorf("%s after failover: instance %q breaks %s: %s", m.Name(), v.Instance, v.Rule, v.Detail)
-		}
-	}
+	checkMembers(t, "after failover", survivors)
 
 	// Federation metrics observed the transfer.
 	transfers := reg.Counter("bioopera_fed_ownership_transfers_total", "")
@@ -245,6 +243,124 @@ func TestFederatedFailoverE2E(t *testing.T) {
 			t.Fatalf("instance %d diverged:\nfederated: %s\nsolo:      %s",
 				i, results[i], soloBytes)
 		}
+	}
+}
+
+// checkMembers runs every member's Check and fails on any violation, and on
+// an instance registered on two members: at idle, one owner per instance.
+func checkMembers(t *testing.T, step string, members []*Member) {
+	t.Helper()
+	holder := make(map[string]string)
+	for _, m := range members {
+		e := m.Runtime().Engine()
+		for _, v := range e.Check() {
+			t.Errorf("%s: %s: %v", step, m.Name(), v)
+		}
+		for _, in := range e.Instances() {
+			if other, dup := holder[in.ID]; dup {
+				t.Errorf("%s: %s is registered on %s and %s", step, in.ID, other, m.Name())
+			}
+			holder[in.ID] = m.Name()
+		}
+	}
+}
+
+// waitFor polls cond until it holds, failing after ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// moveLease hands partition p's lease to the named member, as a claim of
+// its would.
+func moveLease(t *testing.T, tbl *LeaseTable, p int, to string) {
+	t.Helper()
+	for {
+		cur, err := lease(tbl, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc, err := tbl.NextIncarnation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var conflict *ConflictError
+		if err := tbl.Claim(cur, Lease{Partition: p, Owner: to, Incarnation: inc}); err == nil {
+			return
+		} else if !errors.As(err, &conflict) {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLeaseAwayAndBack takes a partition's lease from the member holding an
+// instance of it, lets the new owner finish the instance, and gives the
+// lease back. The member that lost the partition evicts the instance, no
+// instance is ever registered on two members, and the finished instance's
+// records stay as its last owner left them.
+func TestLeaseAwayAndBack(t *testing.T) {
+	st := store.NewMem()
+	a := newTestMember(t, "alpha", nil, st, nil)
+	defer a.Close()
+	b := newTestMember(t, "beta", []string{a.Addr()}, st, nil)
+	defer b.Close()
+	members := []*Member{a, b}
+	waitBalanced(t, members, 8)
+	p := 0
+	for SuccessorOf(p, []string{"alpha", "beta"}) != "alpha" {
+		p++
+	}
+	owns := func(m *Member, p int) bool { return slices.Contains(m.OwnedPartitions(), p) }
+	holds := func(m *Member, id string) bool { _, ok := m.Runtime().Engine().Instance(id); return ok }
+	waitFor(t, "alpha owns its partition", func() bool { return owns(a, p) })
+
+	// An instance of p on alpha, suspended once its first step is done so
+	// nothing of it runs while the lease moves.
+	ea, eb := a.Runtime().Engine(), b.Runtime().Engine()
+	id := MintID(p, "alpha", a.Incarnation(), 1)
+	if _, err := ea.StartProcess("Triple", map[string]ocr.Value{"x": ocr.Int(1)}, core.StartOptions{InstanceID: id}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ea.Suspend(id, true); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "alpha's running step ends", func() bool { return ea.RunningJobs() == 0 })
+	ea.QuiesceCheckpoints()
+
+	moveLease(t, a.leases, p, "beta")
+	waitFor(t, "beta adopts the instance and alpha drops it", func() bool {
+		return owns(b, p) && !owns(a, p) && holds(b, id) && !holds(a, id)
+	})
+	checkMembers(t, "lease away", members)
+	if err := eb.Resume(id); err != nil {
+		t.Fatal(err)
+	}
+	in, err := b.Runtime().Wait(id, 10*time.Second)
+	if err != nil || in.Status != core.InstanceDone || in.Outputs["r"].AsNum() != 15 {
+		t.Fatalf("on beta: %v %v (%v), want done with r = 15", in.Status, in.Outputs, err)
+	}
+
+	moveLease(t, a.leases, p, "alpha")
+	waitFor(t, "alpha takes the partition back and beta drops the instance", func() bool {
+		return owns(a, p) && !owns(b, p) && !holds(b, id)
+	})
+	checkMembers(t, "lease back", members)
+	if holds(a, id) {
+		t.Errorf("alpha lists %s, which finished on beta", id)
+	}
+	if _, live, err := st.Get(store.Instance, "inst/"+id); live || err != nil {
+		t.Fatalf("a live inst/ record of %s reappeared (%v)", id, err)
+	}
+	raw, ok, err := st.Get(store.History, "inst/"+id)
+	if !ok || err != nil {
+		t.Fatalf("no archived inst/ record of %s (%v)", id, err)
+	}
+	if meta, err := core.DecodeInstanceMeta(raw); err != nil || meta.Status != core.InstanceDone {
+		t.Fatalf("archived inst/ record of %s reads %v (%v), want done", id, meta.Status, err)
 	}
 }
 

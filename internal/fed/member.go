@@ -549,7 +549,7 @@ func (m *Member) settled() bool {
 // lease table, re-claims partitions this member held before a restart,
 // claims unowned partitions and dead members' partitions for which it is
 // the rendezvous successor, drops partitions whose lease another member
-// won, and hands empty partitions whose rendezvous successor is another
+// won (and evicts their instances from the engine), and hands empty partitions whose rendezvous successor is another
 // live member back to the pool so late joiners pick up a fair share.
 // Claims are CAS'd; a lost race just updates the route.
 func (m *Member) reconcile() {
@@ -618,6 +618,11 @@ func (m *Member) reconcile() {
 		m.rt.Engine().EmitInfra(core.Event{Kind: core.EvNodeDown,
 			Node:   "member/" + m.cfg.Name,
 			Detail: fmt.Sprintf("partition %d lease lost", p)})
+	}
+	if len(lost) > 0 {
+		// The new owner adopts the lost partitions' instances from the
+		// store; what the engine still holds of them is a stale copy.
+		m.rt.Engine().Release()
 	}
 	m.handOff(handoffs)
 	if len(claims) == 0 {

@@ -514,6 +514,55 @@ func TestReplayAllocs(t *testing.T) {
 	}
 }
 
+// TestSegmentAllocsIndependentOfFrames: a segment is read whole and walked
+// in place, so opening a log or replaying it allocates no more for a segment
+// of many frames than for one of few. A frame read or allocated on its own
+// (io.ReadFull into a header, make([]byte) for a body) costs one allocation a
+// frame, thousands here. Under the race detector fmt's pooled printer is
+// dropped at random, so the budget there allows for it.
+func TestSegmentAllocsIndependentOfFrames(t *testing.T) {
+	allocs := func(frames int) (open, replay float64) {
+		// A directory of its own: Open reads the log's parent directory too.
+		dir := filepath.Join(t.TempDir(), "wal")
+		l := openT(t, dir, Options{NoSync: true})
+		for i := 0; i < frames; i++ {
+			if _, err := appendOne(l, []byte{byte(i), 1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		open = testing.AllocsPerRun(10, func() {
+			l, err := Open(dir, Options{NoSync: true})
+			if err == nil {
+				err = l.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		l = openT(t, dir, Options{NoSync: true})
+		replay = testing.AllocsPerRun(10, func() {
+			n := 0
+			if err := l.ReplayBatches(1, func(_ uint64, recs [][]byte) error { n += len(recs); return nil }); err != nil || n != frames {
+				t.Fatalf("replayed %d of %d records: %v", n, frames, err)
+			}
+		})
+		return open, replay
+	}
+	slack := 0.0
+	if raceEnabled {
+		slack = 4
+	}
+	fewOpen, fewReplay := allocs(4)
+	manyOpen, manyReplay := allocs(4000)
+	if manyOpen > fewOpen+slack || manyReplay > fewReplay+slack {
+		t.Fatalf("a segment of 4000 frames: Open %.0f, ReplayBatches %.0f allocations; of 4 frames: %.0f and %.0f",
+			manyOpen, manyReplay, fewOpen, fewReplay)
+	}
+}
+
 // truncatedMiddle builds a log of several segments, reopens it, and then —
 // behind the open Log's back — cuts the last batch off its second segment,
 // the way a disk fault or a shipper reading a live log would see it. It

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo hygiene + test gate. Run from the repo root:
 #
-#   ./scripts/check.sh          # gofmt, vet, build, compiled-once, keys-built-once, one-attempt and segment-read greps, biooperalint, tests
+#   ./scripts/check.sh          # gofmt, vet, build, compiled-once, keys-built-once and one-attempt greps, biooperalint, tests
 #   ./scripts/check.sh -race    # same, plus the race-detector suite
 set -eu
 
@@ -21,7 +21,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== templates are compiled once, store keys are built once, an attempt lives in its task, a WAL segment is read whole"
+echo "== templates are compiled once, store keys are built once, an attempt lives in its task"
 # An instance shares its template's compiled form (internal/core/template.go):
 # nothing on the start, navigation or checkpoint path may copy or re-format a
 # process. The allowed sites: the compile step itself, RegisterTemplate's one
@@ -67,19 +67,6 @@ attempts=$(
 if [ -n "$attempts" ]; then
     echo "a queuedRef built on the heap, a job queued outside enqueue/putBack, or a drain-path view not taken into the engine's buffer:" >&2
     echo "$attempts" >&2
-    exit 1
-fi
-
-# The log is read a segment at a time (DESIGN §10 "Parallel sharded
-# recovery"): readSegment takes a whole segment in one read and walk hands
-# out its frames in place, so nothing in internal/wal reads or allocates a
-# frame of its own. The one make([]byte is AppendBatch's pooled encode buffer.
-framereads=$(grep -n 'io\.ReadFull(\|make(\[\]byte' internal/wal/*.go |
-    grep -v '_test\.go:' |
-    grep -v '^internal/wal/wal\.go:[0-9]*:	b := make(\[\]byte, 0, 4096)$' || true)
-if [ -n "$framereads" ]; then
-    echo "a frame read or allocated on its own in internal/wal:" >&2
-    echo "$framereads" >&2
     exit 1
 fi
 

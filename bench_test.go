@@ -784,17 +784,15 @@ func buildRecoveryStore(b *testing.B, dst store.Store, n int, seeds recoverSeedS
 }
 
 // recoverOnce builds a fresh engine over st and times one Recover call.
-// The heap is collected first: a prior eager recovery leaves gigabytes of
-// dead engine state behind, and without the collection its GC debt lands
-// inside the next (possibly much shorter) timed region, skewing ratios by
-// 2x or more on a small machine.
-func recoverOnce(b *testing.B, st store.Store, n int, lazy bool) time.Duration {
+// The heap is collected first: a prior recovery leaves its dead engine state
+// behind, and without the collection its GC debt lands inside the next
+// timed region.
+func recoverOnce(b *testing.B, st store.Store, n int) time.Duration {
 	b.Helper()
 	runtime.GC()
 	rt, err := core.NewSimRuntime(core.SimConfig{
 		Seed: 1, Spec: cluster.IkLinux(), Store: st,
 		Library: benchFanLibrary(),
-		Options: core.Options{LazyRecovery: lazy},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -815,74 +813,24 @@ func recoverOnce(b *testing.B, st store.Store, n int, lazy bool) time.Duration {
 }
 
 // BenchmarkRecover measures cold-start recovery (Engine.Recover) over
-// synthetic stores of 1k/10k/100k instances at 1% active, eager vs lazy.
-// Lazy recovery decodes only instance metadata for the dormant 99%, so its
-// advantage grows with the dormant population.
+// synthetic stores of 1k/10k/100k instances at 1% active. The dormant 99%
+// come back as stubs, of which only the metadata is decoded.
 func BenchmarkRecover(b *testing.B) {
 	seeds := recoverSeeds(b)
 	for _, n := range []int{1000, 10000, 100000} {
-		var st store.Store
-		for _, mode := range []string{"eager", "lazy"} {
-			lazy := mode == "lazy"
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode), func(b *testing.B) {
-				if st == nil { // shared store, built on first use of this size
-					st = store.NewMem()
-					buildRecoveryStore(b, st, n, seeds)
-				}
-				var total time.Duration
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					total += recoverOnce(b, st, n, lazy)
-				}
-				b.StopTimer()
-				perRecover := total / time.Duration(b.N)
-				b.ReportMetric(float64(n)/perRecover.Seconds(), "instances/s")
-				b.ReportMetric(perRecover.Seconds()*1000, "ms/recover")
-			})
-		}
-	}
-}
-
-// lazySpeedupFloor is ROADMAP item 10's rule: below this eager/lazy ratio at
-// 100k instances lazy recovery no longer pays for its second recovery path,
-// and LazyRecovery is to be deleted.
-const lazySpeedupFloor = 1.5
-
-// BenchmarkRecoverLazySpeedup measures the ratio of eager to lazy recovery
-// time over 100k instances at 1% active. With BENCH_GATE set it fails below
-// lazySpeedupFloor — the point where the option is to go, not a baseline to
-// hold. The gate is a within-run ratio, so it is machine-independent;
-// absolute times are reference only.
-func BenchmarkRecoverLazySpeedup(b *testing.B) {
-	const n = 100000
-	seeds := recoverSeeds(b)
-	st := store.NewMem()
-	buildRecoveryStore(b, st, n, seeds)
-	// Best-of-k per mode: interference (GC debt, a noisy co-tenant) only
-	// ever adds time, so the minimum is the robust estimate of intrinsic
-	// recovery cost and keeps the gated ratio from flapping on a loaded
-	// box. The cheap lazy pass gets an extra sample since a fixed absolute
-	// disturbance distorts it proportionally more.
-	best := func(lazy bool, reps int) time.Duration {
-		min := recoverOnce(b, st, n, lazy)
-		for r := 1; r < reps; r++ {
-			if d := recoverOnce(b, st, n, lazy); d < min {
-				min = d
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			st := store.NewMem()
+			buildRecoveryStore(b, st, n, seeds)
+			var total time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				total += recoverOnce(b, st, n)
 			}
-		}
-		return min
-	}
-	var eager, lazy time.Duration
-	for i := 0; i < b.N; i++ {
-		eager += best(false, 2)
-		lazy += best(true, 3)
-	}
-	speedup := float64(eager) / float64(lazy)
-	b.ReportMetric(speedup, "x-speedup")
-	b.ReportMetric(eager.Seconds()*1000/float64(b.N), "ms/eager")
-	b.ReportMetric(lazy.Seconds()*1000/float64(b.N), "ms/lazy")
-	if os.Getenv("BENCH_GATE") != "" && speedup < lazySpeedupFloor {
-		b.Fatalf("lazy recovery speedup %.2fx is below %.1fx: by ROADMAP item 10, delete LazyRecovery", speedup, lazySpeedupFloor)
+			b.StopTimer()
+			perRecover := total / time.Duration(b.N)
+			b.ReportMetric(float64(n)/perRecover.Seconds(), "instances/s")
+			b.ReportMetric(perRecover.Seconds()*1000, "ms/recover")
+		})
 	}
 }
 
@@ -944,7 +892,6 @@ func BenchmarkFailover(b *testing.B) {
 		rt, err := core.NewSimRuntime(core.SimConfig{
 			Seed: 1, Spec: cluster.IkLinux(), Store: promoted,
 			Library: benchFanLibrary(),
-			Options: core.Options{LazyRecovery: true},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -1019,7 +966,6 @@ func bootFedBench(b *testing.B, n, partitions int, shared store.Store, stepTime 
 			Partitions:       partitions,
 			HeartbeatEvery:   25 * time.Millisecond,
 			HeartbeatTimeout: 100 * time.Millisecond,
-			LazyRecovery:     true,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -23,7 +23,6 @@ type fedServeOpts struct {
 	storeDir    string
 	workers     int
 	partitions  int
-	lazy        bool
 	beat        time.Duration
 	beatTimeout time.Duration
 	monitor     string
@@ -64,7 +63,6 @@ func serveFederated(ps []*ocr.Process, o fedServeOpts) error {
 		Partitions:       o.partitions,
 		HeartbeatEvery:   o.beat,
 		HeartbeatTimeout: o.beatTimeout,
-		LazyRecovery:     o.lazy,
 		Metrics:          reg,
 		EventRing:        ring,
 		OnError: func(err error) {
@@ -271,7 +269,6 @@ func cmdFed(args []string) error {
 			Partitions:       *partitions,
 			HeartbeatEvery:   50 * time.Millisecond,
 			HeartbeatTimeout: 250 * time.Millisecond,
-			LazyRecovery:     true,
 			Metrics:          reg,
 			OnError: func(err error) {
 				if *verbose {

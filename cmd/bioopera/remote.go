@@ -61,7 +61,6 @@ func cmdServe(args []string) error {
 	var joinFlags repeated
 	fs.Var(&joinFlags, "join", "federate: peer member address to join (repeatable; implies -fed)")
 	partitions := fs.Int("partitions", 0, "federate: ownership partition count, all members must agree (default 16)")
-	lazy := fs.Bool("lazy-recovery", false, "federate: adopt failed-over instances as stubs, hydrated on first touch")
 	verbose := fs.Bool("v", false, "log protocol and node events")
 	file, err := fileThenFlags(fs, args, "usage: bioopera serve <file.ocr> [flags]")
 	if err != nil {
@@ -86,7 +85,6 @@ func cmdServe(args []string) error {
 			storeDir:    *storeDir,
 			workers:     *workers,
 			partitions:  *partitions,
-			lazy:        *lazy,
 			beat:        *beat,
 			beatTimeout: *beatTimeout,
 			monitor:     *monitor,
@@ -224,7 +222,6 @@ func cmdStandby(args []string) error {
 	timeout := fs.Duration("timeout", 10*time.Minute, "completion timeout after promotion")
 	beat := fs.Duration("heartbeat", time.Second, "worker heartbeat cadence")
 	beatTimeout := fs.Duration("heartbeat-timeout", 0, "silence before a worker is declared dead (default 3× heartbeat)")
-	lazy := fs.Bool("lazy-recovery", false, "recover suspended instances as stubs, hydrated on first touch")
 	verbose := fs.Bool("v", false, "after promotion, log worker joins, deaths and protocol errors")
 	file, err := fileThenFlags(fs, args, "usage: bioopera standby <file.ocr> [flags]")
 	if err != nil {
@@ -261,7 +258,6 @@ func cmdStandby(args []string) error {
 		Addr:             *listen,
 		Store:            disk,
 		Library:          stubLibrary(ps, *verbose),
-		LazyRecovery:     *lazy,
 		HeartbeatEvery:   *beat,
 		HeartbeatTimeout: *beatTimeout,
 		Logf:             logf,

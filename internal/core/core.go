@@ -132,12 +132,6 @@ type Options struct {
 	// StartOptions.Tenant; with a single tenant the queue order is the
 	// plain (priority, FIFO) of the pre-tenancy engine.
 	Quotas map[string]float64
-	// LazyRecovery makes Recover materialize suspended instances as
-	// meta-only stubs whose scope records are decoded on first mutating
-	// touch (Resume, Abort, Signal, SetParameter, Lineage). Boot time
-	// then scales with the active fraction of the store, not its size;
-	// observers (monitor, Progress) see a meta-only view of stubs.
-	LazyRecovery bool
 	// OnInstanceDone fires when an instance reaches Done or Failed.
 	OnInstanceDone func(*Instance)
 	// OnEvent observes every engine event (may be nil). It may be called
@@ -740,7 +734,8 @@ func (e *Engine) Instances() []*Instance {
 }
 
 // QueueLen reports how many activities await dispatch, those of suspended
-// instances included.
+// instances included. A recovered suspended instance is a stub whose tasks
+// are counted once it hydrates (Resume, or any other mutating touch).
 func (e *Engine) QueueLen() int {
 	e.dmu.Lock()
 	n := e.sched.Len()
@@ -749,7 +744,8 @@ func (e *Engine) QueueLen() int {
 }
 
 // HeldJobs reports how many queued activities belong to suspended
-// instances: counted by QueueLen, but not dispatchable until Resume.
+// instances: counted by QueueLen, but not dispatchable until Resume. A
+// recovered suspended instance's tasks are counted once its stub hydrates.
 func (e *Engine) HeldJobs() int {
 	e.dmu.Lock()
 	n := e.sched.Held()
@@ -833,7 +829,7 @@ func (e *Engine) Resume(id string) error {
 		return err
 	}
 	in.setStatus(InstanceRunning)
-	// After hydration, so the tasks a lazy stub just requeued are released
+	// After hydration, so the tasks a stub just requeued are released
 	// with the rest.
 	e.dmu.Lock()
 	e.sched.Release(id)
@@ -860,7 +856,7 @@ func (e *Engine) Abort(id string, reason string) error {
 		return fmt.Errorf("%w: instance %s is %s", ErrBadState, id, in.Status)
 	}
 	e.beginTurn(in)
-	// A lazy stub must hydrate first: archive captures the full scope
+	// A stub must hydrate first: archive captures the full scope
 	// tree, and failing a meta-only shell would strand its delta records.
 	if err := e.hydrateLocked(in); err != nil {
 		return err

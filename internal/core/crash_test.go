@@ -19,8 +19,10 @@ import (
 // The crash enumeration's laboratory: a small restart_recover on a Disk store
 // over a crashFS. crashLab instances of Chain8 start on the test cluster's
 // four slots, every crashSuspendEvery-th is suspended, and the rest run until
-// each is crashMinSteps deep; then the server crashes. Segments of
-// crashSegment bytes make the restart rotate the log and compact it.
+// each is crashMinSteps deep; then the server crashes. Every restart resumes
+// the first suspended instance, so its stub's hydration is among the crash
+// points too. Segments of crashSegment bytes make the restart rotate the log
+// and compact it.
 const (
 	crashDir          = "/lab"
 	crashLab          = 12
@@ -44,6 +46,7 @@ type crashWorld struct {
 	journal int               // the records its journal holds
 	x       map[string]string // instance → its input, which is its output r
 	live    map[string]bool   // the instances that were running
+	resumed string            // the suspended instance every restart resumes
 }
 
 // openCrashDisk opens the laboratory's store on fs.
@@ -69,6 +72,9 @@ func buildCrashWorld(t *testing.T) *crashWorld {
 		if i%crashSuspendEvery == crashSuspendEvery-1 {
 			if err := rt.Engine.Suspend(id, false); err != nil {
 				t.Fatal(err)
+			}
+			if w.resumed == "" {
+				w.resumed = id
 			}
 		} else {
 			w.live[id] = true
@@ -136,10 +142,11 @@ func (l launchLog) Launch(x Launch) error {
 	return l.Executor.Launch(x)
 }
 
-// restartLab opens the store on fs, boots, registers the template, recovers
+// restartLab opens the store on fs, boots, registers the template, recovers,
+// resumes the instance resume unless an earlier restart's Resume committed,
 // and drains. It stops at the first failure: on a file system that has
 // crashed, everything fails from then on. The caller closes the store.
-func restartLab(t *testing.T, fs *crashFS) (*crashRun, error) {
+func restartLab(t *testing.T, fs *crashFS, resume string) (*crashRun, error) {
 	t.Helper()
 	r := &crashRun{}
 	var err error
@@ -172,6 +179,10 @@ func restartLab(t *testing.T, fs *crashFS) (*crashRun, error) {
 			_, err = r.rt.Engine.Recover()
 			r.check("recovered")
 		}
+	}
+	if status, _, serr := r.rt.Engine.InstanceState(resume); err == nil && r.failed == nil && serr == nil && status == InstanceSuspended {
+		err = r.rt.Engine.Resume(resume)
+		r.check("resumed")
 	}
 	if err == nil && r.failed == nil {
 		r.rt.Run()
@@ -305,7 +316,7 @@ func checkAfterCrash(t *testing.T, w *crashWorld, run *crashRun, img *crashFS, w
 		return true, err
 	}
 
-	r, err := restartLab(t, img)
+	r, err := restartLab(t, img, w.resumed)
 	if r != nil {
 		defer r.disk.Close()
 	}
@@ -333,10 +344,11 @@ func checkAfterCrash(t *testing.T, w *crashWorld, run *crashRun, img *crashFS, w
 			}
 			status, outputs = m.Status, m.Outputs
 		}
+		runs := w.live[id] || id == w.resumed
 		switch {
-		case !w.live[id] && status != InstanceSuspended:
+		case !runs && status != InstanceSuspended:
 			return true, fmt.Errorf("suspended instance %s is %s", id, status)
-		case w.live[id] && (status != InstanceDone || outputs["r"].AsStr() != x):
+		case runs && (status != InstanceDone || outputs["r"].AsStr() != x):
 			return true, fmt.Errorf("instance %s is %s with r = %v, want done with %q", id, status, outputs["r"], x)
 		}
 	}
@@ -354,7 +366,7 @@ func TestCrashEnumerationRestartRecover(t *testing.T) {
 	w := buildCrashWorld(t)
 
 	fault, _ := w.image.reboot(0)
-	r, err := restartLab(t, fault)
+	r, err := restartLab(t, fault, w.resumed)
 	if err == nil {
 		err = r.disk.Close()
 	}
@@ -386,7 +398,7 @@ func TestCrashEnumerationRestartRecover(t *testing.T) {
 	for k := 1; k <= points; k++ {
 		fs, _ := w.image.reboot(0)
 		fs.crashAt = k
-		run, err := restartLab(t, fs)
+		run, err := restartLab(t, fs, w.resumed)
 		if run == nil {
 			// The store did not open: the crash came first.
 			run = &crashRun{}
@@ -422,22 +434,23 @@ func TestCrashEnumerationRestartRecover(t *testing.T) {
 }
 
 // TestRestartSyncsPerActivity: a recovered activity costs one commit, not
-// four. The laboratory's restart drains nine Chain8 instances through four
-// slots, so a completion's freed slot goes to another instance's job: the
-// job's dispatch commits with the completion (one batch, not two), and the
-// simulated cluster's job-start and job-end records ride those batches
-// instead of committing alone. The log's fsyncs per activity the restart
-// drained stay at most 1.3 — opening, registering and recovering included.
+// four. The laboratory's restart drains ten Chain8 instances, nine running
+// and one resumed, through four slots, so a completion's freed slot goes to
+// another instance's job: the job's dispatch commits with the completion
+// (one batch, not two), and the simulated cluster's job-start and job-end
+// records ride those batches instead of committing alone. The log's fsyncs
+// per activity the restart drained stay at most 1.3 — opening, registering
+// and recovering included.
 func TestRestartSyncsPerActivity(t *testing.T) {
 	w := buildCrashWorld(t)
 	fs, _ := w.image.reboot(0)
-	r, err := restartLab(t, fs)
+	r, err := restartLab(t, fs, w.resumed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.disk.Close()
-	for id := range w.live {
-		if in, _ := r.rt.Engine.Instance(id); in.Status != InstanceDone {
+	for id := range w.x {
+		if in, _ := r.rt.Engine.Instance(id); (w.live[id] || id == w.resumed) && in.Status != InstanceDone {
 			t.Fatalf("instance %s is %s after the restart", id, in.Status)
 		}
 	}

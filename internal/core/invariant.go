@@ -57,8 +57,8 @@ func (v Violation) String() string {
 // Check tests every rule and returns the violations it finds, nil when it
 // finds none. It only reads: it takes each instance's shard and then dmu,
 // one instance at a time, walking the registry by index without holding emu
-// across a shard; a lazily recovered stub is read as it stands, not
-// hydrated; and it allocates only to report.
+// across a shard; a recovered suspended instance's stub is read as it
+// stands, not hydrated; and it allocates only to report.
 func (e *Engine) Check() []Violation {
 	var out []Violation
 	for i := 0; ; i++ {

@@ -46,8 +46,8 @@ func qualify(scopeID, name string) string { return scopeID + "::" + name }
 
 // Lineage builds the provenance graph of an instance (running or
 // finished). It holds the instance's shard lock while reading, so the
-// graph is a consistent snapshot even under concurrent navigation. A lazy
-// stub hydrates first, which makes the read a turn: the checkpoints
+// graph is a consistent snapshot even under concurrent navigation. A stub
+// hydrates first, which makes the read a turn: the checkpoints
 // hydration produces flush when it ends.
 func (e *Engine) Lineage(instanceID string) (*Lineage, error) {
 	in, ok := e.lookup(instanceID)

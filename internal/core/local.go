@@ -52,9 +52,6 @@ type LocalConfig struct {
 	// Owns partitions instance ownership for federated members sharing a
 	// store (see Options.Owns).
 	Owns func(id string) bool
-	// LazyRecovery defers rebuilding suspended instances to first touch
-	// (see Options.LazyRecovery).
-	LazyRecovery bool
 }
 
 // NewLocalRuntime builds the pool and engine.
@@ -71,16 +68,15 @@ func NewLocalRuntime(cfg LocalConfig) (*LocalRuntime, error) {
 	rt := &LocalRuntime{Store: cfg.Store}
 	rt.exec = newLocalExec(rt, cfg.Library, cfg.Workers)
 	eng, err := New(Options{
-		Store:        cfg.Store,
-		Library:      cfg.Library,
-		Executor:     rt.exec,
-		Clock:        sim.NewWall(),
-		OnEvent:      cfg.OnEvent,
-		OnError:      cfg.OnError,
-		Metrics:      cfg.Metrics,
-		EventRing:    cfg.EventRing,
-		Owns:         cfg.Owns,
-		LazyRecovery: cfg.LazyRecovery,
+		Store:     cfg.Store,
+		Library:   cfg.Library,
+		Executor:  rt.exec,
+		Clock:     sim.NewWall(),
+		OnEvent:   cfg.OnEvent,
+		OnError:   cfg.OnError,
+		Metrics:   cfg.Metrics,
+		EventRing: cfg.EventRing,
+		Owns:      cfg.Owns,
 		OnInstanceDone: func(*Instance) {
 			rt.Bump()
 		},

@@ -69,7 +69,7 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		"Activities awaiting dispatch.",
 		func() float64 { return float64(e.QueueLen()) })
 	reg.GaugeFunc("bioopera_sched_held_jobs",
-		"Queued activities of suspended instances: counted in the queue depth, not dispatchable until Resume.",
+		"Queued activities of suspended instances: counted in the queue depth, not dispatchable until Resume; a recovered suspended instance's count once it hydrates.",
 		func() float64 { return float64(e.HeldJobs()) })
 	// Per-tenant and per-priority queue depth. Label sets must be fixed at
 	// registration, so tenants come from the configured quota map (plus the

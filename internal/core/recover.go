@@ -4,11 +4,13 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"bioopera/internal/codec"
 	"bioopera/internal/ocr"
 	"bioopera/internal/store"
 )
@@ -28,9 +30,9 @@ import (
 //     execution state, registers the instance, and emits events — so the
 //     recovery trace is deterministic regardless of worker count.
 //
-// With Options.LazyRecovery, suspended instances skip phase 2 entirely:
-// they come back as stubs (decoded metadata plus their raw records) and
-// hydrate on first mutating touch, so boot time scales with the active
+// Suspended instances skip the rebuild of phase 2: they come back as stubs
+// (decoded metadata plus their raw records, whose headers phase 2 checks)
+// and hydrate on first mutating touch, so boot time scales with the active
 // fraction of the store, not its total size.
 
 // scopeRec collects one scope's create and dynamic records during recovery,
@@ -54,17 +56,62 @@ func splitInstKey(rest string) (instID, sub string, ok bool) {
 }
 
 // instGroup is one instance's share of the store scan: decoded metadata
-// plus every raw scope/task/proc record, still undecoded.
+// plus every raw scope/task/proc record, still undecoded. A suspended
+// instance keeps its group as its stub (Instance.stub) until its first
+// mutating touch, and with it the progress its records show once someone
+// has looked; a stub's group is guarded by the instance's shard lock.
 type instGroup struct {
 	id   string
 	meta InstanceMeta
 	kvs  []store.KV
+
+	e        *Engine // the engine that resolves the stub's processes
+	progress float64
+	measured bool
 }
 
-// stubState carries a lazily recovered instance's undecoded records until
-// first touch. Guarded by the instance's shard lock.
-type stubState struct {
-	kvs []store.KV
+// measure returns the Progress the stub's records show, building the scope
+// tree aside from them the first time it is asked and keeping the figure:
+// no turn, no write, and the stub stays a stub. A record that does not
+// decode reads as no progress; hydration reports it.
+func (g *instGroup) measure() float64 {
+	if !g.measured {
+		g.measured = true
+		aside := buildInstanceShell(InstanceMeta{ID: g.id})
+		aside.stub = g
+		if g.e.buildStub(aside) == nil {
+			g.progress = aside.Progress()
+		}
+	}
+	return g.progress
+}
+
+// checkHeaders refuses a stub whose scope or task record is not a codec
+// record of the kind its key names, so a pre-codec JSON record or a torn one
+// fails its instance at Recover, as a full rebuild's decode would; only a
+// record with a good header and a bad body waits for hydration. It opens
+// each record with one pooled decoder and allocates only to refuse.
+func checkHeaders(kvs []store.KV) error {
+	d := decoders.Get().(*codec.Decoder)
+	defer decoders.Put(d)
+	for _, kv := range kvs {
+		var kind byte
+		var what string
+		switch {
+		case strings.HasPrefix(kv.Key, "scopec/"):
+			kind, what = recCreate, "scope-create"
+		case strings.HasPrefix(kv.Key, "scoped/"):
+			kind, what = recDyn, "scope-dynamic"
+		case strings.HasPrefix(kv.Key, "task/"):
+			kind, what = recTask, "task"
+		default:
+			continue
+		}
+		if err := d.Open(kv.Value, kind); err != nil {
+			return fmt.Errorf("core: corrupt %s record %s: %w", what, kv.Key, err)
+		}
+	}
+	return nil
 }
 
 // decodeInstanceRecords decodes one instance's scope records into the
@@ -150,7 +197,7 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 
 	// Phase 1 (serial): group raw records by instance. Only the small
 	// inst/ metadata record is decoded here; everything else is deferred
-	// to the workers (or, for lazy stubs, to first touch).
+	// to the workers (or, for stubs, to first touch).
 	var errs []error
 	groups := make(map[string]*instGroup)
 	group := func(id string) *instGroup {
@@ -204,10 +251,11 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 		ids = kept
 	}
 
-	// Phase 2 (parallel): decode and rebuild. Worker w handles the sorted
-	// indexes i with i%workers == w and writes only results[i]/buildErrs[i];
-	// the one thing shared is the compiled-process index, which they read
-	// (and, for a text nothing registered has, extend) under emu.
+	// Phase 2 (parallel): decode and rebuild, or check a stub's headers.
+	// Worker w handles the sorted indexes i with i%workers == w and writes
+	// only results[i]/buildErrs[i]; the one thing shared is the
+	// compiled-process index, which they read (and, for a text nothing
+	// registered has, extend) under emu.
 	results := make([]*Instance, len(ids))
 	buildErrs := make([]error, len(ids))
 	workers := min(len(e.shards), len(ids))
@@ -246,6 +294,14 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 		}
 	}
 	e.commitGroup(&g)
+	// Much of what recovery allocated — the listed records of the
+	// instances it rebuilt, the decoded metadata, the rebuilds' temporaries
+	// — is garbage now. Collected here, it costs one collection before the
+	// engine dispatches; left to the pacer, the collection lands in the
+	// first turns after the restart, which then run with write barriers on
+	// and share a processor with the mark worker (restart_recover: 29-34k
+	// activities/s against 53-55k).
+	runtime.GC()
 	e.Pump()
 	if e.opts.OnError != nil {
 		for _, err := range errs {
@@ -307,9 +363,8 @@ func (e *Engine) registerRecovered(in *Instance, g *turnGroup) bool {
 		return false
 	}
 	if in.Status == InstanceSuspended {
-		// Before anything is requeued — now, or when a lazy stub
-		// hydrates — so a suspended instance's tasks never enter
-		// dispatch order.
+		// Before anything is requeued — when the stub hydrates — so a
+		// suspended instance's tasks never enter dispatch order.
 		e.holdQueued(in)
 	}
 	if in.stub == nil {
@@ -388,33 +443,21 @@ func (e *Engine) evict(in *Instance) bool {
 	return true
 }
 
-// buildRecovered rebuilds one instance from its grouped records — or, with
-// lazy recovery and a suspended instance, builds a stub that retains the
-// raw records for hydration on first touch. Runs on recovery workers: it
-// touches only the instance under construction.
+// buildRecovered rebuilds one instance from its grouped records — or, for
+// a suspended instance, builds a stub that retains the raw records for
+// hydration on first touch. Runs on recovery workers: it touches only the
+// instance under construction.
 func (e *Engine) buildRecovered(g *instGroup) (*Instance, error) {
 	in := buildInstanceShell(g.meta)
-	if e.opts.LazyRecovery && g.meta.Status == InstanceSuspended {
-		// Record the interned-text hashes from the raw keys so later
-		// checkpoints do not re-intern texts already on disk.
-		for _, kv := range g.kvs {
-			if strings.HasPrefix(kv.Key, "proc/") {
-				if _, hash, ok := splitInstKey(strings.TrimPrefix(kv.Key, "proc/")); ok {
-					in.procRefs[hash] = true
-				}
-			}
-		}
-		in.stub = &stubState{kvs: g.kvs}
-		return in, nil
+	in.stub = g
+	var err error
+	if g.meta.Status == InstanceSuspended {
+		g.e = e
+		err = checkHeaders(g.kvs)
+	} else {
+		err = e.buildStub(in)
 	}
-	recMap, procTexts, err := decodeInstanceRecords(g.kvs)
 	if err != nil {
-		return nil, err
-	}
-	for hash := range procTexts {
-		in.procRefs[hash] = true
-	}
-	if err := e.buildScopes(in, g.kvs, recMap, procTexts); err != nil {
 		return nil, err
 	}
 	return in, nil
@@ -445,7 +488,7 @@ func taskRecKey(key string) (scopeID, task string, ok bool) {
 func scopeWhere(in *Instance, scopeID string) string { return in.ID + "/" + nzScope(scopeID) }
 
 // buildInstanceShell constructs an Instance carrying only its metadata —
-// the common base of a full rebuild and a lazy stub.
+// the common base of a full rebuild and a stub.
 func buildInstanceShell(meta InstanceMeta) *Instance {
 	in := &Instance{
 		InstanceMeta: meta,
@@ -617,32 +660,16 @@ func (e *Engine) resumeInstance(in *Instance) {
 	}
 }
 
-// hydrateLocked materializes a lazily recovered stub: the retained raw
-// records are decoded, the scope tree rebuilt, and execution state resumed
-// — the work Recover deferred. Caller holds the instance's shard lock and
-// runs inside a turn, so checkpoints produced here flush at its endTurn.
-// On error the stub is restored untouched, so the instance stays a valid
-// meta-only shell and the caller's operation fails cleanly.
+// hydrateLocked materializes a stub: the retained raw records are decoded,
+// the scope tree rebuilt (buildStub), and execution state resumed — the work
+// Recover deferred. Caller holds the instance's shard lock and runs inside a
+// turn, so checkpoints produced here flush at its endTurn.
 func (e *Engine) hydrateLocked(in *Instance) error {
-	st := in.stub
-	if st == nil {
+	if in.stub == nil {
 		return nil
 	}
-	deletes := len(in.pendingDeletes)
-	recMap, procTexts, err := decodeInstanceRecords(st.kvs)
-	if err == nil {
-		err = e.buildScopes(in, st.kvs, recMap, procTexts)
-	}
-	if err != nil {
-		in.root = nil
-		in.scopes = make(map[string]*scope)
-		in.clearDirty()
-		in.pendingDeletes = in.pendingDeletes[:deletes]
+	if err := e.buildStub(in); err != nil {
 		return fmt.Errorf("core: hydrating instance %s: %w", in.ID, err)
-	}
-	in.stub = nil
-	for hash := range procTexts {
-		in.procRefs[hash] = true
 	}
 	e.resumeInstance(in)
 	e.emit(in, Event{Kind: EvServerRecovered, Instance: in.ID, Detail: "hydrated"})
@@ -652,10 +679,35 @@ func (e *Engine) hydrateLocked(in *Instance) error {
 	return nil
 }
 
+// buildStub decodes a stub's records into its scope tree and drops the
+// stub: phase 2's rebuild of a running instance, and hydration's. On error
+// the stub is restored untouched, so the instance stays a valid meta-only
+// shell and the caller's operation fails cleanly.
+func (e *Engine) buildStub(in *Instance) error {
+	g := in.stub
+	deletes := len(in.pendingDeletes)
+	recMap, procTexts, err := decodeInstanceRecords(g.kvs)
+	if err == nil {
+		err = e.buildScopes(in, g.kvs, recMap, procTexts)
+	}
+	if err != nil {
+		in.root = nil
+		in.scopes = make(map[string]*scope)
+		in.clearDirty()
+		in.pendingDeletes = in.pendingDeletes[:deletes]
+		return err
+	}
+	in.stub = nil
+	for hash := range procTexts {
+		in.procRefs[hash] = true
+	}
+	return nil
+}
+
 // Hydrated reports whether the instance's full state is in memory (false
-// only for lazy-recovery stubs that have not been touched yet). Callers
-// that merely observe an instance — the monitor, Progress — see a
-// meta-only view of stubs and need not force hydration.
+// only for recovered suspended instances not touched since). Callers that
+// merely observe an instance — the monitor, Progress — read a stub without
+// hydrating it.
 func (e *Engine) Hydrated(id string) (bool, error) {
 	in, ok := e.lookup(id)
 	if !ok {

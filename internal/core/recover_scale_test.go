@@ -2,12 +2,14 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bioopera/internal/codec"
+	"bioopera/internal/obs"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
 	"bioopera/internal/store"
@@ -77,9 +79,9 @@ func TestRecoverOnePoisonedOfN(t *testing.T) {
 	}
 }
 
-// TestLazyRecoverSuspendedDeferred: under LazyRecovery a suspended
-// instance comes back as a meta-only stub, hydrates on first touch into
-// exactly the state an eager recovery builds, and then resumes to the
+// TestLazyRecoverSuspendedDeferred: a suspended instance comes back as a
+// meta-only stub, and Resume hydrates it into exactly the state a stub
+// hydrated at once, the moment it is recovered, builds; then it runs to the
 // correct result.
 func TestLazyRecoverSuspendedDeferred(t *testing.T) {
 	st := store.NewMem()
@@ -89,18 +91,10 @@ func TestLazyRecoverSuspendedDeferred(t *testing.T) {
 	quiesceSuspended(t, rtA, id, sim.Time(1500*time.Millisecond))
 	rtA.Engine.Crash()
 
-	// Eager reference recovery, for the equivalence check below.
-	rtC := newRuntime(t, SimConfig{Store: st})
-	register(t, rtC, parallelSrc)
-	if n, err := rtC.Engine.Recover(); err != nil || n != 1 {
-		t.Fatalf("eager recover = %d, %v", n, err)
-	}
-	inC, _ := rtC.Engine.Instance(id)
-
-	rtB := newRuntime(t, SimConfig{Store: st, Options: Options{LazyRecovery: true}})
+	rtB := newRuntime(t, SimConfig{Store: st})
 	register(t, rtB, parallelSrc)
 	if n, err := rtB.Engine.Recover(); err != nil || n != 1 {
-		t.Fatalf("lazy recover = %d, %v", n, err)
+		t.Fatalf("recover = %d, %v", n, err)
 	}
 	if h, err := rtB.Engine.Hydrated(id); err != nil || h {
 		t.Fatalf("Hydrated = %v, %v; want a dormant stub", h, err)
@@ -113,22 +107,29 @@ func TestLazyRecoverSuspendedDeferred(t *testing.T) {
 		t.Fatalf("stub status = %s, want Suspended", inB.statusNow())
 	}
 
-	// A read-side touch (Lineage) hydrates without changing status.
-	if _, err := rtB.Engine.Lineage(id); err != nil {
+	// The reference: the same records, hydrated as soon as they recover.
+	rtC := newRuntime(t, SimConfig{Store: st})
+	register(t, rtC, parallelSrc)
+	if n, err := rtC.Engine.Recover(); err != nil || n != 1 {
+		t.Fatalf("reference recover = %d, %v", n, err)
+	}
+	if err := hydrateNow(rtC.Engine, id); err != nil {
 		t.Fatal(err)
+	}
+	if inC, _ := rtC.Engine.Instance(id); inC.statusNow() != InstanceSuspended {
+		t.Fatalf("hydration changed status to %s", inC.statusNow())
+	}
+	for _, e := range []*Engine{rtB.Engine, rtC.Engine} {
+		if err := e.Resume(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if h, _ := rtB.Engine.Hydrated(id); !h {
-		t.Fatal("Lineage did not hydrate the stub")
+		t.Fatal("Resume did not hydrate the stub")
 	}
-	if inB.statusNow() != InstanceSuspended {
-		t.Fatalf("hydration changed status to %s", inB.statusNow())
-	}
+	inC, _ := rtC.Engine.Instance(id)
 	if dumpB, dumpC := dumpInstance(t, inB), dumpInstance(t, inC); dumpB != dumpC {
-		t.Fatalf("lazy hydration diverged from eager recovery:\n--- lazy ---\n%s\n--- eager ---\n%s", dumpB, dumpC)
-	}
-
-	if err := rtB.Engine.Resume(id); err != nil {
-		t.Fatal(err)
+		t.Fatalf("hydration by Resume diverged from hydration at recovery:\n--- by Resume ---\n%s\n--- at recovery ---\n%s", dumpB, dumpC)
 	}
 	rtB.Run()
 	in := finished(t, rtB, id)
@@ -139,7 +140,7 @@ func TestLazyRecoverSuspendedDeferred(t *testing.T) {
 	}
 }
 
-// TestLazyRecoverActiveInstanceEager: LazyRecovery only defers dormant
+// TestLazyRecoverActiveInstanceEager: recovery defers only dormant
 // (suspended) instances. A Running instance interrupted mid-flight is
 // rebuilt fully during Recover and finishes without any extra touch.
 func TestLazyRecoverActiveInstanceEager(t *testing.T) {
@@ -154,7 +155,7 @@ func TestLazyRecoverActiveInstanceEager(t *testing.T) {
 	rtA.RunUntil(sim.Time(1300 * time.Millisecond))
 	rtA.Engine.Crash()
 
-	rtB := newRuntime(t, SimConfig{Store: st, Options: Options{LazyRecovery: true}})
+	rtB := newRuntime(t, SimConfig{Store: st})
 	register(t, rtB, parallelSrc)
 	if n, err := rtB.Engine.Recover(); err != nil || n != 1 {
 		t.Fatalf("recover = %d, %v", n, err)
@@ -171,12 +172,11 @@ func TestLazyRecoverActiveInstanceEager(t *testing.T) {
 	}
 }
 
-// TestLazyRecoverCorruptStubSurfacesOnResume: lazy recovery defers decode
-// errors to hydration time. A corrupt delta record inside a stub fails the
-// first touch with a hydration error, leaves the stub intact (so the
-// failure is stable, not state-corrupting), and the same store fails
-// immediately under eager recovery.
-func TestLazyRecoverCorruptStubSurfacesOnResume(t *testing.T) {
+// corruptSuspendedTask suspends a Par instance, crashes its server and
+// rewrites the instance's first task record with what corrupt makes of it.
+// It returns the store, the instance and the record's key.
+func corruptSuspendedTask(t *testing.T, corrupt func([]byte) []byte) (*store.Mem, string, string) {
+	t.Helper()
 	st := store.NewMem()
 	rtA := newRuntime(t, SimConfig{Store: st})
 	register(t, rtA, parallelSrc)
@@ -188,24 +188,45 @@ func TestLazyRecoverCorruptStubSurfacesOnResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupted := false
 	for _, kv := range kvs {
 		if strings.HasPrefix(kv.Key, "task/"+id+"/") {
-			if err := st.Put(store.Instance, kv.Key, []byte("{torn")); err != nil {
+			if err := st.Put(store.Instance, kv.Key, corrupt(kv.Value)); err != nil {
 				t.Fatal(err)
 			}
-			corrupted = true
-			break
+			return st, id, kv.Key
 		}
 	}
-	if !corrupted {
-		t.Fatal("no task record to corrupt")
-	}
+	t.Fatal("no task record to corrupt")
+	return nil, "", ""
+}
 
-	rtB := newRuntime(t, SimConfig{Store: st, Options: Options{LazyRecovery: true}})
+// TestRecoverRefusesStubHeader: a suspended instance's record that is not a
+// codec record of its key's kind — torn at its first bytes here — is refused
+// at Recover, as the rebuild of a running instance refuses it: the instance
+// fails with an error naming the record, and no stub is registered.
+func TestRecoverRefusesStubHeader(t *testing.T) {
+	st, id, key := corruptSuspendedTask(t, func([]byte) []byte { return []byte("{torn") })
+	rt := newRuntime(t, SimConfig{Store: st})
+	register(t, rt, parallelSrc)
+	n, err := rt.Engine.Recover()
+	if n != 0 || !errors.Is(err, codec.ErrCorrupt) || !strings.Contains(err.Error(), key) {
+		t.Fatalf("recover = %d, %v; want the refusal of %s", n, err, key)
+	}
+	if _, ok := rt.Engine.Instance(id); ok {
+		t.Fatal("refused instance present in the registry")
+	}
+}
+
+// TestLazyRecoverCorruptStubSurfacesOnResume: a record with a good header
+// and a bad body waits for hydration. It fails the first touch with a
+// hydration error and leaves the stub intact, so the failure is stable, not
+// state-corrupting.
+func TestLazyRecoverCorruptStubSurfacesOnResume(t *testing.T) {
+	st, id, _ := corruptSuspendedTask(t, func(rec []byte) []byte { return rec[:len(rec)-1] })
+	rtB := newRuntime(t, SimConfig{Store: st})
 	register(t, rtB, parallelSrc)
 	if n, err := rtB.Engine.Recover(); err != nil || n != 1 {
-		t.Fatalf("lazy recover = %d, %v; stub decode must be deferred", n, err)
+		t.Fatalf("recover = %d, %v; a body is decoded at hydration", n, err)
 	}
 	for attempt := 0; attempt < 2; attempt++ {
 		err := rtB.Engine.Resume(id)
@@ -220,20 +241,12 @@ func TestLazyRecoverCorruptStubSurfacesOnResume(t *testing.T) {
 	if !ok || in.statusNow() != InstanceSuspended {
 		t.Fatalf("instance after failed hydration: ok=%v status=%v", ok, in.statusNow())
 	}
-
-	// Eager recovery of the same store hits the corruption up front.
-	rtC := newRuntime(t, SimConfig{Store: st})
-	register(t, rtC, parallelSrc)
-	if n, err := rtC.Engine.Recover(); err == nil || n != 0 {
-		t.Fatalf("eager recover = %d, %v; want immediate decode failure", n, err)
-	}
 }
 
 // TestRecoverRefusesPreCodecJSON: the codec is the only record format. A
 // well-formed JSON record — what an engine from before the codec wrote — is
 // refused, not converted: its instance fails with one error naming the key
-// and the reason, the other instances recover, and lazy recovery surfaces
-// the same error on first touch.
+// and the reason, and the other instances recover.
 func TestRecoverRefusesPreCodecJSON(t *testing.T) {
 	st := store.NewMem()
 	rtA := newRuntime(t, SimConfig{Store: st})
@@ -280,16 +293,123 @@ func TestRecoverRefusesPreCodecJSON(t *testing.T) {
 	if _, ok := rtB.Engine.Instance(bad); ok {
 		t.Fatal("refused instance present in the registry")
 	}
+}
 
-	rtC := newRuntime(t, SimConfig{Store: st, Options: Options{LazyRecovery: true}})
-	register(t, rtC, parallelSrc)
-	if n, err := rtC.Engine.Recover(); err != nil || n != len(ids) {
-		t.Fatalf("lazy recover = %d, %v; stub decode must be deferred", n, err)
+// TestRestartBuildsOnlyWhatRuns: a restart builds the instances that run and
+// leaves every suspended one a stub with nothing in the scheduler. Running to
+// idle hydrates none of them; a Resume hydrates its own instance, once, and
+// that instance finishes.
+func TestRestartBuildsOnlyWhatRuns(t *testing.T) {
+	st, ids := crashedChains(t, 12, func(i int) bool { return i%3 == 0 })
+	hydrations := map[string]int{}
+	rt := newRuntime(t, SimConfig{Store: st, Spec: wideSpec(), Options: Options{
+		OnEvent: func(ev Event) {
+			if ev.Kind == EvServerRecovered && ev.Detail == "hydrated" {
+				hydrations[ev.Instance]++
+			}
+		},
+	}})
+	register(t, rt, chain8Src)
+	e := rt.Engine
+	if n, err := e.Recover(); err != nil || n != len(ids) {
+		t.Fatalf("recover = %d, %v", n, err)
 	}
-	if err := rtC.Engine.Resume(bad); !refused(err) {
-		t.Fatalf("Resume of the refused stub = %v; want the refusal naming %s", err, badKey)
+	jobs := func(id string) int {
+		e.dmu.Lock()
+		defer e.dmu.Unlock()
+		n := 0
+		for _, ref := range e.queued {
+			if ref.inst.ID == id {
+				n++
+			}
+		}
+		for _, ref := range e.running {
+			if ref.inst.ID == id {
+				n++
+			}
+		}
+		return n
 	}
-	if err := rtC.Engine.Resume(ids[0]); err != nil {
-		t.Fatalf("Resume of a healthy stub: %v", err)
+	var suspended []string
+	for i, id := range ids {
+		h, err := e.Hydrated(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch running := i%3 == 0; {
+		case running && !h:
+			t.Fatalf("running instance %s is a stub", id)
+		case !running && (h || jobs(id) != 0):
+			t.Fatalf("suspended instance %s: hydrated %v with %d jobs, want a stub with none", id, h, jobs(id))
+		case !running:
+			suspended = append(suspended, id)
+		}
+	}
+	rt.Run()
+	requireClean(t, "idle", e.Check())
+	if len(hydrations) != 0 {
+		t.Fatalf("running to idle hydrated %v", hydrations)
+	}
+	for i, id := range ids {
+		if i%3 == 0 {
+			finished(t, rt, id)
+		}
+	}
+	resumed := suspended[0]
+	if err := e.Resume(resumed); err != nil {
+		t.Fatal(err)
+	}
+	rt.Run()
+	requireClean(t, "resumed", e.Check())
+	finished(t, rt, resumed)
+	if len(hydrations) != 1 || hydrations[resumed] != 1 {
+		t.Fatalf("hydrations %v, want %s's one", hydrations, resumed)
+	}
+}
+
+// TestStubProgressMatchesHydrated: the monitor reads a stub's progress from
+// its records without a turn, a write or a hydration, and its row is the row
+// of the same instance hydrated — but for Queued, which counts the
+// scheduler's jobs: a stub's task enters the queue when it hydrates.
+func TestStubProgressMatchesHydrated(t *testing.T) {
+	st := store.NewMem()
+	rtA := newRuntime(t, SimConfig{Store: st})
+	register(t, rtA, chain8Src)
+	id := start(t, rtA, "Chain8", map[string]ocr.Value{"x": ocr.Num(1)})
+	quiesceSuspended(t, rtA, id, sim.Time(2500*time.Millisecond))
+	rtA.Engine.Crash()
+
+	rc := newRecordCounter(st)
+	rt := newRuntime(t, SimConfig{Store: rc})
+	register(t, rt, chain8Src)
+	if n, err := rt.Engine.Recover(); err != nil || n != 1 {
+		t.Fatalf("recover = %d, %v", n, err)
+	}
+	mon := NewMonitorSource(rt.Engine)
+	row := func() obs.InstanceSummary {
+		rows := mon.Instances()
+		if len(rows) != 1 {
+			t.Fatalf("%d monitor rows, want 1", len(rows))
+		}
+		return rows[0]
+	}
+	batches := rc.batches
+	stub := row()
+	if h, _ := rt.Engine.Hydrated(id); h || rc.batches != batches {
+		t.Fatalf("the monitor's look hydrated %v, committed %d batches", h, rc.batches-batches)
+	}
+	if stub.Progress <= 0 || stub.Progress >= 1 {
+		t.Fatalf("stub progress %v, want the steps its records show done", stub.Progress)
+	}
+	if err := hydrateNow(rt.Engine, id); err != nil {
+		t.Fatal(err)
+	}
+	built := row()
+	if stub.Queued != 0 || built.Queued != 1 {
+		t.Fatalf("queued %d as a stub and %d hydrated, want 0 and 1", stub.Queued, built.Queued)
+	}
+	stub.Queued = built.Queued
+	if !reflect.DeepEqual(stub, built) {
+		t.Fatalf("stub row %+v, hydrated row %+v", stub, built)
 	}
 }

@@ -327,7 +327,8 @@ func (idleExec) Kill(cluster.JobID, string) error                      { return 
 
 // TestRecoverGroupGateOrder: a Resume of a group member while the group's
 // batch is still committing waits at that member's commit gate — its own
-// batch follows the group's, never overtakes it.
+// batch, which carries the hydration of the member's stub ahead of the
+// resume, follows the group's, never overtakes it.
 func TestRecoverGroupGateOrder(t *testing.T) {
 	st, ids := crashedChains(t, 8, never)
 	gs := &gateStore{Store: st, entered: make(chan struct{}), release: make(chan struct{})}
@@ -379,8 +380,9 @@ func TestRecoverGroupGateOrder(t *testing.T) {
 	if len(gs.batches) != 2 {
 		t.Fatalf("%d batches, want the group's and the Resume's", len(gs.batches))
 	}
-	if evs := gs.batches[1]; len(evs) != 1 || evs[0].Kind != EvInstanceResumed || evs[0].Instance != member {
-		t.Fatalf("second batch carries %+v, want the Resume's event", evs)
+	if evs := gs.batches[1]; len(evs) != 2 || evs[0].Kind != EvServerRecovered || evs[0].Detail != "hydrated" ||
+		evs[1].Kind != EvInstanceResumed || evs[0].Instance != member || evs[1].Instance != member {
+		t.Fatalf("second batch carries %+v, want the Resume's hydration and resume events", evs)
 	}
 	if evs := gs.batches[0]; len(evs) != len(ids) {
 		t.Fatalf("group batch carries %d events, want %d", len(evs), len(ids))

@@ -61,8 +61,8 @@ func TestRecoverMissingRootScope(t *testing.T) {
 }
 
 // TestRecoverStaleTaskRecordDeleted: a task record that names no task of its
-// scope's process has no slot to decode into. Recovery — eager, and a lazy
-// stub's hydration alike — drops it and deletes it with the instance's next
+// scope's process has no slot to decode into. Recovery — a running
+// instance's rebuild, and a suspended one's hydration alike — drops it and deletes it with the instance's next
 // checkpoint, so Progress never counts it and it does not outlive the
 // instance in the instance space.
 func TestRecoverStaleTaskRecordDeleted(t *testing.T) {
@@ -86,7 +86,7 @@ func TestRecoverStaleTaskRecordDeleted(t *testing.T) {
 			codec.Put(enc)
 			rt.Engine.Crash()
 
-			rt2 := newRuntime(t, SimConfig{Store: st, Options: Options{LazyRecovery: lazy}})
+			rt2 := newRuntime(t, SimConfig{Store: st})
 			register(t, rt2, linearSrc)
 			if n, err := rt2.Engine.Recover(); err != nil || n != 1 {
 				t.Fatalf("recover = %d, %v", n, err)

@@ -81,9 +81,9 @@ func TestChain8StartAllocs(t *testing.T) {
 	}
 }
 
-// TestChain8RebuildAllocs: phase 2 of recovery for one suspended Chain8 whose
-// seven later steps never activated. A task with no record keeps its zero
-// slot and costs nothing.
+// TestChain8RebuildAllocs: recovering one suspended Chain8 whose seven later
+// steps never activated — its stub, then the rebuild hydration makes of it.
+// A task with no record keeps its zero slot and costs nothing.
 func TestChain8RebuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector; allocation budgets do not hold")
@@ -99,10 +99,7 @@ func TestChain8RebuildAllocs(t *testing.T) {
 	rt.Engine.Crash()
 	g := suspendedGroup(t, st, id)
 	rebuild := func() {
-		in, err := rt.Engine.buildRecovered(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		in := rebuildStub(t, rt.Engine, g)
 		if got := in.root.task("S1").Status; got != TaskReady {
 			t.Fatalf("S1 rebuilt %s, want ready", got)
 		}
@@ -115,8 +112,8 @@ func TestChain8RebuildAllocs(t *testing.T) {
 	}
 }
 
-// TestFanRebuildAllocs: phase 2 of recovery for one suspended Fan of four
-// elements whose activities wait in the queue. An element scope reads its
+// TestFanRebuildAllocs: recovering one suspended Fan of four elements whose
+// activities wait in the queue — its stub, then hydration's rebuild. An element scope reads its
 // whiteboard through the root's, so it is rebuilt from what it owns: no map
 // of its own and no copy of the parent's.
 func TestFanRebuildAllocs(t *testing.T) {
@@ -134,10 +131,7 @@ func TestFanRebuildAllocs(t *testing.T) {
 	rt.Engine.Crash()
 	g := suspendedGroup(t, st, id)
 	rebuild := func() {
-		in, err := rt.Engine.buildRecovered(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		in := rebuildStub(t, rt.Engine, g)
 		if len(in.scopes) != 5 || in.scopes["F[3]"].task("A").Status != TaskReady {
 			t.Fatalf("rebuilt %d scopes, F[3]'s A %v; want the root and four elements, A ready", len(in.scopes), in.scopes["F[3]"])
 		}
@@ -148,6 +142,20 @@ func TestFanRebuildAllocs(t *testing.T) {
 	if allocs > fanRebuildAllocs {
 		t.Errorf("rebuilding one suspended Fan of 4 = %.2f allocs, want <= %.0f", allocs, fanRebuildAllocs)
 	}
+}
+
+// rebuildStub recovers a suspended instance's group as a stub and builds its
+// scope tree as hydration does.
+func rebuildStub(t *testing.T, e *Engine, g *instGroup) *Instance {
+	t.Helper()
+	in, err := e.buildRecovered(g)
+	if err == nil {
+		err = e.buildStub(in)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
 }
 
 // suspendedGroup reads the records of instance id, which must be suspended,

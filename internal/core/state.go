@@ -358,11 +358,11 @@ type Instance struct {
 	root   *scope
 	scopes map[string]*scope
 
-	// stub, when non-nil, marks a lazily recovered instance: only the
+	// stub, when non-nil, marks a recovered suspended instance: only the
 	// metadata record was decoded, root/scopes are empty, and the raw
 	// delta records wait here until hydrateLocked replays them on the
 	// first mutating touch. Guarded by the shard lock.
-	stub *stubState
+	stub *instGroup
 
 	// status mirrors Status atomically so the dispatcher can test
 	// dispatchability without taking the instance's shard lock. Written
@@ -449,8 +449,13 @@ func (in *Instance) WALL(now sim.Time) time.Duration {
 // tasks across all live scopes (§3.5: administrators are told "how far in
 // their execution these processes are"). Parallel expansion grows the
 // denominator as scopes appear, so progress is monotone within a scope set
-// but may dip when a large block expands.
+// but may dip when a large block expands. A stub reports what its records
+// show, measured the first time it is asked; the caller holds the
+// instance's shard.
 func (in *Instance) Progress() float64 {
+	if in.stub != nil {
+		return in.stub.measure()
+	}
 	var done, total int
 	//bioopera:allow maprange order-independent counting; Terminal is a pure predicate and nothing is emitted
 	for _, sc := range in.scopes {

@@ -385,7 +385,7 @@ func TestRecoverKeepsStartedDefinition(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
 			st := store.NewMem()
-			rt := newRuntime(t, SimConfig{Store: st, Options: Options{LazyRecovery: lazy}})
+			rt := newRuntime(t, SimConfig{Store: st})
 			register(t, rt, subprocSrc)
 			v1, _ := rt.Engine.resolveTemplate("Inner")
 			var ids []string

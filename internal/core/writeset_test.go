@@ -365,8 +365,8 @@ func TestCrashCommitsDeferredRecords(t *testing.T) {
 }
 
 // TestSignalOnStubFlushesHydration: a signal nobody waits for is buffered, but
-// the turn that buffers it still ends like any other — on a lazily recovered
-// stub it has just hydrated the instance and cut checkpoints, which must
+// the turn that buffers it still ends like any other — on a recovered
+// suspended instance's stub it has just hydrated the instance and cut checkpoints, which must
 // commit, or every later quiesce (Close, Crash) waits for them forever.
 func TestSignalOnStubFlushesHydration(t *testing.T) {
 	st := store.NewMem()
@@ -376,7 +376,7 @@ func TestSignalOnStubFlushesHydration(t *testing.T) {
 	quiesceSuspended(t, rtA, id, sim.Time(1500*time.Millisecond))
 	rtA.Engine.Crash()
 
-	rtB := newRuntime(t, SimConfig{Store: st, Options: Options{LazyRecovery: true}})
+	rtB := newRuntime(t, SimConfig{Store: st})
 	register(t, rtB, parallelSrc)
 	if n, err := rtB.Engine.Recover(); err != nil || n != 1 {
 		t.Fatalf("lazy recover = %d, %v", n, err)

@@ -50,7 +50,6 @@ func newTestMember(t *testing.T, name string, join []string, st store.Store, reg
 		Partitions:       8,
 		HeartbeatEvery:   25 * time.Millisecond,
 		HeartbeatTimeout: 100 * time.Millisecond,
-		LazyRecovery:     true,
 		Metrics:          reg,
 	})
 	if err != nil {

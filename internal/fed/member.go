@@ -47,8 +47,6 @@ type Config struct {
 	// silence after which a peer is declared dead (default 3×Every).
 	HeartbeatEvery   time.Duration
 	HeartbeatTimeout time.Duration
-	// LazyRecovery adopts suspended instances as stubs on failover.
-	LazyRecovery bool
 	// Metrics/EventRing/OnError wire observability through to the engine
 	// and the federation layer.
 	Metrics   *obs.Registry
@@ -136,14 +134,13 @@ func NewMember(cfg Config) (*Member, error) {
 	}
 	m.inc = inc
 	rt, err := core.NewLocalRuntime(core.LocalConfig{
-		Workers:      cfg.Workers,
-		Store:        cfg.Store,
-		Library:      cfg.Library,
-		Owns:         m.ownsInstance,
-		LazyRecovery: cfg.LazyRecovery,
-		Metrics:      cfg.Metrics,
-		EventRing:    cfg.EventRing,
-		OnError:      cfg.OnError,
+		Workers:   cfg.Workers,
+		Store:     cfg.Store,
+		Library:   cfg.Library,
+		Owns:      m.ownsInstance,
+		Metrics:   cfg.Metrics,
+		EventRing: cfg.EventRing,
+		OnError:   cfg.OnError,
 	})
 	if err != nil {
 		return nil, err

@@ -38,10 +38,6 @@ type Config struct {
 	// committed batch and can be promoted with Engine.Recover when this
 	// server dies.
 	ShipAddr string
-	// LazyRecovery passes through to the engine (see core.Options); it
-	// shapes Engine.Recover on this runtime's engine, including a promoted
-	// standby's recovery.
-	LazyRecovery bool
 	// HeartbeatEvery / HeartbeatTimeout tune the failure detector; see
 	// ServerConfig.
 	HeartbeatEvery   time.Duration
@@ -110,17 +106,16 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 	}
 	rt.Server = srv
 	eng, err := core.New(core.Options{
-		Store:        cfg.Store,
-		Library:      cfg.Library,
-		Executor:     srv,
-		Clock:        clock,
-		Policy:       cfg.Policy,
-		Quotas:       cfg.Quotas,
-		LazyRecovery: cfg.LazyRecovery,
-		OnEvent:      cfg.OnEvent,
-		OnError:      cfg.OnError,
-		Metrics:      cfg.Metrics,
-		EventRing:    cfg.EventRing,
+		Store:     cfg.Store,
+		Library:   cfg.Library,
+		Executor:  srv,
+		Clock:     clock,
+		Policy:    cfg.Policy,
+		Quotas:    cfg.Quotas,
+		OnEvent:   cfg.OnEvent,
+		OnError:   cfg.OnError,
+		Metrics:   cfg.Metrics,
+		EventRing: cfg.EventRing,
 		OnInstanceDone: func(*core.Instance) {
 			rt.Bump()
 		},

@@ -25,6 +25,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -277,14 +278,19 @@ func (im *image) reset() {
 	im.events, im.eventSeq = nil, 0
 }
 
-// list copies a space out, sorted by key. The caller holds mu.
+// list copies a space out, sorted by key. The copies are carved from an
+// arena of the call's own, so a list costs an allocation a chunk, not one a
+// record, and a copy the caller keeps pins a chunk, not the whole list. The
+// caller holds mu.
 func (im *image) list(space Space) []KV {
 	m := im.spaces[space]
 	kvs := make([]KV, 0, len(m))
+	var a arena
+	//bioopera:allow maprange the order decides only which chunk holds a copy, not what the sorted list holds; copying a value as its entry is read keeps it in cache
 	for k, v := range m {
-		kvs = append(kvs, KV{Key: k, Value: append([]byte(nil), v...)})
+		kvs = append(kvs, KV{Key: k, Value: append(a.carve(len(v)), v...)})
 	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
+	slices.SortFunc(kvs, func(x, y KV) int { return strings.Compare(x.Key, y.Key) })
 	return kvs
 }
 
@@ -557,6 +563,16 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 			"Latency of wal.AppendBatch, fsync included.", nil)
 		wopts.SyncLatency = opts.Metrics.Histogram("bioopera_wal_fsync_seconds",
 			"Latency of the fsync inside wal.AppendBatch.", nil)
+	}
+	fs := opts.FS
+	if fs == nil {
+		fs = wal.OS
+	}
+	// Before snapshots were framed, a store kept them as JSON in its own
+	// directory, beside its log's.
+	//bioopera:allow droppederr Glob fails only on a malformed pattern — a directory name with glob metacharacters — which matches no old snapshot either
+	if old, _ := fs.Glob(dir + "/snap-*.snap"); len(old) > 0 {
+		return nil, fmt.Errorf("store: %s is a JSON snapshot: this build reads only framed snapshots, in the log's directory", old[0])
 	}
 	l, err := wal.Open(dir+"/wal", wopts)
 	if err != nil {

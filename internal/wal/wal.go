@@ -81,10 +81,11 @@ var ErrCorrupt = errors.New("wal: corrupt record")
 // what the segment holds.
 var ErrPoisoned = errors.New("wal: log poisoned by a failed append; reopen it")
 
-// FS is every directory and file call the log makes. osFS is the only
-// implementation programs use; tests open a log over one that records the
-// calls and fails the ones they pick, or one that keeps what a crash would
-// (Options.FS).
+// FS is every directory and file call the log makes, and the Glob with
+// which the store that owns it looks for snapshots of the pre-framing
+// format. osFS is the only implementation programs use; tests open a log
+// over one that records the calls and fails the ones they pick, or one that
+// keeps what a crash would (Options.FS).
 type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
 	Glob(pattern string) ([]string, error)
@@ -106,6 +107,10 @@ type File interface {
 	Stat() (os.FileInfo, error)
 	Close() error
 }
+
+// OS is the operating system's file system, the one a log opened without
+// Options.FS uses.
+var OS FS = osFS{}
 
 // osFS is the operating system's file system.
 type osFS struct{}
@@ -206,16 +211,11 @@ func Open(dir string, opts Options) (*Log, error) {
 		opts.SegmentSize = DefaultSegmentSize
 	}
 	if opts.FS == nil {
-		opts.FS = osFS{}
+		opts.FS = OS
 	}
 	fs := opts.FS
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
-	}
-	// Before snapshots were framed, a store kept them as JSON beside its log.
-	//bioopera:allow droppederr Glob fails only on a malformed pattern — a directory name with glob metacharacters — which matches no old snapshot either
-	if old, _ := fs.Glob(filepath.Join(filepath.Dir(dir), basePrefix+"*"+baseSuffix)); len(old) > 0 {
-		return nil, fmt.Errorf("wal: %s is a JSON snapshot: this build reads only framed snapshots, in the log's directory", old[0])
 	}
 	l := &Log{dir: dir, opts: opts, nextSeq: 1}
 	if err := l.scan(); err != nil {

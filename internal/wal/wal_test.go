@@ -521,9 +521,9 @@ func TestReplayAllocs(t *testing.T) {
 // frame, thousands here. Under the race detector fmt's pooled printer is
 // dropped at random, so the budget there allows for it.
 func TestSegmentAllocsIndependentOfFrames(t *testing.T) {
+	parent := t.TempDir()
 	allocs := func(frames int) (open, replay float64) {
-		// A directory of its own: Open reads the log's parent directory too.
-		dir := filepath.Join(t.TempDir(), "wal")
+		dir := filepath.Join(parent, fmt.Sprintf("wal%d", frames))
 		l := openT(t, dir, Options{NoSync: true})
 		for i := 0; i < frames; i++ {
 			if _, err := appendOne(l, []byte{byte(i), 1, 2, 3}); err != nil {
@@ -560,6 +560,46 @@ func TestSegmentAllocsIndependentOfFrames(t *testing.T) {
 	if manyOpen > fewOpen+slack || manyReplay > fewReplay+slack {
 		t.Fatalf("a segment of 4000 frames: Open %.0f, ReplayBatches %.0f allocations; of 4 frames: %.0f and %.0f",
 			manyOpen, manyReplay, fewOpen, fewReplay)
+	}
+}
+
+// TestOpenAllocsIndependentOfSiblings: Open reads the log's own directory
+// and nothing beside it, so opening the same log allocates as much with 50
+// sibling directories next to it as with none. Under the race detector fmt's
+// pooled printer is dropped at random, so the budget there allows for it.
+func TestOpenAllocsIndependentOfSiblings(t *testing.T) {
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "wal")
+	l := openT(t, dir, Options{NoSync: true})
+	if _, err := appendOne(l, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	open := func() float64 {
+		return testing.AllocsPerRun(10, func() {
+			l, err := Open(dir, Options{NoSync: true})
+			if err == nil {
+				err = l.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	alone := open()
+	for i := 0; i < 50; i++ {
+		if err := os.Mkdir(filepath.Join(parent, fmt.Sprintf("sibling%02d", i)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slack := 0.0
+	if raceEnabled {
+		slack = 4
+	}
+	if crowded := open(); crowded > alone+slack {
+		t.Fatalf("Open allocates %.0f times beside 50 sibling directories, %.0f beside none", crowded, alone)
 	}
 }
 

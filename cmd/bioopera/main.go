@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -675,6 +676,9 @@ func cmdHistory(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The template space also holds the version records (proc/<hash>), one
+	// per process text a template or block body has had; list the names.
+	tpls = slices.DeleteFunc(tpls, func(kv store.KV) bool { return strings.HasPrefix(kv.Key, "proc/") })
 	if len(tpls) > 0 {
 		fmt.Printf("templates (%d):\n", len(tpls))
 		for _, kv := range tpls {

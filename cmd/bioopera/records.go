@@ -12,7 +12,7 @@ import (
 
 // cmdRecords decodes and pretty-prints the persist records of a store —
 // the operator's window into the binary record format. Every record family
-// renders: the four codec families and raw interned process texts.
+// of the instance and history spaces renders: the four codec families.
 func cmdRecords(args []string) error {
 	fs := flag.NewFlagSet("records", flag.ExitOnError)
 	spaceName := fs.String("space", "instance", "space to dump: instance, history, or all")
@@ -55,10 +55,11 @@ func cmdRecords(args []string) error {
 				fmt.Printf("space %s:\n", sp)
 			}
 			shown++
-			// A decoded record renders as indented JSON, a text as itself.
+			// A decoded record renders as indented JSON.
 			rendered, err := core.FormatRecord(kv.Key, kv.Value)
-			if _, text := rendered.(string); err == nil && !text {
-				rendered, err = json.MarshalIndent(rendered, "", "  ")
+			var out []byte
+			if err == nil {
+				out, err = json.MarshalIndent(rendered, "", "  ")
 			}
 			if err != nil {
 				fmt.Printf("  %s  [%d bytes]  UNDECODABLE: %v\n", kv.Key, len(kv.Value), err)
@@ -68,7 +69,7 @@ func cmdRecords(args []string) error {
 			if *keysOnly {
 				continue
 			}
-			for _, line := range strings.Split(fmt.Sprintf("%s", rendered), "\n") {
+			for _, line := range strings.Split(string(out), "\n") {
 				fmt.Printf("    %s\n", line)
 			}
 		}

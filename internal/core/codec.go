@@ -16,8 +16,8 @@ import (
 // Binary encoders/decoders for the four persist-record families and the
 // event journal's record (DESIGN.md §12). persist encodes live state through
 // these under the shard lock and recovery decodes through them; there is no
-// other record format. Interned proc/ records are raw process text and stay
-// format-free.
+// other record format. A process text is no record of an instance: it is a
+// version record of the template space, raw OCR text, format-free.
 //
 // An instance record is InstanceMeta and a task record is taskState: the
 // record and the live struct are one declaration. The two scope families
@@ -43,8 +43,9 @@ type scopeCreateDTO struct {
 	IsRoot     bool   `json:"isRoot,omitempty"`
 	ParentTask string `json:"parentTask,omitempty"`
 	ElemIndex  int    `json:"elemIndex"`
-	// ProcRef names an interned proc/<inst>/<hash> record; ProcText is the
-	// inline fallback kept for robustness when decoding foreign records.
+	// ProcRef is the content hash of the scope's process text, which the
+	// template space holds as the version record proc/<hash>; ProcText is
+	// the inline fallback kept for robustness when decoding foreign records.
 	ProcRef  string `json:"procRef,omitempty"`
 	ProcText string `json:"proc,omitempty"`
 }
@@ -353,7 +354,7 @@ func DecodeEvent(data []byte) (Event, error) {
 
 // FormatRecord decodes one instance/history-space store record for a human
 // to read: a codec record comes back as its decoded struct, for the caller
-// to render, an interned process text as the raw text (a string).
+// to render.
 func FormatRecord(key string, value []byte) (any, error) {
 	switch {
 	case strings.HasPrefix(key, "inst/"):
@@ -365,8 +366,6 @@ func FormatRecord(key string, value []byte) (any, error) {
 	case strings.HasPrefix(key, "task/"):
 		var ts taskState
 		return &ts, decodeTaskRecord(value, &ts)
-	case strings.HasPrefix(key, "proc/"):
-		return string(value), nil
 	}
 	return nil, fmt.Errorf("core: unknown record family for key %q", key)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -215,11 +216,17 @@ type Engine struct {
 
 	paused atomic.Bool // global suspend (server-level)
 
+	// regMu holds RegisterTemplate's store batch and its swap of the compiled
+	// template together, so two registrations of one name leave the engine
+	// and the store on the same one. It is never taken under a shard.
+	regMu sync.Mutex
+
 	shards []sync.Mutex // instance lock table; shardFor hashes instance IDs
 
 	emu       sync.RWMutex
 	templates map[string]*compiledProc // the template space, compiled (template.go)
 	byHash    map[string]*compiledProc // compiled processes and block bodies by content hash
+	versions  map[string][]byte        // the template space's process texts by hash, as Recover last read them
 	instances map[string]*Instance
 	order     []string // instance creation order, for determinism
 	nextID    int
@@ -268,6 +275,9 @@ func New(opts Options) (*Engine, error) {
 		return nil, err
 	}
 	for _, kv := range kvs {
+		if strings.HasPrefix(kv.Key, versionPrefix) {
+			continue // a version record: Recover reads those
+		}
 		p, err := ocr.ParseProcess(string(kv.Value))
 		if err != nil {
 			return nil, fmt.Errorf("core: template %q in store is invalid: %w", kv.Key, err)
@@ -471,13 +481,30 @@ func (e *Engine) EmitInfra(ev Event) {
 // space under its name. Existing templates are replaced; running
 // instances keep the definition they started with (late binding picks up
 // the new version for subprocesses instantiated afterwards).
+//
+// One batch writes the name record and a version record (versionPrefix) for
+// each distinct text of the process and its block bodies: the store's only
+// copies of a text, from which recovery compiles a hash nothing registered
+// has.
 func (e *Engine) RegisterTemplate(p *ocr.Process) error {
+	if strings.ContainsRune(p.Name, '/') {
+		return fmt.Errorf("core: template name %q must not contain '/'", p.Name)
+	}
 	if err := p.ValidateWithTemplates(e.resolveTemplateProcess); err != nil {
 		return err
 	}
 	// The one copy: the caller keeps its value, instances share the engine's.
 	cp := compile(p.Clone())
-	if err := e.opts.Store.Put(store.Template, cp.Name, cp.bytes); err != nil {
+	ops := []store.Op{{Space: store.Template, Key: cp.Name, Value: cp.bytes}}
+	for _, body := range cp.all {
+		key := versionPrefix + body.hash
+		if !slices.ContainsFunc(ops, func(op store.Op) bool { return op.Key == key }) {
+			ops = append(ops, store.Op{Space: store.Template, Key: key, Value: body.bytes})
+		}
+	}
+	e.regMu.Lock()
+	defer e.regMu.Unlock()
+	if err := e.opts.Store.Batch(ops); err != nil {
 		return err
 	}
 	e.emu.Lock()
@@ -634,7 +661,6 @@ func (e *Engine) StartProcess(template string, inputs map[string]ocr.Value, opts
 			Tenant:   opts.Tenant,
 			Started:  e.now(),
 		},
-		procRefs: make(map[string]bool, 4),
 	}
 	in.setStatus(InstanceRunning)
 	root := &scope{

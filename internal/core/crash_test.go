@@ -28,8 +28,15 @@ const (
 	crashLab          = 12
 	crashSuspendEvery = 4
 	crashMinSteps     = 2
-	crashSegment      = 4 << 10
+	crashSegment      = 3 << 10
 )
+
+// chain8NextSrc replaces Chain8 once the laboratory's instances have
+// started, and every restart registers it instead of Chain8's first text: the
+// instances recover the definition they started with from the template
+// space's version records alone. An instance that finished on this one would
+// end with r = "const", not its input.
+const chain8NextSrc = `PROCESS Chain8 { INPUT x; OUTPUT r; ACTIVITY S1 { CALL test.constant(); OUT out; MAP out -> r; } }`
 
 // crashTears lists the reboots of one crash point whose latest write was n
 // bytes: the synced state (0), then the write torn inside its first frame's
@@ -80,6 +87,7 @@ func buildCrashWorld(t *testing.T) *crashWorld {
 			w.live[id] = true
 		}
 	}
+	register(t, rt, chain8NextSrc)
 	for deep := false; !deep; {
 		rt.RunUntil(rt.Sim.Now().Add(sim.Duration(time.Second)))
 		deep = true
@@ -142,7 +150,7 @@ func (l launchLog) Launch(x Launch) error {
 	return l.Executor.Launch(x)
 }
 
-// restartLab opens the store on fs, boots, registers the template, recovers,
+// restartLab opens the store on fs, boots, registers Chain8's replacement, recovers,
 // resumes the instance resume unless an earlier restart's Resume committed,
 // and drains. It stops at the first failure: on a file system that has
 // crashed, everything fails from then on. The caller closes the store.
@@ -175,7 +183,7 @@ func restartLab(t *testing.T, fs *crashFS, resume string) (*crashRun, error) {
 	}
 	if r.rt, err = NewSimRuntime(SimConfig{Seed: 1, Spec: testSpec(), Store: r.disk, Library: testLibrary(t), Options: opts}); err == nil {
 		r.rt.Engine.opts.Executor = launchLog{r.rt.Engine.opts.Executor, fs, &r.launched}
-		if err = r.rt.Engine.RegisterTemplateSource(chain8Src); err == nil {
+		if err = r.rt.Engine.RegisterTemplateSource(chain8NextSrc); err == nil {
 			_, err = r.rt.Engine.Recover()
 			r.check("recovered")
 		}

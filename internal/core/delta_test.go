@@ -46,7 +46,7 @@ func dumpInstance(t *testing.T, in *Instance) string {
 			ID:         sc.ID,
 			ParentTask: sc.ParentTask,
 			ElemIndex:  sc.ElemIndex,
-			ProcText:   sc.Proc.text,
+			ProcText:   string(sc.Proc.bytes),
 			Whiteboard: sc.view(),
 			Done:       sc.Done,
 		}

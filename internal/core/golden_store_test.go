@@ -78,8 +78,12 @@ PROCESS WithAlt {
 // (a turn writes its inst/ record once), Mix's first three Fan[i]/D records
 // are written once, running, where the ready ones were followed by running
 // ones, and the sphere abort's carried deletes precede its checkpoint's puts.
-// The final Instance and History listings did not move.
-const storeDumpGolden = "e46a649861f1e43f76eb2519069663e6abb5049e792e255854df343a962c3b74"
+// The final Instance and History listings did not move. Re-pinned when
+// process texts became version records of the template space: every
+// instance- and history-space proc/<inst>/<hash> put, delete and listing line
+// is gone, and each registration's batch — its name record and one
+// proc/<hash> record per distinct text — comes first; no other line moved.
+const storeDumpGolden = "6c44c0de10f92b03564b1a31154cd2f36556c6a4df157f45d1544eb6645e8b57"
 
 // journalGolden is the digest of every journal record of the same workload,
 // in sequence order: the events' bytes and their order are what `history
@@ -224,37 +228,39 @@ func TestCheckpointHoldsValueAtPersistTime(t *testing.T) {
 	t.Fatal("no ended Backup record was committed to the instance space")
 }
 
-// TestStoreKeysBuiltOnce: every inst/, scopec/, scoped/ and task/ key a Chain8
-// sends the store is one string for the instance's whole life — the same
-// bytes at the same address in every checkpoint that rewrites the record, in
-// the archive's history put and in its delete — so a record costs one key
-// allocation, not one per write.
+// TestStoreKeysBuiltOnce: every key TestStoreBytesGolden's workload sends the
+// store is one string for the life of the state it names — the same bytes at
+// the same address in every checkpoint that rewrites the record, in the
+// archive's history put and in its delete — so a record costs one key
+// allocation, not one per write. A key may be built anew only for the state
+// that replaces a deleted record: a sphere's retry re-creates the scopes its
+// abort deleted.
 func TestStoreKeysBuiltOnce(t *testing.T) {
-	bl := &batchLog{Store: store.NewMem()}
-	rt := newRuntime(t, SimConfig{Library: benchLibrary(t), Store: bl})
-	register(t, rt, benchChain8Src)
-	id := start(t, rt, "Chain8", map[string]ocr.Value{"x": ocr.Str("v")})
-	rt.Run()
-	finished(t, rt, id)
-
+	_, bl, done := goldenWorkload(t)
 	addr := make(map[string]*byte)
+	deleted := make(map[string]bool)
 	writes := make(map[string]int)
 	for _, ops := range bl.batches {
 		for _, op := range ops {
-			if op.IsEvent() || strings.HasPrefix(op.Key, "proc/") {
+			if op.IsEvent() {
 				continue
 			}
 			p := unsafe.StringData(op.Key)
-			if first, seen := addr[op.Key]; seen && first != p {
+			if first, seen := addr[op.Key]; seen && first != p && !deleted[op.Key] {
 				t.Errorf("key %s was built again", op.Key)
 			}
 			addr[op.Key] = p
+			deleted[op.Key] = op.Delete
 			writes[op.Key]++
 		}
 	}
-	// Meta rides every turn; a task is written running and ended, then
-	// archived and deleted.
-	for _, key := range []string{metaKey(id), scopeCreateKey(id, ""), scopeDynKey(id, ""), taskKey(id, "", "S1"), taskKey(id, "", "S8")} {
+	// Meta rides every turn; a root is created, then archived and deleted;
+	// Mix's S is written running and ended, then archived and deleted.
+	keys := []string{taskKey(done[0], "", "S")}
+	for _, id := range done {
+		keys = append(keys, metaKey(id), scopeCreateKey(id, ""), scopeDynKey(id, ""))
+	}
+	for _, key := range keys {
 		if writes[key] < 3 {
 			t.Errorf("key %s appears in %d ops; the test needs it rewritten to mean anything", key, writes[key])
 		}

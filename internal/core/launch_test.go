@@ -30,6 +30,9 @@ type durableStore struct {
 }
 
 func (s *durableStore) Batch(ops []store.Op) error {
+	if registration(ops) {
+		return s.Store.Batch(ops)
+	}
 	err := s.Store.Batch(ops)
 	var running []string
 	for _, op := range ops {

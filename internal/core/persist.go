@@ -28,7 +28,9 @@ import (
 //	scopec/<id>/<scope>       scope-create record: immutable shape, written once
 //	scoped/<id>/<scope>       scope-dynamic record: owned whiteboard entries + done flag
 //	task/<id>/<scope>/<task>  one record per task (root scope encodes as "-")
-//	proc/<id>/<hash>          interned process text, referenced by scope-create
+//
+// A scope-create record names its process by content hash; the text is a
+// version record of the template space (versionPrefix), never an instance's.
 //
 // A checkpoint is its bytes: persist encodes the dirty records straight from
 // live state under the shard lock. A navigation turn is one commit: the
@@ -61,7 +63,6 @@ func scopeDynKey(id, scopeID string) string    { return "scoped/" + id + "/" + n
 func taskKey(id, scopeID, task string) string {
 	return "task/" + id + "/" + nzScope(scopeID) + "/" + task
 }
-func procKey(id, hash string) string { return "proc/" + id + "/" + hash }
 
 // A record is named once: the key is built the first time a checkpoint (or a
 // sphere's teardown) needs it and kept beside the state it names, so the
@@ -97,11 +98,18 @@ func (ts *taskState) key(in *Instance, sc *scope) string {
 	return ts.taskK
 }
 
-// procHash is the content hash interned process text is stored under.
+// procHash is the content hash a process text's version record is stored
+// under and a scope-create record names.
 func procHash(text string) string {
 	h := sha256.Sum256([]byte(text))
 	return hex.EncodeToString(h[:16])
 }
+
+// versionPrefix begins the key of a version record in the template space:
+// one process text — a template's or a block body's — under its content
+// hash, proc/<hash>. A template's name record is keyed by the name, which
+// never contains '/' (RegisterTemplate).
+const versionPrefix = "proc/"
 
 // markDirty lists a scope in the instance's dirty list, once until the next
 // checkpoint. Caller holds the shard lock.
@@ -122,7 +130,7 @@ func (in *Instance) clearDirty() {
 }
 
 // touchNew marks a freshly created scope: the next checkpoint writes its
-// create and dynamic records (and interns its process text).
+// create and dynamic records.
 func (e *Engine) touchNew(in *Instance, sc *scope) {
 	sc.newborn = true
 	sc.dirtyMeta = true
@@ -185,15 +193,14 @@ type ckpt struct {
 	// the turn wrote the same bytes.
 	sameMeta bool
 	enc      codec.Encoder // the meta, create, dyn and task records, in that order
-	// ops is the checkpoint's puts, in record order: meta, interned process
-	// texts, creates, dyns, tasks. Values of codec records stay nil until
+	// ops is the checkpoint's puts, in record order: meta, creates, dyns,
+	// tasks; ops[i]'s value is the encoder's span i. Values stay nil until
 	// appendOps takes their spans (appending can relocate the encoder's
 	// buffer).
 	ops     []store.Op
 	deletes []string // instance-space keys the batch also deletes
 
 	scopes  []*scope // walk order: the dirty (or, for an archive, all) scopes by ID
-	procs   []string // hashes of the texts ops[1:1+len(procs)] intern
 	creates []*scope
 	dyns    []*scope
 	tasks   []taskRef
@@ -211,7 +218,6 @@ func getCkpt() *ckpt { return ckptPool.Get().(*ckpt) }
 func putCkpt(ck *ckpt) {
 	clear(ck.ops)
 	clear(ck.scopes)
-	clear(ck.procs)
 	clear(ck.creates)
 	clear(ck.dyns)
 	clear(ck.tasks)
@@ -221,7 +227,6 @@ func putCkpt(ck *ckpt) {
 		enc:     enc,
 		ops:     ck.ops[:0],
 		scopes:  ck.scopes[:0],
-		procs:   ck.procs[:0],
 		creates: ck.creates[:0],
 		dyns:    ck.dyns[:0],
 		tasks:   ck.tasks[:0],
@@ -392,10 +397,8 @@ func (e *Engine) persistError(in *Instance, context string, err error) {
 // the turn's write set. One walk takes each record from live state to the
 // encoder and names its store key; nothing is copied in between. Of each
 // scope it writes what is dirty — everything, for an archive — and clears
-// the dirty flags. interned is the set of process-text hashes that need no
-// proc/ record in this batch; new ones are added to it. Caller holds the
-// shard lock.
-func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
+// the dirty flags. Caller holds the shard lock.
+func (e *Engine) cutCkpt(in *Instance, ck *ckpt) {
 	start := e.now()
 	space := store.Instance
 	if ck.archive {
@@ -411,25 +414,16 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 	if n := len(ws.cks); n > 0 && !ck.archive && !ws.cks[n-1].archive {
 		ck.sameMeta = bytes.Equal(ws.cks[n-1].enc.Span(0), enc.Span(0))
 	}
-	textBytes := 0
 	for _, sc := range ck.scopes {
 		if !sc.newborn && !ck.archive {
 			continue
-		}
-		// The process text itself is interned under its content hash.
-		text, hash := sc.Proc.bytes, sc.Proc.hash
-		if !interned[hash] {
-			interned[hash] = true
-			ck.procs = append(ck.procs, hash)
-			ck.ops = append(ck.ops, store.Op{Space: space, Key: procKey(in.ID, hash), Value: text})
-			textBytes += len(text)
 		}
 		dto := scopeCreateDTO{
 			ID:         sc.ID,
 			IsRoot:     sc.Parent == nil,
 			ParentTask: sc.ParentTask,
 			ElemIndex:  sc.ElemIndex,
-			ProcRef:    hash,
+			ProcRef:    sc.Proc.hash,
 		}
 		if sc.Parent != nil {
 			dto.Parent = sc.Parent.ID
@@ -471,7 +465,7 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 	in.clearDirty()
 	ck.deletes = in.pendingDeletes
 	in.pendingDeletes = nil
-	e.metrics.checkpoint(e.now().Sub(start), textBytes+len(enc.Buf), len(ck.ops))
+	e.metrics.checkpoint(e.now().Sub(start), len(enc.Buf), len(ck.ops))
 	ws.cks = append(ws.cks, ck)
 }
 
@@ -483,7 +477,7 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt, interned map[string]bool) {
 func (e *Engine) persist(in *Instance) {
 	ck := getCkpt()
 	ck.scopes = append(ck.scopes, in.dirty...)
-	e.cutCkpt(in, ck, in.procRefs)
+	e.cutCkpt(in, ck)
 }
 
 // archive encodes a finished instance completely and flags the checkpoint
@@ -498,22 +492,7 @@ func (e *Engine) archive(in *Instance) {
 	for _, sc := range in.scopes {
 		ck.scopes = append(ck.scopes, sc)
 	}
-	// The history space interns every text afresh. Interned texts no live
-	// scope references anymore (sphere-aborted bodies) are left out of seen:
-	// their instance-space records are deleted.
-	seen := make(map[string]bool, 2)
-	e.cutCkpt(in, ck, seen)
-	first := len(ck.deletes)
-	for hash := range in.procRefs {
-		if !seen[hash] {
-			ck.deletes = append(ck.deletes, hash)
-		}
-	}
-	orphans := ck.deletes[first:]
-	slices.Sort(orphans)
-	for i, hash := range orphans {
-		orphans[i] = procKey(in.ID, hash)
-	}
+	e.cutCkpt(in, ck)
 }
 
 // appendOps appends the checkpoint's share of the turn's batch to ops: the
@@ -538,25 +517,21 @@ func (ck *ckpt) appendOps(ops []store.Op) []store.Op {
 	// ops[first+i] is ck.ops[i], the meta left out or not.
 	first := len(ops) - 1
 	ops = append(ops, ck.ops[1:]...)
-	// Codec records are every put but the interned texts at [1:1+procs].
-	for i := 1 + len(ck.procs); i < len(ck.ops); i++ {
-		ops[first+i].Value = ck.enc.Span(i - len(ck.procs))
+	for i := 1; i < len(ck.ops); i++ {
+		ops[first+i].Value = ck.enc.Span(i)
 	}
 	if ck.archive {
 		// One pass: the same batch that writes the history puts clears
 		// every instance-space record, under the keys just written: meta,
 		// each scope's create and dyn (an archive writes both for every
-		// scope), tasks, texts.
-		puts, np, nc := ck.ops, len(ck.procs), len(ck.creates)
+		// scope), tasks.
+		puts, nc := ck.ops, len(ck.creates)
 		del(puts[0].Key)
-		for i := 1 + np; i < 1+np+nc; i++ {
+		for i := 1; i < 1+nc; i++ {
 			del(puts[i].Key)
 			del(puts[i+nc].Key)
 		}
-		for _, op := range puts[1+np+2*nc:] {
-			del(op.Key)
-		}
-		for _, op := range puts[1 : 1+np] {
+		for _, op := range puts[1+2*nc:] {
 			del(op.Key)
 		}
 	}
@@ -659,8 +634,7 @@ func (e *Engine) flushWrites(buf *[]store.Op, turns []turnExit) {
 }
 
 // remarkCkpt re-dirties everything a failed batch carried: scopes still
-// live re-mark their records, interned texts forget their hashes so a
-// later create re-writes them, and pending deletes are re-queued.
+// live re-mark their records, and pending deletes are re-queued.
 func (e *Engine) remarkCkpt(in *Instance, ck *ckpt) {
 	mu := e.shardFor(in.ID)
 	mu.Lock()
@@ -681,9 +655,6 @@ func (e *Engine) remarkCkpt(in *Instance, ck *ckpt) {
 		if live(tr.sc) {
 			e.touchTask(in, tr.sc, tr.ts)
 		}
-	}
-	for _, hash := range ck.procs {
-		delete(in.procRefs, hash)
 	}
 	in.pendingDeletes = append(in.pendingDeletes, ck.deletes...)
 	mu.Unlock()

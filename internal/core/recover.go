@@ -23,9 +23,10 @@ import (
 //     (keys carry the instance ID, so no value is decoded except the small
 //     inst/ metadata record).
 //  2. Workers decode and rebuild instances in parallel — decoding records
-//     and parsing process text dominate recovery cost and touch only
-//     per-instance state, so they stripe across one goroutine per shard
-//     with no shared locks.
+//     dominates recovery cost and touches only per-instance state, so they
+//     stripe across one goroutine per shard with no shared locks. A scope
+//     whose process hash nothing registered has compiles its text from the
+//     template space's version records, read once before this phase.
 //  3. A serial pass in sorted instance order takes each shard lock, resumes
 //     execution state, registers the instance, and emits events — so the
 //     recovery trace is deterministic regardless of worker count.
@@ -56,7 +57,7 @@ func splitInstKey(rest string) (instID, sub string, ok bool) {
 }
 
 // instGroup is one instance's share of the store scan: decoded metadata
-// plus every raw scope/task/proc record, still undecoded. A suspended
+// plus every raw scope and task record, still undecoded. A suspended
 // instance keeps its group as its stub (Instance.stub) until its first
 // mutating touch, and with it the progress its records show once someone
 // has looked; a stub's group is guarded by the instance's shard lock.
@@ -64,6 +65,9 @@ type instGroup struct {
 	id   string
 	meta InstanceMeta
 	kvs  []store.KV
+	// retired refuses the instance: one of its records has a layout this
+	// build does not read.
+	retired error
 
 	e        *Engine // the engine that resolves the stub's processes
 	progress float64
@@ -115,12 +119,9 @@ func checkHeaders(kvs []store.KV) error {
 }
 
 // decodeInstanceRecords decodes one instance's scope records into the
-// per-scope overlay structure and collects the interned process texts; task
-// records wait for buildScopes. A text is the record's value itself, not a
-// copy: it is read only if its hash names no compiled process (resolveProc).
-func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string][]byte, error) {
+// per-scope overlay structure; task records wait for buildScopes.
+func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, error) {
 	recMap := make(map[string]*scopeRec)
-	procs := make(map[string][]byte)
 	rec := func(scopeID string) *scopeRec {
 		r := recMap[scopeID]
 		if r == nil {
@@ -134,7 +135,7 @@ func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string][]b
 		case strings.HasPrefix(kv.Key, "scopec/"):
 			dto, err := decodeCreateRecord(kv.Value)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: corrupt scope-create record %s: %w", kv.Key, err)
+				return nil, fmt.Errorf("core: corrupt scope-create record %s: %w", kv.Key, err)
 			}
 			r := rec(dto.ID)
 			r.create, r.createK = &dto, kv.Key
@@ -145,7 +146,7 @@ func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string][]b
 			}
 			dto, err := decodeDynRecord(kv.Value)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: corrupt scope-dynamic record %s: %w", kv.Key, err)
+				return nil, fmt.Errorf("core: corrupt scope-dynamic record %s: %w", kv.Key, err)
 			}
 			scopeID := sub
 			if scopeID == "-" {
@@ -153,15 +154,9 @@ func decodeInstanceRecords(kvs []store.KV) (map[string]*scopeRec, map[string][]b
 			}
 			r := rec(scopeID)
 			r.dyn, r.dynK = &dto, kv.Key
-		case strings.HasPrefix(kv.Key, "proc/"):
-			_, hash, ok := splitInstKey(strings.TrimPrefix(kv.Key, "proc/"))
-			if !ok {
-				continue
-			}
-			procs[hash] = kv.Value
 		}
 	}
-	return recMap, procs, nil
+	return recMap, nil
 }
 
 // Recover rebuilds all unfinished instances from the store after a server
@@ -194,53 +189,26 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	// The version records, read after the instances: every instance listed
+	// started after the texts it runs were committed, so a text another
+	// engine registered on a shared store is here too. A stub hydrates from
+	// them under its shard, without a store call.
+	tpls, err := e.opts.Store.List(store.Template)
+	if err != nil {
+		return 0, err
+	}
+	versions := make(map[string][]byte)
+	for _, kv := range tpls {
+		if hash, ok := strings.CutPrefix(kv.Key, versionPrefix); ok {
+			versions[hash] = kv.Value
+		}
+	}
+	e.emu.Lock()
+	e.versions = versions
+	e.emu.Unlock()
 
-	// Phase 1 (serial): group raw records by instance. Only the small
-	// inst/ metadata record is decoded here; everything else is deferred
-	// to the workers (or, for stubs, to first touch).
-	var errs []error
-	groups := make(map[string]*instGroup)
-	group := func(id string) *instGroup {
-		g := groups[id]
-		if g == nil {
-			g = &instGroup{id: id}
-			groups[id] = g
-		}
-		return g
-	}
-	metas := make(map[string]bool)
-	for _, kv := range kvs {
-		if strings.HasPrefix(kv.Key, "inst/") {
-			id := strings.TrimPrefix(kv.Key, "inst/")
-			meta, err := DecodeInstanceMeta(kv.Value)
-			if err != nil {
-				errs = append(errs, fmt.Errorf("core: corrupt instance record %s: %w", kv.Key, err))
-				continue
-			}
-			if meta.ID != "" {
-				id = meta.ID
-			}
-			g := group(id)
-			g.meta = meta
-			metas[id] = true
-			continue
-		}
-		for _, prefix := range [...]string{"scopec/", "scoped/", "task/", "proc/"} {
-			if strings.HasPrefix(kv.Key, prefix) {
-				if instID, _, ok := splitInstKey(strings.TrimPrefix(kv.Key, prefix)); ok {
-					g := group(instID)
-					g.kvs = append(g.kvs, kv)
-				}
-				break
-			}
-		}
-	}
-
-	ids := make([]string, 0, len(metas))
-	for id := range metas {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	// Phase 1 (serial): group raw records by instance.
+	groups, ids, errs := groupRecords(kvs)
 	if owns != nil {
 		kept := ids[:0]
 		for _, id := range ids {
@@ -255,7 +223,7 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 	// Worker w handles the sorted indexes i with i%workers == w and writes
 	// only results[i]/buildErrs[i]; the one thing shared is the
 	// compiled-process index, which they read (and, for a text nothing
-	// registered has, extend) under emu.
+	// registered has, extend from the version records) under emu.
 	results := make([]*Instance, len(ids))
 	buildErrs := make([]error, len(ids))
 	workers := min(len(e.shards), len(ids))
@@ -309,6 +277,64 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 		}
 	}
 	return recovered, errors.Join(errs...)
+}
+
+// groupRecords is recovery's phase 1: it groups the instance space's records
+// by instance and returns the groups and the sorted IDs of those with an
+// inst/ record, the one record it decodes.
+func groupRecords(kvs []store.KV) (map[string]*instGroup, []string, []error) {
+	var errs []error
+	groups := make(map[string]*instGroup)
+	group := func(id string) *instGroup {
+		g := groups[id]
+		if g == nil {
+			g = &instGroup{id: id}
+			groups[id] = g
+		}
+		return g
+	}
+	metas := make(map[string]bool)
+	for _, kv := range kvs {
+		if strings.HasPrefix(kv.Key, "inst/") {
+			id := strings.TrimPrefix(kv.Key, "inst/")
+			meta, err := DecodeInstanceMeta(kv.Value)
+			if err != nil {
+				errs = append(errs, fmt.Errorf("core: corrupt instance record %s: %w", kv.Key, err))
+				continue
+			}
+			if meta.ID != "" {
+				id = meta.ID
+			}
+			g := group(id)
+			g.meta = meta
+			metas[id] = true
+			continue
+		}
+		for _, prefix := range [...]string{"scopec/", "scoped/", "task/", "proc/"} {
+			if strings.HasPrefix(kv.Key, prefix) {
+				instID, _, ok := splitInstKey(strings.TrimPrefix(kv.Key, prefix))
+				if !ok {
+					break
+				}
+				g := group(instID)
+				if prefix != "proc/" {
+					g.kvs = append(g.kvs, kv)
+				} else if g.retired == nil {
+					// An instance's own copy of a process text, as stores
+					// written before texts became version records of the
+					// template space held them: refused, not converted.
+					g.retired = fmt.Errorf("core: instance-space record %s is a per-instance process text, a retired layout: texts are version records of the template space", kv.Key)
+				}
+				break
+			}
+		}
+	}
+	ids := make([]string, 0, len(metas))
+	for id := range metas {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return groups, ids, errs
 }
 
 // recoverGroup is how many recovered instances phase 3 commits in one store
@@ -448,6 +474,9 @@ func (e *Engine) evict(in *Instance) bool {
 // hydration on first touch. Runs on recovery workers: it touches only the
 // instance under construction.
 func (e *Engine) buildRecovered(g *instGroup) (*Instance, error) {
+	if g.retired != nil {
+		return nil, g.retired
+	}
 	in := buildInstanceShell(g.meta)
 	in.stub = g
 	var err error
@@ -493,7 +522,6 @@ func buildInstanceShell(meta InstanceMeta) *Instance {
 	in := &Instance{
 		InstanceMeta: meta,
 		scopes:       make(map[string]*scope),
-		procRefs:     make(map[string]bool, 4),
 	}
 	in.setStatus(meta.Status)
 	return in
@@ -503,7 +531,7 @@ func buildInstanceShell(meta InstanceMeta) *Instance {
 // records, then decodes its task records (kvs) into their slots. It mutates
 // only the instance under construction, so recovery workers may run it
 // concurrently for different instances.
-func (e *Engine) buildScopes(in *Instance, kvs []store.KV, recMap map[string]*scopeRec, procTexts map[string][]byte) error {
+func (e *Engine) buildScopes(in *Instance, kvs []store.KV, recMap map[string]*scopeRec) error {
 	// Sort records so parents come before children (shorter IDs first;
 	// root "" is shortest): a child links to its already-rebuilt parent and
 	// reads its whiteboard through it. A one-scope instance needs no slice.
@@ -525,22 +553,9 @@ func (e *Engine) buildScopes(in *Instance, kvs []store.KV, recMap map[string]*sc
 		if r.create == nil {
 			return fmt.Errorf("core: scope %s has no create record", scopeWhere(in, r.scopeID))
 		}
-		var text []byte
-		switch {
-		case r.create.ProcRef != "":
-			var ok bool
-			text, ok = procTexts[r.create.ProcRef]
-			if !ok {
-				return fmt.Errorf("core: scope %s references missing process text %s", scopeWhere(in, r.scopeID), r.create.ProcRef)
-			}
-		case r.create.ProcText != "":
-			text = []byte(r.create.ProcText)
-		default:
-			return fmt.Errorf("core: scope %s has no process text", scopeWhere(in, r.scopeID))
-		}
-		proc, err := e.resolveProc(r.create.ProcRef, text)
+		proc, err := e.resolveProc(r.create.ProcRef, r.create.ProcText)
 		if err != nil {
-			return fmt.Errorf("core: scope %s has invalid process text: %w", scopeWhere(in, r.scopeID), err)
+			return fmt.Errorf("core: scope %s: %w", scopeWhere(in, r.scopeID), err)
 		}
 		sc := &scope{
 			ID:         r.scopeID,
@@ -686,9 +701,9 @@ func (e *Engine) hydrateLocked(in *Instance) error {
 func (e *Engine) buildStub(in *Instance) error {
 	g := in.stub
 	deletes := len(in.pendingDeletes)
-	recMap, procTexts, err := decodeInstanceRecords(g.kvs)
+	recMap, err := decodeInstanceRecords(g.kvs)
 	if err == nil {
-		err = e.buildScopes(in, g.kvs, recMap, procTexts)
+		err = e.buildScopes(in, g.kvs, recMap)
 	}
 	if err != nil {
 		in.root = nil
@@ -698,9 +713,6 @@ func (e *Engine) buildStub(in *Instance) error {
 		return err
 	}
 	in.stub = nil
-	for hash := range procTexts {
-		in.procRefs[hash] = true
-	}
 	return nil
 }
 

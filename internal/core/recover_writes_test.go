@@ -77,6 +77,9 @@ func newRecordCounter(st store.Store) *recordCounter {
 }
 
 func (c *recordCounter) Batch(ops []store.Op) error {
+	if registration(ops) {
+		return c.Store.Batch(ops)
+	}
 	c.mu.Lock()
 	c.batches++
 	for _, op := range ops {
@@ -291,6 +294,9 @@ type gateStore struct {
 }
 
 func (s *gateStore) Batch(ops []store.Op) error {
+	if registration(ops) {
+		return s.Store.Batch(ops)
+	}
 	var evs []Event
 	for _, op := range ops {
 		if op.IsEvent() {

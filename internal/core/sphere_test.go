@@ -467,51 +467,35 @@ PROCESS Retrier {
 }
 `
 
-// TestSphereRetriesLeaveNoDeadTexts: process texts are content-addressed, so
-// a sphere that aborts and retries interns nothing new — a running instance
-// holds one proc/ record per distinct body it was built from (Retrier, the
-// Tx body, Step), however often the sphere retries, and archive leaves none
-// behind. Only a late-bound subprocess whose template is registered again
-// with a new text adds a body: the residue grows with the registrations, one
-// each, never with the retries.
+// TestSphereRetriesLeaveNoDeadTexts: process texts are version records of
+// the template space, written by RegisterTemplate, so a sphere that aborts
+// and retries writes no text at all: no instance or history batch carries a
+// proc/ key, however often the sphere retries. Only registering a
+// late-bound subprocess's template again with a new text adds a version:
+// the template space grows with the registrations, one each, never with the
+// retries.
 func TestSphereRetriesLeaveNoDeadTexts(t *testing.T) {
 	for _, reregister := range []bool{false, true} {
 		t.Run(fmt.Sprintf("reregister=%v", reregister), func(t *testing.T) {
 			const failures = 6
 			sl := newSphereLibrary(t, failures)
-			st := store.NewMem()
+			bl := &batchLog{Store: store.NewMem()}
 			aborts := 0
-			rt := newRuntime(t, SimConfig{Store: st, Library: sl.Library, Options: Options{OnEvent: func(ev Event) {
+			rt := newRuntime(t, SimConfig{Store: bl, Library: sl.Library, Options: Options{OnEvent: func(ev Event) {
 				if ev.Kind == EvSphereAborted {
 					aborts++
 				}
 			}}})
 			register(t, rt, retrySubSrc)
 			id := start(t, rt, "Retrier", nil)
-			procs := func(sp store.Space) int {
-				kvs, err := st.List(sp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				n := 0
-				for _, kv := range kvs {
-					if strings.HasPrefix(kv.Key, procKey(id, "")) {
-						n++
-					}
-				}
-				return n
-			}
-			// Between simulator events every turn has committed: sample the
-			// running instance's records, and register Step anew after each
-			// abort, before the retry spawns it.
-			bodies, most, registered := 3, 0, 0
+			// Register Step anew after each abort, before the retry spawns it.
+			bodies, registered := 3, 0 // Step, Retrier and the Tx body
 			var tick sim.Stopper
 			tick = rt.Sim.Every(10*time.Millisecond, func(sim.Time) {
 				if in, _ := rt.Engine.Instance(id); in.statusNow() == InstanceDone {
 					tick.Stop()
 					return
 				}
-				most = max(most, procs(store.Instance))
 				if reregister && aborts > registered {
 					registered = aborts
 					bodies++
@@ -523,11 +507,25 @@ func TestSphereRetriesLeaveNoDeadTexts(t *testing.T) {
 			if aborts != failures || in.Outputs["result"].AsStr() != "flaky-ok" {
 				t.Fatalf("%d aborts, result %v; want %d aborts, then flaky-ok", aborts, in.Outputs["result"], failures)
 			}
-			if most > bodies || reregister && most <= 3 {
-				t.Fatalf("the running instance held up to %d proc/ records; its distinct bodies are %d", most, bodies)
+			for _, ops := range bl.batches {
+				for _, op := range ops {
+					if op.Space != store.Template && strings.HasPrefix(op.Key, versionPrefix) {
+						t.Fatalf("%s %s: an instance batch carries a process text", op.Space, op.Key)
+					}
+				}
 			}
-			if left, archived := procs(store.Instance), procs(store.History); left != 0 || archived != 3 {
-				t.Fatalf("after the archive: %d proc/ records in the instance space, %d in history; want 0 and 3", left, archived)
+			kvs, err := bl.List(store.Template)
+			if err != nil {
+				t.Fatal(err)
+			}
+			versions := 0
+			for _, kv := range kvs {
+				if strings.HasPrefix(kv.Key, versionPrefix) {
+					versions++
+				}
+			}
+			if versions != bodies || reregister && bodies <= 3 {
+				t.Fatalf("the template space holds %d versions; the distinct texts registered are %d", versions, bodies)
 			}
 		})
 	}

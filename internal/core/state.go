@@ -393,14 +393,13 @@ type Instance struct {
 	// record, both into the turn's write set; endTurn hands that to the
 	// flusher after releasing the shard, so the store batch — the part that
 	// can block — never runs inside the critical section.
-	dirty          []*scope        // scopes with unpersisted changes, each once (scope.listed)
-	writes         *writeSet       // what the turn in progress has written so far (nil = nothing)
-	pendingDeletes []string        // instance-space keys to delete at next flush
-	procRefs       map[string]bool // process-text hashes already interned
-	pendingDone    bool            // fire OnInstanceDone after this turn's flush
-	pendingPump    bool            // pump the dispatcher after this turn: it queued work or freed a slot
-	group          *turnGroup      // set for a turn that commits with a group: endTurn leaves the exit there
-	metaK          string          // the inst/ record's key, built on first use (key)
+	dirty          []*scope   // scopes with unpersisted changes, each once (scope.listed)
+	writes         *writeSet  // what the turn in progress has written so far (nil = nothing)
+	pendingDeletes []string   // instance-space keys to delete at next flush
+	pendingDone    bool       // fire OnInstanceDone after this turn's flush
+	pendingPump    bool       // pump the dispatcher after this turn: it queued work or freed a slot
+	group          *turnGroup // set for a turn that commits with a group: endTurn leaves the exit there
+	metaK          string     // the inst/ record's key, built on first use (key)
 
 	// Commit gate: admits this instance's write sets strictly in sequence
 	// order once they leave the shard's critical section, so a later turn's

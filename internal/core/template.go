@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 
@@ -19,9 +20,8 @@ import (
 // from it worked out in advance. Immutable after compile.
 type compiledProc struct {
 	*ocr.Process
-	text  string // ocr.Format(Process): the value of the proc/ record
-	bytes []byte // text, as the store takes it: read-only, every proc/ put shares it
-	hash  string // procHash(text): the proc/ key, and what a create record references
+	bytes []byte // ocr.Format(Process), read-only: the value of its name and version records
+	hash  string // procHash of the text: its version record's key, and what a create record references
 	tasks []compiledTask
 	index map[string]*compiledTask
 	// byName lists the positions of tasks in name order: the order a delta
@@ -60,7 +60,6 @@ func compile(p *ocr.Process) *compiledProc {
 	text := ocr.Format(p)
 	cp := &compiledProc{
 		Process: p,
-		text:    text,
 		bytes:   []byte(text),
 		hash:    procHash(text),
 		tasks:   make([]compiledTask, len(p.Tasks)),
@@ -139,25 +138,32 @@ func (e *Engine) fileProc(cp *compiledProc) {
 	}
 }
 
-// resolveProc returns the compiled form of a stored process text: the
-// registered template or body with that content hash when there is one —
-// the common case, which parses nothing — and otherwise the text parsed and
-// compiled, then filed so the next scope with the same text shares it. hash
-// may be empty (a create record that carries its text inline). text is
-// read, never kept: recovery passes a stored record's bytes.
-func (e *Engine) resolveProc(hash string, text []byte) (*compiledProc, error) {
+// resolveProc returns the compiled form of the process a scope-create record
+// names: the registered template or body with that content hash when there
+// is one — the common case, which parses nothing — and otherwise the hash's
+// version record as Recover read it (or the record's inline text, when it
+// names no hash) parsed and compiled, then filed so the next scope with the
+// same text shares it.
+func (e *Engine) resolveProc(hash, inline string) (*compiledProc, error) {
 	if hash == "" {
-		hash = procHash(string(text))
+		hash = procHash(inline)
 	}
 	e.emu.RLock()
-	cp := e.byHash[hash]
+	cp, text := e.byHash[hash], e.versions[hash]
 	e.emu.RUnlock()
 	if cp != nil {
 		return cp, nil
 	}
-	p, err := ocr.ParseProcess(string(text))
+	src := inline
+	if text != nil {
+		src = string(text)
+	}
+	if src == "" {
+		return nil, fmt.Errorf("process %s has no version record in the template space", hash)
+	}
+	p, err := ocr.ParseProcess(src)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("invalid process text: %w", err)
 	}
 	cp = compile(p)
 	e.emu.Lock()

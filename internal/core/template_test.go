@@ -88,12 +88,12 @@ func checkCompiled(p *ocr.Process) error {
 	if err := cp.checkAgainst(p); err != nil {
 		return err
 	}
-	q, err := ocr.ParseProcess(cp.text)
+	q, err := ocr.ParseProcess(string(cp.bytes))
 	if err != nil {
 		return fmt.Errorf("%s: compiled text does not parse: %w", p.Name, err)
 	}
 	cq := compile(q)
-	if cq.text != cp.text || cq.hash != cp.hash {
+	if string(cq.bytes) != string(cp.bytes) || cq.hash != cp.hash {
 		return fmt.Errorf("%s: text is no restart fixpoint: %s reparsed hashes to %s", p.Name, cp.hash, cq.hash)
 	}
 	return cq.checkAgainst(q)
@@ -103,7 +103,7 @@ func (cp *compiledProc) checkAgainst(p *ocr.Process) error {
 	if cp.Process != p {
 		return fmt.Errorf("%s: compiled form wraps another process", p.Name)
 	}
-	if want := ocr.Format(p); cp.text != want || cp.hash != procHash(want) {
+	if want := ocr.Format(p); string(cp.bytes) != want || cp.hash != procHash(want) {
 		return fmt.Errorf("%s: text/hash differ from Format/procHash", p.Name)
 	}
 	alts := make(map[string]bool)
@@ -313,8 +313,8 @@ func TestSharedTemplateIsolation(t *testing.T) {
 	rt.Run()
 	for _, id := range []string{before, after} {
 		in := finished(t, rt, id)
-		if in.root.Proc.text != want {
-			t.Errorf("instance %s runs a scribbled definition:\n%s", id, in.root.Proc.text)
+		if string(in.root.Proc.bytes) != want {
+			t.Errorf("instance %s runs a scribbled definition:\n%s", id, in.root.Proc.bytes)
 		}
 		if in.Outputs["result"].AsNum() != 10 {
 			t.Errorf("instance %s: result = %v, want 10", id, in.Outputs["result"])
@@ -378,9 +378,10 @@ func TestReRegisterMidRun(t *testing.T) {
 
 // TestRecoverKeepsStartedDefinition: instances of v1 are running when the
 // server crashes; v2 is registered under the same name before Recover. The
-// recovered instances finish on v1's text under v1's proc/ hash — compiled
-// from the stored text once, not once per scope — and a start after recovery
-// runs v2.
+// recovered instances finish on v1's text under v1's hash — compiled once,
+// not once per scope, from v1's version record in the template space, the
+// only copy of the text the store holds — and a start after recovery runs
+// v2.
 func TestRecoverKeepsStartedDefinition(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		t.Run(fmt.Sprintf("lazy=%v", lazy), func(t *testing.T) {
@@ -404,21 +405,21 @@ func TestRecoverKeepsStartedDefinition(t *testing.T) {
 			if n, err := rt.Engine.Recover(); err != nil || n != len(ids) {
 				t.Fatalf("Recover = %d, %v", n, err)
 			}
+			if kv, ok, _ := st.Get(store.Template, versionPrefix+v1.hash); !ok || string(kv) != string(v1.bytes) {
+				t.Fatalf("the template space lost v1's version record %s", v1.hash)
+			}
 			for _, id := range ids {
 				if lazy {
 					if err := rt.Engine.Resume(id); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if kv, ok, _ := st.Get(store.Instance, procKey(id, v1.hash)); !ok || string(kv) != v1.text {
-					t.Fatalf("instance %s lost its proc/%s record", id, v1.hash)
-				}
 			}
 			var recovered *compiledProc
 			for _, id := range ids {
 				in, _ := rt.Engine.Instance(id)
 				switch {
-				case in.root.Proc.text != v1.text || in.root.Proc.hash != v1.hash:
+				case string(in.root.Proc.bytes) != string(v1.bytes) || in.root.Proc.hash != v1.hash:
 					t.Fatalf("instance %s recovered onto another definition", id)
 				case recovered == nil:
 					recovered = in.root.Proc
@@ -432,8 +433,9 @@ func TestRecoverKeepsStartedDefinition(t *testing.T) {
 				if in := finished(t, rt, id); in.Outputs["w"].AsNum() != float64(2*i) {
 					t.Errorf("instance %s: w = %v, want v1's %d", id, in.Outputs["w"], 2*i)
 				}
-				if kv, ok, _ := st.Get(store.History, procKey(id, v1.hash)); !ok || string(kv) != v1.text {
-					t.Errorf("instance %s archived under another proc/ hash", id)
+				kv, _, _ := st.Get(store.History, scopeCreateKey(id, ""))
+				if root, err := decodeCreateRecord(kv); err != nil || root.ProcRef != v1.hash {
+					t.Errorf("instance %s archived under another hash (%v)", id, err)
 				}
 			}
 			if in := finished(t, rt, fresh); in.Outputs["w"].AsNum() != 12 {

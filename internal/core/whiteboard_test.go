@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"bioopera/internal/cluster"
 	"bioopera/internal/obs"
 	"bioopera/internal/ocr"
 	"bioopera/internal/sim"
@@ -43,7 +44,7 @@ func TestHistoryComplete(t *testing.T) {
 				mine = append(mine, kv)
 			}
 		}
-		recs, _, err := decodeInstanceRecords(mine)
+		recs, err := decodeInstanceRecords(mine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,10 +171,11 @@ func TestMonitorScopeViews(t *testing.T) {
 
 // byteCountStore sums what the engine hands its store as the benchmark's
 // counting store does: the key and value bytes of every op, of every space,
-// deletes and journal appends included.
+// deletes and journal appends included (n), and apart the value bytes of the
+// instance-space puts (ckpt).
 type byteCountStore struct {
 	store.Store
-	n atomic.Int64
+	n, ckpt atomic.Int64
 }
 
 func (c *byteCountStore) Put(space store.Space, key string, value []byte) error {
@@ -186,6 +188,9 @@ func (c *byteCountStore) Batch(ops []store.Op) error {
 		c.n.Add(int64(len(ops[i].Key)))
 		if !ops[i].Delete {
 			c.n.Add(int64(len(ops[i].Value)))
+			if ops[i].Space == store.Instance && !ops[i].IsEvent() {
+				c.ckpt.Add(int64(len(ops[i].Value)))
+			}
 		}
 	}
 	return c.Store.Batch(ops)
@@ -219,5 +224,35 @@ func TestStoreBytesFlatInWidth(t *testing.T) {
 	t.Logf("store bytes per activity: %.0f at width 25, %.0f at width 400", narrow, wide)
 	if wide > 1.25*narrow {
 		t.Errorf("store bytes per activity grow with width: %.0f at 400 against %.0f at 25 (%.2f×, limit 1.25×)", wide, narrow, wide/narrow)
+	}
+}
+
+// checkpointBytesCeiling bounds the instance space's checkpoint bytes per
+// navigated activity of one parallel fan-out, by width: the value bytes of
+// every instance-space put, BenchmarkCheckpointWidth's ckpt-B/act, on the
+// same runtime (seed 1, the ik-linux cluster). The simulator makes the figure
+// exact: 393.0, 417.0 and 427.6 B at widths 25, 100 and 400 once process
+// texts left the instance space (405.0, 420.0 and 428.4 B with them). Each
+// ceiling is 1.1× its measure. Whole-scope records cost 5.6, 14.4 and
+// 51.6 KB.
+var checkpointBytesCeiling = map[int]float64{25: 432, 100: 459, 400: 470}
+
+func TestCheckpointBytesCeiling(t *testing.T) {
+	for _, width := range []int{25, 100, 400} {
+		xs := make([]ocr.Value, width)
+		for i := range xs {
+			xs[i] = ocr.Int(i)
+		}
+		cs := &byteCountStore{Store: store.NewMem()}
+		rt := newRuntime(t, SimConfig{Spec: cluster.IkLinux(), Library: benchLibrary(t), Store: cs})
+		register(t, rt, benchFanSrc)
+		id := start(t, rt, "Fan", map[string]ocr.Value{"xs": ocr.List(xs...)})
+		rt.Run()
+		in := finished(t, rt, id)
+		got := float64(cs.ckpt.Load()) / float64(in.Activities)
+		t.Logf("width %d: %.1f checkpoint bytes per activity", width, got)
+		if ceiling := checkpointBytesCeiling[width]; got > ceiling {
+			t.Errorf("width %d: %.1f checkpoint bytes per activity, ceiling %.0f", width, got, ceiling)
+		}
 	}
 }

@@ -59,6 +59,14 @@ var sanctionedLockOrder = map[string][]string{
 	"fed.LeaseTable.mu": {
 		"store.Disk.wmu", "store.Disk.gmu", "store.image.mu", "wal.Log.mu",
 	},
+	// RegisterTemplate commits a template's records and then swaps its
+	// compiled form in under emu, both under its own lock, so two
+	// registrations of one name leave the store and the engine on the same
+	// definition. Nothing takes it under a shard or a store lock.
+	"core.Engine.regMu": {
+		"core.Engine.emu",
+		"store.Disk.wmu", "store.Disk.gmu", "store.image.mu", "wal.Log.mu",
+	},
 }
 
 func sanctionedEdge(from, to string) bool {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo hygiene + test gate. Run from the repo root:
 #
-#   ./scripts/check.sh          # gofmt, vet, build, compiled-once, keys-built-once and one-attempt greps, biooperalint, tests
+#   ./scripts/check.sh          # gofmt, vet, build, the one-attempt grep, biooperalint, tests
 #   ./scripts/check.sh -race    # same, plus the race-detector suite
 set -eu
 
@@ -21,35 +21,12 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== templates are compiled once, store keys are built once, an attempt lives in its task"
-# An instance shares its template's compiled form (internal/core/template.go):
-# nothing on the start, navigation or checkpoint path may copy or re-format a
-# process. The allowed sites: the compile step itself, RegisterTemplate's one
-# defensive copy of the caller's value, and the copy Template hands out.
-copies=$(grep -n 'ocr\.Format(\|\.Clone()' internal/core/*.go |
-    grep -v '_test\.go:' |
-    grep -v '^internal/core/template\.go:' |
-    grep -v '^internal/core/core\.go:[0-9]*:	cp := compile(p\.Clone())$' |
-    grep -v '^internal/core/core\.go:[0-9]*:	return p\.Process\.Clone(), true$' || true)
-if [ -n "$copies" ]; then
-    echo "ocr.Format/Clone in internal/core outside template.go, RegisterTemplate and Template:" >&2
-    echo "$copies" >&2
-    exit 1
-fi
-
-# A record's store key is built once and kept beside the state it names
-# (persist.go: Instance.key, scope.createKey, scope.dynKey, taskState.key).
-# The only calls of the four builders are those accessors filling their field.
-rebuilt=$(grep -n 'metaKey(\|scopeCreateKey(\|scopeDynKey(\|taskKey(' internal/core/*.go |
-    grep -v '_test\.go:' |
-    grep -v '^internal/core/persist\.go:[0-9]*:func ' |
-    grep -v '^internal/core/persist\.go:[0-9]*:		\(in\.metaK\|sc\.createK\|sc\.dynK\|ts\.taskK\) = [a-zA-Z]*Key(in\.ID[^()]*)$' || true)
-if [ -n "$rebuilt" ]; then
-    echo "store key built outside the cached accessors in internal/core/persist.go:" >&2
-    echo "$rebuilt" >&2
-    exit 1
-fi
-
+echo "== an attempt lives in its task"
+# That a template is compiled once and shared is a test now
+# (TestScopesShareFiledProc: every scope points at the one compiledProc filed
+# for its hash), and so is that a record's store key is built once
+# (TestStoreKeysBuiltOnce over TestStoreBytesGolden's workload).
+#
 # A dispatch attempt allocates its job ID and nothing else (DESIGN §4 "The
 # runtime layer"): it lives in its taskState, so nothing builds a queuedRef on
 # the heap and only the one enqueue helper (and putBack, for a job a drain

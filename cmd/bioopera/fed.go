@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
@@ -73,17 +72,8 @@ func serveFederated(ps []*ocr.Process, o fedServeOpts) error {
 		return err
 	}
 	defer m.Close()
-	var regErr error
-	m.Runtime().Do(func(e *core.Engine) {
-		for _, p := range ps {
-			if err := e.RegisterTemplate(p); err != nil {
-				regErr = err
-				return
-			}
-		}
-	})
-	if regErr != nil {
-		return regErr
+	if err := registerAll(&m.Runtime().RuntimeBase, ps); err != nil {
+		return err
 	}
 	if o.monitor != "" {
 		msrv := obs.NewServer(obs.ServerConfig{
@@ -99,9 +89,7 @@ func serveFederated(ps []*ocr.Process, o fedServeOpts) error {
 	}
 	fmt.Printf("federation member %s (incarnation %d) on %s; partitions settle via gossip (Ctrl-C to exit)\n",
 		m.Name(), m.Incarnation(), m.Addr())
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	<-ch
+	waitInterrupt()
 	fmt.Printf("member %s: shutting down; peers adopt partitions %v\n", m.Name(), m.OwnedPartitions())
 	return nil
 }
@@ -147,9 +135,7 @@ func cmdGateway(args []string) error {
 	}
 	fmt.Printf("gateway on %s routing to %s (Ctrl-C to exit)\n",
 		g.Addr(), strings.Join(memberFlags, ", "))
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	<-ch
+	waitInterrupt()
 	return nil
 }
 
@@ -281,17 +267,8 @@ func cmdFed(args []string) error {
 		}
 		members = append(members, m)
 		joins = append(joins, m.Addr())
-		var regErr error
-		m.Runtime().Do(func(e *core.Engine) {
-			for _, p := range ps {
-				if err := e.RegisterTemplate(p); err != nil {
-					regErr = err
-					return
-				}
-			}
-		})
-		if regErr != nil {
-			return regErr
+		if err := registerAll(&m.Runtime().RuntimeBase, ps); err != nil {
+			return err
 		}
 	}
 	if err := waitFedBalanced(members, *partitions, 10*time.Second); err != nil {

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"slices"
 	"sort"
 	"strings"
@@ -203,6 +204,27 @@ func cmdInfo(args []string) error {
 	return nil
 }
 
+// registerAll registers every process of a parsed file with rb's engine,
+// stopping at the first refusal.
+func registerAll(rb *core.RuntimeBase, ps []*ocr.Process) error {
+	var regErr error
+	rb.Do(func(e *core.Engine) {
+		for _, p := range ps {
+			if regErr = e.RegisterTemplate(p); regErr != nil {
+				return
+			}
+		}
+	})
+	return regErr
+}
+
+// waitInterrupt blocks until the process receives an interrupt (Ctrl-C).
+func waitInterrupt() {
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, os.Interrupt)
+	<-ch
+}
+
 // stubLibrary registers an identity program for every CALL in the file so
 // any process can be dry-run: outputs are null (or echo same-named args).
 func stubLibrary(ps []*ocr.Process, verbose bool) *core.Library {
@@ -361,17 +383,8 @@ func cmdRun(args []string) error {
 		return err
 	}
 	defer rt.Close()
-	var regErr error
-	rt.Do(func(e *core.Engine) {
-		for _, p := range ps {
-			if err := e.RegisterTemplate(p); err != nil {
-				regErr = err
-				return
-			}
-		}
-	})
-	if regErr != nil {
-		return regErr
+	if err := registerAll(&rt.RuntimeBase, ps); err != nil {
+		return err
 	}
 	if err := resume(&rt.RuntimeBase, *timeout); err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"time"
@@ -150,17 +149,8 @@ func cmdServe(args []string) error {
 		return err
 	}
 	defer rt.Close()
-	var regErr error
-	rt.Do(func(e *core.Engine) {
-		for _, p := range ps {
-			if err := e.RegisterTemplate(p); err != nil {
-				regErr = err
-				return
-			}
-		}
-	})
-	if regErr != nil {
-		return regErr
+	if err := registerAll(&rt.RuntimeBase, ps); err != nil {
+		return err
 	}
 	if *monitor != "" {
 		msrv := obs.NewServer(obs.ServerConfig{
@@ -201,9 +191,7 @@ func cmdServe(args []string) error {
 	// history, lineage, metrics — remains queryable until interrupted.
 	if *monitor != "" {
 		fmt.Printf("run complete; monitor still on http://%s (Ctrl-C to exit)\n", *monitor)
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
+		waitInterrupt()
 	}
 	return nil
 }

@@ -439,7 +439,7 @@ func (c *Cluster) SetExternalLoad(name string, load float64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, name)
 	}
-	load = clampLoad(load)
+	load = min(max(load, 0), 1)
 	if load == n.extLoad {
 		return nil
 	}

@@ -26,16 +26,11 @@ func NewDirectory() *Directory {
 // Join adds a node or refreshes a known one (a rejoining worker keeps its
 // position in the view). The node comes back with no running jobs: any
 // work it carried before leaving was requeued when it was declared dead.
-// The recorded external load survives a refresh — it describes the
-// machine, not the connection, so a SetExtLoad racing a rejoin must not
-// be lost until the next monitor report.
 func (d *Directory) Join(v NodeView) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	v.Running = 0
-	if prev, known := d.nodes[v.Name]; known {
-		v.ExtLoad = prev.ExtLoad
-	} else {
+	if _, known := d.nodes[v.Name]; !known {
 		d.order = append(d.order, v.Name)
 	}
 	d.nodes[v.Name] = &v
@@ -73,42 +68,6 @@ func (d *Directory) SetUp(name string, up bool) bool {
 		n.Running = 0
 	}
 	return true
-}
-
-// SetExtLoad records a node's observed external (non-BioOpera) load, the
-// feedback the batcher's granularity autotuning and the migration policy
-// react to. Load is clamped to [0, 1]. It reports whether the node was
-// known.
-func (d *Directory) SetExtLoad(name string, load float64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n, ok := d.nodes[name]
-	if !ok {
-		return false
-	}
-	n.ExtLoad = clampLoad(load)
-	return true
-}
-
-// SetExtLoadAll records one observed external load for every node — the
-// owner whose nodes share a machine reports its load once.
-func (d *Directory) SetExtLoadAll(load float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	load = clampLoad(load)
-	for _, name := range d.order {
-		d.nodes[name].ExtLoad = load
-	}
-}
-
-func clampLoad(load float64) float64 {
-	if load < 0 {
-		return 0
-	}
-	if load > 1 {
-		return 1
-	}
-	return load
 }
 
 // Reserve takes one CPU slot on the node, failing like the simulated

@@ -6,36 +6,11 @@ import (
 	"testing"
 )
 
-// TestDirectoryExtLoadSurvivesRejoin pins the lost-update fix: the external
-// load describes the machine, not the connection, so a refresh Join (worker
-// rejoin, re-announce) must not zero the last observed load.
-func TestDirectoryExtLoadSurvivesRejoin(t *testing.T) {
-	d := NewDirectory()
-	d.Join(NodeView{Name: "w1-00", Up: true, CPUs: 2, Speed: 1})
-	if !d.SetExtLoad("w1-00", 0.7) {
-		t.Fatal("SetExtLoad unknown node")
-	}
-	d.Join(NodeView{Name: "w1-00", Up: true, CPUs: 4, Speed: 1}) // rejoin
-	v, ok := view(d, "w1-00")
-	if !ok || v.ExtLoad != 0.7 {
-		t.Fatalf("ExtLoad after rejoin = %+v, want 0.7 preserved", v)
-	}
-	if v.CPUs != 4 || v.Running != 0 {
-		t.Fatalf("rejoin did not refresh shape: %+v", v)
-	}
-	// A genuinely new node starts with no load history.
-	d.Join(NodeView{Name: "w2-00", Up: true, CPUs: 1, Speed: 1})
-	if v, _ := view(d, "w2-00"); v.ExtLoad != 0 {
-		t.Fatalf("fresh node ExtLoad = %v", v.ExtLoad)
-	}
-}
-
 // TestDirectoryChurnRace hammers every Directory entry point from
-// concurrent goroutines — membership churn (Join/Leave/SetUp), load
-// reports, slot traffic, and iterating readers — and then checks the
-// invariants the scheduler depends on: join order matches the registry
-// exactly, running counts stay within [0, CPUs], loads stay clamped, and
-// a node's recorded load survives rejoin churn. Run with -race.
+// concurrent goroutines — membership churn (Join/Leave/SetUp), slot
+// traffic, and iterating readers — and then checks the invariants the
+// scheduler depends on: join order matches the registry exactly and
+// running counts stay within [0, CPUs]. Run with -race.
 func TestDirectoryChurnRace(t *testing.T) {
 	d := NewDirectory()
 	const nodes = 8
@@ -58,19 +33,6 @@ func TestDirectoryChurnRace(t *testing.T) {
 			}
 		}(i)
 	}
-	// Load reporters: hammer SetExtLoad across all nodes, including ones
-	// mid-churn (unknown nodes are a clean false, never a panic).
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for i := 0; i < nodes; i++ {
-					d.SetExtLoad(name(i), float64((r+g)%5)/4)
-				}
-			}
-		}(g)
-	}
 	// Slot traffic on the stable half of the fleet.
 	for i := nodes / 2; i < nodes; i++ {
 		wg.Add(1)
@@ -92,10 +54,6 @@ func TestDirectoryChurnRace(t *testing.T) {
 				for _, v := range d.Nodes() {
 					if v.Running < 0 || v.Running > v.CPUs {
 						t.Errorf("node %s Running=%d CPUs=%d", v.Name, v.Running, v.CPUs)
-						return
-					}
-					if v.ExtLoad < 0 || v.ExtLoad > 1 {
-						t.Errorf("node %s ExtLoad=%v out of range", v.Name, v.ExtLoad)
 						return
 					}
 				}
@@ -124,8 +82,7 @@ func TestDirectoryChurnRace(t *testing.T) {
 			t.Fatalf("node %s Running=%d CPUs=%d", v.Name, got.Running, got.CPUs)
 		}
 	}
-	// The stable half never left, so every one of those must be present
-	// with its last reported load intact (reporters always end in-range).
+	// The stable half never left, so every one of those must be present.
 	for i := nodes / 2; i < nodes; i++ {
 		if _, ok := view(d, name(i)); !ok {
 			t.Fatalf("stable node %s lost", name(i))

@@ -79,22 +79,20 @@ func TestDirectoryDownAndRejoin(t *testing.T) {
 }
 
 // TestDirectoryViewIntoCallersBuffer: AppendNodes fills the buffer it is
-// handed — the dispatcher keeps one — and allocates only for a nil one;
-// SetExtLoadAll reaches every node without a view being taken to name them.
+// handed — the dispatcher keeps one — and allocates only for a nil one.
 func TestDirectoryViewIntoCallersBuffer(t *testing.T) {
 	d := NewDirectory()
 	d.Join(NodeView{Name: "a", Up: true, CPUs: 1, Speed: 1})
 	d.Join(NodeView{Name: "b", Up: true, CPUs: 1, Speed: 1})
-	d.SetExtLoadAll(1.5)
 	buf := d.AppendNodes(nil)
-	if len(buf) != 2 || buf[0].Name != "a" || buf[0].ExtLoad != 1 || buf[1].ExtLoad != 1 {
-		t.Fatalf("view after SetExtLoadAll(1.5) = %+v, want a and b at the clamped load 1", buf)
+	if len(buf) != 2 || buf[0].Name != "a" {
+		t.Fatalf("view = %+v, want a then b", buf)
 	}
-	d.SetExtLoadAll(0.25)
+	d.SetUp("b", false)
 	if allocs := testing.AllocsPerRun(20, func() { buf = d.AppendNodes(buf[:0]) }); allocs != 0 {
 		t.Errorf("%v allocations per view taken into a buffer that fits, want 0", allocs)
 	}
-	if len(buf) != 2 || buf[1].Name != "b" || buf[1].ExtLoad != 0.25 {
+	if len(buf) != 2 || buf[1].Name != "b" || buf[1].Up {
 		t.Fatalf("reused buffer holds %+v, want the current view", buf)
 	}
 }

@@ -43,8 +43,7 @@ const (
 	FrameWelcome    byte = 57
 	FrameLaunch     byte = 58
 	FrameKill       byte = 59
-	FrameHeartbeat  byte = 60
-	FrameCompletion byte = 61
+	FrameCompletion byte = 61 // 60 carried a heartbeat; unassigned, never reused
 
 	frameMin byte = 32
 	frameMax byte = 63

@@ -180,14 +180,6 @@ func (ex *localExec) AppendNodes(dst []cluster.NodeView) []cluster.NodeView {
 	return ex.dir.AppendNodes(dst)
 }
 
-// SetExternalLoad reports the machine's observed external (non-BioOpera)
-// load, 0..1, applied to every slot in the pool. The scheduler's batcher
-// and migration policy react to it; callers typically sample the OS load
-// average on a timer.
-func (rt *LocalRuntime) SetExternalLoad(load float64) {
-	rt.exec.dir.SetExtLoadAll(load)
-}
-
 // busySlots reports occupied worker slots (the slot-occupancy gauge): a slot
 // holds its directory reservation exactly while it has an occupant.
 func (ex *localExec) busySlots() (n int) {

@@ -111,31 +111,31 @@ func compile(p *ocr.Process) *compiledProc {
 	return cp
 }
 
-// setTemplate binds name to cp in the template space and files cp and its
-// bodies under their content hashes. Replacing a definition rebuilds the hash
-// index from what is still registered, so it never outgrows the templates.
-// Caller holds emu.
+// setTemplate binds name to cp, or to the entry already filed for its text,
+// in the template space. Caller holds emu.
 func (e *Engine) setTemplate(name string, cp *compiledProc) {
-	_, replaced := e.templates[name]
-	e.templates[name] = cp
-	if !replaced {
-		e.fileProc(cp)
-		return
-	}
-	clear(e.byHash)
-	for _, tpl := range e.templates {
-		for _, p := range tpl.all {
-			e.byHash[p.hash] = p
-		}
-	}
+	e.templates[name] = e.fileProc(cp)
 }
 
-// fileProc enters cp and its bodies in the hash index. Equal hashes mean equal
-// texts, so whichever entry a hash ends up with serves. Caller holds emu.
-func (e *Engine) fileProc(cp *compiledProc) {
-	for _, p := range cp.all {
-		e.byHash[p.hash] = p
+// fileProc returns the one compiledProc for cp's text: the entry the hash
+// index already holds, or else cp, filed with its bodies, each body replaced
+// by the entry filed for its text first. The index only grows — a hash, once
+// filed, keeps its entry, so every scope of one text shares one pointer
+// whatever was registered or recovered since. cp must not be published yet.
+// Caller holds emu.
+func (e *Engine) fileProc(cp *compiledProc) *compiledProc {
+	if filed := e.byHash[cp.hash]; filed != nil {
+		return filed
 	}
+	cp.all = cp.all[:1]
+	for i := range cp.tasks {
+		if ct := &cp.tasks[i]; ct.body != nil {
+			ct.body = e.fileProc(ct.body)
+			cp.all = append(cp.all, ct.body.all...)
+		}
+	}
+	e.byHash[cp.hash] = cp
+	return cp
 }
 
 // resolveProc returns the compiled form of the process a scope-create record
@@ -171,7 +171,7 @@ func (e *Engine) resolveProc(hash, inline string) (*compiledProc, error) {
 	if first := e.byHash[hash]; first != nil {
 		return first, nil // another recovery worker compiled the same text meanwhile
 	}
-	e.fileProc(cp)
+	cp = e.fileProc(cp)
 	// Also under the hash it was asked for: a text an older printer wrote
 	// formats to a different one, and must not be parsed once per scope.
 	e.byHash[hash] = cp

@@ -366,13 +366,13 @@ func TestReRegisterMidRun(t *testing.T) {
 	if in.Outputs["final"].AsNum() != 15 { // (4+1) tripled
 		t.Errorf("final = %v, want 15", in.Outputs["final"])
 	}
-	// The hash index follows the template space: v1 left it with its name.
+	// The hash index only grows: v1 keeps its entry after its name moved on,
+	// so what still runs v1 shares it.
 	rt.Engine.emu.RLock()
-	_, stale := rt.Engine.byHash[v1.hash]
-	indexed := rt.Engine.byHash[v2.hash]
+	old, indexed := rt.Engine.byHash[v1.hash], rt.Engine.byHash[v2.hash]
 	rt.Engine.emu.RUnlock()
-	if stale || indexed != v2 {
-		t.Errorf("hash index: v1 present = %v, v2 entry is v2 = %v", stale, indexed == v2)
+	if old != v1 || indexed != v2 {
+		t.Errorf("hash index: v1 entry is v1 = %v, v2 entry is v2 = %v", old == v1, indexed == v2)
 	}
 }
 

@@ -153,6 +153,59 @@ func TestRecoverWithoutRegistering(t *testing.T) {
 	}
 }
 
+// TestReRegisteringKeepsRecoveredProc: the hash index only grows. Three
+// suspended Inner instances are recovered after Inner was replaced; the first
+// hydrates, compiling v1's text from its version record; Inner is registered
+// twice more, as v2 and then as v1 again; the other two hydrate. All three
+// share the one compiledProc the first hydration filed, and so does the name
+// Inner once its text is v1's again — nothing compiles v1 a second time.
+func TestReRegisteringKeepsRecoveredProc(t *testing.T) {
+	st := store.NewMem()
+	rtA := newRuntime(t, SimConfig{Store: st})
+	register(t, rtA, subprocSrc)
+	var ids []string
+	for i := 0; i < 3; i++ {
+		id := start(t, rtA, "Inner", map[string]ocr.Value{"v": ocr.Num(float64(i))})
+		if err := rtA.Engine.Suspend(id, false); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	rtA.Engine.Crash()
+
+	rtB := newRuntime(t, SimConfig{Store: st})
+	register(t, rtB, innerTriple)
+	if n, err := rtB.Engine.Recover(); err != nil || n != len(ids) {
+		t.Fatalf("recover = %d, %v", n, err)
+	}
+	resume := func(id string) *compiledProc {
+		t.Helper()
+		if err := rtB.Engine.Resume(id); err != nil {
+			t.Fatal(err)
+		}
+		in, _ := rtB.Engine.Instance(id)
+		return in.root.Proc
+	}
+	v1 := resume(ids[0])
+	register(t, rtB, innerTriple)
+	register(t, rtB, subprocSrc)
+	for _, id := range ids[1:] {
+		if got := resume(id); got != v1 {
+			t.Errorf("instance %s hydrated onto a second compile of v1's text", id)
+		}
+	}
+	if named, _ := rtB.Engine.resolveTemplate("Inner"); named != v1 {
+		t.Error("Inner, registered with v1's text again, is not bound to the filed v1")
+	}
+	checkFiled(t, rtB.Engine)
+	rtB.Run()
+	for i, id := range ids {
+		if in := finished(t, rtB, id); in.Outputs["w"].AsNum() != float64(2*i) {
+			t.Errorf("instance %s: w = %v, want v1's %d", id, in.Outputs["w"], 2*i)
+		}
+	}
+}
+
 // TestRecoverRefusesPerInstanceText: a process text stored under its
 // instance, proc/<inst>/<hash>, is the layout of stores written before texts
 // became version records of the template space. It is refused, not

@@ -198,8 +198,9 @@ func Run(pkgs []*Package) []Diagnostic {
 // the simulation kernel, the scheduler, the engine, the persistence layer
 // (WAL and store — their contents are replayed on recovery and shipped to
 // standbys, so wall-clock leakage would diverge replicas), the transport
-// (it reads time only through sim.Clock, which its tests drive), and the
-// all-vs-all workload. Lint testdata fixtures are always in scope so
+// (it reads time only through sim.Clock, which its tests drive), the worker
+// link over it (its liveness is the transport's timer), and the all-vs-all
+// workload. Lint testdata fixtures are always in scope so
 // golden tests exercise every analyzer.
 func deterministicPkg(path string) bool {
 	switch path {
@@ -212,6 +213,7 @@ func deterministicPkg(path string) bool {
 		"bioopera/internal/codec",
 		"bioopera/internal/fed",
 		"bioopera/internal/transport",
+		"bioopera/internal/remote",
 		"bioopera/internal/allvsall":
 		return true
 	}

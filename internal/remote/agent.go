@@ -8,6 +8,7 @@ import (
 
 	"bioopera/internal/codec"
 	"bioopera/internal/core"
+	"bioopera/internal/sim"
 	"bioopera/internal/transport"
 )
 
@@ -33,28 +34,24 @@ type AgentConfig struct {
 	Speed float64
 	// Library resolves program names from launch messages. Required.
 	Library *core.Library
-	// Load, when set, samples the machine's external (non-BioOpera) load
-	// (0..1) before each heartbeat; the server feeds it to the scheduler's
-	// granularity autotuning. May be nil (no load reported).
-	Load func() float64
 	// Logf receives diagnostics. May be nil.
 	Logf func(format string, args ...any)
 }
 
 // Agent is the worker side of the remote protocol: the program execution
-// client that registers its CPUs with the server, runs launched activities
-// against its local program library, and streams heartbeats. It is the
-// transport handler for its one connection.
+// client that registers its CPUs with the server and runs launched
+// activities against its local program library. It is the transport handler
+// for its one connection, whose keep-alives prove it alive on an idle link.
 type Agent struct {
-	cfg  AgentConfig
-	conn *transport.Conn
-	inc  uint64         // set by the welcome, before welcomed closes
-	wg   sync.WaitGroup // the heartbeat loop and every worker
+	cfg   AgentConfig
+	conn  *transport.Conn
+	clock sim.Clock      // times a program's run
+	inc   uint64         // set by the welcome, before welcomed closes
+	wg    sync.WaitGroup // every worker
 
 	dec codec.Decoder // reader goroutine only
 
 	mu      sync.Mutex
-	paused  bool              // heartbeats suppressed (PauseHeartbeats, export_test.go)
 	running map[jobLease]bool // every launch still in runJob; true once a kill named it
 	idle    []*agentWorker    // parked workers, a stack; at most CPUs
 
@@ -62,8 +59,8 @@ type Agent struct {
 	done     chan struct{} // closed when the connection is gone
 }
 
-// Dial connects to a server, performs the hello/welcome handshake, and
-// starts the heartbeat and message loops.
+// Dial connects to a server and performs the hello/welcome handshake; the
+// welcome starts the link's keep-alives.
 func Dial(addr string, cfg AgentConfig) (*Agent, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("remote: AgentConfig needs a Name")
@@ -82,6 +79,7 @@ func Dial(addr string, cfg AgentConfig) (*Agent, error) {
 	}
 	a := &Agent{
 		cfg:      cfg,
+		clock:    sim.NewWall(),
 		running:  make(map[jobLease]bool),
 		idle:     make([]*agentWorker, 0, cfg.CPUs),
 		welcomed: make(chan struct{}),
@@ -124,9 +122,9 @@ func (a *Agent) Incarnation() uint64 { return a.inc }
 // Wait blocks until the connection to the server is gone.
 func (a *Agent) Wait() { <-a.done }
 
-// Close tears the connection down, returning the close error after the
-// heartbeat loop and every worker have drained: a parked worker exits with
-// the connection, a running one once its job has.
+// Close tears the connection down, returning the close error after every
+// worker has drained: a parked worker exits with the connection, a running
+// one once its job has.
 func (a *Agent) Close() error {
 	err := a.conn.Close()
 	a.wg.Wait()
@@ -136,34 +134,6 @@ func (a *Agent) Close() error {
 func (a *Agent) logf(format string, args ...any) {
 	if a.cfg.Logf != nil {
 		a.cfg.Logf(format, args...)
-	}
-}
-
-func (a *Agent) heartbeatLoop(every time.Duration) {
-	defer a.wg.Done()
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-a.done:
-			return
-		case <-t.C:
-			a.mu.Lock()
-			paused := a.paused
-			a.mu.Unlock()
-			if paused {
-				continue
-			}
-			var hb Heartbeat
-			if a.cfg.Load != nil {
-				hb.Load = a.cfg.Load()
-			}
-			e := codec.Get()
-			hb.Encode(e)
-			if err := sendWait(a.conn, codec.FrameHeartbeat, e); err != nil {
-				return
-			}
-		}
 	}
 }
 
@@ -189,8 +159,7 @@ func (a *Agent) Frame(kind byte, body []byte) error {
 		if every <= 0 {
 			every = DefaultHeartbeatEvery
 		}
-		a.wg.Add(1)
-		go a.heartbeatLoop(every)
+		a.conn.KeepAlive(every)
 		close(a.welcomed)
 	case codec.FrameLaunch:
 		a.mu.Lock()
@@ -234,7 +203,7 @@ func (a *Agent) Frame(kind byte, body []byte) error {
 	return nil
 }
 
-// Closed ends the heartbeat loop and wakes Wait.
+// Closed wakes Wait and every parked worker.
 func (a *Agent) Closed(err error) {
 	a.logf("remote: %s disconnected: %v", a.cfg.Name, err)
 	close(a.done)
@@ -277,9 +246,9 @@ func (a *Agent) runJob(l *Launch) {
 	if prog, ok := a.cfg.Library.Lookup(l.Program); !ok {
 		reply.Error = fmt.Sprintf("worker %s: unknown program %q", a.cfg.Name, l.Program)
 	} else {
-		t0 := time.Now()
+		t0 := a.clock.Now()
 		outputs, err := prog.Run(l.Ctx, l.Inputs)
-		reply.CPUNanos = int64(time.Since(t0))
+		reply.CPUNanos = int64(a.clock.Now().Sub(t0))
 		if err != nil {
 			reply.Error = err.Error()
 		} else {

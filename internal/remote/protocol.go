@@ -16,20 +16,23 @@
 //	                                      s instance, s task, i attempt, b nice, i costMs,
 //	                                      i timeoutMs, map inputs
 //	server → worker   FrameKill 59        s job, u lease — stop caring about the outcome
-//	worker → server   FrameHeartbeat 60   f load (any bytes also count as liveness)
 //	worker → server   FrameCompletion 61  raw job, u lease, u incarnation, i cpuNanos,
 //	                                      s error, map outputs
 //
 // A body that is not a record of its frame's kind, or has bytes left over,
 // hangs the link up. Kinds 33–38 carried the same messages as JSON and are
 // retired: the transport refuses a peer that still sends them
-// (transport.ErrRetiredKind). Nothing travels that the receiver already holds: a
-// completion names its job only so the server can find the lease, which
-// knows the node.
+// (transport.ErrRetiredKind). Kind 60 carried a heartbeat with a load no
+// program filled; it is unassigned and never reused. Nothing travels that the
+// receiver already holds: a completion names its job only so the server can
+// find the lease, which knows the node.
 //
-// Failure model: the server declares a worker dead when its heartbeats go
-// silent past the configured timeout (or its connection drops), marks the
-// worker's nodes down, and fails the worker's running jobs with
+// Failure model: liveness is the transport's. The agent keeps its link alive
+// at the welcome's heartbeatMs (transport keep-alive frames on an idle link,
+// any bytes counting), and the server arms a silence deadline of its
+// HeartbeatTimeout on each worker's connection. When that deadline passes, or
+// the connection drops, the server declares the worker dead, marks its nodes
+// down, and fails the worker's running jobs with
 // cluster.ErrNodeFailed — driving the engine's ordinary failover/requeue
 // path. Every launch carries a fresh lease and the worker's incarnation;
 // a completion whose lease or incarnation does not match the server's
@@ -86,12 +89,6 @@ type Launch struct {
 type Kill struct {
 	Job   string
 	Lease uint64
-}
-
-// Heartbeat carries the observed external (non-BioOpera) load on the
-// worker's machine, 0..1; it feeds the scheduler's granularity autotuning.
-type Heartbeat struct {
-	Load float64
 }
 
 // Completion is a job's outputs or program error, tagged with the lease
@@ -184,17 +181,6 @@ func (m *Kill) Encode(e *codec.Encoder) {
 
 func (m *Kill) Decode(d *codec.Decoder) error {
 	*m = Kill{Job: d.String(), Lease: d.Uvarint()}
-	return d.Finish()
-}
-
-func (m *Heartbeat) Encode(e *codec.Encoder) {
-	e.Begin(codec.FrameHeartbeat)
-	e.Float(m.Load)
-	e.End()
-}
-
-func (m *Heartbeat) Decode(d *codec.Decoder) error {
-	m.Load = d.Float()
 	return d.Finish()
 }
 

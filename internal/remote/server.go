@@ -32,7 +32,7 @@ type ServerConfig struct {
 	// Logf receives protocol-level diagnostics. May be nil.
 	Logf func(format string, args ...any)
 	// Metrics registers the failure-detector counters and worker gauges
-	// (heartbeats, lease drops, declared-dead). May be nil.
+	// (lease drops, declared-dead, joins). May be nil.
 	Metrics *obs.Registry
 }
 
@@ -65,11 +65,10 @@ type workerConn struct {
 // and worker completions flow back into the engine. It is the remote
 // counterpart of the local goroutine pool.
 type Server struct {
-	cfg   ServerConfig
-	ep    *transport.Endpoint
-	dir   *cluster.Directory
-	wg    sync.WaitGroup
-	stopc chan struct{} // closed by Close; wakes the reaper immediately
+	cfg ServerConfig
+	ep  *transport.Endpoint
+	dir *cluster.Directory
+	wg  sync.WaitGroup // Kill's asynchronous deliveries
 
 	mu           sync.Mutex
 	closed       bool
@@ -86,7 +85,6 @@ type Server struct {
 	// Failure-detector metrics: pre-resolved, nil-safe handles (see
 	// internal/obs), so instrumentation costs one atomic when enabled and
 	// one nil check when not.
-	mHeartbeats  *obs.Counter
 	mStaleDrops  *obs.Counter
 	mWorkersDead *obs.Counter
 	mJoins       *obs.Counter
@@ -103,15 +101,12 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	s := &Server{
 		cfg:       cfg,
-		stopc:     make(chan struct{}),
 		dir:       cluster.NewDirectory(),
 		workers:   make(map[string]*workerConn),
 		nodeOwner: make(map[string]string),
 		running:   make(map[string]*lease),
 	}
 	if reg := cfg.Metrics; reg != nil {
-		s.mHeartbeats = reg.Counter("bioopera_remote_heartbeats_total",
-			"Heartbeat messages received from worker agents.")
 		s.mStaleDrops = reg.Counter("bioopera_remote_stale_completions_total",
 			"Worker completions dropped by the lease check.")
 		s.mWorkersDead = reg.Counter("bioopera_remote_workers_dead_total",
@@ -137,8 +132,6 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	ep.Serve(s.accept, func(remote string, err error) {
 		s.logf("remote: bad handshake from %s: %v", remote, err)
 	})
-	s.wg.Add(1)
-	go s.reaper()
 	return s, nil
 }
 
@@ -177,7 +170,6 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.stopc)
 	err := s.ep.Close()
 	s.wg.Wait()
 	return err
@@ -294,40 +286,6 @@ func (s *Server) Kill(id cluster.JobID, node string) error {
 	return nil
 }
 
-// reaper declares workers dead when their heartbeats go silent past the
-// timeout.
-func (s *Server) reaper() {
-	defer s.wg.Done()
-	period := s.cfg.HeartbeatTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopc:
-			return // Close must not wait out a reaper period
-		case <-t.C:
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		var gone []*workerConn
-		for _, w := range s.workers {
-			if !w.dead && w.conn.SilentFor() > s.cfg.HeartbeatTimeout {
-				gone = append(gone, w)
-			}
-		}
-		s.mu.Unlock()
-		for _, w := range gone {
-			s.declareDead(w, "heartbeat timeout")
-		}
-	}
-}
-
 var errBadHello = errors.New("remote: first frame is not a valid hello")
 
 // accept is the server's handshake: the first frame must be a hello naming
@@ -399,6 +357,10 @@ func (s *Server) accept(c *transport.Conn, kind byte, body []byte) (transport.Ha
 		s.declareDead(w, "welcome enqueue failed")
 		return nil, welcomeErr
 	}
+	// The transport times the silence; the verdict is the server's, and it
+	// leaves the link open, so a thawed worker's late completion still
+	// arrives for the lease check to drop.
+	c.OnSilence(s.cfg.HeartbeatTimeout, func() { s.declareDead(w, "heartbeat timeout") })
 	s.mJoins.Inc()
 	s.logf("remote: worker %s joined (incarnation %d, %d nodes)", w.name, w.inc, len(w.nodes))
 	if s.cfg.OnNodeEvent != nil {
@@ -411,33 +373,17 @@ func (s *Server) accept(c *transport.Conn, kind byte, body []byte) (transport.Ha
 }
 
 // Frame handles one message from the worker. Liveness needs nothing here:
-// the transport stamps every inbound byte and the reaper reads the stamp. An
-// error hangs the link up; Closed logs it.
+// the transport stamps every inbound byte and times the silence. An error
+// hangs the link up; Closed logs it.
 func (w *workerConn) Frame(kind byte, body []byte) error {
 	if err := w.dec.Open(body, kind); err != nil {
 		return err
 	}
-	s := w.s
-	switch kind {
-	case codec.FrameHeartbeat:
-		var hb Heartbeat
-		if err := hb.Decode(&w.dec); err != nil {
-			return err
-		}
-		s.mHeartbeats.Inc()
-		// Propagate the worker's reported external load to every node it
-		// owns — the feedback the scheduler's batcher autotunes on.
-		if hb.Load > 0 {
-			for _, n := range w.nodes {
-				s.dir.SetExtLoad(n, hb.Load)
-			}
-		}
-	case codec.FrameCompletion:
-		return s.handleCompletion(w)
-	default:
-		s.logf("remote: worker %s sent unexpected frame kind %d", w.name, kind)
+	if kind != codec.FrameCompletion {
+		w.s.logf("remote: worker %s sent unexpected frame kind %d", w.name, kind)
+		return nil
 	}
-	return nil
+	return w.s.handleCompletion(w)
 }
 
 // Closed: the connection is gone. If this worker was still considered

@@ -10,9 +10,8 @@ import (
 	"bioopera/internal/ocr"
 )
 
-// TestServerCloseFast pins the reaper's stop channel: even with an
-// hour-long heartbeat timeout (reaper tick every 15 minutes), Close must
-// return promptly instead of waiting out the next tick.
+// TestServerCloseFast: even with an hour-long heartbeat timeout, Close must
+// return promptly instead of waiting out a failure-detector timer.
 func TestServerCloseFast(t *testing.T) {
 	s, err := Listen("127.0.0.1:0", ServerConfig{
 		HeartbeatEvery:   time.Second,
@@ -27,7 +26,7 @@ func TestServerCloseFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("Close took %v; it must not wait for a reaper tick", d)
+		t.Fatalf("Close took %v; it must not wait for a failure-detector timer", d)
 	}
 }
 

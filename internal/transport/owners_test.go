@@ -221,7 +221,6 @@ func workerFrames() map[byte][]byte {
 		codec.FrameWelcome:    &remote.Welcome{Incarnation: 3, HeartbeatMs: 1000},
 		codec.FrameLaunch:     &remote.Launch{Job: "p0001/A#1", Lease: 7, Incarnation: 3, Program: "lab.step", Ctx: core.ProgramCtx{Instance: "p0001", Task: "A", Attempt: 1, Node: "w1/cpu0"}, Inputs: vals},
 		codec.FrameKill:       &remote.Kill{Job: "p0001/A#1", Lease: 7},
-		codec.FrameHeartbeat:  &remote.Heartbeat{Load: 0.25},
 		codec.FrameCompletion: &remote.Completion{Job: "p0001/A#1", Lease: 7, Incarnation: 3, Outputs: vals, CPUNanos: 1234},
 	} {
 		e := codec.Get()
@@ -242,7 +241,6 @@ func TestWorkerFramesGolden(t *testing.T) {
 		codec.FrameWelcome:    "bf013906" + "bf0139" + "03" + "d00f",
 		codec.FrameLaunch:     "bf013a38" + "bf013a" + "1270303030312f412331" + "0e77312f63707530" + "07" + "03" + "106c61622e73746570" + "0a7030303031" + "0241" + "02" + "00" + "00" + "00" + "01" + "0278" + "03" + "0e7061796c6f6164",
 		codec.FrameKill:       "bf013b0e" + "bf013b" + "1270303030312f412331" + "07",
-		codec.FrameHeartbeat:  "bf013c0b" + "bf013c" + "000000000000d03f",
 		codec.FrameCompletion: "bf013d1e" + "bf013d" + "0970303030312f412331" + "07" + "03" + "a413" + "00" + "01" + "0278" + "03" + "0e7061796c6f6164",
 	}
 	frames := workerFrames()
@@ -310,6 +308,9 @@ func FuzzReadFrame(f *testing.F) {
 	for _, frame := range everyKind() {
 		f.Add(frame)
 	}
+	// A heartbeat from an agent built when kind 60 carried one: kind 60 is
+	// unassigned now, and its frame reads like any other.
+	f.Add([]byte("\xbf\x01\x3c\x0b\xbf\x01\x3c\x00\x00\x00\x00\x00\x00\xd0\x3f"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, body, _ := transport.ReadFrame(bufio.NewReader(bytes.NewReader(data)), nil)
 		if cap(body) > 2*len(data)+transport.GrowStep {

@@ -14,6 +14,10 @@
 // writer, which drains the send queue and owns every timer (handshake
 // deadline, keep-alive, silence). Time comes from one package-level
 // sim.Clock, a wall clock unless a test swaps in one it drives.
+//
+// Liveness is the transport's: KeepAlive proves a sender alive on an idle
+// link, and a watcher's silence deadline either hangs up (HangUpAfter) or
+// hands the verdict to its owner (OnSilence).
 package transport
 
 import (
@@ -99,11 +103,12 @@ type Conn struct {
 
 	// Clock readings (nanoseconds) and limits, shared between the reader,
 	// the writer's timer and the owner.
-	waiting     atomic.Int64 // since when the reader has been blocked on the peer; notWaiting while it has bytes to work on
-	sent        atomic.Int64 // last outbound frame
-	handshakeBy atomic.Int64 // first frame due; 0 once it has arrived
-	silentLimit atomic.Int64 // HangUpAfter; 0 = none
-	keepAlive   atomic.Int64 // KeepAlive; 0 = none
+	waiting     atomic.Int64           // since when the reader has been blocked on the peer; notWaiting while it has bytes to work on
+	sent        atomic.Int64           // last outbound frame
+	handshakeBy atomic.Int64           // first frame due; 0 once it has arrived
+	silentLimit atomic.Int64           // HangUpAfter or OnSilence; 0 = none
+	onSilence   atomic.Pointer[func()] // OnSilence's action; nil hangs up
+	keepAlive   atomic.Int64           // KeepAlive; 0 = none
 	wake        chan struct{}
 }
 
@@ -198,6 +203,17 @@ func (c *Conn) ExpectReply() {
 // HangUpAfter hangs the connection up with ErrSilent once SilentFor
 // reaches d; zero disarms.
 func (c *Conn) HangUpAfter(d time.Duration) {
+	c.onSilence.Store(nil)
+	c.silentLimit.Store(int64(d))
+	c.poke()
+}
+
+// OnSilence is HangUpAfter with the owner's verdict: once SilentFor reaches
+// d, fn runs once, on the writer goroutine, and the connection stays up — a
+// frame that arrives later still reaches the handler. fn may Send on c but
+// must not Close it. Zero disarms.
+func (c *Conn) OnSilence(d time.Duration, fn func()) {
+	c.onSilence.Store(&fn)
 	c.silentLimit.Store(int64(d))
 	c.poke()
 }
@@ -430,7 +446,12 @@ func (c *Conn) onTick(bw *bufio.Writer) error {
 		return ErrHandshakeTimeout
 	}
 	if lim := c.silentLimit.Load(); lim != 0 && c.SilentFor() >= time.Duration(lim) {
-		return fmt.Errorf("%w for %v", ErrSilent, time.Duration(lim))
+		fn := c.onSilence.Load()
+		if fn == nil {
+			return fmt.Errorf("%w for %v", ErrSilent, time.Duration(lim))
+		}
+		c.silentLimit.Store(0) // the verdict is given once
+		(*fn)()
 	}
 	if ka := c.keepAlive.Load(); ka != 0 && now-c.sent.Load() >= ka {
 		c.sent.Store(now)

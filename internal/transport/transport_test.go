@@ -85,7 +85,7 @@ func TestSendNeverBlocksSendWaitDoes(t *testing.T) {
 	big := make([]byte, writeBuf)
 	sent := 0
 	for err == nil {
-		if err = c.Send(codec.FrameHeartbeat, big); err == nil {
+		if err = c.Send(codec.FrameCompletion, big); err == nil {
 			sent++
 		}
 		if sent > sendQueueDepth+2 {
@@ -100,7 +100,7 @@ func TestSendNeverBlocksSendWaitDoes(t *testing.T) {
 	}
 
 	waited := make(chan error, 1)
-	go func() { waited <- c.SendWait(codec.FrameHeartbeat, []byte("beat")) }()
+	go func() { waited <- c.SendWait(codec.FrameCompletion, []byte("beat")) }()
 	select {
 	case err := <-waited:
 		t.Fatalf("SendWait returned %v on a full queue before Close", err)
@@ -112,7 +112,7 @@ func TestSendNeverBlocksSendWaitDoes(t *testing.T) {
 	if err := <-waited; !errors.Is(err, ErrGone) {
 		t.Fatalf("SendWait released by Close = %v, want ErrGone", err)
 	}
-	if err := c.Send(codec.FrameHeartbeat); !errors.Is(err, ErrGone) {
+	if err := c.Send(codec.FrameCompletion); !errors.Is(err, ErrGone) {
 		t.Fatalf("Send after Close = %v, want ErrGone", err)
 	}
 }
@@ -221,11 +221,22 @@ func TestCloseJoinsEveryGoroutine(t *testing.T) {
 
 // TestKeepAliveAndSilence: an idle sender with KeepAlive keeps a watching
 // receiver's connection up for as long as time passes; once the sender is
-// gone quiet the receiver hangs up with ErrSilent; and a receiver busy in
-// its handler is not mistaken for a silent peer.
+// gone quiet the receiver hangs up with ErrSilent, or — under OnSilence —
+// gives its owner the verdict once and stays up; and a receiver busy in its
+// handler is not mistaken for a silent peer.
 func TestKeepAliveAndSilence(t *testing.T) {
 	clock := UseFakeClock(t)
 	const every, limit = time.Second, 3 * time.Second
+	// The two ways to watch a link, and the suffix of their subtests: each
+	// verdict OnSilence hands over is one value on the channel, whose buffer
+	// lets a wrong extra verdict be counted instead of blocking the writer.
+	watches := []struct {
+		suffix string
+		watch  func(c *Conn, verdicts chan<- struct{})
+	}{
+		{"", func(c *Conn, _ chan<- struct{}) { c.HangUpAfter(limit) }},
+		{" (OnSilence)", func(c *Conn, v chan<- struct{}) { c.OnSilence(limit, func() { v <- struct{}{} }) }},
+	}
 
 	t.Run("keep-alive frame on an idle link", func(t *testing.T) {
 		local, peer := net.Pipe()
@@ -242,26 +253,32 @@ func TestKeepAliveAndSilence(t *testing.T) {
 		}
 	})
 
-	t.Run("keep-alives keep a watched link up", func(t *testing.T) {
-		sender, watcher := net.Pipe()
-		a, _ := attach(sender, nil, bindTo(newRecorder()))
-		defer a.Close()
-		b, _ := attach(watcher, nil, bindTo(newRecorder()))
-		defer b.Close()
-		a.KeepAlive(every)
-		b.HangUpAfter(limit)
-		for range 4 * int(limit/every) {
-			clock.Advance(every)
-			// The watcher has consumed this beat's keep-alive once it is
-			// back waiting on the peer, as of now.
-			for b.waiting.Load() != int64(clock.Now()) {
-				runtime.Gosched()
+	for _, w := range watches {
+		t.Run("keep-alives keep a watched link up"+w.suffix, func(t *testing.T) {
+			sender, watcher := net.Pipe()
+			a, _ := attach(sender, nil, bindTo(newRecorder()))
+			defer a.Close()
+			b, _ := attach(watcher, nil, bindTo(newRecorder()))
+			defer b.Close()
+			verdicts := make(chan struct{}, 16)
+			a.KeepAlive(every)
+			w.watch(b, verdicts)
+			for range 4 * int(limit/every) {
+				clock.Advance(every)
+				// The watcher has consumed this beat's keep-alive once it is
+				// back waiting on the peer, as of now.
+				for b.waiting.Load() != int64(clock.Now()) {
+					runtime.Gosched()
+				}
 			}
-		}
-		if err := b.Err(); err != nil {
-			t.Fatalf("watched link ended with %v despite keep-alives", err)
-		}
-	})
+			if err := b.Err(); err != nil {
+				t.Fatalf("watched link ended with %v despite keep-alives", err)
+			}
+			if n := len(verdicts); n != 0 {
+				t.Fatalf("%d silence verdicts despite keep-alives", n)
+			}
+		})
+	}
 
 	t.Run("silent peer is hung up", func(t *testing.T) {
 		local, peer := net.Pipe()
@@ -278,26 +295,67 @@ func TestKeepAliveAndSilence(t *testing.T) {
 		}
 	})
 
-	t.Run("busy reader is not silence", func(t *testing.T) {
+	t.Run("silent peer gets one verdict and stays up", func(t *testing.T) {
 		local, peer := net.Pipe()
 		defer peer.Close()
-		h := &blockingHandler{entered: make(chan struct{}), release: make(chan struct{}), closed: make(chan error, 1)}
-		c, _ := attach(local, nil, bindTo(h))
-		defer c.Close()
+		r := newRecorder()
+		c, _ := attach(local, nil, bindTo(r))
+		verdicts := make(chan struct{}, 16)
 		base := clock.Armed()
-		c.HangUpAfter(limit)
+		c.OnSilence(limit, func() { verdicts <- struct{}{} })
 		clock.WaitArmed(base + 1)
-		if _, err := peer.Write(appendFrame(nil, codec.FrameShipSnapshot, []byte("big"))); err != nil {
+		clock.Advance(limit - 1)
+		if n := len(verdicts); n != 0 {
+			t.Fatalf("%d verdicts before the deadline", n)
+		}
+		clock.Advance(1)
+		<-verdicts
+		// A frame from the peer after the verdict still reaches the
+		// handler, and more silence gives no second verdict.
+		if _, err := peer.Write(appendFrame(nil, codec.FrameCompletion, []byte("late"))); err != nil {
 			t.Fatal(err)
 		}
-		<-h.entered // the handler is applying the frame
-		clock.Advance(10 * limit)
-		clock.WaitArmed(base + 2) // the writer looked, found a busy reader, re-armed
-		if err := c.Err(); err != nil {
-			t.Fatalf("connection hung up with %v while its handler was busy", err)
+		if got := <-r.frames; !bytes.Equal(got, append([]byte{codec.FrameCompletion}, "late"...)) {
+			t.Fatalf("handler got %q after the verdict", got)
 		}
-		close(h.release)
+		clock.Advance(10 * limit)
+		if err := c.Err(); err != nil {
+			t.Fatalf("the verdict hung the link up: %v", err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(verdicts); n != 0 {
+			t.Fatalf("%d more verdicts after the first", n)
+		}
 	})
+
+	for _, w := range watches {
+		t.Run("busy reader is not silence"+w.suffix, func(t *testing.T) {
+			local, peer := net.Pipe()
+			defer peer.Close()
+			h := &blockingHandler{entered: make(chan struct{}), release: make(chan struct{}), closed: make(chan error, 1)}
+			c, _ := attach(local, nil, bindTo(h))
+			defer c.Close()
+			verdicts := make(chan struct{}, 16)
+			base := clock.Armed()
+			w.watch(c, verdicts)
+			clock.WaitArmed(base + 1)
+			if _, err := peer.Write(appendFrame(nil, codec.FrameShipSnapshot, []byte("big"))); err != nil {
+				t.Fatal(err)
+			}
+			<-h.entered // the handler is applying the frame
+			clock.Advance(10 * limit)
+			clock.WaitArmed(base + 2) // the writer looked, found a busy reader, re-armed
+			if err := c.Err(); err != nil {
+				t.Fatalf("connection hung up with %v while its handler was busy", err)
+			}
+			if n := len(verdicts); n != 0 {
+				t.Fatalf("%d silence verdicts while the handler was busy", n)
+			}
+			close(h.release)
+		})
+	}
 }
 
 type blockingHandler struct {

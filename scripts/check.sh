@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repo hygiene + test gate. Run from the repo root:
 #
-#   ./scripts/check.sh          # gofmt, vet, build, the one-attempt grep, biooperalint, tests
+#   ./scripts/check.sh          # gofmt, vet, build, biooperalint, tests
 #   ./scripts/check.sh -race    # same, plus the race-detector suite
 set -eu
 
@@ -20,32 +20,6 @@ go vet ./...
 
 echo "== go build"
 go build ./...
-
-echo "== an attempt lives in its task"
-# That a template is compiled once and shared is a test now
-# (TestScopesShareFiledProc: every scope points at the one compiledProc filed
-# for its hash), and so is that a record's store key is built once
-# (TestStoreKeysBuiltOnce over TestStoreBytesGolden's workload).
-#
-# A dispatch attempt allocates its job ID and nothing else (DESIGN §4 "The
-# runtime layer"): it lives in its taskState, so nothing builds a queuedRef on
-# the heap and only the one enqueue helper (and putBack, for a job a drain
-# popped) puts a job in the queue; the drain path takes its cluster view into
-# the engine's buffer.
-core_src=$(ls internal/core/*.go | grep -v '_test\.go$')
-attempts=$(
-    grep -n '&queuedRef{' $core_src || true
-    awk '/^func /{fn=$0} /e\.sched\.Enqueue\(/ && fn !~ /\) (enqueue|putBack)\(/ {print FILENAME":"FNR":"$0}' $core_src
-    awk '/^func /{fn=$0}
-        /Executor\.AppendNodes\(/ && fn ~ /\) (drain|reapUnplaceable)\(/ && !/e\.view = e\.opts\.Executor\.AppendNodes\(e\.view\[:0\]\)/ {print FILENAME":"FNR":"$0}
-        /e\.view = e\.opts\.Executor\.AppendNodes\(e\.view\[:0\]\)/ && fn ~ /\) drain\(/ {seen=1}
-        END {if (!seen) print FILENAME": drain takes no view into e.view"}' internal/core/dispatcher.go
-)
-if [ -n "$attempts" ]; then
-    echo "a queuedRef built on the heap, a job queued outside enqueue/putBack, or a drain-path view not taken into the engine's buffer:" >&2
-    echo "$attempts" >&2
-    exit 1
-fi
 
 echo "== biooperalint"
 # The tool prints its own load/analyze split on stderr; time the whole run

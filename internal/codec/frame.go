@@ -6,7 +6,7 @@ package codec
 //
 //	 1–5    core records      (internal/core: meta, create, dyn, task, event)
 //	 8      lease record      (internal/fed, declared below)
-//	16–18   WAL records       (internal/store: put, del, event)
+//	16–19   WAL records       (internal/store: put, del, event, move)
 //	32–63   transport frames  (internal/transport, declared below)
 //
 // A frame kind names one message of one protocol, so a message can move

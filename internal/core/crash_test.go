@@ -123,7 +123,8 @@ type crashRun struct {
 	launched   []string // instance/scope/task of every job launched, in order
 	done       []string // the instances OnInstanceDone reported
 	failed     error    // the first asynchronous engine error
-	broken     []string // what Check found after Recover and after the drain
+	broken     []string // what Check found after Recover and after the drain, and what archives broke
+	archives   *archiveCheck
 }
 
 // check notes what Check finds in the run's engine at step.
@@ -153,7 +154,9 @@ func (l launchLog) Launch(x Launch) error {
 // restartLab opens the store on fs, boots, registers Chain8's replacement, recovers,
 // resumes the instance resume unless an earlier restart's Resume committed,
 // and drains. It stops at the first failure: on a file system that has
-// crashed, everything fails from then on. The caller closes the store.
+// crashed, everything fails from then on. The caller closes the store. What
+// the restart's archives hand the store is checked (archiveCheck): a
+// violation breaks the run.
 func restartLab(t *testing.T, fs *crashFS, resume string) (*crashRun, error) {
 	t.Helper()
 	r := &crashRun{}
@@ -161,6 +164,8 @@ func restartLab(t *testing.T, fs *crashFS, resume string) (*crashRun, error) {
 	if r.disk, err = openCrashDisk(fs); err != nil {
 		return nil, err
 	}
+	r.archives = &archiveCheck{Store: r.disk}
+	defer func() { r.broken = append(r.broken, r.archives.violations...) }()
 	opts := Options{
 		OnEvent: func(ev Event) {
 			if ev.Kind == EvTaskDispatched {
@@ -181,7 +186,7 @@ func restartLab(t *testing.T, fs *crashFS, resume string) (*crashRun, error) {
 			}
 		},
 	}
-	if r.rt, err = NewSimRuntime(SimConfig{Seed: 1, Spec: testSpec(), Store: r.disk, Library: testLibrary(t), Options: opts}); err == nil {
+	if r.rt, err = NewSimRuntime(SimConfig{Seed: 1, Spec: testSpec(), Store: r.archives, Library: testLibrary(t), Options: opts}); err == nil {
 		r.rt.Engine.opts.Executor = launchLog{r.rt.Engine.opts.Executor, fs, &r.launched}
 		if err = r.rt.Engine.RegisterTemplateSource(chain8NextSrc); err == nil {
 			_, err = r.rt.Engine.Recover()

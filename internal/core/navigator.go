@@ -246,7 +246,11 @@ func (e *Engine) finishTask(in *Instance, sc *scope, t *ocr.Task, ts *taskState,
 		orig := sc.task(ts.AltOf)
 		origTask := sc.Proc.Task(ts.AltOf)
 		if orig != nil && origTask != nil && !orig.Status.Terminal() {
+			n := len(outputs)
 			e.finishTask(in, sc, origTask, orig, outputs)
+			// The two tasks share the map: the original's declared outputs
+			// joined the alternative's after its record was cut.
+			ts.stale = ts.stale || len(outputs) != n
 		}
 	}
 

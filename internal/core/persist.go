@@ -43,7 +43,10 @@ import (
 // disk store the batch is one group-committed WAL append shared with other
 // instances' turns.
 //
-// Completed/failed instances move to the history space under the same keys.
+// Completed/failed instances move to the history space under the same keys:
+// a record the instance space holds and the final turn left unchanged moves
+// as a store.MoveOp, and only the records the final turn changed, or the
+// instance space never held, are encoded into the history space (archive).
 // Recovery rebuilds instances from these records; activities recorded as
 // running are re-queued, and navigation decisions in flight are re-derived
 // by re-propagating the connectors of terminal tasks.
@@ -184,25 +187,31 @@ func (e *Engine) pinInherited(in *Instance, sc *scope, key string) {
 // ckpt is one checkpoint: the dirty subset of an instance's state, already
 // encoded. persist and archive fill it under the shard lock; flushWrites
 // commits it after the lock is released and holds no decoded copy of any
-// record — only the buffer, the op keys, and the pointers remarkCkpt needs
-// to re-dirty what a failed batch carried. ckpts recycle through a pool so
-// the persist hot path stays allocation-light.
+// record — only the buffer, the op keys, and the pointers markHeld and
+// remarkCkpt need to mark what a committed batch wrote and re-dirty what a
+// failed one carried. ckpts recycle through a pool so the persist hot path
+// stays allocation-light.
 type ckpt struct {
 	archive bool // move everything to the history space
+	// all: the archive cannot trust the held marks — a write set of the
+	// instance is still in flight, or one failed — so it encodes every
+	// record and deletes every key from the instance space.
+	all bool
 	// sameMeta leaves the inst/ record out of the batch: an earlier cut of
 	// the turn wrote the same bytes.
 	sameMeta bool
-	enc      codec.Encoder // the meta, create, dyn and task records, in that order
-	// ops is the checkpoint's puts, in record order: meta, creates, dyns,
-	// tasks; ops[i]'s value is the encoder's span i. Values stay nil until
-	// appendOps takes their spans (appending can relocate the encoder's
-	// buffer).
+	enc      codec.Encoder // the encoded meta, create, dyn and task records, in that order
+	// ops is the checkpoint's puts and an archive's moves, in record order:
+	// meta, creates, dyns, tasks. The puts' values are the encoder's spans
+	// in turn; they stay nil until appendOps takes them (appending can
+	// relocate the encoder's buffer).
 	ops     []store.Op
-	deletes []string // instance-space keys the batch also deletes
+	deletes []string // instance-space keys the batch deletes before the puts
+	drops   []string // instance-space keys an archive deletes after them: the encoded records held there
 
 	scopes  []*scope // walk order: the dirty (or, for an archive, all) scopes by ID
-	creates []*scope
-	dyns    []*scope
+	creates []*scope // the scopes whose create record is encoded
+	dyns    []*scope // the scopes whose dynamic record is encoded
 	tasks   []taskRef
 }
 
@@ -217,6 +226,7 @@ func getCkpt() *ckpt { return ckptPool.Get().(*ckpt) }
 
 func putCkpt(ck *ckpt) {
 	clear(ck.ops)
+	clear(ck.drops)
 	clear(ck.scopes)
 	clear(ck.creates)
 	clear(ck.dyns)
@@ -226,6 +236,7 @@ func putCkpt(ck *ckpt) {
 	*ck = ckpt{
 		enc:     enc,
 		ops:     ck.ops[:0],
+		drops:   ck.drops[:0],
 		scopes:  ck.scopes[:0],
 		creates: ck.creates[:0],
 		dyns:    ck.dyns[:0],
@@ -396,26 +407,36 @@ func (e *Engine) persistError(in *Instance, context string, err error) {
 // cutCkpt encodes the records of ck.scopes into the checkpoint and adds it to
 // the turn's write set. One walk takes each record from live state to the
 // encoder and names its store key; nothing is copied in between. Of each
-// scope it writes what is dirty — everything, for an archive — and clears
-// the dirty flags. Caller holds the shard lock.
+// scope a checkpoint writes what is dirty; an archive writes what is dirty or
+// never held and moves the rest (record). The walk clears the dirty flags.
+// Caller holds the shard lock.
 func (e *Engine) cutCkpt(in *Instance, ck *ckpt) {
 	start := e.now()
-	space := store.Instance
-	if ck.archive {
-		space = store.History
-	}
 	slices.SortFunc(ck.scopes, func(a, b *scope) int { return strings.Compare(a.ID, b.ID) })
 	ws := in.turnWrites()
+	if ck.archive {
+		in.gateMu.Lock()
+		ck.all = in.ckptDone != in.ckptSeq || in.lostWrite
+		in.gateMu.Unlock()
+		// The turn's earlier checkpoints commit in the same batch, ahead of
+		// the archive: what they write, the instance space holds by the time
+		// the archive's ops apply.
+		if !ck.all {
+			for _, c := range ws.cks {
+				c.markHeld(in)
+			}
+		}
+	}
 	enc := &ck.enc
+	ck.record(in.key(), true, &in.metaHeld)
 	encodeMeta(enc, &in.InstanceMeta)
-	ck.ops = append(ck.ops, store.Op{Space: space, Key: in.key()})
 	// A turn writes its inst/ record once, unless it changes: a turn that
 	// dispatches its own jobs cuts them after its navigation's checkpoint.
 	if n := len(ws.cks); n > 0 && !ck.archive && !ws.cks[n-1].archive {
 		ck.sameMeta = bytes.Equal(ws.cks[n-1].enc.Span(0), enc.Span(0))
 	}
 	for _, sc := range ck.scopes {
-		if !sc.newborn && !ck.archive {
+		if !ck.record(sc.createKey(in), sc.newborn, &sc.createHeld) {
 			continue
 		}
 		dto := scopeCreateDTO{
@@ -431,13 +452,9 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt) {
 		encodeCreate(enc, &dto)
 		ck.creates = append(ck.creates, sc)
 	}
-	for _, sc := range ck.creates {
-		ck.ops = append(ck.ops, store.Op{Space: space, Key: sc.createKey(in)})
-	}
 	for _, sc := range ck.scopes {
-		if sc.newborn || sc.dirtyMeta || ck.archive {
+		if ck.record(sc.dynKey(in), sc.newborn || sc.dirtyMeta, &sc.dynHeld) {
 			encodeDyn(enc, sc)
-			ck.ops = append(ck.ops, store.Op{Space: space, Key: sc.dynKey(in)})
 			ck.dyns = append(ck.dyns, sc)
 		}
 		sc.newborn = false
@@ -447,19 +464,24 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt) {
 		first := len(ck.tasks)
 		if ck.archive {
 			for i := range sc.tasks { // declaration order
-				ck.tasks = append(ck.tasks, taskRef{sc, &sc.tasks[i]})
+				ts := &sc.tasks[i]
+				if ck.record(ts.key(in, sc), ts.dirty || ts.stale, &ts.held) {
+					ck.tasks = append(ck.tasks, taskRef{sc, ts})
+				}
+				ts.dirty = false
 			}
 		} else {
 			for _, i := range sc.Proc.byName { // name order
-				if sc.tasks[i].dirty {
-					ck.tasks = append(ck.tasks, taskRef{sc, &sc.tasks[i]})
+				if ts := &sc.tasks[i]; ts.dirty {
+					ck.record(ts.key(in, sc), true, &ts.held)
+					ck.tasks = append(ck.tasks, taskRef{sc, ts})
+					ts.dirty = false
 				}
 			}
 		}
 		for _, tr := range ck.tasks[first:] {
-			tr.ts.dirty = false
 			encodeTask(enc, tr.ts)
-			ck.ops = append(ck.ops, store.Op{Space: space, Key: tr.ts.key(in, sc)})
+			tr.ts.stale = false
 		}
 	}
 	in.clearDirty()
@@ -467,6 +489,63 @@ func (e *Engine) cutCkpt(in *Instance, ck *ckpt) {
 	in.pendingDeletes = nil
 	e.metrics.checkpoint(e.now().Sub(start), len(enc.Buf), len(ck.ops))
 	ws.cks = append(ws.cks, ck)
+}
+
+// record decides one record of the cut and appends its op, reporting
+// whether the caller is to encode the record. A checkpoint puts a dirty
+// record into the instance space. An archive puts into the history space a
+// record that is dirty or that the instance space does not hold, and drops
+// the instance space's copy if it holds one; a record the instance space
+// holds unchanged it moves there (§3.2), so its bytes are neither encoded
+// nor logged again. Only an archive that trusts the marks reads *held: the
+// flusher of an earlier write set may be writing it meanwhile (markHeld).
+func (ck *ckpt) record(key string, dirty bool, held *bool) bool {
+	if !ck.archive {
+		if dirty {
+			ck.ops = append(ck.ops, store.Op{Space: store.Instance, Key: key})
+		}
+		return dirty
+	}
+	h := true
+	if ck.all {
+		dirty = true
+	} else {
+		h = *held
+	}
+	if h && !dirty {
+		ck.ops = append(ck.ops, store.MoveOp(store.Instance, store.History, key))
+		return false
+	}
+	ck.ops = append(ck.ops, store.Op{Space: store.History, Key: key})
+	if h {
+		ck.drops = append(ck.drops, key)
+	}
+	return true
+}
+
+// markHeld records that the instance space holds what a checkpoint wrote
+// there: flushWrites calls it once the checkpoint's batch has committed,
+// under the instance's gateMu before the gate advances — so an archive that
+// finds the gate clear sees every mark — and an archive for the checkpoints
+// its own batch commits ahead of it. A failed or fenced batch marks nothing.
+// Recovery marks every record it read (buildRecovered, buildScopes). A
+// deleted record takes its mark with it: a sphere's teardown deletes the
+// records of scopes it drops for good, and recovery's stray task records
+// have no slot to mark.
+func (ck *ckpt) markHeld(in *Instance) {
+	if ck.archive {
+		return
+	}
+	in.metaHeld = true
+	for _, sc := range ck.creates {
+		sc.createHeld = true
+	}
+	for _, sc := range ck.dyns {
+		sc.dynHeld = true
+	}
+	for _, tr := range ck.tasks {
+		tr.ts.held = true
+	}
 }
 
 // persist cuts one checkpoint of the instance's dirty state. The caller
@@ -480,12 +559,13 @@ func (e *Engine) persist(in *Instance) {
 	e.cutCkpt(in, ck)
 }
 
-// archive encodes a finished instance completely and flags the checkpoint
-// to move every record to the history space (§3.2: "the data space contains
-// historical information about all processes already executed"). The bytes
-// are encoded once — no store re-reads — and one atomic batch writes history
-// and clears the instance space, so a crash mid-archive never leaves an
-// instance half in each. Caller holds the shard lock.
+// archive cuts the checkpoint that moves a finished instance to the history
+// space (§3.2: "the data space contains historical information about all
+// processes already executed"): every record the instance space holds
+// unchanged moves there, and only what the final turn changed, or the
+// instance space never held, is encoded. One atomic batch writes history and
+// clears the instance space, so a crash mid-archive never leaves an instance
+// half in each. Caller holds the shard lock.
 func (e *Engine) archive(in *Instance) {
 	ck := getCkpt()
 	ck.archive = true
@@ -496,44 +576,30 @@ func (e *Engine) archive(in *Instance) {
 }
 
 // appendOps appends the checkpoint's share of the turn's batch to ops: the
-// deletes it carried, then its puts, each pointed at its bytes, then — for an
-// archive — the deletes of what the batch moves. The carried deletes were
-// queued before the cut, so a key the cut writes again keeps its new record:
-// a sphere's retry re-creates the keys its abort deleted, and a failed
-// batch's deletes ride a later cut. The records were encoded when the
-// checkpoint was cut; binary encoding is total, so there is no per-record
-// marshal failure path — only the batch itself can fail.
+// deletes it carried, then its puts, each pointed at its bytes, and an
+// archive's moves, then the instance-space copies an archive drops. The
+// carried deletes were queued before the cut, so a key the cut writes again
+// keeps its new record: a sphere's retry re-creates the keys its abort
+// deleted, and a failed batch's deletes ride a later cut. The records were
+// encoded when the checkpoint was cut; binary encoding is total, so there is
+// no per-record marshal failure path — only the batch itself can fail.
 func (ck *ckpt) appendOps(ops []store.Op) []store.Op {
-	del := func(key string) {
+	for _, key := range ck.deletes {
 		ops = append(ops, store.Op{Space: store.Instance, Key: key, Delete: true})
 	}
-	for _, key := range ck.deletes {
-		del(key)
-	}
-	if !ck.sameMeta {
-		ops = append(ops, ck.ops[0])
-		ops[len(ops)-1].Value = ck.enc.Span(0)
-	}
-	// ops[first+i] is ck.ops[i], the meta left out or not.
-	first := len(ops) - 1
-	ops = append(ops, ck.ops[1:]...)
-	for i := 1; i < len(ck.ops); i++ {
-		ops[first+i].Value = ck.enc.Span(i)
-	}
-	if ck.archive {
-		// One pass: the same batch that writes the history puts clears
-		// every instance-space record, under the keys just written: meta,
-		// each scope's create and dyn (an archive writes both for every
-		// scope), tasks.
-		puts, nc := ck.ops, len(ck.creates)
-		del(puts[0].Key)
-		for i := 1; i < 1+nc; i++ {
-			del(puts[i].Key)
-			del(puts[i+nc].Key)
+	span := 0
+	for i, op := range ck.ops {
+		if _, move := op.MovedFrom(); !move {
+			op.Value = ck.enc.Span(span)
+			span++
+			if i == 0 && ck.sameMeta {
+				continue
+			}
 		}
-		for _, op := range puts[1+2*nc:] {
-			del(op.Key)
-		}
+		ops = append(ops, op)
+	}
+	for _, key := range ck.drops {
+		ops = append(ops, store.Op{Space: store.Instance, Key: key, Delete: true})
 	}
 	return ops
 }
@@ -612,8 +678,12 @@ func (e *Engine) flushWrites(buf *[]store.Op, turns []turnExit) {
 		case t.fenced:
 		case err != nil:
 			in.failedEvents.add(&t.ws.events)
+			in.lostWrite = true
 		default:
 			in.failedEvents = eventBuf{}
+			for _, ck := range t.ws.cks {
+				ck.markHeld(in)
+			}
 		}
 		// The gate always advances — even on error — so Crash's quiesce wait
 		// and later turns never hang on a failed one.

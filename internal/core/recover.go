@@ -479,6 +479,7 @@ func (e *Engine) buildRecovered(g *instGroup) (*Instance, error) {
 	}
 	in := buildInstanceShell(g.meta)
 	in.stub = g
+	in.metaHeld = true
 	var err error
 	if g.meta.Status == InstanceSuspended {
 		g.e = e
@@ -564,6 +565,8 @@ func (e *Engine) buildScopes(in *Instance, kvs []store.KV, recMap map[string]*sc
 			ElemIndex:  r.create.ElemIndex,
 			createK:    r.createK,
 			dynK:       r.dynK,
+			createHeld: true,
+			dynHeld:    r.dyn != nil,
 		}
 		sc.layTasks()
 		if !r.create.IsRoot {
@@ -633,7 +636,7 @@ func (e *Engine) buildScopes(in *Instance, kvs []store.KV, recMap map[string]*sc
 		if err := decodeTaskRecord(kv.Value, ts); err != nil {
 			return fmt.Errorf("core: corrupt task record %s: %w", kv.Key, err)
 		}
-		ts.Name, ts.taskK = name, kv.Key
+		ts.Name, ts.taskK, ts.held = name, kv.Key, true
 	}
 	return nil
 }

@@ -156,6 +156,11 @@ type taskState struct {
 
 	taskK string // the task/ record's key, built on first use (key)
 	dirty bool   // the task record needs rewriting (touchTask); cleared when a checkpoint encodes it
+	held  bool   // the instance space holds the task record (ckpt.markHeld)
+	// stale: the task's state changed after its record was cut without
+	// dirtying it — an alternative's outputs, shared with the task it
+	// replaced (finishTask) — so an archive encodes the record, not moves it.
+	stale bool
 
 	attempt queuedRef // the current dispatch attempt or AWAIT wait (see queuedRef); volatile
 }
@@ -188,6 +193,9 @@ type scope struct {
 	newborn   bool // create + dynamic records never written
 	dirtyMeta bool // dynamic record needs rewriting
 	listed    bool // in the instance's dirty list (markDirty)
+	// createHeld and dynHeld: the instance space holds the create and the
+	// dynamic record (ckpt.markHeld).
+	createHeld, dynHeld bool
 
 	// wbOwn is an inheriting scope's own whiteboard, sorted by key: the
 	// entries its dynamic record carries — present, with their values — and
@@ -393,13 +401,18 @@ type Instance struct {
 	// record, both into the turn's write set; endTurn hands that to the
 	// flusher after releasing the shard, so the store batch — the part that
 	// can block — never runs inside the critical section.
-	dirty          []*scope   // scopes with unpersisted changes, each once (scope.listed)
-	writes         *writeSet  // what the turn in progress has written so far (nil = nothing)
-	pendingDeletes []string   // instance-space keys to delete at next flush
-	pendingDone    bool       // fire OnInstanceDone after this turn's flush
-	pendingPump    bool       // pump the dispatcher after this turn: it queued work or freed a slot
-	group          *turnGroup // set for a turn that commits with a group: endTurn leaves the exit there
-	metaK          string     // the inst/ record's key, built on first use (key)
+	dirty          []*scope  // scopes with unpersisted changes, each once (scope.listed)
+	writes         *writeSet // what the turn in progress has written so far (nil = nothing)
+	pendingDeletes []string  // instance-space keys to delete at next flush
+	pendingDone    bool      // fire OnInstanceDone after this turn's flush
+	pendingPump    bool      // pump the dispatcher after this turn: it queued work or freed a slot
+	metaHeld       bool      // the instance space holds the inst/ record (ckpt.markHeld)
+	// lostWrite: a write set's batch failed, so until a restart what the
+	// instance space holds of the instance is not what its held marks say.
+	// Guarded by gateMu, not the shard lock.
+	lostWrite bool
+	group     *turnGroup // set for a turn that commits with a group: endTurn leaves the exit there
+	metaK     string     // the inst/ record's key, built on first use (key)
 
 	// Commit gate: admits this instance's write sets strictly in sequence
 	// order once they leave the shard's critical section, so a later turn's

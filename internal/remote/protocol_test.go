@@ -304,6 +304,44 @@ func TestWrongBodyHangsUp(t *testing.T) {
 	}
 }
 
+// TestUnexpectedKindLoggedOnce: a worker from before the heartbeat went
+// sends a kind-60 heartbeat every beat. The server logs the kind once for the
+// connection, keeps the link, and still handles the completion that follows.
+func TestUnexpectedKindLoggedOnce(t *testing.T) {
+	s, logs := listenLogged(t)
+	nc := dialRaw(t, s.Addr())
+	hello := encodeBody(&Hello{Worker: "w1", Nodes: []NodeInfo{{Name: "cpu0", OS: "linux", CPUs: 1, Speed: 1}}})
+	if _, err := nc.Write(rawFrame(codec.FrameHello, hello)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "worker registered", func() bool { w, _, _ := s.Stats(); return w == 1 })
+	const heartbeat = 60
+	for range 3 {
+		if _, err := nc.Write(rawFrame(heartbeat, codec.AppendHeader(nil, heartbeat))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A completion under no lease: handled, and dropped as stale.
+	if _, err := nc.Write(rawFrame(codec.FrameCompletion, encodeBody(&Completion{Job: "j", Lease: 1, Incarnation: 1}))); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "completion handled", func() bool { _, _, stale := s.Stats(); return stale == 1 })
+	if w, dead, _ := s.Stats(); w != 1 || dead != 0 {
+		t.Fatalf("%d workers, %d declared dead: the link went down", w, dead)
+	}
+	logs.mu.Lock()
+	defer logs.mu.Unlock()
+	n := 0
+	for _, line := range logs.s {
+		if strings.Contains(line, "unexpected frame kind 60") {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("%d log lines for three kind-60 frames, want 1", n)
+	}
+}
+
 // TestPreCodecWorkerIsRefused: a worker from before the codec bodies — its
 // hello under the retired kind 33 (refused by the transport), or a JSON body
 // under any kind (refused by the codec) — is hung up at the handshake with an

@@ -56,6 +56,10 @@ type workerConn struct {
 	nodes []string // server-side node names owned by this worker; fixed at registration
 
 	dec codec.Decoder // reader goroutine only
+	// odd marks the unexpected frame kinds the worker has sent, each logged
+	// once: a worker from before the heartbeat went sends one every beat.
+	// Reader goroutine only.
+	odd [256]bool
 
 	dead bool // guarded by Server.mu
 }
@@ -380,7 +384,10 @@ func (w *workerConn) Frame(kind byte, body []byte) error {
 		return err
 	}
 	if kind != codec.FrameCompletion {
-		w.s.logf("remote: worker %s sent unexpected frame kind %d", w.name, kind)
+		if !w.odd[kind] {
+			w.odd[kind] = true
+			w.s.logf("remote: worker %s sent unexpected frame kind %d (logged once per connection)", w.name, kind)
+		}
 		return nil
 	}
 	return w.s.handleCompletion(w)

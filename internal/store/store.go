@@ -15,6 +15,11 @@
 // plus an append-only event journal used by monitoring and the lifecycle
 // figures.
 //
+// A write is a Batch of ops: puts, deletes, journal appends (EventOp) and
+// moves (MoveOp). A move gives a record a new home in another space under
+// the same key without handing its bytes over again: a finished instance's
+// records move from Instance to History, logged as a key, not as a value.
+//
 // Two implementations are provided: Disk (WAL + snapshots, crash safe, and
 // compacting itself) and Mem (for simulations and tests). Both satisfy Store.
 package store
@@ -78,7 +83,8 @@ type Event struct {
 }
 
 // Op is one mutation inside a Batch: a put, a delete when Delete is set
-// (Value is then ignored), or a journal append built by EventOp.
+// (Value is then ignored), a journal append built by EventOp, or a move
+// built by MoveOp.
 type Op struct {
 	Space  Space
 	Key    string
@@ -87,6 +93,10 @@ type Op struct {
 	// event marks a journal append of Value (Space and Key unused); EventOp
 	// builds one.
 	event bool
+	// move marks a move of the record under Key from space from into Space
+	// (Value unused); MoveOp builds one.
+	move bool
+	from Space
 }
 
 // EventOp returns the op that appends data to the journal. Inside a Batch it
@@ -99,15 +109,27 @@ func EventOp(data []byte) Op { return Op{Value: data, event: true} }
 // IsEvent reports whether the op is a journal append.
 func (op Op) IsEvent() bool { return op.event }
 
+// MoveOp returns the op that gives the record under key in space from a new
+// home under the same key in space to, replacing any record there: the bytes
+// the record holds are not handed to the store again, nor logged again. A
+// move of a key from does not hold is a no-op. The engine archives a
+// finished instance's unchanged records this way (§3.2: they move to the
+// history space).
+func MoveOp(from, to Space, key string) Op { return Op{Space: to, Key: key, move: true, from: from} }
+
+// MovedFrom reports whether the op is a move, and the space it moves from;
+// Space is the space it moves to.
+func (op Op) MovedFrom() (Space, bool) { return op.from, op.move }
+
 // Store is the interface both backends implement.
 type Store interface {
 	// Put stores value under key in the given space, replacing any
 	// previous value.
 	Put(space Space, key string, value []byte) error
-	// Batch applies a set of puts, deletes and journal appends (EventOp)
-	// atomically: after a crash either every op is visible or none is. Ops
-	// may span spaces and are applied in order (later ops win on key
-	// collisions). An empty batch is a no-op.
+	// Batch applies a set of puts, deletes, moves (MoveOp) and journal
+	// appends (EventOp) atomically: after a crash either every op is
+	// visible or none is. Ops may span spaces and are applied in order
+	// (later ops win on key collisions). An empty batch is a no-op.
 	Batch(ops []Op) error
 	// Get returns the value under key, and whether it exists.
 	Get(space Space, key string) ([]byte, bool, error)
@@ -198,9 +220,20 @@ func checkSpace(space Space) error {
 // logged or applied — the whole write is refused or none of it is.
 func checkOps(ops []Op) error {
 	for _, op := range ops {
-		if err := checkSpace(op.Space); err != nil {
+		if err := checkOp(op); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkOp validates the spaces one op names.
+func checkOp(op Op) error {
+	if err := checkSpace(op.Space); err != nil {
+		return err
+	}
+	if op.move {
+		return checkSpace(op.from)
 	}
 	return nil
 }
@@ -209,40 +242,57 @@ func checkOps(ops []Op) error {
 // carved from the image's arenas. A record keeps its slot while a rewrite
 // fits it — rewritten in place, which is safe because nothing hands a stored
 // buffer out (Get, list, Digest and Snapshot copy under mu) — and moves to
-// a slot with headroom when it outgrows it. A journal entry gets a slot of
-// its own length in the journal's arena, capped so an append through
-// Event.Data cannot reach the next entry. Once the batch is applied, a
-// space whose dead bytes exceed both its live bytes and a chunk is
-// compacted. The caller holds mu for writing.
+// a slot with headroom when it outgrows it. A move puts the record's bytes
+// into the target space the same way and frees its source slot; the freed
+// bytes stay intact until the compaction below, so a move within one space
+// is safe too. A journal entry gets a slot of its own length in the
+// journal's arena, capped so an append through Event.Data cannot reach the
+// next entry. Once the batch is applied, a space whose dead bytes exceed
+// both its live bytes and a chunk is compacted. The caller holds mu for
+// writing.
 func (im *image) apply(ops []Op) {
 	for _, op := range ops {
-		if op.event {
+		switch {
+		case op.event:
 			im.eventSeq++
 			data := append(im.arenas[numSpaces].carve(len(op.Value)), op.Value...)
 			im.events = append(im.events, Event{Seq: im.eventSeq, Data: data})
-			continue
-		}
-		m, a := im.spaces[op.Space], &im.arenas[op.Space]
-		old, ok := m[op.Key]
-		switch {
+		case op.move:
+			src := im.spaces[op.from]
+			if v, ok := src[op.Key]; ok {
+				delete(src, op.Key)
+				im.arenas[op.from].free(v)
+				im.put(op.Space, op.Key, v)
+			}
 		case op.Delete:
-			if ok {
-				a.free(old)
+			m := im.spaces[op.Space]
+			if old, ok := m[op.Key]; ok {
+				im.arenas[op.Space].free(old)
 				delete(m, op.Key)
 			}
-		case ok && len(op.Value) <= cap(old):
-			m[op.Key] = append(old[:0], op.Value...)
-		case ok:
-			a.free(old)
-			m[op.Key] = append(a.carve(headroom(len(op.Value))), op.Value...)
 		default:
-			m[op.Key] = append(a.carve(len(op.Value)), op.Value...)
+			im.put(op.Space, op.Key, op.Value)
 		}
 	}
 	for sp := range im.spaces {
 		if a := &im.arenas[sp]; a.dead > a.live && a.dead > chunkSize {
 			im.compact(Space(sp))
 		}
+	}
+}
+
+// put stores a copy of value under key in space sp (apply).
+func (im *image) put(sp Space, key string, value []byte) {
+	m, a := im.spaces[sp], &im.arenas[sp]
+	old, ok := m[key]
+	switch {
+	case ok && len(value) <= cap(old):
+		m[key] = append(old[:0], value...)
+	case ok:
+		a.free(old)
+		m[key] = append(a.carve(headroom(len(value))), value...)
+	default:
+		m[key] = append(a.carve(len(value)), value...)
 	}
 }
 
@@ -403,16 +453,28 @@ func (m *Mem) Close() error {
 
 // Binary WAL record kinds — a range disjoint from the core persist-record
 // kinds, so a record misfiled across decode contexts fails loudly instead
-// of misparsing.
+// of misparsing. Put, delete and event frames hold space, key and value; a
+// move frame holds its source space, the key and its target space. A build
+// from before moves refuses a log that holds one: "kind 19 is not a wal
+// record".
 const (
 	walKindPut   byte = 16
 	walKindDel   byte = 17
 	walKindEvent byte = 18
+	walKindMove  byte = 19
 )
 
 // encodeOp appends one op's WAL frame to the encoder. Binary encoding is
 // total — it cannot fail — so no mutation has an encode error path.
 func encodeOp(e *codec.Encoder, op Op) {
+	if op.move {
+		e.Begin(walKindMove)
+		e.Uvarint(uint64(op.from))
+		e.String(op.Key)
+		e.Uvarint(uint64(op.Space))
+		e.End()
+		return
+	}
 	kind, value := walKindPut, op.Value
 	switch {
 	case op.event:
@@ -441,16 +503,24 @@ func decodeOp(d *codec.Decoder, data []byte) (Op, error) {
 		op.Delete = true
 	case walKindEvent:
 		op.event = true
+	case walKindMove:
+		op.move = true
 	default:
 		return Op{}, fmt.Errorf("%w: kind %d is not a wal record", codec.ErrCorrupt, kind)
 	}
-	op.Space = Space(d.Uvarint())
-	op.Key = d.String()
-	op.Value = d.Bytes()
+	if op.move {
+		op.from = Space(d.Uvarint())
+		op.Key = d.String()
+		op.Space = Space(d.Uvarint())
+	} else {
+		op.Space = Space(d.Uvarint())
+		op.Key = d.String()
+		op.Value = d.Bytes()
+	}
 	if err := d.Finish(); err != nil {
 		return Op{}, err
 	}
-	return op, checkSpace(op.Space)
+	return op, checkOp(op)
 }
 
 // decodeOps reads the frames of a commit unit, or of a base, at WAL

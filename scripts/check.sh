@@ -42,6 +42,9 @@ fi
 echo "== fuzz the WAL segment walker (10s)"
 go test -run '^$' -fuzz FuzzSegment -fuzztime 10s ./internal/wal
 
+echo "== fuzz the store's WAL op decoder (10s)"
+go test -run '^$' -fuzz FuzzDecodeOp -fuzztime 10s ./internal/store
+
 echo "== fuzz the frame decoder (10s)"
 go test -run '^$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/transport
 

@@ -975,11 +975,7 @@ func bootFedBench(b *testing.B, n, partitions int, shared store.Store, stepTime 
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	g, err := fed.NewGateway(fed.GatewayConfig{
-		Members:      joins,
-		Retries:      60,
-		RetryBackoff: 50 * time.Millisecond,
-	})
+	g, err := fed.NewGateway(fed.GatewayConfig{Members: joins})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -278,12 +278,7 @@ func cmdFed(args []string) error {
 		fmt.Printf("member %s on %s owns %v\n", m.Name(), m.Addr(), m.OwnedPartitions())
 	}
 
-	g, err := fed.NewGateway(fed.GatewayConfig{
-		Members:      joins,
-		Metrics:      reg,
-		Retries:      60,
-		RetryBackoff: 100 * time.Millisecond,
-	})
+	g, err := fed.NewGateway(fed.GatewayConfig{Members: joins, Metrics: reg})
 	if err != nil {
 		return err
 	}

@@ -129,7 +129,6 @@ func cmdServe(args []string) error {
 		Library:          stubLibrary(ps, *verbose),
 		Policy:           pol,
 		Quotas:           quotas,
-		ShipAddr:         *ship,
 		HeartbeatEvery:   *beat,
 		HeartbeatTimeout: *beatTimeout,
 		Logf:             logf,
@@ -164,8 +163,15 @@ func cmdServe(args []string) error {
 		defer msrv.Close()
 		fmt.Printf("monitor on http://%s (try /metrics, /api/instances, /api/cluster)\n", msrv.Addr())
 	}
-	if rt.Shipper != nil {
-		fmt.Printf("shipping WAL to standbys on %s\n", rt.Shipper.Addr())
+	if *ship != "" {
+		// -ship requires -store, so st is a disk store. Deferred after rt
+		// and st, the shipper closes before either.
+		shipper, err := st.(*store.Disk).StartShipping(*ship, logf)
+		if err != nil {
+			return fmt.Errorf("start shipping: %w", err)
+		}
+		defer shipper.Close()
+		fmt.Printf("shipping WAL to standbys on %s\n", shipper.Addr())
 	}
 	fmt.Printf("listening on %s, waiting for %d worker(s)\n", rt.Addr(), *workers)
 	if err := waitWorkers(rt, *workers, *timeout); err != nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bioopera/internal/cluster"
+	"bioopera/internal/sched"
 	"bioopera/internal/sim"
 )
 
@@ -147,22 +148,22 @@ func (e *Engine) WhatIf(nodes []string) OutageImpact {
 	impact := OutageImpact{Nodes: append([]string(nil), nodes...)}
 	affected := make(map[string]bool)
 
-	// Snapshot the dispatcher maps under dmu; everything read afterwards
-	// (process graphs, task/scope names, program bindings) is immutable
-	// once the task is created.
+	// Snapshot the dispatcher maps under dmu, each ref's job with them:
+	// what the scheduler would place is what the check below asks about.
 	type snap struct {
 		id   string
 		ref  *queuedRef
+		job  sched.Job
 		node string
 	}
 	e.dmu.Lock()
 	running := make([]snap, 0, len(e.running))
 	for id, ref := range e.running {
-		running = append(running, snap{id: id, ref: ref, node: ref.node})
+		running = append(running, snap{id: id, ref: ref, job: ref.job, node: ref.node})
 	}
 	queued := make([]snap, 0, len(e.queued))
 	for id, ref := range e.queued {
-		queued = append(queued, snap{id: id, ref: ref})
+		queued = append(queued, snap{id: id, ref: ref, job: ref.job})
 	}
 	e.dmu.Unlock()
 	sort.Slice(running, func(i, j int) bool { return running[i].id < running[j].id })
@@ -194,42 +195,15 @@ func (e *Engine) WhatIf(nodes []string) OutageImpact {
 	}
 
 	check := func(s snap, progress string) {
-		ref := s.ref
-		t := ref.sc.Proc.Task(ref.ts.Name)
-		prog, ok := e.opts.Library.Lookup(t.Program)
-		if !ok {
+		if s.job.Placeable(remaining) {
 			return
 		}
-		feasible := false
-		for _, v := range remaining {
-			if !v.Up {
-				continue
-			}
-			if prog.OS != "" && v.OS != prog.OS {
-				continue
-			}
-			if len(prog.Nodes) > 0 {
-				found := false
-				for _, n := range prog.Nodes {
-					if n == v.Name {
-						found = true
-						break
-					}
-				}
-				if !found {
-					continue
-				}
-			}
-			feasible = true
-			break
-		}
-		if !feasible {
-			impact.Stranded = append(impact.Stranded, JobImpact{
-				Job: s.id, Instance: ref.inst.ID, Scope: ref.sc.ID,
-				Task: ref.ts.Name, Node: s.node, Progress: progress,
-			})
-			affected[ref.inst.ID] = true
-		}
+		ref := s.ref
+		impact.Stranded = append(impact.Stranded, JobImpact{
+			Job: s.id, Instance: ref.inst.ID, Scope: ref.sc.ID,
+			Task: ref.ts.Name, Node: s.node, Progress: progress,
+		})
+		affected[ref.inst.ID] = true
 	}
 	for _, s := range running {
 		check(s, "running")

@@ -1,7 +1,3 @@
-// Federation RPC runs in real time: dial and call deadlines here bound
-// waits on remote servers, never the deterministic trace.
-//bioopera:allow walltime file-wide: federation RPC deadlines are wall-clock by contract
-
 package fed
 
 import (
@@ -127,7 +123,8 @@ func (c *Client) call(req Request, timeout time.Duration) (Response, error) {
 		return Response{}, fmt.Errorf("%w: %v", ErrClientClosed, err)
 	}
 
-	timer := time.NewTimer(timeout)
+	expired := make(chan struct{})
+	timer := clk.AtFunc(clk.Now().Add(timeout), func() { close(expired) })
 	defer timer.Stop()
 	select {
 	case resp, ok := <-ch:
@@ -138,7 +135,7 @@ func (c *Client) call(req Request, timeout time.Duration) (Response, error) {
 			return Response{}, err
 		}
 		return resp, resp.err()
-	case <-timer.C:
+	case <-expired:
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()

@@ -27,6 +27,11 @@
 // rendezvous successor, so members joining after the first claims still
 // pick up a fair share.
 //
+// Time comes from one sim.Clock, the package's clk: the members' heartbeat
+// and failure detector, the clients' call deadlines and the gateway's retry
+// waits all read it, so a test that swaps in a clock it drives can hold a
+// failover window open and replay it.
+//
 // Instance IDs mint as "f<partition>-<member>.<epoch>-<seq>": the
 // partition routes without any lookup, the member names where the
 // instance lives (shared-nothing deployments route to the minting member
@@ -38,7 +43,12 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"bioopera/internal/sim"
 )
+
+// clk is the package's one source of time.
+var clk = sim.NewWall()
 
 // DefaultPartitions is the ownership partition count when a Config leaves
 // it zero. All members of one federation must agree on the count.

@@ -129,11 +129,8 @@ func TestFederatedFailoverE2E(t *testing.T) {
 	waitBalanced(t, members, 8)
 
 	gw, err := NewGateway(GatewayConfig{
-		Members:      []string{a.Addr(), b.Addr(), c.Addr()},
-		Metrics:      reg,
-		CallTimeout:  5 * time.Second,
-		Retries:      60,
-		RetryBackoff: 50 * time.Millisecond,
+		Members: []string{a.Addr(), b.Addr(), c.Addr()},
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +162,7 @@ func TestFederatedFailoverE2E(t *testing.T) {
 	if killed == nil {
 		t.Fatalf("no member named %q (ids[0]=%s)", victim, ids[0])
 	}
-	time.Sleep(20 * time.Millisecond) // let dispatch begin
+	waitFor(t, "the victim runs a job", func() bool { return killed.Runtime().Engine().RunningJobs() > 0 })
 	killedPartitions := killed.OwnedPartitions()
 	killedInc := killed.Incarnation()
 	killed.Close()
@@ -296,31 +293,26 @@ func moveLease(t *testing.T, tbl *LeaseTable, p int, to string) {
 	}
 }
 
-// TestLeaseAwayAndBack takes a partition's lease from the member holding an
-// instance of it, lets the new owner finish the instance, and gives the
-// lease back. The member that lost the partition evicts the instance, no
-// instance is ever registered on two members, and the finished instance's
-// records stay as its last owner left them.
-func TestLeaseAwayAndBack(t *testing.T) {
-	st := store.NewMem()
-	a := newTestMember(t, "alpha", nil, st, nil)
-	defer a.Close()
-	b := newTestMember(t, "beta", []string{a.Addr()}, st, nil)
-	defer b.Close()
-	members := []*Member{a, b}
-	waitBalanced(t, members, 8)
-	p := 0
+func owns(m *Member, p int) bool { return slices.Contains(m.OwnedPartitions(), p) }
+
+func holds(m *Member, id string) bool { _, ok := m.Runtime().Engine().Instance(id); return ok }
+
+// suspendedOnAlpha starts members alpha and beta over one store and, on
+// alpha, an instance of a partition alpha owns, suspended once its first
+// step is done so nothing of it runs while the partition's lease moves.
+func suspendedOnAlpha(t *testing.T, st store.Store) (a, b *Member, p int, id string) {
+	t.Helper()
+	a = newTestMember(t, "alpha", nil, st, nil)
+	t.Cleanup(a.Close)
+	b = newTestMember(t, "beta", []string{a.Addr()}, st, nil)
+	t.Cleanup(b.Close)
+	waitBalanced(t, []*Member{a, b}, 8)
 	for SuccessorOf(p, []string{"alpha", "beta"}) != "alpha" {
 		p++
 	}
-	owns := func(m *Member, p int) bool { return slices.Contains(m.OwnedPartitions(), p) }
-	holds := func(m *Member, id string) bool { _, ok := m.Runtime().Engine().Instance(id); return ok }
 	waitFor(t, "alpha owns its partition", func() bool { return owns(a, p) })
-
-	// An instance of p on alpha, suspended once its first step is done so
-	// nothing of it runs while the lease moves.
-	ea, eb := a.Runtime().Engine(), b.Runtime().Engine()
-	id := MintID(p, "alpha", a.Incarnation(), 1)
+	ea := a.Runtime().Engine()
+	id = MintID(p, "alpha", a.Incarnation(), 1)
 	if _, err := ea.StartProcess("Triple", map[string]ocr.Value{"x": ocr.Int(1)}, core.StartOptions{InstanceID: id}); err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +321,19 @@ func TestLeaseAwayAndBack(t *testing.T) {
 	}
 	waitFor(t, "alpha's running step ends", func() bool { return ea.RunningJobs() == 0 })
 	ea.QuiesceCheckpoints()
+	return a, b, p, id
+}
+
+// TestLeaseAwayAndBack takes a partition's lease from the member holding an
+// instance of it, lets the new owner finish the instance, and gives the
+// lease back. The member that lost the partition evicts the instance, no
+// instance is ever registered on two members, and the finished instance's
+// records stay as its last owner left them.
+func TestLeaseAwayAndBack(t *testing.T) {
+	st := store.NewMem()
+	a, b, p, id := suspendedOnAlpha(t, st)
+	members := []*Member{a, b}
+	eb := b.Runtime().Engine()
 
 	moveLease(t, a.leases, p, "beta")
 	waitFor(t, "beta adopts the instance and alpha drops it", func() bool {
@@ -375,11 +380,8 @@ func TestGatewayRetryAfterRedirect(t *testing.T) {
 	waitBalanced(t, []*Member{a, b}, 8)
 
 	gw, err := NewGateway(GatewayConfig{
-		Members:      []string{a.Addr(), b.Addr()},
-		Metrics:      reg,
-		CallTimeout:  5 * time.Second,
-		Retries:      20,
-		RetryBackoff: 25 * time.Millisecond,
+		Members: []string{a.Addr(), b.Addr()},
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -487,5 +489,33 @@ func TestStartRejectedWithoutPartition(t *testing.T) {
 		t.Fatal("mintID succeeded with no owned partitions")
 	} else if got := err.Error(); got != ErrNoPartition.Error() {
 		t.Fatalf("mintID error = %q", got)
+	}
+}
+
+// TestFencedWaiterIsRedirected: a member whose lease is taken while a wait
+// on an instance of the partition is in flight — a member falsely declared
+// dead, or cut off — evicts the instance. The waiter wakes and is answered
+// with a redirect to the new owner, which the gateway follows, not with
+// core.ErrUnknownInstance, which it would hand to the client as final.
+func TestFencedWaiterIsRedirected(t *testing.T) {
+	a, _, p, id := suspendedOnAlpha(t, store.NewMem())
+	done := make(chan Response, 1)
+	go func() { done <- a.answer(Request{Method: MethodWait, Instance: id, TimeoutMs: 30_000}) }()
+	time.Sleep(50 * time.Millisecond) // let the wait block in the engine
+	select {
+	case res := <-done:
+		t.Fatalf("the wait on a suspended instance ended before the lease moved: %v", res.err())
+	default:
+	}
+
+	moveLease(t, a.leases, p, "beta")
+	select {
+	case res := <-done:
+		var rd *RedirectError
+		if err := res.err(); !errors.As(err, &rd) || rd.Member != "beta" {
+			t.Fatalf("the fenced wait = code %d, %v; want a redirect to beta", res.Code, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the fenced wait did not end within 10 s of the lease moving")
 	}
 }

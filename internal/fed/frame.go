@@ -82,7 +82,7 @@ const (
 	codeOK              byte = iota
 	codeRedirect             // *RedirectError from Redirect and RedirectAddr
 	codeUnknownInstance      // core.ErrUnknownInstance
-	codeNoPartition          // ErrNoPartition
+	codeNoPartition          // ErrNoPartition: not ready, the caller retries
 	codeFailed               // any other error: its text is all there is
 )
 

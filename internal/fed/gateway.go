@@ -1,7 +1,3 @@
-// The gateway runs in real time: retry backoff and route refresh pace
-// against live servers, never the deterministic trace.
-//bioopera:allow walltime file-wide: gateway routing, retry and backoff are wall-clock by design
-
 package fed
 
 import (
@@ -11,13 +7,13 @@ import (
 	"sync"
 	"time"
 
-	"bioopera/internal/core"
 	"bioopera/internal/obs"
 	"bioopera/internal/transport"
 )
 
 // GatewayConfig configures a federation gateway: the thin routing tier
-// clients talk to instead of tracking partition ownership themselves.
+// clients talk to instead of tracking partition ownership themselves. A
+// routed call retries by one rule until its own deadline (Gateway.route).
 type GatewayConfig struct {
 	// ListenAddr accepts client connections speaking the same frames as
 	// the members ("" = library-only gateway, no listener).
@@ -27,25 +23,26 @@ type GatewayConfig struct {
 	Members []string
 	// Metrics records routed-RPC outcomes.
 	Metrics *obs.Registry
-	// CallTimeout bounds each routed attempt (default DefaultCallTimeout).
-	CallTimeout time.Duration
-	// Retries caps re-routing attempts per call (default 10); redirects
-	// retry immediately, dead-owner retries back off by RetryBackoff
-	// (default 250ms) so failover has time to land.
-	Retries      int
-	RetryBackoff time.Duration
 }
+
+// A routed call's wait before it asks a member again doubles from
+// minBackoff to maxBackoff.
+const (
+	minBackoff = 10 * time.Millisecond
+	maxBackoff = 250 * time.Millisecond
+)
 
 // Gateway routes client RPCs to the member that owns each instance. It
 // keeps a routing table (member addresses, liveness, partition owners)
 // refreshed from the members themselves, follows redirects when a route
-// went stale, and retries through failover when an owner dies mid-call.
+// went stale, and waits out failover when an owner dies mid-call.
 type Gateway struct {
 	rpcMethods // Start, Status, Wait, ... routed through route
 
-	cfg GatewayConfig
-	met *fedMetrics
-	ep  *transport.Endpoint // nil for a library-only gateway
+	cfg  GatewayConfig
+	met  *fedMetrics
+	ep   *transport.Endpoint // nil for a library-only gateway
+	done chan struct{}       // closed by Close: ends every retry wait
 
 	mu         sync.Mutex
 	clients    map[string]*Client // member address → connection
@@ -64,18 +61,10 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if len(cfg.Members) == 0 {
 		return nil, fmt.Errorf("fed: GatewayConfig.Members is required")
 	}
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = DefaultCallTimeout
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 10
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 250 * time.Millisecond
-	}
 	g := &Gateway{
 		cfg:        cfg,
 		met:        newFedMetrics(cfg.Metrics),
+		done:       make(chan struct{}),
 		clients:    make(map[string]*Client),
 		addrs:      make(map[string]string),
 		live:       make(map[string]bool),
@@ -116,6 +105,7 @@ func (g *Gateway) Close() {
 		return
 	}
 	g.closed = true
+	close(g.done)
 	clients := make([]*Client, 0, len(g.clients))
 	for _, c := range g.clients {
 		clients = append(clients, c)
@@ -145,7 +135,7 @@ func (g *Gateway) clientFor(addr string) (*Client, error) {
 		return c, nil
 	}
 	g.mu.Unlock()
-	c, err := DialClient(addr, g.cfg.CallTimeout)
+	c, err := DialClient(addr, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -303,82 +293,105 @@ func (g *Gateway) markDown(addr string) {
 	}
 }
 
-// route sends one request to the owning member, following redirects
-// (stale route: retry immediately at the named owner) and riding through
-// owner death (refresh the view after a backoff so failover can land).
-// Application errors from the owner are returned without retry.
+// route sends one request to the member that answers it, by one rule until
+// the call's deadline (its timeout, or else DefaultCallTimeout): an answer or
+// an application error is returned; a redirect names the next target; an
+// unreachable member is marked down in a refreshed view; not ready
+// (ErrNoPartition) makes targetFor choose again. A member the call already
+// asked is asked again only after a backoff, doubling from minBackoff to
+// maxBackoff, and a call whose next wait would pass its deadline returns the
+// last error.
 func (g *Gateway) route(req Request, timeout time.Duration) (Response, error) {
 	if timeout <= 0 {
-		timeout = g.cfg.CallTimeout
+		timeout = DefaultCallTimeout
 	}
+	start := clk.Now()
+	deadline, waitUntil := start.Add(timeout), start.Add(time.Duration(req.TimeoutMs)*time.Millisecond)
 	method, instance := req.Method, req.Instance
+	asked := make(map[string]bool)
+	backoff := minBackoff
 	var lastErr error
 	target := g.targetFor(method, instance)
-	for attempt := 0; attempt <= g.cfg.Retries; attempt++ {
+	for {
 		if target == "" {
-			if attempt > 0 {
-				time.Sleep(g.cfg.RetryBackoff)
-			}
 			g.refreshView()
-			target = g.targetFor(method, instance)
-			if target == "" {
+			if target = g.targetFor(method, instance); target == "" {
 				lastErr = fmt.Errorf("fed: no live member for %s %q", method, instance)
-				continue
 			}
 		}
-		c, err := g.clientFor(target)
-		if err != nil {
-			g.met.rpcOwnerDown.Inc()
-			g.markDown(target)
-			lastErr = err
-			target = ""
+		var wait time.Duration
+		if target == "" || asked[target] {
+			wait, backoff = backoff, min(2*backoff, maxBackoff)
+		}
+		if clk.Now().Add(wait) >= deadline {
+			return Response{}, fmt.Errorf("fed: gateway gave up after %v: %w", timeout, lastErr)
+		}
+		if wait > 0 && !g.pause(wait) {
+			return Response{}, ErrClientClosed
+		}
+		if target == "" {
 			continue
 		}
-		resp, err := c.call(req, timeout)
-		if err == nil {
-			g.met.rpcOK.Inc()
-			return resp, nil
+		asked[target] = true
+		if method == MethodWait && req.TimeoutMs > 0 {
+			// A retried wait asks the member for what is left of its own.
+			req.TimeoutMs = max(waitUntil.Sub(clk.Now()).Milliseconds(), 1)
 		}
+		c, err := g.clientFor(target)
+		down := err != nil
+		var resp Response
+		if !down {
+			resp, err = c.call(req, deadline.Sub(clk.Now()))
+			down = errors.Is(err, ErrClientClosed)
+		}
+		lastErr = err
 		var rd *RedirectError
 		switch {
-		case errors.As(err, &rd):
-			g.met.rpcRedirect.Inc()
-			lastErr = err
-			target = g.noteRedirect(instance, rd.Member, rd.Addr)
-		case errors.Is(err, ErrClientClosed):
+		case err == nil:
+			g.met.rpcOK.Inc()
+			return resp, nil
+		case down:
 			g.met.rpcOwnerDown.Inc()
 			g.dropClient(target)
-			g.markDown(target)
-			lastErr = err
-			target = ""
-		case instance != "" && errors.Is(err, core.ErrUnknownInstance):
-			// The owner may have just claimed the partition and not yet
-			// finished adopting its instances; give recovery a beat. A
-			// genuinely unknown ID surfaces once retries run out.
-			g.met.rpcOwnerDown.Inc()
-			lastErr = err
-			time.Sleep(g.cfg.RetryBackoff)
 			g.refreshView()
+			g.markDown(target)
 			target = g.targetFor(method, instance)
-		case method == MethodStart && errors.Is(err, ErrNoPartition):
-			// The member has no partition yet (booting, or mid-handoff):
-			// round-robin moves on, so just try the next live member.
+		case errors.As(err, &rd):
 			g.met.rpcRedirect.Inc()
-			lastErr = err
-			time.Sleep(g.cfg.RetryBackoff)
+			target = g.noteRedirect(instance, rd.Member, rd.Addr)
+		case errors.Is(err, ErrNoPartition):
+			g.met.rpcRedirect.Inc()
 			target = g.targetFor(method, instance)
 		default:
 			g.met.rpcError.Inc()
 			return resp, err
 		}
 	}
-	return Response{}, fmt.Errorf("fed: gateway gave up after %d attempts: %w", g.cfg.Retries+1, lastErr)
+}
+
+// pause waits d on the package clock; false when the gateway closed first.
+func (g *Gateway) pause(d time.Duration) bool {
+	woke := make(chan struct{})
+	t := clk.AtFunc(clk.Now().Add(d), func() { close(woke) })
+	defer t.Stop()
+	select {
+	case <-woke:
+		return true
+	case <-g.done:
+		return false
+	}
 }
 
 // answer forwards one client request through the routing core, preserving
-// its ID; a failure keeps the code of the error it wraps.
+// its ID; a failure keeps the code of the error it wraps. A wait gets the
+// deadline rpcMethods.Wait gives it: its own timeout plus
+// DefaultCallTimeout.
 func (g *Gateway) answer(req Request) Response {
-	resp, err := g.route(req, 0)
+	var timeout time.Duration // DefaultCallTimeout
+	if req.Method == MethodWait {
+		timeout = time.Duration(req.TimeoutMs)*time.Millisecond + DefaultCallTimeout
+	}
+	resp, err := g.route(req, timeout)
 	if err != nil {
 		resp.fail(err)
 	}

@@ -17,9 +17,11 @@ var (
 	// the recorded one — a partitioned ex-owner writing after its
 	// successor claimed.
 	ErrStaleIncarnation = errors.New("fed: stale incarnation")
-	// ErrNoPartition is returned by a member asked to start an instance
-	// while it owns no partition yet.
-	ErrNoPartition = errors.New("fed: member owns no partition")
+	// ErrNoPartition is a member's one not-ready answer, which the gateway
+	// retries: it owns no partition to start an instance in, or the
+	// instance's partition is being adopted here, or it knows no owner of
+	// it. Each means partition ownership is moving.
+	ErrNoPartition = errors.New("fed: not ready: no partition serves the call here yet")
 )
 
 // ConflictError reports a failed compare-and-swap: the stored lease moved

@@ -1,8 +1,3 @@
-// Federation membership runs in real time: heartbeat cadence, failure
-// detection, and failover pacing are wall-clock by design — the
-// deterministic trace never passes through this layer.
-//bioopera:allow walltime file-wide: membership gossip and failure detection are wall-clock by design
-
 package fed
 
 import (
@@ -15,6 +10,7 @@ import (
 	"bioopera/internal/codec"
 	"bioopera/internal/core"
 	"bioopera/internal/obs"
+	"bioopera/internal/sim"
 	"bioopera/internal/store"
 	"bioopera/internal/transport"
 )
@@ -63,8 +59,8 @@ type peerState struct {
 	// lastBeat is per name, not per connection: liveness is granted by
 	// hearing the member on any link (simultaneous dials leave two) and
 	// outlives every one of them until the timeout lapses.
-	lastBeat   time.Time
-	deadAt     time.Time       // when the failure detector declared it down
+	lastBeat   sim.Time
+	deadAt     sim.Time        // when the failure detector declared it down; read only while !up
 	partitions []int           // last gossiped owned set
 	link       *transport.Conn // the connection gossip is sent on, nil while disconnected
 }
@@ -77,16 +73,20 @@ type Member struct {
 	leases *LeaseTable
 	ep     *transport.Endpoint // the listener, and every gossip link either side dialed
 	met    *fedMetrics
-	booted time.Time
+	booted sim.Time
 
 	mu     sync.Mutex
 	peers  map[string]*peerState
 	dialme map[string]bool // candidate addresses not yet identified
 	owned  map[int]bool
-	route  map[int]Lease // last observed lease per partition
-	seq    uint64        // instance mint sequence
-	mintRR int           // round-robin cursor over owned partitions
-	closed bool
+	// adopting marks owned partitions claimed but not yet recovered: from
+	// the claim in reconcile to the end of its RecoverOwned, the engine
+	// does not know their instances yet, so calls on them are not ready.
+	adopting map[int]bool
+	route    map[int]Lease // last observed lease per partition
+	seq      uint64        // instance mint sequence
+	mintRR   int           // round-robin cursor over owned partitions
+	closed   bool
 
 	stopc chan struct{}
 	wg    sync.WaitGroup
@@ -114,15 +114,16 @@ func NewMember(cfg Config) (*Member, error) {
 		cfg.HeartbeatTimeout = 3 * cfg.HeartbeatEvery
 	}
 	m := &Member{
-		cfg:    cfg,
-		leases: NewLeaseTable(cfg.Store, cfg.Partitions),
-		met:    newFedMetrics(cfg.Metrics),
-		booted: time.Now(),
-		peers:  make(map[string]*peerState),
-		dialme: make(map[string]bool),
-		owned:  make(map[int]bool),
-		route:  make(map[int]Lease),
-		stopc:  make(chan struct{}),
+		cfg:      cfg,
+		leases:   NewLeaseTable(cfg.Store, cfg.Partitions),
+		met:      newFedMetrics(cfg.Metrics),
+		booted:   clk.Now(),
+		peers:    make(map[string]*peerState),
+		dialme:   make(map[string]bool),
+		owned:    make(map[int]bool),
+		adopting: make(map[int]bool),
+		route:    make(map[int]Lease),
+		stopc:    make(chan struct{}),
 	}
 	// An unreadable lease table (JSON leases) is refused once, here.
 	if _, err := m.leases.All(); err != nil {
@@ -326,9 +327,8 @@ func (m *Member) notePeer(from MemberInfo, link *transport.Conn) {
 		delete(m.dialme, from.Addr)
 	}
 	p.inc = from.Incarnation
-	p.lastBeat = time.Now()
+	p.lastBeat = clk.Now()
 	p.up = true
-	p.deadAt = time.Time{}
 	if from.Partitions != nil {
 		p.partitions = from.Partitions
 	}
@@ -364,17 +364,23 @@ func (m *Member) noteMembers(members []MemberInfo) {
 // membershipLoop is the member's heartbeat: every HeartbeatEvery it dials
 // unconnected peers, sends gossip on every link, advances the failure
 // detector, and reconciles partition ownership against the lease table.
+// A pass is due a period after the previous one was due, not after it
+// ended, so slow passes do not stretch the beat toward peers'
+// HeartbeatTimeout; a pass that overran is followed at once by one more.
 func (m *Member) membershipLoop() {
 	defer m.wg.Done()
-	t := time.NewTicker(m.cfg.HeartbeatEvery)
-	defer t.Stop()
+	tick := make(chan struct{}, 1) // each timer's one send never blocks
+	next := clk.Now()
 	m.dialPending()
 	m.reconcile()
 	for {
+		next = max(next.Add(m.cfg.HeartbeatEvery), clk.Now())
+		t := clk.AtFunc(next, func() { tick <- struct{}{} })
 		select {
 		case <-m.stopc:
+			t.Stop()
 			return
-		case <-t.C:
+		case <-tick:
 			m.dialPending()
 			m.gossip()
 			m.detectFailures()
@@ -481,12 +487,12 @@ func ownedSorted(owned map[int]bool) []int {
 
 // detectFailures declares peers dead after HeartbeatTimeout of silence.
 func (m *Member) detectFailures() {
-	now := time.Now()
+	now := clk.Now()
 	cutoff := now.Add(-m.cfg.HeartbeatTimeout)
 	m.mu.Lock()
 	type beat struct {
 		name string
-		last time.Time
+		last sim.Time
 		up   bool
 	}
 	checks := make([]beat, 0, len(m.peers))
@@ -496,7 +502,7 @@ func (m *Member) detectFailures() {
 	sort.Slice(checks, func(i, j int) bool { return checks[i].name < checks[j].name })
 	var downed []string
 	for _, c := range checks {
-		if c.up && c.last.Before(cutoff) {
+		if c.up && c.last < cutoff {
 			p := m.peers[c.name]
 			p.up = false
 			p.deadAt = now
@@ -533,7 +539,7 @@ func (m *Member) settled() bool {
 	if len(m.cfg.Join) == 0 {
 		return true
 	}
-	if time.Since(m.booted) > 2*m.cfg.HeartbeatTimeout {
+	if clk.Now().Sub(m.booted) > 2*m.cfg.HeartbeatTimeout {
 		return true
 	}
 	m.mu.Lock()
@@ -557,12 +563,13 @@ func (m *Member) reconcile() {
 	}
 	live := m.liveMembers()
 	settled := m.settled()
-	now := time.Now()
+	now := clk.Now()
 
 	type claimTask struct {
 		prev      Lease
 		prevOwner string
-		deadAt    time.Time
+		dead      bool     // the previous owner was declared down,
+		deadAt    sim.Time // at this time
 	}
 	var claims []claimTask
 	var handoffs []Lease
@@ -590,6 +597,7 @@ func (m *Member) reconcile() {
 		case m.owned[p]:
 			// Fenced: someone else's claim won — stop serving it.
 			delete(m.owned, p)
+			delete(m.adopting, p)
 			lost = append(lost, p)
 		case l.Owner == "":
 			if settled && SuccessorOf(p, live) == m.cfg.Name {
@@ -601,8 +609,8 @@ func (m *Member) reconcile() {
 			ownerUnknown := peer == nil && settled &&
 				now.Sub(m.booted) > 2*m.cfg.HeartbeatTimeout
 			if (ownerDead || ownerUnknown) && SuccessorOf(p, live) == m.cfg.Name {
-				ct := claimTask{prev: l, prevOwner: l.Owner}
-				if peer != nil {
+				ct := claimTask{prev: l, prevOwner: l.Owner, dead: ownerDead}
+				if ownerDead {
 					ct.deadAt = peer.deadAt
 				}
 				claims = append(claims, ct)
@@ -619,7 +627,10 @@ func (m *Member) reconcile() {
 	if len(lost) > 0 {
 		// The new owner adopts the lost partitions' instances from the
 		// store; what the engine still holds of them is a stale copy.
-		m.rt.Engine().Release()
+		// Their waiters wake to find them gone and are redirected.
+		if m.rt.Engine().Release() > 0 {
+			m.rt.Bump()
+		}
 	}
 	m.handOff(handoffs)
 	if len(claims) == 0 {
@@ -628,12 +639,14 @@ func (m *Member) reconcile() {
 
 	claimed := make(map[int]bool)
 	transfers := 0
-	var failoverFrom map[string]time.Time
+	var failoverFrom map[string]sim.Time
 	for _, ct := range claims {
 		inc, err := m.leases.NextIncarnation()
 		if err != nil {
+			// Adopt what was claimed so far: an owned partition is
+			// never claimed again, so it would stay unadopted.
 			m.reportErr(fmt.Errorf("fed: %s: claim epoch: %w", m.cfg.Name, err))
-			return
+			break
 		}
 		next := Lease{Partition: ct.prev.Partition, Owner: m.cfg.Name, Incarnation: inc}
 		if err := m.leases.Claim(ct.prev, next); err != nil {
@@ -651,13 +664,14 @@ func (m *Member) reconcile() {
 		claimed[ct.prev.Partition] = true
 		m.mu.Lock()
 		m.owned[ct.prev.Partition] = true
+		m.adopting[ct.prev.Partition] = true
 		m.route[ct.prev.Partition] = next
 		m.mu.Unlock()
 		if ct.prevOwner != "" && ct.prevOwner != m.cfg.Name {
 			transfers++
-			if !ct.deadAt.IsZero() {
+			if ct.dead {
 				if failoverFrom == nil {
-					failoverFrom = make(map[string]time.Time)
+					failoverFrom = make(map[string]sim.Time)
 				}
 				failoverFrom[ct.prevOwner] = ct.deadAt
 			}
@@ -677,6 +691,11 @@ func (m *Member) reconcile() {
 	if err != nil {
 		m.reportErr(fmt.Errorf("fed: %s: recover claimed partitions: %w", m.cfg.Name, err))
 	}
+	m.mu.Lock()
+	for p := range claimed {
+		delete(m.adopting, p)
+	}
+	m.mu.Unlock()
 	m.met.transfers.Add(uint64(transfers))
 	deadOwners := make([]string, 0, len(failoverFrom))
 	for owner := range failoverFrom {
@@ -684,7 +703,7 @@ func (m *Member) reconcile() {
 	}
 	sort.Strings(deadOwners)
 	for _, owner := range deadOwners {
-		m.met.failoverSec.Observe(time.Since(failoverFrom[owner]).Seconds())
+		m.met.failoverSec.Observe(clk.Now().Sub(failoverFrom[owner]).Seconds())
 	}
 	m.rt.Engine().EmitInfra(core.Event{Kind: core.EvServerRecovered,
 		Node:   "member/" + m.cfg.Name,
@@ -743,14 +762,10 @@ func (m *Member) reportErr(err error) {
 	}
 }
 
-// ownerOf resolves a partition's current owner for redirects: this member,
-// the lease table's answer, or the freshest gossip.
-func (m *Member) ownerOf(p int) (name, addr string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.owned[p] {
-		return m.cfg.Name, m.Addr()
-	}
+// ownerLocked resolves the owner of a partition this member does not own,
+// for redirects: the lease table's answer, or else the freshest gossip; ""
+// when neither names one. Caller holds m.mu.
+func (m *Member) ownerLocked(p int) (name, addr string) {
 	if l, ok := m.route[p]; ok && l.Owner != "" && l.Owner != m.cfg.Name {
 		if peer := m.peers[l.Owner]; peer != nil {
 			return l.Owner, peer.addr

@@ -16,7 +16,7 @@ const (
 // handle is nil-safe, so a nil registry disables the lot at zero cost.
 type fedMetrics struct {
 	rpcOK        *obs.Counter // routed RPCs answered by the owner
-	rpcRedirect  *obs.Counter // stale routes corrected by a redirect
+	rpcRedirect  *obs.Counter // redirects and not-ready answers: ownership moved or is moving
 	rpcOwnerDown *obs.Counter // routed RPCs that hit a dead member
 	rpcError     *obs.Counter // routed RPCs that failed outright
 	transfers    *obs.Counter // partitions claimed from another owner

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bioopera/internal/core"
+	"bioopera/internal/obs"
 	"bioopera/internal/ocr"
 	"bioopera/internal/store"
 )
@@ -234,21 +235,40 @@ func TestEveryRPCEndToEnd(t *testing.T) {
 // code, not by their text. A start whose template happens to be named like
 // ErrNoPartition fails at once with the engine's error instead of being
 // retried, and an unknown instance reaches a client through the gateway as
-// core.ErrUnknownInstance.
+// core.ErrUnknownInstance on its owner's first answer: it is final, and the
+// gateway routes the call once.
 func TestGatewayRetryTaxonomy(t *testing.T) {
-	const backoff = 200 * time.Millisecond
-	_, c := rpcFederation(t, GatewayConfig{Retries: 2, RetryBackoff: backoff})
+	reg := obs.NewRegistry()
+	_, c := rpcFederation(t, GatewayConfig{Metrics: reg})
+	outcomes := reg.CounterVec("bioopera_fed_routed_rpcs_total", "", "outcome")
+	routed := func() (all, failed uint64) {
+		for _, o := range []string{outcomeOK, outcomeRedirect, outcomeOwnerDown, outcomeError} {
+			all += outcomes.With(o).Value()
+		}
+		return all, outcomes.With(outcomeError).Value()
+	}
+	onceFailed := func(what string, call func() error) error {
+		all, failed := routed()
+		err := call()
+		if all2, failed2 := routed(); all2 != all+1 || failed2 != failed+1 {
+			t.Fatalf("%s: %d routed attempts, %d failed; want one, failed: it was retried", what, all2-all, failed2-failed)
+		}
+		return err
+	}
 
-	began := time.Now()
-	_, err := c.Start(StartReq{Template: ErrNoPartition.Error()})
+	err := onceFailed("start of an unknown template", func() error {
+		_, err := c.Start(StartReq{Template: ErrNoPartition.Error()})
+		return err
+	})
 	if err == nil || !strings.Contains(err.Error(), core.ErrUnknownTemplate.Error()) || strings.Contains(err.Error(), "gave up") {
 		t.Fatalf("start of an unknown template = %v, want the engine's unknown-template error", err)
 	}
-	if took := time.Since(began); took >= backoff {
-		t.Fatalf("start of an unknown template took %v: it was retried", took)
-	}
 
-	if _, err := c.Status(MintID(0, "nobody", 1, 1)); !errors.Is(err, core.ErrUnknownInstance) {
+	err = onceFailed("status of an unknown instance", func() error {
+		_, err := c.Status(MintID(0, "nobody", 1, 1))
+		return err
+	})
+	if !errors.Is(err, core.ErrUnknownInstance) {
 		t.Fatalf("status of an unknown instance = %v, want core.ErrUnknownInstance", err)
 	}
 }

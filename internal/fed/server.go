@@ -56,18 +56,25 @@ func (r *requestConn) Frame(kind byte, body []byte) error {
 
 func (r *requestConn) Closed(error) { r.inflight.Wait() }
 
-// answer executes one routed RPC and builds its response. Methods scoped to
-// an instance this member does not own come back as redirects carrying the
-// owner's identity, so the caller can re-route.
+// answer executes one routed RPC and builds its response. A call on an
+// instance this member does not serve comes back as a redirect naming the
+// owner, or as not ready while the instance's partition changes hands.
 func (m *Member) answer(req Request) Response {
 	res := Response{ID: req.ID}
-	var err error
-	if req.Method != MethodStart && req.Method != MethodMembers && !m.ownsInstance(req.Instance) {
-		err = m.redirect(req.Instance)
-	} else if err = m.dispatch(&req, &res); errors.Is(err, core.ErrNotOwner) {
-		// The engine's own ownership gate can still fire when a lease is
-		// lost between the check above and the call — same redirect.
-		err = m.redirect(req.Instance)
+	err := m.serves(req)
+	if err == nil {
+		err = m.dispatch(&req, &res)
+	}
+	if errors.Is(err, core.ErrNotOwner) || errors.Is(err, core.ErrUnknownInstance) {
+		// The partition may have moved between the check above and the
+		// call's end: the engine's own ownership gate fired, or a lost
+		// lease evicted the instance under a waiter. Where it went is the
+		// answer; an unknown instance of a partition still served is final.
+		if moved := m.serves(req); moved != nil {
+			err = moved
+		} else if errors.Is(err, core.ErrNotOwner) {
+			err = ErrNoPartition
+		}
 	}
 	if err != nil {
 		res.fail(err)
@@ -75,12 +82,27 @@ func (m *Member) answer(req Request) Response {
 	return res
 }
 
-// redirect names the owner of an instance this member does not own, as a
-// *RedirectError when the owner is known.
-func (m *Member) redirect(id string) error {
-	owner, addr := m.ownerOf(PartitionOf(id, m.cfg.Partitions))
+// serves reports whether this member answers req now: nil for a start, a
+// members call or an instance in a partition it owns and has adopted; a
+// *RedirectError naming the owner it knows; or ErrNoPartition, the one
+// not-ready answer, while the partition is being adopted here or its owner
+// is unknown.
+func (m *Member) serves(req Request) error {
+	if req.Method == MethodStart || req.Method == MethodMembers {
+		return nil
+	}
+	p := PartitionOf(req.Instance, m.cfg.Partitions)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case m.adopting[p]:
+		return fmt.Errorf("%w: %s is adopting partition %d", ErrNoPartition, m.cfg.Name, p)
+	case m.owned[p]:
+		return nil
+	}
+	owner, addr := m.ownerLocked(p)
 	if owner == "" {
-		return fmt.Errorf("fed: %s does not own instance %s", m.cfg.Name, id)
+		return fmt.Errorf("%w: %s knows no owner of partition %d", ErrNoPartition, m.cfg.Name, p)
 	}
 	return &RedirectError{Member: owner, Addr: addr}
 }

@@ -198,9 +198,11 @@ func Run(pkgs []*Package) []Diagnostic {
 // the simulation kernel, the scheduler, the engine, the persistence layer
 // (WAL and store — their contents are replayed on recovery and shipped to
 // standbys, so wall-clock leakage would diverge replicas), the transport
-// (it reads time only through sim.Clock, which its tests drive), the worker
-// link over it (its liveness is the transport's timer), and the all-vs-all
-// workload. Lint testdata fixtures are always in scope so
+// (it reads time only through sim.Clock, which its tests drive), the two
+// protocols over it — the worker link (its liveness is the transport's
+// timer) and the federation (heartbeats, failure detection, call deadlines
+// and the gateway's retry waits read one sim.Clock, so a test can replay a
+// failover window) — and the all-vs-all workload. Lint testdata fixtures are always in scope so
 // golden tests exercise every analyzer.
 func deterministicPkg(path string) bool {
 	switch path {

@@ -24,8 +24,8 @@ var walltimeBanned = map[string]bool{
 
 // runWalltime flags wall-clock use in deterministic packages. The one wall
 // clock behind sim.Clock (internal/sim/wall.go) and the few readings that
-// never feed back into replayable state — latency histograms, federation
-// deadlines — carry //bioopera:allow walltime directives saying why.
+// never feed back into replayable state (latency histograms, a long-poll's
+// pacing) carry //bioopera:allow walltime directives saying why.
 func runWalltime(p *Pass) {
 	if !deterministicPkg(p.Pkg.Path()) {
 		return

@@ -10,7 +10,6 @@ import (
 	"bioopera/internal/sched"
 	"bioopera/internal/sim"
 	"bioopera/internal/store"
-	"bioopera/internal/wal"
 )
 
 // Config configures a remote Runtime.
@@ -32,12 +31,6 @@ type Config struct {
 	OnEvent func(core.Event)
 	// OnError observes persistence failures.
 	OnError func(error)
-	// ShipAddr, when non-empty and Store is a disk store, serves the
-	// store's WAL to hot standbys on this address (":0" picks a free
-	// port) — see store.StartShipping. Connected standbys replay every
-	// committed batch and can be promoted with Engine.Recover when this
-	// server dies.
-	ShipAddr string
 	// HeartbeatEvery / HeartbeatTimeout tune the failure detector; see
 	// ServerConfig.
 	HeartbeatEvery   time.Duration
@@ -59,9 +52,8 @@ type Config struct {
 type Runtime struct {
 	core.RuntimeBase
 
-	Store   store.Store
-	Server  *Server
-	Shipper *wal.Shipper // nil unless Config.ShipAddr was set
+	Store  store.Store
+	Server *Server
 }
 
 // NewRuntime listens for workers and builds the engine on top of the
@@ -136,21 +128,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 			rt.Bump()
 		},
 	)
-	if cfg.ShipAddr != "" {
-		disk, ok := cfg.Store.(*store.Disk)
-		if !ok {
-			//bioopera:allow droppederr the config error is returned; closing the fresh listener is best-effort
-			srv.Close()
-			return nil, fmt.Errorf("remote: ShipAddr requires a disk store")
-		}
-		shipper, err := disk.StartShipping(cfg.ShipAddr, cfg.Logf)
-		if err != nil {
-			//bioopera:allow droppederr the shipping error is returned; closing the fresh listener is best-effort
-			srv.Close()
-			return nil, fmt.Errorf("remote: start shipping: %w", err)
-		}
-		rt.Shipper = shipper
-	}
 	return rt, nil
 }
 
@@ -161,10 +138,6 @@ func (rt *Runtime) Addr() string { return rt.Server.Addr() }
 // in-flight checkpoint flushes to commit (so the caller may close the
 // store), returning the listener's close error.
 func (rt *Runtime) Close() error {
-	if rt.Shipper != nil {
-		//bioopera:allow droppederr shipper teardown is best-effort; the listener close error below is the one reported
-		rt.Shipper.Close()
-	}
 	err := rt.Server.Close()
 	rt.Engine().QuiesceCheckpoints()
 	return err

@@ -19,7 +19,8 @@ const GrowStep = growStep
 // FakeClock is the injected time of this package's tests: it moves only
 // when Advance is called, and lets a test wait — without sleeping — until
 // the code under test has armed a timer. Due timers run on the goroutine
-// that armed or advanced past them.
+// that armed or advanced past them. internal/fed's tests keep a copy
+// (fakeClock in gateway_test.go); change both together.
 type FakeClock struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

@@ -58,9 +58,13 @@ echo "== fuzz the event journal record's round trip and decoder (10s)"
 go test -run '^$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/core
 
 echo "== federation e2e smoke"
-# Two servers and a gateway in one process; one server is killed mid-run
-# and every instance must still complete with correct outputs.
-go run ./cmd/bioopera fed -servers 2 -n 6 -kill
+# Three servers and a gateway in one process; one server is killed mid-run
+# and every instance must still complete with correct outputs. Three, not
+# two: only then can the survivors redirect a call to each other while the
+# dead one's partitions change hands.
+fed_start=$(date +%s)
+go run ./cmd/bioopera fed -servers 3 -n 6 -kill
+echo "   federation smoke took $(($(date +%s) - fed_start))s"
 
 echo "== non-test LoC"
 ./scripts/loc.sh -total

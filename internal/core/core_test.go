@@ -953,6 +953,59 @@ func TestMigrateKillAndRestart(t *testing.T) {
 	}
 }
 
+// TestMigrateSparesSuspendedInstances: a gracefully suspended instance's
+// running job may finish, but it is not asking to be placed again, so no
+// migration sweep kills it to requeue; once resumed it is a victim again.
+func TestMigrateSparesSuspendedInstances(t *testing.T) {
+	retried := 0
+	rt := newRuntime(t, SimConfig{
+		Spec: cluster.Spec{Name: "two", Nodes: []cluster.NodeSpec{
+			{Name: "n1", CPUs: 1, Speed: 1, OS: "linux"},
+			{Name: "n2", CPUs: 1, Speed: 1, OS: "linux"},
+		}},
+		Library: slowLib(t),
+		Options: Options{OnEvent: func(ev Event) {
+			if ev.Kind == EvTaskRetried {
+				retried++
+			}
+		}},
+	})
+	register(t, rt, slowParSrc)
+	e := rt.Engine
+	id := start(t, rt, "SlowPar", map[string]ocr.Value{"xs": ocr.List(ocr.Num(1))})
+	rt.RunUntil(sim.Time(time.Minute))
+	hot := ""
+	for _, v := range rt.Cluster.Nodes() {
+		if len(rt.Cluster.RunningOn(v.Name)) > 0 {
+			hot = v.Name
+		}
+	}
+	if hot == "" {
+		t.Fatal("nothing running")
+	}
+	if err := rt.Cluster.SetExternalLoad(hot, 0.95); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Suspend(id, true); err != nil {
+		t.Fatal(err)
+	}
+	p := sched.MigrationPolicy{LoadThreshold: 0.6, TargetMaxLoad: 0.2}
+	if n := e.Migrate(p); n != 0 {
+		t.Fatalf("Migrate killed %d jobs of a suspended instance, want 0", n)
+	}
+	if err := e.Resume(id); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Migrate(p); n != 1 {
+		t.Fatalf("Migrate after Resume killed %d jobs, want 1", n)
+	}
+	rt.Run()
+	finished(t, rt, id)
+	if retried != 1 {
+		t.Fatalf("retried = %d, want the one migrated job", retried)
+	}
+}
+
 func TestErrorsSurfaced(t *testing.T) {
 	rt := newRuntime(t, SimConfig{})
 	if _, err := rt.Engine.StartProcess("nope", nil, StartOptions{}); !errors.Is(err, ErrUnknownTemplate) {

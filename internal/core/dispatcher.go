@@ -549,40 +549,22 @@ func (e *Engine) HandleCompletion(c cluster.Completion) {
 }
 
 // liveRunning lists the running jobs of instances that are still running,
-// sorted by job ID — what a migration or preemption sweep may kill. Caller
-// holds dmu.
-func (e *Engine) liveRunning() []sched.Running {
+// sorted by job ID — what a migration sweep may kill. Caller holds dmu.
+func (e *Engine) liveRunning() []sched.Candidate {
 	ids := make([]string, 0, len(e.running))
 	for id := range e.running {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	out := make([]sched.Running, 0, len(ids))
+	out := make([]sched.Candidate, 0, len(ids))
 	for _, id := range ids {
 		ref := e.running[id]
 		if ref.inst.statusNow() != InstanceRunning {
 			continue
 		}
-		out = append(out, sched.Running{
-			Job: id, Node: ref.node,
-			Priority: ref.job.Priority, Tenant: ref.job.Tenant,
-		})
+		out = append(out, sched.Candidate{Job: id, Node: ref.node})
 	}
 	return out
-}
-
-// killStillRunning kills the sweep's victims that have not completed since it
-// decided.
-func (e *Engine) killStillRunning(kills []sched.Candidate) {
-	for _, k := range kills {
-		e.dmu.Lock()
-		ref := e.running[k.Job]
-		e.dmu.Unlock()
-		if ref == nil {
-			continue
-		}
-		e.kill(k.Job, k.Node)
-	}
 }
 
 // Migrate applies a kill-and-restart migration policy once: running jobs
@@ -593,35 +575,16 @@ func (e *Engine) Migrate(p sched.MigrationPolicy) int {
 	e.dmu.Lock()
 	running := e.liveRunning()
 	e.dmu.Unlock()
-	cands := make([]sched.Candidate, len(running))
-	for i, r := range running {
-		cands[i] = sched.Candidate{Job: r.Job, Node: r.Node}
+	kills := p.Decide(running, e.opts.Executor.AppendNodes(nil))
+	for _, k := range kills {
+		// A victim that completed since the policy decided is left alone.
+		e.dmu.Lock()
+		ref := e.running[k.Job]
+		e.dmu.Unlock()
+		if ref != nil {
+			e.kill(k.Job, k.Node)
+		}
 	}
-	kills := p.Decide(cands, e.opts.Executor.AppendNodes(nil))
-	e.killStillRunning(kills)
-	return len(kills)
-}
-
-// Preempt applies a preemption sweep once: queued high-priority jobs that
-// have starved past the policy's wait, and that no free slot can take,
-// reclaim nodes from strictly lower-priority running work. Only ready jobs
-// can starve: a suspended instance's held jobs never reach the policy,
-// however long they have waited. Victims are
-// killed through the executor; their ErrJobKilled completions requeue
-// them via the ordinary infrastructure-failure path — checkpointing is at
-// activity granularity (§3.3), so each victim loses at most one
-// activity's work and consumes no retry. It returns how many jobs were
-// killed. Like Migrate, it is driven explicitly (a timer in real
-// runtimes, a virtual-time event in simulation), so runs that never call
-// it keep their traces byte-identical.
-func (e *Engine) Preempt(p sched.Preemptor) int {
-	e.dmu.Lock()
-	queued := e.sched.Jobs()
-	running := e.liveRunning()
-	e.dmu.Unlock()
-	kills := p.Decide(e.now(), queued, running, e.opts.Executor.AppendNodes(nil))
-	e.killStillRunning(kills)
-	e.metrics.preempted(len(kills))
 	return len(kills)
 }
 

@@ -204,50 +204,6 @@ func TestResumeKeepsQueuePosition(t *testing.T) {
 	}
 }
 
-// TestPreemptIgnoresSuspendedInstances: a suspended instance's queued job
-// is not asking to run, so however long it has waited and whatever its
-// priority, no running job may be killed on its behalf.
-func TestPreemptIgnoresSuspendedInstances(t *testing.T) {
-	retried := 0
-	rt := newRuntime(t, SimConfig{Spec: oneCPUSpec(), Library: slowLib(t), Options: Options{
-		OnEvent: func(ev Event) {
-			if ev.Kind == EvTaskRetried {
-				retried++
-			}
-		},
-	}})
-	register(t, rt, slowParSrc)
-	e := rt.Engine
-	xs := map[string]ocr.Value{"xs": ocr.List(ocr.Num(1), ocr.Num(2))}
-	start(t, rt, "SlowPar", xs) // priority 0 fills the only CPU
-	urgent, err := e.StartProcess("SlowPar", xs, StartOptions{Priority: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Suspend(urgent, true); err != nil {
-		t.Fatal(err)
-	}
-	rt.RunUntil(sim.Time(5 * time.Minute)) // well past StarvationWait
-	p := sched.Preemptor{StarvationWait: time.Minute, PriorityGap: 1}
-	if n := e.Preempt(p); n != 0 {
-		t.Fatalf("Preempt killed %d jobs for a suspended instance, want 0", n)
-	}
-	rt.RunUntil(sim.Time(6 * time.Minute))
-	if retried != 0 {
-		t.Fatalf("%d activities retried with nothing runnable starving", retried)
-	}
-	if err := e.Resume(urgent); err != nil {
-		t.Fatal(err)
-	}
-	if n := e.Preempt(p); n != 1 {
-		t.Fatalf("Preempt after Resume killed %d jobs, want exactly 1", n)
-	}
-	rt.RunUntil(sim.Time(7 * time.Minute))
-	if retried != 1 {
-		t.Fatalf("retried = %d after the sweep, want the one victim", retried)
-	}
-}
-
 // TestConcurrentSuspendResume flips instances between suspended and running
 // from several goroutines while the worker pool drains them: a job popped
 // just before its instance is suspended must land back in the held group

@@ -30,7 +30,6 @@ type engineMetrics struct {
 	// clock (virtual time does not advance mid-drain), keeping sim runs
 	// deterministic.
 	schedDecide *obs.Histogram
-	preemptions *obs.Counter
 }
 
 // newEngineMetrics registers the engine's instrumentation: event counters
@@ -63,8 +62,6 @@ func newEngineMetrics(reg *obs.Registry, e *Engine) *engineMetrics {
 		"Checkpoint batches dropped by the ownership write fence.")
 	m.schedDecide = reg.Histogram("bioopera_sched_decide_seconds",
 		"Scheduler decision latency per dispatched (or declined) drain step.", nil)
-	m.preemptions = reg.Counter("bioopera_sched_preemptions_total",
-		"Running jobs killed to reclaim nodes for starving higher-priority work.")
 	reg.GaugeFunc("bioopera_engine_queue_depth",
 		"Activities awaiting dispatch.",
 		func() float64 { return float64(e.QueueLen()) })
@@ -165,14 +162,6 @@ func (m *engineMetrics) decision(d time.Duration) {
 		return
 	}
 	m.schedDecide.Observe(d.Seconds())
-}
-
-// preempted counts jobs killed by one preemption round.
-func (m *engineMetrics) preempted(n int) {
-	if m == nil || n == 0 {
-		return
-	}
-	m.preemptions.Add(uint64(n))
 }
 
 // beginTurn stamps the start of a navigation turn; endTurn observes the

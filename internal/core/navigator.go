@@ -75,7 +75,6 @@ func (e *Engine) newJob(in *Instance, sc *scope, t *ocr.Task, ts *taskState, pro
 		Priority: in.Priority + t.Priority,
 		Tenant:   in.Tenant,
 		Key:      t.Program,
-		Enqueued: e.now(),
 	}
 	switch {
 	case prog != nil && prog.Cost != nil:

@@ -8,7 +8,6 @@ import (
 
 	"bioopera/internal/cluster"
 	"bioopera/internal/ocr"
-	"bioopera/internal/sched"
 	"bioopera/internal/sim"
 )
 
@@ -165,10 +164,31 @@ PROCESS SlowPar {
 }
 `
 
-// runSlowPar runs the low-priority workload, optionally preempting it with
-// a high-priority arrival, and returns the low-priority instance's final
-// whiteboard and outputs serialization plus the preemption count.
-func runSlowPar(t *testing.T, preempt bool) (wb, outs []byte, preempted int) {
+// killRunning kills up to n of the cluster's running jobs, in node order —
+// the scenario kill verb's infrastructure failure. It returns how many it
+// killed.
+func killRunning(t *testing.T, rt *SimRuntime, n int) int {
+	t.Helper()
+	killed := 0
+	for _, v := range rt.Cluster.Nodes() {
+		for _, j := range rt.Cluster.RunningOn(v.Name) {
+			if killed == n {
+				return killed
+			}
+			if err := rt.Cluster.Kill(j, v.Name); err != nil {
+				t.Error(err)
+			}
+			killed++
+		}
+	}
+	return killed
+}
+
+// runSlowPar runs the low-priority workload, optionally killing its running
+// activity while a high-priority arrival waits for the only CPU, and
+// returns the low-priority instance's final whiteboard and outputs
+// serialization plus the kill count.
+func runSlowPar(t *testing.T, kill bool) (wb, outs []byte, killed int) {
 	t.Helper()
 	rt := newRuntime(t, SimConfig{Spec: oneCPUSpec(), Library: slowLib(t)})
 	register(t, rt, slowParSrc)
@@ -188,9 +208,9 @@ PROCESS Urgent {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if preempt {
-		// A high-priority job arrives mid-run; once it has starved past
-		// the preemptor's wait, a sweep reclaims the only CPU.
+	if kill {
+		// A high-priority job arrives mid-run; then the node kills the
+		// activity holding the only CPU, which requeues behind it.
 		rt.Sim.At(sim.Time(5*time.Minute), func(sim.Time) {
 			if _, err := rt.Engine.StartProcess("Urgent",
 				map[string]ocr.Value{"a": ocr.Num(1), "b": ocr.Num(2)},
@@ -199,7 +219,7 @@ PROCESS Urgent {
 			}
 		})
 		rt.Sim.At(sim.Time(7*time.Minute), func(sim.Time) {
-			preempted += rt.Engine.Preempt(sched.Preemptor{StarvationWait: time.Minute, PriorityGap: 1})
+			killed += killRunning(t, rt, 1)
 		})
 	}
 	rt.Run()
@@ -212,38 +232,45 @@ PROCESS Urgent {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wbBytes, outBytes, preempted
+	return wbBytes, outBytes, killed
 }
 
-// TestPreemptResumeByteEquivalence kills a low-priority activity to make
-// room for an urgent job, lets it requeue and rerun, and asserts the final
+// TestKillResumeByteEquivalence kills a low-priority activity while an
+// urgent job waits, lets it requeue and rerun, and asserts the final
 // whiteboard and outputs are byte-identical to an undisturbed run — the
 // paper's claim that a killed TEU loses time, never state.
-func TestPreemptResumeByteEquivalence(t *testing.T) {
+func TestKillResumeByteEquivalence(t *testing.T) {
 	wbCtl, outCtl, _ := runSlowPar(t, false)
-	wbPre, outPre, preempted := runSlowPar(t, true)
-	if preempted == 0 {
-		t.Fatal("preemption sweep killed nothing")
+	wbKill, outKill, killed := runSlowPar(t, true)
+	if killed == 0 {
+		t.Fatal("the kill found nothing running")
 	}
-	if !bytes.Equal(wbCtl, wbPre) {
-		t.Fatalf("whiteboard diverged:\n control: %s\npreempted: %s", wbCtl, wbPre)
+	if !bytes.Equal(wbCtl, wbKill) {
+		t.Fatalf("whiteboard diverged:\n control: %s\n  killed: %s", wbCtl, wbKill)
 	}
-	if !bytes.Equal(outCtl, outPre) {
-		t.Fatalf("outputs diverged:\n control: %s\npreempted: %s", outCtl, outPre)
+	if !bytes.Equal(outCtl, outKill) {
+		t.Fatalf("outputs diverged:\n control: %s\n  killed: %s", outCtl, outKill)
 	}
 }
 
-// schedScenarioTrace runs a multi-tenant, preempting scenario and returns
-// its full serialized event stream.
-func schedScenarioTrace(t *testing.T) []byte {
+// schedScenarioTrace runs a multi-tenant scenario whose running jobs the
+// node kills now and then, and returns its full serialized event stream
+// and how many activities were requeued.
+func schedScenarioTrace(t *testing.T) ([]byte, int) {
 	t.Helper()
 	var events []Event
+	retried := 0
 	rt := newRuntime(t, SimConfig{
 		Spec:    oneCPUSpec(),
 		Library: slowLib(t),
 		Options: Options{
-			Quotas:  map[string]float64{"heavy": 2, "light": 1},
-			OnEvent: func(ev Event) { events = append(events, ev) },
+			Quotas: map[string]float64{"heavy": 2, "light": 1},
+			OnEvent: func(ev Event) {
+				events = append(events, ev)
+				if ev.Kind == EvTaskRetried {
+					retried++
+				}
+			},
 		},
 	})
 	register(t, rt, slowParSrc)
@@ -262,23 +289,26 @@ func schedScenarioTrace(t *testing.T) []byte {
 			t.Error(err)
 		}
 	})
-	rt.Sim.Every(2*time.Minute, func(sim.Time) {
-		rt.Engine.Preempt(sched.Preemptor{StarvationWait: time.Minute, PriorityGap: 1})
-	})
+	for _, at := range []time.Duration{7 * time.Minute, 26 * time.Minute, 45 * time.Minute} {
+		rt.Sim.At(sim.Time(at), func(sim.Time) { killRunning(t, rt, 1) })
+	}
 	rt.RunUntil(sim.Time(3 * time.Hour))
 	b, err := json.Marshal(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return b, retried
 }
 
-// TestSchedulerDeterminism replays the same tenanted, preempting scenario
-// twice and demands bit-identical event traces: the refactored scheduler
-// must stay inside the deterministic-simulation envelope.
+// TestSchedulerDeterminism replays the same tenanted scenario, kills and
+// requeues included, twice and demands bit-identical event traces: the
+// scheduler must stay inside the deterministic-simulation envelope.
 func TestSchedulerDeterminism(t *testing.T) {
-	a := schedScenarioTrace(t)
-	b := schedScenarioTrace(t)
+	a, retried := schedScenarioTrace(t)
+	if retried == 0 {
+		t.Fatal("no kill requeued an activity")
+	}
+	b, _ := schedScenarioTrace(t)
 	if !bytes.Equal(a, b) {
 		t.Fatal("event traces diverged between identical runs")
 	}

@@ -171,9 +171,10 @@ type ServerConfig struct {
 	Source   Source
 	Registry *Registry
 	Events   *Ring
-	// MaxWait caps the /api/events long-poll (default 30s).
-	MaxWait time.Duration
 }
+
+// maxEventWait caps the /api/events long-poll.
+const maxEventWait = 30 * time.Second
 
 // Server serves /metrics and the JSON monitor API.
 type Server struct {
@@ -187,9 +188,6 @@ type Server struct {
 // NewServer builds a monitor server; call Start to listen or mount
 // Handler yourself.
 func NewServer(cfg ServerConfig) *Server {
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 30 * time.Second
-	}
 	s := &Server{cfg: cfg, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/metrics", s.metrics)
 	s.mux.HandleFunc("/api/instances", s.instances)
@@ -258,7 +256,7 @@ func (s *Server) instances(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) instance(w http.ResponseWriter, req *http.Request) {
 	id := strings.TrimPrefix(req.URL.Path, "/api/instances/")
 	if id == "" {
-		http.Error(w, `{"error":"missing instance id"}`, http.StatusBadRequest)
+		writeJSONStatus(w, http.StatusBadRequest, map[string]string{"error": "missing instance id"})
 		return
 	}
 	det, err := s.cfg.Source.Instance(id)
@@ -297,12 +295,9 @@ func (s *Server) events(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	after, _ := strconv.ParseUint(q.Get("after"), 10, 64)
 	max, _ := strconv.Atoi(q.Get("max"))
-	wait := s.cfg.MaxWait
+	wait := maxEventWait
 	if ms, err := strconv.Atoi(q.Get("waitMs")); err == nil {
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > s.cfg.MaxWait {
-			wait = s.cfg.MaxWait
-		}
+		wait = min(time.Duration(ms)*time.Millisecond, maxEventWait)
 	}
 	var evs []RingEvent
 	var dropped uint64

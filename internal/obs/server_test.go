@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -23,5 +26,22 @@ func TestServerCloseJoinsServe(t *testing.T) {
 		// Serve goroutine is gone, as Close promised.
 	default:
 		t.Fatal("Close returned while the Serve goroutine was still running")
+	}
+}
+
+// TestInstanceWithoutIDAnswersJSON: /api/instances/ with no ID is a bad
+// request answered in JSON, like every other /api error.
+func TestInstanceWithoutIDAnswersJSON(t *testing.T) {
+	rec := httptest.NewRecorder()
+	NewServer(ServerConfig{}).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/instances/", nil))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", rec.Code)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q, want application/json", ct)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+		t.Fatalf("body %q is not {\"error\": …}: %v", rec.Body.String(), err)
 	}
 }

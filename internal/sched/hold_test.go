@@ -63,9 +63,9 @@ func TestReleasePreservesPosition(t *testing.T) {
 
 	s := build()
 	s.Hold("g2")
-	if !s.queue.groups["g2"].held || s.Held() != 12 || s.Len() != 60 || len(s.Jobs()) != 48 {
+	if !s.queue.groups["g2"].held || s.Held() != 12 || s.Len() != 60 || len(readyJobs(&s.queue)) != 48 {
 		t.Fatalf("after Hold: held=%v %d jobs, len=%d, ready=%d; want true 12 60 48",
-			s.queue.groups["g2"].held, s.Held(), s.Len(), len(s.Jobs()))
+			s.queue.groups["g2"].held, s.Held(), s.Len(), len(readyJobs(&s.queue)))
 	}
 	got := drainIDs(s, nodes, nil, 20)
 	s.Enqueue(late) // into a held group: straight to the held set
@@ -143,7 +143,7 @@ func TestRemoveGroupAndRemoveWhere(t *testing.T) {
 		t.Fatalf("RemoveGroup of an unknown group = %v", got)
 	}
 	var ready []string
-	for _, j := range s.Jobs() {
+	for _, j := range readyJobs(&s.queue) {
 		ready = append(ready, j.ID)
 	}
 	if !reflect.DeepEqual(ready, []string{"a0", "a2", "a4"}) {

@@ -19,7 +19,8 @@ type MigrationPolicy struct {
 	TargetMaxLoad float64
 }
 
-// Candidate is a running job considered for migration or preemption.
+// Candidate is a running job and the node it runs on: what the engine
+// offers a MigrationPolicy, and what Decide returns to kill.
 type Candidate struct {
 	Job  string
 	Node string

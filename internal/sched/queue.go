@@ -413,17 +413,6 @@ func (q *Queue) TakeUnplaceable(nodes []cluster.NodeView) []Job {
 	return out
 }
 
-// Jobs returns the ready jobs in dispatch order (copy). Held jobs are not
-// candidates for anything that runs work, so they are not listed.
-func (q *Queue) Jobs() []Job {
-	out := make([]Job, 0, q.size-q.held)
-	q.scan(func(nd *node) bool {
-		out = append(out, nd.job)
-		return false
-	})
-	return out
-}
-
 // DepthByTenant returns the number of queued jobs per tenant, held ones
 // included (tenants with no queued jobs are omitted).
 func (q *Queue) DepthByTenant() map[string]int {

@@ -212,7 +212,7 @@ func TestQueueMatchesModel(t *testing.T) {
 			for _, rj := range ref.ready() {
 				want = append(want, rj.job.ID)
 			}
-			if got := ids(q.Jobs()); len(got) != 0 || len(want) != 0 {
+			if got := ids(readyJobs(&q)); len(got) != 0 || len(want) != 0 {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d (%s): dispatch order\n got %v\nwant %v", seed, step, op, got, want)
 				}

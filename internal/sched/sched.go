@@ -1,13 +1,11 @@
 // Package sched is the scheduling subsystem of the BioOpera server. It
 // grew out of the dispatcher's placement helpers (§3.2: "If the choice of
 // assignment is not unique, the node is determined by the scheduling and
-// load balancing policy in use") into four cooperating concerns:
+// load balancing policy in use") into three cooperating concerns:
 //
 //   - Queue    priority + per-tenant fair-share ordering with quotas
 //   - Policy   node placement (first-fit, least-loaded, fastest, round-robin)
 //   - Predictor cost-model calibration from completed-activity durations
-//   - Preemptor node reclamation for starving high-priority work, riding
-//     the engine's checkpoint/requeue machinery
 //
 // Scheduler composes them behind one facade the core dispatcher drives.
 // Everything here is deterministic: no wall-clock reads, no map-order
@@ -19,7 +17,6 @@ import (
 	"time"
 
 	"bioopera/internal/cluster"
-	"bioopera/internal/sim"
 )
 
 // Job is the scheduler's view of an activity awaiting placement.
@@ -49,9 +46,6 @@ type Job struct {
 	// Key identifies the job's program for the Predictor's per-program
 	// execution history ("" disables estimation).
 	Key string
-	// Enqueued is the virtual time the job entered the queue; the
-	// Preemptor uses it to detect starvation.
-	Enqueued sim.Time
 }
 
 // matches reports whether a node satisfies the job's static placement

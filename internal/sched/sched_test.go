@@ -100,6 +100,16 @@ func pop(q *Queue) (Job, bool) {
 	return j, ok
 }
 
+// readyJobs lists the ready jobs in dispatch order; held jobs are left out.
+func readyJobs(q *Queue) []Job {
+	out := make([]Job, 0, q.size-q.held)
+	q.scan(func(nd *node) bool {
+		out = append(out, nd.job)
+		return false
+	})
+	return out
+}
+
 func TestQueueOrdering(t *testing.T) {
 	var q Queue
 	q.Push(Job{ID: "low1", Priority: 0})
@@ -124,7 +134,7 @@ func TestQueueOrdering(t *testing.T) {
 
 func TestQueuePeekRemove(t *testing.T) {
 	var q Queue
-	if jobs := q.Jobs(); len(jobs) != 0 {
+	if jobs := readyJobs(&q); len(jobs) != 0 {
 		t.Fatalf("jobs on empty = %+v", jobs)
 	}
 	if _, ok := pop(&q); ok {
@@ -132,7 +142,7 @@ func TestQueuePeekRemove(t *testing.T) {
 	}
 	q.Push(Job{ID: "x"})
 	q.Push(Job{ID: "y"})
-	if jobs := q.Jobs(); len(jobs) != 2 || jobs[0].ID != "x" {
+	if jobs := readyJobs(&q); len(jobs) != 2 || jobs[0].ID != "x" {
 		t.Fatalf("jobs = %+v, want x first", jobs)
 	}
 	isX := func(id string) bool { return id == "x" }
@@ -145,7 +155,7 @@ func TestQueuePeekRemove(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("len = %d", q.Len())
 	}
-	jobs := q.Jobs()
+	jobs := readyJobs(&q)
 	if len(jobs) != 1 || jobs[0].ID != "y" {
 		t.Fatalf("jobs = %v", jobs)
 	}

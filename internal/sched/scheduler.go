@@ -131,9 +131,6 @@ func (s *Scheduler) Ready() int { return s.queue.Ready() }
 // Group reports whether a group has jobs queued and whether it is held.
 func (s *Scheduler) Group(name string) (queued, held bool) { return s.queue.Group(name) }
 
-// Jobs returns the ready jobs in dispatch order; held jobs are left out.
-func (s *Scheduler) Jobs() []Job { return s.queue.Jobs() }
-
 // DepthByTenant reports queue depth per tenant.
 func (s *Scheduler) DepthByTenant() map[string]int { return s.queue.DepthByTenant() }
 

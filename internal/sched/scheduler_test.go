@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bioopera/internal/cluster"
-	"bioopera/internal/sim"
 )
 
 func TestPolicyByName(t *testing.T) {
@@ -160,63 +159,6 @@ func TestUnplaceable(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Fatalf("len = %d after reap", s.Len())
-	}
-}
-
-func TestPreemptorDecide(t *testing.T) {
-	p := Preemptor{StarvationWait: time.Minute, PriorityGap: 1}
-	nodes := []cluster.NodeView{
-		{Name: "n1", OS: "linux", Up: true, CPUs: 1, Speed: 1, Running: 1},
-		{Name: "n2", OS: "linux", Up: true, CPUs: 1, Speed: 1, Running: 1},
-	}
-	running := []Running{
-		{Job: "lowB", Node: "n2", Priority: 1},
-		{Job: "lowA", Node: "n1", Priority: 0},
-	}
-	now := sim.Time(2 * time.Minute)
-
-	// A starving high-priority job claims the lowest-priority victim.
-	kills := p.Decide(now, []Job{{ID: "hi", Priority: 5, Enqueued: 0}}, running, nodes)
-	if len(kills) != 1 || kills[0].Job != "lowA" {
-		t.Fatalf("kills = %v, want lowA (lowest priority)", kills)
-	}
-
-	// Not yet starving → no kill.
-	fresh := []Job{{ID: "hi", Priority: 5, Enqueued: now - sim.Time(time.Second)}}
-	if kills := p.Decide(now, fresh, running, nodes); kills != nil {
-		t.Fatalf("preempted for a fresh job: %v", kills)
-	}
-
-	// Equal priority is protected by the gap.
-	peer := []Job{{ID: "peer", Priority: 1, Enqueued: 0}}
-	if kills := p.Decide(now, peer, running, nodes); len(kills) != 1 || kills[0].Job != "lowA" {
-		t.Fatalf("kills = %v, want only the strictly lower lowA", kills)
-	}
-
-	// A free slot means dispatch can proceed: no preemption.
-	free := append([]cluster.NodeView(nil), nodes...)
-	free[0].Running = 0
-	if kills := p.Decide(now, []Job{{ID: "hi", Priority: 5, Enqueued: 0}}, running, free); kills != nil {
-		t.Fatalf("preempted with a free slot: %v", kills)
-	}
-
-	// A job pinned to dead nodes gains nothing from killing.
-	pinned := []Job{{ID: "hi", Priority: 5, Enqueued: 0, Nodes: []string{"ghost"}}}
-	if kills := p.Decide(now, pinned, running, nodes); kills != nil {
-		t.Fatalf("preempted for an unplaceable job: %v", kills)
-	}
-
-	// Two starving jobs claim distinct victims; MaxKills bounds the sweep.
-	two := []Job{
-		{ID: "hi1", Priority: 5, Enqueued: 0},
-		{ID: "hi2", Priority: 5, Enqueued: 0},
-	}
-	if kills := p.Decide(now, two, running, nodes); len(kills) != 2 {
-		t.Fatalf("kills = %v, want two distinct victims", kills)
-	}
-	capped := Preemptor{StarvationWait: time.Minute, PriorityGap: 1, MaxKills: 1}
-	if kills := capped.Decide(now, two, running, nodes); len(kills) != 1 {
-		t.Fatalf("kills = %v, want MaxKills = 1", kills)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,7 +41,9 @@ func FuzzDecodeInstanceRecords(f *testing.F) {
 	f.Add("task/p0001/-/Add", taskBin[:len(taskBin)-2], "scoped/p0001/-", []byte{codec.Magic, 0xFF})
 	f.Add("proc/p0001/0011223344556677", []byte("PROCESS P {}"), "scopec/p0001/-", createBin)
 	f.Fuzz(func(t *testing.T, k1 string, v1 []byte, k2 string, v2 []byte) {
+		// Sorted by key, as List returns them: groupRecords' precondition.
 		kvs := []store.KV{{Key: k1, Value: v1}, {Key: k2, Value: v2}}
+		slices.SortFunc(kvs, func(a, b store.KV) int { return strings.Compare(a.Key, b.Key) })
 		groups, _, _ := groupRecords(kvs)
 		for _, kv := range kvs {
 			if rest, ok := strings.CutPrefix(kv.Key, "proc/"); ok {

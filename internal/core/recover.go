@@ -21,13 +21,15 @@ import (
 //
 //  1. A serial scan groups the Instance space's raw records by instance
 //     (keys carry the instance ID, so no value is decoded except the small
-//     inst/ metadata record).
+//     inst/ metadata record), in the key order List returns: the inst/
+//     records give the instances' order, and each instance's other records
+//     come in runs.
 //  2. Workers decode and rebuild instances in parallel — decoding records
 //     dominates recovery cost and touches only per-instance state, so they
 //     stripe across one goroutine per shard with no shared locks. A scope
 //     whose process hash nothing registered has compiles its text from the
 //     template space's version records, read once before this phase.
-//  3. A serial pass in sorted instance order takes each shard lock, resumes
+//  3. A serial pass in instance order takes each shard lock, resumes
 //     execution state, registers the instance, and emits events — so the
 //     recovery trace is deterministic regardless of worker count.
 //
@@ -65,6 +67,10 @@ type instGroup struct {
 	id   string
 	meta InstanceMeta
 	kvs  []store.KV
+	// listed: the group's ID is in groupRecords' list; filed: how many
+	// records groupRecords files into kvs.
+	listed bool
+	filed  int
 	// retired refuses the instance: one of its records has a layout this
 	// build does not read.
 	retired error
@@ -207,7 +213,7 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 	e.versions = versions
 	e.emu.Unlock()
 
-	// Phase 1 (serial): group raw records by instance.
+	// Phase 1 (serial): group raw records by instance, in List's order.
 	groups, ids, errs := groupRecords(kvs)
 	if owns != nil {
 		kept := ids[:0]
@@ -220,7 +226,7 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 	}
 
 	// Phase 2 (parallel): decode and rebuild, or check a stub's headers.
-	// Worker w handles the sorted indexes i with i%workers == w and writes
+	// Worker w handles the indexes i with i%workers == w and writes
 	// only results[i]/buildErrs[i]; the one thing shared is the
 	// compiled-process index, which they read (and, for a text nothing
 	// registered has, extend from the version records) under emu.
@@ -243,7 +249,7 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 	}
 	wg.Wait()
 
-	// Phase 3 (serial, sorted order): resume execution state under each
+	// Phase 3 (serial, in ID order): resume execution state under each
 	// instance's shard, register, emit, checkpoint — and commit the turns
 	// recoverGroup at a time. Serializing this phase keeps the recovery event
 	// trace independent of the worker count.
@@ -280,11 +286,19 @@ func (e *Engine) RecoverOwned(owns func(id string) bool) (int, error) {
 }
 
 // groupRecords is recovery's phase 1: it groups the instance space's records
-// by instance and returns the groups and the sorted IDs of those with an
-// inst/ record, the one record it decodes.
+// by instance and returns the groups and, in kvs' order, the IDs of those
+// with an inst/ record, the one record it decodes. kvs is sorted by key, as
+// List returns it, so the inst/ records are one block in ID order, which
+// sizes the groups, and each instance's records under another prefix are one
+// run: a run is filed with one group lookup, and every group's records are
+// carved from one array counted beforehand.
 func groupRecords(kvs []store.KV) (map[string]*instGroup, []string, []error) {
 	var errs []error
-	groups := make(map[string]*instGroup)
+	// The inst/ records are one block: "inst0" follows every "inst/…" key.
+	at := sort.Search(len(kvs), func(i int) bool { return kvs[i].Key >= "inst/" })
+	metas := kvs[at : at+sort.Search(len(kvs)-at, func(i int) bool { return kvs[at+i].Key >= "inst0" })]
+	ids := make([]string, 0, len(metas))
+	groups := make(map[string]*instGroup, len(metas))
 	group := func(id string) *instGroup {
 		g := groups[id]
 		if g == nil {
@@ -293,48 +307,72 @@ func groupRecords(kvs []store.KV) (map[string]*instGroup, []string, []error) {
 		}
 		return g
 	}
-	metas := make(map[string]bool)
-	for _, kv := range kvs {
-		if strings.HasPrefix(kv.Key, "inst/") {
-			id := strings.TrimPrefix(kv.Key, "inst/")
-			meta, err := DecodeInstanceMeta(kv.Value)
-			if err != nil {
-				errs = append(errs, fmt.Errorf("core: corrupt instance record %s: %w", kv.Key, err))
-				continue
-			}
-			if meta.ID != "" {
-				id = meta.ID
-			}
-			g := group(id)
-			g.meta = meta
-			metas[id] = true
+	for _, kv := range metas {
+		meta, err := DecodeInstanceMeta(kv.Value)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("core: corrupt instance record %s: %w", kv.Key, err))
 			continue
 		}
-		for _, prefix := range [...]string{"scopec/", "scoped/", "task/", "proc/"} {
-			if strings.HasPrefix(kv.Key, prefix) {
-				instID, _, ok := splitInstKey(strings.TrimPrefix(kv.Key, prefix))
-				if !ok {
-					break
-				}
-				g := group(instID)
-				if prefix != "proc/" {
-					g.kvs = append(g.kvs, kv)
-				} else if g.retired == nil {
-					// An instance's own copy of a process text, as stores
-					// written before texts became version records of the
-					// template space held them: refused, not converted.
-					g.retired = fmt.Errorf("core: instance-space record %s is a per-instance process text, a retired layout: texts are version records of the template space", kv.Key)
-				}
-				break
-			}
+		id := strings.TrimPrefix(kv.Key, "inst/")
+		if meta.ID != "" {
+			id = meta.ID
+		}
+		g := group(id)
+		if !g.listed {
+			g.listed = true
+			ids = append(ids, id)
+		}
+		g.meta = meta
+	}
+	type run struct {
+		g      *instGroup
+		lo, hi int
+	}
+	runs := make([]run, 0, 3*len(ids)) // scopec/, scoped/ and task/ records
+	filed := 0
+	for i := 0; i < len(kvs); i++ {
+		key := kvs[i].Key
+		prefix, instID, ok := instRecKey(key)
+		if !ok {
+			continue
+		}
+		// The run: this record and those after it under the same prefix and ID.
+		lo, head := i, key[:len(prefix)+len(instID)+1]
+		for i+1 < len(kvs) && strings.HasPrefix(kvs[i+1].Key, head) {
+			i++
+		}
+		g := group(instID)
+		if prefix != "proc/" {
+			runs = append(runs, run{g, lo, i + 1})
+			g.filed += i + 1 - lo
+			filed += i + 1 - lo
+		} else if g.retired == nil {
+			// An instance's own copy of a process text, as stores written
+			// before texts became version records of the template space held
+			// them: refused, not converted.
+			g.retired = fmt.Errorf("core: instance-space record %s is a per-instance process text, a retired layout: texts are version records of the template space", key)
 		}
 	}
-	ids := make([]string, 0, len(metas))
-	for id := range metas {
-		ids = append(ids, id)
+	all := make([]store.KV, filed)
+	for _, r := range runs {
+		if r.g.kvs == nil {
+			r.g.kvs, all = all[:0:r.g.filed], all[r.g.filed:]
+		}
+		r.g.kvs = append(r.g.kvs, kvs[r.lo:r.hi]...)
 	}
-	sort.Strings(ids)
 	return groups, ids, errs
+}
+
+// instRecKey splits the key of an instance's scope, task or retired text
+// record, <prefix><inst>/<rest>, into its prefix and instance ID.
+func instRecKey(key string) (prefix, instID string, ok bool) {
+	for _, prefix := range [...]string{"scopec/", "scoped/", "task/", "proc/"} {
+		if rest, found := strings.CutPrefix(key, prefix); found {
+			instID, _, ok = splitInstKey(rest)
+			return prefix, instID, ok
+		}
+	}
+	return "", "", false
 }
 
 // recoverGroup is how many recovered instances phase 3 commits in one store

@@ -644,40 +644,36 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if old, _ := fs.Glob(dir + "/snap-*.snap"); len(old) > 0 {
 		return nil, fmt.Errorf("store: %s is a JSON snapshot: this build reads only framed snapshots, in the log's directory", old[0])
 	}
-	l, err := wal.Open(dir+"/wal", wopts)
-	if err != nil {
-		return nil, err
-	}
 	segSize := opts.SegmentSize
 	if segSize <= 0 {
 		segSize = wal.DefaultSegmentSize
 	}
-	d := &Disk{log: l, minTrigger: 16 * segSize}
+	d := &Disk{minTrigger: 16 * segSize}
 	d.reset()
-	// The frames are already in the log: the base's ops, then each replayed
-	// unit's, are ingested with none to append, and only counted. One ops
-	// slice serves every unit — apply copies what it keeps.
-	unit := []commitReq{{}}
+	// The log replays as it checks itself: the base's ops, then each
+	// committed batch's, are applied as the walk passes them, with none to
+	// append, and counted. One ops slice serves every batch — apply copies
+	// what it keeps. A refused open drops what it applied with d.
+	var ops []Op
 	replay := func(first uint64, frames [][]byte) error {
-		ops, err := decodeOps(unit[0].ops, first, frames)
-		unit[0].ops = ops
-		if err != nil {
+		var err error
+		if ops, err = decodeOps(ops, first, frames); err != nil {
 			return err
 		}
+		d.apply(ops)
 		d.walBytes += wal.Size(frames)
-		_, err = d.ingest(nil, unit)
+		return nil
+	}
+	l, err := wal.OpenReplay(dir+"/wal", wopts, func(seq uint64, frames [][]byte) error {
+		d.snapSeq = seq
+		err := replay(0, frames)
+		d.baseAt, d.baseBytes = d.walBytes, d.walBytes
 		return err
-	}
-	d.snapSeq, err = l.ReplayBase(func(frames [][]byte) error { return replay(0, frames) })
-	d.baseAt, d.baseBytes = d.walBytes, d.walBytes
-	if err == nil {
-		err = l.ReplayBatches(d.snapSeq, replay)
-	}
+	}, replay)
 	if err != nil {
-		//bioopera:allow droppederr the load or replay error is returned; closing the half-opened log is best-effort
-		l.Close()
 		return nil, err
 	}
+	d.log = l
 	if opts.Metrics != nil {
 		d.groupSize = opts.Metrics.Histogram("bioopera_store_commit_group_records",
 			"Records per group-committed WAL batch.", obs.SizeBuckets)

@@ -146,9 +146,10 @@ func TestCrashWithBitFlipTail(t *testing.T) {
 // FuzzSegment: a segment's bytes are whatever the disk kept — torn, flipped
 // or foreign — so the frame walker must never panic or hand out bytes beyond
 // its input, and a log opened over them as its only (tail) segment must
-// replay exactly the records Open counted. The same bytes as a log's only
-// base must be taken only when they are whole frames whose last is the seal
-// of the base's sequence, and then replay as the records before it.
+// replay exactly the records Open counted, in the open's own pass and after
+// it. The same bytes as a log's only base must be taken only when they are
+// whole frames whose last is the seal of the base's sequence, and then the
+// replaying open hands over the records before it.
 func FuzzSegment(f *testing.F) {
 	dir := f.TempDir()
 	l, err := Open(dir, Options{NoSync: true})
@@ -194,7 +195,11 @@ func FuzzSegment(f *testing.F) {
 		if err := os.WriteFile(path, seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := Open(dir, Options{NoSync: true})
+		var opened uint64
+		l, err := OpenReplay(dir, Options{NoSync: true}, nil, func(_ uint64, recs [][]byte) error {
+			opened += uint64(len(recs))
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("Open of a lone tail segment: %v", err)
 		}
@@ -203,15 +208,20 @@ func FuzzSegment(f *testing.F) {
 		if err := replay(l, 1, func(Record) error { got++; return nil }); err != nil {
 			t.Fatalf("Replay after Open: %v", err)
 		}
-		if got != n || l.NextSeq() != n+1 {
-			t.Fatalf("Open counted %d records (NextSeq %d), Replay yielded %d, the walk %d", l.NextSeq()-1, l.NextSeq(), got, n)
+		if got != n || opened != n || l.NextSeq() != n+1 {
+			t.Fatalf("Open counted %d records (NextSeq %d) and replayed %d, Replay yielded %d, the walk %d", l.NextSeq()-1, l.NextSeq(), opened, got, n)
 		}
 
 		if err := os.WriteFile(basePath, seg, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		sealed := walkErr == nil && len(frames) > 0 && bytes.Equal(frames[len(frames)-1], binary.LittleEndian.AppendUint64(nil, baseSeq))
-		b, err := Open(baseDir, Options{NoSync: true})
+		var seq uint64
+		records := -1
+		b, err := OpenReplay(baseDir, Options{NoSync: true}, func(s uint64, recs [][]byte) error {
+			seq, records = s, len(recs)
+			return nil
+		}, nil)
 		if (err == nil) != sealed {
 			t.Fatalf("Open of a lone base = %v, sealed = %v", err, sealed)
 		}
@@ -219,12 +229,11 @@ func FuzzSegment(f *testing.F) {
 			return
 		}
 		defer b.Close()
-		var records [][]byte
-		if seq, err := b.ReplayBase(func(recs [][]byte) error { records = recs; return nil }); err != nil || seq != baseSeq || b.NextSeq() != baseSeq {
-			t.Fatalf("ReplayBase = %d, %v (NextSeq %d), want %d", seq, err, b.NextSeq(), baseSeq)
+		if seq != baseSeq || b.NextSeq() != baseSeq {
+			t.Fatalf("the replaying open handed over the base at %d (NextSeq %d), want %d", seq, b.NextSeq(), baseSeq)
 		}
-		if len(records) != len(frames)-1 {
-			t.Fatalf("the base replayed %d records, the walk saw %d before the seal", len(records), len(frames)-1)
+		if records != len(frames)-1 {
+			t.Fatalf("the base replayed %d records, the walk saw %d before the seal", records, len(frames)-1)
 		}
 	})
 }

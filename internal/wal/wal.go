@@ -202,11 +202,21 @@ type Log struct {
 	retain uint64
 }
 
-// Open opens (creating if necessary) the log in dir. It scans existing
-// segments, verifies the tail, truncates any torn final record, removes the
-// temporary file of a compaction that crashed, and settles the base
-// (openBase).
-func Open(dir string, opts Options) (*Log, error) {
+// Open opens (creating if necessary) the log in dir, checking it as
+// OpenReplay does and replaying nothing.
+func Open(dir string, opts Options) (*Log, error) { return OpenReplay(dir, opts, nil, nil) }
+
+// OpenReplay opens (creating if necessary) the log in dir and replays it in
+// the one pass that checks it. It removes the temporary file of a compaction
+// that crashed and settles the base (openBase), whose records go to base with
+// its sequence. Then it reads every segment once: a closed segment must be
+// whole, the tail is truncated to its last commit, and each committed batch
+// at or after the base goes to batch as the walk passes it. A nil base or
+// batch is not called. Records are valid only during the call. A refused
+// open — a lost-records gap, a short or corrupt closed segment, or base's or
+// batch's own error — returns that error and leaves no file open; what the
+// callbacks were already given is the caller's to drop.
+func OpenReplay(dir string, opts Options, base, batch func(seq uint64, records [][]byte) error) (*Log, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = DefaultSegmentSize
 	}
@@ -218,7 +228,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{dir: dir, opts: opts, nextSeq: 1}
-	if err := l.scan(); err != nil {
+	if err := l.scan(base, batch); err != nil {
 		return nil, errors.Join(err, l.Close())
 	}
 	return l, nil
@@ -239,9 +249,10 @@ func parseName(name, prefix, suffix string) (uint64, bool) {
 	return n, hasPrefix && hasSuffix && err == nil
 }
 
-// scan discovers segments and bases, checks every closed segment, repairs
-// the tail segment, and positions the writer after the last valid record.
-func (l *Log) scan() error {
+// scan discovers segments and bases, settles the base, checks and replays
+// every segment, repairs the tail, and positions the writer after the last
+// valid record. One buffer reads the base and every segment in turn.
+func (l *Log) scan(base, batch func(uint64, [][]byte) error) error {
 	entries, err := l.opts.FS.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
@@ -263,13 +274,28 @@ func (l *Log) scan() error {
 	}
 	slices.Sort(l.segs)
 	slices.Sort(bases)
-	var seg []byte
+	seg, err := l.openBase(bases, base)
+	if err != nil {
+		return err
+	}
+	// Records before the base are checked, not replayed.
+	from, seq, b := max(l.base, 1), uint64(0), batcher{fn: batch}
+	var fn func([]byte, bool) error
+	if batch != nil {
+		fn = func(data []byte, more bool) error {
+			if seq++; seq < from {
+				return nil
+			}
+			return b.frame(seq, data, more)
+		}
+	}
 	for i, first := range l.segs {
 		path := filepath.Join(l.dir, segName(first))
 		if seg, err = l.readSegment(path, seg); err != nil {
 			return err
 		}
-		n, valid, err := walk(seg, math.MaxUint64, nil)
+		seq = first - 1
+		n, valid, err := walk(seg, math.MaxUint64, fn)
 		if i+1 < len(l.segs) {
 			// A closed segment is whole and holds exactly the records
 			// before its successor's first.
@@ -277,6 +303,9 @@ func (l *Log) scan() error {
 				return err
 			}
 			continue
+		}
+		if _, torn := err.(badFrame); err != nil && !torn {
+			return err // batch's own
 		}
 		// The tail: whatever stopped the walk is a torn write, rolled back
 		// to the last commit point.
@@ -291,24 +320,31 @@ func (l *Log) scan() error {
 		l.size = int64(valid)
 		l.nextSeq = first + n
 	}
-	return l.openBase(bases, seg)
+	if l.base > l.nextSeq {
+		// A base past the log's end is a compaction (a standby's bootstrap)
+		// that crashed before removing the segments it supersedes; finish it.
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.startAtLocked(l.base)
+	}
+	return nil
 }
 
-// openBase settles the base the log starts from: the newest that reads back
-// sealed with its name's sequence. A log that begins past it — at its oldest
-// segment or, with none left, where its newest base is named — has lost the
-// records between, and is refused naming the newest base it could not read.
-// A base past the log's end is a compaction (a standby's bootstrap) that
-// crashed before removing the segments it supersedes; openBase finishes it.
-func (l *Log) openBase(bases []uint64, buf []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+// openBase settles the base the log starts from — the newest that reads back
+// sealed with its name's sequence — and hands its records to fn, if non-nil.
+// A log that begins past it — at its oldest segment or, with none left,
+// where its newest base is named — has lost the records between, and is
+// refused naming the newest base it could not read. It returns its read
+// buffer for the segments.
+func (l *Log) openBase(bases []uint64, fn func(uint64, [][]byte) error) ([]byte, error) {
+	var buf []byte
+	var records [][]byte
 	unreadable := "no base holds them"
 	for i := len(bases) - 1; i >= 0 && l.base == 0; i-- {
 		path := filepath.Join(l.dir, baseName(bases[i]))
 		var err error
 		if buf, err = l.readSegment(path, buf); err == nil {
-			_, err = readBatch(buf, baseSeal(bases[i]))
+			records, err = readBatch(buf, baseSeal(bases[i]))
 		}
 		if err == nil {
 			l.base = bases[i]
@@ -323,12 +359,14 @@ func (l *Log) openBase(bases []uint64, buf []byte) error {
 		oldest = max(oldest, bases[len(bases)-1])
 	}
 	if oldest > from {
-		return fmt.Errorf("%w: records %d to %d are lost: the log begins at %d, and %s", ErrCorrupt, from, oldest-1, oldest, unreadable)
+		return nil, fmt.Errorf("%w: records %d to %d are lost: the log begins at %d, and %s", ErrCorrupt, from, oldest-1, oldest, unreadable)
 	}
-	if l.base > l.nextSeq {
-		return l.startAtLocked(l.base)
+	if l.base != 0 && fn != nil {
+		if err := fn(l.base, records); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return buf, nil
 }
 
 // readSegment reads the whole segment (or base) at path into buf, grown to
@@ -357,9 +395,9 @@ type badFrame string
 
 func (b badFrame) Error() string { return string(b) }
 
-// walk is the one frame reader: Open counts and checks a segment with it,
-// ReplayBatches (so the store and the shipper) reads records with it, and
-// readBatch checks a base or a shipped batch with it. It checks the frames
+// walk is the one frame reader: OpenReplay checks and replays a segment with
+// it, ReplayBatches (the shipper) reads records with it, and readBatch checks
+// a base or a shipped batch with it. It checks the frames
 // of seg, a whole file (readSegment) or frame body, in order and stops after
 // limit records. fn, when non-nil, sees each frame once its checksum holds
 // (more: its batch continues in the next frame); data is a subslice of seg
@@ -735,21 +773,32 @@ func (l *Log) SetRetainFloor(seq uint64) {
 // the bytes they hold are valid only during fn: the slice is reused for the
 // next batch, and one read buffer for every segment.
 func (l *Log) ReplayBatches(from uint64, fn func(first uint64, records [][]byte) error) error {
-	var batch [][]byte
-	var first uint64
-	return l.replayFlagged(from, func(r Record, more bool) error {
-		if len(batch) == 0 {
-			first = r.Seq
-		}
-		batch = append(batch, r.Data)
-		if more {
-			return nil
-		}
-		err := fn(first, batch)
-		clear(batch)
-		batch = batch[:0]
-		return err
-	})
+	b := batcher{fn: fn}
+	return l.replayFlagged(from, func(r Record, more bool) error { return b.frame(r.Seq, r.Data, more) })
+}
+
+// batcher gathers a walk's frames into the batches AppendBatch wrote and
+// hands each to fn at its closing frame; a batch still open where the walk
+// stops is never handed over. Its slice is reused from batch to batch.
+type batcher struct {
+	fn    func(first uint64, records [][]byte) error
+	batch [][]byte
+	first uint64
+}
+
+// frame takes the frame of record seq (more: its batch continues).
+func (b *batcher) frame(seq uint64, data []byte, more bool) error {
+	if len(b.batch) == 0 {
+		b.first = seq
+	}
+	b.batch = append(b.batch, data)
+	if more {
+		return nil
+	}
+	err := b.fn(b.first, b.batch)
+	clear(b.batch)
+	b.batch = b.batch[:0]
+	return err
 }
 
 // Compact makes records — a store image holding the effect of every record
@@ -828,20 +877,6 @@ func (l *Log) startAtLocked(seq uint64) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	return l.syncDir()
-}
-
-// ReplayBase calls fn with the records of the base the log starts from and
-// returns its sequence, the first record replay goes on from; with no base
-// it returns 0 without calling fn. The records are valid only during fn.
-func (l *Log) ReplayBase(fn func(records [][]byte) error) (uint64, error) {
-	seq, data, err := l.baseBytes()
-	if err == nil && seq != 0 {
-		var records [][]byte
-		if records, err = readBatch(data, baseSeal(seq)); err == nil {
-			err = fn(records)
-		}
-	}
-	return seq, err
 }
 
 // baseBytes reads the base the log starts from: its sequence (0 = none) and

@@ -57,6 +57,9 @@ go test -run '^$' -fuzz FuzzFedMessage -fuzztime 10s ./internal/fed
 echo "== fuzz the event journal record's round trip and decoder (10s)"
 go test -run '^$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/core
 
+echo "== fuzz recovery's grouping and instance-record decoders (10s)"
+go test -run '^$' -fuzz FuzzDecodeInstanceRecords -fuzztime 10s ./internal/core
+
 echo "== federation e2e smoke"
 # Three servers and a gateway in one process; one server is killed mid-run
 # and every instance must still complete with correct outputs. Three, not
